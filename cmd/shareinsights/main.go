@@ -609,12 +609,10 @@ func main() {
 			}
 			// The recorder's WAL position — the cursor a replica of this
 			// history would resume from (docs/REPLICATION.md).
-			if d := rec.Dir(); d != nil {
-				cur := d.Cursor()
-				body["wal"] = map[string]any{
-					"generation":       cur.Gen,
-					"committed_offset": cur.Offset,
-				}
+			cur := rec.Component().Dir().Cursor()
+			body["wal"] = map[string]any{
+				"generation":       cur.Gen,
+				"committed_offset": cur.Offset,
 			}
 			if err := enc.Encode(body); err != nil {
 				log.Fatal(err)

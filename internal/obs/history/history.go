@@ -20,7 +20,6 @@ package history
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -217,7 +216,7 @@ type Options struct {
 	// (default 500µs).
 	MinDurationUS int64
 	// CompactBytes / CompactRecords trigger a snapshot once the WAL
-	// crosses either threshold (defaults 1 MiB / 512 records).
+	// reaches either threshold (defaults 1 MiB / 512 records).
 	CompactBytes   int
 	CompactRecords int
 	// Metrics receives si_stage_regressions_total and rides into the
@@ -243,12 +242,6 @@ func (o Options) withDefaults() Options {
 	if o.MinDurationUS <= 0 {
 		o.MinDurationUS = 500
 	}
-	if o.CompactBytes <= 0 {
-		o.CompactBytes = 1 << 20
-	}
-	if o.CompactRecords <= 0 {
-		o.CompactRecords = 512
-	}
 	if o.Now == nil {
 		o.Now = time.Now
 	}
@@ -261,17 +254,21 @@ type profKey struct{ flow, output, stage string }
 // recRun is the WAL record type for one appended run.
 const recRun byte = 1
 
+// defaultCompact is the history component's compaction threshold: runs
+// are small and frequent, so it rotates sooner than the persist
+// components.
+var defaultCompact = store.CompactLimit{Bytes: 1 << 20, Records: 512}
+
 // Recorder is the flight recorder: per-dashboard run rings plus
-// per-stage profiles, optionally backed by a store.Dir.
+// per-stage profiles, optionally journaled through a store.Component.
 type Recorder struct {
 	opts Options
+	comp *store.Component // nil = memory only; set once, by Open
 
 	mu       sync.Mutex
-	dir      *store.Dir // nil = memory only
 	seq      uint64
 	runs     map[string][]*RunRecord
 	profiles map[profKey]*StageProfile
-	recovery *store.Recovery // nil for memory-only recorders
 }
 
 // NewRecorder builds a memory-only recorder (no persistence): the
@@ -291,28 +288,12 @@ func NewRecorder(opts Options) *Recorder {
 // beside the vcs/catalog/cache components.
 func Open(fs store.FS, opts Options) (*Recorder, error) {
 	r := NewRecorder(opts)
-	dir, rec, err := store.OpenDir(fs, "history", "history", r.opts.Metrics)
+	limit := store.CompactLimit{Bytes: r.opts.CompactBytes, Records: r.opts.CompactRecords}.OrDefault(defaultCompact)
+	comp, err := store.OpenComponent(fs, "history", "history", (*journalState)(r), limit, r.opts.Now, r.opts.Metrics)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.loadSnapshotLocked(rec.Snapshot); err != nil {
-		dir.Close()
-		return nil, err
-	}
-	for _, rc := range rec.Records {
-		if rc.Type != recRun {
-			continue
-		}
-		var run RunRecord
-		if err := json.Unmarshal(rc.Payload, &run); err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("history: decode run record: %w", err)
-		}
-		r.applyLocked(&run)
-	}
-	rec.Records, rec.Snapshot = nil, nil // release replay buffers
-	r.dir = dir
-	r.recovery = rec
+	r.comp = comp
 	return r, nil
 }
 
@@ -391,16 +372,28 @@ func (r *Recorder) Record(run *RunRecord) ([]StageDelta, error) {
 		return a.Stage < b.Stage
 	})
 	run.Deltas = r.compareLocked(run)
-	var err error
-	if r.dir != nil {
-		var payload []byte
-		if payload, err = json.Marshal(run); err == nil {
-			err = r.dir.Append(store.Record{Type: recRun, Payload: payload})
-		}
+	if r.comp == nil {
+		r.foldLocked(run)
+		return run.Deltas, nil
 	}
+	payload, err := json.Marshal(run)
+	if err == nil {
+		err = r.comp.Journal(store.Record{Type: recRun, Payload: payload}, func() error {
+			r.foldLocked(run)
+			return nil
+		})
+	}
+	if err != nil {
+		r.foldLocked(run) // unacknowledged, but observability outlives durability
+	}
+	return run.Deltas, err
+}
+
+// foldLocked installs a just-judged run and completes its deltas: the
+// quantiles include this run (the profile just absorbed it); the
+// baselines do not.
+func (r *Recorder) foldLocked(run *RunRecord) {
 	r.applyLocked(run)
-	// Quantiles in the deltas include this run (the profile just
-	// absorbed it); baselines in them do not.
 	for i := range run.Deltas {
 		d := &run.Deltas[i]
 		if p := r.profiles[profKey{run.FlowHash, d.Output, d.Stage}]; p != nil {
@@ -413,10 +406,6 @@ func (r *Recorder) Record(run *RunRecord) ([]StageDelta, error) {
 				"dashboard", "output").With(run.Dashboard, d.Output).Inc()
 		}
 	}
-	if err == nil && r.dir != nil {
-		r.maybeCompactLocked()
-	}
-	return run.Deltas, err
 }
 
 // snapshot is the full-state payload written at compaction: the rings
@@ -455,20 +444,6 @@ func (r *Recorder) snapshotLocked() snapshot {
 		snap.Profiles = append(snap.Profiles, r.profiles[k])
 	}
 	return snap
-}
-
-// maybeCompactLocked snapshots the full state once the WAL crosses a
-// threshold. Best-effort, like every other component: a failed
-// compaction leaves the WAL long (or the dir damaged), never loses
-// acknowledged runs.
-func (r *Recorder) maybeCompactLocked() {
-	b, n := r.dir.WALSize()
-	if b < r.opts.CompactBytes && n < r.opts.CompactRecords {
-		return
-	}
-	if payload, err := json.Marshal(r.snapshotLocked()); err == nil {
-		r.dir.Snapshot(payload, r.opts.Now())
-	}
 }
 
 // Runs returns the newest-first run records for a dashboard, at most
@@ -531,30 +506,15 @@ func (r *Recorder) Profiles(flowHash string) []StageProfile {
 	return out
 }
 
-// Recovery reports what opening a durable recorder found on disk (nil
-// for memory-only recorders).
-func (r *Recorder) Recovery() *store.Recovery { return r.recovery }
-
-// Status reports the durable directory's WAL size and damage for the
-// health surface. Zero values for memory-only recorders.
-func (r *Recorder) Status() (walBytes, walRecords int, damaged error) {
-	r.mu.Lock()
-	dir := r.dir
-	r.mu.Unlock()
-	if dir == nil {
-		return 0, 0, nil
-	}
-	walBytes, walRecords = dir.WALSize()
-	return walBytes, walRecords, dir.Damaged()
-}
+// Component exposes the durable component — recovery report, WAL status
+// and the directory WAL shipping reads (nil for memory-only recorders).
+func (r *Recorder) Component() *store.Component { return r.comp }
 
 // Close fsyncs and closes the durable directory (no-op for memory-only
 // recorders).
 func (r *Recorder) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.dir == nil {
+	if r.comp == nil {
 		return nil
 	}
-	return r.dir.Close()
+	return r.comp.Close()
 }

@@ -210,7 +210,7 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	rec := r2.Recovery()
+	rec := r2.Component().Recovery()
 	if rec == nil || rec.RecordCount != 6 {
 		t.Fatalf("recovery = %+v", rec)
 	}
@@ -248,11 +248,11 @@ func TestSnapshotRotationBoundsWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, n, damaged := r.Status()
-	if damaged != nil {
-		t.Fatal(damaged)
+	st := r.Component().Status()
+	if st.Damaged != "" {
+		t.Fatal(st.Damaged)
 	}
-	if n >= 10 {
+	if n := st.WALRecords; n >= 10 {
 		t.Fatalf("WAL holds %d records after compaction threshold 3", n)
 	}
 	want := r.Runs("alpha", 0)
@@ -263,7 +263,7 @@ func TestSnapshotRotationBoundsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if r2.Recovery().SnapshotBytes == 0 {
+	if r2.Component().Recovery().SnapshotBytes == 0 {
 		t.Fatal("reopen found no snapshot after rotation")
 	}
 	got := r2.Runs("alpha", 0)
@@ -282,12 +282,8 @@ func TestMemoryOnlyRecorder(t *testing.T) {
 	if _, err := r.Record(stageRun("alpha", "f1", 1000)); err != nil {
 		t.Fatal(err)
 	}
-	if r.Recovery() != nil {
-		t.Fatal("memory recorder reports a recovery")
-	}
-	b, n, damaged := r.Status()
-	if b != 0 || n != 0 || damaged != nil {
-		t.Fatalf("Status = %d %d %v", b, n, damaged)
+	if r.Component() != nil {
+		t.Fatal("memory recorder reports a durable component (recovery, WAL status)")
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

@@ -7,10 +7,25 @@ import (
 	"shareinsights/internal/store"
 )
 
-// Replication hooks (docs/REPLICATION.md): a follower rebuilds a
-// memory-only Recorder from the leader's shipped snapshot + WAL frames.
-// The frames are the same records Open replays locally, so the follower
-// walks exactly the PR 5 recovery path — just fed over the wire.
+// The Recorder is a store.State twice, over one decode-and-fold path.
+// journalState is what its own Component drives, with r.mu already held
+// (Record holds it around Journal, whose compaction exports; Open runs
+// before the recorder is shared). The exported, locking methods are what
+// a follower's pull loop drives while handlers read (docs/REPLICATION.md).
+
+type journalState Recorder
+
+func (s *journalState) ApplySnapshot(payload []byte) error {
+	return (*Recorder)(s).loadSnapshotLocked(payload)
+}
+
+func (s *journalState) ApplyRecord(rec store.Record) error {
+	return (*Recorder)(s).applyRecordLocked(rec)
+}
+
+func (s *journalState) ExportSnapshot() ([]byte, error) {
+	return json.Marshal((*Recorder)(s).snapshotLocked())
+}
 
 // loadSnapshotLocked replaces the recorder's state with a snapshot
 // payload. A nil payload resets to empty (a leader that never
@@ -47,15 +62,19 @@ func (r *Recorder) ApplySnapshot(payload []byte) error {
 // ApplyRecord folds one shipped WAL record into the rings and profiles,
 // preserving the leader-assigned sequence number.
 func (r *Recorder) ApplyRecord(rec store.Record) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.applyRecordLocked(rec)
+}
+
+func (r *Recorder) applyRecordLocked(rec store.Record) error {
 	if rec.Type != recRun {
-		return nil // same tolerance as local replay: unknown types skip
+		return nil // unknown record types skip
 	}
 	var run RunRecord
 	if err := json.Unmarshal(rec.Payload, &run); err != nil {
 		return fmt.Errorf("history: decode run record: %w", err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.applyLocked(&run)
 	return nil
 }
@@ -75,12 +94,4 @@ func (r *Recorder) Seq() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.seq
-}
-
-// Dir exposes the durable directory for WAL shipping (nil for
-// memory-only recorders).
-func (r *Recorder) Dir() *store.Dir {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dir
 }

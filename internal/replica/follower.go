@@ -38,7 +38,7 @@ type Config struct {
 	// MaxBatchBytes caps one WAL fetch (default 1 MiB).
 	MaxBatchBytes int
 	// CompactBytes / CompactRecords trigger a replica-WAL snapshot once
-	// a component's wrapper log crosses either threshold (defaults
+	// a component's wrapper log reaches either threshold (defaults
 	// 4 MiB / 1024 records).
 	CompactBytes   int
 	CompactRecords int
@@ -67,13 +67,85 @@ type shipSnapshot struct {
 // state, re-bootstrap.
 var errGone = errors.New("replica: cursor gone")
 
-// followerComp is one component's replication state.
+// defaultCompact is a replica WAL's compaction threshold — the leader's,
+// since a wrapper record carries the same frames.
+var defaultCompact = store.CompactLimit{Bytes: 4 << 20, Records: 1024}
+
+// followerComp is one component's replication state and the store.State
+// of its replica WAL: the replicated component plus the cursor it has
+// been applied up to. A wrapper snapshot restores both and a wrapper
+// record advances both, so a restart resumes from exactly what the pull
+// loop durably acknowledged.
 type followerComp struct {
-	name       string
-	dir        *store.Dir // nil = memory-only
+	name  string
+	state store.State      // the replicated component inside Follower.comps
+	comp  *store.Component // nil = memory-only
+
+	mu         sync.Mutex
 	cursor     store.Cursor
 	frames     uint64
 	bootstraps uint64
+}
+
+func (fc *followerComp) ApplySnapshot(payload []byte) error {
+	var snap shipSnapshot
+	if len(payload) > 0 {
+		if err := json.Unmarshal(payload, &snap); err != nil {
+			return fmt.Errorf("replica: decode %s snapshot: %w", fc.name, err)
+		}
+	}
+	if err := fc.state.ApplySnapshot(snap.State); err != nil {
+		return err
+	}
+	fc.mu.Lock()
+	fc.cursor = store.Cursor{Gen: snap.Gen, Offset: snap.Off}
+	fc.mu.Unlock()
+	return nil
+}
+
+func (fc *followerComp) ApplyRecord(rec store.Record) error {
+	if rec.Type != recShip {
+		return nil
+	}
+	cur, frames, err := decodeWrapper(rec.Payload)
+	if err != nil {
+		return fmt.Errorf("replica: decode %s wrapper record: %w", fc.name, err)
+	}
+	recs, err := store.ParseFrames(frames)
+	if err != nil {
+		return fmt.Errorf("replica: %s wrapper frames: %w", fc.name, err)
+	}
+	return fc.applyFrames(cur, recs)
+}
+
+// applyFrames folds parsed leader records into the replicated component
+// and then advances the cursor past them.
+func (fc *followerComp) applyFrames(next store.Cursor, recs []store.Record) error {
+	for _, r := range recs {
+		if err := fc.state.ApplyRecord(r); err != nil {
+			return err
+		}
+	}
+	fc.mu.Lock()
+	fc.cursor = next
+	fc.frames += uint64(len(recs))
+	fc.mu.Unlock()
+	return nil
+}
+
+func (fc *followerComp) ExportSnapshot() ([]byte, error) {
+	state, err := fc.state.ExportSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	cur := fc.status().Cursor
+	return json.Marshal(shipSnapshot{Gen: cur.Gen, Off: cur.Offset, State: state})
+}
+
+func (fc *followerComp) status() ComponentStatus {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return ComponentStatus{Cursor: fc.cursor, FramesApplied: fc.frames, Bootstraps: fc.bootstraps}
 }
 
 type followerMetrics struct {
@@ -91,15 +163,13 @@ type Follower struct {
 	cfg     Config
 	comps   *persist.Components
 	breaker *resilience.Breaker
-	client  *http.Client
-	now     func() time.Time
 	met     *followerMetrics
 
+	fcs []*followerComp // in persist.ComponentNames order; fixed by New
+
 	mu         sync.Mutex
-	fcs        map[string]*followerComp
 	startedAt  time.Time
 	caughtUpAt time.Time
-	appliedSeq uint64
 	lastErr    string
 }
 
@@ -113,29 +183,16 @@ func New(cfg Config) (*Follower, error) {
 	if cfg.MaxBatchBytes <= 0 {
 		cfg.MaxBatchBytes = 1 << 20
 	}
-	if cfg.CompactBytes <= 0 {
-		cfg.CompactBytes = 4 << 20
-	}
-	if cfg.CompactRecords <= 0 {
-		cfg.CompactRecords = 1024
-	}
 	if cfg.Retry.MaxRetries == 0 && cfg.Retry.BaseDelay == 0 {
 		cfg.Retry = resilience.Defaults()
 	}
-	f := &Follower{
-		cfg:    cfg,
-		comps:  persist.NewComponents(),
-		client: cfg.Client,
-		now:    cfg.Now,
-		fcs:    map[string]*followerComp{},
+	if cfg.Client == nil {
+		cfg.Client = http.DefaultClient
 	}
-	if f.client == nil {
-		f.client = http.DefaultClient
+	if cfg.Now == nil {
+		cfg.Now = time.Now
 	}
-	if f.now == nil {
-		f.now = time.Now
-	}
-	f.startedAt = f.now()
+	f := &Follower{cfg: cfg, comps: persist.NewComponents(), startedAt: cfg.Now()}
 	if m := cfg.Metrics; m != nil {
 		f.met = &followerMetrics{
 			lag:          m.Gauge("si_replication_lag_seconds", "Seconds since the follower last confirmed it held the leader's committed state."),
@@ -146,7 +203,7 @@ func New(cfg Config) (*Follower, error) {
 	}
 	bcfg := cfg.Breaker
 	if bcfg.Now == nil {
-		bcfg.Now = f.now
+		bcfg.Now = cfg.Now
 	}
 	prev := bcfg.OnTransition
 	bcfg.OnTransition = func(from, to resilience.State) {
@@ -160,65 +217,21 @@ func New(cfg Config) (*Follower, error) {
 		}
 	}
 	f.breaker = resilience.NewBreaker(bcfg)
+	limit := store.CompactLimit{Bytes: cfg.CompactBytes, Records: cfg.CompactRecords}.OrDefault(defaultCompact)
 	for _, name := range persist.ComponentNames {
-		fc := &followerComp{name: name}
-		if cfg.FS != nil {
-			dir, rec, err := store.OpenDir(cfg.FS, "replica/"+name, "replica-"+name, cfg.Metrics)
-			if err != nil {
-				f.Close()
-				return nil, err
-			}
-			fc.dir = dir
-			if err := f.replayLocal(fc, rec); err != nil {
-				dir.Close()
-				f.Close()
-				return nil, err
-			}
-		}
-		f.fcs[name] = fc
-	}
-	return f, nil
-}
-
-// replayLocal rebuilds one component from the follower's own replica
-// WAL: the wrapper snapshot (state + cursor), then each wrapper record
-// — exactly what the pull loop durably acknowledged.
-func (f *Follower) replayLocal(fc *followerComp, rec *store.Recovery) error {
-	if len(rec.Snapshot) > 0 {
-		var snap shipSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			return fmt.Errorf("replica: decode %s snapshot: %w", fc.name, err)
-		}
-		if err := f.comps.ApplySnapshot(fc.name, snap.State); err != nil {
-			return err
-		}
-		fc.cursor = store.Cursor{Gen: snap.Gen, Offset: snap.Off}
-	}
-	for _, rc := range rec.Records {
-		if rc.Type != recShip {
+		fc := &followerComp{name: name, state: f.comps.State(name)}
+		f.fcs = append(f.fcs, fc)
+		if cfg.FS == nil {
 			continue
 		}
-		cur, frames, err := decodeWrapper(rc.Payload)
+		comp, err := store.OpenComponent(cfg.FS, "replica/"+name, "replica-"+name, fc, limit, cfg.Now, cfg.Metrics)
 		if err != nil {
-			return fmt.Errorf("replica: decode %s wrapper record: %w", fc.name, err)
+			f.Close()
+			return nil, err
 		}
-		recs, err := store.ParseFrames(frames)
-		if err != nil {
-			return fmt.Errorf("replica: %s wrapper frames: %w", fc.name, err)
-		}
-		for _, r := range recs {
-			if err := f.comps.ApplyRecord(fc.name, r); err != nil {
-				return err
-			}
-		}
-		fc.cursor = cur
-		fc.frames += uint64(len(recs))
+		fc.comp = comp
 	}
-	rec.Records, rec.Snapshot = nil, nil
-	f.mu.Lock()
-	f.appliedSeq = f.comps.History().Seq()
-	f.mu.Unlock()
-	return nil
+	return f, nil
 }
 
 func encodeWrapper(cur store.Cursor, frames []byte) []byte {
@@ -303,24 +316,22 @@ func (f *Follower) Sync(ctx context.Context) error {
 func (f *Follower) syncOnce(ctx context.Context) error {
 	// The status read happens before the catch-up, so statusAt is a
 	// conservative "we held the leader's committed state as of" stamp.
-	statusAt := f.now()
+	statusAt := f.cfg.Now()
 	var st StatusBody
 	if err := f.getJSON(ctx, "/replica/status", &st); err != nil {
 		return fmt.Errorf("replica: status: %w", err)
 	}
-	for _, name := range persist.ComponentNames {
-		committed, ok := st.Components[name]
+	for _, fc := range f.fcs {
+		committed, ok := st.Components[fc.name]
 		if !ok {
 			continue
 		}
-		fc := f.fcs[name]
 		if err := f.syncComponent(ctx, fc, committed); err != nil {
-			return fmt.Errorf("replica: %s: %w", name, err)
+			return fmt.Errorf("replica: %s: %w", fc.name, err)
 		}
 	}
 	f.mu.Lock()
 	f.caughtUpAt = statusAt
-	f.appliedSeq = f.comps.History().Seq()
 	f.mu.Unlock()
 	return nil
 }
@@ -331,13 +342,13 @@ func (f *Follower) syncComponent(ctx context.Context, fc *followerComp, committe
 	// A damaged replica WAL (failed append fsync) heals through a
 	// snapshot, like every Dir: write one from current state before
 	// pulling more.
-	if fc.dir != nil && fc.dir.Damaged() != nil {
-		if err := f.writeWrapperSnapshot(fc); err != nil {
+	if fc.comp != nil && fc.comp.Dir().Damaged() != nil {
+		if err := fc.comp.Compact(); err != nil {
 			return err
 		}
 	}
 	for {
-		cur := f.cursor(fc)
+		cur := fc.status().Cursor
 		if cur.Gen == committed.Gen && cur.Offset >= committed.Offset {
 			return nil
 		}
@@ -370,38 +381,25 @@ func (f *Follower) syncComponent(ctx context.Context, fc *followerComp, committe
 	}
 }
 
-// applyBatch lands one fetched batch: durably journal the (cursor,
-// frames) pair first, then apply to memory, then advance the cursor.
-// A crash between journal and apply replays the wrapper record on
+// applyBatch lands one fetched batch: the (cursor, frames) wrapper
+// record is durable before the frames touch memory and the cursor
+// advances. A crash between the two replays the wrapper record on
 // restart — the apply is repeated, never skipped and never doubled.
 func (f *Follower) applyBatch(fc *followerComp, next store.Cursor, frames []byte) error {
 	recs, err := store.ParseFrames(frames)
 	if err != nil {
 		return err
 	}
-	if fc.dir != nil {
-		if err := fc.dir.Append(store.Record{Type: recShip, Payload: encodeWrapper(next, frames)}); err != nil {
-			return err
-		}
+	apply := func() error { return fc.applyFrames(next, recs) }
+	if fc.comp == nil {
+		err = apply()
+	} else {
+		err = fc.comp.Journal(store.Record{Type: recShip, Payload: encodeWrapper(next, frames)}, apply)
 	}
-	for _, r := range recs {
-		if err := f.comps.ApplyRecord(fc.name, r); err != nil {
-			return err
-		}
-	}
-	f.mu.Lock()
-	fc.cursor = next
-	fc.frames += uint64(len(recs))
-	f.mu.Unlock()
-	if f.met != nil {
+	if err == nil && f.met != nil {
 		f.met.frames.With(fc.name).Add(int64(len(recs)))
 	}
-	if fc.dir != nil {
-		if b, n := fc.dir.WALSize(); b >= f.cfg.CompactBytes || n >= f.cfg.CompactRecords {
-			f.writeWrapperSnapshot(fc) // best-effort, like leader compaction
-		}
-	}
-	return nil
+	return err
 }
 
 // bootstrap replaces one component's state with the leader's full
@@ -416,51 +414,23 @@ func (f *Follower) bootstrap(ctx context.Context, fc *followerComp) error {
 	if err != nil {
 		return err
 	}
-	if err := f.comps.ApplySnapshot(fc.name, b.Snapshot); err != nil {
+	if err := fc.state.ApplySnapshot(b.Snapshot); err != nil {
 		return err
 	}
-	for _, r := range recs {
-		if err := f.comps.ApplyRecord(fc.name, r); err != nil {
-			return err
-		}
+	if err := fc.applyFrames(b.Next, recs); err != nil {
+		return err
 	}
-	f.mu.Lock()
-	fc.cursor = b.Next
+	fc.mu.Lock()
 	fc.bootstraps++
-	fc.frames += uint64(len(recs))
-	f.mu.Unlock()
+	fc.mu.Unlock()
 	if f.met != nil {
 		f.met.bootstraps.With(fc.name).Inc()
 		f.met.frames.With(fc.name).Add(int64(len(recs)))
 	}
-	if fc.dir != nil {
-		if err := f.writeWrapperSnapshot(fc); err != nil {
-			return err
-		}
+	if fc.comp != nil {
+		return fc.comp.Compact()
 	}
 	return nil
-}
-
-// writeWrapperSnapshot seals the component's current state + cursor
-// into the replica WAL (also the damage-repair path, as Dir.Snapshot
-// clears fail-stop state).
-func (f *Follower) writeWrapperSnapshot(fc *followerComp) error {
-	state, err := f.comps.ExportSnapshot(fc.name)
-	if err != nil {
-		return err
-	}
-	cur := f.cursor(fc)
-	payload, err := json.Marshal(shipSnapshot{Gen: cur.Gen, Off: cur.Offset, State: state})
-	if err != nil {
-		return err
-	}
-	return fc.dir.Snapshot(payload, f.now())
-}
-
-func (f *Follower) cursor(fc *followerComp) store.Cursor {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return fc.cursor
 }
 
 // ---------------------------------------------------------------------
@@ -509,7 +479,7 @@ func (f *Follower) get(ctx context.Context, url string) ([]byte, http.Header, er
 	if err != nil {
 		return nil, nil, resilience.Permanent(err)
 	}
-	resp, err := f.client.Do(req)
+	resp, err := f.cfg.Client.Do(req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -568,7 +538,7 @@ func (f *Follower) Lag() time.Duration {
 	if base.IsZero() {
 		base = f.startedAt
 	}
-	return f.now().Sub(base)
+	return f.cfg.Now().Sub(base)
 }
 
 // Degraded reports whether the follower is failing to track the leader
@@ -594,13 +564,13 @@ func (f *Follower) Status() Status {
 		Leader:     f.cfg.LeaderURL,
 		LagSeconds: lag.Seconds(),
 		CaughtUpAt: f.caughtUpAt,
-		AppliedSeq: f.appliedSeq,
+		AppliedSeq: f.comps.History().Seq(),
 		Breaker:    f.breaker.State().String(),
 		LastError:  f.lastErr,
 		Components: make(map[string]ComponentStatus, len(f.fcs)),
 	}
-	for name, fc := range f.fcs {
-		st.Components[name] = ComponentStatus{Cursor: fc.cursor, FramesApplied: fc.frames, Bootstraps: fc.bootstraps}
+	for _, fc := range f.fcs {
+		st.Components[fc.name] = fc.status()
 	}
 	return st
 }
@@ -617,12 +587,11 @@ func (f *Follower) observe() {
 // Close releases the replica WAL handles.
 func (f *Follower) Close() error {
 	var first error
-	for _, name := range persist.ComponentNames {
-		fc := f.fcs[name]
-		if fc == nil || fc.dir == nil {
+	for _, fc := range f.fcs {
+		if fc.comp == nil {
 			continue
 		}
-		if err := fc.dir.Close(); err != nil && first == nil {
+		if err := fc.comp.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

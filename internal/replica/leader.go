@@ -54,11 +54,9 @@ type StatusBody struct {
 
 // ServeStatus handles GET /replica/status.
 func (l *Leader) ServeStatus(w http.ResponseWriter, r *http.Request) {
-	body := StatusBody{Components: make(map[string]store.Cursor, len(persist.ComponentNames))}
-	for _, name := range persist.ComponentNames {
-		if d := l.store.Dir(name); d != nil {
-			body.Components[name] = d.Cursor()
-		}
+	body := StatusBody{Components: map[string]store.Cursor{}}
+	for _, cs := range l.store.Status() {
+		body.Components[cs.Component] = store.Cursor{Gen: cs.Generation, Offset: cs.CommittedOffset}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(body)

@@ -445,3 +445,38 @@ func TestBreakerInterplay(t *testing.T) {
 		t.Fatalf("frames-applied metric missing:\n%s", buf.String())
 	}
 }
+
+// TestFollowerSmallBatchesReachEquality pins the max= frame-boundary
+// rule end to end: with MaxBatchBytes smaller than any single frame and
+// far smaller than the backlog, a follower that fell behind still pulls
+// to cursor equality incrementally — no torn batch, no retry loop, no
+// re-bootstrap.
+func TestFollowerSmallBatchesReachEquality(t *testing.T) {
+	e := newLeaderEnv(t, store.NewMemFS(), persist.Options{})
+	e.mutate(t)
+	f, err := New(Config{LeaderURL: e.ts.URL, FS: store.NewMemFS(), Retry: noRetry, MaxBatchBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx := context.Background()
+	if err := f.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		e.mutate(t)
+	}
+	if err := f.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	assertReplicated(t, "small batches", e.st, e.p, f.Components())
+	for _, name := range persist.ComponentNames {
+		got := f.Status().Components[name]
+		if want := e.st.Dir(name).Cursor(); got.Cursor != want {
+			t.Fatalf("%s cursor: follower %+v, leader %+v", name, got.Cursor, want)
+		}
+		if got.Bootstraps != 1 {
+			t.Fatalf("%s: %d bootstraps, want the initial one only", name, got.Bootstraps)
+		}
+	}
+}

@@ -196,26 +196,17 @@ func OpenDir(fs FS, path, component string, metrics *obs.Registry) (*Dir, *Recov
 		cur = 1
 	}
 	d := &Dir{fs: fs, path: path, gen: cur, snapGen: snapGen, met: newDirMetrics(metrics, component)}
-	switch {
-	case curRewrite:
-		// Torn tail: materialize exactly the valid prefix via the same
-		// temp-file + fsync + rename discipline as snapshots.
-		if err := d.rewriteSegment(cur, curRecs); err != nil {
-			return nil, nil, err
+	if curExists && !curRewrite {
+		if d.seg, err = fs.OpenAppend(path + "/" + segName(cur)); err != nil {
+			err = fmt.Errorf("store: reopen segment %s: %w", segName(cur), err)
 		}
-	case curExists:
-		seg, oerr := fs.OpenAppend(path + "/" + segName(cur))
-		if oerr != nil {
-			return nil, nil, fmt.Errorf("store: reopen segment %s: %w", segName(cur), oerr)
-		}
-		d.seg = seg
-	default:
-		seg, cerr := createSegment(fs, path, segName(cur))
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		d.countFsyncs(2) // segment fsync + directory fsync
-		d.seg = seg
+	} else {
+		// No segment yet (curRecs is empty), or a torn tail: the valid
+		// prefix is materialized afresh.
+		d.seg, err = d.startSegment(cur, curRecs)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	for _, rc := range curRecs {
 		d.walBytes += recHeaderLen + len(rc.Payload)
@@ -232,49 +223,29 @@ func OpenDir(fs FS, path, component string, metrics *obs.Registry) (*Dir, *Recov
 		}
 		d.met.snapshotBytes.Set(float64(rec.SnapshotBytes))
 		d.met.walBytes.Set(float64(d.walBytes))
-		if metrics != nil {
-			metrics.CounterVec("si_store_recoveries_total", "Recovery passes completed, by component.", "component").With(component).Inc()
-		}
+		metrics.CounterVec("si_store_recoveries_total", "Recovery passes completed, by component.", "component").With(component).Inc()
 	}
 	return d, rec, nil
 }
 
-// rewriteSegment durably replaces segment gen with exactly recs.
-func (d *Dir) rewriteSegment(gen uint64, recs []Record) error {
-	name := segName(gen)
-	tmp := d.path + "/" + name + ".tmp"
-	h, err := d.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: create %s: %w", tmp, err)
-	}
+// startSegment durably materializes segment gen holding exactly recs —
+// none for a fresh generation, the valid prefix for a torn one — with
+// the same temp-file + fsync + rename discipline as snapshots, and opens
+// it for append.
+func (d *Dir) startSegment(gen uint64, recs []Record) (File, error) {
 	buf := append([]byte(nil), walMagic...)
 	for _, rc := range recs {
 		buf = frameRecord(buf, rc)
 	}
-	if _, err := h.Write(buf); err != nil {
-		h.Close()
-		return fmt.Errorf("store: rewrite segment %s: %w", name, err)
+	if err := writeAtomic(d.fs, d.path, segName(gen), buf); err != nil {
+		return nil, err
 	}
-	if err := h.Sync(); err != nil {
-		h.Close()
-		return fmt.Errorf("store: sync rewritten segment %s: %w", name, err)
-	}
-	if err := h.Close(); err != nil {
-		return fmt.Errorf("store: close rewritten segment %s: %w", name, err)
-	}
-	if err := d.fs.Rename(tmp, d.path+"/"+name); err != nil {
-		return fmt.Errorf("store: rename rewritten segment %s: %w", name, err)
-	}
-	if err := d.fs.SyncDir(d.path); err != nil {
-		return err
-	}
-	d.countFsyncs(2)
-	seg, err := d.fs.OpenAppend(d.path + "/" + name)
+	d.countFsyncs(2) // segment fsync + directory fsync
+	seg, err := d.fs.OpenAppend(d.path + "/" + segName(gen))
 	if err != nil {
-		return fmt.Errorf("store: reopen rewritten segment %s: %w", name, err)
+		return nil, fmt.Errorf("store: open segment %s: %w", segName(gen), err)
 	}
-	d.seg = seg
-	return nil
+	return seg, nil
 }
 
 func (d *Dir) countFsyncs(n int) {
@@ -349,11 +320,11 @@ func (d *Dir) Snapshot(payload []byte, at time.Time) error {
 		return fmt.Errorf("store: %s: snapshot on closed dir", d.path)
 	}
 	next := d.gen + 1
-	if err := writeSnapshot(d.fs, d.path, snapName(next), payload, at); err != nil {
+	if err := writeAtomic(d.fs, d.path, snapName(next), encodeSnapshot(payload, at)); err != nil {
 		return err
 	}
 	d.countFsyncs(2)
-	seg, err := createSegment(d.fs, d.path, segName(next))
+	seg, err := d.startSegment(next, nil)
 	if err != nil {
 		// The snapshot is durable, so no acknowledged state is at risk;
 		// but with no appendable segment the Dir is fail-stop until the
@@ -361,7 +332,6 @@ func (d *Dir) Snapshot(payload []byte, at time.Time) error {
 		d.damaged = err
 		return err
 	}
-	d.countFsyncs(2)
 	if d.seg != nil {
 		d.seg.Close()
 	}

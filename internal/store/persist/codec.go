@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -79,28 +78,25 @@ type catObject struct {
 	Table     *tableBlob `json:"table,omitempty"`
 }
 
-func encodeCatEntry(e share.Entry) ([]byte, error) {
-	rec := catObject{Kind: e.Kind, Name: e.Name}
-	if e.Kind == share.EntryPublish {
-		if e.Object == nil {
-			return nil, fmt.Errorf("persist: publish entry without object")
-		}
-		blob := encodeTable(e.Object.Data)
-		rec.Name = e.Object.Name
-		rec.Dashboard = e.Object.Dashboard
-		rec.Version = e.Object.Version
-		rec.UpdatedAt = e.Object.UpdatedAt
-		rec.Table = &blob
+// publishOf serializes a published object — the catalog's WAL record
+// and its snapshot element alike.
+func publishOf(o *share.Object) catObject {
+	blob := encodeTable(o.Data)
+	return catObject{
+		Kind: share.EntryPublish, Name: o.Name, Dashboard: o.Dashboard,
+		Version: o.Version, UpdatedAt: o.UpdatedAt, Table: &blob,
 	}
-	return json.Marshal(rec)
 }
 
-func decodeCatEntry(payload []byte) (share.Entry, error) {
-	var rec catObject
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return share.Entry{}, fmt.Errorf("persist: decode catalog record: %w", err)
+// catRecordOf serializes one catalog journal entry.
+func catRecordOf(e share.Entry) (catObject, error) {
+	if e.Kind != share.EntryPublish {
+		return catObject{Kind: e.Kind, Name: e.Name}, nil
 	}
-	return catEntryOf(rec)
+	if e.Object == nil {
+		return catObject{}, fmt.Errorf("persist: publish entry without object")
+	}
+	return publishOf(e.Object), nil
 }
 
 func catEntryOf(rec catObject) (share.Entry, error) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -39,21 +40,14 @@ func (d *Dir) cursorLocked() Cursor {
 	return Cursor{Gen: d.gen, Offset: int64(len(walMagic) + d.walBytes)}
 }
 
-// Generations reports the current WAL segment generation and the newest
-// durable snapshot generation (0 = none) for the health surface.
-func (d *Dir) Generations() (gen, snapGen uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.gen, d.snapGen
-}
-
-// ShipFrames reads committed frame bytes starting at the cursor: at
-// most max bytes (0 = unbounded), never past the committed offset, and
-// only from the current segment. It returns the frames, the cursor
-// after them, and the committed cursor. A cursor in a superseded (or
-// future) generation, or past the committed offset, yields ErrShipGone:
-// the follower's incremental position is unservable and it must
-// re-bootstrap.
+// ShipFrames reads committed frames starting at the cursor: whole
+// frames only, as many as fit in max bytes (0 = unbounded) but always at
+// least one, never past the committed offset, and only from the current
+// segment. It returns the frames, the cursor after them, and the
+// committed cursor. A cursor in a superseded (or future) generation,
+// past the committed offset, or found off a frame boundary yields
+// ErrShipGone: the follower's incremental position is unservable and it
+// must re-bootstrap.
 func (d *Dir) ShipFrames(cur Cursor, max int) (frames []byte, next, committed Cursor, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -72,16 +66,44 @@ func (d *Dir) ShipFrames(cur Cursor, max int) (frames []byte, next, committed Cu
 		return nil, Cursor{}, committed, fmt.Errorf("store: %s: ship read: %w", d.path, rerr)
 	}
 	hi := committed.Offset
-	if max > 0 && cur.Offset+int64(max) < hi {
-		hi = cur.Offset + int64(max)
-	}
 	if int64(len(raw)) < hi {
 		// The page cache should always hold at least the committed
 		// prefix; a shorter file means the substrate lost acked bytes.
 		return nil, Cursor{}, committed, fmt.Errorf("store: %s: segment shorter (%d) than committed offset %d", d.path, len(raw), hi)
 	}
+	if max > 0 && cur.Offset+int64(max) < hi {
+		n, ok := wholeFrames(raw[cur.Offset:hi], max)
+		if !ok {
+			return nil, Cursor{}, committed, ErrShipGone
+		}
+		hi = cur.Offset + int64(n)
+	}
 	frames = append([]byte(nil), raw[cur.Offset:hi]...)
 	return frames, Cursor{Gen: d.gen, Offset: hi}, committed, nil
+}
+
+// wholeFrames returns the length of the longest run of whole frames at
+// the start of data that fits in max bytes — or of the first frame alone
+// when even that exceeds max, so a follower always makes progress. data
+// is a committed prefix: a frame running past its end means the cursor
+// was not on a frame boundary (not ok).
+func wholeFrames(data []byte, max int) (n int, ok bool) {
+	for n < len(data) {
+		rest := data[n:]
+		if len(rest) < recHeaderLen {
+			return 0, false
+		}
+		length := binary.LittleEndian.Uint32(rest[0:4])
+		if length > maxRecordSize || len(rest) < recHeaderLen+int(length) {
+			return 0, false
+		}
+		end := n + recHeaderLen + int(length)
+		if end > max && n > 0 {
+			break
+		}
+		n = end
+	}
+	return n, true
 }
 
 // Bootstrap is the full-state transfer a follower applies when its
@@ -159,11 +181,6 @@ func (d *Dir) ShipBootstrap() (*Bootstrap, error) {
 	}
 	return b, nil
 }
-
-// AppendFrame appends the CRC32C framing of rec to buf and returns it —
-// the exported twin of the WAL's internal record framing, used by
-// followers to journal shipped state in their own format.
-func AppendFrame(buf []byte, rec Record) []byte { return frameRecord(buf, rec) }
 
 // ParseFrames decodes a run of framed records with no segment header —
 // the shape ShipFrames serves. Unlike segment replay, a malformed or

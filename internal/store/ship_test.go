@@ -220,12 +220,68 @@ func TestShipBootstrapSpansRetainedGenerations(t *testing.T) {
 
 func TestParseFramesRejectsTornInput(t *testing.T) {
 	var buf []byte
-	buf = AppendFrame(buf, rec(0))
+	buf = frameRecord(buf, rec(0))
 	if _, err := ParseFrames(buf[:len(buf)-2]); err == nil {
 		t.Fatal("torn frame accepted")
 	}
 	buf[recHeaderLen] ^= 0xFF // flip a payload byte under the CRC
 	if _, err := ParseFrames(buf); err == nil {
 		t.Fatal("corrupt frame accepted")
+	}
+}
+
+// TestShipFramesEndsBatchOnFrameBoundary pins the max= rule: a batch
+// ends at the last whole frame within max bytes, and a first frame that
+// alone exceeds max ships whole — a follower can always parse what it
+// was sent and always makes progress.
+func TestShipFramesEndsBatchOnFrameBoundary(t *testing.T) {
+	fs := NewMemFS()
+	d, _, err := OpenDir(fs, "data", "test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	payload := make([]byte, 100-recHeaderLen)
+	for i := 0; i < 3; i++ {
+		if err := d.Append(Record{Type: 1, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		max        int
+		wantFrames []int // records per batch
+	}{
+		{150, []int{1, 1, 1}}, // mid-frame cut backs off to one whole frame
+		{50, []int{1, 1, 1}},  // smaller than any frame: the first ships whole
+		{200, []int{2, 1}},
+		{250, []int{2, 1}},
+		{0, []int{3}},
+	} {
+		cur := Cursor{Gen: 1, Offset: int64(len(walMagic))}
+		var got []int
+		for {
+			frames, next, committed, err := d.ShipFrames(cur, c.max)
+			if err != nil {
+				t.Fatalf("max=%d at %+v: %v", c.max, cur, err)
+			}
+			if len(frames) == 0 {
+				if cur != committed {
+					t.Fatalf("max=%d: empty batch below committed: %+v vs %+v", c.max, cur, committed)
+				}
+				break
+			}
+			recs, err := ParseFrames(frames)
+			if err != nil {
+				t.Fatalf("max=%d batch at %+v: %v", c.max, cur, err)
+			}
+			if next.Offset != cur.Offset+int64(len(frames)) {
+				t.Fatalf("max=%d: next %+v does not follow %d bytes from %+v", c.max, next, len(frames), cur)
+			}
+			got = append(got, len(recs))
+			cur = next
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.wantFrames) {
+			t.Errorf("max=%d: batches of %v records, want %v", c.max, got, c.wantFrames)
+		}
 	}
 }

@@ -56,27 +56,29 @@ func decodeSnapshot(data []byte) (payload []byte, at time.Time, err error) {
 	return payload, time.Unix(0, int64(ns)), nil
 }
 
-// writeSnapshot durably writes a snapshot file: temp file, fsync,
-// atomic rename, directory fsync.
-func writeSnapshot(fs FS, dir, name string, payload []byte, at time.Time) error {
+// writeAtomic durably replaces dir/name with data: temp file, fsync,
+// atomic rename, directory fsync (two fsyncs). Snapshots and rewritten
+// WAL segments both land this way, so a crash leaves either the old
+// file or the complete new one.
+func writeAtomic(fs FS, dir, name string, data []byte) error {
 	tmp := dir + "/" + name + ".tmp"
 	h, err := fs.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("store: create snapshot temp: %w", err)
+		return fmt.Errorf("store: create %s: %w", tmp, err)
 	}
-	if _, err := h.Write(encodeSnapshot(payload, at)); err != nil {
+	if _, err := h.Write(data); err != nil {
 		h.Close()
-		return fmt.Errorf("store: write snapshot: %w", err)
+		return fmt.Errorf("store: write %s: %w", tmp, err)
 	}
 	if err := h.Sync(); err != nil {
 		h.Close()
-		return fmt.Errorf("store: sync snapshot: %w", err)
+		return fmt.Errorf("store: sync %s: %w", tmp, err)
 	}
 	if err := h.Close(); err != nil {
-		return fmt.Errorf("store: close snapshot: %w", err)
+		return fmt.Errorf("store: close %s: %w", tmp, err)
 	}
 	if err := fs.Rename(tmp, dir+"/"+name); err != nil {
-		return fmt.Errorf("store: rename snapshot: %w", err)
+		return fmt.Errorf("store: rename %s: %w", tmp, err)
 	}
 	return fs.SyncDir(dir)
 }

@@ -166,7 +166,7 @@ func TestTornTailTruncatedAndRewritten(t *testing.T) {
 func TestCorruptSnapshotFallsBack(t *testing.T) {
 	fs := NewMemFS()
 	fs.MkdirAll("data")
-	if err := writeSnapshot(fs, "data", snapName(2), snapPayload([]string{"old-state"}), time.Unix(50, 0)); err != nil {
+	if err := writeAtomic(fs, "data", snapName(2), encodeSnapshot(snapPayload([]string{"old-state"}), time.Unix(50, 0))); err != nil {
 		t.Fatal(err)
 	}
 	h, _ := fs.Create("data/" + snapName(3))

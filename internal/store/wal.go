@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 )
 
@@ -80,26 +79,4 @@ func parseWAL(data []byte) (recs []Record, validBytes, tornBytes int, err error)
 		off += end
 	}
 	return recs, off, 0, nil
-}
-
-// createSegment writes a fresh WAL segment containing only the header,
-// fsyncs it, and makes its directory entry durable.
-func createSegment(fs FS, dir, name string) (File, error) {
-	h, err := fs.Create(dir + "/" + name)
-	if err != nil {
-		return nil, fmt.Errorf("store: create segment %s: %w", name, err)
-	}
-	if _, err := h.Write(walMagic); err != nil {
-		h.Close()
-		return nil, fmt.Errorf("store: write segment header %s: %w", name, err)
-	}
-	if err := h.Sync(); err != nil {
-		h.Close()
-		return nil, fmt.Errorf("store: sync segment %s: %w", name, err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		h.Close()
-		return nil, err
-	}
-	return h, nil
 }
