@@ -413,7 +413,7 @@ func BenchmarkSBINEncodeDecode(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := connector.DecodeSBIN(connector.EncodeSBIN(t)); err != nil {
+		if _, err := connector.DecodeSBIN(connector.EncodeSBIN(t), t.Schema()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -269,23 +269,10 @@ func (r *Registry) formatFor(d *flowfile.DataDef) (Format, string, error) {
 	return f, name, nil
 }
 
-// Decode decodes an already-fetched payload with the definition's
-// configured format. The dashboard runtime uses it for the per-dashboard
-// data folder (uploaded files referenced as `data:<file>`), whose
-// payloads live outside any protocol connector.
+// Decode is DecodePushdown with an empty offer.
 func (r *Registry) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
-	if s == nil {
-		return nil, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
-	}
-	f, fname, err := r.formatFor(d)
-	if err != nil {
-		return nil, err
-	}
-	t, err := f.Decode(d, s, payload)
-	if err != nil {
-		return nil, fmt.Errorf("connector: D.%s as %s: %w", d.Name, fname, err)
-	}
-	return t, nil
+	t, _, err := r.DecodePushdown(d, s, payload, Pushdown{})
+	return t, err
 }
 
 // SetMetrics attaches a metrics registry: retry counts and breaker

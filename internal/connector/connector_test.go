@@ -252,7 +252,7 @@ func TestSBINRejectsCorruption(t *testing.T) {
 		[]byte("BOGUS"),
 		payload[:len(payload)-1],
 	} {
-		if _, _, err := DecodeSBIN(corrupt); err == nil {
+		if _, err := DecodeSBIN(corrupt, s); err == nil {
 			t.Errorf("corrupt payload %q decoded", corrupt)
 		}
 	}
@@ -269,11 +269,11 @@ func TestSBINRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			src.AppendValues(value.NewString(ss[i]), value.NewInt(is[i]))
 		}
-		names, rows, err := DecodeSBIN(EncodeSBIN(src))
-		if err != nil || len(names) != 2 || len(rows) != n {
+		got, err := DecodeSBIN(EncodeSBIN(src), s)
+		if err != nil || got.Len() != n {
 			return false
 		}
-		for i, r := range rows {
+		for i, r := range got.Rows() {
 			if r[0].Str() != ss[i] || r[1].Int() != is[i] {
 				return false
 			}

@@ -7,11 +7,13 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/value"
 )
 
@@ -22,10 +24,16 @@ import (
 // declared schema by position; when the first record matches the schema
 // column names (or their payload paths) it is treated as a header and
 // binding switches to by-name.
+//
+// Decoding is one pass: encoding/csv tokenizes (ReuseRecord: one string
+// per record, its fields re-sliced from it), each field is typed by
+// value.Parse into a reused scratch row, the pushed predicate sees that
+// row, and kept rows append straight into column vectors. No row and no
+// per-cell object is allocated; string cells alias their record string.
 type csvFormat struct{ sep rune }
 
 func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
-	t, _, err := f.decode(d, s, payload, Pushdown{})
+	t, _, err := f.DecodePushdown(d, s, payload, Pushdown{})
 	return t, err
 }
 
@@ -36,10 +44,6 @@ func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 // the declared schema is declined — never an error, the consumer
 // pipeline re-applies it anyway.
 func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
-	return f.decode(d, s, payload, pd)
-}
-
-func (f *csvFormat) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
 	r := csv.NewReader(bytes.NewReader(payload))
 	r.Comma = f.sep
 	if r.Comma == 0 {
@@ -51,85 +55,104 @@ func (f *csvFormat) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 	}
 	r.FieldsPerRecord = -1
 	r.TrimLeadingSpace = true
-	var res PushdownResult
-	records, err := r.ReadAll()
-	if err != nil {
-		return nil, res, err
-	}
-	t := table.New(s)
+	r.ReuseRecord = true
 	// Negotiate the pushdown: a predicate that binds filters while
 	// decoding; requested skip columns decode as nulls unless the
 	// predicate reads them.
+	var res PushdownResult
 	pred, need := compilePushdownPredicate(pd.Predicate, s)
 	res.PredicateApplied = pred != nil
-	skip := map[int]bool{}
+	skip := make([]bool, s.Len())
 	for _, c := range pd.SkipColumns {
-		if need[c] {
-			continue
-		}
-		if i := s.Index(c); i >= 0 {
+		if i := s.Index(c); i >= 0 && !slices.Contains(need, c) {
 			skip[i] = true
 			res.SkippedColumns = append(res.SkippedColumns, c)
 		}
 	}
-	if len(records) == 0 {
-		return t, res, nil
-	}
-	// Header detection and by-name binding.
+	b := colstore.NewBuilder(s)
 	binding := make([]int, s.Len()) // schema column -> record index
 	for i := range binding {
 		binding[i] = i
 	}
-	start := 0
-	if isHeader(records[0], s) {
-		start = 1
-		pos := map[string]int{}
-		for i, field := range records[0] {
-			pos[strings.TrimSpace(field)] = i
+	row := make(table.Row, s.Len())
+	for first := true; ; first = false {
+		rec, err := r.Read()
+		if err == io.EOF {
+			return b.Table(), res, nil
 		}
-		for i, col := range s.Columns() {
-			if j, ok := pos[col.Source()]; ok {
-				binding[i] = j
-			} else if j, ok := pos[col.Name]; ok {
-				binding[i] = j
-			} else {
-				return nil, res, fmt.Errorf("header has no column for %q", col.Source())
+		if err != nil {
+			return nil, res, err
+		}
+		if first && isHeader(rec, s) {
+			for i, field := range rec {
+				rec[i] = strings.TrimSpace(field)
 			}
-		}
-	}
-	for _, rec := range records[start:] {
-		row := make(table.Row, s.Len())
-		for i, j := range binding {
-			if skip[i] {
-				row[i] = value.VNull
-			} else if j < len(rec) {
-				row[i] = value.Parse(rec[j])
-			} else {
-				row[i] = value.VNull
+			var missing string
+			if binding, missing = bindByName(s, rec); missing != "" {
+				// A malformed record anywhere in the payload outranks
+				// the header complaint.
+				for err == nil {
+					_, err = r.Read()
+				}
+				if err != io.EOF {
+					return nil, res, err
+				}
+				return nil, res, fmt.Errorf("header has no column for %q", missing)
 			}
-		}
-		if pred != nil && !pred(row).Truthy() {
 			continue
 		}
-		t.Append(row)
+		for i, j := range binding {
+			if skip[i] || j >= len(rec) {
+				row[i] = value.VNull
+			} else {
+				row[i] = value.Parse(rec[j])
+			}
+		}
+		if pred == nil || pred(row).Truthy() {
+			b.Append(row)
+		}
 	}
-	return t, res, nil
 }
 
 // isHeader reports whether the record names the schema's columns.
 func isHeader(rec []string, s *schema.Schema) bool {
-	names := map[string]bool{}
-	for _, c := range s.Columns() {
-		names[c.Name] = true
-		names[c.Source()] = true
-	}
 	matched := 0
 	for _, field := range rec {
-		if names[strings.TrimSpace(field)] {
+		field = strings.TrimSpace(field)
+		if slices.ContainsFunc(s.Columns(), func(c schema.Column) bool {
+			return field == c.Name || field == c.Source()
+		}) {
 			matched++
 		}
 	}
 	return matched >= s.Len() || (matched > 0 && matched == len(rec))
+}
+
+// bindByName maps every schema column to the payload field that carries
+// it — the field named by the column's payload path, else by its name,
+// the last one when a name repeats. missing is the first column with no
+// field ("" when all bound).
+func bindByName(s *schema.Schema, fields []string) (binding []int, missing string) {
+	last := func(name string) int {
+		for j := len(fields) - 1; j >= 0; j-- {
+			if fields[j] == name {
+				return j
+			}
+		}
+		return -1
+	}
+	binding = make([]int, s.Len())
+	for i, col := range s.Columns() {
+		j := last(col.Source())
+		if j < 0 {
+			j = last(col.Name)
+		}
+		if j < 0 {
+			return nil, col.Source()
+		}
+		binding[i] = j
+	}
+	return binding, ""
 }
 
 // EncodeCSV renders a table as CSV with a header row — the wire form of

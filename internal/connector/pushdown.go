@@ -164,11 +164,30 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 	if err != nil {
 		return nil, stats, res, fmt.Errorf("connector: D.%s via %s: %w", d.Name, pname, err)
 	}
+	t, res, err := r.decode(d, s, payload, pd, res, tr, parent)
+	return t, stats, res, err
+}
+
+// DecodePushdown decodes an already-fetched payload with the
+// definition's configured format, making the format the same offer a
+// load would. The dashboard runtime uses it for the per-dashboard data
+// folder (uploaded files referenced as `data:<file>`), whose payloads
+// live outside any protocol connector.
+func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
+	if s == nil {
+		return nil, PushdownResult{}, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
+	}
+	return r.decode(d, s, payload, pd, PushdownResult{}, nil, 0)
+}
+
+// decode is the format half of every load: offer the format whatever
+// of pd the protocol's result res left unapplied, decode the payload
+// exactly once, and merge what the format applied into res.
+func (r *Registry) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown, res PushdownResult, tr obs.Tracer, parent int) (*table.Table, PushdownResult, error) {
 	f, fname, err := r.formatFor(d)
 	if err != nil {
-		return nil, stats, res, err
+		return nil, res, err
 	}
-	// Offer the format whatever the protocol declined.
 	rem := pd
 	if res.PredicateApplied {
 		rem.Predicate = ""
@@ -199,18 +218,18 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 		tr.EndSpan(did)
 	}
 	if err != nil {
-		return nil, stats, res, fmt.Errorf("connector: D.%s as %s: %w", d.Name, fname, err)
+		return nil, res, fmt.Errorf("connector: D.%s as %s: %w", d.Name, fname, err)
 	}
-	return t, stats, res, nil
+	return t, res, nil
 }
 
 // compilePushdownPredicate binds a pushed predicate against the
 // declared schema for decode-time filtering. It returns the bound
-// evaluator plus the set of columns the predicate reads (those must
-// keep decoding even when listed in SkipColumns). A predicate that
-// fails to parse or bind is declined (nil evaluator) — the consumer
-// pipeline still applies it, so declining is always sound.
-func compilePushdownPredicate(pred string, s *schema.Schema) (expr.Eval, map[string]bool) {
+// evaluator plus the columns the predicate reads (those must keep
+// decoding even when listed in SkipColumns). A predicate that fails to
+// parse or bind is declined (nil evaluator) — the consumer pipeline
+// still applies it, so declining is always sound.
+func compilePushdownPredicate(pred string, s *schema.Schema) (expr.Eval, []string) {
 	if pred == "" {
 		return nil, nil
 	}
@@ -218,13 +237,9 @@ func compilePushdownPredicate(pred string, s *schema.Schema) (expr.Eval, map[str
 	if err != nil {
 		return nil, nil
 	}
-	cols, err := expr.ReferencedColumns(pred)
+	need, err := expr.ReferencedColumns(pred)
 	if err != nil {
 		return nil, nil
-	}
-	need := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		need[c] = true
 	}
 	return ev, need
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/value"
 )
 
@@ -33,35 +35,32 @@ type sbinFormat struct{}
 
 const sbinMagic = "SBIN\x01"
 
+// Decode binds the payload's columns to the declared schema by name
+// (payload path first, then column name).
 func (f *sbinFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
-	names, rows, err := DecodeSBIN(payload)
-	if err != nil {
-		return nil, err
-	}
-	binding := make([]int, s.Len())
-	pos := map[string]int{}
-	for i, n := range names {
-		pos[n] = i
-	}
-	for i, col := range s.Columns() {
-		j, ok := pos[col.Source()]
-		if !ok {
-			j, ok = pos[col.Name]
+	return decodeSBIN(payload, s, func(names []string) ([]int, error) {
+		binding, missing := bindByName(s, names)
+		if missing != "" {
+			return nil, fmt.Errorf("sbin payload has no column %q (has %v)", missing, names)
 		}
-		if !ok {
-			return nil, fmt.Errorf("sbin payload has no column %q (has %v)", col.Source(), names)
+		return binding, nil
+	})
+}
+
+// DecodeSBIN parses an sbin payload written from a table of schema s
+// (EncodeSBIN's output): columns bind by position, whatever their names.
+// The durable store uses it for the tables it journals.
+func DecodeSBIN(payload []byte, s *schema.Schema) (*table.Table, error) {
+	return decodeSBIN(payload, s, func(names []string) ([]int, error) {
+		if len(names) != s.Len() {
+			return nil, fmt.Errorf("sbin payload has %d columns, schema has %d", len(names), s.Len())
 		}
-		binding[i] = j
-	}
-	t := table.New(s)
-	for _, rec := range rows {
-		row := make(table.Row, s.Len())
-		for i, j := range binding {
-			row[i] = rec[j]
+		binding := make([]int, len(names))
+		for i := range binding {
+			binding[i] = i
 		}
-		t.Append(row)
-	}
-	return t, nil
+		return binding, nil
+	})
 }
 
 // EncodeSBIN serializes a table in the sbin format.
@@ -103,91 +102,115 @@ func EncodeSBIN(t *table.Table) []byte {
 	return buf.Bytes()
 }
 
-// DecodeSBIN parses an sbin payload into column names and rows.
-func DecodeSBIN(payload []byte) ([]string, []table.Row, error) {
+// decodeSBIN parses an sbin payload straight into column vectors: each
+// record is read into a scratch row by its kind bytes and appended to
+// the builders of the schema columns bind maps it to (schema column ->
+// payload column). A payload that is malformed anywhere reports that
+// before a binding failure.
+func decodeSBIN(payload []byte, s *schema.Schema, bind func(names []string) ([]int, error)) (*table.Table, error) {
 	r := bytes.NewReader(payload)
 	magic := make([]byte, len(sbinMagic))
 	if _, err := r.Read(magic); err != nil || string(magic) != sbinMagic {
-		return nil, nil, fmt.Errorf("sbin: bad magic")
+		return nil, fmt.Errorf("sbin: bad magic")
 	}
 	ncols, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sbin: %w", err)
+		return nil, fmt.Errorf("sbin: %w", err)
 	}
 	if ncols > 1<<16 {
-		return nil, nil, fmt.Errorf("sbin: implausible column count %d", ncols)
+		return nil, fmt.Errorf("sbin: implausible column count %d", ncols)
 	}
 	names := make([]string, ncols)
 	for i := range names {
-		n, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sbin: %w", err)
+		if names[i], err = readString(r, payload); err != nil {
+			return nil, err
 		}
-		b := make([]byte, n)
-		if _, err := readFull(r, b); err != nil {
-			return nil, nil, fmt.Errorf("sbin: %w", err)
-		}
-		names[i] = string(b)
 	}
 	nrows, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sbin: %w", err)
+		return nil, fmt.Errorf("sbin: %w", err)
 	}
-	rows := make([]table.Row, 0, nrows)
+	if ncols == 0 && nrows > 1<<16 {
+		// No cell bytes to run out of: only the count bounds the loop.
+		return nil, fmt.Errorf("sbin: implausible row count %d", nrows)
+	}
+	binding, bindErr := bind(names)
+	// nrows only bounds the loop, which a short payload ends with an
+	// error: a forged count cannot size the vectors.
+	bld := colstore.NewBuilder(s)
+	rec := make([]value.V, ncols)
+	row := make([]value.V, s.Len())
 	for ri := uint64(0); ri < nrows; ri++ {
-		row := make(table.Row, ncols)
-		for ci := range row {
+		for ci := range rec {
 			kind, err := r.ReadByte()
 			if err != nil {
-				return nil, nil, fmt.Errorf("sbin: truncated row %d: %w", ri, err)
+				return nil, fmt.Errorf("sbin: truncated row %d: %w", ri, err)
 			}
 			switch value.Kind(kind) {
 			case value.Null:
-				row[ci] = value.VNull
+				rec[ci] = value.VNull
 			case value.Bool:
 				b, err := r.ReadByte()
 				if err != nil {
-					return nil, nil, fmt.Errorf("sbin: %w", err)
+					return nil, fmt.Errorf("sbin: %w", err)
 				}
-				row[ci] = value.NewBool(b != 0)
+				rec[ci] = value.NewBool(b != 0)
 			case value.Int:
 				n, err := binary.ReadVarint(r)
 				if err != nil {
-					return nil, nil, fmt.Errorf("sbin: %w", err)
+					return nil, fmt.Errorf("sbin: %w", err)
 				}
-				row[ci] = value.NewInt(n)
+				rec[ci] = value.NewInt(n)
 			case value.Float:
 				var b [8]byte
 				if _, err := readFull(r, b[:]); err != nil {
-					return nil, nil, fmt.Errorf("sbin: %w", err)
+					return nil, fmt.Errorf("sbin: %w", err)
 				}
-				row[ci] = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
+				rec[ci] = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
 			case value.String:
-				n, err := binary.ReadUvarint(r)
+				str, err := readString(r, payload)
 				if err != nil {
-					return nil, nil, fmt.Errorf("sbin: %w", err)
+					return nil, err
 				}
-				if n > uint64(r.Len()) {
-					return nil, nil, fmt.Errorf("sbin: string length %d exceeds remaining payload", n)
-				}
-				b := make([]byte, n)
-				if _, err := readFull(r, b); err != nil {
-					return nil, nil, fmt.Errorf("sbin: %w", err)
-				}
-				row[ci] = value.NewString(string(b))
+				rec[ci] = value.NewString(str)
 			case value.Time:
 				n, err := binary.ReadVarint(r)
 				if err != nil {
-					return nil, nil, fmt.Errorf("sbin: %w", err)
+					return nil, fmt.Errorf("sbin: %w", err)
 				}
-				row[ci] = value.NewTime(time.Unix(0, n))
+				rec[ci] = value.NewTime(time.Unix(0, n))
 			default:
-				return nil, nil, fmt.Errorf("sbin: unknown kind byte %d", kind)
+				return nil, fmt.Errorf("sbin: unknown kind byte %d", kind)
 			}
 		}
-		rows = append(rows, row)
+		if bindErr == nil {
+			for i, j := range binding {
+				row[i] = rec[j]
+			}
+			bld.Append(row)
+		}
 	}
-	return names, rows, nil
+	if bindErr != nil {
+		return nil, bindErr
+	}
+	return bld.Table(), nil
+}
+
+// readString reads one length-prefixed string at r's position in
+// payload, copying its bytes out exactly once.
+func readString(r *bytes.Reader, payload []byte) (string, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return "", fmt.Errorf("sbin: %w", err)
+	}
+	if n > uint64(r.Len()) {
+		return "", fmt.Errorf("sbin: string length %d exceeds remaining payload", n)
+	}
+	off := len(payload) - r.Len()
+	if _, err := r.Seek(int64(n), io.SeekCurrent); err != nil {
+		return "", fmt.Errorf("sbin: %w", err)
+	}
+	return string(payload[off : off+int(n)]), nil
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {

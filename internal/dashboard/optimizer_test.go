@@ -1,6 +1,9 @@
 package dashboard
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"shareinsights/internal/connector"
@@ -176,5 +179,62 @@ func TestOptimizerLearnsFromHistory(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUploadedFileHonoursPushdown: a `data:` source (an uploaded file)
+// gets the same pushdown offer a connector source gets, so what
+// `explain` says about it is what the run does — never-read columns
+// decode as nulls, the pushed predicate drops rows during the decode and
+// its consumer filter is flagged for the oscillation guard — and the
+// answer is the unoptimized one.
+func TestUploadedFileHonoursPushdown(t *testing.T) {
+	flow := strings.Replace(optimizerFlow, "source: mem:sales.csv", "source: data:sales.csv", 1)
+	compile := func(p *Platform) *Dashboard {
+		f, err := flowfile.Parse("sales", flow)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		d, err := p.Compile(f, map[string][]byte{"sales.csv": []byte(salesCSV)})
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return d
+	}
+	p := optimizerPlatform(t, true)
+	d := compile(p)
+	for run := 1; run <= 2; run++ {
+		if err := d.Run(); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+	planned := d.LastPlan().Node("raw").Pushdown
+	if planned == nil || planned.Predicate != "region == 'east'" || !slices.Contains(planned.SkipColumns, "notes") {
+		t.Fatalf("run 2 planned no pushdown for the uploaded source: %+v", planned)
+	}
+	if next := d.Explain().Node("raw").Pushdown; next == nil || next.Predicate != planned.Predicate || !slices.Equal(next.SkipColumns, planned.SkipColumns) {
+		t.Fatalf("explain %+v disagrees with the executed plan %+v", next, planned)
+	}
+	raw, ok := d.Result().Table("raw")
+	if !ok {
+		t.Fatal("source table missing from the result")
+	}
+	if raw.Len() != 1 {
+		t.Errorf("decoded %d rows, want 1: the pushed predicate was not applied while decoding", raw.Len())
+	}
+	for _, r := range raw.Rows() {
+		if !r[2].IsNull() {
+			t.Errorf("notes decoded as %q, want null: the projection was not applied", r[2])
+		}
+	}
+	if !d.pushedFilters[dag.HintKey(planned.Consumer, "filter_by "+planned.Predicate)] {
+		t.Errorf("consumer filter of the pushed predicate not flagged: %v", d.pushedFilters)
+	}
+	base := compile(optimizerPlatform(t, false))
+	if err := base.Run(); err != nil {
+		t.Fatalf("baseline run: %v", err)
+	}
+	if got, want := endpointRows(t, d), endpointRows(t, base); !reflect.DeepEqual(got, want) {
+		t.Errorf("optimized answer %v, unoptimized %v", got, want)
 	}
 }

@@ -388,10 +388,11 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 }
 
 // loadSource materializes one source data object: shared catalog
-// objects resolve directly, data:-scheme sources decode uploaded
-// payloads, everything else goes through the connector registry (with
-// fetch/decode spans when tracing). The int is the number of connector
-// fetch attempts (1 for non-connector sources).
+// objects resolve directly; data:-scheme sources decode uploaded
+// payloads and everything else goes through the connector registry
+// (with fetch/decode spans when tracing), both under the plan's
+// pushdown offer. The int is the number of connector fetch attempts (1
+// for non-connector sources).
 func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, srcSpan int) (*table.Table, int, error) {
 	n := d.Graph.Nodes[name]
 	if n.Shared {
@@ -404,6 +405,23 @@ func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, 
 		}
 		return obj.Data, 1, nil
 	}
+	// The plan's pushdown offer (when one exists) goes to whichever path
+	// loads the source: the connector or format applies what it can and
+	// declines the rest in-band — same fetch, same single decode, same
+	// retry accounting either way, and the consumer pipeline re-applies
+	// the predicate regardless.
+	var pd connector.Pushdown
+	consumer := ""
+	if np := d.runPlan.Node(name); np != nil && np.Pushdown != nil {
+		pd = connector.Pushdown{Predicate: np.Pushdown.Predicate, SkipColumns: np.Pushdown.SkipColumns}
+		consumer = np.Pushdown.Consumer
+	}
+	var (
+		t        *table.Table
+		res      connector.PushdownResult
+		err      error
+		attempts = 1
+	)
 	// Sources in the dashboard's data folder (§4.3.2: uploaded files
 	// "can be referred in the data object configuration") resolve
 	// from the compile-time resources under the data: scheme.
@@ -415,40 +433,24 @@ func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, 
 		if !found {
 			return nil, 1, fmt.Errorf("dashboard %s: D.%s: no uploaded data file %q", d.Name, name, src)
 		}
-		t, err := d.platform.Connectors.Decode(n.Def, n.Schema, payload)
-		if err != nil {
-			return nil, 1, fmt.Errorf("dashboard %s: %w", d.Name, err)
-		}
-		return t, 1, nil
+		t, res, err = d.platform.Connectors.DecodePushdown(n.Def, n.Schema, payload, pd)
+	} else {
+		var stats connector.LoadStats
+		t, stats, res, err = d.platform.Connectors.LoadPushdownContext(ctx, n.Def, n.Schema, pd, tr, srcSpan)
+		attempts = stats.Attempts
 	}
-	// Connector-path sources get the plan's pushdown offer (when one
-	// exists): the connector applies what it can and declines the rest
-	// in-band — same fetch, same retry accounting either way, and the
-	// consumer pipeline re-applies the predicate regardless.
-	if np := d.runPlan.Node(name); np != nil && np.Pushdown != nil {
-		pd := connector.Pushdown{
-			Predicate:   np.Pushdown.Predicate,
-			SkipColumns: np.Pushdown.SkipColumns,
-		}
-		t, stats, res, err := d.platform.Connectors.LoadPushdownContext(ctx, n.Def, n.Schema, pd, tr, srcSpan)
-		if err != nil {
-			return nil, stats.Attempts, fmt.Errorf("dashboard %s: %w", d.Name, err)
-		}
-		if res.PredicateApplied && np.Pushdown.Consumer != "" {
-			// The consumer's re-applied filter now sees pre-filtered
-			// rows: its observed selectivity is ~1.0 by construction,
-			// not evidence. Flag it so recordRunHistory keeps the real
-			// profile intact (else the estimate decays toward 1, the
-			// planner un-pushes, and the plan oscillates run over run).
-			d.pushedFilters[dag.HintKey(np.Pushdown.Consumer, "filter_by "+np.Pushdown.Predicate)] = true
-		}
-		return t, stats.Attempts, nil
-	}
-	t, stats, err := d.platform.Connectors.LoadContext(ctx, n.Def, n.Schema, tr, srcSpan)
 	if err != nil {
-		return nil, stats.Attempts, fmt.Errorf("dashboard %s: %w", d.Name, err)
+		return nil, attempts, fmt.Errorf("dashboard %s: %w", d.Name, err)
 	}
-	return t, stats.Attempts, nil
+	if res.PredicateApplied && consumer != "" {
+		// The consumer's re-applied filter now sees pre-filtered
+		// rows: its observed selectivity is ~1.0 by construction,
+		// not evidence. Flag it so recordRunHistory keeps the real
+		// profile intact (else the estimate decays toward 1, the
+		// planner un-pushes, and the plan oscillates run over run).
+		d.pushedFilters[dag.HintKey(consumer, "filter_by "+pd.Predicate)] = true
+	}
+	return t, attempts, nil
 }
 
 // RefreshWidgets re-evaluates every widget's interaction pipeline

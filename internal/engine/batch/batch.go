@@ -539,34 +539,24 @@ func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs 
 	curNames := names
 	stages := 0
 	i := 0
-	// st holds the pipeline's current value once it is single-input; it
-	// lets consecutive columnar stages hand batches to each other
-	// without materializing rows in between.
 	colMode := e.columnarMode(nodeColumnar)
-	var st *pipeState
 	for i < len(specs) {
 		if err := ctx.Err(); err != nil {
 			return nil, stages, err
 		}
 		single := len(cur) == 1
 		if single && colMode != ColumnarOff {
-			if st == nil {
-				st = &pipeState{tbl: cur[0]}
-			}
-			handled, err := e.tryVecStage(env, specs, i, colMode, st, record, tr, parent, fb)
+			out, err := e.tryVecStage(env, specs, i, colMode, cur[0], record, tr, parent, fb)
 			if err != nil {
 				return nil, stages, err
 			}
-			if handled {
+			if out != nil {
 				stages++
-				cur = []*table.Table{nil}
+				cur = []*table.Table{out}
 				curNames = []string{""}
 				i++
 				continue
 			}
-			// Row path takes this stage; materialize if the previous
-			// stage left a batch.
-			cur = []*table.Table{st.Table()}
 		}
 		if rl, ok := specs[i].(task.RowLocal); ok && single {
 			// Fuse the maximal run of row-local specs.
@@ -609,7 +599,6 @@ func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs 
 			stages += len(run)
 			cur = []*table.Table{out}
 			curNames = []string{""}
-			st = nil
 			i = j
 			continue
 		}
@@ -633,7 +622,6 @@ func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs 
 			stages++
 			cur = []*table.Table{out}
 			curNames = []string{""}
-			st = nil
 			i++
 			continue
 		}
@@ -657,11 +645,7 @@ func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs 
 		stages++
 		cur = []*table.Table{out}
 		curNames = []string{""}
-		st = nil
 		i++
-	}
-	if cur[0] == nil && st != nil {
-		cur[0] = st.Table()
 	}
 	return cur[0], stages, nil
 }

@@ -2,11 +2,12 @@
 //
 // Per node, a planner decision (the `columnar:` data detail, or the
 // executor default) selects between the row kernels and the colstore
-// kernels. The columnar path converts the pipeline's current table into
-// a column batch once, streams it through consecutive vectorized stages
-// without materializing rows, and falls back to the row kernels — per
-// stage — whenever a spec, schema or value distribution has no typed
-// path. Both paths are semantically identical; the differential harness
+// kernels. The columnar path takes the pipeline's current table as a
+// column batch (its own storage when it is column-backed, one
+// conversion when it is not), streams it through consecutive vectorized
+// stages without materializing rows, and falls back to the row kernels
+// — per stage — whenever a spec, schema or value distribution has no
+// typed path. Both paths are semantically identical; the differential harness
 // in internal/engine/enginetest asserts it.
 package batch
 
@@ -62,65 +63,6 @@ func (e *Executor) columnarMode(node string) string {
 	return ColumnarAuto
 }
 
-// pipeState tracks the pipeline's current value as it alternates
-// between representations: tbl (row) and batch (columnar), at most one
-// of which is nil. Conversion happens lazily in each direction.
-type pipeState struct {
-	tbl   *table.Table
-	batch *colstore.Batch
-	// tried marks that FromTable already failed for tbl (a mixed-kind
-	// or time column), so the planner stops re-probing it.
-	tried bool
-}
-
-// Table materializes the row representation.
-func (p *pipeState) Table() *table.Table {
-	if p.tbl == nil && p.batch != nil {
-		p.tbl = p.batch.ToTable()
-	}
-	return p.tbl
-}
-
-// Schema returns the current schema without materializing.
-func (p *pipeState) Schema() *schema.Schema {
-	if p.batch != nil {
-		return p.batch.Schema()
-	}
-	return p.tbl.Schema()
-}
-
-// Len returns the current cardinality without materializing.
-func (p *pipeState) Len() int {
-	if p.batch != nil {
-		return p.batch.Len()
-	}
-	return p.tbl.Len()
-}
-
-// Batch converts to the columnar representation, or reports false when
-// the current table is not columnar-eligible.
-func (p *pipeState) Batch() (*colstore.Batch, bool) {
-	if p.batch != nil {
-		return p.batch, true
-	}
-	if p.tried {
-		return nil, false
-	}
-	b, ok := colstore.FromTable(p.tbl)
-	if !ok {
-		p.tried = true
-		return nil, false
-	}
-	p.batch = b
-	return b, true
-}
-
-// setBatch replaces the state with a columnar stage's output.
-func (p *pipeState) setBatch(b *colstore.Batch) { p.tbl, p.batch, p.tried = nil, b, false }
-
-// setTable replaces the state with a row stage's output.
-func (p *pipeState) setTable(t *table.Table) { p.tbl, p.batch, p.tried = t, nil, false }
-
 // planVec decides whether stage i runs vectorized and binds its kernel.
 // Auto mode additionally requires that when specs[i] opens a row-local
 // run, the whole contiguous run vectorizes — otherwise fusing the run
@@ -167,18 +109,21 @@ func runVecStage(stage string, ker colstore.Kernel, b *colstore.Batch) (out *col
 	return ker.Run(b)
 }
 
-// tryVecStage attempts stage i on the columnar path. handled is false
-// when the stage should run on the row path instead (planner declined,
-// conversion failed, or the kernel fell back at run time); err is a
-// real stage failure.
-func (e *Executor) tryVecStage(env *task.Env, specs []task.Spec, i int, mode string, st *pipeState, record func(StageTiming), tr obs.Tracer, parent int, fb *atomic.Int64) (handled bool, err error) {
-	ker, ok := planVec(env, specs, i, mode, st.Schema(), st.Len())
+// tryVecStage attempts stage i on the columnar path over the pipeline's
+// current table. out is nil when the stage should run on the row path
+// instead (planner declined, the table holds a column with no typed
+// vector, or the kernel fell back at run time); err is a real stage
+// failure. A column-backed table hands its batch over as is and the
+// output wraps the kernel's batch, so consecutive columnar stages — and
+// the nodes downstream — exchange vectors, never rows.
+func (e *Executor) tryVecStage(env *task.Env, specs []task.Spec, i int, mode string, in *table.Table, record func(StageTiming), tr obs.Tracer, parent int, fb *atomic.Int64) (out *table.Table, err error) {
+	ker, ok := planVec(env, specs, i, mode, in.Schema(), in.Len())
 	if !ok {
-		return false, nil
+		return nil, nil
 	}
-	b, ok := st.Batch()
+	b, ok := colstore.FromTable(in)
 	if !ok {
-		return false, nil
+		return nil, nil
 	}
 	spec := specs[i]
 	desc := task.Describe(spec)
@@ -189,7 +134,7 @@ func (e *Executor) tryVecStage(env *task.Env, specs []task.Spec, i int, mode str
 		tr.SpanFlag(sid, "columnar")
 	}
 	start := time.Now()
-	out, err := runVecStage(desc, ker, b)
+	res, err := runVecStage(desc, ker, b)
 	if err != nil {
 		if errors.Is(err, colstore.ErrFallback) {
 			// The kernel met data it has no typed path for; the row
@@ -201,20 +146,19 @@ func (e *Executor) tryVecStage(env *task.Env, specs []task.Spec, i int, mode str
 				tr.SpanFlag(sid, "fallback")
 				tr.EndSpan(sid)
 			}
-			return false, nil
+			return nil, nil
 		}
 		if tr != nil {
 			tr.SpanFlag(sid, "error")
 			tr.EndSpan(sid)
 		}
-		return true, err
+		return nil, err
 	}
 	d := time.Since(start)
-	record(StageTiming{Stage: desc, RowsIn: nIn, Rows: out.Len(), Duration: d, Path: PathColumnar})
-	endStageSpan(tr, sid, nIn, out.Len(), d)
+	record(StageTiming{Stage: desc, RowsIn: nIn, Rows: res.Len(), Duration: d, Path: PathColumnar})
+	endStageSpan(tr, sid, nIn, res.Len(), d)
 	if env != nil && env.Trace != nil {
-		env.Trace(spec.Type(), out.Len())
+		env.Trace(spec.Type(), res.Len())
 	}
-	st.setBatch(out)
-	return true, nil
+	return res.ToTable(), nil
 }

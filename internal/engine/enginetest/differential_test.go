@@ -1,7 +1,9 @@
 // Package enginetest cross-checks the batch engine's two execution
-// paths: every flow runs once on the row kernels and once on the
-// columnar kernels, and the produced tables must be identical. The row
-// path is the reference semantics; any divergence is a columnar bug.
+// paths and the data object's two layouts: every flow runs on the row
+// kernels and on the columnar kernels, over row-backed and over
+// column-backed inputs, and the produced tables must be identical. The
+// row path over row-backed inputs is the reference semantics; any
+// divergence is a columnar bug.
 package enginetest
 
 import (
@@ -16,6 +18,7 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/task"
 	"shareinsights/internal/value"
 )
@@ -80,25 +83,50 @@ func sameMultiset(a, b *table.Table) bool {
 	return true
 }
 
-// diffFlow runs one flow through both engines and compares every output
-// data object. At parallelism 1 the comparison is exact (same rows, same
-// order, same kinds); at parallelism 4 row-local shard order may differ
-// from sequential order, so the comparison is order-insensitive.
+// diffFlow runs one flow through both engines, over both input
+// backings, and compares every output data object with the reference:
+// the row kernels over row-backed inputs.
 func diffFlow(t *testing.T, flow string, sources map[string]*table.Table) {
 	t.Helper()
 	g := buildGraph(t, flow)
 	row := runPath(t, g, sources, batch.ColumnarOff, 1)
-	for _, mode := range []string{batch.ColumnarOn, batch.ColumnarAuto} {
+	diffInputs(t, g, row, "row-backed", sources)
+	diffInputs(t, g, row, "column-backed", columnBacked(sources))
+}
+
+// columnBacked rebuilds every source through the column builder, the
+// way the format decoders produce them: typed vectors, with mixed-kind
+// and time columns boxed.
+func columnBacked(sources map[string]*table.Table) map[string]*table.Table {
+	out := make(map[string]*table.Table, len(sources))
+	for name, src := range sources {
+		b := colstore.NewBuilder(src.Schema())
+		for _, r := range src.Rows() {
+			b.Append(r)
+		}
+		out[name] = b.Table()
+	}
+	return out
+}
+
+// diffInputs compares every run shape over one set of inputs with the
+// reference run row. At parallelism 1 the comparison is exact (same
+// rows, same order, same kinds); at parallelism 4 row-local shard order
+// may differ from sequential order, so the comparison is
+// order-insensitive.
+func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, sources map[string]*table.Table) {
+	t.Helper()
+	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn, batch.ColumnarAuto} {
 		col := runPath(t, g, sources, mode, 1)
 		for _, name := range row.SortedNames() {
 			want, _ := row.Table(name)
 			got, ok := col.Table(name)
 			if !ok {
-				t.Fatalf("columnar=%s run missing output %s", mode, name)
+				t.Fatalf("%s inputs, columnar=%s run missing output %s", inputs, mode, name)
 			}
 			if !want.Equal(got) {
-				t.Errorf("columnar=%s: D.%s differs from row path:\nrow:\n%s\ncolumnar:\n%s",
-					mode, name, want.Format(10), got.Format(10))
+				t.Errorf("%s inputs, columnar=%s: D.%s differs from row path:\nrow:\n%s\ncolumnar:\n%s",
+					inputs, mode, name, want.Format(10), got.Format(10))
 			}
 			assertKindsEqual(t, name, want, got)
 		}
@@ -108,7 +136,7 @@ func diffFlow(t *testing.T, flow string, sources map[string]*table.Table) {
 		want, _ := row.Table(name)
 		got, _ := par.Table(name)
 		if got == nil || !sameMultiset(want, got) {
-			t.Errorf("columnar parallel run: D.%s row multiset differs from row path", name)
+			t.Errorf("%s inputs, columnar parallel run: D.%s row multiset differs from row path", inputs, name)
 		}
 	}
 
@@ -128,11 +156,11 @@ func diffFlow(t *testing.T, flow string, sources map[string]*table.Table) {
 				want, _ := row.Table(name)
 				got, ok := opt.Table(name)
 				if !ok {
-					t.Fatalf("stats=%d columnar=%s planned run missing output %s", si, mode, name)
+					t.Fatalf("%s inputs, stats=%d columnar=%s planned run missing output %s", inputs, si, mode, name)
 				}
 				if !want.Equal(got) {
-					t.Errorf("stats=%d columnar=%s: planned D.%s differs from unplanned row path:\nplan:\n%s\nrow:\n%s\nplanned:\n%s",
-						si, mode, name, plan.Format(), want.Format(10), got.Format(10))
+					t.Errorf("%s inputs, stats=%d columnar=%s: planned D.%s differs from unplanned row path:\nplan:\n%s\nrow:\n%s\nplanned:\n%s",
+						inputs, si, mode, name, plan.Format(), want.Format(10), got.Format(10))
 					continue
 				}
 				assertKindsEqual(t, name, want, got)

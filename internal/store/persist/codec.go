@@ -38,10 +38,6 @@ func encodeTable(t *table.Table) tableBlob {
 }
 
 func decodeTable(b tableBlob) (*table.Table, error) {
-	_, rows, err := connector.DecodeSBIN(b.SBIN)
-	if err != nil {
-		return nil, fmt.Errorf("persist: decode table: %w", err)
-	}
 	cols := make([]schema.Column, len(b.Columns))
 	for i, c := range b.Columns {
 		cols[i] = schema.Column{Name: c.Name, Path: c.Path}
@@ -50,9 +46,9 @@ func decodeTable(b tableBlob) (*table.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: decode table schema: %w", err)
 	}
-	t := table.New(s)
-	for _, r := range rows {
-		t.Append(r)
+	t, err := connector.DecodeSBIN(b.SBIN, s)
+	if err != nil {
+		return nil, fmt.Errorf("persist: decode table: %w", err)
 	}
 	return t, nil
 }

@@ -15,6 +15,14 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// grow extends the bitmap to n positions; the new ones are clear.
+func (b *Bitmap) grow(n int) {
+	for len(b.words) < (n+63)/64 {
+		b.words = append(b.words, 0)
+	}
+	b.n = n
+}
+
 // Len returns the number of positions.
 func (b *Bitmap) Len() int { return b.n }
 

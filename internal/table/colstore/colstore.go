@@ -3,9 +3,14 @@
 // with a null bitmap) plus vectorized kernels for the hot tasks —
 // filter, groupby, topn and map-expr.
 //
-// A row Table converts to a Batch when every column is kind-uniform
-// (one payload kind plus nulls); mixed-kind and time columns keep the
-// row representation, and the engine falls back to the row kernels.
+// A Batch is also the storage of a column-backed table.Table: the format
+// decoders fill one through a Builder, ToTable wraps it without copying
+// and FromTable hands the same batch back, so a decoded source reaches
+// the kernels — and a kernel's output reaches the next node — without a
+// conversion in either direction. A row-backed Table converts to a Batch
+// when every column is kind-uniform (one payload kind plus nulls);
+// mixed-kind and time columns have no typed vector (a Builder boxes
+// them), and the engine runs tables holding one through the row kernels.
 // Conversion copies cell headers but never string payloads (Go strings
 // are immutable), so a 100k-row text column costs 100k string headers,
 // not a byte of text. The kernels are semantically identical to the
@@ -21,8 +26,9 @@ import (
 	"shareinsights/internal/value"
 )
 
-// anyKind marks a heterogeneous vector (boxed values). FromTable never
-// produces one; expression evaluation and aggregate outputs may.
+// anyKind marks a heterogeneous vector (boxed values): a Builder column
+// that mixed kinds or met a time, or an expression or aggregate output.
+// Converting a row table never produces one.
 const anyKind value.Kind = 0xFF
 
 // Vec is one column of a Batch: a typed payload slice selected by kind,
@@ -221,12 +227,20 @@ func (b *Batch) Len() int { return b.length }
 // Col returns the i'th column vector.
 func (b *Batch) Col(i int) *Vec { return b.cols[i] }
 
-// FromTable converts a row table into a Batch. ok is false when the
-// table is not columnar-eligible: a column mixes payload kinds, or
-// holds time values (which have no typed vector). Nulls are always
-// allowed. String payloads are shared with the source table, never
-// copied.
+// FromTable returns t as a Batch. ok is false when the table is not
+// columnar-eligible: a column mixes payload kinds, or holds time values
+// (which have no typed vector). Nulls are always allowed. A
+// column-backed table returns its backing batch as is; a row-backed one
+// is converted, sharing string payloads with the source table.
 func FromTable(t *table.Table) (b *Batch, ok bool) {
+	if b, ok := t.Columns().(*Batch); ok {
+		for _, v := range b.cols {
+			if v.kind == anyKind {
+				return nil, false
+			}
+		}
+		return b, true
+	}
 	s := t.Schema()
 	rows := t.Rows()
 	n := len(rows)
@@ -282,27 +296,17 @@ func FromTable(t *table.Table) (b *Batch, ok bool) {
 	return &Batch{schema: s, cols: cols, length: n}, true
 }
 
-// ToTable materializes the batch back into a row table.
-func (b *Batch) ToTable() *table.Table {
-	rows := make([]table.Row, b.length)
-	w := b.schema.Len()
-	// One flat cell allocation for the whole table keeps the conversion
-	// a single copy pass instead of one allocation per row.
-	cells := make([]value.V, b.length*w)
-	for i := range rows {
-		r := cells[i*w : (i+1)*w : (i+1)*w]
-		for c, v := range b.cols {
-			r[c] = v.At(i)
-		}
-		rows[i] = r
+// ToTable returns the batch as a column-backed table: the batch becomes
+// the table's storage, and rows materialize only if a caller asks the
+// table for them.
+func (b *Batch) ToTable() *table.Table { return table.FromColumns(b.schema, b) }
+
+// Row implements table.Columns: the cells of row i, rebuilt from the
+// vectors into dst.
+func (b *Batch) Row(i int, dst []value.V) {
+	for c, v := range b.cols {
+		dst[c] = v.At(i)
 	}
-	t, err := table.FromRows(b.schema, rows)
-	if err != nil {
-		// Vectors always match the schema arity; reaching here is a
-		// colstore bug.
-		panic(err)
-	}
-	return t
 }
 
 // Select returns a new batch holding the rows at idx, in order — the

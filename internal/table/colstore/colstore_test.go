@@ -2,6 +2,8 @@ package colstore
 
 import (
 	"math"
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -457,5 +459,99 @@ func TestFilterKernel(t *testing.T) {
 	}
 	if err := quick.Check(f, qc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// --- Column-backed tables ---------------------------------------------------
+
+// TestSharedColumnBackedTable has eight readers use one column-backed
+// table at once — rows, fingerprint and a kernel over its batch — as
+// cache entries, last-good snapshots and fan-out nodes do. Whichever
+// reader triggers the row view, all must see the reference answers. Run
+// with -race -count=10 (CI does).
+func TestSharedColumnBackedTable(t *testing.T) {
+	src := mixedTable(
+		[]int64{5, 3, 9, 3, 7, 1, 9, 2}, []float64{.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5},
+		[]string{"a", "b", "a", "c", "b", "a", "c", "c"}, []bool{true, false, true, true, false, false, true, false},
+		[]byte{0, 1, 0, 2, 0, 4, 0, 8})
+	shared := rebuilt(src)
+	ker := &TopN{Key: 0, Limit: 3}
+	wantBatch, _ := FromTable(src)
+	wantTop, err := ker.Run(wantBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for step := 0; step < 3; step++ {
+				switch (g + step) % 3 {
+				case 0:
+					if !shared.Equal(src) {
+						t.Errorf("reader %d: rows differ from the source", g)
+					}
+				case 1:
+					if got, want := shared.Fingerprint(), src.Fingerprint(); got != want {
+						t.Errorf("reader %d: fingerprint %s, want %s", g, got, want)
+					}
+				case 2:
+					b, ok := FromTable(shared.CloneShallow())
+					if !ok {
+						t.Errorf("reader %d: shared table does not convert", g)
+						return
+					}
+					top, err := ker.Run(b)
+					if err != nil || !top.ToTable().Equal(wantTop.ToTable()) {
+						t.Errorf("reader %d: kernel result differs (err %v)", g, err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestColumnBackedMutationTakesOwnership: Append and Sort on a
+// column-backed table detach it from its vectors (which clones share),
+// so the clone keeps the original content and the mutated table no
+// longer hands out a stale batch.
+func TestColumnBackedMutationTakesOwnership(t *testing.T) {
+	src := mixedTable([]int64{3, 1, 2}, []float64{1, 2, 3}, []string{"x", "y", "z"}, []bool{true, false, true}, []byte{0, 0, 0})
+	for name, mutate := range map[string]func(*table.Table){
+		"sort":   func(tb *table.Table) { _ = tb.Sort(table.SortKey{Column: "a"}) },
+		"append": func(tb *table.Table) { tb.Append(src.Row(0)) },
+	} {
+		owned := rebuilt(src)
+		snap := owned.CloneShallow()
+		mutate(owned)
+		if owned.Columns() != nil {
+			t.Errorf("%s: table still column-backed after mutation", name)
+		}
+		if !snap.Equal(src) || snap.Fingerprint() != src.Fingerprint() {
+			t.Errorf("%s: mutation leaked into the shallow clone", name)
+		}
+		want := src.Clone()
+		mutate(want)
+		if !owned.Equal(want) || owned.Fingerprint() != want.Fingerprint() || owned.Len() != want.Len() {
+			t.Errorf("%s: mutated column-backed table differs from the mutated row table", name)
+		}
+	}
+}
+
+// TestFingerprintAllocs: hashing is O(1) allocations however many cells
+// the table holds, in both layouts (it was one per cell, two per string).
+func TestFingerprintAllocs(t *testing.T) {
+	const rows = 1000
+	ints, floats, strs, bools, masks := make([]int64, rows), make([]float64, rows), make([]string, rows), make([]bool, rows), make([]byte, rows)
+	for i := range ints {
+		ints[i], floats[i], strs[i], masks[i] = int64(i), float64(i)/3, strconv.Itoa(i), byte(i%16)
+	}
+	src := mixedTable(ints, floats, strs, bools, masks)
+	for name, tb := range map[string]*table.Table{"row-backed": src, "column-backed": rebuilt(src)} {
+		if n := testing.AllocsPerRun(10, func() { tb.Fingerprint() }); n > 8 {
+			t.Errorf("%s: Fingerprint of %d rows allocates %.0f times, want a constant few", name, rows, n)
+		}
 	}
 }

@@ -11,9 +11,13 @@ import (
 )
 
 // FuzzConvert decodes arbitrary bytes into a small table of mixed kinds
-// and null patterns, then checks the columnar conversion contract: if
-// FromTable accepts the table, ToTable must reproduce it exactly (same
-// schema, same cells, same kinds), and selection must never panic.
+// and null patterns, then checks the two ways a table becomes columns.
+// The Builder (the decoders' route) takes every table: what it builds
+// must answer Len, SizeBytes, Fingerprint and Rows exactly as the row
+// table does, and convert for free exactly when the row table converts.
+// FromTable (the row route) may decline: if it accepts the table,
+// ToTable must reproduce it exactly (same schema, same cells, same
+// kinds), and selection must never panic.
 func FuzzConvert(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
@@ -22,6 +26,21 @@ func FuzzConvert(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb := decodeTable(data)
 		b, ok := FromTable(tb)
+		built := rebuilt(tb)
+		if built.Len() != tb.Len() || built.SizeBytes() != tb.SizeBytes() || built.Fingerprint() != tb.Fingerprint() {
+			t.Fatalf("built table answers len %d size %d fingerprint %s, row table %d %d %s", built.Len(),
+				built.SizeBytes(), built.Fingerprint(), tb.Len(), tb.SizeBytes(), tb.Fingerprint())
+		}
+		if bb, bok := FromTable(built); bok != ok || (bok && bb != built.Columns()) {
+			t.Fatalf("built table converts=%v (its own batch: %v), row table converts=%v", bok, bok && bb == built.Columns(), ok)
+		}
+		for i, row := range tb.Rows() {
+			for j, want := range row {
+				if got := built.Rows()[i][j]; got != want {
+					t.Fatalf("built table row %d col %d: %v %q, want %v %q", i, j, got.Kind(), got, want.Kind(), want)
+				}
+			}
+		}
 		if !ok {
 			return
 		}
@@ -98,4 +117,13 @@ func decodeTable(data []byte) *table.Table {
 
 func timeFromByte(by byte) time.Time {
 	return time.Unix(int64(by)*3600, 0).UTC()
+}
+
+// rebuilt pushes a row table through the Builder.
+func rebuilt(tb *table.Table) *table.Table {
+	b := NewBuilder(tb.Schema())
+	for _, r := range tb.Rows() {
+		b.Append(r)
+	}
+	return b.Table()
 }

@@ -9,10 +9,10 @@ package table
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"shareinsights/internal/schema"
 	"shareinsights/internal/value"
@@ -28,10 +28,38 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Table is an in-memory relation: a schema plus rows.
+// Table is an in-memory relation: a schema plus its cells. The cells
+// live in one of two layouts. A row-backed table (New, FromRows) stores
+// rows. A column-backed table (FromColumns) stores column vectors — what
+// the format decoders and the vectorized kernels produce — and rows are
+// a view over them, materialized once, on the first call that needs row
+// access (Rows and everything built on it: the row kernels, the
+// encoders, the cube). Len, SizeBytes, CloneShallow and Fingerprint
+// answer from the vectors.
+//
+// A table is safe for concurrent readers in either layout. Mutating one
+// (Append, Sort) is for its owner only; a column-backed table first
+// materializes its rows and drops the vectors, which no longer describe
+// it.
 type Table struct {
 	schema *schema.Schema
 	rows   []Row
+	// cols is the storage of a column-backed table (nil when
+	// row-backed); view guards the one materialization of rows from it.
+	cols Columns
+	view sync.Once
+}
+
+// Columns is the column-major storage behind a column-backed table. It
+// is declared here, not where it is implemented (colstore.Batch),
+// because colstore imports this package; reading a row out of the
+// vectors is all a Table needs of them. Implementations are immutable.
+type Columns interface {
+	// Len is the number of rows.
+	Len() int
+	// Row copies the cells of row i into dst, which has one element per
+	// schema column.
+	Row(i int, dst []value.V)
 }
 
 // New returns an empty table with the given schema.
@@ -50,34 +78,86 @@ func FromRows(s *schema.Schema, rows []Row) (*Table, error) {
 	return &Table{schema: s, rows: rows}, nil
 }
 
+// FromColumns returns a column-backed table over cols, which must hold
+// one column per schema column. Nothing is copied.
+func FromColumns(s *schema.Schema, cols Columns) *Table {
+	return &Table{schema: s, cols: cols}
+}
+
+// Columns returns the column storage of a column-backed table, nil for
+// a row-backed one.
+func (t *Table) Columns() Columns { return t.cols }
+
 // Schema returns the table's schema.
 func (t *Table) Schema() *schema.Schema { return t.schema }
 
 // Len returns the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int {
+	if t.cols != nil {
+		return t.cols.Len()
+	}
+	return len(t.rows)
+}
 
-// Rows returns the backing row slice. Callers must treat it as read-only
-// unless they own the table: the slice aliases the table's storage, so
-// sorting it, growing it, or replacing row headers mutates the table in
-// place — and any snapshot (cache entry, shared catalog copy) holding
-// the same *Table. Holders of long-lived references should store a
-// CloneShallow instead, which is immune to those structural mutations
-// (cell values themselves are immutable).
-func (t *Table) Rows() []Row { return t.rows }
+// Rows returns the row slice, materializing it first when the table is
+// column-backed (one flat cell allocation plus the row headers, once).
+// Callers must treat it as read-only unless they own the table: the
+// slice aliases the table's storage, so sorting it, growing it, or
+// replacing row headers mutates the table in place — and any snapshot
+// (cache entry, shared catalog copy) holding the same *Table. Holders of
+// long-lived references should store a CloneShallow instead, which is
+// immune to those structural mutations (cell values themselves are
+// immutable).
+func (t *Table) Rows() []Row {
+	if t.cols != nil {
+		t.view.Do(func() {
+			n, w := t.cols.Len(), t.schema.Len()
+			cells := make([]value.V, n*w)
+			rows := make([]Row, n)
+			for i := range rows {
+				rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+				t.cols.Row(i, rows[i])
+			}
+			t.rows = rows
+		})
+	}
+	return t.rows
+}
 
-// CloneShallow returns a copy with a fresh row-header slice sharing the
-// row storage of t. The copy is insulated from structural mutation of
-// the original — Sort, Append, or writes through the Rows() slice —
-// while avoiding Clone's per-cell copy; it is NOT insulated from a
+// own prepares the table for structural mutation: a column-backed table
+// becomes row-backed, because its vectors are shared with every clone
+// and would no longer match the rows.
+func (t *Table) own() {
+	if t.cols != nil {
+		t.Rows()
+		t.cols = nil
+	}
+}
+
+// CloneShallow returns a copy that shares cell storage with t but is
+// insulated from structural mutation of the original — Sort, Append, or
+// writes through the Rows() slice: a fresh row-header slice for a
+// row-backed table, the same (immutable) vectors for a column-backed
+// one. It avoids Clone's per-cell copy; it is NOT insulated from a
 // caller overwriting cells inside an aliased Row. Caches snapshotting
 // tables they do not own (last-good source snapshots, the shared
 // catalog) use it as a cheap copy-on-write boundary.
+//
+// The clone of a column-backed table shares the vectors, not the row
+// view: each of the two materializes its own cells if and when something
+// asks it for Rows(), and keeps them beside the vectors from then on.
+// That is the price of clones that never lock against each other; a
+// snapshot that is only held, or read by the columnar kernels, never
+// pays it.
 func (t *Table) CloneShallow() *Table {
+	if t.cols != nil {
+		return &Table{schema: t.schema, cols: t.cols}
+	}
 	return &Table{schema: t.schema, rows: append([]Row(nil), t.rows...)}
 }
 
 // Row returns the i'th row.
-func (t *Table) Row(i int) Row { return t.rows[i] }
+func (t *Table) Row(i int) Row { return t.Rows()[i] }
 
 // Append adds a row. It panics if the arity is wrong — appends are always
 // produced by operators that already know the schema.
@@ -85,6 +165,7 @@ func (t *Table) Append(r Row) {
 	if len(r) != t.schema.Len() {
 		panic(fmt.Sprintf("table: append arity %d != schema %d", len(r), t.schema.Len()))
 	}
+	t.own()
 	t.rows = append(t.rows, r)
 }
 
@@ -98,7 +179,7 @@ func (t *Table) Cell(row int, col string) value.V {
 	if i < 0 {
 		return value.VNull
 	}
-	return t.rows[row][i]
+	return t.Rows()[row][i]
 }
 
 // Column returns all values of the named column in row order.
@@ -107,8 +188,9 @@ func (t *Table) Column(col string) ([]value.V, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("table: column %q not found", col)
 	}
-	out := make([]value.V, len(t.rows))
-	for r, row := range t.rows {
+	rows := t.Rows()
+	out := make([]value.V, len(rows))
+	for r, row := range rows {
 		out[r] = row[i]
 	}
 	return out, nil
@@ -116,8 +198,9 @@ func (t *Table) Column(col string) ([]value.V, error) {
 
 // Clone returns a deep copy (rows are copied; values are immutable).
 func (t *Table) Clone() *Table {
-	rows := make([]Row, len(t.rows))
-	for i, r := range t.rows {
+	src := t.Rows()
+	rows := make([]Row, len(src))
+	for i, r := range src {
 		rows[i] = r.Clone()
 	}
 	return &Table{schema: t.schema.Clone(), rows: rows}
@@ -133,8 +216,9 @@ func (t *Table) Project(names ...string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Table{schema: s, rows: make([]Row, len(t.rows))}
-	for r, row := range t.rows {
+	src := t.Rows()
+	out := &Table{schema: s, rows: make([]Row, len(src))}
+	for r, row := range src {
 		nr := make(Row, len(idx))
 		for c, i := range idx {
 			nr[c] = row[i]
@@ -164,6 +248,7 @@ func (t *Table) Sort(keys ...SortKey) error {
 		}
 		bounds[i] = bound{idx: j, desc: k.Desc}
 	}
+	t.own()
 	sort.SliceStable(t.rows, func(a, b int) bool {
 		for _, k := range bounds {
 			c := value.Compare(t.rows[a][k.idx], t.rows[b][k.idx])
@@ -183,13 +268,14 @@ func (t *Table) Sort(keys ...SortKey) error {
 // Head returns a new table with at most n leading rows (sharing row
 // storage with t).
 func (t *Table) Head(n int) *Table {
-	if n > len(t.rows) {
-		n = len(t.rows)
+	rows := t.Rows()
+	if n > len(rows) {
+		n = len(rows)
 	}
 	if n < 0 {
 		n = 0
 	}
-	return &Table{schema: t.schema, rows: t.rows[:n]}
+	return &Table{schema: t.schema, rows: rows[:n]}
 }
 
 // SizeBytes estimates the in-memory footprint of the table. The DAG
@@ -197,12 +283,29 @@ func (t *Table) Head(n int) *Table {
 // data object to the client-side cube.
 func (t *Table) SizeBytes() int {
 	n := 0
-	for _, r := range t.rows {
+	t.eachRow(func(r Row) {
 		for _, v := range r {
 			n += v.Size()
 		}
-	}
+	})
 	return n
+}
+
+// eachRow calls fn with every row in order without materializing a
+// column-backed table: its rows pass through one scratch row, which fn
+// must not retain.
+func (t *Table) eachRow(fn func(Row)) {
+	if t.cols == nil {
+		for _, r := range t.rows {
+			fn(r)
+		}
+		return
+	}
+	scratch := make(Row, t.schema.Len())
+	for i, n := 0, t.cols.Len(); i < n; i++ {
+		t.cols.Row(i, scratch)
+		fn(scratch)
+	}
 }
 
 // Format renders the table as an aligned text grid — the representation
@@ -215,7 +318,7 @@ func (t *Table) Format(maxRows int) string {
 	for i, n := range names {
 		widths[i] = len(n)
 	}
-	rows := t.rows
+	rows := t.Rows()
 	truncated := 0
 	if maxRows > 0 && len(rows) > maxRows {
 		truncated = len(rows) - maxRows
@@ -266,26 +369,21 @@ func (t *Table) Format(maxRows int) string {
 // every cell, order-sensitive). The incremental-execution cache uses it
 // as a source node's signature: same payload, same fingerprint.
 func (t *Table) Fingerprint() string {
-	h := fnv.New64a()
-	h.Write([]byte(t.schema.String()))
-	for _, r := range t.rows {
-		for _, v := range r {
-			v.HashInto(h)
-		}
-		h.Write([]byte{0xFF})
-	}
-	return strconv.FormatUint(h.Sum64(), 16)
+	h := value.HashString(value.HashSeed, t.schema.String())
+	t.eachRow(func(r Row) { h = value.HashRow(h, r) })
+	return strconv.FormatUint(h, 16)
 }
 
 // Equal reports whether two tables have equal schemas and identical rows
 // in the same order. Integration tests use it for golden comparisons.
 func (t *Table) Equal(o *Table) bool {
-	if !t.schema.Equal(o.schema) || len(t.rows) != len(o.rows) {
+	if !t.schema.Equal(o.schema) || t.Len() != o.Len() {
 		return false
 	}
-	for i := range t.rows {
-		for j := range t.rows[i] {
-			if !value.Equal(t.rows[i][j], o.rows[i][j]) {
+	a, b := t.Rows(), o.Rows()
+	for i := range a {
+		for j := range a[i] {
+			if !value.Equal(a[i][j], b[i][j]) {
 				return false
 			}
 		}

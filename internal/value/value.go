@@ -11,7 +11,6 @@ package value
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -310,25 +309,41 @@ func Equal(a, b V) bool { return Compare(a, b) == 0 }
 // Less reports whether a orders before b under Compare.
 func Less(a, b V) bool { return Compare(a, b) < 0 }
 
+// FNV-1a (64-bit) parameters. The hash state is a plain uint64 threaded
+// through the fold functions below, so hashing allocates nothing.
+const (
+	// HashSeed is the initial state of every hash fold.
+	HashSeed  uint64 = 14695981039346656037
+	hashPrime uint64 = 1099511628211
+)
+
 // Hash returns a stable 64-bit hash of the value, consistent with Equal
 // for same-kind values (group-by keys are built from same-kind columns).
-func (v V) Hash() uint64 {
-	h := fnv.New64a()
-	v.HashInto(h)
-	return h.Sum64()
+func (v V) Hash() uint64 { return v.hashInto(HashSeed) }
+
+// HashString folds the bytes of s into the state h.
+func HashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * hashPrime
+	}
+	return h
 }
 
-// hashWriter is the subset of hash.Hash64 HashInto needs.
-type hashWriter interface {
-	Write(p []byte) (int, error)
+// HashRow folds one row into the state h: every cell in order, then a
+// 0xFF terminator so row boundaries are part of the content. It is the
+// unit table fingerprints are built from.
+func HashRow(h uint64, row []V) uint64 {
+	for _, v := range row {
+		h = v.hashInto(h)
+	}
+	return (h ^ 0xFF) * hashPrime
 }
 
-// HashInto mixes the value into h, prefixed by a kind tag so that e.g.
-// the string "1" and the int 1 hash differently.
-func (v V) HashInto(h hashWriter) {
-	var buf [9]byte
-	buf[0] = byte(v.kind)
-	n := v.num
+// hashInto folds the value into h: a kind tag (so the string "1" and
+// the int 1 hash differently), the payload word little-endian, then the
+// string bytes.
+func (v V) hashInto(h uint64) uint64 {
+	n := uint64(v.num)
 	if v.kind == Float {
 		// Normalize -0 and NaN payloads so equal floats hash equally.
 		f := v.Float()
@@ -338,52 +353,13 @@ func (v V) HashInto(h hashWriter) {
 		if math.IsNaN(f) {
 			f = math.NaN()
 		}
-		n = int64(math.Float64bits(f))
+		n = math.Float64bits(f)
 	}
+	h = (h ^ uint64(v.kind)) * hashPrime
 	for i := 0; i < 8; i++ {
-		buf[1+i] = byte(n >> (8 * i))
+		h = (h ^ (n >> (8 * i) & 0xFF)) * hashPrime
 	}
-	h.Write(buf[:])
-	if v.kind == String {
-		h.Write([]byte(v.str))
-	}
-}
-
-// Parse infers the best kind for a text payload: empty → null, then bool,
-// int, float, a handful of common timestamp layouts, else string. Format
-// codecs for text formats (CSV/TSV) use it to type their cells.
-func Parse(s string) V {
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return VNull
-	}
-	switch t {
-	case "true", "True", "TRUE":
-		return VTrue
-	case "false", "False", "FALSE":
-		return VFalse
-	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return NewInt(i)
-	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil {
-		return NewFloat(f)
-	}
-	for _, layout := range TimeLayouts {
-		if ts, err := time.Parse(layout, t); err == nil {
-			return NewTime(ts)
-		}
-	}
-	return NewString(s)
-}
-
-// TimeLayouts are the timestamp layouts Parse recognizes, most specific
-// first. Connectors may append custom layouts before parsing a payload.
-var TimeLayouts = []string{
-	time.RFC3339Nano,
-	time.RFC3339,
-	"2006-01-02 15:04:05",
-	"2006-01-02",
+	return HashString(h, v.str)
 }
 
 // FromAny converts a Go value produced by the JSON/XML decoders into a V.
