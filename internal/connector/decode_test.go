@@ -272,20 +272,65 @@ func BenchmarkDecodeCSV30k(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeSBIN60k(b *testing.B) {
+// sbinFacts is an sbin payload of the batch_join fact shape: one string
+// column cycling through distinct values, six int columns.
+func sbinFacts(rows, distinct int) ([]byte, *schema.Schema) {
 	src := table.New(schema.MustFromNames("project", "year", "noOfBugs", "noOfCheckins", "noOfEmails", "noOfContributors", "noOfReleases"))
-	for i := 0; i < 60000; i++ {
-		src.AppendValues(value.NewString("proj"+strconv.Itoa(i%500)), value.NewInt(int64(2000+i%15)), value.NewInt(int64(i%97)),
+	for i := 0; i < rows; i++ {
+		src.AppendValues(value.NewString("proj"+strconv.Itoa(i%distinct)), value.NewInt(int64(2000+i%15)), value.NewInt(int64(i%97)),
 			value.NewInt(int64(i%1000)), value.NewInt(int64(i%313)), value.NewInt(int64(i%41)), value.NewInt(int64(i%7)))
 	}
-	payload := EncodeSBIN(src)
+	return EncodeSBIN(src), src.Schema()
+}
+
+// TestDecodeSBINAllocs: a string value its column has already seen costs
+// nothing to decode — 10,000 rows over 50 values allocate the 50 strings
+// plus the vectors' growth — and a column of all-distinct strings, which
+// reverts to a plain vector, still costs its one string per cell and no
+// more than it did before columns were coded (10,113 for this payload at
+// the parent commit, 10,154 now: the dictionary's first 1,024 entries).
+// The constants leave room for the race detector's own allocations.
+func TestDecodeSBINAllocs(t *testing.T) {
+	const rows = 10000
+	d := &flowfile.DataDef{Name: "facts"}
+	for _, tc := range []struct {
+		distinct int
+		max      float64
+	}{
+		{50, 50 + 250},
+		{rows, rows + 300},
+	} {
+		payload, s := sbinFacts(rows, tc.distinct)
+		allocs := testing.AllocsPerRun(5, func() {
+			if tb, err := (&sbinFormat{}).Decode(d, s, payload); err != nil || tb.Len() != rows {
+				t.Fatal(tb.Len(), err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("decoding %d rows over %d distinct strings allocates %.0f times, want at most %.0f", rows, tc.distinct, allocs, tc.max)
+		}
+	}
+}
+
+func benchDecodeSBIN(b *testing.B, rows, distinct int) {
+	payload, s := sbinFacts(rows, distinct)
 	d := &flowfile.DataDef{Name: "facts"}
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&sbinFormat{}).Decode(d, src.Schema(), payload); err != nil {
+		if _, err := (&sbinFormat{}).Decode(d, s, payload); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkDecodeSBIN60k(b *testing.B) { benchDecodeSBIN(b, 60000, 500) }
+
+// BenchmarkDecodeSBINDict60k decodes the same shape on both sides of the
+// dictionary's revert rule: 50 values (coded) and 60,000 (plain).
+func BenchmarkDecodeSBINDict60k(b *testing.B) {
+	for _, distinct := range []int{50, 60000} {
+		b.Run("distinct="+strconv.Itoa(distinct), func(b *testing.B) { benchDecodeSBIN(b, 60000, distinct) })
 	}
 }

@@ -103,10 +103,12 @@ func EncodeSBIN(t *table.Table) []byte {
 }
 
 // decodeSBIN parses an sbin payload straight into column vectors: each
-// record is read into a scratch row by its kind bytes and appended to
-// the builders of the schema columns bind maps it to (schema column ->
-// payload column). A payload that is malformed anywhere reports that
-// before a binding failure.
+// cell is read by its kind byte and appended to the builder columns of
+// the schema columns bound to its payload column (bind maps schema
+// column -> payload column). A string cell reaches the builder as a
+// slice of the payload, so a value its column has already seen is never
+// copied out. A payload that is malformed anywhere reports that before a
+// binding failure.
 func decodeSBIN(payload []byte, s *schema.Schema, bind func(names []string) ([]int, error)) (*table.Table, error) {
 	r := bytes.NewReader(payload)
 	magic := make([]byte, len(sbinMagic))
@@ -122,9 +124,11 @@ func decodeSBIN(payload []byte, s *schema.Schema, bind func(names []string) ([]i
 	}
 	names := make([]string, ncols)
 	for i := range names {
-		if names[i], err = readString(r, payload); err != nil {
+		p, err := readBytes(r, payload)
+		if err != nil {
 			return nil, err
 		}
+		names[i] = string(p)
 	}
 	nrows, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -135,60 +139,67 @@ func decodeSBIN(payload []byte, s *schema.Schema, bind func(names []string) ([]i
 		return nil, fmt.Errorf("sbin: implausible row count %d", nrows)
 	}
 	binding, bindErr := bind(names)
+	// targets inverts the binding: the schema columns each payload
+	// column fills (none for an extra column, several when schema
+	// columns share a payload path). Empty throughout on a binding
+	// failure, so the rest of the payload is still checked.
+	targets := make([][]int, ncols)
+	for i, j := range binding {
+		targets[j] = append(targets[j], i)
+	}
 	// nrows only bounds the loop, which a short payload ends with an
 	// error: a forged count cannot size the vectors.
 	bld := colstore.NewBuilder(s)
-	rec := make([]value.V, ncols)
-	row := make([]value.V, s.Len())
 	for ri := uint64(0); ri < nrows; ri++ {
-		for ci := range rec {
+		for _, cols := range targets {
 			kind, err := r.ReadByte()
 			if err != nil {
 				return nil, fmt.Errorf("sbin: truncated row %d: %w", ri, err)
 			}
+			var cell value.V
 			switch value.Kind(kind) {
 			case value.Null:
-				rec[ci] = value.VNull
 			case value.Bool:
 				b, err := r.ReadByte()
 				if err != nil {
 					return nil, fmt.Errorf("sbin: %w", err)
 				}
-				rec[ci] = value.NewBool(b != 0)
+				cell = value.NewBool(b != 0)
 			case value.Int:
 				n, err := binary.ReadVarint(r)
 				if err != nil {
 					return nil, fmt.Errorf("sbin: %w", err)
 				}
-				rec[ci] = value.NewInt(n)
+				cell = value.NewInt(n)
 			case value.Float:
 				var b [8]byte
 				if _, err := readFull(r, b[:]); err != nil {
 					return nil, fmt.Errorf("sbin: %w", err)
 				}
-				rec[ci] = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
+				cell = value.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
 			case value.String:
-				str, err := readString(r, payload)
+				p, err := readBytes(r, payload)
 				if err != nil {
 					return nil, err
 				}
-				rec[ci] = value.NewString(str)
+				for _, c := range cols {
+					bld.AppendString(c, p)
+				}
+				continue
 			case value.Time:
 				n, err := binary.ReadVarint(r)
 				if err != nil {
 					return nil, fmt.Errorf("sbin: %w", err)
 				}
-				rec[ci] = value.NewTime(time.Unix(0, n))
+				cell = value.NewTime(time.Unix(0, n))
 			default:
 				return nil, fmt.Errorf("sbin: unknown kind byte %d", kind)
 			}
-		}
-		if bindErr == nil {
-			for i, j := range binding {
-				row[i] = rec[j]
+			for _, c := range cols {
+				bld.AppendCell(c, cell)
 			}
-			bld.Append(row)
 		}
+		bld.EndRow()
 	}
 	if bindErr != nil {
 		return nil, bindErr
@@ -196,21 +207,21 @@ func decodeSBIN(payload []byte, s *schema.Schema, bind func(names []string) ([]i
 	return bld.Table(), nil
 }
 
-// readString reads one length-prefixed string at r's position in
-// payload, copying its bytes out exactly once.
-func readString(r *bytes.Reader, payload []byte) (string, error) {
+// readBytes reads one length-prefixed string at r's position and
+// returns it as a slice of payload, not a copy.
+func readBytes(r *bytes.Reader, payload []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return "", fmt.Errorf("sbin: %w", err)
+		return nil, fmt.Errorf("sbin: %w", err)
 	}
 	if n > uint64(r.Len()) {
-		return "", fmt.Errorf("sbin: string length %d exceeds remaining payload", n)
+		return nil, fmt.Errorf("sbin: string length %d exceeds remaining payload", n)
 	}
 	off := len(payload) - r.Len()
 	if _, err := r.Seek(int64(n), io.SeekCurrent); err != nil {
-		return "", fmt.Errorf("sbin: %w", err)
+		return nil, fmt.Errorf("sbin: %w", err)
 	}
-	return string(payload[off : off+int(n)]), nil
+	return payload[off : off+int(n)], nil
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {

@@ -392,13 +392,16 @@ func stagePlans(output string, specs []task.Spec, mode string, opts PlanOptions)
 }
 
 // predictPath predicts a stage's execution path from the resolved mode,
-// the spec's vectorizability and the observed input cardinality. "auto"
-// means the runtime planner decides (no statistics to predict from).
+// the spec's vectorizability (a single-input kernel, or the two-input
+// join kernel) and the observed input cardinality. "auto" means the
+// runtime planner decides (no statistics to predict from).
 func predictPath(output string, sp task.Spec, mode string, opts PlanOptions) string {
 	if mode == "off" {
 		return "row"
 	}
-	if _, ok := sp.(task.Vectorizable); !ok {
+	_, one := sp.(task.Vectorizable)
+	_, two := sp.(task.VectorizableJoin)
+	if !one && !two {
 		return "row"
 	}
 	if mode == "on" {

@@ -545,8 +545,8 @@ func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs 
 			return nil, stages, err
 		}
 		single := len(cur) == 1
-		if single && colMode != ColumnarOff {
-			out, err := e.tryVecStage(env, specs, i, colMode, cur[0], record, tr, parent, fb)
+		if colMode != ColumnarOff {
+			out, err := e.tryColumnar(env, specs, i, colMode, cur, curNames, record, tr, parent, fb)
 			if err != nil {
 				return nil, stages, err
 			}

@@ -5,7 +5,8 @@
 // kernels. The columnar path takes the pipeline's current table as a
 // column batch (its own storage when it is column-backed, one
 // conversion when it is not), streams it through consecutive vectorized
-// stages without materializing rows, and falls back to the row kernels
+// stages without materializing rows (a node's two-input first stage, the
+// join, takes both inputs' batches), and falls back to the row kernels
 // — per stage — whenever a spec, schema or value distribution has no
 // typed path. Both paths are semantically identical; the differential harness
 // in internal/engine/enginetest asserts it.
@@ -102,11 +103,18 @@ func planVec(env *task.Env, specs []task.Spec, i int, mode string, in *schema.Sc
 	return ker, true
 }
 
-// runVecStage executes one columnar stage with the same panic isolation
-// as the row stages.
-func runVecStage(stage string, ker colstore.Kernel, b *colstore.Batch) (out *colstore.Batch, err error) {
-	defer recoverStage(stage, &err)
-	return ker.Run(b)
+// tryColumnar attempts stage i on the columnar path: the single-input
+// kernels over the pipeline's current table, the join kernel over a
+// node's two inputs. out is nil when the stage should run on the row
+// path instead; err is a real stage failure.
+func (e *Executor) tryColumnar(env *task.Env, specs []task.Spec, i int, mode string, in []*table.Table, names []string, record func(StageTiming), tr obs.Tracer, parent int, fb *atomic.Int64) (out *table.Table, err error) {
+	switch len(in) {
+	case 1:
+		return e.tryVecStage(env, specs, i, mode, in[0], record, tr, parent, fb)
+	case 2:
+		return e.tryJoinStage(env, specs[i], mode, in, names, record, tr, parent, fb)
+	}
+	return nil, nil
 }
 
 // tryVecStage attempts stage i on the columnar path over the pipeline's
@@ -125,20 +133,67 @@ func (e *Executor) tryVecStage(env *task.Env, specs []task.Spec, i int, mode str
 	if !ok {
 		return nil, nil
 	}
-	spec := specs[i]
+	return runVecStage(env, specs[i], b.Len(), func() (*colstore.Batch, error) { return ker.Run(b) }, record, tr, parent, fb)
+}
+
+// tryJoinStage is tryVecStage for a node's two-input first stage: the
+// hash-join kernel over both inputs' batches. Auto mode thresholds on
+// the probe (left) side, the one the kernel's work scales with row by
+// row; the stage reports both inputs as its rows in, as the row join
+// does.
+func (e *Executor) tryJoinStage(env *task.Env, spec task.Spec, mode string, in []*table.Table, names []string, record func(StageTiming), tr obs.Tracer, parent int, fb *atomic.Int64) (out *table.Table, err error) {
+	v, ok := spec.(task.VectorizableJoin)
+	if !ok {
+		return nil, nil
+	}
+	inputs := make([]task.Input, 2)
+	for i, t := range in {
+		inputs[i].Schema = t.Schema()
+		if i < len(names) {
+			inputs[i].Name = names[i]
+		}
+	}
+	ker, swapped, ok := v.BindJoin(env, inputs[0], inputs[1])
+	if !ok {
+		return nil, nil
+	}
+	left, right := in[0], in[1]
+	if swapped {
+		left, right = right, left
+	}
+	if mode == ColumnarAuto && left.Len() < columnarAutoThreshold {
+		return nil, nil
+	}
+	lb, ok := colstore.FromTable(left)
+	if !ok {
+		return nil, nil
+	}
+	rb, ok := colstore.FromTable(right)
+	if !ok {
+		return nil, nil
+	}
+	return runVecStage(env, spec, rowsIn(in), func() (*colstore.Batch, error) { return ker.Run(lb, rb) }, record, tr, parent, fb)
+}
+
+// runVecStage executes one bound columnar stage — run is the kernel over
+// its batches — with the row stages' panic isolation, span, timing and
+// trace hook. A kernel that meets data it has no typed path for
+// (colstore.ErrFallback) yields a nil table: the row kernel takes the
+// stage, and the run's fallback counter moves by one.
+func runVecStage(env *task.Env, spec task.Spec, nIn int, run func() (*colstore.Batch, error), record func(StageTiming), tr obs.Tracer, parent int, fb *atomic.Int64) (*table.Table, error) {
 	desc := task.Describe(spec)
-	nIn := b.Len()
 	sid := 0
 	if tr != nil {
 		sid = tr.StartSpan(parent, "stage "+desc)
 		tr.SpanFlag(sid, "columnar")
 	}
 	start := time.Now()
-	res, err := runVecStage(desc, ker, b)
+	res, err := func() (res *colstore.Batch, err error) {
+		defer recoverStage(desc, &err)
+		return run()
+	}()
 	if err != nil {
 		if errors.Is(err, colstore.ErrFallback) {
-			// The kernel met data it has no typed path for; the row
-			// kernel takes the stage.
 			if fb != nil {
 				fb.Add(1)
 			}

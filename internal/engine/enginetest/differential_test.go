@@ -509,8 +509,23 @@ T:
 
 // --- Randomized pipelines -------------------------------------------------
 
+// dimTable is the build side of the randomised joins: a region listed
+// twice (fan-out), regions listed once, one no sales row has, a region
+// the sales have that is missing (remote), and a null key.
+func dimTable() *table.Table {
+	tb := table.New(schema.MustFromNames("region", "zone", "weight"))
+	for i, r := range []string{"east", "west", "east", "north", "nowhere", "south"} {
+		tb.AppendValues(value.NewString(r), value.NewString(fmt.Sprintf("z%d", i%2)), value.NewFloat(float64(i)/2))
+	}
+	tb.AppendValues(value.VNull, value.NewString("z9"), value.VNull)
+	return tb
+}
+
 // randFlow assembles a random 1..4 stage pipeline from the kernel menu
-// (plus row-only stages, so the engine keeps crossing between paths).
+// (plus row-only stages, so the engine keeps crossing between paths). One
+// flow in three opens with a join of D.src against D.dim — any condition,
+// either input order — projected back onto the source's column names so
+// every later stage still binds.
 func randFlow(rng *rand.Rand) string {
 	filters := []string{
 		"amount > 25",
@@ -527,8 +542,20 @@ func randFlow(rng *rand.Rand) string {
 		"-amount",
 		"region + '!'",
 	}
+	header, inputs := diffHeader, "D.src"
 	var tasks []string
 	var chain []string
+	if rng.Intn(3) == 0 {
+		header = "\nD:\n  src: [region, product, amount, ratio, flag]\n  dim: [region, zone, weight]\n\n"
+		inputs = []string{"(D.src, D.dim)", "(D.dim, D.src)"}[rng.Intn(2)]
+		chain = append(chain, "T.j")
+		tasks = append(tasks, fmt.Sprintf("  j:\n    type: join\n    left: src by region\n    right: dim by region\n    join_condition: %s\n"+
+			"    project:\n      src_region: region\n      src_product: product\n      src_amount: amount\n      src_ratio: ratio\n      src_flag: flag\n      dim_zone: zone\n      dim_weight: weight\n",
+			[]string{"inner", "left outer", "right outer", "full outer"}[rng.Intn(4)]))
+	}
+	done := func() string {
+		return header + "F:\n  D.out: " + inputs + " | " + strings.Join(chain, " | ") + "\n\nT:\n" + strings.Join(tasks, "")
+	}
 	stages := rng.Intn(4) + 1
 	for i := 0; i < stages; i++ {
 		id := fmt.Sprintf("t%d", i)
@@ -543,9 +570,19 @@ func randFlow(rng *rand.Rand) string {
 			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: map\n    operator: expr\n    expression: %s\n    output: m%d\n",
 				id, maps[rng.Intn(len(maps))], i))
 		case 2:
-			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: sort\n    orderby_column: [amount DESC, region, product]\n", id))
+			// One to three keys in random order and direction; region,
+			// flag and the bucketed amounts tie constantly, so stability
+			// is on trial.
+			cols := []string{"amount", "ratio", "region", "product", "flag"}
+			var keys []string
+			for _, c := range rng.Perm(len(cols))[:rng.Intn(3)+1] {
+				keys = append(keys, cols[c]+[]string{"", " ASC", " DESC"}[rng.Intn(3)])
+			}
+			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: sort\n    orderby_column: [%s]\n", id, strings.Join(keys, ", ")))
 		case 3:
-			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: limit\n    limit: %d\n", id, rng.Intn(200)+1))
+			// Nothing, one row, some rows, more rows than there are.
+			limit := []int{0, 1, rng.Intn(200) + 1, 100000}[rng.Intn(4)]
+			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: limit\n    limit: %d\n", id, limit))
 		case 4:
 			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: topn\n    orderby_column: [%s]\n    limit: %d\n",
 				id, []string{"amount DESC", "ratio", "region"}[rng.Intn(3)], rng.Intn(10)+1))
@@ -557,10 +594,10 @@ func randFlow(rng *rand.Rand) string {
 			// Aggregates overwrite amount/product so later random stages
 			// still see the columns they reference; ratio and flag are
 			// gone, so stop the chain here.
-			return diffHeader + "F:\n  D.out: D.src | " + strings.Join(chain, " | ") + "\n\nT:\n" + strings.Join(tasks, "")
+			return done()
 		}
 	}
-	return diffHeader + "F:\n  D.out: D.src | " + strings.Join(chain, " | ") + "\n\nT:\n" + strings.Join(tasks, "")
+	return done()
 }
 
 // TestRandomPipelinesDifferential generates seeded random pipelines and
@@ -570,7 +607,7 @@ func TestRandomPipelinesDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is not short")
 	}
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 60; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -579,7 +616,11 @@ func TestRandomPipelinesDifferential(t *testing.T) {
 			nullRate := []int{0, 10, 60, 100}[rng.Intn(4)]
 			src := salesTable(rows, seed+1000, nullRate)
 			t.Logf("flow:\n%s\nrows=%d nullRate=%d", flow, rows, nullRate)
-			diffFlow(t, flow, map[string]*table.Table{"src": src})
+			sources := map[string]*table.Table{"src": src}
+			if strings.Contains(flow, "D.dim") {
+				sources["dim"] = dimTable()
+			}
+			diffFlow(t, flow, sources)
 		})
 	}
 }
@@ -612,6 +653,7 @@ func TestColumnarPathReported(t *testing.T) {
 	if n := countPaths(res, batch.PathColumnar); n != 0 {
 		t.Errorf("columnar=auto with 10 rows: %d stages took the columnar path", n)
 	}
+	t.Run("join_sort_limit", joinSortLimitPathReported)
 }
 
 func countPaths(res *batch.Result, path string) int {

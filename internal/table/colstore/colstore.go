@@ -1,7 +1,8 @@
 // Package colstore is the columnar execution layout of the batch
 // engine: typed column vectors (int64 / float64 / string / bool, each
-// with a null bitmap) plus vectorized kernels for the hot tasks —
-// filter, groupby, topn and map-expr.
+// with a null bitmap; a string vector may be dictionary-coded) plus
+// vectorized kernels for the hot tasks — filter, map-expr, groupby,
+// topn, sort, limit and the two-input hash join.
 //
 // A Batch is also the storage of a column-backed table.Table: the format
 // decoders fill one through a Builder, ToTable wraps it without copying
@@ -35,11 +36,21 @@ const anyKind value.Kind = 0xFF
 // plus an optional null bitmap (nil when the column has no nulls).
 // Null cells hold the zero value in the payload slice, which matches
 // the platform's coercion rules (null.Int() == 0, null.Str() == "").
+//
+// A string vector has two layouts. Plain: strs holds one header per
+// element. Dictionary-coded (dict != nil): codes holds one index per
+// element into dict, which lists each distinct string once, "" always at
+// code 0 so a null cell's zero code reads as the zero string. A Builder
+// produces coded vectors; gathers copy the 4-byte codes and share the
+// dictionary, which is immutable and may therefore list strings no
+// element of a gathered vector still uses. Read elements through str.
 type Vec struct {
 	kind   value.Kind
 	ints   []int64
 	floats []float64
 	strs   []string
+	codes  []uint32
+	dict   []string
 	bools  []bool
 	anys   []value.V
 	nulls  *Bitmap
@@ -74,6 +85,15 @@ func (v *Vec) null(i int) bool {
 	return v.nulls != nil && v.nulls.Get(i)
 }
 
+// str returns the payload of element i of a dense string vector, in
+// either layout.
+func (v *Vec) str(i int) string {
+	if v.dict != nil {
+		return v.dict[v.codes[i]]
+	}
+	return v.strs[i]
+}
+
 // At reconstructs element i as a dynamic value.
 func (v *Vec) At(i int) value.V {
 	if v.null(i) {
@@ -90,7 +110,7 @@ func (v *Vec) At(i int) value.V {
 	case value.Float:
 		return value.NewFloat(v.floats[i])
 	case value.String:
-		return value.NewString(v.strs[i])
+		return value.NewString(v.str(i))
 	case anyKind:
 		return v.anys[i]
 	}
@@ -167,47 +187,57 @@ func (v *Vec) densify() *Vec {
 	return out
 }
 
-// gather returns a new vector holding the elements of v at idx.
-func (v *Vec) gather(idx []int) *Vec {
+// rowIndex is the element type of a selection vector: the single-input
+// kernels select with []int, the join gathers through []int32.
+type rowIndex interface{ ~int | ~int32 }
+
+// gather returns a new vector holding the elements of v at idx. A
+// negative index yields a null element — the outer join's "no partner".
+// A dictionary-coded vector gathers its codes and shares the dictionary.
+func gather[I rowIndex](v *Vec, idx []I) *Vec {
 	out := &Vec{kind: v.kind, length: len(idx)}
 	if v.kind == value.Null {
 		return out
 	}
-	switch v.kind {
-	case value.Bool:
-		out.bools = make([]bool, len(idx))
-		for o, i := range idx {
-			out.bools[o] = v.bools[i]
-		}
-	case value.Int:
-		out.ints = make([]int64, len(idx))
-		for o, i := range idx {
-			out.ints[o] = v.ints[i]
-		}
-	case value.Float:
-		out.floats = make([]float64, len(idx))
-		for o, i := range idx {
-			out.floats[o] = v.floats[i]
-		}
-	case value.String:
-		out.strs = make([]string, len(idx))
-		for o, i := range idx {
-			out.strs[o] = v.strs[i]
-		}
-	case anyKind:
-		out.anys = make([]value.V, len(idx))
-		for o, i := range idx {
-			out.anys[o] = v.anys[i]
-		}
+	var holes bool
+	switch {
+	case v.dict != nil:
+		out.dict = v.dict
+		out.codes, holes = gatherSlice(v.codes, idx)
+	case v.kind == value.Bool:
+		out.bools, holes = gatherSlice(v.bools, idx)
+	case v.kind == value.Int:
+		out.ints, holes = gatherSlice(v.ints, idx)
+	case v.kind == value.Float:
+		out.floats, holes = gatherSlice(v.floats, idx)
+	case v.kind == value.String:
+		out.strs, holes = gatherSlice(v.strs, idx)
+	case v.kind == anyKind:
+		out.anys, holes = gatherSlice(v.anys, idx)
 	}
-	if v.nulls != nil {
+	if holes || v.nulls != nil {
 		for o, i := range idx {
-			if v.nulls.Get(i) {
+			if i < 0 || (v.nulls != nil && v.nulls.Get(int(i))) {
 				out.setNull(o)
 			}
 		}
 	}
 	return out
+}
+
+// gatherSlice copies src's elements at idx. A negative index leaves the
+// zero value, which is what a null cell stores; holes reports that there
+// was one.
+func gatherSlice[T any, I rowIndex](src []T, idx []I) (out []T, holes bool) {
+	out = make([]T, len(idx))
+	for o, i := range idx {
+		if i >= 0 {
+			out[o] = src[i]
+		} else {
+			holes = true
+		}
+	}
+	return out, holes
 }
 
 // Batch is a columnar table: a schema plus one vector per column. All
@@ -314,7 +344,7 @@ func (b *Batch) Row(i int, dst []value.V) {
 func (b *Batch) Select(idx []int) *Batch {
 	cols := make([]*Vec, len(b.cols))
 	for c, v := range b.cols {
-		cols[c] = v.gather(idx)
+		cols[c] = gather(v, idx)
 	}
 	return &Batch{schema: b.schema, cols: cols, length: len(idx)}
 }

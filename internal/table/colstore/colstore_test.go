@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -330,8 +331,8 @@ func TestTopNMatchesStableSort(t *testing.T) {
 		for i := range idx {
 			idx[i] = i
 		}
-		stableSortIdx(idx, func(i, j int) bool {
-			c := cmp(i, j)
+		sort.SliceStable(idx, func(x, y int) bool {
+			c := cmp(idx[x], idx[y])
 			if desc {
 				c = -c
 			}
@@ -465,52 +466,67 @@ func TestFilterKernel(t *testing.T) {
 // --- Column-backed tables ---------------------------------------------------
 
 // TestSharedColumnBackedTable has eight readers use one column-backed
-// table at once — rows, fingerprint and a kernel over its batch — as
+// table at once — rows, fingerprint and kernels over its batch — as
 // cache entries, last-good snapshots and fan-out nodes do. Whichever
-// reader triggers the row view, all must see the reference answers. Run
-// with -race -count=10 (CI does).
+// reader triggers the row view, all must see the reference answers. It
+// runs once over the vectors a conversion produces and once over the
+// Builder's, whose string column is dictionary-coded: every reader then
+// reads the one shared dictionary. Run with -race -count=10 (CI does).
 func TestSharedColumnBackedTable(t *testing.T) {
 	src := mixedTable(
 		[]int64{5, 3, 9, 3, 7, 1, 9, 2}, []float64{.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5},
 		[]string{"a", "b", "a", "c", "b", "a", "c", "c"}, []bool{true, false, true, true, false, false, true, false},
 		[]byte{0, 1, 0, 2, 0, 4, 0, 8})
-	shared := rebuilt(src)
-	ker := &TopN{Key: 0, Limit: 3}
 	wantBatch, _ := FromTable(src)
-	wantTop, err := ker.Run(wantBatch)
-	if err != nil {
-		t.Fatal(err)
+	if built, _ := FromTable(rebuilt(src)); built.Col(2).dict == nil || wantBatch.Col(2).dict != nil {
+		t.Fatal("want the built string column dictionary-coded and the converted one plain")
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for step := 0; step < 3; step++ {
-				switch (g + step) % 3 {
-				case 0:
-					if !shared.Equal(src) {
-						t.Errorf("reader %d: rows differ from the source", g)
-					}
-				case 1:
-					if got, want := shared.Fingerprint(), src.Fingerprint(); got != want {
-						t.Errorf("reader %d: fingerprint %s, want %s", g, got, want)
-					}
-				case 2:
-					b, ok := FromTable(shared.CloneShallow())
-					if !ok {
-						t.Errorf("reader %d: shared table does not convert", g)
-						return
-					}
-					top, err := ker.Run(b)
-					if err != nil || !top.ToTable().Equal(wantTop.ToTable()) {
-						t.Errorf("reader %d: kernel result differs (err %v)", g, err)
+	kernels := []Kernel{
+		&TopN{Key: 0, Limit: 3},
+		&Sort{Keys: []table.SortKey{{Column: "s", Desc: true}, {Column: "a"}}},
+	}
+	want := make([]*table.Table, len(kernels))
+	for i, ker := range kernels {
+		out, err := ker.Run(wantBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out.ToTable()
+	}
+	for name, shared := range map[string]*table.Table{"plain": wantBatch.ToTable(), "dictionary": rebuilt(src)} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for step := 0; step < 3; step++ {
+					switch (g + step) % 3 {
+					case 0:
+						if !shared.Equal(src) {
+							t.Errorf("%s reader %d: rows differ from the source", name, g)
+						}
+					case 1:
+						if got, want := shared.Fingerprint(), src.Fingerprint(); got != want {
+							t.Errorf("%s reader %d: fingerprint %s, want %s", name, g, got, want)
+						}
+					case 2:
+						b, ok := FromTable(shared.CloneShallow())
+						if !ok {
+							t.Errorf("%s reader %d: shared table does not convert", name, g)
+							return
+						}
+						for i, ker := range kernels {
+							out, err := ker.Run(b)
+							if err != nil || !out.ToTable().Equal(want[i]) {
+								t.Errorf("%s reader %d: kernel %T result differs (err %v)", name, g, ker, err)
+							}
+						}
 					}
 				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestColumnBackedMutationTakesOwnership: Append and Sort on a

@@ -6,7 +6,6 @@ import (
 
 	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
-	"shareinsights/internal/table"
 	"shareinsights/internal/value"
 )
 
@@ -202,10 +201,9 @@ func vecCmp(ok func(int) bool, a, b *Vec) *Vec {
 			}
 			return out
 		case value.String:
-			xs, xe := a.strs, stride(a)
-			ys, ye := b.strs, stride(b)
+			xe, ye := stride(a), stride(b)
 			for i := 0; i < n; i++ {
-				out.bools[i] = ok(strings.Compare(xs[i*xe], ys[i*ye]))
+				out.bools[i] = ok(strings.Compare(a.str(i*xe), b.str(i*ye)))
 			}
 			return out
 		}
@@ -388,9 +386,9 @@ func truthyBools(v *Vec) []bool {
 			out[i] = xs[i*xe] != 0
 		}
 	case value.String:
-		xs, xe := v.strs, stride(v)
+		xe := stride(v)
 		for i := 0; i < n; i++ {
-			out[i] = xs[i*xe] != ""
+			out[i] = v.str(i*xe) != ""
 		}
 	default:
 		for i := 0; i < n; i++ {
@@ -465,10 +463,9 @@ func vecContains(a, b *Vec) *Vec {
 	n := a.length
 	out := newVec(value.Bool, n)
 	if a.kind == value.String && b.kind == value.String && !a.hasNulls() && !b.hasNulls() {
-		xs, xe := a.strs, stride(a)
-		ys, ye := b.strs, stride(b)
+		xe, ye := stride(a), stride(b)
 		for i := 0; i < n; i++ {
-			out.bools[i] = strings.Contains(xs[i*xe], ys[i*ye])
+			out.bools[i] = strings.Contains(a.str(i*xe), b.str(i*ye))
 		}
 		return out
 	}
@@ -491,42 +488,4 @@ func vecIn(a *Vec, items []*Vec) *Vec {
 		}
 	}
 	return out
-}
-
-// sortBatch returns a batch with rows stably ordered by keys — the
-// columnar analogue of table.Sort.
-func sortBatch(b *Batch, keys []table.SortKey) (*Batch, error) {
-	if len(keys) == 0 {
-		return b, nil
-	}
-	type bound struct {
-		col  *Vec
-		desc bool
-	}
-	bounds := make([]bound, len(keys))
-	for i, k := range keys {
-		j := b.schema.Index(k.Column)
-		if j < 0 {
-			return nil, fmt.Errorf("colstore: sort column %q not found", k.Column)
-		}
-		bounds[i] = bound{col: b.cols[j], desc: k.Desc}
-	}
-	idx := make([]int, b.length)
-	for i := range idx {
-		idx[i] = i
-	}
-	stableSortIdx(idx, func(x, y int) bool {
-		for _, k := range bounds {
-			c := value.Compare(k.col.At(x), k.col.At(y))
-			if c == 0 {
-				continue
-			}
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return b.Select(idx), nil
 }

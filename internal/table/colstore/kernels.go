@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -157,7 +158,7 @@ func keyComparator(v *Vec) func(i, j int) int {
 	case value.Float:
 		core = func(i, j int) int { return cmpFloat(v.floats[i], v.floats[j]) }
 	case value.String:
-		core = func(i, j int) int { return strings.Compare(v.strs[i], v.strs[j]) }
+		core = func(i, j int) int { return strings.Compare(v.str(i), v.str(j)) }
 	default:
 		core = func(i, j int) int { return value.Compare(v.At(i), v.At(j)) }
 	}
@@ -178,8 +179,69 @@ func keyComparator(v *Vec) func(i, j int) int {
 	}
 }
 
-func stableSortIdx(idx []int, less func(i, j int) bool) {
-	sort.SliceStable(idx, func(x, y int) bool { return less(idx[x], idx[y]) })
+// sortBatch returns a batch with rows stably ordered by keys — the
+// columnar analogue of table.Sort: one permutation sorted under typed
+// per-column comparators, then one gather. It is the same algorithm
+// (sort.SliceStable) over the same comparison outcomes as table.Sort,
+// so the two agree even where value.Compare is not an order (NaN
+// compares equal to every float).
+func sortBatch(b *Batch, keys []table.SortKey) (*Batch, error) {
+	if len(keys) == 0 {
+		return b, nil
+	}
+	type bound struct {
+		cmp  func(i, j int) int
+		desc bool
+	}
+	bounds := make([]bound, len(keys))
+	for i, k := range keys {
+		j := b.schema.Index(k.Column)
+		if j < 0 {
+			return nil, fmt.Errorf("colstore: sort column %q not found", k.Column)
+		}
+		bounds[i] = bound{cmp: keyComparator(b.cols[j]), desc: k.Desc}
+	}
+	idx := make([]int, b.length)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(x, y int) bool {
+		for _, k := range bounds {
+			if c := k.cmp(idx[x], idx[y]); c != 0 {
+				return (c < 0) != k.desc
+			}
+		}
+		return false
+	})
+	return b.Select(idx), nil
+}
+
+// Sort is the vectorized sort task: a stable multi-key sort of the whole
+// batch.
+type Sort struct {
+	// Keys are the sort criteria, most significant first.
+	Keys []table.SortKey
+}
+
+// Run implements Kernel.
+func (k *Sort) Run(b *Batch) (*Batch, error) { return sortBatch(b, k.Keys) }
+
+// Limit is the vectorized limit task: the first N rows.
+type Limit struct {
+	// N is the row budget.
+	N int
+}
+
+// Run implements Kernel.
+func (k *Limit) Run(b *Batch) (*Batch, error) {
+	if k.N >= b.length {
+		return b, nil
+	}
+	idx := make([]int, k.N)
+	for i := range idx {
+		idx[i] = i
+	}
+	return b.Select(idx), nil
 }
 
 // ---------------------------------------------------------------------
@@ -249,7 +311,7 @@ func (k *GroupBy) Run(b *Batch) (*Batch, error) {
 	ng := len(keyRows)
 	outCols := make([]*Vec, 0, len(k.Keys)+len(k.Aggs))
 	for _, c := range k.Keys {
-		outCols = append(outCols, b.cols[c].gather(keyRows))
+		outCols = append(outCols, gather(b.cols[c], keyRows))
 	}
 	for _, a := range k.Aggs {
 		outCols = append(outCols, runAgg(a, b, gids, ng))
@@ -259,61 +321,15 @@ func (k *GroupBy) Run(b *Batch) (*Batch, error) {
 }
 
 // groupIDs assigns a dense group id to every row (into gids) and
-// returns the first input row of each group, in first-seen order. A
-// single null-free string or int key column — the overwhelmingly common
-// group-by shape — hashes its payload directly; everything else builds
-// the composite kind-tagged byte key. Both produce the same partition
-// and the same first-seen order, because a kind-uniform column's
-// payload determines its encoded key and vice versa.
+// returns the first input row of each group, in first-seen order.
 func groupIDs(b *Batch, keys []int, gids []int32) (keyRows []int) {
-	if len(keys) == 1 {
-		v := b.cols[keys[0]]
-		if !v.hasNulls() {
-			switch v.kind {
-			case value.String:
-				m := make(map[string]int32, 64)
-				for i, s := range v.strs {
-					id, ok := m[s]
-					if !ok {
-						id = int32(len(keyRows))
-						m[s] = id
-						keyRows = append(keyRows, i)
-					}
-					gids[i] = id
-				}
-				return keyRows
-			case value.Int:
-				m := make(map[int64]int32, 64)
-				for i, x := range v.ints {
-					id, ok := m[x]
-					if !ok {
-						id = int32(len(keyRows))
-						m[x] = id
-						keyRows = append(keyRows, i)
-					}
-					gids[i] = id
-				}
-				return keyRows
-			}
-		}
-	}
-	groups := make(map[string]int32, 64)
-	buf := make([]byte, 0, 64)
-	for i := 0; i < b.length; i++ {
-		buf = buf[:0]
-		for ki, c := range keys {
-			if ki > 0 {
-				buf = append(buf, 0)
-			}
-			buf = appendGroupKey(buf, b.cols[c], i)
-		}
-		id, ok := groups[string(buf)]
-		if !ok {
-			id = int32(len(keyRows))
-			groups[string(buf)] = id
+	newKeyIndex(keyVecs(b, keys)).assign(b, keys, gids, true)
+	for i, g := range gids {
+		// Ids are dense in first-seen order: a row opens a group exactly
+		// when its id is the next unused one.
+		if int(g) == len(keyRows) {
 			keyRows = append(keyRows, i)
 		}
-		gids[i] = id
 	}
 	return keyRows
 }
@@ -340,7 +356,7 @@ func appendGroupKey(buf []byte, v *Vec, i int) []byte {
 		return strconv.AppendFloat(buf, v.floats[i], 'g', -1, 64)
 	case value.String:
 		buf = append(buf, byte(value.String))
-		return append(buf, v.strs[i]...)
+		return append(buf, v.str(i)...)
 	default:
 		val := v.At(i)
 		buf = append(buf, byte(val.Kind()))
@@ -498,7 +514,7 @@ func aggMinMax(col *Vec, gids []int32, ng int, min bool) *Vec {
 				out.floats[g] = x
 			}
 		case value.String:
-			x := col.strs[i]
+			x := col.str(i)
 			if (min && x < out.strs[g]) || (!min && x > out.strs[g]) {
 				out.strs[g] = x
 			}

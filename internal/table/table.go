@@ -110,18 +110,22 @@ func (t *Table) Len() int {
 // immutable).
 func (t *Table) Rows() []Row {
 	if t.cols != nil {
-		t.view.Do(func() {
-			n, w := t.cols.Len(), t.schema.Len()
-			cells := make([]value.V, n*w)
-			rows := make([]Row, n)
-			for i := range rows {
-				rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
-				t.cols.Row(i, rows[i])
-			}
-			t.rows = rows
-		})
+		t.view.Do(func() { t.rows = t.materialize(t.cols.Len()) })
 	}
 	return t.rows
+}
+
+// materialize builds the first n rows of a column-backed table: one flat
+// cell slab plus the row headers.
+func (t *Table) materialize(n int) []Row {
+	w := t.schema.Len()
+	cells := make([]value.V, n*w)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		t.cols.Row(i, rows[i])
+	}
+	return rows
 }
 
 // own prepares the table for structural mutation: a column-backed table
@@ -265,17 +269,20 @@ func (t *Table) Sort(keys ...SortKey) error {
 	return nil
 }
 
-// Head returns a new table with at most n leading rows (sharing row
-// storage with t).
+// Head returns a new table with at most n leading rows: sharing row
+// storage with a row-backed t, and building only those n rows from a
+// column-backed one.
 func (t *Table) Head(n int) *Table {
-	rows := t.Rows()
-	if n > len(rows) {
-		n = len(rows)
+	if l := t.Len(); n > l {
+		n = l
 	}
 	if n < 0 {
 		n = 0
 	}
-	return &Table{schema: t.schema, rows: rows[:n]}
+	if t.cols != nil {
+		return &Table{schema: t.schema, rows: t.materialize(n)}
+	}
+	return &Table{schema: t.schema, rows: t.rows[:n]}
 }
 
 // SizeBytes estimates the in-memory footprint of the table. The DAG

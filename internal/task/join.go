@@ -2,9 +2,7 @@ package task
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
@@ -126,22 +124,23 @@ func parseJoin(cfg *flowfile.Node) (Spec, error) {
 func (s *JoinSpec) Type() string { return "join" }
 
 // sides orders the two bind-time inputs as (left, right) by matching
-// their data-object names against the configuration. When names are
-// unavailable (anonymous intermediates) positional order is used.
-func (s *JoinSpec) sides(in []Input) (left, right Input, err error) {
+// their data-object names against the configuration; swapped reports
+// that in[1] is the left side. When names are unavailable (anonymous
+// intermediates) positional order is used.
+func (s *JoinSpec) sides(in []Input) (left, right Input, swapped bool, err error) {
 	if len(in) != 2 {
-		return Input{}, Input{}, fmt.Errorf("join: expected 2 inputs, got %d", len(in))
+		return Input{}, Input{}, false, fmt.Errorf("join: expected 2 inputs, got %d", len(in))
 	}
 	a, b := in[0], in[1]
 	switch {
 	case a.Name == s.LeftName && b.Name == s.RightName:
-		return a, b, nil
+		return a, b, false, nil
 	case a.Name == s.RightName && b.Name == s.LeftName:
-		return b, a, nil
+		return b, a, true, nil
 	case a.Name == "" || b.Name == "":
-		return a, b, nil
+		return a, b, false, nil
 	default:
-		return Input{}, Input{}, fmt.Errorf("join: inputs (%s, %s) do not match configured sides (%s, %s)",
+		return Input{}, Input{}, false, fmt.Errorf("join: inputs (%s, %s) do not match configured sides (%s, %s)",
 			a.Name, b.Name, s.LeftName, s.RightName)
 	}
 }
@@ -203,7 +202,7 @@ func (s *JoinSpec) outPlan(left, right Input) (*schema.Schema, []qualCol, error)
 
 // Out implements Spec.
 func (s *JoinSpec) Out(in []Input) (*schema.Schema, error) {
-	left, right, err := s.sides(in)
+	left, right, _, err := s.sides(in)
 	if err != nil {
 		return nil, err
 	}
@@ -223,21 +222,31 @@ func joinKey(r table.Row, idx []int) string {
 	return b.String()
 }
 
-// Exec implements Spec: a hash join building on the right side.
+// keepLeft / keepRight report whether the condition keeps that side's
+// unmatched rows.
+func (s *JoinSpec) keepLeft() bool {
+	return s.Condition == LeftOuterJoin || s.Condition == FullOuterJoin
+}
+
+func (s *JoinSpec) keepRight() bool {
+	return s.Condition == RightOuterJoin || s.Condition == FullOuterJoin
+}
+
+// Exec implements Spec: a sequential hash join building on the right
+// side and probing with the left. It is the reference the columnar
+// kernel (colstore.Join, bound by BindJoin) is checked against, and the
+// path for small, boxed-column and `columnar: off` inputs.
 func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
 	if len(in) != 2 {
 		return nil, fmt.Errorf("join: expected 2 inputs, got %d", len(in))
 	}
-	inputs := inputsOf(in, names)
-	left, right, err := s.sides(inputs)
+	left, right, swapped, err := s.sides(inputsOf(in, names))
 	if err != nil {
 		return nil, err
 	}
-	// sides() may have swapped the inputs to match configuration order;
-	// swap the tables the same way.
 	lt, rt := in[0], in[1]
-	if inputs[0].Name == s.RightName && inputs[1].Name == s.LeftName && s.LeftName != s.RightName {
-		lt, rt = in[1], in[0]
+	if swapped {
+		lt, rt = rt, lt
 	}
 	out, slots, err := s.outPlan(left, right)
 	if err != nil {
@@ -246,8 +255,9 @@ func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 	lIdx, _ := left.Schema.Require(s.LeftKeys...)
 	rIdx, _ := right.Schema.Require(s.RightKeys...)
 
+	rRows := rt.Rows()
 	build := map[string][]int{}
-	for i, r := range rt.Rows() {
+	for i, r := range rRows {
 		k := joinKey(r, rIdx)
 		build[k] = append(build[k], i)
 	}
@@ -266,80 +276,25 @@ func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 		}
 		return row
 	}
-	// Probe: sharded across workers for large left sides; per-shard
-	// output buffers concatenate in shard order, so the result is
-	// identical to the sequential probe.
-	lRows := lt.Rows()
-	workers := 1
-	if len(lRows) >= parallelJoinThreshold {
-		workers = runtime.GOMAXPROCS(0)
-		if env != nil && env.Parallelism > 0 {
-			workers = env.Parallelism
-		}
-		if workers > len(lRows) {
-			workers = len(lRows)
-		}
-	}
-	shardOut := make([][]table.Row, workers)
-	shardMatched := make([][]bool, workers)
-	var wg sync.WaitGroup
-	chunk := (len(lRows) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(lRows) {
-			break
-		}
-		if hi > len(lRows) {
-			hi = len(lRows)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			matched := make([]bool, rt.Len())
-			var rows []table.Row
-			for _, lr := range lRows[lo:hi] {
-				matches := build[joinKey(lr, lIdx)]
-				if len(matches) == 0 {
-					if s.Condition == LeftOuterJoin || s.Condition == FullOuterJoin {
-						rows = append(rows, makeRow(lr, nil))
-					}
-					continue
-				}
-				for _, ri := range matches {
-					matched[ri] = true
-					rows = append(rows, makeRow(lr, rt.Row(ri)))
-				}
-			}
-			shardOut[w] = rows
-			shardMatched[w] = matched
-		}(w, lo, hi)
-	}
-	wg.Wait()
 	res := table.New(out)
-	for _, rows := range shardOut {
-		for _, r := range rows {
-			res.Append(r)
+	matched := make([]bool, len(rRows))
+	for _, lr := range lt.Rows() {
+		matches := build[joinKey(lr, lIdx)]
+		if len(matches) == 0 && s.keepLeft() {
+			res.Append(makeRow(lr, nil))
+		}
+		for _, ri := range matches {
+			matched[ri] = true
+			res.Append(makeRow(lr, rRows[ri]))
 		}
 	}
-	if s.Condition == RightOuterJoin || s.Condition == FullOuterJoin {
-		for i := 0; i < rt.Len(); i++ {
-			hit := false
-			for _, matched := range shardMatched {
-				if matched != nil && matched[i] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				res.Append(makeRow(nil, rt.Row(i)))
+	if s.keepRight() {
+		for i, rr := range rRows {
+			if !matched[i] {
+				res.Append(makeRow(nil, rr))
 			}
 		}
 	}
 	env.trace("join", res.Len())
 	return res, nil
 }
-
-// parallelJoinThreshold is the probe size below which sharding is not
-// worth the coordination cost.
-const parallelJoinThreshold = 8192

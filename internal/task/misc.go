@@ -102,16 +102,22 @@ func (s *SortSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 	if _, err := s.Out(inputsOf(in, names)); err != nil {
 		return nil, err
 	}
-	out := t.Clone()
-	keys := make([]table.SortKey, len(s.OrderBy))
-	for i, k := range s.OrderBy {
-		keys[i] = table.SortKey{Column: k.Column, Desc: k.Desc}
-	}
-	if err := out.Sort(keys...); err != nil {
+	// Sorting permutes row headers only, so a shallow clone is all the
+	// insulation the input needs.
+	out := t.CloneShallow()
+	if err := out.Sort(s.sortKeys()...); err != nil {
 		return nil, err
 	}
 	env.trace("sort", out.Len())
 	return out, nil
+}
+
+func (s *SortSpec) sortKeys() []table.SortKey {
+	keys := make([]table.SortKey, len(s.OrderBy))
+	for i, k := range s.OrderBy {
+		keys[i] = table.SortKey{Column: k.Column, Desc: k.Desc}
+	}
+	return keys
 }
 
 // DistinctSpec implements the distinct task: drop duplicate rows,

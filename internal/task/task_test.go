@@ -2,12 +2,14 @@ package task
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/value"
 )
 
@@ -794,31 +796,59 @@ aggregate_by_word:
 	}
 }
 
-func TestJoinParallelMatchesSequential(t *testing.T) {
-	// A probe side large enough to cross the parallel threshold, with
-	// every join condition; sharded output must match the sequential
-	// semantics exactly (order included).
-	left := mkTable(t, "k,x")
-	for i := 0; i < 20000; i++ {
-		left.AppendValues(value.NewInt(int64(i%977)), value.NewInt(int64(i)))
+// TestSortAndLimitLeaveInputUntouched: the row sort permutes a shallow
+// clone's row headers and the row limit takes a prefix, so the input —
+// a source snapshot, a cache entry, a fan-out node's table — keeps its
+// row order, its cells and (column-backed) its vectors, in both
+// backings. A column-backed limit builds only the rows it keeps.
+func TestSortAndLimitLeaveInputUntouched(t *testing.T) {
+	rows := mkTable(t, "k,v", []any{"b", 2}, []any{"c", 3}, []any{"a", 1}, []any{"c", 0})
+	b := colstore.NewBuilder(rows.Schema())
+	for _, r := range rows.Rows() {
+		b.Append(r)
 	}
-	right := mkTable(t, "k,y")
-	for i := 0; i < 500; i++ {
-		right.AppendValues(value.NewInt(int64(i*2)), value.NewString(fmt.Sprintf("r%d", i)))
-	}
-	for _, cond := range []string{"inner", "left outer", "right outer", "full outer"} {
-		spec := parseSpec(t, fmt.Sprintf("j:\n  type: join\n  left: l by k\n  right: r by k\n  join_condition: %s\n", cond))
-		par, err := spec.Exec(&Env{Parallelism: 8}, []*table.Table{left, right}, []string{"l", "r"})
+	sortSpec := parseSpec(t, "s:\n  type: sort\n  orderby_column: [k DESC, v]\n")
+	limitSpec := parseSpec(t, "l:\n  type: limit\n  limit: 2\n")
+	for name, in := range map[string]*table.Table{"row-backed": rows, "column-backed": b.Table()} {
+		before := in.Clone()
+		fp, cols := in.Fingerprint(), in.Columns()
+		sorted, err := sortSpec.Exec(&Env{}, []*table.Table{in}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := spec.Exec(&Env{Parallelism: 1}, []*table.Table{left, right}, []string{"l", "r"})
+		if want := mkTable(t, "k,v", []any{"c", 0}, []any{"c", 3}, []any{"b", 2}, []any{"a", 1}); !sorted.Equal(want) {
+			t.Errorf("%s: sorted:\n%s", name, sorted.Format(0))
+		}
+		head, err := limitSpec.Exec(&Env{}, []*table.Table{in}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !par.Equal(seq) {
-			t.Errorf("%s: parallel join differs from sequential (%d vs %d rows)", cond, par.Len(), seq.Len())
+		if want := mkTable(t, "k,v", []any{"b", 2}, []any{"c", 3}); !head.Equal(want) {
+			t.Errorf("%s: limited:\n%s", name, head.Format(0))
 		}
+		if in.Columns() != cols || in.Fingerprint() != fp || !in.Equal(before) {
+			t.Errorf("%s: sort or limit changed its input:\n%s", name, in.Format(0))
+		}
+		for i, r := range in.Rows() {
+			for j := range r {
+				if r[j] != before.Rows()[i][j] {
+					t.Errorf("%s: input cell (%d,%d) changed", name, i, j)
+				}
+			}
+		}
+	}
+	// Limit on a column-backed table must not build the whole row view.
+	big := colstore.NewBuilder(rows.Schema())
+	for i := 0; i < 10000; i++ {
+		big.Append(table.Row{value.NewString("k"), value.NewInt(int64(i))})
+	}
+	in := big.Table()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	head := in.Head(3)
+	runtime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; head.Len() != 3 || got > 16<<10 {
+		t.Errorf("Head(3) of a 10,000-row column-backed table: %d rows, %d bytes allocated", head.Len(), got)
 	}
 }
 

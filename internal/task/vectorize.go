@@ -21,6 +21,57 @@ type Vectorizable interface {
 	BindVec(env *Env, in Input) (k colstore.Kernel, out *schema.Schema, ok bool)
 }
 
+// VectorizableJoin is Vectorizable's two-input sibling, implemented by
+// the join: the one operator whose kernel takes two batches. The engine
+// probes for it when a node's first stage has two inputs. Like BindVec,
+// BindJoin reports a configuration it cannot bind as ok == false and
+// leaves the error to the row path.
+type VectorizableJoin interface {
+	Spec
+	// BindJoin binds the join over the node's two inputs in the order
+	// the node lists them. swapped reports that the kernel's left input
+	// is b, its right input a.
+	BindJoin(env *Env, a, b Input) (k *colstore.Join, swapped, ok bool)
+}
+
+// BindJoin implements VectorizableJoin.
+func (s *JoinSpec) BindJoin(env *Env, a, b Input) (*colstore.Join, bool, bool) {
+	left, right, swapped, err := s.sides([]Input{a, b})
+	if err != nil {
+		return nil, false, false
+	}
+	out, slots, err := s.outPlan(left, right)
+	if err != nil {
+		return nil, false, false
+	}
+	k := &colstore.Join{
+		KeepLeft:  s.keepLeft(),
+		KeepRight: s.keepRight(),
+		Cols:      make([]colstore.JoinCol, len(slots)),
+		Out:       out,
+	}
+	// outPlan has already required the key columns.
+	k.LeftKeys, _ = left.Schema.Require(s.LeftKeys...)
+	k.RightKeys, _ = right.Schema.Require(s.RightKeys...)
+	for i, sl := range slots {
+		k.Cols[i] = colstore.JoinCol{Right: sl.side == 1, Col: sl.idx}
+	}
+	return k, swapped, true
+}
+
+// BindVec implements Vectorizable.
+func (s *SortSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
+	if _, err := s.Out([]Input{in}); err != nil {
+		return nil, nil, false
+	}
+	return &colstore.Sort{Keys: s.sortKeys()}, in.Schema, true
+}
+
+// BindVec implements Vectorizable.
+func (s *LimitSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
+	return &colstore.Limit{N: s.N}, in.Schema, true
+}
+
 // BindVec implements Vectorizable. Only expression mode vectorizes:
 // interaction filters depend on live widget selections, which are
 // per-request and cheap relative to expression scans.
