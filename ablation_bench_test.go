@@ -6,6 +6,7 @@ package shareinsights
 // internal/dashboard as BenchmarkInteraction{Cube,Reference}).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -79,7 +80,7 @@ func benchWorkers(b *testing.B, workers int) {
 	env := &task.Env{Parallelism: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunPipeline(env, specs, []*table.Table{docs}, nil); err != nil {
+		if _, _, err := e.RunPipeline(context.Background(), env, specs, []*table.Table{docs}, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +96,7 @@ func BenchmarkAblationFused(b *testing.B) {
 	env := &task.Env{Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunPipeline(env, specs, []*table.Table{docs}, nil); err != nil {
+		if _, _, err := e.RunPipeline(context.Background(), env, specs, []*table.Table{docs}, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,7 +125,15 @@ func BenchmarkAblationPushdownOn(b *testing.B)  { benchPushdown(b, true) }
 func BenchmarkAblationPushdownOff(b *testing.B) { benchPushdown(b, false) }
 
 func benchPushdown(b *testing.B, optimize bool) {
+	// As written: fan out every doc, then filter on a pre-existing
+	// column. The optimizer's plan hoists the filter ahead of the map.
 	src := `
+D:
+  docs: [body]
+
+F:
+  +D.words: D.docs | T.split | T.docfilter
+
 T:
   split:
     type: map
@@ -139,27 +148,16 @@ T:
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg := task.NewRegistry()
-	split, err := reg.Parse(f, f.Tasks["split"])
+	g, err := dag.Build(f, task.NewRegistry(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	filter, err := reg.Parse(f, f.Tasks["docfilter"])
-	if err != nil {
-		b.Fatal(err)
-	}
-	// As written: fan out every doc, then filter on a pre-existing
-	// column. Pushdown hoists the filter ahead of the map.
-	specs := []task.Spec{split, filter}
-	if optimize {
-		specs = dag.PushdownFilters(specs)
-	}
-	docs := ablDocs(20000)
-	e := &batch.Executor{Parallelism: 1}
+	sources := map[string]*table.Table{"docs": ablDocs(20000)}
+	e := &batch.Executor{Parallelism: 1, Optimize: optimize}
 	env := &task.Env{Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunPipeline(env, specs, []*table.Table{docs}, nil); err != nil {
+		if _, err := e.RunContext(context.Background(), g, env, sources); err != nil {
 			b.Fatal(err)
 		}
 	}

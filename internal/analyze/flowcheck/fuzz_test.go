@@ -13,6 +13,7 @@
 package flowcheck_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -254,7 +255,7 @@ func checkFlow(t *testing.T, seed int64, rows, nullRate int) bool {
 	var results []*batch.Result
 	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
 		e := &batch.Executor{Parallelism: 1, Columnar: mode}
-		res, err := e.Run(g, &task.Env{Parallelism: 1}, sources)
+		res, err := e.RunContext(context.Background(), g, &task.Env{Parallelism: 1}, sources)
 		if err != nil {
 			t.Fatalf("lint-clean flow fails at runtime (columnar=%s): %v\n%s", mode, err, src)
 		}
@@ -282,7 +283,7 @@ func checkFlow(t *testing.T, seed int64, rows, nullRate int) bool {
 		opts := hints.PlanOptions(nil)
 		opts.Columnar = mode
 		e := &batch.Executor{Parallelism: 1, Columnar: mode, Plan: dag.Optimize(g, opts)}
-		res, err := e.Run(g, &task.Env{Parallelism: 1}, sources)
+		res, err := e.RunContext(context.Background(), g, &task.Env{Parallelism: 1}, sources)
 		if err != nil {
 			t.Fatalf("lint-clean flow fails under the optimizer (columnar=%s): %v\n%s", mode, err, src)
 		}

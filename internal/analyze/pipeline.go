@@ -188,7 +188,7 @@ func (l *linter) walkPipeline(p *flowfile.Pipeline, owner string, ownerLine int)
 		taskIns = []task.Input{{Name: ins[0].Name, Schema: out}}
 	}
 	// Advisories over the whole chain: filters the optimizer cannot hoist.
-	for _, bf := range dag.BlockedFilters(specs) {
+	for _, bf := range dag.HoistFilters(specs).Blocked {
 		name := p.Tasks[bf.Index].Name
 		blocker := p.Tasks[bf.Blocker].Name
 		msg := fmt.Sprintf("filter cannot be pushed ahead of T.%s", blocker)

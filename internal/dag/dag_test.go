@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -198,7 +199,7 @@ T:
 	}
 }
 
-func TestSplitAtInteraction(t *testing.T) {
+func TestWidgetSourceSplitsAtInteraction(t *testing.T) {
 	reg := task.NewRegistry()
 	src := `
 T:
@@ -225,75 +226,118 @@ T:
 		}
 		specs = append(specs, sp)
 	}
-	server, client := SplitAtInteraction(specs)
+	server, client := WidgetSource(specs)
 	if len(server) != 1 || len(client) != 2 {
 		t.Errorf("split = %d server, %d client", len(server), len(client))
 	}
 	// All-static pipeline: everything server-side.
-	server, client = SplitAtInteraction([]task.Spec{specs[0], specs[2]})
+	server, client = WidgetSource([]task.Spec{specs[0], specs[2]})
 	if len(server) != 2 || len(client) != 0 {
 		t.Errorf("static split = %d/%d", len(server), len(client))
 	}
 	// Interaction-first pipeline: everything client-side.
-	server, client = SplitAtInteraction([]task.Spec{specs[1], specs[2]})
+	server, client = WidgetSource([]task.Spec{specs[1], specs[2]})
 	if len(server) != 0 || len(client) != 2 {
 		t.Errorf("interactive split = %d/%d", len(server), len(client))
 	}
 }
 
-func TestPushdownFilters(t *testing.T) {
+// TestHoistFilters covers the one hoisting pass from both sides: the
+// order dag.Optimize and the widget-source compile execute, and the
+// blocked report lint rule FL050 prints.
+func TestHoistFilters(t *testing.T) {
 	reg := task.NewRegistry()
-	src := `
+	f, err := flowfile.Parse("t", `
 T:
   add_col:
     type: map
     operator: expr
     expression: v * 2
     output: doubled
+  upper:
+    type: map
+    operator: upper
+    transform: txt
+  agg:
+    type: groupby
+    groupby: [v]
   keep:
     type: filter_by
     filter_expression: v > 0
   keep_doubled:
     type: filter_by
     filter_expression: doubled > 10
-`
-	f, err := flowfile.Parse("t", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := func(name string) task.Spec {
-		sp, err := reg.Parse(f, f.Tasks[name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sp
-	}
-	// Filter on v commutes past a map producing doubled: hoisted.
-	out := PushdownFilters([]task.Spec{spec("add_col"), spec("keep")})
-	if out[0].Type() != "filter_by" || out[1].Type() != "map" {
-		t.Errorf("pushdown did not hoist: %v, %v", out[0].Type(), out[1].Type())
-	}
-	// Filter on doubled depends on the map: stays put.
-	out = PushdownFilters([]task.Spec{spec("add_col"), spec("keep_doubled")})
-	if out[0].Type() != "map" {
-		t.Errorf("pushdown moved a dependent filter")
-	}
-	// Interaction filters never move (their placement is semantic).
-	src2 := `
-T:
   inter:
     type: filter_by
     filter_by: [v]
     filter_source: W.w
-`
-	f2, _ := flowfile.Parse("t", src2)
-	interSpec, err := reg.Parse(f2, f2.Tasks["inter"])
+`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = PushdownFilters([]task.Spec{spec("add_col"), interSpec})
-	if out[0].Type() != "map" {
-		t.Errorf("pushdown moved an interaction filter")
+	cases := []struct {
+		name    string
+		in      []string
+		want    []string
+		blocked []BlockedFilter
+	}{
+		{name: "a filter on v commutes past a map producing doubled",
+			in: []string{"add_col", "keep"}, want: []string{"keep", "add_col"}},
+		{name: "a filter on doubled depends on the map and stays put",
+			in: []string{"add_col", "keep_doubled"}, want: []string{"add_col", "keep_doubled"},
+			blocked: []BlockedFilter{{Index: 1, Blocker: 0, Columns: []string{"doubled"}}}},
+		{name: "interaction filters never move and are never reported",
+			in: []string{"add_col", "inter"}, want: []string{"add_col", "inter"}},
+		{name: "a non-map stage blocks without naming columns",
+			in: []string{"agg", "keep"}, want: []string{"agg", "keep"},
+			blocked: []BlockedFilter{{Index: 1, Blocker: 0}}},
+		{name: "a filter can move part of the way and still be blocked",
+			in: []string{"add_col", "upper", "keep_doubled"}, want: []string{"add_col", "keep_doubled", "upper"},
+			blocked: []BlockedFilter{{Index: 2, Blocker: 0, Columns: []string{"doubled"}}}},
+		{name: "the blocker is the stage that stopped the filter, by its written position",
+			in: []string{"add_col", "keep", "upper", "keep_doubled"}, want: []string{"keep", "add_col", "keep_doubled", "upper"},
+			blocked: []BlockedFilter{{Index: 3, Blocker: 0, Columns: []string{"doubled"}}}},
+		{name: "a second filter stops behind the first",
+			in: []string{"keep", "upper", "keep"}, want: []string{"keep", "keep", "upper"},
+			blocked: []BlockedFilter{{Index: 2, Blocker: 0}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			byName := map[task.Spec]string{}
+			var specs []task.Spec
+			for _, name := range tc.in {
+				sp, err := reg.Parse(f, f.Tasks[name])
+				if err != nil {
+					t.Fatal(err)
+				}
+				byName[sp] = name
+				specs = append(specs, sp)
+			}
+			h := HoistFilters(specs)
+			var got []string
+			for _, sp := range h.Specs {
+				got = append(got, byName[sp])
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("hoisted order = %v, want %v", got, tc.want)
+			}
+			if h.Moved != !reflect.DeepEqual(tc.in, tc.want) {
+				t.Errorf("Moved = %v for %v -> %v", h.Moved, tc.in, tc.want)
+			}
+			if !reflect.DeepEqual(h.Blocked, tc.blocked) {
+				t.Errorf("blocked = %+v, want %+v", h.Blocked, tc.blocked)
+			}
+			// A filter the hoist brought to the head is never also
+			// reported blocked.
+			for _, bf := range h.Blocked {
+				if h.Specs[0] == specs[bf.Index] {
+					t.Errorf("filter %d leads the hoisted chain and is reported blocked: %+v", bf.Index, bf)
+				}
+			}
+			if h.Moved && &h.Specs[0] == &specs[0] {
+				t.Error("HoistFilters reordered the caller's slice in place")
+			}
+		})
 	}
 }
 

@@ -71,85 +71,110 @@ func (g *Graph) DeadSources() []string {
 	return out
 }
 
-// BlockedFilter describes an expression filter that PushdownFilters
-// cannot hoist to the head of its chain: an earlier stage produces a
-// column the filter reads, so every row must flow through that stage
-// before it can be discarded.
+// BlockedFilter describes an expression filter that HoistFilters could
+// not bring to the head of its chain: an earlier stage produces a column
+// the filter reads (or is not a map at all), so every row must flow
+// through that stage before it can be discarded.
 type BlockedFilter struct {
-	// Index is the filter's position in the spec chain.
+	// Index is the filter's position in the chain as written.
 	Index int
-	// Blocker is the position of the nearest stage the filter cannot
-	// commute past.
+	// Blocker is the as-written position of the nearest stage the filter
+	// cannot commute past.
 	Blocker int
 	// Columns are the filter's referenced columns that the blocking stage
 	// produces (empty when the blocker is simply not a map stage).
 	Columns []string
 }
 
-// BlockedFilters reports, for each expression filter in the chain that is
-// not already first, how far PushdownFilters can move it and what stops
-// it. Filters that reach position 0 are not reported — the optimizer
-// handles them; the remainder are lint advisories.
-func BlockedFilters(specs []task.Spec) []BlockedFilter {
-	var out []BlockedFilter
-	for i, sp := range specs {
-		f, ok := sp.(*task.FilterSpec)
-		if !ok || f.Expression == "" || f.SourceWidget != "" || i == 0 {
+// Hoist is the result of HoistFilters: the one filter-hoisting decision
+// that dag.Optimize executes, the widget-source compile ships to the
+// batch plan and lint rule FL050 reports on.
+type Hoist struct {
+	// Specs is the hoisted order: a fresh slice when Moved, the input
+	// slice itself when nothing moved. The input is never written.
+	Specs []task.Spec
+	// Moved reports whether any filter changed position.
+	Moved bool
+	// Blocked lists, in as-written order, the expression filters that
+	// could not reach the head of the chain and what stopped each.
+	Blocked []BlockedFilter
+}
+
+// HoistFilters rearranges a linear spec chain, hoisting expression
+// filters ahead of map stages that do not produce any column the filter
+// reads. Filtering commutes with such maps (the filter's columns are
+// untouched) and doing it earlier shrinks every later stage's input —
+// including fan-out maps like extract_words, where each filtered-out row
+// saves many emitted rows. Interaction filters never move: their
+// placement is semantic.
+func HoistFilters(specs []task.Spec) Hoist {
+	h := Hoist{Specs: specs}
+	// written[k] is the as-written position of h.Specs[k], kept from the
+	// first move on; until then h.Specs is the input itself. Hoisting
+	// filter i only permutes the chain up to i, so position i still holds
+	// specs[i] when visited.
+	var written []int
+	for i := 1; i < len(specs); i++ {
+		if !isExprFilter(specs[i]) {
 			continue
 		}
-		cols, err := expr.ReferencedColumns(f.Expression)
+		cols, err := expr.ReferencedColumns(specs[i].(*task.FilterSpec).Expression)
 		if err != nil {
 			continue
 		}
-		need := map[string]bool{}
+		need := make(map[string]bool, len(cols))
 		for _, c := range cols {
 			need[c] = true
 		}
 		j := i
-		for j > 0 && commutesWithFilter(specs[j-1], need) {
-			j--
-		}
-		if j == 0 {
-			continue
-		}
-		var produced []string
-		switch t := specs[j-1].(type) {
-		case *task.MapSpec:
-			for _, c := range mapOutColumns(t) {
+		var clash []string
+		for ; j > 0; j-- {
+			produced, maps := producedColumns(h.Specs[j-1])
+			clash = nil
+			for _, c := range produced {
 				if need[c] {
-					produced = append(produced, c)
+					clash = append(clash, c)
 				}
 			}
-		case *task.ParallelSpec:
-			for _, sub := range t.Subs {
-				if ms, ok := sub.(*task.MapSpec); ok {
-					for _, c := range mapOutColumns(ms) {
-						if need[c] {
-							produced = append(produced, c)
-						}
-					}
+			if !maps || clash != nil {
+				break
+			}
+			if written == nil {
+				h.Specs = append([]task.Spec(nil), specs...)
+				written = make([]int, len(specs))
+				for k := range written {
+					written[k] = k
 				}
 			}
+			h.Specs[j-1], h.Specs[j] = h.Specs[j], h.Specs[j-1]
+			written[j-1], written[j] = written[j], written[j-1]
 		}
-		out = append(out, BlockedFilter{Index: i, Blocker: j - 1, Columns: produced})
+		if j > 0 {
+			blocker := j - 1
+			if written != nil {
+				blocker = written[blocker]
+			}
+			h.Blocked = append(h.Blocked, BlockedFilter{Index: i, Blocker: blocker, Columns: clash})
+		}
 	}
-	return out
+	h.Moved = written != nil
+	return h
 }
 
-// SplitAtInteraction divides a widget source pipeline into the stages
-// that can run once on the server (producing the widget's endpoint data)
-// and the stages that must re-run in the client data cube on every
-// interaction because they depend on widget selections. Everything
-// before the first interaction-dependent task ships to the batch plan,
-// so only pre-aggregated data crosses to the browser — the transfer
-// minimization of §4.1, measured by the E6 ablation bench.
-func SplitAtInteraction(specs []task.Spec) (server, client []task.Spec) {
+// WidgetSource plans a widget's source pipeline: the stages before the
+// first interaction-dependent task run once on the server (filters
+// hoisted, producing the widget's endpoint data); the rest must re-run
+// in the client data cube on every interaction because they depend on
+// widget selections. Only pre-aggregated data then crosses to the
+// browser — the transfer minimization of §4.1, measured by the E6
+// ablation bench.
+func WidgetSource(specs []task.Spec) (server, client []task.Spec) {
 	for i, sp := range specs {
 		if DependsOnInteraction(sp) {
-			return specs[:i], specs[i:]
+			return HoistFilters(specs[:i]).Specs, specs[i:]
 		}
 	}
-	return specs, nil
+	return HoistFilters(specs).Specs, nil
 }
 
 // DependsOnInteraction reports whether a spec reads widget state.
@@ -167,63 +192,21 @@ func DependsOnInteraction(sp task.Spec) bool {
 	return false
 }
 
-// PushdownFilters rearranges a linear spec chain, hoisting expression
-// filters ahead of map stages that do not produce any column the filter
-// reads. Filtering commutes with such maps (the filter's columns are
-// untouched) and doing it earlier shrinks every later stage's input —
-// including fan-out maps like extract_words, where each filtered-out row
-// saves many emitted rows.
-func PushdownFilters(specs []task.Spec) []task.Spec {
-	out := make([]task.Spec, len(specs))
-	copy(out, specs)
-	for i := 1; i < len(out); i++ {
-		f, ok := out[i].(*task.FilterSpec)
-		if !ok || f.Expression == "" || f.SourceWidget != "" {
-			continue
-		}
-		cols, err := expr.ReferencedColumns(f.Expression)
-		if err != nil {
-			continue
-		}
-		need := map[string]bool{}
-		for _, c := range cols {
-			need[c] = true
-		}
-		j := i
-		for j > 0 && commutesWithFilter(out[j-1], need) {
-			out[j-1], out[j] = out[j], out[j-1]
-			j--
-		}
-	}
-	return out
-}
-
-// commutesWithFilter reports whether the spec can safely run after a
-// filter on the given columns instead of before it.
-func commutesWithFilter(sp task.Spec, filterCols map[string]bool) bool {
-	var produced []string
+// producedColumns returns the columns a stage's maps add. maps is false
+// when the stage is not made of maps only — no filter commutes with it.
+func producedColumns(sp task.Spec) (cols []string, maps bool) {
 	switch t := sp.(type) {
 	case *task.MapSpec:
-		produced = mapOutColumns(t)
+		return t.OutColumns(), true
 	case *task.ParallelSpec:
+		maps = true
 		for _, sub := range t.Subs {
-			ms, ok := sub.(*task.MapSpec)
-			if !ok {
-				return false
+			if ms, ok := sub.(*task.MapSpec); ok {
+				cols = append(cols, ms.OutColumns()...)
+			} else {
+				maps = false
 			}
-			produced = append(produced, mapOutColumns(ms)...)
-		}
-	default:
-		return false
-	}
-	for _, c := range produced {
-		if filterCols[c] {
-			return false
 		}
 	}
-	return true
+	return cols, maps
 }
-
-// mapOutColumns exposes a MapSpec's output columns via its schema
-// transform on an empty input (operators report columns statically).
-func mapOutColumns(m *task.MapSpec) []string { return m.OutColumns() }

@@ -22,7 +22,7 @@ import (
 // Every rewrite is meaning-preserving for arbitrary statistics: filters
 // commute with each other exactly (each row's membership is the
 // conjunction of predicates and relative order is preserved), filter
-// hoisting past maps reuses PushdownFilters' column-disjointness proof,
+// hoisting past maps rests on HoistFilters' column-disjointness proof,
 // and source predicates are re-applied by the consuming pipeline, so a
 // connector that declines or half-applies a pushdown never changes the
 // result. The enginetest differential harness asserts this cell-for-cell
@@ -218,16 +218,16 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 		if n.IsSource() {
 			continue
 		}
-		np := &NodePlan{Output: name, Columnar: resolveColumnar(n, opts.Columnar)}
-		specs := PushdownFilters(n.Specs)
-		if !sameSpecs(specs, n.Specs) {
+		np := &NodePlan{Output: name, Columnar: ResolveColumnar(n.ColumnarMode(), opts.Columnar)}
+		hoist := HoistFilters(n.Specs)
+		if hoist.Moved {
 			np.Decisions = append(np.Decisions, Decision{
 				Rule:     RuleFilterPushdown,
 				Detail:   "hoisted expression filters ahead of maps that do not produce their columns",
 				Evidence: EvidenceHeuristic,
 			})
 		}
-		specs, reorder := reorderFilters(name, specs, opts)
+		specs, reorder := reorderFilters(name, hoist.Specs, opts)
 		if reorder != nil {
 			np.Decisions = append(np.Decisions, *reorder)
 		}
@@ -249,11 +249,30 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 	return p
 }
 
-// resolveColumnar resolves a node's effective columnar mode: node
-// detail, then executor default, then auto — mirroring the batch
-// engine's columnarMode so the plan and the runtime agree.
-func resolveColumnar(n *Node, def string) string {
-	for _, m := range []string{n.ColumnarMode(), def} {
+// AsWritten is the identity plan — what "optimizer off" means: every
+// produced node runs its specs as declared, no sink is skipped and no
+// source is offered a pushdown. It carries no Stages or Decisions; it is
+// executed, never explained.
+func AsWritten(g *Graph, columnar string) *Plan {
+	p := &Plan{Nodes: make(map[string]*NodePlan, len(g.Nodes)), Order: append([]string(nil), g.Order...)}
+	for name, n := range g.Nodes {
+		np := &NodePlan{Output: name, Source: n.IsSource()}
+		if !np.Source {
+			np.Specs = n.Specs
+			np.Columnar = ResolveColumnar(n.ColumnarMode(), columnar)
+		}
+		p.Nodes[name] = np
+	}
+	return p
+}
+
+// ResolveColumnar resolves an effective columnar mode — the one place the
+// mode string is interpreted: the node's `columnar:` detail, then the
+// executor default, then auto. Unset or unrecognized values fall through
+// (the flow-file validator rejects bad details before execution; this
+// covers programmatic callers).
+func ResolveColumnar(node, def string) string {
+	for _, m := range []string{node, def} {
 		switch m {
 		case "auto", "on", "off":
 			return m
@@ -268,18 +287,6 @@ func resolveColumnar(n *Node, def string) string {
 func isExprFilter(sp task.Spec) bool {
 	f, ok := sp.(*task.FilterSpec)
 	return ok && f.Expression != "" && f.SourceWidget == ""
-}
-
-func sameSpecs(a, b []task.Spec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func clamp01(v float64) float64 {

@@ -252,8 +252,7 @@ func (d *Dashboard) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, err
 		plan.inputs = append(plan.inputs, in.Name)
 	}
 	if d.platform.Optimize {
-		plan.server, plan.client = dag.SplitAtInteraction(specs)
-		plan.server = dag.PushdownFilters(plan.server)
+		plan.server, plan.client = dag.WidgetSource(specs)
 	} else {
 		plan.client = specs
 	}

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"shareinsights/internal/admission"
 	"shareinsights/internal/connector"
+	"shareinsights/internal/engine/batch"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/resilience"
@@ -295,5 +297,71 @@ func TestPanicTaskFailsRunWithStack(t *testing.T) {
 	}
 	if d.Health().Status != "error" {
 		t.Fatalf("health = %+v", d.Health())
+	}
+}
+
+// TestWidgetSourceChargesRunBudget: the run budget covers widget
+// endpoint pipelines, not only DAG nodes. The flow's one DAG node stays
+// far under the row budget; the widget source fans three documents out
+// into thirty words, and that stage is what exhausts it.
+func TestWidgetSourceChargesRunBudget(t *testing.T) {
+	src := `
+D:
+  docs: [body]
+
+D.docs:
+  source: mem:docs.csv
+  format: csv
+
+F:
+  +D.kept: D.docs | T.nonempty
+
+W:
+  cloud:
+    type: Grid
+    source: D.docs | T.split
+
+T:
+  nonempty:
+    type: filter_by
+    filter_expression: body != ''
+  split:
+    type: map
+    operator: extract_words
+    transform: body
+    output: word
+
+L:
+  rows:
+    - [span12: W.cloud]
+`
+	f, err := flowfile.Parse("fanout", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := "one two three four five six seven eight nine ten\n"
+	run := func(maxRows int64) (*Dashboard, error) {
+		p := NewPlatform()
+		p.Connectors = connector.NewRegistry(connector.Options{Mem: map[string][]byte{"docs.csv": []byte(doc + doc + doc)}})
+		p.NewRunBudget = func() batch.Budget { return admission.NewBudget(maxRows, 0) }
+		d, err := p.Compile(f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, d.Run()
+	}
+	if _, err := run(100); err != nil {
+		t.Fatalf("under budget: %v", err)
+	}
+	d, err := run(20)
+	var be *admission.BudgetError
+	if !errors.As(err, &be) || !strings.Contains(err.Error(), "widget W.cloud endpoint") {
+		t.Fatalf("err = %v, want the budget error from the widget endpoint", err)
+	}
+	// Widget-endpoint stages stay out of the run's stage timings.
+	for _, st := range d.Result().Stats.Timings {
+		if st.Output != "kept" {
+			t.Errorf("widget-endpoint stage in Stats.Timings: %+v", st)
+		}
 	}
 }

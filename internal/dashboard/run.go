@@ -135,12 +135,13 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	exec := &batch.Executor{Parallelism: d.platform.Parallelism, Optimize: d.platform.Optimize, Plan: d.runPlan, Tracer: tr, TraceParent: runSpan, Columnar: d.platform.Columnar}
 	if d.platform.NewRunBudget != nil {
 		// One budget covers the whole run: DAG nodes and widget
-		// endpoint pipelines all charge the same accountant.
+		// endpoint pipelines all charge the same accountant, stage by
+		// stage, through the engine's one stage runner.
 		exec.Budget = d.platform.NewRunBudget()
 	}
 	var sigs map[string]string
-	cached := map[string]*table.Table{}
 	if d.platform.Cache != nil {
+		exec.Cached = map[string]*table.Table{}
 		sigs = d.Graph.Signatures(func(name string) string {
 			if t, ok := sources[name]; ok {
 				return t.Fingerprint()
@@ -153,11 +154,11 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 				continue
 			}
 			if t, ok := d.platform.Cache.lookup(d.Name, name, sigs[name]); ok {
-				cached[name] = t
+				exec.Cached[name] = t
 			}
 		}
 	}
-	res, err := exec.RunWithCacheContext(ctx, d.Graph, d.env, sources, cached)
+	res, err := exec.RunContext(ctx, d.Graph, d.env, sources)
 	if res != nil {
 		// Keep the partial result even on failure: Stats.Failures carries
 		// per-node errors (and panic stacks) for /stats and the trace.
@@ -209,7 +210,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		if tr != nil {
 			epSpan = tr.StartSpan(runSpan, "widget W."+name+" endpoint")
 		}
-		out, _, err := exec.RunPipelineContextTraced(ctx, d.env, plan.server, ins, plan.inputs, tr, epSpan)
+		out, _, err := exec.RunPipeline(ctx, d.env, plan.server, ins, plan.inputs, epSpan)
 		if tr != nil {
 			if out != nil {
 				tr.SpanInt(epSpan, "rows_out", int64(out.Len()))

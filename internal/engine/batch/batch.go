@@ -22,16 +22,17 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"shareinsights/internal/dag"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/task"
 )
 
@@ -39,15 +40,16 @@ import (
 type Executor struct {
 	// Parallelism caps worker fan-out; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// Optimize applies the DAG optimizer passes (filter pushdown, dead
-	// sink elimination) before execution. Off, the engine runs the
-	// pipelines exactly as written — the E6 ablation baseline.
-	Optimize bool
-	// Plan, when non-nil, is a cost-based plan from dag.Optimize: the
-	// executor takes each node's spec order, columnar mode and skipped
-	// sinks from it instead of re-deriving the per-run rewrites that
-	// Optimize alone applies. Plan takes precedence over Optimize.
+	// Plan is what RunContext executes: each node's spec order, columnar
+	// mode and the skipped sinks are read from it, and nothing runs that
+	// it does not describe. nil makes the executor derive one — see
+	// Optimize.
 	Plan *dag.Plan
+	// Optimize selects the plan derived when Plan is nil: dag.Optimize
+	// with no statistics (filter hoisting, dead sink elimination), or,
+	// off, dag.AsWritten — the pipelines exactly as declared, the E6
+	// ablation baseline.
+	Optimize bool
 	// Tracer receives execution spans (one per DAG node, one per
 	// pipeline stage). nil disables tracing; every span call is guarded
 	// by a nil check so the disabled path adds zero allocations.
@@ -56,13 +58,21 @@ type Executor struct {
 	TraceParent int
 	// Columnar is the default planner mode for the vectorized execution
 	// path: ColumnarAuto, ColumnarOn or ColumnarOff ("" means auto). A
-	// node's `columnar:` data detail overrides it per data object.
+	// derived plan and RunPipeline resolve it through
+	// dag.ResolveColumnar; a caller's Plan already carries each node's
+	// resolved mode.
 	Columnar string
-	// Budget, when non-nil, is charged as stages and nodes materialize
-	// output (rows per stage, bytes per node result). Once a charge
-	// returns an error the charged node fails with it, bounding a
-	// runaway flow's memory at node granularity. nil means unlimited.
+	// Budget, when non-nil, is charged as stages and pipelines
+	// materialize output (rows per stage, bytes per node or RunPipeline
+	// result). Once a charge returns an error the charged pipeline fails
+	// with it and runs no further stage, bounding a runaway flow's
+	// memory. nil means unlimited.
 	Budget Budget
+	// Cached is RunContext's incremental-execution cache: produced nodes
+	// present in it are served directly, skipping their pipelines.
+	// Callers must only supply entries whose content signature is
+	// unchanged — see dag.Graph.Signatures.
+	Cached map[string]*table.Table
 }
 
 // Budget is the per-run accounting hook the serving layer plugs into
@@ -184,10 +194,7 @@ func (e *PanicError) Error() string {
 func (s *Stats) Slowest(n int) []StageTiming {
 	out := append([]StageTiming(nil), s.Timings...)
 	sort.Slice(out, func(a, b int) bool { return out[a].Duration > out[b].Duration })
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
+	return out[:min(n, len(out))]
 }
 
 // Result is a completed execution: every materialized data object.
@@ -224,47 +231,28 @@ func recoverStage(stage string, errp *error) {
 	}
 }
 
-// Run executes the graph. sources supplies the contents of every source
-// node (connector output or shared-catalog data), keyed by data-object
-// name.
-func (e *Executor) Run(g *dag.Graph, env *task.Env, sources map[string]*table.Table) (*Result, error) {
-	return e.RunWithCacheContext(context.Background(), g, env, sources, nil)
-}
-
-// RunContext is Run honoring ctx: node pipelines check for
-// cancellation between stages, and nodes waiting on inputs or a
-// scheduler slot abandon the wait when ctx dies.
+// RunContext executes the graph under the executor's plan. sources
+// supplies the contents of every source node (connector output or
+// shared-catalog data), keyed by data-object name. Node pipelines check
+// ctx between stages, and nodes waiting on inputs or a scheduler slot
+// abandon the wait when ctx dies. On failure it returns the partial
+// Result alongside the first error, so callers can still surface
+// per-stage failures (Stats.Failures) and the tables that did
+// materialize.
 func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, sources map[string]*table.Table) (*Result, error) {
-	return e.RunWithCacheContext(ctx, g, env, sources, nil)
-}
-
-// RunWithCache is Run with an incremental-execution cache: produced
-// nodes present in cached are served directly, skipping their pipelines
-// (and, transitively, nothing upstream runs solely for them). Callers
-// must only supply entries whose content signature is unchanged — see
-// dag.Graph.Signatures.
-func (e *Executor) RunWithCache(g *dag.Graph, env *task.Env, sources, cached map[string]*table.Table) (*Result, error) {
-	return e.RunWithCacheContext(context.Background(), g, env, sources, cached)
-}
-
-// RunWithCacheContext is RunWithCache honoring ctx. On failure it
-// returns the partial Result alongside the first error, so callers can
-// still surface per-stage failures (Stats.Failures) and the tables that
-// did materialize.
-func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *task.Env, sources, cached map[string]*table.Table) (*Result, error) {
+	plan := e.Plan
+	if plan == nil {
+		if e.Optimize {
+			plan = dag.Optimize(g, dag.PlanOptions{Columnar: e.Columnar})
+		} else {
+			plan = dag.AsWritten(g, e.Columnar)
+		}
+	}
 	res := &Result{
 		Tables: make(map[string]*table.Table, len(g.Nodes)),
 		Stats:  Stats{RowsProduced: map[string]int{}},
 	}
-	skip := map[string]bool{}
-	if e.Plan != nil {
-		res.Stats.SkippedSinks = append([]string(nil), e.Plan.SkippedSinks...)
-	} else if e.Optimize {
-		res.Stats.SkippedSinks = g.DeadSinks()
-	}
-	for _, s := range res.Stats.SkippedSinks {
-		skip[s] = true
-	}
+	res.Stats.SkippedSinks = append([]string(nil), plan.SkippedSinks...)
 	// Per-node completion latches for dataflow scheduling.
 	type slot struct {
 		done chan struct{}
@@ -282,11 +270,10 @@ func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *t
 	tr := e.Tracer
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	var fallbacks atomic.Int64
 	for _, name := range g.Order {
 		n := g.Nodes[name]
 		s := slots[name]
-		if skip[name] {
+		if slices.Contains(plan.SkippedSinks, name) {
 			if tr != nil {
 				id := tr.StartSpan(e.TraceParent, "node D."+name)
 				tr.SpanFlag(id, "skipped")
@@ -295,7 +282,7 @@ func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *t
 			close(s.done)
 			continue
 		}
-		if t, ok := cached[name]; ok && !n.IsSource() {
+		if t, ok := e.Cached[name]; ok && !n.IsSource() {
 			s.tbl = t
 			res.Stats.CacheHits = append(res.Stats.CacheHits, name)
 			if tr != nil {
@@ -362,55 +349,26 @@ func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *t
 				nodeSpan = tr.StartSpan(e.TraceParent, "node D."+n.Name)
 				tr.SpanInt(nodeSpan, "queue_wait_us", queueWait.Microseconds())
 			}
-			specs := n.Specs
-			nodeColumnar := n.ColumnarMode()
+			np := plan.Node(n.Name)
 			planTag := ""
-			if np := e.Plan.Node(n.Name); np != nil && !np.Source {
-				// The cost-based plan fixed this node's rewrites and
-				// columnar mode at plan time; run exactly that.
-				specs = np.Specs
-				if np.Columnar != "" {
-					nodeColumnar = np.Columnar
-				}
+			if e.Plan != nil {
 				planTag = np.Summary()
-			} else if e.Optimize {
-				specs = dag.PushdownFilters(specs)
 			}
-			first := true
-			var budgetErr error
-			var budgetMu sync.Mutex
-			record := func(t StageTiming) {
-				t.Output = n.Name
-				t.Plan = planTag
-				if first {
-					t.QueueWait = queueWait
-					first = false
-				}
-				if e.Budget != nil {
-					if cerr := e.Budget.Charge(t.Rows, 0); cerr != nil {
-						budgetMu.Lock()
-						if budgetErr == nil {
-							budgetErr = cerr
-						}
-						budgetMu.Unlock()
-					}
-				}
-				mu.Lock()
-				res.Stats.Timings = append(res.Stats.Timings, t)
-				mu.Unlock()
-			}
-			out, stages, err := e.runPipelineCounted(ctx, env, specs, ins, n.Inputs, record, tr, nodeSpan, nodeColumnar, &fallbacks)
-			if err == nil {
-				budgetMu.Lock()
-				err = budgetErr
-				budgetMu.Unlock()
-			}
+			p := &pipeline{e: e, env: env, parent: nodeSpan, mode: np.Columnar,
+				node: n.Name, planTag: planTag, queueWait: queueWait, stats: &res.Stats, mu: &mu}
+			out, stages, err := p.run(ctx, np.Specs, ins, n.Inputs)
 			if err == nil && e.Budget != nil {
 				err = e.Budget.Charge(0, out.SizeBytes())
 			}
 			if err == nil {
 				err = checkMaxRows(n, out)
 			}
+			mu.Lock()
+			res.Stats.ColumnarFallbacks += p.fallbacks
+			if err == nil {
+				res.Stats.TasksRun += stages
+			}
+			mu.Unlock()
 			if err != nil {
 				if tr != nil {
 					tr.SpanFlag(nodeSpan, "error")
@@ -428,13 +386,9 @@ func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *t
 				tr.SpanInt(nodeSpan, "rows_out", int64(out.Len()))
 				tr.EndSpan(nodeSpan)
 			}
-			mu.Lock()
-			res.Stats.TasksRun += stages
-			mu.Unlock()
 		}(n, s)
 	}
 	wg.Wait()
-	res.Stats.ColumnarFallbacks = int(fallbacks.Load())
 	var firstErr error
 	for _, name := range g.Order {
 		s := slots[name]
@@ -455,12 +409,9 @@ func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *t
 			res.Stats.RowsProduced[name] = s.tbl.Len()
 		}
 	}
-	if firstErr != nil {
-		// Return the partial result too: Stats.Failures carries the
-		// per-node failure detail (panic stacks included) for /stats.
-		return res, firstErr
-	}
-	return res, nil
+	// A failed run returns its partial result too: Stats.Failures carries
+	// the per-node failure detail (panic stacks included) for /stats.
+	return res, firstErr
 }
 
 // checkMaxRows enforces a node's `max_rows:` data detail — a per-object
@@ -475,39 +426,26 @@ func checkMaxRows(n *dag.Node, out *table.Table) error {
 		return nil
 	}
 	limit, err := strconv.Atoi(raw)
-	if err != nil || limit <= 0 {
+	if err != nil || limit <= 0 || out.Len() <= limit {
 		return nil
 	}
-	if out.Len() > limit {
-		return fmt.Errorf("D.%s produced %d rows, over its max_rows cap %d", n.Name, out.Len(), limit)
+	return fmt.Errorf("D.%s produced %d rows, over its max_rows cap %d", n.Name, out.Len(), limit)
+}
+
+// RunPipeline executes one linear spec chain over its inputs — the entry
+// for pipelines outside the graph (a widget's endpoint prefix) — fusing
+// and sharding row-local runs and parallelizing group-bys. Stage spans
+// open under parent on e.Tracer, stages charge e.Budget exactly as a
+// graph node's do, and cancellation is checked before every stage. It
+// returns the output table and the number of stages run.
+func (e *Executor) RunPipeline(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, parent int) (*table.Table, int, error) {
+	p := &pipeline{e: e, env: env, parent: parent, mode: dag.ResolveColumnar("", e.Columnar)}
+	out, stages, err := p.run(ctx, specs, in, names)
+	// A chain with no stages hands its input through: nothing new to charge.
+	if err == nil && stages > 0 && e.Budget != nil {
+		err = e.Budget.Charge(0, out.SizeBytes())
 	}
-	return nil
-}
-
-// RunPipeline executes one linear spec chain over its inputs, fusing and
-// sharding row-local runs and parallelizing group-bys. It returns the
-// output table and the number of stages run.
-func (e *Executor) RunPipeline(env *task.Env, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
-	return e.runPipeline(context.Background(), env, specs, in, names, nil, nil, 0, "")
-}
-
-// RunPipelineContext is RunPipeline honoring ctx: cancellation is
-// checked before every stage, so a dead context stops the chain between
-// stages instead of running it to completion.
-func (e *Executor) RunPipelineContext(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
-	return e.runPipeline(ctx, env, specs, in, names, nil, nil, 0, "")
-}
-
-// RunPipelineTraced is RunPipeline with per-stage execution spans
-// opened under parent on tr (nil tr disables tracing).
-func (e *Executor) RunPipelineTraced(env *task.Env, specs []task.Spec, in []*table.Table, names []string, tr obs.Tracer, parent int) (*table.Table, int, error) {
-	return e.runPipeline(context.Background(), env, specs, in, names, nil, tr, parent, "")
-}
-
-// RunPipelineContextTraced combines RunPipelineContext and
-// RunPipelineTraced.
-func (e *Executor) RunPipelineContextTraced(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, tr obs.Tracer, parent int) (*table.Table, int, error) {
-	return e.runPipeline(ctx, env, specs, in, names, nil, tr, parent, "")
+	return out, stages, err
 }
 
 // rowsIn sums input cardinalities for stage telemetry.
@@ -519,155 +457,157 @@ func rowsIn(in []*table.Table) int {
 	return n
 }
 
-func (e *Executor) runPipeline(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, record func(StageTiming), tr obs.Tracer, parent int, nodeColumnar string) (*table.Table, int, error) {
-	return e.runPipelineCounted(ctx, env, specs, in, names, record, tr, parent, nodeColumnar, nil)
+// pipeline is one spec chain in execution: a graph node's, or the one
+// RunPipeline was handed.
+type pipeline struct {
+	e   *Executor
+	env *task.Env
+	// parent is the span the stage spans open under.
+	parent int
+	// mode is the resolved columnar mode.
+	mode string
+	// stats, under mu, receives every executed stage's timing, tagged
+	// with the node, its plan summary and — on the node's first stage —
+	// its scheduler queue wait; nil (RunPipeline) keeps the stages out of
+	// Stats.Timings.
+	stats         *Stats
+	mu            *sync.Mutex
+	node, planTag string
+	queueWait     time.Duration
+	// fallbacks counts stages that left the columnar path at run time.
+	fallbacks int
 }
 
-// runPipelineCounted is runPipeline with a run-wide columnar-fallback
-// counter (nil when the caller does not track fallbacks).
-func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, record func(StageTiming), tr obs.Tracer, parent int, nodeColumnar string, fb *atomic.Int64) (*table.Table, int, error) {
-	if record == nil {
-		record = func(StageTiming) {}
-	}
+// run executes the chain stage by stage: each goes to a columnar kernel
+// when the planner mode and the data allow it, else to the row kernels.
+func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
 	if len(specs) == 0 {
 		if len(in) != 1 {
 			return nil, 0, fmt.Errorf("pipeline with no tasks needs exactly one input")
 		}
 		return in[0], 0, nil
 	}
-	cur := in
-	curNames := names
-	stages := 0
-	i := 0
-	colMode := e.columnarMode(nodeColumnar)
-	for i < len(specs) {
+	for i := 0; i < len(specs); {
 		if err := ctx.Err(); err != nil {
-			return nil, stages, err
+			return nil, i, err
 		}
-		single := len(cur) == 1
-		if colMode != ColumnarOff {
-			out, err := e.tryColumnar(env, specs, i, colMode, cur, curNames, record, tr, parent, fb)
-			if err != nil {
-				return nil, stages, err
-			}
-			if out != nil {
-				stages++
-				cur = []*table.Table{out}
-				curNames = []string{""}
-				i++
-				continue
-			}
+		n := 1
+		out, err := p.tryColumnar(specs, i, in, names)
+		if out == nil && err == nil {
+			out, n, err = p.rowStage(specs[i:], in, names)
 		}
-		if rl, ok := specs[i].(task.RowLocal); ok && single {
-			// Fuse the maximal run of row-local specs.
-			run := []task.RowLocal{rl}
-			j := i + 1
-			for j < len(specs) {
-				next, ok := specs[j].(task.RowLocal)
-				if !ok {
-					break
-				}
-				run = append(run, next)
-				j++
-			}
-			desc := describeRun(run)
-			nIn := cur[0].Len()
-			sid := 0
-			if tr != nil {
-				sid = tr.StartSpan(parent, "stage "+desc)
-			}
-			start := time.Now()
-			var subs []SubStage
-			out, err := execStage(desc, func() (*table.Table, error) {
-				t, counts, err := e.runRowLocal(env, run, cur[0], firstName(curNames))
-				if err == nil && len(run) > 1 {
-					subs = make([]SubStage, len(run))
-					rin := nIn
-					for k, rl := range run {
-						subs[k] = SubStage{Stage: task.Describe(rl), RowsIn: rin, Rows: counts[k]}
-						rin = counts[k]
-					}
-				}
-				return t, err
-			})
-			if err != nil {
-				return nil, stages, err
-			}
-			d := time.Since(start)
-			record(StageTiming{Stage: desc, RowsIn: nIn, Rows: out.Len(), Duration: d, Path: PathRow, Sub: subs})
-			endStageSpan(tr, sid, nIn, out.Len(), d)
-			stages += len(run)
-			cur = []*table.Table{out}
-			curNames = []string{""}
-			i = j
-			continue
-		}
-		if gr, ok := specs[i].(task.Grouped); ok && single && cur[0].Len() >= parallelGroupThreshold {
-			desc := task.Describe(gr)
-			nIn := cur[0].Len()
-			sid := 0
-			if tr != nil {
-				sid = tr.StartSpan(parent, "stage "+desc)
-			}
-			start := time.Now()
-			out, err := execStage(desc, func() (*table.Table, error) {
-				return e.runGrouped(env, gr, cur[0], firstName(curNames))
-			})
-			if err != nil {
-				return nil, stages, err
-			}
-			d := time.Since(start)
-			record(StageTiming{Stage: desc, RowsIn: nIn, Rows: out.Len(), Duration: d, Path: PathRow})
-			endStageSpan(tr, sid, nIn, out.Len(), d)
-			stages++
-			cur = []*table.Table{out}
-			curNames = []string{""}
-			i++
-			continue
-		}
-		desc := task.Describe(specs[i])
-		nIn := rowsIn(cur)
-		sid := 0
-		if tr != nil {
-			sid = tr.StartSpan(parent, "stage "+desc)
-		}
-		start := time.Now()
-		spec := specs[i]
-		out, err := execStage(desc, func() (*table.Table, error) {
-			return spec.Exec(env, cur, curNames)
-		})
 		if err != nil {
-			return nil, stages, err
+			return nil, i, err
 		}
-		d := time.Since(start)
-		record(StageTiming{Stage: desc, RowsIn: nIn, Rows: out.Len(), Duration: d, Path: PathRow})
-		endStageSpan(tr, sid, nIn, out.Len(), d)
-		stages++
-		cur = []*table.Table{out}
-		curNames = []string{""}
-		i++
+		i += n
+		in, names = []*table.Table{out}, []string{""}
 	}
-	return cur[0], stages, nil
+	return in[0], len(specs), nil
+}
+
+// rowStage runs the chain's next stage on the row kernels — a fused run
+// of row-local specs in one sharded pass, a sharded group-by, or the
+// spec's reference Exec — and reports how many specs it consumed.
+func (p *pipeline) rowStage(specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
+	single := len(in) == 1
+	if rl, ok := specs[0].(task.RowLocal); ok && single {
+		// Fuse the maximal run of row-local specs.
+		run := []task.RowLocal{rl}
+		for _, sp := range specs[1:] {
+			next, ok := sp.(task.RowLocal)
+			if !ok {
+				break
+			}
+			run = append(run, next)
+		}
+		nIn := in[0].Len()
+		out, err := p.runStage(describeRun(run), PathRow, nIn, func() (*table.Table, []SubStage, error) {
+			t, counts, err := p.e.runRowLocal(p.env, run, in[0], firstName(names))
+			if err != nil || len(run) == 1 {
+				return t, nil, err
+			}
+			subs := make([]SubStage, len(run))
+			rin := nIn
+			for k, rl := range run {
+				subs[k] = SubStage{Stage: task.Describe(rl), RowsIn: rin, Rows: counts[k]}
+				rin = counts[k]
+			}
+			return t, subs, nil
+		})
+		return out, len(run), err
+	}
+	if gr, ok := specs[0].(task.Grouped); ok && single && in[0].Len() >= parallelGroupThreshold {
+		out, err := p.runStage(task.Describe(gr), PathRow, in[0].Len(), func() (*table.Table, []SubStage, error) {
+			return noSubs(p.e.runGrouped(p.env, gr, in[0], firstName(names)))
+		})
+		return out, 1, err
+	}
+	out, err := p.runStage(task.Describe(specs[0]), PathRow, rowsIn(in), func() (*table.Table, []SubStage, error) {
+		return noSubs(specs[0].Exec(p.env, in, names))
+	})
+	return out, 1, err
+}
+
+func noSubs(t *table.Table, err error) (*table.Table, []SubStage, error) { return t, nil, err }
+
+// runStage runs one stage, and is the only place a stage meets the
+// engine's cross-cutting concerns: its span, its clock, panic isolation,
+// its StageTiming record and the run budget's row charge. body is the
+// path-specific work; a body that returns colstore.ErrFallback (a kernel
+// met data it has no typed path for) yields a nil table so the row
+// kernels take the stage, and the pipeline's fallback count moves by one.
+func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Table, []SubStage, error)) (*table.Table, error) {
+	tr := p.e.Tracer
+	sid := 0
+	if tr != nil {
+		sid = tr.StartSpan(p.parent, "stage "+desc)
+		if path == PathColumnar {
+			tr.SpanFlag(sid, "columnar")
+		}
+	}
+	start := time.Now()
+	out, subs, err := execStage(desc, body)
+	if err != nil {
+		flag := "error"
+		if errors.Is(err, colstore.ErrFallback) {
+			p.fallbacks++
+			flag, err = "fallback", nil
+		}
+		if tr != nil {
+			tr.SpanFlag(sid, flag)
+			tr.EndSpan(sid)
+		}
+		return nil, err
+	}
+	d := time.Since(start)
+	if p.stats != nil {
+		p.mu.Lock()
+		p.stats.Timings = append(p.stats.Timings, StageTiming{Output: p.node, Stage: desc, RowsIn: nIn, Rows: out.Len(),
+			Duration: d, QueueWait: p.queueWait, Path: path, Plan: p.planTag, Sub: subs})
+		p.mu.Unlock()
+		p.queueWait = 0
+	}
+	if tr != nil {
+		// duration_us carries the exact StageTiming duration, so trace
+		// exports and Stats.Timings agree to the microsecond.
+		tr.SpanInt(sid, "rows_in", int64(nIn))
+		tr.SpanInt(sid, "rows_out", int64(out.Len()))
+		tr.SpanInt(sid, "duration_us", d.Microseconds())
+		tr.EndSpan(sid)
+	}
+	if p.e.Budget != nil {
+		if err := p.e.Budget.Charge(out.Len(), 0); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // execStage runs one stage body, recovering panics into *PanicError so
 // a misbehaving operator fails its pipeline instead of the process.
-func execStage(stage string, fn func() (*table.Table, error)) (out *table.Table, err error) {
+func execStage(stage string, body func() (*table.Table, []SubStage, error)) (out *table.Table, subs []SubStage, err error) {
 	defer recoverStage(stage, &err)
-	return fn()
-}
-
-// endStageSpan attaches the stage's telemetry and closes its span. The
-// duration_us attribute carries the exact StageTiming duration so
-// trace exports and Stats.Timings agree to the microsecond.
-func endStageSpan(tr obs.Tracer, id, rowsIn, rowsOut int, d time.Duration) {
-	if tr == nil {
-		return
-	}
-	tr.SpanInt(id, "rows_in", int64(rowsIn))
-	tr.SpanInt(id, "rows_out", int64(rowsOut))
-	tr.SpanInt(id, "duration_us", d.Microseconds())
-	tr.EndSpan(id)
+	return body()
 }
 
 // parallelGroupThreshold is the input size below which sharded
@@ -736,36 +676,17 @@ func (e *Executor) runRowLocal(env *task.Env, run []task.RowLocal, in *table.Tab
 	}
 	parts := make([]*table.Table, workers)
 	partCounts := make([][]int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(rows) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(rows) {
-			break
-		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer recoverStage(describeRun(run), &errs[w])
-			part := table.New(cur.Schema)
-			pc := make([]int, len(fns))
-			errs[w] = apply(rows[lo:hi], part, pc)
-			parts[w] = part
-			partCounts[w] = pc
-		}(w, lo, hi)
+	err := forShards(describeRun(run), len(rows), workers, func(w, lo, hi int) error {
+		parts[w] = table.New(cur.Schema)
+		partCounts[w] = make([]int, len(fns))
+		return apply(rows[lo:hi], parts[w], partCounts[w])
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
 	out := table.New(cur.Schema)
 	counts = make([]int, len(fns))
 	for w, part := range parts {
-		if errs[w] != nil {
-			return nil, nil, errs[w]
-		}
 		if part == nil {
 			continue
 		}
@@ -778,6 +699,30 @@ func (e *Executor) runRowLocal(env *task.Env, run []task.RowLocal, in *table.Tab
 	}
 	traceRun(env, run, out.Len())
 	return out, counts, nil
+}
+
+// forShards splits [0, n) into at most workers contiguous ranges and runs
+// fn over each on its own goroutine, a panic in one becoming that
+// shard's *PanicError. It returns the first error in shard order.
+func forShards(stage string, n, workers int, fn func(w, lo, hi int) error) error {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for w := 0; w*chunk < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer recoverStage(stage, &errs[w])
+			errs[w] = fn(w, w*chunk, min((w+1)*chunk, n))
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // describeRun names a fused row-local run.
@@ -807,58 +752,36 @@ func (e *Executor) runGrouped(env *task.Env, gr task.Grouped, in *table.Table, n
 		return gr.Exec(env, []*table.Table{in}, []string{name})
 	}
 	groupers := make([]task.Grouper, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(rows) + workers - 1) / workers
 	input := task.Input{Name: name, Schema: in.Schema()}
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(rows) {
-			break
+	err := forShards(task.Describe(gr), len(rows), workers, func(w, lo, hi int) error {
+		g, err := gr.NewGrouper(env, input)
+		if err != nil {
+			return err
 		}
-		if hi > len(rows) {
-			hi = len(rows)
+		for _, r := range rows[lo:hi] {
+			if err := g.Add(r); err != nil {
+				return err
+			}
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer recoverStage(task.Describe(gr), &errs[w])
-			g, err := gr.NewGrouper(env, input)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			for _, r := range rows[lo:hi] {
-				if err := g.Add(r); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-			groupers[w] = g
-		}(w, lo, hi)
+		groupers[w] = g
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	var root task.Grouper
-	for w := range groupers {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		if groupers[w] == nil {
+	for _, g := range groupers {
+		if g == nil {
 			continue
 		}
 		if root == nil {
-			root = groupers[w]
-			continue
-		}
-		if err := root.Merge(groupers[w]); err != nil {
+			root = g
+		} else if err := root.Merge(g); err != nil {
 			return nil, err
 		}
 	}
 	if root == nil {
-		var err error
-		root, err = gr.NewGrouper(env, input)
-		if err != nil {
+		if root, err = gr.NewGrouper(env, input); err != nil {
 			return nil, err
 		}
 	}

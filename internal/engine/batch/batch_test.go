@@ -1,12 +1,13 @@
 package batch
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"shareinsights/internal/dag"
 	"shareinsights/internal/flowfile"
@@ -76,13 +77,13 @@ func TestRunMatchesReference(t *testing.T) {
 	src := rawTable(20000, 1)
 	// Reference: single worker, no optimization.
 	ref := &Executor{Parallelism: 1}
-	refRes, err := ref.Run(g, &task.Env{Parallelism: 1}, map[string]*table.Table{"raw": src})
+	refRes, err := ref.RunContext(context.Background(), g, &task.Env{Parallelism: 1}, map[string]*table.Table{"raw": src})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Parallel, optimized.
 	par := &Executor{Parallelism: 8, Optimize: true}
-	parRes, err := par.Run(g, &task.Env{Parallelism: 8}, map[string]*table.Table{"raw": src})
+	parRes, err := par.RunContext(context.Background(), g, &task.Env{Parallelism: 8}, map[string]*table.Table{"raw": src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestDeadSinkElimination(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	src := rawTable(100, 2)
 	opt := &Executor{Optimize: true}
-	res, err := opt.Run(g, &task.Env{}, map[string]*table.Table{"raw": src})
+	res, err := opt.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestDeadSinkElimination(t *testing.T) {
 	}
 	// Without optimization it is computed.
 	raw := &Executor{}
-	res2, err := raw.Run(g, &task.Env{}, map[string]*table.Table{"raw": src})
+	res2, err := raw.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +128,118 @@ func TestDeadSinkElimination(t *testing.T) {
 	}
 }
 
+// hoistFlow has something for every plan rule the executor can derive on
+// its own: a filter to hoist ahead of a fan-out map, and a dead sink.
+const hoistFlow = `
+D:
+  raw: [k, txt, v]
+
+F:
+  +D.words: D.raw | T.split | T.keep_positive
+  D.unused_sink: D.raw | T.keep_positive
+
+T:
+  split:
+    type: map
+    operator: extract_words
+    transform: txt
+    output: word
+  keep_positive:
+    type: filter_by
+    filter_expression: v > 0
+`
+
+// TestExecutorRunsAPlan pins the collapse to one answer for "what do I
+// run": a nil Plan makes the executor derive one — dag.Optimize with no
+// statistics under Optimize, the as-written plan otherwise — and the
+// derived plan runs exactly as the caller-supplied equivalent would.
+func TestExecutorRunsAPlan(t *testing.T) {
+	g := buildGraph(t, hoistFlow)
+	sources := map[string]*table.Table{"raw": rawTable(300, 9)}
+	stageOrder := func(res *Result) map[string][]string {
+		order := map[string][]string{}
+		for _, st := range res.Stats.Timings {
+			order[st.Output] = append(order[st.Output], st.Stage)
+		}
+		return order
+	}
+	hoisted := "filter_by v > 0 | map extract_words"
+	written := "map extract_words | filter_by v > 0"
+	cases := []struct {
+		name      string
+		e         *Executor
+		skipped   []string
+		wordStage string
+		planTag   string
+	}{
+		{"derived optimized", &Executor{Parallelism: 1, Optimize: true}, []string{"unused_sink"}, hoisted, ""},
+		{"supplied optimized", &Executor{Parallelism: 1, Plan: dag.Optimize(g, dag.PlanOptions{})}, []string{"unused_sink"}, hoisted, "filter_pushdown"},
+		{"derived as written", &Executor{Parallelism: 1}, nil, written, ""},
+		{"supplied as written", &Executor{Parallelism: 1, Optimize: true, Plan: dag.AsWritten(g, "")}, nil, written, "as-written"},
+	}
+	var ref *table.Table
+	for _, tc := range cases {
+		res, err := tc.e.RunContext(context.Background(), g, &task.Env{Parallelism: 1}, sources)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(res.Stats.SkippedSinks, tc.skipped) {
+			t.Errorf("%s: skipped sinks = %v, want %v", tc.name, res.Stats.SkippedSinks, tc.skipped)
+		}
+		if got := stageOrder(res)["words"]; !reflect.DeepEqual(got, []string{tc.wordStage}) {
+			t.Errorf("%s: D.words stages = %q, want %q", tc.name, got, tc.wordStage)
+		}
+		for _, st := range res.Stats.Timings {
+			if st.Plan != tc.planTag {
+				t.Errorf("%s: stage %q carries plan tag %q, want %q", tc.name, st.Stage, st.Plan, tc.planTag)
+			}
+		}
+		words, _ := res.Table("words")
+		if ref == nil {
+			ref = words
+		} else if !ref.Equal(words) {
+			t.Errorf("%s: D.words cells differ from the first configuration's", tc.name)
+		}
+	}
+}
+
+// TestCachedNodesSkipTheirPipelines covers the Cached field: a produced
+// node found there is served as is and runs no stage; a source is never
+// taken from it.
+func TestCachedNodesSkipTheirPipelines(t *testing.T) {
+	g := buildGraph(t, testFlow)
+	src := rawTable(100, 2)
+	canned := table.New(schema.MustFromNames("k", "total"))
+	canned.AppendValues(value.NewString("only"), value.NewInt(7))
+	e := &Executor{Optimize: true, Cached: map[string]*table.Table{"grouped": canned, "raw": canned}}
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Stats.CacheHits, []string{"grouped"}) {
+		t.Errorf("cache hits = %v, want [grouped]", res.Stats.CacheHits)
+	}
+	if got, _ := res.Table("grouped"); got != canned {
+		t.Error("cached node was recomputed")
+	}
+	if got, _ := res.Table("raw"); got != src {
+		t.Error("a source was served from the node cache")
+	}
+	top, _ := res.Table("top")
+	if top.Len() != 1 || top.Cell(0, "k").Str() != "only" {
+		t.Errorf("downstream of the cached node:\n%s", top.Format(0))
+	}
+	for _, st := range res.Stats.Timings {
+		if st.Output == "grouped" {
+			t.Errorf("cached node ran stage %q", st.Stage)
+		}
+	}
+}
+
 func TestMissingSource(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{}
-	_, err := e.Run(g, &task.Env{}, map[string]*table.Table{})
+	_, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{})
 	if err == nil || !strings.Contains(err.Error(), "D.raw") {
 		t.Errorf("missing source error = %v", err)
 	}
@@ -140,7 +249,7 @@ func TestSourceSchemaMismatch(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	bad := table.New(schema.MustFromNames("wrong"))
 	e := &Executor{}
-	_, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": bad})
+	_, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": bad})
 	if err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("schema mismatch error = %v", err)
 	}
@@ -193,7 +302,7 @@ T:
 	e := &Executor{}
 	tb := table.New(schema.MustFromNames("body"))
 	tb.AppendValues(value.NewString("x"))
-	_, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": tb})
+	_, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": tb})
 	if err == nil || !strings.Contains(err.Error(), "missing.txt") || !strings.Contains(err.Error(), "D.out") {
 		t.Errorf("runtime error = %v", err)
 	}
@@ -221,7 +330,7 @@ T:
 	rt := table.New(schema.MustFromNames("k", "y"))
 	rt.AppendValues(value.NewInt(1), value.NewString("b"))
 	e := &Executor{}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"l": lt, "r": rt})
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"l": lt, "r": rt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +367,11 @@ T:
 	}
 	seq := &Executor{Parallelism: 1}
 	par := &Executor{Parallelism: 6}
-	a, err := seq.Run(g, &task.Env{}, map[string]*table.Table{"docs": docs})
+	a, err := seq.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"docs": docs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.Run(g, &task.Env{}, map[string]*table.Table{"docs": docs})
+	b, err := par.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"docs": docs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +397,7 @@ T:
 func TestStatsReported(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{Optimize: true}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(100, 3)})
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(100, 3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +416,7 @@ func TestStatsReported(t *testing.T) {
 func TestStageTimingsRecorded(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{Optimize: true}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 4)})
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +447,7 @@ func TestStageTimingsRecorded(t *testing.T) {
 func TestStageTimingRowsInAndQueueWait(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{Optimize: true}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 4)})
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +480,7 @@ func TestTraceMatchesStats(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	tr := obs.NewTrace("t")
 	e := &Executor{Optimize: true, Tracer: tr}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(2000, 5)})
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(2000, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,13 +519,19 @@ func TestTraceMatchesStats(t *testing.T) {
 }
 
 // TestNilTracerHooksAllocationFree pins the acceptance criterion that
-// the disabled-tracing path costs nothing: the stage-span hook with a
-// nil Tracer must not allocate.
+// the disabled path costs nothing: with a nil Tracer, a nil Budget and
+// no timing sink, the stage runner — span hooks included — adds no
+// allocations to the stage's own.
 func TestNilTracerHooksAllocationFree(t *testing.T) {
+	p := &pipeline{e: &Executor{}}
+	out := rawTable(5, 1)
+	body := func() (*table.Table, []SubStage, error) { return out, nil, nil }
 	if allocs := testing.AllocsPerRun(1000, func() {
-		endStageSpan(nil, 0, 10, 5, time.Millisecond)
+		if _, err := p.runStage("noop", PathRow, 5, body); err != nil {
+			t.Fatal(err)
+		}
 	}); allocs != 0 {
-		t.Errorf("endStageSpan(nil, ...) allocates %v per call", allocs)
+		t.Errorf("runStage with nil tracer and budget allocates %v per stage", allocs)
 	}
 }
 
@@ -435,7 +550,7 @@ func benchRun(b *testing.B, traced bool) {
 		if traced {
 			e.Tracer = obs.NewTrace("bench")
 		}
-		if _, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": src}); err != nil {
+		if _, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,7 +580,7 @@ func TestBudgetHookCharges(t *testing.T) {
 	src := rawTable(500, 3)
 	b := &countingBudget{}
 	e := &Executor{Budget: b}
-	if _, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": src}); err != nil {
+	if _, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src}); err != nil {
 		t.Fatal(err)
 	}
 	if b.rows.Load() == 0 {
@@ -480,12 +595,35 @@ func TestBudgetExceededFailsRun(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	src := rawTable(500, 3)
 	e := &Executor{Budget: &countingBudget{maxRows: 10}}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": src})
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src})
 	if err == nil || !strings.Contains(err.Error(), "over budget") {
 		t.Fatalf("err = %v, want budget failure", err)
 	}
 	if len(res.Stats.Failures) == 0 {
 		t.Error("budget failure missing from Stats.Failures")
+	}
+}
+
+// TestBudgetChargedOnPipelineEntry: a chain run through RunPipeline (a
+// widget's endpoint prefix) charges the run budget stage by stage like a
+// graph node, and fails with the budget's error once it is exhausted.
+func TestBudgetChargedOnPipelineEntry(t *testing.T) {
+	g := buildGraph(t, hoistFlow)
+	specs := g.Nodes["words"].Specs
+	in := []*table.Table{rawTable(50, 3)}
+	b := &countingBudget{}
+	e := &Executor{Parallelism: 1, Budget: b}
+	out, stages, err := e.RunPipeline(context.Background(), &task.Env{}, specs, in, []string{"raw"}, 0)
+	if err != nil || stages != 2 {
+		t.Fatalf("stages = %d, err = %v", stages, err)
+	}
+	if b.rows.Load() != int64(out.Len()) || b.bytes.Load() != int64(out.SizeBytes()) {
+		t.Errorf("charged %d rows / %d bytes for an output of %d rows / %d bytes",
+			b.rows.Load(), b.bytes.Load(), out.Len(), out.SizeBytes())
+	}
+	e.Budget = &countingBudget{maxRows: 10}
+	if _, _, err := e.RunPipeline(context.Background(), &task.Env{}, specs, in, []string{"raw"}, 0); err == nil || !strings.Contains(err.Error(), "over budget") {
+		t.Fatalf("err = %v, want budget failure", err)
 	}
 }
 
@@ -507,7 +645,7 @@ T:
 	g := buildGraph(t, src)
 	data := rawTable(500, 4)
 	e := &Executor{}
-	_, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": data})
+	_, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": data})
 	if err == nil || !strings.Contains(err.Error(), "max_rows") {
 		t.Fatalf("err = %v, want max_rows cap failure", err)
 	}

@@ -88,7 +88,7 @@ func TestPanicBecomesStageError(t *testing.T) {
 	g := buildGraphWith(t, panicFlow, reg)
 	for _, par := range []int{1, 4} {
 		e := &Executor{Parallelism: par}
-		res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 7)})
+		res, err := e.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 7)})
 		if err == nil {
 			t.Fatalf("parallelism %d: panicking task did not fail the run", par)
 		}
@@ -182,7 +182,7 @@ func TestRunPipelineContextChecksBetweenStages(t *testing.T) {
 	}
 	e := &Executor{}
 	in := rawTable(5, 1)
-	_, stages, err := e.RunPipelineContext(ctx, &task.Env{}, specs, []*table.Table{in}, []string{"raw"})
+	_, stages, err := e.RunPipeline(ctx, &task.Env{}, specs, []*table.Table{in}, []string{"raw"}, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

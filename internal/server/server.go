@@ -53,6 +53,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"strconv"
@@ -270,14 +271,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	jsonOK(w, map[string]any{"dashboards": names})
 }
 
-// checkParses rejects content that does not parse and validate — the
-// repository only ever holds loadable pipelines.
-func (s *Server) checkParses(name string, body []byte) error {
+// checkParses rejects content that does not parse and validate — every
+// save path goes through it, so the repository only ever holds loadable
+// pipelines. It returns the parsed file for callers that go on to lint.
+func (s *Server) checkParses(name string, body []byte) (*flowfile.File, error) {
 	f, err := flowfile.Parse(name, string(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return f.Validate(true)
+	return f, f.Validate(true)
 }
 
 // handlePut creates or updates a dashboard's flow file. The body must
@@ -290,12 +292,8 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	f, err := flowfile.Parse(name, string(body))
+	f, err := s.checkParses(name, body)
 	if err != nil {
-		jsonError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	if err := f.Validate(true); err != nil {
 		jsonError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -671,7 +669,10 @@ func (s *Server) handleHTML(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("device") == "mobile" {
 		dev = dashboard.Mobile
 	}
-	if css, ok := s.data[r.PathValue("name")]["style.css"]; ok {
+	s.mu.RLock()
+	css, ok := s.data[r.PathValue("name")]["style.css"]
+	s.mu.RUnlock()
+	if ok {
 		d.SetStylesheet(string(css))
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -834,14 +835,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mu.Lock()
-	if s.data[name] == nil {
-		s.data[name] = map[string][]byte{}
-	}
-	s.data[name][file] = body
-	s.uploadRev[name]++
-	s.mu.Unlock()
-	s.invalidateResults(name)
+	s.UploadData(name, file, body)
 	jsonOK(w, map[string]any{"dashboard": name, "file": file, "bytes": len(body)})
 }
 
@@ -981,22 +975,26 @@ func (s *Server) handleShared(w http.ResponseWriter, r *http.Request) {
 	jsonOK(w, map[string]any{"shared": out})
 }
 
-// UploadData seeds a dashboard's auxiliary files programmatically (CLI
-// and tests).
+// UploadData stores one of a dashboard's auxiliary files (the upload
+// route, the CLI and tests). Uploads are copy-on-write: runs read the
+// per-dashboard map without the lock through env.Resources, so each
+// upload installs a new map and a running or cached dashboard keeps the
+// snapshot its upload revision named.
 func (s *Server) UploadData(dashboardName, file string, content []byte) {
 	s.mu.Lock()
-	if s.data[dashboardName] == nil {
-		s.data[dashboardName] = map[string][]byte{}
-	}
-	s.data[dashboardName][file] = content
+	next := make(map[string][]byte, len(s.data[dashboardName])+1)
+	maps.Copy(next, s.data[dashboardName])
+	next[file] = content
+	s.data[dashboardName] = next
 	s.uploadRev[dashboardName]++
 	s.mu.Unlock()
 	s.invalidateResults(dashboardName)
 }
 
-// SaveDashboard commits flow-file content programmatically.
+// SaveDashboard commits flow-file content programmatically, under the
+// same parse-and-validate rule as the HTTP save routes.
 func (s *Server) SaveDashboard(name, author string, content []byte) (string, error) {
-	if _, err := flowfile.Parse(name, string(content)); err != nil {
+	if _, err := s.checkParses(name, content); err != nil {
 		return "", err
 	}
 	s.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"shareinsights/internal/connector"
@@ -783,5 +784,67 @@ func TestExplainEndpoint(t *testing.T) {
 	code, body = do(t, http.MethodGet, base+"/explain", "")
 	if code != 200 || !strings.Contains(string(body), "pushdown skip columns: product") {
 		t.Errorf("explain after run = %d: %s", code, body)
+	}
+}
+
+// TestConcurrentUploadRunHTML races the three users of a dashboard's
+// upload map — PUT …/data/{file} replacing it, POST …/run reading it
+// lock-free through env.Resources, GET …/html reading style.css — which
+// under -race (and, unluckily, without it: "fatal error: concurrent map
+// read and map write") fails unless uploads are copy-on-write.
+func TestConcurrentUploadRunHTML(t *testing.T) {
+	_, ts := newTestServer(t)
+	base := ts.URL + "/dashboards/live"
+	flow := strings.Replace(serverFlow, "source: mem:sales.csv", "source: data:sales.csv", 1) + `
+W:
+  g:
+    type: Grid
+    source: D.by_region
+
+L:
+  rows:
+    - [span12: W.g]
+`
+	for _, step := range [][3]string{
+		{http.MethodPut, base, flow},
+		{http.MethodPut, base + "/data/sales.csv", salesCSV},
+		{http.MethodPost, base + "/run", ""},
+	} {
+		if code, body := do(t, step[0], step[1], step[2]); code != 200 {
+			t.Fatalf("%s %s = %d: %s", step[0], step[1], code, body)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, op := range [][3]string{
+		{http.MethodPut, base + "/data/sales.csv", salesCSV + "west,gadget,7\n"},
+		{http.MethodPut, base + "/data/style.css", ".widget{color:#123}"},
+		{http.MethodPost, base + "/run", ""},
+		{http.MethodGet, base + "/html", ""},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				if code, body := do(t, op[0], op[1], op[2]); code != 200 {
+					t.Errorf("%s %s = %d: %s", op[0], op[1], code, body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSaveDashboardValidates: the programmatic save path holds the line
+// the HTTP routes hold — content that parses but does not validate (a
+// dangling T. reference) never reaches the repository.
+func TestSaveDashboardValidates(t *testing.T) {
+	s, _ := newTestServer(t)
+	bad := strings.Replace(serverFlow, "D.sales | T.sum_by_region", "D.sales | T.no_such_task", 1)
+	if _, err := s.SaveDashboard("dangling", "tester", []byte(bad)); err == nil || !strings.Contains(err.Error(), "no_such_task") {
+		t.Fatalf("SaveDashboard err = %v, want the undefined-task validation error", err)
+	}
+	if _, ok := s.Repo("dangling"); ok {
+		t.Error("rejected save still created a repository")
 	}
 }

@@ -83,7 +83,7 @@ func (s *Server) handleBranchPut(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.checkParses(r.PathValue("name"), body); err != nil {
+	if _, err := s.checkParses(r.PathValue("name"), body); err != nil {
 		jsonError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -168,14 +168,11 @@ func (s *Server) handleFork(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.repos[newName] = fork
-	// The fork starts with a copy of the parent's uploaded data files so
-	// it runs out of the box.
+	// The fork starts with the parent's uploaded data files so it runs
+	// out of the box; upload maps are never mutated in place (see
+	// UploadData), so the two can share one until either uploads.
 	if parentData, ok := s.data[r.PathValue("name")]; ok {
-		cp := make(map[string][]byte, len(parentData))
-		for k, v := range parentData {
-			cp[k] = v
-		}
-		s.data[newName] = cp
+		s.data[newName] = parentData
 	}
 	s.mu.Unlock()
 	jsonOK(w, map[string]string{"fork": newName})
