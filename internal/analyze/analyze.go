@@ -27,6 +27,7 @@ import (
 	"shareinsights/internal/diagnose"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
+	"shareinsights/internal/share"
 	"shareinsights/internal/task"
 	"shareinsights/internal/widget"
 )
@@ -177,6 +178,24 @@ type PublishedObject struct {
 	Name string
 	// Dashboard is the publishing dashboard.
 	Dashboard string
+}
+
+// PlatformOptions are the Options for analyzing against a platform's
+// registries and its shared catalog (nil: none) — what the server's lint
+// routes and the CLI both pass.
+func PlatformOptions(tasks *task.Registry, conns *connector.Registry, catalog *share.Catalog) Options {
+	opts := Options{Tasks: tasks, Connectors: conns}
+	if catalog != nil {
+		opts.Shared = catalog.ResolveSchema
+		opts.Published = func() []PublishedObject {
+			var out []PublishedObject
+			for _, obj := range catalog.Objects() {
+				out = append(out, PublishedObject{Name: obj.Name, Dashboard: obj.Dashboard})
+			}
+			return out
+		}
+	}
+	return opts
 }
 
 // Lint analyzes the file and returns every finding, ordered by line.

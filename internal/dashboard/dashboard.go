@@ -167,9 +167,6 @@ type Dashboard struct {
 	// TransferredBytes counts endpoint-data bytes shipped from the
 	// processing context to the interactive context in the last Run.
 	TransferredBytes int
-
-	// stylesheet is appended to the base CSS (§4.2 Styling extension).
-	stylesheet string
 }
 
 // Compile validates and compiles a flow file against the platform.

@@ -46,12 +46,22 @@ func (d *Dashboard) RenderHTML(w io.Writer) error {
 
 // RenderHTMLFor renders the dashboard for a specific client environment.
 func (d *Dashboard) RenderHTMLFor(dev Device, w io.Writer) error {
+	return d.RenderHTMLStyled(dev, "", w)
+}
+
+// RenderHTMLStyled is RenderHTMLFor with a custom CSS sheet appended to
+// the base styling — the Styling extension point of §4.2: "Stylesheet
+// authors can use widget names specified in the flow file as style
+// targets", via the [data-widget="<name>"] attribute every rendered
+// widget carries. The sheet is an argument, not dashboard state: one
+// compiled dashboard serves concurrent renders.
+func (d *Dashboard) RenderHTMLStyled(dev Device, css string, w io.Writer) error {
 	title := d.Name
 	if d.File.Layout != nil && d.File.Layout.Description != "" {
 		title = d.File.Layout.Description
 	}
 	fmt.Fprintf(w, `<!DOCTYPE html><html><head><meta charset="utf-8"><title>%s</title><style>%s</style></head><body>`,
-		html.EscapeString(title), baseCSS+d.stylesheet)
+		html.EscapeString(title), baseCSS+css)
 	fmt.Fprintf(w, `<h1>%s</h1>`, html.EscapeString(title))
 	if d.File.Layout != nil {
 		for _, row := range d.File.Layout.Rows {
@@ -129,11 +139,23 @@ func renderDegraded(inst *widget.Instance, w io.Writer) error {
 	return err
 }
 
-// SetStylesheet appends a custom CSS sheet to the dashboard page — the
-// Styling extension point of §4.2: "Stylesheet authors can use widget
-// names specified in the flow file as style targets", via the
-// [data-widget="<name>"] attribute every rendered widget carries.
-func (d *Dashboard) SetStylesheet(css string) { d.stylesheet = css }
+// WriteEndpoints prints every endpoint table under an "== name ==" line
+// — the data explorer's headless mode (Figure 29), shared by the REST
+// text routes and the CLI. prefix precedes each name, counts adds the
+// row count to the header, and limit caps the rows printed (0 = all).
+func (d *Dashboard) WriteEndpoints(w io.Writer, prefix string, counts bool, limit int) {
+	for _, name := range d.EndpointNames() {
+		t, ok := d.Endpoint(name)
+		if !ok {
+			continue
+		}
+		head := prefix + name
+		if counts {
+			head += fmt.Sprintf(" (%d rows)", t.Len())
+		}
+		fmt.Fprintf(w, "== %s ==\n%s\n", head, t.Format(limit))
+	}
+}
 
 // RenderText writes a textual summary of the dashboard: the layout tree
 // and every widget's current data — the data explorer's "headless mode"

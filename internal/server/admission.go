@@ -1,24 +1,18 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 
 	"shareinsights/internal/admission"
-	"shareinsights/internal/dashboard"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs/history"
 	"shareinsights/internal/obs/ops"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/value"
-	"shareinsights/internal/vcs"
 )
 
 // TenantHeader names the request header carrying the tenant identity
@@ -66,39 +60,6 @@ func tenantOf(r *http.Request) string {
 	return admission.DefaultTenant
 }
 
-// admit wraps a handler with the admission gate. Shed requests answer
-// 429 with a Retry-After hint — the same contract PR 3's connector
-// client honors on upstream 429s — and are recorded in the flight
-// recorder so `shareinsights history` shows pressure, not just runs.
-func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.gate == nil {
-			h(w, r)
-			return
-		}
-		release, err := s.gate.Acquire(r.Context(), tenantOf(r))
-		if err != nil {
-			var shed *admission.ShedError
-			if errors.As(err, &shed) {
-				secs := int(math.Ceil(shed.RetryAfter.Seconds()))
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				s.recordOutcome(r.PathValue("name"), "shed", err.Error())
-				jsonError(w, http.StatusTooManyRequests, err)
-				return
-			}
-			// The context died while queued: the client is gone, the
-			// status is never delivered. 408 keeps it out of 5xx space.
-			jsonError(w, http.StatusRequestTimeout, err)
-			return
-		}
-		defer release()
-		h(w, r)
-	}
-}
-
 // recordOutcome adds a shed or cached entry to the flight recorder —
 // best-effort, like run recording itself.
 func (s *Server) recordOutcome(name, status, detail string) {
@@ -127,13 +88,11 @@ func cacheableFlow(f *flowfile.File) bool {
 // every shared catalog object the flow reads. A save, upload or
 // publish rotates the key, so stale entries become unreachable without
 // any coordination; explicit Invalidate calls drop them eagerly too.
-func (s *Server) resultCacheKey(name string, repo *vcs.Repo, f *flowfile.File, uploadRev int) string {
+func (s *Server) resultCacheKey(name, tip string, f *flowfile.File, uploadRev int) string {
 	var sb strings.Builder
 	sb.WriteString(name)
 	sb.WriteString("@")
-	if tip, err := repo.Tip(vcs.DefaultBranch); err == nil {
-		sb.WriteString(tip.Hash)
-	}
+	sb.WriteString(tip)
 	fmt.Fprintf(&sb, "|u%d", uploadRev)
 	names := make([]string, 0, len(f.Data))
 	for n := range f.Data {
@@ -155,51 +114,6 @@ func (s *Server) invalidateResults(name string) {
 	if s.resultCache != nil {
 		s.resultCache.Invalidate(name + "@")
 	}
-}
-
-// runDashboardCached is runDashboard through the shared result cache:
-// identical concurrent requests collapse onto one leader execution and
-// repeated requests serve the completed dashboard. The outcome ("hit",
-// "miss", "follow", or "" when caching is off for this flow) feeds the
-// X-SI-Result-Cache response header.
-func (s *Server) runDashboardCached(ctx context.Context, name string) (*dashboard.Dashboard, string, error) {
-	s.mu.RLock()
-	repo, ok := s.repos[name]
-	uploads := s.data[name]
-	rev := s.uploadRev[name]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, "", fmt.Errorf("no dashboard %q", name)
-	}
-	content, err := repo.Content(vcs.DefaultBranch)
-	if err != nil {
-		return nil, "", err
-	}
-	f, err := flowfile.Parse(name, string(content))
-	if err != nil {
-		return nil, "", err
-	}
-	if s.resultCache == nil || !cacheableFlow(f) {
-		d, err := s.executeDashboard(ctx, name, f, uploads)
-		return d, "", err
-	}
-	key := s.resultCacheKey(name, repo, f, rev)
-	// The leader executes detached from the requester's context: its
-	// result is shared by every collapsed follower, so one client's
-	// disconnect must not kill work others are waiting on. The
-	// platform's RunTimeout still bounds the run.
-	leaderCtx := context.WithoutCancel(ctx)
-	v, outcome, err := s.resultCache.Do(ctx, key, func() (any, error) {
-		return s.executeDashboard(leaderCtx, name, f, uploads)
-	})
-	if err != nil {
-		return nil, outcome, err
-	}
-	d := v.(*dashboard.Dashboard)
-	if outcome == admission.OutcomeHit {
-		s.recordOutcome(name, "cached", "")
-	}
-	return d, outcome, nil
 }
 
 // opsPanels builds the admission and result-cache panels for the ops

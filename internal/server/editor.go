@@ -13,16 +13,13 @@ import (
 // entirely by the REST API ("ShareInsights uses the browser exclusively
 // for data-pipeline development", §4.3.1). Navigating to
 // /dashboards/<name>/edit on a fresh name is the paper's /create flow.
-func (s *Server) handleEditor(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	content := ""
-	s.mu.RLock()
-	if repo, ok := s.repos[name]; ok {
-		if b, err := repo.Content(vcs.DefaultBranch); err == nil {
+func (s *Server) handleEditor(w http.ResponseWriter, r *http.Request, t target) {
+	name, content := t.name, ""
+	if t.repo != nil {
+		if b, err := t.repo.Content(vcs.DefaultBranch); err == nil {
 			content = string(b)
 		}
 	}
-	s.mu.RUnlock()
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprintf(w, editorPage, html.EscapeString(name), html.EscapeString(name), html.EscapeString(content), html.EscapeString(name))
 }

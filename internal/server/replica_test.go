@@ -70,14 +70,21 @@ func doFull(t *testing.T, method, url, body string) (int, http.Header, []byte) {
 // in a serve process of its own. The follower's source protocol is
 // offline from the start: every successful follower run proves it ran
 // on replicated state.
-func newFollowerServer(t *testing.T, maxLag time.Duration) (leader *httptest.Server, fol *replica.Follower, follower *httptest.Server, clk *testClock) {
+func newFollowerServer(t *testing.T, maxLag time.Duration, more ...string) (leader *httptest.Server, fol *replica.Follower, follower *httptest.Server, clk *testClock) {
 	t.Helper()
 	_, lts, _ := newDurableServer(t, store.NewMemFS(), false)
-	if code, body := do(t, "PUT", lts.URL+"/dashboards/sales", durableFlow); code != 200 {
-		t.Fatalf("leader put: %d %s", code, body)
-	}
-	if code, body := do(t, "POST", lts.URL+"/dashboards/sales/run", ""); code != 200 {
-		t.Fatalf("leader run: %d %s", code, body)
+	for _, name := range append([]string{"sales"}, more...) {
+		// Distinct publish names: the catalog holds one object per name.
+		flow := strings.Replace(durableFlow, "region_totals", "region_totals_"+name, 1)
+		if name == "sales" {
+			flow = durableFlow
+		}
+		if code, body := do(t, "PUT", lts.URL+"/dashboards/"+name, flow); code != 200 {
+			t.Fatalf("leader put %s: %d %s", name, code, body)
+		}
+		if code, body := do(t, "POST", lts.URL+"/dashboards/"+name+"/run", ""); code != 200 {
+			t.Fatalf("leader run %s: %d %s", name, code, body)
+		}
 	}
 
 	clk = newTestClock()
@@ -147,15 +154,16 @@ func TestFollowerServesReplicatedReads(t *testing.T) {
 	}
 }
 
-// TestFollowerRedirectsWrites pins the write side: PUT/DELETE and the
-// mutating POSTs answer 307 with a Location pointing at the leader, and
-// nothing is applied locally.
+// TestFollowerRedirectsWrites pins the write side: the routes declared
+// as writes answer 307 with a Location pointing at the leader, and
+// nothing is applied locally. (A method no route takes, such as DELETE,
+// is the mux's 405 on a follower exactly as on a leader.)
 func TestFollowerRedirectsWrites(t *testing.T) {
 	lts, _, fts, _ := newFollowerServer(t, 0)
 
 	for _, tc := range []struct{ method, path string }{
 		{"PUT", "/dashboards/sales"},
-		{"DELETE", "/dashboards/sales"},
+		{"PUT", "/dashboards/sales/data/sales.csv"},
 		{"POST", "/dashboards/sales/branches/dev"},
 	} {
 		code, hdr, body := doFull(t, tc.method, fts.URL+tc.path, durableFlow)
@@ -170,6 +178,38 @@ func TestFollowerRedirectsWrites(t *testing.T) {
 	code, body := do(t, "GET", fts.URL+"/dashboards/sales/branches", "")
 	if code != 200 || strings.Contains(string(body), `"dev"`) {
 		t.Fatalf("redirected branch leaked into replica: %d %s", code, body)
+	}
+}
+
+// TestFollowerRoutesByDeclarationNotName: how a follower treats a
+// request is a property of the route it matched, never of the text of
+// its path. Dashboards named like route segments — merge, fork, branches,
+// ops — run and select locally (POST run/select are not writes) and fall
+// under -max-lag like any other dashboard.
+func TestFollowerRoutesByDeclarationNotName(t *testing.T) {
+	names := []string{"merge", "fork", "branches", "ops"}
+	_, _, fts, clk := newFollowerServer(t, 2*time.Second, names...)
+	for _, name := range names {
+		base := fts.URL + "/dashboards/" + name
+		code, hdr, body := doFull(t, "POST", base+"/run", "")
+		if code != 200 || hdr.Get(ReplicaLagHeader) == "" {
+			t.Fatalf("POST /dashboards/%s/run on follower = %d %s (lag header %q), want a local run", name, code, body, hdr.Get(ReplicaLagHeader))
+		}
+		// No widget named w: 400 from the local handler, not a 307.
+		if code, _, body := doFull(t, "POST", base+"/select/w", `{"values":["east"]}`); code != 400 {
+			t.Fatalf("POST /dashboards/%s/select/w on follower = %d %s, want the local handler's 400", name, code, body)
+		}
+	}
+	clk.Advance(5 * time.Second)
+	for _, name := range names {
+		code, hdr, body := doFull(t, "GET", fts.URL+"/dashboards/"+name, "")
+		if code != 503 || hdr.Get("Retry-After") == "" {
+			t.Errorf("GET /dashboards/%s past max-lag = %d %s, want 503 + Retry-After", name, code, body)
+		}
+	}
+	// The ops page of any dashboard — including the one named ops — stays up.
+	if code, _, body := doFull(t, "GET", fts.URL+"/dashboards/ops/ops", ""); code != 200 {
+		t.Errorf("GET /dashboards/ops/ops past max-lag = %d %s, want 200", code, body)
 	}
 }
 

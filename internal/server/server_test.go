@@ -791,7 +791,10 @@ func TestExplainEndpoint(t *testing.T) {
 // upload map — PUT …/data/{file} replacing it, POST …/run reading it
 // lock-free through env.Resources, GET …/html reading style.css — which
 // under -race (and, unluckily, without it: "fatal error: concurrent map
-// read and map write") fails unless uploads are copy-on-write.
+// read and map write") fails unless uploads are copy-on-write. Several
+// page loads run at once: they share one live (or result-cached)
+// dashboard, so the stylesheet must reach the render as an argument, not
+// through a per-request write to that dashboard.
 func TestConcurrentUploadRunHTML(t *testing.T) {
 	_, ts := newTestServer(t)
 	base := ts.URL + "/dashboards/live"
@@ -820,6 +823,9 @@ L:
 		{http.MethodPut, base + "/data/style.css", ".widget{color:#123}"},
 		{http.MethodPost, base + "/run", ""},
 		{http.MethodGet, base + "/html", ""},
+		{http.MethodGet, base + "/html", ""},
+		{http.MethodGet, base + "/html?device=mobile", ""},
+		{http.MethodGet, base + "/html", ""},
 	} {
 		wg.Add(1)
 		go func() {
@@ -846,5 +852,70 @@ func TestSaveDashboardValidates(t *testing.T) {
 	}
 	if _, ok := s.Repo("dangling"); ok {
 		t.Error("rejected save still created a repository")
+	}
+}
+
+// TestMergeRejectsUnloadableResult: a merge is a write to main like any
+// save. Here the branch deletes T.spare while main adds a flow that
+// uses it — no entry conflicts, but the merged file references an
+// undefined task. The merge must answer 422 and leave main where it was;
+// a merge that does land drops the dashboard's cached results like a save.
+func TestMergeRejectsUnloadableResult(t *testing.T) {
+	p := dashboard.NewPlatform()
+	p.Connectors = connector.NewRegistry(connector.Options{
+		Mem: map[string][]byte{"sales.csv": []byte(salesCSV)},
+	})
+	s := New(p, WithResultCache(0))
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	base := ts.URL + "/dashboards/m"
+
+	spare := "  spare:\n    type: topn\n    orderby_column: [amount DESC]\n    limit: 1\n"
+	withSpare := serverFlow + spare
+	usesSpare := strings.Replace(withSpare, "\nT:", "  +D.top: D.sales | T.spare\n\nT:", 1)
+	for _, step := range [][3]string{
+		{http.MethodPut, base, withSpare},
+		{http.MethodPost, base + "/branches/drop", ""},
+		{http.MethodPut, base + "/branches/drop", serverFlow}, // deletes T.spare
+		{http.MethodPut, base, usesSpare},                     // main now needs it
+		{http.MethodPost, base + "/run", ""},
+	} {
+		if code, body := do(t, step[0], step[1], step[2]); code != 200 {
+			t.Fatalf("%s %s = %d: %s", step[0], step[1], code, body)
+		}
+	}
+	repo, _ := s.Repo("m")
+	before, _ := repo.Tip("main")
+	if n := s.resultCache.Stats().Entries; n != 1 {
+		t.Fatalf("result cache entries after run = %d, want 1", n)
+	}
+
+	code, body := do(t, http.MethodPost, base+"/merge/drop", "")
+	if code != 422 || !strings.Contains(string(body), "spare") {
+		t.Fatalf("merge leaving T.spare dangling = %d %s, want 422 naming the task", code, body)
+	}
+	if after, _ := repo.Tip("main"); after.Hash != before.Hash {
+		t.Fatalf("rejected merge moved main: %s -> %s", before.Hash, after.Hash)
+	}
+	if code, body := do(t, http.MethodPost, base+"/run", ""); code != 200 {
+		t.Fatalf("main must still run after the rejected merge: %d %s", code, body)
+	}
+
+	// A loadable merge lands and invalidates.
+	ok := strings.Replace(usesSpare, "limit: 1", "limit: 2", 1)
+	for _, step := range [][3]string{
+		{http.MethodPost, base + "/branches/tune", ""},
+		{http.MethodPut, base + "/branches/tune", ok},
+		{http.MethodPost, base + "/merge/tune", ""},
+	} {
+		if code, body := do(t, step[0], step[1], step[2]); code != 200 {
+			t.Fatalf("%s %s = %d: %s", step[0], step[1], code, body)
+		}
+	}
+	if n := s.resultCache.Stats().Entries; n != 0 {
+		t.Errorf("result cache entries after a merge into main = %d, want 0 (invalidated like a save)", n)
+	}
+	if _, body := do(t, http.MethodGet, base, ""); !strings.Contains(string(body), "limit: 2") {
+		t.Errorf("merged content missing from main: %s", body)
 	}
 }

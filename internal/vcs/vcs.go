@@ -252,6 +252,13 @@ func (r *Repo) mergeBase(a, b string) string {
 // commits the result on dst with both parents. On conflicts it returns a
 // *ConflictError listing every conflicting section entry.
 func (r *Repo) Merge(dst, src, author string) (string, error) {
+	return r.MergeIf(dst, src, author, nil)
+}
+
+// MergeIf is Merge with a veto: accept, when not nil, sees the merged
+// text before it is committed, and its error aborts the merge with dst
+// untouched.
+func (r *Repo) MergeIf(dst, src, author string, accept func(merged []byte) error) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	dstTip, ok := r.branches[dst]
@@ -274,6 +281,9 @@ func (r *Repo) Merge(dst, src, author string) (string, error) {
 		baseContent,
 		r.blobs[r.commits[dstTip].Blob],
 		r.blobs[r.commits[srcTip].Blob])
+	if err == nil && accept != nil {
+		err = accept(merged)
+	}
 	if err != nil {
 		return "", err
 	}

@@ -4,10 +4,15 @@
 # directory (internal/<pkg> with everything below it, cmd, examples, and
 # "." for the root package). Raw `wc -l` lines — comments and blanks
 # count, so reformatting cannot move the number much either way.
+#
+# The total is gated: it must not exceed the one integer in
+# scripts/loc.budget. A PR that needs more lines raises the budget in its
+# own diff, where review sees it; one that removes lines lowers it.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
+budget=$(<scripts/loc.budget)
 find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.*' -print0 |
-	xargs -0 wc -l | awk '
+	xargs -0 wc -l | awk -v budget="$budget" '
 	$2 == "total" { next }
 	{
 		n = split($2, p, "/")
@@ -20,4 +25,9 @@ find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.*'
 	END {
 		printf "%7d total\n", total
 		for (k in lines) printf "%7d %s\n", lines[k], k | "sort -k2"
+		close("sort -k2")
+		if (total > budget) {
+			printf "loc.sh: %d non-test lines exceed the budget of %d (scripts/loc.budget)\n", total, budget > "/dev/stderr"
+			exit 1
+		}
 	}'
