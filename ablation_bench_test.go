@@ -48,7 +48,8 @@ T:
 	reg := task.NewRegistry()
 	var specs []task.Spec
 	for _, name := range []string{"split", "trim"} {
-		sp, err := reg.Parse(f, f.Tasks[name])
+		parsed, failed := reg.Parse(f)
+		sp, err := parsed[name], failed[name]
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -309,7 +309,8 @@ func specFromText(b *testing.B, src string) task.Spec {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec, err := task.NewRegistry().Parse(f, f.Tasks[f.TaskOrder[0]])
+	parsed, failed := task.NewRegistry().Parse(f)
+	spec, err := parsed[f.TaskOrder[0]], failed[f.TaskOrder[0]]
 	if err != nil {
 		b.Fatal(err)
 	}

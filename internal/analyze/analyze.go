@@ -26,7 +26,6 @@ import (
 	"shareinsights/internal/dag"
 	"shareinsights/internal/diagnose"
 	"shareinsights/internal/flowfile"
-	"shareinsights/internal/schema"
 	"shareinsights/internal/share"
 	"shareinsights/internal/task"
 	"shareinsights/internal/widget"
@@ -213,24 +212,20 @@ func LintWithFacts(f *flowfile.File, opts Options) (*Report, *flowcheck.Facts) {
 	return l.report, l.exportFacts()
 }
 
-// lintRun executes the full lint walk and returns the linter with its
-// per-flow records intact — the shared engine behind LintWithFacts and
-// OptimizerHints.
+// lintRun resolves the file into its graph once (dag.Resolve — the same
+// resolver a run uses, so lint cannot call clean what run rejects),
+// analyzes it, and runs every rule over the result.
 func lintRun(f *flowfile.File, opts Options) *linter {
-	l := &linter{
-		f:        f,
-		opts:     opts,
-		report:   &Report{},
-		schemas:  map[string]*schema.Schema{},
-		scopes:   map[string]flowcheck.Scope{},
-		cards:    map[string]flowcheck.Card{},
-		specs:    map[string]task.Spec{},
-		broken:   map[string]bool{},
-		flowRecs: map[int]*chainRec{},
-	}
+	g, problems := dag.Resolve(f, opts.Tasks, opts.Shared)
+	l := &linter{analysis: analyzeGraph(g, opts.SourceScopes), opts: opts, report: &Report{}}
 	l.validation()
-	l.parseTasks()
-	l.resolveAndWalk()
+	l.checkTasks()
+	l.checkProblems(problems)
+	for _, fl := range f.Flows {
+		if rec := l.flowRecs[fl]; rec != nil {
+			l.checkChain(rec)
+		}
+	}
 	l.checkWidgets()
 	l.checkDataProps()
 	l.checkResilienceProps()
@@ -252,83 +247,107 @@ func lintRun(f *flowfile.File, opts Options) *linter {
 	return l
 }
 
-// exportFacts assembles the stable fact structure from the walk's
-// per-object results and the liveness pass.
-func (l *linter) exportFacts() *flowcheck.Facts {
-	facts := flowcheck.NewFacts()
-	producer := map[string]string{}
-	verdict := map[string]string{}
-	for i, fl := range l.f.Flows {
-		rec := l.flowRecs[i]
-		if rec == nil || !rec.ok {
-			continue
-		}
-		p, v := "flow", ""
-		if n := len(rec.stages); n > 0 {
-			last := rec.stages[n-1]
-			p = "T." + last.name
-			v = last.verdict
-		}
-		for _, o := range fl.Outputs {
-			producer[o.Name] = p
-			verdict[o.Name] = v
-		}
-	}
-	for name, sc := range l.scopes {
-		prod, ok := producer[name]
-		if !ok {
-			prod = "source"
-		}
-		card, haveCard := l.cards[name]
-		if !haveCard {
-			card = flowcheck.CardUnknown()
-		}
-		facts.Record(name, prod, sc, card, verdict[name])
-		if l.full[name] {
-			all := map[string]bool{}
-			if s := l.schemas[name]; s != nil {
-				for _, n := range s.Names() {
-					all[n] = true
+// analysis is the facts half of a lint — what the flowcheck transfer and
+// the liveness pass derive from a resolved graph, with no rule run. It is
+// all the optimizer's hints need.
+type analysis struct {
+	g *dag.Graph
+	f *flowfile.File
+	// scopes and cards map resolved data-object names to flowcheck column
+	// facts and row-count bounds.
+	scopes map[string]flowcheck.Scope
+	cards  map[string]flowcheck.Card
+	// flowRecs keeps each flow's walked chain for the rules, liveness and
+	// facts.
+	flowRecs map[*flowfile.Flow]*chainRec
+	// lookup resolves parallel sub-task definitions for flowcheck.
+	lookup flowcheck.TaskLookup
+	// full / live / consumed are the liveness pass results (see liveness).
+	full     map[string]bool
+	live     map[string]map[string]bool
+	consumed map[string]bool
+}
+
+// analyzeGraph runs the forward transfer over every flow chain the
+// resolver bound, in the graph's order, then the backward liveness pass.
+// Source column types are unknown — values are parsed dynamically — so
+// inference starts at the first deriving task, unless the caller knows
+// them (sources: the differential fuzzer seeds its generator's types).
+func analyzeGraph(g *dag.Graph, sources map[string]flowcheck.Scope) *analysis {
+	a := &analysis{g: g, f: g.File, scopes: map[string]flowcheck.Scope{}, cards: map[string]flowcheck.Card{},
+		flowRecs: map[*flowfile.Flow]*chainRec{}, lookup: func(name string) *flowfile.TaskDef { return g.File.Tasks[name] }}
+	for _, name := range g.Order {
+		n := g.Nodes[name]
+		if n.IsSource() {
+			if n.Schema != nil {
+				a.scopes[name], a.cards[name] = flowcheck.Scope{}, flowcheck.CardUnknown()
+				if sc, ok := sources[name]; ok {
+					a.scopes[name] = sc
 				}
 			}
+			continue
+		}
+		rec := a.flowRecs[n.Flow]
+		if rec == nil {
+			rec = a.walk(&n.Chain)
+			a.flowRecs[n.Flow] = rec
+		}
+		if rec.ok {
+			a.scopes[name], a.cards[name] = rec.scope, rec.card
+		}
+	}
+	a.liveness()
+	return a
+}
+
+// exportFacts assembles the stable fact structure from the walk's
+// per-object results and the liveness pass.
+func (a *analysis) exportFacts() *flowcheck.Facts {
+	facts := flowcheck.NewFacts()
+	for name, sc := range a.scopes {
+		prod, verdict := "source", ""
+		if rec := a.flowRecs[a.g.Nodes[name].Flow]; rec != nil {
+			prod = "flow"
+			if n := len(rec.stages); n > 0 {
+				prod, verdict = "T."+rec.stages[n-1].Name, rec.stages[n-1].verdict
+			}
+		}
+		facts.Record(name, prod, sc, a.cards[name], verdict)
+		if a.full[name] {
+			all := map[string]bool{}
+			for _, n := range a.g.Nodes[name].Schema.Names() {
+				all[n] = true
+			}
 			facts.SetLive(name, all)
-		} else if l.consumed[name] {
-			facts.SetLive(name, l.live[name])
-			if s := l.schemas[name]; s != nil {
-				for _, col := range s.Names() {
-					if !l.live[name][col] {
-						facts.AddDead(name, col, prod != "source")
-					}
-				}
+		} else if a.consumed[name] {
+			facts.SetLive(name, a.live[name])
+			for _, col := range a.deadColumns(name) {
+				facts.AddDead(name, col, prod != "source")
 			}
 		}
 	}
 	return facts
 }
 
-// linter holds one run's state.
+// deadColumns lists the columns of a consumed, not fully live object
+// that nothing downstream reads, in schema order.
+func (a *analysis) deadColumns(name string) []string {
+	var dead []string
+	if s := a.g.Nodes[name].Schema; s != nil && a.consumed[name] && !a.full[name] {
+		for _, col := range s.Names() {
+			if !a.live[name][col] {
+				dead = append(dead, col)
+			}
+		}
+	}
+	return dead
+}
+
+// linter holds one run's state: the analysis plus the rules' report.
 type linter struct {
-	f      *flowfile.File
+	*analysis
 	opts   Options
 	report *Report
-	// schemas maps resolved data-object names to their column structure.
-	schemas map[string]*schema.Schema
-	// scopes maps resolved data-object names to flowcheck column facts.
-	scopes map[string]flowcheck.Scope
-	// cards maps resolved data-object names to row-count bounds.
-	cards map[string]flowcheck.Card
-	// specs maps task names to parsed specs (absent on parse failure).
-	specs map[string]task.Spec
-	// broken marks tasks whose configuration failed to parse, so
-	// pipelines through them are skipped without double-reporting.
-	broken map[string]bool
-	// flowRecs keeps each flow's walked chain for liveness and facts.
-	flowRecs map[int]*chainRec
-	// full / live / consumed are the liveness pass results (see
-	// checkDeadColumns).
-	full     map[string]bool
-	live     map[string]map[string]bool
-	consumed map[string]bool
 }
 
 func (l *linter) add(f Finding) { l.report.Findings = append(l.report.Findings, f) }
@@ -362,37 +381,70 @@ var reclaimedCodes = map[string]bool{
 	flowfile.ProblemCache:      true, // FL045: cache / max_rows
 }
 
-// parseTasks type-checks every task definition against the registry:
-// FL001 unknown type, FL002 invalid configuration.
-func (l *linter) parseTasks() {
-	if l.opts.Tasks == nil {
-		return
-	}
-	known := append(l.opts.Tasks.Types(), "parallel")
+// checkTasks reports every task definition the resolver could not parse,
+// referenced or not: FL001 unknown type, FL002 invalid configuration.
+func (l *linter) checkTasks() {
 	for _, name := range l.f.TaskOrder {
-		def := l.f.Tasks[name]
-		sp, err := l.opts.Tasks.Parse(l.f, def)
-		if err == nil {
-			l.specs[name] = sp
-			continue
+		if p := l.g.BadTasks[name]; p != nil {
+			l.reportProblem(p)
 		}
-		l.broken[name] = true
-		msg := cleanMsg(err.Error())
-		if strings.Contains(msg, "unknown type") || strings.Contains(msg, "unknown task type") {
-			fd := Finding{Rule: "FL001", Severity: Error, Entity: "T." + name, Line: def.Line,
-				Message: fmt.Sprintf("unknown task type %q", def.Type)}
-			if hint := diagnose.Nearest(def.Type, known); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
-			continue
+	}
+}
+
+// checkProblems reports what the resolver rejects about the graph as a
+// whole. A task's problem is reported where it is declared (checkTasks),
+// a chain's where it is walked (checkChain); an undefined task or a
+// second producer is Validate's FL000 already.
+func (l *linter) checkProblems(problems []*dag.Problem) {
+	for _, p := range problems {
+		switch p.Kind {
+		case dag.ProblemUnresolvable, dag.ProblemCycle, dag.ProblemSchemaDrift:
+			l.reportProblem(p)
 		}
-		fd := Finding{Rule: "FL002", Severity: Error, Entity: "T." + name, Line: def.Line, Message: msg}
-		if strings.Contains(msg, "empty orderby_column") {
+	}
+}
+
+// reportProblem turns a resolver problem into its finding; the rule is
+// chosen by the problem's kind, never by its text. Kinds no existing rule
+// owns are FL000 errors carrying the resolver's own message.
+func (l *linter) reportProblem(p *dag.Problem) {
+	fd := Finding{Rule: "FL000", Severity: Error, Entity: p.Entity, Line: p.Line, Message: cleanMsg(p.Err.Error())}
+	nearest := func(target string, candidates []string) {
+		if hint := diagnose.Nearest(target, candidates); hint != "" {
+			fd.Hint = fmt.Sprintf("did you mean %q?", hint)
+		}
+	}
+	switch p.Kind {
+	case dag.ProblemUnknownType:
+		def := l.f.Tasks[p.Entity[2:]]
+		fd.Rule, fd.Message = "FL001", fmt.Sprintf("unknown task type %q", def.Type)
+		nearest(def.Type, append(l.opts.Tasks.Types(), "parallel"))
+	case dag.ProblemBadConfig:
+		fd.Rule = "FL002"
+		if def := l.f.Tasks[p.Entity[2:]]; (def.Type == "topn" || def.Type == "sort") && len(def.Config.StrList("orderby_column")) == 0 {
 			fd.Hint = "topn needs an orderby_column to rank rows within each group"
 		}
-		l.add(fd)
+	case dag.ProblemMissingColumn, dag.ProblemBind:
+		fd.Rule = "FL003"
+		nearest(p.Column, p.InScope)
+	case dag.ProblemDuplicateColumn:
+		fd.Rule = "FL020"
+	case dag.ProblemUnresolvable:
+		// Validate(true) lets an object with no local schema pass as a
+		// shared publication; only a declared source makes it an error.
+		fd.Rule = "FL003"
+		d := l.f.Data[p.Entity[2:]]
+		if d == nil {
+			return // named by a widget source only: nothing declares it
+		} else if d.Prop("source") != "" || d.Prop("protocol") != "" {
+			fd.Message = "data object has a source but no declared schema, so its columns cannot be resolved"
+			fd.Hint = "add a schema: block listing the source's columns"
+		} else {
+			fd.Severity = Warning
+			fd.Message = "data object is not resolvable locally; assuming a shared publication — its pipelines cannot be checked"
+		}
 	}
+	l.add(fd)
 }
 
 // checkDataProps validates connector properties on data objects: FL040
@@ -612,8 +664,9 @@ func (l *linter) checkWidgets() {
 		if w.Source == nil {
 			continue
 		}
-		out, _, _, rec := l.walkPipeline(w.Source, entity, w.Line)
-		if !rec.ok || out == nil {
+		l.checkChain(l.walk(l.g.Widgets[name]))
+		out := l.g.Widgets[name].Schema
+		if out == nil {
 			continue
 		}
 		for _, a := range desc.DataAttrs {
@@ -632,70 +685,10 @@ func (l *linter) checkWidgets() {
 	}
 }
 
-// checkDeadEntities hand-assembles a dag.Graph (tolerating the errors
-// dag.Build rejects) and reports FL010 dead data objects, FL011 unused
-// tasks, FL012 unused widgets.
+// checkDeadEntities reports FL010 dead data objects (from the resolved
+// graph's consumers), FL011 unused tasks, FL012 unused widgets.
 func (l *linter) checkDeadEntities() {
-	g := &dag.Graph{Nodes: map[string]*dag.Node{}, File: l.f}
-	node := func(name string) *dag.Node {
-		if n, ok := g.Nodes[name]; ok {
-			return n
-		}
-		def := l.f.Data[name]
-		if def == nil {
-			def = &flowfile.DataDef{Name: name}
-		}
-		n := &dag.Node{Name: name, Def: def}
-		g.Nodes[name] = n
-		return n
-	}
-	for _, name := range l.f.DataOrder {
-		node(name)
-	}
-	for _, fl := range l.f.Flows {
-		if fl.Pipeline == nil {
-			continue
-		}
-		var inputs []string
-		for _, in := range fl.Pipeline.Inputs {
-			inputs = append(inputs, in.Name)
-		}
-		for _, out := range fl.Outputs {
-			n := node(out.Name)
-			if n.Flow == nil {
-				n.Flow = fl
-				n.Inputs = inputs
-			}
-		}
-	}
-	for _, wname := range l.f.WidgetOrder {
-		w := l.f.Widgets[wname]
-		if w.Source == nil {
-			continue
-		}
-		for _, in := range w.Source.Inputs {
-			node(in.Name).Consumers = append(node(in.Name).Consumers, "widget:"+wname)
-		}
-	}
-	for name, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			node(in).Consumers = append(node(in).Consumers, name)
-		}
-	}
-	g.Order = append(g.Order, l.f.DataOrder...)
-	var extra []string
-	seen := map[string]bool{}
-	for _, name := range g.Order {
-		seen[name] = true
-	}
-	for name := range g.Nodes {
-		if !seen[name] {
-			extra = append(extra, name)
-		}
-	}
-	sort.Strings(extra)
-	g.Order = append(g.Order, extra...)
-
+	g := l.g
 	for _, name := range g.DeadSinks() {
 		l.add(Finding{Rule: "FL010", Severity: Warning, Entity: "D." + name, Line: defLine(l.f, name),
 			Message: "computed but never read: not an endpoint, not published, feeds no flow or widget",

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"shareinsights/internal/analyze/flowcheck"
 	"shareinsights/internal/connector"
+	"shareinsights/internal/dag"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/task"
 )
@@ -666,7 +668,9 @@ func TestGoldenIPLExample(t *testing.T) {
 }
 
 // TestLintToleratesBrokenFiles pins that Lint never panics and keeps
-// reporting whatever it can on structurally damaged input.
+// reporting whatever it can on structurally damaged input — including,
+// from the same graph a broken flow left unresolved, the dead-entity and
+// dead-column findings of the healthy flows beside it.
 func TestLintToleratesBrokenFiles(t *testing.T) {
 	srcs := []string{
 		"",
@@ -681,6 +685,171 @@ func TestLintToleratesBrokenFiles(t *testing.T) {
 			continue
 		}
 		_ = Lint(f, Options{Tasks: task.NewRegistry()})
+	}
+	report := lintSrc(t, `
+D:
+  src: [region, amount]
+  idle: [x]
+D.src:
+  source: mem:src.csv
+F:
+  +D.broken: D.src | T.agg_typo
+  D.behind: D.broken | T.keep
+  D.scratch: D.src | T.keep
+  +D.out: D.src | T.double | T.agg
+T:
+  agg_typo:
+    type: groupby
+    groupby: [regon]
+  keep:
+    type: filter_by
+    filter_expression: amount > 3
+  double:
+    type: map
+    operator: expr
+    expression: amount * 2
+    output: twice
+  agg:
+    type: groupby
+    groupby: [region]
+  spare:
+    type: limit
+    limit: 1
+`)
+	want := map[string]string{ // rule -> entity
+		"FL003": "T.agg_typo", // the broken flow, reported once
+		"FL011": "T.spare",
+		"FL064": "T.double",
+	}
+	for rule, entity := range want {
+		if fs := findRule(report, rule); len(fs) != 1 || fs[0].Entity != entity {
+			t.Errorf("%s findings = %v, want one on %s\n%s", rule, fs, entity, renderReport(report))
+		}
+	}
+	dead := map[string]bool{}
+	for _, fd := range findRule(report, "FL010") {
+		dead[fd.Entity] = true
+	}
+	if !dead["D.idle"] || !dead["D.scratch"] || !dead["D.behind"] || dead["D.broken"] {
+		t.Errorf("FL010 on %v\n%s", dead, renderReport(report))
+	}
+}
+
+// TestLintReportsWhatBuildRejects: the three files lint used to call
+// clean while plan and run rejected them. Lint reads the resolver's own
+// graph now, so each is an error finding carrying the resolver's message,
+// attributed where the run-time diagnostic points.
+func TestLintReportsWhatBuildRejects(t *testing.T) {
+	const keep = "T:\n  keep:\n    type: filter_by\n    filter_expression: x > 0\n"
+	cases := []struct {
+		name, src, entity, message string
+		line                       int
+	}{
+		{"cycle", "D:\n  a: [x]\nF:\n  D.a: D.b | T.keep\n  D.b: D.a | T.keep\n" + keep,
+			"D.a", "flows form a cycle through D.a, D.b", 2},
+		{"schema drift", `
+D:
+  sales: [region, amount]
+  by_region: [region, totl]
+F:
+  +D.by_region: D.sales | T.g
+T:
+  g:
+    type: groupby
+    groupby: [region]
+    aggregates:
+      - operator: sum
+        apply_on: amount
+        out_field: total
+`, "D.by_region", "declared schema [region, totl] but its flow produces [region, total]", 4},
+		{"fan-in without task", "D:\n  sales: [x]\n  other: [x]\nF:\n  +D.both: (D.sales, D.other)\n",
+			"D.both", "fan-in of 2 inputs needs at least one task", 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := flowfile.Parse("demo", tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dag.Build(f, task.NewRegistry(), nil); err == nil || !strings.HasSuffix(err.Error(), tc.message) {
+				t.Fatalf("Build error = %v, want it to end in %q", err, tc.message)
+			}
+			report := lintSrc(t, tc.src)
+			want := Finding{Rule: "FL000", Severity: Error, Entity: tc.entity, Line: tc.line, Message: tc.message}
+			if len(report.Findings) != 1 || report.Findings[0] != want {
+				t.Fatalf("findings:\n%s\nwant only:\n%s", renderReport(report), want)
+			}
+		})
+	}
+}
+
+// TestWidgetSourceProblemsReported: a widget source resolves through the
+// same resolver, so what Compile rejects about it is a finding too — a
+// stage that does not bind on the task, a task-less fan-in on the widget.
+func TestWidgetSourceProblemsReported(t *testing.T) {
+	report := lintSrc(t, `
+D:
+  a: [x]
+  b: [x]
+W:
+  both:
+    type: Grid
+    source: (D.a, D.b)
+  grouped:
+    type: Grid
+    source: D.a | T.g
+T:
+  g:
+    type: groupby
+    groupby: [y]
+`)
+	if fs := findRule(report, "FL000"); len(fs) != 1 || fs[0].Entity != "W.both" || fs[0].Message != "fan-in of 2 inputs needs at least one task" {
+		t.Errorf("FL000 = %v\n%s", fs, renderReport(report))
+	}
+	if fs := findRule(report, "FL003"); len(fs) != 1 || fs[0].Entity != "T.g" || fs[0].Hint != `did you mean "x"?` {
+		t.Errorf("FL003 = %v\n%s", fs, renderReport(report))
+	}
+}
+
+// TestRuleChosenByKindNotText: a finding's rule follows the resolver
+// problem's kind. A missing column that happens to be named "duplicate
+// column" is still a missing column (FL003, with the did-you-mean), and a
+// user task whose parser's message mentions "unknown type" is still a
+// configuration error of a known type (FL002).
+func TestRuleChosenByKindNotText(t *testing.T) {
+	reg := task.NewRegistry()
+	if err := reg.Register("probe", func(*flowfile.Node) (task.Spec, error) {
+		return nil, fmt.Errorf("probe: unknown type of sensor")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := flowfile.Parse("demo", `
+D:
+  src: [region, "duplicate columns"]
+D.src:
+  source: mem:src.csv
+F:
+  +D.out: D.src | T.agg
+  +D.probed: D.src | T.probe
+T:
+  agg:
+    type: groupby
+    groupby: [duplicate column]
+  probe:
+    type: probe
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := Lint(f, Options{Tasks: reg})
+	if fs := findRule(report, "FL003"); len(fs) != 1 || fs[0].Entity != "T.agg" || fs[0].Hint != `did you mean "duplicate columns"?` {
+		t.Errorf("FL003 = %v\n%s", fs, renderReport(report))
+	}
+	if fs := findRule(report, "FL002"); len(fs) != 1 || fs[0].Entity != "T.probe" || !strings.Contains(fs[0].Message, "unknown type of sensor") {
+		t.Errorf("FL002 = %v\n%s", fs, renderReport(report))
+	}
+	if fs := append(findRule(report, "FL020"), findRule(report, "FL001")...); len(fs) != 0 {
+		t.Errorf("misfiled by message text: %v", fs)
 	}
 }
 

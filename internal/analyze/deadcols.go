@@ -8,93 +8,91 @@ import (
 	"shareinsights/internal/task"
 )
 
-// checkDeadColumns is the backward liveness pass: starting from what the
-// outside world can observe (endpoints, published objects, widget
-// bindings, pipelines the walk could not analyze — all conservatively
-// fully live), it propagates column demand backward through every walked
-// flow and reports FL064 for columns a task computes that no downstream
-// consumer ever reads. Source columns that are fetched but unused are
-// recorded as facts only (projection-pushdown input for the optimizer),
-// not findings — the flow author often cannot change a source's schema.
-func (l *linter) checkDeadColumns() {
-	l.full = map[string]bool{}
-	l.live = map[string]map[string]bool{}
-	l.consumed = map[string]bool{}
+// liveness is the backward liveness pass: starting from what the outside
+// world can observe (endpoints, published objects, widget bindings,
+// chains the walk could not analyze — all conservatively fully live), it
+// propagates column demand backward through every walked flow. Source
+// columns that are fetched but unused become facts only
+// (projection-pushdown input for the optimizer), not findings — the flow
+// author often cannot change a source's schema.
+func (a *analysis) liveness() {
+	a.full = map[string]bool{}
+	a.live = map[string]map[string]bool{}
+	a.consumed = map[string]bool{}
 
 	// Externally visible objects need every column.
-	for _, name := range l.f.DataOrder {
-		d := l.f.Data[name]
+	for _, name := range a.f.DataOrder {
+		d := a.f.Data[name]
 		if d.Endpoint || d.Publish != "" {
-			l.full[name] = true
+			a.full[name] = true
 		}
 	}
 	// Widgets may render any column of their source pipeline's inputs;
 	// their demand is not tracked column-by-column.
-	for _, wname := range l.f.WidgetOrder {
-		if w := l.f.Widgets[wname]; w.Source != nil {
-			for _, in := range w.Source.Inputs {
-				l.full[in.Name] = true
-				l.consumed[in.Name] = true
-			}
+	for _, c := range a.g.Widgets {
+		for _, in := range c.Inputs {
+			a.full[in] = true
+			a.consumed[in] = true
 		}
 	}
 	// A flow the walk could not analyze may read anything.
-	for i, fl := range l.f.Flows {
+	for _, fl := range a.f.Flows {
 		if fl.Pipeline == nil {
 			continue
 		}
+		rec := a.flowRecs[fl]
 		for _, in := range fl.Pipeline.Inputs {
-			l.consumed[in.Name] = true
-		}
-		if rec := l.flowRecs[i]; rec == nil || !rec.ok {
-			for _, in := range fl.Pipeline.Inputs {
-				l.full[in.Name] = true
+			a.consumed[in.Name] = true
+			if rec == nil || !rec.ok {
+				a.full[in.Name] = true
 			}
 		}
 	}
 
-	lookup := l.taskLookup()
 	for changed := true; changed; {
 		changed = false
-		for i, fl := range l.f.Flows {
-			rec := l.flowRecs[i]
+		for _, fl := range a.f.Flows {
+			rec := a.flowRecs[fl]
 			if rec == nil || !rec.ok {
 				continue
 			}
-			sets, _ := l.backProp(rec, lookup, l.outLive(fl.Outputs))
-			for j, name := range rec.inputs {
-				if j >= len(sets) || l.full[name] {
+			sets, _ := a.backProp(rec, a.outLive(fl.Outputs))
+			for j, name := range rec.chain.Inputs {
+				if j >= len(sets) || a.full[name] {
 					continue
 				}
-				if l.live[name] == nil {
-					l.live[name] = map[string]bool{}
+				if a.live[name] == nil {
+					a.live[name] = map[string]bool{}
 				}
 				for c := range sets[j] {
-					if !l.live[name][c] {
-						l.live[name][c] = true
+					if !a.live[name][c] {
+						a.live[name][c] = true
 						changed = true
 					}
 				}
 			}
 		}
 	}
+}
 
-	// FL064: a computed column nothing downstream reads. Deduplicated by
-	// task and column — a task shared by several flows reports once.
+// checkDeadColumns reports FL064: a computed column nothing downstream
+// reads. Deduplicated by task and column — a task shared by several
+// flows reports once.
+func (l *linter) checkDeadColumns() {
 	seen := map[string]bool{}
-	for i, fl := range l.f.Flows {
-		rec := l.flowRecs[i]
+	for _, fl := range l.f.Flows {
+		rec := l.flowRecs[fl]
 		if rec == nil || !rec.ok {
 			continue
 		}
-		_, liveAfter := l.backProp(rec, lookup, l.outLive(fl.Outputs))
+		_, liveAfter := l.backProp(rec, l.outLive(fl.Outputs))
 		for k, st := range rec.stages {
-			for _, c := range computedCols(st.spec) {
-				if liveAfter[k][c] || seen[st.name+"\x00"+c] {
+			for _, c := range computedCols(rec.chain.Specs[k]) {
+				if liveAfter[k][c] || seen[st.Name+"\x00"+c] {
 					continue
 				}
-				seen[st.name+"\x00"+c] = true
-				l.add(Finding{Rule: "FL064", Severity: Info, Entity: "T." + st.name, Line: st.def.Line,
+				seen[st.Name+"\x00"+c] = true
+				l.add(Finding{Rule: "FL064", Severity: Info, Entity: "T." + st.Name, Line: st.Def.Line,
 					Message: fmt.Sprintf("column %q is computed but never used downstream — no endpoint, widget, filter or later task reads it", c),
 					Hint:    "drop the column, or remove the task if nothing else needs it"})
 			}
@@ -104,18 +102,18 @@ func (l *linter) checkDeadColumns() {
 
 // outLive is the union of column demand over a flow's output objects; a
 // fully-live output expands to its whole schema.
-func (l *linter) outLive(outs []flowfile.Ref) map[string]bool {
+func (a *analysis) outLive(outs []flowfile.Ref) map[string]bool {
 	demand := map[string]bool{}
 	for _, o := range outs {
-		if l.full[o.Name] {
-			if s := l.schemas[o.Name]; s != nil {
+		if a.full[o.Name] {
+			if s := a.g.Nodes[o.Name].Schema; s != nil {
 				for _, n := range s.Names() {
 					demand[n] = true
 				}
 			}
 			continue
 		}
-		for c := range l.live[o.Name] {
+		for c := range a.live[o.Name] {
 			demand[c] = true
 		}
 	}
@@ -125,13 +123,13 @@ func (l *linter) outLive(outs []flowfile.Ref) map[string]bool {
 // backProp pushes a demand set backward through one walked chain. It
 // returns the per-pipeline-input demand and, for FL064, the demand set
 // live immediately after each stage.
-func (l *linter) backProp(rec *chainRec, lookup flowcheck.TaskLookup, liveOut map[string]bool) ([]map[string]bool, []map[string]bool) {
+func (a *analysis) backProp(rec *chainRec, liveOut map[string]bool) ([]map[string]bool, []map[string]bool) {
 	liveAfter := make([]map[string]bool, len(rec.stages))
 	cur := liveOut
 	for k := len(rec.stages) - 1; k >= 0; k-- {
 		liveAfter[k] = cur
 		st := rec.stages[k]
-		sets := flowcheck.LiveIn(st.spec, st.def, lookup, st.ins, cur)
+		sets := flowcheck.LiveIn(rec.chain.Specs[k], st.Def, a.lookup, st.ins, cur)
 		if k == 0 {
 			return sets, liveAfter
 		}
@@ -142,7 +140,7 @@ func (l *linter) backProp(rec *chainRec, lookup flowcheck.TaskLookup, liveOut ma
 		}
 	}
 	// No stages: every input feeds the output unchanged.
-	sets := make([]map[string]bool, len(rec.inputs))
+	sets := make([]map[string]bool, len(rec.chain.Inputs))
 	for i := range sets {
 		c := map[string]bool{}
 		for k := range liveOut {

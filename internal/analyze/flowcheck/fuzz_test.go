@@ -275,10 +275,7 @@ func checkFlow(t *testing.T, seed int64, rows, nullRate int) bool {
 	// static facts the checker just proved, which reorder filters and
 	// shape pushdowns — must agree with the unplanned reference on both
 	// engines, and its outputs must conform to the same facts.
-	hints := analyze.OptimizerHints(f, analyze.Options{
-		Tasks:        task.NewRegistry(),
-		SourceScopes: map[string]flowcheck.Scope{"src": srcScope()},
-	})
+	hints := analyze.OptimizerHints(g, map[string]flowcheck.Scope{"src": srcScope()})
 	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
 		opts := hints.PlanOptions(nil)
 		opts.Columnar = mode

@@ -3,8 +3,8 @@ package analyze
 import (
 	"sort"
 
+	"shareinsights/internal/analyze/flowcheck"
 	"shareinsights/internal/dag"
-	"shareinsights/internal/flowfile"
 	"shareinsights/internal/task"
 )
 
@@ -23,23 +23,25 @@ type Hints struct {
 	DeadSourceColumns map[string][]string
 }
 
-// OptimizerHints runs the lint walk and extracts the optimizer's
-// static evidence: constant-predicate filter verdicts as selectivity
-// hints, and fetched-but-unused source columns for projection
-// pushdown. Broken flows contribute nothing (the optimizer then simply
-// has no static evidence for them, which is safe).
-func OptimizerHints(f *flowfile.File, opts Options) Hints {
-	l := lintRun(f, opts)
+// OptimizerHints analyzes an already resolved graph — the transfer and
+// liveness passes only, no rule — and extracts the optimizer's static
+// evidence: constant-predicate filter verdicts as selectivity hints, and
+// fetched-but-unused source columns for projection pushdown. sources
+// optionally seeds source column facts (Options.SourceScopes). Broken
+// flows contribute nothing (the optimizer then simply has no static
+// evidence for them, which is safe).
+func OptimizerHints(g *dag.Graph, sources map[string]flowcheck.Scope) Hints {
+	a := analyzeGraph(g, sources)
 	h := Hints{
 		Selectivity:       map[string]float64{},
 		DeadSourceColumns: map[string][]string{},
 	}
-	for i, fl := range f.Flows {
-		rec := l.flowRecs[i]
+	for _, fl := range g.File.Flows {
+		rec := a.flowRecs[fl]
 		if rec == nil || !rec.ok {
 			continue
 		}
-		for _, st := range rec.stages {
+		for k, st := range rec.stages {
 			var sel float64
 			switch st.verdict {
 			case "always_false":
@@ -49,21 +51,18 @@ func OptimizerHints(f *flowfile.File, opts Options) Hints {
 			default:
 				continue
 			}
-			desc := task.Describe(st.spec)
+			desc := task.Describe(rec.chain.Specs[k])
 			for _, o := range fl.Outputs {
 				h.Selectivity[dag.HintKey(o.Name, desc)] = sel
 			}
 		}
 	}
-	for _, dc := range l.exportFacts().Dead {
-		if dc.Computed {
-			// A task computed it — FL064 material, not a fetch to trim.
-			continue
+	// A dead computed column is FL064 material, not a fetch to trim.
+	for _, name := range g.Sources() {
+		if dead := a.deadColumns(name); len(dead) > 0 {
+			sort.Strings(dead)
+			h.DeadSourceColumns[name] = dead
 		}
-		h.DeadSourceColumns[dc.Object] = append(h.DeadSourceColumns[dc.Object], dc.Column)
-	}
-	for _, cols := range h.DeadSourceColumns {
-		sort.Strings(cols)
 	}
 	return h
 }
@@ -77,11 +76,4 @@ func (h Hints) PlanOptions(stats dag.StatsFn) dag.PlanOptions {
 		Hints:             h.Selectivity,
 		DeadSourceColumns: h.DeadSourceColumns,
 	}
-}
-
-// FileHints is OptimizerHints for callers that already parsed the file
-// but carry no lint options (CLI one-shots): tasks resolve from the
-// default registry.
-func FileHints(f *flowfile.File, tasks *task.Registry) Hints {
-	return OptimizerHints(f, Options{Tasks: tasks})
 }

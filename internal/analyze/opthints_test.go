@@ -14,7 +14,8 @@ func hintsSrc(t *testing.T, src string) Hints {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return OptimizerHints(f, Options{Tasks: task.NewRegistry()})
+	g, _ := dag.Resolve(f, task.NewRegistry(), nil)
+	return OptimizerHints(g, nil)
 }
 
 func TestOptimizerHintsConstantFilters(t *testing.T) {
@@ -99,11 +100,11 @@ T:
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := OptimizerHints(f, Options{Tasks: task.NewRegistry()})
 	g, err := dag.Build(f, task.NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := OptimizerHints(g, nil)
 	p := dag.Optimize(g, h.PlanOptions(nil))
 	np := p.Node("mid")
 	if task.Describe(np.Specs[0]) != "filter_by 1 > 2" {

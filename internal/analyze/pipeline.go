@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 
 	"shareinsights/internal/analyze/flowcheck"
@@ -10,201 +9,92 @@ import (
 	"shareinsights/internal/diagnose"
 	"shareinsights/internal/expr"
 	"shareinsights/internal/flowfile"
-	"shareinsights/internal/schema"
 	"shareinsights/internal/task"
 )
 
-// stageRec is one walked stage, kept for the backward liveness pass and
+// stageRec is one walked stage: the resolver's record of it plus the
+// facts flowing in, kept for the rules, the backward liveness pass and
 // the facts export.
 type stageRec struct {
-	name string
-	spec task.Spec
-	def  *flowfile.TaskDef
+	dag.Stage
 	// ins snapshots the stage's inputs (names, schemas, scopes) before it
-	// ran; out is its bound output schema.
+	// ran.
 	ins []flowcheck.Input
-	out *schema.Schema
 	// verdict is the filter constant-predicate verdict, "" otherwise.
 	verdict string
 }
 
-// chainRec is one walked pipeline: its input object names and stages.
+// chainRec is one walked chain: its stages up to and including the first
+// that did not bind, and — when ok, i.e. the resolver gave the chain a
+// schema — the facts of its output.
 type chainRec struct {
-	inputs []string
+	chain  *dag.Chain
 	stages []stageRec
 	ok     bool
+	scope  flowcheck.Scope
+	card   flowcheck.Card
 }
 
-// resolveAndWalk resolves every data object's schema and walks every
-// flow pipeline stage by stage. Unlike dag.Build — which aborts on the
-// first error — the walk is a tolerant fixpoint: each flow binds as soon
-// as its inputs resolve, failures are attributed to the specific task
-// and line, and downstream flows of a failed one are skipped silently
-// (their root cause is already reported).
-func (l *linter) resolveAndWalk() {
-	produced := map[string]bool{}
-	for _, fl := range l.f.Flows {
-		for _, out := range fl.Outputs {
-			produced[out.Name] = true
+// walk runs the flowcheck transfer over the stages the resolver bound.
+// It binds nothing itself: a chain with an unresolved input, an
+// undefined or misconfigured task, or a stage that did not bind is not
+// ok, and what depends on it is skipped silently — the resolver already
+// holds the root cause.
+func (a *analysis) walk(c *dag.Chain) *chainRec {
+	rec := &chainRec{chain: c}
+	ins := make([]flowcheck.Input, len(c.Inputs))
+	for i, in := range c.Inputs {
+		sc, resolved := a.scopes[in]
+		if !resolved {
+			return rec
 		}
+		ins[i] = flowcheck.Input{Name: in, Schema: a.g.Nodes[in].Schema, Scope: sc, Card: a.cards[in]}
 	}
-	// Seed source schemas: declared inline, or resolved from the shared
-	// catalog. Source column types are unknown — values are parsed
-	// dynamically — so inference starts at the first deriving task. A
-	// caller that does know source types (the differential fuzzer seeds
-	// its generator's true column types) provides them via SourceScopes.
-	for _, name := range l.f.DataOrder {
-		if produced[name] {
-			continue
+	for k, st := range c.Stages {
+		rec.stages = append(rec.stages, stageRec{Stage: st, ins: ins})
+		if st.Out == nil {
+			return rec
 		}
-		d := l.f.Data[name]
-		if d.Schema != nil {
-			l.schemas[name] = d.Schema
-			l.scopes[name] = l.sourceScope(name)
-			l.cards[name] = flowcheck.CardUnknown()
-			continue
-		}
-		if l.opts.Shared != nil {
-			if s, ok := l.opts.Shared(name); ok {
-				l.schemas[name] = s
-				l.scopes[name] = l.sourceScope(name)
-				l.cards[name] = flowcheck.CardUnknown()
-				continue
-			}
-		}
-		if d.Prop("source") != "" || d.Prop("protocol") != "" {
-			l.add(Finding{Rule: "FL003", Severity: Error, Entity: "D." + name, Line: d.Line,
-				Message: "data object has a source but no declared schema, so its columns cannot be resolved",
-				Hint:    "add a schema: block listing the source's columns"})
-		} else {
-			l.add(Finding{Rule: "FL003", Severity: Warning, Entity: "D." + name, Line: d.Line,
-				Message: "data object is not resolvable locally; assuming a shared publication — its pipelines cannot be checked"})
-		}
+		res := flowcheck.TransferStage(c.Specs[k], st.Def, a.lookup, ins, st.Out)
+		rec.stages[k].verdict = res.Verdict
+		ins = []flowcheck.Input{{Name: ins[0].Name, Schema: st.Out, Scope: res.Scope, Card: res.Card}}
 	}
-	// Fixpoint: bind flows whose inputs have all resolved.
-	pending := map[int]bool{}
-	for i, fl := range l.f.Flows {
-		if fl.Pipeline != nil && len(fl.Outputs) > 0 {
-			pending[i] = true
-		}
+	if c.Schema != nil {
+		rec.ok, rec.scope, rec.card = true, ins[0].Scope, ins[0].Card
 	}
-	for changed := true; changed; {
-		changed = false
-		for i, fl := range l.f.Flows {
-			if !pending[i] || !l.inputsReady(fl.Pipeline) {
-				continue
-			}
-			pending[i] = false
-			changed = true
-			out, sc, card, rec := l.walkPipeline(fl.Pipeline, "D."+fl.Outputs[0].Name, fl.Line)
-			l.flowRecs[i] = rec
-			if !rec.ok {
-				continue
-			}
-			for _, o := range fl.Outputs {
-				l.schemas[o.Name] = out
-				l.scopes[o.Name] = sc
-				l.cards[o.Name] = card
-			}
-		}
-	}
+	return rec
 }
 
-// sourceScope returns the caller-provided facts for a source object
-// (empty — all unknown — unless Options.SourceScopes supplies them).
-func (l *linter) sourceScope(name string) flowcheck.Scope {
-	if l.opts.SourceScopes != nil {
-		if sc, ok := l.opts.SourceScopes[name]; ok {
-			return sc
+// checkChain runs the per-stage rules over a walked chain in stage
+// order, reports the chain's own problem (a stage that did not bind, a
+// fan-in with no task; a task problem is checkTasks') and — for a chain
+// that bound — the filters the optimizer cannot hoist.
+func (l *linter) checkChain(rec *chainRec) {
+	specs := rec.chain.Specs
+	for k, st := range rec.stages {
+		l.checkStage(specs, k, st.Def, st.Name, st.ins)
+		if st.Out != nil {
+			l.checkFilterVerdict(specs[k], st.Def, st.Name, st.verdict)
 		}
 	}
-	return flowcheck.Scope{}
-}
-
-// inputsReady reports whether every pipeline input has a resolved schema.
-func (l *linter) inputsReady(p *flowfile.Pipeline) bool {
-	for _, in := range p.Inputs {
-		if l.schemas[in.Name] == nil {
-			return false
+	if p := rec.chain.Problem; p != nil {
+		if p.Kind != dag.ProblemUndefinedTask && p.Kind != dag.ProblemUnknownType && p.Kind != dag.ProblemBadConfig {
+			l.reportProblem(p)
 		}
+		return
 	}
-	return true
-}
-
-// walkPipeline steps a pipeline's spec chain, mirroring dag.BindPipeline
-// but collecting findings instead of failing fast. It returns the final
-// schema, column facts and cardinality bound; rec.ok is false when the
-// walk aborted (a missing input, unparsed task, or bind error — all
-// reported elsewhere or here).
-func (l *linter) walkPipeline(p *flowfile.Pipeline, owner string, ownerLine int) (*schema.Schema, flowcheck.Scope, flowcheck.Card, *chainRec) {
-	rec := &chainRec{}
-	ins := make([]flowcheck.Input, 0, len(p.Inputs))
-	for _, in := range p.Inputs {
-		s := l.schemas[in.Name]
-		if s == nil {
-			return nil, nil, flowcheck.Card{}, rec
-		}
-		sc := l.scopes[in.Name]
-		if sc == nil {
-			sc = flowcheck.Scope{}
-		}
-		card, ok := l.cards[in.Name]
-		if !ok {
-			card = flowcheck.CardUnknown()
-		}
-		ins = append(ins, flowcheck.Input{Name: in.Name, Schema: s, Scope: sc, Card: card})
-		rec.inputs = append(rec.inputs, in.Name)
+	if len(rec.stages) < len(specs) {
+		return // an input is unresolved: nothing was walked
 	}
-	specs := make([]task.Spec, 0, len(p.Tasks))
-	defs := make([]*flowfile.TaskDef, 0, len(p.Tasks))
-	for _, t := range p.Tasks {
-		def, ok := l.f.Tasks[t.Name]
-		if !ok || l.broken[t.Name] {
-			// Undefined (FL000) or unparsable (FL001/FL002): already
-			// reported; the chain past this point has no schema.
-			return nil, nil, flowcheck.Card{}, rec
-		}
-		specs = append(specs, l.specs[t.Name])
-		defs = append(defs, def)
-	}
-	taskIns := make([]task.Input, 0, len(ins))
-	for _, in := range ins {
-		taskIns = append(taskIns, task.Input{Name: in.Name, Schema: in.Schema})
-	}
-	for k, sp := range specs {
-		l.checkStage(specs, k, defs[k], p.Tasks[k].Name, ins)
-		out, err := sp.Out(taskIns)
-		if err != nil {
-			l.reportBindError(p.Tasks[k].Name, defs[k], err, taskIns)
-			return nil, nil, flowcheck.Card{}, rec
-		}
-		res := flowcheck.TransferStage(sp, defs[k], l.taskLookup(), ins, out)
-		l.checkFilterVerdict(sp, defs[k], p.Tasks[k].Name, res.Verdict)
-		rec.stages = append(rec.stages, stageRec{
-			name: p.Tasks[k].Name, spec: sp, def: defs[k],
-			ins: ins, out: out, verdict: res.Verdict,
-		})
-		ins = []flowcheck.Input{{Name: ins[0].Name, Schema: out, Scope: res.Scope, Card: res.Card}}
-		taskIns = []task.Input{{Name: ins[0].Name, Schema: out}}
-	}
-	// Advisories over the whole chain: filters the optimizer cannot hoist.
 	for _, bf := range dag.HoistFilters(specs).Blocked {
-		name := p.Tasks[bf.Index].Name
-		blocker := p.Tasks[bf.Blocker].Name
-		msg := fmt.Sprintf("filter cannot be pushed ahead of T.%s", blocker)
+		name, blocker := rec.stages[bf.Index], rec.stages[bf.Blocker]
+		msg := fmt.Sprintf("filter cannot be pushed ahead of T.%s", blocker.Name)
 		if len(bf.Columns) > 0 {
-			msg += fmt.Sprintf(" (it reads %s, which T.%s produces)", quoteJoin(bf.Columns), blocker)
+			msg += fmt.Sprintf(" (it reads %s, which T.%s produces)", quoteJoin(bf.Columns), blocker.Name)
 		}
-		l.add(Finding{Rule: "FL050", Severity: Info, Entity: "T." + name, Line: defs[bf.Index].Line,
+		l.add(Finding{Rule: "FL050", Severity: Info, Entity: "T." + name.Name, Line: name.Def.Line,
 			Message: msg + "; every row flows through that stage before it can be discarded"})
 	}
-	if len(ins) != 1 {
-		// A multi-input pipeline whose chain never merged them (e.g. no
-		// tasks at all): no single output schema to propagate.
-		return nil, nil, flowcheck.Card{}, rec
-	}
-	rec.ok = true
-	return ins[0].Schema, ins[0].Scope, ins[0].Card, rec
 }
 
 // checkFilterVerdict reports FL063 for a filter whose expression has a
@@ -308,30 +198,6 @@ func (l *linter) checkExprColumns(src string, ins []flowcheck.Input, entity stri
 		}
 		l.add(fd)
 	}
-}
-
-var bindColumnRe = regexp.MustCompile(`column "([^"]+)" not found \(have ([^)]*)\)`)
-
-// reportBindError classifies a spec's Out failure: FL020 duplicate
-// output columns, FL003 everything else (missing columns get a
-// did-you-mean hint against the in-scope schema).
-func (l *linter) reportBindError(name string, def *flowfile.TaskDef, err error, ins []task.Input) {
-	msg := cleanMsg(err.Error())
-	rule := "FL003"
-	if strings.Contains(msg, "duplicate column") {
-		rule = "FL020"
-	}
-	fd := Finding{Rule: rule, Severity: Error, Entity: "T." + name, Line: def.Line, Message: msg}
-	if m := bindColumnRe.FindStringSubmatch(msg); m != nil {
-		if hint := diagnose.Nearest(m[1], strings.Split(m[2], ",")); hint != "" {
-			fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-		}
-	} else if m := regexp.MustCompile(`column "([^"]+)" not found`).FindStringSubmatch(msg); m != nil && len(ins) > 0 {
-		if hint := diagnose.Nearest(m[1], ins[0].Schema.Names()); hint != "" {
-			fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-		}
-	}
-	l.add(fd)
 }
 
 // configLine returns the line of a task's configuration key, falling

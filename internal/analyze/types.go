@@ -27,11 +27,6 @@ func (l *linter) checkExprIssues(src string, sc flowcheck.Scope, entity string, 
 	}
 }
 
-// taskLookup resolves parallel sub-task definitions for flowcheck.
-func (l *linter) taskLookup() flowcheck.TaskLookup {
-	return func(name string) *flowfile.TaskDef { return l.f.Tasks[name] }
-}
-
 // checkJoinKeys compares the inferred types of paired join keys: FL021.
 // The conflict predicate is flowcheck's coarse projection — identical to
 // the pre-flowcheck rule.

@@ -341,22 +341,10 @@ func (r *Registry) policyFor(d *flowfile.DataDef) resilience.Policy {
 	return p
 }
 
-// Load fetches and decodes a data object. The definition must declare a
-// schema (the explicit schema call-out of §3.2).
-func (r *Registry) Load(d *flowfile.DataDef, s *schema.Schema) (*table.Table, error) {
-	t, _, err := r.LoadContext(context.Background(), d, s, nil, 0)
-	return t, err
-}
-
-// LoadTraced is Load with execution tracing: one span for the protocol
-// fetch and one for the payload decode, opened under parent on tr. A
-// nil tr traces nothing and adds no allocations.
-func (r *Registry) LoadTraced(d *flowfile.DataDef, s *schema.Schema, tr obs.Tracer, parent int) (*table.Table, error) {
-	t, _, err := r.LoadContext(context.Background(), d, s, tr, parent)
-	return t, err
-}
-
-// LoadContext fetches and decodes a data object under ctx, applying the
+// LoadContext fetches and decodes a data object under ctx — the
+// definition must declare a schema (the explicit schema call-out of
+// §3.2) — opening one span for the protocol fetch and one for the payload
+// decode under parent on tr (nil traces nothing), and applying the
 // fetch resilience policy: the source's circuit breaker is consulted
 // first (an open breaker fails fast without touching the source), then
 // the fetch runs under the retry policy — exponential backoff with full

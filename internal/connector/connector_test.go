@@ -1,6 +1,7 @@
 package connector
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -33,12 +34,19 @@ func def(t *testing.T, name string, props map[string]string) *flowfile.DataDef {
 	return d
 }
 
+// load is LoadContext the way most tests want it: no deadline, no
+// tracing, stats dropped.
+func load(r *Registry, d *flowfile.DataDef, s *schema.Schema) (*table.Table, error) {
+	t, _, err := r.LoadContext(context.Background(), d, s, nil, 0)
+	return t, err
+}
+
 func TestCSVPositionalBinding(t *testing.T) {
 	r := NewRegistry(Options{Mem: map[string][]byte{
 		"t.csv": []byte("east,10\nwest,20\n"),
 	}})
 	s := schema.MustFromNames("region", "amount")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.csv", "format": "csv"}), s)
+	tb, err := load(r, def(t, "t", map[string]string{"source": "mem:t.csv", "format": "csv"}), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestCSVHeaderBinding(t *testing.T) {
 		"t.csv": []byte("amount,region\n10,east\n20,west\n"),
 	}})
 	s := schema.MustFromNames("region", "amount")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.csv"}), s)
+	tb, err := load(r, def(t, "t", map[string]string{"source": "mem:t.csv"}), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +75,7 @@ func TestCSVCustomSeparator(t *testing.T) {
 		"t.csv": []byte("a;1\nb;2\n"),
 	}})
 	s := schema.MustFromNames("k", "v")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.csv", "separator": ";"}), s)
+	tb, err := load(r, def(t, "t", map[string]string{"source": "mem:t.csv", "separator": ";"}), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +89,7 @@ func TestTSV(t *testing.T) {
 		"t.tsv": []byte("a\t1\nb\t2\n"),
 	}})
 	s := schema.MustFromNames("k", "v")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.tsv", "format": "tsv"}), s)
+	tb, err := load(r, def(t, "t", map[string]string{"source": "mem:t.tsv", "format": "tsv"}), s)
 	if err != nil || tb.Len() != 2 {
 		t.Fatalf("tsv: %v", err)
 	}
@@ -98,7 +106,7 @@ func TestJSONPathMapping(t *testing.T) {
 		schema.Column{Name: "text", Path: "body"},
 		schema.Column{Name: "location", Path: "user.location"},
 	)
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"}), s)
+	tb, err := load(r, def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"}), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestJSONWrapperObject(t *testing.T) {
 	payload := `{"items":[{"q":"how","tags":"pig"}],"has_more":false}`
 	r := NewRegistry(Options{Mem: map[string][]byte{"t.json": []byte(payload)}})
 	s := schema.MustNew(schema.Column{Name: "question", Path: "q"}, schema.Column{Name: "tags", Path: "tags"})
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"}), s)
+	tb, err := load(r, def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"}), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +135,7 @@ func TestJSONL(t *testing.T) {
 	payload := "{\"a\":1}\n{\"a\":2}\n"
 	r := NewRegistry(Options{Mem: map[string][]byte{"t.jsonl": []byte(payload)}})
 	s := schema.MustFromNames("a")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.jsonl", "format": "jsonl"}), s)
+	tb, err := load(r, def(t, "t", map[string]string{"source": "mem:t.jsonl", "format": "jsonl"}), s)
 	if err != nil || tb.Len() != 2 || tb.Cell(1, "a").Int() != 2 {
 		t.Fatalf("jsonl: %v\n%v", err, tb)
 	}
@@ -143,7 +151,7 @@ func TestXML(t *testing.T) {
 		schema.Column{Name: "project", Path: "project"},
 		schema.Column{Name: "bugs", Path: "stats.bugs"},
 	)
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.xml", "format": "xml", "record_tag": "row"}), s)
+	tb, err := load(r, def(t, "t", map[string]string{"source": "mem:t.xml", "format": "xml", "record_tag": "row"}), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +167,12 @@ func TestFileProtocolConfinement(t *testing.T) {
 	}
 	r := NewRegistry(Options{DataDir: dir})
 	s := schema.MustFromNames("a")
-	if _, err := r.Load(def(t, "t", map[string]string{"source": "ok.csv"}), s); err != nil {
+	if _, err := load(r, def(t, "t", map[string]string{"source": "ok.csv"}), s); err != nil {
 		t.Fatalf("in-dir load: %v", err)
 	}
 	// Escaping paths are cleaned into the data dir; a genuinely missing
 	// file errors rather than reading outside.
-	if _, err := r.Load(def(t, "t", map[string]string{"source": "../../etc/passwd"}), s); err == nil {
+	if _, err := load(r, def(t, "t", map[string]string{"source": "../../etc/passwd"}), s); err == nil {
 		t.Error("escape should fail")
 	}
 }
@@ -180,7 +188,7 @@ func TestHTTPProtocol(t *testing.T) {
 	s := schema.MustFromNames("a")
 	d := def(t, "t", map[string]string{"source": ts.URL, "format": "json"})
 	d.SetProp("http_headers.X-Access-Key", "XXX")
-	tb, err := r.Load(d, s)
+	tb, err := load(r, d, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +200,14 @@ func TestHTTPProtocol(t *testing.T) {
 func TestProtocolAndFormatErrors(t *testing.T) {
 	r := NewRegistry(Options{})
 	s := schema.MustFromNames("a")
-	if _, err := r.Load(def(t, "t", map[string]string{"source": "gopher://x"}), s); err == nil || !strings.Contains(err.Error(), "gopher") {
+	if _, err := load(r, def(t, "t", map[string]string{"source": "gopher://x"}), s); err == nil || !strings.Contains(err.Error(), "gopher") {
 		t.Errorf("unknown protocol: %v", err)
 	}
 	r2 := NewRegistry(Options{Mem: map[string][]byte{"x": []byte("a")}})
-	if _, err := r2.Load(def(t, "t", map[string]string{"source": "mem:x", "format": "avro"}), s); err == nil || !strings.Contains(err.Error(), "avro") {
+	if _, err := load(r2, def(t, "t", map[string]string{"source": "mem:x", "format": "avro"}), s); err == nil || !strings.Contains(err.Error(), "avro") {
 		t.Errorf("unknown format: %v", err)
 	}
-	if _, err := r2.Load(def(t, "t", map[string]string{"source": "mem:x"}), nil); err == nil {
+	if _, err := load(r2, def(t, "t", map[string]string{"source": "mem:x"}), nil); err == nil {
 		t.Error("missing schema should fail")
 	}
 }
@@ -233,7 +241,7 @@ func TestSBINRoundTrip(t *testing.T) {
 	src.AppendValues(value.NewString(""), value.NewInt(1<<40), value.NewFloat(-0.1), value.VFalse, value.VNull)
 	payload := EncodeSBIN(src)
 	r := NewRegistry(Options{Mem: map[string][]byte{"t.sbin": payload}})
-	got, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.sbin", "format": "sbin"}), s)
+	got, err := load(r, def(t, "t", map[string]string{"source": "mem:t.sbin", "format": "sbin"}), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +333,7 @@ func TestHTTPConnectionReuse(t *testing.T) {
 	s := schema.MustFromNames("a")
 	d := def(t, "t", map[string]string{"source": ts.URL, "format": "json"})
 	for i := 0; i < 5; i++ {
-		if _, err := r.Load(d, s); err != nil {
+		if _, err := load(r, d, s); err != nil {
 			t.Fatal(err)
 		}
 	}

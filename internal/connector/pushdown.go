@@ -88,12 +88,6 @@ func subtractStrings(xs, ys []string) []string {
 	return out
 }
 
-// LoadPushdown is LoadPushdownContext without context or tracing.
-func (r *Registry) LoadPushdown(d *flowfile.DataDef, s *schema.Schema, pd Pushdown) (*table.Table, PushdownResult, error) {
-	t, _, res, err := r.LoadPushdownContext(context.Background(), d, s, pd, nil, 0)
-	return t, res, err
-}
-
 // LoadPushdownContext is LoadContext with a pushdown offer. The offer
 // is negotiated in two steps against the exact same fetch/decode
 // sequence a plain load performs: the protocol sees the whole request

@@ -29,9 +29,15 @@ func pushDef(t *testing.T) *flowfile.DataDef {
 
 func pushSchema() *schema.Schema { return schema.MustFromNames("region", "amount", "notes") }
 
+// loadPushdown is LoadPushdownContext without deadline, tracing or stats.
+func loadPushdown(r *Registry, d *flowfile.DataDef, s *schema.Schema, pd Pushdown) (*table.Table, PushdownResult, error) {
+	t, _, res, err := r.LoadPushdownContext(context.Background(), d, s, pd, nil, 0)
+	return t, res, err
+}
+
 func TestCSVPredicatePushdown(t *testing.T) {
 	r := pushRegistry(0)
-	tb, res, err := r.LoadPushdown(pushDef(t), pushSchema(), Pushdown{Predicate: "amount > 100"})
+	tb, res, err := loadPushdown(r, pushDef(t), pushSchema(), Pushdown{Predicate: "amount > 100"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +56,7 @@ func TestCSVPredicatePushdown(t *testing.T) {
 
 func TestCSVSkipColumnsDecodeAsNulls(t *testing.T) {
 	r := pushRegistry(0)
-	tb, res, err := r.LoadPushdown(pushDef(t), pushSchema(), Pushdown{SkipColumns: []string{"notes", "ghost"}})
+	tb, res, err := loadPushdown(r, pushDef(t), pushSchema(), Pushdown{SkipColumns: []string{"notes", "ghost"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +77,7 @@ func TestCSVPredicateKeepsItsColumns(t *testing.T) {
 	// The predicate reads amount; a request to also skip amount must
 	// keep it decoding (nulling it would evaluate the filter on nulls).
 	r := pushRegistry(0)
-	tb, res, err := r.LoadPushdown(pushDef(t), pushSchema(), Pushdown{
+	tb, res, err := loadPushdown(r, pushDef(t), pushSchema(), Pushdown{
 		Predicate:   "amount > 100",
 		SkipColumns: []string{"amount", "notes"},
 	})
@@ -93,7 +99,7 @@ func TestCSVPredicateKeepsItsColumns(t *testing.T) {
 
 func TestCSVUnbindablePredicateDeclined(t *testing.T) {
 	r := pushRegistry(0)
-	tb, res, err := r.LoadPushdown(pushDef(t), pushSchema(), Pushdown{Predicate: "nosuch > 1"})
+	tb, res, err := loadPushdown(r, pushDef(t), pushSchema(), Pushdown{Predicate: "nosuch > 1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +119,7 @@ func TestJSONFormatDeclinesPushdown(t *testing.T) {
 		Retry: fastRetry(0),
 	})
 	d := def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"})
-	tb, res, err := r.LoadPushdown(d, schema.MustFromNames("region", "amount"), Pushdown{Predicate: "amount > 100", SkipColumns: []string{"region"}})
+	tb, res, err := loadPushdown(r, d, schema.MustFromNames("region", "amount"), Pushdown{Predicate: "amount > 100", SkipColumns: []string{"region"}})
 	if err != nil {
 		t.Fatal(err)
 	}

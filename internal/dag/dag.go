@@ -12,7 +12,9 @@
 package dag
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,18 +31,41 @@ type Node struct {
 	Def *flowfile.DataDef
 	// Flow is the producing flow, nil for source objects.
 	Flow *flowfile.Flow
-	// Inputs are the producing flow's input object names.
-	Inputs []string
-	// Specs are the producing flow's bound task specs, in order.
-	Specs []task.Spec
-	// Schema is the resolved output schema.
-	Schema *schema.Schema
+	// Chain is the producing flow's pipeline as resolved (Inputs, Specs,
+	// Stages) and the object's resolved Schema; a source has only Schema.
+	Chain
 	// Shared is true when the object resolves from the platform catalog
 	// rather than a local source or flow.
 	Shared bool
 	// Consumers are the names of nodes reading this object, plus the
 	// pseudo-consumers "widget:<name>" for widget sources.
 	Consumers []string
+}
+
+// Chain is one pipeline as the resolver bound it: a flow's, embedded in
+// each Node it produces, or a widget source's (Graph.Widgets).
+type Chain struct {
+	// Inputs are the input object names.
+	Inputs []string
+	// Specs are the parsed task specs, in order; Stages names each one and
+	// records what it bound to. Both are nil when a task is undefined or
+	// misconfigured.
+	Specs  []task.Spec
+	Stages []Stage
+	// Schema is the output schema; nil while an input is unresolved, a
+	// stage did not bind or the chain has a Problem.
+	Schema *schema.Schema
+	// Problem is what is wrong with this chain itself (not its inputs).
+	Problem *Problem
+}
+
+// Stage is one task reference of a chain.
+type Stage struct {
+	Name string
+	Def  *flowfile.TaskDef
+	// Out is the schema the stage produces, nil when it was not reached
+	// or did not bind.
+	Out *schema.Schema
 }
 
 // IsSource reports whether the node has no producing flow.
@@ -60,232 +85,335 @@ func (n *Node) ColumnarMode() string {
 type Graph struct {
 	// Nodes maps data-object names to nodes.
 	Nodes map[string]*Node
-	// Order is a topological order of node names (inputs first).
+	// Order is a topological order of node names (inputs first); nodes on
+	// or behind a cycle follow, unresolved.
 	Order []string
 	// File is the originating flow file.
 	File *flowfile.File
+	// Widgets maps widget names to their source pipelines, bound as
+	// written.
+	Widgets map[string]*Chain
+	// BadTasks maps every T. definition that did not parse — referenced
+	// or not — to why (ProblemUnknownType or ProblemBadConfig).
+	BadTasks map[string]*Problem
 }
 
 // SharedResolver resolves a published data object's schema from the
 // platform catalog; ok is false when the name is not published.
 type SharedResolver func(name string) (*schema.Schema, bool)
 
-// Build assembles and validates the graph for a flow file. reg resolves
-// task types (including user extensions); shared resolves cross-dashboard
-// published objects and may be nil for standalone files.
+// ProblemKind classifies a Problem, so reporters choose a rule without
+// reading message text.
+type ProblemKind string
+
+// Problem kinds.
+const (
+	ProblemUndefinedTask   ProblemKind = "undefined-task"      // a pipeline names a task T has not
+	ProblemUnknownType     ProblemKind = "unknown-type"        // a task's type is not registered
+	ProblemBadConfig       ProblemKind = "bad-config"          // a task's parser rejected its configuration
+	ProblemMissingColumn   ProblemKind = "missing-column"      // a stage reads a column its input lacks
+	ProblemDuplicateColumn ProblemKind = "duplicate-column"    // a stage would produce a column twice
+	ProblemBind            ProblemKind = "bind"                // a stage rejected its inputs otherwise
+	ProblemTwoProducers    ProblemKind = "two-producers"       // two flows produce one object
+	ProblemCycle           ProblemKind = "cycle"               // flows feed each other
+	ProblemSchemaDrift     ProblemKind = "schema-drift"        // declared schema differs from the flow's
+	ProblemFanIn           ProblemKind = "fan-in-without-task" // several inputs, no task to merge them
+	ProblemUnresolvable    ProblemKind = "unresolvable"        // a source with no schema anywhere
+)
+
+// Problem is one reason a flow file does not resolve into a graph. As an
+// error its text is the addressing Build has always printed followed by
+// Err.
+type Problem struct {
+	Kind ProblemKind
+	// Entity is the flow-file reference at fault ("T.keep", "D.sales",
+	// "W.chart") and Line its declaring line.
+	Entity string
+	Line   int
+	// Column is the missing or duplicated column and InScope the columns
+	// the stage could see (the column kinds only).
+	Column  string
+	InScope []string
+	// Err states the problem in the entity's own terms.
+	Err    error
+	prefix string
+}
+
+func (p *Problem) Error() string { return p.prefix + p.Err.Error() }
+func (p *Problem) Unwrap() error { return p.Err }
+
+// Build assembles and validates the graph for a flow file: Resolve, with
+// the first problem as the error. reg resolves task types (including user
+// extensions); shared resolves cross-dashboard published objects and may
+// be nil for standalone files.
 func Build(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Graph, error) {
-	g := &Graph{Nodes: map[string]*Node{}, File: f}
-	// One node per declared data object.
-	for _, name := range f.DataOrder {
-		g.Nodes[name] = &Node{Name: name, Def: f.Data[name]}
-	}
-	// Attach flows.
-	for _, fl := range f.Flows {
-		specs, err := parseFlowTasks(f, reg, fl)
-		if err != nil {
-			return nil, err
-		}
-		var inputs []string
-		for _, in := range fl.Pipeline.Inputs {
-			if _, ok := g.Nodes[in.Name]; !ok {
-				g.Nodes[in.Name] = &Node{Name: in.Name, Def: &flowfile.DataDef{Name: in.Name}}
-			}
-			inputs = append(inputs, in.Name)
-		}
-		for _, out := range fl.Outputs {
-			n, ok := g.Nodes[out.Name]
-			if !ok {
-				n = &Node{Name: out.Name, Def: &flowfile.DataDef{Name: out.Name}}
-				g.Nodes[out.Name] = n
-			}
-			if n.Flow != nil {
-				return nil, fmt.Errorf("dag: data object D.%s produced by two flows (lines %d and %d)",
-					out.Name, n.Flow.Line, fl.Line)
-			}
-			n.Flow = fl
-			n.Inputs = inputs
-			n.Specs = specs
-		}
-	}
-	// Record widget consumers so dead-sink elimination keeps their feeds.
-	for _, wname := range f.WidgetOrder {
-		w := f.Widgets[wname]
-		if w.Source == nil {
-			continue
-		}
-		for _, in := range w.Source.Inputs {
-			if _, ok := g.Nodes[in.Name]; !ok {
-				g.Nodes[in.Name] = &Node{Name: in.Name, Def: &flowfile.DataDef{Name: in.Name}}
-			}
-			g.Nodes[in.Name].Consumers = append(g.Nodes[in.Name].Consumers, "widget:"+wname)
-		}
-	}
-	for name, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			g.Nodes[in].Consumers = append(g.Nodes[in].Consumers, name)
-		}
-	}
-	if err := g.topoSort(); err != nil {
-		return nil, err
-	}
-	if err := g.resolveSchemas(shared); err != nil {
-		return nil, err
+	g, problems := Resolve(f, reg, shared)
+	if len(problems) > 0 {
+		return nil, problems[0]
 	}
 	return g, nil
 }
 
-// parseFlowTasks resolves a flow's task references into specs.
-func parseFlowTasks(f *flowfile.File, reg *task.Registry, fl *flowfile.Flow) ([]task.Spec, error) {
-	specs := make([]task.Spec, 0, len(fl.Pipeline.Tasks))
-	for _, tref := range fl.Pipeline.Tasks {
-		def, ok := f.Tasks[tref.Name]
-		if !ok {
-			return nil, fmt.Errorf("dag: flow at line %d references undefined task T.%s", fl.Line, tref.Name)
+// Resolve is the front end's one assembler: it parses every task
+// definition once, attaches flows and widget sources to nodes, orders
+// what can be ordered and binds every chain stage by stage. It keeps
+// going past a failure — what depends on a failed chain stays unresolved,
+// silently, its root cause being listed already — and returns the
+// problems a run rejects the file for, in the order Build has always met
+// them. What only lint reports (an unreferenced misconfigured task, a
+// widget source that does not bind as written) is on the graph: BadTasks,
+// Widgets[..].Problem.
+func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Graph, []*Problem) {
+	g := &Graph{Nodes: map[string]*Node{}, File: f, Widgets: map[string]*Chain{}, BadTasks: map[string]*Problem{}}
+	var problems []*Problem
+	report := func(p *Problem) {
+		if p != nil {
+			problems = append(problems, p)
 		}
-		spec, err := reg.Parse(f, def)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
 	}
-	return specs, nil
+	specs, errs := reg.Parse(f)
+	for name, err := range errs {
+		p := &Problem{Kind: ProblemBadConfig, Entity: "T." + name, Line: f.Tasks[name].Line, Err: err}
+		if typ := f.Tasks[name].Type; typ != "parallel" && !slices.Contains(reg.Types(), typ) {
+			p.Kind = ProblemUnknownType
+		}
+		g.BadTasks[name] = p
+	}
+	// chain resolves the references of a pipeline (what: "flow" or "widget
+	// source", for the error), creating the nodes it reads.
+	chain := func(p *flowfile.Pipeline, what string, line int) Chain {
+		c := Chain{Inputs: make([]string, len(p.Inputs)), Specs: make([]task.Spec, 0, len(p.Tasks)), Stages: make([]Stage, 0, len(p.Tasks))}
+		for i, in := range p.Inputs {
+			g.node(in.Name)
+			c.Inputs[i] = in.Name
+		}
+		for _, t := range p.Tasks {
+			if def, ok := f.Tasks[t.Name]; !ok {
+				c.Problem = &Problem{Kind: ProblemUndefinedTask, Entity: "T." + t.Name, Line: line, prefix: "dag: ",
+					Err: fmt.Errorf("%s at line %d references undefined task T.%s", what, line, t.Name)}
+			} else if c.Problem = g.BadTasks[t.Name]; c.Problem == nil {
+				c.Specs = append(c.Specs, specs[t.Name])
+				c.Stages = append(c.Stages, Stage{Name: t.Name, Def: def})
+				continue
+			}
+			c.Specs, c.Stages = nil, nil
+			break
+		}
+		return c
+	}
+	for _, name := range f.DataOrder {
+		g.node(name)
+	}
+	for _, fl := range f.Flows {
+		if fl.Pipeline == nil {
+			continue // Validate rejects it
+		}
+		c := chain(fl.Pipeline, "flow", fl.Line)
+		report(c.Problem)
+		for i, out := range fl.Outputs {
+			n := g.node(out.Name)
+			if n.Flow != nil {
+				report(&Problem{Kind: ProblemTwoProducers, Entity: "D." + out.Name, Line: fl.Line, prefix: "dag: data object D." + out.Name + " ",
+					Err: fmt.Errorf("produced by two flows (lines %d and %d)", n.Flow.Line, fl.Line)})
+				continue
+			}
+			n.Flow, n.Chain = fl, c
+			if i > 0 {
+				n.Stages = slices.Clone(c.Stages) // each output binds its own record
+			}
+		}
+	}
+	// A widget source is a consumer too: dead-sink elimination keeps its
+	// feeds.
+	for _, wname := range f.WidgetOrder {
+		if w := f.Widgets[wname]; w.Source != nil {
+			c := chain(w.Source, "widget source", w.Line)
+			g.Widgets[wname] = &c
+			for _, in := range c.Inputs {
+				g.Nodes[in].Consumers = append(g.Nodes[in].Consumers, "widget:"+wname)
+			}
+		}
+	}
+	// names is every node in declaration order, undeclared ones (a widget
+	// source's shared input) after, sorted: the order ties break on, which
+	// keeps plans deterministic.
+	names := slices.Clone(f.DataOrder)
+	for name := range g.Nodes {
+		if _, declared := f.Data[name]; !declared {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names[len(f.DataOrder):])
+	for _, name := range names {
+		for _, in := range g.Nodes[name].Inputs {
+			g.Nodes[in].Consumers = append(g.Nodes[in].Consumers, name)
+		}
+	}
+	report(g.topoSort(names))
+	for _, name := range g.Order {
+		report(g.resolve(g.Nodes[name], shared))
+	}
+	for wname, c := range g.Widgets {
+		if p := g.bind(c); p != nil {
+			p.prefix = "widget W." + wname + " source: " + p.prefix
+			if p.Kind == ProblemFanIn {
+				p.Entity, p.Line = "W."+wname, f.Widgets[wname].Line
+			}
+		}
+	}
+	return g, problems
 }
 
-// topoSort orders nodes inputs-first (Kahn), detecting cycles. Ties
-// break on declaration order, keeping plans deterministic.
-func (g *Graph) topoSort() error {
-	indeg := map[string]int{}
-	for name, n := range g.Nodes {
-		indeg[name] = len(n.Inputs)
-	}
-	names := make([]string, 0, len(g.Nodes))
-	declared := map[string]int{}
-	for i, name := range g.File.DataOrder {
-		declared[name] = i
-	}
-	for name := range g.Nodes {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(a, b int) bool {
-		da, oka := declared[names[a]]
-		db, okb := declared[names[b]]
-		switch {
-		case oka && okb:
-			return da < db
-		case oka:
-			return true
-		case okb:
-			return false
-		default:
-			return names[a] < names[b]
+// node returns the named node, creating it (with the file's definition,
+// or an empty one) on first mention.
+func (g *Graph) node(name string) *Node {
+	n, ok := g.Nodes[name]
+	if !ok {
+		n = &Node{Name: name, Def: g.File.Data[name]}
+		if n.Def == nil {
+			n.Def = &flowfile.DataDef{Name: name}
 		}
-	})
+		g.Nodes[name] = n
+	}
+	return n
+}
+
+// topoSort orders nodes inputs-first (Kahn), ties in names order. Nodes
+// on or behind a cycle are the returned problem; they end the order,
+// unresolvable, so the dead-entity passes still see them.
+func (g *Graph) topoSort(names []string) *Problem {
+	indeg := make(map[string]int, len(names))
 	var queue []string
 	for _, name := range names {
-		if indeg[name] == 0 {
+		if indeg[name] = len(g.Nodes[name].Inputs); indeg[name] == 0 {
 			queue = append(queue, name)
 		}
 	}
-	g.Order = g.Order[:0]
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		g.Order = append(g.Order, cur)
-		for _, name := range names {
-			n := g.Nodes[name]
-			for _, in := range n.Inputs {
-				if in == cur {
-					indeg[name]--
-					if indeg[name] == 0 {
-						queue = append(queue, name)
-					}
-				}
+		for _, c := range g.Nodes[cur].Consumers {
+			if _, isNode := g.Nodes[c]; !isNode {
+				continue // a widget
+			}
+			if indeg[c]--; indeg[c] == 0 {
+				queue = append(queue, c)
 			}
 		}
 	}
-	if len(g.Order) != len(g.Nodes) {
-		var cyclic []string
-		inOrder := map[string]bool{}
-		for _, n := range g.Order {
-			inOrder[n] = true
-		}
-		for name := range g.Nodes {
-			if !inOrder[name] {
-				cyclic = append(cyclic, "D."+name)
-			}
-		}
-		sort.Strings(cyclic)
-		return fmt.Errorf("dag: flows form a cycle through %s", strings.Join(cyclic, ", "))
+	if len(g.Order) == len(names) {
+		return nil
 	}
-	return nil
+	var cyclic []string
+	for _, name := range names {
+		if indeg[name] > 0 {
+			g.Order = append(g.Order, name)
+			cyclic = append(cyclic, "D."+name)
+		}
+	}
+	sort.Strings(cyclic)
+	return &Problem{Kind: ProblemCycle, Entity: cyclic[0], Line: g.Nodes[cyclic[0][2:]].Def.Line, prefix: "dag: ",
+		Err: fmt.Errorf("flows form a cycle through %s", strings.Join(cyclic, ", "))}
 }
 
-// resolveSchemas walks the topological order computing every node's
-// schema: declared for sources, shared-catalog for published inputs, and
-// the bound pipeline's output for produced objects. A produced object
-// with a declared schema is cross-checked — the declaration acts as an
-// assertion, surfacing drift between the D section and the flows.
-func (g *Graph) resolveSchemas(shared SharedResolver) error {
-	for _, name := range g.Order {
-		n := g.Nodes[name]
-		if n.IsSource() {
-			switch {
-			case n.Def.Schema != nil:
-				n.Schema = n.Def.Schema
-			case shared != nil:
-				s, ok := shared(name)
-				if !ok {
-					return fmt.Errorf("dag: data object D.%s has no schema, source, or shared publication", name)
-				}
-				n.Schema = s
-				n.Shared = true
-			default:
-				return fmt.Errorf("dag: data object D.%s has no schema or producing flow", name)
-			}
-			continue
-		}
-		out, err := BindPipeline(g, n.Inputs, n.Specs)
-		if err != nil {
-			return fmt.Errorf("dag: flow for D.%s (line %d): %w", name, n.Flow.Line, err)
-		}
-		n.Schema = out
-		if n.Def.Schema != nil && !n.Def.Schema.Equal(out) {
-			return fmt.Errorf("dag: D.%s declared schema %s but its flow produces %s",
-				name, n.Def.Schema, out)
-		}
+// resolve computes one node's schema: declared for sources,
+// shared-catalog for published inputs, and the bound pipeline's output
+// for produced objects. A produced object with a declared schema is
+// cross-checked — the declaration acts as an assertion, surfacing drift
+// between the D section and the flows.
+func (g *Graph) resolve(n *Node, shared SharedResolver) *Problem {
+	at := func(kind ProblemKind, prefix string, err error) *Problem {
+		return &Problem{Kind: kind, Entity: "D." + n.Name, Line: n.Def.Line, prefix: prefix, Err: err}
 	}
-	return nil
+	if n.IsSource() {
+		n.Schema = n.Def.Schema
+		if n.Schema == nil && shared != nil {
+			if s, ok := shared(n.Name); ok {
+				n.Schema, n.Shared = s, true
+			}
+		}
+		if n.Schema != nil {
+			return nil
+		}
+		msg := "has no schema or producing flow"
+		if shared != nil {
+			msg = "has no schema, source, or shared publication"
+		}
+		return at(ProblemUnresolvable, "dag: data object D."+n.Name+" ", errors.New(msg))
+	}
+	if p := g.bind(&n.Chain); p != nil {
+		p.prefix = fmt.Sprintf("dag: flow for D.%s (line %d): ", n.Name, n.Flow.Line) + p.prefix
+		if p.Kind == ProblemFanIn {
+			p.Entity, p.Line = "D."+n.Name, n.Def.Line
+		}
+		return p
+	}
+	if n.Schema == nil || n.Def.Schema == nil || n.Def.Schema.Equal(n.Schema) {
+		return nil
+	}
+	return at(ProblemSchemaDrift, "dag: D."+n.Name+" ", fmt.Errorf("declared schema %s but its flow produces %s", n.Def.Schema, n.Schema))
 }
 
-// BindPipeline threads input schemas through a spec chain, returning the
-// final output schema. The first spec receives all fan-in inputs;
-// subsequent specs receive the running intermediate.
-func BindPipeline(g *Graph, inputs []string, specs []task.Spec) (*schema.Schema, error) {
-	ins := make([]task.Input, len(inputs))
-	for i, in := range inputs {
-		node := g.Nodes[in]
-		if node.Schema == nil {
-			return nil, fmt.Errorf("input D.%s has unresolved schema", in)
-		}
-		ins[i] = task.Input{Name: in, Schema: node.Schema}
+// bind threads the chain's input schemas through its stages — the first
+// stage receives all fan-in inputs, later ones the running intermediate —
+// recording each stage's output and, when all bind, the chain's Schema.
+// A chain with an unresolved input or a Problem already is left alone:
+// its root cause is reported where it arose. A fan-in problem is the
+// whole chain's: the caller names its owner.
+func (g *Graph) bind(c *Chain) *Problem {
+	if c.Problem != nil {
+		return nil
 	}
-	if len(specs) == 0 {
-		if len(ins) != 1 {
-			return nil, fmt.Errorf("fan-in of %d inputs needs at least one task", len(ins))
+	cur := make([]task.Input, len(c.Inputs))
+	for i, in := range c.Inputs {
+		if cur[i] = (task.Input{Name: in, Schema: g.Nodes[in].Schema}); cur[i].Schema == nil {
+			return nil
 		}
-		return ins[0].Schema, nil
 	}
-	cur := ins
-	var out *schema.Schema
-	for i, sp := range specs {
-		var err error
-		out, err = sp.Out(cur)
+	for k, sp := range c.Specs {
+		out, err := sp.Out(cur)
 		if err != nil {
-			return nil, fmt.Errorf("stage %d (%s): %w", i+1, task.Describe(sp), err)
+			p := &Problem{Kind: ProblemBind, Entity: "T." + c.Stages[k].Name, Err: err,
+				prefix: fmt.Sprintf("stage %d (%s): ", k+1, task.Describe(sp))}
+			if def := c.Stages[k].Def; def != nil {
+				p.Line = def.Line
+			}
+			var ce *schema.ColumnError
+			if errors.As(err, &ce) {
+				p.Kind, p.Column, p.InScope = ProblemMissingColumn, ce.Column, ce.Have
+				if ce.Duplicate {
+					p.Kind = ProblemDuplicateColumn
+				}
+			}
+			c.Problem = p
+			return p
 		}
+		c.Stages[k].Out = out
 		cur = []task.Input{{Schema: out}}
 	}
-	return out, nil
+	if len(cur) != 1 {
+		c.Problem = &Problem{Kind: ProblemFanIn, Err: fmt.Errorf("fan-in of %d inputs needs at least one task", len(cur))}
+		return c.Problem
+	}
+	c.Schema = cur[0].Schema
+	return nil
+}
+
+// BindPipeline threads input schemas through a spec chain that is not
+// the graph's own (a rearranged widget source), returning the final
+// output schema.
+func BindPipeline(g *Graph, inputs []string, specs []task.Spec) (*schema.Schema, error) {
+	for _, in := range inputs {
+		if g.Nodes[in].Schema == nil {
+			return nil, fmt.Errorf("input D.%s has unresolved schema", in)
+		}
+	}
+	c := Chain{Inputs: inputs, Specs: specs, Stages: make([]Stage, len(specs))}
+	if p := g.bind(&c); p != nil {
+		return nil, p
+	}
+	return c.Schema, nil
 }
 
 // Sources lists source-node names in topological order.

@@ -220,7 +220,8 @@ T:
 	}
 	var specs []task.Spec
 	for _, name := range []string{"static_group", "pick", "agg"} {
-		sp, err := reg.Parse(f, f.Tasks[name])
+		parsed, failed := reg.Parse(f)
+		sp, err := parsed[name], failed[name]
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +307,8 @@ T:
 			byName := map[task.Spec]string{}
 			var specs []task.Spec
 			for _, name := range tc.in {
-				sp, err := reg.Parse(f, f.Tasks[name])
+				parsed, failed := reg.Parse(f)
+				sp, err := parsed[name], failed[name]
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -405,5 +407,162 @@ T:
 	gp2 := build(t, strings.Replace(par, "operator: upper", "operator: lower", 1), nil)
 	if gp2.Signatures(src)["out"] == base {
 		t.Error("parallel sub-task edit not reflected in signature")
+	}
+}
+
+// rejected are flow files Build rejects, with the error text it has always
+// given: the failing cases of the tests above, one per problem kind, and
+// files with two independent problems (Build reports the one it meets
+// first: task references flow by flow, then the cycle, then schemas in
+// topological order).
+var rejected = []struct {
+	name, src string
+	shared    bool
+	kind      ProblemKind
+	want      string
+}{
+	{name: "schema drift", kind: ProblemSchemaDrift,
+		src:  strings.Replace(chainFlow, "D:\n  raw: [a, b, v]", "D:\n  raw: [a, b, v]\n  out: [a, wrong]", 1),
+		want: "dag: D.out declared schema [a, wrong] but its flow produces [a, count]"},
+	{name: "cycle", kind: ProblemCycle,
+		src:  "D:\n  a: [x]\nF:\n  D.b: D.c | T.f\n  D.c: D.b | T.f\nT:\n  f:\n    type: filter_by\n    filter_expression: x > 0\n",
+		want: "dag: flows form a cycle through D.b, D.c"},
+	{name: "unresolvable", kind: ProblemUnresolvable,
+		src:  "F:\n  +D.out: D.published_thing | T.g\nT:\n  g:\n    type: groupby\n    groupby: [k]\n",
+		want: "dag: data object D.published_thing has no schema or producing flow"},
+	{name: "unresolvable, catalog asked", kind: ProblemUnresolvable, shared: true,
+		src:  "F:\n  +D.out: D.published_thing | T.g\nT:\n  g:\n    type: groupby\n    groupby: [k]\n",
+		want: "dag: data object D.published_thing has no schema, source, or shared publication"},
+	{name: "two producers", kind: ProblemTwoProducers,
+		src:  "D:\n  raw: [a]\nF:\n  D.out: D.raw | T.f\n  D.out: D.raw | T.f\nT:\n  f:\n    type: filter_by\n    filter_expression: a > 0\n",
+		want: "dag: data object D.out produced by two flows (lines 4 and 5)"},
+	{name: "undefined task", kind: ProblemUndefinedTask,
+		src:  "D:\n  raw: [a]\nF:\n  +D.out: D.raw | T.ghost\n",
+		want: "dag: flow at line 4 references undefined task T.ghost"},
+	{name: "unknown type", kind: ProblemUnknownType,
+		src:  "D:\n  raw: [a]\nF:\n  +D.out: D.raw | T.f\nT:\n  f:\n    type: filter_bye\n",
+		want: `task "f": unknown type "filter_bye" (registered: distinct, filter_by, groupby, join, limit, map, project, sort, topn, union)`},
+	{name: "bad config", kind: ProblemBadConfig,
+		src:  "D:\n  raw: [a]\nF:\n  +D.out: D.raw | T.top\nT:\n  top:\n    type: topn\n    limit: 3\n",
+		want: `task "top": topn: empty orderby_column`},
+	{name: "missing column", kind: ProblemMissingColumn,
+		src:  "D:\n  raw: [a, b]\nF:\n  +D.out: D.raw | T.g\nT:\n  g:\n    type: groupby\n    groupby: [c]\n",
+		want: `dag: flow for D.out (line 4): stage 1 (groupby c): schema: column "c" not found (have a, b)`},
+	{name: "duplicate column", kind: ProblemDuplicateColumn,
+		src:  "D:\n  raw: [a, b]\nF:\n  +D.out: D.raw | T.g\nT:\n  g:\n    type: groupby\n    groupby: [a, a]\n",
+		want: `dag: flow for D.out (line 4): stage 1 (groupby a,a): schema: duplicate column "a"`},
+	{name: "stage rejects its inputs", kind: ProblemBind,
+		src:  "D:\n  l: [a]\n  r: [a]\nF:\n  +D.out: (D.l, D.r) | T.f\nT:\n  f:\n    type: filter_by\n    filter_expression: a > 0\n",
+		want: "dag: flow for D.out (line 5): stage 1 (filter_by a > 0): filter_by: expected 1 input, got 2"},
+	{name: "fan-in without task", kind: ProblemFanIn,
+		src:  "D:\n  l: [a]\n  r: [a]\nF:\n  +D.out: (D.l, D.r)\n",
+		want: "dag: flow for D.out (line 5): fan-in of 2 inputs needs at least one task"},
+	{name: "bad task in the second flow before the cycle in the first", kind: ProblemBadConfig,
+		src:  "D:\n  raw: [a]\nF:\n  D.b: D.c | T.f\n  D.c: D.b | T.f\n  +D.out: D.raw | T.top\nT:\n  f:\n    type: filter_by\n    filter_expression: a > 0\n  top:\n    type: topn\n    limit: 3\n",
+		want: `task "top": topn: empty orderby_column`},
+	{name: "two chains that do not bind: topological order decides", kind: ProblemMissingColumn,
+		src:  "D:\n  raw: [a, b]\nF:\n  +D.late: D.mid | T.gx\n  D.mid: D.raw | T.f\n  +D.early: D.raw | T.gy\nT:\n  f:\n    type: filter_by\n    filter_expression: a > 0\n  gx:\n    type: groupby\n    groupby: [x]\n  gy:\n    type: groupby\n    groupby: [y]\n",
+		want: `dag: flow for D.early (line 6): stage 1 (groupby y): schema: column "y" not found (have a, b)`},
+	{name: "unresolvable source declared before a drifting sink", kind: ProblemUnresolvable,
+		src:  "D.ghost:\n  source: ghost.csv\nD:\n  raw: [a]\n  out: [z]\nF:\n  +D.out: D.raw | T.f\n  +D.other: D.ghost | T.f\nT:\n  f:\n    type: filter_by\n    filter_expression: a > 0\n",
+		want: "dag: data object D.ghost has no schema or producing flow"},
+}
+
+// TestBuildIsFirstProblem pins Build as "Resolve, then the first problem":
+// same error, same text as ever, and a typed kind on the problem.
+func TestBuildIsFirstProblem(t *testing.T) {
+	for _, tc := range rejected {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := flowfile.Parse("t", tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shared SharedResolver
+			if tc.shared {
+				shared = func(string) (*schema.Schema, bool) { return nil, false }
+			}
+			_, err = Build(f, task.NewRegistry(), shared)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Build error = %v\nwant %s", err, tc.want)
+			}
+			g, problems := Resolve(f, task.NewRegistry(), shared)
+			if g == nil || len(problems) == 0 || error(problems[0]) != err && problems[0].Error() != err.Error() {
+				t.Fatalf("Resolve problems = %v, Build error = %v", problems, err)
+			}
+			if problems[0].Kind != tc.kind {
+				t.Errorf("kind = %s, want %s", problems[0].Kind, tc.kind)
+			}
+		})
+	}
+}
+
+// TestResolveKeepsGoing: past a failure the resolver still lists every
+// independent problem and still resolves every healthy chain.
+func TestResolveKeepsGoing(t *testing.T) {
+	src := `
+D.ghost:
+  source: ghost.csv
+
+D:
+  raw: [a, b]
+  out: [z]
+
+F:
+  D.x: D.y | T.f
+  D.y: D.x | T.f
+  +D.bad: D.raw | T.gx
+  +D.out: D.raw | T.f
+  +D.good: D.raw | T.f | T.ga
+  D.behind: D.bad | T.f
+  +D.lost: D.ghost | T.f
+
+T:
+  f:
+    type: filter_by
+    filter_expression: a > 0
+  gx:
+    type: groupby
+    groupby: [x]
+  ga:
+    type: groupby
+    groupby: [a]
+  unused:
+    type: nope
+`
+	f, err := flowfile.Parse("t", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, problems := Resolve(f, task.NewRegistry(), nil)
+	var kinds []ProblemKind
+	for _, p := range problems {
+		kinds = append(kinds, p.Kind)
+	}
+	want := []ProblemKind{ProblemCycle, ProblemUnresolvable, ProblemSchemaDrift, ProblemMissingColumn}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("problem kinds = %v, want %v\n%v", kinds, want, problems)
+	}
+	if p := problems[3]; p.Entity != "T.gx" || p.Column != "x" || !reflect.DeepEqual(p.InScope, []string{"a", "b"}) {
+		t.Errorf("missing-column problem = %+v", p)
+	}
+	if got := g.Nodes["good"].Schema.String(); got != "[a, count]" {
+		t.Errorf("healthy chain schema = %s", got)
+	}
+	if st := g.Nodes["good"].Stages; len(st) != 2 || st[0].Name != "f" || st[0].Out.String() != "[a, b]" || st[1].Def != f.Tasks["ga"] {
+		t.Errorf("healthy chain stages = %+v", st)
+	}
+	for _, name := range []string{"x", "y", "bad", "behind", "lost"} {
+		if g.Nodes[name].Schema != nil {
+			t.Errorf("D.%s resolved to %s", name, g.Nodes[name].Schema)
+		}
+	}
+	if g.Nodes["behind"].Problem != nil || g.Nodes["lost"].Problem != nil {
+		t.Error("a chain behind a failed one carries its own problem")
+	}
+	if p := g.BadTasks["unused"]; p == nil || p.Kind != ProblemUnknownType {
+		t.Errorf("unreferenced bad task = %+v", p)
+	}
+	if len(g.Order) != len(g.Nodes) {
+		t.Errorf("order %v misses nodes", g.Order)
 	}
 }

@@ -69,14 +69,3 @@ func (c *ResultCache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
-
-// Invalidate drops every cached object of one dashboard.
-func (c *ResultCache) Invalidate(dash string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k := range c.entries {
-		if len(k) > len(dash) && k[:len(dash)] == dash && k[len(dash)] == 0 {
-			delete(c.entries, k)
-		}
-	}
-}

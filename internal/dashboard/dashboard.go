@@ -179,6 +179,8 @@ func (p *Platform) Compile(f *flowfile.File, resources map[string][]byte) (*Dash
 	if p.Catalog != nil {
 		resolver = p.Catalog.ResolveSchema
 	}
+	// The one resolve: the graph below also feeds hint extraction and the
+	// widget plans, so no task is parsed and no chain bound twice.
 	g, err := dag.Build(f, p.Tasks, resolver)
 	if err != nil {
 		return nil, err
@@ -200,11 +202,7 @@ func (p *Platform) Compile(f *flowfile.File, resources map[string][]byte) (*Dash
 		WidgetValue: d.widgetValue,
 	}
 	if p.Optimize {
-		d.hints = analyze.OptimizerHints(f, analyze.Options{
-			Tasks:      p.Tasks,
-			Connectors: p.Connectors,
-			Shared:     resolver,
-		})
+		d.hints = analyze.OptimizerHints(g, nil)
 	}
 	for _, name := range f.WidgetOrder {
 		def := f.Widgets[name]
@@ -224,30 +222,19 @@ func (p *Platform) Compile(f *flowfile.File, resources map[string][]byte) (*Dash
 	return d, nil
 }
 
-// compileWidgetPlan parses, splits and binds one widget source pipeline.
+// compileWidgetPlan splits and binds one widget source pipeline, as the
+// graph resolved it.
 func (d *Dashboard) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, error) {
 	if def.Source == nil {
 		return nil, nil
 	}
-	specs := make([]task.Spec, 0, len(def.Source.Tasks))
-	for _, tref := range def.Source.Tasks {
-		tdef, ok := d.File.Tasks[tref.Name]
-		if !ok {
-			return nil, fmt.Errorf("widget W.%s references undefined task T.%s", def.Name, tref.Name)
-		}
-		spec, err := d.platform.Tasks.Parse(d.File, tdef)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
+	src := d.Graph.Widgets[def.Name]
+	if len(src.Specs) != len(def.Source.Tasks) {
+		return nil, src.Problem // an undefined or misconfigured task
 	}
+	specs := src.Specs
 	plan := &widgetPlan{def: def, interactsWith: widget.InteractionSources(d.File, def)}
-	for _, in := range def.Source.Inputs {
-		if _, ok := d.Graph.Nodes[in.Name]; !ok {
-			return nil, fmt.Errorf("widget W.%s reads unknown data object D.%s", def.Name, in.Name)
-		}
-		plan.inputs = append(plan.inputs, in.Name)
-	}
+	plan.inputs = src.Inputs
 	if d.platform.Optimize {
 		plan.server, plan.client = dag.WidgetSource(specs)
 	} else {

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"shareinsights/internal/analyze"
 	"shareinsights/internal/connector"
 	"shareinsights/internal/flowfile"
+	"shareinsights/internal/task"
 )
 
 // tweetCSV is a small fixture in the shape of the IPL tweet data.
@@ -428,5 +430,59 @@ L:
 	grid, _ := d.Widget("grid")
 	if grid.Data.Len() != 2 || !grid.Data.Schema().Has("team") {
 		t.Errorf("fan-in widget data:\n%s", grid.Data.Format(0))
+	}
+}
+
+// TestResolvedOnce: one resolve per Compile and per lint, and within it
+// one parse per task definition however many flows, parallel composites
+// and widget sources refer to it.
+func TestResolvedOnce(t *testing.T) {
+	p := NewPlatform()
+	parses := 0
+	if err := p.Tasks.Register("counted", func(*flowfile.Node) (task.Spec, error) {
+		parses++
+		return &task.FilterSpec{Expression: "v > 0"}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := flowfile.Parse("once", `
+D:
+  raw: [k, v]
+D.raw:
+  source: mem:raw.csv
+F:
+  D.a: D.raw | T.keep
+  D.b: D.a | T.keep
+  +D.c: D.b | T.keep | T.both
+T:
+  keep:
+    type: counted
+  up:
+    type: map
+    operator: upper
+    transform: k
+  both:
+    parallel: [T.keep, T.up]
+W:
+  grid:
+    type: Grid
+    source: D.c | T.keep
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Compile(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if parses != 1 {
+		t.Errorf("Compile parsed T.keep %d times, want 1", parses)
+	}
+	parses = 0
+	report, _ := analyze.LintWithFacts(f, analyze.Options{Tasks: p.Tasks, Connectors: p.Connectors})
+	if report.HasErrors() {
+		t.Fatalf("lint: %v", report.Findings)
+	}
+	if parses != 1 {
+		t.Errorf("LintWithFacts parsed T.keep %d times, want 1", parses)
 	}
 }

@@ -13,6 +13,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("L:\n  rows:\n    - [span3: W.w]\n")
 	f.Add("T:\n  t:\n    type: groupby\n    aggregates:\n      - operator: sum\n")
 	f.Add("D.x:\n  source: 'a:b#c'\n")
+	f.Add("- 0:") // a keyed list item is no section header (FuzzLint found the nil section)
 	f.Fuzz(func(t *testing.T, src string) {
 		parsed, err := Parse("fuzz", src)
 		if err != nil {

@@ -74,7 +74,7 @@ func parseSource(src string) (*Node, error) {
 	root := newMap(1)
 	for len(lines) > 0 {
 		l := lines[0]
-		if l.indent != 0 || !l.hasKey {
+		if l.indent != 0 || !l.hasKey || l.isItem {
 			return nil, fmt.Errorf("line %d: expected a top-level section header", l.num)
 		}
 		chunk := []line{l}

@@ -85,12 +85,23 @@ func MustFromNames(names ...string) *Schema {
 	return s
 }
 
+// ColumnError is a schema rejecting a column name: missing from Have, or
+// (Duplicate) already present. errors.As on it classifies a bind failure.
+type ColumnError struct {
+	Column    string
+	Have      []string
+	Duplicate bool
+	msg       string
+}
+
+func (e *ColumnError) Error() string { return e.msg }
+
 func (s *Schema) add(c Column) error {
 	if c.Name == "" {
 		return fmt.Errorf("schema: empty column name")
 	}
 	if _, dup := s.index[c.Name]; dup {
-		return fmt.Errorf("schema: duplicate column %q", c.Name)
+		return &ColumnError{Column: c.Name, Duplicate: true, msg: fmt.Sprintf("schema: duplicate column %q", c.Name)}
 	}
 	s.index[c.Name] = len(s.cols)
 	s.cols = append(s.cols, c)
@@ -135,7 +146,7 @@ func (s *Schema) Require(names ...string) ([]int, error) {
 	for i, n := range names {
 		j := s.Index(n)
 		if j < 0 {
-			return nil, fmt.Errorf("schema: column %q not found (have %s)", n, strings.Join(s.Names(), ", "))
+			return nil, &ColumnError{Column: n, Have: s.Names(), msg: fmt.Sprintf("schema: column %q not found (have %s)", n, strings.Join(s.Names(), ", "))}
 		}
 		idx[i] = j
 	}
@@ -149,7 +160,7 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 	for i, n := range names {
 		j := s.Index(n)
 		if j < 0 {
-			return nil, fmt.Errorf("schema: column %q not found", n)
+			return nil, &ColumnError{Column: n, Have: s.Names(), msg: fmt.Sprintf("schema: column %q not found", n)}
 		}
 		cols[i] = s.cols[j]
 	}

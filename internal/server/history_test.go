@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"shareinsights/internal/dashboard"
 )
 
 // TestHistoryRoute drives two runs and checks the flight-recorder
@@ -27,10 +29,10 @@ func TestHistoryRoute(t *testing.T) {
 		if code, body := do(t, http.MethodPost, base+"/run", ""); code != 200 {
 			t.Fatalf("run %d = %d: %s", i, code, body)
 		}
-		// Drop the incremental cache so the second run executes its
+		// Start the incremental cache over so the second run executes its
 		// stages instead of reporting an all-cache-hit run (a fully
 		// cached run legitimately has no stage records to compare).
-		s.platform.Cache.Invalidate("sales_dash")
+		s.platform.Cache = dashboard.NewResultCache()
 	}
 
 	code, body := do(t, http.MethodGet, base+"/history?baseline=1", "")

@@ -21,7 +21,7 @@ type ParallelSpec struct {
 	Subs []RowLocal
 }
 
-func (r *Registry) parseParallel(f *flowfile.File, def *flowfile.TaskDef, stack []string) (Spec, error) {
+func (r *Registry) parseParallel(f *flowfile.File, def *flowfile.TaskDef, stack []string, specs map[string]Spec, errs map[string]error) (Spec, error) {
 	refs := def.Config.StrList("parallel")
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("task %q: parallel needs a task list", def.Name)
@@ -39,7 +39,7 @@ func (r *Registry) parseParallel(f *flowfile.File, def *flowfile.TaskDef, stack 
 		if !ok {
 			return nil, fmt.Errorf("task %q: parallel references undefined task T.%s", def.Name, ref.Name)
 		}
-		spec, err := r.parseNamed(f, sub, stack)
+		spec, err := r.parseNamed(f, sub, stack, specs, errs)
 		if err != nil {
 			return nil, err
 		}

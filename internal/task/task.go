@@ -168,20 +168,37 @@ func (r *Registry) Types() []string {
 	return out
 }
 
-// Parse resolves one flow-file task definition. The parallel composite
-// needs access to sibling definitions, so Parse receives the whole file.
-func (r *Registry) Parse(f *flowfile.File, def *flowfile.TaskDef) (Spec, error) {
-	return r.parseNamed(f, def, nil)
+// Parse resolves every task definition of a flow file by name: its spec,
+// or the error its configuration earned. Each parser runs once per
+// definition; a parallel composite (why the whole file is needed) shares
+// the results of the subs it names.
+func (r *Registry) Parse(f *flowfile.File) (map[string]Spec, map[string]error) {
+	specs, errs := make(map[string]Spec, len(f.TaskOrder)), map[string]error{}
+	for _, name := range f.TaskOrder {
+		if sp, err := r.parseNamed(f, f.Tasks[name], nil, specs, errs); err != nil {
+			errs[name] = err
+		} else {
+			specs[name] = sp
+		}
+	}
+	return specs, errs
 }
 
-func (r *Registry) parseNamed(f *flowfile.File, def *flowfile.TaskDef, stack []string) (Spec, error) {
+// parseNamed parses one definition, reading and recording every plain
+// (non-parallel) definition's result in specs and errs.
+func (r *Registry) parseNamed(f *flowfile.File, def *flowfile.TaskDef, stack []string, specs map[string]Spec, errs map[string]error) (Spec, error) {
 	for _, s := range stack {
 		if s == def.Name {
 			return nil, fmt.Errorf("task %q: parallel composition cycle via %s", def.Name, strings.Join(stack, " -> "))
 		}
 	}
 	if def.Type == "parallel" {
-		return r.parseParallel(f, def, append(stack, def.Name))
+		return r.parseParallel(f, def, append(stack, def.Name), specs, errs)
+	}
+	if sp, ok := specs[def.Name]; ok {
+		return sp, nil
+	} else if err, ok := errs[def.Name]; ok {
+		return nil, err
 	}
 	r.mu.RLock()
 	p, ok := r.parsers[def.Type]
@@ -191,8 +208,10 @@ func (r *Registry) parseNamed(f *flowfile.File, def *flowfile.TaskDef, stack []s
 	}
 	spec, err := p(def.Config)
 	if err != nil {
-		return nil, fmt.Errorf("task %q: %w", def.Name, err)
+		errs[def.Name] = fmt.Errorf("task %q: %w", def.Name, err)
+		return nil, errs[def.Name]
 	}
+	specs[def.Name] = spec
 	return spec, nil
 }
 

@@ -44,7 +44,8 @@ func parseSpec(t *testing.T, src string) Spec {
 	if err := f.AddTask(def); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := NewRegistry().Parse(f, def)
+	parsed, failed := NewRegistry().Parse(f)
+	spec, err := parsed[def.Name], failed[def.Name]
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -585,7 +586,8 @@ T:
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := NewRegistry().Parse(f, f.Tasks["players_pipeline"])
+	parsed, failed := NewRegistry().Parse(f)
+	spec, err := parsed["players_pipeline"], failed["players_pipeline"]
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +623,8 @@ T:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRegistry().Parse(f, f.Tasks["a"]); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, failed := NewRegistry().Parse(f); failed["a"] == nil || !strings.Contains(failed["a"].Error(), "cycle") {
+		err := failed["a"]
 		t.Fatalf("expected cycle error, got %v", err)
 	}
 }
@@ -735,7 +738,8 @@ T:
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := reg.Parse(f, f.Tasks["predictor"])
+	parsed, failed := reg.Parse(f)
+	spec, err := parsed["predictor"], failed["predictor"]
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -928,5 +932,6 @@ func parseSpec2(src string) (Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewRegistry().Parse(f, f.Tasks[f.TaskOrder[0]])
+	parsed, failed := NewRegistry().Parse(f)
+	return parsed[f.TaskOrder[0]], failed[f.TaskOrder[0]]
 }
