@@ -184,26 +184,42 @@ func benchCSV(rows int) ([]byte, *schema.Schema) {
 	return buf.Bytes(), schema.MustFromNames("region", "product", "channel", "amount", "qty")
 }
 
-// TestDecodeCSVAllocs bounds the decode at the benchmark's shape: one
-// record string per line plus a few dozen vector allocations, no row and
-// no per-cell object — and what it returns is the batch the kernels run
-// on, so a decoded source reaches a group-by with no conversion at all.
+// TestDecodeCSVAllocs bounds the decode by a constant, not by the rows:
+// the text is copied once, fields are substrings of the copy, and what is
+// left is the vectors' growth and one clone per dictionary entry — the
+// same at 1,000 and 10,000 rows of the benchmark's shape. A column of
+// all-distinct strings costs its first dictMinEntries cells as entries and
+// then nothing per row. The constants leave room for the race detector's
+// own allocations. What the decode returns is the batch the
+// kernels run on, so a decoded source reaches a group-by with no
+// conversion at all.
 func TestDecodeCSVAllocs(t *testing.T) {
-	const rows = 1000
-	payload, s := benchCSV(rows)
 	d := &flowfile.DataDef{Name: "sales"}
-	var tb *table.Table
-	allocs := testing.AllocsPerRun(10, func() {
-		var err error
-		if tb, err = (&csvFormat{}).Decode(d, s, payload); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 1.5*rows {
-		t.Errorf("decoding %d rows allocates %.0f times, want at most 1.5 per row", rows, allocs)
+	decode := func(payload []byte, s *schema.Schema, rows int) (tb *table.Table, allocs float64) {
+		allocs = testing.AllocsPerRun(10, func() {
+			var err error
+			if tb, err = (&csvFormat{}).Decode(d, s, payload); err != nil || tb.Len() != rows {
+				t.Fatal(tb.Len(), err)
+			}
+		})
+		return tb, allocs
 	}
-	if tb.Len() != rows {
-		t.Fatalf("decoded %d rows, want %d", tb.Len(), rows)
+	var tb *table.Table
+	var s *schema.Schema
+	for _, rows := range []int{10000, 1000} {
+		var payload []byte
+		var allocs float64
+		payload, s = benchCSV(rows)
+		if tb, allocs = decode(payload, s, rows); allocs > 250 {
+			t.Errorf("decoding %d rows allocates %.0f times, want at most 250 whatever the rows", rows, allocs)
+		}
+	}
+	var distinct bytes.Buffer
+	for i := 0; i < 10000; i++ {
+		fmt.Fprintf(&distinct, "id-%d,%d\n", i, i)
+	}
+	if _, allocs := decode(distinct.Bytes(), schema.MustFromNames("id", "n"), 10000); allocs > 1024+250 {
+		t.Errorf("decoding 10000 distinct strings allocates %.0f times, want at most %d", allocs, 1024+250)
 	}
 	spec := &task.GroupBySpec{GroupBy: []string{"region"}, Aggs: []task.AggSpec{{Operator: "sum", ApplyOn: "amount", OutField: "total"}}}
 	ker, _, ok := spec.BindVec(nil, task.Input{Schema: s})

@@ -5,10 +5,13 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
@@ -25,12 +28,20 @@ import (
 // column names (or their payload paths) it is treated as a header and
 // binding switches to by-name.
 //
-// Decoding is one pass: encoding/csv tokenizes (ReuseRecord: one string
-// per record, its fields re-sliced from it), each field is typed by
-// value.Parse into a reused scratch row, the pushed predicate sees that
-// row, and kept rows append straight into column vectors. No row and no
-// per-cell object is allocated; string cells alias their record string.
+// Decoding is one pass over one string copy of the payload: csvScanner
+// tokenizes it in place (a field is a substring of that copy), each field
+// is typed by value.Parse into a reused scratch row, the pushed predicate
+// sees that row, and kept rows append straight into column vectors. No
+// row, no record and no per-cell object is allocated. A plain string
+// column's cells alias the copy, a dictionary-coded column holds clones
+// (colstore.Builder): only a high-cardinality column keeps the text alive,
+// and only when at least half the records were kept — under a predicate
+// that drops more, the kept cells are moved off the text at the end.
 type csvFormat struct{ sep rune }
+
+// csvReserveRows is how many rows a decode must have kept before it
+// reserves its vectors from them, and how often it revises the reserve.
+const csvReserveRows = 1024
 
 func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
 	t, _, err := f.DecodePushdown(d, s, payload, Pushdown{})
@@ -44,18 +55,14 @@ func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 // the declared schema is declined — never an error, the consumer
 // pipeline re-applies it anyway.
 func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
-	r := csv.NewReader(bytes.NewReader(payload))
-	r.Comma = f.sep
-	if r.Comma == 0 {
-		r.Comma = ','
+	r := csvScanner{src: string(payload), comma: f.sep}
+	if r.comma == 0 {
+		r.comma = ','
 		if sep := d.Prop("separator"); sep != "" {
 			rs := []rune(sep)
-			r.Comma = rs[0]
+			r.comma = rs[0]
 		}
 	}
-	r.FieldsPerRecord = -1
-	r.TrimLeadingSpace = true
-	r.ReuseRecord = true
 	// Negotiate the pushdown: a predicate that binds filters while
 	// decoding; requested skip columns decode as nulls unless the
 	// predicate reads them.
@@ -69,15 +76,24 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 			res.SkippedColumns = append(res.SkippedColumns, c)
 		}
 	}
+	if c := r.comma; c == 0 || c == '"' || c == '\r' || c == '\n' || !utf8.ValidRune(c) || c == utf8.RuneError {
+		// encoding/csv's unexported error of the same text.
+		return nil, res, errors.New("csv: invalid field or comment delimiter")
+	}
 	b := colstore.NewBuilder(s)
 	binding := make([]int, s.Len()) // schema column -> record index
 	for i := range binding {
 		binding[i] = i
 	}
 	row := make(table.Row, s.Len())
+	kept, rows := 0, 0
 	for first := true; ; first = false {
-		rec, err := r.Read()
+		rec, err := r.read()
 		if err == io.EOF {
+			if kept < rows/2 {
+				// Most of the text was dropped: no kept cell may pin it.
+				b.OwnStrings()
+			}
 			return b.Table(), res, nil
 		}
 		if err != nil {
@@ -92,7 +108,7 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 				// A malformed record anywhere in the payload outranks
 				// the header complaint.
 				for err == nil {
-					_, err = r.Read()
+					_, err = r.read()
 				}
 				if err != io.EOF {
 					return nil, res, err
@@ -101,6 +117,7 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 			}
 			continue
 		}
+		rows++
 		for i, j := range binding {
 			if skip[i] || j >= len(rec) {
 				row[i] = value.VNull
@@ -110,6 +127,132 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 		}
 		if pred == nil || pred(row).Truthy() {
 			b.Append(row)
+			if kept++; kept%csvReserveRows == 0 {
+				// Rows kept per byte consumed, over the whole payload,
+				// plus 1/32 so that a steady payload never regrows. Rows
+				// kept are rows read at most, so a predicate never reserves
+				// more than the same decode without one; where the kept
+				// rows thin out later in the payload, Table trims.
+				est := int64(kept) * int64(len(r.src)) / int64(r.off)
+				b.Reserve(int(est + est/32))
+			}
+		}
+	}
+}
+
+// csvScanner splits delimiter-separated text into records without
+// copying it: a port of encoding/csv's Reader.readRecord (with
+// TrimLeadingSpace, any field count, no comments, no lazy quotes) from a
+// buffered reader to one in-memory string. It accepts and rejects exactly
+// what that reader does, with the same *csv.ParseError — FuzzCSVRecords
+// holds the two together. A field is a substring of src; only a quoted
+// field with an escaped quote or a line end in it is assembled in a
+// buffer of its own. A line is handled without its terminator ("\n" or
+// "\r\n", either of which a quoted field keeps as "\n"): nl says it had one.
+type csvScanner struct {
+	src     string
+	comma   rune
+	off     int      // bytes of src consumed
+	numLine int      // lines read, counting the empty read at the end
+	rec     []string // the current record, reused by the next read
+}
+
+// readLine returns the next line and 1 if a line feed ended it, 0 at the
+// end of the text, where a trailing "\r" is dropped as well.
+func (r *csvScanner) readLine() (line string, nl int) {
+	line = r.src[r.off:]
+	if i := strings.IndexByte(line, '\n'); i >= 0 {
+		line, nl = line[:i], 1
+	}
+	r.numLine++
+	r.off += len(line) + nl
+	return strings.TrimSuffix(line, "\r"), nl
+}
+
+// read returns the next record, io.EOF after the last. The slice and a
+// header's trimmed names are good until the next call.
+func (r *csvScanner) read() ([]string, error) {
+	line, nl := r.readLine()
+	for line == "" { // skip empty lines
+		if r.off == len(r.src) && nl == 0 {
+			return nil, io.EOF
+		}
+		line, nl = r.readLine()
+	}
+	commaLen := utf8.RuneLen(r.comma)
+	recLine := r.numLine
+	posLine, col := r.numLine, 1 // where line[0] is: 1-based, col in bytes
+	r.rec = r.rec[:0]
+	for {
+		trimmed := strings.TrimLeftFunc(line, unicode.IsSpace)
+		col += len(line) - len(trimmed)
+		line = trimmed
+		if line == "" || line[0] != '"' {
+			// Unquoted field.
+			i := strings.IndexRune(line, r.comma)
+			field := line
+			if i >= 0 {
+				field = line[:i]
+			}
+			if j := strings.IndexByte(field, '"'); j >= 0 {
+				return nil, &csv.ParseError{StartLine: recLine, Line: r.numLine, Column: col + j, Err: csv.ErrBareQuote}
+			}
+			r.rec = append(r.rec, field)
+			if i < 0 {
+				return r.rec, nil
+			}
+			line = line[i+commaLen:]
+			col += i + commaLen
+			continue
+		}
+		// Quoted field.
+		line = line[1:]
+		col++
+		var spill strings.Builder // the field so far, once it cannot be a substring
+		for {
+			i := strings.IndexByte(line, '"')
+			if i < 0 {
+				if len(line)+nl == 0 {
+					return nil, &csv.ParseError{StartLine: recLine, Line: posLine, Column: col, Err: csv.ErrQuote}
+				}
+				// The field runs over the line end. Grow doubles the
+				// buffer; WriteString alone would grow it by quarters.
+				spill.Grow(len(line) + nl)
+				spill.WriteString(line)
+				spill.WriteString("\n"[:nl])
+				col += len(line) + nl
+				if line, nl = r.readLine(); len(line)+nl > 0 {
+					posLine++
+					col = 1
+				}
+				continue
+			}
+			field := line[:i]
+			line = line[i+1:]
+			col += i + 1
+			c, _ := utf8.DecodeRuneInString(line)
+			if c == '"' {
+				// An escaped quote.
+				spill.WriteString(field)
+				spill.WriteByte('"')
+				line = line[1:]
+				col++
+				continue
+			}
+			if c != r.comma && line != "" {
+				return nil, &csv.ParseError{StartLine: recLine, Line: r.numLine, Column: col - 1, Err: csv.ErrQuote}
+			}
+			if spill.Len() > 0 {
+				spill.WriteString(field)
+				field = spill.String()
+			}
+			r.rec = append(r.rec, field)
+			if line == "" {
+				return r.rec, nil
+			}
+			line = line[commaLen:]
+			col += commaLen
+			break
 		}
 	}
 }

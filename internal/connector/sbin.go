@@ -147,9 +147,15 @@ func decodeSBIN(payload []byte, s *schema.Schema, bind func(names []string) ([]i
 	for i, j := range binding {
 		targets[j] = append(targets[j], i)
 	}
-	// nrows only bounds the loop, which a short payload ends with an
-	// error: a forged count cannot size the vectors.
+	// The vectors are reserved for nrows only as far as the payload can
+	// hold them: a cell is at least its kind byte, so the bytes left bound
+	// the rows whatever the header claims, and a forged count sizes
+	// nothing beyond them. A short payload still ends the loop with an
+	// error.
 	bld := colstore.NewBuilder(s)
+	if ncols > 0 {
+		bld.Reserve(int(min(nrows, uint64(r.Len())/ncols)))
+	}
 	for ri := uint64(0); ri < nrows; ri++ {
 		for _, cols := range targets {
 			kind, err := r.ReadByte()

@@ -48,11 +48,55 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ target) {
 	jsonOK(w, map[string]any{"dashboards": s.names()})
 }
 
+// The largest bodies the write routes take: a flow file, a data file.
+const maxFlowBytes, maxDataBytes = 16 << 20, 64 << 20
+
+// bodyAhead is how far readBody allocates ahead of the bytes received on
+// the strength of a declared Content-Length alone.
+const bodyAhead = 1 << 20
+
+// readBody reads a request body of at most limit bytes. A declared
+// Content-Length sizes the buffer exactly — at once up to bodyAhead, past
+// that doubling toward the length only as the bytes before arrive, so a
+// client that declares much and sends little holds little. A chunked body
+// grows as it arrives. A longer body is answered 413, one that ends before
+// its declared length (or fails to read) 400; ok is false once answered.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (body []byte, ok bool) {
+	var err error
+	switch n := r.ContentLength; {
+	case n > limit:
+		err = &http.MaxBytesError{Limit: limit}
+	case n >= 0:
+		body = make([]byte, 0, min(n, bodyAhead))
+		for err == nil && int64(len(body)) < n {
+			if len(body) == cap(body) {
+				body = append(make([]byte, 0, min(n, 2*int64(len(body)))), body...)
+			}
+			var m int
+			m, err = io.ReadFull(r.Body, body[len(body):cap(body)])
+			body = body[:len(body)+m]
+		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	default:
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	if err == nil {
+		return body, true
+	}
+	status := http.StatusBadRequest
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	jsonError(w, status, err)
+	return nil, false
+}
+
 // handlePut creates or updates a dashboard's flow file.
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, t target) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, maxFlowBytes)
+	if !ok {
 		return
 	}
 	hash, f, err := s.commit(t.name, change{branch: vcs.DefaultBranch, author: author(r), message: "save " + t.name, body: body})
@@ -410,9 +454,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, t target) 
 		jsonError(w, http.StatusBadRequest, fmt.Errorf("bad file name %q", file))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, maxDataBytes)
+	if !ok {
 		return
 	}
 	s.UploadData(t.name, file, body)
@@ -543,9 +586,8 @@ func (s *Server) handleBranchGet(w http.ResponseWriter, r *http.Request, t targe
 }
 
 func (s *Server) handleBranchPut(w http.ResponseWriter, r *http.Request, t target) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r, maxFlowBytes)
+	if !ok {
 		return
 	}
 	branch := r.PathValue("branch")

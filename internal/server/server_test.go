@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -917,5 +920,106 @@ func TestMergeRejectsUnloadableResult(t *testing.T) {
 	}
 	if _, body := do(t, http.MethodGet, base, ""); !strings.Contains(string(body), "limit: 2") {
 		t.Errorf("merged content missing from main: %s", body)
+	}
+}
+
+// zeros is an endless body of NUL bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestRequestBodyLimits: each route that reads a body refuses one over
+// its limit with 413 — declared or chunked — and one shorter than it
+// declared with 400, in the JSON error shape, and stores neither. A
+// truncated flow file or upload must never be answered 200.
+func TestRequestBodyLimits(t *testing.T) {
+	s, ts := newTestServer(t)
+	base := ts.URL + "/dashboards/big"
+	if code, _ := do(t, http.MethodPut, base, serverFlow); code != 200 {
+		t.Fatal("PUT failed")
+	}
+	if code, _ := do(t, http.MethodPost, base+"/branches/b", ""); code != 200 {
+		t.Fatal("branch failed")
+	}
+	// send issues a PUT whose Content-Length is declared (or -1 for a
+	// chunked body) independently of the bytes that follow.
+	send := func(url string, declared int64, body io.Reader) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, url, io.NopCloser(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	for _, route := range []struct {
+		url   string
+		limit int64
+	}{
+		{ts.URL + "/dashboards/fresh", maxFlowBytes},
+		{base + "/branches/b", maxFlowBytes},
+		{base + "/data/sales.csv", maxDataBytes},
+	} {
+		for _, tc := range []struct {
+			name     string
+			declared int64
+			body     io.Reader
+			want     int
+		}{
+			{"declared over the limit", route.limit + 1, strings.NewReader(""), http.StatusRequestEntityTooLarge},
+			{"chunked over the limit", -1, io.LimitReader(zeros{}, route.limit+1), http.StatusRequestEntityTooLarge},
+			{"shorter than declared", 100, strings.NewReader("east,widget"), http.StatusBadRequest},
+		} {
+			code, body := send(route.url, tc.declared, tc.body)
+			var shape map[string]string
+			if err := json.Unmarshal([]byte(body), &shape); code != tc.want || err != nil || shape["error"] == "" {
+				t.Errorf("PUT %s, %s: %d %.100s; want %d and a JSON error", route.url, tc.name, code, body, tc.want)
+			}
+		}
+	}
+	if code, _ := do(t, http.MethodGet, ts.URL+"/dashboards/fresh", ""); code != 404 {
+		t.Errorf("a refused flow file was stored: GET = %d", code)
+	}
+	if _, body := do(t, http.MethodGet, base+"/branches/b", ""); string(body) != serverFlow {
+		t.Errorf("a refused branch save was stored: %.100s", body)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if n := len(s.dashboards["big"].uploads); n != 0 {
+		t.Errorf("a refused upload was stored: %d files", n)
+	}
+}
+
+// TestReadBodyAllocatesAsBytesArrive: a declared Content-Length sizes the
+// buffer exactly, but only bodyAhead of it before the bytes are there — a
+// client that declares 48 MiB and sends eleven bytes costs the server one
+// bodyAhead, not 48 MiB — and a body larger than bodyAhead still arrives
+// whole, in a buffer with nothing to spare.
+func TestReadBodyAllocatesAsBytesArrive(t *testing.T) {
+	read := func(declared int64, sent []byte) (body []byte, ok bool, allocated uint64) {
+		req := httptest.NewRequest(http.MethodPut, "/", io.NopCloser(bytes.NewReader(sent)))
+		req.ContentLength = declared
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body, ok = readBody(httptest.NewRecorder(), req, maxDataBytes)
+		runtime.ReadMemStats(&after)
+		return body, ok, after.TotalAlloc - before.TotalAlloc
+	}
+	if _, ok, allocated := read(48<<20, []byte("east,widget")); ok || allocated > 2*bodyAhead {
+		t.Errorf("48 MiB declared, 11 bytes sent: ok = %v, %d bytes allocated; want a refusal within %d", ok, allocated, 2*bodyAhead)
+	}
+	sent := bytes.Repeat([]byte("0123456789abcdef"), 3*bodyAhead/16)
+	sent = append(sent, "tail\n"...)
+	body, ok, allocated := read(int64(len(sent)), sent)
+	if !ok || !bytes.Equal(body, sent) || cap(body) != len(body) {
+		t.Errorf("%d bytes sent: ok = %v, %d bytes read into a buffer of %d", len(sent), ok, len(body), cap(body))
+	}
+	if allocated > 3*uint64(len(sent)) {
+		t.Errorf("%d bytes sent: %d bytes allocated, want at most 3x", len(sent), allocated)
 	}
 }

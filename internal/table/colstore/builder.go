@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
@@ -25,6 +26,9 @@ import (
 // the rows seen (dictMaxShare) the column reverts, once, to a plain
 // vector and stays one. The lookup maps belong to the builder and are
 // dropped when it is sealed; the table keeps only codes and dictionary.
+// A dictionary entry is the builder's own copy, so a coded column never
+// keeps a caller's larger string (a decoder's whole payload) alive; a
+// plain column stores the strings it is given, unless OwnStrings is called.
 type Builder struct {
 	schema *schema.Schema
 	cols   []*Vec
@@ -32,6 +36,8 @@ type Builder struct {
 	// dictionary-coded; nil for every other column.
 	dicts []map[string]uint32
 	n     int
+	// want is the row count Reserve last set; 0 before any.
+	want int
 }
 
 // A dictionary-coded column reverts to a plain vector at the first new
@@ -60,15 +66,32 @@ const (
 )
 
 // NewBuilder returns a builder for tables of schema s. Vectors grow by
-// append as rows arrive: nothing is sized from a count the payload
-// merely claims (a line count, a header field), so what a decode
-// allocates is bounded by the rows it really produces.
+// doubling as rows arrive until the decoder calls Reserve.
 func NewBuilder(s *schema.Schema) *Builder {
 	cols := make([]*Vec, s.Len())
 	for i := range cols {
 		cols[i] = &Vec{}
 	}
 	return &Builder{schema: s, cols: cols, dicts: make([]map[string]uint32, s.Len())}
+}
+
+// Reserve tells the builder how many rows its caller's evidence says the
+// table will end with: from then on a vector that fills, or starts, is
+// allocated for that many rows at once, and doubles only beyond them. The
+// count must follow from bytes of input the caller holds — rows built per
+// byte consumed, a cell's minimum size — never from a count the input
+// merely claims (a header field, a line count), so that a decode
+// allocates no more than an input of its size, as dense as the part
+// already read, really produces. The caller may revise it at any time,
+// and Table trims a vector the reserve overshot.
+func (b *Builder) Reserve(rows int) { b.want = rows }
+
+// room is the capacity for a vector that holds n cells and needs more.
+func (b *Builder) room(n int) int {
+	if b.want > n {
+		return b.want
+	}
+	return 2*n + 1
 }
 
 // Append adds one row. The slice is read, not retained, so callers can
@@ -120,18 +143,18 @@ func (b *Builder) appendCell(c int, cell value.V, p []byte) {
 	}
 	switch v.kind {
 	case value.Bool:
-		v.bools = push(v.bools, cell.NumRaw() != 0)
+		v.bools = push(b, v.bools, cell.NumRaw() != 0)
 	case value.Int:
-		v.ints = push(v.ints, cell.NumRaw())
+		v.ints = push(b, v.ints, cell.NumRaw())
 	case value.Float:
-		v.floats = push(v.floats, math.Float64frombits(uint64(cell.NumRaw())))
+		v.floats = push(b, v.floats, math.Float64frombits(uint64(cell.NumRaw())))
 	case value.String:
 		b.pushString(c, cell.StrRaw(), p)
 	case anyKind:
 		if p != nil {
 			cell = value.NewString(string(p))
 		}
-		v.anys = push(v.anys, cell)
+		v.anys = push(b, v.anys, cell)
 	}
 }
 
@@ -144,7 +167,7 @@ func (b *Builder) pushString(c int, s string, p []byte) {
 		if p != nil {
 			s = string(p)
 		}
-		v.strs = push(v.strs, s)
+		v.strs = push(b, v.strs, s)
 		return
 	}
 	var code uint32
@@ -160,32 +183,35 @@ func (b *Builder) pushString(c int, s string, p []byte) {
 		}
 		if len(v.dict) > dictMinEntries && len(v.dict)*dictMaxShare > b.n {
 			b.plain(c)
-			v.strs = push(v.strs, s)
+			v.strs = push(b, v.strs, s)
 			return
+		}
+		if p == nil {
+			s = strings.Clone(s)
 		}
 		code = uint32(len(v.dict))
 		v.dict = append(v.dict, s)
 		m[s] = code
 	}
-	v.codes = push(v.codes, code)
+	v.codes = push(b, v.codes, code)
 }
 
 // plain reverts coded string column c to one header per element.
 func (b *Builder) plain(c int) {
 	v := b.cols[c]
-	strs := make([]string, len(v.codes), 2*len(v.codes)+1)
+	strs := make([]string, len(v.codes), b.room(len(v.codes)))
 	for i, code := range v.codes {
 		strs[i] = v.dict[code]
 	}
 	v.strs, v.codes, v.dict, b.dicts[c] = strs, nil, nil, nil
 }
 
-// push is append with doubling at every size: append alone grows a large
-// slice by a quarter, which over a 30k-row decode allocates five times
-// the final vector where doubling allocates twice.
-func push[T any](s []T, x T) []T {
-	if len(s) == cap(s) {
-		s = slices.Grow(s, len(s)+1)
+// push appends x, growing a full vector to b.room: append alone grows a
+// large slice by a quarter, which over a 30k-row decode allocates five
+// times the final vector where doubling allocates twice, a reserve once.
+func push[T any](b *Builder, s []T, x T) []T {
+	if n := len(s); n == cap(s) {
+		s = slices.Grow(s, b.room(n)-n)
 	}
 	return append(s, x)
 }
@@ -201,17 +227,17 @@ func (b *Builder) start(c int, k value.Kind) {
 	v.kind = k
 	switch k {
 	case value.Bool:
-		v.bools = make([]bool, i, i+1)
+		v.bools = make([]bool, i, b.room(i))
 	case value.Int:
-		v.ints = make([]int64, i, i+1)
+		v.ints = make([]int64, i, b.room(i))
 	case value.Float:
-		v.floats = make([]float64, i, i+1)
+		v.floats = make([]float64, i, b.room(i))
 	case value.String:
-		v.codes = make([]uint32, i, i+1)
+		v.codes = make([]uint32, i, b.room(i))
 		v.dict = []string{""}
 		b.dicts[c] = map[string]uint32{"": 0}
 	case anyKind:
-		v.anys = make([]value.V, i, i+1)
+		v.anys = make([]value.V, i, b.room(i))
 	}
 	if i > 0 {
 		v.nulls = NewBitmap(i)
@@ -229,7 +255,7 @@ func (b *Builder) box(c int) {
 		v.nulls.grow(n)
 	}
 	v.length = n
-	anys := make([]value.V, n, n+1)
+	anys := make([]value.V, n, b.room(n))
 	for j := range anys {
 		anys[j] = v.At(j)
 	}
@@ -237,16 +263,48 @@ func (b *Builder) box(c int) {
 	b.dicts[c] = nil
 }
 
+// OwnStrings gives every plain and boxed string cell a copy of its own. It
+// is for a caller whose cells are substrings of a text much larger than
+// the rows it appended (a decoder whose predicate dropped most of the
+// payload): otherwise a few kept cells keep all that text alive with the
+// table.
+func (b *Builder) OwnStrings() {
+	for _, v := range b.cols {
+		for i, s := range v.strs {
+			v.strs[i] = strings.Clone(s)
+		}
+		for i, cell := range v.anys {
+			if cell.Kind() == value.String {
+				v.anys[i] = value.NewString(strings.Clone(cell.StrRaw()))
+			}
+		}
+	}
+}
+
 // Table seals the builder and returns what it accumulated as a
 // column-backed table. The builder must not be appended to afterwards:
-// the table owns the vectors.
+// the table owns the vectors, and may be cached for good — so one with
+// more than a quarter spare (doubling's slack, a reserve the rest of the
+// input did not bear out) is first moved to one of its own size. A
+// reserve that held leaves its 1/32 and the allocator's rounding to whole
+// pages, which is not worth a copy.
 func (b *Builder) Table() *table.Table {
 	for _, v := range b.cols {
 		v.length = b.n
 		if v.nulls != nil {
 			v.nulls.grow(b.n)
 		}
+		v.bools, v.ints, v.floats = trim(v.bools), trim(v.ints), trim(v.floats)
+		v.strs, v.codes, v.anys = trim(v.strs), trim(v.codes), trim(v.anys)
 	}
 	b.dicts = nil
 	return (&Batch{schema: b.schema, cols: b.cols, length: b.n}).ToTable()
+}
+
+// trim returns s, reallocated when over a quarter of it is spare.
+func trim[T any](s []T) []T {
+	if cap(s)-len(s) > len(s)/4 {
+		return slices.Clone(s)
+	}
+	return s
 }

@@ -463,6 +463,31 @@ func TestFilterKernel(t *testing.T) {
 	}
 }
 
+// TestFilterSharesAnAllPassInput: a filter every row passes returns its
+// input batch itself (no selection vector, no gather — a pushed-down
+// predicate re-applied to what the decoder kept is exactly this), and any
+// other a fresh batch that leaves the input as it was.
+func TestFilterSharesAnAllPassInput(t *testing.T) {
+	tb := mixedTable([]int64{5, 3, 9}, []float64{.5, 1.5, 2.5}, []string{"a", "b", "a"}, []bool{true, true, true}, []byte{0, 0, 0})
+	b, _ := FromTable(tb)
+	for src, same := range map[string]bool{"a > 0": true, "a > 3": false, "a > 9": false} {
+		pred, err := CompileVecSrc(src, tb.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := (&Filter{Pred: pred}).Run(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (out == b) != same {
+			t.Errorf("%s: output is the input batch = %v, want %v", src, out == b, same)
+		}
+		if !b.ToTable().Equal(tb) {
+			t.Errorf("%s: the input batch changed", src)
+		}
+	}
+}
+
 // --- Column-backed tables ---------------------------------------------------
 
 // TestSharedColumnBackedTable has eight readers use one column-backed

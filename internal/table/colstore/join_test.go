@@ -319,6 +319,60 @@ func TestBuilderDictionary(t *testing.T) {
 	}
 }
 
+// TestBuilderSealsVectorsAtTheirSize: whatever the reserve promised and
+// however the vectors grew, a sealed table's have at most a quarter to
+// spare, and OwnStrings leaves every cell reading as it did — plain,
+// coded, boxed or null.
+func TestBuilderSealsVectorsAtTheirSize(t *testing.T) {
+	for _, reserve := range []int{0, 1000, 1 << 20} {
+		const rows = 3000
+		b := NewBuilder(schema.MustFromNames("n", "f", "ok", "id", "low", "mixed"))
+		text := ""
+		for i := 0; i < rows; i++ {
+			text += "id-" + strconv.Itoa(i) + ","
+		}
+		cell := func(i, c int) value.V {
+			id := value.NewString("id-" + strconv.Itoa(i))
+			return []value.V{value.NewInt(int64(i)), value.NewFloat(float64(i) / 2), value.NewBool(i%2 == 0),
+				id, value.NewString("v" + strconv.Itoa(i%7)), map[bool]value.V{true: id, false: value.NewInt(int64(i))}[i%3 == 0]}[c]
+		}
+		for i, off := 0, 0; i < rows; i++ {
+			if i == 10 {
+				b.Reserve(reserve)
+			}
+			row := make([]value.V, 6)
+			for c := range row {
+				row[c] = cell(i, c)
+			}
+			end := off + len(row[3].Str())
+			row[3] = value.NewString(text[off:end]) // a substring, as a decoder's is
+			off = end + 1
+			if i%50 == 49 {
+				row[1] = value.VNull
+			}
+			b.Append(row)
+		}
+		b.OwnStrings()
+		read := b.Table().Rows()
+		for c, v := range b.cols {
+			n := len(v.bools) + len(v.ints) + len(v.floats) + len(v.strs) + len(v.codes) + len(v.anys)
+			spare := cap(v.bools) + cap(v.ints) + cap(v.floats) + cap(v.strs) + cap(v.codes) + cap(v.anys) - n
+			if n != rows || spare > rows/4 {
+				t.Errorf("reserve %d, column %d: %d cells and %d spare, want %d and at most %d", reserve, c, n, spare, rows, rows/4)
+			}
+			for i := 0; i < rows; i++ {
+				want := cell(i, c)
+				if c == 1 && i%50 == 49 {
+					want = value.VNull
+				}
+				if got := read[i][c]; got != want {
+					t.Fatalf("reserve %d, column %d, row %d: %v, want %v", reserve, c, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDictionarySharedByGather: selecting from a coded vector copies
 // codes and shares the dictionary.
 func TestDictionarySharedByGather(t *testing.T) {

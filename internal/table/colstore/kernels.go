@@ -3,6 +3,7 @@ package colstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,6 +39,11 @@ type Filter struct {
 // Run implements Kernel.
 func (k *Filter) Run(b *Batch) (*Batch, error) {
 	keep := truthyBools(k.Pred(b))
+	if !slices.Contains(keep, false) {
+		// Every row passes — a filter the decoder already applied, run
+		// again by the pipeline. Batches are immutable: share the input.
+		return b, nil
+	}
 	sel := NewBitmap(b.length)
 	for i, t := range keep {
 		if t {
