@@ -1,9 +1,9 @@
 package shareinsights
 
 // Ablation benchmarks for the design decisions DESIGN.md §5 calls out:
-// engine parallelism, row-local fusion, filter pushdown, the incremental
-// result cache and the cube interaction path (the last lives in
-// internal/dashboard as BenchmarkInteraction{Cube,Reference}).
+// filter pushdown, the incremental result cache and the cube interaction
+// path (the last lives in internal/dashboard as
+// BenchmarkInteraction{Cube,Reference}).
 
 import (
 	"context"
@@ -25,99 +25,12 @@ import (
 func mustSchema(names ...string) *schema.Schema { return schema.MustFromNames(names...) }
 func strVal(s string) value.V                   { return value.NewString(s) }
 
-// ablSpecs builds the fan-out chain used by the fusion and pushdown
-// ablations: extract_words fans each doc into many word rows, then a
-// filter trims them.
-func ablSpecs(b *testing.B) []task.Spec {
-	b.Helper()
-	src := `
-T:
-  split:
-    type: map
-    operator: extract_words
-    transform: body
-    output: word
-  trim:
-    type: filter_by
-    filter_expression: word contains 'a'
-`
-	f, err := flowfile.Parse("abl", src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := task.NewRegistry()
-	var specs []task.Spec
-	for _, name := range []string{"split", "trim"} {
-		parsed, failed := reg.Parse(f)
-		sp, err := parsed[name], failed[name]
-		if err != nil {
-			b.Fatal(err)
-		}
-		specs = append(specs, sp)
-	}
-	return specs
-}
-
 func ablDocs(n int) *table.Table {
 	t := table.New(mustSchema("body"))
 	for i := 0; i < n; i++ {
 		t.AppendValues(strVal(fmt.Sprintf("alpha beta gamma delta epsilon doc%d tail words here", i)))
 	}
 	return t
-}
-
-// BenchmarkAblationWorkers1 / 8: intra-node parallelism on a fused
-// row-local chain (DESIGN.md decision: shard row-local runs). On a
-// single-CPU machine this measures pure coordination overhead — the
-// interesting number needs real cores (see EXPERIMENTS.md hardware
-// note).
-func BenchmarkAblationWorkers1(b *testing.B) { benchWorkers(b, 1) }
-func BenchmarkAblationWorkers8(b *testing.B) { benchWorkers(b, 8) }
-
-func benchWorkers(b *testing.B, workers int) {
-	specs := ablSpecs(b)
-	docs := ablDocs(20000)
-	e := &batch.Executor{Parallelism: workers}
-	env := &task.Env{Parallelism: workers}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunPipeline(context.Background(), env, specs, []*table.Table{docs}, nil, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationFused vs Staged: the fused engine path versus
-// materializing after every stage (the reference Exec), single-threaded
-// so only fusion differs.
-func BenchmarkAblationFused(b *testing.B) {
-	specs := ablSpecs(b)
-	docs := ablDocs(20000)
-	e := &batch.Executor{Parallelism: 1}
-	env := &task.Env{Parallelism: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunPipeline(context.Background(), env, specs, []*table.Table{docs}, nil, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationStaged(b *testing.B) {
-	specs := ablSpecs(b)
-	docs := ablDocs(20000)
-	env := &task.Env{Parallelism: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cur := docs
-		for _, sp := range specs {
-			out, err := sp.Exec(env, []*table.Table{cur}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cur = out
-		}
-	}
 }
 
 // BenchmarkAblationPushdownOn / Off: a selective filter written after a
@@ -155,7 +68,7 @@ T:
 	}
 	sources := map[string]*table.Table{"docs": ablDocs(20000)}
 	e := &batch.Executor{Parallelism: 1, Optimize: optimize}
-	env := &task.Env{Parallelism: 1}
+	env := &task.Env{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.RunContext(context.Background(), g, env, sources); err != nil {

@@ -13,7 +13,7 @@ import (
 // statistics exist — flight-recorder stage profiles from past runs,
 // flowcheck facts when there is no history yet, heuristics when there is
 // neither — into a Plan: per node, the spec order to execute, the
-// resolved columnar mode, predicted paths and fusion, and negotiated
+// resolved columnar mode, predicted paths, and negotiated
 // source pushdown requests. The executor consults the plan instead of
 // re-deriving rewrites per run, and the same Plan renders the `explain`
 // surface (CLI, REST and golden tests), so what runs and what is shown
@@ -122,9 +122,6 @@ type StagePlan struct {
 	// "auto" when the runtime planner will decide on observed input
 	// size. The actual path lands in StageTiming.Path.
 	Path string `json:"path"`
-	// Fused marks a stage predicted to fuse with its predecessor into
-	// one sharded row-local pass.
-	Fused bool `json:"fused,omitempty"`
 }
 
 // SourcePushdown is a negotiated fetch-time rewrite request for a
@@ -374,8 +371,8 @@ func reorderFilters(output string, specs []task.Spec, opts PlanOptions) ([]task.
 	}
 }
 
-// stagePlans renders the planned specs with predicted selectivities,
-// execution paths and fusion — the explain view of one node.
+// stagePlans renders the planned specs with predicted selectivities and
+// execution paths — the explain view of one node.
 func stagePlans(output string, specs []task.Spec, mode string, opts PlanOptions) []StagePlan {
 	out := make([]StagePlan, len(specs))
 	for i, sp := range specs {
@@ -386,22 +383,15 @@ func stagePlans(output string, specs []task.Spec, mode string, opts PlanOptions)
 		st.Path = predictPath(output, sp, mode, opts)
 		out[i] = st
 	}
-	// Fusion: consecutive row-local stages fuse into one sharded pass
-	// unless the columnar path takes a stage out of the run.
-	for i := 1; i < len(specs); i++ {
-		_, prevRL := specs[i-1].(task.RowLocal)
-		_, curRL := specs[i].(task.RowLocal)
-		if prevRL && curRL && out[i-1].Path != "columnar" && out[i].Path != "columnar" {
-			out[i].Fused = true
-		}
-	}
 	return out
 }
 
-// predictPath predicts a stage's execution path from the resolved mode,
-// the spec's vectorizability (a single-input kernel, or the two-input
-// join kernel) and the observed input cardinality. "auto" means the
-// runtime planner decides (no statistics to predict from).
+// predictPath predicts a stage's execution path by the batch engine's
+// rule: row when the mode is off or the spec has no kernel type; with a
+// kernel type, columnar when the mode is on or the stage's observed input
+// reaches ColumnarAutoThreshold rows — provided its configuration has a
+// kernel (task.HasKernel), else row — and row below the threshold. "auto"
+// means no input size was observed: the runtime planner decides.
 func predictPath(output string, sp task.Spec, mode string, opts PlanOptions) string {
 	if mode == "off" {
 		return "row"
@@ -411,18 +401,22 @@ func predictPath(output string, sp task.Spec, mode string, opts PlanOptions) str
 	if !one && !two {
 		return "row"
 	}
-	if mode == "on" {
-		return "columnar"
-	}
-	if opts.Stats != nil {
-		if st, ok := opts.Stats(output, task.Describe(sp)); ok && st.HasRowsIn {
-			if st.RowsIn >= ColumnarAutoThreshold {
-				return "columnar"
-			}
+	if mode != "on" {
+		st, ok := StageStats{}, false
+		if opts.Stats != nil {
+			st, ok = opts.Stats(output, task.Describe(sp))
+		}
+		if !ok || !st.HasRowsIn {
+			return "auto"
+		}
+		if st.RowsIn < ColumnarAutoThreshold {
 			return "row"
 		}
 	}
-	return "auto"
+	if task.HasKernel(sp) {
+		return "columnar"
+	}
+	return "row"
 }
 
 // predicateGate is the selectivity above which pushing a predicate into
@@ -601,11 +595,7 @@ func (p *Plan) Format() string {
 			if st.Evidence != "" {
 				fmt.Fprintf(&b, "  sel=%.2f [%s]", st.Selectivity, st.Evidence)
 			}
-			fmt.Fprintf(&b, "  path=%s", st.Path)
-			if st.Fused {
-				b.WriteString("  (fused with previous)")
-			}
-			b.WriteString("\n")
+			fmt.Fprintf(&b, "  path=%s\n", st.Path)
 		}
 		for _, d := range np.Decisions {
 			fmt.Fprintf(&b, "  * %s: %s [%s]\n", d.Rule, d.Detail, d.Evidence)

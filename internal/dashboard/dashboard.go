@@ -47,7 +47,8 @@ type Platform struct {
 	Connectors *connector.Registry
 	// Catalog resolves and receives published data objects.
 	Catalog *share.Catalog
-	// Parallelism caps batch-engine workers; <= 0 means GOMAXPROCS.
+	// Parallelism bounds how many DAG nodes the batch engine runs at
+	// once; <= 0 means GOMAXPROCS.
 	Parallelism int
 	// Optimize enables the DAG optimizer (dead-sink elimination, filter
 	// pushdown, interaction splitting). Disabling it is the E6 ablation
@@ -197,7 +198,6 @@ func (p *Platform) Compile(f *flowfile.File, resources map[string][]byte) (*Dash
 	}
 	d.env = &task.Env{
 		Resources:   resources,
-		Parallelism: p.Parallelism,
 		Trace:       p.Trace,
 		WidgetValue: d.widgetValue,
 	}

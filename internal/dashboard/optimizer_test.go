@@ -93,7 +93,7 @@ func endpointRows(t *testing.T, d *Dashboard) [][]string {
 }
 
 // TestOptimizerLearnsFromHistory drives the whole loop: run one records
-// per-filter selectivities (via fused sub-records), run two's plan
+// per-filter selectivities (one stage record per filter), run two's plan
 // reorders on that history and pushes the now-leading predicate into
 // the csv decode — and the answer never changes.
 func TestOptimizerLearnsFromHistory(t *testing.T) {

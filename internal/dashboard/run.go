@@ -361,28 +361,16 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 		run.ColumnarFallbacks = st.ColumnarFallbacks
 		run.Stages = make([]history.StageRecord, 0, len(st.Timings))
 		for _, t := range st.Timings {
-			rec := history.StageRecord{
+			// A filter whose predicate the connector applied at fetch
+			// sees pre-filtered rows: PushedDown marks the record so the
+			// profile keeps the genuine selectivity the pushdown was
+			// justified by (row counts and duration are still real
+			// observations).
+			run.Stages = append(run.Stages, history.StageRecord{
 				Output: t.Output, Stage: t.Stage, RowsIn: t.RowsIn, Rows: t.Rows,
 				DurationUS: t.Duration.Microseconds(), QueueWaitUS: t.QueueWait.Microseconds(),
-				Path: t.Path, Plan: t.Plan,
-			}
-			// A filter whose predicate the connector applied at fetch
-			// sees pre-filtered rows: mark the record so the profile
-			// keeps the genuine selectivity the pushdown was justified
-			// by (row counts and duration are still real observations).
-			rec.PushedDown = d.pushedFilters[dag.HintKey(t.Output, t.Stage)]
-			run.Stages = append(run.Stages, rec)
-			// Fused row-local runs report per-task row counts: record
-			// them as sub-records so every individual filter grows a
-			// selectivity profile (the optimizer's reordering evidence)
-			// without polluting duration baselines.
-			for _, sub := range t.Sub {
-				run.Stages = append(run.Stages, history.StageRecord{
-					Output: t.Output, Stage: sub.Stage, RowsIn: sub.RowsIn, Rows: sub.Rows,
-					Path: t.Path, Plan: t.Plan, Sub: true,
-					PushedDown: d.pushedFilters[dag.HintKey(t.Output, sub.Stage)],
-				})
-			}
+				Path: t.Path, Plan: t.Plan, PushedDown: d.pushedFilters[dag.HintKey(t.Output, t.Stage)],
+			})
 		}
 	}
 	rec.Record(run)

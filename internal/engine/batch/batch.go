@@ -1,16 +1,13 @@
 // Package batch is ShareInsights' data-processing engine — the stand-in
 // for the Hadoop/Pig/Spark back-end the paper compiles flows to.
 //
-// The engine executes a schema-resolved DAG with the same structure a
-// cluster engine would use, shrunk to one process:
+// The engine executes a schema-resolved DAG under a dag.Plan, shrunk to
+// one process:
 //
-//   - independent DAG nodes run concurrently (inter-node parallelism);
-//   - chains of row-local tasks (map, filter, parallel composites) are
-//     fused into one pass and sharded across workers (intra-node
-//     parallelism, the map side);
-//   - group-bys aggregate partially per shard and merge (the combiner/
-//     reduce side);
-//   - everything else falls back to the task's reference Exec.
+//   - independent DAG nodes run concurrently, at most
+//     Executor.Parallelism at once;
+//   - a node's pipeline runs one spec per stage, either on the spec's
+//     bound columnar kernel (columnar.go) or on its reference Exec.
 //
 // The observable semantics are exactly the task package's reference
 // semantics; tests assert the equivalence.
@@ -25,7 +22,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,7 +34,9 @@ import (
 
 // Executor runs flow-file DAGs.
 type Executor struct {
-	// Parallelism caps worker fan-out; <= 0 means GOMAXPROCS.
+	// Parallelism bounds how many DAG nodes run at once; <= 0 means
+	// GOMAXPROCS. It is the engine's only parallelism: a stage runs on
+	// its node's goroutine.
 	Parallelism int
 	// Plan is what RunContext executes: each node's spec order, columnar
 	// mode and the skipped sinks are read from it, and nothing runs that
@@ -90,8 +88,7 @@ type Budget interface {
 type StageTiming struct {
 	// Output is the data object the stage's pipeline produces.
 	Output string
-	// Stage describes the task(s) executed (fused row-local runs join
-	// their descriptions with " | ").
+	// Stage describes the stage's task (task.Describe).
 	Stage string
 	// RowsIn is the stage's input cardinality (summed over inputs).
 	RowsIn int
@@ -110,22 +107,6 @@ type StageTiming struct {
 	// applied rewrite rules, or "as-written"); "" when the executor ran
 	// without a cost-based plan.
 	Plan string
-	// Sub breaks a fused row-local run into its constituent tasks with
-	// per-task row counts — the per-filter selectivity feed for the
-	// cost-based optimizer. Empty for unfused stages.
-	Sub []SubStage
-}
-
-// SubStage is one task of a fused row-local run: its description and
-// observed row counts. Durations are not attributed below the fused
-// stage (the fusion exists precisely so the tasks share one pass).
-type SubStage struct {
-	// Stage is the task description.
-	Stage string
-	// RowsIn and Rows are the task's input and output cardinalities
-	// within the fused pass.
-	RowsIn int
-	Rows   int
 }
 
 // StageTiming.Path values.
@@ -177,7 +158,8 @@ type StageFailure struct {
 // structured stage error: the dashboard run fails, the process does
 // not.
 type PanicError struct {
-	// Stage describes the task(s) that panicked.
+	// Stage describes the task that panicked ("node D.<name>" when the
+	// panic escaped its node outside any stage).
 	Stage string
 	// Value is the panic value, stringified.
 	Value string
@@ -433,10 +415,9 @@ func checkMaxRows(n *dag.Node, out *table.Table) error {
 }
 
 // RunPipeline executes one linear spec chain over its inputs — the entry
-// for pipelines outside the graph (a widget's endpoint prefix) — fusing
-// and sharding row-local runs and parallelizing group-bys. Stage spans
-// open under parent on e.Tracer, stages charge e.Budget exactly as a
-// graph node's do, and cancellation is checked before every stage. It
+// for pipelines outside the graph (a widget's endpoint prefix). Stage
+// spans open under parent on e.Tracer, stages charge e.Budget exactly as
+// a graph node's do, and cancellation is checked before every stage. It
 // returns the output table and the number of stages run.
 func (e *Executor) RunPipeline(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, parent int) (*table.Table, int, error) {
 	p := &pipeline{e: e, env: env, parent: parent, mode: dag.ResolveColumnar("", e.Columnar)}
@@ -478,8 +459,9 @@ type pipeline struct {
 	fallbacks int
 }
 
-// run executes the chain stage by stage: each goes to a columnar kernel
-// when the planner mode and the data allow it, else to the row kernels.
+// run executes the chain one spec per stage: each goes to its columnar
+// kernel when the planner mode and the data allow it, else to its
+// reference Exec.
 func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
 	if len(specs) == 0 {
 		if len(in) != 1 {
@@ -487,68 +469,23 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 		}
 		return in[0], 0, nil
 	}
-	for i := 0; i < len(specs); {
+	for i, spec := range specs {
 		if err := ctx.Err(); err != nil {
 			return nil, i, err
 		}
-		n := 1
-		out, err := p.tryColumnar(specs, i, in, names)
+		out, err := p.tryColumnar(spec, in, names)
 		if out == nil && err == nil {
-			out, n, err = p.rowStage(specs[i:], in, names)
+			out, err = p.runStage(task.Describe(spec), PathRow, rowsIn(in), func() (*table.Table, error) {
+				return spec.Exec(p.env, in, names)
+			})
 		}
 		if err != nil {
 			return nil, i, err
 		}
-		i += n
 		in, names = []*table.Table{out}, []string{""}
 	}
 	return in[0], len(specs), nil
 }
-
-// rowStage runs the chain's next stage on the row kernels — a fused run
-// of row-local specs in one sharded pass, a sharded group-by, or the
-// spec's reference Exec — and reports how many specs it consumed.
-func (p *pipeline) rowStage(specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
-	single := len(in) == 1
-	if rl, ok := specs[0].(task.RowLocal); ok && single {
-		// Fuse the maximal run of row-local specs.
-		run := []task.RowLocal{rl}
-		for _, sp := range specs[1:] {
-			next, ok := sp.(task.RowLocal)
-			if !ok {
-				break
-			}
-			run = append(run, next)
-		}
-		nIn := in[0].Len()
-		out, err := p.runStage(describeRun(run), PathRow, nIn, func() (*table.Table, []SubStage, error) {
-			t, counts, err := p.e.runRowLocal(p.env, run, in[0], firstName(names))
-			if err != nil || len(run) == 1 {
-				return t, nil, err
-			}
-			subs := make([]SubStage, len(run))
-			rin := nIn
-			for k, rl := range run {
-				subs[k] = SubStage{Stage: task.Describe(rl), RowsIn: rin, Rows: counts[k]}
-				rin = counts[k]
-			}
-			return t, subs, nil
-		})
-		return out, len(run), err
-	}
-	if gr, ok := specs[0].(task.Grouped); ok && single && in[0].Len() >= parallelGroupThreshold {
-		out, err := p.runStage(task.Describe(gr), PathRow, in[0].Len(), func() (*table.Table, []SubStage, error) {
-			return noSubs(p.e.runGrouped(p.env, gr, in[0], firstName(names)))
-		})
-		return out, 1, err
-	}
-	out, err := p.runStage(task.Describe(specs[0]), PathRow, rowsIn(in), func() (*table.Table, []SubStage, error) {
-		return noSubs(specs[0].Exec(p.env, in, names))
-	})
-	return out, 1, err
-}
-
-func noSubs(t *table.Table, err error) (*table.Table, []SubStage, error) { return t, nil, err }
 
 // runStage runs one stage, and is the only place a stage meets the
 // engine's cross-cutting concerns: its span, its clock, panic isolation,
@@ -556,7 +493,7 @@ func noSubs(t *table.Table, err error) (*table.Table, []SubStage, error) { retur
 // path-specific work; a body that returns colstore.ErrFallback (a kernel
 // met data it has no typed path for) yields a nil table so the row
 // kernels take the stage, and the pipeline's fallback count moves by one.
-func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Table, []SubStage, error)) (*table.Table, error) {
+func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Table, error)) (*table.Table, error) {
 	tr := p.e.Tracer
 	sid := 0
 	if tr != nil {
@@ -566,7 +503,7 @@ func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Tabl
 		}
 	}
 	start := time.Now()
-	out, subs, err := execStage(desc, body)
+	out, err := execStage(desc, body)
 	if err != nil {
 		flag := "error"
 		if errors.Is(err, colstore.ErrFallback) {
@@ -583,7 +520,7 @@ func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Tabl
 	if p.stats != nil {
 		p.mu.Lock()
 		p.stats.Timings = append(p.stats.Timings, StageTiming{Output: p.node, Stage: desc, RowsIn: nIn, Rows: out.Len(),
-			Duration: d, QueueWait: p.queueWait, Path: path, Plan: p.planTag, Sub: subs})
+			Duration: d, QueueWait: p.queueWait, Path: path, Plan: p.planTag})
 		p.mu.Unlock()
 		p.queueWait = 0
 	}
@@ -605,194 +542,9 @@ func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Tabl
 
 // execStage runs one stage body, recovering panics into *PanicError so
 // a misbehaving operator fails its pipeline instead of the process.
-func execStage(stage string, body func() (*table.Table, []SubStage, error)) (out *table.Table, subs []SubStage, err error) {
+func execStage(stage string, body func() (*table.Table, error)) (out *table.Table, err error) {
 	defer recoverStage(stage, &err)
 	return body()
-}
-
-// parallelGroupThreshold is the input size below which sharded
-// aggregation is not worth the coordination cost.
-const parallelGroupThreshold = 4096
-
-func firstName(names []string) string {
-	if len(names) > 0 {
-		return names[0]
-	}
-	return ""
-}
-
-// runRowLocal shards a fused row-local chain across workers. counts
-// reports, per task of the run, the rows that task emitted — the
-// per-filter selectivity observations the cost-based optimizer feeds
-// on (without them a fused run is one opaque stage).
-func (e *Executor) runRowLocal(env *task.Env, run []task.RowLocal, in *table.Table, name string) (_ *table.Table, counts []int, _ error) {
-	// Bind the whole chain once against the evolving schema.
-	fns := make([]task.RowFn, len(run))
-	cur := task.Input{Name: name, Schema: in.Schema()}
-	for i, rl := range run {
-		fn, out, err := rl.BindRow(env, cur)
-		if err != nil {
-			return nil, nil, err
-		}
-		fns[i] = fn
-		cur = task.Input{Schema: out}
-	}
-	apply := func(rows []table.Row, sink *table.Table, counts []int) error {
-		var walk func(depth int, r table.Row) error
-		walk = func(depth int, r table.Row) error {
-			if depth == len(fns) {
-				sink.Append(r)
-				return nil
-			}
-			var inner error
-			err := fns[depth](r, func(nr table.Row) {
-				counts[depth]++
-				if e := walk(depth+1, nr); e != nil && inner == nil {
-					inner = e
-				}
-			})
-			if err != nil {
-				return err
-			}
-			return inner
-		}
-		for _, r := range rows {
-			if err := walk(0, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := e.workers()
-	rows := in.Rows()
-	if workers <= 1 || len(rows) < 2*workers {
-		out := table.New(cur.Schema)
-		counts = make([]int, len(fns))
-		if err := apply(rows, out, counts); err != nil {
-			return nil, nil, err
-		}
-		traceRun(env, run, out.Len())
-		return out, counts, nil
-	}
-	parts := make([]*table.Table, workers)
-	partCounts := make([][]int, workers)
-	err := forShards(describeRun(run), len(rows), workers, func(w, lo, hi int) error {
-		parts[w] = table.New(cur.Schema)
-		partCounts[w] = make([]int, len(fns))
-		return apply(rows[lo:hi], parts[w], partCounts[w])
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := table.New(cur.Schema)
-	counts = make([]int, len(fns))
-	for w, part := range parts {
-		if part == nil {
-			continue
-		}
-		for _, r := range part.Rows() {
-			out.Append(r)
-		}
-		for i, c := range partCounts[w] {
-			counts[i] += c
-		}
-	}
-	traceRun(env, run, out.Len())
-	return out, counts, nil
-}
-
-// forShards splits [0, n) into at most workers contiguous ranges and runs
-// fn over each on its own goroutine, a panic in one becoming that
-// shard's *PanicError. It returns the first error in shard order.
-func forShards(stage string, n, workers int, fn func(w, lo, hi int) error) error {
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w*chunk < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer recoverStage(stage, &errs[w])
-			errs[w] = fn(w, w*chunk, min((w+1)*chunk, n))
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// describeRun names a fused row-local run.
-func describeRun(run []task.RowLocal) string {
-	parts := make([]string, len(run))
-	for i, rl := range run {
-		parts[i] = task.Describe(rl)
-	}
-	return strings.Join(parts, " | ")
-}
-
-func traceRun(env *task.Env, run []task.RowLocal, rows int) {
-	if env == nil || env.Trace == nil {
-		return
-	}
-	for _, rl := range run {
-		env.Trace(rl.Type(), rows)
-	}
-}
-
-// runGrouped shards a Grouped spec: each worker builds a partial
-// grouper over its shard; partials merge pairwise.
-func (e *Executor) runGrouped(env *task.Env, gr task.Grouped, in *table.Table, name string) (*table.Table, error) {
-	workers := e.workers()
-	rows := in.Rows()
-	if workers <= 1 {
-		return gr.Exec(env, []*table.Table{in}, []string{name})
-	}
-	groupers := make([]task.Grouper, workers)
-	input := task.Input{Name: name, Schema: in.Schema()}
-	err := forShards(task.Describe(gr), len(rows), workers, func(w, lo, hi int) error {
-		g, err := gr.NewGrouper(env, input)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows[lo:hi] {
-			if err := g.Add(r); err != nil {
-				return err
-			}
-		}
-		groupers[w] = g
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var root task.Grouper
-	for _, g := range groupers {
-		if g == nil {
-			continue
-		}
-		if root == nil {
-			root = g
-		} else if err := root.Merge(g); err != nil {
-			return nil, err
-		}
-	}
-	if root == nil {
-		if root, err = gr.NewGrouper(env, input); err != nil {
-			return nil, err
-		}
-	}
-	out, err := root.Result()
-	if err != nil {
-		return nil, err
-	}
-	if env != nil && env.Trace != nil {
-		env.Trace(gr.Type(), out.Len())
-	}
-	return out, nil
 }
 
 // SortedNames returns result table names sorted, for stable reporting.

@@ -77,17 +77,17 @@ func TestRunMatchesReference(t *testing.T) {
 	src := rawTable(20000, 1)
 	// Reference: single worker, no optimization.
 	ref := &Executor{Parallelism: 1}
-	refRes, err := ref.RunContext(context.Background(), g, &task.Env{Parallelism: 1}, map[string]*table.Table{"raw": src})
+	refRes, err := ref.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Parallel, optimized.
 	par := &Executor{Parallelism: 8, Optimize: true}
-	parRes, err := par.RunContext(context.Background(), g, &task.Env{Parallelism: 8}, map[string]*table.Table{"raw": src})
+	parRes, err := par.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"grouped", "top"} {
+	for _, name := range []string{"filtered", "grouped", "top"} {
 		a, _ := refRes.Table(name)
 		b, ok := parRes.Table(name)
 		if !ok {
@@ -98,9 +98,6 @@ func TestRunMatchesReference(t *testing.T) {
 				name, a.Format(5), b.Format(5))
 		}
 	}
-	// filtered rows: row-local shard order may differ from sequential
-	// order, but the multiset must match; grouped equality above already
-	// proves it.
 }
 
 func TestDeadSinkElimination(t *testing.T) {
@@ -163,14 +160,14 @@ func TestExecutorRunsAPlan(t *testing.T) {
 		}
 		return order
 	}
-	hoisted := "filter_by v > 0 | map extract_words"
-	written := "map extract_words | filter_by v > 0"
+	hoisted := []string{"filter_by v > 0", "map extract_words"}
+	written := []string{"map extract_words", "filter_by v > 0"}
 	cases := []struct {
-		name      string
-		e         *Executor
-		skipped   []string
-		wordStage string
-		planTag   string
+		name       string
+		e          *Executor
+		skipped    []string
+		wordStages []string
+		planTag    string
 	}{
 		{"derived optimized", &Executor{Parallelism: 1, Optimize: true}, []string{"unused_sink"}, hoisted, ""},
 		{"supplied optimized", &Executor{Parallelism: 1, Plan: dag.Optimize(g, dag.PlanOptions{})}, []string{"unused_sink"}, hoisted, "filter_pushdown"},
@@ -179,15 +176,15 @@ func TestExecutorRunsAPlan(t *testing.T) {
 	}
 	var ref *table.Table
 	for _, tc := range cases {
-		res, err := tc.e.RunContext(context.Background(), g, &task.Env{Parallelism: 1}, sources)
+		res, err := tc.e.RunContext(context.Background(), g, &task.Env{}, sources)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(res.Stats.SkippedSinks, tc.skipped) {
 			t.Errorf("%s: skipped sinks = %v, want %v", tc.name, res.Stats.SkippedSinks, tc.skipped)
 		}
-		if got := stageOrder(res)["words"]; !reflect.DeepEqual(got, []string{tc.wordStage}) {
-			t.Errorf("%s: D.words stages = %q, want %q", tc.name, got, tc.wordStage)
+		if got := stageOrder(res)["words"]; !reflect.DeepEqual(got, tc.wordStages) {
+			t.Errorf("%s: D.words stages = %q, want %q", tc.name, got, tc.wordStages)
 		}
 		for _, st := range res.Stats.Timings {
 			if st.Plan != tc.planTag {
@@ -340,57 +337,71 @@ T:
 	}
 }
 
-func TestRowLocalFusionPreservesFanOut(t *testing.T) {
-	// A fused chain of a fan-out map plus a filter must produce the same
-	// multiset as running the specs one at a time.
-	src := `
+// fanOutFlow filters documents, then fans each survivor out into one row
+// per word.
+const fanOutFlow = `
 D:
   docs: [body]
 
 F:
-  +D.words: D.docs | T.split | T.long
+  +D.words: D.docs | T.long | T.split
 
 T:
+  long:
+    type: filter_by
+    filter_expression: body contains 'doc1'
   split:
     type: map
     operator: extract_words
     transform: body
     output: word
-  long:
-    type: filter_by
-    filter_expression: word contains 'a'
 `
-	g := buildGraph(t, src)
+
+func fanOutDocs(n int) *table.Table {
 	docs := table.New(schema.MustFromNames("body"))
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < n; i++ {
 		docs.AppendValues(value.NewString(fmt.Sprintf("alpha beta gamma delta doc%d", i)))
 	}
-	seq := &Executor{Parallelism: 1}
-	par := &Executor{Parallelism: 6}
-	a, err := seq.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"docs": docs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := par.RunContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"docs": docs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, _ := a.Table("words")
-	bt, _ := b.Table("words")
-	if at.Len() != bt.Len() {
-		t.Fatalf("fan-out cardinality differs: %d vs %d", at.Len(), bt.Len())
-	}
-	counts := map[string]int{}
-	for _, r := range at.Rows() {
-		counts[r[1].Str()]++
-	}
-	for _, r := range bt.Rows() {
-		counts[r[1].Str()]--
-	}
-	for w, c := range counts {
-		if c != 0 {
-			t.Errorf("word %q multiset imbalance %d", w, c)
+	return docs
+}
+
+// TestFanOutChainIndependentOfParallelism: a filter ahead of a fan-out
+// map produces the same rows, in the same order, whatever the
+// executor's parallelism — a stage runs on its node's goroutine.
+func TestFanOutChainIndependentOfParallelism(t *testing.T) {
+	g := buildGraph(t, fanOutFlow)
+	sources := map[string]*table.Table{"docs": fanOutDocs(3000)}
+	var words []*table.Table
+	for _, par := range []int{1, 6} {
+		res, err := (&Executor{Parallelism: par}).RunContext(context.Background(), g, &task.Env{}, sources)
+		if err != nil {
+			t.Fatal(err)
 		}
+		w, _ := res.Table("words")
+		words = append(words, w)
+	}
+	if words[0].Len() == 0 || !words[0].Equal(words[1]) {
+		t.Fatalf("parallelism 1 gave %d rows, parallelism 6 %d rows, or they differ", words[0].Len(), words[1].Len())
+	}
+}
+
+// TestTraceHookReportsEachTask pins the usage hook behind the Figure 31
+// telemetry: on the row path, each task reports its own output
+// cardinality — the filter the rows it kept, the fan-out map the rows it
+// emitted — never another task's.
+func TestTraceHookReportsEachTask(t *testing.T) {
+	g := buildGraph(t, fanOutFlow)
+	// doc1, doc10..doc19, doc100..doc199: 111 of 1000 documents, five
+	// words each.
+	sources := map[string]*table.Table{"docs": fanOutDocs(1000)}
+	var traced []string
+	env := &task.Env{Trace: func(typ string, rows int) { traced = append(traced, fmt.Sprintf("%s:%d", typ, rows)) }}
+	e := &Executor{Columnar: ColumnarOff}
+	if _, err := e.RunContext(context.Background(), g, env, sources); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"filter_by:111", "map:555"}; !reflect.DeepEqual(traced, want) {
+		t.Errorf("trace = %v, want %v", traced, want)
 	}
 }
 
@@ -525,7 +536,7 @@ func TestTraceMatchesStats(t *testing.T) {
 func TestNilTracerHooksAllocationFree(t *testing.T) {
 	p := &pipeline{e: &Executor{}}
 	out := rawTable(5, 1)
-	body := func() (*table.Table, []SubStage, error) { return out, nil, nil }
+	body := func() (*table.Table, error) { return out, nil }
 	if allocs := testing.AllocsPerRun(1000, func() {
 		if _, err := p.runStage("noop", PathRow, 5, body); err != nil {
 			t.Fatal(err)
@@ -617,9 +628,15 @@ func TestBudgetChargedOnPipelineEntry(t *testing.T) {
 	if err != nil || stages != 2 {
 		t.Fatalf("stages = %d, err = %v", stages, err)
 	}
-	if b.rows.Load() != int64(out.Len()) || b.bytes.Load() != int64(out.SizeBytes()) {
-		t.Errorf("charged %d rows / %d bytes for an output of %d rows / %d bytes",
-			b.rows.Load(), b.bytes.Load(), out.Len(), out.SizeBytes())
+	// Each stage charges the rows it produced: the map's, then the
+	// filter's (the pipeline output); the output's bytes are charged once.
+	mapped, err := specs[0].Exec(&task.Env{}, in, []string{"raw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(mapped.Len() + out.Len()); b.rows.Load() != want || b.bytes.Load() != int64(out.SizeBytes()) {
+		t.Errorf("charged %d rows / %d bytes, want %d rows / %d bytes",
+			b.rows.Load(), b.bytes.Load(), want, out.SizeBytes())
 	}
 	e.Budget = &countingBudget{maxRows: 10}
 	if _, _, err := e.RunPipeline(context.Background(), &task.Env{}, specs, in, []string{"raw"}, 0); err == nil || !strings.Contains(err.Error(), "over budget") {

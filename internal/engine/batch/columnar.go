@@ -14,7 +14,6 @@ package batch
 
 import (
 	"shareinsights/internal/dag"
-	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/task"
@@ -24,8 +23,7 @@ import (
 const (
 	// ColumnarAuto vectorizes eligible stages on inputs of at least
 	// dag.ColumnarAutoThreshold rows (batch conversion has a fixed cost
-	// that tiny dashboard tables never amortize), and never splits a
-	// fusable row-local run for a partially vectorizable chain.
+	// that tiny dashboard tables never amortize).
 	ColumnarAuto = "auto"
 	// ColumnarOn vectorizes every eligible stage regardless of size.
 	ColumnarOn = "on"
@@ -33,61 +31,28 @@ const (
 	ColumnarOff = "off"
 )
 
-// planVec decides whether stage i runs vectorized and binds its kernel.
-// Auto mode additionally requires that when specs[i] opens a row-local
-// run, the whole contiguous run vectorizes — otherwise fusing the run
-// into one sharded row pass beats vectorizing a prefix of it.
-func planVec(env *task.Env, specs []task.Spec, i int, mode string, in *schema.Schema, n int) (colstore.Kernel, bool) {
-	v, ok := specs[i].(task.Vectorizable)
-	if !ok {
-		return nil, false
-	}
-	if mode == ColumnarAuto && n < dag.ColumnarAutoThreshold {
-		return nil, false
-	}
-	ker, out, ok := v.BindVec(env, task.Input{Schema: in})
-	if !ok {
-		return nil, false
-	}
-	if mode == ColumnarAuto {
-		if _, isRL := specs[i].(task.RowLocal); isRL {
-			s := out
-			for j := i + 1; j < len(specs); j++ {
-				rl, isRL := specs[j].(task.RowLocal)
-				if !isRL {
-					break
-				}
-				vj, ok := rl.(task.Vectorizable)
-				if !ok {
-					return nil, false
-				}
-				_, sj, ok := vj.BindVec(env, task.Input{Schema: s})
-				if !ok {
-					return nil, false
-				}
-				s = sj
-			}
-		}
-	}
-	return ker, true
-}
-
-// tryColumnar attempts stage i on the columnar path: a single-input
+// tryColumnar attempts one stage on the columnar path: a single-input
 // kernel over the pipeline's current table, or the join kernel over a
 // node's two inputs. out is nil when the stage should run on the row
-// path instead (the mode is off, the planner declined, a table holds a
+// path instead (the mode is off, the spec has no kernel for this input,
+// auto mode's input is under dag.ColumnarAutoThreshold rows — the rule
+// dag.predictPath applies to observed input sizes — a table holds a
 // column with no typed vector, or the kernel fell back at run time); err
 // is a real stage failure. A column-backed table hands its batch over as
 // is and the output wraps the kernel's batch, so consecutive columnar
 // stages — and the nodes downstream — exchange vectors, never rows.
-func (p *pipeline) tryColumnar(specs []task.Spec, i int, in []*table.Table, names []string) (out *table.Table, err error) {
-	if len(in) == 2 && p.mode != ColumnarOff {
-		return p.tryJoinStage(specs[i], in, names)
-	}
-	if len(in) != 1 || p.mode == ColumnarOff {
+func (p *pipeline) tryColumnar(spec task.Spec, in []*table.Table, names []string) (out *table.Table, err error) {
+	if p.mode == ColumnarOff {
 		return nil, nil
 	}
-	ker, ok := planVec(p.env, specs, i, p.mode, in[0].Schema(), in[0].Len())
+	if len(in) == 2 {
+		return p.tryJoinStage(spec, in, names)
+	}
+	v, ok := spec.(task.Vectorizable)
+	if len(in) != 1 || !ok || (p.mode == ColumnarAuto && in[0].Len() < dag.ColumnarAutoThreshold) {
+		return nil, nil
+	}
+	ker, _, ok := v.BindVec(p.env, task.Input{Schema: in[0].Schema()})
 	if !ok {
 		return nil, nil
 	}
@@ -95,7 +60,7 @@ func (p *pipeline) tryColumnar(specs []task.Spec, i int, in []*table.Table, name
 	if !ok {
 		return nil, nil
 	}
-	return p.runVecStage(specs[i], b.Len(), func() (*colstore.Batch, error) { return ker.Run(b) })
+	return p.runVecStage(spec, b.Len(), func() (*colstore.Batch, error) { return ker.Run(b) })
 }
 
 // tryJoinStage is tryColumnar for a node's two-input first stage: the
@@ -141,14 +106,14 @@ func (p *pipeline) tryJoinStage(spec task.Spec, in []*table.Table, names []strin
 // its batches — to the stage runner, adding the usage-trace hook the row
 // kernels call themselves.
 func (p *pipeline) runVecStage(spec task.Spec, nIn int, kernel func() (*colstore.Batch, error)) (*table.Table, error) {
-	return p.runStage(task.Describe(spec), PathColumnar, nIn, func() (*table.Table, []SubStage, error) {
+	return p.runStage(task.Describe(spec), PathColumnar, nIn, func() (*table.Table, error) {
 		res, err := kernel()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if p.env != nil && p.env.Trace != nil {
 			p.env.Trace(spec.Type(), res.Len())
 		}
-		return res.ToTable(), nil, nil
+		return res.ToTable(), nil
 	})
 }

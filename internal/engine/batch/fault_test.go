@@ -14,8 +14,8 @@ import (
 	"shareinsights/internal/task"
 )
 
-// panicTask is a row-local map operator that panics on execution — the
-// misbehaving user extension the panic-isolation machinery exists for.
+// panicTask is a task that panics on execution — the misbehaving user
+// extension the panic-isolation machinery exists for.
 type panicTask struct{}
 
 func (panicTask) Type() string                                { return "boom" }
@@ -23,13 +23,6 @@ func (panicTask) Out(in []task.Input) (*schema.Schema, error) { return in[0].Sch
 
 func (panicTask) Exec(*task.Env, []*table.Table, []string) (*table.Table, error) {
 	panic("kaboom: simulated operator bug")
-}
-
-func (panicTask) BindRow(_ *task.Env, in task.Input) (task.RowFn, *schema.Schema, error) {
-	fn := func(table.Row, func(table.Row)) error {
-		panic("kaboom: simulated operator bug")
-	}
-	return fn, in.Schema, nil
 }
 
 // passthrough runs a side effect and forwards its input unchanged.

@@ -40,7 +40,7 @@ func buildGraph(t testing.TB, src string) *dag.Graph {
 func runPath(t testing.TB, g *dag.Graph, sources map[string]*table.Table, columnar string, par int) *batch.Result {
 	t.Helper()
 	e := &batch.Executor{Parallelism: par, Columnar: columnar}
-	res, err := e.RunContext(context.Background(), g, &task.Env{Parallelism: par}, sources)
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
 	if err != nil {
 		t.Fatalf("columnar=%s parallelism=%d: %v", columnar, par, err)
 	}
@@ -174,7 +174,7 @@ func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, so
 func runPlanned(t testing.TB, g *dag.Graph, plan *dag.Plan, sources map[string]*table.Table, columnar string) *batch.Result {
 	t.Helper()
 	e := &batch.Executor{Parallelism: 1, Columnar: columnar, Plan: plan}
-	res, err := e.RunContext(context.Background(), g, &task.Env{Parallelism: 1}, sources)
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
 	if err != nil {
 		t.Fatalf("planned columnar=%s: %v", columnar, err)
 	}

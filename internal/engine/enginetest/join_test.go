@@ -250,7 +250,7 @@ T:
 
 	tr := obs.NewTrace("t")
 	e := &batch.Executor{Parallelism: 1, Columnar: batch.ColumnarOn, Tracer: tr}
-	if _, err := e.RunContext(context.Background(), g, &task.Env{Parallelism: 1}, big); err != nil {
+	if _, err := e.RunContext(context.Background(), g, &task.Env{}, big); err != nil {
 		t.Fatal(err)
 	}
 	var saw bool

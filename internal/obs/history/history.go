@@ -50,9 +50,10 @@ type StageRecord struct {
 	// plan.
 	Plan string `json:"plan,omitempty"`
 	// Sub marks a synthetic record for one task inside a fused
-	// row-local run: its row counts feed per-filter selectivity
-	// profiles, but it carries no duration of its own (the fused stage
-	// owns the wall time), so duration baselines skip it.
+	// row-local run, which binaries before the engine ran one stage per
+	// task wrote: its row counts fold into selectivity profiles, its
+	// missing duration into no baseline. Nothing writes it now; it is
+	// read so older histories recover to the same profiles.
 	Sub bool `json:"sub,omitempty"`
 	// PushedDown marks a filter whose predicate a connector applied at
 	// fetch time this run: the stage re-filtered already-filtered rows,
@@ -164,8 +165,9 @@ type StageProfile struct {
 
 // observe folds one stage record into the profile. Selectivity folds
 // only when the stage saw input rows — an empty run is "no evidence",
-// not "keeps everything" — and sub-records (tasks inside a fused run)
-// fold row counts but never durations, which belong to the fused stage.
+// not "keeps everything" — and sub-records (tasks inside a fused run,
+// from older binaries) fold row counts but never durations, which
+// belonged to the fused stage.
 func (p *StageProfile) observe(st StageRecord, alpha float64) {
 	if st.RowsIn > 0 && !st.PushedDown {
 		sel := float64(st.Rows) / float64(st.RowsIn)

@@ -299,7 +299,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 }
 
 // handleExplain reports the cost-based plan the next run would execute:
-// source pushdowns, filter order, fusion and row/columnar path choices,
+// source pushdowns, filter order and row/columnar path choices,
 // with the evidence (history, facts or heuristic) behind each decision
 // (docs/OPTIMIZER.md). A dashboard that has run explains its live
 // compilation, so observed selectivities inform the plan; otherwise the

@@ -99,7 +99,7 @@ func (s *FilterSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema, nil
 }
 
-// BindRow implements RowLocal.
+// BindRow implements rowLocal.
 func (s *FilterSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
 	out, err := s.Out([]Input{in})
 	if err != nil {

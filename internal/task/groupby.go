@@ -17,9 +17,6 @@ import (
 // defined aggregates" task category (§4.2 item 2).
 type Accumulator interface {
 	Add(v value.V)
-	// Merge folds a peer accumulator of the same type in; engines use it
-	// for parallel partial aggregation.
-	Merge(other Accumulator)
 	Result() value.V
 }
 
@@ -95,14 +92,6 @@ func (a *sumAcc) Add(v value.V) {
 	a.i += v.Int()
 }
 
-func (a *sumAcc) Merge(o Accumulator) {
-	b := o.(*sumAcc)
-	a.f += b.f
-	a.i += b.i
-	a.n += b.n
-	a.isFloat = a.isFloat || b.isFloat
-}
-
 func (a *sumAcc) Result() value.V {
 	if a.isFloat {
 		return value.NewFloat(a.f)
@@ -112,9 +101,8 @@ func (a *sumAcc) Result() value.V {
 
 type countAcc struct{ n int64 }
 
-func (a *countAcc) Add(value.V)         { a.n++ }
-func (a *countAcc) Merge(o Accumulator) { a.n += o.(*countAcc).n }
-func (a *countAcc) Result() value.V     { return value.NewInt(a.n) }
+func (a *countAcc) Add(value.V)     { a.n++ }
+func (a *countAcc) Result() value.V { return value.NewInt(a.n) }
 
 type avgAcc struct {
 	sum float64
@@ -128,7 +116,6 @@ func (a *avgAcc) Add(v value.V) {
 	a.sum += v.Float()
 	a.n++
 }
-func (a *avgAcc) Merge(o Accumulator) { b := o.(*avgAcc); a.sum += b.sum; a.n += b.n }
 func (a *avgAcc) Result() value.V {
 	if a.n == 0 {
 		return value.VNull
@@ -147,12 +134,6 @@ func (a *minAcc) Add(v value.V) {
 	}
 	if !a.set || value.Less(v, a.v) {
 		a.v, a.set = v, true
-	}
-}
-func (a *minAcc) Merge(o Accumulator) {
-	b := o.(*minAcc)
-	if b.set {
-		a.Add(b.v)
 	}
 }
 func (a *minAcc) Result() value.V {
@@ -175,12 +156,6 @@ func (a *maxAcc) Add(v value.V) {
 		a.v, a.set = v, true
 	}
 }
-func (a *maxAcc) Merge(o Accumulator) {
-	b := o.(*maxAcc)
-	if b.set {
-		a.Add(b.v)
-	}
-}
 func (a *maxAcc) Result() value.V {
 	if !a.set {
 		return value.VNull
@@ -190,12 +165,7 @@ func (a *maxAcc) Result() value.V {
 
 type distinctAcc struct{ seen map[uint64]bool }
 
-func (a *distinctAcc) Add(v value.V) { a.seen[v.Hash()] = true }
-func (a *distinctAcc) Merge(o Accumulator) {
-	for k := range o.(*distinctAcc).seen {
-		a.seen[k] = true
-	}
-}
+func (a *distinctAcc) Add(v value.V)   { a.seen[v.Hash()] = true }
 func (a *distinctAcc) Result() value.V { return value.NewInt(int64(len(a.seen))) }
 
 type firstAcc struct {
@@ -206,12 +176,6 @@ type firstAcc struct {
 func (a *firstAcc) Add(v value.V) {
 	if !a.set {
 		a.v, a.set = v, true
-	}
-}
-func (a *firstAcc) Merge(o Accumulator) {
-	b := o.(*firstAcc)
-	if !a.set && b.set {
-		a.v, a.set = b.v, true
 	}
 }
 func (a *firstAcc) Result() value.V {
@@ -227,12 +191,6 @@ type lastAcc struct {
 }
 
 func (a *lastAcc) Add(v value.V) { a.v, a.set = v, true }
-func (a *lastAcc) Merge(o Accumulator) {
-	b := o.(*lastAcc)
-	if b.set {
-		a.v, a.set = b.v, true
-	}
-}
 func (a *lastAcc) Result() value.V {
 	if !a.set {
 		return value.VNull
@@ -240,8 +198,8 @@ func (a *lastAcc) Result() value.V {
 	return a.v
 }
 
-// stddevAcc computes population standard deviation via Chan et al.'s
-// parallel variance merge, so Merge stays exact.
+// stddevAcc computes population standard deviation with Welford's
+// online update.
 type stddevAcc struct {
 	n    float64
 	mean float64
@@ -257,22 +215,6 @@ func (a *stddevAcc) Add(v value.V) {
 	d := x - a.mean
 	a.mean += d / a.n
 	a.m2 += d * (x - a.mean)
-}
-
-func (a *stddevAcc) Merge(o Accumulator) {
-	b := o.(*stddevAcc)
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*a.n*b.n/n
-	a.mean += d * b.n / n
-	a.n = n
 }
 
 func (a *stddevAcc) Result() value.V {
@@ -291,10 +233,6 @@ func (a *medianAcc) Add(v value.V) {
 		return
 	}
 	a.vals = append(a.vals, v.Float())
-}
-
-func (a *medianAcc) Merge(o Accumulator) {
-	a.vals = append(a.vals, o.(*medianAcc).vals...)
 }
 
 func (a *medianAcc) Result() value.V {
@@ -409,7 +347,7 @@ func (s *GroupBySpec) Out(in []Input) (*schema.Schema, error) {
 	return schema.New(cols...)
 }
 
-// hashGrouper is the Grouper for GroupBySpec.
+// hashGrouper accumulates a groupby's input rows into groups.
 type hashGrouper struct {
 	spec   *GroupBySpec
 	out    *schema.Schema
@@ -425,8 +363,7 @@ type group struct {
 	accs []Accumulator
 }
 
-// NewGrouper implements Grouped.
-func (s *GroupBySpec) NewGrouper(env *Env, in Input) (Grouper, error) {
+func newHashGrouper(s *GroupBySpec, in Input) (*hashGrouper, error) {
 	out, err := s.Out([]Input{in})
 	if err != nil {
 		return nil, err
@@ -460,8 +397,7 @@ func (g *hashGrouper) keyOf(r table.Row) string {
 	return b.String()
 }
 
-// Add implements Grouper.
-func (g *hashGrouper) Add(r table.Row) error {
+func (g *hashGrouper) add(r table.Row) {
 	k := g.keyOf(r)
 	grp, ok := g.groups[k]
 	if !ok {
@@ -484,33 +420,10 @@ func (g *hashGrouper) Add(r table.Row) error {
 			grp.accs[i].Add(value.VNull)
 		}
 	}
-	return nil
 }
 
-// Merge implements Grouper.
-func (g *hashGrouper) Merge(other Grouper) error {
-	o, ok := other.(*hashGrouper)
-	if !ok {
-		return fmt.Errorf("groupby: cannot merge %T", other)
-	}
-	for _, k := range o.order {
-		og := o.groups[k]
-		grp, exists := g.groups[k]
-		if !exists {
-			g.groups[k] = og
-			g.order = append(g.order, k)
-			continue
-		}
-		for i := range grp.accs {
-			grp.accs[i].Merge(og.accs[i])
-		}
-	}
-	return nil
-}
-
-// Result implements Grouper: rows sorted by group key (or by the first
-// aggregate descending when orderby_aggregates is set).
-func (g *hashGrouper) Result() (*table.Table, error) {
+// result builds the output, in the spec's orderKeys order.
+func (g *hashGrouper) result() (*table.Table, error) {
 	t := table.New(g.out)
 	for _, k := range g.order {
 		grp := g.groups[k]
@@ -521,17 +434,24 @@ func (g *hashGrouper) Result() (*table.Table, error) {
 		}
 		t.Append(row)
 	}
-	keys := make([]table.SortKey, 0, len(g.spec.GroupBy)+1)
-	if g.spec.OrderByAggregates && len(g.spec.Aggs) > 0 {
-		keys = append(keys, table.SortKey{Column: g.spec.Aggs[0].OutField, Desc: true})
-	}
-	for _, c := range g.spec.GroupBy {
-		keys = append(keys, table.SortKey{Column: c})
-	}
-	if err := t.Sort(keys...); err != nil {
+	if err := t.Sort(g.spec.orderKeys()...); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// orderKeys is a groupby's output order, on both paths: the first
+// aggregate descending under orderby_aggregates, then the group keys
+// ascending.
+func (s *GroupBySpec) orderKeys() []table.SortKey {
+	keys := make([]table.SortKey, 0, len(s.GroupBy)+1)
+	if s.OrderByAggregates && len(s.Aggs) > 0 {
+		keys = append(keys, table.SortKey{Column: s.Aggs[0].OutField, Desc: true})
+	}
+	for _, c := range s.GroupBy {
+		keys = append(keys, table.SortKey{Column: c})
+	}
+	return keys
 }
 
 // Exec implements Spec.
@@ -540,16 +460,14 @@ func (s *GroupBySpec) Exec(env *Env, in []*table.Table, names []string) (*table.
 	if err != nil {
 		return nil, err
 	}
-	g, err := s.NewGrouper(env, Input{Name: name, Schema: t.Schema()})
+	g, err := newHashGrouper(s, Input{Name: name, Schema: t.Schema()})
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range t.Rows() {
-		if err := g.Add(r); err != nil {
-			return nil, err
-		}
+		g.add(r)
 	}
-	res, err := g.Result()
+	res, err := g.result()
 	if err != nil {
 		return nil, err
 	}

@@ -119,7 +119,7 @@ func (s *MapSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema.ExtendOrSame(s.op.OutColumns()...), nil
 }
 
-// BindRow implements RowLocal.
+// BindRow implements rowLocal.
 func (s *MapSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
 	out := in.Schema.ExtendOrSame(s.op.OutColumns()...)
 	fn, err := s.op.Bind(env, in.Schema)

@@ -36,7 +36,7 @@ func (s *ProjectSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema.Project(s.Columns...)
 }
 
-// BindRow implements RowLocal.
+// BindRow implements rowLocal.
 func (s *ProjectSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
 	out, err := s.Out([]Input{in})
 	if err != nil {

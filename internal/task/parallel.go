@@ -11,14 +11,13 @@ import (
 // ParallelSpec implements the parallel composite (Figure 20): several
 // row-local sub-tasks applied to the same input, each contributing its
 // output columns. Semantically the composition is sequential — each
-// sub-task sees the columns added by its predecessors — while engines
-// are free to fuse the chain into one pass and shard it across workers,
-// which is what "in parallel" buys on the cluster.
+// sub-task sees the columns added by its predecessors — and it runs as
+// one row-by-row pass over the input, with no table between sub-tasks.
 type ParallelSpec struct {
 	// Names are the referenced task names, for display.
 	Names []string
-	// Subs are the resolved sub-specs; all must be RowLocal.
-	Subs []RowLocal
+	// Subs are the resolved sub-specs; all must be row-local.
+	Subs []rowLocal
 }
 
 func (r *Registry) parseParallel(f *flowfile.File, def *flowfile.TaskDef, stack []string, specs map[string]Spec, errs map[string]error) (Spec, error) {
@@ -43,7 +42,7 @@ func (r *Registry) parseParallel(f *flowfile.File, def *flowfile.TaskDef, stack 
 		if err != nil {
 			return nil, err
 		}
-		rl, ok := spec.(RowLocal)
+		rl, ok := spec.(rowLocal)
 		if !ok {
 			return nil, fmt.Errorf("task %q: parallel entry T.%s (%s) is not row-local", def.Name, ref.Name, spec.Type())
 		}
@@ -73,7 +72,7 @@ func (s *ParallelSpec) Out(in []Input) (*schema.Schema, error) {
 	return cur.Schema, nil
 }
 
-// BindRow implements RowLocal by fusing the sub-task chain into a single
+// BindRow implements rowLocal by fusing the sub-task chain into a single
 // per-row function.
 func (s *ParallelSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
 	fns := make([]RowFn, len(s.Subs))

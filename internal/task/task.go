@@ -42,35 +42,22 @@ type Spec interface {
 	// Out computes the output schema for the given inputs, failing when
 	// a required column is missing — the bind-time contextual check.
 	Out(in []Input) (*schema.Schema, error)
-	// Exec runs the task on materialized inputs. Engines may use faster
-	// paths (see RowLocal and Grouped) but Exec is the reference
-	// semantics every implementation must match.
+	// Exec runs the task on materialized inputs. It is the row path and
+	// the reference semantics: an engine's columnar kernel for the spec
+	// (see Vectorizable) must match it exactly.
 	Exec(env *Env, in []*table.Table, names []string) (*table.Table, error)
 }
 
 // RowFn transforms one input row, emitting zero or more output rows.
 type RowFn func(r table.Row, emit func(table.Row)) error
 
-// RowLocal is implemented by specs whose work is independent per row
-// (filter, map). The batch engine shards such tasks across workers.
-type RowLocal interface {
+// rowLocal is implemented by specs whose work is independent per row
+// (filter, map, project): their Exec is one execRowLocal pass, and a
+// parallel composite chains them row by row.
+type rowLocal interface {
 	Spec
 	// BindRow returns the per-row transform and its output schema.
 	BindRow(env *Env, in Input) (RowFn, *schema.Schema, error)
-}
-
-// Grouper accumulates rows into groups; Merge folds a peer accumulator
-// in, enabling parallel partial aggregation.
-type Grouper interface {
-	Add(r table.Row) error
-	Merge(other Grouper) error
-	Result() (*table.Table, error)
-}
-
-// Grouped is implemented by specs with combinable aggregation semantics.
-type Grouped interface {
-	Spec
-	NewGrouper(env *Env, in Input) (Grouper, error)
 }
 
 // Env carries everything a task may need at run time.
@@ -83,9 +70,6 @@ type Env struct {
 	// interaction filters (§3.5.1); ok is false when the widget has no
 	// selection, in which case the filter passes everything through.
 	WidgetValue func(widget, column string) (vals []string, ok bool)
-	// Parallelism caps worker fan-out in the batch engine; <= 0 means
-	// GOMAXPROCS.
-	Parallelism int
 	// Trace, when non-nil, receives one call per executed task with the
 	// task type and output cardinality. The telemetry pipeline behind
 	// the Figure 31 usage dashboard hangs off this hook.
@@ -223,8 +207,8 @@ func singleInput(typ string, in []Input) (Input, error) {
 	return in[0], nil
 }
 
-// execRowLocal is the shared Bulk implementation for RowLocal specs.
-func execRowLocal(s RowLocal, env *Env, in []*table.Table, names []string) (*table.Table, error) {
+// execRowLocal is the shared Exec of rowLocal specs.
+func execRowLocal(s rowLocal, env *Env, in []*table.Table, names []string) (*table.Table, error) {
 	t, name, err := oneTable(s.Type(), in, names)
 	if err != nil {
 		return nil, err

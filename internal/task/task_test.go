@@ -2,6 +2,7 @@ package task
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -208,65 +209,6 @@ get_svn_jira_count:
 	}
 	if out.Cell(1, "avg_checkins").Float() != 15 {
 		t.Errorf("avg = %v", out.Cell(1, "avg_checkins"))
-	}
-}
-
-func TestGroupByMergeParallel(t *testing.T) {
-	spec := parseSpec(t, `
-g:
-  type: groupby
-  groupby: [k]
-  aggregates:
-    - operator: sum
-      apply_on: v
-      out_field: total
-    - operator: count_distinct
-      apply_on: v
-      out_field: distinct
-    - operator: stddev
-      apply_on: v
-      out_field: sd
-`).(*GroupBySpec)
-	in := Input{Name: "t", Schema: schema.MustFromNames("k", "v")}
-	g1, err := spec.NewGrouper(&Env{}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _ := spec.NewGrouper(&Env{}, in)
-	full, _ := spec.NewGrouper(&Env{}, in)
-	for i := 0; i < 100; i++ {
-		r := table.Row{value.NewString(fmt.Sprintf("k%d", i%3)), value.NewInt(int64(i % 7))}
-		if i%2 == 0 {
-			g1.Add(r)
-		} else {
-			g2.Add(r)
-		}
-		full.Add(r)
-	}
-	if err := g1.Merge(g2); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := g1.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := full.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Len() != direct.Len() {
-		t.Fatalf("merged %d groups, direct %d", merged.Len(), direct.Len())
-	}
-	for i := 0; i < merged.Len(); i++ {
-		for _, col := range []string{"k", "total", "distinct"} {
-			if !value.Equal(merged.Cell(i, col), direct.Cell(i, col)) {
-				t.Errorf("row %d col %s: merged %v direct %v", i, col, merged.Cell(i, col), direct.Cell(i, col))
-			}
-		}
-		d := merged.Cell(i, "sd").Float() - direct.Cell(i, "sd").Float()
-		if d > 1e-9 || d < -1e-9 {
-			t.Errorf("row %d stddev mismatch: %v vs %v", i, merged.Cell(i, "sd"), direct.Cell(i, "sd"))
-		}
 	}
 }
 
@@ -865,6 +807,9 @@ m:
     - operator: median
       apply_on: v
       out_field: med
+    - operator: stddev
+      apply_on: v
+      out_field: sd
 `)
 	in := mkTable(t, "k,v",
 		[]any{"a", 1}, []any{"a", 9}, []any{"a", 5},
@@ -876,25 +821,9 @@ m:
 	if out.Cell(0, "med").Float() != 5 || out.Cell(1, "med").Float() != 3 {
 		t.Errorf("medians wrong:\n%s", out.Format(0))
 	}
-	// Merge path (parallel partial aggregation).
-	gspec := spec.(*GroupBySpec)
-	input := Input{Schema: schema.MustFromNames("k", "v")}
-	g1, _ := gspec.NewGrouper(&Env{}, input)
-	g2, _ := gspec.NewGrouper(&Env{}, input)
-	for i := 1; i <= 5; i++ {
-		r := table.Row{value.NewString("x"), value.NewInt(int64(i))}
-		if i%2 == 0 {
-			g2.Add(r)
-		} else {
-			g1.Add(r)
-		}
-	}
-	if err := g1.Merge(g2); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := g1.Result()
-	if res.Cell(0, "med").Float() != 3 {
-		t.Errorf("merged median = %v", res.Cell(0, "med"))
+	// Population standard deviation: sqrt(32/3) for {1, 9, 5}, 1 for {2, 4}.
+	if d := out.Cell(0, "sd").Float() - math.Sqrt(32.0/3); d > 1e-9 || d < -1e-9 || out.Cell(1, "sd").Float() != 1 {
+		t.Errorf("stddevs wrong:\n%s", out.Format(0))
 	}
 }
 

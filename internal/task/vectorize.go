@@ -2,7 +2,6 @@ package task
 
 import (
 	"shareinsights/internal/schema"
-	"shareinsights/internal/table"
 	"shareinsights/internal/table/colstore"
 )
 
@@ -59,6 +58,32 @@ func (s *JoinSpec) BindJoin(env *Env, a, b Input) (*colstore.Join, bool, bool) {
 	return k, swapped, true
 }
 
+// HasKernel reports whether a Vectorizable or VectorizableJoin spec's
+// configuration has a columnar kernel: the part of BindVec's (or
+// BindJoin's) decision that does not read the input schema. Over a
+// schema the spec's Out accepts — any stage of a built graph — its
+// kernel binds exactly when HasKernel holds, so the planner predicts
+// paths with it without compiling anything.
+func HasKernel(sp Spec) bool {
+	switch s := sp.(type) {
+	case *FilterSpec:
+		return s.Expression != "" && len(s.By) == 0
+	case *MapSpec:
+		_, ok := s.op.(*exprOperator)
+		return ok
+	case *GroupBySpec:
+		for _, a := range s.Aggs {
+			if _, ok := vecAggOps[a.Operator]; !ok {
+				return false
+			}
+		}
+		return true
+	case *TopNSpec:
+		return len(s.GroupBy) == 0 && len(s.OrderBy) == 1
+	}
+	return true
+}
+
 // BindVec implements Vectorizable.
 func (s *SortSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
 	if _, err := s.Out([]Input{in}); err != nil {
@@ -76,7 +101,7 @@ func (s *LimitSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema
 // interaction filters depend on live widget selections, which are
 // per-request and cheap relative to expression scans.
 func (s *FilterSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	if s.Expression == "" || len(s.By) > 0 {
+	if !HasKernel(s) {
 		return nil, nil, false
 	}
 	out, err := s.Out([]Input{in})
@@ -104,7 +129,7 @@ var vecAggOps = map[string]colstore.AggOp{
 // BindVec implements Vectorizable.
 func (s *GroupBySpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
 	out, err := s.Out([]Input{in})
-	if err != nil {
+	if err != nil || !HasKernel(s) {
 		return nil, nil, false
 	}
 	keys, err := in.Schema.Require(s.GroupBy...)
@@ -113,36 +138,22 @@ func (s *GroupBySpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Sche
 	}
 	aggs := make([]colstore.Agg, len(s.Aggs))
 	for i, a := range s.Aggs {
-		op, ok := vecAggOps[a.Operator]
-		if !ok {
-			return nil, nil, false
-		}
 		col := -1
 		if a.ApplyOn != "" {
 			if col = in.Schema.Index(a.ApplyOn); col < 0 {
 				return nil, nil, false
 			}
 		}
-		aggs[i] = colstore.Agg{Op: op, Col: col}
+		aggs[i] = colstore.Agg{Op: vecAggOps[a.Operator], Col: col}
 	}
-	// Output ordering replicates hashGrouper.Result: the first
-	// aggregate descending under orderby_aggregates, then group keys
-	// ascending.
-	sortKeys := make([]table.SortKey, 0, len(s.GroupBy)+1)
-	if s.OrderByAggregates && len(s.Aggs) > 0 {
-		sortKeys = append(sortKeys, table.SortKey{Column: s.Aggs[0].OutField, Desc: true})
-	}
-	for _, c := range s.GroupBy {
-		sortKeys = append(sortKeys, table.SortKey{Column: c})
-	}
-	return &colstore.GroupBy{Keys: keys, Aggs: aggs, Out: out, SortKeys: sortKeys}, out, true
+	return &colstore.GroupBy{Keys: keys, Aggs: aggs, Out: out, SortKeys: s.orderKeys()}, out, true
 }
 
 // BindVec implements Vectorizable. The heap kernel covers the common
 // dashboard shape — one global group, one order key; partitioned or
 // multi-key topn keeps the row path.
 func (s *TopNSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	if len(s.GroupBy) != 0 || len(s.OrderBy) != 1 {
+	if !HasKernel(s) {
 		return nil, nil, false
 	}
 	key := in.Schema.Index(s.OrderBy[0].Column)
