@@ -49,16 +49,6 @@
 //	                                     read-only replica with bounded
 //	                                     staleness via -max-lag
 //	                                     (docs/REPLICATION.md)
-//	shareinsights load [-url http://...] drive concurrent dashboard
-//	                                     sessions against a serve process
-//	                                     and report latency percentiles,
-//	                                     shed rate and cache hit rate; with
-//	                                     no -url, self-hosts a server and
-//	                                     reports ungated vs gated
-//	                                     (BENCH_serve.json shape);
-//	                                     -replica compares a durable
-//	                                     leader against a caught-up
-//	                                     follower replica instead
 //	shareinsights library                list installed tasks, operators,
 //	                                     aggregates, widgets, connectors
 //
@@ -121,7 +111,6 @@ var commands = []command{
 	{"history", "history [-json] [-limit N] <flow-file>", cmdHistory},
 	{"profile", "profile <flow-file>", cmdProfile},
 	{"serve", "serve [-addr :8080]", cmdServe},
-	{"load", "load [-url http://...]", cmdLoad},
 	{"library", "library", cmdLibrary},
 }
 
@@ -509,79 +498,6 @@ func cmdServe(args []string) {
 	}
 }
 
-func cmdLoad(args []string) {
-	fs := flag.NewFlagSet("load", flag.ExitOnError)
-	url := fs.String("url", "", "target serve base URL; empty self-hosts an in-process server and reports ungated vs gated")
-	dashboards := fs.Int("dashboards", 4, "distinct dashboards to create and round-robin across")
-	workers := fs.Int("workers", 64, "concurrent client sessions")
-	requests := fs.Int("requests", 1000, "total run requests")
-	tenants := fs.Int("tenants", 4, "distinct X-SI-Tenant identities")
-	rows := fs.Int("rows", 500, "rows per dashboard's uploaded CSV")
-	maxInflight := fs.Int("max-inflight", 8, "gated self-host: admission gate concurrency")
-	queueDepth := fs.Int("queue-depth", 16, "gated self-host: queue depth before shedding")
-	tenantRPS := fs.Float64("tenant-rps", 0, "gated self-host: per-tenant token-bucket rate limit; 0 disables")
-	resultCache := fs.Int("result-cache", 64, "gated self-host: result cache entries")
-	replicaCmp := fs.Bool("replica", false, "self-host compare: a durable leader vs a follower replica serving the same reads after catch-up (docs/REPLICATION.md)")
-	out := fs.String("out", "", "write the JSON report to this file instead of stdout")
-	fs.Parse(args)
-	cfg := shareinsights.LoadConfig{
-		BaseURL:    *url,
-		Dashboards: *dashboards,
-		Workers:    *workers,
-		Requests:   *requests,
-		Tenants:    *tenants,
-		Rows:       *rows,
-	}
-	var report any
-	if *url != "" {
-		report = mustLoad(cfg, *url)
-	} else if *replicaCmp {
-		report = runReplicaCompare(cfg)
-	} else {
-		// Self-host compare: the same burst against a plain server and
-		// against a gated one, so the report shows what admission
-		// control buys — bounded latency plus controlled 429s instead
-		// of unbounded pile-up.
-		run := func(opts ...shareinsights.ServerOption) *shareinsights.LoadReport {
-			base, shutdown := serveLoopback(shareinsights.NewServer(shareinsights.NewPlatform(), opts...).Handler())
-			defer shutdown()
-			return mustLoad(cfg, base)
-		}
-		ungated := run()
-		gated := run(
-			shareinsights.WithAdmission(shareinsights.AdmissionConfig{
-				MaxInFlight: *maxInflight,
-				QueueDepth:  *queueDepth,
-				TenantRPS:   *tenantRPS,
-			}),
-			shareinsights.WithResultCache(*resultCache),
-		)
-		report = map[string]any{
-			"config": map[string]any{
-				"dashboards": *dashboards, "workers": *workers,
-				"requests": *requests, "tenants": *tenants, "rows": *rows,
-				"max_inflight": *maxInflight, "queue_depth": *queueDepth,
-				"tenant_rps": *tenantRPS, "result_cache": *resultCache,
-			},
-			"ungated": ungated,
-			"gated":   gated,
-		}
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	buf = append(buf, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, buf, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("load report written to %s\n", *out)
-	} else {
-		os.Stdout.Write(buf)
-	}
-}
-
 func cmdTime(args []string) {
 	fs := flag.NewFlagSet("time", flag.ExitOnError)
 	compare := fs.Bool("compare", false, "record the run in the flight recorder and print per-stage deltas vs the EWMA baseline")
@@ -718,94 +634,6 @@ func cmdLibrary(args []string) {
 	fmt.Println("widgets:   ", strings.Join(widget.Types(), ", "))
 	fmt.Println("protocols: ", strings.Join(p.Connectors.Protocols(), ", "))
 	fmt.Println("formats:   ", strings.Join(p.Connectors.Formats(), ", "))
-}
-
-// runReplicaCompare is `load -replica`: drive the burst against a
-// durable leader, let a follower replicate the resulting state, then
-// drive the same run burst against the follower (reads only — its
-// writes would 307 to the leader). The report shows what a read
-// replica buys: leader-equivalent run latency off replicated state,
-// plus the catch-up cost (docs/REPLICATION.md).
-func runReplicaCompare(cfg shareinsights.LoadConfig) map[string]any {
-	leaderDir, err := os.MkdirTemp("", "si-load-leader-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(leaderDir)
-	lp := shareinsights.NewPlatform()
-	lp.Metrics = shareinsights.NewMetricsRegistry()
-	st, err := shareinsights.NewStore(leaderDir, lp.Metrics)
-	if err != nil {
-		log.Fatal(err)
-	}
-	leaderURL, stopLeader := serveLoopback(shareinsights.NewServer(lp, shareinsights.WithStore(st)).Handler())
-	leaderRep := mustLoad(cfg, leaderURL)
-
-	fp := shareinsights.NewPlatform()
-	fp.Metrics = shareinsights.NewMetricsRegistry()
-	fol, err := shareinsights.NewFollower(shareinsights.FollowerConfig{
-		LeaderURL: leaderURL,
-		Metrics:   fp.Metrics,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fsrv := shareinsights.NewServer(fp, shareinsights.WithFollower(fol, 0))
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	t0 := time.Now()
-	if err := fol.Sync(ctx); err != nil {
-		log.Fatal(err)
-	}
-	catchup := time.Since(t0)
-	followerURL, stopFollower := serveLoopback(fsrv.Handler())
-	fc := cfg
-	fc.SkipSetup = true
-	followerRep := mustLoad(fc, followerURL)
-
-	stopFollower()
-	stopLeader()
-	if err := fol.Close(); err != nil {
-		log.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		log.Fatal(err)
-	}
-	return map[string]any{
-		"config": map[string]any{
-			"dashboards": cfg.Dashboards, "workers": cfg.Workers,
-			"requests": cfg.Requests, "tenants": cfg.Tenants, "rows": cfg.Rows,
-		},
-		"leader":     leaderRep,
-		"follower":   followerRep,
-		"catchup_ms": float64(catchup.Microseconds()) / 1000,
-	}
-}
-
-// serveLoopback serves h on a loopback port for the self-hosted `load`
-// comparisons, returning its base URL and a shutdown func.
-func serveLoopback(h http.Handler) (string, func()) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	hs := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	go hs.Serve(ln)
-	return "http://" + ln.Addr().String(), func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)
-	}
-}
-
-// mustLoad drives the load burst against the server at baseURL.
-func mustLoad(cfg shareinsights.LoadConfig, baseURL string) *shareinsights.LoadReport {
-	cfg.BaseURL = baseURL
-	rep, err := shareinsights.RunLoad(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return rep
 }
 
 // printCompare prints the latest recorded run's per-stage deltas

@@ -57,10 +57,13 @@ func (c *ResultCache) store(dash, node, sig string, t *table.Table) {
 	if limit <= 0 {
 		limit = DefaultCacheEntries
 	}
-	if len(c.entries) >= limit {
+	key := dash + "\x00" + node
+	// Replacing a held key never grows the cache, so only a new key at the
+	// bound clears it.
+	if _, held := c.entries[key]; !held && len(c.entries) >= limit {
 		c.entries = map[string]cacheEntry{}
 	}
-	c.entries[dash+"\x00"+node] = cacheEntry{sig: sig, t: t}
+	c.entries[key] = cacheEntry{sig: sig, t: t}
 }
 
 // Len reports the number of cached objects.

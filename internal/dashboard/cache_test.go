@@ -173,4 +173,25 @@ func TestCacheBound(t *testing.T) {
 	if c.Len() > 4 {
 		t.Errorf("cache exceeded bound: %d", c.Len())
 	}
+
+	// A cache exactly at its bound keeps its entries when a held key is
+	// re-stored (a re-run of a cached dashboard): the bound is not exceeded.
+	c = NewResultCache()
+	c.MaxEntries = 4
+	keys := []string{"a", "b", "c", "d"}
+	for _, k := range keys {
+		c.store("d", k, "sig", nil)
+	}
+	c.store("d", "a", "sig2", nil)
+	if c.Len() != 4 {
+		t.Errorf("re-storing a held key at the bound left %d entries, want 4", c.Len())
+	}
+	for _, k := range keys[1:] {
+		if _, ok := c.lookup("d", k, "sig"); !ok {
+			t.Errorf("key %s evicted by re-storing a held key", k)
+		}
+	}
+	if _, ok := c.lookup("d", "a", "sig2"); !ok {
+		t.Error("re-stored key a does not hit under its new signature")
+	}
 }

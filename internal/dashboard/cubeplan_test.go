@@ -82,10 +82,12 @@ T:
     limit: 3
 `
 
-func interactionDashboard(t testing.TB, useCube bool) *Dashboard {
+// interactionDashboard compiles and runs interactionFlow. Without cube,
+// every widget plan drops its cube plan, so interactions run on the
+// reference executor — the oracle the cube is checked against.
+func interactionDashboard(t testing.TB, cube bool) *Dashboard {
 	t.Helper()
 	p := NewPlatform()
-	p.UseCube = useCube
 	p.Connectors = connector.NewRegistry(connector.Options{
 		Mem: map[string][]byte{"events.csv": interactionEvents},
 	})
@@ -96,6 +98,11 @@ func interactionDashboard(t testing.TB, useCube bool) *Dashboard {
 	d, err := p.Compile(f, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !cube {
+		for _, plan := range d.plans {
+			plan.cube = nil
+		}
 	}
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
@@ -127,10 +134,6 @@ func TestCubePlanCompiled(t *testing.T) {
 	}
 	if d.plans["top_ops"].cube != nil {
 		t.Error("topn pipeline must not compile to a cube plan")
-	}
-	off := interactionDashboard(t, false)
-	if off.plans["usage"].cube != nil {
-		t.Error("UseCube=false should disable cube plans")
 	}
 }
 

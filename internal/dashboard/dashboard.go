@@ -70,11 +70,6 @@ type Platform struct {
 	// (auto, on or off; empty means auto). A data object's `columnar:`
 	// detail overrides it per node. See docs/ENGINE.md.
 	Columnar string
-	// UseCube routes qualifying widget-interaction pipelines through the
-	// incremental cube engine instead of re-running the task chain per
-	// selection change. Results are identical either way; the cube makes
-	// interaction latency independent of how much data a widget watches.
-	UseCube bool
 	// Trace receives task-execution telemetry (feeds the Figure 31
 	// platform-usage dashboard).
 	Trace func(taskType string, outRows int)
@@ -108,7 +103,6 @@ func NewPlatform() *Platform {
 		Connectors: connector.NewRegistry(connector.Options{}),
 		Catalog:    share.NewCatalog(),
 		Optimize:   true,
-		UseCube:    true,
 		LastGood:   NewSourceCache(),
 	}
 }
@@ -256,11 +250,11 @@ func (d *Dashboard) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, err
 		}
 		cur = []task.Input{{Schema: out}}
 	}
-	if d.platform.UseCube {
-		if cp := compileCubePlan(plan.client); cp != nil {
-			if err := cp.verifySchema(epSchema, cur[0].Schema); err == nil {
-				plan.cube = cp
-			}
+	// A qualifying client suffix re-runs on the incremental cube engine,
+	// not the task chain, at each selection change; results are identical.
+	if cp := compileCubePlan(plan.client); cp != nil {
+		if err := cp.verifySchema(epSchema, cur[0].Schema); err == nil {
+			plan.cube = cp
 		}
 	}
 	return plan, nil

@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -102,6 +105,111 @@ func TestAdmissionSheds429(t *testing.T) {
 	}
 	if !found {
 		t.Error("no shed entry in the flight recorder")
+	}
+}
+
+// TestRunBurstShedsOrCollapses is the serving contract under a burst of
+// concurrent runs across dashboards and tenants, held by outcome rather
+// than by timing. With every slot pinned the whole burst sheds (429 +
+// Retry-After, never a 5xx). With the slots free every request lands or
+// sheds, and each dashboard's flow runs once: one miss, every other 200
+// a hit or a follower collapsed onto that run.
+func TestRunBurstShedsOrCollapses(t *testing.T) {
+	const slots, burst, tenants = 2, 36, 3
+	s, ts := newAdmissionServer(t, admission.Config{
+		MaxInFlight: slots, QueueDepth: 8, QueueTimeout: 50 * time.Millisecond,
+	})
+	dashes := []string{"sales_a", "sales_b"}
+	for _, name := range dashes {
+		if code, body := do(t, http.MethodPut, ts.URL+"/dashboards/"+name, serverFlow); code != 200 {
+			t.Fatalf("put %s: %d %s", name, code, body)
+		}
+	}
+	type result struct {
+		dash       string
+		code       int
+		cache      string
+		retryAfter string
+		err        error
+	}
+	fire := func() []result {
+		out := make([]result, burst)
+		var wg sync.WaitGroup
+		for i := range out {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := &out[i]
+				r.dash = dashes[i%len(dashes)]
+				req, err := http.NewRequest(http.MethodPost, ts.URL+"/dashboards/"+r.dash+"/run", nil)
+				if err != nil {
+					r.err = err
+					return
+				}
+				req.Header.Set(TenantHeader, fmt.Sprintf("tenant-%d", i%tenants))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					r.err = err
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				r.code = resp.StatusCode
+				r.cache = resp.Header.Get(ResultCacheHeader)
+				r.retryAfter = resp.Header.Get("Retry-After")
+			}()
+		}
+		wg.Wait()
+		for _, r := range out {
+			if r.err != nil {
+				t.Fatalf("run %s: %v", r.dash, r.err)
+			}
+		}
+		return out
+	}
+
+	var releases []func()
+	for i := 0; i < slots; i++ {
+		release, err := s.Gate().Acquire(context.Background(), "pin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases = append(releases, release)
+	}
+	for _, r := range fire() {
+		if r.code != http.StatusTooManyRequests || r.retryAfter == "" {
+			t.Errorf("pinned run %s = %d (Retry-After %q), want 429 with Retry-After", r.dash, r.code, r.retryAfter)
+		}
+	}
+	for _, release := range releases {
+		release()
+	}
+
+	misses := map[string]int{}
+	landed := map[string]bool{}
+	for _, r := range fire() {
+		switch r.code {
+		case http.StatusOK:
+			landed[r.dash] = true
+			switch r.cache {
+			case admission.OutcomeMiss:
+				misses[r.dash]++
+			case admission.OutcomeHit, admission.OutcomeFollow:
+			default:
+				t.Errorf("run %s: 200 with cache outcome %q", r.dash, r.cache)
+			}
+		case http.StatusTooManyRequests:
+		default:
+			t.Errorf("released run %s = %d, want 200 or 429", r.dash, r.code)
+		}
+	}
+	if len(landed) == 0 {
+		t.Fatal("no run landed after the slots were released")
+	}
+	for dash := range landed {
+		if misses[dash] != 1 {
+			t.Errorf("%s: %d misses among its 200s, want exactly 1 (singleflight runs the flow once)", dash, misses[dash])
+		}
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"shareinsights/internal/dashboard"
 	"shareinsights/internal/engine/batch"
 	"shareinsights/internal/flowfile"
-	"shareinsights/internal/hackathon"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/replica"
 	"shareinsights/internal/resilience"
@@ -250,17 +249,6 @@ type RunBudget = admission.Budget
 // EngineBudget is the engine-side accounting hook a RunBudget
 // satisfies (Platform.NewRunBudget returns one per run).
 type EngineBudget = batch.Budget
-
-// LoadConfig parameterizes RunLoad; see its fields for defaults.
-type LoadConfig = hackathon.LoadConfig
-
-// LoadReport is RunLoad's outcome snapshot: latency percentiles, shed
-// rate, cache hit rate — the BENCH_serve.json shape.
-type LoadReport = hackathon.LoadReport
-
-// RunLoad drives concurrent dashboard sessions against a serve
-// process's HTTP API and reports how its admission control held up.
-func RunLoad(cfg LoadConfig) (*LoadReport, error) { return hackathon.RunLoad(cfg) }
 
 // NewRepo creates a flow-file repository for the branch-and-merge
 // collaboration model of §4.5.1.
