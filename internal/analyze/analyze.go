@@ -16,10 +16,9 @@ package analyze
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"shareinsights/internal/analyze/flowcheck"
 	"shareinsights/internal/connector"
@@ -228,9 +227,6 @@ func lintRun(f *flowfile.File, opts Options) *linter {
 	}
 	l.checkWidgets()
 	l.checkDataProps()
-	l.checkResilienceProps()
-	l.checkColumnarProp()
-	l.checkCacheProps()
 	l.checkPublish()
 	l.checkDeadEntities()
 	l.checkDeadColumns()
@@ -352,33 +348,24 @@ type linter struct {
 
 func (l *linter) add(f Finding) { l.report.Findings = append(l.report.Findings, f) }
 
-// validation folds structural Validate problems in as FL000 errors, so
-// one lint pass shows everything — dangling references included.
+// validation folds Validate's problems in: a bad data detail under its
+// detail's rule, with a did-you-mean from the detail's legal values;
+// every structural problem as an FL000 error, so one lint pass shows
+// everything — dangling references included.
 func (l *linter) validation() {
 	err := l.f.Validate(true)
 	if err == nil {
 		return
 	}
-	for _, d := range diagnose.Diagnose(l.f, err) {
-		if reclaimedCodes[d.Code] {
-			// A structural problem some specific rule re-reports with a
-			// rule ID and did-you-mean hints (FL042 resilience, FL043
-			// columnar); skipping it here keeps each problem reported
-			// exactly once. The code travels with the Problem from
-			// flowfile.Validate, so the suppression cannot drift out of
-			// sync with message wording.
+	ds := diagnose.Diagnose(l.f, err)
+	for i, p := range err.(*flowfile.ValidationError).Problems {
+		if b := p.Detail; b != nil {
+			l.add(didYouMean(Finding{Rule: p.Rule, Severity: Error, Entity: "D." + b.Data, Line: p.Line, Message: b.Reason}, b.Value, b.Legal))
 			continue
 		}
+		d := ds[i]
 		l.add(Finding{Rule: "FL000", Severity: Error, Entity: d.Entity, Line: d.Line, Message: d.Problem, Hint: d.Hint})
 	}
-}
-
-// reclaimedCodes are the flowfile.Problem codes a dedicated rule
-// re-reports, keyed by the code each Validate problem carries.
-var reclaimedCodes = map[string]bool{
-	flowfile.ProblemResilience: true, // FL042: on_error / timeout / retries
-	flowfile.ProblemColumnar:   true, // FL043: columnar
-	flowfile.ProblemCache:      true, // FL045: cache / max_rows
 }
 
 // checkTasks reports every task definition the resolver could not parse,
@@ -409,16 +396,11 @@ func (l *linter) checkProblems(problems []*dag.Problem) {
 // owns are FL000 errors carrying the resolver's own message.
 func (l *linter) reportProblem(p *dag.Problem) {
 	fd := Finding{Rule: "FL000", Severity: Error, Entity: p.Entity, Line: p.Line, Message: cleanMsg(p.Err.Error())}
-	nearest := func(target string, candidates []string) {
-		if hint := diagnose.Nearest(target, candidates); hint != "" {
-			fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-		}
-	}
 	switch p.Kind {
 	case dag.ProblemUnknownType:
 		def := l.f.Tasks[p.Entity[2:]]
 		fd.Rule, fd.Message = "FL001", fmt.Sprintf("unknown task type %q", def.Type)
-		nearest(def.Type, append(l.opts.Tasks.Types(), "parallel"))
+		fd = didYouMean(fd, def.Type, append(l.opts.Tasks.Types(), "parallel"))
 	case dag.ProblemBadConfig:
 		fd.Rule = "FL002"
 		if def := l.f.Tasks[p.Entity[2:]]; (def.Type == "topn" || def.Type == "sort") && len(def.Config.StrList("orderby_column")) == 0 {
@@ -426,7 +408,7 @@ func (l *linter) reportProblem(p *dag.Problem) {
 		}
 	case dag.ProblemMissingColumn, dag.ProblemBind:
 		fd.Rule = "FL003"
-		nearest(p.Column, p.InScope)
+		fd = didYouMean(fd, p.Column, p.InScope)
 	case dag.ProblemDuplicateColumn:
 		fd.Rule = "FL020"
 	case dag.ProblemUnresolvable:
@@ -447,121 +429,33 @@ func (l *linter) reportProblem(p *dag.Problem) {
 	l.add(fd)
 }
 
+// knownDataKeys are the detail-block keys FL041 knows.
+var knownDataKeys = append(flowfile.DetailKeys(), connector.DetailKeys...)
+
 // checkDataProps validates connector properties on data objects: FL040
-// bad protocol/format value, FL041 unknown property key, FL042 bad
-// resilience detail (on_error/timeout/retries, docs/RESILIENCE.md).
+// bad protocol/format value, FL041 unknown property key — neither a
+// platform detail (flowfile) nor a key the built-in protocols and formats
+// read (connector). Bad platform-detail values are Validate's (FL042,
+// FL045; see validation).
 func (l *linter) checkDataProps() {
-	knownProps := []string{
-		"source", "protocol", "format", "separator", "request_type",
-		"on_error", "timeout", "retries", "columnar", "cache", "max_rows",
-	}
 	for _, name := range l.f.DataOrder {
 		d := l.f.Data[name]
 		for _, key := range d.PropOrder {
-			if hasString(knownProps, key) || strings.HasPrefix(key, "http_headers.") {
-				continue
+			if !slices.Contains(knownDataKeys, key) && !strings.HasPrefix(key, connector.HeaderPrefix) {
+				l.add(didYouMean(Finding{Rule: "FL041", Severity: Warning, Entity: "D." + name, Line: d.Line,
+					Message: fmt.Sprintf("unknown data property %q", key)}, key, knownDataKeys))
 			}
-			fd := Finding{Rule: "FL041", Severity: Warning, Entity: "D." + name, Line: d.Line,
-				Message: fmt.Sprintf("unknown data property %q", key)}
-			if hint := diagnose.Nearest(key, knownProps); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
 		}
 		if l.opts.Connectors == nil {
 			continue
 		}
-		if p := d.Prop("protocol"); p != "" && !hasString(l.opts.Connectors.Protocols(), p) {
-			fd := Finding{Rule: "FL040", Severity: Error, Entity: "D." + name, Line: d.Line,
-				Message: fmt.Sprintf("unknown connector protocol %q", p)}
-			if hint := diagnose.Nearest(p, l.opts.Connectors.Protocols()); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
+		if p := d.Prop("protocol"); p != "" && !slices.Contains(l.opts.Connectors.Protocols(), p) {
+			l.add(didYouMean(Finding{Rule: "FL040", Severity: Error, Entity: "D." + name, Line: d.Line,
+				Message: fmt.Sprintf("unknown connector protocol %q", p)}, p, l.opts.Connectors.Protocols()))
 		}
-		if fm := d.Prop("format"); fm != "" && !hasString(l.opts.Connectors.Formats(), strings.ToLower(fm)) {
-			fd := Finding{Rule: "FL040", Severity: Error, Entity: "D." + name, Line: d.Line,
-				Message: fmt.Sprintf("unknown data format %q", fm)}
-			if hint := diagnose.Nearest(fm, l.opts.Connectors.Formats()); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
-		}
-	}
-}
-
-// checkResilienceProps validates the run-time degradation details: FL042
-// bad on_error/timeout/retries value. These are also hard validation
-// errors (flowfile.Validate), but the linter repeats them with rule IDs
-// and hints so the editor and flowlint report them uniformly.
-func (l *linter) checkResilienceProps() {
-	modes := []string{"fail", "stale", "empty"}
-	for _, name := range l.f.DataOrder {
-		d := l.f.Data[name]
-		if m := d.Prop("on_error"); m != "" && !hasString(modes, m) {
-			fd := Finding{Rule: "FL042", Severity: Error, Entity: "D." + name, Line: d.Line,
-				Message: fmt.Sprintf("on_error must be fail, stale or empty (got %q)", m)}
-			if hint := diagnose.Nearest(m, modes); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
-		}
-		if v := d.Prop("timeout"); v != "" {
-			if dur, err := time.ParseDuration(v); err != nil || dur <= 0 {
-				l.add(Finding{Rule: "FL042", Severity: Error, Entity: "D." + name, Line: d.Line,
-					Message: fmt.Sprintf("timeout %q is not a positive duration", v),
-					Hint:    `use Go duration syntax, e.g. "30s" or "2m"`})
-			}
-		}
-		if v := d.Prop("retries"); v != "" {
-			if n, err := strconv.Atoi(v); err != nil || n < 0 {
-				l.add(Finding{Rule: "FL042", Severity: Error, Entity: "D." + name, Line: d.Line,
-					Message: fmt.Sprintf("retries must be a non-negative integer (got %q)", v)})
-			}
-		}
-	}
-}
-
-// checkColumnarProp validates the batch engine's vectorized-execution
-// planner detail: FL043 bad `columnar:` value (docs/ENGINE.md). Like
-// FL042 this doubles a hard validation error with a rule ID and hint.
-func (l *linter) checkColumnarProp() {
-	modes := []string{"auto", "on", "off"}
-	for _, name := range l.f.DataOrder {
-		d := l.f.Data[name]
-		if v := d.Prop("columnar"); v != "" && !hasString(modes, v) {
-			fd := Finding{Rule: "FL043", Severity: Error, Entity: "D." + name, Line: d.Line,
-				Message: fmt.Sprintf("columnar must be auto, on or off (got %q)", v)}
-			if hint := diagnose.Nearest(v, modes); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
-		}
-	}
-}
-
-// checkCacheProps validates the serving layer's admission details:
-// FL045 bad `cache:` or `max_rows:` value (docs/SERVING.md). Like
-// FL042/FL043 this doubles a hard validation error with a rule ID and
-// hint — a typo here silently disables the protection the detail asks
-// for.
-func (l *linter) checkCacheProps() {
-	modes := []string{"on", "off"}
-	for _, name := range l.f.DataOrder {
-		d := l.f.Data[name]
-		if v := d.Prop("cache"); v != "" && !hasString(modes, v) {
-			fd := Finding{Rule: "FL045", Severity: Error, Entity: "D." + name, Line: d.Line,
-				Message: fmt.Sprintf("cache must be on or off (got %q)", v)}
-			if hint := diagnose.Nearest(v, modes); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
-		}
-		if v := d.Prop("max_rows"); v != "" {
-			if n, err := strconv.Atoi(v); err != nil || n <= 0 {
-				l.add(Finding{Rule: "FL045", Severity: Error, Entity: "D." + name, Line: d.Line,
-					Message: fmt.Sprintf("max_rows must be a positive integer (got %q)", v)})
-			}
+		if fm := d.Prop("format"); fm != "" && !slices.Contains(l.opts.Connectors.Formats(), strings.ToLower(fm)) {
+			l.add(didYouMean(Finding{Rule: "FL040", Severity: Error, Entity: "D." + name, Line: d.Line,
+				Message: fmt.Sprintf("unknown data format %q", fm)}, fm, l.opts.Connectors.Formats()))
 		}
 	}
 }
@@ -626,12 +520,8 @@ func (l *linter) checkWidgets() {
 		entity := "W." + name
 		desc, ok := widget.Lookup(w.Type)
 		if !ok {
-			fd := Finding{Rule: "FL030", Severity: Error, Entity: entity, Line: w.Line,
-				Message: fmt.Sprintf("unknown widget type %q", w.Type)}
-			if hint := diagnose.Nearest(w.Type, widget.Types()); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
+			l.add(didYouMean(Finding{Rule: "FL030", Severity: Error, Entity: entity, Line: w.Line,
+				Message: fmt.Sprintf("unknown widget type %q", w.Type)}, w.Type, widget.Types()))
 			continue
 		}
 		allowed := append([]string{}, visualAttrs...)
@@ -648,16 +538,11 @@ func (l *linter) checkWidgets() {
 		}
 		if w.Config != nil && w.Config.Kind == flowfile.MapNode {
 			for _, e := range w.Config.Entries {
-				if hasString(allowed, e.Key) {
+				if slices.Contains(allowed, e.Key) {
 					continue
 				}
-				fd := Finding{Rule: "FL031", Severity: Warning, Entity: entity,
-					Line:    entryLine(e, w.Line),
-					Message: fmt.Sprintf("unknown widget property %q for type %s", e.Key, w.Type)}
-				if hint := diagnose.Nearest(e.Key, allowed); hint != "" {
-					fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-				}
-				l.add(fd)
+				l.add(didYouMean(Finding{Rule: "FL031", Severity: Warning, Entity: entity, Line: entryLine(e, w.Line),
+					Message: fmt.Sprintf("unknown widget property %q for type %s", e.Key, w.Type)}, e.Key, allowed))
 			}
 		}
 		// Bind data attributes against the source pipeline's output.
@@ -674,13 +559,9 @@ func (l *linter) checkWidgets() {
 			if col == "" || out.Index(col) >= 0 {
 				continue
 			}
-			fd := Finding{Rule: "FL033", Severity: Error, Entity: entity, Line: w.Line,
+			l.add(didYouMean(Finding{Rule: "FL033", Severity: Error, Entity: entity, Line: w.Line,
 				Message: fmt.Sprintf("data attribute %s binds to column %q, not produced by the source pipeline (have %s)",
-					a.Name, col, strings.Join(out.Names(), ", "))}
-			if hint := diagnose.Nearest(col, out.Names()); hint != "" {
-				fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-			}
-			l.add(fd)
+					a.Name, col, strings.Join(out.Names(), ", "))}, col, out.Names()))
 		}
 	}
 }
@@ -829,11 +710,10 @@ func cleanMsg(msg string) string {
 	return msg
 }
 
-func hasString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
+// didYouMean hints the candidate nearest target, when one is close.
+func didYouMean(fd Finding, target string, candidates []string) Finding {
+	if hint := diagnose.Nearest(target, candidates); hint != "" {
+		fd.Hint = fmt.Sprintf("did you mean %q?", hint)
 	}
-	return false
+	return fd
 }

@@ -465,7 +465,7 @@ T:
     groupby: [region]
 `,
 			rule: "FL042", severity: Error, entity: "D.src",
-			msgPart: `"30"`, hintPart: `"30s"`, wantLine: true,
+			msgPart: `timeout must be a positive duration such as 30s or 2m (got "30")`, wantLine: true,
 		},
 		{
 			name: "FL042 negative retries",
@@ -878,27 +878,41 @@ T:
 	}
 }
 
-// TestColumnarFindingsNotDuplicatedAsFL000 pins the same dedup for the
-// columnar detail: a bad columnar: value surfaces once, as FL043.
-func TestColumnarFindingsNotDuplicatedAsFL000(t *testing.T) {
+// TestDataDetailKeysKnown: FL041 knows the keys the built-in formats
+// read (record_tag for xml, items for json), and `columnar:` — not
+// a data detail — is an unknown property, not a validation error.
+func TestDataDetailKeysKnown(t *testing.T) {
 	report := lintSrc(t, `
 D:
-  src: [region, amount]
-D.src:
-  source: mem:src.csv
-  columnar: never
+  x: [region, amount]
+  j: [region, amount]
+  c: [region, amount]
+D.x:
+  source: mem:x.xml
+  format: xml
+  record_tag: row
+D.j:
+  source: mem:j.json
+  format: json
+  items: rows
+D.c:
+  source: mem:c.csv
+  columnar: on
 F:
-  +D.out: D.src | T.agg
+  +D.ox: D.x | T.agg
+  +D.oj: D.j | T.agg
+  +D.oc: D.c | T.agg
 T:
   agg:
     type: groupby
     groupby: [region]
 `)
-	if got := findRule(report, "FL043"); len(got) != 1 {
-		t.Fatalf("FL043 findings = %d, want 1; report:\n%s", len(got), renderReport(report))
+	got := findRule(report, "FL041")
+	if len(got) != 1 || got[0].Entity != "D.c" || !strings.Contains(got[0].Message, `"columnar"`) {
+		t.Fatalf("FL041 = %v, want only D.c's columnar; report:\n%s", got, renderReport(report))
 	}
-	if got := findRule(report, "FL000"); len(got) != 0 {
-		t.Fatalf("bad columnar duplicated as FL000; report:\n%s", renderReport(report))
+	if report.HasErrors() {
+		t.Fatalf("report has errors:\n%s", renderReport(report))
 	}
 }
 

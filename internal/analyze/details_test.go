@@ -1,0 +1,96 @@
+package analyze
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"shareinsights/internal/connector"
+	"shareinsights/internal/flowfile"
+)
+
+// TestDataDetailsDocumented guards the data-detail vocabulary against
+// drift: every key the program reads from a detail block — a
+// .Prop("key") call or a .Props["key"] index anywhere in internal/ — is
+// known to lint (FL041 asks flowfile and connector), and docs/GRAMMAR.md's
+// "Recognized detail properties" paragraph lists exactly those keys plus
+// the ones the parser lifts out of the block (endpoint, publish, schema).
+func TestDataDetailsDocumented(t *testing.T) {
+	known := map[string]bool{connector.HeaderPrefix: true}
+	for _, k := range append(flowfile.DetailKeys(), connector.DetailKeys...) {
+		known[k] = true
+	}
+
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			var lit ast.Expr
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Prop" && len(n.Args) == 1 {
+					lit = n.Args[0]
+				}
+			case *ast.IndexExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Props" {
+					lit = n.Index
+				}
+			}
+			if bl, ok := lit.(*ast.BasicLit); ok && bl.Kind == token.STRING {
+				key, _ := strconv.Unquote(bl.Value)
+				if !known[key] {
+					t.Errorf("%s reads data detail %q, which lint does not know (flowfile details or connector.DetailKeys)", fset.Position(bl.Pos()), key)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "GRAMMAR.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, para, ok := strings.Cut(string(doc), "Recognized detail properties:")
+	if !ok {
+		t.Fatal(`docs/GRAMMAR.md has no "Recognized detail properties" paragraph`)
+	}
+	para, _, _ = strings.Cut(para, "\n\n")
+	// Parenthesized asides list values, not keys.
+	para = regexp.MustCompile(`\([^)]*\)`).ReplaceAllString(para, "")
+	var documented []string
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(para, -1) {
+		key := m[1]
+		if strings.HasPrefix(key, connector.HeaderPrefix) {
+			key = connector.HeaderPrefix
+		}
+		documented = append(documented, key)
+	}
+	var want []string
+	for k := range known {
+		want = append(want, k)
+	}
+	want = append(want, "endpoint", "publish", "schema")
+	sort.Strings(documented)
+	sort.Strings(want)
+	if strings.Join(documented, " ") != strings.Join(want, " ") {
+		t.Errorf("docs/GRAMMAR.md recognized detail properties = %v, want %v", documented, want)
+	}
+}

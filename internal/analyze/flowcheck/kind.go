@@ -84,9 +84,6 @@ type Type struct {
 // Unknown is the top type: any kind, possibly null.
 func Unknown() Type { return Type{Kind: KAny, Nullable: true} }
 
-// IsUnknown reports whether t carries no kind information.
-func (t Type) IsUnknown() bool { return t.Kind == KAny }
-
 // String renders the type with the SQL-ish nullability suffix: "int",
 // "float?", "any".
 func (t Type) String() string {

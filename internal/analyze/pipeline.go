@@ -2,11 +2,11 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"shareinsights/internal/analyze/flowcheck"
 	"shareinsights/internal/dag"
-	"shareinsights/internal/diagnose"
 	"shareinsights/internal/expr"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/task"
@@ -156,7 +156,7 @@ func (l *linter) checkStage(specs []task.Spec, k int, def *flowfile.TaskDef, nam
 		l.checkJoinKeys(t, entity, def, ins)
 	case *task.TopNSpec:
 		for _, key := range t.OrderBy {
-			if hasString(t.GroupBy, key.Column) {
+			if slices.Contains(t.GroupBy, key.Column) {
 				l.add(Finding{Rule: "FL051", Severity: Info, Entity: entity, Line: def.Line,
 					Message: fmt.Sprintf("orderby column %q is also a grouping key — it is constant within each group and cannot rank rows", key.Column)})
 			}
@@ -191,12 +191,8 @@ func (l *linter) checkExprColumns(src string, ins []flowcheck.Input, entity stri
 		if sch.Has(c) {
 			continue
 		}
-		fd := Finding{Rule: "FL003", Severity: Error, Entity: entity, Line: line,
-			Message: fmt.Sprintf("column %q not found (have %s)", c, strings.Join(sch.Names(), ", "))}
-		if hint := diagnose.Nearest(c, sch.Names()); hint != "" {
-			fd.Hint = fmt.Sprintf("did you mean %q?", hint)
-		}
-		l.add(fd)
+		l.add(didYouMean(Finding{Rule: "FL003", Severity: Error, Entity: entity, Line: line,
+			Message: fmt.Sprintf("column %q not found (have %s)", c, strings.Join(sch.Names(), ", "))}, c, sch.Names()))
 	}
 }
 

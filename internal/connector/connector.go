@@ -222,6 +222,16 @@ func (r *Registry) Formats() []string {
 	return out
 }
 
+// DetailKeys are the data-detail keys the built-in protocols and formats
+// read (besides the platform details flowfile declares): the source and
+// its protocol and format pickers below, the http protocol's request
+// type, the csv separator, the json items member and the xml record tag.
+// Every http_headers.<name> key is also read, as HeaderPrefix.
+var DetailKeys = []string{"source", "protocol", "format", "separator", "record_tag", "items", "request_type"}
+
+// HeaderPrefix prefixes the http protocol's request-header details.
+const HeaderPrefix = "http_headers."
+
 // protocolFor picks the protocol: an explicit `protocol:` property wins,
 // then the source URL scheme, then file.
 func (r *Registry) protocolFor(d *flowfile.DataDef) (Protocol, string, error) {
@@ -328,15 +338,11 @@ type LoadStats struct {
 // data-detail properties.
 func (r *Registry) policyFor(d *flowfile.DataDef) resilience.Policy {
 	p := r.RetryPolicy()
-	if v := d.Prop("retries"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			p.MaxRetries = n
-		}
+	if n, ok := d.Retries(); ok {
+		p.MaxRetries = n
 	}
-	if v := d.Prop("timeout"); v != "" {
-		if dur, err := time.ParseDuration(v); err == nil && dur > 0 {
-			p.AttemptTimeout = dur
-		}
+	if t := d.Timeout(); t > 0 {
+		p.AttemptTimeout = t
 	}
 	return p
 }
@@ -422,8 +428,8 @@ func (p *httpProtocol) FetchContext(ctx context.Context, d *flowfile.DataDef) ([
 		return nil, resilience.Permanent(err)
 	}
 	for _, k := range d.PropOrder {
-		if strings.HasPrefix(k, "http_headers.") {
-			req.Header.Set(strings.TrimPrefix(k, "http_headers."), d.Props[k])
+		if name, ok := strings.CutPrefix(k, HeaderPrefix); ok {
+			req.Header.Set(name, d.Props[k])
 		}
 	}
 	resp, err := p.client.Do(req)

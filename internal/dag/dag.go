@@ -71,16 +71,6 @@ type Stage struct {
 // IsSource reports whether the node has no producing flow.
 func (n *Node) IsSource() bool { return n.Flow == nil }
 
-// ColumnarMode returns the node's `columnar:` data detail ("" when
-// unset) — the per-object override of the batch engine's vectorized
-// execution planner (auto, on or off).
-func (n *Node) ColumnarMode() string {
-	if n.Def == nil {
-		return ""
-	}
-	return n.Def.Prop("columnar")
-}
-
 // Graph is the assembled, schema-resolved DAG.
 type Graph struct {
 	// Nodes maps data-object names to nodes.

@@ -98,8 +98,8 @@ type PlanOptions struct {
 	// but provably never read (flowcheck liveness) — projection
 	// pushdown input.
 	DeadSourceColumns map[string][]string
-	// Columnar is the executor's default columnar mode; a node's
-	// `columnar:` detail overrides it.
+	// Columnar is the executor's columnar mode, resolved onto every
+	// produced node.
 	Columnar string
 }
 
@@ -215,7 +215,7 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 		if n.IsSource() {
 			continue
 		}
-		np := &NodePlan{Output: name, Columnar: ResolveColumnar(n.ColumnarMode(), opts.Columnar)}
+		np := &NodePlan{Output: name, Columnar: ResolveColumnar(opts.Columnar)}
 		hoist := HoistFilters(n.Specs)
 		if hoist.Moved {
 			np.Decisions = append(np.Decisions, Decision{
@@ -256,7 +256,7 @@ func AsWritten(g *Graph, columnar string) *Plan {
 		np := &NodePlan{Output: name, Source: n.IsSource()}
 		if !np.Source {
 			np.Specs = n.Specs
-			np.Columnar = ResolveColumnar(n.ColumnarMode(), columnar)
+			np.Columnar = ResolveColumnar(columnar)
 		}
 		p.Nodes[name] = np
 	}
@@ -264,16 +264,12 @@ func AsWritten(g *Graph, columnar string) *Plan {
 }
 
 // ResolveColumnar resolves an effective columnar mode — the one place the
-// mode string is interpreted: the node's `columnar:` detail, then the
-// executor default, then auto. Unset or unrecognized values fall through
-// (the flow-file validator rejects bad details before execution; this
-// covers programmatic callers).
-func ResolveColumnar(node, def string) string {
-	for _, m := range []string{node, def} {
-		switch m {
-		case "auto", "on", "off":
-			return m
-		}
+// mode string is interpreted: the executor's mode, or auto when it is
+// unset or unrecognized.
+func ResolveColumnar(mode string) string {
+	switch mode {
+	case "on", "off":
+		return mode
 	}
 	return "auto"
 }

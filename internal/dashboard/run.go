@@ -12,8 +12,6 @@ import (
 	"shareinsights/internal/connector"
 	"shareinsights/internal/dag"
 	"shareinsights/internal/engine/batch"
-	"shareinsights/internal/engine/cube"
-	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/obs/history"
 	"shareinsights/internal/resilience"
@@ -97,7 +95,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			srcSpan = tr.StartSpan(runSpan, "source D."+name)
 		}
 		t, attempts, lerr := d.loadSource(ctx, name, tr, srcSpan)
-		sh := SourceHealth{Name: name, Status: "ok", Mode: onErrorMode(n.Def), Attempts: attempts}
+		sh := SourceHealth{Name: name, Status: "ok", Mode: n.Def.OnError(), Attempts: attempts}
 		if attempts > 1 {
 			h.Retries += attempts - 1
 		}
@@ -150,7 +148,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		})
 		for _, name := range d.Graph.Order {
 			n := d.Graph.Nodes[name]
-			if n.IsSource() || n.Def.Prop("cache") == "off" {
+			if n.IsSource() || n.Def.Uncached() {
 				continue
 			}
 			if t, ok := d.platform.Cache.lookup(d.Name, name, sigs[name]); ok {
@@ -172,7 +170,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			n := d.Graph.Nodes[name]
 			// `cache: off` opts a data object out of cross-run
 			// memoization — for side-effecting or time-sensitive flows.
-			if n.IsSource() || n.Def.Prop("cache") == "off" {
+			if n.IsSource() || n.Def.Uncached() {
 				continue
 			}
 			if t, ok := res.Table(name); ok {
@@ -230,15 +228,6 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		}
 	}
 	return d.refreshWidgets(ctx, tr, runSpan)
-}
-
-// onErrorMode reads a source's degradation policy: fail (default),
-// stale or empty.
-func onErrorMode(def *flowfile.DataDef) string {
-	if m := def.Prop("on_error"); m != "" {
-		return m
-	}
-	return "fail"
 }
 
 // degradeSource applies a failed source's on_error policy. It returns
@@ -574,29 +563,6 @@ func (d *Dashboard) Dependents(widgetName string) []string {
 		}
 	}
 	return out
-}
-
-// NewCube builds an interactive cube over a widget's endpoint data,
-// registering one dimension per interaction filter column. It powers the
-// cube-accelerated interaction path and the E6/E7 benches.
-func (d *Dashboard) NewCube(widgetName string) (*cube.Cube, error) {
-	plan, ok := d.plans[widgetName]
-	if !ok || plan.endpoint == nil {
-		return nil, fmt.Errorf("dashboard %s: widget W.%s has no endpoint data (run the dashboard first)", d.Name, widgetName)
-	}
-	c := cube.New(plan.endpoint)
-	for _, sp := range plan.client {
-		f, ok := sp.(*task.FilterSpec)
-		if !ok {
-			continue
-		}
-		for _, col := range f.By {
-			if _, err := c.Dimension(col); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return c, nil
 }
 
 // AdhocQuery answers the REST data API's path query of §4.4:

@@ -31,10 +31,6 @@ type Diagnostic struct {
 	Problem string
 	// Hint is an optional suggestion ("did you mean …?").
 	Hint string
-	// Code carries flowfile.Problem's classification code ("" for most
-	// problems), so reporters that re-report a class under a dedicated
-	// rule can suppress the generic copy without matching message text.
-	Code string
 }
 
 // String renders the diagnostic as the editor shows it.
@@ -73,7 +69,6 @@ func Diagnose(f *flowfile.File, err error) []Diagnostic {
 	if ve, ok := err.(*flowfile.ValidationError); ok {
 		for _, p := range ve.Problems {
 			d := diagnoseOne(f, p.Message)
-			d.Code = p.Code
 			if p.Line > 0 {
 				// The problem records the offending reference's own line
 				// (flow, task or layout row), which is more precise than

@@ -21,7 +21,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -57,8 +56,8 @@ type Executor struct {
 	// Columnar is the default planner mode for the vectorized execution
 	// path: ColumnarAuto, ColumnarOn or ColumnarOff ("" means auto). A
 	// derived plan and RunPipeline resolve it through
-	// dag.ResolveColumnar; a caller's Plan already carries each node's
-	// resolved mode.
+	// dag.ResolveColumnar; a caller's Plan already carries the resolved
+	// mode on each node.
 	Columnar string
 	// Budget, when non-nil, is charged as stages and pipelines
 	// materialize output (rows per stage, bytes per node or RunPipeline
@@ -397,21 +396,15 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 }
 
 // checkMaxRows enforces a node's `max_rows:` data detail — a per-object
-// output cap complementing the run-wide Budget. Unparseable values were
-// already rejected by flow-file validation; they are ignored here.
+// output cap complementing the run-wide Budget.
 func checkMaxRows(n *dag.Node, out *table.Table) error {
 	if n.Def == nil {
 		return nil
 	}
-	raw := n.Def.Prop("max_rows")
-	if raw == "" {
-		return nil
+	if limit := n.Def.MaxRows(); limit > 0 && out.Len() > limit {
+		return fmt.Errorf("D.%s produced %d rows, over its max_rows cap %d", n.Name, out.Len(), limit)
 	}
-	limit, err := strconv.Atoi(raw)
-	if err != nil || limit <= 0 || out.Len() <= limit {
-		return nil
-	}
-	return fmt.Errorf("D.%s produced %d rows, over its max_rows cap %d", n.Name, out.Len(), limit)
+	return nil
 }
 
 // RunPipeline executes one linear spec chain over its inputs — the entry
@@ -420,7 +413,7 @@ func checkMaxRows(n *dag.Node, out *table.Table) error {
 // a graph node's do, and cancellation is checked before every stage. It
 // returns the output table and the number of stages run.
 func (e *Executor) RunPipeline(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, parent int) (*table.Table, int, error) {
-	p := &pipeline{e: e, env: env, parent: parent, mode: dag.ResolveColumnar("", e.Columnar)}
+	p := &pipeline{e: e, env: env, parent: parent, mode: dag.ResolveColumnar(e.Columnar)}
 	out, stages, err := p.run(ctx, specs, in, names)
 	// A chain with no stages hands its input through: nothing new to charge.
 	if err == nil && stages > 0 && e.Budget != nil {

@@ -1,15 +1,15 @@
 // Columnar execution: the batch engine's vectorized path.
 //
-// Per node, the plan's columnar mode (dag.ResolveColumnar: the
-// `columnar:` data detail, or the executor default) selects between the
-// row kernels and the colstore kernels. The columnar path takes the pipeline's current table as a
-// column batch (its own storage when it is column-backed, one
-// conversion when it is not), streams it through consecutive vectorized
-// stages without materializing rows (a node's two-input first stage, the
-// join, takes both inputs' batches), and falls back to the row kernels
-// — per stage — whenever a spec, schema or value distribution has no
-// typed path. Both paths are semantically identical; the differential harness
-// in internal/engine/enginetest asserts it.
+// The plan's columnar mode (dag.ResolveColumnar of the executor's mode)
+// selects between the row kernels and the colstore kernels. The columnar
+// path takes the pipeline's current table as a column batch (its own
+// storage when it is column-backed, one conversion when it is not),
+// streams it through consecutive vectorized stages without materializing
+// rows (a node's two-input first stage, the join, takes both inputs'
+// batches), and falls back to the row kernels — per stage — whenever a
+// spec, schema or value distribution has no typed path. Both paths are
+// semantically identical; the differential harness in
+// internal/engine/enginetest asserts it.
 package batch
 
 import (
@@ -19,7 +19,7 @@ import (
 	"shareinsights/internal/task"
 )
 
-// The planner modes of the `columnar:` data detail.
+// The planner modes of Executor.Columnar.
 const (
 	// ColumnarAuto vectorizes eligible stages on inputs of at least
 	// dag.ColumnarAutoThreshold rows (batch conversion has a fixed cost

@@ -429,28 +429,6 @@ T:
     type: filter_by
     filter_expression: bumped > 5
 `},
-	{"per_node_detail", diffHeader + `
-D.mid:
-  columnar: on
-
-D.out:
-  columnar: off
-
-F:
-  D.mid: D.src | T.keep
-  D.out: D.mid | T.agg
-
-T:
-  keep:
-    type: filter_by
-    filter_expression: amount > -10
-  agg:
-    type: groupby
-    groupby: [region]
-    aggregates:
-      - operator: count
-        out_field: n
-`},
 }
 
 func TestFixedFlowsDifferential(t *testing.T) {

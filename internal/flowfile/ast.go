@@ -50,8 +50,10 @@ type DataDef struct {
 	// Schema is the declared column list, or nil when the object's
 	// schema is inferred from the flow that produces it.
 	Schema *schema.Schema
-	// Props holds protocol details: source, protocol, format, separator,
-	// request_type, http_headers.* — everything from the detail block.
+	// Props holds everything from the detail block: the platform
+	// details declared in details.go (read through the typed accessors
+	// there) and the keys protocols and formats read (source, format,
+	// separator, http_headers.* …; listed in connector.DetailKeys).
 	Props map[string]string
 	// PropOrder preserves property declaration order for serialization.
 	PropOrder []string

@@ -2,7 +2,6 @@ package flowfile
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -198,37 +197,4 @@ func (f *File) TaskText(name string) string {
 	var b strings.Builder
 	writeNodeBlock(&b, name, t.Config, 0)
 	return b.String()
-}
-
-// Sections lists the section tags present in the file, in canonical
-// order. The VCS merge works section-by-section.
-func (f *File) Sections() []string {
-	var out []string
-	if len(f.Data) > 0 {
-		out = append(out, "D")
-	}
-	if len(f.Flows) > 0 {
-		out = append(out, "F")
-	}
-	if len(f.Tasks) > 0 {
-		out = append(out, "T")
-	}
-	if len(f.Widgets) > 0 {
-		out = append(out, "W")
-	}
-	if f.Layout != nil {
-		out = append(out, "L")
-	}
-	return out
-}
-
-// SortedDataNames returns data object names sorted alphabetically;
-// reports and the REST /ds listing use it for stable output.
-func (f *File) SortedDataNames() []string {
-	names := make([]string, 0, len(f.Data))
-	for n := range f.Data {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

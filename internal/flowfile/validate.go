@@ -2,9 +2,7 @@ package flowfile
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
-	"time"
 )
 
 // Problem is one validation finding with the source line it refers to —
@@ -16,22 +14,13 @@ type Problem struct {
 	Line int
 	// Message describes the problem in flow-file vocabulary.
 	Message string
-	// Code classifies problems that downstream reporters (flowlint)
-	// re-report under a dedicated rule, so they can suppress the generic
-	// copy without matching message text. "" for everything else.
-	Code string
+	// Rule is the lint rule that reports the problem: a bad data
+	// detail's (FL042, FL045; see details), or "" for a structural
+	// problem, which lint reports as FL000.
+	Rule string
+	// Detail is the bad data detail behind a Rule problem (nil otherwise).
+	Detail *BadDetail
 }
-
-// Problem codes. A code marks a class of structural problem that a
-// specific flowlint rule re-reports with hints (FL042, FL043).
-const (
-	// ProblemResilience marks bad on_error/timeout/retries details.
-	ProblemResilience = "resilience"
-	// ProblemColumnar marks a bad columnar: value.
-	ProblemColumnar = "columnar"
-	// ProblemCache marks bad cache:/max_rows admission details.
-	ProblemCache = "cache"
-)
 
 // String renders the problem with its line prefix.
 func (p Problem) String() string {
@@ -63,11 +52,6 @@ func (e *ValidationError) add(line int, format string, args ...any) {
 	e.Problems = append(e.Problems, Problem{Line: line, Message: fmt.Sprintf(format, args...)})
 }
 
-// addCoded records a problem carrying a classification code.
-func (e *ValidationError) addCoded(code string, line int, format string, args ...any) {
-	e.Problems = append(e.Problems, Problem{Line: line, Message: fmt.Sprintf(format, args...), Code: code})
-}
-
 // label names a flow by its first output for messages, guarding against
 // programmatically built flows with no outputs (the parser always
 // produces at least one, but Validate must not panic on any File).
@@ -89,9 +73,8 @@ func (fl *Flow) label() string {
 //     that exists,
 //   - every layout cell references a widget,
 //   - no data object is produced by two flows,
-//   - resilience details are well-formed: on_error is fail, stale or
-//     empty; timeout parses as a duration; retries is a non-negative
-//     integer (see docs/RESILIENCE.md).
+//   - every platform data detail (on_error, timeout, retries, cache,
+//     max_rows) has a legal value — see details.
 //
 // Dangling references to shared objects can only be resolved against the
 // platform catalog at compile time, so Validate with allowShared=true is
@@ -119,42 +102,8 @@ func (f *File) Validate(allowShared bool) error {
 			}
 		}
 	}
-	// Resilience details steer run-time degradation (docs/RESILIENCE.md);
-	// a typo here would otherwise surface only mid-outage, exactly when
-	// the dashboard owner can least afford to debug it.
 	for _, name := range f.DataOrder {
-		d := f.Data[name]
-		if m := d.Prop("on_error"); m != "" && m != "fail" && m != "stale" && m != "empty" {
-			e.addCoded(ProblemResilience, d.Line, "data object D.%s: on_error must be fail, stale or empty (got %q)", name, m)
-		}
-		if v := d.Prop("timeout"); v != "" {
-			if dur, err := time.ParseDuration(v); err != nil {
-				e.addCoded(ProblemResilience, d.Line, "data object D.%s: timeout %q is not a duration (try 30s or 2m)", name, v)
-			} else if dur <= 0 {
-				e.addCoded(ProblemResilience, d.Line, "data object D.%s: timeout must be positive (got %q)", name, v)
-			}
-		}
-		if v := d.Prop("retries"); v != "" {
-			if n, err := strconv.Atoi(v); err != nil || n < 0 {
-				e.addCoded(ProblemResilience, d.Line, "data object D.%s: retries must be a non-negative integer (got %q)", name, v)
-			}
-		}
-		// The columnar detail steers the batch engine's vectorized
-		// execution planner (docs/ENGINE.md).
-		if v := d.Prop("columnar"); v != "" && v != "auto" && v != "on" && v != "off" {
-			e.addCoded(ProblemColumnar, d.Line, "data object D.%s: columnar must be auto, on or off (got %q)", name, v)
-		}
-		// Admission details steer the serving layer's result cache and
-		// per-run budgets (docs/SERVING.md). A typo silently disables the
-		// protection — an always-cold cache or an unbounded run.
-		if v := d.Prop("cache"); v != "" && v != "on" && v != "off" {
-			e.addCoded(ProblemCache, d.Line, "data object D.%s: cache must be on or off (got %q)", name, v)
-		}
-		if v := d.Prop("max_rows"); v != "" {
-			if n, err := strconv.Atoi(v); err != nil || n <= 0 {
-				e.addCoded(ProblemCache, d.Line, "data object D.%s: max_rows must be a positive integer (got %q)", name, v)
-			}
-		}
+		e.checkDetails(f.Data[name])
 	}
 	// A data object is locally resolvable if it has source details, a
 	// declared schema (inline/static data) or is produced by a flow.
@@ -228,21 +177,10 @@ func (f *File) Validate(allowShared bool) error {
 	return nil
 }
 
-// ProducedBy returns the flow that produces the named data object, or nil.
-func (f *File) ProducedBy(name string) *Flow {
-	for _, fl := range f.Flows {
-		for _, out := range fl.Outputs {
-			if out.Name == name {
-				return fl
-			}
-		}
-	}
-	return nil
-}
-
 // SharedInputs lists the data objects the file reads but neither sources
 // nor produces locally — these must come from the platform's shared
-// catalog (§3.7.2 data-consumption mode).
+// catalog (§3.7.2 data-consumption mode): declared ones in declaration
+// order, then undeclared ones in the order they are first read.
 func (f *File) SharedInputs() []string {
 	produced := map[string]bool{}
 	for _, fl := range f.Flows {
@@ -251,6 +189,7 @@ func (f *File) SharedInputs() []string {
 		}
 	}
 	need := map[string]bool{}
+	var undeclared []string
 	collect := func(p *Pipeline) {
 		if p == nil {
 			return
@@ -258,8 +197,11 @@ func (f *File) SharedInputs() []string {
 		for _, in := range p.Inputs {
 			d := f.Data[in.Name]
 			local := produced[in.Name] || (d != nil && (d.Prop("source") != "" || d.Prop("protocol") != ""))
-			if !local {
+			if !local && !need[in.Name] {
 				need[in.Name] = true
+				if d == nil {
+					undeclared = append(undeclared, in.Name)
+				}
 			}
 		}
 	}
@@ -277,10 +219,5 @@ func (f *File) SharedInputs() []string {
 			out = append(out, name)
 		}
 	}
-	for name := range need {
-		if _, declared := f.Data[name]; !declared {
-			out = append(out, name)
-		}
-	}
-	return out
+	return append(out, undeclared...)
 }

@@ -3,6 +3,7 @@ package flowfile
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // A programmatically built flow with no outputs must be reported, not
@@ -120,8 +121,8 @@ T:
 		{"valid on_error fail", "on_error: fail", ""},
 		{"bad on_error", "on_error: retry", "on_error must be fail, stale or empty"},
 		{"valid timeout", "timeout: 30s", ""},
-		{"unitless timeout", "timeout: 30", "not a duration"},
-		{"negative timeout", "timeout: -5s", "timeout must be positive"},
+		{"unitless timeout", "timeout: 30", "timeout must be a positive duration"},
+		{"negative timeout", "timeout: -5s", "timeout must be a positive duration"},
 		{"valid retries", "retries: 3", ""},
 		{"zero retries", "retries: 0", ""},
 		{"negative retries", "retries: -1", "retries must be a non-negative integer"},
@@ -144,5 +145,23 @@ T:
 				t.Fatalf("Validate = %v, want %q", verr, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestDetailAccessors pins the typed run-time reads of the platform
+// details: a legal value parses, an unset or illegal one (possible only
+// on a DataDef Validate never saw) reads as unset.
+func TestDetailAccessors(t *testing.T) {
+	set := &DataDef{}
+	for k, v := range map[string]string{"on_error": "stale", "timeout": "2s", "retries": "0", "cache": "off", "max_rows": "7"} {
+		set.SetProp(k, v)
+	}
+	if n, ok := set.Retries(); set.OnError() != "stale" || set.Timeout() != 2*time.Second || n != 0 || !ok || !set.Uncached() || set.MaxRows() != 7 {
+		t.Errorf("set details read as %q %v %d/%v %v %d", set.OnError(), set.Timeout(), n, ok, set.Uncached(), set.MaxRows())
+	}
+	for _, d := range []*DataDef{{}, {Props: map[string]string{"on_error": "retry", "timeout": "-1s", "retries": "-1", "cache": "OFF", "max_rows": "0"}}} {
+		if n, ok := d.Retries(); d.OnError() != "fail" || d.Timeout() != 0 || n != 0 || ok || d.Uncached() || d.MaxRows() != 0 {
+			t.Errorf("%v read as %q %v %d/%v %v %d", d.Props, d.OnError(), d.Timeout(), n, ok, d.Uncached(), d.MaxRows())
+		}
 	}
 }

@@ -76,7 +76,7 @@ func (s *Server) recordOutcome(name, status, detail string) {
 // time-sensitive).
 func cacheableFlow(f *flowfile.File) bool {
 	for _, d := range f.Data {
-		if d.Prop("cache") == "off" {
+		if d.Uncached() {
 			return false
 		}
 	}
@@ -84,22 +84,18 @@ func cacheableFlow(f *flowfile.File) bool {
 }
 
 // resultCacheKey encodes everything a run result depends on: the flow
-// revision (commit tip), the upload revision, and the versions of
-// every shared catalog object the flow reads. A save, upload or
-// publish rotates the key, so stale entries become unreachable without
-// any coordination; explicit Invalidate calls drop them eagerly too.
-func (s *Server) resultCacheKey(name, tip string, f *flowfile.File, uploadRev int) string {
+// revision (commit tip), the upload revision, and the versions of the
+// shared catalog objects the flow reads (flowfile.SharedInputs — flow and
+// widget-source inputs alike). A save, upload or publish rotates the
+// key, so stale entries become unreachable without any coordination;
+// explicit Invalidate calls drop them eagerly too.
+func (s *Server) resultCacheKey(name, tip string, shared []string, uploadRev int) string {
 	var sb strings.Builder
 	sb.WriteString(name)
 	sb.WriteString("@")
 	sb.WriteString(tip)
 	fmt.Fprintf(&sb, "|u%d", uploadRev)
-	names := make([]string, 0, len(f.Data))
-	for n := range f.Data {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range shared {
 		if obj, ok := s.platform.Catalog.Resolve(n); ok {
 			fmt.Fprintf(&sb, "|%s:v%d", n, obj.Version)
 		}

@@ -331,7 +331,9 @@ func TestResultCachePublishInvalidation(t *testing.T) {
 	producer := serverFlow + "\nD.by_region:\n  publish: region_totals\n"
 	putAndRun(t, ts, "producer", producer)
 
-	consumer := `
+	consumers := map[string]string{
+		// A flow reads the shared object.
+		"consumer": `
 F:
   +D.report: D.region_totals | T.top
 
@@ -340,30 +342,48 @@ T:
     type: topn
     orderby_column: [total DESC]
     limit: 1
-`
-	if code, body := do(t, http.MethodPut, ts.URL+"/dashboards/consumer", consumer); code != 200 {
-		t.Fatalf("put consumer: %d %s", code, body)
+`,
+		// Only a widget reads it: the parser declares no data object.
+		"widget_consumer": `
+W:
+  g:
+    type: Grid
+    source: D.region_totals
+
+L:
+  rows:
+    - [span12: W.g]
+`,
 	}
-	run := func() string {
-		resp := doTenant(t, http.MethodPost, ts.URL+"/dashboards/consumer/run", "")
+	for name, flow := range consumers {
+		if code, body := do(t, http.MethodPut, ts.URL+"/dashboards/"+name, flow); code != 200 {
+			t.Fatalf("put %s: %d %s", name, code, body)
+		}
+	}
+	run := func(name string) string {
+		resp := doTenant(t, http.MethodPost, ts.URL+"/dashboards/"+name+"/run", "")
 		body := readAll(t, resp)
 		resp.Body.Close()
 		if resp.StatusCode != 200 {
-			t.Fatalf("consumer run: %d %s", resp.StatusCode, body)
+			t.Fatalf("%s run: %d %s", name, resp.StatusCode, body)
 		}
 		return resp.Header.Get(ResultCacheHeader)
 	}
-	if outcome := run(); outcome != admission.OutcomeMiss {
-		t.Fatalf("first consumer run = %q, want miss", outcome)
-	}
-	if outcome := run(); outcome != admission.OutcomeHit {
-		t.Fatalf("second consumer run = %q, want hit", outcome)
+	for name := range consumers {
+		if outcome := run(name); outcome != admission.OutcomeMiss {
+			t.Fatalf("first %s run = %q, want miss", name, outcome)
+		}
+		if outcome := run(name); outcome != admission.OutcomeHit {
+			t.Fatalf("second %s run = %q, want hit", name, outcome)
+		}
 	}
 	// Republish: save the producer (rotating its own key) and re-run it
 	// so the catalog object's version bumps.
 	putAndRun(t, ts, "producer", producer)
-	if outcome := run(); outcome != admission.OutcomeMiss {
-		t.Fatalf("consumer run after republish = %q, want miss (stale shared input)", outcome)
+	for name := range consumers {
+		if outcome := run(name); outcome != admission.OutcomeMiss {
+			t.Fatalf("%s run after republish = %q, want miss (stale shared input)", name, outcome)
+		}
 	}
 }
 

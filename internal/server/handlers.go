@@ -130,7 +130,7 @@ func (s *Server) lintFile(f *flowfile.File) (*analyze.Report, *flowcheck.Facts) 
 // (docs/TYPES.md).
 func (s *Server) handleAnalysis(facts bool) handler {
 	return func(w http.ResponseWriter, r *http.Request, t target) {
-		f, _, err := t.e.flow(t.repo)
+		f, _, _, err := t.e.flow(t.repo)
 		if err != nil {
 			jsonError(w, http.StatusUnprocessableEntity, err)
 			return
@@ -307,7 +307,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, t target) {
 	d := t.live
 	if d == nil {
-		f, _, err := t.e.flow(t.repo)
+		f, _, _, err := t.e.flow(t.repo)
 		if err != nil {
 			jsonError(w, http.StatusUnprocessableEntity, err)
 			return

@@ -223,7 +223,7 @@ func TestFlowParsedOncePerTip(t *testing.T) {
 	}
 	tipFile := func() *flowfile.File {
 		tg := s.lookup("tip")
-		f, _, err := tg.e.flow(tg.repo)
+		f, _, _, err := tg.e.flow(tg.repo)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,10 +65,12 @@ type entry struct {
 	live      *dashboard.Dashboard
 
 	// The flow file parsed at main's tip, shared read-only by every
-	// lint, check, explain and run of that tip.
+	// lint, check, explain and run of that tip, and the shared catalog
+	// objects it reads (the result-cache key's inputs).
 	flowMu sync.Mutex
 	tip    string
 	file   *flowfile.File
+	shared []string
 	err    error
 }
 
@@ -198,25 +200,33 @@ func parse(name string, content []byte, validate bool) (*flowfile.File, error) {
 	return f, err
 }
 
-// flow returns the flow file at main's tip and the tip's hash, parsing
-// only when the tip has moved since the last call. The file is shared:
-// callers must not modify it.
-func (e *entry) flow(repo *vcs.Repo) (*flowfile.File, string, error) {
+// flow returns the flow file at main's tip, the tip's hash and the
+// file's shared inputs, parsing only when the tip has moved since the
+// last call. The file and list are shared: callers must not modify them.
+func (e *entry) flow(repo *vcs.Repo) (*flowfile.File, string, []string, error) {
 	tip, err := repo.Tip(vcs.DefaultBranch)
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
 	e.flowMu.Lock()
 	defer e.flowMu.Unlock()
 	if e.tip != tip.Hash {
 		content, err := repo.ContentAt(tip.Hash)
 		if err != nil {
-			return nil, "", err
+			return nil, "", nil, err
 		}
-		e.file, e.err = parse(e.name, content, false)
-		e.tip = tip.Hash
+		f, err := parse(e.name, content, false)
+		e.setFlow(tip.Hash, f, err)
 	}
-	return e.file, e.tip, e.err
+	return e.file, e.tip, e.shared, e.err
+}
+
+// setFlow records the file parsed at tip. Callers hold e.flowMu.
+func (e *entry) setFlow(tip string, f *flowfile.File, err error) {
+	e.tip, e.file, e.shared, e.err = tip, f, nil, err
+	if f != nil {
+		e.shared = f.SharedInputs()
+	}
 }
 
 // statusError is a failed write that knows its HTTP status; anything
@@ -284,7 +294,7 @@ func (s *Server) commit(name string, c change) (string, *flowfile.File, error) {
 	if c.branch == vcs.DefaultBranch {
 		if f != nil {
 			e.flowMu.Lock()
-			e.tip, e.file, e.err = hash, f, nil
+			e.setFlow(hash, f, nil)
 			e.flowMu.Unlock()
 		}
 		s.invalidateResults(name)
@@ -325,7 +335,7 @@ func (s *Server) run(ctx context.Context, name string) (*dashboard.Dashboard, st
 	if t.repo == nil {
 		return nil, "", fmt.Errorf("no dashboard %q", name)
 	}
-	f, tip, err := t.e.flow(t.repo)
+	f, tip, shared, err := t.e.flow(t.repo)
 	if err != nil {
 		return nil, "", err
 	}
@@ -338,7 +348,7 @@ func (s *Server) run(ctx context.Context, name string) (*dashboard.Dashboard, st
 	// disconnect must not kill work others are waiting on. The
 	// platform's RunTimeout still bounds the run.
 	leaderCtx := context.WithoutCancel(ctx)
-	v, outcome, err := s.resultCache.Do(ctx, s.resultCacheKey(name, tip, f, t.uploadRev), func() (any, error) {
+	v, outcome, err := s.resultCache.Do(ctx, s.resultCacheKey(name, tip, shared, t.uploadRev), func() (any, error) {
 		return s.execute(leaderCtx, t, f)
 	})
 	if err != nil {

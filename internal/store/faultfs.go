@@ -76,10 +76,6 @@ type Fault struct {
 // NewFaultFS returns a FaultFS over a fresh MemFS.
 func NewFaultFS() *FaultFS { return &FaultFS{mem: NewMemFS()} }
 
-// NewFaultFSOver wraps an existing MemFS (e.g. a previous crash's
-// durable image, to chain crashes across recoveries).
-func NewFaultFSOver(m *MemFS) *FaultFS { return &FaultFS{mem: m} }
-
 // Inject arms a fault.
 func (f *FaultFS) Inject(fault Fault) {
 	f.mu.Lock()

@@ -2,7 +2,6 @@ package vcs
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Entry kinds journaled by a Repo.
@@ -158,17 +157,4 @@ func (r *Repo) Equal(other *Repo) bool {
 		}
 	}
 	return true
-}
-
-// SortedCommitHashes returns every commit hash, sorted — a cheap
-// history fingerprint for tests and diagnostics.
-func (r *Repo) SortedCommitHashes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.commits))
-	for h := range r.commits {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
 }
