@@ -454,7 +454,8 @@ type pipeline struct {
 
 // run executes the chain one spec per stage: each goes to its columnar
 // kernel when the planner mode and the data allow it, else to its
-// reference Exec.
+// reference Exec. Columnar stages hand each other selections; the output
+// is compacted so that it keeps alive no vector four times its size.
 func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
 	if len(specs) == 0 {
 		if len(in) != 1 {
@@ -477,7 +478,7 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 		}
 		in, names = []*table.Table{out}, []string{""}
 	}
-	return in[0], len(specs), nil
+	return colstore.Compact(in[0]), len(specs), nil
 }
 
 // runStage runs one stage, and is the only place a stage meets the

@@ -1,8 +1,16 @@
 // Package colstore is the columnar execution layout of the batch
 // engine: typed column vectors (int64 / float64 / string / bool, each
-// with a null bitmap; a string vector may be dictionary-coded) plus
+// with a null mask; a string vector may be dictionary-coded) plus
 // vectorized kernels for the hot tasks — filter, map-expr, groupby,
 // topn, sort, limit and the two-input hash join.
+//
+// Kernels exchange selections, not copies. A column may be a selection:
+// another vector's payload read through one []int32 of row indices.
+// Filter, Sort, TopN, Limit and Join produce selections instead of
+// gathering their kept rows, and every reader — the group-by, the sort
+// comparators, the expression evaluator — reads through them, so a
+// column nothing downstream reads is never copied. Compact gathers the
+// selections that would pin a much larger vector when a pipeline ends.
 //
 // A Batch is also the storage of a column-backed table.Table: the format
 // decoders fill one through a Builder, ToTable wraps it without copying
@@ -21,6 +29,7 @@ package colstore
 
 import (
 	"math"
+	"slices"
 
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
@@ -33,7 +42,7 @@ import (
 const anyKind value.Kind = 0xFF
 
 // Vec is one column of a Batch: a typed payload slice selected by kind,
-// plus an optional null bitmap (nil when the column has no nulls).
+// plus an optional null mask (nil when the column has no nulls).
 // Null cells hold the zero value in the payload slice, which matches
 // the platform's coercion rules (null.Int() == 0, null.Str() == "").
 //
@@ -44,6 +53,13 @@ const anyKind value.Kind = 0xFF
 // produces coded vectors; gathers copy the 4-byte codes and share the
 // dictionary, which is immutable and may therefore list strings no
 // element of a gathered vector still uses. Read elements through str.
+//
+// Element i of a vector lives in payload slot slot(i). A dense vector
+// stores element i at slot i. A selection (sel != nil) shares another
+// vector's payload and null mask and stores element i at slot sel[i]; a
+// -1 entry has no slot and reads as null (an outer join's "no partner").
+// Payload slices and null masks are never written once a vector is in a
+// Batch, so any number of selections and readers share them.
 type Vec struct {
 	kind   value.Kind
 	ints   []int64
@@ -55,9 +71,10 @@ type Vec struct {
 	anys   []value.V
 	nulls  *Bitmap
 	length int
-	// constant marks a broadcast vector: one stored element (index 0)
+	sel    []int32
+	// constant marks a broadcast vector: one stored element (slot 0)
 	// logically repeated length times. The expression evaluator uses it
-	// for literals; Batch columns are always dense (see densify).
+	// for literals; Batch columns never are (see densify).
 	constant bool
 }
 
@@ -68,30 +85,52 @@ func (v *Vec) Len() int { return v.length }
 // column).
 func (v *Vec) Kind() value.Kind { return v.kind }
 
-// Nulls returns the null bitmap, or nil when the vector has none.
-func (v *Vec) Nulls() *Bitmap { return v.nulls }
+// slot returns the payload slot of element i: -1 for a selection's hole.
+func (v *Vec) slot(i int) int {
+	switch {
+	case v.sel != nil:
+		return int(v.sel[i])
+	case v.constant:
+		return 0
+	}
+	return i
+}
 
-// hasNulls reports whether any element is null.
-func (v *Vec) hasNulls() bool { return v.kind == value.Null || (v.nulls != nil && !v.nulls.Empty()) }
+// hasNulls reports whether any element is null; on a selection, a hole
+// or a selected null slot.
+func (v *Vec) hasNulls() bool {
+	if v.kind == value.Null {
+		return true
+	}
+	if v.sel == nil {
+		return v.nulls != nil && !v.nulls.Empty()
+	}
+	for _, s := range v.sel {
+		if s < 0 || (v.nulls != nil && v.nulls.Get(int(s))) {
+			return true
+		}
+	}
+	return false
+}
+
+// holes reports whether a selection has -1 entries.
+func (v *Vec) holes() bool { return v.sel != nil && slices.Contains(v.sel, -1) }
 
 // null reports whether element i is null.
 func (v *Vec) null(i int) bool {
 	if v.kind == value.Null {
 		return true
 	}
-	if v.constant {
-		return false
-	}
-	return v.nulls != nil && v.nulls.Get(i)
+	s := v.slot(i)
+	return s < 0 || (v.nulls != nil && v.nulls.Get(s))
 }
 
-// str returns the payload of element i of a dense string vector, in
-// either layout.
-func (v *Vec) str(i int) string {
+// str returns the string in payload slot s, in either layout.
+func (v *Vec) str(s int) string {
 	if v.dict != nil {
-		return v.dict[v.codes[i]]
+		return v.dict[v.codes[s]]
 	}
-	return v.strs[i]
+	return v.strs[s]
 }
 
 // At reconstructs element i as a dynamic value.
@@ -99,20 +138,18 @@ func (v *Vec) At(i int) value.V {
 	if v.null(i) {
 		return value.VNull
 	}
-	if v.constant {
-		i = 0
-	}
+	s := v.slot(i)
 	switch v.kind {
 	case value.Bool:
-		return value.NewBool(v.bools[i])
+		return value.NewBool(v.bools[s])
 	case value.Int:
-		return value.NewInt(v.ints[i])
+		return value.NewInt(v.ints[s])
 	case value.Float:
-		return value.NewFloat(v.floats[i])
+		return value.NewFloat(v.floats[s])
 	case value.String:
-		return value.NewString(v.str(i))
+		return value.NewString(v.str(s))
 	case anyKind:
-		return v.anys[i]
+		return v.anys[s]
 	}
 	return value.VNull
 }
@@ -135,7 +172,8 @@ func newVec(k value.Kind, n int) *Vec {
 	return v
 }
 
-// setNull marks element i null, allocating the bitmap on first use.
+// setNull marks element i of a dense vector null, allocating the mask
+// on first use.
 func (v *Vec) setNull(i int) {
 	if v.kind == value.Null {
 		return
@@ -146,8 +184,8 @@ func (v *Vec) setNull(i int) {
 	v.nulls.Set(i)
 }
 
-// set stores a value into element i of a vector whose kind matches
-// val's kind (or which is an any-vector).
+// set stores a value into element i of a dense vector whose kind
+// matches val's kind (or which is an any-vector).
 func (v *Vec) set(i int, val value.V) {
 	if val.IsNull() {
 		v.setNull(i)
@@ -170,9 +208,9 @@ func (v *Vec) set(i int, val value.V) {
 	}
 }
 
-// densify expands a constant vector into a dense one; dense vectors
-// are returned unchanged. Kernels densify before storing a vector into
-// a Batch, so batch columns always index positionally.
+// densify expands a constant vector into a dense one; other vectors are
+// returned unchanged. Kernels densify before storing a vector into a
+// Batch, so a batch column never broadcasts.
 func (v *Vec) densify() *Vec {
 	if !v.constant {
 		return v
@@ -187,17 +225,83 @@ func (v *Vec) densify() *Vec {
 	return out
 }
 
-// rowIndex is the element type of a selection vector: the single-input
-// kernels select with []int, the join gathers through []int32.
-type rowIndex interface{ ~int | ~int32 }
+// slots is the length of the payload a vector reads from: a selection's
+// base length.
+func (v *Vec) slots() int {
+	return len(v.bools) + len(v.ints) + len(v.floats) + len(v.strs) + len(v.codes) + len(v.anys)
+}
 
-// gather returns a new vector holding the elements of v at idx. A
+// dense returns v itself, or a selection gathered into a vector of its
+// own.
+func (v *Vec) dense() *Vec {
+	if v.sel == nil {
+		return v
+	}
+	base := *v
+	base.sel, base.length = nil, v.slots()
+	return gather(&base, v.sel)
+}
+
+// pick returns the elements of v at idx as a selection: over v's
+// payload through idx itself when v is dense, else through v's indices
+// composed with idx. Kernels select through it; the payload is shared,
+// not copied.
+func (v *Vec) pick(idx []int32, c *composer) *Vec {
+	if v.kind == value.Null {
+		return &Vec{kind: value.Null, length: len(idx)}
+	}
+	out := *v
+	out.length = len(idx)
+	out.sel = c.through(v.sel, idx)
+	return &out
+}
+
+// composer composes index vectors for one output batch: each distinct
+// (source selection, index vector) pair once, so columns that shared
+// one selection go on sharing one.
+type composer struct{ done [][3][]int32 }
+
+// through returns the slots of a vector with selection sel (nil: dense)
+// at idx.
+func (c *composer) through(sel, idx []int32) []int32 {
+	if sel == nil {
+		return idx
+	}
+	for _, d := range c.done {
+		if same(d[0], sel) && same(d[1], idx) {
+			return d[2]
+		}
+	}
+	out := compose(sel, idx)
+	c.done = append(c.done, [3][]int32{sel, idx, out})
+	return out
+}
+
+// same reports whether two index vectors are one slice.
+func same(a, b []int32) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+
+// compose returns sel at idx, -1 wherever idx is -1.
+func compose(sel, idx []int32) []int32 {
+	out := make([]int32, len(idx))
+	for o, i := range idx {
+		out[o] = -1
+		if i >= 0 {
+			out[o] = sel[i]
+		}
+	}
+	return out
+}
+
+// gather returns a new dense vector holding the elements of v at idx. A
 // negative index yields a null element — the outer join's "no partner".
 // A dictionary-coded vector gathers its codes and shares the dictionary.
-func gather[I rowIndex](v *Vec, idx []I) *Vec {
+func gather(v *Vec, idx []int32) *Vec {
 	out := &Vec{kind: v.kind, length: len(idx)}
 	if v.kind == value.Null {
 		return out
+	}
+	if v.sel != nil {
+		idx = compose(v.sel, idx)
 	}
 	var holes bool
 	switch {
@@ -228,7 +332,7 @@ func gather[I rowIndex](v *Vec, idx []I) *Vec {
 // gatherSlice copies src's elements at idx. A negative index leaves the
 // zero value, which is what a null cell stores; holes reports that there
 // was one.
-func gatherSlice[T any, I rowIndex](src []T, idx []I) (out []T, holes bool) {
+func gatherSlice[T any](src []T, idx []int32) (out []T, holes bool) {
 	out = make([]T, len(idx))
 	for o, i := range idx {
 		if i >= 0 {
@@ -339,19 +443,53 @@ func (b *Batch) Row(i int, dst []value.V) {
 	}
 }
 
-// Select returns a new batch holding the rows at idx, in order — the
-// gather step after a selection bitmap or heap selection.
-func (b *Batch) Select(idx []int) *Batch {
+// selectRows returns the rows at idx, in order (-1: a row of nulls), as
+// a batch of selections — nothing is copied but the index vectors.
+func (b *Batch) selectRows(idx []int32) *Batch {
+	var c composer
 	cols := make([]*Vec, len(b.cols))
-	for c, v := range b.cols {
-		cols[c] = gather(v, idx)
+	for i, v := range b.cols {
+		cols[i] = v.pick(idx, &c)
 	}
 	return &Batch{schema: b.schema, cols: cols, length: len(idx)}
 }
 
-// SelectBitmap is Select over a selection bitmap's set positions.
-func (b *Batch) SelectBitmap(sel *Bitmap) *Batch {
-	return b.Select(sel.Indices())
+// gatherRows is selectRows into dense vectors of the batch's own — for a
+// kernel's fresh output, which is not worth keeping a permutation over.
+func (b *Batch) gatherRows(idx []int32) *Batch {
+	cols := make([]*Vec, len(b.cols))
+	for i, v := range b.cols {
+		cols[i] = gather(v, idx)
+	}
+	return &Batch{schema: b.schema, cols: cols, length: len(idx)}
+}
+
+// Compact bounds what a column-backed table's selections keep alive:
+// every column whose selection is shorter than a quarter of the vector
+// it selects from is gathered into a vector of its own, and the rest are
+// shared. The engine calls it where a pipeline ends, so a 20-row top-n
+// never pins the 200,000-row column it was selected from, while a filter
+// that kept most of its input still hands on only its indices. Other
+// tables are returned as they are.
+func Compact(t *table.Table) *table.Table {
+	b, ok := t.Columns().(*Batch)
+	if !ok {
+		return t
+	}
+	var cols []*Vec
+	for i, v := range b.cols {
+		if v.sel == nil || 4*len(v.sel) >= v.slots() {
+			continue
+		}
+		if cols == nil {
+			cols = slices.Clone(b.cols)
+		}
+		cols[i] = v.dense()
+	}
+	if cols == nil {
+		return t
+	}
+	return (&Batch{schema: b.schema, cols: cols, length: b.length}).ToTable()
 }
 
 // withColumn returns a batch sharing b's vectors with vec placed at

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -19,40 +20,45 @@ import (
 // enough iterations to explore the space, cheap enough for every run.
 var qc = &quick.Config{MaxCount: 100}
 
-// --- Bitmap invariants ---------------------------------------------------
+// --- Null masks and selection set operations -----------------------------
 
-// TestBitmapInvariants drives a bitmap with a random op sequence and
-// checks it against a reference set: Get/Count/Indices/Empty must agree
-// at every step, and Indices must be ascending.
+// TestBitmapInvariants drives a null mask with a random sequence of set
+// bits and checks it against a reference set: Get and Empty must agree at
+// every step, a vector over the mask must report nulls exactly when the
+// set is non-empty, and the selection a filter builds from the same
+// positions (kept) must list exactly them, ascending.
 func TestBitmapInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const n = 137 // crosses a word boundary twice
 		b := NewBitmap(n)
 		ref := map[int]bool{}
+		keep := make([]bool, n)
 		for _, op := range ops {
-			i := int(op>>1) % n
-			if op&1 == 0 {
-				b.Set(i)
-				ref[i] = true
-			} else {
-				b.Clear(i)
-				delete(ref, i)
+			i := int(op) % n
+			b.Set(i)
+			ref[i], keep[i] = true, true
+			if !b.Get(i) || b.Empty() {
+				return false
 			}
 		}
-		if b.Len() != n || b.Count() != len(ref) || b.Empty() != (len(ref) == 0) {
+		v := &Vec{kind: value.Int, ints: make([]int64, n), nulls: b, length: n}
+		if b.Empty() != (len(ref) == 0) || v.hasNulls() != (len(ref) > 0) {
 			return false
 		}
-		idx := b.Indices()
+		idx := kept(&Vec{kind: value.Bool, bools: keep, length: n})
+		if idx == nil {
+			idx = identity(n) // kept's "every row passes"
+		}
 		if len(idx) != len(ref) {
 			return false
 		}
 		for k, i := range idx {
-			if !ref[i] || (k > 0 && idx[k-1] >= i) {
+			if !ref[int(i)] || (k > 0 && idx[k-1] >= i) {
 				return false
 			}
 		}
 		for i := 0; i < n; i++ {
-			if b.Get(i) != ref[i] {
+			if b.Get(i) != ref[i] || v.null(i) != ref[i] {
 				return false
 			}
 		}
@@ -63,36 +69,44 @@ func TestBitmapInvariants(t *testing.T) {
 	}
 }
 
-// TestBitmapSetOps checks And/Or against per-bit boolean logic and that
-// Clone is independent of its source.
-func TestBitmapSetOps(t *testing.T) {
+// TestSelectionSetOps: selections compose into the set operations the
+// selection bitmap used to provide. Filtering by x and then by y keeps
+// exactly the rows of `x and y` — an intersection through a composed
+// selection — filtering by `x or y` keeps the union, and no selection
+// changes the batch it was taken from.
+func TestSelectionSetOps(t *testing.T) {
 	f := func(xs, ys []bool) bool {
-		n := len(xs)
-		if len(ys) < n {
-			n = len(ys)
-		}
-		a, b := NewBitmap(n), NewBitmap(n)
+		n := min(len(xs), len(ys))
+		tb := table.New(schema.MustFromNames("x", "y", "i"))
 		for i := 0; i < n; i++ {
-			if xs[i] {
-				a.Set(i)
-			}
-			if ys[i] {
-				b.Set(i)
-			}
+			tb.AppendValues(value.NewBool(xs[i]), value.NewBool(ys[i]), value.NewInt(int64(i)))
 		}
-		and, or := a.Clone(), a.Clone()
-		and.And(b)
-		or.Or(b)
+		b, _ := FromTable(tb)
+		filter := func(in *Batch, src string) *Batch {
+			pred, err := CompileVecSrc(src, tb.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := (&Filter{Pred: pred}).Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		rows := func(out *Batch) map[int64]bool {
+			got := map[int64]bool{}
+			for r := 0; r < out.Len(); r++ {
+				got[out.Col(2).At(r).Int()] = true
+			}
+			return got
+		}
+		and, both, or := rows(filter(filter(b, "x"), "y")), rows(filter(b, "x and y")), rows(filter(b, "x or y"))
 		for i := 0; i < n; i++ {
-			if and.Get(i) != (xs[i] && ys[i]) || or.Get(i) != (xs[i] || ys[i]) {
+			if and[int64(i)] != (xs[i] && ys[i]) || both[int64(i)] != (xs[i] && ys[i]) || or[int64(i)] != (xs[i] || ys[i]) {
 				return false
 			}
-			// Clone must not have fed back into the source.
-			if a.Get(i) != xs[i] {
-				return false
-			}
 		}
-		return true
+		return len(and) == len(both) && b.ToTable().Equal(tb)
 	}
 	if err := quick.Check(f, qc); err != nil {
 		t.Fatal(err)
@@ -196,8 +210,9 @@ func TestFromTableRejects(t *testing.T) {
 // --- Selection vectors ----------------------------------------------------
 
 // TestSelectComposition: selecting twice must equal selecting once with
-// the composed index vector, and SelectBitmap must agree with
-// Select(Indices()).
+// the composed index vector, read through the selections or gathered,
+// and the selection a filter builds from a set of positions (kept) must
+// be those positions ascending.
 func TestSelectComposition(t *testing.T) {
 	f := func(ints []int64, floats []float64, strs []string, bools []bool, masks []byte, pick1, pick2 []uint16) bool {
 		tb := mixedTable(ints, floats, strs, bools, masks)
@@ -208,28 +223,36 @@ func TestSelectComposition(t *testing.T) {
 		if b.Len() == 0 {
 			return true
 		}
-		idx1 := make([]int, len(pick1))
+		idx1 := make([]int32, len(pick1))
 		for i, p := range pick1 {
-			idx1[i] = int(p) % b.Len()
+			idx1[i] = int32(int(p) % b.Len())
 		}
-		s1 := b.Select(idx1)
+		s1 := b.selectRows(idx1)
 		if len(idx1) == 0 {
 			return s1.Len() == 0
 		}
-		idx2 := make([]int, len(pick2))
-		composed := make([]int, len(pick2))
+		idx2 := make([]int32, len(pick2))
+		composed := make([]int32, len(pick2))
 		for i, p := range pick2 {
-			idx2[i] = int(p) % s1.Len()
+			idx2[i] = int32(int(p) % s1.Len())
 			composed[i] = idx1[idx2[i]]
 		}
-		if !s1.Select(idx2).ToTable().Equal(b.Select(composed).ToTable()) {
+		twice := s1.selectRows(idx2).ToTable()
+		if !twice.Equal(b.selectRows(composed).ToTable()) || !twice.Equal(b.gatherRows(composed).ToTable()) {
 			return false
 		}
-		sel := NewBitmap(b.Len())
+		keep := make([]bool, b.Len())
 		for _, i := range idx1 {
-			sel.Set(i)
+			keep[i] = true
 		}
-		return b.SelectBitmap(sel).ToTable().Equal(b.Select(sel.Indices()).ToTable())
+		sel := kept(&Vec{kind: value.Bool, bools: keep, length: b.Len()})
+		if sel == nil {
+			sel = identity(b.Len())
+		}
+		want := slices.Clone(idx1)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		return slices.Equal(sel, want) && b.selectRows(sel).ToTable().Equal(b.gatherRows(want).ToTable())
 	}
 	if err := quick.Check(f, qc); err != nil {
 		t.Fatal(err)
@@ -240,7 +263,8 @@ func TestSelectComposition(t *testing.T) {
 
 // exprCases is the operator coverage for the differential expression
 // property: arithmetic (incl. zero divisors), comparison, logic, string
-// ops and membership, over nullable int/float and string/bool columns.
+// ops and membership, over nullable int/float and string/bool columns,
+// and chains that reuse an operator's vector.
 var exprCases = []string{
 	"a + b",
 	"a * 2 - 1",
@@ -263,6 +287,10 @@ var exprCases = []string{
 	"a in (1, 2, 3)",
 	"s in ('x', 'abc')",
 	"(a + 1) * (a - 1)",
+	// A result written into an operand's vector: nulls and the zero
+	// payload of a null must not leak into the next operator.
+	"a * 3 / 0 + 1",
+	"(a + 1) % a * 2 - a",
 }
 
 // TestVecExprMatchesRowExpr is the core equivalence property for the
@@ -327,12 +355,9 @@ func TestTopNMatchesStableSort(t *testing.T) {
 			return false
 		}
 		cmp := keyComparator(b.Col(0))
-		idx := make([]int, b.Len())
-		for i := range idx {
-			idx[i] = i
-		}
+		idx := identity(b.Len())
 		sort.SliceStable(idx, func(x, y int) bool {
-			c := cmp(idx[x], idx[y])
+			c := cmp(int(idx[x]), int(idx[y]))
 			if desc {
 				c = -c
 			}
@@ -341,7 +366,7 @@ func TestTopNMatchesStableSort(t *testing.T) {
 		if limit < len(idx) {
 			idx = idx[:limit]
 		}
-		return got.ToTable().Equal(b.Select(idx).ToTable())
+		return got.ToTable().Equal(b.gatherRows(idx).ToTable())
 	}
 	if err := quick.Check(f, qc); err != nil {
 		t.Fatal(err)
@@ -491,12 +516,14 @@ func TestFilterSharesAnAllPassInput(t *testing.T) {
 // --- Column-backed tables ---------------------------------------------------
 
 // TestSharedColumnBackedTable has eight readers use one column-backed
-// table at once — rows, fingerprint and kernels over its batch — as
-// cache entries, last-good snapshots and fan-out nodes do. Whichever
-// reader triggers the row view, all must see the reference answers. It
-// runs once over the vectors a conversion produces and once over the
-// Builder's, whose string column is dictionary-coded: every reader then
-// reads the one shared dictionary. Run with -race -count=10 (CI does).
+// table at once — rows, fingerprint and kernels (top-n, sort, group-by,
+// filter) over its batch — as cache entries, last-good snapshots and
+// fan-out nodes do. Whichever reader triggers the row view, all must see
+// the reference answers. It runs over the vectors a conversion produces,
+// over the Builder's, whose string column is dictionary-coded (every
+// reader then reads the one shared dictionary), and over selections — a
+// kernel's output, every column read through one shared index vector.
+// Run with -race -count=10 (CI does).
 func TestSharedColumnBackedTable(t *testing.T) {
 	src := mixedTable(
 		[]int64{5, 3, 9, 3, 7, 1, 9, 2}, []float64{.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5},
@@ -506,9 +533,16 @@ func TestSharedColumnBackedTable(t *testing.T) {
 	if built, _ := FromTable(rebuilt(src)); built.Col(2).dict == nil || wantBatch.Col(2).dict != nil {
 		t.Fatal("want the built string column dictionary-coded and the converted one plain")
 	}
+	pred, err := CompileVecSrc("a * 2 > 4 or s == 'c'", src.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
 	kernels := []Kernel{
 		&TopN{Key: 0, Limit: 3},
 		&Sort{Keys: []table.SortKey{{Column: "s", Desc: true}, {Column: "a"}}},
+		&GroupBy{Keys: []int{2}, Aggs: []Agg{{Op: AggSum, Col: 0}, {Op: AggMax, Col: 1}, {Op: AggCount, Col: -1}},
+			Out: schema.MustFromNames("s", "sum", "max", "n"), SortKeys: []table.SortKey{{Column: "s"}}},
+		&Filter{Pred: pred},
 	}
 	want := make([]*table.Table, len(kernels))
 	for i, ker := range kernels {
@@ -518,7 +552,12 @@ func TestSharedColumnBackedTable(t *testing.T) {
 		}
 		want[i] = out.ToTable()
 	}
-	for name, shared := range map[string]*table.Table{"plain": wantBatch.ToTable(), "dictionary": rebuilt(src)} {
+	// The rows reversed into vectors of their own, then selected back.
+	coded, _ := FromTable(rebuilt(src))
+	back := identity(src.Len())
+	slices.Reverse(back)
+	selected := coded.gatherRows(back).selectRows(back).ToTable()
+	for name, shared := range map[string]*table.Table{"plain": wantBatch.ToTable(), "dictionary": rebuilt(src), "selection": selected} {
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)

@@ -14,41 +14,111 @@ import (
 // cannot fail at run time: all binding errors surface at compile time.
 type VecEval func(b *Batch) *Vec
 
+// eval is a compiled expression node. t is the evaluation's scratch.
+type eval func(b *Batch, t *temps) *Vec
+
+// temps is one evaluation's spare vectors: results of operators in the
+// same evaluation that their consumer has finished reading. A later
+// operator writes its own result into one instead of allocating. Only
+// the evaluation that allocated a vector ever holds it, so reusing one
+// races with nothing; batch columns and literals are never in it.
+type temps struct {
+	free []*Vec
+	buf  [4]*Vec
+}
+
+// release hands x to later operators when the evaluation owns it.
+func (t *temps) release(x *Vec, owned bool) {
+	if owned {
+		t.free = append(t.free, x)
+	}
+}
+
+// vec returns a dense vector of kind k and length n for an operator's
+// result: a released one of that kind — possibly one of the operator's
+// own operands, which a typed loop may overwrite element by element as
+// it reads them — or a new one. A reused vector's payload is stale and
+// its null mask gone: the caller writes every element, the zero value
+// in one it marks null.
+func (t *temps) vec(k value.Kind, n int) *Vec {
+	for i, v := range t.free {
+		if v.kind == k {
+			t.free = append(t.free[:i], t.free[i+1:]...)
+			v.nulls = nil
+			return v
+		}
+	}
+	return newVec(k, n)
+}
+
 // CompileVec compiles an expression AST against a schema into a
 // vectorized evaluator. The result is element-for-element identical to
 // binding and evaluating the same AST with the row evaluator: hot
-// same-kind comparisons and arithmetic run as tight typed loops, and
-// every other kind combination falls back to a per-element loop over
-// the exact scalar semantics (value.Compare, expr.Arith, Truthy).
+// same-kind comparisons and arithmetic run as tight typed loops over
+// the columns (through their indices, for a selection), and every other
+// kind combination falls back to a per-element loop over the exact
+// scalar semantics (value.Compare, expr.Arith, Truthy). Every operator
+// node allocates its result; which operands did is known here, at
+// compile time, so a typed loop writes into such an operand, or into one
+// released earlier in the same evaluation, instead of a new vector.
 func CompileVec(n expr.Node, s *schema.Schema) (VecEval, error) {
+	ev, _, err := compile(n, s)
+	if err != nil {
+		return nil, err
+	}
+	return func(b *Batch) *Vec {
+		t := &temps{}
+		t.free = t.buf[:0]
+		return ev(b, t)
+	}, nil
+}
+
+// compile compiles one node; owned reports that its evaluator returns a
+// vector the evaluation allocated (every operator's), not a batch column
+// or a literal.
+func compile(n expr.Node, s *schema.Schema) (ev eval, owned bool, err error) {
 	switch t := n.(type) {
 	case *expr.Lit:
 		val := t.Val
-		return func(b *Batch) *Vec { return constVec(val, b.length) }, nil
+		return func(b *Batch, _ *temps) *Vec { return constVec(val, b.length) }, false, nil
 	case *expr.Col:
 		i := s.Index(t.Name)
 		if i < 0 {
-			return nil, fmt.Errorf("colstore: column %q not found in %s", t.Name, s)
+			return nil, false, fmt.Errorf("colstore: column %q not found in %s", t.Name, s)
 		}
-		return func(b *Batch) *Vec { return b.cols[i] }, nil
+		return func(b *Batch, _ *temps) *Vec {
+			// The typed loops read payload slots, which a hole lacks.
+			if v := b.cols[i]; v.holes() {
+				return v.dense()
+			}
+			return b.cols[i]
+		}, false, nil
 	case *expr.Unary:
-		x, err := CompileVec(t.X, s)
+		x, own, err := compile(t.X, s)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
+		var op func(a *Vec, t *temps) *Vec
 		switch t.Op {
 		case "-":
-			return func(b *Batch) *Vec { return vecNeg(x(b)) }, nil
+			op = vecNeg
 		case "not", "!":
-			return func(b *Batch) *Vec { return vecNot(x(b)) }, nil
+			op = vecNot
+		default:
+			return nil, false, fmt.Errorf("colstore: unknown unary operator %q", t.Op)
 		}
-		return nil, fmt.Errorf("colstore: unknown unary operator %q", t.Op)
+		return func(b *Batch, t *temps) *Vec {
+			a := x(b, t)
+			t.release(a, own)
+			return op(a, t)
+		}, true, nil
 	case *expr.Tuple:
-		return nil, fmt.Errorf("colstore: value list is only valid after 'in'")
+		return nil, false, fmt.Errorf("colstore: value list is only valid after 'in'")
 	case *expr.Binary:
-		return compileBinary(t, s)
+		ev, err := compileBinary(t, s)
+		return ev, true, err
 	}
-	return nil, fmt.Errorf("colstore: unsupported expression node %T", n)
+	return nil, false, fmt.Errorf("colstore: unsupported expression node %T", n)
 }
 
 // CompileVecSrc parses and compiles an expression source string.
@@ -60,8 +130,8 @@ func CompileVecSrc(src string, s *schema.Schema) (VecEval, error) {
 	return CompileVec(n, s)
 }
 
-func compileBinary(n *expr.Binary, s *schema.Schema) (VecEval, error) {
-	l, err := CompileVec(n.L, s)
+func compileBinary(n *expr.Binary, s *schema.Schema) (eval, error) {
+	l, lown, err := compile(n.L, s)
 	if err != nil {
 		return nil, err
 	}
@@ -70,54 +140,62 @@ func compileBinary(n *expr.Binary, s *schema.Schema) (VecEval, error) {
 		if n.Op != "in" {
 			return nil, fmt.Errorf("colstore: value list is only valid after 'in'")
 		}
-		items := make([]VecEval, len(tup.Items))
+		items := make([]eval, len(tup.Items))
 		for i, it := range tup.Items {
-			ev, err := CompileVec(it, s)
+			ev, _, err := compile(it, s)
 			if err != nil {
 				return nil, err
 			}
 			items[i] = ev
 		}
-		return func(b *Batch) *Vec { return vecIn(l(b), evalAll(items, b)) }, nil
+		return func(b *Batch, t *temps) *Vec {
+			a := l(b, t)
+			vals := make([]*Vec, len(items))
+			for i, ev := range items {
+				vals[i] = ev(b, t)
+			}
+			return vecIn(a, vals)
+		}, nil
 	}
-	r, err := CompileVec(n.R, s)
+	r, rown, err := compile(n.R, s)
 	if err != nil {
 		return nil, err
 	}
+	binary := func(op func(a, b *Vec, t *temps) *Vec) eval {
+		return func(b *Batch, t *temps) *Vec {
+			x, y := l(b, t), r(b, t)
+			t.release(x, lown)
+			t.release(y, rown)
+			return op(x, y, t)
+		}
+	}
+	cmp := func(ok func(int) bool) eval {
+		return binary(func(a, b *Vec, t *temps) *Vec { return vecCmp(ok, a, b, t) })
+	}
 	switch n.Op {
 	case "and", "&&":
-		return func(b *Batch) *Vec { return vecAnd(l(b), r(b)) }, nil
+		return binary(vecAnd), nil
 	case "or", "||":
-		return func(b *Batch) *Vec { return vecOr(l(b), r(b)) }, nil
+		return binary(vecOr), nil
 	case "<":
-		return cmpVecEval(l, r, func(c int) bool { return c < 0 }), nil
+		return cmp(func(c int) bool { return c < 0 }), nil
 	case "<=":
-		return cmpVecEval(l, r, func(c int) bool { return c <= 0 }), nil
+		return cmp(func(c int) bool { return c <= 0 }), nil
 	case ">":
-		return cmpVecEval(l, r, func(c int) bool { return c > 0 }), nil
+		return cmp(func(c int) bool { return c > 0 }), nil
 	case ">=":
-		return cmpVecEval(l, r, func(c int) bool { return c >= 0 }), nil
-	case "==", "=":
-		return cmpVecEval(l, r, func(c int) bool { return c == 0 }), nil
+		return cmp(func(c int) bool { return c >= 0 }), nil
+	case "==", "=", "in":
+		return cmp(func(c int) bool { return c == 0 }), nil
 	case "!=":
-		return cmpVecEval(l, r, func(c int) bool { return c != 0 }), nil
+		return cmp(func(c int) bool { return c != 0 }), nil
 	case "contains":
-		return func(b *Batch) *Vec { return vecContains(l(b), r(b)) }, nil
-	case "in":
-		return cmpVecEval(l, r, func(c int) bool { return c == 0 }), nil
+		return binary(vecContains), nil
 	case "+", "-", "*", "/", "%":
 		op := n.Op
-		return func(b *Batch) *Vec { return vecArith(op, l(b), r(b)) }, nil
+		return binary(func(a, b *Vec, t *temps) *Vec { return vecArith(op, a, b, t) }), nil
 	}
 	return nil, fmt.Errorf("colstore: unknown operator %q", n.Op)
-}
-
-func evalAll(evs []VecEval, b *Batch) []*Vec {
-	out := make([]*Vec, len(evs))
-	for i, ev := range evs {
-		out[i] = ev(b)
-	}
-	return out
 }
 
 // constVec builds a broadcast vector holding one literal value.
@@ -163,47 +241,30 @@ func cmpFloat(a, b float64) int {
 	}
 }
 
-// stride returns the per-element index multiplier for a payload slice:
-// 0 for a broadcast (constant) vector, 1 for a dense one.
-func stride(v *Vec) int {
-	if v.constant {
-		return 0
-	}
-	return 1
-}
-
-// cmpVecEval builds the evaluator for one comparison operator.
-func cmpVecEval(l, r VecEval, ok func(int) bool) VecEval {
-	return func(b *Batch) *Vec { return vecCmp(ok, l(b), r(b)) }
-}
-
 // vecCmp compares two vectors element-wise under value.Compare,
 // producing a bool vector. Same-kind int/float/string pairs with no
 // nulls run as typed loops; everything else (nulls, mixed kinds,
 // boxed vectors) goes through the scalar comparator.
-func vecCmp(ok func(int) bool, a, b *Vec) *Vec {
+func vecCmp(ok func(int) bool, a, b *Vec, t *temps) *Vec {
 	n := a.length
-	out := newVec(value.Bool, n)
 	if a.kind == b.kind && !a.hasNulls() && !b.hasNulls() {
 		switch a.kind {
 		case value.Int:
-			xs, xe := a.ints, stride(a)
-			ys, ye := b.ints, stride(b)
+			out := t.vec(value.Bool, n)
 			for i := 0; i < n; i++ {
-				out.bools[i] = ok(cmpInt64(xs[i*xe], ys[i*ye]))
+				out.bools[i] = ok(cmpInt64(a.ints[a.slot(i)], b.ints[b.slot(i)]))
 			}
 			return out
 		case value.Float:
-			xs, xe := a.floats, stride(a)
-			ys, ye := b.floats, stride(b)
+			out := t.vec(value.Bool, n)
 			for i := 0; i < n; i++ {
-				out.bools[i] = ok(cmpFloat(xs[i*xe], ys[i*ye]))
+				out.bools[i] = ok(cmpFloat(a.floats[a.slot(i)], b.floats[b.slot(i)]))
 			}
 			return out
 		case value.String:
-			xe, ye := stride(a), stride(b)
+			out := t.vec(value.Bool, n)
 			for i := 0; i < n; i++ {
-				out.bools[i] = ok(strings.Compare(a.str(i*xe), b.str(i*ye)))
+				out.bools[i] = ok(strings.Compare(a.str(a.slot(i)), b.str(b.slot(i))))
 			}
 			return out
 		}
@@ -212,11 +273,15 @@ func vecCmp(ok func(int) bool, a, b *Vec) *Vec {
 	// null-free pair can run as a typed float loop (an int column against
 	// a float constant is the common filter shape).
 	if numericPair(a, b) {
+		out := t.vec(value.Bool, n)
 		for i := 0; i < n; i++ {
 			out.bools[i] = ok(cmpFloat(floatAt(a, i), floatAt(b, i)))
 		}
 		return out
 	}
+	// The scalar loops read the operands' null masks: their result is
+	// never written into an operand.
+	out := newVec(value.Bool, n)
 	for i := 0; i < n; i++ {
 		out.bools[i] = ok(value.Compare(a.At(i), b.At(i)))
 	}
@@ -234,9 +299,9 @@ func numericPair(a, b *Vec) bool {
 // mirroring value.V.Float for those kinds.
 func floatAt(v *Vec, i int) float64 {
 	if v.kind == value.Int {
-		return float64(v.ints[i*stride(v)])
+		return float64(v.ints[v.slot(i)])
 	}
-	return v.floats[i*stride(v)]
+	return v.floats[v.slot(i)]
 }
 
 // vecArith applies an arithmetic operator element-wise under the exact
@@ -245,82 +310,47 @@ func floatAt(v *Vec, i int) float64 {
 // float/float pairs run typed only when null-free, because Arith on two
 // nulls yields the int 0, not a float. Everything else falls back to
 // the scalar path.
-func vecArith(op string, a, b *Vec) *Vec {
+func vecArith(op string, a, b *Vec, t *temps) *Vec {
 	n := a.length
 	if a.kind == value.Int && b.kind == value.Int {
-		out := newVec(value.Int, n)
-		xs, xe := a.ints, stride(a)
-		ys, ye := b.ints, stride(b)
+		out := t.vec(value.Int, n)
 		switch op {
 		case "+":
 			for i := 0; i < n; i++ {
-				out.ints[i] = xs[i*xe] + ys[i*ye]
+				out.ints[i] = a.ints[a.slot(i)] + b.ints[b.slot(i)]
 			}
 			return out
 		case "-":
 			for i := 0; i < n; i++ {
-				out.ints[i] = xs[i*xe] - ys[i*ye]
+				out.ints[i] = a.ints[a.slot(i)] - b.ints[b.slot(i)]
 			}
 			return out
 		case "*":
 			for i := 0; i < n; i++ {
-				out.ints[i] = xs[i*xe] * ys[i*ye]
+				out.ints[i] = a.ints[a.slot(i)] * b.ints[b.slot(i)]
 			}
 			return out
 		case "/", "%":
 			for i := 0; i < n; i++ {
-				y := ys[i*ye]
-				if y == 0 {
+				x, y := a.ints[a.slot(i)], b.ints[b.slot(i)]
+				switch {
+				case y == 0:
+					out.ints[i] = 0
 					out.setNull(i)
-					continue
-				}
-				if op == "/" {
-					out.ints[i] = xs[i*xe] / y
-				} else {
-					out.ints[i] = xs[i*xe] % y
+				case op == "/":
+					out.ints[i] = x / y
+				default:
+					out.ints[i] = x % y
 				}
 			}
 			return out
 		}
 	}
-	if a.kind == value.Float && b.kind == value.Float &&
-		!a.hasNulls() && !b.hasNulls() && op != "%" {
-		out := newVec(value.Float, n)
-		xs, xe := a.floats, stride(a)
-		ys, ye := b.floats, stride(b)
-		switch op {
-		case "+":
-			for i := 0; i < n; i++ {
-				out.floats[i] = xs[i*xe] + ys[i*ye]
-			}
-			return out
-		case "-":
-			for i := 0; i < n; i++ {
-				out.floats[i] = xs[i*xe] - ys[i*ye]
-			}
-			return out
-		case "*":
-			for i := 0; i < n; i++ {
-				out.floats[i] = xs[i*xe] * ys[i*ye]
-			}
-			return out
-		case "/":
-			for i := 0; i < n; i++ {
-				y := ys[i*ye]
-				if y == 0 {
-					out.setNull(i)
-					continue
-				}
-				out.floats[i] = xs[i*xe] / y
-			}
-			return out
-		}
-	}
-	// Exactly one float side: Arith computes these in float ("%" stays
-	// integral). Null-free only — a null in each operand at the same row
-	// would yield the int 0 under Arith, not a float.
-	if mixedNumeric(a, b) && op != "%" {
-		out := newVec(value.Float, n)
+	// Exactly one float side computes in float too ("%" stays integral).
+	// Null-free only — a null in each operand at the same row would
+	// yield the int 0 under Arith, not a float.
+	if op != "%" && numericPair(a, b) && (a.kind == value.Float || b.kind == value.Float) {
+		out := t.vec(value.Float, n)
 		switch op {
 		case "+":
 			for i := 0; i < n; i++ {
@@ -339,12 +369,13 @@ func vecArith(op string, a, b *Vec) *Vec {
 			return out
 		case "/":
 			for i := 0; i < n; i++ {
-				y := floatAt(b, i)
+				x, y := floatAt(a, i), floatAt(b, i)
 				if y == 0 {
+					out.floats[i] = 0
 					out.setNull(i)
 					continue
 				}
-				out.floats[i] = floatAt(a, i) / y
+				out.floats[i] = x / y
 			}
 			return out
 		}
@@ -356,39 +387,34 @@ func vecArith(op string, a, b *Vec) *Vec {
 	return compress(vals)
 }
 
-// mixedNumeric reports a null-free int/float (or float/int) pair.
-func mixedNumeric(a, b *Vec) bool {
-	return numericPair(a, b) && (a.kind == value.Float) != (b.kind == value.Float)
-}
-
-// truthyBools evaluates Truthy element-wise. Null payload slots store
-// zero values, which are exactly the falsy ones, so typed loops need no
-// null checks.
-func truthyBools(v *Vec) []bool {
+// truthy returns Truthy element-wise: a dense bool vector's own payload
+// (null slots hold false), which the caller must not write, or a new
+// slice. Null payload slots store zero values, which are exactly the
+// falsy ones, so typed loops need no null checks.
+func truthy(v *Vec) []bool {
+	if v.kind == value.Bool && v.sel == nil && !v.constant {
+		return v.bools
+	}
 	n := v.length
 	out := make([]bool, n)
 	switch v.kind {
 	case value.Null:
 		// all false
 	case value.Bool:
-		xs, xe := v.bools, stride(v)
 		for i := 0; i < n; i++ {
-			out[i] = xs[i*xe]
+			out[i] = v.bools[v.slot(i)]
 		}
 	case value.Int:
-		xs, xe := v.ints, stride(v)
 		for i := 0; i < n; i++ {
-			out[i] = xs[i*xe] != 0
+			out[i] = v.ints[v.slot(i)] != 0
 		}
 	case value.Float:
-		xs, xe := v.floats, stride(v)
 		for i := 0; i < n; i++ {
-			out[i] = xs[i*xe] != 0
+			out[i] = v.floats[v.slot(i)] != 0
 		}
 	case value.String:
-		xe := stride(v)
 		for i := 0; i < n; i++ {
-			out[i] = v.str(i*xe) != ""
+			out[i] = v.str(v.slot(i)) != ""
 		}
 	default:
 		for i := 0; i < n; i++ {
@@ -398,52 +424,51 @@ func truthyBools(v *Vec) []bool {
 	return out
 }
 
-func boolsVec(bs []bool) *Vec {
-	return &Vec{kind: value.Bool, bools: bs, length: len(bs)}
+// vecAnd, vecOr and vecNot read their operands' truthiness before they
+// write element i, so their result may overwrite a bool operand.
+func vecAnd(a, b *Vec, t *temps) *Vec {
+	x, y := truthy(a), truthy(b)
+	out := t.vec(value.Bool, a.length)
+	for i := range out.bools {
+		out.bools[i] = x[i] && y[i]
+	}
+	return out
 }
 
-func vecAnd(a, b *Vec) *Vec {
-	x, y := truthyBools(a), truthyBools(b)
-	for i := range x {
-		x[i] = x[i] && y[i]
+func vecOr(a, b *Vec, t *temps) *Vec {
+	x, y := truthy(a), truthy(b)
+	out := t.vec(value.Bool, a.length)
+	for i := range out.bools {
+		out.bools[i] = x[i] || y[i]
 	}
-	return boolsVec(x)
+	return out
 }
 
-func vecOr(a, b *Vec) *Vec {
-	x, y := truthyBools(a), truthyBools(b)
-	for i := range x {
-		x[i] = x[i] || y[i]
+func vecNot(a *Vec, t *temps) *Vec {
+	x := truthy(a)
+	out := t.vec(value.Bool, a.length)
+	for i := range out.bools {
+		out.bools[i] = !x[i]
 	}
-	return boolsVec(x)
-}
-
-func vecNot(a *Vec) *Vec {
-	x := truthyBools(a)
-	for i := range x {
-		x[i] = !x[i]
-	}
-	return boolsVec(x)
+	return out
 }
 
 // vecNeg negates element-wise: floats negate as floats, everything
 // else through the int coercion — the row evaluator's unary minus.
-func vecNeg(a *Vec) *Vec {
+func vecNeg(a *Vec, t *temps) *Vec {
 	n := a.length
 	if a.kind == value.Int {
 		// Null slots store 0; -null coerces to int 0 on the row path too.
-		out := newVec(value.Int, n)
-		xs, xe := a.ints, stride(a)
+		out := t.vec(value.Int, n)
 		for i := 0; i < n; i++ {
-			out.ints[i] = -xs[i*xe]
+			out.ints[i] = -a.ints[a.slot(i)]
 		}
 		return out
 	}
 	if a.kind == value.Float && !a.hasNulls() {
-		out := newVec(value.Float, n)
-		xs, xe := a.floats, stride(a)
+		out := t.vec(value.Float, n)
 		for i := 0; i < n; i++ {
-			out.floats[i] = -xs[i*xe]
+			out.floats[i] = -a.floats[a.slot(i)]
 		}
 		return out
 	}
@@ -459,16 +484,16 @@ func vecNeg(a *Vec) *Vec {
 	return compress(vals)
 }
 
-func vecContains(a, b *Vec) *Vec {
+func vecContains(a, b *Vec, t *temps) *Vec {
 	n := a.length
-	out := newVec(value.Bool, n)
 	if a.kind == value.String && b.kind == value.String && !a.hasNulls() && !b.hasNulls() {
-		xe, ye := stride(a), stride(b)
+		out := t.vec(value.Bool, n)
 		for i := 0; i < n; i++ {
-			out.bools[i] = strings.Contains(a.str(i*xe), b.str(i*ye))
+			out.bools[i] = strings.Contains(a.str(a.slot(i)), b.str(b.slot(i)))
 		}
 		return out
 	}
+	out := newVec(value.Bool, n)
 	for i := 0; i < n; i++ {
 		out.bools[i] = strings.Contains(a.At(i).Str(), b.At(i).Str())
 	}

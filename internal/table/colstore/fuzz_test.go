@@ -77,19 +77,19 @@ func FuzzConvert(f *testing.F) {
 		}
 		if bb, _ := FromTable(built); b.Len() > 0 {
 			by := []table.SortKey{{Column: "c0", Desc: true}}
-			plain, err1 := sortBatch(b, by)
-			coded, err2 := sortBatch(bb, by)
+			plain, err1 := (&Sort{Keys: by}).Run(b)
+			coded, err2 := (&Sort{Keys: by}).Run(bb)
 			if err1 != nil || err2 != nil || !plain.ToTable().Equal(coded.ToTable()) {
 				t.Fatalf("sort by c0 differs between the converted and the built batch (errors %v, %v)", err1, err2)
 			}
 		}
 		if b.Len() > 0 {
-			sel := NewBitmap(b.Len())
+			var idx []int32
 			for i := 0; i < b.Len(); i += 2 {
-				sel.Set(i)
+				idx = append(idx, int32(i))
 			}
-			if got := b.SelectBitmap(sel); got.Len() != sel.Count() {
-				t.Fatalf("SelectBitmap length %d, want %d", got.Len(), sel.Count())
+			if got := b.selectRows(idx); got.Len() != len(idx) || !got.ToTable().Equal(b.gatherRows(idx).ToTable()) {
+				t.Fatalf("selection of %d rows reads %d rows, or differently from their gather", len(idx), got.Len())
 			}
 		}
 	})

@@ -57,19 +57,20 @@ func newKeyIndex(sides ...[]*Vec) *keyIndex {
 	return x
 }
 
-// assign writes the id of every row's key into ids. With insert set an
-// unseen key takes the next id; without it an unseen key reads -1.
+// assign writes the id of every row's key into ids, reading selected
+// key columns through their indices. With insert set an unseen key takes
+// the next id; without it an unseen key reads -1.
 func (x *keyIndex) assign(b *Batch, keys []int, ids []int32, insert bool) {
+	v := b.cols[keys[0]]
 	switch x.kind {
 	case value.Int:
-		for i, k := range b.cols[keys[0]].ints {
-			ids[i] = keyID(x.ints, k, insert)
+		for i := range ids {
+			ids[i] = keyID(x.ints, v.ints[v.slot(i)], insert)
 		}
 	case value.String:
-		v := b.cols[keys[0]]
 		if v.dict == nil {
-			for i, s := range v.strs {
-				ids[i] = keyID(x.strs, s, insert)
+			for i := range ids {
+				ids[i] = keyID(x.strs, v.strs[v.slot(i)], insert)
 			}
 			return
 		}
@@ -78,14 +79,15 @@ func (x *keyIndex) assign(b *Batch, keys []int, ids []int32, insert bool) {
 		for c := range byCode {
 			byCode[c] = unresolved
 		}
-		for i, c := range v.codes {
+		for i := range ids {
+			c := v.codes[v.slot(i)]
 			if byCode[c] == unresolved {
 				byCode[c] = keyID(x.strs, v.dict[c], insert)
 			}
 			ids[i] = byCode[c]
 		}
 	default:
-		for i := 0; i < b.length; i++ {
+		for i := range ids {
 			x.buf = x.buf[:0]
 			for ki, c := range keys {
 				if ki > 0 {
@@ -134,13 +136,15 @@ type JoinCol struct {
 
 // Join is the vectorized hash equi-join, the one kernel with two inputs.
 // It builds on the right input and probes with the left, exactly as the
-// row join does, but what it produces first is two row-index vectors —
-// for every output row its left and its right source row, -1 where an
-// outer join has no partner — and each projected output column is then
-// gathered through one of them. No key string, no row and no cell is
-// built. Output order is the row join's: left rows in order, each one's
-// partners in right-row order, then (right and full outer) the right
-// rows nothing matched, in order. Key identity is keyIndex's.
+// row join does, but what it produces is two row-index vectors — for
+// every output row its left and its right source row, -1 where an outer
+// join has no partner — and each projected output column is a selection
+// through one of them. No key string, no row and no cell is built, and
+// no column is copied: a later filter composes the two index vectors,
+// and a column nothing reads is never gathered. Output order is the row
+// join's: left rows in order, each one's partners in right-row order,
+// then (right and full outer) the right rows nothing matched, in order.
+// Key identity is keyIndex's.
 type Join struct {
 	// LeftKeys / RightKeys are the equi-join key columns, pairwise.
 	LeftKeys, RightKeys []int
@@ -223,12 +227,13 @@ func (k *Join) Run(left, right *Batch) (*Batch, error) {
 		}
 	}
 
+	var c composer
 	cols := make([]*Vec, len(k.Cols))
-	for i, c := range k.Cols {
-		if c.Right {
-			cols[i] = gather(right.cols[c.Col], ridx)
+	for i, jc := range k.Cols {
+		if jc.Right {
+			cols[i] = right.cols[jc.Col].pick(ridx, &c)
 		} else {
-			cols[i] = gather(left.cols[c.Col], lidx)
+			cols[i] = left.cols[jc.Col].pick(lidx, &c)
 		}
 	}
 	return &Batch{schema: k.Out, cols: cols, length: total}, nil

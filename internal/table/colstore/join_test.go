@@ -12,11 +12,12 @@ import (
 	"shareinsights/internal/value"
 )
 
-// keyTable builds a five-column table whose first four columns are join
+// keyTable builds a six-column table whose first four columns are join
 // keys of each kind drawn from small domains (so keys repeat and keys
-// miss), with nulls, NaN and both zeros among them; v numbers the rows.
+// miss), with nulls, NaN and both zeros among them; v numbers the rows
+// and z is null throughout.
 func keyTable(rng *rand.Rand, n int) *table.Table {
-	tb := table.New(schema.MustFromNames("i", "f", "s", "b", "v"))
+	tb := table.New(schema.MustFromNames("i", "f", "s", "b", "v", "z"))
 	floats := []float64{0, math.Copysign(0, -1), 1, 1.5, math.NaN(), math.Inf(1)}
 	strs := []string{"", "a", "b", "a\x00b", "1"}
 	cell := func(v value.V) value.V {
@@ -32,6 +33,7 @@ func keyTable(rng *rand.Rand, n int) *table.Table {
 			cell(value.NewString(strs[rng.Intn(len(strs))])),
 			cell(value.NewBool(rng.Intn(2) == 0)),
 			value.NewInt(int64(r)),
+			value.VNull,
 		)
 	}
 	return tb

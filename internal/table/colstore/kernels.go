@@ -3,7 +3,6 @@ package colstore
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,8 +27,9 @@ type Kernel interface {
 // filter
 
 // Filter keeps the rows whose predicate evaluates truthy: the predicate
-// runs per-column into a selection bitmap, and the kept rows gather
-// into a new batch.
+// runs per-column, and the kept rows become a selection — one index
+// vector, composed with each selection the input already held; no column
+// is copied.
 type Filter struct {
 	// Pred is the compiled predicate (CompileVec of the
 	// filter_expression).
@@ -38,19 +38,35 @@ type Filter struct {
 
 // Run implements Kernel.
 func (k *Filter) Run(b *Batch) (*Batch, error) {
-	keep := truthyBools(k.Pred(b))
-	if !slices.Contains(keep, false) {
+	idx := kept(k.Pred(b))
+	if idx == nil {
 		// Every row passes — a filter the decoder already applied, run
 		// again by the pipeline. Batches are immutable: share the input.
 		return b, nil
 	}
-	sel := NewBitmap(b.length)
-	for i, t := range keep {
+	return b.selectRows(idx), nil
+}
+
+// kept returns the positions of pred's truthy elements, ascending, or
+// nil when every element is truthy.
+func kept(pred *Vec) []int32 {
+	keep := truthy(pred)
+	n := 0
+	for _, t := range keep {
 		if t {
-			sel.Set(i)
+			n++
 		}
 	}
-	return b.SelectBitmap(sel), nil
+	if n == len(keep) {
+		return nil
+	}
+	idx := make([]int32, 0, n)
+	for i, t := range keep {
+		if t {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
 }
 
 // ---------------------------------------------------------------------
@@ -94,8 +110,8 @@ func (k *TopN) Run(b *Batch) (*Batch, error) {
 	cmp := keyComparator(b.cols[k.Key])
 	// less is the row order of the output: key order, ties broken by
 	// original position — exactly the row kernel's stable sort.
-	less := func(i, j int) bool {
-		c := cmp(i, j)
+	less := func(i, j int32) bool {
+		c := cmp(int(i), int(j))
 		if c != 0 {
 			if k.Desc {
 				return c > 0
@@ -105,36 +121,39 @@ func (k *TopN) Run(b *Batch) (*Batch, error) {
 		return i < j
 	}
 	if n <= k.Limit {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
+		idx := identity(n)
 		sort.Slice(idx, func(x, y int) bool { return less(idx[x], idx[y]) })
-		return b.Select(idx), nil
+		return b.selectRows(idx), nil
 	}
 	// Bounded heap: the worst kept row sits at the root; a better
 	// candidate evicts it. O(n log limit) instead of O(n log n).
-	h := make([]int, k.Limit)
-	for i := range h {
-		h[i] = i
-	}
-	worse := func(i, j int) bool { return less(j, i) }
+	h := identity(k.Limit)
+	worse := func(i, j int32) bool { return less(j, i) }
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i, worse)
 	}
 	for i := k.Limit; i < n; i++ {
-		if less(i, h[0]) {
-			h[0] = i
+		if less(int32(i), h[0]) {
+			h[0] = int32(i)
 			siftDown(h, 0, worse)
 		}
 	}
 	sort.Slice(h, func(x, y int) bool { return less(h[x], h[y]) })
-	return b.Select(h), nil
+	return b.selectRows(h), nil
+}
+
+// identity returns the row indices 0..n-1.
+func identity(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
 }
 
 // siftDown restores the heap property at root i under the given
 // ordering (the "largest" element, per worse, bubbles to the top).
-func siftDown(h []int, i int, worse func(a, b int) bool) {
+func siftDown(h []int32, i int, worse func(a, b int32) bool) {
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -155,16 +174,16 @@ func siftDown(h []int, i int, worse func(a, b int) bool) {
 
 // keyComparator builds a three-way comparator over a vector's elements,
 // equal to value.Compare on the reconstructed values: nulls first, then
-// the typed payload order.
+// the typed payload order. It reads a selection through its indices.
 func keyComparator(v *Vec) func(i, j int) int {
 	var core func(i, j int) int
 	switch v.kind {
 	case value.Int:
-		core = func(i, j int) int { return cmpInt64(v.ints[i], v.ints[j]) }
+		core = func(i, j int) int { return cmpInt64(v.ints[v.slot(i)], v.ints[v.slot(j)]) }
 	case value.Float:
-		core = func(i, j int) int { return cmpFloat(v.floats[i], v.floats[j]) }
+		core = func(i, j int) int { return cmpFloat(v.floats[v.slot(i)], v.floats[v.slot(j)]) }
 	case value.String:
-		core = func(i, j int) int { return strings.Compare(v.str(i), v.str(j)) }
+		core = func(i, j int) int { return strings.Compare(v.str(v.slot(i)), v.str(v.slot(j))) }
 	default:
 		core = func(i, j int) int { return value.Compare(v.At(i), v.At(j)) }
 	}
@@ -185,15 +204,15 @@ func keyComparator(v *Vec) func(i, j int) int {
 	}
 }
 
-// sortBatch returns a batch with rows stably ordered by keys — the
-// columnar analogue of table.Sort: one permutation sorted under typed
-// per-column comparators, then one gather. It is the same algorithm
+// sortPerm returns the permutation that orders b's rows stably by keys
+// (nil for no keys) — the columnar analogue of table.Sort, sorted under
+// typed per-column comparators. It is the same algorithm
 // (sort.SliceStable) over the same comparison outcomes as table.Sort,
 // so the two agree even where value.Compare is not an order (NaN
 // compares equal to every float).
-func sortBatch(b *Batch, keys []table.SortKey) (*Batch, error) {
+func sortPerm(b *Batch, keys []table.SortKey) ([]int32, error) {
 	if len(keys) == 0 {
-		return b, nil
+		return nil, nil
 	}
 	type bound struct {
 		cmp  func(i, j int) int
@@ -207,32 +226,35 @@ func sortBatch(b *Batch, keys []table.SortKey) (*Batch, error) {
 		}
 		bounds[i] = bound{cmp: keyComparator(b.cols[j]), desc: k.Desc}
 	}
-	idx := make([]int, b.length)
-	for i := range idx {
-		idx[i] = i
-	}
+	idx := identity(b.length)
 	sort.SliceStable(idx, func(x, y int) bool {
 		for _, k := range bounds {
-			if c := k.cmp(idx[x], idx[y]); c != 0 {
+			if c := k.cmp(int(idx[x]), int(idx[y])); c != 0 {
 				return (c < 0) != k.desc
 			}
 		}
 		return false
 	})
-	return b.Select(idx), nil
+	return idx, nil
 }
 
 // Sort is the vectorized sort task: a stable multi-key sort of the whole
-// batch.
+// batch, handed on as a selection through the sorted permutation.
 type Sort struct {
 	// Keys are the sort criteria, most significant first.
 	Keys []table.SortKey
 }
 
 // Run implements Kernel.
-func (k *Sort) Run(b *Batch) (*Batch, error) { return sortBatch(b, k.Keys) }
+func (k *Sort) Run(b *Batch) (*Batch, error) {
+	perm, err := sortPerm(b, k.Keys)
+	if err != nil || perm == nil {
+		return b, err
+	}
+	return b.selectRows(perm), nil
+}
 
-// Limit is the vectorized limit task: the first N rows.
+// Limit is the vectorized limit task: the first N rows, as a selection.
 type Limit struct {
 	// N is the row budget.
 	N int
@@ -243,11 +265,7 @@ func (k *Limit) Run(b *Batch) (*Batch, error) {
 	if k.N >= b.length {
 		return b, nil
 	}
-	idx := make([]int, k.N)
-	for i := range idx {
-		idx[i] = i
-	}
-	return b.Select(idx), nil
+	return b.selectRows(identity(k.N)), nil
 }
 
 // ---------------------------------------------------------------------
@@ -278,9 +296,11 @@ type Agg struct {
 // GroupBy is the vectorized hash aggregation kernel: group ids are
 // assigned in one pass over the key columns, then each aggregate folds
 // its column in a tight loop over preallocated per-group accumulator
-// slices. Grouping identity and output ordering match the row
-// hashGrouper exactly (kind-tagged display-form keys; result sorted by
-// SortKeys).
+// slices, reading selections through their indices. Grouping identity
+// and output ordering match the row hashGrouper exactly (kind-tagged
+// display-form keys; result sorted by SortKeys). Its output is dense:
+// the groups are fresh vectors, gathered into their final order rather
+// than kept under a permutation that would pin the unordered ones.
 type GroupBy struct {
 	// Keys are the grouping columns' indices.
 	Keys []int
@@ -323,18 +343,22 @@ func (k *GroupBy) Run(b *Batch) (*Batch, error) {
 		outCols = append(outCols, runAgg(a, b, gids, ng))
 	}
 	out := &Batch{schema: k.Out, cols: outCols, length: ng}
-	return sortBatch(out, k.SortKeys)
+	perm, err := sortPerm(out, k.SortKeys)
+	if err != nil || perm == nil {
+		return out, err
+	}
+	return out.gatherRows(perm), nil
 }
 
 // groupIDs assigns a dense group id to every row (into gids) and
 // returns the first input row of each group, in first-seen order.
-func groupIDs(b *Batch, keys []int, gids []int32) (keyRows []int) {
+func groupIDs(b *Batch, keys []int, gids []int32) (keyRows []int32) {
 	newKeyIndex(keyVecs(b, keys)).assign(b, keys, gids, true)
 	for i, g := range gids {
 		// Ids are dense in first-seen order: a row opens a group exactly
 		// when its id is the next unused one.
 		if int(g) == len(keyRows) {
-			keyRows = append(keyRows, i)
+			keyRows = append(keyRows, int32(i))
 		}
 	}
 	return keyRows
@@ -347,22 +371,23 @@ func appendGroupKey(buf []byte, v *Vec, i int) []byte {
 	if v.null(i) {
 		return append(buf, byte(value.Null))
 	}
+	s := v.slot(i)
 	switch v.kind {
 	case value.Bool:
 		buf = append(buf, byte(value.Bool))
-		if v.bools[i] {
+		if v.bools[s] {
 			return append(buf, "true"...)
 		}
 		return append(buf, "false"...)
 	case value.Int:
 		buf = append(buf, byte(value.Int))
-		return strconv.AppendInt(buf, v.ints[i], 10)
+		return strconv.AppendInt(buf, v.ints[s], 10)
 	case value.Float:
 		buf = append(buf, byte(value.Float))
-		return strconv.AppendFloat(buf, v.floats[i], 'g', -1, 64)
+		return strconv.AppendFloat(buf, v.floats[s], 'g', -1, 64)
 	case value.String:
 		buf = append(buf, byte(value.String))
-		return append(buf, v.str(i)...)
+		return append(buf, v.str(s)...)
 	default:
 		val := v.At(i)
 		buf = append(buf, byte(val.Kind()))
@@ -371,9 +396,10 @@ func appendGroupKey(buf []byte, v *Vec, i int) []byte {
 }
 
 // runAgg folds one aggregate over the whole batch into a per-group
-// result vector. Semantics replicate the row accumulators: sum/avg/
-// min/max skip nulls, count counts every row, an empty fold yields
-// null (avg/min/max) or zero (sum/count).
+// result vector, reading a selected column through its indices.
+// Semantics replicate the row accumulators: sum/avg/min/max skip nulls,
+// count counts every row, an empty fold yields null (avg/min/max) or
+// zero (sum/count).
 func runAgg(a Agg, b *Batch, gids []int32, ng int) *Vec {
 	if a.Op == AggCount {
 		counts := make([]int64, ng)
@@ -402,7 +428,7 @@ func aggSum(col *Vec, gids []int32, ng int) *Vec {
 		sums := make([]float64, ng)
 		if !col.hasNulls() {
 			for i, g := range gids {
-				sums[g] += col.floats[i]
+				sums[g] += col.floats[col.slot(i)]
 			}
 			return &Vec{kind: value.Float, floats: sums, length: ng}
 		}
@@ -411,8 +437,8 @@ func aggSum(col *Vec, gids []int32, ng int) *Vec {
 		// a value so the kinds come out identical.
 		seen := make([]bool, ng)
 		for i, g := range gids {
-			if !col.nulls.Get(i) {
-				sums[g] += col.floats[i]
+			if !col.null(i) {
+				sums[g] += col.floats[col.slot(i)]
 				seen[g] = true
 			}
 		}
@@ -437,16 +463,19 @@ func aggSum(col *Vec, gids []int32, ng int) *Vec {
 		return compress(vals)
 	}
 	// Int, bool and all-null columns sum as int64; null slots store 0,
-	// which is also what the row accumulator's coercion adds.
+	// which is also what the row accumulator's coercion adds, and a
+	// selection's holes add nothing.
 	sums := make([]int64, ng)
 	switch col.kind {
 	case value.Int:
 		for i, g := range gids {
-			sums[g] += col.ints[i]
+			if s := col.slot(i); s >= 0 {
+				sums[g] += col.ints[s]
+			}
 		}
 	case value.Bool:
 		for i, g := range gids {
-			if col.bools[i] {
+			if s := col.slot(i); s >= 0 && col.bools[s] {
 				sums[g]++
 			}
 		}
@@ -458,13 +487,14 @@ func aggAvg(col *Vec, gids []int32, ng int) *Vec {
 	sums := make([]float64, ng)
 	counts := make([]int64, ng)
 	add := func(i int, g int32) {
+		s := col.slot(i)
 		switch col.kind {
 		case value.Int:
-			sums[g] += float64(col.ints[i])
+			sums[g] += float64(col.ints[s])
 		case value.Float:
-			sums[g] += col.floats[i]
+			sums[g] += col.floats[s]
 		case value.Bool:
-			if col.bools[i] {
+			if col.bools[s] {
 				sums[g]++
 			}
 		}
@@ -508,19 +538,20 @@ func aggMinMax(col *Vec, gids []int32, ng int, min bool) *Vec {
 			out.set(int(g), col.At(i))
 			continue
 		}
+		s := col.slot(i)
 		switch col.kind {
 		case value.Int:
-			x := col.ints[i]
+			x := col.ints[s]
 			if min == (x < out.ints[g]) && x != out.ints[g] {
 				out.ints[g] = x
 			}
 		case value.Float:
-			x := col.floats[i]
+			x := col.floats[s]
 			if (min && x < out.floats[g]) || (!min && x > out.floats[g]) {
 				out.floats[g] = x
 			}
 		case value.String:
-			x := col.str(i)
+			x := col.str(s)
 			if (min && x < out.strs[g]) || (!min && x > out.strs[g]) {
 				out.strs[g] = x
 			}

@@ -1,0 +1,204 @@
+package colstore
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"shareinsights/internal/schema"
+	"shareinsights/internal/table"
+	"shareinsights/internal/value"
+)
+
+// gathered returns b with every selection gathered into a dense vector:
+// the chain FuzzSelections holds the kernels to.
+func gathered(b *Batch) *Batch {
+	cols := make([]*Vec, len(b.cols))
+	for i, v := range b.cols {
+		cols[i] = v.dense()
+	}
+	return &Batch{schema: b.schema, cols: cols, length: b.length}
+}
+
+// The chain's stages over the join's output (keyTable's columns, "l"- or
+// "r"-prefixed by side; "lz" and "rz" are null throughout) and g.
+var (
+	selPreds = []string{"li > 1", "ls == 'a'", "not lb", "rf >= 1", "li + ri > 2 or rs contains 'a'",
+		"lz == lz", "-lv < -10", "rv % 2 == 0", "lb and rb"}
+	selExprs = []string{"li * 2 + ri", "lf + rf", "lv - rv * 3", "ls + rs", "lz + li", "-(li * lv)", "rf / li"}
+)
+
+// chainKernel picks one single-input stage for op over schema s.
+func chainKernel(t *testing.T, op byte, s *schema.Schema) Kernel {
+	arg := int(op >> 3)
+	col := arg % s.Len()
+	switch op % 5 {
+	case 0:
+		pred, err := CompileVecSrc(selPreds[arg%len(selPreds)], s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Filter{Pred: pred}
+	case 1:
+		return &Sort{Keys: []table.SortKey{{Column: s.Col(col).Name, Desc: op&8 != 0}, {Column: s.Col((col + 3) % s.Len()).Name}}}
+	case 2:
+		return &TopN{Key: col, Desc: op&8 != 0, Limit: arg%12 + 1}
+	case 3:
+		return &Limit{N: arg}
+	}
+	return mapExpr(t, selExprs[arg%len(selExprs)], "m", s)
+}
+
+// mapExpr is the MapExpr kernel computing src into column name.
+func mapExpr(t *testing.T, src, name string, s *schema.Schema) Kernel {
+	ev, err := CompileVecSrc(src, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := s.ExtendOrSame(name)
+	return &MapExpr{Eval: ev, Out: out, Slot: out.Index(name)}
+}
+
+// FuzzSelections runs random kernel chains over random batches and
+// checks that selections change nothing but what is copied: a join under
+// the condition the first byte picks (the outer joins' -1 holes then flow
+// through every later stage), filters, sorts, top-ns, limits and
+// map-exprs in the order the rest pick, then a group-by — every stage
+// compared cell for cell with the same chain gathering every column
+// after every stage, and the end also once compacted. The inputs hold
+// plain and dictionary-coded strings, nulls, NaN and an all-null column.
+func FuzzSelections(f *testing.F) {
+	for cond := byte(0); cond < 4; cond++ {
+		f.Add(int64(cond), []byte{cond | 4<<cond, 0, 1, 2, 3, 4, 8, 9, 10, 11, 12})
+	}
+	f.Add(int64(7), []byte{0x3C, 4, 0, 17, 1, 33, 2, 66})
+	f.Add(int64(8), []byte{0x1B, 40, 8, 1, 3})
+	f.Add(int64(12), []byte{0x20, 0, 9, 5})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) == 0 || len(ops) > 16 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		lt, rt := keyTable(rng, rng.Intn(50)), keyTable(rng, rng.Intn(20))
+		if ops[0]&4 != 0 {
+			lt = rebuilt(lt)
+		}
+		if ops[0]&8 != 0 {
+			rt = rebuilt(rt)
+		}
+		lb, _ := FromTable(lt)
+		rb, _ := FromTable(rt)
+		var names []string
+		var cols []JoinCol
+		for side, p := range []string{"l", "r"} {
+			for c, n := range lt.Schema().Names() {
+				names, cols = append(names, p+n), append(cols, JoinCol{Right: side == 1, Col: c})
+			}
+		}
+		key := []int{int(ops[0]>>4) % 4}
+		join := &Join{LeftKeys: key, RightKeys: key, KeepLeft: ops[0]&1 != 0, KeepRight: ops[0]&2 != 0,
+			Cols: cols, Out: schema.MustFromNames(names...)}
+		b, err := join.Run(lb, rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := gathered(b)
+		if !sameCells(b.ToTable(), ref.ToTable()) {
+			t.Fatalf("join:\nselections:\n%s\ngathered:\n%s", b.ToTable().Format(0), ref.ToTable().Format(0))
+		}
+		step := func(stage string, ker Kernel) {
+			got, err1 := ker.Run(b)
+			want, err2 := ker.Run(ref)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s: errors %v, %v", stage, err1, err2)
+			}
+			b, ref = got, gathered(want)
+			if !sameCells(b.ToTable(), ref.ToTable()) {
+				t.Fatalf("after %s:\nselections:\n%s\ngathered:\n%s", stage, b.ToTable().Format(0), ref.ToTable().Format(0))
+			}
+		}
+		// g repeats and is never null: the typed int-key path of the
+		// group-by, read through whatever the stages select.
+		step("g", mapExpr(t, "lv % 4", "g", b.Schema()))
+		for i, op := range ops[1:] {
+			ker := chainKernel(t, op, b.Schema())
+			step(fmt.Sprintf("stage %d (%T)", i+1, ker), ker)
+		}
+		keys := [][]string{{"ls"}, {"g"}, {"rs", "lb"}, {"lz"}}[int(ops[len(ops)-1])%4]
+		var keyIdx []int
+		for _, k := range keys {
+			keyIdx = append(keyIdx, b.Schema().Index(k))
+		}
+		sortKeys := make([]table.SortKey, len(keys))
+		for i, k := range keys {
+			sortKeys[i] = table.SortKey{Column: k}
+		}
+		step("group-by", &GroupBy{Keys: keyIdx, Out: schema.MustFromNames(append(keys, "sum", "avg", "min", "max", "n")...),
+			Aggs: []Agg{{Op: AggSum, Col: b.Schema().Index("lf")}, {Op: AggAvg, Col: b.Schema().Index("rv")},
+				{Op: AggMin, Col: b.Schema().Index("rs")}, {Op: AggMax, Col: b.Schema().Index("li")}, {Op: AggCount, Col: -1}},
+			SortKeys: sortKeys})
+		if !sameCells(Compact(b.ToTable()), ref.ToTable()) {
+			t.Fatal("compacted output differs")
+		}
+	})
+}
+
+// TestKernelChainAllocs: a 60,000-row join → filter → sort → limit →
+// group-by chain allocates its index vectors, the columns it reads and
+// little else (64 KiB) — no stage copies the seven columns it hands on.
+func TestKernelChainAllocs(t *testing.T) {
+	const n, keys, limit = 60000, 500, 1000
+	left := NewBuilder(schema.MustFromNames("k", "x", "w", "a", "b", "c"))
+	for i := 0; i < n; i++ {
+		left.Append([]value.V{value.NewString("key" + strconv.Itoa(i*7%keys)), value.NewInt(int64(i % 3)),
+			value.NewInt(int64(i * 31 % 9973)), value.NewInt(int64(i)), value.NewFloat(float64(i)), value.NewInt(1)})
+	}
+	right := NewBuilder(schema.MustFromNames("k", "t"))
+	for i := 0; i < keys; i++ {
+		right.Append([]value.V{value.NewString("key" + strconv.Itoa(i)), value.NewString("tech" + strconv.Itoa(i%9))})
+	}
+	lb, _ := FromTable(left.Table())
+	rb, _ := FromTable(right.Table())
+	out := schema.MustFromNames("k", "x", "w", "a", "b", "c", "t")
+	join := &Join{LeftKeys: []int{0}, RightKeys: []int{0}, Out: out,
+		Cols: []JoinCol{{Col: 0}, {Col: 1}, {Col: 2}, {Col: 3}, {Col: 4}, {Col: 5}, {Right: true, Col: 1}}}
+	pred, err := CompileVecSrc("x >= 1", out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []Kernel{&Filter{Pred: pred}, &Sort{Keys: []table.SortKey{{Column: "w", Desc: true}}}, &Limit{N: limit},
+		&GroupBy{Keys: []int{6}, Aggs: []Agg{{Op: AggSum, Col: 2}}, Out: schema.MustFromNames("t", "total"),
+			SortKeys: []table.SortKey{{Column: "t"}}}}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b, err := join.Run(lb, rb)
+	for _, k := range chain {
+		if err == nil {
+			b, err = k.Run(b)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil || b.Len() != 9 {
+		t.Fatalf("chain: %d groups, err %v", b.Len(), err)
+	}
+	const kept = 2 * n / 3
+	// The int32 index vectors, each rounded up to the allocator's 8 KiB
+	// pages: the join's probe ids and output pair, its build side (ids,
+	// chains, heads, counts), the filter's kept rows and their two
+	// compositions, the sort's permutation and two more, the limit's and
+	// two more, the group ids; and the two key indexes, at 96 bytes a key.
+	// The one column read into a vector of its own: the predicate's bools.
+	pages := func(bytes int) int { return (bytes + 8191) &^ 8191 }
+	index := 2 * 96 * keys
+	for _, rows := range []int{n, n, n, keys, keys, keys, keys, kept, kept, kept, kept, kept, kept, limit, limit, limit, limit} {
+		index += pages(4 * rows)
+	}
+	reads := pages(n)
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(index+reads+64<<10) {
+		t.Errorf("chain allocated %d KiB, want at most %d KiB of index vectors, %d KiB of columns read and 64 KiB",
+			got>>10, index>>10, reads>>10)
+	}
+}
