@@ -594,9 +594,6 @@ func cmdHistory(args []string) {
 		if r.CacheHits > 0 {
 			line += fmt.Sprintf("  cache_hits=%d", r.CacheHits)
 		}
-		if r.ColumnarFallbacks > 0 {
-			line += fmt.Sprintf("  fallbacks=%d", r.ColumnarFallbacks)
-		}
 		if len(r.DegradedSources) > 0 {
 			line += "  degraded=" + strings.Join(r.DegradedSources, ",")
 		}

@@ -66,13 +66,9 @@ type Platform struct {
 	// RunTimeout bounds every dashboard run; 0 means no platform-wide
 	// deadline (callers can still pass their own via RunContext).
 	RunTimeout time.Duration
-	// Columnar is the batch engine's default vectorized-execution mode
-	// (auto, on or off; empty means auto). A data object's `columnar:`
-	// detail overrides it per node. See docs/ENGINE.md.
+	// Columnar is the batch engine's vectorized-execution mode for every
+	// run (auto, on or off; empty means auto). See docs/ENGINE.md.
 	Columnar string
-	// Trace receives task-execution telemetry (feeds the Figure 31
-	// platform-usage dashboard).
-	Trace func(taskType string, outRows int)
 	// Tracer receives structured execution spans for every run on the
 	// platform (run → connector fetch → task stage → widget render).
 	// nil disables tracing; per-run tracers can be set on a Dashboard
@@ -192,7 +188,6 @@ func (p *Platform) Compile(f *flowfile.File, resources map[string][]byte) (*Dash
 	}
 	d.env = &task.Env{
 		Resources:   resources,
-		Trace:       p.Trace,
 		WidgetValue: d.widgetValue,
 	}
 	if p.Optimize {

@@ -306,9 +306,6 @@ func (d *Dashboard) recordRunMetrics(dur time.Duration, runErr error) {
 		stageDurVec.With(t.Output, t.Path).Observe(t.Duration.Seconds())
 		stageRows.With(t.Output).Add(int64(t.Rows))
 	}
-	if st.ColumnarFallbacks > 0 {
-		m.Counter("si_stage_columnar_fallbacks_total", "Stages that started on the vectorized path and fell back to the row kernels.").Add(int64(st.ColumnarFallbacks))
-	}
 }
 
 // recordRunHistory captures a completed run into the platform's
@@ -347,7 +344,6 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 		run.TasksRun = st.TasksRun
 		run.CacheHits = len(st.CacheHits)
 		run.SkippedSinks = len(st.SkippedSinks)
-		run.ColumnarFallbacks = st.ColumnarFallbacks
 		run.Stages = make([]history.StageRecord, 0, len(st.Timings))
 		for _, t := range st.Timings {
 			// A filter whose predicate the connector applied at fetch

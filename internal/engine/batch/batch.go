@@ -128,11 +128,6 @@ type Stats struct {
 	SkippedSinks []string
 	// CacheHits lists produced nodes served from the incremental cache.
 	CacheHits []string
-	// ColumnarFallbacks counts stages that started on the vectorized
-	// path and fell back to the row kernels at run time (the kernel met
-	// data it has no typed path for; see docs/ENGINE.md). Planner
-	// declines are not counted — only run-time fallbacks.
-	ColumnarFallbacks int
 	// Timings records every executed stage.
 	Timings []StageTiming
 	// Failures records every node whose pipeline failed — including
@@ -344,12 +339,11 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			if err == nil {
 				err = checkMaxRows(n, out)
 			}
-			mu.Lock()
-			res.Stats.ColumnarFallbacks += p.fallbacks
 			if err == nil {
+				mu.Lock()
 				res.Stats.TasksRun += stages
+				mu.Unlock()
 			}
-			mu.Unlock()
 			if err != nil {
 				if tr != nil {
 					tr.SpanFlag(nodeSpan, "error")
@@ -448,14 +442,13 @@ type pipeline struct {
 	mu            *sync.Mutex
 	node, planTag string
 	queueWait     time.Duration
-	// fallbacks counts stages that left the columnar path at run time.
-	fallbacks int
 }
 
 // run executes the chain one spec per stage: each goes to its columnar
 // kernel when the planner mode and the data allow it, else to its
-// reference Exec. Columnar stages hand each other selections; the output
-// is compacted so that it keeps alive no vector four times its size.
+// reference Exec — decided once, before the stage runs, and never
+// revisited. Columnar stages hand each other selections; the output is
+// compacted so that it keeps alive no vector four times its size.
 func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
 	if len(specs) == 0 {
 		if len(in) != 1 {
@@ -484,9 +477,7 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 // runStage runs one stage, and is the only place a stage meets the
 // engine's cross-cutting concerns: its span, its clock, panic isolation,
 // its StageTiming record and the run budget's row charge. body is the
-// path-specific work; a body that returns colstore.ErrFallback (a kernel
-// met data it has no typed path for) yields a nil table so the row
-// kernels take the stage, and the pipeline's fallback count moves by one.
+// path-specific work.
 func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Table, error)) (*table.Table, error) {
 	tr := p.e.Tracer
 	sid := 0
@@ -499,13 +490,8 @@ func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Tabl
 	start := time.Now()
 	out, err := execStage(desc, body)
 	if err != nil {
-		flag := "error"
-		if errors.Is(err, colstore.ErrFallback) {
-			p.fallbacks++
-			flag, err = "fallback", nil
-		}
 		if tr != nil {
-			tr.SpanFlag(sid, flag)
+			tr.SpanFlag(sid, "error")
 			tr.EndSpan(sid)
 		}
 		return nil, err

@@ -385,26 +385,6 @@ func TestFanOutChainIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// TestTraceHookReportsEachTask pins the usage hook behind the Figure 31
-// telemetry: on the row path, each task reports its own output
-// cardinality — the filter the rows it kept, the fan-out map the rows it
-// emitted — never another task's.
-func TestTraceHookReportsEachTask(t *testing.T) {
-	g := buildGraph(t, fanOutFlow)
-	// doc1, doc10..doc19, doc100..doc199: 111 of 1000 documents, five
-	// words each.
-	sources := map[string]*table.Table{"docs": fanOutDocs(1000)}
-	var traced []string
-	env := &task.Env{Trace: func(typ string, rows int) { traced = append(traced, fmt.Sprintf("%s:%d", typ, rows)) }}
-	e := &Executor{Columnar: ColumnarOff}
-	if _, err := e.RunContext(context.Background(), g, env, sources); err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"filter_by:111", "map:555"}; !reflect.DeepEqual(traced, want) {
-		t.Errorf("trace = %v, want %v", traced, want)
-	}
-}
-
 func TestStatsReported(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{Optimize: true}

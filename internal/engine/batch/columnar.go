@@ -6,9 +6,10 @@
 // storage when it is column-backed, one conversion when it is not),
 // streams it through consecutive vectorized stages without materializing
 // rows (a node's two-input first stage, the join, takes both inputs'
-// batches), and falls back to the row kernels — per stage — whenever a
-// spec, schema or value distribution has no typed path. Both paths are
-// semantically identical; the differential harness in
+// batches), and runs a stage on the row kernels instead whenever its
+// spec has no kernel or an input does not convert. The choice is made
+// before the stage runs: a bound kernel never hands its stage back. Both
+// paths are semantically identical; the differential harness in
 // internal/engine/enginetest asserts it.
 package batch
 
@@ -36,11 +37,11 @@ const (
 // node's two inputs. out is nil when the stage should run on the row
 // path instead (the mode is off, the spec has no kernel for this input,
 // auto mode's input is under dag.ColumnarAutoThreshold rows — the rule
-// dag.predictPath applies to observed input sizes — a table holds a
-// column with no typed vector, or the kernel fell back at run time); err
-// is a real stage failure. A column-backed table hands its batch over as
-// is and the output wraps the kernel's batch, so consecutive columnar
-// stages — and the nodes downstream — exchange vectors, never rows.
+// dag.predictPath applies to observed input sizes — or a table holds a
+// column with no typed vector); err is a real stage failure. A
+// column-backed table hands its batch over as is and the output wraps the
+// kernel's batch, so consecutive columnar stages — and the nodes
+// downstream — exchange vectors, never rows.
 func (p *pipeline) tryColumnar(spec task.Spec, in []*table.Table, names []string) (out *table.Table, err error) {
 	if p.mode == ColumnarOff {
 		return nil, nil
@@ -60,7 +61,13 @@ func (p *pipeline) tryColumnar(spec task.Spec, in []*table.Table, names []string
 	if !ok {
 		return nil, nil
 	}
-	return p.runVecStage(spec, b.Len(), func() (*colstore.Batch, error) { return ker.Run(b) })
+	return p.runStage(task.Describe(spec), PathColumnar, b.Len(), func() (*table.Table, error) {
+		res, err := ker.Run(b)
+		if err != nil {
+			return nil, err
+		}
+		return res.ToTable(), nil
+	})
 }
 
 // tryJoinStage is tryColumnar for a node's two-input first stage: the
@@ -99,20 +106,10 @@ func (p *pipeline) tryJoinStage(spec task.Spec, in []*table.Table, names []strin
 	if !ok {
 		return nil, nil
 	}
-	return p.runVecStage(spec, rowsIn(in), func() (*colstore.Batch, error) { return ker.Run(lb, rb) })
-}
-
-// runVecStage hands one bound columnar stage — kernel is the kernel over
-// its batches — to the stage runner, adding the usage-trace hook the row
-// kernels call themselves.
-func (p *pipeline) runVecStage(spec task.Spec, nIn int, kernel func() (*colstore.Batch, error)) (*table.Table, error) {
-	return p.runStage(task.Describe(spec), PathColumnar, nIn, func() (*table.Table, error) {
-		res, err := kernel()
+	return p.runStage(task.Describe(spec), PathColumnar, rowsIn(in), func() (*table.Table, error) {
+		res, err := ker.Run(lb, rb)
 		if err != nil {
 			return nil, err
-		}
-		if p.env != nil && p.env.Trace != nil {
-			p.env.Trace(spec.Type(), res.Len())
 		}
 		return res.ToTable(), nil
 	})

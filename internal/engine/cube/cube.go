@@ -111,9 +111,6 @@ func (d *Dimension) FilterRange(lo, hi value.V) {
 	})
 }
 
-// FilterFunc keeps rows the predicate accepts.
-func (d *Dimension) FilterFunc(pred func(value.V) bool) { d.apply(pred) }
-
 // ClearFilter removes the dimension's filter.
 func (d *Dimension) ClearFilter() {
 	if !d.active {
@@ -126,9 +123,8 @@ func (d *Dimension) ClearFilter() {
 // apply installs a new predicate (nil = pass all) and propagates row
 // state deltas to every group.
 func (d *Dimension) apply(pred func(value.V) bool) {
-	// Predicates can be user code (FilterFunc); annotate a panic with
-	// the dimension before it unwinds so the recovery layer above can
-	// pin-point which cube filter blew up.
+	// Annotate a panic with the dimension before it unwinds so the
+	// recovery layer above can pin-point which cube filter blew up.
 	defer func() {
 		if v := recover(); v != nil {
 			panic(fmt.Sprintf("cube filter %s: %v", d.col, v))

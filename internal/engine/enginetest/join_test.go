@@ -150,8 +150,7 @@ func TestJoinMatrixDifferential(t *testing.T) {
 
 // TestJoinBoxedInputTakesRowPath: a join whose input holds a column with
 // no typed vector (a time column here, a mixed-kind one on the other
-// side) runs on the row join under every mode — silently, the planner
-// declined, so no fallback is counted — and still agrees.
+// side) runs on the row join under every mode and still agrees.
 func TestJoinBoxedInputTakesRowPath(t *testing.T) {
 	sources := joinInputs(shapeDuplicates, 5, 300)
 	stamped := table.New(sources["l"].Schema())
@@ -176,8 +175,8 @@ func TestJoinBoxedInputTakesRowPath(t *testing.T) {
 		diffFlow(t, flow, src)
 		for _, in := range []map[string]*table.Table{src, columnBacked(src)} {
 			res := runPath(t, buildGraph(t, flow), in, batch.ColumnarOn, 1)
-			if n := countPaths(res, batch.PathColumnar); n != 0 || res.Stats.ColumnarFallbacks != 0 {
-				t.Errorf("%s: %d columnar stages, %d fallbacks; want the row join and none", name, n, res.Stats.ColumnarFallbacks)
+			if n := countPaths(res, batch.PathColumnar); n != 0 {
+				t.Errorf("%s: %d columnar stages; want the row join", name, n)
 			}
 		}
 	}
@@ -237,9 +236,6 @@ T:
 				t.Errorf("%s: stage %q ran on the %s path, want %s", tc.name, stage, got, tc.want)
 			}
 		}
-		if res.Stats.ColumnarFallbacks != 0 {
-			t.Errorf("%s: %d fallbacks", tc.name, res.Stats.ColumnarFallbacks)
-		}
 	}
 	// Auto thresholds on the probe side: a 20-row left input keeps the
 	// row join however large the build side is.
@@ -260,7 +256,7 @@ T:
 		}
 		saw = true
 		rowsIn, _ := s.Int("rows_in")
-		if want := int64(big["l"].Len() + big["r"].Len()); !s.HasFlag("columnar") || s.HasFlag("fallback") || rowsIn != want {
+		if want := int64(big["l"].Len() + big["r"].Len()); !s.HasFlag("columnar") || rowsIn != want {
 			t.Errorf("join span flags %v rows_in %d, want columnar and %d", s.Flags, rowsIn, want)
 		}
 	}
@@ -269,12 +265,11 @@ T:
 	}
 }
 
-// TestFallbackCountedOnce: a kernel that meets data it has no typed path
-// for at run time (min over a bool column) hands its stage to the row
-// kernel and moves the fallback counter by exactly one — the same
-// bookkeeping whether the stage before it was the two-input join or not —
-// and the stage is timed once, on the row path.
-func TestFallbackCountedOnce(t *testing.T) {
+// TestMinOverBoolStaysColumnar: a group-by whose aggregate has no typed
+// loop for its column's kind (min over a bool column) folds with the
+// aggregate's own accumulator on the columnar path — each stage is timed
+// once, on the path it was bound to, and agrees with the row kernels.
+func TestMinOverBoolStaysColumnar(t *testing.T) {
 	flow := joinHeader + `
 F:
   D.out: (D.l, D.r) | T.j | T.lo
@@ -295,10 +290,7 @@ T:
 	sources := joinInputs(shapeAllMatch, 2, 300)
 	diffFlow(t, flow, sources)
 	res := runPath(t, buildGraph(t, flow), sources, batch.ColumnarOn, 1)
-	if res.Stats.ColumnarFallbacks != 1 {
-		t.Errorf("fallbacks = %d, want 1", res.Stats.ColumnarFallbacks)
-	}
-	if len(res.Stats.Timings) != 2 || stagePath(t, res, "join ") != batch.PathColumnar || stagePath(t, res, "groupby") != batch.PathRow {
-		t.Errorf("timings %+v: want the join on the columnar path and the group-by, once, on the row path", res.Stats.Timings)
+	if len(res.Stats.Timings) != 2 || countPaths(res, batch.PathColumnar) != 2 {
+		t.Errorf("timings %+v: want the join and the group-by, once each, on the columnar path", res.Stats.Timings)
 	}
 }

@@ -1,7 +1,7 @@
 // Package history is the platform's run-history flight recorder: every
 // dashboard run is captured as a structured RunRecord — per-stage
 // rows-in/rows-out/duration/queue-wait/path, retries, open breakers,
-// degraded sources, cache hits, columnar fallbacks — ring-buffered per
+// degraded sources, cache hits — ring-buffered per
 // dashboard and optionally persisted on the store substrate (one WAL
 // append per run, snapshot + generation rotation, recoverable under
 // FaultFS like every other component; see docs/DURABILITY.md).
@@ -98,8 +98,8 @@ type RunRecord struct {
 	CacheHits int `json:"cache_hits"`
 	// SkippedSinks counts dead sinks the optimizer eliminated.
 	SkippedSinks int `json:"skipped_sinks"`
-	// ColumnarFallbacks counts stages that started on the vectorized
-	// path and fell back to the row kernels at run time.
+	// ColumnarFallbacks is always 0: the engine no longer re-runs a stage
+	// on the row kernels. The field keeps the journaled record format.
 	ColumnarFallbacks int `json:"columnar_fallbacks"`
 	// Stages holds every executed stage, sorted by (output, stage).
 	Stages []StageRecord `json:"stages"`

@@ -44,7 +44,7 @@ var SummarySchema = schema.MustFromNames("metric", "value")
 // RunsSchema is the schema of the run-history panel: the flight
 // recorder's recent runs for this dashboard (docs/OBSERVABILITY.md).
 var RunsSchema = schema.MustFromNames(
-	"run", "status", "duration_us", "stages", "retries", "cache_hits", "fallbacks")
+	"run", "status", "duration_us", "stages", "retries", "cache_hits")
 
 // RegressSchema is the schema of the baseline-comparison panel: the
 // latest run's per-stage deltas against the EWMA baseline.
@@ -125,7 +125,6 @@ func runsTable(runs []history.RunRecord) *table.Table {
 			value.NewInt(int64(len(r.Stages))),
 			value.NewInt(int64(r.Retries)),
 			value.NewInt(int64(r.CacheHits)),
-			value.NewInt(int64(r.ColumnarFallbacks)),
 		)
 	}
 	return t

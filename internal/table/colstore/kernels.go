@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -11,12 +10,6 @@ import (
 	"shareinsights/internal/table"
 	"shareinsights/internal/value"
 )
-
-// ErrFallback reports that a kernel met data it has no typed path for
-// (an aggregate over a mixed or string column, say). The engine catches
-// it and re-runs the stage through the row kernel — never an error the
-// user sees.
-var ErrFallback = errors.New("colstore: not vectorizable for this data")
 
 // Kernel is one vectorized pipeline stage: a batch in, a batch out.
 type Kernel interface {
@@ -271,36 +264,36 @@ func (k *Limit) Run(b *Batch) (*Batch, error) {
 // ---------------------------------------------------------------------
 // groupby
 
-// AggOp enumerates the aggregates with a typed columnar path. The rest
-// of the aggregate registry (count_distinct, stddev, user aggregates…)
-// keeps the row path.
-type AggOp uint8
-
-// The vectorized aggregate operators.
-const (
-	AggCount AggOp = iota
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
+// Accumulator folds a bag of values into one value: one group's state of
+// an aggregate, and the paper's "user defined aggregates" task category
+// (§4.2 item 2). The task package's aggregate registry makes them;
+// task.Accumulator is this interface.
+type Accumulator interface {
+	Add(v value.V)
+	Result() value.V
+}
 
 // Agg is one aggregate of a GroupBy kernel.
 type Agg struct {
-	// Op is the aggregate operator.
-	Op AggOp
+	// Op names the aggregate operator (count, sum, stddev, a user
+	// aggregate, …).
+	Op string
 	// Col is the input column the aggregate folds; -1 for a bare count.
 	Col int
+	// New is the operator's registered accumulator factory, which the
+	// kernel folds with wherever it has no typed loop.
+	New func() Accumulator
 }
 
 // GroupBy is the vectorized hash aggregation kernel: group ids are
 // assigned in one pass over the key columns, then each aggregate folds
-// its column in a tight loop over preallocated per-group accumulator
-// slices, reading selections through their indices. Grouping identity
-// and output ordering match the row hashGrouper exactly (kind-tagged
-// display-form keys; result sorted by SortKeys). Its output is dense:
-// the groups are fresh vectors, gathered into their final order rather
-// than kept under a permutation that would pin the unordered ones.
+// its column per group — in a tight loop over preallocated per-group
+// slices where it has one, else with the aggregate's own accumulator —
+// reading selections through their indices. Grouping identity and output
+// ordering match the row hashGrouper exactly (kind-tagged display-form
+// keys; result sorted by SortKeys). Its output is dense: the groups are
+// fresh vectors, gathered into their final order rather than kept under
+// a permutation that would pin the unordered ones.
 type GroupBy struct {
 	// Keys are the grouping columns' indices.
 	Keys []int
@@ -315,22 +308,6 @@ type GroupBy struct {
 
 // Run implements Kernel.
 func (k *GroupBy) Run(b *Batch) (*Batch, error) {
-	for _, a := range k.Aggs {
-		if a.Col < 0 {
-			continue
-		}
-		kind := b.cols[a.Col].kind
-		switch a.Op {
-		case AggSum, AggAvg:
-			if kind != value.Int && kind != value.Float && kind != value.Bool && kind != value.Null {
-				return nil, ErrFallback
-			}
-		case AggMin, AggMax:
-			if kind != value.Int && kind != value.Float && kind != value.String && kind != value.Null {
-				return nil, ErrFallback
-			}
-		}
-	}
 	n := b.length
 	gids := make([]int32, n)
 	keyRows := groupIDs(b, k.Keys, gids)
@@ -396,31 +373,57 @@ func appendGroupKey(buf []byte, v *Vec, i int) []byte {
 }
 
 // runAgg folds one aggregate over the whole batch into a per-group
-// result vector, reading a selected column through its indices.
-// Semantics replicate the row accumulators: sum/avg/min/max skip nulls,
-// count counts every row, an empty fold yields null (avg/min/max) or
-// zero (sum/count).
+// result vector, reading a selected column through its indices. count
+// over anything, sum/avg over int, float, bool and all-null columns and
+// min/max over int, float, string and all-null ones have typed loops
+// that replicate the row accumulators: sum/avg/min/max skip nulls, count
+// counts every row, an empty fold yields null (avg/min/max) or zero
+// (sum/count). Every other pair folds with the accumulator itself.
 func runAgg(a Agg, b *Batch, gids []int32, ng int) *Vec {
-	if a.Op == AggCount {
+	if a.Op == "count" {
 		counts := make([]int64, ng)
 		for _, g := range gids {
 			counts[g]++
 		}
 		return &Vec{kind: value.Int, ints: counts, length: ng}
 	}
-	col := b.cols[a.Col]
-	switch a.Op {
-	case AggSum:
+	var col *Vec
+	if a.Col >= 0 {
+		col = b.cols[a.Col]
+	} else {
+		col = &Vec{kind: value.Null, length: b.length} // the row grouper adds nulls
+	}
+	k := col.kind
+	numeric := k == value.Int || k == value.Float || k == value.Null
+	switch {
+	case a.Op == "sum" && (numeric || k == value.Bool):
 		return aggSum(col, gids, ng)
-	case AggAvg:
+	case a.Op == "avg" && (numeric || k == value.Bool):
 		return aggAvg(col, gids, ng)
-	case AggMin:
+	case a.Op == "min" && (numeric || k == value.String):
 		return aggMinMax(col, gids, ng, true)
-	case AggMax:
+	case a.Op == "max" && (numeric || k == value.String):
 		return aggMinMax(col, gids, ng, false)
 	}
-	// Unreachable: kernels are built only with the operators above.
-	panic("colstore: unknown aggregate op")
+	return fold(a.New, col, gids, ng)
+}
+
+// fold runs one fresh accumulator per group over the column's elements
+// in row order — the row path's own fold, so results and their kinds are
+// the row path's by construction.
+func fold(newAcc func() Accumulator, col *Vec, gids []int32, ng int) *Vec {
+	accs := make([]Accumulator, ng)
+	for g := range accs {
+		accs[g] = newAcc()
+	}
+	for i, g := range gids {
+		accs[g].Add(col.At(i))
+	}
+	vals := make([]value.V, ng)
+	for g, acc := range accs {
+		vals[g] = acc.Result()
+	}
+	return compress(vals)
 }
 
 func aggSum(col *Vec, gids []int32, ng int) *Vec {

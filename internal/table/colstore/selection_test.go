@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -61,14 +62,19 @@ func mapExpr(t *testing.T, src, name string, s *schema.Schema) Kernel {
 	return &MapExpr{Eval: ev, Out: out, Slot: out.Index(name)}
 }
 
+// Registry is the task package's aggregate registry, name → factory.
+// fold_test.go (package colstore_test, which may import task) fills it.
+var Registry = map[string]func() Accumulator{}
+
 // FuzzSelections runs random kernel chains over random batches and
 // checks that selections change nothing but what is copied: a join under
 // the condition the first byte picks (the outer joins' -1 holes then flow
 // through every later stage), filters, sorts, top-ns, limits and
-// map-exprs in the order the rest pick, then a group-by — every stage
-// compared cell for cell with the same chain gathering every column
-// after every stage, and the end also once compacted. The inputs hold
-// plain and dictionary-coded strings, nulls, NaN and an all-null column.
+// map-exprs in the order the rest pick, then a group-by whose aggregates
+// are drawn from the whole registry — every stage compared cell for cell
+// with the same chain gathering every column after every stage, and the
+// end also once compacted. The inputs hold plain and dictionary-coded
+// strings, nulls, NaN and an all-null column.
 func FuzzSelections(f *testing.F) {
 	for cond := byte(0); cond < 4; cond++ {
 		f.Add(int64(cond), []byte{cond | 4<<cond, 0, 1, 2, 3, 4, 8, 9, 10, 11, 12})
@@ -135,10 +141,18 @@ func FuzzSelections(f *testing.F) {
 		for i, k := range keys {
 			sortKeys[i] = table.SortKey{Column: k}
 		}
-		step("group-by", &GroupBy{Keys: keyIdx, Out: schema.MustFromNames(append(keys, "sum", "avg", "min", "max", "n")...),
-			Aggs: []Agg{{Op: AggSum, Col: b.Schema().Index("lf")}, {Op: AggAvg, Col: b.Schema().Index("rv")},
-				{Op: AggMin, Col: b.Schema().Index("rs")}, {Op: AggMax, Col: b.Schema().Index("li")}, {Op: AggCount, Col: -1}},
-			SortKeys: sortKeys})
+		var registered []string
+		for op := range Registry {
+			registered = append(registered, op)
+		}
+		sort.Strings(registered)
+		aggs := []Agg{{Op: "count", Col: -1, New: Registry["count"]}}
+		for _, c := range []string{"lf", "rv", "rs", "li", "rb", "lz"} {
+			op := registered[rng.Intn(len(registered))]
+			aggs = append(aggs, Agg{Op: op, Col: b.Schema().Index(c), New: Registry[op]})
+		}
+		step("group-by", &GroupBy{Keys: keyIdx, Aggs: aggs, SortKeys: sortKeys,
+			Out: schema.MustFromNames(append(keys, "n", "a0", "a1", "a2", "a3", "a4", "a5")...)})
 		if !sameCells(Compact(b.ToTable()), ref.ToTable()) {
 			t.Fatal("compacted output differs")
 		}
@@ -169,7 +183,7 @@ func TestKernelChainAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	chain := []Kernel{&Filter{Pred: pred}, &Sort{Keys: []table.SortKey{{Column: "w", Desc: true}}}, &Limit{N: limit},
-		&GroupBy{Keys: []int{6}, Aggs: []Agg{{Op: AggSum, Col: 2}}, Out: schema.MustFromNames("t", "total"),
+		&GroupBy{Keys: []int{6}, Aggs: []Agg{{Op: "sum", Col: 2}}, Out: schema.MustFromNames("t", "total"),
 			SortKeys: []table.SortKey{{Column: "t"}}}}
 
 	var before, after runtime.MemStats

@@ -10,15 +10,14 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/value"
 )
 
 // Accumulator folds a bag of values into one value — the paper's "user
-// defined aggregates" task category (§4.2 item 2).
-type Accumulator interface {
-	Add(v value.V)
-	Result() value.V
-}
+// defined aggregates" task category (§4.2 item 2). It is the columnar
+// group-by's interface, so both engines fold with the same accumulators.
+type Accumulator = colstore.Accumulator
 
 // AggregateFactory creates a fresh accumulator per group.
 type AggregateFactory func() Accumulator
@@ -63,7 +62,8 @@ func Aggregates() []string {
 	return out
 }
 
-func aggregateFactory(name string) (AggregateFactory, error) {
+// Aggregate returns the factory registered under an aggregate name.
+func Aggregate(name string) (AggregateFactory, error) {
 	aggMu.RLock()
 	defer aggMu.RUnlock()
 	f, ok := aggImpl[name]
@@ -299,7 +299,7 @@ func parseGroupBy(cfg *flowfile.Node) (Spec, error) {
 			if a.Operator == "" {
 				return nil, fmt.Errorf("groupby: aggregate entry missing operator")
 			}
-			if _, err := aggregateFactory(a.Operator); err != nil {
+			if _, err := Aggregate(a.Operator); err != nil {
 				return nil, fmt.Errorf("groupby: %w", err)
 			}
 			if a.OutField == "" {
@@ -376,7 +376,7 @@ func newHashGrouper(s *GroupBySpec, in Input) (*hashGrouper, error) {
 			idx = in.Schema.Index(a.ApplyOn)
 		}
 		g.aggIdx = append(g.aggIdx, idx)
-		f, err := aggregateFactory(a.Operator)
+		f, err := Aggregate(a.Operator)
 		if err != nil {
 			return nil, err
 		}
@@ -467,10 +467,5 @@ func (s *GroupBySpec) Exec(env *Env, in []*table.Table, names []string) (*table.
 	for _, r := range t.Rows() {
 		g.add(r)
 	}
-	res, err := g.result()
-	if err != nil {
-		return nil, err
-	}
-	env.trace("groupby", res.Len())
-	return res, nil
+	return g.result()
 }

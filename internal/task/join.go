@@ -295,6 +295,5 @@ func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 			}
 		}
 	}
-	env.trace("join", res.Len())
 	return res, nil
 }

@@ -108,7 +108,6 @@ func (s *SortSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 	if err := out.Sort(s.sortKeys()...); err != nil {
 		return nil, err
 	}
-	env.trace("sort", out.Len())
 	return out, nil
 }
 
@@ -170,7 +169,6 @@ func (s *DistinctSpec) Exec(env *Env, in []*table.Table, names []string) (*table
 		seen[k] = true
 		out.Append(r)
 	}
-	env.trace("distinct", out.Len())
 	return out, nil
 }
 
@@ -209,7 +207,6 @@ func (s *UnionSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Ta
 			out.Append(r)
 		}
 	}
-	env.trace("union", out.Len())
 	return out, nil
 }
 
@@ -245,9 +242,7 @@ func (s *LimitSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Ta
 	if err != nil {
 		return nil, err
 	}
-	out := t.Head(s.N)
-	env.trace("limit", out.Len())
-	return out, nil
+	return t.Head(s.N), nil
 }
 
 // FuncSpec wraps a plain Go function as a task — the extension route of
@@ -272,12 +267,7 @@ func (s *FuncSpec) Out(in []Input) (*schema.Schema, error) { return s.OutFn(in) 
 
 // Exec implements Spec.
 func (s *FuncSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	t, err := s.ExecFn(env, in, names)
-	if err != nil {
-		return nil, err
-	}
-	env.trace(s.Name, t.Len())
-	return t, nil
+	return s.ExecFn(env, in, names)
 }
 
 // RegisterFunc registers a user-defined task type backed by a Go

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"shareinsights/internal/table"
-	"shareinsights/internal/value"
 )
 
 func TestCaseOperators(t *testing.T) {
@@ -271,8 +270,4 @@ func TestEnvResourceAndTraceNil(t *testing.T) {
 	if _, ok := env2.Resource("x"); ok {
 		t.Error("empty env should have no resources")
 	}
-	// trace on nil env must not panic.
-	env.trace("t", 1)
-	env2.trace("t", 1)
-	_ = value.VNull
 }

@@ -70,10 +70,6 @@ type Env struct {
 	// interaction filters (§3.5.1); ok is false when the widget has no
 	// selection, in which case the filter passes everything through.
 	WidgetValue func(widget, column string) (vals []string, ok bool)
-	// Trace, when non-nil, receives one call per executed task with the
-	// task type and output cardinality. The telemetry pipeline behind
-	// the Figure 31 usage dashboard hangs off this hook.
-	Trace func(taskType string, outRows int)
 }
 
 // Resource returns a named auxiliary resource.
@@ -83,12 +79,6 @@ func (e *Env) Resource(name string) ([]byte, bool) {
 	}
 	b, ok := e.Resources[name]
 	return b, ok
-}
-
-func (e *Env) trace(taskType string, rows int) {
-	if e != nil && e.Trace != nil {
-		e.Trace(taskType, rows)
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -224,7 +214,6 @@ func execRowLocal(s rowLocal, env *Env, in []*table.Table, names []string) (*tab
 			return nil, err
 		}
 	}
-	env.trace(s.Type(), res.Len())
 	return res, nil
 }
 

@@ -708,19 +708,6 @@ func TestRegistryProtectsBuiltins(t *testing.T) {
 	}
 }
 
-func TestTraceHook(t *testing.T) {
-	spec := parseSpec(t, "g:\n  type: groupby\n  groupby: [k]\n")
-	var traced []string
-	env := &Env{Trace: func(typ string, rows int) { traced = append(traced, fmt.Sprintf("%s:%d", typ, rows)) }}
-	in := mkTable(t, "k", []any{"a"}, []any{"a"}, []any{"b"})
-	if _, err := spec.Exec(env, []*table.Table{in}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(traced) != 1 || traced[0] != "groupby:2" {
-		t.Errorf("trace = %v", traced)
-	}
-}
-
 func TestOrderByAggregates(t *testing.T) {
 	spec := parseSpec(t, `
 aggregate_by_word:

@@ -139,6 +139,5 @@ func (s *TopNSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 			res.Append(r)
 		}
 	}
-	env.trace("topn", res.Len())
 	return res, nil
 }

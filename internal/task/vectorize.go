@@ -71,13 +71,6 @@ func HasKernel(sp Spec) bool {
 	case *MapSpec:
 		_, ok := s.op.(*exprOperator)
 		return ok
-	case *GroupBySpec:
-		for _, a := range s.Aggs {
-			if _, ok := vecAggOps[a.Operator]; !ok {
-				return false
-			}
-		}
-		return true
 	case *TopNSpec:
 		return len(s.GroupBy) == 0 && len(s.OrderBy) == 1
 	}
@@ -115,36 +108,27 @@ func (s *FilterSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schem
 	return &colstore.Filter{Pred: ev}, out, true
 }
 
-// vecAggOps maps aggregate operator names to their columnar kernels.
-// The remaining registry entries (count_distinct, first, last, stddev,
-// median, user aggregates) keep the row accumulators.
-var vecAggOps = map[string]colstore.AggOp{
-	"count": colstore.AggCount,
-	"sum":   colstore.AggSum,
-	"avg":   colstore.AggAvg,
-	"min":   colstore.AggMin,
-	"max":   colstore.AggMax,
-}
-
-// BindVec implements Vectorizable.
+// BindVec implements Vectorizable. Every registered aggregate binds: the
+// kernel folds with the registry's own accumulator wherever it has no
+// typed loop.
 func (s *GroupBySpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
 	out, err := s.Out([]Input{in})
-	if err != nil || !HasKernel(s) {
-		return nil, nil, false
-	}
-	keys, err := in.Schema.Require(s.GroupBy...)
 	if err != nil {
 		return nil, nil, false
 	}
+	// Out has already required the key and aggregate columns.
+	keys, _ := in.Schema.Require(s.GroupBy...)
 	aggs := make([]colstore.Agg, len(s.Aggs))
 	for i, a := range s.Aggs {
+		f, err := Aggregate(a.Operator)
+		if err != nil {
+			return nil, nil, false
+		}
 		col := -1
 		if a.ApplyOn != "" {
-			if col = in.Schema.Index(a.ApplyOn); col < 0 {
-				return nil, nil, false
-			}
+			col = in.Schema.Index(a.ApplyOn)
 		}
-		aggs[i] = colstore.Agg{Op: vecAggOps[a.Operator], Col: col}
+		aggs[i] = colstore.Agg{Op: a.Operator, Col: col, New: f}
 	}
 	return &colstore.GroupBy{Keys: keys, Aggs: aggs, Out: out, SortKeys: s.orderKeys()}, out, true
 }

@@ -72,8 +72,8 @@ type (
 	ColumnVec = colstore.Vec
 )
 
-// Columnar planner modes for the batch engine's `columnar:` data detail
-// and Executor default; see docs/ENGINE.md.
+// Columnar planner modes for Platform.Columnar and Executor.Columnar;
+// see docs/ENGINE.md.
 const (
 	ColumnarAuto = batch.ColumnarAuto
 	ColumnarOn   = batch.ColumnarOn
