@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 	"time"
 
 	"shareinsights/internal/analyze"
@@ -139,7 +140,10 @@ type Dashboard struct {
 	plans    map[string]*widgetPlan
 	widgets  map[string]*widget.Instance
 	result   *batch.Result
-	tracer   obs.Tracer
+	tracer   *obs.Trace
+	runSpans int            // tracer.Len() when the last run ended
+	interact sync.Mutex     // runs and interactions write widget state; renders read it
+	onDemand batch.Executor // interactions and ad-hoc queries: untraced, unbudgeted
 	health   RunHealth
 	flowHash string
 	// hints is the static-analysis evidence for the cost-based planner,
@@ -185,6 +189,7 @@ func (p *Platform) Compile(f *flowfile.File, resources map[string][]byte) (*Dash
 		plans:    map[string]*widgetPlan{},
 		widgets:  map[string]*widget.Instance{},
 		flowHash: hex.EncodeToString(sum[:8]),
+		onDemand: batch.Executor{Columnar: p.Columnar},
 	}
 	d.env = &task.Env{
 		Resources:   resources,
@@ -289,10 +294,12 @@ func (d *Dashboard) Endpoints() []string { return d.Graph.Endpoints() }
 // Result exposes the last batch execution.
 func (d *Dashboard) Result() *batch.Result { return d.result }
 
-// SetTracer attaches a per-run tracer to this dashboard, overriding
-// the platform's. The next Run (and subsequent widget refreshes)
-// record their spans on it; nil reverts to the platform tracer.
-func (d *Dashboard) SetTracer(tr obs.Tracer) { d.tracer = tr }
+// SetTracer attaches a trace that holds the next Run plus the latest
+// interaction after it, overriding the platform's tracer; nil reverts.
+func (d *Dashboard) SetTracer(tr *obs.Trace) { d.tracer = tr }
+
+// Trace returns the trace SetTracer attached (nil when none).
+func (d *Dashboard) Trace() *obs.Trace { return d.tracer }
 
 // Tracer returns the effective tracer: the dashboard's own if set,
 // else the platform's (which may be nil — tracing disabled).

@@ -53,9 +53,12 @@ func (d *Dashboard) RenderHTMLFor(dev Device, w io.Writer) error {
 // the base styling — the Styling extension point of §4.2: "Stylesheet
 // authors can use widget names specified in the flow file as style
 // targets", via the [data-widget="<name>"] attribute every rendered
-// widget carries. The sheet is an argument, not dashboard state: one
-// compiled dashboard serves concurrent renders.
+// widget carries. The sheet is an argument, not dashboard state, and a
+// render waits out a selection in progress: one compiled dashboard serves
+// concurrent renders and selections.
 func (d *Dashboard) RenderHTMLStyled(dev Device, css string, w io.Writer) error {
+	d.interact.Lock()
+	defer d.interact.Unlock()
 	title := d.Name
 	if d.File.Layout != nil && d.File.Layout.Description != "" {
 		title = d.File.Layout.Description
@@ -161,6 +164,8 @@ func (d *Dashboard) WriteEndpoints(w io.Writer, prefix string, counts bool, limi
 // and every widget's current data — the data explorer's "headless mode"
 // (§4.4) for terminals and tests.
 func (d *Dashboard) RenderText(w io.Writer) error {
+	d.interact.Lock()
+	defer d.interact.Unlock()
 	if d.File.Layout != nil && d.File.Layout.Description != "" {
 		fmt.Fprintf(w, "== %s ==\n", d.File.Layout.Description)
 	} else {

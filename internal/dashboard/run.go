@@ -38,6 +38,8 @@ func (d *Dashboard) Run() error {
 // platform sets RunTimeout the run additionally gets that budget
 // (whichever deadline is tighter wins).
 func (d *Dashboard) RunContext(ctx context.Context) error {
+	d.interact.Lock()
+	defer d.interact.Unlock()
 	if err := ctx.Err(); err != nil {
 		// A dead context fails promptly, before any source is touched.
 		d.health = RunHealth{Status: "error", Error: err.Error()}
@@ -63,6 +65,9 @@ func (d *Dashboard) RunContext(ctx context.Context) error {
 			tr.SpanFlag(runSpan, "degraded")
 		}
 		tr.EndSpan(runSpan)
+	}
+	if d.tracer != nil {
+		d.runSpans = d.tracer.Len()
 	}
 	d.recordRunMetrics(time.Since(start), err)
 	d.recordRunHistory(time.Since(start), err)
@@ -431,6 +436,8 @@ func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, 
 // against the current selections — what the generated dashboard does in
 // the browser whenever a selection changes.
 func (d *Dashboard) RefreshWidgets() error {
+	d.beginInteraction()
+	defer d.interact.Unlock()
 	return d.refreshWidgets(context.Background(), d.Tracer(), 0)
 }
 
@@ -439,18 +446,14 @@ func (d *Dashboard) refreshWidgets(ctx context.Context, tr obs.Tracer, parent in
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dashboard %s: %w", d.Name, err)
 		}
-		if err := d.refreshWidgetTraced(name, tr, parent); err != nil {
+		if err := d.refreshWidget(name, tr, parent); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *Dashboard) refreshWidget(name string) error {
-	return d.refreshWidgetTraced(name, d.Tracer(), 0)
-}
-
-func (d *Dashboard) refreshWidgetTraced(name string, tr obs.Tracer, parent int) (err error) {
+func (d *Dashboard) refreshWidget(name string, tr obs.Tracer, parent int) (err error) {
 	// Interaction pipelines run user-extension operators too; a panic
 	// there must fail the refresh, not the process.
 	defer func() {
@@ -485,15 +488,16 @@ func (d *Dashboard) refreshWidgetTraced(name string, tr obs.Tracer, parent int) 
 		}
 		return inst.Bind(out)
 	}
-	cur := plan.endpoint
-	curName := ""
-	for _, sp := range plan.client {
-		out, err := sp.Exec(d.env, []*table.Table{cur}, []string{curName})
-		if err != nil {
-			return fmt.Errorf("dashboard %s: widget W.%s interaction: %w", d.Name, name, err)
-		}
-		cur = out
-		curName = ""
+	cur, err := plan.endpoint, error(nil) // no interaction stages: bound as is, nothing allocated
+	if len(plan.client) > 0 {
+		cur, _, err = d.onDemand.RunPipeline(context.TODO(), d.env, plan.client, []*table.Table{cur}, []string{""}, 0)
+	}
+	if pe, ok := err.(*batch.PanicError); ok {
+		pe.Stage = "widget W." + name
+		return fmt.Errorf("dashboard %s: widget W.%s: %w", d.Name, name, pe)
+	}
+	if err != nil {
+		return fmt.Errorf("dashboard %s: widget W.%s interaction: %w", d.Name, name, err)
 	}
 	if tr != nil && cur != nil {
 		tr.SpanInt(span, "rows_out", int64(cur.Len()))
@@ -511,6 +515,8 @@ func (d *Dashboard) Select(widgetName string, values ...string) error {
 	if !ok {
 		return fmt.Errorf("dashboard %s: no widget W.%s", d.Name, widgetName)
 	}
+	d.beginInteraction()
+	defer d.interact.Unlock()
 	inst.Select(values...)
 	return d.refreshDependents(widgetName)
 }
@@ -521,23 +527,24 @@ func (d *Dashboard) SelectRange(widgetName, lo, hi string) error {
 	if !ok {
 		return fmt.Errorf("dashboard %s: no widget W.%s", d.Name, widgetName)
 	}
+	d.beginInteraction()
+	defer d.interact.Unlock()
 	inst.SelectRange(lo, hi)
 	return d.refreshDependents(widgetName)
 }
 
+// beginInteraction locks d.interact for the caller and drops the last interaction's spans.
+func (d *Dashboard) beginInteraction() {
+	d.interact.Lock()
+	if d.tracer != nil {
+		d.tracer.Truncate(d.runSpans)
+	}
+}
+
 func (d *Dashboard) refreshDependents(widgetName string) error {
-	for _, name := range d.File.WidgetOrder {
-		plan, ok := d.plans[name]
-		if !ok {
-			continue
-		}
-		for _, dep := range plan.interactsWith {
-			if dep == widgetName {
-				if err := d.refreshWidget(name); err != nil {
-					return err
-				}
-				break
-			}
+	for _, name := range d.Dependents(widgetName) {
+		if err := d.refreshWidget(name, d.Tracer(), 0); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -575,7 +582,8 @@ func (d *Dashboard) AdhocQuery(dataset, groupCol, aggOp, aggCol string) (*table.
 	if aggOp == "count" && aggCol == "" {
 		spec.Aggs = []task.AggSpec{{Operator: "count", OutField: "count"}}
 	}
-	return spec.Exec(d.env, []*table.Table{t}, []string{dataset})
+	out, _, err := d.onDemand.RunPipeline(context.TODO(), d.env, []task.Spec{spec}, []*table.Table{t}, []string{dataset}, 0)
+	return out, err
 }
 
 // EndpointNames lists all endpoint data objects plus widget endpoints,

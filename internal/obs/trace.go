@@ -185,6 +185,32 @@ func (t *Trace) Len() int {
 	return len(t.spans)
 }
 
+// Truncate drops every span recorded after the first n, so the next span
+// reuses id n+1: the ids dropped must no longer be in use.
+func (t *Trace) Truncate(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n < 0 || n >= len(t.spans) {
+		return
+	}
+	t.roots = keepUpTo(t.roots, n)
+	for _, s := range t.spans[:n] {
+		s.Children = keepUpTo(s.Children, n)
+	}
+	clear(t.spans[n:])
+	t.spans = t.spans[:n]
+}
+
+// keepUpTo cuts the spans with ids above n off the end of ss, where they are.
+func keepUpTo(ss []*Span, n int) []*Span {
+	i := len(ss)
+	for i > 0 && ss[i-1].ID > n {
+		i--
+	}
+	clear(ss[i:])
+	return ss[:i]
+}
+
 // Format renders the span tree for humans:
 //
 //	run demo                              1.2ms
@@ -192,7 +218,9 @@ func (t *Trace) Len() int {
 //	│  └─ fetch file                      300µs
 //	└─ node D.by_region                   200µs  rows_out=2
 func (t *Trace) Format(w io.Writer) {
-	for _, r := range t.Roots() {
+	t.mu.Lock() // spans change under it while the trace records
+	defer t.mu.Unlock()
+	for _, r := range t.roots {
 		formatSpan(w, r, "", "")
 	}
 }
@@ -240,12 +268,10 @@ type chromeEvent struct {
 // Each top-level span's subtree gets its own track (tid) so parallel
 // DAG nodes render side by side.
 func (t *Trace) WriteChrome(w io.Writer) error {
-	t.mu.Lock()
-	roots := append([]*Span(nil), t.roots...)
-	base := t.start
-	t.mu.Unlock()
 	var events []chromeEvent
-	for ti, r := range roots {
+	t.mu.Lock()
+	base := t.start
+	for ti, r := range t.roots {
 		var walk func(s *Span)
 		walk = func(s *Span) {
 			ev := chromeEvent{
@@ -254,19 +280,14 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 				Dur: s.Dur.Microseconds(),
 				Pid: 1, Tid: ti + 1,
 			}
-			if len(s.Ints) > 0 {
+			if len(s.Ints)+len(s.Flags) > 0 {
 				ev.Args = map[string]int64{}
-				for _, a := range s.Ints {
-					ev.Args[a.Key] = a.Val
-				}
-				for _, f := range s.Flags {
-					ev.Args[f] = 1
-				}
-			} else if len(s.Flags) > 0 {
-				ev.Args = map[string]int64{}
-				for _, f := range s.Flags {
-					ev.Args[f] = 1
-				}
+			}
+			for _, a := range s.Ints {
+				ev.Args[a.Key] = a.Val
+			}
+			for _, f := range s.Flags {
+				ev.Args[f] = 1
 			}
 			events = append(events, ev)
 			for _, c := range s.Children {
@@ -275,7 +296,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		}
 		walk(r)
 	}
+	t.mu.Unlock()
 	sort.SliceStable(events, func(a, b int) bool { return events[a].Ts < events[b].Ts })
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
+	return json.NewEncoder(w).Encode(events)
 }

@@ -69,6 +69,37 @@ func TestTraceEndIsIdempotentAndUnknownIDsIgnored(t *testing.T) {
 	}
 }
 
+func TestTraceTruncate(t *testing.T) {
+	tr := NewTrace("x")
+	run := tr.StartSpan(0, "run")
+	tr.EndSpan(tr.StartSpan(run, "node"))
+	tr.EndSpan(run)
+	var before strings.Builder
+	tr.Format(&before)
+	for i := 0; i < 3; i++ {
+		tr.Truncate(2)
+		late := tr.StartSpan(run, "late child")
+		w := tr.StartSpan(0, "widget")
+		tr.StartSpan(w, "cube filter")
+		if late != 3 || w != 4 {
+			t.Fatalf("ids after truncate = %d, %d; want 3, 4", late, w)
+		}
+	}
+	if tr.Len() != 5 || len(tr.Roots()) != 2 || len(tr.Roots()[0].Children) != 2 || len(tr.Roots()[1].Children) != 1 {
+		t.Fatalf("after truncate and regrow: %d spans, roots %v", tr.Len(), tr.Roots())
+	}
+	tr.Truncate(2)
+	var after strings.Builder
+	tr.Format(&after)
+	if tr.Len() != 2 || after.String() != before.String() {
+		t.Errorf("truncated trace:\n%s\nwant:\n%s", after.String(), before.String())
+	}
+	tr.Truncate(7) // past the end: no-op
+	if tr.Len() != 2 {
+		t.Errorf("Len = %d after truncating past the end", tr.Len())
+	}
+}
+
 func TestTraceConcurrent(t *testing.T) {
 	tr := NewTrace("par")
 	run := tr.StartSpan(0, "run")

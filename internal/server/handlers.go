@@ -15,7 +15,6 @@ import (
 	"shareinsights/internal/connector"
 	"shareinsights/internal/dashboard"
 	"shareinsights/internal/flowfile"
-	"shareinsights/internal/obs"
 	"shareinsights/internal/obs/ops"
 	"shareinsights/internal/profile"
 	"shareinsights/internal/table"
@@ -473,11 +472,11 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request, t target)
 	writeEndpoints(w, meta, false, 0)
 }
 
-// handleTrace serves the last run's execution trace: a human span tree
-// by default, Chrome trace-event JSON with ?format=chrome (loadable in
-// chrome://tracing and Perfetto).
+// handleTrace serves the last run's execution trace and its latest
+// interaction: a human span tree by default, Chrome trace-event JSON
+// with ?format=chrome (loadable in chrome://tracing and Perfetto).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, t target) {
-	trace := t.live.Tracer().(*obs.Trace) // execute attached it
+	trace := t.live.Trace() // execute attached it
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		if err := trace.WriteChrome(w); err != nil {

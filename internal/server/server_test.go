@@ -844,6 +844,76 @@ L:
 	wg.Wait()
 }
 
+// TestConcurrentInteractions: clients sharing one served dashboard
+// select, render, read the trace and query its endpoint at once. A
+// selection writes widget state and reuses trace span ids, so it must
+// not interleave with another selection or with a render (run it under
+// -race). Both refresh paths take part: W.totals refreshes through the
+// cube, W.top through the stage runner.
+func TestConcurrentInteractions(t *testing.T) {
+	s, ts := newTestServer(t)
+	flow := serverFlow + `
+W:
+  regions:
+    type: List
+    source: D.by_region
+    text: region
+  totals:
+    type: BarChart
+    source: D.by_region | T.pick_region
+    x: region
+    y: total
+  top:
+    type: Grid
+    source: D.by_region | T.pick_region | T.top1
+
+T:
+  pick_region:
+    type: filter_by
+    filter_by: [region]
+    filter_source: W.regions
+    filter_val: [text]
+  top1:
+    type: topn
+    orderby_column: [total DESC]
+    limit: 1
+
+L:
+  rows:
+    - [span4: W.regions, span8: W.totals]
+    - [span12: W.top]
+`
+	if _, err := s.SaveDashboard("inter", "tester", []byte(flow)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run("inter"); err != nil {
+		t.Fatal(err)
+	}
+	base := ts.URL + "/dashboards/inter"
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				region := []string{"east", "west"}[(c+i)%2]
+				for _, op := range [][3]string{
+					{http.MethodPost, base + "/select/regions", `{"values":["` + region + `"]}`},
+					{http.MethodGet, base + "/html", ""},
+					{http.MethodGet, base + "/trace", ""},
+					{http.MethodGet, base + "/ds/by_region/groupby/region/sum/total", ""},
+				} {
+					if code, body := do(t, op[0], op[1], op[2]); code != 200 {
+						t.Errorf("%s %s = %d: %s", op[0], op[1], code, body)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestSaveDashboardValidates: the programmatic save path holds the line
 // the HTTP routes hold — content that parses but does not validate (a
 // dangling T. reference) never reaches the repository.
