@@ -142,7 +142,7 @@ type Dashboard struct {
 	result   *batch.Result
 	tracer   *obs.Trace
 	runSpans int            // tracer.Len() when the last run ended
-	interact sync.Mutex     // runs and interactions write widget state; renders read it
+	interact sync.RWMutex   // runs and interactions write widget state (Lock); renders read it (RLock)
 	onDemand batch.Executor // interactions and ad-hoc queries: untraced, unbudgeted
 	health   RunHealth
 	flowHash string

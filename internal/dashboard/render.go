@@ -1,10 +1,12 @@
 package dashboard
 
 import (
+	"bytes"
 	"fmt"
 	"html"
 	"io"
 	"strings"
+	"sync"
 
 	"shareinsights/internal/table"
 	"shareinsights/internal/widget"
@@ -57,8 +59,30 @@ func (d *Dashboard) RenderHTMLFor(dev Device, w io.Writer) error {
 // render waits out a selection in progress: one compiled dashboard serves
 // concurrent renders and selections.
 func (d *Dashboard) RenderHTMLStyled(dev Device, css string, w io.Writer) error {
-	d.interact.Lock()
-	defer d.interact.Unlock()
+	return d.readWidgets(w, func(w io.Writer) error { return d.renderHTML(dev, css, w) })
+}
+
+var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readWidgets runs render into a pooled buffer under d.interact's read
+// lock and writes the buffer to w after releasing it: renders run side by
+// side, and a client that stalls mid-body holds up no selection.
+func (d *Dashboard) readWidgets(w io.Writer, render func(io.Writer) error) error {
+	buf := renderBufs.Get().(*bytes.Buffer)
+	defer renderBufs.Put(buf)
+	buf.Reset()
+	err := func() error {
+		d.interact.RLock()
+		defer d.interact.RUnlock()
+		return render(buf)
+	}()
+	if _, werr := w.Write(buf.Bytes()); err == nil {
+		err = werr
+	}
+	return err
+}
+
+func (d *Dashboard) renderHTML(dev Device, css string, w io.Writer) error {
 	title := d.Name
 	if d.File.Layout != nil && d.File.Layout.Description != "" {
 		title = d.File.Layout.Description
@@ -164,8 +188,10 @@ func (d *Dashboard) WriteEndpoints(w io.Writer, prefix string, counts bool, limi
 // and every widget's current data — the data explorer's "headless mode"
 // (§4.4) for terminals and tests.
 func (d *Dashboard) RenderText(w io.Writer) error {
-	d.interact.Lock()
-	defer d.interact.Unlock()
+	return d.readWidgets(w, d.renderText)
+}
+
+func (d *Dashboard) renderText(w io.Writer) error {
 	if d.File.Layout != nil && d.File.Layout.Description != "" {
 		fmt.Fprintf(w, "== %s ==\n", d.File.Layout.Description)
 	} else {

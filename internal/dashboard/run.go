@@ -17,6 +17,7 @@ import (
 	"shareinsights/internal/resilience"
 	"shareinsights/internal/table"
 	"shareinsights/internal/task"
+	"shareinsights/internal/widget"
 )
 
 // Run executes the dashboard's data-processing plan: load sources,
@@ -446,14 +447,14 @@ func (d *Dashboard) refreshWidgets(ctx context.Context, tr obs.Tracer, parent in
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dashboard %s: %w", d.Name, err)
 		}
-		if err := d.refreshWidget(name, tr, parent); err != nil {
+		if err := d.refreshWidget(ctx, name, tr, parent); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *Dashboard) refreshWidget(name string, tr obs.Tracer, parent int) (err error) {
+func (d *Dashboard) refreshWidget(ctx context.Context, name string, tr obs.Tracer, parent int) (err error) {
 	// Interaction pipelines run user-extension operators too; a panic
 	// there must fail the refresh, not the process.
 	defer func() {
@@ -490,7 +491,7 @@ func (d *Dashboard) refreshWidget(name string, tr obs.Tracer, parent int) (err e
 	}
 	cur, err := plan.endpoint, error(nil) // no interaction stages: bound as is, nothing allocated
 	if len(plan.client) > 0 {
-		cur, _, err = d.onDemand.RunPipeline(context.TODO(), d.env, plan.client, []*table.Table{cur}, []string{""}, 0)
+		cur, _, err = d.onDemand.RunPipeline(ctx, d.env, plan.client, []*table.Table{cur}, []string{""}, 0)
 	}
 	if pe, ok := err.(*batch.PanicError); ok {
 		pe.Stage = "widget W." + name
@@ -511,26 +512,30 @@ func (d *Dashboard) refreshWidget(name string, tr obs.Tracer, parent int) (err e
 // statistics at the right", with the propagation derived from the flow
 // file rather than event handlers.
 func (d *Dashboard) Select(widgetName string, values ...string) error {
-	inst, ok := d.widgets[widgetName]
-	if !ok {
-		return fmt.Errorf("dashboard %s: no widget W.%s", d.Name, widgetName)
-	}
-	d.beginInteraction()
-	defer d.interact.Unlock()
-	inst.Select(values...)
-	return d.refreshDependents(widgetName)
+	return d.selectOn(widgetName, func(inst *widget.Instance) { inst.Select(values...) })
 }
 
 // SelectRange records an interval selection (sliders).
 func (d *Dashboard) SelectRange(widgetName, lo, hi string) error {
+	return d.selectOn(widgetName, func(inst *widget.Instance) { inst.SelectRange(lo, hi) })
+}
+
+// selectOn sets a widget's selection as one interaction and refreshes
+// the widgets that read it.
+func (d *Dashboard) selectOn(widgetName string, set func(*widget.Instance)) error {
 	inst, ok := d.widgets[widgetName]
 	if !ok {
 		return fmt.Errorf("dashboard %s: no widget W.%s", d.Name, widgetName)
 	}
 	d.beginInteraction()
 	defer d.interact.Unlock()
-	inst.SelectRange(lo, hi)
-	return d.refreshDependents(widgetName)
+	set(inst)
+	for _, name := range d.Dependents(widgetName) {
+		if err := d.refreshWidget(context.Background(), name, d.Tracer(), 0); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // beginInteraction locks d.interact for the caller and drops the last interaction's spans.
@@ -539,15 +544,6 @@ func (d *Dashboard) beginInteraction() {
 	if d.tracer != nil {
 		d.tracer.Truncate(d.runSpans)
 	}
-}
-
-func (d *Dashboard) refreshDependents(widgetName string) error {
-	for _, name := range d.Dependents(widgetName) {
-		if err := d.refreshWidget(name, d.Tracer(), 0); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Dependents lists the widgets that react to selections on widgetName.
@@ -582,7 +578,7 @@ func (d *Dashboard) AdhocQuery(dataset, groupCol, aggOp, aggCol string) (*table.
 	if aggOp == "count" && aggCol == "" {
 		spec.Aggs = []task.AggSpec{{Operator: "count", OutField: "count"}}
 	}
-	out, _, err := d.onDemand.RunPipeline(context.TODO(), d.env, []task.Spec{spec}, []*table.Table{t}, []string{dataset}, 0)
+	out, _, err := d.onDemand.RunPipeline(context.Background(), d.env, []task.Spec{spec}, []*table.Table{t}, []string{dataset}, 0)
 	return out, err
 }
 

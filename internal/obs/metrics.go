@@ -61,6 +61,26 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
+// with returns the series for one label-value combination, creating it
+// with mk on first use.
+func (f *family) with(vals []string, mk func() series) series {
+	key := f.labelKey(vals)
+	f.mu.RLock()
+	s, ok := f.series[key]
+	f.mu.RUnlock()
+	if ok {
+		return s
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s, ok := f.series[key]; ok {
+		return s
+	}
+	s = mk()
+	f.series[key] = s
+	return s
+}
+
 // register fetches or creates a family, panicking on a type conflict —
 // that is a programming error, not a runtime condition.
 func (r *Registry) register(name, help, typ string, labels []string, buckets []float64) *family {
@@ -117,21 +137,7 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 
 // With returns the counter for one label-value combination.
 func (v *CounterVec) With(vals ...string) *Counter {
-	key := v.f.labelKey(vals)
-	v.f.mu.RLock()
-	s, ok := v.f.series[key]
-	v.f.mu.RUnlock()
-	if ok {
-		return s.(*Counter)
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	if s, ok := v.f.series[key]; ok {
-		return s.(*Counter)
-	}
-	c := &Counter{}
-	v.f.series[key] = c
-	return c
+	return v.f.with(vals, func() series { return &Counter{} }).(*Counter)
 }
 
 // ---------------------------------------------------------------------
@@ -182,21 +188,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 
 // With returns the gauge for one label-value combination.
 func (v *GaugeVec) With(vals ...string) *Gauge {
-	key := v.f.labelKey(vals)
-	v.f.mu.RLock()
-	s, ok := v.f.series[key]
-	v.f.mu.RUnlock()
-	if ok {
-		return s.(*Gauge)
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	if s, ok := v.f.series[key]; ok {
-		return s.(*Gauge)
-	}
-	g := &Gauge{}
-	v.f.series[key] = g
-	return g
+	return v.f.with(vals, func() series { return &Gauge{} }).(*Gauge)
 }
 
 // ---------------------------------------------------------------------
@@ -278,21 +270,9 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 
 // With returns the histogram for one label-value combination.
 func (v *HistogramVec) With(vals ...string) *Histogram {
-	key := v.f.labelKey(vals)
-	v.f.mu.RLock()
-	s, ok := v.f.series[key]
-	v.f.mu.RUnlock()
-	if ok {
-		return s.(*Histogram)
-	}
-	v.f.mu.Lock()
-	defer v.f.mu.Unlock()
-	if s, ok := v.f.series[key]; ok {
-		return s.(*Histogram)
-	}
-	h := &Histogram{bounds: v.f.buckets, counts: make([]atomic.Int64, len(v.f.buckets))}
-	v.f.series[key] = h
-	return h
+	return v.f.with(vals, func() series {
+		return &Histogram{bounds: v.f.buckets, counts: make([]atomic.Int64, len(v.f.buckets))}
+	}).(*Histogram)
 }
 
 // ---------------------------------------------------------------------

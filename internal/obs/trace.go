@@ -21,6 +21,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -218,11 +219,13 @@ func keepUpTo(ss []*Span, n int) []*Span {
 //	│  └─ fetch file                      300µs
 //	└─ node D.by_region                   200µs  rows_out=2
 func (t *Trace) Format(w io.Writer) {
-	t.mu.Lock() // spans change under it while the trace records
-	defer t.mu.Unlock()
+	var buf bytes.Buffer // w is written after the lock: a slow reader holds up no span
+	t.mu.Lock()
 	for _, r := range t.roots {
-		formatSpan(w, r, "", "")
+		formatSpan(&buf, r, "", "")
 	}
+	t.mu.Unlock()
+	w.Write(buf.Bytes())
 }
 
 func formatSpan(w io.Writer, s *Span, prefix, childPrefix string) {

@@ -374,27 +374,20 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request, t target)
 }
 
 func writeTable(w http.ResponseWriter, r *http.Request, t *table.Table) {
+	ctype, encode := "application/json", connector.EncodeJSON
 	switch r.URL.Query().Get("format") {
 	case "csv":
-		b, err := connector.EncodeCSV(t)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "text/csv")
-		w.Write(b)
+		ctype, encode = "text/csv", connector.EncodeCSV
 	case "sbin":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(connector.EncodeSBIN(t))
-	default:
-		b, err := connector.EncodeJSON(t)
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
+		ctype, encode = "application/octet-stream", func(t *table.Table) ([]byte, error) { return connector.EncodeSBIN(t), nil }
 	}
+	b, err := encode(t)
+	if err != nil {
+		jsonError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", ctype)
+	w.Write(b)
 }
 
 func (s *Server) handleAdhoc(w http.ResponseWriter, r *http.Request, t target) {

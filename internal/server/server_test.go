@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"shareinsights/internal/connector"
 	"shareinsights/internal/dashboard"
@@ -844,15 +845,10 @@ L:
 	wg.Wait()
 }
 
-// TestConcurrentInteractions: clients sharing one served dashboard
-// select, render, read the trace and query its endpoint at once. A
-// selection writes widget state and reuses trace span ids, so it must
-// not interleave with another selection or with a render (run it under
-// -race). Both refresh paths take part: W.totals refreshes through the
-// cube, W.top through the stage runner.
-func TestConcurrentInteractions(t *testing.T) {
-	s, ts := newTestServer(t)
-	flow := serverFlow + `
+// interactiveFlow adds selection-driven widgets to serverFlow. Both
+// refresh paths take part: W.totals refreshes through the cube, W.top
+// through the stage runner.
+const interactiveFlow = serverFlow + `
 W:
   regions:
     type: List
@@ -883,13 +879,28 @@ L:
     - [span4: W.regions, span8: W.totals]
     - [span12: W.top]
 `
-	if _, err := s.SaveDashboard("inter", "tester", []byte(flow)); err != nil {
+
+// newInteractiveServer serves interactiveFlow, run, as dashboard "inter"
+// and returns the server and the dashboard's URL.
+func newInteractiveServer(t *testing.T) (*httptest.Server, string) {
+	t.Helper()
+	s, ts := newTestServer(t)
+	if _, err := s.SaveDashboard("inter", "tester", []byte(interactiveFlow)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run("inter"); err != nil {
 		t.Fatal(err)
 	}
-	base := ts.URL + "/dashboards/inter"
+	return ts, ts.URL + "/dashboards/inter"
+}
+
+// TestConcurrentInteractions: clients sharing one served dashboard
+// select, render, read the trace and query its endpoint at once. A
+// selection writes widget state and reuses trace span ids, so it must
+// not interleave with another selection or with a render (run it under
+// -race).
+func TestConcurrentInteractions(t *testing.T) {
+	_, base := newInteractiveServer(t)
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
@@ -912,6 +923,56 @@ L:
 		}()
 	}
 	wg.Wait()
+}
+
+// TestStalledReaderBlocksNoSelection: a viewer that stops reading an
+// /html or /trace body part-way holds up no one else. Renders and trace
+// reads take the dashboard's and the trace's locks, and must have let go
+// of both before they write to the client.
+func TestStalledReaderBlocksNoSelection(t *testing.T) {
+	ts, base := newInteractiveServer(t)
+	for _, path := range []string{"/html", "/trace", "/trace?format=chrome"} {
+		w := &stalledWriter{ResponseRecorder: httptest.NewRecorder(), stalled: make(chan struct{}), release: make(chan struct{})}
+		go ts.Config.Handler.ServeHTTP(w, httptest.NewRequest(http.MethodGet, base+path, nil))
+		<-w.stalled
+		done := make(chan error, 1)
+		go func() {
+			resp, err := http.Post(base+"/select/regions", "application/json", strings.NewReader(`{"values":["west"]}`))
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("status %d", resp.StatusCode)
+				}
+			}
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			err = fmt.Errorf("still blocked after 10s")
+		}
+		close(w.release)
+		if err != nil {
+			t.Errorf("select beside a stalled %s reader: %v", path, err)
+		}
+	}
+}
+
+// stalledWriter is a client that stops reading: its first Write blocks
+// until release is closed.
+type stalledWriter struct {
+	*httptest.ResponseRecorder
+	stalled, release chan struct{}
+	once             sync.Once
+}
+
+func (w *stalledWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.stalled)
+		<-w.release
+	})
+	return w.ResponseRecorder.Write(b)
 }
 
 // TestSaveDashboardValidates: the programmatic save path holds the line
