@@ -8,7 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -307,9 +310,9 @@ func EncodeCSV(t *table.Table) ([]byte, error) {
 		return nil, err
 	}
 	rec := make([]string, t.Schema().Len())
-	for _, row := range t.Rows() {
-		for i, v := range row {
-			rec[i] = v.String()
+	for r := 0; r < t.Len(); r++ {
+		for c := range rec {
+			rec[c] = t.At(r, c).String()
 		}
 		if err := w.Write(rec); err != nil {
 			return nil, err
@@ -405,35 +408,102 @@ func lookupPath(doc map[string]any, path string) any {
 	return cur
 }
 
-// EncodeJSON renders a table as a JSON array of objects.
+// EncodeJSON renders a table as a JSON array of objects, reading cells
+// through At into one buffer. Its bytes, and its error for a NaN or
+// infinite float, are json.Marshal's for the rows as []map[string]any
+// (a time cell as its display string).
 func EncodeJSON(t *table.Table) ([]byte, error) {
 	names := t.Schema().Names()
-	out := make([]map[string]any, 0, t.Len())
-	for _, row := range t.Rows() {
-		obj := make(map[string]any, len(names))
-		for i, n := range names {
-			obj[n] = jsonValue(row[i])
-		}
-		out = append(out, obj)
+	keys := make([]int, len(names)) // column indices in key order
+	for c := range keys {
+		keys[c] = c
 	}
-	return json.Marshal(out)
+	slices.SortFunc(keys, func(a, b int) int { return strings.Compare(names[a], names[b]) })
+	buf := append(make([]byte, 0, 2+t.Len()*(2+16*len(names))), '[')
+	for r := 0; r < t.Len(); r++ {
+		if r > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '{')
+		for k, c := range keys {
+			if k > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(appendJSONString(buf, names[c]), ':')
+			switch v := t.At(r, c); v.Kind() {
+			case value.Null:
+				buf = append(buf, "null"...)
+			case value.Bool:
+				buf = strconv.AppendBool(buf, v.Bool())
+			case value.Int:
+				buf = strconv.AppendInt(buf, v.Int(), 10)
+			case value.Float:
+				f := v.Float()
+				if math.IsInf(f, 0) || math.IsNaN(f) {
+					return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+				}
+				buf = appendJSONFloat(buf, f)
+			default:
+				buf = appendJSONString(buf, v.Str())
+			}
+		}
+		buf = append(buf, '}')
+	}
+	return append(buf, ']'), nil
 }
 
-func jsonValue(v value.V) any {
-	switch v.Kind() {
-	case value.Null:
-		return nil
-	case value.Bool:
-		return v.Bool()
-	case value.Int:
-		return v.Int()
-	case value.Float:
-		return v.Float()
-	case value.Time:
-		return v.String()
-	default:
-		return v.Str()
+// appendJSONFloat appends a finite float as encoding/json writes one: like
+// %g, but with exponents only below 1e-6 and from 1e21, and unpadded.
+func appendJSONFloat(buf []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
+	buf = strconv.AppendFloat(buf, f, format, -1, 64)
+	if n := len(buf); format == 'e' && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+		return append(buf[:n-2], buf[n-1]) // e-07 → e-7
+	}
+	return buf
+}
+
+// appendJSONString appends s quoted as encoding/json quotes a string
+// with HTML escaping on: ", \ and control characters escaped, <, > and &
+// as \u00XX, each invalid UTF-8 byte as \ufffd, and U+2028 / U+2029
+// escaped.
+func appendJSONString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			if e := strings.IndexByte("\"\\\b\f\n\r\t", b); e >= 0 {
+				buf = append(buf, '\\', "\"\\bfnrt"[e])
+			} else {
+				buf = append(buf, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			buf = append(append(buf, s[start:i]...), `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			buf = append(append(buf, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(buf, s[start:]...), '"')
 }
 
 // ---------------------------------------------------------------------

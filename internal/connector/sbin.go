@@ -73,8 +73,9 @@ func EncodeSBIN(t *table.Table) []byte {
 		buf.WriteString(n)
 	}
 	writeUvarint(&buf, uint64(t.Len()))
-	for _, row := range t.Rows() {
-		for _, v := range row {
+	for r := 0; r < t.Len(); r++ {
+		for c := 0; c < t.Schema().Len(); c++ {
+			v := t.At(r, c)
 			buf.WriteByte(byte(v.Kind()))
 			switch v.Kind() {
 			case value.Null:

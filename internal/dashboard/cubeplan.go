@@ -1,10 +1,7 @@
 package dashboard
 
 import (
-	"fmt"
-
 	"shareinsights/internal/engine/cube"
-	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/task"
 	"shareinsights/internal/value"
@@ -27,7 +24,7 @@ type cubePlan struct {
 	group *cubeGroup
 
 	c    *cube.Cube
-	dims map[string]*cube.Dimension
+	dims []*cube.Dimension // aligned with filters
 	g    *cube.Group
 }
 
@@ -75,6 +72,13 @@ func compileCubePlan(client []task.Spec) *cubePlan {
 	if len(plan.filters) == 0 {
 		return nil
 	}
+	filtered := map[string]bool{}
+	for _, f := range plan.filters {
+		if filtered[f.column] {
+			return nil // a cube dimension holds one filter; the reference ANDs both
+		}
+		filtered[f.column] = true
+	}
 	switch {
 	case i == len(client):
 		// Pure filter chain: the widget shows filtered rows.
@@ -86,6 +90,9 @@ func compileCubePlan(client []task.Spec) *cubePlan {
 		}
 		agg := g.Aggs[0]
 		cg := &cubeGroup{keyCol: g.GroupBy[0], outKey: g.GroupBy[0], outVal: agg.OutField}
+		if filtered[cg.keyCol] {
+			return nil // a cube group ignores the filter on its own key
+		}
 		switch agg.Operator {
 		case "count":
 			cg.reduce = cube.Count
@@ -105,13 +112,13 @@ func compileCubePlan(client []task.Spec) *cubePlan {
 // bind attaches the plan to materialized endpoint data.
 func (cp *cubePlan) bind(endpoint *table.Table) error {
 	cp.c = cube.New(endpoint)
-	cp.dims = map[string]*cube.Dimension{}
-	for _, f := range cp.filters {
+	cp.dims = make([]*cube.Dimension, len(cp.filters))
+	for i, f := range cp.filters {
 		d, err := cp.c.Dimension(f.column)
 		if err != nil {
 			return err
 		}
-		cp.dims[f.column] = d
+		cp.dims[i] = d
 	}
 	if cp.group != nil {
 		// The group key gets its own (never-filtered) dimension so the
@@ -132,41 +139,22 @@ func (cp *cubePlan) bind(endpoint *table.Table) error {
 // refresh applies the current widget selections and returns the widget's
 // data.
 func (cp *cubePlan) refresh(env *task.Env) (*table.Table, error) {
-	for _, f := range cp.filters {
-		dim := cp.dims[f.column]
+	for i, f := range cp.filters {
+		dim := cp.dims[i]
 		vals, ok := env.WidgetValue(f.sourceWidget, f.valCol)
 		if !ok || len(vals) == 0 {
 			dim.ClearFilter()
 			continue
 		}
-		if vals[0] == "range:" && len(vals) >= 3 {
-			dim.FilterRange(value.Parse(vals[1]), value.Parse(vals[2]))
+		sel := task.ParseSelection(vals)
+		if sel.Range && len(sel.Values) >= 2 {
+			dim.FilterRange(value.Parse(sel.Values[0]), value.Parse(sel.Values[1]))
 			continue
 		}
-		dim.Filter(vals...)
+		dim.Filter(sel.Values...)
 	}
 	if cp.g == nil {
 		return cp.c.Materialize(), nil
 	}
-	out, err := cp.g.Table(cp.group.outKey, cp.group.outVal)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// verifySchema checks at compile time that the cube plan will produce
-// the schema the reference path produces, so widget bindings agree.
-func (cp *cubePlan) verifySchema(endpoint *schema.Schema, want *schema.Schema) error {
-	if cp.group == nil {
-		if !endpoint.Equal(want) {
-			return fmt.Errorf("cube plan schema %s != pipeline schema %s", endpoint, want)
-		}
-		return nil
-	}
-	got := schema.MustNew(schema.Column{Name: cp.group.outKey}, schema.Column{Name: cp.group.outVal})
-	if !got.Equal(want) {
-		return fmt.Errorf("cube plan schema %s != pipeline schema %s", got, want)
-	}
-	return nil
+	return cp.g.Table(cp.group.outKey, cp.group.outVal)
 }

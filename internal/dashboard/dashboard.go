@@ -252,11 +252,7 @@ func (d *Dashboard) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, err
 	}
 	// A qualifying client suffix re-runs on the incremental cube engine,
 	// not the task chain, at each selection change; results are identical.
-	if cp := compileCubePlan(plan.client); cp != nil {
-		if err := cp.verifySchema(epSchema, cur[0].Schema); err == nil {
-			plan.cube = cp
-		}
-	}
+	plan.cube = compileCubePlan(plan.client)
 	return plan, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"shareinsights/internal/connector"
@@ -202,8 +203,8 @@ func cellDiff(got, want *table.Table) string {
 		return fmt.Sprintf("shape %s × %d, want %s × %d", got.Schema(), got.Len(), want.Schema(), want.Len())
 	}
 	for i := 0; i < want.Len(); i++ {
-		for c, w := range want.Row(i) {
-			g := got.Row(i)[c]
+		for c := 0; c < want.Schema().Len(); c++ {
+			g, w := got.At(i, c), want.At(i, c)
 			same := g.Kind() == w.Kind() && g.String() == w.String()
 			if same && w.Kind() == value.Float {
 				same = g.Float() == w.Float() || math.IsNaN(g.Float()) && math.IsNaN(w.Float())
@@ -214,4 +215,109 @@ func cellDiff(got, want *table.Table) string {
 		}
 	}
 	return ""
+}
+
+// hotFlow is the viewer's loop the benchmark's serve_hot workload
+// drives: a picker whose selection filters two dependents, each a
+// widget filter and one single-key sum over a column-backed endpoint of
+// a few hundred rows, so a selection refreshes both through the cube.
+const hotFlow = `D:
+  sales: [region, product, amount]
+
+D.sales:
+  source: data:sales.csv
+  format: csv
+
+F:
+  +D.by_region: D.sales | T.sum_region
+  +D.by_region_product: D.sales | T.sum_region_product
+
+T:
+  sum_region:
+    type: groupby
+    groupby: [region]
+    aggregates:
+      - operator: sum
+        apply_on: amount
+        out_field: total
+  sum_region_product:
+    type: groupby
+    groupby: [region, product]
+    aggregates:
+      - operator: sum
+        apply_on: amount
+        out_field: total
+  pick:
+    type: filter_by
+    filter_by: [region]
+    filter_source: W.picker
+    filter_val: [text]
+  per_product:
+    type: groupby
+    groupby: [product]
+    aggregates:
+      - operator: sum
+        apply_on: total
+        out_field: total
+
+W:
+  picker:
+    type: List
+    source: D.by_region
+    text: region
+  detail:
+    type: Grid
+    source: D.by_region_product | T.pick | T.per_product
+  chart:
+    type: BarChart
+    source: D.by_region_product | T.pick | T.per_product
+    x: product
+    y: total
+
+L:
+  description: Sales by region
+  rows:
+    - [span3: W.picker, span9: W.chart]
+    - [span12: W.detail]
+`
+
+// TestInteractionAllocs bounds what one selection allocates on hotFlow
+// over 2,000 sales rows: the cube filters by class id and folds into
+// buckets indexed by it, and the refreshed widgets are bound to tables
+// built from those buckets, so a Select costs a few dozen objects, not
+// one per row touched.
+func TestInteractionAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var csv []byte
+	for i := 0; i < 2000; i++ {
+		csv = fmt.Appendf(csv, "r%d,p%d,%d\n", i%16, rng.Intn(40), 1+rng.Intn(1000))
+	}
+	f, err := flowfile.Parse("hot", hotFlow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewPlatform().Compile(f, map[string][]byte{"sales.csv": csv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if d.plans["detail"].cube == nil || d.plans["chart"].cube == nil {
+		t.Fatal("the dependents must refresh through the cube")
+	}
+	keys := make([]string, 16)
+	for k := range keys {
+		keys[k] = fmt.Sprintf("r%d", k)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		if err := d.Select("picker", keys[i%16]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("a Select allocates %.0f objects, want at most 40", allocs)
+	}
 }

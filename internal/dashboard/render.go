@@ -157,8 +157,8 @@ func renderDegraded(inst *widget.Instance, w io.Writer) error {
 	fmt.Fprint(w, "</tr></thead><tbody>")
 	for i := 0; i < top.Len(); i++ {
 		fmt.Fprint(w, "<tr>")
-		for _, v := range top.Row(i) {
-			fmt.Fprintf(w, "<td>%s</td>", html.EscapeString(v.String()))
+		for c := 0; c < top.Schema().Len(); c++ {
+			fmt.Fprintf(w, "<td>%s</td>", html.EscapeString(top.At(i, c).String()))
 		}
 		fmt.Fprint(w, "</tr>")
 	}

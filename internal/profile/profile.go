@@ -57,7 +57,7 @@ func Profile(t *table.Table) []ColumnStats {
 		var sum, sumSq float64
 		numeric := 0
 		for ri := 0; ri < t.Len(); ri++ {
-			v := t.Row(ri)[ci]
+			v := t.At(ri, ci)
 			if v.IsNull() {
 				st.Nulls++
 				continue

@@ -435,6 +435,9 @@ func FromTable(t *table.Table) (b *Batch, ok bool) {
 // table for them.
 func (b *Batch) ToTable() *table.Table { return table.FromColumns(b.schema, b) }
 
+// At implements table.Columns: the cell of row i in column c.
+func (b *Batch) At(i, c int) value.V { return b.cols[c].At(i) }
+
 // Row implements table.Columns: the cells of row i, rebuilt from the
 // vectors into dst.
 func (b *Batch) Row(i int, dst []value.V) {
@@ -442,6 +445,9 @@ func (b *Batch) Row(i int, dst []value.V) {
 		dst[c] = v.At(i)
 	}
 }
+
+// Select implements table.Columns: the rows at idx as selections.
+func (b *Batch) Select(idx []int32) table.Columns { return b.selectRows(idx) }
 
 // selectRows returns the rows at idx, in order (-1: a row of nulls), as
 // a batch of selections — nothing is copied but the index vectors.

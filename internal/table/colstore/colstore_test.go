@@ -581,7 +581,7 @@ func TestColumnBackedMutationTakesOwnership(t *testing.T) {
 	src := mixedTable([]int64{3, 1, 2}, []float64{1, 2, 3}, []string{"x", "y", "z"}, []bool{true, false, true}, []byte{0, 0, 0})
 	for name, mutate := range map[string]func(*table.Table){
 		"sort":   func(tb *table.Table) { _ = tb.Sort(table.SortKey{Column: "a"}) },
-		"append": func(tb *table.Table) { tb.Append(src.Row(0)) },
+		"append": func(tb *table.Table) { tb.Append(src.Rows()[0]) },
 	} {
 		owned := rebuilt(src)
 		snap := owned.CloneShallow()

@@ -216,3 +216,64 @@ func TestKernelChainAllocs(t *testing.T) {
 			got>>10, index>>10, reads>>10)
 	}
 }
+
+// TestTableAtAndSelect: Table.At and Table.Select read a row-backed, a
+// plain, a dictionary-coded, a boxed and a selection-backed table alike —
+// the cells Rows() would show — and never allocate a row view for it: At
+// costs nothing, and a column-backed table's Select is column-backed.
+func TestTableAtAndSelect(t *testing.T) {
+	s := schema.MustFromNames("s", "i", "f", "mixed")
+	rows := make([]table.Row, 40)
+	for i := range rows {
+		rows[i] = table.Row{value.NewString(fmt.Sprintf("k%d", i%3)), value.NewInt(int64(i)), value.NewFloat(float64(i) / 4), value.NewInt(int64(i))}
+		if i%7 == 0 {
+			rows[i][1], rows[i][3] = value.VNull, value.NewString("x")
+		}
+	}
+	byRows, _ := table.FromRows(s, rows)
+	uniform, _ := table.FromRows(s, append([]table.Row(nil), rows[1:7]...))
+	plain, _ := FromTable(uniform)
+	b := NewBuilder(s)
+	for _, r := range rows {
+		b.Append(r)
+	}
+	coded := b.Table()
+	pick := []int32{5, 0, 5, 39, 12}
+	selected := coded.Select([]int32{39, 38, 12, 5, 0, 1})
+	for label, tb := range map[string]*table.Table{"row-backed": byRows, "plain": plain.ToTable(), "built": coded, "selection": selected} {
+		if allocs := testing.AllocsPerRun(10, func() {
+			for i := 0; i < tb.Len(); i++ {
+				for c := 0; c < s.Len(); c++ {
+					tb.At(i, c)
+				}
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: At allocates %.0f objects", label, allocs)
+		}
+		idx := pick[:0:0]
+		for _, i := range pick {
+			if int(i) < tb.Len() {
+				idx = append(idx, i)
+			}
+		}
+		sel := tb.Select(idx)
+		if (sel.Columns() == nil) != (tb.Columns() == nil) {
+			t.Errorf("%s: Select changed the layout", label)
+		}
+		want := tb.Rows()
+		for i := 0; i < tb.Len(); i++ {
+			for c := 0; c < s.Len(); c++ {
+				if got := tb.At(i, c); got != want[i][c] {
+					t.Fatalf("%s: At(%d, %d) = %v, row %v", label, i, c, got, want[i])
+				}
+			}
+		}
+		for o, i := range idx {
+			for c := 0; c < s.Len(); c++ {
+				if got := sel.At(o, c); got != want[i][c] {
+					t.Fatalf("%s: Select(%v).At(%d, %d) = %v, want %v", label, idx, o, c, got, want[i][c])
+				}
+			}
+		}
+	}
+}

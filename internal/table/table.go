@@ -33,9 +33,10 @@ func (r Row) Clone() Row {
 // rows. A column-backed table (FromColumns) stores column vectors — what
 // the format decoders and the vectorized kernels produce — and rows are
 // a view over them, materialized once, on the first call that needs row
-// access (Rows and everything built on it: the row kernels, the
-// encoders, the cube). Len, SizeBytes, CloneShallow and Fingerprint
-// answer from the vectors.
+// access (Rows and everything built on it: the row kernels, sorting,
+// text formatting). Len, At, Cell, Select, SizeBytes, CloneShallow and
+// Fingerprint answer from the vectors, so the encoders, the cube and
+// the widgets never materialize one.
 //
 // A table is safe for concurrent readers in either layout. Mutating one
 // (Append, Sort) is for its owner only; a column-backed table first
@@ -52,14 +53,17 @@ type Table struct {
 
 // Columns is the column-major storage behind a column-backed table. It
 // is declared here, not where it is implemented (colstore.Batch),
-// because colstore imports this package; reading a row out of the
-// vectors is all a Table needs of them. Implementations are immutable.
+// because colstore imports this package. Implementations are immutable.
 type Columns interface {
 	// Len is the number of rows.
 	Len() int
+	// At returns the cell of row i in column c.
+	At(i, c int) value.V
 	// Row copies the cells of row i into dst, which has one element per
 	// schema column.
 	Row(i int, dst []value.V)
+	// Select returns the rows at idx, in order, sharing the vectors.
+	Select(idx []int32) Columns
 }
 
 // New returns an empty table with the given schema.
@@ -163,6 +167,28 @@ func (t *Table) CloneShallow() *Table {
 // Row returns the i'th row.
 func (t *Table) Row(i int) Row { return t.Rows()[i] }
 
+// At returns the cell at row i, column c; a column-backed table answers
+// from its vectors, without materializing its rows.
+func (t *Table) At(i, c int) value.V {
+	if t.cols != nil {
+		return t.cols.At(i, c)
+	}
+	return t.rows[i][c]
+}
+
+// Select returns t's rows at idx, in order, sharing t's storage: its row
+// headers, or its vectors read through idx.
+func (t *Table) Select(idx []int32) *Table {
+	if t.cols != nil {
+		return &Table{schema: t.schema, cols: t.cols.Select(idx)}
+	}
+	rows := make([]Row, len(idx))
+	for o, i := range idx {
+		rows[o] = t.rows[i]
+	}
+	return &Table{schema: t.schema, rows: rows}
+}
+
 // Append adds a row. It panics if the arity is wrong — appends are always
 // produced by operators that already know the schema.
 func (t *Table) Append(r Row) {
@@ -183,21 +209,7 @@ func (t *Table) Cell(row int, col string) value.V {
 	if i < 0 {
 		return value.VNull
 	}
-	return t.Rows()[row][i]
-}
-
-// Column returns all values of the named column in row order.
-func (t *Table) Column(col string) ([]value.V, error) {
-	i := t.schema.Index(col)
-	if i < 0 {
-		return nil, fmt.Errorf("table: column %q not found", col)
-	}
-	rows := t.Rows()
-	out := make([]value.V, len(rows))
-	for r, row := range rows {
-		out[r] = row[i]
-	}
-	return out, nil
+	return t.At(row, i)
 }
 
 // Clone returns a deep copy (rows are copied; values are immutable).
@@ -208,28 +220,6 @@ func (t *Table) Clone() *Table {
 		rows[i] = r.Clone()
 	}
 	return &Table{schema: t.schema.Clone(), rows: rows}
-}
-
-// Project returns a new table with only the named columns, in order.
-func (t *Table) Project(names ...string) (*Table, error) {
-	idx, err := t.schema.Require(names...)
-	if err != nil {
-		return nil, err
-	}
-	s, err := t.schema.Project(names...)
-	if err != nil {
-		return nil, err
-	}
-	src := t.Rows()
-	out := &Table{schema: s, rows: make([]Row, len(src))}
-	for r, row := range src {
-		nr := make(Row, len(idx))
-		for c, i := range idx {
-			nr[c] = row[i]
-		}
-		out.rows[r] = nr
-	}
-	return out, nil
 }
 
 // SortKey describes one sort criterion.

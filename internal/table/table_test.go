@@ -48,17 +48,6 @@ func TestFromRowsValidatesArity(t *testing.T) {
 	}
 }
 
-func TestColumn(t *testing.T) {
-	tb := sample()
-	col, err := tb.Column("score")
-	if err != nil || len(col) != 3 || col[1].Int() != 5 {
-		t.Errorf("Column = %v, %v", col, err)
-	}
-	if _, err := tb.Column("zz"); err == nil {
-		t.Error("missing column should fail")
-	}
-}
-
 func TestSortStable(t *testing.T) {
 	tb := sample()
 	if err := tb.Sort(SortKey{Column: "score"}, SortKey{Column: "name"}); err != nil {
@@ -84,10 +73,6 @@ func TestSortStable(t *testing.T) {
 
 func TestProjectHeadClone(t *testing.T) {
 	tb := sample()
-	p, err := tb.Project("score")
-	if err != nil || p.Schema().String() != "[score]" || p.Len() != 3 {
-		t.Errorf("Project: %v %v", p, err)
-	}
 	h := tb.Head(2)
 	if h.Len() != 2 {
 		t.Errorf("Head(2) = %d rows", h.Len())

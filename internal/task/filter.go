@@ -149,7 +149,7 @@ func (s *FilterSpec) selectionPred(env *Env, idx int, widgetCol string) (func(ta
 	if !ok || len(vals) == 0 {
 		return nil, nil
 	}
-	sel := parseSelection(vals)
+	sel := ParseSelection(vals)
 	if sel.Range && len(sel.Values) >= 2 {
 		lo := value.Parse(sel.Values[0])
 		hi := value.Parse(sel.Values[1])
@@ -165,9 +165,11 @@ func (s *FilterSpec) selectionPred(env *Env, idx int, widgetCol string) (func(ta
 	return func(r table.Row) bool { return set[r[idx].String()] }, nil
 }
 
-// parseSelection decodes the wire form of a widget selection: a leading
-// "range:" marker flags an interval (sliders with range: true).
-func parseSelection(vals []string) Selection {
+// ParseSelection decodes the wire form of a widget selection: a leading
+// "range:" marker flags an interval (sliders with range: true). Both
+// interaction engines — this filter and the dashboard's cube plans —
+// read selections through it.
+func ParseSelection(vals []string) Selection {
 	if len(vals) > 0 && vals[0] == "range:" {
 		return Selection{Values: vals[1:], Range: true}
 	}

@@ -412,8 +412,8 @@ func renderGrid(inst *Instance, env RenderEnv, w io.Writer) error {
 		fmt.Fprint(w, "</tr></thead><tbody>")
 		for i := 0; i < inst.Data.Len(); i++ {
 			fmt.Fprint(w, "<tr>")
-			for _, v := range inst.Data.Row(i) {
-				fmt.Fprintf(w, "<td>%s</td>", esc(v.String()))
+			for c := 0; c < inst.Data.Schema().Len(); c++ {
+				fmt.Fprintf(w, "<td>%s</td>", esc(inst.Data.At(i, c).String()))
 			}
 			fmt.Fprint(w, "</tr>")
 		}
