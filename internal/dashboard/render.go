@@ -3,12 +3,12 @@ package dashboard
 import (
 	"bytes"
 	"fmt"
-	"html"
 	"io"
+	"sort"
 	"strings"
 	"sync"
 
-	"shareinsights/internal/table"
+	"shareinsights/internal/value"
 	"shareinsights/internal/widget"
 )
 
@@ -87,18 +87,17 @@ func (d *Dashboard) renderHTML(dev Device, css string, w io.Writer) error {
 	if d.File.Layout != nil && d.File.Layout.Description != "" {
 		title = d.File.Layout.Description
 	}
-	fmt.Fprintf(w, `<!DOCTYPE html><html><head><meta charset="utf-8"><title>%s</title><style>%s</style></head><body>`,
-		html.EscapeString(title), baseCSS+css)
-	fmt.Fprintf(w, `<h1>%s</h1>`, html.EscapeString(title))
+	m := widget.NewMarkup(w).Raw(`<!DOCTYPE html><html><head><meta charset="utf-8"><title>`).Esc(title).
+		Raw("</title><style>").Raw(baseCSS).Raw(css).Raw("</style></head><body><h1>").Esc(title).Raw("</h1>")
 	if d.File.Layout != nil {
 		for _, row := range d.File.Layout.Rows {
-			fmt.Fprint(w, `<div class="row">`)
+			m = m.Raw(`<div class="row">`)
 			for _, cell := range row.Cells {
 				span := cell.Span
 				if dev.Width > 0 && dev.Width < 600 {
 					span = 12 // small screens stack the grid
 				}
-				fmt.Fprintf(w, `<div class="col span%d">`, span)
+				m.Raw(`<div class="col span`).Int(span).Raw(`">`).Flush(w)
 				inst, ok := d.widgets[cell.Widget]
 				if !ok {
 					return fmt.Errorf("dashboard %s: layout references unknown widget W.%s", d.Name, cell.Widget)
@@ -110,13 +109,12 @@ func (d *Dashboard) renderHTML(dev Device, css string, w io.Writer) error {
 				} else if err := inst.Render(d, w); err != nil {
 					return err
 				}
-				fmt.Fprint(w, `</div>`)
+				m = widget.NewMarkup(w).Raw("</div>")
 			}
-			fmt.Fprint(w, `</div>`)
+			m = m.Raw("</div>")
 		}
 	}
-	_, err := fmt.Fprint(w, `</body></html>`)
-	return err
+	return m.Raw("</body></html>").Flush(w)
 }
 
 // degradable reports whether a widget should fall back to a compact
@@ -134,36 +132,25 @@ func degradable(inst *widget.Instance) bool {
 }
 
 // renderDegraded emits the low-power representation: the widget's
-// strongest rows (by its size/y attribute when bound) as a small table.
+// strongest rows (by its size/y attribute when bound) as a small table,
+// read in place through a selection of ranked row indices.
 func renderDegraded(inst *widget.Instance, w io.Writer) error {
 	data := inst.Data
 	sizeCol := inst.DataColumn("size")
 	if sizeCol == "" {
 		sizeCol = inst.DataColumn("y")
 	}
-	if sizeCol != "" && data.Schema().Has(sizeCol) {
-		sorted := data.Clone()
-		if err := sorted.Sort(table.SortKey{Column: sizeCol, Desc: true}); err == nil {
-			data = sorted
-		}
+	idx := make([]int32, data.Len())
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	top := data.Head(20)
-	fmt.Fprintf(w, `<div class="widget degraded" data-widget=%q data-full-rows="%d"><table>`,
-		inst.Def.Name, inst.Data.Len())
-	fmt.Fprint(w, "<thead><tr>")
-	for _, col := range top.Schema().Names() {
-		fmt.Fprintf(w, "<th>%s</th>", html.EscapeString(col))
+	if c := data.Schema().Index(sizeCol); c >= 0 {
+		sort.SliceStable(idx, func(a, b int) bool { return value.Compare(data.At(int(idx[a]), c), data.At(int(idx[b]), c)) > 0 })
 	}
-	fmt.Fprint(w, "</tr></thead><tbody>")
-	for i := 0; i < top.Len(); i++ {
-		fmt.Fprint(w, "<tr>")
-		for c := 0; c < top.Schema().Len(); c++ {
-			fmt.Fprintf(w, "<td>%s</td>", html.EscapeString(top.At(i, c).String()))
-		}
-		fmt.Fprint(w, "</tr>")
-	}
-	_, err := fmt.Fprintf(w, "</tbody></table><p>%d of %d rows shown</p></div>", top.Len(), inst.Data.Len())
-	return err
+	top := data.Select(idx[:min(len(idx), 20)])
+	return widget.NewMarkup(w).Raw(`<div class="widget degraded" data-widget=`).Quote(inst.Def.Name).
+		Raw(` data-full-rows="`).Int(data.Len()).Raw(`"><table>`).Table(top).
+		Raw("</table><p>").Int(top.Len()).Raw(" of ").Int(data.Len()).Raw(" rows shown</p></div>").Flush(w)
 }
 
 // WriteEndpoints prints every endpoint table under an "== name ==" line

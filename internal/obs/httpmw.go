@@ -2,7 +2,7 @@ package obs
 
 import (
 	"net/http"
-	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -40,18 +40,28 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
+// statusClasses label a status code by code/100 (net/http allows 100-999).
+var statusClasses = [10]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx", "6xx", "7xx", "8xx", "9xx"}
+
 // Instrument wraps one handler, labelling its series with the route
 // pattern. The pattern is passed explicitly because the Go 1.22 mux
-// does not expose it to handlers.
+// does not expose it to handlers. The route's latency series is resolved
+// once, on its first request, so a route never served adds no series.
 func (m *HTTPMetrics) Instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	var latency atomic.Pointer[Histogram]
 	return func(w http.ResponseWriter, r *http.Request) {
 		m.inflight.Inc()
 		defer m.inflight.Dec()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(rec, r)
-		m.latency.With(route).Observe(time.Since(start).Seconds())
-		m.requests.With(route, r.Method, strconv.Itoa(rec.status/100)+"xx").Inc()
+		lat := latency.Load()
+		if lat == nil {
+			lat = m.latency.With(route)
+			latency.Store(lat)
+		}
+		lat.Observe(time.Since(start).Seconds())
+		m.requests.With(route, r.Method, statusClasses[min(max(rec.status/100, 0), 9)]).Inc()
 	}
 }
 

@@ -39,45 +39,44 @@ type series interface {
 	write(w io.Writer, name, labels string)
 }
 
-// labelKey serializes label values into the series key, which doubles
+// appendKey appends the series key of label values vals, which doubles
 // as the exposition label set. Values are escaped per the text format.
-func (f *family) labelKey(vals []string) string {
+func (f *family) appendKey(b []byte, vals []string) []byte {
 	if len(vals) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label value(s), got %d", f.name, len(f.labels), len(vals)))
 	}
-	if len(vals) == 0 {
-		return ""
-	}
-	parts := make([]string, len(vals))
 	for i, v := range vals {
-		parts[i] = f.labels[i] + `="` + escapeLabel(v) + `"`
+		b = append(append(append(b, "{,"[min(i, 1)]), f.labels[i]...), `="`...)
+		if strings.ContainsAny(v, "\\\n\"") {
+			v = strings.ReplaceAll(strings.ReplaceAll(strings.ReplaceAll(v, `\`, `\\`), "\n", `\n`), `"`, `\"`)
+		}
+		b = append(append(b, v...), '"')
 	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
-
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, `"`, `\"`)
+	if len(vals) > 0 {
+		b = append(b, '}')
+	}
+	return b
 }
 
 // with returns the series for one label-value combination, creating it
-// with mk on first use.
+// with mk on first use. Finding a held series allocates nothing: the key
+// is built on the stack (only a value the format escapes is copied), and
+// only a new series stores it.
 func (f *family) with(vals []string, mk func() series) series {
-	key := f.labelKey(vals)
+	key := f.appendKey(make([]byte, 0, 256), vals)
 	f.mu.RLock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[key]; ok {
+	if s, ok := f.series[string(key)]; ok {
 		return s
 	}
 	s = mk()
-	f.series[key] = s
+	f.series[string(key)] = s
 	return s
 }
 

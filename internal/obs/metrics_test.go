@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -135,6 +137,57 @@ func TestExpositionFormat(t *testing.T) {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("exposition missing %q\ngot:\n%s", want, out)
 		}
+	}
+}
+
+// TestSeriesLookupAllocs pins that finding a held series allocates
+// nothing, so an instrumented request pays no key for its metrics, and
+// that the stack-built key is the label set the exposition always wrote.
+func TestSeriesLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("si_test_requests_total", "r", "route", "method", "class")
+	hv := r.HistogramVec("si_test_duration_seconds", "d", nil, "route")
+	route := "GET /dashboards/{name}/html"
+	cv.With(route, "GET", "2xx").Inc()
+	hv.With(route).Observe(0.1)
+	if n := testing.AllocsPerRun(100, func() { cv.With(route, "GET", "2xx").Inc() }); n != 0 {
+		t.Errorf("CounterVec.With on a held series allocates %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { hv.With(route).Observe(0.1) }); n != 0 {
+		t.Errorf("HistogramVec.With on a held series allocates %v objects, want 0", n)
+	}
+
+	// The key as it was built before, one string per label.
+	escape := func(v string) string {
+		v = strings.ReplaceAll(v, `\`, `\\`)
+		v = strings.ReplaceAll(v, "\n", `\n`)
+		return strings.ReplaceAll(v, `"`, `\"`)
+	}
+	for _, vals := range [][]string{{"a", "b", "c"}, {`back\slash`, "new\nline", `"quoted"`}, {"", `\"` + "\n", "\xff"}} {
+		want := `{route="` + escape(vals[0]) + `",method="` + escape(vals[1]) + `",class="` + escape(vals[2]) + `"}`
+		if got := string(cv.f.appendKey(nil, vals)); got != want {
+			t.Errorf("key of %q = %s, want %s", vals, got, want)
+		}
+	}
+	if got := r.CounterVec("si_test_plain_total", "p").f.appendKey(nil, nil); len(got) != 0 {
+		t.Errorf("an unlabelled series keys as %q, want no label set", got)
+	}
+}
+
+// TestInstrumentAllocs pins that an instrumented request pays one object,
+// its status recorder, and nothing for its latency and request series.
+func TestInstrumentAllocs(t *testing.T) {
+	r := NewRegistry()
+	h := NewHTTPMetrics(r).Instrument("GET /x", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusNotFound) })
+	w, req := httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/x", nil)
+	h(w, req)
+	if n := testing.AllocsPerRun(100, func() { h(w, req) }); n > 1 {
+		t.Errorf("an instrumented request allocates %v objects, want at most 1", n)
+	}
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if want := `si_http_requests_total{route="GET /x",method="GET",class="4xx"} 102` + "\n"; !strings.Contains(b.String(), want) {
+		t.Errorf("exposition missing %q:\n%s", want, b.String())
 	}
 }
 

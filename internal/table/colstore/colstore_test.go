@@ -592,7 +592,7 @@ func TestColumnBackedMutationTakesOwnership(t *testing.T) {
 		if !snap.Equal(src) || snap.Fingerprint() != src.Fingerprint() {
 			t.Errorf("%s: mutation leaked into the shallow clone", name)
 		}
-		want := src.Clone()
+		want := src.CloneShallow()
 		mutate(want)
 		if !owned.Equal(want) || owned.Fingerprint() != want.Fingerprint() || owned.Len() != want.Len() {
 			t.Errorf("%s: mutated column-backed table differs from the mutated row table", name)

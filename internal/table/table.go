@@ -146,8 +146,8 @@ func (t *Table) own() {
 // insulated from structural mutation of the original — Sort, Append, or
 // writes through the Rows() slice: a fresh row-header slice for a
 // row-backed table, the same (immutable) vectors for a column-backed
-// one. It avoids Clone's per-cell copy; it is NOT insulated from a
-// caller overwriting cells inside an aliased Row. Caches snapshotting
+// one. It copies no cells; it is NOT insulated from a caller
+// overwriting cells inside an aliased Row. Caches snapshotting
 // tables they do not own (last-good source snapshots, the shared
 // catalog) use it as a cheap copy-on-write boundary.
 //
@@ -210,16 +210,6 @@ func (t *Table) Cell(row int, col string) value.V {
 		return value.VNull
 	}
 	return t.At(row, i)
-}
-
-// Clone returns a deep copy (rows are copied; values are immutable).
-func (t *Table) Clone() *Table {
-	src := t.Rows()
-	rows := make([]Row, len(src))
-	for i, r := range src {
-		rows[i] = r.Clone()
-	}
-	return &Table{schema: t.schema.Clone(), rows: rows}
 }
 
 // SortKey describes one sort criterion.

@@ -80,11 +80,6 @@ func TestProjectHeadClone(t *testing.T) {
 	if tb.Head(99).Len() != 3 || tb.Head(-1).Len() != 0 {
 		t.Error("Head bounds wrong")
 	}
-	cl := tb.Clone()
-	cl.Rows()[0][0] = value.NewString("mutated")
-	if tb.Cell(0, "name").Str() == "mutated" {
-		t.Error("clone shares row storage")
-	}
 }
 
 func TestEqual(t *testing.T) {

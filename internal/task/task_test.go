@@ -743,7 +743,10 @@ func TestSortAndLimitLeaveInputUntouched(t *testing.T) {
 	sortSpec := parseSpec(t, "s:\n  type: sort\n  orderby_column: [k DESC, v]\n")
 	limitSpec := parseSpec(t, "l:\n  type: limit\n  limit: 2\n")
 	for name, in := range map[string]*table.Table{"row-backed": rows, "column-backed": b.Table()} {
-		before := in.Clone()
+		before := table.New(in.Schema())
+		for _, r := range in.Rows() {
+			before.Append(r.Clone())
+		}
 		fp, cols := in.Fingerprint(), in.Columns()
 		sorted, err := sortSpec.Exec(&Env{}, []*table.Table{in}, nil)
 		if err != nil {

@@ -1,10 +1,11 @@
 package widget
 
 import (
+	"cmp"
 	"fmt"
-	"html"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -27,7 +28,7 @@ func init() {
 		DataAttrs:    []Attr{{Name: "x", Required: true}, {Name: "y", Required: true}, {Name: "serie"}},
 		SelectionKey: "x",
 		NeedsSource:  true,
-		Render:       renderLine,
+		Render:       func(inst *Instance, _ RenderEnv, w io.Writer) error { return renderXYPaths(inst, w, "line") },
 	})
 	registerBuiltin(&Descriptor{
 		Type:         "BarChart",
@@ -54,7 +55,7 @@ func init() {
 		Type:        "Streamgraph",
 		DataAttrs:   []Attr{{Name: "x", Required: true}, {Name: "y", Required: true}, {Name: "serie", Required: true}, {Name: "color"}},
 		NeedsSource: true,
-		Render:      renderStreamgraph,
+		Render:      func(inst *Instance, _ RenderEnv, w io.Writer) error { return renderXYPaths(inst, w, "streamgraph") },
 	})
 	registerBuiltin(&Descriptor{
 		Type:         "Slider",
@@ -92,260 +93,244 @@ func init() {
 	registerBuiltin(&Descriptor{Type: "TabLayout", Render: renderTabLayout})
 }
 
-func esc(s string) string { return html.EscapeString(s) }
-
-// rows extracts (label, weight) pairs for label/size widgets.
-func labelSizeRows(inst *Instance, labelAttr, sizeAttr string) (labels []string, sizes []float64) {
+// column is the index of the data column bound to widget column attr,
+// or -1.
+func (inst *Instance) column(attr string) int {
 	if inst.Data == nil {
-		return nil, nil
+		return -1
 	}
-	lc := inst.DataColumn(labelAttr)
-	sc := inst.DataColumn(sizeAttr)
-	for i := 0; i < inst.Data.Len(); i++ {
-		labels = append(labels, inst.Data.Cell(i, lc).String())
-		sizes = append(sizes, inst.Data.Cell(i, sc).Float())
-	}
-	return labels, sizes
+	return inst.Data.Schema().Index(inst.DataColumn(attr))
 }
 
-func maxOf(xs []float64) float64 {
+// rows is the number of data rows, 0 without data.
+func (inst *Instance) rows() int {
+	if inst.Data == nil {
+		return 0
+	}
+	return inst.Data.Len()
+}
+
+// at reads cell (i, c) of the data, null when c < 0 (as Cell answers).
+func (inst *Instance) at(i, c int) value.V {
+	if c < 0 {
+		return value.VNull
+	}
+	return inst.Data.At(i, c)
+}
+
+// selected reports whether v's display form is a selected value.
+func (inst *Instance) selected(v value.V) bool {
+	if v.Kind() == value.String {
+		return slices.Contains(inst.Selection, v.StrRaw())
+	}
+	var buf [32]byte
+	d := v.AppendTo(buf[:0])
+	return slices.ContainsFunc(inst.Selection, func(s string) bool { return s == string(d) })
+}
+
+// maxSize is the largest size in column c, or 1 when none is positive.
+func (inst *Instance) maxSize(c int) float64 {
 	m := 0.0
-	for _, x := range xs {
-		if x > m {
+	for i := 0; i < inst.rows(); i++ {
+		if x := inst.at(i, c).Float(); x > m {
 			m = x
 		}
 	}
-	if m == 0 {
-		m = 1
-	}
-	return m
+	return cmp.Or(m, 1)
 }
 
 func renderBubble(inst *Instance, env RenderEnv, w io.Writer) error {
-	labels, sizes := labelSizeRows(inst, "text", "size")
-	maxS := maxOf(sizes)
-	cols := int(math.Ceil(math.Sqrt(float64(len(labels)))))
+	n, lc, sc := inst.rows(), inst.column("text"), inst.column("size")
+	maxS := inst.maxSize(sc)
+	cols := int(math.Ceil(math.Sqrt(float64(n))))
 	if cols == 0 {
 		cols = 1
 	}
 	cell := 90.0
-	width := float64(cols) * cell
-	rowsN := (len(labels) + cols - 1) / cols
-	fmt.Fprintf(w, `<svg class="widget bubble" data-widget=%q viewBox="0 0 %.0f %.0f">`, inst.Def.Name, width, float64(rowsN)*cell)
-	sel := map[string]bool{}
-	for _, s := range inst.Selection {
-		sel[s] = true
-	}
-	for i, label := range labels {
-		r := 10 + 30*math.Sqrt(sizes[i]/maxS)
+	m := NewMarkup(w).Raw(`<svg class="widget bubble" data-widget=`).Quote(inst.Def.Name).
+		Raw(` viewBox="0 0 `).Float(float64(cols)*cell, 0).Raw(" ").Float(float64((n+cols-1)/cols)*cell, 0).Raw(`">`)
+	for i := 0; i < n; i++ {
+		label := inst.at(i, lc)
+		r := 10 + 30*math.Sqrt(inst.at(i, sc).Float()/maxS)
 		cx := (float64(i%cols) + 0.5) * cell
 		cy := (float64(i/cols) + 0.5) * cell
-		cls := "bubble-node"
-		if sel[label] {
-			cls += " selected"
+		cls := `"bubble-node"`
+		if inst.selected(label) {
+			cls = `"bubble-node selected"`
 		}
-		fmt.Fprintf(w, `<circle class=%q cx="%.1f" cy="%.1f" r="%.1f" data-key=%q/>`, cls, cx, cy, r, esc(label))
-		fmt.Fprintf(w, `<text x="%.1f" y="%.1f" text-anchor="middle">%s</text>`, cx, cy, esc(label))
+		m = m.Raw(`<circle class=`).Raw(cls).Raw(` cx="`).Float(cx, 1).Raw(`" cy="`).Float(cy, 1).Raw(`" r="`).Float(r, 1).
+			Raw(`" data-key=`).QuoteCell(label).Raw(`/><text x="`).Float(cx, 1).Raw(`" y="`).Float(cy, 1).
+			Raw(`" text-anchor="middle">`).Cell(label).Raw("</text>")
 	}
-	_, err := fmt.Fprint(w, "</svg>")
-	return err
+	return m.Raw("</svg>").Flush(w)
 }
 
-func renderLine(inst *Instance, env RenderEnv, w io.Writer) error {
-	return renderXYPaths(inst, w, "line")
-}
-
-func renderStreamgraph(inst *Instance, env RenderEnv, w io.Writer) error {
-	return renderXYPaths(inst, w, "streamgraph")
-}
-
-// renderXYPaths draws one polyline (or stacked band) per serie.
+// renderXYPaths draws one polyline (or stacked band) per serie. The x
+// axis places each distinct x display form once, ordered by
+// value.Compare of the first cell seen with it, so 9 comes before 10.
 func renderXYPaths(inst *Instance, w io.Writer, kind string) error {
+	m := NewMarkup(w).Raw(`<svg class="widget `).Raw(kind).Raw(`" data-widget=`).Quote(inst.Def.Name)
 	if inst.Data == nil {
-		fmt.Fprintf(w, `<svg class="widget %s" data-widget=%q></svg>`, kind, inst.Def.Name)
-		return nil
+		return m.Raw("></svg>").Flush(w)
 	}
-	xc := inst.DataColumn("x")
-	yc := inst.DataColumn("y")
-	sc := inst.DataColumn("serie")
+	xc, yc, sc := inst.column("x"), inst.column("y"), inst.column("serie")
+	bySerie := inst.DataColumn("serie") != ""
 	type pt struct {
-		x string
+		x int // index into xs
 		y float64
 	}
 	series := map[string][]pt{}
 	var serieOrder []string
-	xset := map[string]bool{}
-	var xs []string
+	ids := map[string]int{}
+	var xs []value.V
+	var order []int // ids, in axis order once sorted
+	var key []byte
+	maxY := 1.0
 	for i := 0; i < inst.Data.Len(); i++ {
 		s := "all"
-		if sc != "" {
-			s = inst.Data.Cell(i, sc).String()
+		if bySerie {
+			s = inst.at(i, sc).String()
 		}
 		if _, ok := series[s]; !ok {
 			serieOrder = append(serieOrder, s)
 		}
-		x := inst.Data.Cell(i, xc).String()
-		if !xset[x] {
-			xset[x] = true
-			xs = append(xs, x)
+		x := inst.at(i, xc)
+		key = x.AppendTo(key[:0])
+		id, ok := ids[string(key)]
+		if !ok {
+			id = len(xs)
+			ids[string(key)] = id
+			xs, order = append(xs, x), append(order, id)
 		}
-		series[s] = append(series[s], pt{x: x, y: inst.Data.Cell(i, yc).Float()})
+		y := inst.at(i, yc).Float()
+		if y > maxY {
+			maxY = y
+		}
+		series[s] = append(series[s], pt{x: id, y: y})
 	}
-	sort.Strings(xs)
-	xpos := map[string]float64{}
-	width := 600.0
-	for i, x := range xs {
+	slices.SortStableFunc(order, func(a, b int) int { return value.Compare(xs[a], xs[b]) })
+	width, height := 600.0, 200.0
+	xpos := make([]float64, len(xs))
+	for r, id := range order {
+		xpos[id] = width / 2
 		if len(xs) > 1 {
-			xpos[x] = width * float64(i) / float64(len(xs)-1)
-		} else {
-			xpos[x] = width / 2
+			xpos[id] = width * float64(r) / float64(len(xs)-1)
 		}
 	}
-	maxY := 1.0
-	for _, pts := range series {
-		for _, p := range pts {
-			if p.y > maxY {
-				maxY = p.y
-			}
-		}
-	}
-	height := 200.0
-	fmt.Fprintf(w, `<svg class="widget %s" data-widget=%q viewBox="0 0 %.0f %.0f">`, kind, inst.Def.Name, width, height)
+	m = m.Raw(` viewBox="0 0 600 200">`)
 	for _, s := range serieOrder {
 		pts := series[s]
-		sort.Slice(pts, func(a, b int) bool { return pts[a].x < pts[b].x })
-		var b strings.Builder
-		for i, p := range pts {
-			if i == 0 {
-				b.WriteString("M")
-			} else {
-				b.WriteString(" L")
-			}
-			fmt.Fprintf(&b, "%.1f %.1f", xpos[p.x], height-(p.y/maxY)*height*0.9)
+		sort.Slice(pts, func(a, b int) bool { return xpos[pts[a].x] < xpos[pts[b].x] })
+		m = m.Raw(`<path class="serie" data-serie=`).QuoteEsc(s).Raw(` d="`)
+		sep := "M"
+		for _, p := range pts {
+			m, sep = m.Raw(sep).Float(xpos[p.x], 1).Raw(" ").Float(height-(p.y/maxY)*height*0.9, 1), " L"
 		}
-		fmt.Fprintf(w, `<path class="serie" data-serie=%q d=%q fill="none"/>`, esc(s), b.String())
+		m = m.Raw(`" fill="none"/>`)
 	}
-	_, err := fmt.Fprint(w, "</svg>")
-	return err
+	return m.Raw("</svg>").Flush(w)
 }
 
 func renderBar(inst *Instance, env RenderEnv, w io.Writer) error {
-	labels, sizes := labelSizeRows(inst, "x", "y")
-	maxS := maxOf(sizes)
-	bw := 40.0
-	width := bw * float64(len(labels))
-	height := 200.0
-	fmt.Fprintf(w, `<svg class="widget bar" data-widget=%q viewBox="0 0 %.0f %.0f">`, inst.Def.Name, width, height)
-	for i, label := range labels {
-		h := (sizes[i] / maxS) * height * 0.9
-		fmt.Fprintf(w, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" data-key=%q/>`,
-			float64(i)*bw+4, height-h, bw-8, h, esc(label))
+	n, xc, yc := inst.rows(), inst.column("x"), inst.column("y")
+	maxS := inst.maxSize(yc)
+	bw, height := 40.0, 200.0
+	m := NewMarkup(w).Raw(`<svg class="widget bar" data-widget=`).Quote(inst.Def.Name).
+		Raw(` viewBox="0 0 `).Float(bw*float64(n), 0).Raw(` 200">`)
+	for i := 0; i < n; i++ {
+		h := (inst.at(i, yc).Float() / maxS) * height * 0.9
+		m = m.Raw(`<rect x="`).Float(float64(i)*bw+4, 1).Raw(`" y="`).Float(height-h, 1).
+			Raw(`" width="32.0" height="`).Float(h, 1).Raw(`" data-key=`).QuoteCell(inst.at(i, xc)).Raw("/>")
 	}
-	_, err := fmt.Fprint(w, "</svg>")
-	return err
+	return m.Raw("</svg>").Flush(w)
 }
 
 func renderPie(inst *Instance, env RenderEnv, w io.Writer) error {
-	labels, sizes := labelSizeRows(inst, "text", "size")
+	n, tc, sc := inst.rows(), inst.column("text"), inst.column("size")
 	total := 0.0
-	for _, s := range sizes {
-		total += s
+	for i := 0; i < n; i++ {
+		total += inst.at(i, sc).Float()
 	}
-	if total == 0 {
-		total = 1
-	}
-	fmt.Fprintf(w, `<svg class="widget pie" data-widget=%q viewBox="-1.1 -1.1 2.2 2.2">`, inst.Def.Name)
+	total = cmp.Or(total, 1)
+	m := NewMarkup(w).Raw(`<svg class="widget pie" data-widget=`).Quote(inst.Def.Name).Raw(` viewBox="-1.1 -1.1 2.2 2.2">`)
 	angle := -math.Pi / 2
-	for i, label := range labels {
-		frac := sizes[i] / total
+	for i := 0; i < n; i++ {
+		frac := inst.at(i, sc).Float() / total
 		a2 := angle + frac*2*math.Pi
-		large := 0
+		large := " 0 1 "
 		if frac > 0.5 {
-			large = 1
+			large = " 1 1 "
 		}
-		fmt.Fprintf(w, `<path data-key=%q d="M0 0 L%.4f %.4f A1 1 0 %d 1 %.4f %.4f Z"/>`,
-			esc(label), math.Cos(angle), math.Sin(angle), large, math.Cos(a2), math.Sin(a2))
+		m = m.Raw(`<path data-key=`).QuoteCell(inst.at(i, tc)).Raw(` d="M0 0 L`).Float(math.Cos(angle), 4).Raw(" ").Float(math.Sin(angle), 4).
+			Raw(" A1 1 0").Raw(large).Float(math.Cos(a2), 4).Raw(" ").Float(math.Sin(a2), 4).Raw(` Z"/>`)
 		angle = a2
 	}
-	_, err := fmt.Fprint(w, "</svg>")
-	return err
+	return m.Raw("</svg>").Flush(w)
 }
 
 func renderWordCloud(inst *Instance, env RenderEnv, w io.Writer) error {
-	labels, sizes := labelSizeRows(inst, "text", "size")
-	maxS := maxOf(sizes)
-	fmt.Fprintf(w, `<div class="widget wordcloud" data-widget=%q>`, inst.Def.Name)
-	for i, label := range labels {
-		pt := 10 + 22*sizes[i]/maxS
-		title := ""
-		if inst.Def.Config.Bool("show_tooltip") {
-			title = fmt.Sprintf(` title="%s: %g"`, esc(label), sizes[i])
+	n, tc, sc := inst.rows(), inst.column("text"), inst.column("size")
+	maxS := inst.maxSize(sc)
+	tooltip := inst.Def.Config.Bool("show_tooltip")
+	m := NewMarkup(w).Raw(`<div class="widget wordcloud" data-widget=`).Quote(inst.Def.Name).Raw(">")
+	for i := 0; i < n; i++ {
+		label, size := inst.at(i, tc), inst.at(i, sc).Float()
+		m = m.Raw(`<span style="font-size:`).Float(10+22*size/maxS, 0).Raw(`px" data-key=`).QuoteCell(label)
+		if tooltip {
+			m = m.Raw(` title="`).Cell(label).Raw(": ").Cell(value.NewFloat(size)).Raw(`"`)
 		}
-		fmt.Fprintf(w, `<span style="font-size:%.0fpx" data-key=%q%s>%s</span> `, pt, esc(label), title, esc(label))
+		m = m.Raw(">").Cell(label).Raw("</span> ")
 	}
-	_, err := fmt.Fprint(w, "</div>")
-	return err
+	return m.Raw("</div>").Flush(w)
 }
 
 func renderSlider(inst *Instance, env RenderEnv, w io.Writer) error {
-	vals := inst.Def.Static
-	if len(vals) == 0 && inst.Data != nil && inst.Data.Len() > 0 {
-		col := inst.Data.Schema().Col(0).Name
-		vals = []string{inst.Data.Cell(0, col).String(), inst.Data.Cell(inst.Data.Len()-1, col).String()}
-	}
 	lo, hi := "", ""
-	if len(vals) >= 2 {
+	if vals := inst.Def.Static; len(vals) >= 2 {
 		lo, hi = vals[0], vals[len(vals)-1]
+	} else if len(vals) == 0 && inst.rows() > 0 {
+		lo, hi = inst.Data.At(0, 0).String(), inst.Data.At(inst.rows()-1, 0).String()
 	}
 	selLo, selHi := lo, hi
 	if inst.RangeSel && len(inst.Selection) >= 2 {
 		selLo, selHi = inst.Selection[0], inst.Selection[1]
 	}
-	_, err := fmt.Fprintf(w,
-		`<div class="widget slider %s" data-widget=%q data-min=%q data-max=%q data-lo=%q data-hi=%q></div>`,
-		esc(inst.Def.Attr("slider_type")), inst.Def.Name, esc(lo), esc(hi), esc(selLo), esc(selHi))
-	return err
+	return NewMarkup(w).Raw(`<div class="widget slider `).Esc(inst.Def.Attr("slider_type")).Raw(`" data-widget=`).Quote(inst.Def.Name).
+		Raw(" data-min=").QuoteEsc(lo).Raw(" data-max=").QuoteEsc(hi).
+		Raw(" data-lo=").QuoteEsc(selLo).Raw(" data-hi=").QuoteEsc(selHi).Raw("></div>").Flush(w)
 }
 
 func renderList(inst *Instance, env RenderEnv, w io.Writer) error {
-	fmt.Fprintf(w, `<ul class="widget list" data-widget=%q>`, inst.Def.Name)
-	sel := map[string]bool{}
-	for _, s := range inst.Selection {
-		sel[s] = true
-	}
-	if inst.Data != nil {
-		col := inst.DataColumn("text")
-		for i := 0; i < inst.Data.Len(); i++ {
-			label := inst.Data.Cell(i, col).String()
-			cls := ""
-			if sel[label] {
-				cls = ` class="selected"`
-			}
-			fmt.Fprintf(w, `<li%s data-key=%q>%s</li>`, cls, esc(label), esc(label))
+	m := NewMarkup(w).Raw(`<ul class="widget list" data-widget=`).Quote(inst.Def.Name).Raw(">")
+	tc := inst.column("text")
+	for i := 0; i < inst.rows(); i++ {
+		label := inst.at(i, tc)
+		m = m.Raw("<li")
+		if inst.selected(label) {
+			m = m.Raw(` class="selected"`)
 		}
+		m = m.Raw(" data-key=").QuoteCell(label).Raw(">").Cell(label).Raw("</li>")
 	}
-	_, err := fmt.Fprint(w, "</ul>")
-	return err
+	return m.Raw("</ul>").Flush(w)
 }
 
 func renderMapMarker(inst *Instance, env RenderEnv, w io.Writer) error {
-	fmt.Fprintf(w, `<svg class="widget map" data-widget=%q data-country=%q viewBox="0 0 400 400">`,
-		inst.Def.Name, esc(inst.Def.Attr("country")))
+	m := NewMarkup(w).Raw(`<svg class="widget map" data-widget=`).Quote(inst.Def.Name).
+		Raw(" data-country=").QuoteEsc(inst.Def.Attr("country")).Raw(` viewBox="0 0 400 400">`)
 	markers := inst.Def.Config.Get("markers")
 	if inst.Data != nil && markers != nil && markers.Kind == flowfile.ListNode {
-		for _, m := range markers.Items {
-			cfg := markerConfig(m)
-			latlongCol := cfg.Str("latlong_value")
-			sizeCol := cfg.Str("markersize")
-			colorCol := cfg.Str("fill_color")
+		col := inst.Data.Schema().Index
+		for _, mk := range markers.Items {
+			cfg := markerConfig(mk)
+			lc, sc, cc := col(cfg.Str("latlong_value")), col(cfg.Str("markersize")), col(cfg.Str("fill_color"))
 			var maxSize float64 = 1
 			for i := 0; i < inst.Data.Len(); i++ {
-				if s := inst.Data.Cell(i, sizeCol).Float(); s > maxSize {
+				if s := inst.at(i, sc).Float(); s > maxSize {
 					maxSize = s
 				}
 			}
 			for i := 0; i < inst.Data.Len(); i++ {
-				lat, lon, ok := parseLatLong(inst.Data.Cell(i, latlongCol).String())
+				lat, lon, ok := parseLatLong(inst.at(i, lc).String())
 				if !ok {
 					continue
 				}
@@ -353,17 +338,16 @@ func renderMapMarker(inst *Instance, env RenderEnv, w io.Writer) error {
 				// into the viewport; other countries scale similarly.
 				x := (lon - 68) / 30 * 400
 				y := 400 - (lat-6)/30*400
-				r := 3 + 12*math.Sqrt(inst.Data.Cell(i, sizeCol).Float()/maxSize)
-				color := inst.Data.Cell(i, colorCol).String()
+				r := 3 + 12*math.Sqrt(inst.at(i, sc).Float()/maxSize)
+				color := inst.at(i, cc).String()
 				if color == "" {
 					color = "#888"
 				}
-				fmt.Fprintf(w, `<circle cx="%.1f" cy="%.1f" r="%.1f" fill=%q/>`, x, y, r, esc(color))
+				m = m.Raw(`<circle cx="`).Float(x, 1).Raw(`" cy="`).Float(y, 1).Raw(`" r="`).Float(r, 1).Raw(`" fill=`).QuoteEsc(color).Raw("/>")
 			}
 		}
 	}
-	_, err := fmt.Fprint(w, "</svg>")
-	return err
+	return m.Raw("</svg>").Flush(w)
 }
 
 // markerConfig unwraps the "- marker1: {...}" list-item shape.
@@ -376,13 +360,11 @@ func markerConfig(m *flowfile.Node) *flowfile.Node {
 
 // parseLatLong accepts "lat,long" pairs.
 func parseLatLong(s string) (lat, lon float64, ok bool) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
+	a, b, ok := strings.Cut(s, ",")
+	if !ok || strings.Contains(b, ",") {
 		return 0, 0, false
 	}
-	lat = value.Parse(parts[0]).Float()
-	lon = value.Parse(parts[1]).Float()
-	return lat, lon, true
+	return value.Parse(a).Float(), value.Parse(b).Float(), true
 }
 
 func renderHTML(inst *Instance, env RenderEnv, w io.Writer) error {
@@ -390,95 +372,85 @@ func renderHTML(inst *Instance, env RenderEnv, w io.Writer) error {
 	if tag == "" {
 		tag = "section"
 	}
-	fmt.Fprintf(w, `<%s class="widget html" data-widget=%q>`, tag, inst.Def.Name)
-	if inst.Data != nil && inst.Data.Len() > 0 {
-		fmt.Fprint(w, "<dl>")
-		for _, col := range inst.Data.Schema().Names() {
-			fmt.Fprintf(w, "<dt>%s</dt><dd>%s</dd>", esc(col), esc(inst.Data.Cell(0, col).String()))
+	m := NewMarkup(w).Raw("<").Raw(tag).Raw(` class="widget html" data-widget=`).Quote(inst.Def.Name).Raw(">")
+	if inst.rows() > 0 {
+		m = m.Raw("<dl>")
+		for c, s := 0, inst.Data.Schema(); c < s.Len(); c++ {
+			m = m.Raw("<dt>").Esc(s.Col(c).Name).Raw("</dt><dd>").Cell(inst.Data.At(0, c)).Raw("</dd>")
 		}
-		fmt.Fprint(w, "</dl>")
+		m = m.Raw("</dl>")
 	}
-	_, err := fmt.Fprintf(w, "</%s>", tag)
-	return err
+	return m.Raw("</").Raw(tag).Raw(">").Flush(w)
 }
 
 func renderGrid(inst *Instance, env RenderEnv, w io.Writer) error {
-	fmt.Fprintf(w, `<table class="widget grid" data-widget=%q>`, inst.Def.Name)
+	m := NewMarkup(w).Raw(`<table class="widget grid" data-widget=`).Quote(inst.Def.Name).Raw(">")
 	if inst.Data != nil {
-		fmt.Fprint(w, "<thead><tr>")
-		for _, col := range inst.Data.Schema().Names() {
-			fmt.Fprintf(w, "<th>%s</th>", esc(col))
-		}
-		fmt.Fprint(w, "</tr></thead><tbody>")
-		for i := 0; i < inst.Data.Len(); i++ {
-			fmt.Fprint(w, "<tr>")
-			for c := 0; c < inst.Data.Schema().Len(); c++ {
-				fmt.Fprintf(w, "<td>%s</td>", esc(inst.Data.At(i, c).String()))
-			}
-			fmt.Fprint(w, "</tr>")
-		}
-		fmt.Fprint(w, "</tbody>")
+		m = m.Table(inst.Data)
 	}
-	_, err := fmt.Fprint(w, "</table>")
-	return err
+	return m.Raw("</table>").Flush(w)
 }
 
 // renderSubLayout renders a widget of type Layout: a nested grid of
 // sibling widgets (the sub-layouts of Appendix A.2).
 func renderSubLayout(inst *Instance, env RenderEnv, w io.Writer) error {
 	rowsNode := inst.Def.Config.Get("rows")
-	fmt.Fprintf(w, `<div class="widget layout" data-widget=%q>`, inst.Def.Name)
+	m := NewMarkup(w).Raw(`<div class="widget layout" data-widget=`).Quote(inst.Def.Name).Raw(">")
 	if rowsNode != nil && rowsNode.Kind == flowfile.ListNode {
 		for _, rn := range rowsNode.Items {
 			row, err := flowfile.DecodeLayoutRow(rn)
 			if err != nil {
+				m.Flush(w)
 				return err
 			}
-			fmt.Fprint(w, `<div class="row">`)
+			m = m.Raw(`<div class="row">`)
 			for _, cell := range row.Cells {
-				fmt.Fprintf(w, `<div class="col span%d">`, cell.Span)
-				if err := renderChild(env, cell.Widget, w); err != nil {
+				if m, err = renderChild(env, cell.Widget, m.Raw(`<div class="col span`).Int(cell.Span).Raw(`">`), w); err != nil {
 					return err
 				}
-				fmt.Fprint(w, "</div>")
+				m = m.Raw("</div>")
 			}
-			fmt.Fprint(w, "</div>")
+			m = m.Raw("</div>")
 		}
 	}
-	_, err := fmt.Fprint(w, "</div>")
-	return err
+	return m.Raw("</div>").Flush(w)
 }
 
 func renderTabLayout(inst *Instance, env RenderEnv, w io.Writer) error {
 	tabs := inst.Def.Config.Get("tabs")
-	fmt.Fprintf(w, `<div class="widget tabs" data-widget=%q>`, inst.Def.Name)
+	m := NewMarkup(w).Raw(`<div class="widget tabs" data-widget=`).Quote(inst.Def.Name).Raw(">")
 	if tabs != nil && tabs.Kind == flowfile.ListNode {
 		for _, tabNode := range tabs.Items {
-			name := tabNode.Str("name")
-			body := tabNode.Str("body")
-			fmt.Fprintf(w, `<section class="tab" data-tab=%q>`, esc(name))
+			name, body := tabNode.Str("name"), tabNode.Str("body")
+			m = m.Raw(`<section class="tab" data-tab=`).QuoteEsc(name).Raw(">")
 			if body != "" {
 				ref, err := flowfile.ParseRef(body)
 				if err != nil {
+					m.Flush(w)
 					return fmt.Errorf("widget W.%s: tab %q: %w", inst.Def.Name, name, err)
 				}
-				if err := renderChild(env, ref.Name, w); err != nil {
+				if m, err = renderChild(env, ref.Name, m, w); err != nil {
 					return err
 				}
 			}
-			fmt.Fprint(w, "</section>")
+			m = m.Raw("</section>")
 		}
 	}
-	_, err := fmt.Fprint(w, "</div>")
-	return err
+	return m.Raw("</div>").Flush(w)
 }
 
-func renderChild(env RenderEnv, name string, w io.Writer) error {
+// renderChild writes m, then the named sibling widget, and returns the
+// Markup for what follows.
+func renderChild(env RenderEnv, name string, m Markup, w io.Writer) (Markup, error) {
+	m.Flush(w)
 	child, ok := env.Widget(name)
 	if !ok {
-		return fmt.Errorf("layout references unknown widget W.%s", name)
+		return nil, fmt.Errorf("layout references unknown widget W.%s", name)
 	}
-	return child.Desc.Render(child, env, w)
+	if err := child.Desc.Render(child, env, w); err != nil {
+		return nil, err
+	}
+	return NewMarkup(w), nil
 }
 
 // Render writes the instance's HTML.

@@ -136,8 +136,19 @@ func NewInstance(def *flowfile.WidgetDef) (*Instance, error) {
 	if desc.NeedsSource && def.Source == nil && len(def.Static) == 0 {
 		return nil, fmt.Errorf("widget W.%s (%s): needs a source", def.Name, def.Type)
 	}
+	if tag := def.Attr("tag"); def.Type == "HTML" && tag != "" && !plainTag(tag) {
+		return nil, fmt.Errorf("widget W.%s (HTML): tag %q is not a lower-case element name, or is script, style or iframe", def.Name, tag)
+	}
 	inst.applyDefaultSelection()
 	return inst, nil
+}
+
+// plainTag reports whether an HTML widget's tag can be written into the
+// markup as it is: a lower-case element name, [a-z][a-z0-9]*, that
+// neither runs code nor restyles the page.
+func plainTag(tag string) bool {
+	return 'a' <= tag[0] && tag[0] <= 'z' && strings.Trim(tag, "abcdefghijklmnopqrstuvwxyz0123456789") == "" &&
+		tag != "script" && tag != "style" && tag != "iframe"
 }
 
 // applyDefaultSelection seeds the selection from default_selection

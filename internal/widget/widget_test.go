@@ -358,3 +358,47 @@ func TestHTMLEscaping(t *testing.T) {
 		t.Errorf("unescaped HTML in output:\n%s", out)
 	}
 }
+
+// TestLineChartOrdersXByValue pins x order by value.Compare: ints of
+// mixed digit counts run 8, 9, 10, 11, not as strings 10, 11, 8, 9, and
+// each x keeps the display form it was first seen with.
+func TestLineChartOrdersXByValue(t *testing.T) {
+	def := defFromFlow(t, "W:\n  w:\n    type: LineChart\n    source: D.d\n    x: x\n    y: y\n")
+	inst, err := NewInstance(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := table.New(schema.MustFromNames("x", "y"))
+	for _, x := range []int64{10, 8, 11, 9} {
+		tb.AppendValues(value.NewInt(x), value.NewInt(x))
+	}
+	tb.AppendValues(value.NewFloat(10), value.NewInt(1)) // displays "10": the same x as int 10
+	if err := inst.Bind(tb); err != nil {
+		t.Fatal(err)
+	}
+	out := render(t, inst)
+	// x 8, 9, 10, 11 sit at 0, 200, 400, 600; y scales by the max, 11.
+	want := `d="M0.0 69.1 L200.0 52.7 L400.0 36.4 L400.0 183.6 L600.0 20.0"`
+	if !strings.Contains(out, want) {
+		t.Errorf("line path wrong, want %s in:\n%s", want, out)
+	}
+}
+
+func TestHTMLWidgetTag(t *testing.T) {
+	for _, tag := range []string{"article", "h2", "section"} {
+		inst, err := NewInstance(defFromFlow(t, "W:\n  w:\n    type: HTML\n    source: D.d\n    tag: '"+tag+"'\n"))
+		if err != nil {
+			t.Fatalf("tag %q rejected: %v", tag, err)
+		}
+		inst.Bind(sampleData())
+		if out := render(t, inst); !strings.HasPrefix(out, "<"+tag+" ") || !strings.HasSuffix(out, "</"+tag+">") {
+			t.Errorf("tag %q rendered as:\n%s", tag, out)
+		}
+	}
+	for _, tag := range []string{"div onmouseover=alert(1)", "script", "style", "iframe", "Div", "2col", "a-b", `x"`} {
+		_, err := NewInstance(defFromFlow(t, "W:\n  bad:\n    type: HTML\n    source: D.d\n    tag: '"+tag+"'\n"))
+		if err == nil || !strings.Contains(err.Error(), "W.bad") || !strings.Contains(err.Error(), "tag") {
+			t.Errorf("tag %q: error = %v, want one naming W.bad and its tag", tag, err)
+		}
+	}
+}
