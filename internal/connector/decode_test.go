@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -131,22 +132,30 @@ func sbinFixture() *table.Table {
 	return t
 }
 
+// FuzzDecodeSBIN holds the decoder to the reference, with the schema
+// columns the skip mask's bits name offered for skipping: the result is
+// the reference's with those columns null, and every error (bad magic,
+// truncation, an unknown kind, a skipped column the payload lacks) is the
+// reference's to the byte.
 func FuzzDecodeSBIN(f *testing.F) {
 	whole := EncodeSBIN(sbinFixture())
-	f.Add(whole, uint8(0))
-	f.Add(whole, uint8(1))
-	f.Add(whole, uint8(2))
-	f.Add(whole[:len(whole)-1], uint8(0))
-	f.Add(whole[:len(whole)/2], uint8(0))
-	f.Add(EncodeSBIN(table.New(schema.MustFromNames("s", "i"))), uint8(0))
-	f.Add(EncodeSBIN(table.New(schema.MustNew())), uint8(3))
-	f.Add([]byte(sbinMagic), uint8(0))
-	f.Add([]byte(sbinMagic+"\x01\x01s\xff\xff\xff\xff\xff\xff\xff\xff\x7f"), uint8(0))
-	f.Add([]byte(sbinMagic+"\x00\xff\xff\xff\xff\x0f"), uint8(3))
-	f.Add([]byte(sbinMagic+"\x01\xff\xff\x03"), uint8(0))
-	f.Add([]byte(sbinMagic+"\x01\x01s\x02\x04\x00\x09"), uint8(0))
-	f.Add([]byte("BOGUS"), uint8(0))
-	f.Fuzz(func(t *testing.T, payload []byte, mode uint8) {
+	f.Add(whole, uint8(0), uint8(0))
+	f.Add(whole, uint8(1), uint8(0))
+	f.Add(whole, uint8(2), uint8(0))
+	f.Add(whole, uint8(0), uint8(0x55))
+	f.Add(whole, uint8(1), uint8(0x07))
+	f.Add(whole, uint8(2), uint8(0x02))
+	f.Add(whole[:len(whole)-1], uint8(0), uint8(0x7F))
+	f.Add(whole[:len(whole)/2], uint8(0), uint8(0x10))
+	f.Add(EncodeSBIN(table.New(schema.MustFromNames("s", "i"))), uint8(0), uint8(0))
+	f.Add(EncodeSBIN(table.New(schema.MustNew())), uint8(3), uint8(0xFF))
+	f.Add([]byte(sbinMagic), uint8(0), uint8(0))
+	f.Add([]byte(sbinMagic+"\x01\x01s\xff\xff\xff\xff\xff\xff\xff\xff\x7f"), uint8(0), uint8(1))
+	f.Add([]byte(sbinMagic+"\x00\xff\xff\xff\xff\x0f"), uint8(3), uint8(0))
+	f.Add([]byte(sbinMagic+"\x01\xff\xff\x03"), uint8(0), uint8(0))
+	f.Add([]byte(sbinMagic+"\x01\x01s\x02\x04\x00\x09"), uint8(0), uint8(1))
+	f.Add([]byte("BOGUS"), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, payload []byte, mode, skip uint8) {
 		// The declared schema binds by name: all columns, a reordered
 		// subset with a path-mapped column, one the payload lacks, none.
 		var s *schema.Schema
@@ -160,10 +169,43 @@ func FuzzDecodeSBIN(f *testing.F) {
 		case 3:
 			s = schema.MustNew()
 		}
+		var pd Pushdown
+		for i, name := range s.Names() {
+			if skip>>i&1 != 0 {
+				pd.SkipColumns = append(pd.SkipColumns, name)
+			}
+		}
 		want, wantErr := referenceDecodeSBIN(s, payload)
-		got, gotErr := (&sbinFormat{}).Decode(&flowfile.DataDef{Name: "f"}, s, payload)
+		if wantErr == nil {
+			nulled := table.New(s)
+			for _, row := range want.Rows() {
+				row = slices.Clone(row)
+				for i := range row {
+					if skip>>i&1 != 0 {
+						row[i] = value.VNull
+					}
+				}
+				nulled.Append(row)
+			}
+			want = nulled
+		}
+		got, res, gotErr := (&sbinFormat{}).DecodePushdown(&flowfile.DataDef{Name: "f"}, s, payload, pd)
 		sameDecode(t, got, want, gotErr, wantErr)
+		if !slices.Equal(res.SkippedColumns, pd.SkipColumns) || res.PredicateApplied {
+			t.Fatalf("pushdown result %+v for an offer to skip %v", res, pd.SkipColumns)
+		}
 	})
+}
+
+// TestSBINDeclinesPredicate: sbin applies the projection of an offer and
+// never its predicate — every row decodes whatever the predicate says.
+func TestSBINDeclinesPredicate(t *testing.T) {
+	src := sbinFixture()
+	got, res, err := (&sbinFormat{}).DecodePushdown(&flowfile.DataDef{Name: "f"}, src.Schema(), EncodeSBIN(src),
+		Pushdown{Predicate: "i > 0", SkipColumns: []string{"i", "ghost"}})
+	if err != nil || res.PredicateApplied || !slices.Equal(res.SkippedColumns, []string{"i"}) || got.Len() != src.Len() {
+		t.Fatalf("%d rows, result %+v, err %v; want all %d rows, [i] skipped, the predicate declined", got.Len(), res, err, src.Len())
+	}
 }
 
 // TestSBINRoundTripsTrailingEmptyString pins the defect the row decoder

@@ -69,16 +69,9 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 	// Negotiate the pushdown: a predicate that binds filters while
 	// decoding; requested skip columns decode as nulls unless the
 	// predicate reads them.
-	var res PushdownResult
 	pred, need := compilePushdownPredicate(pd.Predicate, s)
-	res.PredicateApplied = pred != nil
-	skip := make([]bool, s.Len())
-	for _, c := range pd.SkipColumns {
-		if i := s.Index(c); i >= 0 && !slices.Contains(need, c) {
-			skip[i] = true
-			res.SkippedColumns = append(res.SkippedColumns, c)
-		}
-	}
+	skip, skipped := skipMask(s, pd.SkipColumns, need)
+	res := PushdownResult{PredicateApplied: pred != nil, SkippedColumns: skipped}
 	if c := r.comma; c == 0 || c == '"' || c == '\r' || c == '\n' || !utf8.ValidRune(c) || c == utf8.RuneError {
 		// encoding/csv's unexported error of the same text.
 		return nil, res, errors.New("csv: invalid field or comment delimiter")

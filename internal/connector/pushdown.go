@@ -14,6 +14,7 @@ package connector
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"shareinsights/internal/expr"
 	"shareinsights/internal/flowfile"
@@ -69,23 +70,18 @@ type FormatPushdown interface {
 	DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error)
 }
 
-// subtractStrings returns xs minus the elements of ys, preserving
-// order.
-func subtractStrings(xs, ys []string) []string {
-	if len(ys) == 0 {
-		return xs
-	}
-	drop := make(map[string]bool, len(ys))
-	for _, y := range ys {
-		drop[y] = true
-	}
-	out := xs[:0:0]
-	for _, x := range xs {
-		if !drop[x] {
-			out = append(out, x)
+// skipMask is how a format reads an offer's SkipColumns: skip marks the
+// schema columns it names that keep (a pushed predicate's) does not, and
+// skipped lists them in request order.
+func skipMask(s *schema.Schema, cols, keep []string) (skip []bool, skipped []string) {
+	skip = make([]bool, s.Len())
+	for _, c := range cols {
+		if i := s.Index(c); i >= 0 && !slices.Contains(keep, c) {
+			skip[i] = true
+			skipped = append(skipped, c)
 		}
 	}
-	return out
+	return skip, skipped
 }
 
 // LoadPushdownContext is LoadContext with a pushdown offer. The offer
@@ -186,15 +182,14 @@ func (r *Registry) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte,
 	if res.PredicateApplied {
 		rem.Predicate = ""
 	}
-	rem.SkipColumns = subtractStrings(rem.SkipColumns, res.SkippedColumns)
+	if len(res.SkippedColumns) > 0 {
+		rem.SkipColumns = slices.DeleteFunc(slices.Clone(rem.SkipColumns), func(c string) bool { return slices.Contains(res.SkippedColumns, c) })
+	}
 	fp, formatPush := f.(FormatPushdown)
 	formatPush = formatPush && !rem.Empty()
 	did := 0
 	if tr != nil {
 		did = tr.StartSpan(parent, "decode "+fname)
-		if res.PredicateApplied || formatPush {
-			tr.SpanFlag(did, "pushdown")
-		}
 	}
 	var t *table.Table
 	if formatPush {
@@ -206,6 +201,9 @@ func (r *Registry) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte,
 		t, err = f.Decode(d, s, payload)
 	}
 	if tr != nil {
+		if res.PredicateApplied || len(res.SkippedColumns) > 0 {
+			tr.SpanFlag(did, "pushdown")
+		}
 		if t != nil {
 			tr.SpanInt(did, "rows_out", int64(t.Len()))
 		}

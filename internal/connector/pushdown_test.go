@@ -131,6 +131,39 @@ func TestJSONFormatDeclinesPushdown(t *testing.T) {
 	}
 }
 
+// TestDecodeSpanFlagsWhatWasApplied: the decode span is flagged pushdown
+// by what the format applied, not by what it was offered — sbin declines a
+// predicate, so an offer of one alone leaves the span unflagged, and an
+// offer to skip a column flags it; csv declines a predicate that does not
+// bind.
+func TestDecodeSpanFlagsWhatWasApplied(t *testing.T) {
+	s := pushSchema()
+	src := table.New(s)
+	src.AppendValues(value.NewString("east"), value.NewInt(10), value.NewString("a"))
+	r := NewRegistry(Options{Mem: map[string][]byte{"t.sbin": EncodeSBIN(src), "t.csv": []byte(pushCSV)}, Retry: fastRetry(0)})
+	for _, tc := range []struct {
+		format  string
+		pd      Pushdown
+		flagged bool
+	}{
+		{"sbin", Pushdown{Predicate: "amount > 100"}, false},
+		{"sbin", Pushdown{Predicate: "amount > 100", SkipColumns: []string{"notes"}}, true},
+		{"csv", Pushdown{Predicate: "nosuch > 1"}, false},
+		{"csv", Pushdown{Predicate: "amount > 100"}, true},
+	} {
+		tr := obs.NewTrace("load")
+		d := def(t, "t", map[string]string{"source": "mem:t." + tc.format, "format": tc.format})
+		if _, _, _, err := r.LoadPushdownContext(context.Background(), d, s, tc.pd, tr, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Name == "decode "+tc.format && sp.HasFlag("pushdown") != tc.flagged {
+				t.Errorf("%s offered %+v: decode span flags %v, want pushdown %v", tc.format, tc.pd, sp.Flags, tc.flagged)
+			}
+		}
+	}
+}
+
 // applyPred filters a table by the same predicate a consumer pipeline
 // would re-apply — the reference semantics for the equivalence checks.
 func applyPred(t *testing.T, tb *table.Table, keep func(table.Row) bool) *table.Table {

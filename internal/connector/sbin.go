@@ -38,20 +38,33 @@ const sbinMagic = "SBIN\x01"
 // Decode binds the payload's columns to the declared schema by name
 // (payload path first, then column name).
 func (f *sbinFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
-	return decodeSBIN(payload, s, func(names []string) ([]int, error) {
+	t, _, err := f.DecodePushdown(d, s, payload, Pushdown{})
+	return t, err
+}
+
+// DecodePushdown implements FormatPushdown for the projection only. A
+// skipped column still binds and its cells are still parsed, so a payload
+// fails exactly as it would without the offer, but nothing is appended
+// for it: it decodes as an all-null vector that stores nothing. The
+// predicate is declined: evaluating it would copy each row's string cells
+// out of the payload before the row is appended.
+func (f *sbinFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
+	skip, skipped := skipMask(s, pd.SkipColumns, nil)
+	t, err := decodeSBIN(payload, s, skip, func(names []string) ([]int, error) {
 		binding, missing := bindByName(s, names)
 		if missing != "" {
 			return nil, fmt.Errorf("sbin payload has no column %q (has %v)", missing, names)
 		}
 		return binding, nil
 	})
+	return t, PushdownResult{SkippedColumns: skipped}, err
 }
 
 // DecodeSBIN parses an sbin payload written from a table of schema s
 // (EncodeSBIN's output): columns bind by position, whatever their names.
 // The durable store uses it for the tables it journals.
 func DecodeSBIN(payload []byte, s *schema.Schema) (*table.Table, error) {
-	return decodeSBIN(payload, s, func(names []string) ([]int, error) {
+	return decodeSBIN(payload, s, nil, func(names []string) ([]int, error) {
 		if len(names) != s.Len() {
 			return nil, fmt.Errorf("sbin payload has %d columns, schema has %d", len(names), s.Len())
 		}
@@ -106,11 +119,11 @@ func EncodeSBIN(t *table.Table) []byte {
 // decodeSBIN parses an sbin payload straight into column vectors: each
 // cell is read by its kind byte and appended to the builder columns of
 // the schema columns bound to its payload column (bind maps schema
-// column -> payload column). A string cell reaches the builder as a
-// slice of the payload, so a value its column has already seen is never
-// copied out. A payload that is malformed anywhere reports that before a
-// binding failure.
-func decodeSBIN(payload []byte, s *schema.Schema, bind func(names []string) ([]int, error)) (*table.Table, error) {
+// column -> payload column), except those skip marks. A string cell
+// reaches the builder as a slice of the payload, so a value its column
+// has already seen is never copied out. A payload that is malformed
+// anywhere reports that before a binding failure.
+func decodeSBIN(payload []byte, s *schema.Schema, skip []bool, bind func(names []string) ([]int, error)) (*table.Table, error) {
 	r := bytes.NewReader(payload)
 	magic := make([]byte, len(sbinMagic))
 	if _, err := r.Read(magic); err != nil || string(magic) != sbinMagic {
@@ -141,12 +154,14 @@ func decodeSBIN(payload []byte, s *schema.Schema, bind func(names []string) ([]i
 	}
 	binding, bindErr := bind(names)
 	// targets inverts the binding: the schema columns each payload
-	// column fills (none for an extra column, several when schema
-	// columns share a payload path). Empty throughout on a binding
+	// column fills (none for an extra or a skipped column, several when
+	// schema columns share a payload path). Empty throughout on a binding
 	// failure, so the rest of the payload is still checked.
 	targets := make([][]int, ncols)
 	for i, j := range binding {
-		targets[j] = append(targets[j], i)
+		if skip == nil || !skip[i] {
+			targets[j] = append(targets[j], i)
+		}
 	}
 	// The vectors are reserved for nrows only as far as the payload can
 	// hold them: a cell is at least its kind byte, so the bytes left bound

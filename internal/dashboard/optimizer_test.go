@@ -9,7 +9,11 @@ import (
 	"shareinsights/internal/connector"
 	"shareinsights/internal/dag"
 	"shareinsights/internal/flowfile"
+	"shareinsights/internal/obs"
 	"shareinsights/internal/obs/history"
+	"shareinsights/internal/schema"
+	"shareinsights/internal/table"
+	"shareinsights/internal/value"
 )
 
 // salesCSV is shaped so the second filter (region) is far more
@@ -237,4 +241,75 @@ func TestUploadedFileHonoursPushdown(t *testing.T) {
 	if got, want := endpointRows(t, d), endpointRows(t, base); !reflect.DeepEqual(got, want) {
 		t.Errorf("optimized answer %v, unoptimized %v", got, want)
 	}
+}
+
+// TestSBINSourceHonoursProjection: an sbin source is offered the plan's
+// projection and applies it — the never-read column decodes as nulls and
+// the decode span says so — and every endpoint is the unoptimized one.
+func TestSBINSourceHonoursProjection(t *testing.T) {
+	src := table.New(schema.MustFromNames("region", "amount", "notes"))
+	for _, r := range csvRows(salesCSV) {
+		src.AppendValues(value.NewString(r[0]), value.Parse(r[1]), value.NewString(r[2]))
+	}
+	flow := strings.Replace(optimizerFlow, "source: mem:sales.csv\n  format: csv", "source: mem:sales.sbin\n  format: sbin", 1)
+	run := func(optimize bool) (*Dashboard, *obs.Trace) {
+		p := optimizerPlatform(t, optimize)
+		p.Connectors = connector.NewRegistry(connector.Options{Mem: map[string][]byte{"sales.sbin": connector.EncodeSBIN(src)}})
+		f, err := flowfile.Parse("sales", flow)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		d, err := p.Compile(f, nil)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		tr := obs.NewTrace("sales")
+		d.SetTracer(tr)
+		if err := d.Run(); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return d, tr
+	}
+	d, tr := run(true)
+	if pd := d.LastPlan().Node("raw").Pushdown; pd == nil || !slices.Contains(pd.SkipColumns, "notes") {
+		t.Fatalf("the plan skips no column of the sbin source: %+v", pd)
+	}
+	var decoded bool
+	for _, sp := range tr.Spans() {
+		if sp.Name == "decode sbin" {
+			decoded = true
+			if !sp.HasFlag("pushdown") {
+				t.Errorf("decode span flags %v, want pushdown", sp.Flags)
+			}
+		}
+	}
+	if !decoded {
+		t.Error("no decode sbin span")
+	}
+	raw, _ := d.Result().Table("raw")
+	if raw.Len() != src.Len() {
+		t.Fatalf("decoded %d rows, want all %d", raw.Len(), src.Len())
+	}
+	for i := 0; i < raw.Len(); i++ {
+		if v := raw.At(i, 2); !v.IsNull() {
+			t.Fatalf("notes decoded as %q, want null: the projection was not applied", v)
+		}
+	}
+	base, _ := run(false)
+	for _, name := range d.Endpoints() {
+		got, _ := d.Endpoint(name)
+		want, _ := base.Endpoint(name)
+		if !got.Equal(want) {
+			t.Errorf("endpoint %s: optimized\n%s\nunoptimized\n%s", name, got.Format(0), want.Format(0))
+		}
+	}
+}
+
+// csvRows splits the data rows of a header-led CSV literal.
+func csvRows(csv string) [][]string {
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(csv), "\n")[1:] {
+		rows = append(rows, strings.Split(line, ","))
+	}
+	return rows
 }

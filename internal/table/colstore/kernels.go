@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -172,7 +173,7 @@ func keyComparator(v *Vec) func(i, j int) int {
 	var core func(i, j int) int
 	switch v.kind {
 	case value.Int:
-		core = func(i, j int) int { return cmpInt64(v.ints[v.slot(i)], v.ints[v.slot(j)]) }
+		core = func(i, j int) int { return cmp.Compare(v.ints[v.slot(i)], v.ints[v.slot(j)]) }
 	case value.Float:
 		core = func(i, j int) int { return cmpFloat(v.floats[v.slot(i)], v.floats[v.slot(j)]) }
 	case value.String:

@@ -31,17 +31,14 @@ var (
 	selExprs = []string{"li * 2 + ri", "lf + rf", "lv - rv * 3", "ls + rs", "lz + li", "-(li * lv)", "rf / li"}
 )
 
-// chainKernel picks one single-input stage for op over schema s.
-func chainKernel(t *testing.T, op byte, s *schema.Schema) Kernel {
+// chainKernel picks one single-input stage for op over schema s, its
+// expression evaluated size rows at a time.
+func chainKernel(t *testing.T, op byte, s *schema.Schema, size int) Kernel {
 	arg := int(op >> 3)
 	col := arg % s.Len()
 	switch op % 5 {
 	case 0:
-		pred, err := CompileVecSrc(selPreds[arg%len(selPreds)], s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Filter{Pred: pred}
+		return &Filter{Pred: compileSize(t, selPreds[arg%len(selPreds)], s, size)}
 	case 1:
 		return &Sort{Keys: []table.SortKey{{Column: s.Col(col).Name, Desc: op&8 != 0}, {Column: s.Col((col + 3) % s.Len()).Name}}}
 	case 2:
@@ -49,17 +46,14 @@ func chainKernel(t *testing.T, op byte, s *schema.Schema) Kernel {
 	case 3:
 		return &Limit{N: arg}
 	}
-	return mapExpr(t, selExprs[arg%len(selExprs)], "m", s)
+	return mapExpr(t, selExprs[arg%len(selExprs)], "m", s, size)
 }
 
-// mapExpr is the MapExpr kernel computing src into column name.
-func mapExpr(t *testing.T, src, name string, s *schema.Schema) Kernel {
-	ev, err := CompileVecSrc(src, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+// mapExpr is the MapExpr kernel computing src into column name, size rows
+// at a time.
+func mapExpr(t *testing.T, src, name string, s *schema.Schema, size int) Kernel {
 	out := s.ExtendOrSame(name)
-	return &MapExpr{Eval: ev, Out: out, Slot: out.Index(name)}
+	return &MapExpr{Eval: compileSize(t, src, s, size), Out: out, Slot: out.Index(name)}
 }
 
 // Registry is the task package's aggregate registry, name → factory.
@@ -67,14 +61,19 @@ func mapExpr(t *testing.T, src, name string, s *schema.Schema) Kernel {
 var Registry = map[string]func() Accumulator{}
 
 // FuzzSelections runs random kernel chains over random batches and
-// checks that selections change nothing but what is copied: a join under
-// the condition the first byte picks (the outer joins' -1 holes then flow
-// through every later stage), filters, sorts, top-ns, limits and
-// map-exprs in the order the rest pick, then a group-by whose aggregates
-// are drawn from the whole registry — every stage compared cell for cell
-// with the same chain gathering every column after every stage, and the
-// end also once compacted. The inputs hold plain and dictionary-coded
-// strings, nulls, NaN and an all-null column.
+// checks that selections and morsels change nothing but what is copied:
+// a join under the condition the first byte picks (the outer joins' -1
+// holes then flow through every later stage), filters, sorts, top-ns,
+// limits and map-exprs in the order the rest pick, then a group-by whose
+// aggregates are drawn from the whole registry — every stage compared
+// cell for cell and vector kind for vector kind with the same chain
+// gathering every column after every stage and evaluating its
+// expressions over the whole batch at once, and the end also once
+// compacted. The first byte's top bits pick the morsel size the chain
+// evaluates its expressions by: 64 rows, 1,024 (over a join of a few
+// thousand rows) or the whole batch; batch lengths are random, so the
+// last morsel is mostly short. The inputs hold plain and
+// dictionary-coded strings, nulls, NaN and an all-null column.
 func FuzzSelections(f *testing.F) {
 	for cond := byte(0); cond < 4; cond++ {
 		f.Add(int64(cond), []byte{cond | 4<<cond, 0, 1, 2, 3, 4, 8, 9, 10, 11, 12})
@@ -82,12 +81,21 @@ func FuzzSelections(f *testing.F) {
 	f.Add(int64(7), []byte{0x3C, 4, 0, 17, 1, 33, 2, 66})
 	f.Add(int64(8), []byte{0x1B, 40, 8, 1, 3})
 	f.Add(int64(12), []byte{0x20, 0, 9, 5})
+	f.Add(int64(21), []byte{0x41, 4, 0, 20, 33, 12, 1})
+	f.Add(int64(22), []byte{0x70, 0, 8, 16, 24, 32, 40, 48, 4})
+	f.Add(int64(23), []byte{0x82, 0, 9, 5, 4})
+	f.Add(int64(24), []byte{0xC3, 44, 28, 8, 2})
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) == 0 || len(ops) > 16 {
 			return
 		}
+		size := []int{64, 1024, whole, 64}[ops[0]>>6]
+		rows := 50
+		if size == 1024 {
+			rows = 600
+		}
 		rng := rand.New(rand.NewSource(seed))
-		lt, rt := keyTable(rng, rng.Intn(50)), keyTable(rng, rng.Intn(20))
+		lt, rt := keyTable(rng, rng.Intn(rows)), keyTable(rng, rng.Intn(20))
 		if ops[0]&4 != 0 {
 			lt = rebuilt(lt)
 		}
@@ -114,9 +122,11 @@ func FuzzSelections(f *testing.F) {
 		if !sameCells(b.ToTable(), ref.ToTable()) {
 			t.Fatalf("join:\nselections:\n%s\ngathered:\n%s", b.ToTable().Format(0), ref.ToTable().Format(0))
 		}
-		step := func(stage string, ker Kernel) {
+		// step runs ker on the chain and its whole-batch twin on the
+		// gathered reference.
+		step := func(stage string, ker, twin Kernel) {
 			got, err1 := ker.Run(b)
-			want, err2 := ker.Run(ref)
+			want, err2 := twin.Run(ref)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s: errors %v, %v", stage, err1, err2)
 			}
@@ -124,13 +134,18 @@ func FuzzSelections(f *testing.F) {
 			if !sameCells(b.ToTable(), ref.ToTable()) {
 				t.Fatalf("after %s:\nselections:\n%s\ngathered:\n%s", stage, b.ToTable().Format(0), ref.ToTable().Format(0))
 			}
+			for c, v := range b.cols {
+				if v.kind != ref.cols[c].kind {
+					t.Fatalf("after %s: column %d is a %v vector, gathered a %v", stage, c, v.kind, ref.cols[c].kind)
+				}
+			}
 		}
 		// g repeats and is never null: the typed int-key path of the
 		// group-by, read through whatever the stages select.
-		step("g", mapExpr(t, "lv % 4", "g", b.Schema()))
+		step("g", mapExpr(t, "lv % 4", "g", b.Schema(), size), mapExpr(t, "lv % 4", "g", b.Schema(), whole))
 		for i, op := range ops[1:] {
-			ker := chainKernel(t, op, b.Schema())
-			step(fmt.Sprintf("stage %d (%T)", i+1, ker), ker)
+			ker := chainKernel(t, op, b.Schema(), size)
+			step(fmt.Sprintf("stage %d (%T)", i+1, ker), ker, chainKernel(t, op, b.Schema(), whole))
 		}
 		keys := [][]string{{"ls"}, {"g"}, {"rs", "lb"}, {"lz"}}[int(ops[len(ops)-1])%4]
 		var keyIdx []int
@@ -151,8 +166,9 @@ func FuzzSelections(f *testing.F) {
 			op := registered[rng.Intn(len(registered))]
 			aggs = append(aggs, Agg{Op: op, Col: b.Schema().Index(c), New: Registry[op]})
 		}
-		step("group-by", &GroupBy{Keys: keyIdx, Aggs: aggs, SortKeys: sortKeys,
-			Out: schema.MustFromNames(append(keys, "n", "a0", "a1", "a2", "a3", "a4", "a5")...)})
+		group := &GroupBy{Keys: keyIdx, Aggs: aggs, SortKeys: sortKeys,
+			Out: schema.MustFromNames(append(keys, "n", "a0", "a1", "a2", "a3", "a4", "a5")...)}
+		step("group-by", group, group)
 		if !sameCells(Compact(b.ToTable()), ref.ToTable()) {
 			t.Fatal("compacted output differs")
 		}
