@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
@@ -21,15 +23,48 @@ import (
 // the formats ship with, a common fourth, and one that is two bytes long.
 var fuzzSeparators = []rune{',', '\t', ';', '|', 'é'}
 
+// csvSentinel stands in for a white-space delimiter when encoding/csv is
+// the oracle: TrimLeadingSpace would trim the delimiter itself as leading
+// space, where the decoder trims only the space that is not the
+// delimiter. U+001F is not white space, and one byte like a tab.
+const csvSentinel = '\x1f'
+
+// csvReader returns encoding/csv's reader configured as the decoder reads
+// text: TrimLeadingSpace, any field count, and a one-byte white-space
+// delimiter (other than a line end, which both refuse) rewritten to
+// csvSentinel, which fields maps back in a record. Byte offsets are
+// unchanged. ok is false for a text that already holds the sentinel.
+func csvReader(text string, sep rune) (r *csv.Reader, fields func([]string) []string, ok bool) {
+	fields = func(rec []string) []string { return rec }
+	if sep < utf8.RuneSelf && sep != '\n' && sep != '\r' && unicode.IsSpace(sep) {
+		if strings.ContainsRune(text, csvSentinel) {
+			return nil, nil, false
+		}
+		delim := string(sep)
+		text, sep = strings.ReplaceAll(text, delim, string(csvSentinel)), csvSentinel
+		fields = func(rec []string) []string {
+			for i, f := range rec {
+				rec[i] = strings.ReplaceAll(f, string(csvSentinel), delim)
+			}
+			return rec
+		}
+	}
+	r = csv.NewReader(strings.NewReader(text))
+	r.Comma, r.FieldsPerRecord, r.TrimLeadingSpace = sep, -1, true
+	return r, fields, true
+}
+
 // sameRecords reads text with csvScanner and with encoding/csv side by
 // side: every record must have the same fields, and the first error the
 // same text, line, column and cause. Decoding stops at the first error,
 // so the comparison does too.
 func sameRecords(t *testing.T, text string, sep rune) {
 	t.Helper()
-	want := csv.NewReader(strings.NewReader(text))
-	want.Comma, want.FieldsPerRecord, want.TrimLeadingSpace = sep, -1, true
-	got := csvScanner{src: text, comma: sep}
+	want, fields, ok := csvReader(text, sep)
+	if !ok {
+		t.Skip("the text holds the sentinel")
+	}
+	got := csvScanner{src: []byte(text), comma: sep}
 	for n := 1; ; n++ {
 		wantRec, wantErr := want.Read()
 		gotRec, gotErr := got.read()
@@ -46,8 +81,12 @@ func sameRecords(t *testing.T, text string, sep rune) {
 			}
 			return
 		}
-		if !reflect.DeepEqual(gotRec, wantRec) {
-			t.Fatalf("record %d of %q: %q, encoding/csv %q", n, text, gotRec, wantRec)
+		gotStrs := make([]string, len(gotRec))
+		for i, f := range gotRec {
+			gotStrs[i] = string(f)
+		}
+		if wantRec = fields(wantRec); !reflect.DeepEqual(gotStrs, wantRec) {
+			t.Fatalf("record %d of %q: %q, encoding/csv %q", n, text, gotStrs, wantRec)
 		}
 	}
 }
@@ -83,6 +122,8 @@ var csvScannerCases = []string{
 	"\xff\"\xfe,\"\xfd\"\n",
 	"aébéc\n\"q\"é\"r\"\n\"s\"e\n",
 	"a|b;c\td\n",
+	"a\tb\tc\n1\t\t3\n", // an empty field between two delimiters
+	"\t\t x\t \"q\"\t\n",
 }
 
 func TestCSVScannerMatchesEncodingCSV(t *testing.T) {

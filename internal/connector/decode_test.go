@@ -105,6 +105,9 @@ func FuzzDecodeCSV(f *testing.F) {
 		"2024-01-05T10:00:00Z,2024-01-05 10:00:00,x\n1,2,3\n",
 		"\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n1,2,3\n\n\n\n\n\r\n\r\n",
 		"\"\n\n\n\n\n\n\n\n\n\n\n\n\",2,3\n",
+		"a\tb\tc\n1\t\t3\n",
+		"\t\t\n \t2\t\n",
+		"\"x\"\"y\",\"p\nq\",id-1\n\"x\"\"y\",\"p\"\"\nq\",id-2\n",
 	} {
 		for _, mode := range []uint8{0, 1, 2, 4, 8, 24, 32, 64, 96, 40, 72} {
 			f.Add([]byte(p), mode)
@@ -113,12 +116,31 @@ func FuzzDecodeCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte, mode uint8) {
 		sep, d, s, pd := csvFuzzCase(mode)
 		want, wantRes, wantErr := referenceDecodeCSV(sep, d, s, payload, pd)
+		if wantErr == errSentinel {
+			t.Skip("the payload holds the sentinel")
+		}
+		payload = bytes.Clone(payload)
 		got, gotRes, gotErr := (&csvFormat{sep: sep}).DecodePushdown(d, s, payload, pd)
 		sameDecode(t, got, want, gotErr, wantErr)
 		if gotErr == nil && !reflect.DeepEqual(gotRes, wantRes) {
 			t.Fatalf("pushdown result %+v, reference %+v", gotRes, wantRes)
 		}
+		overwriteAndRecheck(t, payload, got, want, gotErr)
 	})
+}
+
+// overwriteAndRecheck holds a decoded table to owning its bytes: with
+// every byte of the payload it was decoded from overwritten, it must
+// still equal the reference.
+func overwriteAndRecheck(t *testing.T, payload []byte, got, want *table.Table, err error) {
+	t.Helper()
+	if err != nil {
+		return
+	}
+	for i := range payload {
+		payload[i] ^= 0xff
+	}
+	sameDecode(t, got, want, nil, nil)
 }
 
 // sbinFixture is a table with every kind, nulls, a mixed column and an
@@ -189,11 +211,13 @@ func FuzzDecodeSBIN(f *testing.F) {
 			}
 			want = nulled
 		}
+		payload = bytes.Clone(payload)
 		got, res, gotErr := (&sbinFormat{}).DecodePushdown(&flowfile.DataDef{Name: "f"}, s, payload, pd)
 		sameDecode(t, got, want, gotErr, wantErr)
 		if !slices.Equal(res.SkippedColumns, pd.SkipColumns) || res.PredicateApplied {
 			t.Fatalf("pushdown result %+v for an offer to skip %v", res, pd.SkipColumns)
 		}
+		overwriteAndRecheck(t, payload, got, want, gotErr)
 	})
 }
 
@@ -227,20 +251,21 @@ func benchCSV(rows int) ([]byte, *schema.Schema) {
 }
 
 // TestDecodeCSVAllocs bounds the decode by a constant, not by the rows:
-// the text is copied once, fields are substrings of the copy, and what is
-// left is the vectors' growth and one clone per dictionary entry — the
-// same at 1,000 and 10,000 rows of the benchmark's shape. A column of
-// all-distinct strings costs its first dictMinEntries cells as entries and
-// then nothing per row. The constants leave room for the race detector's
-// own allocations. What the decode returns is the batch the
-// kernels run on, so a decoded source reaches a group-by with no
-// conversion at all.
+// fields are slices of the payload, and what is left is the vectors'
+// growth and the arena's chunks — the same at 1,000 and
+// 10,000 rows of the benchmark's shape, under a predicate on a text
+// column, and for a column of all-distinct strings, whose dictionary
+// entries and cells alike are copied into arena chunks. The constants
+// leave room for the race detector's own allocations. In bytes, a decode
+// costs its vectors and their growth: the payload is not copied. What the
+// decode returns is the batch the kernels run on, so a decoded source
+// reaches a group-by with no conversion at all.
 func TestDecodeCSVAllocs(t *testing.T) {
 	d := &flowfile.DataDef{Name: "sales"}
-	decode := func(payload []byte, s *schema.Schema, rows int) (tb *table.Table, allocs float64) {
+	decode := func(payload []byte, s *schema.Schema, pd Pushdown, rows int) (tb *table.Table, allocs float64) {
 		allocs = testing.AllocsPerRun(10, func() {
 			var err error
-			if tb, err = (&csvFormat{}).Decode(d, s, payload); err != nil || tb.Len() != rows {
+			if tb, _, err = (&csvFormat{}).DecodePushdown(d, s, payload, pd); err != nil || tb.Len() != rows {
 				t.Fatal(tb.Len(), err)
 			}
 		})
@@ -252,16 +277,24 @@ func TestDecodeCSVAllocs(t *testing.T) {
 		var payload []byte
 		var allocs float64
 		payload, s = benchCSV(rows)
-		if tb, allocs = decode(payload, s, rows); allocs > 250 {
+		if tb, allocs = decode(payload, s, Pushdown{}, rows); allocs > 250 {
 			t.Errorf("decoding %d rows allocates %.0f times, want at most 250 whatever the rows", rows, allocs)
 		}
+		if _, allocs := decode(payload, s, Pushdown{Predicate: "region == 'r1'"}, rows/8); allocs > 250 {
+			t.Errorf("decoding %d rows under a text predicate allocates %.0f times, want at most 250 whatever the rows", rows, allocs)
+		}
+	}
+	payload, s30 := benchCSV(30000)
+	vectors := 30000 * (3*4 + 2*8) // 4 bytes per coded string cell, 8 per int cell
+	if got, limit := allocatedBy(func() { (&csvFormat{}).Decode(d, s30, payload) }), uint64(vectors+vectors/4+64<<10); got > limit && !raceEnabled {
+		t.Errorf("decoding %d bytes allocates %d bytes, want at most %d: its vectors are %d", len(payload), got, limit, vectors)
 	}
 	var distinct bytes.Buffer
 	for i := 0; i < 10000; i++ {
 		fmt.Fprintf(&distinct, "id-%d,%d\n", i, i)
 	}
-	if _, allocs := decode(distinct.Bytes(), schema.MustFromNames("id", "n"), 10000); allocs > 1024+250 {
-		t.Errorf("decoding 10000 distinct strings allocates %.0f times, want at most %d", allocs, 1024+250)
+	if _, allocs := decode(distinct.Bytes(), schema.MustFromNames("id", "n"), Pushdown{}, 10000); allocs > 250 {
+		t.Errorf("decoding 10000 distinct strings allocates %.0f times, want at most 250", allocs)
 	}
 	spec := &task.GroupBySpec{GroupBy: []string{"region"}, Aggs: []task.AggSpec{{Operator: "sum", ApplyOn: "amount", OutField: "total"}}}
 	ker, _, ok := spec.BindVec(nil, task.Input{Schema: s})
@@ -342,12 +375,11 @@ func sbinFacts(rows, distinct int) ([]byte, *schema.Schema) {
 }
 
 // TestDecodeSBINAllocs: a string value its column has already seen costs
-// nothing to decode — 10,000 rows over 50 values allocate the 50 strings
-// plus the vectors' growth — and a column of all-distinct strings, which
-// reverts to a plain vector, still costs its one string per cell and no
-// more than it did before columns were coded (10,113 for this payload at
-// the parent commit, 10,154 now: the dictionary's first 1,024 entries).
-// The constants leave room for the race detector's own allocations.
+// nothing to decode, and a new one — a dictionary entry, or a cell of a
+// column of all-distinct strings, which reverts to a plain vector — is
+// copied into the builder's arena, so neither costs an object per string:
+// what is left is the arena's chunks and the vectors' growth. The
+// constants leave room for the race detector's own allocations.
 func TestDecodeSBINAllocs(t *testing.T) {
 	const rows = 10000
 	d := &flowfile.DataDef{Name: "facts"}
@@ -355,8 +387,8 @@ func TestDecodeSBINAllocs(t *testing.T) {
 		distinct int
 		max      float64
 	}{
-		{50, 50 + 250},
-		{rows, rows + 300},
+		{50, 250},
+		{rows, 300},
 	} {
 		payload, s := sbinFacts(rows, tc.distinct)
 		allocs := testing.AllocsPerRun(5, func() {

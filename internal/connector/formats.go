@@ -31,15 +31,13 @@ import (
 // column names (or their payload paths) it is treated as a header and
 // binding switches to by-name.
 //
-// Decoding is one pass over one string copy of the payload: csvScanner
-// tokenizes it in place (a field is a substring of that copy), each field
-// is typed by value.Parse into a reused scratch row, the pushed predicate
-// sees that row, and kept rows append straight into column vectors. No
-// row, no record and no per-cell object is allocated. A plain string
-// column's cells alias the copy, a dictionary-coded column holds clones
-// (colstore.Builder): only a high-cardinality column keeps the text alive,
-// and only when at least half the records were kept — under a predicate
-// that drops more, the kept cells are moved off the text at the end.
+// Decoding is one pass over the payload itself: csvScanner tokenizes it in
+// place (a field is a slice of the payload), value.Infer types each
+// field, and kept rows append straight into column vectors, a text field
+// as its bytes, which the builder copies into the column that keeps it
+// (colstore.Builder). No row, no record, no per-cell object and no copy
+// of the payload is allocated, and the table shares no byte with the
+// payload. A pushed predicate sees a row of just the cells it reads.
 type csvFormat struct{ sep rune }
 
 // csvReserveRows is how many rows a decode must have kept before it
@@ -58,7 +56,7 @@ func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 // the declared schema is declined — never an error, the consumer
 // pipeline re-applies it anyway.
 func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
-	r := csvScanner{src: string(payload), comma: f.sep}
+	r := csvScanner{src: payload, comma: f.sep}
 	if r.comma == 0 {
 		r.comma = ','
 		if sep := d.Prop("separator"); sep != "" {
@@ -81,26 +79,24 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 	for i := range binding {
 		binding[i] = i
 	}
-	row := make(table.Row, s.Len())
-	kept, rows := 0, 0
+	read, _ := skipMask(s, need, nil) // the cells the predicate's row holds
+	row, memo := make(table.Row, s.Len()), map[string]string{}
+	kept := 0
 	for first := true; ; first = false {
 		rec, err := r.read()
 		if err == io.EOF {
-			if kept < rows/2 {
-				// Most of the text was dropped: no kept cell may pin it.
-				b.OwnStrings()
-			}
 			return b.Table(), res, nil
 		}
 		if err != nil {
 			return nil, res, err
 		}
 		if first && isHeader(rec, s) {
+			names := make([]string, len(rec))
 			for i, field := range rec {
-				rec[i] = strings.TrimSpace(field)
+				names[i] = string(bytes.TrimSpace(field))
 			}
 			var missing string
-			if binding, missing = bindByName(s, rec); missing != "" {
+			if binding, missing = bindByName(s, names); missing != "" {
 				// A malformed record anywhere in the payload outranks
 				// the header complaint.
 				for err == nil {
@@ -113,63 +109,102 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 			}
 			continue
 		}
-		rows++
+		if pred != nil {
+			for i, j := range binding {
+				if row[i] = value.VNull; read[i] && j < len(rec) {
+					row[i] = predicateCell(memo, rec[j])
+				}
+			}
+			if !pred(row).Truthy() {
+				continue
+			}
+		}
 		for i, j := range binding {
 			if skip[i] || j >= len(rec) {
-				row[i] = value.VNull
+				b.AppendCell(i, value.VNull)
+			} else if cell, typed := value.Infer(rec[j]); typed {
+				b.AppendCell(i, cell)
 			} else {
-				row[i] = value.Parse(rec[j])
+				b.AppendString(i, rec[j])
 			}
 		}
-		if pred == nil || pred(row).Truthy() {
-			b.Append(row)
-			if kept++; kept%csvReserveRows == 0 {
-				// Rows kept per byte consumed, over the whole payload,
-				// plus 1/32 so that a steady payload never regrows. Rows
-				// kept are rows read at most, so a predicate never reserves
-				// more than the same decode without one; where the kept
-				// rows thin out later in the payload, Table trims.
-				est := int64(kept) * int64(len(r.src)) / int64(r.off)
-				b.Reserve(int(est + est/32))
-			}
+		b.EndRow()
+		if kept++; kept%csvReserveRows == 0 {
+			// Rows kept per byte consumed, over the whole payload, plus
+			// 1/32 so that a steady payload never regrows. Rows kept are
+			// rows read at most, so a predicate never reserves more than
+			// the same decode without one; where the kept rows thin out
+			// later in the payload, Table trims.
+			est := int64(kept) * int64(len(r.src)) / int64(r.off)
+			b.Reserve(int(est + est/32))
 		}
 	}
+}
+
+// predicateCell types a field for the predicate's row, a text field as a
+// string from memo, which keeps the first 1,024 values it meets (the
+// builder's dictionary floor): a low-cardinality column allocates once
+// per value, not once per row.
+func predicateCell(memo map[string]string, field []byte) value.V {
+	if v, typed := value.Infer(field); typed {
+		return v
+	}
+	s, ok := memo[string(field)]
+	if !ok {
+		if s = string(field); len(memo) < 1024 {
+			memo[s] = s
+		}
+	}
+	return value.NewString(s)
 }
 
 // csvScanner splits delimiter-separated text into records without
 // copying it: a port of encoding/csv's Reader.readRecord (with
 // TrimLeadingSpace, any field count, no comments, no lazy quotes) from a
-// buffered reader to one in-memory string. It accepts and rejects exactly
-// what that reader does, with the same *csv.ParseError — FuzzCSVRecords
-// holds the two together. A field is a substring of src; only a quoted
-// field with an escaped quote or a line end in it is assembled in a
-// buffer of its own. A line is handled without its terminator ("\n" or
-// "\r\n", either of which a quoted field keeps as "\n"): nl says it had one.
+// buffered reader to the payload in memory. It accepts and rejects
+// exactly what that reader does, with the same *csv.ParseError —
+// FuzzCSVRecords holds the two together — except that a field's leading
+// white space never includes the delimiter itself, which encoding/csv
+// trims as space and so loses an empty field between two tabs. A field is
+// a slice of src; only a quoted field with an escaped quote or a line end
+// in it is assembled, in a spill buffer the whole decode shares. A line is
+// handled without its terminator ("\n" or "\r\n", either of which a quoted
+// field keeps as "\n"): nl says it had one.
 type csvScanner struct {
-	src     string
+	src     []byte
 	comma   rune
 	off     int      // bytes of src consumed
 	numLine int      // lines read, counting the empty read at the end
-	rec     []string // the current record, reused by the next read
+	rec     [][]byte // the current record, reused by the next read
+	spill   []byte   // the record's assembled quoted fields, likewise
 }
 
 // readLine returns the next line and 1 if a line feed ended it, 0 at the
 // end of the text, where a trailing "\r" is dropped as well.
-func (r *csvScanner) readLine() (line string, nl int) {
+func (r *csvScanner) readLine() (line []byte, nl int) {
 	line = r.src[r.off:]
-	if i := strings.IndexByte(line, '\n'); i >= 0 {
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
 		line, nl = line[:i], 1
 	}
 	r.numLine++
 	r.off += len(line) + nl
-	return strings.TrimSuffix(line, "\r"), nl
+	return bytes.TrimSuffix(line, []byte("\r")), nl
 }
 
-// read returns the next record, io.EOF after the last. The slice and a
-// header's trimmed names are good until the next call.
-func (r *csvScanner) read() ([]string, error) {
+// spillAppend appends p and then tail to the spill buffer, doubling it
+// when full: append alone grows a large buffer by a quarter.
+func (r *csvScanner) spillAppend(p []byte, tail string) {
+	if n := len(p) + len(tail); cap(r.spill)-len(r.spill) < n {
+		r.spill = append(make([]byte, 0, 2*len(r.spill)+n), r.spill...)
+	}
+	r.spill = append(append(r.spill, p...), tail...)
+}
+
+// read returns the next record, io.EOF after the last. The record and
+// its fields are good until the next call.
+func (r *csvScanner) read() ([][]byte, error) {
 	line, nl := r.readLine()
-	for line == "" { // skip empty lines
+	for len(line) == 0 { // skip empty lines
 		if r.off == len(r.src) && nl == 0 {
 			return nil, io.EOF
 		}
@@ -178,19 +213,24 @@ func (r *csvScanner) read() ([]string, error) {
 	commaLen := utf8.RuneLen(r.comma)
 	recLine := r.numLine
 	posLine, col := r.numLine, 1 // where line[0] is: 1-based, col in bytes
-	r.rec = r.rec[:0]
+	r.rec, r.spill = r.rec[:0], r.spill[:0]
 	for {
-		trimmed := strings.TrimLeftFunc(line, unicode.IsSpace)
-		col += len(line) - len(trimmed)
-		line = trimmed
-		if line == "" || line[0] != '"' {
+		for len(line) > 0 && (line[0] <= ' ' || line[0] >= utf8.RuneSelf) {
+			// Leading white space, other than the delimiter.
+			c, n := utf8.DecodeRune(line)
+			if c == r.comma || !unicode.IsSpace(c) {
+				break
+			}
+			line, col = line[n:], col+n
+		}
+		if len(line) == 0 || line[0] != '"' {
 			// Unquoted field.
-			i := strings.IndexRune(line, r.comma)
+			i := bytes.IndexRune(line, r.comma)
 			field := line
 			if i >= 0 {
 				field = line[:i]
 			}
-			if j := strings.IndexByte(field, '"'); j >= 0 {
+			if j := bytes.IndexByte(field, '"'); j >= 0 {
 				return nil, &csv.ParseError{StartLine: recLine, Line: r.numLine, Column: col + j, Err: csv.ErrBareQuote}
 			}
 			r.rec = append(r.rec, field)
@@ -204,18 +244,15 @@ func (r *csvScanner) read() ([]string, error) {
 		// Quoted field.
 		line = line[1:]
 		col++
-		var spill strings.Builder // the field so far, once it cannot be a substring
+		start := len(r.spill) // the field spills from here once it cannot be a slice of src
 		for {
-			i := strings.IndexByte(line, '"')
+			i := bytes.IndexByte(line, '"')
 			if i < 0 {
 				if len(line)+nl == 0 {
 					return nil, &csv.ParseError{StartLine: recLine, Line: posLine, Column: col, Err: csv.ErrQuote}
 				}
-				// The field runs over the line end. Grow doubles the
-				// buffer; WriteString alone would grow it by quarters.
-				spill.Grow(len(line) + nl)
-				spill.WriteString(line)
-				spill.WriteString("\n"[:nl])
+				// The field runs over the line end.
+				r.spillAppend(line, "\n"[:nl])
 				col += len(line) + nl
 				if line, nl = r.readLine(); len(line)+nl > 0 {
 					posLine++
@@ -226,24 +263,23 @@ func (r *csvScanner) read() ([]string, error) {
 			field := line[:i]
 			line = line[i+1:]
 			col += i + 1
-			c, _ := utf8.DecodeRuneInString(line)
+			c, _ := utf8.DecodeRune(line)
 			if c == '"' {
 				// An escaped quote.
-				spill.WriteString(field)
-				spill.WriteByte('"')
+				r.spillAppend(field, `"`)
 				line = line[1:]
 				col++
 				continue
 			}
-			if c != r.comma && line != "" {
+			if c != r.comma && len(line) > 0 {
 				return nil, &csv.ParseError{StartLine: recLine, Line: r.numLine, Column: col - 1, Err: csv.ErrQuote}
 			}
-			if spill.Len() > 0 {
-				spill.WriteString(field)
-				field = spill.String()
+			if len(r.spill) > start {
+				r.spillAppend(field, "")
+				field = r.spill[start:]
 			}
 			r.rec = append(r.rec, field)
-			if line == "" {
+			if len(line) == 0 {
 				return r.rec, nil
 			}
 			line = line[commaLen:]
@@ -254,12 +290,12 @@ func (r *csvScanner) read() ([]string, error) {
 }
 
 // isHeader reports whether the record names the schema's columns.
-func isHeader(rec []string, s *schema.Schema) bool {
+func isHeader(rec [][]byte, s *schema.Schema) bool {
 	matched := 0
 	for _, field := range rec {
-		field = strings.TrimSpace(field)
+		field = bytes.TrimSpace(field)
 		if slices.ContainsFunc(s.Columns(), func(c schema.Column) bool {
-			return field == c.Name || field == c.Source()
+			return string(field) == c.Name || string(field) == c.Source()
 		}) {
 			matched++
 		}

@@ -3,7 +3,7 @@ package connector
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/csv"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -20,23 +20,30 @@ import (
 // They are the oracle the one-pass decoders are fuzzed against (same
 // table, or the same error), and nothing else calls them.
 
+// errSentinel is referenceDecodeCSV's refusal of a payload it cannot read.
+var errSentinel = errors.New("the payload holds the sentinel")
+
 // referenceDecodeCSV is csvFormat.decode over encoding/csv.ReadAll.
+// A payload that holds the sentinel under a white-space delimiter is out
+// of its reach (errSentinel).
 func referenceDecodeCSV(sep rune, d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
-	r := csv.NewReader(bytes.NewReader(payload))
-	r.Comma = sep
-	if r.Comma == 0 {
-		r.Comma = ','
-		if sep := d.Prop("separator"); sep != "" {
-			rs := []rune(sep)
-			r.Comma = rs[0]
+	if sep == 0 {
+		sep = ','
+		if p := d.Prop("separator"); p != "" {
+			sep = []rune(p)[0]
 		}
 	}
-	r.FieldsPerRecord = -1
-	r.TrimLeadingSpace = true
 	var res PushdownResult
+	r, fields, ok := csvReader(string(payload), sep)
+	if !ok {
+		return nil, res, errSentinel
+	}
 	records, err := r.ReadAll()
 	if err != nil {
 		return nil, res, err
+	}
+	for _, rec := range records {
+		fields(rec)
 	}
 	t := table.New(s)
 	pred, needCols := compilePushdownPredicate(pd.Predicate, s)

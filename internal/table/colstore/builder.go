@@ -26,9 +26,12 @@ import (
 // the rows seen (dictMaxShare) the column reverts, once, to a plain
 // vector and stays one. The lookup maps belong to the builder and are
 // dropped when it is sealed; the table keeps only codes and dictionary.
-// A dictionary entry is the builder's own copy, so a coded column never
-// keeps a caller's larger string (a decoder's whole payload) alive; a
-// plain column stores the strings it is given, unless OwnStrings is called.
+//
+// The builder owns every string it stores, so a table never aliases the
+// bytes or strings it was built from (a decoder's payload): a dictionary
+// entry, a plain column's cell and a boxed string cell are each copied
+// into the builder's arena, chunks that strings.Builder hands out without
+// a further copy, so strings cost one object per chunk, not one each.
 type Builder struct {
 	schema *schema.Schema
 	cols   []*Vec
@@ -38,21 +41,26 @@ type Builder struct {
 	n     int
 	// want is the row count Reserve last set; 0 before any.
 	want int
+	// arena is the chunk own copies into; one that cannot take a string is
+	// left to the strings in it (it is never written again), and the next
+	// is twice its size, from 1 KiB up to arenaMaxChunk.
+	arena strings.Builder
 }
+
+const arenaMaxChunk = 64 << 10
 
 // A dictionary-coded column reverts to a plain vector at the first new
 // value that leaves its dictionary with more than dictMinEntries entries
 // and more than 1/dictMaxShare of the rows seen.
 //
 // The share is measured (60,000 cells appended from bytes, the sbin
-// shape; coding forced on / forced off, ms and allocations per build):
-// 1/115 distinct 2.2 vs 5.7 ms and 566 vs 60,025; 1/16 3.7 vs 5.9 and
-// 3,831; 1/8 5.9 vs 5.2 and 7,612; 1/4 8.3 vs 5.7 and 14,881; 1/2 12.6
-// vs 6.1; all distinct 24.9 vs 5.0. Coding pays a map probe per cell and
-// an insert per new value to save a heap string per repeat: level on
-// time at an eighth, ahead below it, and always ahead on bytes and
-// objects there. BenchmarkBuilderStrings reruns the plain and the
-// as-shipped sides.
+// shape; coding forced on / forced off, ms per build): 1/115 distinct 2.6
+// vs 6.3; 1/16 3.9 vs 6.2; 1/8 5.3 vs 6.3; 1/6 5.5 vs 6.3; 1/5 6.6 vs
+// 6.1; 1/4 8.4 vs 6.5; all distinct 17.1 vs 6.2. Coding pays a map probe
+// per cell to save a string header and an arena copy per repeat: level on
+// time at a fifth, ahead below it and on bytes (1.9 vs 4.8 MB at an
+// eighth), level on objects. BenchmarkBuilderStrings reruns the plain and
+// the as-shipped sides.
 //
 // The floor exists because every column's first rows are mostly new
 // values — 520 values drawn at random are a quarter of the rows until
@@ -62,7 +70,7 @@ type Builder struct {
 // for nothing: 0.45 ms, once, whatever the row count.
 const (
 	dictMinEntries = 1024
-	dictMaxShare   = 8
+	dictMaxShare   = 5
 )
 
 // NewBuilder returns a builder for tables of schema s. Vectors grow by
@@ -112,7 +120,7 @@ func (b *Builder) Append(row []value.V) {
 func (b *Builder) AppendCell(c int, cell value.V) { b.appendCell(c, cell, nil) }
 
 // AppendString is AppendCell for a string cell the caller holds as
-// bytes (a slice of its payload): they are copied into a string only
+// bytes (a slice of its payload): they are copied into the arena only
 // when the column has not seen the value, or is not coded.
 func (b *Builder) AppendString(c int, p []byte) { b.appendCell(c, value.NewString(""), p) }
 
@@ -151,8 +159,8 @@ func (b *Builder) appendCell(c int, cell value.V, p []byte) {
 	case value.String:
 		b.pushString(c, cell.StrRaw(), p)
 	case anyKind:
-		if p != nil {
-			cell = value.NewString(string(p))
+		if k == value.String {
+			cell = value.NewString(b.own(cell.StrRaw(), p))
 		}
 		v.anys = push(b, v.anys, cell)
 	}
@@ -164,10 +172,7 @@ func (b *Builder) pushString(c int, s string, p []byte) {
 	v := b.cols[c]
 	m := b.dicts[c]
 	if m == nil {
-		if p != nil {
-			s = string(p)
-		}
-		v.strs = push(b, v.strs, s)
+		v.strs = push(b, v.strs, b.own(s, p))
 		return
 	}
 	var code uint32
@@ -178,22 +183,33 @@ func (b *Builder) pushString(c int, s string, p []byte) {
 		code, ok = m[s]
 	}
 	if !ok {
-		if p != nil {
-			s = string(p)
-		}
 		if len(v.dict) > dictMinEntries && len(v.dict)*dictMaxShare > b.n {
 			b.plain(c)
-			v.strs = push(b, v.strs, s)
+			v.strs = push(b, v.strs, b.own(s, p))
 			return
 		}
-		if p == nil {
-			s = strings.Clone(s)
-		}
+		s = b.own(s, p)
 		code = uint32(len(v.dict))
 		v.dict = append(v.dict, s)
 		m[s] = code
 	}
 	v.codes = push(b, v.codes, code)
+}
+
+// own returns a copy of the string cell s, or of its bytes p (s is then
+// ""), held by the arena.
+func (b *Builder) own(s string, p []byte) string {
+	a := &b.arena
+	if n := len(s) + len(p); n == 0 {
+		return "" // pins no chunk
+	} else if c := a.Cap(); c-a.Len() < n {
+		*a = strings.Builder{}
+		a.Grow(max(n, min(2*c, arenaMaxChunk), arenaMaxChunk/64))
+	}
+	off := a.Len()
+	a.WriteString(s)
+	a.Write(p)
+	return a.String()[off:]
 }
 
 // plain reverts coded string column c to one header per element.
@@ -261,24 +277,6 @@ func (b *Builder) box(c int) {
 	}
 	*v = Vec{kind: anyKind, anys: anys, nulls: v.nulls}
 	b.dicts[c] = nil
-}
-
-// OwnStrings gives every plain and boxed string cell a copy of its own. It
-// is for a caller whose cells are substrings of a text much larger than
-// the rows it appended (a decoder whose predicate dropped most of the
-// payload): otherwise a few kept cells keep all that text alive with the
-// table.
-func (b *Builder) OwnStrings() {
-	for _, v := range b.cols {
-		for i, s := range v.strs {
-			v.strs[i] = strings.Clone(s)
-		}
-		for i, cell := range v.anys {
-			if cell.Kind() == value.String {
-				v.anys[i] = value.NewString(strings.Clone(cell.StrRaw()))
-			}
-		}
-	}
 }
 
 // Table seals the builder and returns what it accumulated as a

@@ -286,7 +286,7 @@ func TestBuilderDictionary(t *testing.T) {
 		{5000, 50, 1, true},                     // the low-cardinality shape
 		{5000, dictMinEntries - 1, 1, true},     // under the floor (the dictionary also lists "")
 		{5000, 5000, 1, false},                  // an id column: reverts at the floor
-		{40000, 2000, 2 * dictMaxShare, true},   // over the floor, each value seen 16 times by then
+		{40000, 2000, 2 * dictMaxShare, true},   // over the floor, each value seen 2*dictMaxShare times by then
 		{40000, 2000, dictMaxShare / 2, false},  // over the floor while still half the share allowed
 		{40000, 40000 / dictMaxShare, 1, false}, // ends at exactly the share, but crossed the floor far above it
 	} {
@@ -323,8 +323,8 @@ func TestBuilderDictionary(t *testing.T) {
 
 // TestBuilderSealsVectorsAtTheirSize: whatever the reserve promised and
 // however the vectors grew, a sealed table's have at most a quarter to
-// spare, and OwnStrings leaves every cell reading as it did — plain,
-// coded, boxed or null.
+// spare, and every cell reads as it was appended — plain, coded, boxed or
+// null.
 func TestBuilderSealsVectorsAtTheirSize(t *testing.T) {
 	for _, reserve := range []int{0, 1000, 1 << 20} {
 		const rows = 3000
@@ -354,7 +354,6 @@ func TestBuilderSealsVectorsAtTheirSize(t *testing.T) {
 			}
 			b.Append(row)
 		}
-		b.OwnStrings()
 		read := b.Table().Rows()
 		for c, v := range b.cols {
 			n := len(v.bools) + len(v.ints) + len(v.floats) + len(v.strs) + len(v.codes) + len(v.anys)
@@ -425,7 +424,7 @@ func BenchmarkSort10k(b *testing.B) {
 func BenchmarkBuilderStrings(b *testing.B) {
 	const rows = 60000
 	s := schema.MustFromNames("s")
-	for _, distinct := range []int{520, rows / 16, rows / 8, rows / 4, rows} {
+	for _, distinct := range []int{520, rows / 16, rows / 8, rows / 6, rows / 5, rows / 4, rows} {
 		rng := rand.New(rand.NewSource(1))
 		cells := make([][]byte, rows)
 		for i := range cells {

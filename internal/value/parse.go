@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"time"
@@ -19,38 +20,55 @@ import (
 // a superset of what the parser accepts, which keeps the inference
 // exactly strconv's and time's.
 func Parse(s string) V {
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return VNull
+	if v, ok := Infer(s); ok {
+		return v
 	}
-	switch t {
+	return NewString(s)
+}
+
+// Infer is Parse's rule for a string or for a field held as bytes (a
+// slice of a payload): the typed cell and true, or false for text, which
+// the caller stores itself, untrimmed as Parse keeps it. A field of up to
+// 32 bytes allocates nothing: one whose shape passes reaches strconv or
+// time as a string conversion that does not escape.
+func Infer[T string | []byte](s T) (V, bool) {
+	var t T // strings.TrimSpace(s), for either input
+	if b, ok := any(s).([]byte); ok {
+		t = T(bytes.TrimSpace(b))
+	} else {
+		t = T(strings.TrimSpace(string(s)))
+	}
+	if len(t) == 0 {
+		return VNull, true
+	}
+	switch string(t) { // a conversion a switch does not allocate
 	case "true", "True", "TRUE":
-		return VTrue
+		return VTrue, true
 	case "false", "False", "FALSE":
-		return VFalse
+		return VFalse, true
 	}
 	if intShaped(t) {
 		// Only a range error is left; the float parser takes those.
-		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-			return NewInt(i)
+		if i, err := strconv.ParseInt(string(t), 10, 64); err == nil {
+			return NewInt(i), true
 		}
 	}
 	if floatShaped(t) {
-		if f, err := strconv.ParseFloat(t, 64); err == nil {
-			return NewFloat(f)
+		if f, err := strconv.ParseFloat(string(t), 64); err == nil {
+			return NewFloat(f), true
 		}
 	}
 	if ts, ok := parseTime(t); ok {
-		return NewTime(ts)
+		return NewTime(ts), true
 	}
-	return NewString(s)
+	return V{}, false
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // intShaped reports whether t is an optional sign followed by decimal
 // digits only — base-10 strconv.ParseInt's whole syntax.
-func intShaped(t string) bool {
+func intShaped[T string | []byte](t T) bool {
 	if t[0] == '+' || t[0] == '-' {
 		t = t[1:]
 	}
@@ -67,7 +85,7 @@ func intShaped(t string) bool {
 // entirely), or sign, digits with at most one point, and an optional
 // signed exponent. Underscores pass as digits; strconv judges their
 // placement.
-func floatShaped(t string) bool {
+func floatShaped[T string | []byte](t T) bool {
 	signed := t[0] == '+' || t[0] == '-'
 	if signed {
 		t = t[1:]
@@ -75,11 +93,11 @@ func floatShaped(t string) bool {
 	if len(t) == 0 {
 		return false
 	}
-	switch t[0] {
+	switch t[0] { // converting at most 8 bytes allocates nothing
 	case 'i', 'I':
-		return strings.EqualFold(t, "inf") || strings.EqualFold(t, "infinity")
+		return len(t) <= 8 && (strings.EqualFold(string(t), "inf") || strings.EqualFold(string(t), "infinity"))
 	case 'n', 'N':
-		return !signed && strings.EqualFold(t, "nan")
+		return !signed && len(t) <= 8 && strings.EqualFold(string(t), "nan")
 	}
 	if len(t) > 2 && t[0] == '0' && t[1]|0x20 == 'x' {
 		return true
@@ -128,7 +146,7 @@ var timeLayouts = [...]string{
 // before time.Parse is reached; the character after the date then
 // selects the layouts worth trying ('T' the two RFC 3339 forms, a space
 // the space-separated form, nothing the bare date).
-func parseTime(t string) (time.Time, bool) {
+func parseTime[T string | []byte](t T) (time.Time, bool) {
 	if len(t) < 10 || t[4] != '-' || t[7] != '-' {
 		return time.Time{}, false
 	}
@@ -147,7 +165,7 @@ func parseTime(t string) (time.Time, bool) {
 		layouts = timeLayouts[2:3]
 	}
 	for _, layout := range layouts {
-		if ts, err := time.Parse(layout, t); err == nil {
+		if ts, err := time.Parse(layout, string(t)); err == nil {
 			return ts, true
 		}
 	}

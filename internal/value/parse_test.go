@@ -71,20 +71,35 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Parse(%q) = %v %#x %q, reference %v %#x %q", s,
 				got.kind, got.num, got.str, want.kind, want.num, want.str)
 		}
+		// The bytes entry types what Parse types and leaves text, untrimmed,
+		// to its caller.
+		if typed, ok := Infer([]byte(s)); ok != (want.kind != String) || ok && typed != want || !ok && want.str != s {
+			t.Fatalf("Infer(%q) = %v %#x %v, Parse %v %#x %q", s, typed.kind, typed.num, ok, want.kind, want.num, want.str)
+		}
 	})
 }
 
 // TestParseAllocs pins the property the decoders are built on: typing a
-// cell costs no allocation, whatever it turns out to be.
+// cell costs no allocation, whatever it turns out to be — from a string,
+// or from a payload's bytes up to 32 of them.
 func TestParseAllocs(t *testing.T) {
 	for _, s := range []string{"north", "r3", "123", "-7", "12.5", "1e3", "2024-01-05",
-		"2024-01-05 10:00:00", "2024-01-05T10:00:00Z", "2024-01-05T10:00:00.25Z", "true", "", "  web  ", "inf", "nano"} {
+		"2024-01-05 10:00:00", "2024-01-05T10:00:00Z", "2024-01-05T10:00:00.25Z", "true", "FALSE", "", "  web  ", "inf", "nano",
+		" \u00a01.7976931348623157e308\u2029", "2024-01-05T10:00:00.123456789Z", "a longer run of text past 32 bytes"} {
 		var sink V
 		if n := testing.AllocsPerRun(100, func() { sink = Parse(s) }); n != 0 {
 			t.Errorf("Parse(%q) allocates %v times per call, want 0", s, n)
 		}
 		if want := referenceParse(s); sink != want {
 			t.Errorf("Parse(%q) = %v, reference %v", s, sink, want)
+		}
+		b := []byte(s)
+		var ok bool
+		if n := testing.AllocsPerRun(100, func() { sink, ok = Infer(b) }); n != 0 && len(b) <= 32 {
+			t.Errorf("Infer(%q) allocates %v times per call, want 0", s, n)
+		}
+		if want := Parse(s); ok != (want.Kind() != String) || ok && sink != want {
+			t.Errorf("Infer(%q) = %v %v, Parse %v", s, sink, ok, want)
 		}
 	}
 }
