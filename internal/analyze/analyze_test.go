@@ -1025,6 +1025,42 @@ T:
 	}
 }
 
+// TestMissingColumnsInSourceOrder: FL003 names an expression's missing
+// columns in the order they appear in it, on every run.
+func TestMissingColumnsInSourceOrder(t *testing.T) {
+	const src = `
+D:
+  src: [x]
+D.src:
+  source: mem:src.csv
+F:
+  +D.out: D.src | T.sum
+T:
+  sum:
+    type: map
+    operator: expr
+    expression: alpha + beta + gamma
+    output: total
+`
+	var want string
+	for i := range 50 {
+		var b strings.Builder
+		for _, f := range findRule(lintSrc(t, src), "FL003") {
+			b.WriteString(f.Message + "\n")
+		}
+		got := b.String()
+		if i == 0 {
+			want = got
+			if !strings.HasPrefix(got, `column "alpha"`) || strings.Count(got, "\n") != 3 ||
+				strings.Index(got, `"beta"`) > strings.Index(got, `"gamma"`) {
+				t.Fatalf("FL003 messages not in source order:\n%s", got)
+			}
+		} else if got != want {
+			t.Fatalf("run %d: FL003 messages\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
 // TestSeverityGate pins the lint -fail-on contract helpers.
 func TestSeverityGate(t *testing.T) {
 	r := &Report{Findings: []Finding{{Rule: "FL051", Severity: Info}, {Rule: "FL004", Severity: Warning}}}

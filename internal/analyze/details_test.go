@@ -94,3 +94,56 @@ func TestDataDetailsDocumented(t *testing.T) {
 		t.Errorf("docs/GRAMMAR.md recognized detail properties = %v, want %v", documented, want)
 	}
 }
+
+// TestRulesDocumented holds the lint rule set to its docs both ways:
+// every "FLnnn" literal in non-test code has an FLnnn heading in
+// docs/LINTING.md or docs/TYPES.md, and every such heading names a rule
+// the code still emits.
+func TestRulesDocumented(t *testing.T) {
+	rule := regexp.MustCompile(`^FL[0-9]{3}$`)
+	emitted := map[string]string{}
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if bl, ok := n.(*ast.BasicLit); ok && bl.Kind == token.STRING {
+				if s, _ := strconv.Unquote(bl.Value); rule.MatchString(s) {
+					emitted[s] = fset.Position(bl.Pos()).String()
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heading := regexp.MustCompile(`(?m)^#+ (FL[0-9]{3})\b`)
+	documented := map[string]string{}
+	for _, doc := range []string{"LINTING.md", "TYPES.md"} {
+		b, err := os.ReadFile(filepath.Join(root, "docs", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range heading.FindAllStringSubmatch(string(b), -1) {
+			documented[m[1]] = doc
+		}
+	}
+	for r, pos := range emitted {
+		if documented[r] == "" {
+			t.Errorf("%s: rule %s has no heading in docs/LINTING.md or docs/TYPES.md", pos, r)
+		}
+	}
+	for r, doc := range documented {
+		if emitted[r] == "" {
+			t.Errorf("docs/%s documents %s, which no code emits", doc, r)
+		}
+	}
+}

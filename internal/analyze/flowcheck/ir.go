@@ -64,19 +64,8 @@ func (c *checker) add(rule string, sev Severity, msg, hint string) {
 	c.issues = append(c.issues, Issue{Rule: rule, Severity: sev, Message: msg, Hint: hint})
 }
 
-// CheckExpr parses and lowers one expression source against the scope,
-// returning the typed root and every issue found. A parse failure
-// returns (nil, nil): the task parser already rejected the source as
-// FL002, so there is nothing further to report.
-func CheckExpr(src string, sc Scope) (*Expr, []Issue) {
-	n, err := expr.Parse(src)
-	if err != nil {
-		return nil, nil
-	}
-	return CheckNode(n, sc)
-}
-
-// CheckNode lowers an already-parsed AST (see CheckExpr).
+// CheckNode lowers a stage's parsed expression against the scope,
+// returning the typed root and every issue found.
 func CheckNode(n expr.Node, sc Scope) (*Expr, []Issue) {
 	c := &checker{sc: sc}
 	e := c.lower(n)

@@ -5,8 +5,19 @@ import (
 	"strings"
 	"testing"
 
+	"shareinsights/internal/expr"
 	"shareinsights/internal/value"
 )
+
+// checkSrc parses src and lowers it with CheckNode.
+func checkSrc(t *testing.T, src string, sc Scope) (*Expr, []Issue) {
+	t.Helper()
+	n, err := expr.Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	return CheckNode(n, sc)
+}
 
 // testScope is the standard fixture: typed sales columns plus a counter
 // with a proven interval and a provably-null column.
@@ -70,10 +81,10 @@ func TestCheckExprRules(t *testing.T) {
 		{"-dead", []string{"FL062"}},
 	}
 	for _, c := range cases {
-		_, issues := CheckExpr(c.src, testScope())
+		_, issues := checkSrc(t, c.src, testScope())
 		got := rulesOf(issues)
 		if strings.Join(got, ",") != strings.Join(c.want, ",") {
-			t.Errorf("CheckExpr(%q) rules = %v, want %v (issues: %v)", c.src, got, c.want, issues)
+			t.Errorf("CheckNode(%q) rules = %v, want %v (issues: %v)", c.src, got, c.want, issues)
 		}
 	}
 }
@@ -105,7 +116,7 @@ func TestVerdicts(t *testing.T) {
 		{"amount >= -100000", ""},
 	}
 	for _, c := range cases {
-		root, _ := CheckExpr(c.src, testScope())
+		root, _ := checkSrc(t, c.src, testScope())
 		if got := Verdict(root); got != c.want {
 			t.Errorf("Verdict(%q) = %q, want %q", c.src, got, c.want)
 		}
@@ -115,7 +126,7 @@ func TestVerdicts(t *testing.T) {
 func TestRefineFilter(t *testing.T) {
 	lower := func(src string) Scope {
 		sc := testScope()
-		root, _ := CheckExpr(src, sc)
+		root, _ := checkSrc(t, src, sc)
 		if root == nil {
 			t.Fatalf("expression %q did not lower", src)
 		}
@@ -162,7 +173,7 @@ func TestRefineFilter(t *testing.T) {
 
 	// A bare boolean column conjunct discards nulls.
 	sc2 := Scope{"ok": {Type: Type{Kind: KBool, Nullable: true}}}
-	root, _ := CheckExpr("ok", sc2)
+	root, _ := checkSrc(t, "ok", sc2)
 	if got := RefineFilter(sc2, root)["ok"]; got.Type.Nullable {
 		t.Errorf("bare column filter: ok still nullable")
 	}
@@ -218,7 +229,7 @@ func TestFoldingMatchesRuntime(t *testing.T) {
 		{"-2.5", value.NewFloat(2.5 * -1)},
 	}
 	for _, c := range cases {
-		root, _ := CheckExpr(c.src, Scope{})
+		root, _ := checkSrc(t, c.src, Scope{})
 		if root == nil || root.Const == nil {
 			t.Errorf("fold %q: no constant", c.src)
 			continue

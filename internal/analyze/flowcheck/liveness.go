@@ -24,7 +24,7 @@ func LiveIn(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins []Input,
 	switch t := sp.(type) {
 	case *task.FilterSpec:
 		copySet(out[0], liveOut)
-		addCols(out[0], exprCols(t.Expression))
+		addCols(out[0], expr.Columns(t.Expr))
 		addCols(out[0], t.By)
 	case *task.MapSpec:
 		copySetExcept(out[0], liveOut, m2set(t.OutColumns()))
@@ -126,14 +126,15 @@ func liveInJoin(t *task.JoinSpec, ins []Input, liveOut map[string]bool, out []ma
 
 // mapUses names the input columns one map operator reads.
 func mapUses(m *task.MapSpec, def *flowfile.TaskDef) []string {
+	if n := m.Expr(); n != nil {
+		return expr.Columns(n)
+	}
 	if def == nil || def.Config == nil {
 		return nil
 	}
 	switch m.Operator {
 	case "constant":
 		return nil
-	case "expr":
-		return exprCols(def.Config.Str("expression"))
 	case "concat":
 		return def.Config.StrList("transform")
 	}
@@ -141,17 +142,6 @@ func mapUses(m *task.MapSpec, def *flowfile.TaskDef) []string {
 		return []string{c}
 	}
 	return nil
-}
-
-func exprCols(src string) []string {
-	if src == "" {
-		return nil
-	}
-	cols, err := expr.ReferencedColumns(src)
-	if err != nil {
-		return nil
-	}
-	return cols
 }
 
 func orderCols(keys []task.OrderKey) []string {

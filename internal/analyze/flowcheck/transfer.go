@@ -34,14 +34,6 @@ type StageResult struct {
 	Verdict string
 }
 
-// mapExprSource returns the expression source of an expr map operator.
-func mapExprSource(m *task.MapSpec, def *flowfile.TaskDef) string {
-	if m == nil || m.Operator != "expr" || def == nil || def.Config == nil {
-		return ""
-	}
-	return def.Config.Str("expression")
-}
-
 // TransferStage computes the abstract post-state of one stage from its
 // inputs and already-bound output schema. Facts are sound: every value
 // an engine produces in a typed output column Conforms to the fact's
@@ -194,13 +186,12 @@ func maxF(a, b float64) float64 {
 func transferFilter(t *task.FilterSpec, ins []Input, res *StageResult) {
 	in := firstInput(ins)
 	res.Card = in.Card.dropMin()
-	if t.Expression == "" {
+	if t.Expr == nil {
 		return
 	}
-	root := LowerQuiet(t.Expression, in.Scope)
-	if root == nil {
-		return
-	}
+	// The lint rules report the expression's issues; the transfer needs
+	// only the facts.
+	root, _ := CheckNode(t.Expr, in.Scope)
 	res.Verdict = Verdict(root)
 	switch res.Verdict {
 	case "always_false":
@@ -211,13 +202,6 @@ func transferFilter(t *task.FilterSpec, ins []Input, res *StageResult) {
 		}
 	}
 	res.Scope = RefineFilter(res.Scope, root)
-}
-
-// LowerQuiet lowers an expression discarding issues — transfer re-lowers
-// filter predicates whose issues the lint rules already reported.
-func LowerQuiet(src string, sc Scope) *Expr {
-	e, _ := CheckExpr(src, sc)
-	return e
 }
 
 // aggFact is the output fact of one group-by aggregate, matching the
@@ -311,11 +295,8 @@ func mapFact(m *task.MapSpec, def *flowfile.TaskDef, in Scope) ColFact {
 			return f
 		}
 	case "expr":
-		if src := mapExprSource(m, def); src != "" {
-			if e, _ := CheckExpr(src, in); e != nil {
-				return ColFact{Type: e.Type, Const: e.Const, Ivl: e.Ivl}
-			}
-		}
+		e, _ := CheckNode(m.Expr(), in)
+		return ColFact{Type: e.Type, Const: e.Const, Ivl: e.Ivl}
 	}
 	return ColFact{Type: Unknown()}
 }

@@ -131,25 +131,25 @@ func (l *linter) checkStage(specs []task.Spec, k int, def *flowfile.TaskDef, nam
 	}
 	switch t := specs[k].(type) {
 	case *task.FilterSpec:
-		if t.Expression != "" {
-			l.checkExprIssues(t.Expression, in, entity, configLine(def, "filter_expression"))
+		if t.Expr != nil {
+			l.checkExprIssues(t.Expr, in, entity, configLine(def, "filter_expression"))
 		}
 	case *task.MapSpec:
-		if t.Operator == "expr" {
+		if n := t.Expr(); n != nil {
 			line := configLine(def, "expression")
-			l.checkExprColumns(def.Config.Str("expression"), ins, entity, line)
-			l.checkExprIssues(def.Config.Str("expression"), in, entity, line)
+			l.checkExprColumns(n, ins, entity, line)
+			l.checkExprIssues(n, in, entity, line)
 		}
 	case *task.ParallelSpec:
 		for i, sub := range t.Subs {
 			ms, ok := sub.(*task.MapSpec)
-			if !ok || ms.Operator != "expr" || i >= len(t.Names) {
+			if !ok || ms.Expr() == nil || i >= len(t.Names) {
 				continue
 			}
 			if sdef, ok := l.f.Tasks[t.Names[i]]; ok {
 				line := configLine(sdef, "expression")
-				l.checkExprColumns(sdef.Config.Str("expression"), ins, "T."+t.Names[i], line)
-				l.checkExprIssues(sdef.Config.Str("expression"), in, "T."+t.Names[i], line)
+				l.checkExprColumns(ms.Expr(), ins, "T."+t.Names[i], line)
+				l.checkExprIssues(ms.Expr(), in, "T."+t.Names[i], line)
 			}
 		}
 	case *task.JoinSpec:
@@ -178,16 +178,12 @@ func (l *linter) checkStage(specs []task.Spec, k int, def *flowfile.TaskDef, nam
 // binding the expression, so the walk checks them itself (the
 // differential fuzzer found this gap: a lint-clean flow whose map expr
 // named a missing column compiled but failed mid-run).
-func (l *linter) checkExprColumns(src string, ins []flowcheck.Input, entity string, line int) {
-	if src == "" || len(ins) == 0 || ins[0].Schema == nil {
+func (l *linter) checkExprColumns(n expr.Node, ins []flowcheck.Input, entity string, line int) {
+	if len(ins) == 0 || ins[0].Schema == nil {
 		return
 	}
 	sch := ins[0].Schema
-	cols, err := expr.ReferencedColumns(src)
-	if err != nil {
-		return // FL002 reports unparsable expressions
-	}
-	for _, c := range cols {
+	for _, c := range expr.Columns(n) {
 		if sch.Has(c) {
 			continue
 		}

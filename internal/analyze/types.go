@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shareinsights/internal/analyze/flowcheck"
+	"shareinsights/internal/expr"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/task"
 )
@@ -14,13 +15,10 @@ import (
 // FL004 and FL021 keep their exact historical wording while FL060–FL063
 // report what only the fine lattice can prove.
 
-// checkExprIssues lowers one expression through flowcheck and converts
-// its issues to findings at the given entity/line.
-func (l *linter) checkExprIssues(src string, sc flowcheck.Scope, entity string, line int) {
-	if src == "" {
-		return
-	}
-	_, issues := flowcheck.CheckExpr(src, sc)
+// checkExprIssues lowers one stage's parsed expression through flowcheck
+// and converts its issues to findings at the given entity/line.
+func (l *linter) checkExprIssues(n expr.Node, sc flowcheck.Scope, entity string, line int) {
+	_, issues := flowcheck.CheckNode(n, sc)
 	for _, is := range issues {
 		l.add(Finding{Rule: is.Rule, Severity: Severity(is.Severity), Entity: entity,
 			Line: line, Message: is.Message, Hint: is.Hint})

@@ -220,18 +220,20 @@ func (r *Registry) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte,
 // evaluator plus the columns the predicate reads (those must keep
 // decoding even when listed in SkipColumns). A predicate that fails to
 // parse or bind is declined (nil evaluator) — the consumer pipeline
-// still applies it, so declining is always sound.
+// still applies it, so declining is always sound. The predicate reaches
+// a format as text over the extension contract, so it is parsed here,
+// once per decode.
 func compilePushdownPredicate(pred string, s *schema.Schema) (expr.Eval, []string) {
 	if pred == "" {
 		return nil, nil
 	}
-	ev, err := expr.Compile(pred, s)
+	n, err := expr.Parse(pred)
 	if err != nil {
 		return nil, nil
 	}
-	need, err := expr.ReferencedColumns(pred)
+	ev, err := n.Bind(s)
 	if err != nil {
 		return nil, nil
 	}
-	return ev, need
+	return ev, expr.Columns(n)
 }

@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"slices"
+
 	"shareinsights/internal/expr"
 	"shareinsights/internal/task"
 )
@@ -118,21 +120,14 @@ func HoistFilters(specs []task.Spec) Hoist {
 		if !isExprFilter(specs[i]) {
 			continue
 		}
-		cols, err := expr.ReferencedColumns(specs[i].(*task.FilterSpec).Expression)
-		if err != nil {
-			continue
-		}
-		need := make(map[string]bool, len(cols))
-		for _, c := range cols {
-			need[c] = true
-		}
+		need := expr.Columns(specs[i].(*task.FilterSpec).Expr)
 		j := i
 		var clash []string
 		for ; j > 0; j-- {
 			produced, maps := producedColumns(h.Specs[j-1])
 			clash = nil
 			for _, c := range produced {
-				if need[c] {
+				if slices.Contains(need, c) {
 					clash = append(clash, c)
 				}
 			}

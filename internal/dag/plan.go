@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -279,7 +280,7 @@ func ResolveColumnar(mode string) string {
 // filters depend on live widget selections and are never moved.
 func isExprFilter(sp task.Spec) bool {
 	f, ok := sp.(*task.FilterSpec)
-	return ok && f.Expression != "" && f.SourceWidget == ""
+	return ok && f.Expr != nil && f.SourceWidget == ""
 }
 
 func clamp01(v float64) float64 {
@@ -443,13 +444,13 @@ func sourcePushdown(g *Graph, n *Node, plans map[string]*NodePlan, skip map[stri
 	if f := pushableFilter(g, n, plans, skip); f != nil {
 		consumer := uniqueConsumer(n)
 		sel, ev := estimate(consumer, f, opts)
-		if ev != EvidenceHeuristic && sel < predicateGate && predicateCoversSchema(f.Expression, n) {
+		if ev != EvidenceHeuristic && sel < predicateGate && predicateCoversSchema(f.Expr, n) {
 			pd.Predicate = f.Expression
 			pd.Consumer = consumer
 			pd.Selectivity = sel
 			pd.Evidence = ev
 			// The predicate's columns must be decoded to evaluate it.
-			pd.SkipColumns = subtractCols(pd.SkipColumns, f.Expression)
+			pd.SkipColumns = subtractCols(pd.SkipColumns, f.Expr)
 			decisions = append(decisions, Decision{
 				Rule:     RulePredicateToSource,
 				Detail:   fmt.Sprintf("filter (%s) of D.%s applied during fetch (sel=%.2f)", f.Expression, consumer, sel),
@@ -513,15 +514,11 @@ func pushableFilter(g *Graph, n *Node, plans map[string]*NodePlan, skip map[stri
 // predicateCoversSchema verifies every column the predicate reads is a
 // declared source column (it binds first in the consumer, so this holds
 // by construction; the check guards programmatic callers).
-func predicateCoversSchema(src string, n *Node) bool {
-	cols, err := expr.ReferencedColumns(src)
-	if err != nil {
-		return false
-	}
+func predicateCoversSchema(pred expr.Node, n *Node) bool {
 	if n.Schema == nil {
 		return false
 	}
-	for _, c := range cols {
+	for _, c := range expr.Columns(pred) {
 		if !n.Schema.Has(c) {
 			return false
 		}
@@ -531,18 +528,11 @@ func predicateCoversSchema(src string, n *Node) bool {
 
 // subtractCols removes the predicate's referenced columns from a
 // skip-column list.
-func subtractCols(cols []string, predicate string) []string {
-	refs, err := expr.ReferencedColumns(predicate)
-	if err != nil {
-		return cols
-	}
-	needed := map[string]bool{}
-	for _, c := range refs {
-		needed[c] = true
-	}
+func subtractCols(cols []string, predicate expr.Node) []string {
+	needed := expr.Columns(predicate)
 	out := cols[:0]
 	for _, c := range cols {
-		if !needed[c] {
+		if !slices.Contains(needed, c) {
 			out = append(out, c)
 		}
 	}

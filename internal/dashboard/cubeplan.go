@@ -56,7 +56,7 @@ func compileCubePlan(client []task.Spec) *cubePlan {
 		if !ok {
 			break
 		}
-		if f.SourceWidget == "" || f.Expression != "" {
+		if f.SourceWidget == "" || f.Expr != nil {
 			return nil // static filters belong to the server prefix
 		}
 		for j, col := range f.By {

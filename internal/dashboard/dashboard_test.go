@@ -441,7 +441,7 @@ func TestResolvedOnce(t *testing.T) {
 	parses := 0
 	if err := p.Tasks.Register("counted", func(*flowfile.Node) (task.Spec, error) {
 		parses++
-		return &task.FilterSpec{Expression: "v > 0"}, nil
+		return task.NewFilter("v > 0")
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -138,9 +139,6 @@ type Node interface {
 	// Bind resolves column references against the schema, returning an
 	// evaluator. Binding fails if a referenced column is absent.
 	Bind(s *schema.Schema) (Eval, error)
-	// Columns appends the column names the node references. The DAG
-	// optimizer uses it for projection pruning.
-	Columns(acc map[string]bool)
 	// String renders the node back to source form.
 	String() string
 }
@@ -157,9 +155,6 @@ func (n *Lit) Bind(*schema.Schema) (Eval, error) {
 	return func(table.Row) value.V { return v }, nil
 }
 
-// Columns implements Node.
-func (n *Lit) Columns(map[string]bool) {}
-
 // String renders the literal in source form.
 func (n *Lit) String() string {
 	if n.Val.Kind() == value.String {
@@ -170,7 +165,12 @@ func (n *Lit) String() string {
 	if n.Val.IsNull() {
 		return "null"
 	}
-	return n.Val.String()
+	s := n.Val.String()
+	if n.Val.Kind() == value.Float && !strings.ContainsAny(s, ".eE") {
+		// An integral float must re-parse as a float: 1. / 2 is 0.5.
+		s += ".0"
+	}
+	return s
 }
 
 // Col is a column reference.
@@ -184,9 +184,6 @@ func (n *Col) Bind(s *schema.Schema) (Eval, error) {
 	}
 	return func(r table.Row) value.V { return r[i] }, nil
 }
-
-// Columns implements Node.
-func (n *Col) Columns(acc map[string]bool) { acc[n.Name] = true }
 
 // String renders the column reference.
 func (n *Col) String() string { return n.Name }
@@ -218,9 +215,6 @@ func (n *Unary) Bind(s *schema.Schema) (Eval, error) {
 	return nil, fmt.Errorf("expr: unknown unary operator %q", n.Op)
 }
 
-// Columns implements Node.
-func (n *Unary) Columns(acc map[string]bool) { n.X.Columns(acc) }
-
 // String renders the operator in source form.
 func (n *Unary) String() string {
 	if n.Op == "not" {
@@ -241,13 +235,6 @@ func (n *Tuple) Bind(*schema.Schema) (Eval, error) {
 	return nil, fmt.Errorf("expr: value list is only valid after 'in'")
 }
 
-// Columns implements Node.
-func (n *Tuple) Columns(acc map[string]bool) {
-	for _, it := range n.Items {
-		it.Columns(acc)
-	}
-}
-
 // String renders the value list in source form.
 func (n *Tuple) String() string {
 	parts := make([]string, len(n.Items))
@@ -261,12 +248,6 @@ func (n *Tuple) String() string {
 type Binary struct {
 	Op   string
 	L, R Node
-}
-
-// Columns implements Node.
-func (n *Binary) Columns(acc map[string]bool) {
-	n.L.Columns(acc)
-	n.R.Columns(acc)
 }
 
 // String renders the expression, parenthesized.
@@ -438,15 +419,6 @@ func Parse(src string) (Node, error) {
 	return n, nil
 }
 
-// Compile parses and binds in one step.
-func Compile(src string, s *schema.Schema) (Eval, error) {
-	n, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return n.Bind(s)
-}
-
 func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 
@@ -584,12 +556,8 @@ func (p *parser) parsePrimary() (Node, error) {
 	return nil, fmt.Errorf("expr: unexpected token %q at offset %d in %q", t.text, t.pos, p.src)
 }
 
-// ReferencedColumns returns the column names referenced by the source
-// expression, or an error if it does not parse.
-// Walk calls fn for n and then every descendant, depth-first. The
-// static analyzer (internal/analyze) uses it to inspect expression
-// shape — literal kinds, operator operands — without re-implementing
-// the traversal for each AST node type.
+// Walk calls fn for n and then every descendant, depth-first and left to
+// right, so nodes are visited in source order.
 func Walk(n Node, fn func(Node)) {
 	if n == nil {
 		return
@@ -608,16 +576,15 @@ func Walk(n Node, fn func(Node)) {
 	}
 }
 
-func ReferencedColumns(src string) ([]string, error) {
-	n, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	acc := map[string]bool{}
-	n.Columns(acc)
-	out := make([]string, 0, len(acc))
-	for c := range acc {
-		out = append(out, c)
-	}
-	return out, nil
+// Columns returns the column names n references, each once, in the
+// order they first appear in the source: the optimizer's projection and
+// hoisting input, and the order missing columns are reported in.
+func Columns(n Node) []string {
+	var out []string
+	Walk(n, func(m Node) {
+		if c, ok := m.(*Col); ok && !slices.Contains(out, c.Name) {
+			out = append(out, c.Name)
+		}
+	})
+	return out
 }

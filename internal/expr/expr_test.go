@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,11 +17,20 @@ func row(rating int64, project string, count int64, price float64) table.Row {
 	return table.Row{value.NewInt(rating), value.NewString(project), value.NewInt(count), value.NewFloat(price)}
 }
 
+// compile parses src and binds it against s.
+func compile(src string, s *schema.Schema) (Eval, error) {
+	n, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return n.Bind(s)
+}
+
 func eval(t *testing.T, src string, r table.Row) value.V {
 	t.Helper()
-	ev, err := Compile(src, testSchema)
+	ev, err := compile(src, testSchema)
 	if err != nil {
-		t.Fatalf("Compile(%q): %v", src, err)
+		t.Fatalf("compile(%q): %v", src, err)
 	}
 	return ev(r)
 }
@@ -109,27 +119,31 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestBindErrors(t *testing.T) {
-	if _, err := Compile("missing > 1", testSchema); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, err := compile("missing > 1", testSchema); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("bind error = %v", err)
 	}
 }
 
-func TestReferencedColumns(t *testing.T) {
-	cols, err := ReferencedColumns("rating < 3 and project == 'pig' or count + rating > 5")
-	if err != nil {
-		t.Fatal(err)
+// TestColumnsInSourceOrder: Columns names each referenced column once,
+// in first-appearance order, and never a literal — the order a
+// missing-column error and lint's FL003 findings report them in.
+func TestColumnsInSourceOrder(t *testing.T) {
+	cases := map[string][]string{
+		"rating < 3 and project == 'pig' or count + rating > 5": {"rating", "project", "count"},
+		"gamma > 3 and alpha > 1 and beta > 2 and alpha < 9":    {"gamma", "alpha", "beta"},
+		"not (z in (y, 'x', w)) or -v > 0":                      {"z", "y", "w", "v"},
+		"'pig' == 1":                                            nil,
 	}
-	set := map[string]bool{}
-	for _, c := range cols {
-		set[c] = true
-	}
-	for _, want := range []string{"rating", "project", "count"} {
-		if !set[want] {
-			t.Errorf("missing column %q in %v", want, cols)
+	for src, want := range cases {
+		n, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if set["pig"] {
-		t.Error("string literal leaked into columns")
+		for range 20 {
+			if got := Columns(n); !slices.Equal(got, want) {
+				t.Fatalf("Columns(%q) = %v, want %v", src, got, want)
+			}
+		}
 	}
 }
 
@@ -172,7 +186,7 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 func TestQuotedStringEscapes(t *testing.T) {
-	ev, err := Compile(`project == 'o\'brien'`, testSchema)
+	ev, err := compile(`project == 'o\'brien'`, testSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +224,14 @@ func TestArithProperties(t *testing.T) {
 func TestNullSemantics(t *testing.T) {
 	s := schema.MustFromNames("x")
 	r := table.Row{value.VNull}
-	ev, err := Compile("x == null", s)
+	ev, err := compile("x == null", s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ev(r).Bool() {
 		t.Error("null == null should hold")
 	}
-	ev2, _ := Compile("x < 5", s)
+	ev2, _ := compile("x < 5", s)
 	if !ev2(r).Bool() {
 		t.Error("null sorts before numbers, so null < 5")
 	}
@@ -248,10 +262,10 @@ func TestInOperator(t *testing.T) {
 		t.Fatalf("in round trip: %q: %v", n.String(), err)
 	}
 	// A tuple anywhere else is rejected.
-	if _, err := Compile("('a','b') == project", testSchema); err == nil {
+	if _, err := compile("('a','b') == project", testSchema); err == nil {
 		t.Error("tuple outside in should fail to bind")
 	}
-	if _, err := Compile("rating + (1,2)", testSchema); err == nil {
+	if _, err := compile("rating + (1,2)", testSchema); err == nil {
 		t.Error("tuple in arithmetic should fail to bind")
 	}
 }

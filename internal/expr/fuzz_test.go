@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"slices"
 	"testing"
 
 	"shareinsights/internal/table"
@@ -9,7 +10,8 @@ import (
 
 // FuzzParseEval drives the expression parser and evaluator with
 // arbitrary sources: never panic, and parseable expressions must
-// round-trip through String() to an equivalent evaluator.
+// round-trip through String() to an equivalent evaluator that reads the
+// same columns in the same order.
 func FuzzParseEval(f *testing.F) {
 	f.Add("rating < 3 and project == 'pig'")
 	f.Add("count * 2 + rating % 3")
@@ -24,6 +26,9 @@ func FuzzParseEval(f *testing.F) {
 		n2, err := Parse(n.String())
 		if err != nil {
 			t.Fatalf("String() form does not re-parse: %q -> %q: %v", src, n.String(), err)
+		}
+		if c1, c2 := Columns(n), Columns(n2); !slices.Equal(c1, c2) {
+			t.Fatalf("round trip changed the columns of %q: %v -> %v", src, c1, c2)
 		}
 		e1, err1 := n.Bind(testSchema)
 		e2, err2 := n2.Bind(testSchema)

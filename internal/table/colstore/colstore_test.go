@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/value"
@@ -83,7 +82,7 @@ func TestSelectionSetOps(t *testing.T) {
 		}
 		b, _ := FromTable(tb)
 		filter := func(in *Batch, src string) *Batch {
-			pred, err := CompileVecSrc(src, tb.Schema())
+			pred, err := compileVecSrc(src, tb.Schema())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,11 +307,11 @@ func TestVecExprMatchesRowExpr(t *testing.T) {
 				if !ok {
 					return false
 				}
-				rowEv, err := expr.Compile(src, tb.Schema())
+				rowEv, err := bindRowSrc(src, tb.Schema())
 				if err != nil {
 					t.Fatalf("row compile %q: %v", src, err)
 				}
-				vecEv, err := CompileVecSrc(src, tb.Schema())
+				vecEv, err := compileVecSrc(src, tb.Schema())
 				if err != nil {
 					t.Fatalf("vec compile %q: %v", src, err)
 				}
@@ -443,7 +442,7 @@ func TestFilterKernel(t *testing.T) {
 			return false
 		}
 		const src = "a > 0 and flag"
-		pred, err := CompileVecSrc(src, tb.Schema())
+		pred, err := compileVecSrc(src, tb.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +450,7 @@ func TestFilterKernel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rowEv, err := expr.Compile(src, tb.Schema())
+		rowEv, err := bindRowSrc(src, tb.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +475,7 @@ func TestFilterSharesAnAllPassInput(t *testing.T) {
 	tb := mixedTable([]int64{5, 3, 9}, []float64{.5, 1.5, 2.5}, []string{"a", "b", "a"}, []bool{true, true, true}, []byte{0, 0, 0})
 	b, _ := FromTable(tb)
 	for src, same := range map[string]bool{"a > 0": true, "a > 3": false, "a > 9": false} {
-		pred, err := CompileVecSrc(src, tb.Schema())
+		pred, err := compileVecSrc(src, tb.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +512,7 @@ func TestSharedColumnBackedTable(t *testing.T) {
 	if built, _ := FromTable(rebuilt(src)); built.Col(2).dict == nil || wantBatch.Col(2).dict != nil {
 		t.Fatal("want the built string column dictionary-coded and the converted one plain")
 	}
-	pred, err := CompileVecSrc("a * 2 > 4 or s == 'c'", src.Schema())
+	pred, err := compileVecSrc("a * 2 > 4 or s == 'c'", src.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}

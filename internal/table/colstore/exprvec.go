@@ -259,15 +259,6 @@ func addLeaf(leaves *[]leaf, l leaf) eval {
 	return func(t *temps) *Vec { return t.leaves[i].slide(t.lo, t.hi) }
 }
 
-// CompileVecSrc parses and compiles an expression source string.
-func CompileVecSrc(src string, s *schema.Schema) (VecEval, error) {
-	n, err := expr.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return CompileVec(n, s)
-}
-
 func compileBinary(n *expr.Binary, s *schema.Schema, leaves *[]leaf, root bool) (eval, error) {
 	l, lown, err := compile(n.L, s, leaves, false)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/table/colstore"
@@ -79,7 +80,11 @@ func TestGroupByFoldsEveryKind(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev, err := colstore.CompileVecSrc("n + i", src.Schema())
+	n, err := expr.Parse("n + i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := colstore.CompileVec(n, src.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}

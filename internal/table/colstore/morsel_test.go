@@ -11,6 +11,24 @@ import (
 	"shareinsights/internal/value"
 )
 
+// compileVecSrc parses src and compiles it with CompileVec.
+func compileVecSrc(src string, s *schema.Schema) (VecEval, error) {
+	n, err := expr.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return CompileVec(n, s)
+}
+
+// bindRowSrc parses src and binds it for the row evaluator.
+func bindRowSrc(src string, s *schema.Schema) (expr.Eval, error) {
+	n, err := expr.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return n.Bind(s)
+}
+
 // whole is a morsel size no batch reaches: the batch in one morsel.
 const whole = math.MaxInt
 
@@ -118,7 +136,7 @@ const weightExpr = "noOfCheckins * 2 + noOfBugs + noOfContributors * 5 + noOfRel
 // full-length vector for the temporaries: 967,874 bytes.
 func TestMapExprTempsBounded(t *testing.T) {
 	b := weightBatch(60000)
-	ev, err := CompileVecSrc(weightExpr, b.Schema())
+	ev, err := compileVecSrc(weightExpr, b.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}

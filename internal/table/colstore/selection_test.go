@@ -194,7 +194,7 @@ func TestKernelChainAllocs(t *testing.T) {
 	out := schema.MustFromNames("k", "x", "w", "a", "b", "c", "t")
 	join := &Join{LeftKeys: []int{0}, RightKeys: []int{0}, Out: out,
 		Cols: []JoinCol{{Col: 0}, {Col: 1}, {Col: 2}, {Col: 3}, {Col: 4}, {Col: 5}, {Right: true, Col: 1}}}
-	pred, err := CompileVecSrc("x >= 1", out)
+	pred, err := compileVecSrc("x >= 1", out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,11 @@ type Selection struct {
 //     no selection the filter passes everything — the dashboard's
 //     initial render.
 type FilterSpec struct {
-	// Expression is the filter expression source (expression mode).
+	// Expression is the filter expression as written (expression mode):
+	// the display and identity form (Describe, plan hints, pushdown).
 	Expression string
+	// Expr is Expression parsed, what every consumer binds and checks.
+	Expr expr.Node
 	// By are the data columns to filter (interaction mode).
 	By []string
 	// SourceWidget is the widget whose selection feeds the filter.
@@ -42,12 +45,17 @@ type FilterSpec struct {
 	Val []string
 }
 
-func parseFilterBy(cfg *flowfile.Node) (Spec, error) {
-	s := &FilterSpec{
-		Expression: cfg.Str("filter_expression"),
-		By:         cfg.StrList("filter_by"),
-		Val:        cfg.StrList("filter_val"),
+// NewFilter returns an expression-mode filter_by, parsing src once.
+func NewFilter(src string) (*FilterSpec, error) {
+	n, err := expr.Parse(src)
+	if err != nil {
+		return nil, err
 	}
+	return &FilterSpec{Expression: src, Expr: n}, nil
+}
+
+func parseFilterBy(cfg *flowfile.Node) (Spec, error) {
+	s := &FilterSpec{By: cfg.StrList("filter_by"), Val: cfg.StrList("filter_val")}
 	if src := cfg.Str("filter_source"); src != "" {
 		ref, err := flowfile.ParseRef(src)
 		if err != nil {
@@ -58,13 +66,16 @@ func parseFilterBy(cfg *flowfile.Node) (Spec, error) {
 		}
 		s.SourceWidget = ref.Name
 	}
-	if s.Expression == "" && len(s.By) == 0 {
+	src := cfg.Str("filter_expression")
+	if src == "" && len(s.By) == 0 {
 		return nil, fmt.Errorf("filter_by: need filter_expression or filter_by columns")
 	}
-	if s.Expression != "" {
-		if _, err := expr.Parse(s.Expression); err != nil {
+	if src != "" {
+		f, err := NewFilter(src)
+		if err != nil {
 			return nil, err
 		}
+		s.Expression, s.Expr = f.Expression, f.Expr
 	}
 	if len(s.By) > 0 && s.SourceWidget == "" {
 		return nil, fmt.Errorf("filter_by: filter_by columns need a filter_source widget")
@@ -84,12 +95,8 @@ func (s *FilterSpec) Out(in []Input) (*schema.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Expression != "" {
-		cols, err := expr.ReferencedColumns(s.Expression)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := one.Schema.Require(cols...); err != nil {
+	if s.Expr != nil {
+		if _, err := one.Schema.Require(expr.Columns(s.Expr)...); err != nil {
 			return nil, err
 		}
 	}
@@ -106,8 +113,8 @@ func (s *FilterSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) 
 		return nil, nil, err
 	}
 	var preds []func(table.Row) bool
-	if s.Expression != "" {
-		ev, err := expr.Compile(s.Expression, in.Schema)
+	if s.Expr != nil {
+		ev, err := s.Expr.Bind(in.Schema)
 		if err != nil {
 			return nil, nil, err
 		}

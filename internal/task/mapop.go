@@ -110,6 +110,15 @@ func (s *MapSpec) Type() string { return "map" }
 // this map.
 func (s *MapSpec) OutColumns() []string { return s.op.OutColumns() }
 
+// Expr returns the parsed expression of an expr operator, nil for every
+// other operator.
+func (s *MapSpec) Expr() expr.Node {
+	if op, ok := s.op.(*exprOperator); ok {
+		return op.node
+	}
+	return nil
+}
+
 // Out implements Spec.
 func (s *MapSpec) Out(in []Input) (*schema.Schema, error) {
 	one, err := singleInput("map", in)
@@ -470,25 +479,26 @@ func Tokenize(s string) []string {
 // exprOperator computes one output column from a filter-language
 // expression over the row: `operator: expr, expression: a * b, output: c`.
 type exprOperator struct {
-	source string
+	node   expr.Node
 	output string
 }
 
 func newExprOperator(cfg *flowfile.Node) (MapOperator, error) {
-	op := &exprOperator{source: cfg.Str("expression"), output: cfg.Str("output")}
-	if op.source == "" || op.output == "" {
+	src, output := cfg.Str("expression"), cfg.Str("output")
+	if src == "" || output == "" {
 		return nil, fmt.Errorf("expr: need expression and output")
 	}
-	if _, err := expr.Parse(op.source); err != nil {
+	n, err := expr.Parse(src)
+	if err != nil {
 		return nil, err
 	}
-	return op, nil
+	return &exprOperator{node: n, output: output}, nil
 }
 
 func (op *exprOperator) OutColumns() []string { return []string{op.output} }
 
 func (op *exprOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
-	ev, err := expr.Compile(op.source, in)
+	ev, err := op.node.Bind(in)
 	if err != nil {
 		return nil, err
 	}

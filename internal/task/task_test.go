@@ -99,6 +99,22 @@ f:
 	}
 }
 
+// TestFilterMissingColumnInSourceOrder: of several missing columns, Out
+// names the first one the expression reads, every time.
+func TestFilterMissingColumnInSourceOrder(t *testing.T) {
+	f, err := NewFilter("alpha > 1 and beta > 2 and gamma > 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []Input{{Name: "in", Schema: schema.MustFromNames("x")}}
+	for range 50 {
+		_, err := f.Out(in)
+		if err == nil || !strings.Contains(err.Error(), `"alpha"`) {
+			t.Fatalf("Out error = %v, want one naming alpha", err)
+		}
+	}
+}
+
 func TestFilterInteraction(t *testing.T) {
 	spec := parseSpec(t, `
 filter_projects:

@@ -67,10 +67,9 @@ func (s *JoinSpec) BindJoin(env *Env, a, b Input) (*colstore.Join, bool, bool) {
 func HasKernel(sp Spec) bool {
 	switch s := sp.(type) {
 	case *FilterSpec:
-		return s.Expression != "" && len(s.By) == 0
+		return s.Expr != nil && len(s.By) == 0
 	case *MapSpec:
-		_, ok := s.op.(*exprOperator)
-		return ok
+		return s.Expr() != nil
 	case *TopNSpec:
 		return len(s.GroupBy) == 0 && len(s.OrderBy) == 1
 	}
@@ -101,7 +100,7 @@ func (s *FilterSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schem
 	if err != nil {
 		return nil, nil, false
 	}
-	ev, err := colstore.CompileVecSrc(s.Expression, in.Schema)
+	ev, err := colstore.CompileVec(s.Expr, in.Schema)
 	if err != nil {
 		return nil, nil, false
 	}
@@ -151,14 +150,15 @@ func (s *TopNSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema,
 // the text operators (extract, date, …) are dictionary- or
 // tokenizer-bound and may fan out rows.
 func (s *MapSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	op, ok := s.op.(*exprOperator)
-	if !ok {
+	n := s.Expr()
+	if n == nil {
 		return nil, nil, false
 	}
-	out := in.Schema.ExtendOrSame(op.output)
-	ev, err := colstore.CompileVecSrc(op.source, in.Schema)
+	col := s.OutColumns()[0]
+	out := in.Schema.ExtendOrSame(col)
+	ev, err := colstore.CompileVec(n, in.Schema)
 	if err != nil {
 		return nil, nil, false
 	}
-	return &colstore.MapExpr{Eval: ev, Out: out, Slot: out.Index(op.output)}, out, true
+	return &colstore.MapExpr{Eval: ev, Out: out, Slot: out.Index(col)}, out, true
 }
