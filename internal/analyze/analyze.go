@@ -196,31 +196,25 @@ func PlatformOptions(tasks *task.Registry, conns *connector.Registry, catalog *s
 	return opts
 }
 
-// Lint analyzes the file and returns every finding, ordered by line.
-func Lint(f *flowfile.File, opts Options) *Report {
-	r, _ := LintWithFacts(f, opts)
-	return r
-}
-
 // LintWithFacts analyzes the file and additionally returns the flowcheck
 // fact export — per-object column types, constants, intervals,
 // cardinality bounds and liveness — for `shareinsights check`, the check
-// endpoint and the optimizer.
+// endpoint and the optimizer. It resolves the file into its graph once
+// (dag.Resolve — the same resolver a run uses, so lint cannot call clean
+// what run rejects) and analyzes it.
 func LintWithFacts(f *flowfile.File, opts Options) (*Report, *flowcheck.Facts) {
-	l := lintRun(f, opts)
-	return l.report, l.exportFacts()
+	g, problems := dag.Resolve(f, opts.Tasks, opts.Shared)
+	return Analyze(g, opts.SourceScopes).Lint(problems, opts)
 }
 
-// lintRun resolves the file into its graph once (dag.Resolve — the same
-// resolver a run uses, so lint cannot call clean what run rejects),
-// analyzes it, and runs every rule over the result.
-func lintRun(f *flowfile.File, opts Options) *linter {
-	g, problems := dag.Resolve(f, opts.Tasks, opts.Shared)
-	l := &linter{analysis: analyzeGraph(g, opts.SourceScopes), opts: opts, report: &Report{}}
+// Lint runs every rule over the analysis of a resolved graph, given the
+// problems its resolve met, and exports the facts.
+func (a *Analysis) Lint(problems []*dag.Problem, opts Options) (*Report, *flowcheck.Facts) {
+	l := &linter{Analysis: a, opts: opts, report: &Report{}}
 	l.validation()
 	l.checkTasks()
 	l.checkProblems(problems)
-	for _, fl := range f.Flows {
+	for _, fl := range a.f.Flows {
 		if rec := l.flowRecs[fl]; rec != nil {
 			l.checkChain(rec)
 		}
@@ -240,13 +234,14 @@ func lintRun(f *flowfile.File, opts Options) *linter {
 		}
 		return a.Entity < b.Entity
 	})
-	return l
+	return l.report, l.exportFacts()
 }
 
-// analysis is the facts half of a lint — what the flowcheck transfer and
-// the liveness pass derive from a resolved graph, with no rule run. It is
-// all the optimizer's hints need.
-type analysis struct {
+// Analysis is the facts half of a lint — what the flowcheck transfer and
+// the liveness pass derive from a resolved graph, with no rule run. The
+// rules (Lint) and the optimizer's hints (Hints) both read it, so a
+// caller that needs both analyzes once.
+type Analysis struct {
 	g *dag.Graph
 	f *flowfile.File
 	// scopes and cards map resolved data-object names to flowcheck column
@@ -264,13 +259,13 @@ type analysis struct {
 	consumed map[string]bool
 }
 
-// analyzeGraph runs the forward transfer over every flow chain the
+// Analyze runs the forward transfer over every flow chain the
 // resolver bound, in the graph's order, then the backward liveness pass.
 // Source column types are unknown — values are parsed dynamically — so
 // inference starts at the first deriving task, unless the caller knows
 // them (sources: the differential fuzzer seeds its generator's types).
-func analyzeGraph(g *dag.Graph, sources map[string]flowcheck.Scope) *analysis {
-	a := &analysis{g: g, f: g.File, scopes: map[string]flowcheck.Scope{}, cards: map[string]flowcheck.Card{},
+func Analyze(g *dag.Graph, sources map[string]flowcheck.Scope) *Analysis {
+	a := &Analysis{g: g, f: g.File, scopes: map[string]flowcheck.Scope{}, cards: map[string]flowcheck.Card{},
 		flowRecs: map[*flowfile.Flow]*chainRec{}, lookup: func(name string) *flowfile.TaskDef { return g.File.Tasks[name] }}
 	for _, name := range g.Order {
 		n := g.Nodes[name]
@@ -298,7 +293,7 @@ func analyzeGraph(g *dag.Graph, sources map[string]flowcheck.Scope) *analysis {
 
 // exportFacts assembles the stable fact structure from the walk's
 // per-object results and the liveness pass.
-func (a *analysis) exportFacts() *flowcheck.Facts {
+func (a *Analysis) exportFacts() *flowcheck.Facts {
 	facts := flowcheck.NewFacts()
 	for name, sc := range a.scopes {
 		prod, verdict := "source", ""
@@ -327,7 +322,7 @@ func (a *analysis) exportFacts() *flowcheck.Facts {
 
 // deadColumns lists the columns of a consumed, not fully live object
 // that nothing downstream reads, in schema order.
-func (a *analysis) deadColumns(name string) []string {
+func (a *Analysis) deadColumns(name string) []string {
 	var dead []string
 	if s := a.g.Nodes[name].Schema; s != nil && a.consumed[name] && !a.full[name] {
 		for _, col := range s.Names() {
@@ -341,7 +336,7 @@ func (a *analysis) deadColumns(name string) []string {
 
 // linter holds one run's state: the analysis plus the rules' report.
 type linter struct {
-	*analysis
+	*Analysis
 	opts   Options
 	report *Report
 }

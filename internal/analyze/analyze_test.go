@@ -20,10 +20,11 @@ func lintSrc(t *testing.T, src string) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Lint(f, Options{
+	report, _ := LintWithFacts(f, Options{
 		Tasks:      task.NewRegistry(),
 		Connectors: connector.NewRegistry(connector.Options{DataDir: "."}),
 	})
+	return report
 }
 
 func findRule(r *Report, rule string) []Finding {
@@ -684,7 +685,7 @@ func TestLintToleratesBrokenFiles(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		_ = Lint(f, Options{Tasks: task.NewRegistry()})
+		_, _ = LintWithFacts(f, Options{Tasks: task.NewRegistry()})
 	}
 	report := lintSrc(t, `
 D:
@@ -841,7 +842,7 @@ T:
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := Lint(f, Options{Tasks: reg})
+	report, _ := LintWithFacts(f, Options{Tasks: reg})
 	if fs := findRule(report, "FL003"); len(fs) != 1 || fs[0].Entity != "T.agg" || fs[0].Hint != `did you mean "duplicate columns"?` {
 		t.Errorf("FL003 = %v\n%s", fs, renderReport(report))
 	}

@@ -15,7 +15,7 @@ import (
 // columns that are fetched but unused become facts only
 // (projection-pushdown input for the optimizer), not findings — the flow
 // author often cannot change a source's schema.
-func (a *analysis) liveness() {
+func (a *Analysis) liveness() {
 	a.full = map[string]bool{}
 	a.live = map[string]map[string]bool{}
 	a.consumed = map[string]bool{}
@@ -102,7 +102,7 @@ func (l *linter) checkDeadColumns() {
 
 // outLive is the union of column demand over a flow's output objects; a
 // fully-live output expands to its whole schema.
-func (a *analysis) outLive(outs []flowfile.Ref) map[string]bool {
+func (a *Analysis) outLive(outs []flowfile.Ref) map[string]bool {
 	demand := map[string]bool{}
 	for _, o := range outs {
 		if a.full[o.Name] {
@@ -123,7 +123,7 @@ func (a *analysis) outLive(outs []flowfile.Ref) map[string]bool {
 // backProp pushes a demand set backward through one walked chain. It
 // returns the per-pipeline-input demand and, for FL064, the demand set
 // live immediately after each stage.
-func (a *analysis) backProp(rec *chainRec, liveOut map[string]bool) ([]map[string]bool, []map[string]bool) {
+func (a *Analysis) backProp(rec *chainRec, liveOut map[string]bool) ([]map[string]bool, []map[string]bool) {
 	liveAfter := make([]map[string]bool, len(rec.stages))
 	cur := liveOut
 	for k := len(rec.stages) - 1; k >= 0; k-- {

@@ -223,14 +223,7 @@ func aggFact(a task.AggSpec, in Scope) ColFact {
 		return ColFact{Type: Type{Kind: k}}
 	case "avg", "stddev", "median":
 		return ColFact{Type: Type{Kind: KFloat, Nullable: it.Nullable || it.Kind == KNone}}
-	case "min", "max":
-		f := ColFact{Type: it}
-		if g, ok := in[a.ApplyOn]; ok {
-			f.Ivl = g.Ivl
-			f.Const = g.Const
-		}
-		return f
-	case "first", "last":
+	case "min", "max", "first", "last":
 		f := ColFact{Type: it}
 		if g, ok := in[a.ApplyOn]; ok {
 			f.Ivl = g.Ivl

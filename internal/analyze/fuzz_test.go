@@ -35,7 +35,7 @@ func FuzzLint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		report := Lint(parsed, Options{Tasks: reg, Connectors: conns})
+		report, _ := LintWithFacts(parsed, Options{Tasks: reg, Connectors: conns})
 		var p *dag.Problem
 		if _, err := dag.Build(parsed, reg, nil); errors.As(err, &p) && p.Kind != dag.ProblemUnresolvable && !report.HasErrors() {
 			t.Fatalf("Build rejects what lint passes: %v\nfindings: %v", err, report.Findings)

@@ -3,7 +3,6 @@ package analyze
 import (
 	"sort"
 
-	"shareinsights/internal/analyze/flowcheck"
 	"shareinsights/internal/dag"
 	"shareinsights/internal/task"
 )
@@ -23,15 +22,13 @@ type Hints struct {
 	DeadSourceColumns map[string][]string
 }
 
-// OptimizerHints analyzes an already resolved graph — the transfer and
-// liveness passes only, no rule — and extracts the optimizer's static
-// evidence: constant-predicate filter verdicts as selectivity hints, and
-// fetched-but-unused source columns for projection pushdown. sources
-// optionally seeds source column facts (Options.SourceScopes). Broken
+// Hints extracts the optimizer's static evidence from the analysis:
+// constant-predicate filter verdicts as selectivity hints, and
+// fetched-but-unused source columns for projection pushdown. Broken
 // flows contribute nothing (the optimizer then simply has no static
 // evidence for them, which is safe).
-func OptimizerHints(g *dag.Graph, sources map[string]flowcheck.Scope) Hints {
-	a := analyzeGraph(g, sources)
+func (a *Analysis) Hints() Hints {
+	g := a.g
 	h := Hints{
 		Selectivity:       map[string]float64{},
 		DeadSourceColumns: map[string][]string{},

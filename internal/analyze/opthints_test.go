@@ -15,7 +15,7 @@ func hintsSrc(t *testing.T, src string) Hints {
 		t.Fatal(err)
 	}
 	g, _ := dag.Resolve(f, task.NewRegistry(), nil)
-	return OptimizerHints(g, nil)
+	return Analyze(g, nil).Hints()
 }
 
 func TestOptimizerHintsConstantFilters(t *testing.T) {
@@ -104,7 +104,7 @@ T:
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := OptimizerHints(g, nil)
+	h := Analyze(g, nil).Hints()
 	p := dag.Optimize(g, h.PlanOptions(nil))
 	np := p.Node("mid")
 	if task.Describe(np.Specs[0]) != "filter_by 1 > 2" {

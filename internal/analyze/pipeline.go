@@ -40,7 +40,7 @@ type chainRec struct {
 // undefined or misconfigured task, or a stage that did not bind is not
 // ok, and what depends on it is skipped silently — the resolver already
 // holds the root cause.
-func (a *analysis) walk(c *dag.Chain) *chainRec {
+func (a *Analysis) walk(c *dag.Chain) *chainRec {
 	rec := &chainRec{chain: c}
 	ins := make([]flowcheck.Input, len(c.Inputs))
 	for i, in := range c.Inputs {

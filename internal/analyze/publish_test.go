@@ -39,10 +39,11 @@ func lintPublish(t *testing.T, name, src string, existing []PublishedObject) *Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Lint(f, Options{
+	report, _ := LintWithFacts(f, Options{
 		Tasks:     task.NewRegistry(),
 		Published: func() []PublishedObject { return existing },
 	})
+	return report
 }
 
 func TestFL044CrossDashboardCollision(t *testing.T) {

@@ -356,19 +356,19 @@ func TestGraphString(t *testing.T) {
 func TestSignatures(t *testing.T) {
 	g := build(t, chainFlow, nil)
 	src := func(name string) string { return "payload-v1" }
-	sigs := g.Signatures(src)
+	sigs := g.Signatures(g.SignatureText(), src)
 	if len(sigs) != 3 {
 		t.Fatalf("signatures = %d", len(sigs))
 	}
 	// Stable across calls.
-	again := g.Signatures(src)
+	again := g.Signatures(g.SignatureText(), src)
 	for k, v := range sigs {
 		if again[k] != v {
 			t.Errorf("signature for %s unstable", k)
 		}
 	}
 	// Source payload changes propagate to every downstream node.
-	changed := g.Signatures(func(string) string { return "payload-v2" })
+	changed := g.Signatures(g.SignatureText(), func(string) string { return "payload-v2" })
 	for _, node := range []string{"raw", "mid", "out"} {
 		if changed[node] == sigs[node] {
 			t.Errorf("node %s signature did not change with its source", node)
@@ -376,7 +376,7 @@ func TestSignatures(t *testing.T) {
 	}
 	// Editing one task changes that node and its descendants only.
 	g2 := build(t, strings.Replace(chainFlow, "groupby: [a]", "groupby: [b]", 1), nil)
-	sigs2 := g2.Signatures(src)
+	sigs2 := g2.Signatures(g2.SignatureText(), src)
 	if sigs2["mid"] != sigs["mid"] {
 		t.Error("upstream node signature changed by a downstream edit")
 	}
@@ -403,9 +403,9 @@ T:
     transform: body
 `
 	gp := build(t, par, nil)
-	base := gp.Signatures(src)["out"]
+	base := gp.Signatures(gp.SignatureText(), src)["out"]
 	gp2 := build(t, strings.Replace(par, "operator: upper", "operator: lower", 1), nil)
-	if gp2.Signatures(src)["out"] == base {
+	if gp2.Signatures(gp2.SignatureText(), src)["out"] == base {
 		t.Error("parallel sub-task edit not reflected in signature")
 	}
 }

@@ -3,49 +3,62 @@ package dag
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"strings"
 )
 
-// Signatures computes a content signature for every node, topologically:
-// a produced node's signature covers its pipeline text, the canonical
-// text of every task it applies (so editing a task's configuration
-// changes the signature), and its inputs' signatures; a source node's
-// signature is supplied by sourceSig (typically a hash of the loaded
-// payload). Two runs in which a node's signature is unchanged are
-// guaranteed to compute identical content for it — the foundation of the
-// incremental re-execution cache that gives flow-file authors the
-// quick-feedback loop of §4.5.3 within a single dashboard.
-func (g *Graph) Signatures(sourceSig func(name string) string) map[string]string {
-	sigs := make(map[string]string, len(g.Nodes))
+// SignatureText is the part of every node's signature that only the flow
+// file decides: a source's declared schema; a produced node's pipeline
+// text and the canonical text of every task it applies, parallel
+// sub-tasks included (so editing a task's configuration changes the
+// signature). A compiled program builds it once per flow file.
+func (g *Graph) SignatureText() map[string]string {
+	text := make(map[string]string, len(g.Nodes))
 	for _, name := range g.Order {
-		n := g.Nodes[name]
-		h := sha256.New()
-		if n.IsSource() {
-			fmt.Fprintf(h, "source|%s|%s|", name, sourceSig(name))
-			if n.Def.Schema != nil {
-				h.Write([]byte(n.Def.Schema.String()))
-			}
-		} else {
-			fmt.Fprintf(h, "flow|%s|", n.Flow.Pipeline.String())
+		if n := g.Nodes[name]; n.IsSource() && n.Def.Schema != nil {
+			text[name] = n.Def.Schema.String()
+		} else if !n.IsSource() {
+			b := []byte("flow|" + n.Flow.Pipeline.String() + "|")
 			for _, tref := range n.Flow.Pipeline.Tasks {
-				h.Write([]byte(g.File.TaskText(tref.Name)))
-				h.Write([]byte{0})
+				b = append(b, g.File.TaskText(tref.Name)+"\x00"...)
 				// Transitively include parallel sub-task texts: a
 				// parallel composite's behaviour changes when a
 				// referenced sub-task changes.
 				for _, sub := range g.File.Tasks[tref.Name].Config.StrList("parallel") {
-					subName := strings.TrimPrefix(sub, "T.")
-					h.Write([]byte(g.File.TaskText(subName)))
-					h.Write([]byte{0})
+					b = append(b, g.File.TaskText(strings.TrimPrefix(sub, "T."))+"\x00"...)
 				}
 			}
-			for _, in := range n.Inputs {
-				h.Write([]byte(sigs[in]))
-				h.Write([]byte{1})
+			text[name] = string(b)
+		}
+	}
+	return text
+}
+
+// Signatures computes a content signature for every node, topologically,
+// over its SignatureText: a produced node's signature also covers its
+// inputs' signatures; a source node's covers sourceSig (typically a hash
+// of the loaded payload). Two runs in which a node's signature is
+// unchanged are guaranteed to compute identical content for it — the
+// foundation of the incremental re-execution cache that gives flow-file
+// authors the quick-feedback loop of §4.5.3 within a single dashboard.
+// A nil text is the graph's own SignatureText.
+func (g *Graph) Signatures(text map[string]string, sourceSig func(name string) string) map[string]string {
+	if text == nil {
+		text = g.SignatureText()
+	}
+	sigs := make(map[string]string, len(g.Nodes))
+	var buf []byte
+	for _, name := range g.Order {
+		if g.Nodes[name].IsSource() {
+			buf = append(append(append(append(buf[:0], "source|"...), name...), '|'), sourceSig(name)...)
+			buf = append(append(buf, '|'), text[name]...)
+		} else {
+			buf = append(buf[:0], text[name]...)
+			for _, in := range g.Nodes[name].Inputs {
+				buf = append(append(buf, sigs[in]...), 1)
 			}
 		}
-		sigs[name] = hex.EncodeToString(h.Sum(nil))
+		sum := sha256.Sum256(buf)
+		sigs[name] = hex.EncodeToString(sum[:])
 	}
 	return sigs
 }

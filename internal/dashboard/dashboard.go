@@ -104,7 +104,8 @@ func NewPlatform() *Platform {
 	}
 }
 
-// widgetPlan is one widget's compiled source pipeline.
+// widgetPlan is one widget's compiled source pipeline. The program holds
+// one per widget, never run; each run binds a copy.
 type widgetPlan struct {
 	def *flowfile.WidgetDef
 	// inputs are the source data-object names.
@@ -126,16 +127,30 @@ type widgetPlan struct {
 // StageTiming re-exports the engine's per-stage telemetry record.
 type StageTiming = batch.StageTiming
 
-// Dashboard is a compiled flow file ready to run.
-type Dashboard struct {
+// Program is the per-tip half of a compiled dashboard: what Prepare
+// derives from the flow file, the platform's registries and catalog.
+// Nothing mutates it once built, so every run of the file may share it.
+type Program struct {
 	// Name is the dashboard name.
 	Name string
-	// File is the flow file.
-	File *flowfile.File
-	// Graph is the schema-resolved flow DAG.
-	Graph *dag.Graph
+	// File is the flow file; Graph is its resolve, partial when Problems
+	// (what a run rejects the file for) is not empty.
+	File     *flowfile.File
+	Graph    *dag.Graph
+	Problems []*dag.Problem
 
-	platform *Platform
+	platform    *Platform
+	err         error // why no dashboard runs over the program
+	flowHash    string
+	hints       analyze.Hints          // static evidence for the planner
+	widgetPlans map[string]*widgetPlan // copied into every run
+	sigText     map[string]string      // Graph.SignatureText; nil without a node cache
+}
+
+// Dashboard is a compiled flow file ready to run: its Program, plus one
+// run's state.
+type Dashboard struct {
+	*Program
 	env      *task.Env
 	plans    map[string]*widgetPlan
 	widgets  map[string]*widget.Instance
@@ -145,11 +160,6 @@ type Dashboard struct {
 	interact sync.RWMutex   // runs and interactions write widget state (Lock); renders read it (RLock)
 	onDemand batch.Executor // interactions and ad-hoc queries: untraced, unbudgeted
 	health   RunHealth
-	flowHash string
-	// hints is the static-analysis evidence for the cost-based planner,
-	// computed once at compile time (the flow file cannot change under a
-	// compiled dashboard).
-	hints analyze.Hints
 	// pushedFilters marks the filter stages (dag.HintKey(output, stage))
 	// whose predicate a connector applied at fetch during the current
 	// run; their observed selectivities are pushdown artifacts and are
@@ -164,79 +174,108 @@ type Dashboard struct {
 	TransferredBytes int
 }
 
-// Compile validates and compiles a flow file against the platform.
-// resources supplies auxiliary task files (dictionaries) by name.
+// Compile validates and compiles a flow file against the platform: its
+// program, then a dashboard over it with resources (task files by name).
 func (p *Platform) Compile(f *flowfile.File, resources map[string][]byte) (*Dashboard, error) {
-	if err := f.Validate(true); err != nil {
-		return nil, err
-	}
+	prog, _ := p.Prepare(f)
+	return prog.NewDashboard(resources)
+}
+
+// Prepare compiles a flow file into its program: one resolve and one
+// analysis feed the hints and the widget plans, and a caller that also
+// lints runs the rules over the analysis it returns.
+func (p *Platform) Prepare(f *flowfile.File) (*Program, *analyze.Analysis) {
 	var resolver dag.SharedResolver
 	if p.Catalog != nil {
 		resolver = p.Catalog.ResolveSchema
 	}
-	// The one resolve: the graph below also feeds hint extraction and the
-	// widget plans, so no task is parsed and no chain bound twice.
-	g, err := dag.Build(f, p.Tasks, resolver)
-	if err != nil {
-		return nil, err
+	g, problems := dag.Resolve(f, p.Tasks, resolver)
+	a := analyze.Analyze(g, nil)
+	prog := &Program{Name: f.Name, File: f, Graph: g, Problems: problems, platform: p, widgetPlans: map[string]*widgetPlan{}}
+	if prog.err = f.Validate(true); prog.err == nil && len(problems) > 0 {
+		prog.err = problems[0]
 	}
-	sum := sha256.Sum256([]byte(f.String()))
+	for _, name := range f.WidgetOrder {
+		if prog.err == nil {
+			prog.widgetPlans[name], prog.err = prog.compileWidgetPlan(f.Widgets[name])
+		}
+	}
+	if prog.err == nil {
+		sum := sha256.Sum256([]byte(f.String()))
+		prog.flowHash = hex.EncodeToString(sum[:8])
+		if p.Optimize {
+			prog.hints = a.Hints()
+		}
+		if p.Cache != nil {
+			prog.sigText = g.SignatureText()
+		}
+	}
+	return prog, a
+}
+
+// Err reports why no dashboard runs over the program (nil when one can).
+func (prog *Program) Err() error { return prog.err }
+
+// NewDashboard starts one run's state over the program: a task
+// environment over resources, fresh widget instances and run plans.
+func (prog *Program) NewDashboard(resources map[string][]byte) (*Dashboard, error) {
+	if prog.err != nil {
+		return nil, prog.err
+	}
 	d := &Dashboard{
-		Name:     f.Name,
-		File:     f,
-		Graph:    g,
-		platform: p,
-		plans:    map[string]*widgetPlan{},
-		widgets:  map[string]*widget.Instance{},
-		flowHash: hex.EncodeToString(sum[:8]),
-		onDemand: batch.Executor{Columnar: p.Columnar},
+		Program:  prog,
+		plans:    make(map[string]*widgetPlan, len(prog.widgetPlans)),
+		widgets:  make(map[string]*widget.Instance, len(prog.File.WidgetOrder)),
+		onDemand: batch.Executor{Columnar: prog.platform.Columnar},
 	}
 	d.env = &task.Env{
 		Resources:   resources,
 		WidgetValue: d.widgetValue,
 	}
-	if p.Optimize {
-		d.hints = analyze.OptimizerHints(g, nil)
-	}
-	for _, name := range f.WidgetOrder {
-		def := f.Widgets[name]
-		inst, err := widget.NewInstance(def)
+	runs := make([]widgetPlan, 0, len(prog.widgetPlans)) // one allocation for every run copy
+	for _, name := range prog.File.WidgetOrder {
+		inst, err := widget.NewInstance(prog.File.Widgets[name])
 		if err != nil {
 			return nil, err
 		}
 		d.widgets[name] = inst
-		plan, err := d.compileWidgetPlan(def)
-		if err != nil {
-			return nil, err
-		}
-		if plan != nil {
+		if compiled := prog.widgetPlans[name]; compiled != nil {
+			runs = append(runs, *compiled)
+			plan := &runs[len(runs)-1]
+			if plan.cube != nil {
+				cube := *plan.cube
+				plan.cube = &cube
+			}
 			d.plans[name] = plan
 		}
 	}
 	return d, nil
 }
 
-// compileWidgetPlan splits and binds one widget source pipeline, as the
-// graph resolved it.
-func (d *Dashboard) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, error) {
+// compileWidgetPlan checks one widget's definition, then splits and
+// binds its source pipeline as the graph resolved it (nil: no source).
+func (prog *Program) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, error) {
+	if _, err := widget.Check(def); err != nil {
+		return nil, err
+	}
 	if def.Source == nil {
 		return nil, nil
 	}
-	src := d.Graph.Widgets[def.Name]
+	src := prog.Graph.Widgets[def.Name]
 	if len(src.Specs) != len(def.Source.Tasks) {
 		return nil, src.Problem // an undefined or misconfigured task
 	}
 	specs := src.Specs
-	plan := &widgetPlan{def: def, interactsWith: widget.InteractionSources(d.File, def)}
+	plan := &widgetPlan{def: def, interactsWith: widget.InteractionSources(prog.File, def)}
 	plan.inputs = src.Inputs
-	if d.platform.Optimize {
+	if prog.platform.Optimize {
 		plan.server, plan.client = dag.WidgetSource(specs)
 	} else {
 		plan.client = specs
 	}
 	// Bind the server prefix now: its output schema is the endpoint
 	// schema, and binding errors should surface at compile time.
-	epSchema, err := dag.BindPipeline(d.Graph, plan.inputs, plan.server)
+	epSchema, err := dag.BindPipeline(prog.Graph, plan.inputs, plan.server)
 	if err != nil {
 		return nil, fmt.Errorf("widget W.%s source: %w", def.Name, err)
 	}
@@ -284,9 +323,6 @@ func (d *Dashboard) Endpoint(name string) (*table.Table, bool) {
 	return nil, false
 }
 
-// Endpoints lists endpoint data-object names in topological order.
-func (d *Dashboard) Endpoints() []string { return d.Graph.Endpoints() }
-
 // Result exposes the last batch execution.
 func (d *Dashboard) Result() *batch.Result { return d.result }
 
@@ -308,18 +344,18 @@ func (d *Dashboard) Tracer() obs.Tracer {
 
 // FlowHash identifies the compiled flow-file revision: the content
 // hash run-history profiles and baselines are keyed by.
-func (d *Dashboard) FlowHash() string { return d.flowHash }
+func (prog *Program) FlowHash() string { return prog.flowHash }
 
 // statsFn adapts the flight recorder's stage profiles for this flow
 // revision into the planner's statistics feed. nil when the platform
 // records no history or none exists yet for this flow hash — the
 // planner then falls back to static facts and heuristics.
-func (d *Dashboard) statsFn() dag.StatsFn {
-	rec := d.platform.History
+func (prog *Program) statsFn() dag.StatsFn {
+	rec := prog.platform.History
 	if rec == nil {
 		return nil
 	}
-	profs := rec.Profiles(d.flowHash)
+	profs := rec.Profiles(prog.flowHash)
 	if len(profs) == 0 {
 		return nil
 	}
@@ -344,26 +380,19 @@ func (d *Dashboard) statsFn() dag.StatsFn {
 	}
 }
 
-// buildPlan assembles the cost-based plan for the next run: plan and
-// path decisions made once, from observed history when it exists,
-// static flowcheck facts otherwise, heuristics last. nil when the
-// optimizer is disabled.
-func (d *Dashboard) buildPlan() *dag.Plan {
-	if !d.platform.Optimize {
+// Explain returns the cost-based plan the next run of the program would
+// execute (each run plans through it): decisions from observed history
+// for the flow hash when it exists, static flowcheck facts otherwise,
+// heuristics last, so two explains differ when runs recorded statistics
+// in between. nil when the optimizer is disabled.
+func (prog *Program) Explain() *dag.Plan {
+	if !prog.platform.Optimize {
 		return nil
 	}
-	opts := d.hints.PlanOptions(d.statsFn())
-	opts.Columnar = d.platform.Columnar
-	return dag.Optimize(d.Graph, opts)
+	opts := prog.hints.PlanOptions(prog.statsFn())
+	opts.Columnar = prog.platform.Columnar
+	return dag.Optimize(prog.Graph, opts)
 }
-
-// Explain returns the cost-based plan the next run would execute — the
-// payload behind `shareinsights explain` and
-// GET /dashboards/{name}/explain. It reflects the current evidence
-// (run history accumulates between calls), so two explains can differ
-// when runs recorded new statistics in between. nil when the optimizer
-// is disabled.
-func (d *Dashboard) Explain() *dag.Plan { return d.buildPlan() }
 
 // LastPlan returns the plan the most recent run actually executed (nil
 // before the first run or with the optimizer disabled).

@@ -34,20 +34,12 @@ func (c *SourceCache) SetJournal(fn func(dash, source string, t *table.Table) er
 	c.journal = fn
 }
 
-func (c *SourceCache) lookup(dash, source string) (*table.Table, bool) {
-	return c.Lookup(dash, source)
-}
-
 // Lookup returns the last-good table for a (dashboard, source) pair.
 func (c *SourceCache) Lookup(dash, source string) (*table.Table, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t, ok := c.entries[dash+"\x00"+source]
 	return t, ok
-}
-
-func (c *SourceCache) store(dash, source string, t *table.Table) {
-	c.Put(dash, source, t)
 }
 
 // Put records a source's last successfully loaded table, journaling it

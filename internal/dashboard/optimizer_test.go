@@ -117,7 +117,7 @@ func TestOptimizerLearnsFromHistory(t *testing.T) {
 	firstRows := endpointRows(t, d)
 
 	// Run one must have grown selectivity profiles for both filters.
-	profs := p.History.Profiles(d.flowHash)
+	profs := p.History.Profiles(d.FlowHash())
 	bySel := map[string]float64{}
 	for _, pr := range profs {
 		if pr.SelSamples > 0 {
@@ -296,7 +296,7 @@ func TestSBINSourceHonoursProjection(t *testing.T) {
 		}
 	}
 	base, _ := run(false)
-	for _, name := range d.Endpoints() {
+	for _, name := range d.Graph.Endpoints() {
 		got, _ := d.Endpoint(name)
 		want, _ := base.Endpoint(name)
 		if !got.Equal(want) {

@@ -88,7 +88,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	// filter order, source pushdown, sink skipping and columnar paths.
 	// Sources consult it below (pushdown offers), the executor follows
 	// its per-node stage lists and path choices.
-	d.runPlan = d.buildPlan()
+	d.runPlan = d.Explain()
 	d.pushedFilters = map[string]bool{}
 	sources := map[string]*table.Table{}
 	for _, name := range d.Graph.Sources() {
@@ -132,7 +132,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			// Snapshot a shallow clone: the live table's Rows() slice is
 			// handed to the engine and may be sorted or grown in place,
 			// which must not retroactively corrupt the last-good copy.
-			d.platform.LastGood.store(d.Name, name, t.CloneShallow())
+			d.platform.LastGood.Put(d.Name, name, t.CloneShallow())
 		}
 		sources[name] = t
 	}
@@ -146,7 +146,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	var sigs map[string]string
 	if d.platform.Cache != nil {
 		exec.Cached = map[string]*table.Table{}
-		sigs = d.Graph.Signatures(func(name string) string {
+		sigs = d.Graph.Signatures(d.sigText, func(name string) string {
 			if t, ok := sources[name]; ok {
 				return t.Fingerprint()
 			}
@@ -249,7 +249,7 @@ func (d *Dashboard) degradeSource(name string, sh SourceHealth, lerr error) (*ta
 	switch sh.Mode {
 	case "stale":
 		if d.platform.LastGood != nil {
-			if t, ok := d.platform.LastGood.lookup(d.Name, name); ok && t.Schema().Equal(n.Schema) {
+			if t, ok := d.platform.LastGood.Lookup(d.Name, name); ok && t.Schema().Equal(n.Schema) {
 				sh.Status = "stale"
 				sh.Error = lerr.Error()
 				// Serve a shallow clone so engine-side mutation of the

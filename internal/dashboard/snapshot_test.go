@@ -18,7 +18,7 @@ func TestSourceCacheSnapshotIsolation(t *testing.T) {
 	if err := d.Run(); err != nil {
 		t.Fatalf("healthy run: %v", err)
 	}
-	snap, ok := p.LastGood.lookup("sales_dash", "sales")
+	snap, ok := p.LastGood.Lookup("sales_dash", "sales")
 	if !ok {
 		t.Fatal("healthy run stored no last-good snapshot")
 	}

@@ -263,7 +263,7 @@ func TestExampleFlowsLintClean(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: parse: %v", constName, err)
 				}
-				report := analyze.Lint(f, analyze.Options{Tasks: p.Tasks, Connectors: p.Connectors})
+				report, _ := analyze.LintWithFacts(f, analyze.Options{Tasks: p.Tasks, Connectors: p.Connectors})
 				for _, fd := range report.Findings {
 					if fd.Severity >= analyze.Error {
 						t.Errorf("%s: %s", constName, fd)

@@ -178,7 +178,9 @@ D.players_tweets:
   publish: players_tweets
 `
 
-const sharedConsumptionFlow = `
+// playersCloud is the consumption side: a word cloud of tweets per
+// player.
+const playersCloud = `
 W:
   players:
     type: WordCloud
@@ -194,7 +196,9 @@ T:
       - operator: sum
         apply_on: count
         out_field: noOfTweets
+`
 
+const sharedConsumptionFlow = playersCloud + `
 L:
   rows:
     - [span12: W.players]
@@ -202,23 +206,7 @@ L:
 
 // inlineConsumptionFlow computes the same word cloud straight from the
 // raw tweets — what every dashboard pays without flow-file groups.
-const inlineConsumptionFlow = IPLProcessingFlow + `
-W:
-  players:
-    type: WordCloud
-    source: D.players_tweets | T.aggregate_by_player
-    text: player
-    size: noOfTweets
-
-T:
-  aggregate_by_player:
-    type: groupby
-    groupby: [player]
-    aggregates:
-      - operator: sum
-        apply_on: count
-        out_field: noOfTweets
-`
+const inlineConsumptionFlow = IPLProcessingFlow + playersCloud
 
 // RunShared executes E8 over n synthetic tweets.
 func RunShared(seed int64, n int) (*SharedResult, error) {

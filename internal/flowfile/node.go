@@ -151,34 +151,14 @@ type line struct {
 	rest   string // value text after "key:" or "- " or the full scalar
 }
 
-// splitComment removes a trailing # comment that is not inside quotes.
-func splitComment(s string) string {
-	inQ := byte(0)
+// scanTop calls at with the index of every byte of s outside quotes (a
+// backslash escapes the next byte inside them) other than a bracket, and
+// the depth of [] and () it sits at, until at returns false. It returns
+// the depth at the end: opens minus closes.
+func scanTop(s string, at func(i, depth int) bool) int {
+	inQ, depth := byte(0), 0
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case inQ != 0:
-			if c == '\\' {
-				i++
-			} else if c == inQ {
-				inQ = 0
-			}
-		case c == '\'' || c == '"':
-			inQ = c
-		case c == '#':
-			return s[:i]
-		}
-	}
-	return s
-}
-
-// bracketDelta returns opens-minus-closes of []() outside quotes.
-func bracketDelta(s string) int {
-	d := 0
-	inQ := byte(0)
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
+		switch c := s[i]; {
 		case inQ != 0:
 			if c == '\\' {
 				i++
@@ -188,13 +168,30 @@ func bracketDelta(s string) int {
 		case c == '\'' || c == '"':
 			inQ = c
 		case c == '[' || c == '(':
-			d++
+			depth++
 		case c == ']' || c == ')':
-			d--
+			depth--
+		case !at(i, depth):
+			return depth
 		}
 	}
-	return d
+	return depth
 }
+
+// splitComment removes a trailing # comment that is not inside quotes.
+func splitComment(s string) string {
+	end := len(s)
+	scanTop(s, func(i, _ int) bool {
+		if s[i] == '#' {
+			end = i
+		}
+		return s[i] != '#'
+	})
+	return s[:end]
+}
+
+// bracketDelta returns opens-minus-closes of []() outside quotes.
+func bracketDelta(s string) int { return scanTop(s, func(int, int) bool { return true }) }
 
 // scan converts source text into logical lines, joining physical lines
 // whose brackets are unbalanced (multi-line schema lists, Figure 6).
@@ -249,33 +246,17 @@ func scan(src string) ([]line, error) {
 // separator in this grammar because scalar values with colons (URLs,
 // time formats) are quoted in flow files.
 func splitKey(s string) (key, val string, ok bool) {
-	inQ := byte(0)
-	depth := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case inQ != 0:
-			if c == '\\' {
-				i++
-			} else if c == inQ {
-				inQ = 0
-			}
-		case c == '\'' || c == '"':
-			inQ = c
-		case c == '[' || c == '(':
-			depth++
-		case c == ']' || c == ')':
-			depth--
-		case c == ':' && depth == 0:
-			key = strings.TrimSpace(s[:i])
-			val = strings.TrimSpace(s[i+1:])
-			if key == "" {
-				return "", "", false
-			}
-			return key, val, true
+	scanTop(s, func(i, depth int) bool {
+		if s[i] != ':' || depth != 0 {
+			return true
 		}
+		key, val, ok = strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+1:]), true
+		return false
+	})
+	if key == "" {
+		return "", "", false
 	}
-	return "", "", false
+	return key, val, ok
 }
 
 // ---------------------------------------------------------------------
@@ -447,30 +428,13 @@ func parseInline(num int, s string) *Node {
 func splitTopLevel(s string, sep byte) []string {
 	var parts []string
 	start := 0
-	inQ := byte(0)
-	depth := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case inQ != 0:
-			if c == '\\' {
-				i++
-			} else if c == inQ {
-				inQ = 0
-			}
-		case c == '\'' || c == '"':
-			inQ = c
-		case c == '[' || c == '(':
-			depth++
-		case c == ']' || c == ')':
-			depth--
-		case c == sep && depth == 0:
-			parts = append(parts, s[start:i])
-			start = i + 1
+	scanTop(s, func(i, depth int) bool {
+		if s[i] == sep && depth == 0 {
+			parts, start = append(parts, s[start:i]), i+1
 		}
-	}
-	parts = append(parts, s[start:])
-	return parts
+		return true
+	})
+	return append(parts, s[start:])
 }
 
 // unquote strips one level of matching quotes.

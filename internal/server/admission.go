@@ -83,18 +83,11 @@ func cacheableFlow(f *flowfile.File) bool {
 	return true
 }
 
-// resultCacheKey encodes everything a run result depends on: the flow
-// revision (commit tip), the upload revision, and the versions of the
-// shared catalog objects the flow reads (flowfile.SharedInputs — flow and
-// widget-source inputs alike). A save, upload or publish rotates the
-// key, so stale entries become unreachable without any coordination;
-// explicit Invalidate calls drop them eagerly too.
-func (s *Server) resultCacheKey(name, tip string, shared []string, uploadRev int) string {
+// sharedVersions encodes the catalog versions of the shared objects a
+// flow reads (flowfile.SharedInputs): the key part a publish rotates, in
+// the program slot's key and the result cache's.
+func (s *Server) sharedVersions(shared []string) string {
 	var sb strings.Builder
-	sb.WriteString(name)
-	sb.WriteString("@")
-	sb.WriteString(tip)
-	fmt.Fprintf(&sb, "|u%d", uploadRev)
 	for _, n := range shared {
 		if obj, ok := s.platform.Catalog.Resolve(n); ok {
 			fmt.Fprintf(&sb, "|%s:v%d", n, obj.Version)

@@ -14,7 +14,6 @@ import (
 	"shareinsights/internal/analyze/flowcheck"
 	"shareinsights/internal/connector"
 	"shareinsights/internal/dashboard"
-	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs/ops"
 	"shareinsights/internal/profile"
 	"shareinsights/internal/table"
@@ -106,18 +105,25 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, t target) {
 	resp := map[string]any{"dashboard": t.name, "commit": hash}
 	// The save already passed validation, so lint findings here are
 	// advisory: the commit stands either way, the editor just shows them.
-	if report, _ := s.lintFile(f); len(report.Findings) > 0 {
+	// The lint compiles main's new tip, for the next run to reuse.
+	sl, a, err := s.compiled(s.lookup(t.name))
+	if err != nil || sl.tip != hash { // a later save already moved main
+		sl.prog, a = s.platform.Prepare(f)
+	}
+	if report, _ := s.lint(sl.prog, a); len(report.Findings) > 0 {
 		resp["lint"] = report.Findings
 	}
 	jsonOK(w, resp)
 }
 
-// lintFile runs the static analyzer against the platform's registries
-// and shared catalog, returning the report and the inferred per-object
-// facts.
-func (s *Server) lintFile(f *flowfile.File) (*analyze.Report, *flowcheck.Facts) {
+// lint runs the static analyzer's rules over a program (on the analysis
+// its compile made, when given), returning the findings and the facts.
+func (s *Server) lint(prog *dashboard.Program, a *analyze.Analysis) (*analyze.Report, *flowcheck.Facts) {
+	if a == nil {
+		a = analyze.Analyze(prog.Graph, nil)
+	}
 	p := s.platform
-	return analyze.LintWithFacts(f, analyze.PlatformOptions(p.Tasks, p.Connectors, p.Catalog))
+	return a.Lint(prog.Problems, analyze.PlatformOptions(p.Tasks, p.Connectors, p.Catalog))
 }
 
 // handleAnalysis analyzes the latest committed flow file on demand — the
@@ -129,12 +135,12 @@ func (s *Server) lintFile(f *flowfile.File) (*analyze.Report, *flowcheck.Facts) 
 // (docs/TYPES.md).
 func (s *Server) handleAnalysis(facts bool) handler {
 	return func(w http.ResponseWriter, r *http.Request, t target) {
-		f, _, _, err := t.e.flow(t.repo)
+		sl, a, err := s.compiled(t)
 		if err != nil {
 			jsonError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		report, inferred := s.lintFile(f)
+		report, inferred := s.lint(sl.prog, a)
 		body := map[string]any{"dashboard": t.name, "findings": report.Findings}
 		if facts {
 			body["facts"] = inferred
@@ -300,23 +306,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, t target) {
 // handleExplain reports the cost-based plan the next run would execute:
 // source pushdowns, filter order and row/columnar path choices,
 // with the evidence (history, facts or heuristic) behind each decision
-// (docs/OPTIMIZER.md). A dashboard that has run explains its live
-// compilation, so observed selectivities inform the plan; otherwise the
-// latest committed flow file is compiled — never run — on demand.
+// (docs/OPTIMIZER.md). It plans the program compiled at main's tip — the
+// one the next run executes — with the run history of its flow hash, so
+// it follows a save at once, and a run is never needed first.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, t target) {
-	d := t.live
-	if d == nil {
-		f, _, _, err := t.e.flow(t.repo)
-		if err != nil {
-			jsonError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		if d, err = s.platform.Compile(f, t.uploads); err != nil {
-			jsonError(w, http.StatusUnprocessableEntity, diagnosed(f, err))
-			return
-		}
+	sl, _, err := s.compiled(t)
+	if err != nil {
+		jsonError(w, http.StatusUnprocessableEntity, err)
+		return
 	}
-	plan := d.Explain()
+	if err := sl.prog.Err(); err != nil {
+		jsonError(w, http.StatusUnprocessableEntity, diagnosed(sl.file, err))
+		return
+	}
+	plan := sl.prog.Explain()
 	if plan == nil {
 		jsonError(w, http.StatusConflict, fmt.Errorf("optimizer disabled on this platform"))
 		return

@@ -87,7 +87,15 @@ func newFollowerServer(t *testing.T, maxLag time.Duration, more ...string) (lead
 		}
 	}
 
-	clk = newTestClock()
+	fol, _, follower, clk = startFollower(t, lts, maxLag)
+	return lts, fol, follower, clk
+}
+
+// startFollower syncs a follower against the leader and wraps it in a
+// serve process of its own, as newFollowerServer describes.
+func startFollower(t *testing.T, lts *httptest.Server, maxLag time.Duration) (*replica.Follower, *Server, *httptest.Server, *testClock) {
+	t.Helper()
+	clk := newTestClock()
 	fol, err := replica.New(replica.Config{
 		LeaderURL: lts.URL,
 		Now:       clk.Now,
@@ -109,9 +117,10 @@ func newFollowerServer(t *testing.T, maxLag time.Duration, more ...string) (lead
 	if err := p.Connectors.RegisterProtocol("switch", proto); err != nil {
 		t.Fatal(err)
 	}
-	fts := httptest.NewServer(New(p, WithFollower(fol, maxLag)).Handler())
+	fs := New(p, WithFollower(fol, maxLag))
+	fts := httptest.NewServer(fs.Handler())
 	t.Cleanup(fts.Close)
-	return lts, fol, fts, clk
+	return fol, fs, fts, clk
 }
 
 // TestFollowerServesReplicatedReads pins the read side of the replica

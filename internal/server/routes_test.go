@@ -221,15 +221,16 @@ func TestFlowParsedOncePerTip(t *testing.T) {
 	if code, body := do(t, "PUT", base, serverFlow); code != 200 {
 		t.Fatalf("put: %d %s", code, body)
 	}
-	tipFile := func() *flowfile.File {
-		tg := s.lookup("tip")
-		f, _, _, err := tg.e.flow(tg.repo)
+	tipSlot := func() slot {
+		sl, _, err := s.compiled(s.lookup("tip"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f
+		return sl
 	}
-	f0 := tipFile()
+	tipFile := func() *flowfile.File { return tipSlot().file }
+	sl0 := tipSlot()
+	f0 := sl0.file
 
 	var wg sync.WaitGroup
 	for _, op := range [][2]string{
@@ -253,7 +254,7 @@ func TestFlowParsedOncePerTip(t *testing.T) {
 		defer wg.Done()
 		tg := s.lookup("tip")
 		for i := 0; i < 20; i++ {
-			if d, err := s.execute(context.Background(), tg, f0); err != nil || d.File != f0 {
+			if d, err := s.execute(context.Background(), tg, sl0); err != nil || d.File != f0 {
 				t.Errorf("execute on the shared file: %v", err)
 				return
 			}
@@ -277,7 +278,7 @@ func TestFlowParsedOncePerTip(t *testing.T) {
 	if code, body := do(t, "PUT", base, serverFlow+"\n"); code != 200 {
 		t.Fatalf("second put: %d %s", code, body)
 	}
-	f1 := s.lookup("tip").e.file
+	f1 := s.lookup("tip").e.slot.file
 	if f1 == f0 {
 		t.Fatal("a save kept the previous tip's parsed file")
 	}

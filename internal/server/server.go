@@ -16,11 +16,13 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"shareinsights/internal/admission"
+	"shareinsights/internal/analyze"
 	"shareinsights/internal/dashboard"
 	"shareinsights/internal/diagnose"
 	"shareinsights/internal/flowfile"
@@ -64,14 +66,22 @@ type entry struct {
 	uploadRev int               // bumped per upload (result-cache keys)
 	live      *dashboard.Dashboard
 
-	// The flow file parsed at main's tip, shared read-only by every
-	// lint, check, explain and run of that tip, and the shared catalog
-	// objects it reads (the result-cache key's inputs).
+	// Main's tip parsed and compiled (see compiled).
 	flowMu sync.Mutex
-	tip    string
-	file   *flowfile.File
-	shared []string
-	err    error
+	slot   slot
+}
+
+// slot is main's tip as parsed and compiled, shared read-only by every
+// lint, check, explain and run of that tip. The program's key is the tip
+// and versions, the catalog versions of the shared objects the file reads
+// when it was compiled: a save, a merge into main, a follower's apply or
+// a publish of a shared input compiles again; an upload does not.
+type slot struct {
+	tip, versions string
+	file          *flowfile.File
+	err           error // the tip's parse error
+	shared        []string
+	prog          *dashboard.Program
 }
 
 // target is one request's view of its dashboard: the entry's state
@@ -200,32 +210,44 @@ func parse(name string, content []byte, validate bool) (*flowfile.File, error) {
 	return f, err
 }
 
-// flow returns the flow file at main's tip, the tip's hash and the
-// file's shared inputs, parsing only when the tip has moved since the
-// last call. The file and list are shared: callers must not modify them.
-func (e *entry) flow(repo *vcs.Repo) (*flowfile.File, string, []string, error) {
-	tip, err := repo.Tip(vcs.DefaultBranch)
+// compiled returns main's tip parsed and compiled, parsing only when the
+// tip has moved and compiling only when a key part has since the last
+// call. The analysis is the one a compile made on the way, nil when the
+// slot already held the program. The slot's file and program are shared:
+// callers must not modify them.
+func (s *Server) compiled(t target) (slot, *analyze.Analysis, error) {
+	tip, err := t.repo.Tip(vcs.DefaultBranch)
 	if err != nil {
-		return nil, "", nil, err
+		return slot{}, nil, err
 	}
+	e := t.e
 	e.flowMu.Lock()
 	defer e.flowMu.Unlock()
-	if e.tip != tip.Hash {
-		content, err := repo.ContentAt(tip.Hash)
+	if e.slot.tip != tip.Hash {
+		content, err := t.repo.ContentAt(tip.Hash)
 		if err != nil {
-			return nil, "", nil, err
+			return slot{}, nil, err
 		}
 		f, err := parse(e.name, content, false)
 		e.setFlow(tip.Hash, f, err)
 	}
-	return e.file, e.tip, e.shared, e.err
+	if e.slot.err != nil {
+		return slot{}, nil, e.slot.err
+	}
+	var a *analyze.Analysis
+	if v := s.sharedVersions(e.slot.shared); e.slot.prog == nil || v != e.slot.versions {
+		e.slot.prog, a = s.platform.Prepare(e.slot.file)
+		e.slot.versions = v
+	}
+	return e.slot, a, nil
 }
 
-// setFlow records the file parsed at tip. Callers hold e.flowMu.
+// setFlow records the file parsed at tip, not yet compiled. Callers hold
+// e.flowMu.
 func (e *entry) setFlow(tip string, f *flowfile.File, err error) {
-	e.tip, e.file, e.shared, e.err = tip, f, nil, err
+	e.slot = slot{tip: tip, file: f, err: err}
 	if f != nil {
-		e.shared = f.SharedInputs()
+		e.slot.shared = f.SharedInputs()
 	}
 }
 
@@ -323,24 +345,23 @@ func writeError(w http.ResponseWriter, err error) {
 	jsonError(w, http.StatusInternalServerError, err)
 }
 
-// run compiles and runs the dashboard's latest committed flow file
-// through the shared result cache: identical concurrent requests collapse
-// onto one leader execution and repeated requests serve the completed
-// dashboard. The outcome ("hit", "miss", "follow", or "" when caching is
-// off for this flow) feeds the X-SI-Result-Cache response header. A hit
-// neither parses nor compiles: the flow file is the one parsed for the
-// tip, and the key comes from it.
+// run runs the program compiled at main's tip through the shared result
+// cache: identical concurrent requests collapse onto one leader execution
+// and repeated requests serve the completed dashboard. The outcome
+// ("hit", "miss", "follow", or "" when caching is off for this flow)
+// feeds the X-SI-Result-Cache response header. Neither a hit nor a miss
+// at an unchanged tip parses or compiles: the slot holds both.
 func (s *Server) run(ctx context.Context, name string) (*dashboard.Dashboard, string, error) {
 	t := s.lookup(name)
 	if t.repo == nil {
 		return nil, "", fmt.Errorf("no dashboard %q", name)
 	}
-	f, tip, shared, err := t.e.flow(t.repo)
+	sl, _, err := s.compiled(t)
 	if err != nil {
 		return nil, "", err
 	}
-	if s.resultCache == nil || !cacheableFlow(f) {
-		d, err := s.execute(ctx, t, f)
+	if s.resultCache == nil || !cacheableFlow(sl.file) {
+		d, err := s.execute(ctx, t, sl)
 		return d, "", err
 	}
 	// The leader executes detached from the requester's context: its
@@ -348,8 +369,12 @@ func (s *Server) run(ctx context.Context, name string) (*dashboard.Dashboard, st
 	// disconnect must not kill work others are waiting on. The
 	// platform's RunTimeout still bounds the run.
 	leaderCtx := context.WithoutCancel(ctx)
-	v, outcome, err := s.resultCache.Do(ctx, s.resultCacheKey(name, tip, shared, t.uploadRev), func() (any, error) {
-		return s.execute(leaderCtx, t, f)
+	// The key is everything a run result depends on, so a save, upload or
+	// publish rotates it: stale entries become unreachable without any
+	// coordination (invalidateResults drops them eagerly too).
+	key := name + "@" + sl.tip + "|u" + strconv.Itoa(t.uploadRev) + sl.versions
+	v, outcome, err := s.resultCache.Do(ctx, key, func() (any, error) {
+		return s.execute(leaderCtx, t, sl)
 	})
 	if err != nil {
 		return nil, outcome, err
@@ -360,12 +385,12 @@ func (s *Server) run(ctx context.Context, name string) (*dashboard.Dashboard, st
 	return v.(*dashboard.Dashboard), outcome, nil
 }
 
-// execute compiles and runs one parsed flow file — the uncached path
-// run leads into.
-func (s *Server) execute(ctx context.Context, t target, f *flowfile.File) (*dashboard.Dashboard, error) {
-	d, err := s.platform.Compile(f, t.uploads)
+// execute runs the tip's program over the target's uploads — the
+// uncached path run leads into.
+func (s *Server) execute(ctx context.Context, t target, sl slot) (*dashboard.Dashboard, error) {
+	d, err := sl.prog.NewDashboard(t.uploads)
 	if err != nil {
-		return nil, diagnosed(f, err)
+		return nil, diagnosed(sl.file, err)
 	}
 	// Every server-side run records a span tree, served by GET
 	// /dashboards/{name}/trace until the next run replaces it.
@@ -378,7 +403,7 @@ func (s *Server) execute(ctx context.Context, t target, f *flowfile.File) (*dash
 	t.e.live = d
 	s.mu.Unlock()
 	if rerr != nil {
-		return nil, diagnosed(f, rerr)
+		return nil, diagnosed(sl.file, rerr)
 	}
 	return d, nil
 }

@@ -165,9 +165,7 @@ func (r *Repo) Content(branch string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]byte(nil), r.blobs[c.Blob]...), nil
+	return r.ContentAt(c.Hash)
 }
 
 // ContentAt returns the flow-file text of a specific commit.

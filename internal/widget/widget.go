@@ -123,11 +123,22 @@ type Instance struct {
 // NewInstance resolves a widget definition against the type registry and
 // checks its attribute configuration.
 func NewInstance(def *flowfile.WidgetDef) (*Instance, error) {
+	desc, err := Check(def)
+	if err != nil {
+		return nil, err
+	}
+	inst := &Instance{Def: def, Desc: desc}
+	inst.applyDefaultSelection()
+	return inst, nil
+}
+
+// Check is NewInstance's verdict on a definition, without an instance:
+// the widget type's descriptor, or why the definition cannot be rendered.
+func Check(def *flowfile.WidgetDef) (*Descriptor, error) {
 	desc, ok := Lookup(def.Type)
 	if !ok {
 		return nil, fmt.Errorf("widget W.%s: unknown type %q (have %s)", def.Name, def.Type, strings.Join(Types(), ", "))
 	}
-	inst := &Instance{Def: def, Desc: desc}
 	for _, a := range desc.DataAttrs {
 		if a.Required && def.Attr(a.Name) == "" {
 			return nil, fmt.Errorf("widget W.%s (%s): missing required data attribute %q", def.Name, def.Type, a.Name)
@@ -139,8 +150,7 @@ func NewInstance(def *flowfile.WidgetDef) (*Instance, error) {
 	if tag := def.Attr("tag"); def.Type == "HTML" && tag != "" && !plainTag(tag) {
 		return nil, fmt.Errorf("widget W.%s (HTML): tag %q is not a lower-case element name, or is script, style or iframe", def.Name, tag)
 	}
-	inst.applyDefaultSelection()
-	return inst, nil
+	return desc, nil
 }
 
 // plainTag reports whether an HTML widget's tag can be written into the
