@@ -10,25 +10,36 @@ import (
 // file decides: a source's declared schema; a produced node's pipeline
 // text and the canonical text of every task it applies, parallel
 // sub-tasks included (so editing a task's configuration changes the
-// signature). A compiled program builds it once per flow file.
+// signature). A compiled program builds it once per flow file: every
+// node's text is appended to one buffer, and the map's values are
+// slices of one string made from it.
 func (g *Graph) SignatureText() map[string]string {
-	text := make(map[string]string, len(g.Nodes))
+	b := make([]byte, 0, 4096) // most flows' text fits
+	ends := make([]int, 0, 64) // where each node's text ends in b
 	for _, name := range g.Order {
 		if n := g.Nodes[name]; n.IsSource() && n.Def.Schema != nil {
-			text[name] = n.Def.Schema.String()
+			b = n.Def.Schema.AppendTo(b)
 		} else if !n.IsSource() {
-			b := []byte("flow|" + n.Flow.Pipeline.String() + "|")
+			b = append(n.Flow.Pipeline.AppendTo(append(b, "flow|"...)), '|')
 			for _, tref := range n.Flow.Pipeline.Tasks {
-				b = append(b, g.File.TaskText(tref.Name)+"\x00"...)
+				b = append(g.File.AppendTaskText(b, tref.Name), 0)
 				// Transitively include parallel sub-task texts: a
 				// parallel composite's behaviour changes when a
 				// referenced sub-task changes.
 				for _, sub := range g.File.Tasks[tref.Name].Config.StrList("parallel") {
-					b = append(b, g.File.TaskText(strings.TrimPrefix(sub, "T."))+"\x00"...)
+					b = append(g.File.AppendTaskText(b, strings.TrimPrefix(sub, "T.")), 0)
 				}
 			}
-			text[name] = string(b)
 		}
+		ends = append(ends, len(b))
+	}
+	all, start := string(b), 0
+	text := make(map[string]string, len(g.Nodes))
+	for i, name := range g.Order {
+		if n := g.Nodes[name]; !n.IsSource() || n.Def.Schema != nil {
+			text[name] = all[start:ends[i]]
+		}
+		start = ends[i]
 	}
 	return text
 }

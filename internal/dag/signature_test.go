@@ -216,3 +216,27 @@ func TestSignaturesMatchOracle(t *testing.T) {
 		t.Fatalf("compared %d flows, want at least 20", n)
 	}
 }
+
+// TestSignatureTextAllocs pins SignatureText at one buffer and one
+// string per graph: on every flow signatureFlows builds it takes at most
+// (produced nodes + 4) objects, where a string per node and per task
+// text took hundreds.
+func TestSignatureTextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for p, graphs := range signatureFlows(t) {
+		for _, g := range graphs {
+			produced := 0
+			for _, n := range g.Nodes {
+				if !n.IsSource() {
+					produced++
+				}
+			}
+			n := testing.AllocsPerRun(10, func() { _ = g.SignatureText() })
+			if n > float64(produced+4) {
+				t.Errorf("%s: SignatureText of %d produced nodes takes %.0f objects, want at most %d, for:\n%s", p, produced, n, produced+4, g.File)
+			}
+		}
+	}
+}

@@ -20,8 +20,6 @@
 package dashboard
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -201,8 +199,7 @@ func (p *Platform) Prepare(f *flowfile.File) (*Program, *analyze.Analysis) {
 		}
 	}
 	if prog.err == nil {
-		sum := sha256.Sum256([]byte(f.String()))
-		prog.flowHash = hex.EncodeToString(sum[:8])
+		prog.flowHash = f.Hash()
 		if p.Optimize {
 			prog.hints = a.Hints()
 		}

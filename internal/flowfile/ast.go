@@ -120,25 +120,48 @@ type Pipeline struct {
 }
 
 // String renders the pipeline in flow-file syntax.
-func (p *Pipeline) String() string {
-	var b strings.Builder
-	if len(p.Inputs) == 1 {
-		b.WriteString(p.Inputs[0].String())
-	} else {
-		b.WriteByte('(')
-		for i, in := range p.Inputs {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(in.String())
-		}
-		b.WriteByte(')')
-	}
+func (p *Pipeline) String() string { return string(p.AppendTo(nil)) }
+
+// AppendTo appends the pipeline's flow-file syntax (String's) to dst.
+func (p *Pipeline) AppendTo(dst []byte) []byte {
+	dst = appendRefs(dst, p.Inputs)
 	for _, t := range p.Tasks {
-		b.WriteString(" | ")
-		b.WriteString(t.String())
+		dst = cat(dst, " | ", t.Section, ".", t.Name)
 	}
-	return b.String()
+	return dst
+}
+
+// parseRefs parses one reference, or several as (a, b).
+func parseRefs(s string) ([]Ref, error) {
+	parts := []string{s}
+	if strings.HasPrefix(s, "(") && strings.HasSuffix(s, ")") {
+		parts = splitTopLevel(s[1:len(s)-1], ',')
+	}
+	refs := make([]Ref, 0, len(parts))
+	for _, part := range parts {
+		r, err := ParseRef(part)
+		if err != nil {
+			return nil, err
+		}
+		refs = append(refs, r)
+	}
+	return refs, nil
+}
+
+// appendRefs writes one reference bare, or several as (a, b): the form
+// parseRefs reads.
+func appendRefs(dst []byte, refs []Ref) []byte {
+	if len(refs) == 1 {
+		return cat(dst, refs[0].Section, ".", refs[0].Name)
+	}
+	dst = append(dst, '(')
+	for i, r := range refs {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = cat(dst, r.Section, ".", r.Name)
+	}
+	return append(dst, ')')
 }
 
 // ParsePipeline parses "D.a | T.x | T.y" or "(D.a, D.b) | T.join".
@@ -147,26 +170,11 @@ func ParsePipeline(s string) (*Pipeline, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("empty pipeline")
 	}
-	head := strings.TrimSpace(parts[0])
-	p := &Pipeline{}
-	if strings.HasPrefix(head, "(") && strings.HasSuffix(head, ")") {
-		for _, in := range splitTopLevel(head[1:len(head)-1], ',') {
-			r, err := ParseRef(in)
-			if err != nil {
-				return nil, err
-			}
-			p.Inputs = append(p.Inputs, r)
-		}
-	} else {
-		r, err := ParseRef(head)
-		if err != nil {
-			return nil, err
-		}
-		p.Inputs = []Ref{r}
+	inputs, err := parseRefs(strings.TrimSpace(parts[0]))
+	if err != nil {
+		return nil, err
 	}
-	if len(p.Inputs) == 0 {
-		return nil, fmt.Errorf("pipeline %q has no inputs", s)
-	}
+	p := &Pipeline{Inputs: inputs}
 	for _, in := range p.Inputs {
 		if in.Section != "D" {
 			return nil, fmt.Errorf("pipeline input %s is not a data object", in)
@@ -197,16 +205,11 @@ type Flow struct {
 }
 
 // String renders the flow in flow-file syntax.
-func (f *Flow) String() string {
-	outs := make([]string, len(f.Outputs))
-	for i, o := range f.Outputs {
-		outs[i] = o.String()
-	}
-	lhs := outs[0]
-	if len(outs) > 1 {
-		lhs = "(" + strings.Join(outs, ", ") + ")"
-	}
-	return lhs + ": " + f.Pipeline.String()
+func (f *Flow) String() string { return string(f.AppendTo(nil)) }
+
+// AppendTo appends the flow's flow-file syntax (String's) to dst.
+func (f *Flow) AppendTo(dst []byte) []byte {
+	return f.Pipeline.AppendTo(append(appendRefs(dst, f.Outputs), ": "...))
 }
 
 // TaskDef is one T-section entry: a named, typed, configured task. The

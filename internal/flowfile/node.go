@@ -70,9 +70,7 @@ type Node struct {
 	Items []*Node
 }
 
-func newMap(line int) *Node {
-	return &Node{Kind: MapNode, Line: line}
-}
+func newMap(line int) *Node { return &Node{Kind: MapNode, Line: line} }
 
 func newList(line int) *Node { return &Node{Kind: ListNode, Line: line} }
 
@@ -134,9 +132,8 @@ func (n *Node) StrList(key string) []string {
 
 // set appends key → child, preserving order. Duplicates are permitted at
 // this layer; section decoders reject them where the language forbids it.
-func (n *Node) set(key string, child *Node) error {
+func (n *Node) set(key string, child *Node) {
 	n.Entries = append(n.Entries, MapEntry{Key: key, Value: child})
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -310,26 +307,12 @@ func parseBlock(lines []line, minIndent int, parent *Node) ([]line, error) {
 				return nil, fmt.Errorf("line %d: property inside list block", l.num)
 			}
 			parent.Kind = MapNode
-			var child *Node
-			var err error
-			lines = lines[1:]
-			if l.rest != "" {
-				child = parseInline(l.num, l.rest)
-			} else {
-				// Value is the following indented block (or empty map).
-				child = newMap(l.num)
-				if len(lines) > 0 && lines[0].indent > indent {
-					sub := lines[0].indent
-					lines, err = parseBlock(lines, sub, child)
-					if err != nil {
-						return nil, err
-					}
-				}
-			}
-			if err := parent.set(l.key, child); err != nil {
+			child, rest, err := parseValue(l, lines[1:])
+			if err != nil {
 				return nil, err
 			}
-			_ = err
+			parent.set(l.key, child)
+			lines = rest
 		default:
 			// A bare scalar line: only legal as the entire body of a block
 			// value, e.g. the Figure 9 style where a flow's pipeline sits
@@ -377,34 +360,38 @@ func parseListItem(lines []line, list *Node) ([]line, error) {
 			}
 		}
 	}
-	if err := item.set(l.key, first); err != nil {
-		return nil, err
-	}
+	item.set(l.key, first)
 	for len(lines) > 0 {
 		n := lines[0]
 		if n.isItem || !n.hasKey || n.indent <= l.indent {
 			break
 		}
-		lines = lines[1:]
-		var child *Node
-		if n.rest != "" {
-			child = parseInline(n.num, n.rest)
-		} else {
-			child = newMap(n.num)
-			if len(lines) > 0 && lines[0].indent > n.indent {
-				var err error
-				lines, err = parseBlock(lines, lines[0].indent, child)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := item.set(n.key, child); err != nil {
+		child, rest, err := parseValue(n, lines[1:])
+		if err != nil {
 			return nil, err
 		}
+		item.set(n.key, child)
+		lines = rest
 	}
 	list.Items = append(list.Items, item)
 	return lines, nil
+}
+
+// parseValue parses the value of the keyed line l: the inline value after
+// its colon, or else the block indented deeper than l that starts lines
+// (an empty map when there is none). It returns the unconsumed tail.
+func parseValue(l line, lines []line) (*Node, []line, error) {
+	if l.rest != "" {
+		return parseInline(l.num, l.rest), lines, nil
+	}
+	child := newMap(l.num)
+	if len(lines) > 0 && lines[0].indent > l.indent {
+		var err error
+		if lines, err = parseBlock(lines, lines[0].indent, child); err != nil {
+			return nil, nil, err
+		}
+	}
+	return child, lines, nil
 }
 
 // parseInline parses an inline value: a bracketed list or a scalar.

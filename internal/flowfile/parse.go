@@ -30,31 +30,22 @@ func Parse(name, src string) (*File, error) {
 		key, node := e.Key, e.Value
 		switch {
 		case key == "D":
-			if err := f.decodeDataSection(node); err != nil {
-				return nil, err
-			}
+			err = f.decodeDataSection(node)
 		case key == "F":
-			if err := f.decodeFlowSection(node); err != nil {
-				return nil, err
-			}
+			err = f.decodeFlowSection(node)
 		case key == "T":
-			if err := f.decodeTaskSection(node); err != nil {
-				return nil, err
-			}
+			err = f.decodeTaskSection(node)
 		case key == "W":
-			if err := f.decodeWidgetSection(node); err != nil {
-				return nil, err
-			}
+			err = f.decodeWidgetSection(node)
 		case key == "L":
-			if err := f.decodeLayoutSection(node); err != nil {
-				return nil, err
-			}
+			err = f.decodeLayoutSection(node)
 		case strings.HasPrefix(key, "D.") || strings.HasPrefix(key, "+D."):
-			if err := f.decodeTopLevelData(key, node); err != nil {
-				return nil, err
-			}
+			err = f.decodeTopLevelData(key, node)
 		default:
-			return nil, fmt.Errorf("line %d: unknown section %q (want D, F, T, W, L or D.<name>)", node.Line, key)
+			err = fmt.Errorf("line %d: unknown section %q (want D, F, T, W, L or D.<name>)", node.Line, key)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return f, nil
@@ -95,9 +86,7 @@ func parseSource(src string) (*Node, error) {
 			}
 			continue
 		}
-		if err := root.set(l.key, child); err != nil {
-			return nil, err
-		}
+		root.set(l.key, child)
 	}
 	return root, nil
 }
@@ -246,22 +235,19 @@ func (f *File) decodeFlowSection(n *Node) error {
 	}
 	for _, en := range n.Entries {
 		key, entry := en.Key, en.Value
-		switch entry.Kind {
-		case ScalarNode:
-			if err := f.addFlowEntry(key, entry); err != nil {
-				return err
-			}
-		case MapNode:
+		var err error
+		switch {
+		case entry.Kind == ScalarNode:
+			err = f.addFlowEntry(key, entry)
+		case entry.Kind == MapNode && (strings.HasPrefix(key, "D.") || strings.HasPrefix(key, "+D.")):
 			// Data-detail blocks may appear inside F (Figure 19 publishes
 			// a sink right next to its flow).
-			if !strings.HasPrefix(key, "D.") && !strings.HasPrefix(key, "+D.") {
-				return fmt.Errorf("line %d: flow %q must map to a pipeline", entry.Line, key)
-			}
-			if err := f.decodeTopLevelData(key, entry); err != nil {
-				return err
-			}
+			err = f.decodeTopLevelData(key, entry)
 		default:
-			return fmt.Errorf("line %d: flow %q must map to a pipeline", entry.Line, key)
+			err = fmt.Errorf("line %d: flow %q must map to a pipeline", entry.Line, key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -270,33 +256,19 @@ func (f *File) decodeFlowSection(n *Node) error {
 // addFlowEntry parses one flow: key is "D.out", "+D.out" or
 // "(D.a, D.b)"; val is the pipeline expression.
 func (f *File) addFlowEntry(key string, val *Node) error {
-	endpoint := false
-	if strings.HasPrefix(key, "+") {
-		endpoint = true
+	endpoint := strings.HasPrefix(key, "+")
+	if endpoint {
 		key = strings.TrimSpace(key[1:])
 	}
-	var outs []Ref
-	if strings.HasPrefix(key, "(") && strings.HasSuffix(key, ")") {
-		for _, part := range splitTopLevel(key[1:len(key)-1], ',') {
-			r, err := ParseRef(part)
-			if err != nil {
-				return fmt.Errorf("line %d: flow output: %w", val.Line, err)
-			}
-			outs = append(outs, r)
-		}
-	} else {
-		r, err := ParseRef(key)
-		if err != nil {
-			return fmt.Errorf("line %d: flow output: %w", val.Line, err)
-		}
-		outs = []Ref{r}
+	outs, err := parseRefs(key)
+	if err != nil {
+		return fmt.Errorf("line %d: flow output: %w", val.Line, err)
 	}
 	for _, o := range outs {
 		if o.Section != "D" {
 			return fmt.Errorf("line %d: flow output %s is not a data object", val.Line, o)
 		}
-		d := f.EnsureData(o.Name, val.Line)
-		if endpoint {
+		if d := f.EnsureData(o.Name, val.Line); endpoint {
 			d.Endpoint = true
 		}
 	}
@@ -382,8 +354,7 @@ func (f *File) decodeLayoutSection(n *Node) error {
 		return fmt.Errorf("line %d: L section must be a property block", n.Line)
 	}
 	l := &LayoutDef{Description: n.Str("description"), Line: n.Line}
-	rows := n.Get("rows")
-	if rows != nil {
+	if rows := n.Get("rows"); rows != nil {
 		if rows.Kind != ListNode {
 			return fmt.Errorf("line %d: layout rows must be a list", rows.Line)
 		}
@@ -404,19 +375,14 @@ func (f *File) decodeLayoutSection(n *Node) error {
 // section) reuse it.
 func DecodeLayoutRow(n *Node) (LayoutRow, error) {
 	var row LayoutRow
-	if n.Kind != ListNode {
-		// A single-cell row may be written without brackets.
-		if n.Kind == ScalarNode {
-			cell, err := decodeLayoutCell(n.Line, n.Scalar)
-			if err != nil {
-				return row, err
-			}
-			row.Cells = append(row.Cells, cell)
-			return row, nil
-		}
+	items := n.Items
+	switch n.Kind {
+	case ScalarNode: // a single-cell row may be written without brackets
+		items = []*Node{n}
+	case MapNode:
 		return row, fmt.Errorf("line %d: layout row must be a list of cells", n.Line)
 	}
-	for _, it := range n.Items {
+	for _, it := range items {
 		if it.Kind != ScalarNode {
 			return row, fmt.Errorf("line %d: layout cell must be span<N>: W.<widget>", it.Line)
 		}

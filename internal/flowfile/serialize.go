@@ -1,7 +1,9 @@
 package flowfile
 
 import (
-	"fmt"
+	"crypto/sha256"
+	"encoding/hex"
+	"strconv"
 	"strings"
 )
 
@@ -10,191 +12,215 @@ import (
 // diffs and merges — "since the entire data pipeline is represented as a
 // single text file, it makes it very amenable to manage via a source
 // control system" (§4.5.1).
-func (f *File) String() string {
-	var b strings.Builder
+func (f *File) String() string { return string(f.AppendText(nil)) }
+
+// AppendText appends the canonical text (String's) to b.
+func (f *File) AppendText(b []byte) []byte {
 	if len(f.DataOrder) > 0 {
-		b.WriteString("D:\n")
+		b = append(b, "D:\n"...)
 		for _, name := range f.DataOrder {
-			d := f.Data[name]
-			switch {
-			case d.Schema != nil:
-				fmt.Fprintf(&b, "  %s: %s\n", name, d.Schema)
-			default:
-				// Schema-less declarations survive as bare entries so
-				// canonicalization is a fixed point even for objects
-				// that only exist as declarations.
-				fmt.Fprintf(&b, "  %s:\n", name)
+			// Schema-less declarations survive as bare entries so
+			// canonicalization is a fixed point even for objects that
+			// only exist as declarations.
+			if b = cat(b, "  ", name, ":"); f.Data[name].Schema != nil {
+				b = f.Data[name].Schema.AppendTo(append(b, ' '))
 			}
+			b = append(b, '\n')
 		}
 		// Detail blocks follow the schema listing, as in the paper.
 		for _, name := range f.DataOrder {
 			d := f.Data[name]
-			if !d.hasDetails() {
+			if len(d.Props) == 0 && !d.Endpoint && d.Publish == "" {
 				continue
 			}
-			fmt.Fprintf(&b, "\nD.%s:\n", name)
+			b = cat(b, "\nD.", name, ":\n")
 			for _, k := range d.PropOrder {
-				fmt.Fprintf(&b, "  %s: %s\n", k, quoteIfNeeded(d.Props[k]))
+				b = append(appendQuoted(cat(b, "  ", k, ": "), d.Props[k]), '\n')
 			}
 			if d.Endpoint {
-				b.WriteString("  endpoint: true\n")
+				b = append(b, "  endpoint: true\n"...)
 			}
 			if d.Publish != "" {
-				fmt.Fprintf(&b, "  publish: %s\n", d.Publish)
+				b = cat(b, "  publish: ", d.Publish, "\n")
 			}
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
 	if len(f.Flows) > 0 {
-		b.WriteString("F:\n")
+		b = append(b, "F:\n"...)
 		for _, fl := range f.Flows {
-			fmt.Fprintf(&b, "  %s\n", fl)
+			b = append(fl.AppendTo(append(b, "  "...)), '\n')
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
 	if len(f.TaskOrder) > 0 {
-		b.WriteString("T:\n")
+		b = append(b, "T:\n"...)
 		for _, name := range f.TaskOrder {
-			writeNodeBlock(&b, name, f.Tasks[name].Config, 1)
+			b = appendNodeBlock(b, name, f.Tasks[name].Config, 1)
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
 	if len(f.WidgetOrder) > 0 {
-		b.WriteString("W:\n")
+		b = append(b, "W:\n"...)
 		for _, name := range f.WidgetOrder {
-			writeNodeBlock(&b, name, f.Widgets[name].Config, 1)
+			b = appendNodeBlock(b, name, f.Widgets[name].Config, 1)
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
 	if f.Layout != nil {
-		b.WriteString("L:\n")
+		b = append(b, "L:\n"...)
 		if f.Layout.Description != "" {
-			fmt.Fprintf(&b, "  description: %s\n", quoteIfNeeded(f.Layout.Description))
+			b = append(appendQuoted(append(b, "  description: "...), f.Layout.Description), '\n')
 		}
 		if len(f.Layout.Rows) > 0 {
-			b.WriteString("  rows:\n")
+			b = append(b, "  rows:\n"...)
 			for _, row := range f.Layout.Rows {
-				cells := make([]string, len(row.Cells))
+				b = append(b, "    - ["...)
 				for i, c := range row.Cells {
-					cells[i] = fmt.Sprintf("span%d: W.%s", c.Span, c.Widget)
+					if i > 0 {
+						b = append(b, ", "...)
+					}
+					b = cat(strconv.AppendInt(append(b, "span"...), int64(c.Span), 10), ": W.", c.Widget)
 				}
-				fmt.Fprintf(&b, "    - [%s]\n", strings.Join(cells, ", "))
+				b = append(b, "]\n"...)
 			}
 		}
 	}
-	return b.String()
+	return b
 }
 
-func (d *DataDef) hasDetails() bool {
-	return len(d.Props) > 0 || d.Endpoint || d.Publish != ""
+// Hash is the flow hash: the hex form of the first 8 bytes of the
+// sha256 of the canonical text. Run history and the optimizer's evidence
+// are keyed on it.
+func (f *File) Hash() string {
+	sum := sha256.Sum256(f.AppendText(make([]byte, 0, 4096))) // most flows' text fits
+	return hex.EncodeToString(sum[:8])
 }
 
-// writeNodeBlock serializes a generic node under "name:" at the given
-// indent level (2 spaces per level).
-func writeNodeBlock(b *strings.Builder, name string, n *Node, level int) {
-	pad := strings.Repeat("  ", level)
+// AppendTaskText appends the canonical text of one task definition to b
+// (nothing if the task is absent). A node's signature text is built from
+// it, so editing a task's configuration changes the signature of every
+// node that applies the task.
+func (f *File) AppendTaskText(b []byte, name string) []byte {
+	if t, ok := f.Tasks[name]; ok {
+		return appendNodeBlock(b, name, t.Config, 0)
+	}
+	return b
+}
+
+// TaskText is AppendTaskText as a string ("" if the task is absent).
+func (f *File) TaskText(name string) string { return string(f.AppendTaskText(nil, name)) }
+
+// cat appends each of parts to b.
+func cat(b []byte, parts ...string) []byte {
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
+}
+
+// indent appends the pad of the given level (2 spaces per level).
+func indent(b []byte, level int) []byte {
+	for ; level > 0; level-- {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+// appendNodeBlock serializes a generic node under "name:" at the given
+// indent level.
+func appendNodeBlock(b []byte, name string, n *Node, level int) []byte {
+	b = append(indent(b, level), name...)
+	switch {
+	case n.Kind == ScalarNode:
+		return append(appendQuoted(append(b, ": "...), n.Scalar), '\n')
+	case n.Kind == ListNode && inlineList(n):
+		return append(appendInline(append(b, ": "...), n), '\n')
+	}
+	return appendChildBlock(append(b, ":\n"...), n, level+1)
+}
+
+func appendListItem(b []byte, n *Node, level int) []byte {
+	switch {
+	case n.Kind == ScalarNode:
+		return append(appendQuoted(append(indent(b, level), "- "...), n.Scalar), '\n')
+	case n.Kind == ListNode && inlineList(n):
+		return append(appendInline(append(indent(b, level), "- "...), n), '\n')
+	case n.Kind == ListNode:
+		return appendChildBlock(append(indent(b, level), "-\n"...), n, level+1)
+	}
+	for i, e := range n.Entries {
+		switch {
+		case i > 0:
+			b = appendNodeBlock(b, e.Key, e.Value, level+1)
+		case e.Value.Kind == ScalarNode:
+			b = append(appendQuoted(cat(indent(b, level), "- ", e.Key, ": "), e.Value.Scalar), '\n')
+		default:
+			b = appendChildBlock(cat(indent(b, level), "- ", e.Key, ":\n"), e.Value, level+2)
+		}
+	}
+	return b
+}
+
+// appendChildBlock writes a map's entries or a list's items at level.
+func appendChildBlock(b []byte, n *Node, level int) []byte {
 	switch n.Kind {
-	case ScalarNode:
-		fmt.Fprintf(b, "%s%s: %s\n", pad, name, quoteIfNeeded(n.Scalar))
-	case ListNode:
-		if inline, ok := inlineList(n); ok {
-			fmt.Fprintf(b, "%s%s: %s\n", pad, name, inline)
-			return
-		}
-		fmt.Fprintf(b, "%s%s:\n", pad, name)
-		for _, it := range n.Items {
-			writeListItem(b, it, level+1)
-		}
 	case MapNode:
-		fmt.Fprintf(b, "%s%s:\n", pad, name)
 		for _, e := range n.Entries {
-			writeNodeBlock(b, e.Key, e.Value, level+1)
-		}
-	}
-}
-
-func writeListItem(b *strings.Builder, n *Node, level int) {
-	pad := strings.Repeat("  ", level)
-	switch n.Kind {
-	case ScalarNode:
-		fmt.Fprintf(b, "%s- %s\n", pad, quoteIfNeeded(n.Scalar))
-	case ListNode:
-		if inline, ok := inlineList(n); ok {
-			fmt.Fprintf(b, "%s- %s\n", pad, inline)
-			return
-		}
-		fmt.Fprintf(b, "%s-\n", pad)
-		for _, it := range n.Items {
-			writeListItem(b, it, level+1)
-		}
-	case MapNode:
-		for i, e := range n.Entries {
-			k, child := e.Key, e.Value
-			if i == 0 {
-				if child.Kind == ScalarNode {
-					fmt.Fprintf(b, "%s- %s: %s\n", pad, k, quoteIfNeeded(child.Scalar))
-					continue
-				}
-				fmt.Fprintf(b, "%s- %s:\n", pad, k)
-				writeChildBlock(b, child, level+2)
-				continue
-			}
-			writeNodeBlock(b, k, child, level+1)
-		}
-	}
-}
-
-func writeChildBlock(b *strings.Builder, n *Node, level int) {
-	switch n.Kind {
-	case MapNode:
-		for _, e := range n.Entries {
-			writeNodeBlock(b, e.Key, e.Value, level)
+			b = appendNodeBlock(b, e.Key, e.Value, level)
 		}
 	case ListNode:
 		for _, it := range n.Items {
-			writeListItem(b, it, level)
+			b = appendListItem(b, it, level)
 		}
 	}
+	return b
 }
 
-// inlineList renders a list of scalars inline when short enough.
-func inlineList(n *Node) (string, bool) {
-	parts := make([]string, 0, len(n.Items))
+// inlineList reports whether a list is written inline: every item is a
+// scalar and the quoted items, two bytes of separator each, fit in 76.
+func inlineList(n *Node) bool {
 	total := 0
 	for _, it := range n.Items {
 		if it.Kind != ScalarNode {
-			return "", false
+			return false
 		}
-		q := quoteIfNeeded(it.Scalar)
-		total += len(q) + 2
-		parts = append(parts, q)
+		if total += len(it.Scalar) + 2; needsQuote(it.Scalar) {
+			total += 2 + strings.Count(it.Scalar, "'")
+		}
 	}
-	if total > 76 {
-		return "", false
-	}
-	return "[" + strings.Join(parts, ", ") + "]", true
+	return total <= 76
 }
 
-// quoteIfNeeded quotes a scalar whose text would not re-scan as itself.
-func quoteIfNeeded(s string) string {
-	if s == "" {
-		return "''"
+// appendInline writes an inline list: [a, b, c].
+func appendInline(b []byte, n *Node) []byte {
+	b = append(b, '[')
+	for i, it := range n.Items {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendQuoted(b, it.Scalar)
 	}
-	if strings.ContainsAny(s, ":#[](),'\"") || s != strings.TrimSpace(s) {
-		return "'" + strings.ReplaceAll(s, "'", `\'`) + "'"
-	}
-	return s
+	return append(b, ']')
 }
 
-// TaskText returns the canonical text of one task definition ("" if
-// absent). The VCS merge and the incremental-execution cache use it as
-// the task's content signature.
-func (f *File) TaskText(name string) string {
-	t, ok := f.Tasks[name]
-	if !ok {
-		return ""
+// needsQuote reports whether a scalar's text would not re-scan as itself.
+func needsQuote(s string) bool {
+	return s == "" || strings.ContainsAny(s, ":#[](),'\"") || s != strings.TrimSpace(s)
+}
+
+// appendQuoted appends s, single-quoted with each ' escaped as \' when
+// its text would not re-scan as itself.
+func appendQuoted(b []byte, s string) []byte {
+	if !needsQuote(s) {
+		return append(b, s...)
 	}
-	var b strings.Builder
-	writeNodeBlock(&b, name, t.Config, 0)
-	return b.String()
+	b = append(b, '\'')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\'' {
+			b = append(b, '\\')
+		}
+		b = append(b, s[i])
+	}
+	return append(b, '\'')
 }

@@ -209,12 +209,29 @@ func (s *Schema) Equal(o *Schema) bool {
 }
 
 // String renders the schema in flow-file form: [a, b, path => c].
-func (s *Schema) String() string {
-	parts := make([]string, len(s.cols))
+func (s *Schema) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the schema's flow-file form (String's) to dst.
+func (s *Schema) AppendTo(dst []byte) []byte {
+	s.Pieces(func(p string) { dst = append(dst, p...) })
+	return dst
+}
+
+// Pieces calls yield with the flow-file form in pieces, in order: what a
+// caller that hashes the form, rather than keeping it, reads.
+func (s *Schema) Pieces(yield func(string)) {
+	yield("[")
 	for i, c := range s.cols {
-		parts[i] = c.String()
+		if i > 0 {
+			yield(", ")
+		}
+		if c.Path != "" {
+			yield(c.Path)
+			yield(" => ")
+		}
+		yield(c.Name)
 	}
-	return "[" + strings.Join(parts, ", ") + "]"
+	yield("]")
 }
 
 // Clone returns an independent copy of the schema.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"shareinsights/internal/schema"
@@ -298,65 +297,57 @@ func (t *Table) eachRow(fn func(Row)) {
 // Format renders the table as an aligned text grid — the representation
 // the data explorer uses ("runs the dashboard in a headless mode and
 // displays the data in a tabular format", §4.4). At most maxRows rows are
-// shown; maxRows <= 0 means all.
+// shown; maxRows <= 0 means all. It reads only the rows it shows, cell by
+// cell, so a column-backed table stays unmaterialized.
 func (t *Table) Format(maxRows int) string {
-	names := t.schema.Names()
-	widths := make([]int, len(names))
-	for i, n := range names {
-		widths[i] = len(n)
+	cols, shown := t.schema.Columns(), t.Len()
+	if maxRows > 0 && shown > maxRows {
+		shown = maxRows
 	}
-	rows := t.Rows()
-	truncated := 0
-	if maxRows > 0 && len(rows) > maxRows {
-		truncated = len(rows) - maxRows
-		rows = rows[:maxRows]
-	}
-	cells := make([][]string, len(rows))
-	for r, row := range rows {
-		cells[r] = make([]string, len(row))
-		for c, v := range row {
-			s := v.String()
-			cells[r][c] = s
-			if len(s) > widths[c] {
-				widths[c] = len(s)
-			}
+	widths := make([]int, len(cols))
+	var b []byte
+	for c, col := range cols {
+		widths[c] = len(col.Name)
+		for i := 0; i < shown; i++ {
+			b = t.At(i, c).AppendTo(b[:0])
+			widths[c] = max(widths[c], len(b))
 		}
 	}
-	var b strings.Builder
-	writeRow := func(fields []string) {
-		for c, f := range fields {
-			if c > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(f)
-			if c < len(fields)-1 { // no trailing padding after the last column
-				for p := len(f); p < widths[c]; p++ {
-					b.WriteByte(' ')
+	b = b[:0]
+	// Row -2 is the header, row -1 its underline. Every field but a row's
+	// last is padded to its column's width plus the two-space gap.
+	for i := -2; i < shown; i++ {
+		for c, col := range cols {
+			start := len(b)
+			switch {
+			case i == -2:
+				b = append(b, col.Name...)
+			case i == -1:
+				for len(b)-start < widths[c] {
+					b = append(b, '-')
 				}
+			default:
+				b = t.At(i, c).AppendTo(b)
+			}
+			for c < len(cols)-1 && len(b)-start < widths[c]+2 {
+				b = append(b, ' ')
 			}
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	writeRow(names)
-	sep := make([]string, len(names))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	if more := t.Len() - shown; more > 0 {
+		b = append(strconv.AppendInt(append(b, "... ("...), int64(more), 10), " more rows)\n"...)
 	}
-	writeRow(sep)
-	for _, row := range cells {
-		writeRow(row)
-	}
-	if truncated > 0 {
-		fmt.Fprintf(&b, "... (%d more rows)\n", truncated)
-	}
-	return b.String()
+	return string(b)
 }
 
 // Fingerprint returns a stable content hash of the table (schema plus
 // every cell, order-sensitive). The incremental-execution cache uses it
-// as a source node's signature: same payload, same fingerprint.
+// as a source node's signature: same payload, same fingerprint. The
+// schema's text (Schema.String) is hashed piece by piece.
 func (t *Table) Fingerprint() string {
-	h := value.HashString(value.HashSeed, t.schema.String())
+	h := value.HashSeed
+	t.schema.Pieces(func(p string) { h = value.HashString(h, p) })
 	t.eachRow(func(r Row) { h = value.HashRow(h, r) })
 	return strconv.FormatUint(h, 16)
 }

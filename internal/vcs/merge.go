@@ -172,7 +172,7 @@ func MergeFlowFiles(name string, base, ours, theirs []byte) ([]byte, error) {
 		return nil, &ConflictError{Entries: conflicts}
 	}
 	merged := assemble(name, winner, ourSet, theirSet)
-	return []byte(merged.String()), nil
+	return merged.AppendText(nil), nil
 }
 
 func decomposeOrEmpty(name string, content []byte) (*entrySet, error) {
