@@ -249,8 +249,9 @@ type Analysis struct {
 	scopes map[string]flowcheck.Scope
 	cards  map[string]flowcheck.Card
 	// flowRecs keeps each flow's walked chain for the rules, liveness and
-	// facts.
+	// facts; walked lists the flows in the graph's order.
 	flowRecs map[*flowfile.Flow]*chainRec
+	walked   []*flowfile.Flow
 	// lookup resolves parallel sub-task definitions for flowcheck.
 	lookup flowcheck.TaskLookup
 	// full / live / consumed are the liveness pass results (see liveness).
@@ -282,6 +283,7 @@ func Analyze(g *dag.Graph, sources map[string]flowcheck.Scope) *Analysis {
 		if rec == nil {
 			rec = a.walk(&n.Chain)
 			a.flowRecs[n.Flow] = rec
+			a.walked = append(a.walked, n.Flow)
 		}
 		if rec.ok {
 			a.scopes[name], a.cards[name] = rec.scope, rec.card
@@ -390,7 +392,7 @@ func (l *linter) checkProblems(problems []*dag.Problem) {
 // chosen by the problem's kind, never by its text. Kinds no existing rule
 // owns are FL000 errors carrying the resolver's own message.
 func (l *linter) reportProblem(p *dag.Problem) {
-	fd := Finding{Rule: "FL000", Severity: Error, Entity: p.Entity, Line: p.Line, Message: cleanMsg(p.Err.Error())}
+	fd := Finding{Rule: "FL000", Severity: Error, Entity: p.Entity, Line: p.Line, Message: diagnose.CleanMessage(p.Err.Error())}
 	switch p.Kind {
 	case dag.ProblemUnknownType:
 		def := l.f.Tasks[p.Entity[2:]]
@@ -506,30 +508,24 @@ var visualAttrs = []string{
 	"show_tooltip", "slider_type", "tag", "body", "rows", "tabs", "name",
 }
 
-// checkWidgets validates widget definitions: FL030 unknown type, FL031
-// unknown property, FL032 missing required attribute or source, FL033
-// data attribute bound to a column missing from the source output.
+// checkWidgets validates widget definitions: widget.Check's verdict as
+// FL030 unknown type, FL032 missing required attribute or source, FL034
+// rejected HTML tag; FL031 unknown property, FL033 data attribute bound
+// to a column missing from the source output.
 func (l *linter) checkWidgets() {
 	for _, name := range l.f.WidgetOrder {
 		w := l.f.Widgets[name]
 		entity := "W." + name
-		desc, ok := widget.Lookup(w.Type)
-		if !ok {
-			l.add(didYouMean(Finding{Rule: "FL030", Severity: Error, Entity: entity, Line: w.Line,
-				Message: fmt.Sprintf("unknown widget type %q", w.Type)}, w.Type, widget.Types()))
+		desc, faults := widget.Check(w)
+		for _, ft := range faults {
+			l.add(widgetFinding(ft, w))
+		}
+		if desc == nil {
 			continue
 		}
 		allowed := append([]string{}, visualAttrs...)
 		for _, a := range desc.DataAttrs {
 			allowed = append(allowed, a.Name)
-			if a.Required && w.Attr(a.Name) == "" {
-				l.add(Finding{Rule: "FL032", Severity: Error, Entity: entity, Line: w.Line,
-					Message: fmt.Sprintf("widget type %s requires data attribute %q", w.Type, a.Name)})
-			}
-		}
-		if desc.NeedsSource && w.Source == nil && len(w.Static) == 0 {
-			l.add(Finding{Rule: "FL032", Severity: Error, Entity: entity, Line: w.Line,
-				Message: fmt.Sprintf("widget type %s needs a source pipeline or static rows", w.Type)})
 		}
 		if w.Config != nil && w.Config.Kind == flowfile.MapNode {
 			for _, e := range w.Config.Entries {
@@ -559,6 +555,25 @@ func (l *linter) checkWidgets() {
 					a.Name, col, strings.Join(out.Names(), ", "))}, col, out.Names()))
 		}
 	}
+}
+
+// widgetFinding is the finding for one reason widget.Check refuses a
+// definition; the rule is chosen by the fault's kind.
+func widgetFinding(ft widget.Fault, w *flowfile.WidgetDef) Finding {
+	fd := Finding{Rule: "FL032", Severity: Error, Entity: "W." + w.Name, Line: w.Line}
+	switch ft.Kind {
+	case widget.UnknownType:
+		fd.Rule, fd.Message = "FL030", fmt.Sprintf("unknown widget type %q", w.Type)
+		fd = didYouMean(fd, w.Type, widget.Types())
+	case widget.MissingAttr:
+		fd.Message = fmt.Sprintf("widget type %s requires data attribute %q", w.Type, ft.Value)
+	case widget.NoSource:
+		fd.Message = fmt.Sprintf("widget type %s needs a source pipeline or static rows", w.Type)
+	case widget.BadTag:
+		fd.Rule, fd.Message = "FL034", fmt.Sprintf("tag %q is not a lower-case element name, or is script, style or iframe", ft.Value)
+		fd.Hint = "use a plain element such as div, p or span; the widget refuses to render otherwise"
+	}
+	return fd
 }
 
 // checkDeadEntities reports FL010 dead data objects (from the resolved
@@ -695,14 +710,6 @@ func entryLine(e flowfile.MapEntry, fallback int) int {
 		return e.Value.Line
 	}
 	return fallback
-}
-
-// cleanMsg strips engine prefixes, mirroring diagnose.
-func cleanMsg(msg string) string {
-	for _, prefix := range []string{"batch: ", "dag: ", "connector: ", "expr: ", "schema: ", "cube: ", "task: "} {
-		msg = strings.ReplaceAll(msg, prefix, "")
-	}
-	return msg
 }
 
 // didYouMean hints the candidate nearest target, when one is close.

@@ -49,27 +49,25 @@ func (a *Analysis) liveness() {
 		}
 	}
 
-	for changed := true; changed; {
-		changed = false
-		for _, fl := range a.f.Flows {
-			rec := a.flowRecs[fl]
-			if rec == nil || !rec.ok {
+	// The graph's order puts every consumer of a flow's outputs after
+	// the flow, so walking it backwards settles an output's demand before
+	// its producer reads it: one pass, no fixpoint.
+	for i := len(a.walked) - 1; i >= 0; i-- {
+		fl := a.walked[i]
+		rec := a.flowRecs[fl]
+		if !rec.ok {
+			continue
+		}
+		sets := a.backProp(rec, a.outLive(fl.Outputs))
+		for j, name := range rec.chain.Inputs {
+			if j >= len(sets) || a.full[name] {
 				continue
 			}
-			sets, _ := a.backProp(rec, a.outLive(fl.Outputs))
-			for j, name := range rec.chain.Inputs {
-				if j >= len(sets) || a.full[name] {
-					continue
-				}
-				if a.live[name] == nil {
-					a.live[name] = map[string]bool{}
-				}
-				for c := range sets[j] {
-					if !a.live[name][c] {
-						a.live[name][c] = true
-						changed = true
-					}
-				}
+			if a.live[name] == nil {
+				a.live[name] = map[string]bool{}
+			}
+			for c := range sets[j] {
+				a.live[name][c] = true
 			}
 		}
 	}
@@ -85,10 +83,9 @@ func (l *linter) checkDeadColumns() {
 		if rec == nil || !rec.ok {
 			continue
 		}
-		_, liveAfter := l.backProp(rec, l.outLive(fl.Outputs))
 		for k, st := range rec.stages {
 			for _, c := range computedCols(rec.chain.Specs[k]) {
-				if liveAfter[k][c] || seen[st.Name+"\x00"+c] {
+				if st.liveAfter[c] || seen[st.Name+"\x00"+c] {
 					continue
 				}
 				seen[st.Name+"\x00"+c] = true
@@ -121,17 +118,16 @@ func (a *Analysis) outLive(outs []flowfile.Ref) map[string]bool {
 }
 
 // backProp pushes a demand set backward through one walked chain. It
-// returns the per-pipeline-input demand and, for FL064, the demand set
-// live immediately after each stage.
-func (a *Analysis) backProp(rec *chainRec, liveOut map[string]bool) ([]map[string]bool, []map[string]bool) {
-	liveAfter := make([]map[string]bool, len(rec.stages))
+// returns the per-pipeline-input demand and keeps, for FL064, the demand
+// live immediately after each stage on the stage's record.
+func (a *Analysis) backProp(rec *chainRec, liveOut map[string]bool) []map[string]bool {
 	cur := liveOut
 	for k := len(rec.stages) - 1; k >= 0; k-- {
-		liveAfter[k] = cur
-		st := rec.stages[k]
+		st := &rec.stages[k]
+		st.liveAfter = cur
 		sets := flowcheck.LiveIn(rec.chain.Specs[k], st.Def, a.lookup, st.ins, cur)
 		if k == 0 {
-			return sets, liveAfter
+			return sets
 		}
 		if len(sets) > 0 {
 			cur = sets[0]
@@ -148,7 +144,7 @@ func (a *Analysis) backProp(rec *chainRec, liveOut map[string]bool) ([]map[strin
 		}
 		sets[i] = c
 	}
-	return sets, liveAfter
+	return sets
 }
 
 // computedCols names the columns a stage derives (as opposed to carries):

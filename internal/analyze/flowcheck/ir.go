@@ -24,6 +24,9 @@ const (
 // flowlint rule ID: FL004 keeps its historical coarse-lattice wording;
 // FL060–FL064 are the fine-lattice rules documented in docs/TYPES.md.
 type Issue struct {
+	// Task is the task whose expression raised the issue: the stage's own
+	// or a parallel sub-task (set by TransferStage, not CheckNode).
+	Task     string
 	Rule     string
 	Severity Severity
 	Message  string
@@ -57,17 +60,24 @@ type Expr struct {
 // checker accumulates issues during one lowering.
 type checker struct {
 	sc     Scope
+	task   string
 	issues []Issue
 }
 
 func (c *checker) add(rule string, sev Severity, msg, hint string) {
-	c.issues = append(c.issues, Issue{Rule: rule, Severity: sev, Message: msg, Hint: hint})
+	c.issues = append(c.issues, Issue{Task: c.task, Rule: rule, Severity: sev, Message: msg, Hint: hint})
 }
 
 // CheckNode lowers a stage's parsed expression against the scope,
 // returning the typed root and every issue found.
 func CheckNode(n expr.Node, sc Scope) (*Expr, []Issue) {
-	c := &checker{sc: sc}
+	return check(n, sc, "", nil)
+}
+
+// check lowers the expression of the named task against the scope,
+// appending the issues it finds to issues.
+func check(n expr.Node, sc Scope, task string, issues []Issue) (*Expr, []Issue) {
+	c := &checker{sc: sc, task: task, issues: issues}
 	e := c.lower(n)
 	return e, c.issues
 }

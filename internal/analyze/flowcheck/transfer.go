@@ -32,13 +32,18 @@ type StageResult struct {
 	// Verdict is "always_true" / "always_false" for a filter whose
 	// expression has a proven constant truth value, else "".
 	Verdict string
+	// Issues are what lowering the stage's expressions found, in order,
+	// each tagged with the task that owns the expression.
+	Issues []Issue
 }
 
-// TransferStage computes the abstract post-state of one stage from its
-// inputs and already-bound output schema. Facts are sound: every value
-// an engine produces in a typed output column Conforms to the fact's
-// type, constants hold on every row, intervals bound every non-null
-// cell, and the true row count lies inside Card.
+// TransferStage computes the abstract post-state of one stage of task
+// def from its inputs and bound output schema (nil: the stage did not
+// bind, and only its issues mean anything), lowering each expression
+// once. Facts are sound: every value an engine produces in a typed
+// output column Conforms to the fact's type, constants hold on every
+// row, intervals bound every non-null cell, and the true row count lies
+// inside Card.
 func TransferStage(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins []Input, out *schema.Schema) StageResult {
 	res := StageResult{Scope: carryScope(ins, out), Card: CardUnknown()}
 	if len(ins) > 0 {
@@ -46,7 +51,7 @@ func TransferStage(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins [
 	}
 	switch t := sp.(type) {
 	case *task.FilterSpec:
-		transferFilter(t, ins, &res)
+		transferFilter(t, def.Name, ins, &res)
 	case *task.GroupBySpec:
 		res.Scope = Scope{}
 		in := firstInput(ins)
@@ -60,14 +65,14 @@ func TransferStage(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins [
 		}
 		res.Card = res.Card.collapse()
 	case *task.MapSpec:
-		applyMapFacts(t, def, firstInput(ins).Scope, &res)
+		applyMapFacts(t, def, def.Name, firstInput(ins).Scope, &res)
 	case *task.ParallelSpec:
 		for i, sub := range t.Subs {
 			ms, ok := sub.(*task.MapSpec)
 			if !ok || i >= len(t.Names) || lookup == nil {
 				continue
 			}
-			applyMapFacts(ms, lookup(t.Names[i]), firstInput(ins).Scope, &res)
+			applyMapFacts(ms, lookup(t.Names[i]), t.Names[i], firstInput(ins).Scope, &res)
 		}
 	case *task.JoinSpec:
 		transferJoin(t, ins, out, &res)
@@ -183,15 +188,14 @@ func maxF(a, b float64) float64 {
 	return b
 }
 
-func transferFilter(t *task.FilterSpec, ins []Input, res *StageResult) {
+func transferFilter(t *task.FilterSpec, owner string, ins []Input, res *StageResult) {
 	in := firstInput(ins)
 	res.Card = in.Card.dropMin()
 	if t.Expr == nil {
 		return
 	}
-	// The lint rules report the expression's issues; the transfer needs
-	// only the facts.
-	root, _ := CheckNode(t.Expr, in.Scope)
+	var root *Expr
+	root, res.Issues = check(t.Expr, in.Scope, owner, res.Issues)
 	res.Verdict = Verdict(root)
 	switch res.Verdict {
 	case "always_false":
@@ -240,13 +244,13 @@ func fanOutOp(op string) bool {
 	return op == "extract" || op == "extract_location" || op == "extract_words"
 }
 
-// applyMapFacts overlays one map operator's output-column facts onto the
-// result scope and adjusts the cardinality for fan-out operators.
-func applyMapFacts(m *task.MapSpec, def *flowfile.TaskDef, in Scope, res *StageResult) {
+// applyMapFacts overlays task owner's map operator's output-column facts
+// onto the result scope and adjusts the cardinality for fan-out ones.
+func applyMapFacts(m *task.MapSpec, def *flowfile.TaskDef, owner string, in Scope, res *StageResult) {
 	if fanOutOp(m.Operator) {
 		res.Card = CardUnknown()
 	}
-	f := mapFact(m, def, in)
+	f := mapFact(m, def, owner, in, res)
 	for _, c := range m.OutColumns() {
 		res.Scope[c] = f
 	}
@@ -257,8 +261,9 @@ func applyMapFacts(m *task.MapSpec, def *flowfile.TaskDef, in Scope, res *StageR
 // family and the string transforms always produce a concrete string
 // (null inputs coerce to ""); bucket preserves the input's nullability
 // and is integral exactly when its width is; constant carries its parsed
-// literal; expr inherits the lowered expression's full fact.
-func mapFact(m *task.MapSpec, def *flowfile.TaskDef, in Scope) ColFact {
+// literal; expr inherits the lowered expression's full fact, and its
+// issues join the result's.
+func mapFact(m *task.MapSpec, def *flowfile.TaskDef, owner string, in Scope, res *StageResult) ColFact {
 	switch m.Operator {
 	case "date":
 		return ColFact{Type: Type{Kind: KString, Nullable: true}}
@@ -288,7 +293,8 @@ func mapFact(m *task.MapSpec, def *flowfile.TaskDef, in Scope) ColFact {
 			return f
 		}
 	case "expr":
-		e, _ := CheckNode(m.Expr(), in)
+		var e *Expr
+		e, res.Issues = check(m.Expr(), in, owner, res.Issues)
 		return ColFact{Type: e.Type, Const: e.Const, Ivl: e.Ivl}
 	}
 	return ColFact{Type: Unknown()}

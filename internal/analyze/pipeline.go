@@ -22,6 +22,12 @@ type stageRec struct {
 	ins []flowcheck.Input
 	// verdict is the filter constant-predicate verdict, "" otherwise.
 	verdict string
+	// issues are what lowering the stage's expressions found, each
+	// tagged with the task that owns the expression.
+	issues []flowcheck.Issue
+	// liveAfter is the column demand right after the stage, set by the
+	// liveness pass on a chain that bound.
+	liveAfter map[string]bool
 }
 
 // chainRec is one walked chain: its stages up to and including the first
@@ -35,11 +41,12 @@ type chainRec struct {
 	card   flowcheck.Card
 }
 
-// walk runs the flowcheck transfer over the stages the resolver bound.
-// It binds nothing itself: a chain with an unresolved input, an
-// undefined or misconfigured task, or a stage that did not bind is not
-// ok, and what depends on it is skipped silently — the resolver already
-// holds the root cause.
+// walk runs the flowcheck transfer over the stages the resolver bound,
+// and over the first that did not for its expression issues. It binds
+// nothing itself: a chain with an unresolved input, an undefined or
+// misconfigured task, or a stage that did not bind is not ok, and what
+// depends on it is skipped silently — the resolver already holds the
+// root cause.
 func (a *Analysis) walk(c *dag.Chain) *chainRec {
 	rec := &chainRec{chain: c}
 	ins := make([]flowcheck.Input, len(c.Inputs))
@@ -51,12 +58,11 @@ func (a *Analysis) walk(c *dag.Chain) *chainRec {
 		ins[i] = flowcheck.Input{Name: in, Schema: a.g.Nodes[in].Schema, Scope: sc, Card: a.cards[in]}
 	}
 	for k, st := range c.Stages {
-		rec.stages = append(rec.stages, stageRec{Stage: st, ins: ins})
+		res := flowcheck.TransferStage(c.Specs[k], st.Def, a.lookup, ins, st.Out)
+		rec.stages = append(rec.stages, stageRec{Stage: st, ins: ins, verdict: res.Verdict, issues: res.Issues})
 		if st.Out == nil {
 			return rec
 		}
-		res := flowcheck.TransferStage(c.Specs[k], st.Def, a.lookup, ins, st.Out)
-		rec.stages[k].verdict = res.Verdict
 		ins = []flowcheck.Input{{Name: ins[0].Name, Schema: st.Out, Scope: res.Scope, Card: res.Card}}
 	}
 	if c.Schema != nil {
@@ -71,11 +77,8 @@ func (a *Analysis) walk(c *dag.Chain) *chainRec {
 // that bound — the filters the optimizer cannot hoist.
 func (l *linter) checkChain(rec *chainRec) {
 	specs := rec.chain.Specs
-	for k, st := range rec.stages {
-		l.checkStage(specs, k, st.Def, st.Name, st.ins)
-		if st.Out != nil {
-			l.checkFilterVerdict(specs[k], st.Def, st.Name, st.verdict)
-		}
+	for k := range rec.stages {
+		l.checkStage(specs, k, &rec.stages[k])
 	}
 	if p := rec.chain.Problem; p != nil {
 		if p.Kind != dag.ProblemUndefinedTask && p.Kind != dag.ProblemUnknownType && p.Kind != dag.ProblemBadConfig {
@@ -101,11 +104,8 @@ func (l *linter) checkChain(rec *chainRec) {
 // proven constant truth value. The flowcheck folder suppresses verdicts
 // on expressions already condemned by FL061/FL062, so the two never
 // stack on one root cause.
-func (l *linter) checkFilterVerdict(sp task.Spec, def *flowfile.TaskDef, name, verdict string) {
+func (l *linter) checkFilterVerdict(def *flowfile.TaskDef, name, verdict string) {
 	if verdict == "" {
-		return
-	}
-	if _, ok := sp.(*task.FilterSpec); !ok {
 		return
 	}
 	line := configLine(def, "filter_expression")
@@ -120,36 +120,28 @@ func (l *linter) checkFilterVerdict(sp task.Spec, def *flowfile.TaskDef, name, v
 		Hint:    "remove the stage, or tighten the predicate"})
 }
 
-// checkStage runs the per-stage rules that need the input facts: FL004/
-// FL060/FL061/FL062 expression findings, FL021 join key mismatches,
+// checkStage runs the per-stage rules: FL004/FL060/FL061/FL062
+// expression findings (what the walk's lowering kept), FL063 on a bound
+// filter, FL003 map expression columns, FL021 join key mismatches,
 // FL051 ordering advisories.
-func (l *linter) checkStage(specs []task.Spec, k int, def *flowfile.TaskDef, name string, ins []flowcheck.Input) {
-	entity := "T." + name
-	in := flowcheck.Scope{}
-	if len(ins) > 0 {
-		in = ins[0].Scope
-	}
+func (l *linter) checkStage(specs []task.Spec, k int, st *stageRec) {
+	def, ins := st.Def, st.ins
+	entity := "T." + st.Name
+	key := "expression"
 	switch t := specs[k].(type) {
 	case *task.FilterSpec:
-		if t.Expr != nil {
-			l.checkExprIssues(t.Expr, in, entity, configLine(def, "filter_expression"))
+		key = "filter_expression"
+		if st.Out != nil {
+			l.checkFilterVerdict(def, st.Name, st.verdict)
 		}
 	case *task.MapSpec:
 		if n := t.Expr(); n != nil {
-			line := configLine(def, "expression")
-			l.checkExprColumns(n, ins, entity, line)
-			l.checkExprIssues(n, in, entity, line)
+			l.checkExprColumns(n, ins, entity, configLine(def, "expression"))
 		}
 	case *task.ParallelSpec:
-		for i, sub := range t.Subs {
-			ms, ok := sub.(*task.MapSpec)
-			if !ok || ms.Expr() == nil || i >= len(t.Names) {
-				continue
-			}
-			if sdef, ok := l.f.Tasks[t.Names[i]]; ok {
-				line := configLine(sdef, "expression")
-				l.checkExprColumns(ms.Expr(), ins, "T."+t.Names[i], line)
-				l.checkExprIssues(ms.Expr(), in, "T."+t.Names[i], line)
+		for i, sub := range t.Subs { // a parsed parallel names a defined task per sub
+			if ms, ok := sub.(*task.MapSpec); ok && ms.Expr() != nil {
+				l.checkExprColumns(ms.Expr(), ins, "T."+t.Names[i], configLine(l.f.Tasks[t.Names[i]], "expression"))
 			}
 		}
 	case *task.JoinSpec:
@@ -167,6 +159,31 @@ func (l *linter) checkStage(specs []task.Spec, k int, def *flowfile.TaskDef, nam
 				l.add(Finding{Rule: "FL051", Severity: Info, Entity: entity, Line: def.Line,
 					Message: fmt.Sprintf("sort feeding a limit keeps only %d rows; a topn task computes the same result without sorting the full input", lim.N)})
 			}
+		}
+	}
+	for _, is := range st.issues {
+		l.add(Finding{Rule: is.Rule, Severity: Severity(is.Severity), Entity: "T." + is.Task,
+			Line: configLine(l.f.Tasks[is.Task], key), Message: is.Message, Hint: is.Hint})
+	}
+}
+
+// checkJoinKeys compares the inferred types of paired join keys: FL021.
+// The conflict predicate is flowcheck's coarse projection — identical to
+// the pre-flowcheck rule.
+func (l *linter) checkJoinKeys(j *task.JoinSpec, entity string, def *flowfile.TaskDef, ins []flowcheck.Input) {
+	if len(ins) != 2 {
+		return
+	}
+	left, right := ins[0].Scope, ins[1].Scope
+	if ins[0].Name == j.RightName && ins[1].Name == j.LeftName && j.LeftName != j.RightName {
+		left, right = right, left
+	}
+	for i := 0; i < len(j.LeftKeys) && i < len(j.RightKeys); i++ {
+		lt, rt := left.TypeOf(j.LeftKeys[i]), right.TypeOf(j.RightKeys[i])
+		if flowcheck.CoarseConflict(lt, rt) {
+			l.add(Finding{Rule: "FL021", Severity: Warning, Entity: entity, Line: def.Line,
+				Message: fmt.Sprintf("join keys %q (%s) and %q (%s) have different types; rows will never match",
+					j.LeftKeys[i], lt.Coarse(), j.RightKeys[i], rt.Coarse())})
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/obs/history"
-	"shareinsights/internal/schema"
 	"shareinsights/internal/share"
 	"shareinsights/internal/table"
 	"shareinsights/internal/task"
@@ -111,8 +110,6 @@ type widgetPlan struct {
 	// server runs once in the batch context; client re-runs per
 	// interaction.
 	server, client []task.Spec
-	// endpointSchema is the schema crossing contexts.
-	endpointSchema *schema.Schema
 	// endpoint is the materialized endpoint data (after Run).
 	endpoint *table.Table
 	// interactsWith lists widgets whose selections this plan reads.
@@ -252,8 +249,8 @@ func (prog *Program) NewDashboard(resources map[string][]byte) (*Dashboard, erro
 // compileWidgetPlan checks one widget's definition, then splits and
 // binds its source pipeline as the graph resolved it (nil: no source).
 func (prog *Program) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, error) {
-	if _, err := widget.Check(def); err != nil {
-		return nil, err
+	if _, faults := widget.Check(def); len(faults) > 0 {
+		return nil, faults[0].Err
 	}
 	if def.Source == nil {
 		return nil, nil
@@ -276,7 +273,6 @@ func (prog *Program) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, er
 	if err != nil {
 		return nil, fmt.Errorf("widget W.%s source: %w", def.Name, err)
 	}
-	plan.endpointSchema = epSchema
 	// The client suffix binds against the endpoint schema.
 	cur := []task.Input{{Schema: epSchema}}
 	for i, sp := range plan.client {

@@ -83,7 +83,7 @@ func Diagnose(f *flowfile.File, err error) []Diagnostic {
 }
 
 func diagnoseOne(f *flowfile.File, msg string) Diagnostic {
-	d := Diagnostic{Problem: cleanMessage(msg)}
+	d := Diagnostic{Problem: CleanMessage(msg)}
 	// Attribute to the most specific entity mentioned.
 	if m := widgetRe.FindStringSubmatch(msg); m != nil {
 		d.Entity = "W." + m[1]
@@ -123,10 +123,10 @@ func diagnoseOne(f *flowfile.File, msg string) Diagnostic {
 	return d
 }
 
-// cleanMessage strips engine-internal prefixes so the user reads their
-// pipeline's vocabulary, not the substrate's.
-func cleanMessage(msg string) string {
-	for _, prefix := range []string{"batch: ", "dag: ", "connector: ", "expr: ", "schema: ", "cube: "} {
+// CleanMessage strips engine-internal prefixes so the user reads their
+// pipeline's vocabulary, not the substrate's (lint's messages too).
+func CleanMessage(msg string) string {
+	for _, prefix := range []string{"batch: ", "dag: ", "connector: ", "expr: ", "schema: ", "cube: ", "task: "} {
 		msg = strings.ReplaceAll(msg, prefix, "")
 	}
 	return msg

@@ -259,19 +259,6 @@ func splitKey(s string) (key, val string, ok bool) {
 // ---------------------------------------------------------------------
 // Tree building
 
-// parseTree builds the generic node tree from logical lines.
-func parseTree(lines []line) (*Node, error) {
-	root := newMap(1)
-	rest, err := parseBlock(lines, 0, root)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) > 0 {
-		return nil, fmt.Errorf("line %d: unexpected dedent", rest[0].num)
-	}
-	return root, nil
-}
-
 // parseBlock consumes lines at exactly the indentation of the first line
 // into parent (a MapNode or ListNode chosen by content), returning the
 // unconsumed tail.

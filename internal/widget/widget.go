@@ -123,34 +123,58 @@ type Instance struct {
 // NewInstance resolves a widget definition against the type registry and
 // checks its attribute configuration.
 func NewInstance(def *flowfile.WidgetDef) (*Instance, error) {
-	desc, err := Check(def)
-	if err != nil {
-		return nil, err
+	desc, faults := Check(def)
+	if len(faults) > 0 {
+		return nil, faults[0].Err
 	}
 	inst := &Instance{Def: def, Desc: desc}
 	inst.applyDefaultSelection()
 	return inst, nil
 }
 
-// Check is NewInstance's verdict on a definition, without an instance:
-// the widget type's descriptor, or why the definition cannot be rendered.
-func Check(def *flowfile.WidgetDef) (*Descriptor, error) {
+// FaultKind classifies a Fault, so a reporter chooses its rule without
+// reading message text.
+type FaultKind int
+
+// Fault kinds.
+const (
+	UnknownType FaultKind = iota // no widget type of that name is registered
+	MissingAttr                  // a required data attribute is not bound
+	NoSource                     // the type needs a source pipeline or static rows
+	BadTag                       // an HTML widget's tag is not a plain element name
+)
+
+// Fault is one reason a widget definition cannot render: its kind, the
+// unknown type, missing attribute or refused tag it names, and the error
+// a compile refuses the definition with.
+type Fault struct {
+	Kind  FaultKind
+	Value string
+	Err   error
+}
+
+// Check is the one verdict on a definition, without an instance: the
+// widget type's descriptor (nil when the type is unknown) and every
+// reason the definition cannot render, in order. NewInstance and a
+// compile refuse the definition with the first; lint reports them all.
+func Check(def *flowfile.WidgetDef) (*Descriptor, []Fault) {
 	desc, ok := Lookup(def.Type)
 	if !ok {
-		return nil, fmt.Errorf("widget W.%s: unknown type %q (have %s)", def.Name, def.Type, strings.Join(Types(), ", "))
+		return nil, []Fault{{UnknownType, def.Type, fmt.Errorf("widget W.%s: unknown type %q (have %s)", def.Name, def.Type, strings.Join(Types(), ", "))}}
 	}
+	var faults []Fault
 	for _, a := range desc.DataAttrs {
 		if a.Required && def.Attr(a.Name) == "" {
-			return nil, fmt.Errorf("widget W.%s (%s): missing required data attribute %q", def.Name, def.Type, a.Name)
+			faults = append(faults, Fault{MissingAttr, a.Name, fmt.Errorf("widget W.%s (%s): missing required data attribute %q", def.Name, def.Type, a.Name)})
 		}
 	}
 	if desc.NeedsSource && def.Source == nil && len(def.Static) == 0 {
-		return nil, fmt.Errorf("widget W.%s (%s): needs a source", def.Name, def.Type)
+		faults = append(faults, Fault{NoSource, "", fmt.Errorf("widget W.%s (%s): needs a source", def.Name, def.Type)})
 	}
 	if tag := def.Attr("tag"); def.Type == "HTML" && tag != "" && !plainTag(tag) {
-		return nil, fmt.Errorf("widget W.%s (HTML): tag %q is not a lower-case element name, or is script, style or iframe", def.Name, tag)
+		faults = append(faults, Fault{BadTag, tag, fmt.Errorf("widget W.%s (HTML): tag %q is not a lower-case element name, or is script, style or iframe", def.Name, tag)})
 	}
-	return desc, nil
+	return desc, faults
 }
 
 // plainTag reports whether an HTML widget's tag can be written into the
