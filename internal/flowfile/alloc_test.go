@@ -2,6 +2,7 @@ package flowfile
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -131,6 +132,126 @@ func TestFlowHashAllocs(t *testing.T) {
 		n := testing.AllocsPerRun(20, func() { _ = f.Hash() })
 		if n > 20 {
 			t.Errorf("%s: the flow hash of %d bytes takes %.0f objects, want at most 20", name, len(f.String()), n)
+		}
+	}
+}
+
+// TestParseAllocs pins a parse at a cost per file and per section, not
+// per token: the tree and the typed sections are carved from slabs, so
+// the nine-task authoring flow and a 40-task chain each take at most 60
+// objects (one per node, entry and reference was 395 and 1,364). Copying
+// each section's lines out before building its tree costs 20–30 more.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, c := range []struct {
+		name, src string
+		most      float64
+	}{{"authoring flow", authoringFlow, 60}, {"40 tasks", chainFlow(40), 60}} {
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := Parse(c.name, c.src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > c.most {
+			t.Errorf("%s: a parse of %d bytes takes %.0f objects, want at most %.0f", c.name, len(c.src), n, c.most)
+		}
+	}
+}
+
+// appended keeps what sentinel appends return, so none is optimized away.
+var appended any
+
+// sentinel appends v to s and drops the result: if s has spare capacity
+// in an array a neighbour uses, the append overwrites that neighbour.
+func sentinel[T any](s []T, v T) func() { return func() { appended = append(s, v) } }
+
+// parsedSlices lists, for every slice a parsed File holds, an append of a
+// sentinel to it.
+func parsedSlices(f *File) []func() {
+	out := []func(){sentinel(f.DataOrder, "x"), sentinel(f.TaskOrder, "x"), sentinel(f.WidgetOrder, "x"),
+		sentinel(f.Flows, &Flow{})}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		out = append(out, sentinel(n.Entries, MapEntry{Key: "x", Value: &Node{Scalar: "x"}}), sentinel(n.Items, &Node{Scalar: "x"}))
+		for _, e := range n.Entries {
+			walk(e.Value)
+		}
+		for _, it := range n.Items {
+			walk(it)
+		}
+	}
+	pipe := func(p *Pipeline) {
+		if p != nil {
+			out = append(out, sentinel(p.Inputs, Ref{"D", "x"}), sentinel(p.Tasks, Ref{"T", "x"}))
+		}
+	}
+	for _, d := range f.Data {
+		out = append(out, sentinel(d.PropOrder, "x"))
+	}
+	for _, fl := range f.Flows {
+		out = append(out, sentinel(fl.Outputs, Ref{"D", "x"}))
+		pipe(fl.Pipeline)
+	}
+	for _, td := range f.Tasks {
+		walk(td.Config)
+	}
+	for _, w := range f.Widgets {
+		walk(w.Config)
+		pipe(w.Source)
+		out = append(out, sentinel(w.Static, "x"))
+	}
+	if f.Layout != nil {
+		out = append(out, sentinel(f.Layout.Rows, LayoutRow{}))
+		for _, r := range f.Layout.Rows {
+			out = append(out, sentinel(r.Cells, LayoutCell{Widget: "x"}))
+		}
+	}
+	return out
+}
+
+// TestParsedSlicesDoNotAlias: every slice carved from a shared slab has
+// cap == len, so an append to any slice of a parsed File, and SetProp,
+// AddData and AddTask after the parse, leave the rest of the File as a
+// fresh parse has it.
+func TestParsedSlicesDoNotAlias(t *testing.T) {
+	for name, src := range map[string]string{"authoring": authoringFlow, "join": joinShapedFlow, "chain": chainFlow(9)} {
+		fresh := func() *File {
+			f, err := Parse(name, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		f, want := fresh(), fresh()
+		text := want.String()
+		appends := parsedSlices(f)
+		for i, app := range appends {
+			if app(); f.String() != text || !reflect.DeepEqual(f, want) {
+				t.Fatalf("%s: append %d of %d changed the parsed file", name, i, len(appends))
+			}
+		}
+		// Each mutation is undone by restoring the slice headers it
+		// grew: what stays is anything it wrote over a neighbour.
+		for _, d := range f.Data {
+			props, order := d.Props, d.PropOrder
+			d.SetProp("sentinel", "x")
+			delete(d.Props, "sentinel")
+			if d.PropOrder = order; props == nil {
+				d.Props = nil
+			}
+		}
+		dataOrder, taskOrder := f.DataOrder, f.TaskOrder
+		f.AddData(&DataDef{Name: "sentinel"})
+		if err := f.AddTask(&TaskDef{Name: "sentinel"}); err != nil {
+			t.Fatal(err)
+		}
+		delete(f.Data, "sentinel")
+		delete(f.Tasks, "sentinel")
+		f.DataOrder, f.TaskOrder = dataOrder, taskOrder
+		if f.String() != text || !reflect.DeepEqual(f, want) {
+			t.Fatalf("%s: SetProp, AddData or AddTask after the parse changed the rest of the file", name)
 		}
 	}
 }

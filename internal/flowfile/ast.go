@@ -131,22 +131,30 @@ func (p *Pipeline) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// parseRefs parses one reference, or several as (a, b).
-func parseRefs(s string) ([]Ref, error) {
-	parts := []string{s}
-	if strings.HasPrefix(s, "(") && strings.HasSuffix(s, ")") {
-		parts = splitTopLevel(s[1:len(s)-1], ',')
-	}
-	refs := make([]Ref, 0, len(parts))
-	for _, part := range parts {
-		r, err := ParseRef(part)
-		if err != nil {
-			return nil, err
+// refList parses one reference, or several as (a, b), carving them from
+// the parser's slab.
+func (p *flowParser) refList(s string) (refs []Ref, err error) {
+	r0 := len(p.rstack)
+	each := func(part string) {
+		if err == nil {
+			var r Ref
+			r, err = ParseRef(part)
+			p.rstack = append(p.rstack, r)
 		}
-		refs = append(refs, r)
 	}
-	return refs, nil
+	if strings.HasPrefix(s, "(") && strings.HasSuffix(s, ")") {
+		eachTop(s[1:len(s)-1], ',', each)
+	} else {
+		each(s)
+	}
+	refs = carve(&p.refs, p.rstack[r0:])
+	p.rstack = p.rstack[:r0]
+	return refs, err
 }
+
+// refCount bounds the references in a pipeline or output list: one more
+// than its pipes and commas, exactly that when none is quoted.
+func refCount(s string) int { return 1 + strings.Count(s, "|") + strings.Count(s, ",") }
 
 // appendRefs writes one reference bare, or several as (a, b): the form
 // parseRefs reads.
@@ -166,31 +174,38 @@ func appendRefs(dst []byte, refs []Ref) []byte {
 
 // ParsePipeline parses "D.a | T.x | T.y" or "(D.a, D.b) | T.join".
 func ParsePipeline(s string) (*Pipeline, error) {
-	parts := splitTopLevel(s, '|')
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("empty pipeline")
-	}
-	inputs, err := parseRefs(strings.TrimSpace(parts[0]))
-	if err != nil {
+	pl := &Pipeline{}
+	if err := new(flowParser).pipeline(s, pl); err != nil {
 		return nil, err
 	}
-	p := &Pipeline{Inputs: inputs}
-	for _, in := range p.Inputs {
-		if in.Section != "D" {
-			return nil, fmt.Errorf("pipeline input %s is not a data object", in)
+	return pl, nil
+}
+
+// pipeline parses the pipeline s into pl, carving its references from
+// the parser's slab.
+func (p *flowParser) pipeline(s string, pl *Pipeline) (err error) {
+	r0 := len(p.rstack)
+	eachTop(s, '|', func(part string) {
+		switch {
+		case err != nil:
+		case pl.Inputs == nil:
+			pl.Inputs, err = p.refList(strings.TrimSpace(part))
+			for i := 0; err == nil && i < len(pl.Inputs); i++ {
+				if in := pl.Inputs[i]; in.Section != "D" {
+					err = fmt.Errorf("pipeline input %s is not a data object", in)
+				}
+			}
+		default:
+			r, e := ParseRef(part)
+			if err = e; err == nil && r.Section != "T" {
+				err = fmt.Errorf("pipeline stage %s is not a task", r)
+			}
+			p.rstack = append(p.rstack, r)
 		}
-	}
-	for _, part := range parts[1:] {
-		r, err := ParseRef(part)
-		if err != nil {
-			return nil, err
-		}
-		if r.Section != "T" {
-			return nil, fmt.Errorf("pipeline stage %s is not a task", r)
-		}
-		p.Tasks = append(p.Tasks, r)
-	}
-	return p, nil
+	})
+	pl.Tasks = carve(&p.refs, p.rstack[r0:])
+	p.rstack = p.rstack[:r0]
+	return err
 }
 
 // Flow is one F-section entry: a pipeline whose result lands in one or
@@ -285,15 +300,6 @@ func (f *File) AddData(d *DataDef) *DataDef {
 	f.Data[d.Name] = d
 	f.DataOrder = append(f.DataOrder, d.Name)
 	return d
-}
-
-// EnsureData returns the named data definition, creating an empty one if
-// needed — flows may mention sinks that have no explicit D entry.
-func (f *File) EnsureData(name string, line int) *DataDef {
-	if d, ok := f.Data[name]; ok {
-		return d
-	}
-	return f.AddData(&DataDef{Name: name, Line: line})
 }
 
 // AddTask registers a task definition.

@@ -409,3 +409,41 @@ D.a:
 		t.Errorf("source = %q", got)
 	}
 }
+
+// TestParseTabOnBracketContinuation: a tab counts as four spaces on every
+// physical line, a bracket continuation line included, so the canonical
+// text of a list continued over lines re-parses to itself.
+func TestParseTabOnBracketContinuation(t *testing.T) {
+	src := "D:\n  a: [x,\n  y\tz]\n"
+	f, err := Parse("tabs", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Data["a"].Schema.Names(); len(got) != 2 || got[1] != "y    z" {
+		t.Fatalf("columns %q, want [x \"y    z\"]", got)
+	}
+	canon := f.String()
+	again, err := Parse("tabs", canon)
+	if err != nil || again.String() != canon {
+		t.Fatalf("canonical text %q is not a fixed point (%v)", canon, err)
+	}
+}
+
+// TestParseRejectsEmptyNames: an `=>` mapping needs a path and a data
+// object a name; each of these used to parse to a file whose canonical
+// text does not re-parse.
+func TestParseRejectsEmptyNames(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"D:\n  a: [=>=>]\n", `line 2: data "a": mapping "=>=>" has no path`},
+		{"D:\n  a: [x, => y]\n", `line 2: data "a": mapping "=> y" has no path`},
+		{"D.:\n  source: x\n", `line 1: data object "D." has no name`},
+		{"+D.:\n  source: x\n", `line 1: data object "+D." has no name`},
+		{"+D.: D.a | T.t\n", `line 1: data object "+D." has no name`},
+		{"D:\n  D.:\n    source: x\n", `line 2: data object "D." has no name`},
+		{"F:\n  D.:\n    publish: x\n", `line 2: data object "D." has no name`},
+	} {
+		if _, err := Parse("empty", c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+}

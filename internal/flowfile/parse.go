@@ -2,6 +2,7 @@ package flowfile
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -21,26 +22,28 @@ import (
 //
 // Sections may repeat and interleave; later entries extend earlier ones.
 func Parse(name, src string) (*File, error) {
-	root, err := parseSource(src)
+	var p flowParser
+	sections, err := p.parseSource(src)
 	if err != nil {
 		return nil, err
 	}
-	f := NewFile(name)
-	for _, e := range root.Entries {
+	p.f = NewFile(name)
+	for _, e := range sections {
 		key, node := e.Key, e.Value
+		if sectionOf[key] != "" && node.Kind != MapNode {
+			return nil, fmt.Errorf("line %d: %s section must be a map of %s", node.Line, key, sectionOf[key])
+		}
 		switch {
-		case key == "D":
-			err = f.decodeDataSection(node)
-		case key == "F":
-			err = f.decodeFlowSection(node)
+		case key == "D" || key == "F":
+			err = p.decodeEntries(node, key == "D")
 		case key == "T":
-			err = f.decodeTaskSection(node)
+			err = p.decodeTaskSection(node)
 		case key == "W":
-			err = f.decodeWidgetSection(node)
+			err = p.decodeWidgetSection(node)
 		case key == "L":
-			err = f.decodeLayoutSection(node)
+			err = p.f.decodeLayoutSection(node)
 		case strings.HasPrefix(key, "D.") || strings.HasPrefix(key, "+D."):
-			err = f.decodeTopLevelData(key, node)
+			err = p.decodeData(key, node, false)
 		default:
 			err = fmt.Errorf("line %d: unknown section %q (want D, F, T, W, L or D.<name>)", node.Line, key)
 		}
@@ -48,98 +51,108 @@ func Parse(name, src string) (*File, error) {
 			return nil, err
 		}
 	}
-	return f, nil
+	return p.f, nil
 }
 
-// parseSource runs the scanner and generic tree builder. Duplicate
-// section keys (a file with two F: blocks) are merged.
-func parseSource(src string) (*Node, error) {
-	lines, err := scan(src)
+// sectionOf names what each of the sections that may repeat is a map of.
+var sectionOf = map[string]string{"D": "data objects", "F": "flows", "T": "tasks", "W": "widgets"}
+
+// parseSource runs the scanner and the tree builder and returns the
+// top-level sections in order. A repeated D, F, T or W section is merged
+// into the first.
+func (p *flowParser) parseSource(src string) ([]MapEntry, error) {
+	lines, err := p.scan(src)
 	if err != nil {
 		return nil, err
 	}
-	// The generic tree rejects duplicate keys; flow files legitimately
-	// repeat section headers, so merge duplicates at the top level by
-	// suffixing and regrouping afterwards would complicate ordering.
-	// Instead split the line stream into top-level chunks and parse each.
-	root := newMap(1)
 	for len(lines) > 0 {
 		l := lines[0]
 		if l.indent != 0 || !l.hasKey || l.isItem {
 			return nil, fmt.Errorf("line %d: expected a top-level section header", l.num)
 		}
-		chunk := []line{l}
-		rest := lines[1:]
-		for len(rest) > 0 && rest[0].indent > 0 {
-			chunk = append(chunk, rest[0])
-			rest = rest[1:]
-		}
-		lines = rest
-		sub := newMap(l.num)
-		if _, err := parseBlock(chunk, 0, sub); err != nil {
+		child, rest, err := p.value(l, lines[1:])
+		if err != nil {
 			return nil, err
 		}
-		child := sub.Get(l.key)
-		if prev := root.Get(l.key); prev != nil && (l.key == "D" || l.key == "F" || l.key == "T" || l.key == "W") {
-			if err := mergeNodes(prev, child); err != nil {
-				return nil, err
+		if len(rest) > 0 && rest[0].indent > 0 {
+			return nil, fmt.Errorf("line %d: unexpected indent", rest[0].num)
+		}
+		lines = rest
+		root := Node{Kind: MapNode, Entries: p.estack}
+		if prev := root.Get(l.key); prev != nil && sectionOf[l.key] != "" {
+			switch {
+			case prev.Kind != child.Kind:
+				return nil, fmt.Errorf("line %d: section re-opened with different shape", child.Line)
+			case child.Kind == ScalarNode:
+				return nil, fmt.Errorf("line %d: cannot merge scalar sections", child.Line)
 			}
+			prev.Entries, prev.Items = append(prev.Entries, child.Entries...), append(prev.Items, child.Items...)
 			continue
 		}
-		root.set(l.key, child)
+		p.estack = append(p.estack, MapEntry{l.key, child})
 	}
-	return root, nil
-}
-
-// mergeNodes appends the entries of src into dst (both maps or lists).
-func mergeNodes(dst, src *Node) error {
-	if dst.Kind != src.Kind {
-		return fmt.Errorf("line %d: section re-opened with different shape", src.Line)
-	}
-	switch dst.Kind {
-	case MapNode:
-		dst.Entries = append(dst.Entries, src.Entries...)
-	case ListNode:
-		dst.Items = append(dst.Items, src.Items...)
-	default:
-		return fmt.Errorf("line %d: cannot merge scalar sections", src.Line)
-	}
-	return nil
+	return p.estack, nil
 }
 
 // ---------------------------------------------------------------------
-// D section
+// D and F sections
 
-func (f *File) decodeDataSection(n *Node) error {
-	if n.Kind != MapNode {
-		return fmt.Errorf("line %d: D section must be a map of data objects", n.Line)
-	}
+// decodeEntries decodes the D section (inD) or the F section, entry by
+// entry.
+func (p *flowParser) decodeEntries(n *Node, inD bool) error {
+	p.reserve(n.Entries, false)
 	for _, en := range n.Entries {
-		name, entry := en.Key, en.Value
-		d := f.EnsureData(strings.TrimPrefix(name, "D."), entry.Line)
-		switch entry.Kind {
-		case ListNode:
-			s, err := decodeSchema(entry)
-			if err != nil {
-				return fmt.Errorf("line %d: data %q: %w", entry.Line, name, err)
-			}
-			d.Schema = s
-		case MapNode:
-			if err := decodeDataDetails(d, entry); err != nil {
-				return fmt.Errorf("line %d: data %q: %w", entry.Line, name, err)
-			}
-		case ScalarNode:
-			// "D.out: D.in | T.x" written inside the D section is a flow.
-			if strings.Contains(entry.Scalar, "|") || strings.HasPrefix(entry.Scalar, "D.") {
-				if err := f.addFlowEntry(name, entry); err != nil {
-					return err
-				}
-				continue
-			}
-			return fmt.Errorf("line %d: data %q: expected schema list or detail block", entry.Line, name)
+		key, entry := en.Key, en.Value
+		var err error
+		switch {
+		case inD:
+			err = p.decodeData(key, entry, true)
+		case entry.Kind == ScalarNode:
+			err = p.addFlowEntry(key, entry)
+		case entry.Kind == MapNode && (strings.HasPrefix(key, "D.") || strings.HasPrefix(key, "+D.")):
+			// Data-detail blocks may appear inside F (Figure 19 publishes
+			// a sink right next to its flow).
+			err = p.decodeData(key, entry, false)
+		default:
+			err = fmt.Errorf("line %d: flow %q must map to a pipeline", entry.Line, key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// decodeData decodes the data object key, an entry of the D section when
+// inD and else a D.name or +D.name block, from its schema list, its
+// detail block or (a scalar) the flow that produces it.
+func (p *flowParser) decodeData(key string, n *Node, inD bool) (err error) {
+	name := strings.TrimPrefix(key, "D.")
+	if !inD {
+		name = strings.TrimPrefix(strings.TrimPrefix(key, "+"), "D.")
+	}
+	if name == "" {
+		return fmt.Errorf("line %d: data object %q has no name", n.Line, key)
+	}
+	d := p.ensureData(name, n.Line)
+	d.Endpoint = d.Endpoint || !inD && strings.HasPrefix(key, "+")
+	switch n.Kind {
+	case ListNode:
+		d.Schema, err = decodeSchema(n)
+	case MapNode:
+		err = decodeDataDetails(d, n)
+	case ScalarNode:
+		// "+D.name:" followed by a bare pipeline (Figure 9), or
+		// "D.out: D.in | T.x" written inside the D section.
+		if !inD || strings.Contains(n.Scalar, "|") || strings.HasPrefix(n.Scalar, "D.") {
+			return p.addFlowEntry(key, n)
+		}
+		err = fmt.Errorf("expected schema list or detail block")
+	}
+	if err != nil && inD {
+		return fmt.Errorf("line %d: data %q: %w", n.Line, key, err)
+	}
+	return err
 }
 
 func decodeSchema(n *Node) (*schema.Schema, error) {
@@ -149,14 +162,13 @@ func decodeSchema(n *Node) (*schema.Schema, error) {
 			return nil, fmt.Errorf("schema entries must be column names or path => column mappings")
 		}
 		text := it.Scalar
+		col := schema.Column{Name: strings.TrimSpace(text)}
 		if i := strings.Index(text, "=>"); i >= 0 {
-			cols = append(cols, schema.Column{
-				Path: strings.TrimSpace(text[:i]),
-				Name: strings.TrimSpace(text[i+2:]),
-			})
-		} else {
-			cols = append(cols, schema.Column{Name: strings.TrimSpace(text)})
+			if col = (schema.Column{Path: strings.TrimSpace(text[:i]), Name: strings.TrimSpace(text[i+2:])}); col.Path == "" {
+				return nil, fmt.Errorf("mapping %q has no path", text)
+			}
 		}
+		cols = append(cols, col)
 	}
 	return schema.New(cols...)
 }
@@ -173,11 +185,10 @@ func decodeDataDetails(d *DataDef, n *Node) error {
 			if v.Kind != ListNode {
 				return fmt.Errorf("line %d: schema must be a list", v.Line)
 			}
-			s, err := decodeSchema(v)
-			if err != nil {
+			var err error
+			if d.Schema, err = decodeSchema(v); err != nil {
 				return err
 			}
-			d.Schema = s
 		default:
 			switch v.Kind {
 			case ScalarNode:
@@ -193,9 +204,9 @@ func decodeDataDetails(d *DataDef, n *Node) error {
 					d.SetProp(key+"."+sub, sv.Scalar)
 				}
 			case ListNode:
-				vals := make([]string, 0, len(v.Items))
-				for _, it := range v.Items {
-					vals = append(vals, it.Scalar)
+				vals := make([]string, len(v.Items))
+				for i, it := range v.Items {
+					vals[i] = it.Scalar
 				}
 				d.SetProp(key, strings.Join(vals, ","))
 			}
@@ -204,63 +215,45 @@ func decodeDataDetails(d *DataDef, n *Node) error {
 	return nil
 }
 
-func (f *File) decodeTopLevelData(key string, n *Node) error {
-	name := strings.TrimPrefix(strings.TrimPrefix(key, "+"), "D.")
-	d := f.EnsureData(name, n.Line)
-	if strings.HasPrefix(key, "+") {
-		d.Endpoint = true
-	}
-	switch n.Kind {
-	case MapNode:
-		return decodeDataDetails(d, n)
-	case ScalarNode:
-		// "+D.name:" followed by a bare pipeline (Figure 9).
-		return f.addFlowEntry(key, n)
-	case ListNode:
-		s, err := decodeSchema(n)
-		if err != nil {
-			return err
+// reserve sizes the slabs a section's flows or widget sources are carved
+// from: a Flow and a Pipeline per flow, a Pipeline per widget source,
+// their references, and a DataDef per data object a D or F entry is first
+// to name.
+func (p *flowParser) reserve(entries []MapEntry, widgets bool) {
+	var flows, pipes, refs, datas int
+	for _, e := range entries {
+		v := e.Value
+		if widgets {
+			v = v.Get("source")
+		} else if _, ok := p.f.Data[strings.TrimPrefix(strings.TrimPrefix(e.Key, "+"), "D.")]; !ok {
+			datas++
 		}
-		d.Schema = s
+		if v != nil && v.Kind == ScalarNode {
+			pipes, refs = pipes+1, refs+refCount(v.Scalar)
+			if !widgets {
+				flows, refs = flows+1, refs+refCount(e.Key)
+			}
+		}
 	}
-	return nil
+	p.flows, p.pipes, p.refs, p.datas = make([]Flow, flows), make([]Pipeline, pipes), make([]Ref, refs), make([]DataDef, datas)
+	p.f.Flows, p.f.DataOrder = slices.Grow(p.f.Flows, flows), slices.Grow(p.f.DataOrder, datas)
 }
 
-// ---------------------------------------------------------------------
-// F section
-
-func (f *File) decodeFlowSection(n *Node) error {
-	if n.Kind != MapNode {
-		return fmt.Errorf("line %d: F section must be a map of flows", n.Line)
+// ensureData returns the named data object, carving an empty one from the
+// slab if needed: flows may mention sinks that have no D entry.
+func (p *flowParser) ensureData(name string, line int) *DataDef {
+	if d, ok := p.f.Data[name]; ok {
+		return d
 	}
-	for _, en := range n.Entries {
-		key, entry := en.Key, en.Value
-		var err error
-		switch {
-		case entry.Kind == ScalarNode:
-			err = f.addFlowEntry(key, entry)
-		case entry.Kind == MapNode && (strings.HasPrefix(key, "D.") || strings.HasPrefix(key, "+D.")):
-			// Data-detail blocks may appear inside F (Figure 19 publishes
-			// a sink right next to its flow).
-			err = f.decodeTopLevelData(key, entry)
-		default:
-			err = fmt.Errorf("line %d: flow %q must map to a pipeline", entry.Line, key)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.f.AddData(&carve(&p.datas, []DataDef{{Name: name, Line: line}})[0])
 }
 
 // addFlowEntry parses one flow: key is "D.out", "+D.out" or
 // "(D.a, D.b)"; val is the pipeline expression.
-func (f *File) addFlowEntry(key string, val *Node) error {
-	endpoint := strings.HasPrefix(key, "+")
-	if endpoint {
-		key = strings.TrimSpace(key[1:])
-	}
-	outs, err := parseRefs(key)
+func (p *flowParser) addFlowEntry(key string, val *Node) error {
+	key, endpoint := strings.CutPrefix(key, "+")
+	key = strings.TrimSpace(key)
+	outs, err := p.refList(key)
 	if err != nil {
 		return fmt.Errorf("line %d: flow output: %w", val.Line, err)
 	}
@@ -268,82 +261,77 @@ func (f *File) addFlowEntry(key string, val *Node) error {
 		if o.Section != "D" {
 			return fmt.Errorf("line %d: flow output %s is not a data object", val.Line, o)
 		}
-		if d := f.EnsureData(o.Name, val.Line); endpoint {
+		if d := p.ensureData(o.Name, val.Line); endpoint {
 			d.Endpoint = true
 		}
 	}
-	p, err := ParsePipeline(val.Scalar)
-	if err != nil {
+	pl := &carve(&p.pipes, []Pipeline{{}})[0]
+	if err := p.pipeline(val.Scalar, pl); err != nil {
 		return fmt.Errorf("line %d: flow %s: %w", val.Line, key, err)
 	}
-	for _, in := range p.Inputs {
-		f.EnsureData(in.Name, val.Line)
+	for _, in := range pl.Inputs {
+		p.ensureData(in.Name, val.Line)
 	}
-	f.Flows = append(f.Flows, &Flow{Outputs: outs, Pipeline: p, Line: val.Line})
+	p.f.Flows = append(p.f.Flows, &carve(&p.flows, []Flow{{Outputs: outs, Pipeline: pl, Line: val.Line}})[0])
 	return nil
 }
 
 // ---------------------------------------------------------------------
-// T section
+// T and W sections
 
-func (f *File) decodeTaskSection(n *Node) error {
-	if n.Kind != MapNode {
-		return fmt.Errorf("line %d: T section must be a map of tasks", n.Line)
-	}
-	for _, en := range n.Entries {
+// decodeDefs decodes the T or W section n, whose entries (what names one)
+// are property blocks with a type, handing def each entry's index, name,
+// block and type.
+func decodeDefs(n *Node, what string, def func(i int, name string, entry *Node, typ string) error) error {
+	for i, en := range n.Entries {
 		name, entry := en.Key, en.Value
 		if entry.Kind != MapNode {
-			return fmt.Errorf("line %d: task %q must be a property block", entry.Line, name)
+			return fmt.Errorf("line %d: %s %q must be a property block", entry.Line, what, name)
 		}
 		typ := entry.Str("type")
-		if typ == "" && entry.Get("parallel") != nil {
+		if typ == "" && what == "task" && entry.Get("parallel") != nil {
 			typ = "parallel"
 		}
 		if typ == "" {
-			return fmt.Errorf("line %d: task %q has no type", entry.Line, name)
+			return fmt.Errorf("line %d: %s %q has no type", entry.Line, what, name)
 		}
-		if err := f.AddTask(&TaskDef{Name: name, Type: typ, Config: entry, Line: entry.Line}); err != nil {
+		if err := def(i, name, entry, typ); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// W section
+func (p *flowParser) decodeTaskSection(n *Node) error {
+	defs := make([]TaskDef, len(n.Entries))
+	p.f.Tasks, p.f.TaskOrder = make(map[string]*TaskDef, len(defs)), slices.Grow(p.f.TaskOrder, len(defs))
+	return decodeDefs(n, "task", func(i int, name string, entry *Node, typ string) error {
+		defs[i] = TaskDef{Name: name, Type: typ, Config: entry, Line: entry.Line}
+		return p.f.AddTask(&defs[i])
+	})
+}
 
-func (f *File) decodeWidgetSection(n *Node) error {
-	if n.Kind != MapNode {
-		return fmt.Errorf("line %d: W section must be a map of widgets", n.Line)
-	}
-	for _, en := range n.Entries {
-		name, entry := en.Key, en.Value
-		if entry.Kind != MapNode {
-			return fmt.Errorf("line %d: widget %q must be a property block", entry.Line, name)
-		}
-		w := &WidgetDef{Name: name, Type: entry.Str("type"), Config: entry, Line: entry.Line}
-		if w.Type == "" {
-			return fmt.Errorf("line %d: widget %q has no type", entry.Line, name)
-		}
-		if src := entry.Get("source"); src != nil {
-			switch src.Kind {
-			case ScalarNode:
-				p, err := ParsePipeline(src.Scalar)
-				if err != nil {
-					return fmt.Errorf("line %d: widget %q source: %w", src.Line, name, err)
-				}
-				w.Source = p
-			case ListNode:
-				for _, it := range src.Items {
-					w.Static = append(w.Static, it.Scalar)
-				}
+func (p *flowParser) decodeWidgetSection(n *Node) error {
+	p.reserve(n.Entries, true)
+	defs := make([]WidgetDef, len(n.Entries))
+	p.f.Widgets, p.f.WidgetOrder = make(map[string]*WidgetDef, len(defs)), slices.Grow(p.f.WidgetOrder, len(defs))
+	return decodeDefs(n, "widget", func(i int, name string, entry *Node, typ string) error {
+		w := &defs[i]
+		*w = WidgetDef{Name: name, Type: typ, Config: entry, Line: entry.Line}
+		switch src := entry.Get("source"); {
+		case src == nil:
+		case src.Kind == ScalarNode:
+			w.Source = &carve(&p.pipes, []Pipeline{{}})[0]
+			if err := p.pipeline(src.Scalar, w.Source); err != nil {
+				return fmt.Errorf("line %d: widget %q source: %w", src.Line, name, err)
+			}
+		case src.Kind == ListNode:
+			for _, it := range src.Items {
+				w.Static = append(w.Static, it.Scalar)
 			}
 		}
-		if err := f.AddWidget(w); err != nil {
-			return err
-		}
-	}
-	return nil
+		return p.f.AddWidget(w)
+	})
 }
 
 // ---------------------------------------------------------------------

@@ -209,9 +209,7 @@ func (f *File) SharedInputs() []string {
 		collect(fl.Pipeline)
 	}
 	for _, name := range f.WidgetOrder {
-		if w := f.Widgets[name]; w.Source != nil {
-			collect(w.Source)
-		}
+		collect(f.Widgets[name].Source)
 	}
 	out := make([]string, 0, len(need))
 	for _, name := range f.DataOrder {
