@@ -38,11 +38,6 @@ func intersect(a, b *Interval) *Interval {
 	return &out
 }
 
-// Empty reports whether the interval contains no values.
-func (iv *Interval) Empty() bool {
-	return iv != nil && iv.HasLo && iv.HasHi && iv.Lo > iv.Hi
-}
-
 // ColFact is everything the checker knows about one column at one point
 // of a pipeline.
 type ColFact struct {

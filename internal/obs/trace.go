@@ -111,9 +111,6 @@ func NewTrace(name string) *Trace {
 	return &Trace{name: name, start: time.Now()}
 }
 
-// Name returns the trace's label.
-func (t *Trace) Name() string { return t.name }
-
 // StartSpan implements Tracer.
 func (t *Trace) StartSpan(parent int, name string) int {
 	t.mu.Lock()

@@ -27,9 +27,6 @@ func WithFollower(f *replica.Follower, maxLag time.Duration) Option {
 	}
 }
 
-// Follower exposes the attached follower (nil on leaders).
-func (s *Server) Follower() *replica.Follower { return s.follower }
-
 // replicationPanel is the follower's ops-page panel: lag, applied
 // sequence, breaker state and per-component apply counters.
 func (s *Server) replicationPanel() ops.Panel {

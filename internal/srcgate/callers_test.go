@@ -1,13 +1,7 @@
-package expr_test
+package srcgate
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -23,44 +17,16 @@ var parseCallers = map[string]bool{
 	"internal/connector.compilePushdownPredicate": true,
 }
 
-// TestParseCallers walks the module's non-test Go files and fails on any
-// reference to expr.Parse outside parseCallers, and on an allowlisted
-// function that no longer parses.
+// TestParseCallers fails on any reference to expr.Parse in the module's
+// non-test source outside parseCallers, and on an allowlisted function
+// that no longer parses.
 func TestParseCallers(t *testing.T) {
-	root := filepath.Join("..", "..")
-	const importPath = "shareinsights/internal/expr"
-	fset := token.NewFileSet()
+	m := load(t)
 	seen := map[string]bool{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); n == "testdata" || strings.HasPrefix(n, ".") && path != root {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, filepath.Dir(path))
-		rel = filepath.ToSlash(rel)
+	for _, file := range m.files {
 		// isParse matches expr.Parse under whatever name the file imports
 		// the package as, and a bare Parse inside the package itself.
-		local := ""
-		for _, imp := range file.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == importPath {
-				local = "expr"
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
+		local := importName(file.File, "shareinsights/internal/expr")
 		isParse := func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
@@ -68,7 +34,7 @@ func TestParseCallers(t *testing.T) {
 				return ok && local != "" && id.Name == local && n.Sel.Name == "Parse"
 			case *ast.CallExpr:
 				id, ok := n.Fun.(*ast.Ident)
-				return ok && rel == "internal/expr" && id.Name == "Parse"
+				return ok && file.dir == "internal/expr" && id.Name == "Parse"
 			}
 			return false
 		}
@@ -81,18 +47,14 @@ func TestParseCallers(t *testing.T) {
 				if !isParse(n) {
 					return true
 				}
-				key := rel + "." + fn
+				key := file.dir + "." + fn
 				if !parseCallers[key] {
-					t.Errorf("%s: %s parses expression source; parse once in the task parser and read the spec's node", fset.Position(n.Pos()), key)
+					t.Errorf("%s: %s parses expression source; parse once in the task parser and read the spec's node", m.fset.Position(n.Pos()), key)
 				}
 				seen[key] = true
 				return true
 			})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for key := range parseCallers {
 		if !seen[key] {

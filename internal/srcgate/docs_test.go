@@ -1,10 +1,8 @@
-package analyze
+package srcgate
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -19,26 +17,20 @@ import (
 
 // TestDataDetailsDocumented guards the data-detail vocabulary against
 // drift: every key the program reads from a detail block — a
-// .Prop("key") call or a .Props["key"] index anywhere in internal/ — is
-// known to lint (FL041 asks flowfile and connector), and docs/GRAMMAR.md's
-// "Recognized detail properties" paragraph lists exactly those keys plus
-// the ones the parser lifts out of the block (endpoint, publish, schema).
+// .Prop("key") call or a .Props["key"] index in the module's non-test
+// source — is known to lint (FL041 asks flowfile and connector), and
+// docs/GRAMMAR.md's "Recognized detail properties" paragraph lists
+// exactly those keys plus the ones the parser lifts out of the block
+// (endpoint, publish, schema).
 func TestDataDetailsDocumented(t *testing.T) {
 	known := map[string]bool{connector.HeaderPrefix: true}
 	for _, k := range append(flowfile.DetailKeys(), connector.DetailKeys...) {
 		known[k] = true
 	}
 
-	fset := token.NewFileSet()
-	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
+	m := load(t)
+	for _, f := range m.files {
+		ast.Inspect(f.File, func(n ast.Node) bool {
 			var lit ast.Expr
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -53,15 +45,11 @@ func TestDataDetailsDocumented(t *testing.T) {
 			if bl, ok := lit.(*ast.BasicLit); ok && bl.Kind == token.STRING {
 				key, _ := strconv.Unquote(bl.Value)
 				if !known[key] {
-					t.Errorf("%s reads data detail %q, which lint does not know (flowfile details or connector.DetailKeys)", fset.Position(bl.Pos()), key)
+					t.Errorf("%s reads data detail %q, which lint does not know (flowfile details or connector.DetailKeys)", m.fset.Position(bl.Pos()), key)
 				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "GRAMMAR.md"))
@@ -76,8 +64,8 @@ func TestDataDetailsDocumented(t *testing.T) {
 	// Parenthesized asides list values, not keys.
 	para = regexp.MustCompile(`\([^)]*\)`).ReplaceAllString(para, "")
 	var documented []string
-	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(para, -1) {
-		key := m[1]
+	for _, sub := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(para, -1) {
+		key := sub[1]
 		if strings.HasPrefix(key, connector.HeaderPrefix) {
 			key = connector.HeaderPrefix
 		}
@@ -102,38 +90,26 @@ func TestDataDetailsDocumented(t *testing.T) {
 func TestRulesDocumented(t *testing.T) {
 	rule := regexp.MustCompile(`^FL[0-9]{3}$`)
 	emitted := map[string]string{}
-	root := filepath.Join("..", "..")
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
+	m := load(t)
+	for _, f := range m.files {
+		ast.Inspect(f.File, func(n ast.Node) bool {
 			if bl, ok := n.(*ast.BasicLit); ok && bl.Kind == token.STRING {
 				if s, _ := strconv.Unquote(bl.Value); rule.MatchString(s) {
-					emitted[s] = fset.Position(bl.Pos()).String()
+					emitted[s] = m.fset.Position(bl.Pos()).String()
 				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	heading := regexp.MustCompile(`(?m)^#+ (FL[0-9]{3})\b`)
 	documented := map[string]string{}
 	for _, doc := range []string{"LINTING.md", "TYPES.md"} {
-		b, err := os.ReadFile(filepath.Join(root, "docs", doc))
+		b, err := os.ReadFile(filepath.Join("..", "..", "docs", doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range heading.FindAllStringSubmatch(string(b), -1) {
-			documented[m[1]] = doc
+		for _, h := range heading.FindAllStringSubmatch(string(b), -1) {
+			documented[h[1]] = doc
 		}
 	}
 	for r, pos := range emitted {

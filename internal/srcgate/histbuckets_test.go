@@ -1,4 +1,4 @@
-package lintgo
+package srcgate
 
 import (
 	"go/ast"
@@ -14,7 +14,7 @@ var histCtors = map[string]bool{
 	"HistogramVec": true,
 }
 
-// HistBuckets flags bucket slices passed to obs.Histogram/HistogramVec
+// histBuckets flags bucket slices passed to obs.Histogram/HistogramVec
 // that are statically wrong: an empty []float64{} literal (the registry
 // would record nothing but the +Inf bucket, hiding every latency) or a
 // literal whose constant elements are not strictly increasing (the
@@ -26,55 +26,47 @@ var histCtors = map[string]bool{
 // treated as a registry constructor. Nil or computed bucket slices are
 // skipped — nil selects the registry's defaults, and computed slices
 // are validated at registration time.
-var HistBuckets = &Analyzer{
-	Name: "histbuckets",
-	Doc:  "histogram bucket literals must be non-empty and strictly increasing",
-	Run:  runHistBuckets,
-}
-
-func runHistBuckets(p *Pass) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) < 3 {
+func histBuckets(f *ast.File) []diagnostic {
+	var out []diagnostic
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) < 3 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !histCtors[sel.Sel.Name] {
+			return true
+		}
+		lit, ok := call.Args[2].(*ast.CompositeLit)
+		if !ok || !isFloatSliceType(lit.Type) {
+			return true
+		}
+		if len(lit.Elts) == 0 {
+			out = append(out, diagnostic{
+				pos: lit.Pos(),
+				msg: "empty bucket slice: a histogram with no finite buckets records only +Inf; pass nil for the registry defaults or list the bounds",
+			})
+			return true
+		}
+		prev, havePrev := 0.0, false
+		for _, e := range lit.Elts {
+			v, ok := constFloat(e)
+			if !ok {
+				// A computed element: the whole slice is beyond a
+				// syntactic check, leave it to registration.
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !histCtors[sel.Sel.Name] {
-				return true
-			}
-			lit, ok := call.Args[2].(*ast.CompositeLit)
-			if !ok || !isFloatSliceType(lit.Type) {
-				return true
-			}
-			if len(lit.Elts) == 0 {
-				out = append(out, Diagnostic{
-					Pos:     lit.Pos(),
-					Message: "empty bucket slice: a histogram with no finite buckets records only +Inf; pass nil for the registry defaults or list the bounds",
+			if havePrev && v <= prev {
+				out = append(out, diagnostic{
+					pos: e.Pos(),
+					msg: "bucket bounds must be strictly increasing: " + formatFloatLit(v) + " follows " + formatFloatLit(prev),
 				})
 				return true
 			}
-			prev, havePrev := 0.0, false
-			for _, e := range lit.Elts {
-				v, ok := constFloat(e)
-				if !ok {
-					// A computed element: the whole slice is beyond a
-					// syntactic check, leave it to registration.
-					return true
-				}
-				if havePrev && v <= prev {
-					out = append(out, Diagnostic{
-						Pos:     e.Pos(),
-						Message: "bucket bounds must be strictly increasing: " + formatFloatLit(v) + " follows " + formatFloatLit(prev),
-					})
-					return true
-				}
-				prev, havePrev = v, true
-			}
-			return true
-		})
-	}
+			prev, havePrev = v, true
+		}
+		return true
+	})
 	return out
 }
 

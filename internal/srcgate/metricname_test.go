@@ -1,4 +1,4 @@
-package lintgo
+package srcgate
 
 import (
 	"fmt"
@@ -25,7 +25,7 @@ var metricCtors = map[string]bool{
 	"HistogramVec": true,
 }
 
-// MetricName flags string-literal metric names passed to obs registry
+// metricName flags string-literal metric names passed to obs registry
 // constructors that do not match ^si_[a-z0-9_]+$. A name outside the
 // contract silently lands in a dashboard-invisible namespace; worse,
 // mixed-case names are invalid Prometheus exposition.
@@ -36,39 +36,39 @@ var metricCtors = map[string]bool{
 // *obs.Registry; a future colliding API would need a types-aware
 // rewrite. Non-literal names are skipped — they are validated at
 // registration time by the registry itself.
-var MetricName = &Analyzer{
-	Name: "metricname",
-	Doc:  "metric names registered via internal/obs must match ^si_[a-z0-9_]+$",
-	Run:  runMetricName,
-}
-
-func runMetricName(p *Pass) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !metricCtors[sel.Sel.Name] {
-				return true
-			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
-			}
-			name, err := strconv.Unquote(lit.Value)
-			if err != nil || metricNameRe.MatchString(name) {
-				return true
-			}
-			out = append(out, Diagnostic{
-				Pos: lit.Pos(),
-				Message: fmt.Sprintf("metric name %q does not match ^si_[a-z0-9_]+$; prefix with si_ and use lower snake case",
+func metricName(f *ast.File) []diagnostic {
+	var out []diagnostic
+	metricNames(f, func(lit *ast.BasicLit, name string) {
+		if !metricNameRe.MatchString(name) {
+			out = append(out, diagnostic{
+				pos: lit.Pos(),
+				msg: fmt.Sprintf("metric name %q does not match ^si_[a-z0-9_]+$; prefix with si_ and use lower snake case",
 					name),
 			})
-			return true
-		})
-	}
+		}
+	})
 	return out
+}
+
+// metricNames calls fn with every string-literal metric name the file
+// passes to a registry constructor.
+func metricNames(f *ast.File, fn func(lit *ast.BasicLit, name string)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !metricCtors[sel.Sel.Name] {
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return true
+		}
+		if name, err := strconv.Unquote(lit.Value); err == nil {
+			fn(lit, name)
+		}
+		return true
+	})
 }

@@ -1,4 +1,4 @@
-package lintgo
+package srcgate
 
 import (
 	"fmt"
@@ -8,19 +8,39 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
+
+// diagnostic is one rule finding, anchored to a source position.
+type diagnostic struct {
+	pos token.Pos
+	msg string
+}
+
+// rules are the syntactic checks TestRepoIsClean holds the module to.
+// Each reads one file and documents the (narrow) false-positive surface
+// that going without type information buys.
+var rules = []struct {
+	name  string
+	check func(*ast.File) []diagnostic
+}{
+	{"ctxbg", ctxBG},
+	{"metricname", metricName},
+	{"histbuckets", histBuckets},
+	{"srvtimeout", srvTimeout},
+}
 
 // wantRe extracts the expectation from a `// want `pattern“ trailing
 // comment, analysistest-style: the backquoted pattern is a regexp the
 // diagnostic message on that line must match.
 var wantRe = regexp.MustCompile("// want `([^`]+)`")
 
-// runFixture checks one analyzer against one testdata fixture: every
+// runFixture checks one rule against one testdata fixture: every
 // `// want` comment must be matched by exactly one diagnostic on its
 // line, and no diagnostic may appear on a line without one. Fixtures
 // use a .src extension so the toolchain never builds them.
-func runFixture(t *testing.T, a *Analyzer, fixture string) {
+func runFixture(t *testing.T, check func(*ast.File) []diagnostic, fixture string) {
 	t.Helper()
 	path := filepath.Join("testdata", fixture)
 	fset := token.NewFileSet()
@@ -49,9 +69,9 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	}
 
 	got := map[int][]string{}
-	for _, d := range a.Run(&Pass{Fset: fset, Files: []*ast.File{f}}) {
-		line := fset.Position(d.Pos).Line
-		got[line] = append(got[line], d.Message)
+	for _, d := range check(f) {
+		line := fset.Position(d.pos).Line
+		got[line] = append(got[line], d.msg)
 	}
 
 	for line, re := range wants {
@@ -71,26 +91,49 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	}
 }
 
-func TestCtxBG(t *testing.T)       { runFixture(t, CtxBG, "ctxbg.go.src") }
-func TestMetricName(t *testing.T)  { runFixture(t, MetricName, "metricname.go.src") }
-func TestHistBuckets(t *testing.T) { runFixture(t, HistBuckets, "histbuckets.go.src") }
-func TestSrvTimeout(t *testing.T)  { runFixture(t, SrvTimeout, "srvtimeout.go.src") }
+func TestCtxBG(t *testing.T)       { runFixture(t, ctxBG, "ctxbg.go.src") }
+func TestMetricName(t *testing.T)  { runFixture(t, metricName, "metricname.go.src") }
+func TestHistBuckets(t *testing.T) { runFixture(t, histBuckets, "histbuckets.go.src") }
+func TestSrvTimeout(t *testing.T)  { runFixture(t, srvTimeout, "srvtimeout.go.src") }
 
-// TestRepoIsClean runs every analyzer over the repository's own
-// source: the naming and context contracts the analyzers enforce must
-// hold here, or the CI static-analysis job would fail.
+// TestRepoIsClean runs every rule over the module's non-test source:
+// the naming, bucket, timeout and context contracts the rules enforce
+// must hold here.
 func TestRepoIsClean(t *testing.T) {
-	files, err := GoFilesUnder([]string{"../../cmd", "../../internal"})
-	if err != nil {
-		t.Fatal(err)
+	m := load(t)
+	for _, f := range m.files {
+		for _, r := range rules {
+			for _, d := range r.check(f.File) {
+				t.Errorf("%s: %s: %s", m.fset.Position(d.pos), r.name, d.msg)
+			}
+		}
 	}
-	probs, err := RunAll(files)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// importName returns the local identifier a file binds the given
+// import path to ("" when the path is not imported, "_" or "." kept
+// verbatim for the caller to reject). Of two imports of one path, the
+// first wins; importedAs reads each on its own.
+func importName(f *ast.File, path string) string {
+	for _, imp := range f.Imports {
+		if name := importedAs(imp, path); name != "" {
+			return name
+		}
 	}
-	for _, p := range probs {
-		t.Errorf("%s", p)
+	return ""
+}
+
+// importedAs returns the name one import binds path to, or "" when it
+// imports another path.
+func importedAs(imp *ast.ImportSpec, path string) string {
+	p, err := strconv.Unquote(imp.Path.Value)
+	if err != nil || p != path {
+		return ""
 	}
+	if imp.Name != nil {
+		return imp.Name.Name
+	}
+	return path[strings.LastIndex(path, "/")+1:]
 }
 
 // TestImportName pins alias handling: aliased imports resolve to the
