@@ -106,19 +106,31 @@ L:
 `
 
 // TestAnalyzeAllocs pins the front end's allocations on the authoring
-// flow. Analyze walks each flow once and runs liveness as one backward
-// pass; Lint reads what the walk and the liveness pass kept, with no
-// second propagation and no second lowering of an expression.
+// and the join flow. Analyze walks each flow once, carving its records
+// from slabs, and runs liveness as one backward pass over bitsets; Lint
+// reads what the walk and the liveness pass kept, with no second
+// propagation and no second lowering of an expression.
 func TestAnalyzeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
+	}
+	reg := task.NewRegistry()
+	join, err := flowfile.Parse("join", benchFlow(t, "join"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, problems := dag.Resolve(join, reg, nil)
+	if len(problems) > 0 {
+		t.Fatalf("resolve: %v", problems)
+	}
+	if n := testing.AllocsPerRun(20, func() { Analyze(g, nil) }); n > 120 {
+		t.Errorf("Analyze of the join flow takes %.0f objects, want at most 120", n)
 	}
 	f, err := flowfile.Parse("author", authoringFlow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := task.NewRegistry()
-	g, problems := dag.Resolve(f, reg, nil)
+	g, problems = dag.Resolve(f, reg, nil)
 	if len(problems) > 0 {
 		t.Fatalf("resolve: %v", problems)
 	}
@@ -127,8 +139,8 @@ func TestAnalyzeAllocs(t *testing.T) {
 	if report, _ := a.Lint(problems, opts); report.HasErrors() {
 		t.Fatalf("lint: %v", report.Findings)
 	}
-	if n := testing.AllocsPerRun(20, func() { Analyze(g, nil) }); n > 150 {
-		t.Errorf("Analyze takes %.0f objects, want at most 150", n)
+	if n := testing.AllocsPerRun(20, func() { Analyze(g, nil) }); n > 80 {
+		t.Errorf("Analyze takes %.0f objects, want at most 80", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { a.Lint(problems, opts) }); n > 140 {
 		t.Errorf("Lint takes %.0f objects, want at most 140", n)

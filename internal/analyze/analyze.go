@@ -14,6 +14,7 @@
 package analyze
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -100,14 +101,7 @@ type Report struct {
 
 // HasErrors reports whether any finding is error-severity — the lint
 // exit-code condition.
-func (r *Report) HasErrors() bool {
-	for _, f := range r.Findings {
-		if f.Severity == Error {
-			return true
-		}
-	}
-	return false
-}
+func (r *Report) HasErrors() bool { return r.HasAtLeast(Error) }
 
 // HasAtLeast reports whether any finding is at or above sev — the
 // `lint -fail-on` gating condition (HasAtLeast(Error) == HasErrors).
@@ -123,13 +117,10 @@ func (r *Report) HasAtLeast(sev Severity) bool {
 // ParseSeverity maps a severity name ("error", "warning", "info") to its
 // level; ok is false for anything else.
 func ParseSeverity(s string) (Severity, bool) {
-	switch s {
-	case "error":
-		return Error, true
-	case "warning":
-		return Warning, true
-	case "info":
-		return Info, true
+	for sev := Info; sev <= Error; sev++ {
+		if sev.String() == s {
+			return sev, true
+		}
 	}
 	return Info, false
 }
@@ -224,15 +215,8 @@ func (a *Analysis) Lint(problems []*dag.Problem, opts Options) (*Report, *flowch
 	l.checkPublish()
 	l.checkDeadEntities()
 	l.checkDeadColumns()
-	sort.SliceStable(l.report.Findings, func(i, j int) bool {
-		a, b := l.report.Findings[i], l.report.Findings[j]
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Entity < b.Entity
+	slices.SortStableFunc(l.report.Findings, func(a, b Finding) int {
+		return cmp.Or(cmp.Compare(a.Line, b.Line), strings.Compare(a.Rule, b.Rule), strings.Compare(a.Entity, b.Entity))
 	})
 	return l.report, l.exportFacts()
 }
@@ -244,20 +228,28 @@ func (a *Analysis) Lint(problems []*dag.Problem, opts Options) (*Report, *flowch
 type Analysis struct {
 	g *dag.Graph
 	f *flowfile.File
-	// scopes and cards map resolved data-object names to flowcheck column
-	// facts and row-count bounds.
-	scopes map[string]flowcheck.Scope
-	cards  map[string]flowcheck.Card
+	// objects holds what the analysis knows of each of the graph's data
+	// objects, carved from one slab in the graph's order.
+	objects map[string]*object
 	// flowRecs keeps each flow's walked chain for the rules, liveness and
-	// facts; walked lists the flows in the graph's order.
+	// facts; walked holds the records, in the graph's order.
 	flowRecs map[*flowfile.Flow]*chainRec
-	walked   []*flowfile.Flow
+	walked   []chainRec
 	// lookup resolves parallel sub-task definitions for flowcheck.
 	lookup flowcheck.TaskLookup
-	// full / live / consumed are the liveness pass results (see liveness).
-	full     map[string]bool
-	live     map[string]map[string]bool
-	consumed map[string]bool
+}
+
+// object is one data object: the walk's column facts and row-count
+// bound, when resolved (a source with a schema, or the output of a chain
+// the walk analyzed), and the liveness pass's results (see liveness).
+type object struct {
+	node     *dag.Node
+	resolved bool
+	scope    flowcheck.Scope
+	card     flowcheck.Card
+	full     bool     // every column is live
+	consumed bool     // some flow or widget reads it
+	live     []uint64 // the demand on it, a bitset over its schema
 }
 
 // Analyze runs the forward transfer over every flow chain the
@@ -265,28 +257,40 @@ type Analysis struct {
 // Source column types are unknown — values are parsed dynamically — so
 // inference starts at the first deriving task, unless the caller knows
 // them (sources: the differential fuzzer seeds its generator's types).
+// The records come from slabs sized by the file.
 func Analyze(g *dag.Graph, sources map[string]flowcheck.Scope) *Analysis {
-	a := &Analysis{g: g, f: g.File, scopes: map[string]flowcheck.Scope{}, cards: map[string]flowcheck.Card{},
-		flowRecs: map[*flowfile.Flow]*chainRec{}, lookup: func(name string) *flowfile.TaskDef { return g.File.Tasks[name] }}
-	for _, name := range g.Order {
-		n := g.Nodes[name]
+	a := &Analysis{g: g, f: g.File, objects: make(map[string]*object, len(g.Order)),
+		flowRecs: make(map[*flowfile.Flow]*chainRec, len(g.File.Flows)), walked: make([]chainRec, 0, len(g.File.Flows)),
+		lookup: func(name string) *flowfile.TaskDef { return g.File.Tasks[name] }}
+	var stages, ins int
+	for _, fl := range g.File.Flows {
+		if p := fl.Pipeline; p != nil {
+			stages, ins = stages+len(p.Tasks), ins+len(p.Inputs)+len(p.Tasks)
+		}
+	}
+	stageSlab, inSlab := make([]stageRec, stages), make([]flowcheck.Input, ins)
+	objects := make([]object, len(g.Order))
+	for i, name := range g.Order {
+		o, n := &objects[i], g.Nodes[name]
+		o.node, a.objects[name] = n, o
 		if n.IsSource() {
 			if n.Schema != nil {
-				a.scopes[name], a.cards[name] = flowcheck.Scope{}, flowcheck.CardUnknown()
+				o.resolved, o.scope, o.card = true, flowcheck.Scope{}, flowcheck.CardUnknown()
 				if sc, ok := sources[name]; ok {
-					a.scopes[name] = sc
+					o.scope = sc
 				}
 			}
 			continue
 		}
 		rec := a.flowRecs[n.Flow]
 		if rec == nil {
-			rec = a.walk(&n.Chain)
+			a.walked = append(a.walked, a.walk(&n.Chain, &stageSlab, &inSlab))
+			rec = &a.walked[len(a.walked)-1]
+			rec.flow = n.Flow
 			a.flowRecs[n.Flow] = rec
-			a.walked = append(a.walked, n.Flow)
 		}
 		if rec.ok {
-			a.scopes[name], a.cards[name] = rec.scope, rec.card
+			o.resolved, o.scope, o.card = true, rec.scope, rec.card
 		}
 	}
 	a.liveness()
@@ -294,31 +298,38 @@ func Analyze(g *dag.Graph, sources map[string]flowcheck.Scope) *Analysis {
 }
 
 // exportFacts assembles the stable fact structure from the walk's
-// per-object results and the liveness pass.
+// per-object results and the liveness pass; live sets become sorted
+// column names here.
 func (a *Analysis) exportFacts() *flowcheck.Facts {
-	facts := flowcheck.NewFacts()
-	for name, sc := range a.scopes {
-		prod, verdict := "source", ""
-		if rec := a.flowRecs[a.g.Nodes[name].Flow]; rec != nil {
-			prod = "flow"
+	facts := &flowcheck.Facts{Objects: make(map[string]*flowcheck.ObjectFacts, len(a.objects))}
+	for name, o := range a.objects {
+		if !o.resolved {
+			continue
+		}
+		of := &flowcheck.ObjectFacts{Producer: "source", Columns: flowcheck.ScopeFacts(o.scope), Card: o.card}
+		if rec := a.flowRecs[o.node.Flow]; rec != nil {
+			of.Producer = "flow"
 			if n := len(rec.stages); n > 0 {
-				prod, verdict = "T."+rec.stages[n-1].Name, rec.stages[n-1].verdict
+				of.Producer, of.Verdict = "T."+rec.stages[n-1].Name, rec.stages[n-1].verdict
 			}
 		}
-		facts.Record(name, prod, sc, a.cards[name], verdict)
-		if a.full[name] {
-			all := map[string]bool{}
-			for _, n := range a.g.Nodes[name].Schema.Names() {
-				all[n] = true
-			}
-			facts.SetLive(name, all)
-		} else if a.consumed[name] {
-			facts.SetLive(name, a.live[name])
-			for _, col := range a.deadColumns(name) {
-				facts.AddDead(name, col, prod != "source")
+		facts.Objects[name] = of
+		if !o.full && !o.consumed {
+			continue
+		}
+		of.Live = []string{}
+		for i, c := range o.node.Schema.Columns() {
+			if o.full || has(o.live, i) {
+				of.Live = append(of.Live, c.Name)
+			} else {
+				facts.Dead = append(facts.Dead, flowcheck.DeadColumn{Object: name, Column: c.Name, Computed: of.Producer != "source"})
 			}
 		}
+		sort.Strings(of.Live)
 	}
+	slices.SortFunc(facts.Dead, func(x, y flowcheck.DeadColumn) int {
+		return cmp.Or(strings.Compare(x.Object, y.Object), strings.Compare(x.Column, y.Column))
+	})
 	return facts
 }
 
@@ -326,10 +337,10 @@ func (a *Analysis) exportFacts() *flowcheck.Facts {
 // that nothing downstream reads, in schema order.
 func (a *Analysis) deadColumns(name string) []string {
 	var dead []string
-	if s := a.g.Nodes[name].Schema; s != nil && a.consumed[name] && !a.full[name] {
-		for _, col := range s.Names() {
-			if !a.live[name][col] {
-				dead = append(dead, col)
+	if o := a.objects[name]; o.node.Schema != nil && o.consumed && !o.full {
+		for i, c := range o.node.Schema.Columns() {
+			if !has(o.live, i) {
+				dead = append(dead, c.Name)
 			}
 		}
 	}
@@ -540,7 +551,8 @@ func (l *linter) checkWidgets() {
 		if w.Source == nil {
 			continue
 		}
-		l.checkChain(l.walk(l.g.Widgets[name]))
+		rec := l.walk(l.g.Widgets[name], new([]stageRec), new([]flowcheck.Input))
+		l.checkChain(&rec)
 		out := l.g.Widgets[name].Schema
 		if out == nil {
 			continue

@@ -3,6 +3,7 @@ package analyze
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -1194,5 +1195,119 @@ T:
 	}
 	if got := findRule(report, "FL000"); len(got) != 0 {
 		t.Fatalf("bad max_rows duplicated as FL000; report:\n%s", renderReport(report))
+	}
+}
+
+// TestLiveListsOnlyColumnsTheObjectHas holds every exported live set to
+// columns its object has, and pins the set of one object per case. A
+// join marks live the one column each live output reads: D.a has no b_x
+// for a_b_x (D.a_b's x) to name. In the other cases the name was a
+// column only a map expression (an FL003 error), a nested parallel's map
+// or another producer of an output has. A nested parallel's map is not
+// looked into, so its case pins nothing.
+func TestLiveListsOnlyColumnsTheObjectHas(t *testing.T) {
+	for _, c := range []struct {
+		name, object string
+		live         []string
+		src          string
+	}{
+		{"join", "a", []string{"k"}, `
+D:
+  a: [k, y]
+  a_b: [k, x]
+F:
+  D.o: (D.a, D.a_b) | T.j
+  +D.p: D.o | T.s
+T:
+  j:
+    type: join
+    left: a by k
+    right: a_b by k
+    project:
+      a_k: key
+      a_b_x: picked
+  s:
+    type: sort
+    orderby_column: [key]
+`},
+		{"map expression", "src", []string{"a"}, `
+D:
+  src: [a]
+F:
+  D.mid: D.src | T.m
+  +D.out: D.mid | T.g
+T:
+  m:
+    type: map
+    operator: expr
+    expression: a + nope
+    output: b
+  g:
+    type: groupby
+    groupby: [b]
+`},
+		{"nested parallel", "src", nil, `
+D:
+  src: [a]
+F:
+  D.mid: D.src | T.p
+  +D.out: D.mid | T.g
+T:
+  p:
+    type: parallel
+    parallel: [T.q]
+  q:
+    type: parallel
+    parallel: [T.m]
+  m:
+    type: map
+    operator: expr
+    expression: a + 1
+    output: b
+  g:
+    type: groupby
+    groupby: [b]
+`},
+		{"two producers", "src2", []string{"c"}, `
+D:
+  src: [a, b]
+  src2: [c, d]
+F:
+  D.x: D.src | T.f
+  (D.x, D.y): D.src2 | T.f2
+  +D.o: D.x | T.g
+  +D.o2: D.y | T.g2
+T:
+  f:
+    type: filter_by
+    filter_expression: a > 0
+  f2:
+    type: filter_by
+    filter_expression: c > 0
+  g:
+    type: groupby
+    groupby: [a]
+  g2:
+    type: groupby
+    groupby: [c]
+`},
+	} {
+		f, err := flowfile.Parse(c.name, c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := task.NewRegistry()
+		_, facts := LintWithFacts(f, Options{Tasks: reg})
+		g, _ := dag.Resolve(f, reg, nil)
+		for name, of := range facts.Objects {
+			for _, col := range of.Live {
+				if !g.Nodes[name].Schema.Has(col) {
+					t.Errorf("%s: D.%s lists %q live but has no such column", c.name, name, col)
+				}
+			}
+		}
+		if of := facts.Objects[c.object]; c.live != nil && !reflect.DeepEqual(of.Live, c.live) {
+			t.Errorf("%s: D.%s live %q, want %q", c.name, c.object, of.Live, c.live)
+		}
 	}
 }

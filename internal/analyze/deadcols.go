@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"shareinsights/internal/analyze/flowcheck"
-	"shareinsights/internal/flowfile"
+	"shareinsights/internal/schema"
 	"shareinsights/internal/task"
 )
 
@@ -14,25 +14,22 @@ import (
 // propagates column demand backward through every walked flow. Source
 // columns that are fetched but unused become facts only
 // (projection-pushdown input for the optimizer), not findings — the flow
-// author often cannot change a source's schema.
+// author often cannot change a source's schema. Demand is a bitset over
+// the schema at each point — an object's, a stage's output — carved from
+// one slab.
 func (a *Analysis) liveness() {
-	a.full = map[string]bool{}
-	a.live = map[string]map[string]bool{}
-	a.consumed = map[string]bool{}
-
 	// Externally visible objects need every column.
 	for _, name := range a.f.DataOrder {
-		d := a.f.Data[name]
-		if d.Endpoint || d.Publish != "" {
-			a.full[name] = true
+		if d := a.f.Data[name]; d.Endpoint || d.Publish != "" {
+			a.objects[name].full = true
 		}
 	}
 	// Widgets may render any column of their source pipeline's inputs;
 	// their demand is not tracked column-by-column.
 	for _, c := range a.g.Widgets {
 		for _, in := range c.Inputs {
-			a.full[in] = true
-			a.consumed[in] = true
+			o := a.objects[in]
+			o.full, o.consumed = true, true
 		}
 	}
 	// A flow the walk could not analyze may read anything.
@@ -42,33 +39,36 @@ func (a *Analysis) liveness() {
 		}
 		rec := a.flowRecs[fl]
 		for _, in := range fl.Pipeline.Inputs {
-			a.consumed[in.Name] = true
+			o := a.objects[in.Name]
+			o.consumed = true
 			if rec == nil || !rec.ok {
-				a.full[in.Name] = true
+				o.full = true
 			}
 		}
 	}
 
+	n := 0
+	for _, o := range a.objects {
+		n += words(o.node.Schema)
+	}
+	for i := range a.walked {
+		if rec := &a.walked[i]; rec.ok {
+			n += words(rec.chain.Schema)
+			for _, st := range rec.stages[:max(len(rec.stages)-1, 0)] {
+				n += words(st.Out)
+			}
+		}
+	}
+	slab := make([]uint64, n)
+	for _, o := range a.objects {
+		o.live = carve(&slab, words(o.node.Schema))
+	}
 	// The graph's order puts every consumer of a flow's outputs after
 	// the flow, so walking it backwards settles an output's demand before
 	// its producer reads it: one pass, no fixpoint.
 	for i := len(a.walked) - 1; i >= 0; i-- {
-		fl := a.walked[i]
-		rec := a.flowRecs[fl]
-		if !rec.ok {
-			continue
-		}
-		sets := a.backProp(rec, a.outLive(fl.Outputs))
-		for j, name := range rec.chain.Inputs {
-			if j >= len(sets) || a.full[name] {
-				continue
-			}
-			if a.live[name] == nil {
-				a.live[name] = map[string]bool{}
-			}
-			for c := range sets[j] {
-				a.live[name][c] = true
-			}
+		if rec := &a.walked[i]; rec.ok {
+			a.backProp(rec, &slab)
 		}
 	}
 }
@@ -85,7 +85,7 @@ func (l *linter) checkDeadColumns() {
 		}
 		for k, st := range rec.stages {
 			for _, c := range computedCols(rec.chain.Specs[k]) {
-				if st.liveAfter[c] || seen[st.Name+"\x00"+c] {
+				if i := st.Out.Index(c); (i >= 0 && has(st.liveAfter, i)) || seen[st.Name+"\x00"+c] {
 					continue
 				}
 				seen[st.Name+"\x00"+c] = true
@@ -97,55 +97,61 @@ func (l *linter) checkDeadColumns() {
 	}
 }
 
-// outLive is the union of column demand over a flow's output objects; a
-// fully-live output expands to its whole schema.
-func (a *Analysis) outLive(outs []flowfile.Ref) map[string]bool {
-	demand := map[string]bool{}
-	for _, o := range outs {
-		if a.full[o.Name] {
-			if s := a.g.Nodes[o.Name].Schema; s != nil {
-				for _, n := range s.Names() {
-					demand[n] = true
-				}
-			}
+// outLive adds to dst, a set over out, the column demand of a flow's
+// output objects; a fully-live output demands its whole schema.
+func (a *Analysis) outLive(dst []uint64, out *schema.Schema, rec *chainRec) {
+	for _, ref := range rec.flow.Outputs {
+		o := a.objects[ref.Name]
+		if o.node.Schema == nil {
 			continue
 		}
-		for c := range a.live[o.Name] {
-			demand[c] = true
+		for i, c := range o.node.Schema.Columns() {
+			if j := out.Index(c.Name); j >= 0 && (o.full || has(o.live, i)) {
+				dst[j/64] |= 1 << (j % 64)
+			}
 		}
 	}
-	return demand
 }
 
-// backProp pushes a demand set backward through one walked chain. It
-// returns the per-pipeline-input demand and keeps, for FL064, the demand
-// live immediately after each stage on the stage's record.
-func (a *Analysis) backProp(rec *chainRec, liveOut map[string]bool) []map[string]bool {
-	cur := liveOut
+// backProp pushes the demand on a walked chain's outputs backward
+// through its stages, into the sets of its input objects, keeping for
+// FL064 the demand live right after each stage on the stage's record.
+func (a *Analysis) backProp(rec *chainRec, slab *[]uint64) {
+	out := carve(slab, words(rec.chain.Schema))
+	a.outLive(out, rec.chain.Schema, rec)
+	var sets [2][]uint64
 	for k := len(rec.stages) - 1; k >= 0; k-- {
 		st := &rec.stages[k]
-		st.liveAfter = cur
-		sets := flowcheck.LiveIn(rec.chain.Specs[k], st.Def, a.lookup, st.ins, cur)
-		if k == 0 {
-			return sets
-		}
-		if len(sets) > 0 {
-			cur = sets[0]
+		st.liveAfter = out
+		in := sets[:0]
+		if k > 0 {
+			out = carve(slab, words(rec.stages[k-1].Out))
+			in = append(in, out)
 		} else {
-			cur = map[string]bool{}
+			for _, name := range rec.chain.Inputs {
+				in = append(in, a.objects[name].live)
+			}
+		}
+		flowcheck.LiveIn(rec.chain.Specs[k], st.Def, a.lookup, st.ins, st.Out, st.liveAfter, in)
+	}
+	if len(rec.stages) == 0 { // the one input feeds the output unchanged
+		live := a.objects[rec.chain.Inputs[0]].live
+		for w := range live {
+			live[w] |= out[w]
 		}
 	}
-	// No stages: every input feeds the output unchanged.
-	sets := make([]map[string]bool, len(rec.chain.Inputs))
-	for i := range sets {
-		c := map[string]bool{}
-		for k := range liveOut {
-			c[k] = true
-		}
-		sets[i] = c
-	}
-	return sets
 }
+
+// words is the length of a bitset over s's columns (0 for no schema).
+func words(s *schema.Schema) int {
+	if s == nil {
+		return 0
+	}
+	return (s.Len() + 63) / 64
+}
+
+// has reports whether position i is in a bitset.
+func has(bits []uint64, i int) bool { return bits[i/64]&(1<<(i%64)) != 0 }
 
 // computedCols names the columns a stage derives (as opposed to carries):
 // map and parallel operator outputs and group-by aggregate fields.

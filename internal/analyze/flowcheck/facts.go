@@ -1,7 +1,5 @@
 package flowcheck
 
-import "sort"
-
 // Facts is the stable analysis export: one record per named data object,
 // plus the dead-column list. `shareinsights check` and
 // GET /dashboards/{name}/check serialize it, and the cost-based
@@ -54,9 +52,6 @@ type DeadColumn struct {
 	Computed bool `json:"computed"`
 }
 
-// NewFacts returns an empty fact set.
-func NewFacts() *Facts { return &Facts{Objects: map[string]*ObjectFacts{}} }
-
 // ScopeFacts converts a scope to its wire form.
 func ScopeFacts(sc Scope) map[string]ColumnFacts {
 	out := make(map[string]ColumnFacts, len(sc))
@@ -80,40 +75,4 @@ func ScopeFacts(sc Scope) map[string]ColumnFacts {
 		out[col] = cf
 	}
 	return out
-}
-
-// Record stores one object's facts, replacing any previous record.
-func (f *Facts) Record(object, producer string, sc Scope, card Card, verdict string) {
-	f.Objects[object] = &ObjectFacts{
-		Producer: producer,
-		Columns:  ScopeFacts(sc),
-		Card:     card,
-		Verdict:  verdict,
-	}
-}
-
-// SetLive attaches the sorted live-column set to an object, if recorded.
-func (f *Facts) SetLive(object string, live map[string]bool) {
-	of, ok := f.Objects[object]
-	if !ok {
-		return
-	}
-	cols := make([]string, 0, len(live))
-	for c := range live {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	of.Live = cols
-}
-
-// AddDead appends a dead-column record, keeping the list sorted for
-// stable output.
-func (f *Facts) AddDead(object, column string, computed bool) {
-	f.Dead = append(f.Dead, DeadColumn{Object: object, Column: column, Computed: computed})
-	sort.Slice(f.Dead, func(i, j int) bool {
-		if f.Dead[i].Object != f.Dead[j].Object {
-			return f.Dead[i].Object < f.Dead[j].Object
-		}
-		return f.Dead[i].Column < f.Dead[j].Column
-	})
 }

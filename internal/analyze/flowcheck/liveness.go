@@ -1,195 +1,180 @@
 package flowcheck
 
 import (
-	"strings"
+	"slices"
 
 	"shareinsights/internal/expr"
 	"shareinsights/internal/flowfile"
+	"shareinsights/internal/schema"
 	"shareinsights/internal/task"
 )
 
 // LiveIn computes, for each input of a stage, the columns that must be
 // materialized so the stage can produce the liveOut set — the backward
-// liveness transfer. Unknown spec kinds conservatively keep every input
-// column live, so a custom task can never cause a false dead-column
-// report.
-func LiveIn(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins []Input, liveOut map[string]bool) []map[string]bool {
-	out := make([]map[string]bool, len(ins))
-	for i := range out {
-		out[i] = map[string]bool{}
+// liveness transfer. A set is a bitset over the positions of the schema
+// at its point: liveOut over out, the stage's output schema, and
+// liveIn[i] over ins[i].Schema, one per input. LiveIn only adds to
+// liveIn, so a caller unions several consumers' demand in one set.
+// Unknown spec kinds conservatively keep every input column live, so a
+// custom task can never cause a false dead-column report.
+func LiveIn(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins []Input, out *schema.Schema, liveOut []uint64, liveIn [][]uint64) {
+	if len(liveIn) == 0 {
+		return
 	}
-	if len(out) == 0 {
-		return out
-	}
+	dst, in := liveIn[0], ins[0].Schema
 	switch t := sp.(type) {
 	case *task.FilterSpec:
-		copySet(out[0], liveOut)
-		addCols(out[0], expr.Columns(t.Expr))
-		addCols(out[0], t.By)
+		carry(dst, in, liveOut, out, nil)
+		markExpr(dst, in, t.Expr)
+		mark(dst, in, t.By...)
 	case *task.MapSpec:
-		copySetExcept(out[0], liveOut, m2set(t.OutColumns()))
-		addCols(out[0], mapUses(t, def))
+		carry(dst, in, liveOut, out, t.OutColumns())
+		markUses(dst, in, t, def)
 	case *task.ParallelSpec:
-		defined := map[string]bool{}
-		var uses []string
+		var defined []string
 		for i, sub := range t.Subs {
 			ms, ok := sub.(*task.MapSpec)
 			if !ok {
 				continue
 			}
-			for _, c := range ms.OutColumns() {
-				defined[c] = true
-			}
+			defined = append(defined, ms.OutColumns()...)
 			if i < len(t.Names) && lookup != nil {
-				uses = append(uses, mapUses(ms, lookup(t.Names[i]))...)
+				markUses(dst, in, ms, lookup(t.Names[i]))
 			}
 		}
-		copySetExcept(out[0], liveOut, defined)
-		addCols(out[0], uses)
+		carry(dst, in, liveOut, out, defined)
 	case *task.GroupBySpec:
-		addCols(out[0], t.GroupBy)
+		mark(dst, in, t.GroupBy...)
 		for _, a := range t.Aggs {
-			if a.ApplyOn != "" {
-				out[0][a.ApplyOn] = true
-			}
+			mark(dst, in, a.ApplyOn)
 		}
-	case *task.ProjectSpec:
-		copySet(out[0], liveOut)
+	case *task.ProjectSpec, *task.LimitSpec, *task.UnionSpec:
+		for i := range liveIn {
+			carry(liveIn[i], ins[i].Schema, liveOut, out, nil)
+		}
 	case *task.SortSpec:
-		copySet(out[0], liveOut)
-		addCols(out[0], orderCols(t.OrderBy))
+		carry(dst, in, liveOut, out, nil)
+		markOrder(dst, in, t.OrderBy)
 	case *task.DistinctSpec:
-		copySet(out[0], liveOut)
+		carry(dst, in, liveOut, out, nil)
 		if len(t.Columns) == 0 {
-			if ins[0].Schema != nil {
-				addCols(out[0], ins[0].Schema.Names())
-			} else {
-				return allLive(ins)
-			}
-		} else {
-			addCols(out[0], t.Columns)
+			all(dst, in)
 		}
-	case *task.UnionSpec:
-		for i := range out {
-			copySet(out[i], liveOut)
-		}
-	case *task.LimitSpec:
-		copySet(out[0], liveOut)
+		mark(dst, in, t.Columns...)
 	case *task.TopNSpec:
-		copySet(out[0], liveOut)
-		addCols(out[0], t.GroupBy)
-		addCols(out[0], orderCols(t.OrderBy))
+		carry(dst, in, liveOut, out, nil)
+		mark(dst, in, t.GroupBy...)
+		markOrder(dst, in, t.OrderBy)
 	case *task.JoinSpec:
-		liveInJoin(t, ins, liveOut, out)
+		liveInJoin(t, ins, liveOut, liveIn)
 	default:
-		return allLive(ins)
+		for i := range liveIn {
+			all(liveIn[i], ins[i].Schema)
+		}
 	}
-	return out
 }
 
-// liveInJoin maps live (possibly projected) join outputs back to each
-// side's columns and keeps the join keys live.
-func liveInJoin(t *task.JoinSpec, ins []Input, liveOut map[string]bool, out []map[string]bool) {
-	if len(ins) != 2 {
-		for i := range out {
-			if ins[i].Schema != nil {
-				addCols(out[i], ins[i].Schema.Names())
+// liveInJoin maps each live join output back through the join's binding
+// to the one input column it reads, and keeps the join keys live.
+func liveInJoin(t *task.JoinSpec, ins []Input, liveOut []uint64, liveIn [][]uint64) {
+	if len(ins) == 2 {
+		l, r := task.Input{Name: ins[0].Name, Schema: ins[0].Schema}, task.Input{Name: ins[1].Name, Schema: ins[1].Schema}
+		if k, swapped, ok := t.BindJoin(nil, l, r); ok {
+			left, right := liveIn[0], liveIn[1]
+			if swapped {
+				left, right = right, left
 			}
+			for _, i := range k.LeftKeys {
+				set(left, i)
+			}
+			for _, i := range k.RightKeys {
+				set(right, i)
+			}
+			for j, c := range k.Cols {
+				if has(liveOut, j) && c.Right {
+					set(right, c.Col)
+				} else if has(liveOut, j) {
+					set(left, c.Col)
+				}
+			}
+			return
 		}
+	}
+	for i := range liveIn {
+		all(liveIn[i], ins[i].Schema)
+	}
+}
+
+// markUses adds to dst, a set over in, the columns one map operator reads.
+func markUses(dst []uint64, in *schema.Schema, m *task.MapSpec, def *flowfile.TaskDef) {
+	if n := m.Expr(); n != nil {
+		markExpr(dst, in, n)
 		return
 	}
-	// Live output → qualified name.
-	qualified := map[string]bool{}
-	if len(t.Project) > 0 {
-		for _, p := range t.Project {
-			if liveOut[p.Out] {
-				qualified[p.Qualified] = true
-			}
-		}
-	} else {
-		copySet(qualified, liveOut)
-	}
-	for i, in := range ins {
-		keys := t.LeftKeys
-		if in.Name == t.RightName {
-			keys = t.RightKeys
-		}
-		addCols(out[i], keys)
-		prefix := in.Name + "_"
-		for q := range qualified {
-			if strings.HasPrefix(q, prefix) {
-				out[i][strings.TrimPrefix(q, prefix)] = true
-			}
-		}
-	}
-}
-
-// mapUses names the input columns one map operator reads.
-func mapUses(m *task.MapSpec, def *flowfile.TaskDef) []string {
-	if n := m.Expr(); n != nil {
-		return expr.Columns(n)
-	}
 	if def == nil || def.Config == nil {
-		return nil
+		return
 	}
 	switch m.Operator {
 	case "constant":
-		return nil
 	case "concat":
-		return def.Config.StrList("transform")
+		mark(dst, in, def.Config.StrList("transform")...)
+	default:
+		mark(dst, in, def.Config.Str("transform"))
 	}
-	if c := def.Config.Str("transform"); c != "" {
-		return []string{c}
-	}
-	return nil
 }
 
-func orderCols(keys []task.OrderKey) []string {
-	out := make([]string, 0, len(keys))
+// markExpr adds to dst, a set over in, the columns an expression reads.
+func markExpr(dst []uint64, in *schema.Schema, n expr.Node) {
+	expr.Walk(n, func(m expr.Node) {
+		if c, ok := m.(*expr.Col); ok {
+			set(dst, in.Index(c.Name))
+		}
+	})
+}
+
+// carry adds to dst, a set over in, the columns of live, a set over out,
+// that in has and except does not name. A stage that passes its input
+// schema through (out == in) carries the set word by word.
+func carry(dst []uint64, in *schema.Schema, live []uint64, out *schema.Schema, except []string) {
+	if out == in && except == nil {
+		for w := range dst {
+			dst[w] |= live[w]
+		}
+		return
+	}
+	for j, c := range out.Columns() {
+		if has(live, j) && !slices.Contains(except, c.Name) {
+			set(dst, in.Index(c.Name))
+		}
+	}
+}
+
+// mark adds the named columns of s to dst; a name s lacks is skipped.
+func mark(dst []uint64, s *schema.Schema, cols ...string) {
+	for _, c := range cols {
+		set(dst, s.Index(c))
+	}
+}
+
+func markOrder(dst []uint64, s *schema.Schema, keys []task.OrderKey) {
 	for _, k := range keys {
-		out = append(out, k.Column)
-	}
-	return out
-}
-
-func copySet(dst, src map[string]bool) {
-	for k := range src {
-		dst[k] = true
+		set(dst, s.Index(k.Column))
 	}
 }
 
-func copySetExcept(dst, src, except map[string]bool) {
-	for k := range src {
-		if !except[k] {
-			dst[k] = true
-		}
+// all adds every column of s to dst.
+func all(dst []uint64, s *schema.Schema) {
+	for i := range s.Len() {
+		set(dst, i)
 	}
 }
 
-func addCols(dst map[string]bool, cols []string) {
-	for _, c := range cols {
-		if c != "" {
-			dst[c] = true
-		}
+// set adds position i (none when negative) to a bitset.
+func set(bits []uint64, i int) {
+	if i >= 0 {
+		bits[i/64] |= 1 << (i % 64)
 	}
 }
 
-func m2set(cols []string) map[string]bool {
-	out := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		out[c] = true
-	}
-	return out
-}
-
-// allLive marks every column of every input live.
-func allLive(ins []Input) []map[string]bool {
-	out := make([]map[string]bool, len(ins))
-	for i, in := range ins {
-		out[i] = map[string]bool{}
-		if in.Schema != nil {
-			addCols(out[i], in.Schema.Names())
-		}
-	}
-	return out
-}
+// has reports whether position i is in a bitset.
+func has(bits []uint64, i int) bool { return bits[i/64]&(1<<(i%64)) != 0 }

@@ -75,7 +75,7 @@ func TransferStage(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins [
 			applyMapFacts(ms, lookup(t.Names[i]), t.Names[i], firstInput(ins).Scope, &res)
 		}
 	case *task.JoinSpec:
-		transferJoin(t, ins, out, &res)
+		transferJoin(t, ins, &res)
 	case *task.TopNSpec:
 		if len(t.GroupBy) == 0 {
 			res.Card = res.Card.capMax(int64(t.Limit))
@@ -300,53 +300,35 @@ func mapFact(m *task.MapSpec, def *flowfile.TaskDef, owner string, in Scope, res
 	return ColFact{Type: Unknown()}
 }
 
-// transferJoin qualifies each side's facts as <object>_<column>, widens
-// nullability on the side(s) an outer join may null-pad, and applies the
-// projection mapping.
-func transferJoin(t *task.JoinSpec, ins []Input, out *schema.Schema, res *StageResult) {
+// transferJoin carries each output column's facts from the one input
+// column the join's binding reads, widening nullability on the side(s)
+// an outer join may null-pad.
+func transferJoin(t *task.JoinSpec, ins []Input, res *StageResult) {
 	if len(ins) != 2 {
 		return
 	}
 	l, r := ins[0], ins[1]
-	if l.Name == t.RightName && r.Name == t.LeftName {
+	k, swapped, ok := t.BindJoin(nil, task.Input{Name: l.Name, Schema: l.Schema}, task.Input{Name: r.Name, Schema: r.Schema})
+	if swapped {
 		l, r = r, l
 	}
 	res.Card = joinCard(t.Condition, l.Card, r.Card)
-	nullPadded := func(side int) bool {
-		switch t.Condition {
-		case task.LeftOuterJoin:
-			return side == 1
-		case task.RightOuterJoin:
-			return side == 0
-		case task.FullOuterJoin:
-			return true
-		}
-		return false
+	res.Scope = Scope{}
+	if !ok {
+		return
 	}
-	qual := Scope{}
-	for i, in := range []Input{l, r} {
-		for col, f := range in.Scope {
-			if nullPadded(i) {
+	for j, c := range k.Cols {
+		side, padded := l, t.Condition == task.RightOuterJoin
+		if c.Right {
+			side, padded = r, t.Condition == task.LeftOuterJoin
+		}
+		if f, ok := side.Scope[side.Schema.Col(c.Col).Name]; ok {
+			if padded || t.Condition == task.FullOuterJoin {
 				f = ColFact{Type: Type{Kind: f.Type.Kind, Nullable: true}, Ivl: f.Ivl}
 			}
-			qual[in.Name+"_"+col] = f
+			res.Scope[k.Out.Col(j).Name] = f
 		}
 	}
-	sc := Scope{}
-	if len(t.Project) > 0 {
-		for _, p := range t.Project {
-			if f, ok := qual[p.Qualified]; ok {
-				sc[p.Out] = f
-			}
-		}
-	} else if out != nil {
-		for _, c := range out.Columns() {
-			if f, ok := qual[c.Name]; ok {
-				sc[c.Name] = f
-			}
-		}
-	}
-	res.Scope = sc
 }
 
 // joinCard bounds a join's output rows: at most l*r matches plus one

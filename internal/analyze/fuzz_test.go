@@ -10,6 +10,22 @@ import (
 	"shareinsights/internal/task"
 )
 
+// fuzzSeeds seed FuzzLint and the analysis oracle: broken files of every
+// kind the resolver reports.
+var fuzzSeeds = []string{
+	"D:\n  a: [x, y]\nF:\n  +D.o: D.a | T.t\nT:\n  t:\n    type: groupby\n    groupby: [x]\n",
+	"F:\n  +D.o: (D.a, D.b) | T.t\n",
+	"T:\n  t:\n    type: filter_by\n    filter_expression: a > 'b'\n",
+	"W:\n  w:\n    type: Pie\n    source: D.a\n    text: x\n",
+	"L:\n  rows:\n    - [span3: W.w]\n",
+	"D.x:\n  source: 'a:b#c'\n  protocol: nope\n",
+	"T:\n  t:\n    type: topn\n    groupby: [x]\n    limit: 5\n",
+	"T:\n  p:\n    type: parallel\n    parallel: [T.p]\n",
+	"D:\n  a: [x]\nF:\n  D.a: D.b | T.t\n  D.b: D.a | T.t\nT:\n  t:\n    type: distinct\n",
+	"D:\n  a: [x]\n  o: [y]\nF:\n  +D.o: D.a | T.t\nT:\n  t:\n    type: distinct\n",
+	"D:\n  a: [x]\n  b: [x]\nF:\n  +D.o: (D.a, D.b)\n",
+}
+
 // FuzzLint drives the analyzer with arbitrary flow-file text. The
 // contract: on any input that parses, Lint never panics, every finding
 // carries a rule ID and a severity that renders, and lint agrees with the
@@ -17,17 +33,9 @@ import (
 // is an error. The one documented exception is an object with no schema
 // anywhere, which lint assumes is a shared publication (FL003 warning).
 func FuzzLint(f *testing.F) {
-	f.Add("D:\n  a: [x, y]\nF:\n  +D.o: D.a | T.t\nT:\n  t:\n    type: groupby\n    groupby: [x]\n")
-	f.Add("F:\n  +D.o: (D.a, D.b) | T.t\n")
-	f.Add("T:\n  t:\n    type: filter_by\n    filter_expression: a > 'b'\n")
-	f.Add("W:\n  w:\n    type: Pie\n    source: D.a\n    text: x\n")
-	f.Add("L:\n  rows:\n    - [span3: W.w]\n")
-	f.Add("D.x:\n  source: 'a:b#c'\n  protocol: nope\n")
-	f.Add("T:\n  t:\n    type: topn\n    groupby: [x]\n    limit: 5\n")
-	f.Add("T:\n  p:\n    type: parallel\n    parallel: [T.p]\n")
-	f.Add("D:\n  a: [x]\nF:\n  D.a: D.b | T.t\n  D.b: D.a | T.t\nT:\n  t:\n    type: distinct\n")
-	f.Add("D:\n  a: [x]\n  o: [y]\nF:\n  +D.o: D.a | T.t\nT:\n  t:\n    type: distinct\n")
-	f.Add("D:\n  a: [x]\n  b: [x]\nF:\n  +D.o: (D.a, D.b)\n")
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
 	reg := task.NewRegistry()
 	conns := connector.NewRegistry(connector.Options{DataDir: "."})
 	f.Fuzz(func(t *testing.T, src string) {

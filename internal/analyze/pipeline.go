@@ -25,16 +25,18 @@ type stageRec struct {
 	// issues are what lowering the stage's expressions found, each
 	// tagged with the task that owns the expression.
 	issues []flowcheck.Issue
-	// liveAfter is the column demand right after the stage, set by the
-	// liveness pass on a chain that bound.
-	liveAfter map[string]bool
+	// liveAfter is the column demand right after the stage, a bitset
+	// over Out, set by the liveness pass on a chain that bound.
+	liveAfter []uint64
 }
 
 // chainRec is one walked chain: its stages up to and including the first
 // that did not bind, and — when ok, i.e. the resolver gave the chain a
-// schema — the facts of its output.
+// schema — the facts of its output. flow is the flow it is, nil for a
+// widget source.
 type chainRec struct {
 	chain  *dag.Chain
+	flow   *flowfile.Flow
 	stages []stageRec
 	ok     bool
 	scope  flowcheck.Scope
@@ -46,29 +48,44 @@ type chainRec struct {
 // nothing itself: a chain with an unresolved input, an undefined or
 // misconfigured task, or a stage that did not bind is not ok, and what
 // depends on it is skipped silently — the resolver already holds the
-// root cause.
-func (a *Analysis) walk(c *dag.Chain) *chainRec {
-	rec := &chainRec{chain: c}
-	ins := make([]flowcheck.Input, len(c.Inputs))
+// root cause. The records and the inputs each stage (and the output)
+// reads are carved from the slabs given.
+func (a *Analysis) walk(c *dag.Chain, stages *[]stageRec, inSlab *[]flowcheck.Input) chainRec {
+	rec := chainRec{chain: c}
+	ins := carve(inSlab, len(c.Inputs))
 	for i, in := range c.Inputs {
-		sc, resolved := a.scopes[in]
-		if !resolved {
+		o := a.objects[in] // nil for a node on a cycle, not yet met
+		if o == nil || !o.resolved {
 			return rec
 		}
-		ins[i] = flowcheck.Input{Name: in, Schema: a.g.Nodes[in].Schema, Scope: sc, Card: a.cards[in]}
+		ins[i] = flowcheck.Input{Name: in, Schema: o.node.Schema, Scope: o.scope, Card: o.card}
 	}
+	rec.stages = carve(stages, len(c.Stages))[:0]
 	for k, st := range c.Stages {
 		res := flowcheck.TransferStage(c.Specs[k], st.Def, a.lookup, ins, st.Out)
 		rec.stages = append(rec.stages, stageRec{Stage: st, ins: ins, verdict: res.Verdict, issues: res.Issues})
 		if st.Out == nil {
 			return rec
 		}
-		ins = []flowcheck.Input{{Name: ins[0].Name, Schema: st.Out, Scope: res.Scope, Card: res.Card}}
+		next := carve(inSlab, 1)
+		next[0] = flowcheck.Input{Name: ins[0].Name, Schema: st.Out, Scope: res.Scope, Card: res.Card}
+		ins = next
 	}
 	if c.Schema != nil {
 		rec.ok, rec.scope, rec.card = true, ins[0].Scope, ins[0].Card
 	}
 	return rec
+}
+
+// carve cuts the next n elements off a slab, with cap == len; a slab
+// that is short is replaced by a fresh, exactly sized one.
+func carve[T any](slab *[]T, n int) []T {
+	if n > len(*slab) {
+		*slab = make([]T, n)
+	}
+	part := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return part
 }
 
 // checkChain runs the per-stage rules over a walked chain in stage

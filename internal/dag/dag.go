@@ -153,8 +153,39 @@ func Build(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Graph,
 // them. What only lint reports (an unreferenced misconfigured task, a
 // widget source that does not bind as written) is on the graph: BadTasks,
 // Widgets[..].Problem.
+//
+// The graph is carved from slabs one pass over the file sizes: a resolve
+// allocates per file, not per node or stage. Each carved slice has cap ==
+// len, so an append by a reader of a kept graph reallocates.
 func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Graph, []*Problem) {
-	g := &Graph{Nodes: map[string]*Node{}, File: f, Widgets: map[string]*Chain{}, BadTasks: map[string]*Problem{}}
+	var nTasks, nStages, nStrs, nWidgets, size, maxIn int
+	count := func(p *flowfile.Pipeline, outs int) {
+		nTasks, nStages = nTasks+len(p.Tasks), nStages+len(p.Tasks)*outs
+		nStrs += len(p.Inputs) * (1 + outs) // the chain's inputs, a consumer entry per output
+		maxIn = max(maxIn, len(p.Inputs))
+	}
+	for _, fl := range f.Flows {
+		if fl.Pipeline != nil {
+			count(fl.Pipeline, max(1, len(fl.Outputs)))
+		}
+	}
+	for _, wname := range f.WidgetOrder {
+		if w := f.Widgets[wname]; w.Source != nil {
+			count(w.Source, 1)
+			nWidgets, size = nWidgets+1, size+len("widget:")+len(wname)
+		}
+	}
+	var widgetNames strings.Builder // "widget:<name>" per widget source, in WidgetOrder
+	widgetNames.Grow(size)
+	for _, wname := range f.WidgetOrder {
+		if f.Widgets[wname].Source != nil {
+			widgetNames.WriteString("widget:")
+			widgetNames.WriteString(wname)
+		}
+	}
+	nodes, chains, strs := make([]Node, len(f.DataOrder)), make([]Chain, nWidgets), make([]string, nStrs+len(f.DataOrder))
+	specSlab, stages := make([]task.Spec, nTasks), make([]Stage, nStages)
+	g := &Graph{Nodes: make(map[string]*Node, len(f.DataOrder)), File: f, Widgets: make(map[string]*Chain, nWidgets), BadTasks: map[string]*Problem{}}
 	var problems []*Problem
 	report := func(p *Problem) {
 		if p != nil {
@@ -169,59 +200,55 @@ func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Grap
 		}
 		g.BadTasks[name] = p
 	}
-	// chain resolves the references of a pipeline (what: "flow" or "widget
-	// source", for the error), creating the nodes it reads.
-	chain := func(p *flowfile.Pipeline, what string, line int) Chain {
-		c := Chain{Inputs: make([]string, len(p.Inputs)), Specs: make([]task.Spec, 0, len(p.Tasks)), Stages: make([]Stage, 0, len(p.Tasks))}
+	// chain resolves the references of a pipeline into c (what: "flow" or
+	// "widget source", for the error), creating the nodes it reads.
+	chain := func(c *Chain, p *flowfile.Pipeline, what string, line int) {
+		c.Inputs = carve(&strs, len(p.Inputs))
 		for i, in := range p.Inputs {
-			g.node(in.Name)
+			g.node(&nodes, in.Name)
 			c.Inputs[i] = in.Name
 		}
-		for _, t := range p.Tasks {
+		c.Specs, c.Stages = carve(&specSlab, len(p.Tasks)), carve(&stages, len(p.Tasks))
+		for k, t := range p.Tasks {
 			if def, ok := f.Tasks[t.Name]; !ok {
 				c.Problem = &Problem{Kind: ProblemUndefinedTask, Entity: "T." + t.Name, Line: line, prefix: "dag: ",
 					Err: fmt.Errorf("%s at line %d references undefined task T.%s", what, line, t.Name)}
 			} else if c.Problem = g.BadTasks[t.Name]; c.Problem == nil {
-				c.Specs = append(c.Specs, specs[t.Name])
-				c.Stages = append(c.Stages, Stage{Name: t.Name, Def: def})
+				c.Specs[k], c.Stages[k] = specs[t.Name], Stage{Name: t.Name, Def: def}
 				continue
 			}
 			c.Specs, c.Stages = nil, nil
 			break
 		}
-		return c
 	}
 	for _, name := range f.DataOrder {
-		g.node(name)
+		g.node(&nodes, name)
 	}
 	for _, fl := range f.Flows {
 		if fl.Pipeline == nil {
 			continue // Validate rejects it
 		}
-		c := chain(fl.Pipeline, "flow", fl.Line)
+		var c Chain
+		chain(&c, fl.Pipeline, "flow", fl.Line)
 		report(c.Problem)
 		for i, out := range fl.Outputs {
-			n := g.node(out.Name)
+			n := g.node(&nodes, out.Name)
 			if n.Flow != nil {
 				report(&Problem{Kind: ProblemTwoProducers, Entity: "D." + out.Name, Line: fl.Line, prefix: "dag: data object D." + out.Name + " ",
 					Err: fmt.Errorf("produced by two flows (lines %d and %d)", n.Flow.Line, fl.Line)})
 				continue
 			}
 			n.Flow, n.Chain = fl, c
-			if i > 0 {
-				n.Stages = slices.Clone(c.Stages) // each output binds its own record
+			if i > 0 && c.Stages != nil {
+				n.Stages = carve(&stages, len(c.Stages)) // each output binds its own record
+				copy(n.Stages, c.Stages)
 			}
 		}
 	}
-	// A widget source is a consumer too: dead-sink elimination keeps its
-	// feeds.
 	for _, wname := range f.WidgetOrder {
 		if w := f.Widgets[wname]; w.Source != nil {
-			c := chain(w.Source, "widget source", w.Line)
-			g.Widgets[wname] = &c
-			for _, in := range c.Inputs {
-				g.Nodes[in].Consumers = append(g.Nodes[in].Consumers, "widget:"+wname)
-			}
+			g.Widgets[wname] = &carve(&chains, 1)[0]
+			chain(g.Widgets[wname], w.Source, "widget source", w.Line)
 		}
 	}
 	// names is every node in declaration order, undeclared ones (a widget
@@ -234,17 +261,45 @@ func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Grap
 		}
 	}
 	sort.Strings(names[len(f.DataOrder):])
-	for _, name := range names {
-		for _, in := range g.Nodes[name].Inputs {
-			g.Nodes[in].Consumers = append(g.Nodes[in].Consumers, name)
+	// consumers yields every node's consumers in order: the widget sources
+	// reading it (a widget is a consumer too: dead-sink elimination keeps
+	// its feeds), then the nodes reading it, in names order.
+	consumers := func(yield func(in, consumer string)) {
+		wnames := widgetNames.String()
+		for _, wname := range f.WidgetOrder {
+			if c := g.Widgets[wname]; c != nil {
+				consumer := wnames[:len("widget:")+len(wname)]
+				wnames = wnames[len(consumer):]
+				for _, in := range c.Inputs {
+					yield(in, consumer)
+				}
+			}
+		}
+		for _, name := range names {
+			for _, in := range g.Nodes[name].Inputs {
+				yield(in, name)
+			}
 		}
 	}
-	report(g.topoSort(names))
+	deg := make(map[string]int, len(names)) // each node's consumers, then its unplaced inputs
+	consumers(func(in, _ string) { deg[in]++ })
+	consumers(func(in, consumer string) {
+		n := g.Nodes[in]
+		if n.Consumers == nil {
+			n.Consumers = carve(&strs, deg[in])[:0]
+		}
+		n.Consumers = append(n.Consumers, consumer)
+	})
+	if len(names) > 0 {
+		g.Order = carve(&strs, len(names))[:0]
+	}
+	report(g.topoSort(names, deg))
+	in := make([]task.Input, max(maxIn, 1))
 	for _, name := range g.Order {
-		report(g.resolve(g.Nodes[name], shared))
+		report(g.resolve(g.Nodes[name], shared, in))
 	}
 	for wname, c := range g.Widgets {
-		if p := g.bind(c); p != nil {
+		if p := g.bind(c, in); p != nil {
 			p.prefix = "widget W." + wname + " source: " + p.prefix
 			if p.Kind == ProblemFanIn {
 				p.Entity, p.Line = "W."+wname, f.Widgets[wname].Line
@@ -254,12 +309,24 @@ func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Grap
 	return g, problems
 }
 
+// carve cuts the next n elements off a slab, with cap == len; a slab
+// that is short is replaced by a fresh, exactly sized one.
+func carve[T any](slab *[]T, n int) []T {
+	if n > len(*slab) {
+		*slab = make([]T, n)
+	}
+	part := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return part
+}
+
 // node returns the named node, creating it (with the file's definition,
 // or an empty one) on first mention.
-func (g *Graph) node(name string) *Node {
+func (g *Graph) node(slab *[]Node, name string) *Node {
 	n, ok := g.Nodes[name]
 	if !ok {
-		n = &Node{Name: name, Def: g.File.Data[name]}
+		n = &carve(slab, 1)[0]
+		n.Name, n.Def = name, g.File.Data[name]
 		if n.Def == nil {
 			n.Def = &flowfile.DataDef{Name: name}
 		}
@@ -268,27 +335,23 @@ func (g *Graph) node(name string) *Node {
 	return n
 }
 
-// topoSort orders nodes inputs-first (Kahn), ties in names order. Nodes
-// on or behind a cycle are the returned problem; they end the order,
-// unresolvable, so the dead-entity passes still see them.
-func (g *Graph) topoSort(names []string) *Problem {
-	indeg := make(map[string]int, len(names))
-	var queue []string
+// topoSort orders nodes inputs-first (Kahn), ties in names order, into
+// g.Order, which is also the queue. Nodes on or behind a cycle are the
+// returned problem; they end the order, unresolvable, so the dead-entity
+// passes still see them.
+func (g *Graph) topoSort(names []string, indeg map[string]int) *Problem {
 	for _, name := range names {
 		if indeg[name] = len(g.Nodes[name].Inputs); indeg[name] == 0 {
-			queue = append(queue, name)
+			g.Order = append(g.Order, name)
 		}
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		g.Order = append(g.Order, cur)
-		for _, c := range g.Nodes[cur].Consumers {
+	for head := 0; head < len(g.Order); head++ {
+		for _, c := range g.Nodes[g.Order[head]].Consumers {
 			if _, isNode := g.Nodes[c]; !isNode {
 				continue // a widget
 			}
 			if indeg[c]--; indeg[c] == 0 {
-				queue = append(queue, c)
+				g.Order = append(g.Order, c)
 			}
 		}
 	}
@@ -312,7 +375,7 @@ func (g *Graph) topoSort(names []string) *Problem {
 // for produced objects. A produced object with a declared schema is
 // cross-checked — the declaration acts as an assertion, surfacing drift
 // between the D section and the flows.
-func (g *Graph) resolve(n *Node, shared SharedResolver) *Problem {
+func (g *Graph) resolve(n *Node, shared SharedResolver, in []task.Input) *Problem {
 	at := func(kind ProblemKind, prefix string, err error) *Problem {
 		return &Problem{Kind: kind, Entity: "D." + n.Name, Line: n.Def.Line, prefix: prefix, Err: err}
 	}
@@ -332,7 +395,7 @@ func (g *Graph) resolve(n *Node, shared SharedResolver) *Problem {
 		}
 		return at(ProblemUnresolvable, "dag: data object D."+n.Name+" ", errors.New(msg))
 	}
-	if p := g.bind(&n.Chain); p != nil {
+	if p := g.bind(&n.Chain, in); p != nil {
 		p.prefix = fmt.Sprintf("dag: flow for D.%s (line %d): ", n.Name, n.Flow.Line) + p.prefix
 		if p.Kind == ProblemFanIn {
 			p.Entity, p.Line = "D."+n.Name, n.Def.Line
@@ -350,14 +413,16 @@ func (g *Graph) resolve(n *Node, shared SharedResolver) *Problem {
 // recording each stage's output and, when all bind, the chain's Schema.
 // A chain with an unresolved input or a Problem already is left alone:
 // its root cause is reported where it arose. A fan-in problem is the
-// whole chain's: the caller names its owner.
-func (g *Graph) bind(c *Chain) *Problem {
+// whole chain's: the caller names its owner. in is the scratch the
+// stages read their inputs from, at least as long as c.Inputs and never
+// empty.
+func (g *Graph) bind(c *Chain, in []task.Input) *Problem {
 	if c.Problem != nil {
 		return nil
 	}
-	cur := make([]task.Input, len(c.Inputs))
-	for i, in := range c.Inputs {
-		if cur[i] = (task.Input{Name: in, Schema: g.Nodes[in].Schema}); cur[i].Schema == nil {
+	cur := in[:len(c.Inputs)]
+	for i, name := range c.Inputs {
+		if cur[i] = (task.Input{Name: name, Schema: g.Nodes[name].Schema}); cur[i].Schema == nil {
 			return nil
 		}
 	}
@@ -380,7 +445,8 @@ func (g *Graph) bind(c *Chain) *Problem {
 			return p
 		}
 		c.Stages[k].Out = out
-		cur = []task.Input{{Schema: out}}
+		cur = in[:1]
+		cur[0] = task.Input{Schema: out}
 	}
 	if len(cur) != 1 {
 		c.Problem = &Problem{Kind: ProblemFanIn, Err: fmt.Errorf("fan-in of %d inputs needs at least one task", len(cur))}
@@ -400,39 +466,28 @@ func BindPipeline(g *Graph, inputs []string, specs []task.Spec) (*schema.Schema,
 		}
 	}
 	c := Chain{Inputs: inputs, Specs: specs, Stages: make([]Stage, len(specs))}
-	if p := g.bind(&c); p != nil {
+	if p := g.bind(&c, make([]task.Input, max(len(inputs), 1))); p != nil {
 		return nil, p
 	}
 	return c.Schema, nil
 }
 
 // Sources lists source-node names in topological order.
-func (g *Graph) Sources() []string {
-	var out []string
-	for _, name := range g.Order {
-		if g.Nodes[name].IsSource() {
-			out = append(out, name)
-		}
-	}
-	return out
-}
+func (g *Graph) Sources() []string { return g.where(func(n *Node) bool { return n.IsSource() }) }
 
 // Endpoints lists endpoint data objects in topological order.
-func (g *Graph) Endpoints() []string {
-	var out []string
-	for _, name := range g.Order {
-		if g.Nodes[name].Def.Endpoint {
-			out = append(out, name)
-		}
-	}
-	return out
-}
+func (g *Graph) Endpoints() []string { return g.where(func(n *Node) bool { return n.Def.Endpoint }) }
 
 // Published lists nodes with a publish name, in topological order.
 func (g *Graph) Published() []string {
+	return g.where(func(n *Node) bool { return n.Def.Publish != "" })
+}
+
+// where lists, in topological order, the nodes keep holds for.
+func (g *Graph) where(keep func(*Node) bool) []string {
 	var out []string
 	for _, name := range g.Order {
-		if g.Nodes[name].Def.Publish != "" {
+		if keep(g.Nodes[name]) {
 			out = append(out, name)
 		}
 	}

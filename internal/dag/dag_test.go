@@ -566,3 +566,38 @@ T:
 		t.Errorf("order %v misses nodes", g.Order)
 	}
 }
+
+// TestJoinAmbiguousProjectSource: a join project source that reads a
+// column of both sides — a_b_x is a.b_x and a_b.x — is a bind error
+// naming both readings, not the right side's column.
+func TestJoinAmbiguousProjectSource(t *testing.T) {
+	f, err := flowfile.Parse("t", `
+D:
+  a: [k, b_x]
+  a_b: [k, x]
+
+F:
+  +D.o: (D.a, D.a_b) | T.j
+
+T:
+  j:
+    type: join
+    left: a by k
+    right: a_b by k
+    project:
+      a_k: key
+      a_b_x: picked
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, problems := Resolve(f, task.NewRegistry(), nil)
+	if len(problems) != 1 || problems[0].Kind != ProblemBind || problems[0].Entity != "T.j" {
+		t.Fatalf("problems = %v, want one bind problem on T.j", problems)
+	}
+	for _, want := range []string{`"a_b_x" is ambiguous`, `D.a column "b_x"`, `D.a_b column "x"`} {
+		if !strings.Contains(problems[0].Error(), want) {
+			t.Errorf("problem %q does not say %s", problems[0], want)
+		}
+	}
+}

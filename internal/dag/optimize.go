@@ -46,13 +46,7 @@ func (g *Graph) DeadSinks() []string {
 			}
 		}
 	}
-	var out []string
-	for _, name := range g.Order {
-		if dead[name] {
-			out = append(out, name)
-		}
-	}
-	return out
+	return g.where(func(n *Node) bool { return dead[n.Name] })
 }
 
 // DeadSources returns the source data objects nothing consumes: not an
@@ -60,17 +54,9 @@ func (g *Graph) DeadSinks() []string {
 // of DeadSinks — a declared ingest that no pipeline ever reads is almost
 // always a leftover from editing, so the linter flags it.
 func (g *Graph) DeadSources() []string {
-	var out []string
-	for _, name := range g.Order {
-		n := g.Nodes[name]
-		if !n.IsSource() || n.Def.Endpoint || n.Def.Publish != "" {
-			continue
-		}
-		if len(n.Consumers) == 0 {
-			out = append(out, name)
-		}
-	}
-	return out
+	return g.where(func(n *Node) bool {
+		return n.IsSource() && !n.Def.Endpoint && n.Def.Publish == "" && len(n.Consumers) == 0
+	})
 }
 
 // BlockedFilter describes an expression filter that HoistFilters could

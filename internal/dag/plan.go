@@ -185,11 +185,9 @@ func (np *NodePlan) Summary() string {
 	if np == nil {
 		return ""
 	}
-	seen := map[string]bool{}
 	var rules []string
 	for _, d := range np.Decisions {
-		if !seen[d.Rule] {
-			seen[d.Rule] = true
+		if !slices.Contains(rules, d.Rule) {
 			rules = append(rules, d.Rule)
 		}
 	}
@@ -283,15 +281,7 @@ func isExprFilter(sp task.Spec) bool {
 	return ok && f.Expr != nil && f.SourceWidget == ""
 }
 
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
+func clamp01(v float64) float64 { return min(max(v, 0), 1) }
 
 // estimate resolves a filter stage's selectivity with its evidence
 // chain: observed history, then static facts, then the 0.5 heuristic.
@@ -473,19 +463,12 @@ func sourcePushdown(g *Graph, n *Node, plans map[string]*NodePlan, skip map[stri
 
 // uniqueConsumer returns the single non-widget consumer name, or "".
 func uniqueConsumer(n *Node) string {
-	seen := map[string]bool{}
 	name := ""
 	for _, c := range n.Consumers {
-		if strings.HasPrefix(c, "widget:") {
+		if strings.HasPrefix(c, "widget:") || (name != "" && c != name) {
 			return ""
 		}
-		if !seen[c] {
-			seen[c] = true
-			name = c
-		}
-	}
-	if len(seen) != 1 {
-		return ""
+		name = c
 	}
 	return name
 }

@@ -110,11 +110,10 @@ func goStrings(t *testing.T, path string) []string {
 	return out
 }
 
-// signatureFlows are the flow files the oracle test compares on, by the
-// file that spells them: the examples' dashboards and every flow literal
-// of the engine's differential suite that builds, plus parallel
-// composites (which neither spells).
-func signatureFlows(t *testing.T) map[string][]*Graph {
+// flowTexts are the flow files the examples and the engine's differential
+// suite spell, by the file that spells them, plus parallel composites
+// (which neither spells), with the registry that resolves them.
+func flowTexts(t *testing.T) (map[string][]string, *task.Registry) {
 	t.Helper()
 	reg := task.NewRegistry()
 	err := reg.RegisterFunc("predict_resolution", func(cfg *flowfile.Node) (*task.FuncSpec, error) {
@@ -165,6 +164,17 @@ T:
     transform: body
 `
 	texts["parallel"] = []string{par, strings.Replace(par, "operator: lower", "operator: upper", 1)}
+	return texts, reg
+}
+
+// signatureFlows are the flow files the signature oracle test compares
+// on, by the file that spells them: every one of flowTexts that builds.
+func signatureFlows(t *testing.T) map[string][]*Graph {
+	t.Helper()
+	texts, reg := flowTexts(t)
+	examples, _ := filepath.Glob(filepath.Join("..", "..", "examples", "*", "main.go"))
+	suite, _ := filepath.Glob(filepath.Join("..", "engine", "enginetest", "*_test.go"))
+	quickstart := filepath.Join("..", "..", "examples", "quickstart", "dashboard.flow")
 	graphs := map[string][]*Graph{}
 	for p, list := range texts {
 		for _, text := range list {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"shareinsights/internal/analyze"
+	"shareinsights/internal/connector"
 	"shareinsights/internal/dag"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/widget"
@@ -130,4 +131,54 @@ func FuzzLintAgreesWithCompile(f *testing.F) {
 		}
 		lintAgrees(t, p, parsed)
 	})
+}
+
+// TestJoinAmbiguousProjectSource: a join project source that reads a
+// column of both sides (a_b_x: a.b_x and a_b.x) does not compile — it
+// used to run, silently reading the right side — and lint reports it as
+// the FL003 error the compile refuses it with.
+func TestJoinAmbiguousProjectSource(t *testing.T) {
+	p := NewPlatform()
+	p.Connectors = connector.NewRegistry(connector.Options{Mem: map[string][]byte{
+		"a.csv":   []byte("1,LEFT\n"),
+		"a_b.csv": []byte("1,RIGHT\n"),
+	}})
+	f, err := flowfile.Parse("ambiguous", `
+D:
+  a: [k, b_x]
+  a_b: [k, x]
+
+D.a:
+  source: mem:a.csv
+  format: csv
+
+D.a_b:
+  source: mem:a_b.csv
+  format: csv
+
+F:
+  +D.o: (D.a, D.a_b) | T.j
+
+T:
+  j:
+    type: join
+    left: a by k
+    right: a_b by k
+    project:
+      a_k: key
+      a_b_x: picked
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := lintAgrees(t, p, f)
+	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Fatalf("compile error = %v, want the ambiguous project source", err)
+	}
+	for _, fd := range report.Findings {
+		if fd.Rule == "FL003" && fd.Severity == analyze.Error && fd.Entity == "T.j" && strings.Contains(fd.Message, `D.a column "b_x"`) {
+			return
+		}
+	}
+	t.Fatalf("no FL003 error on T.j naming both readings: %v", report.Findings)
 }

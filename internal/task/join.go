@@ -145,22 +145,36 @@ func (s *JoinSpec) sides(in []Input) (left, right Input, swapped bool, err error
 	}
 }
 
-// qualify builds the map from qualified column names to (side, index):
-// side 0 = left, 1 = right.
+// qualCol is one output column's source: side 0 = left, 1 = right, and
+// the column's index in that side's schema.
 type qualCol struct {
 	side int
 	idx  int
 }
 
-func (s *JoinSpec) qualified(left, right Input) map[string]qualCol {
-	q := map[string]qualCol{}
-	for i, c := range left.Schema.Columns() {
-		q[s.LeftName+"_"+c.Name] = qualCol{side: 0, idx: i}
+// source binds a project source, <object>_<column>, to the side whose
+// name and an underscore prefix it and whose schema has the rest. One
+// that reads a column of both sides (left a: [b_x], right a_b: [x],
+// source a_b_x) is ambiguous: an error naming both readings.
+func (s *JoinSpec) source(q string, left, right *schema.Schema) (qualCol, error) {
+	var slot qualCol
+	found := 0
+	for side, sc := range [2]*schema.Schema{left, right} {
+		col, ok := strings.CutPrefix(q, [2]string{s.LeftName, s.RightName}[side]+"_")
+		i := sc.Index(col)
+		if !ok || i < 0 {
+			continue
+		}
+		if found++; found == 2 {
+			return qualCol{}, fmt.Errorf("join: project source %q is ambiguous: it reads both D.%s column %q and D.%s column %q",
+				q, s.LeftName, left.Col(slot.idx).Name, s.RightName, col)
+		}
+		slot = qualCol{side: side, idx: i}
 	}
-	for i, c := range right.Schema.Columns() {
-		q[s.RightName+"_"+c.Name] = qualCol{side: 1, idx: i}
+	if found == 0 {
+		return qualCol{}, fmt.Errorf("join: project source %q not found (inputs %s, %s)", q, s.LeftName, s.RightName)
 	}
-	return q
+	return slot, nil
 }
 
 // outPlan computes the output schema and the per-column source slots.
@@ -171,14 +185,16 @@ func (s *JoinSpec) outPlan(left, right Input) (*schema.Schema, []qualCol, error)
 	if _, err := right.Schema.Require(s.RightKeys...); err != nil {
 		return nil, nil, fmt.Errorf("join right: %w", err)
 	}
-	q := s.qualified(left, right)
-	var cols []schema.Column
-	var slots []qualCol
+	n := len(s.Project)
+	if n == 0 {
+		n = left.Schema.Len() + right.Schema.Len()
+	}
+	cols, slots := make([]schema.Column, 0, n), make([]qualCol, 0, n)
 	if len(s.Project) > 0 {
 		for _, p := range s.Project {
-			qc, ok := q[p.Qualified]
-			if !ok {
-				return nil, nil, fmt.Errorf("join: project source %q not found (inputs %s, %s)", p.Qualified, s.LeftName, s.RightName)
+			qc, err := s.source(p.Qualified, left.Schema, right.Schema)
+			if err != nil {
+				return nil, nil, err
 			}
 			cols = append(cols, schema.Column{Name: p.Out})
 			slots = append(slots, qc)

@@ -290,9 +290,9 @@ func (r *Registry) RegisterFunc(name string, build func(cfg *flowfile.Node) (*Fu
 	})
 }
 
-// describeSpec renders a short human-readable summary used by error
-// messages and the data explorer's plan view.
-func describeSpec(s Spec) string {
+// Describe renders a short human-readable summary of a spec, used by
+// error messages and the data explorer's plan view.
+func Describe(s Spec) string {
 	switch t := s.(type) {
 	case *FilterSpec:
 		if t.Expression != "" {
@@ -313,6 +313,3 @@ func describeSpec(s Spec) string {
 		return s.Type()
 	}
 }
-
-// Describe renders a short human-readable summary of a spec.
-func Describe(s Spec) string { return describeSpec(s) }
