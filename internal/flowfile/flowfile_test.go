@@ -429,6 +429,23 @@ func TestParseTabOnBracketContinuation(t *testing.T) {
 	}
 }
 
+// TestDataErrorsNameObjectAndLine: an error in a data object's schema
+// list or detail block names the object and exactly one line, the
+// innermost — outside the D section too, where it used to name neither,
+// and inside it, where a detail block's error used to name two.
+func TestDataErrorsNameObjectAndLine(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"D.a:\n  schema: [x, x]\n", `line 2: data "a": schema: duplicate column "x"`},
+		{"D.a: [x, \" => y\"]\n", `line 1: data "a": mapping " => y" has no path`},
+		{"D:\n  a:\n    schema: foo\n", `line 3: data "a": schema must be a list`},
+		{"F:\n  +D.a:\n    http_headers:\n      x: [1]\n", `line 4: data "a": property http_headers.x must be scalar`},
+	} {
+		if _, err := Parse("data", c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
 // TestParseRejectsEmptyNames: an `=>` mapping needs a path and a data
 // object a name; each of these used to parse to a file whose canonical
 // text does not re-parse.

@@ -21,7 +21,10 @@ import (
 //   - oracleScan expands tabs on a bracket continuation line as on every
 //     other physical line;
 //   - an `=>` schema mapping with an empty path, and a data object whose
-//     name is empty (`D.:`, `+D.:`), are errors.
+//     name is empty (`D.:`, `+D.:`), are errors;
+//   - every error in a data object's schema list or detail block, in the
+//     D section or outside it, names the object and exactly one line, the
+//     innermost.
 
 func oracleNewMap(line int) *Node { return &Node{Kind: MapNode, Line: line} }
 
@@ -350,12 +353,12 @@ func (f *File) oracleDecodeDataSection(n *Node) error {
 		case ListNode:
 			s, err := oracleDecodeSchema(entry)
 			if err != nil {
-				return fmt.Errorf("line %d: data %q: %w", entry.Line, name, err)
+				return fmt.Errorf("line %d: data %q: %w", entry.Line, d.Name, err)
 			}
 			d.Schema = s
 		case MapNode:
-			if err := oracleDecodeDataDetails(d, entry); err != nil {
-				return fmt.Errorf("line %d: data %q: %w", entry.Line, name, err)
+			if line, err := oracleDecodeDataDetails(d, entry); err != nil {
+				return fmt.Errorf("line %d: data %q: %w", line, d.Name, err)
 			}
 		case ScalarNode:
 			// "D.out: D.in | T.x" written inside the D section is a flow.
@@ -365,7 +368,7 @@ func (f *File) oracleDecodeDataSection(n *Node) error {
 				}
 				continue
 			}
-			return fmt.Errorf("line %d: data %q: expected schema list or detail block", entry.Line, name)
+			return fmt.Errorf("line %d: data %q: expected schema list or detail block", entry.Line, d.Name)
 		}
 	}
 	return nil
@@ -393,7 +396,7 @@ func oracleDecodeSchema(n *Node) (*schema.Schema, error) {
 	return schema.New(cols...)
 }
 
-func oracleDecodeDataDetails(d *DataDef, n *Node) error {
+func oracleDecodeDataDetails(d *DataDef, n *Node) (int, error) {
 	for _, en := range n.Entries {
 		key, v := en.Key, en.Value
 		switch key {
@@ -403,11 +406,11 @@ func oracleDecodeDataDetails(d *DataDef, n *Node) error {
 			d.Publish = v.Scalar
 		case "schema":
 			if v.Kind != ListNode {
-				return fmt.Errorf("line %d: schema must be a list", v.Line)
+				return v.Line, fmt.Errorf("schema must be a list")
 			}
 			s, err := oracleDecodeSchema(v)
 			if err != nil {
-				return err
+				return v.Line, err
 			}
 			d.Schema = s
 		default:
@@ -420,7 +423,7 @@ func oracleDecodeDataDetails(d *DataDef, n *Node) error {
 				for _, se := range v.Entries {
 					sub, sv := se.Key, se.Value
 					if sv.Kind != ScalarNode {
-						return fmt.Errorf("line %d: property %s.%s must be scalar", sv.Line, key, sub)
+						return sv.Line, fmt.Errorf("property %s.%s must be scalar", key, sub)
 					}
 					d.SetProp(key+"."+sub, sv.Scalar)
 				}
@@ -433,7 +436,7 @@ func oracleDecodeDataDetails(d *DataDef, n *Node) error {
 			}
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 func (f *File) oracleDecodeTopLevelData(key string, n *Node) error {
@@ -447,14 +450,16 @@ func (f *File) oracleDecodeTopLevelData(key string, n *Node) error {
 	}
 	switch n.Kind {
 	case MapNode:
-		return oracleDecodeDataDetails(d, n)
+		if line, err := oracleDecodeDataDetails(d, n); err != nil {
+			return fmt.Errorf("line %d: data %q: %w", line, name, err)
+		}
 	case ScalarNode:
 		// "+D.name:" followed by a bare pipeline (Figure 9).
 		return f.oracleAddFlowEntry(key, n)
 	case ListNode:
 		s, err := oracleDecodeSchema(n)
 		if err != nil {
-			return err
+			return fmt.Errorf("line %d: data %q: %w", n.Line, name, err)
 		}
 		d.Schema = s
 	}

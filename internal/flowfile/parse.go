@@ -125,7 +125,8 @@ func (p *flowParser) decodeEntries(n *Node, inD bool) error {
 
 // decodeData decodes the data object key, an entry of the D section when
 // inD and else a D.name or +D.name block, from its schema list, its
-// detail block or (a scalar) the flow that produces it.
+// detail block or (a scalar) the flow that produces it; an error names it
+// and the innermost line it has.
 func (p *flowParser) decodeData(key string, n *Node, inD bool) (err error) {
 	name := strings.TrimPrefix(key, "D.")
 	if !inD {
@@ -136,11 +137,12 @@ func (p *flowParser) decodeData(key string, n *Node, inD bool) (err error) {
 	}
 	d := p.ensureData(name, n.Line)
 	d.Endpoint = d.Endpoint || !inD && strings.HasPrefix(key, "+")
+	line := n.Line
 	switch n.Kind {
 	case ListNode:
 		d.Schema, err = decodeSchema(n)
 	case MapNode:
-		err = decodeDataDetails(d, n)
+		line, err = decodeDataDetails(d, n)
 	case ScalarNode:
 		// "+D.name:" followed by a bare pipeline (Figure 9), or
 		// "D.out: D.in | T.x" written inside the D section.
@@ -149,10 +151,10 @@ func (p *flowParser) decodeData(key string, n *Node, inD bool) (err error) {
 		}
 		err = fmt.Errorf("expected schema list or detail block")
 	}
-	if err != nil && inD {
-		return fmt.Errorf("line %d: data %q: %w", n.Line, key, err)
+	if err != nil {
+		return fmt.Errorf("line %d: data %q: %w", line, name, err)
 	}
-	return err
+	return nil
 }
 
 func decodeSchema(n *Node) (*schema.Schema, error) {
@@ -173,7 +175,8 @@ func decodeSchema(n *Node) (*schema.Schema, error) {
 	return schema.New(cols...)
 }
 
-func decodeDataDetails(d *DataDef, n *Node) error {
+// decodeDataDetails decodes a detail block; an error comes with its line.
+func decodeDataDetails(d *DataDef, n *Node) (line int, err error) {
 	for _, en := range n.Entries {
 		key, v := en.Key, en.Value
 		switch key {
@@ -183,11 +186,10 @@ func decodeDataDetails(d *DataDef, n *Node) error {
 			d.Publish = v.Scalar
 		case "schema":
 			if v.Kind != ListNode {
-				return fmt.Errorf("line %d: schema must be a list", v.Line)
+				return v.Line, fmt.Errorf("schema must be a list")
 			}
-			var err error
 			if d.Schema, err = decodeSchema(v); err != nil {
-				return err
+				return v.Line, err
 			}
 		default:
 			switch v.Kind {
@@ -199,7 +201,7 @@ func decodeDataDetails(d *DataDef, n *Node) error {
 				for _, se := range v.Entries {
 					sub, sv := se.Key, se.Value
 					if sv.Kind != ScalarNode {
-						return fmt.Errorf("line %d: property %s.%s must be scalar", sv.Line, key, sub)
+						return sv.Line, fmt.Errorf("property %s.%s must be scalar", key, sub)
 					}
 					d.SetProp(key+"."+sub, sv.Scalar)
 				}
@@ -212,7 +214,7 @@ func decodeDataDetails(d *DataDef, n *Node) error {
 			}
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // reserve sizes the slabs a section's flows or widget sources are carved

@@ -277,8 +277,9 @@ func (c *composer) through(sel, idx []int32) []int32 {
 	return out
 }
 
-// same reports whether two index vectors are one slice.
-func same(a, b []int32) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+// same reports whether two slices are one: two index vectors, or two
+// dictionaries.
+func same[T any](a, b []T) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
 
 // compose returns sel at idx, -1 wherever idx is -1.
 func compose(sel, idx []int32) []int32 {

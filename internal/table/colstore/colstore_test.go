@@ -31,11 +31,10 @@ func TestBitmapInvariants(t *testing.T) {
 		const n = 137 // crosses a word boundary twice
 		b := NewBitmap(n)
 		ref := map[int]bool{}
-		keep := make([]bool, n)
 		for _, op := range ops {
 			i := int(op) % n
 			b.Set(i)
-			ref[i], keep[i] = true, true
+			ref[i] = true
 			if !b.Get(i) || b.Empty() {
 				return false
 			}
@@ -44,7 +43,7 @@ func TestBitmapInvariants(t *testing.T) {
 		if b.Empty() != (len(ref) == 0) || v.hasNulls() != (len(ref) > 0) {
 			return false
 		}
-		idx := kept(&Vec{kind: value.Bool, bools: keep, length: n})
+		idx := kept(b, n)
 		if idx == nil {
 			idx = identity(n) // kept's "every row passes"
 		}
@@ -240,11 +239,11 @@ func TestSelectComposition(t *testing.T) {
 		if !twice.Equal(b.selectRows(composed).ToTable()) || !twice.Equal(b.gatherRows(composed).ToTable()) {
 			return false
 		}
-		keep := make([]bool, b.Len())
+		keep := NewBitmap(b.Len())
 		for _, i := range idx1 {
-			keep[i] = true
+			keep.Set(int(i))
 		}
-		sel := kept(&Vec{kind: value.Bool, bools: keep, length: b.Len()})
+		sel := kept(keep, b.Len())
 		if sel == nil {
 			sel = identity(b.Len())
 		}
@@ -315,7 +314,7 @@ func TestVecExprMatchesRowExpr(t *testing.T) {
 				if err != nil {
 					t.Fatalf("vec compile %q: %v", src, err)
 				}
-				out := vecEv(b)
+				out := vecEv(b, nil)
 				if out.Len() != tb.Len() {
 					return false
 				}

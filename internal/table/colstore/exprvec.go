@@ -10,24 +10,27 @@ import (
 	"shareinsights/internal/value"
 )
 
-// VecEval evaluates a compiled expression over a batch, producing one
-// vector of the batch's length. Like the row evaluator (expr.Eval) it
-// cannot fail at run time: all binding errors surface at compile time.
-type VecEval func(b *Batch) *Vec
+// VecEval evaluates a compiled expression over a batch into one vector of
+// the batch's length or, given keep (a clear bitmap as long), into the
+// bits of the rows whose value is truthy, returning nil. Like the row
+// evaluator (expr.Eval) it cannot fail: binding errors surface at compile.
+type VecEval func(b *Batch, keep *Bitmap) *Vec
 
-// morselRows is how many rows an operator evaluates at a time, so that
-// every temporary is one morsel long whatever the batch. A multiple of 64,
-// so that a dense column's window starts on a word of its null mask.
+// morselRows is how many rows an operator or a kernel handles at a time,
+// so that every temporary is one morsel long whatever the batch. A
+// multiple of 64, so that a window starts on a word of a null mask or of
+// a filter's bitmap.
 //
-// The size is measured (BenchmarkMorselSize: batch_join's weight, three
-// multiplies and three adds over 60,000 int rows; fastest of fifteen runs
-// on one core of a 2-vCPU Xeon, and bytes per evaluation): 64 rows 1.50 ms
-// and 488 KB; 256 1.01 ms and 491 KB; 1,024 0.90 ms and 503 KB; 4,096
-// 0.87 ms and 553 KB; 16,384 0.90 ms and 749 KB; the whole batch 0.89 ms
-// and 970 KB. Below a few hundred rows the per-morsel work (every leaf's
-// window slid, every operator's loop set up) shows; above a few thousand
-// the two temporaries' bytes grow back toward the whole batch's second
-// vector. 1,024 is inside the flat part on both counts.
+// BenchmarkMorselSize measures it (fastest of twenty runs on one core of a
+// 2-vCPU Xeon; at 64, 256, 1,024, 4,096 and 16,384 rows and the whole
+// batch). batch_join's weight, three multiplies and three adds over 60,000
+// int rows: 1.23, 0.87, 0.80, 0.74, 0.77, 0.78 ms; 488, 491, 504, 553, 749,
+// 970 KB. A group-by of 60,000 rows into 500 groups: 0.39, 0.39, 0.38,
+// 0.36, 0.39, 0.42 ms; 71, 72, 75, 87, 136, 316 KB. A join of 60,000 rows
+// with 500: 0.52, 0.54, 0.54, 0.53, 0.57, 0.61 ms; 556, 557, 560, 573, 622,
+// 802 KB. Below a few hundred rows the expression's per-morsel work shows;
+// above a few thousand every temporary's bytes grow back toward the whole
+// batch's. 1,024 is inside the flat part of all three on both counts.
 const morselRows = 1024
 
 // eval is a compiled expression node: it evaluates t's current morsel.
@@ -63,6 +66,7 @@ type temps struct {
 	out       *Vec
 	res       Vec
 	sink      bool
+	keep      *Bitmap // the bits the root sets instead, when not nil
 }
 
 // release hands x to later operators when the evaluation owns it.
@@ -79,7 +83,7 @@ func (t *temps) release(x *Vec, owned bool) {
 // reused vector's payload is stale and its null mask gone: the caller
 // writes every element, the zero value in one it marks null.
 func (t *temps) vec(k value.Kind, n int) *Vec {
-	if t.sink && n < t.n {
+	if t.sink && t.keep == nil && n < t.n {
 		if t.out == nil {
 			t.out = newVec(k, t.n)
 		}
@@ -149,7 +153,9 @@ func (w *window) slide(lo, hi int) *Vec {
 // one full-length result. When it cannot (a scalar loop's compressed
 // values, a kind other than the first morsel's), the evaluation starts
 // over with the whole batch as one morsel, so the result is always the
-// whole batch's, cell for cell and kind for kind.
+// whole batch's, cell for cell and kind for kind. Asked for bits, the
+// root's result is a temporary read into them; truthiness does not depend
+// on a morsel's kind, so that evaluation never starts over.
 func CompileVec(n expr.Node, s *schema.Schema) (VecEval, error) {
 	return compileMorsels(n, s, morselRows)
 }
@@ -162,13 +168,13 @@ func compileMorsels(n expr.Node, s *schema.Schema, size int) (VecEval, error) {
 		return nil, err
 	}
 	leaves := specs // never reassigned: the evaluator captures it by value
-	return func(b *Batch) *Vec {
-		if !owned { // a column or a literal is its own result
+	return func(b *Batch, keep *Bitmap) *Vec {
+		if !owned && keep == nil { // a column or a literal is its own result
 			return leaves[0].vec(b, b.length)
 		}
 	pass: // a second pass evaluates the whole batch as one morsel
 		for size := size; ; size = b.length {
-			t := &temps{n: b.length, leaves: make([]window, len(leaves))}
+			t := &temps{n: b.length, keep: keep, leaves: make([]window, len(leaves))}
 			t.free = t.buf[:0]
 			for i, l := range leaves {
 				w := &t.leaves[i]
@@ -180,6 +186,24 @@ func compileMorsels(n expr.Node, s *schema.Schema, size int) (VecEval, error) {
 				r := ev(t)
 				t.sink = false
 				switch {
+				case keep != nil: // lo is a multiple of 64, as morsel sizes are
+					bools := r.bools // a dense bool vector's payload, else nil
+					if r.kind != value.Bool || r.sel != nil || r.constant {
+						bools = nil
+					}
+					for i := 0; i < r.length; i += 64 {
+						var word uint64
+						for j := range min(64, r.length-i) {
+							if bools != nil && bools[i+j] || bools == nil && r.truthy(i+j) {
+								word |= 1 << j
+							}
+						}
+						keep.words[(t.lo+i)/64] = word
+					}
+					if t.hi == t.n {
+						return nil
+					}
+					t.release(r, owned)
 				case t.hi-t.lo == t.n:
 					return r
 				case r != &t.res:
@@ -498,61 +522,39 @@ func vecArith(op string, a, b *Vec, t *temps) *Vec {
 	return compress(vals)
 }
 
-// truthy returns Truthy element-wise: a dense bool vector's own payload
-// (null slots hold false), which the caller must not write, or a new
-// slice. Null payload slots store zero values, which are exactly the
-// falsy ones, so typed loops need no null checks.
-func truthy(v *Vec) []bool {
-	if v.kind == value.Bool && v.sel == nil && !v.constant {
-		return v.bools
-	}
-	n := v.length
-	out := make([]bool, n)
-	switch v.kind {
-	case value.Null:
-		// all false
+// truthy reports whether element i is Truthy. Null payload slots store
+// zero values, which are exactly the falsy ones, so it checks no nulls.
+func (v *Vec) truthy(i int) bool {
+	switch s := v.slot(i); v.kind {
 	case value.Bool:
-		for i := 0; i < n; i++ {
-			out[i] = v.bools[v.slot(i)]
-		}
+		return v.bools[s]
 	case value.Int:
-		for i := 0; i < n; i++ {
-			out[i] = v.ints[v.slot(i)] != 0
-		}
+		return v.ints[s] != 0
 	case value.Float:
-		for i := 0; i < n; i++ {
-			out[i] = v.floats[v.slot(i)] != 0
-		}
+		return v.floats[s] != 0
 	case value.String:
-		for i := 0; i < n; i++ {
-			out[i] = v.str(v.slot(i)) != ""
-		}
-	default:
-		for i := 0; i < n; i++ {
-			out[i] = v.At(i).Truthy()
-		}
+		return v.str(s) != ""
 	}
-	return out
+	return v.At(i).Truthy()
 }
 
 // vecLogic (and, or) and vecNot read their operands' truthiness before
 // they write element i, so their result may overwrite a bool operand.
 func vecLogic(or bool) func(a, b *Vec, t *temps) *Vec {
 	return func(a, b *Vec, t *temps) *Vec {
-		x, y := truthy(a), truthy(b)
 		out := t.vec(value.Bool, a.length)
 		for i := range out.bools {
-			out.bools[i] = x[i] && y[i] || or && (x[i] || y[i])
+			x, y := a.truthy(i), b.truthy(i)
+			out.bools[i] = x && y || or && (x || y)
 		}
 		return out
 	}
 }
 
 func vecNot(a *Vec, t *temps) *Vec {
-	x := truthy(a)
 	out := t.vec(value.Bool, a.length)
 	for i := range out.bools {
-		out.bools[i] = !x[i]
+		out.bools[i] = !a.truthy(i)
 	}
 	return out
 }

@@ -25,6 +25,10 @@ type keyIndex struct {
 	strs map[string]int32 // string payloads, or encoded tuples
 	ints map[int64]int32
 	buf  []byte
+	// byCode is the ids of dict's codes (-2: not looked up yet), built
+	// once for a coded key column however many ranges it assigns.
+	dict   []string
+	byCode []int32
 }
 
 // keyVecs returns the batch's key column vectors.
@@ -57,34 +61,40 @@ func newKeyIndex(sides ...[]*Vec) *keyIndex {
 	return x
 }
 
-// assign writes the id of every row's key into ids, reading selected
-// key columns through their indices. With insert set an unseen key takes
-// the next id; without it an unseen key reads -1.
-func (x *keyIndex) assign(b *Batch, keys []int, ids []int32, insert bool) {
-	v := b.cols[keys[0]]
+// assign writes into ids the ids of the keys of the rows from lo on, as
+// many as fit, and returns the part it wrote; it reads selected key
+// columns through their indices. With insert set an unseen key takes the
+// next id; without it an unseen key reads -1, and so it does for the rest
+// of the index's life: an index that has assigned without insert never
+// inserts again.
+func (x *keyIndex) assign(b *Batch, keys []int, lo int, ids []int32, insert bool) []int32 {
+	ids, v := ids[:min(len(ids), b.length-lo)], b.cols[keys[0]]
 	switch x.kind {
 	case value.Int:
 		for i := range ids {
-			ids[i] = keyID(x.ints, v.ints[v.slot(i)], insert)
+			ids[i] = keyID(x.ints, v.ints[v.slot(lo+i)], insert)
 		}
 	case value.String:
 		if v.dict == nil {
 			for i := range ids {
-				ids[i] = keyID(x.strs, v.strs[v.slot(i)], insert)
+				ids[i] = keyID(x.strs, v.strs[v.slot(lo+i)], insert)
 			}
-			return
+			return ids
 		}
 		const unresolved = -2
-		byCode := make([]int32, len(v.dict))
-		for c := range byCode {
-			byCode[c] = unresolved
-		}
-		for i := range ids {
-			c := v.codes[v.slot(i)]
-			if byCode[c] == unresolved {
-				byCode[c] = keyID(x.strs, v.dict[c], insert)
+		if !same(x.dict, v.dict) {
+			x.dict, x.byCode = v.dict, make([]int32, len(v.dict))
+			for c := range x.byCode {
+				x.byCode[c] = unresolved
 			}
-			ids[i] = byCode[c]
+		}
+		for i, byCode := range ids {
+			c := v.codes[v.slot(lo+i)]
+			if byCode = x.byCode[c]; byCode == unresolved {
+				byCode = keyID(x.strs, v.dict[c], insert)
+				x.byCode[c] = byCode
+			}
+			ids[i] = byCode
 		}
 	default:
 		for i := range ids {
@@ -93,7 +103,7 @@ func (x *keyIndex) assign(b *Batch, keys []int, ids []int32, insert bool) {
 				if ki > 0 {
 					x.buf = append(x.buf, 0)
 				}
-				x.buf = appendGroupKey(x.buf, b.cols[c], i)
+				x.buf = appendGroupKey(x.buf, b.cols[c], lo+i)
 			}
 			// Indexing with string(buf) in place does not allocate, which
 			// passing it to keyID would; only an insert copies the key.
@@ -108,6 +118,7 @@ func (x *keyIndex) assign(b *Batch, keys []int, ids []int32, insert bool) {
 			ids[i] = id
 		}
 	}
+	return ids
 }
 
 // keyID returns k's id in m: the next dense id for an unseen key when
@@ -158,12 +169,14 @@ type Join struct {
 }
 
 // Run joins the two batches; every key kind has the encoded path.
-func (k *Join) Run(left, right *Batch) (*Batch, error) {
+func (k *Join) Run(left, right *Batch) (*Batch, error) { return k.run(left, right, morselRows) }
+
+// run is Run probing size left rows at a time: the probe side's ids are
+// one morsel long, assigned once to size the output exactly and once to
+// emit it.
+func (k *Join) run(left, right *Batch, size int) (*Batch, error) {
 	x := newKeyIndex(keyVecs(left, k.LeftKeys), keyVecs(right, k.RightKeys))
-	rids := make([]int32, right.length)
-	x.assign(right, k.RightKeys, rids, true)
-	lids := make([]int32, left.length)
-	x.assign(left, k.LeftKeys, lids, false)
+	rids := x.assign(right, k.RightKeys, 0, make([]int32, right.length), true)
 
 	// Chain the right rows of each key in row order: head[id] is the
 	// first, next[row] the following one, -1 ends the chain. Linking in
@@ -186,13 +199,16 @@ func (k *Join) Run(left, right *Batch) (*Batch, error) {
 	// whatever the row count. probed marks the keys some left row hit.
 	probed := make([]bool, nk)
 	total := 0
-	for _, id := range lids {
-		switch {
-		case id >= 0:
-			probed[id] = true
-			total += int(count[id])
-		case k.KeepLeft:
-			total++
+	ids := make([]int32, min(left.length, size))
+	for lo := 0; lo < left.length; lo += len(ids) {
+		for _, id := range x.assign(left, k.LeftKeys, lo, ids, false) {
+			switch {
+			case id >= 0:
+				probed[id] = true
+				total += int(count[id])
+			case k.KeepLeft:
+				total++
+			}
 		}
 	}
 	if k.KeepRight {
@@ -202,19 +218,21 @@ func (k *Join) Run(left, right *Batch) (*Batch, error) {
 			}
 		}
 	}
-	lidx := make([]int32, 0, total)
-	ridx := make([]int32, 0, total)
-	for l, id := range lids {
-		if id < 0 {
-			if k.KeepLeft {
-				lidx = append(lidx, int32(l))
-				ridx = append(ridx, -1)
+	lidx, ridx := make([]int32, 0, total), make([]int32, 0, total)
+	for lo := 0; lo < left.length; lo += len(ids) {
+		for j, id := range x.assign(left, k.LeftKeys, lo, ids, false) {
+			l := int32(lo + j)
+			if id < 0 {
+				if k.KeepLeft {
+					lidx = append(lidx, l)
+					ridx = append(ridx, -1)
+				}
+				continue
 			}
-			continue
-		}
-		for r := head[id]; r >= 0; r = next[r] {
-			lidx = append(lidx, int32(l))
-			ridx = append(ridx, r)
+			for r := head[id]; r >= 0; r = next[r] {
+				lidx = append(lidx, l)
+				ridx = append(ridx, r)
+			}
 		}
 	}
 	if k.KeepRight {

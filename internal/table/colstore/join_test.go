@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -226,19 +227,72 @@ func innerJoinKX() *Join {
 }
 
 // TestJoinAllocs: the join allocates index vectors, chains and output
-// vectors — a number of objects that does not depend on the row count.
+// vectors — a number of objects that does not depend on the row count —
+// and of the probe side's rows nothing but the output's index pair and
+// one morsel of key ids: its bytes are the pair (each rounded up to the
+// allocator's 8 KiB pages), the build side at 128 bytes a key (ids,
+// chains, heads, counts, the code table and the map) and a morsel,
+// within 4 KiB.
 func TestJoinAllocs(t *testing.T) {
-	const bound = 30
-	for _, n := range []int{1000, 10000} {
-		left, right := joinInputs(n, 100)
+	const bound, keys = 30, 100
+	for _, n := range []int{1000, 10000, 60000} {
+		left, right := joinInputs(n, keys)
 		k := innerJoinKX()
 		if got := testing.AllocsPerRun(5, func() {
 			if out, err := k.Run(left, right); err != nil || out.Len() != n {
 				t.Fatalf("join: %v rows, err %v", out.Len(), err)
 			}
 		}); got > bound {
-			t.Errorf("inner join %d x 100 allocates %.0f objects, want at most %d at any row count", n, got, bound)
+			t.Errorf("inner join %d x %d allocates %.0f objects, want at most %d at any row count", n, keys, got, bound)
 		}
+		least := uint64(math.MaxUint64)
+		for run := 0; run < 5; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			k.Run(left, right)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if want := 2*((4*n+8191)&^8191) + 128*keys + 4*min(n, morselRows) + 4<<10; least > uint64(want) {
+			t.Errorf("inner join %d x %d allocates %d bytes, want at most %d", n, keys, least, want)
+		}
+	}
+}
+
+// TestGroupByAllocs: the group-by allocates a number of objects that does
+// not depend on the row count, and of its rows nothing but one morsel of
+// group ids: at 60,000 rows its bytes are its output (the groups' key
+// codes, sums and counts, unordered and ordered, the sort permutation and
+// each group's first row), its key index at 96 bytes a key and a morsel,
+// within 16 KiB.
+func TestGroupByAllocs(t *testing.T) {
+	const keys = 500
+	k := &GroupBy{Keys: []int{0}, Aggs: []Agg{{Op: "sum", Col: 1}, {Op: "count", Col: -1}},
+		Out: schema.MustFromNames("k", "total", "n"), SortKeys: []table.SortKey{{Column: "k"}}}
+	objects := map[int]float64{}
+	for _, n := range []int{1000, 60000} {
+		in, _ := joinInputs(n, keys)
+		objects[n] = testing.AllocsPerRun(5, func() {
+			if out, err := k.Run(in); err != nil || out.Len() != keys {
+				t.Fatalf("group-by: %v groups, err %v", out.Len(), err)
+			}
+		})
+	}
+	if objects[1000] != objects[60000] {
+		t.Errorf("the group-by allocates %.0f objects over 1,000 rows and %.0f over 60,000", objects[1000], objects[60000])
+	}
+	in, _ := joinInputs(60000, keys)
+	least := uint64(math.MaxUint64)
+	for run := 0; run < 5; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		k.Run(in)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	output := keys * (2*(4+8+8) + 4 + 4)
+	if want := output + 96*keys + 4*morselRows + 16<<10; least > uint64(want) {
+		t.Errorf("the group-by over 60,000 rows allocates %d bytes, want at most %d", least, want)
 	}
 }
 

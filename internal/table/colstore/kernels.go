@@ -3,6 +3,8 @@ package colstore
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,9 +23,9 @@ type Kernel interface {
 // filter
 
 // Filter keeps the rows whose predicate evaluates truthy: the predicate
-// runs per-column, and the kept rows become a selection — one index
-// vector, composed with each selection the input already held; no column
-// is copied.
+// runs per-column a morsel at a time into a bitmap of the rows it keeps,
+// and the kept rows become a selection — one index vector, composed with
+// each selection the input already held; no column is copied.
 type Filter struct {
 	// Pred is the compiled predicate (CompileVec of the
 	// filter_expression).
@@ -32,7 +34,9 @@ type Filter struct {
 
 // Run implements Kernel.
 func (k *Filter) Run(b *Batch) (*Batch, error) {
-	idx := kept(k.Pred(b))
+	keep := NewBitmap(b.length)
+	k.Pred(b, keep)
+	idx := kept(keep, b.length)
 	if idx == nil {
 		// Every row passes — a filter the decoder already applied, run
 		// again by the pipeline. Batches are immutable: share the input.
@@ -41,23 +45,20 @@ func (k *Filter) Run(b *Batch) (*Batch, error) {
 	return b.selectRows(idx), nil
 }
 
-// kept returns the positions of pred's truthy elements, ascending, or
-// nil when every element is truthy.
-func kept(pred *Vec) []int32 {
-	keep := truthy(pred)
-	n := 0
-	for _, t := range keep {
-		if t {
-			n++
-		}
+// kept returns the positions of keep's set bits, ascending, or nil when
+// all n are set.
+func kept(keep *Bitmap, n int) []int32 {
+	set := 0
+	for _, w := range keep.words {
+		set += bits.OnesCount64(w)
 	}
-	if n == len(keep) {
+	if set == n {
 		return nil
 	}
-	idx := make([]int32, 0, n)
-	for i, t := range keep {
-		if t {
-			idx = append(idx, int32(i))
+	idx := make([]int32, 0, set)
+	for i, w := range keep.words {
+		for ; w != 0; w &= w - 1 {
+			idx = append(idx, int32(i*64+bits.TrailingZeros64(w)))
 		}
 	}
 	return idx
@@ -80,7 +81,7 @@ type MapExpr struct {
 
 // Run implements Kernel.
 func (k *MapExpr) Run(b *Batch) (*Batch, error) {
-	return b.withColumn(k.Out, k.Slot, k.Eval(b).densify()), nil
+	return b.withColumn(k.Out, k.Slot, k.Eval(b, nil).densify()), nil
 }
 
 // ---------------------------------------------------------------------
@@ -286,11 +287,13 @@ type Agg struct {
 	New func() Accumulator
 }
 
-// GroupBy is the vectorized hash aggregation kernel: group ids are
-// assigned in one pass over the key columns, then each aggregate folds
-// its column per group — in a tight loop over preallocated per-group
-// slices where it has one, else with the aggregate's own accumulator —
-// reading selections through their indices. Grouping identity and output
+// GroupBy is the vectorized hash aggregation kernel. It walks the batch a
+// morsel at a time: the morsel's rows get their group ids from the key
+// columns (a new key takes the next id), and each aggregate folds the
+// morsel into per-group state that grows as groups appear — in a tight
+// typed loop where it has one, else with the aggregate's own accumulator
+// — reading selections through their indices. Nothing but the state and
+// the output is longer than a morsel. Grouping identity and output
 // ordering match the row hashGrouper exactly (kind-tagged display-form
 // keys; result sorted by SortKeys). Its output is dense: the groups are
 // fresh vectors, gathered into their final order rather than kept under
@@ -308,38 +311,49 @@ type GroupBy struct {
 }
 
 // Run implements Kernel.
-func (k *GroupBy) Run(b *Batch) (*Batch, error) {
-	n := b.length
-	gids := make([]int32, n)
-	keyRows := groupIDs(b, k.Keys, gids)
-	ng := len(keyRows)
-	outCols := make([]*Vec, 0, len(k.Keys)+len(k.Aggs))
-	for _, c := range k.Keys {
-		outCols = append(outCols, gather(b.cols[c], keyRows))
+func (k *GroupBy) Run(b *Batch) (*Batch, error) { return k.run(b, morselRows) }
+
+// run is Run folding size rows at a time.
+func (k *GroupBy) run(b *Batch, size int) (*Batch, error) {
+	n, keys := b.length, keyVecs(b, k.Keys)
+	x := newKeyIndex(keys)
+	// The state starts at the most groups a single coded key can have,
+	// else small, and grows geometrically as groups appear.
+	start := min(n, 16)
+	if len(keys) == 1 && keys[0].dict != nil {
+		start = min(n, len(keys[0].dict)+1)
 	}
-	for _, a := range k.Aggs {
-		outCols = append(outCols, runAgg(a, b, gids, ng))
+	keyRows := make([]int32, 0, start)
+	aggs := make([]aggState, len(k.Aggs))
+	for i, a := range k.Aggs {
+		aggs[i].init(a, b, start)
 	}
-	out := &Batch{schema: k.Out, cols: outCols, length: ng}
+	scratch := make([]int32, min(n, size))
+	for lo := 0; lo < n; lo += len(scratch) {
+		ids := x.assign(b, k.Keys, lo, scratch, true)
+		for j, g := range ids {
+			// Ids are dense in first-seen order: a row opens a group
+			// exactly when its id is the next unused one.
+			if int(g) == len(keyRows) {
+				keyRows = append(keyRows, int32(lo+j))
+			}
+		}
+		for i := range aggs {
+			aggs[i].add(lo, ids, len(keyRows))
+		}
+	}
+	out := &Batch{schema: k.Out, cols: make([]*Vec, 0, len(keys)+len(aggs)), length: len(keyRows)}
+	for _, v := range keys {
+		out.cols = append(out.cols, gather(v, keyRows))
+	}
+	for i := range aggs {
+		out.cols = append(out.cols, aggs[i].result(out.length))
+	}
 	perm, err := sortPerm(out, k.SortKeys)
 	if err != nil || perm == nil {
 		return out, err
 	}
 	return out.gatherRows(perm), nil
-}
-
-// groupIDs assigns a dense group id to every row (into gids) and
-// returns the first input row of each group, in first-seen order.
-func groupIDs(b *Batch, keys []int, gids []int32) (keyRows []int32) {
-	newKeyIndex(keyVecs(b, keys)).assign(b, keys, gids, true)
-	for i, g := range gids {
-		// Ids are dense in first-seen order: a row opens a group exactly
-		// when its id is the next unused one.
-		if int(g) == len(keyRows) {
-			keyRows = append(keyRows, int32(i))
-		}
-	}
-	return keyRows
 }
 
 // appendGroupKey appends one key cell in the row grouper's encoding —
@@ -373,198 +387,160 @@ func appendGroupKey(buf []byte, v *Vec, i int) []byte {
 	}
 }
 
-// runAgg folds one aggregate over the whole batch into a per-group
-// result vector, reading a selected column through its indices. count
-// over anything, sum/avg over int, float, bool and all-null columns and
-// min/max over int, float, string and all-null ones have typed loops
-// that replicate the row accumulators: sum/avg/min/max skip nulls, count
-// counts every row, an empty fold yields null (avg/min/max) or zero
-// (sum/count). Every other pair folds with the accumulator itself.
-func runAgg(a Agg, b *Batch, gids []int32, ng int) *Vec {
-	if a.Op == "count" {
-		counts := make([]int64, ng)
-		for _, g := range gids {
-			counts[g]++
-		}
-		return &Vec{kind: value.Int, ints: counts, length: ng}
+// The folds of aggState. count over anything, sum/avg over int, float,
+// bool and all-null columns and min/max over int, float, string and
+// all-null ones have typed loops that replicate the row accumulators:
+// sum/avg/min/max skip nulls, count counts every row, an empty fold
+// yields null (avg/min/max) or zero (sum/count). Every other pair folds
+// with the accumulator itself.
+const (
+	foldAcc   = iota
+	foldCount // into ints
+	foldSum   // into ints: int, bool and all-null columns
+	foldFloat // a float column's sum, into floats
+	foldAvg   // sums into floats, counts into ints
+	foldMin   // the row holding it, plus one, into ints
+	foldMax
+)
+
+// allNull is the column a bare aggregate other than count folds: the
+// row grouper adds nulls.
+var allNull = &Vec{kind: value.Null}
+
+// aggState is one aggregate's per-group state while a group-by folds: the
+// vector of its groups' results so far, grown as groups appear — with
+// bools marking the groups that saw a value when a float sum's column has
+// nulls — or an accumulator per group.
+type aggState struct {
+	Vec
+	fold     int
+	col      *Vec
+	nullable bool
+	cmp      func(i, j int) int
+	newAcc   func() Accumulator
+	accs     []Accumulator
+}
+
+// init picks a's fold over b's column, with room for size groups.
+func (s *aggState) init(a Agg, b *Batch, size int) {
+	if s.col = allNull; a.Col >= 0 {
+		s.col = b.cols[a.Col]
 	}
-	var col *Vec
-	if a.Col >= 0 {
-		col = b.cols[a.Col]
-	} else {
-		col = &Vec{kind: value.Null, length: b.length} // the row grouper adds nulls
-	}
-	k := col.kind
+	k := s.col.kind
+	s.nullable = s.col.hasNulls()
 	numeric := k == value.Int || k == value.Float || k == value.Null
+	s.kind, s.ints = value.Int, make([]int64, 0, size)
 	switch {
+	case a.Op == "count":
+		s.fold = foldCount
+	case a.Op == "sum" && k == value.Float:
+		s.fold, s.kind, s.ints, s.floats = foldFloat, value.Float, nil, make([]float64, 0, size)
+		if s.nullable {
+			s.bools = make([]bool, 0, size)
+		}
 	case a.Op == "sum" && (numeric || k == value.Bool):
-		return aggSum(col, gids, ng)
+		s.fold = foldSum
 	case a.Op == "avg" && (numeric || k == value.Bool):
-		return aggAvg(col, gids, ng)
-	case a.Op == "min" && (numeric || k == value.String):
-		return aggMinMax(col, gids, ng, true)
-	case a.Op == "max" && (numeric || k == value.String):
-		return aggMinMax(col, gids, ng, false)
+		s.fold, s.kind, s.floats = foldAvg, value.Float, make([]float64, 0, size)
+	case (a.Op == "min" || a.Op == "max") && (numeric || k == value.String):
+		s.fold, s.cmp = foldMin, keyComparator(s.col)
+		if a.Op == "max" {
+			s.fold = foldMax
+		}
+	default:
+		s.fold, s.newAcc, s.ints, s.accs = foldAcc, a.New, nil, make([]Accumulator, 0, size)
 	}
-	return fold(a.New, col, gids, ng)
 }
 
-// fold runs one fresh accumulator per group over the column's elements
-// in row order — the row path's own fold, so results and their kinds are
-// the row path's by construction.
-func fold(newAcc func() Accumulator, col *Vec, gids []int32, ng int) *Vec {
-	accs := make([]Accumulator, ng)
-	for g := range accs {
-		accs[g] = newAcc()
+// extend returns s at length n, its new elements zero; nil stays nil.
+func extend[T any](s []T, n int) []T {
+	if s == nil || n <= len(s) {
+		return s
 	}
-	for i, g := range gids {
-		accs[g].Add(col.At(i))
-	}
-	vals := make([]value.V, ng)
-	for g, acc := range accs {
-		vals[g] = acc.Result()
-	}
-	return compress(vals)
+	return append(s, make([]T, n-len(s))...)
 }
 
-func aggSum(col *Vec, gids []int32, ng int) *Vec {
-	if col.kind == value.Float {
-		sums := make([]float64, ng)
-		if !col.hasNulls() {
-			for i, g := range gids {
-				sums[g] += col.floats[col.slot(i)]
+// add folds rows [lo, lo+len(ids)), of groups ids, into ng groups.
+func (s *aggState) add(lo int, ids []int32, ng int) {
+	s.ints, s.floats, s.bools, s.accs = extend(s.ints, ng), extend(s.floats, ng), extend(s.bools, ng), extend(s.accs, ng)
+	c := s.col
+	for j, g := range ids {
+		i := lo + j
+		p := c.slot(i)
+		switch {
+		case s.fold == foldCount:
+			s.ints[g]++
+		case s.fold == foldAcc:
+			if s.accs[g] == nil {
+				s.accs[g] = s.newAcc()
 			}
-			return &Vec{kind: value.Float, floats: sums, length: ng}
-		}
-		// A group with only nulls sums to the int 0 on the row path
-		// (the accumulator never sees a float); track which groups saw
-		// a value so the kinds come out identical.
-		seen := make([]bool, ng)
-		for i, g := range gids {
-			if !col.null(i) {
-				sums[g] += col.floats[col.slot(i)]
-				seen[g] = true
+			s.accs[g].Add(c.At(i))
+		case p < 0 || s.fold != foldSum && s.nullable && c.null(i):
+			// A selection's hole adds nothing, nor does a null; an int
+			// sum adds a null's slot, which stores 0.
+		case s.fold == foldSum:
+			if c.kind == value.Int {
+				s.ints[g] += c.ints[p]
+			} else if c.kind == value.Bool && c.bools[p] {
+				s.ints[g]++
+			}
+		case s.fold == foldFloat:
+			s.floats[g] += c.floats[p]
+			if s.bools != nil {
+				s.bools[g] = true
+			}
+		case s.fold == foldAvg:
+			s.floats[g] += c.At(i).Float()
+			s.ints[g]++
+		case s.ints[g] == 0: // the group's first value
+			s.ints[g] = int64(i) + 1
+		default:
+			if d := s.cmp(i, int(s.ints[g])-1); d < 0 && s.fold == foldMin || d > 0 && s.fold == foldMax {
+				s.ints[g] = int64(i) + 1
 			}
 		}
-		allSeen := true
-		for _, s := range seen {
-			if !s {
-				allSeen = false
-				break
-			}
-		}
-		if allSeen {
-			return &Vec{kind: value.Float, floats: sums, length: ng}
-		}
+	}
+}
+
+// result is the state as the vector of its ng groups' results.
+func (s *aggState) result(ng int) *Vec {
+	s.length = ng
+	switch s.fold {
+	case foldAcc:
 		vals := make([]value.V, ng)
-		for g := range vals {
-			if seen[g] {
-				vals[g] = value.NewFloat(sums[g])
-			} else {
-				vals[g] = value.NewInt(0)
-			}
+		for g, acc := range s.accs {
+			vals[g] = acc.Result()
 		}
 		return compress(vals)
-	}
-	// Int, bool and all-null columns sum as int64; null slots store 0,
-	// which is also what the row accumulator's coercion adds, and a
-	// selection's holes add nothing.
-	sums := make([]int64, ng)
-	switch col.kind {
-	case value.Int:
-		for i, g := range gids {
-			if s := col.slot(i); s >= 0 {
-				sums[g] += col.ints[s]
+	case foldFloat:
+		// A group with only nulls sums to the int 0 on the row path (the
+		// accumulator never sees a float), so the kinds come out identical.
+		if slices.Contains(s.bools, false) {
+			vals := make([]value.V, ng)
+			for g, seen := range s.bools {
+				vals[g] = value.NewInt(0)
+				if seen {
+					vals[g] = value.NewFloat(s.floats[g])
+				}
+			}
+			return compress(vals)
+		}
+		s.bools = nil
+	case foldAvg:
+		for g, n := range s.ints {
+			if n == 0 {
+				s.setNull(g)
+			} else {
+				s.floats[g] /= float64(n)
 			}
 		}
-	case value.Bool:
-		for i, g := range gids {
-			if s := col.slot(i); s >= 0 && col.bools[s] {
-				sums[g]++
-			}
+		s.ints = nil
+	case foldMin, foldMax:
+		rows := make([]int32, ng)
+		for g, r := range s.ints {
+			rows[g] = int32(r) - 1 // -1, a null, for a group with no value
 		}
+		return gather(s.col, rows)
 	}
-	return &Vec{kind: value.Int, ints: sums, length: ng}
-}
-
-func aggAvg(col *Vec, gids []int32, ng int) *Vec {
-	sums := make([]float64, ng)
-	counts := make([]int64, ng)
-	add := func(i int, g int32) {
-		s := col.slot(i)
-		switch col.kind {
-		case value.Int:
-			sums[g] += float64(col.ints[s])
-		case value.Float:
-			sums[g] += col.floats[s]
-		case value.Bool:
-			if col.bools[s] {
-				sums[g]++
-			}
-		}
-		counts[g]++
-	}
-	if col.hasNulls() {
-		for i, g := range gids {
-			if !col.null(i) {
-				add(i, g)
-			}
-		}
-	} else {
-		for i, g := range gids {
-			add(i, g)
-		}
-	}
-	out := newVec(value.Float, ng)
-	for g := range sums {
-		if counts[g] == 0 {
-			out.setNull(g)
-			continue
-		}
-		out.floats[g] = sums[g] / float64(counts[g])
-	}
-	return out
-}
-
-func aggMinMax(col *Vec, gids []int32, ng int, min bool) *Vec {
-	if col.kind == value.Null {
-		return newVec(value.Null, ng)
-	}
-	out := newVec(col.kind, ng)
-	set := make([]bool, ng)
-	hasNulls := col.hasNulls()
-	for i, g := range gids {
-		if hasNulls && col.null(i) {
-			continue
-		}
-		if !set[g] {
-			set[g] = true
-			out.set(int(g), col.At(i))
-			continue
-		}
-		s := col.slot(i)
-		switch col.kind {
-		case value.Int:
-			x := col.ints[s]
-			if min == (x < out.ints[g]) && x != out.ints[g] {
-				out.ints[g] = x
-			}
-		case value.Float:
-			x := col.floats[s]
-			if (min && x < out.floats[g]) || (!min && x > out.floats[g]) {
-				out.floats[g] = x
-			}
-		case value.String:
-			x := col.str(s)
-			if (min && x < out.strs[g]) || (!min && x > out.strs[g]) {
-				out.strs[g] = x
-			}
-		}
-	}
-	for g, s := range set {
-		if !s {
-			out.setNull(g)
-		}
-	}
-	return out
+	return &s.Vec
 }

@@ -1,13 +1,16 @@
 package colstore
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 
 	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
+	"shareinsights/internal/table"
 	"shareinsights/internal/value"
 )
 
@@ -102,9 +105,9 @@ func TestMorselsMatchWholeBatch(t *testing.T) {
 		"z + a", "z == z", "a / w", "b / w", "a % w", "s + s", "a + b * m", "not m", "a in (1, b)"}, exprCases...)
 	for name, b := range map[string]*Batch{"dense": base, "selection": base.selectRows(rev), "holes": base.selectRows(holes)} {
 		for _, src := range srcs {
-			want := compileSize(t, src, b.Schema(), whole)(b)
+			want := compileSize(t, src, b.Schema(), whole)(b, nil)
 			for _, size := range []int{64, 1024} {
-				got := compileSize(t, src, b.Schema(), size)(b)
+				got := compileSize(t, src, b.Schema(), size)(b, nil)
 				if got.Kind() != want.Kind() || got.Len() != want.Len() {
 					t.Fatalf("%s, %q by %d: %v vector of %d, whole batch %v of %d", name, src, size, got.Kind(), got.Len(), want.Kind(), want.Len())
 				}
@@ -113,6 +116,142 @@ func TestMorselsMatchWholeBatch(t *testing.T) {
 						t.Fatalf("%s, %q by %d: row %d is %v %v, whole batch %v %v", name, src, size, i, x.Kind(), x, y.Kind(), y)
 					}
 				}
+			}
+		}
+	}
+}
+
+// kernelBatch is n rows of the keys the hash kernels meet: s is a string
+// of distinct values, null in every 17th row, and past row 900 every
+// fourth row is one of ten keys no earlier row has; i is an int of seven
+// values, in one of five with nulls, f a float with NaN, both zeros and
+// nulls, b a bool, v the row number and z null throughout. built picks
+// the Builder, which codes s, over a row table's conversion, which does
+// not.
+func kernelBatch(n, distinct int, built bool) *Batch {
+	tb := table.New(schema.MustFromNames("s", "i", "in", "f", "b", "v", "z"))
+	floats := []float64{0, math.Copysign(0, -1), 1.5, math.NaN(), -2}
+	for r := 0; r < n; r++ {
+		s, in, f := value.NewString("k"+strconv.Itoa(r%distinct)), value.NewInt(int64(r%5)), value.NewFloat(floats[r%5])
+		if r > 900 && r%4 == 0 {
+			s = value.NewString("late" + strconv.Itoa(r%10))
+		}
+		if r%17 == 0 {
+			s = value.VNull
+		}
+		if r%11 == 0 {
+			in = value.VNull
+		}
+		if r%13 == 0 {
+			f = value.VNull
+		}
+		tb.AppendValues(s, value.NewInt(int64(r%7)), in, f, value.NewBool(r%3 == 0), value.NewInt(int64(r)), value.VNull)
+	}
+	if built {
+		tb = rebuilt(tb)
+	}
+	b, _ := FromTable(tb)
+	return b
+}
+
+// sameBatch fails t unless got holds the cells and vector kinds of want,
+// the whole-batch reference.
+func sameBatch(t *testing.T, what string, got, want *Batch) {
+	t.Helper()
+	if !sameCells(got.ToTable(), want.ToTable()) {
+		t.Fatalf("%s:\n%s\nwhole batch:\n%s", what, got.ToTable().Format(0), want.ToTable().Format(0))
+	}
+	for c, v := range got.cols {
+		if v.kind != want.cols[c].kind {
+			t.Fatalf("%s: column %d is a %v vector, whole batch a %v", what, c, v.kind, want.cols[c].kind)
+		}
+	}
+}
+
+// TestKernelsMatchAcrossMorsels: run 64 or 128 rows at a time, the join
+// (all four conditions), the group-by (every registered aggregate over
+// every column) and the filter give the whole-batch result cell for cell
+// and vector kind for vector kind — over dictionary-coded, plain, int,
+// float and multi-column keys, nulls, NaN, a left outer join's holes and
+// groups that first appear in a late morsel.
+func TestKernelsMatchAcrossMorsels(t *testing.T) {
+	coded, plain, right := kernelBatch(1000, 30, true), kernelBatch(1000, 30, false), kernelBatch(80, 40, true)
+	names := coded.Schema().Names()
+	var cols []JoinCol
+	out := append([]string(nil), names...)
+	for c := range names {
+		cols = append(cols, JoinCol{Col: c})
+	}
+	for _, c := range []int{1, 4} {
+		out, cols = append(out, "r"+names[c]), append(cols, JoinCol{Right: true, Col: c})
+	}
+	var holed *Batch
+	for _, keys := range [][]int{{0}, {1}, {2}, {3}, {0, 4}} {
+		for cond := 0; cond < 4; cond++ {
+			for name, left := range map[string]*Batch{"coded": coded, "plain": plain} {
+				join := &Join{LeftKeys: keys, RightKeys: keys, KeepLeft: cond&1 != 0, KeepRight: cond&2 != 0,
+					Cols: cols, Out: schema.MustFromNames(out...)}
+				want, err := join.run(left, right, whole)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, size := range []int{64, 128} {
+					got, err := join.run(left, right, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBatch(t, fmt.Sprintf("%s join on %v, condition %d, by %d", name, keys, cond, size), got, want)
+				}
+				if name == "coded" && len(keys) == 1 && keys[0] == 0 && cond == 1 {
+					holed = want
+				}
+			}
+		}
+	}
+
+	var ops []string
+	for op := range Registry {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	for name, in := range map[string]*Batch{"coded": coded, "plain": plain, "holed": holed} {
+		var aggs []Agg
+		outs := []string{"k0", "k1"}
+		for _, op := range ops {
+			for c := -1; c < in.Schema().Len(); c++ {
+				aggs, outs = append(aggs, Agg{Op: op, Col: c, New: Registry[op]}), append(outs, fmt.Sprintf("a%d", len(aggs)))
+			}
+		}
+		// No sort keys: the groups come out in first-seen order, as the
+		// fold left them.
+		for _, keys := range [][]int{{0}, {1}, {2}, {3}, {0, 4}, {in.Schema().Len() - 1}} {
+			group := &GroupBy{Keys: keys, Aggs: aggs, Out: schema.MustFromNames(append(outs[2-len(keys):2:2], outs[2:]...)...)}
+			want, err := group.run(in, whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{64, 128} {
+				got, err := group.run(in, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBatch(t, fmt.Sprintf("%s group-by %v by %d", name, keys, size), got, want)
+			}
+		}
+	}
+
+	for _, src := range []string{"v % 3 == 0", "in", "f", "s", "b and i > 2", "not b", "z", "in + 1", "s contains 'late'", "true"} {
+		for name, in := range map[string]*Batch{"coded": coded, "plain": plain, "holed": holed} {
+			want, err := (&Filter{Pred: compileSize(t, src, in.Schema(), whole)}).Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{64, 128} {
+				got, err := (&Filter{Pred: compileSize(t, src, in.Schema(), size)}).Run(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBatch(t, fmt.Sprintf("%s filter %q by %d", name, src, size), got, want)
 			}
 		}
 	}
@@ -144,7 +283,7 @@ func TestMapExprTempsBounded(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out := ev(b)
+		out := ev(b, nil)
 		runtime.ReadMemStats(&after)
 		if out.At(59999) != value.NewInt(999*2+59999%97+59999%41*5+59999%7*20) {
 			t.Fatalf("weight of the last row is %v", out.At(59999))
@@ -157,20 +296,38 @@ func TestMapExprTempsBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkMorselSize evaluates batch_join's weight over 60,000 rows at
-// morsel sizes around morselRows; its numbers are in morselRows' comment.
+// BenchmarkMorselSize runs batch_join's weight over 60,000 rows, a
+// group-by of 60,000 rows into 500 groups and a join of 60,000 rows with
+// 500, each at morsel sizes around morselRows; its numbers are in
+// morselRows' comment.
 func BenchmarkMorselSize(b *testing.B) {
 	batch := weightBatch(60000)
+	left, right := joinInputs(60000, 500)
+	group := &GroupBy{Keys: []int{0}, Aggs: []Agg{{Op: "sum", Col: 1}}, Out: schema.MustFromNames("k", "total"),
+		SortKeys: []table.SortKey{{Column: "k"}}}
+	join := innerJoinKX()
 	for _, size := range []int{64, 256, 1024, 4096, 16384, whole} {
 		name := strconv.Itoa(size)
 		if size == whole {
 			name = "whole"
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run("weight/"+name, func(b *testing.B) {
 			ev := compileSize(b, weightExpr, batch.Schema(), size)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev(batch)
+				ev(batch, nil)
+			}
+		})
+		b.Run("groupby/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				group.run(left, size)
+			}
+		})
+		b.Run("join/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				join.run(left, right, size)
 			}
 		})
 	}

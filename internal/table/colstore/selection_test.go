@@ -56,6 +56,15 @@ func mapExpr(t *testing.T, src, name string, s *schema.Schema, size int) Kernel 
 	return &MapExpr{Eval: compileSize(t, src, s, size), Out: out, Slot: out.Index(name)}
 }
 
+// groupBySize is a group-by folding size rows at a time.
+type groupBySize struct {
+	*GroupBy
+	size int
+}
+
+// Run implements Kernel.
+func (k groupBySize) Run(b *Batch) (*Batch, error) { return k.run(b, k.size) }
+
 // Registry is the task package's aggregate registry, name → factory.
 // fold_test.go (package colstore_test, which may import task) fills it.
 var Registry = map[string]func() Accumulator{}
@@ -67,10 +76,11 @@ var Registry = map[string]func() Accumulator{}
 // limits and map-exprs in the order the rest pick, then a group-by whose
 // aggregates are drawn from the whole registry — every stage compared
 // cell for cell and vector kind for vector kind with the same chain
-// gathering every column after every stage and evaluating its
-// expressions over the whole batch at once, and the end also once
-// compacted. The first byte's top bits pick the morsel size the chain
-// evaluates its expressions by: 64 rows, 1,024 (over a join of a few
+// gathering every column after every stage and running every kernel over
+// the whole batch at once, and the end also once compacted. The first
+// byte's top bits pick the morsel size the chain runs by — the join's
+// probe, the filters' and map-exprs' expressions, the group-by's fold: 64
+// rows (over a left side of up to 200), 1,024 (over a join of a few
 // thousand rows) or the whole batch; batch lengths are random, so the
 // last morsel is mostly short. The inputs hold plain and
 // dictionary-coded strings, nulls, NaN and an all-null column.
@@ -90,10 +100,7 @@ func FuzzSelections(f *testing.F) {
 			return
 		}
 		size := []int{64, 1024, whole, 64}[ops[0]>>6]
-		rows := 50
-		if size == 1024 {
-			rows = 600
-		}
+		rows := map[int]int{64: 200, 1024: 600, whole: 50}[size]
 		rng := rand.New(rand.NewSource(seed))
 		lt, rt := keyTable(rng, rng.Intn(rows)), keyTable(rng, rng.Intn(20))
 		if ops[0]&4 != 0 {
@@ -114,14 +121,13 @@ func FuzzSelections(f *testing.F) {
 		key := []int{int(ops[0]>>4) % 4}
 		join := &Join{LeftKeys: key, RightKeys: key, KeepLeft: ops[0]&1 != 0, KeepRight: ops[0]&2 != 0,
 			Cols: cols, Out: schema.MustFromNames(names...)}
-		b, err := join.Run(lb, rb)
-		if err != nil {
-			t.Fatal(err)
+		b, err1 := join.run(lb, rb, size)
+		want, err2 := join.run(lb, rb, whole)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("join: errors %v, %v", err1, err2)
 		}
-		ref := gathered(b)
-		if !sameCells(b.ToTable(), ref.ToTable()) {
-			t.Fatalf("join:\nselections:\n%s\ngathered:\n%s", b.ToTable().Format(0), ref.ToTable().Format(0))
-		}
+		ref := gathered(want)
+		sameBatch(t, "join", b, ref)
 		// step runs ker on the chain and its whole-batch twin on the
 		// gathered reference.
 		step := func(stage string, ker, twin Kernel) {
@@ -131,14 +137,7 @@ func FuzzSelections(f *testing.F) {
 				t.Fatalf("%s: errors %v, %v", stage, err1, err2)
 			}
 			b, ref = got, gathered(want)
-			if !sameCells(b.ToTable(), ref.ToTable()) {
-				t.Fatalf("after %s:\nselections:\n%s\ngathered:\n%s", stage, b.ToTable().Format(0), ref.ToTable().Format(0))
-			}
-			for c, v := range b.cols {
-				if v.kind != ref.cols[c].kind {
-					t.Fatalf("after %s: column %d is a %v vector, gathered a %v", stage, c, v.kind, ref.cols[c].kind)
-				}
-			}
+			sameBatch(t, "after "+stage, b, ref)
 		}
 		// g repeats and is never null: the typed int-key path of the
 		// group-by, read through whatever the stages select.
@@ -168,7 +167,7 @@ func FuzzSelections(f *testing.F) {
 		}
 		group := &GroupBy{Keys: keyIdx, Aggs: aggs, SortKeys: sortKeys,
 			Out: schema.MustFromNames(append(keys, "n", "a0", "a1", "a2", "a3", "a4", "a5")...)}
-		step("group-by", group, group)
+		step("group-by", groupBySize{group, size}, groupBySize{group, whole})
 		if !sameCells(Compact(b.ToTable()), ref.ToTable()) {
 			t.Fatal("compacted output differs")
 		}
@@ -176,8 +175,9 @@ func FuzzSelections(f *testing.F) {
 }
 
 // TestKernelChainAllocs: a 60,000-row join → filter → sort → limit →
-// group-by chain allocates its index vectors, the columns it reads and
-// little else (64 KiB) — no stage copies the seven columns it hands on.
+// group-by chain allocates its index vectors, morsel-long temporaries and
+// little else (64 KiB) — no stage copies the seven columns it hands on,
+// and no kernel keeps a temporary a row long but the predicate's bits.
 func TestKernelChainAllocs(t *testing.T) {
 	const n, keys, limit = 60000, 500, 1000
 	left := NewBuilder(schema.MustFromNames("k", "x", "w", "a", "b", "c"))
@@ -216,20 +216,24 @@ func TestKernelChainAllocs(t *testing.T) {
 	}
 	const kept = 2 * n / 3
 	// The int32 index vectors, each rounded up to the allocator's 8 KiB
-	// pages: the join's probe ids and output pair, its build side (ids,
-	// chains, heads, counts), the filter's kept rows and their two
-	// compositions, the sort's permutation and two more, the limit's and
-	// two more, the group ids; and the two key indexes, at 96 bytes a key.
-	// The one column read into a vector of its own: the predicate's bools.
+	// pages: the join's output pair, its build side (ids, chains, heads,
+	// counts), the filter's kept rows and their two compositions, the
+	// sort's permutation and two more, the limit's and two more, one
+	// morsel of ids each for the join's probe and the group-by; and the two
+	// key indexes, at 96 bytes a key. The predicate reads no column into a
+	// vector of its own: it writes a morsel of bools at a time, and a bit
+	// a row.
 	pages := func(bytes int) int { return (bytes + 8191) &^ 8191 }
 	index := 2 * 96 * keys
-	for _, rows := range []int{n, n, n, keys, keys, keys, keys, kept, kept, kept, kept, kept, kept, limit, limit, limit, limit} {
+	for _, rows := range []int{n, n, keys, keys, keys, keys, kept, kept, kept, kept, kept, kept, limit, limit, limit,
+		min(n, morselRows), min(limit, morselRows)} {
 		index += pages(4 * rows)
 	}
-	reads := pages(n)
-	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(index+reads+64<<10) {
-		t.Errorf("chain allocated %d KiB, want at most %d KiB of index vectors, %d KiB of columns read and 64 KiB",
-			got>>10, index>>10, reads>>10)
+	bits := pages(morselRows) + pages(n/8)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > uint64(index+bits+64<<10) {
+		t.Errorf("chain allocated %d KiB, want at most %d KiB of index vectors, %d KiB of the predicate's and 64 KiB",
+			got>>10, index>>10, bits>>10)
 	}
 }
 
