@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
@@ -40,6 +41,9 @@ type Node struct {
 	// Consumers are the names of nodes reading this object, plus the
 	// pseudo-consumers "widget:<name>" for widget sources.
 	Consumers []string
+
+	named    sync.Once
+	spanName string
 }
 
 // Chain is one pipeline as the resolver bound it: a flow's, embedded in
@@ -70,6 +74,20 @@ type Stage struct {
 
 // IsSource reports whether the node has no producing flow.
 func (n *Node) IsSource() bool { return n.Flow == nil }
+
+// SpanName is the node's span name in a traced run, "source D.<name>" or
+// "node D.<name>", built the first time it is asked for: a graph's runs
+// name each node once, an untraced graph's none.
+func (n *Node) SpanName() string {
+	n.named.Do(func() {
+		prefix := "node D."
+		if n.IsSource() {
+			prefix = "source D."
+		}
+		n.spanName = prefix + n.Name
+	})
+	return n.spanName
+}
 
 // Graph is the assembled, schema-resolved DAG.
 type Graph struct {

@@ -378,7 +378,9 @@ func stagePlans(output string, specs []task.Spec, mode string, opts PlanOptions)
 // kernel type, columnar when the mode is on or the stage's observed input
 // reaches ColumnarAutoThreshold rows — provided its configuration has a
 // kernel (task.HasKernel), else row — and row below the threshold. "auto"
-// means no input size was observed: the runtime planner decides.
+// means no input size was observed: the runtime planner decides. A join's
+// observed input sums both sides while the engine thresholds the probe
+// side alone, so over the threshold its path is left to the runtime too.
 func predictPath(output string, sp task.Spec, mode string, opts PlanOptions) string {
 	if mode == "off" {
 		return "row"
@@ -398,6 +400,9 @@ func predictPath(output string, sp task.Spec, mode string, opts PlanOptions) str
 		}
 		if st.RowsIn < ColumnarAutoThreshold {
 			return "row"
+		}
+		if two {
+			return "auto"
 		}
 	}
 	if task.HasKernel(sp) {

@@ -117,6 +117,8 @@ type widgetPlan struct {
 	// cube is the cube-engine compilation of the client suffix, nil when
 	// the pipeline shape needs the reference executor.
 	cube *cubePlan
+	// endpointSpan and renderSpan name its spans in a traced run.
+	endpointSpan, renderSpan string
 }
 
 // StageTiming re-exports the engine's per-stage telemetry record.
@@ -124,7 +126,10 @@ type StageTiming = batch.StageTiming
 
 // Program is the per-tip half of a compiled dashboard: what Prepare
 // derives from the flow file, the platform's registries and catalog.
-// Nothing mutates it once built, so every run of the file may share it.
+// Nothing mutates it once built but what its runs derive once, each
+// behind a sync.Once or a compare-and-swap (stage names and kernels on
+// its specs, span names on its nodes), so every run of the file may
+// share it.
 type Program struct {
 	// Name is the dashboard name.
 	Name string
@@ -140,6 +145,7 @@ type Program struct {
 	hints       analyze.Hints          // static evidence for the planner
 	widgetPlans map[string]*widgetPlan // copied into every run
 	sigText     map[string]string      // Graph.SignatureText; nil without a node cache
+	runName     string                 // its run span's name, "run <name>"
 }
 
 // Dashboard is a compiled flow file ready to run: its Program, plus one
@@ -196,7 +202,7 @@ func (p *Platform) Prepare(f *flowfile.File) (*Program, *analyze.Analysis) {
 		}
 	}
 	if prog.err == nil {
-		prog.flowHash = f.Hash()
+		prog.flowHash, prog.runName = f.Hash(), "run "+f.Name
 		if p.Optimize {
 			prog.hints = a.Hints()
 		}
@@ -260,7 +266,8 @@ func (prog *Program) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, er
 		return nil, src.Problem // an undefined or misconfigured task
 	}
 	specs := src.Specs
-	plan := &widgetPlan{def: def, interactsWith: widget.InteractionSources(prog.File, def)}
+	plan := &widgetPlan{def: def, interactsWith: widget.InteractionSources(prog.File, def),
+		endpointSpan: "widget W." + def.Name + " endpoint", renderSpan: "widget W." + def.Name + " render"}
 	plan.inputs = src.Inputs
 	if prog.platform.Optimize {
 		plan.server, plan.client = dag.WidgetSource(specs)
@@ -340,24 +347,17 @@ func (d *Dashboard) Tracer() obs.Tracer {
 func (prog *Program) FlowHash() string { return prog.flowHash }
 
 // statsFn adapts the flight recorder's stage profiles for this flow
-// revision into the planner's statistics feed. nil when the platform
-// records no history or none exists yet for this flow hash — the
-// planner then falls back to static facts and heuristics.
+// revision into the planner's statistics feed, one lookup by key per
+// stage. nil when the platform records no history — the planner then
+// falls back to static facts and heuristics, as it does for a stage the
+// recorder has no profile of.
 func (prog *Program) statsFn() dag.StatsFn {
 	rec := prog.platform.History
 	if rec == nil {
 		return nil
 	}
-	profs := rec.Profiles(prog.flowHash)
-	if len(profs) == 0 {
-		return nil
-	}
-	m := make(map[string]history.StageProfile, len(profs))
-	for _, p := range profs {
-		m[dag.HintKey(p.Output, p.Stage)] = p
-	}
 	return func(output, stage string) (dag.StageStats, bool) {
-		p, ok := m[dag.HintKey(output, stage)]
+		p, ok := rec.Profile(prog.flowHash, output, stage)
 		if !ok {
 			return dag.StageStats{}, false
 		}

@@ -55,7 +55,7 @@ func (d *Dashboard) RunContext(ctx context.Context) error {
 	runSpan := 0
 	start := time.Now()
 	if tr != nil {
-		runSpan = tr.StartSpan(0, "run "+d.Name)
+		runSpan = tr.StartSpan(0, d.runName)
 	}
 	err := d.run(ctx, tr, runSpan)
 	if tr != nil {
@@ -98,7 +98,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		n := d.Graph.Nodes[name]
 		srcSpan := 0
 		if tr != nil {
-			srcSpan = tr.StartSpan(runSpan, "source D."+name)
+			srcSpan = tr.StartSpan(runSpan, n.SpanName())
 		}
 		t, attempts, lerr := d.loadSource(ctx, name, tr, srcSpan)
 		sh := SourceHealth{Name: name, Status: "ok", Mode: n.Def.OnError(), Attempts: attempts}
@@ -212,7 +212,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		}
 		epSpan := 0
 		if tr != nil {
-			epSpan = tr.StartSpan(runSpan, "widget W."+name+" endpoint")
+			epSpan = tr.StartSpan(runSpan, plan.endpointSpan)
 		}
 		out, _, err := exec.RunPipeline(ctx, d.env, plan.server, ins, plan.inputs, epSpan)
 		if tr != nil {
@@ -469,7 +469,7 @@ func (d *Dashboard) refreshWidget(ctx context.Context, name string, tr obs.Trace
 	}
 	span := 0
 	if tr != nil {
-		span = tr.StartSpan(parent, "widget W."+name+" render")
+		span = tr.StartSpan(parent, plan.renderSpan)
 		defer tr.EndSpan(span)
 	}
 	inst := d.widgets[name]

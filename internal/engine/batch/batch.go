@@ -196,11 +196,12 @@ func (e *Executor) workers() int {
 
 // recoverStage converts a panic in a task stage into a *PanicError so
 // one misbehaving operator fails its node instead of killing the
-// process. Install with defer; it writes through errp only on panic.
-func recoverStage(stage string, errp *error) {
+// process. Install with defer; it writes through errp only on panic,
+// and only then builds the stage's label, prefix + stage.
+func recoverStage(prefix, stage string, errp *error) {
 	if v := recover(); v != nil {
 		*errp = &PanicError{
-			Stage: stage,
+			Stage: prefix + stage,
 			Value: fmt.Sprint(v),
 			Stack: string(debug.Stack()),
 		}
@@ -251,7 +252,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 		s := slots[name]
 		if slices.Contains(plan.SkippedSinks, name) {
 			if tr != nil {
-				id := tr.StartSpan(e.TraceParent, "node D."+name)
+				id := tr.StartSpan(e.TraceParent, n.SpanName())
 				tr.SpanFlag(id, "skipped")
 				tr.EndSpan(id)
 			}
@@ -262,7 +263,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			s.tbl = t
 			res.Stats.CacheHits = append(res.Stats.CacheHits, name)
 			if tr != nil {
-				id := tr.StartSpan(e.TraceParent, "node D."+name)
+				id := tr.StartSpan(e.TraceParent, n.SpanName())
 				tr.SpanFlag(id, "cache_hit")
 				tr.SpanInt(id, "rows_out", int64(t.Len()))
 				tr.EndSpan(id)
@@ -290,7 +291,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			// A panicking task must fail its node, never the process;
 			// without this recover a goroutine panic is fatal no matter
 			// what the caller does.
-			defer recoverStage("node D."+n.Name, &s.err)
+			defer recoverStage("node D.", n.Name, &s.err)
 			ins := make([]*table.Table, len(n.Inputs))
 			for i, in := range n.Inputs {
 				dep := slots[in]
@@ -322,7 +323,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			queueWait := time.Since(ready)
 			nodeSpan := 0
 			if tr != nil {
-				nodeSpan = tr.StartSpan(e.TraceParent, "node D."+n.Name)
+				nodeSpan = tr.StartSpan(e.TraceParent, n.SpanName())
 				tr.SpanInt(nodeSpan, "queue_wait_us", queueWait.Microseconds())
 			}
 			np := plan.Node(n.Name)
@@ -442,7 +443,12 @@ type pipeline struct {
 	mu            *sync.Mutex
 	node, planTag string
 	queueWait     time.Duration
+	// cur holds the table a stage hands the next one.
+	cur [1]*table.Table
 }
+
+// unnamed names an intermediate table: it is no data object.
+var unnamed = []string{""}
 
 // run executes the chain one spec per stage: each goes to its columnar
 // kernel when the planner mode and the data allow it, else to its
@@ -462,14 +468,15 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 		}
 		out, err := p.tryColumnar(spec, in, names)
 		if out == nil && err == nil {
-			out, err = p.runStage(task.Describe(spec), PathRow, rowsIn(in), func() (*table.Table, error) {
+			out, err = p.runStage(spec, PathRow, rowsIn(in), func() (*table.Table, error) {
 				return spec.Exec(p.env, in, names)
 			})
 		}
 		if err != nil {
 			return nil, i, err
 		}
-		in, names = []*table.Table{out}, []string{""}
+		p.cur[0] = out
+		in, names = p.cur[:], unnamed
 	}
 	return colstore.Compact(in[0]), len(specs), nil
 }
@@ -478,11 +485,11 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 // engine's cross-cutting concerns: its span, its clock, panic isolation,
 // its StageTiming record and the run budget's row charge. body is the
 // path-specific work.
-func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Table, error)) (*table.Table, error) {
+func (p *pipeline) runStage(spec task.Spec, path string, nIn int, body func() (*table.Table, error)) (*table.Table, error) {
 	tr := p.e.Tracer
-	sid := 0
+	desc, sid := task.Describe(spec), 0
 	if tr != nil {
-		sid = tr.StartSpan(p.parent, "stage "+desc)
+		sid = tr.StartSpan(p.parent, task.StageName(spec))
 		if path == PathColumnar {
 			tr.SpanFlag(sid, "columnar")
 		}
@@ -523,7 +530,7 @@ func (p *pipeline) runStage(desc, path string, nIn int, body func() (*table.Tabl
 // execStage runs one stage body, recovering panics into *PanicError so
 // a misbehaving operator fails its pipeline instead of the process.
 func execStage(stage string, body func() (*table.Table, error)) (out *table.Table, err error) {
-	defer recoverStage(stage, &err)
+	defer recoverStage("", stage, &err)
 	return body()
 }
 

@@ -517,8 +517,9 @@ func TestNilTracerHooksAllocationFree(t *testing.T) {
 	p := &pipeline{e: &Executor{}}
 	out := rawTable(5, 1)
 	body := func() (*table.Table, error) { return out, nil }
+	noop := &task.FuncSpec{Name: "noop"}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := p.runStage("noop", PathRow, 5, body); err != nil {
+		if _, err := p.runStage(noop, PathRow, 5, body); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

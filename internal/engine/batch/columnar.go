@@ -32,85 +32,57 @@ const (
 	ColumnarOff = "off"
 )
 
-// tryColumnar attempts one stage on the columnar path: a single-input
-// kernel over the pipeline's current table, or the join kernel over a
-// node's two inputs. out is nil when the stage should run on the row
-// path instead (the mode is off, the spec has no kernel for this input,
-// auto mode's input is under dag.ColumnarAutoThreshold rows — the rule
-// dag.predictPath applies to observed input sizes — or a table holds a
-// column with no typed vector); err is a real stage failure. A
-// column-backed table hands its batch over as is and the output wraps the
-// kernel's batch, so consecutive columnar stages — and the nodes
+// tryColumnar attempts one stage on the columnar path: a kernel over the
+// pipeline's current table, or the join over a node's two inputs, as
+// task.Bind binds it. out is nil when the stage should run on
+// rows instead (the mode is off, the spec has no kernel for this input,
+// auto mode's input is under dag.ColumnarAutoThreshold rows — for a join,
+// its probe (left) side, the one its work scales with — or a table holds
+// a column with no typed vector); err is a real stage failure. A
+// column-backed table hands its batch over as is and the output wraps
+// the kernel's batch, so consecutive columnar stages — and the nodes
 // downstream — exchange vectors, never rows.
 func (p *pipeline) tryColumnar(spec task.Spec, in []*table.Table, names []string) (out *table.Table, err error) {
-	if p.mode == ColumnarOff {
+	small := func(t *table.Table) bool { return p.mode == ColumnarAuto && t.Len() < dag.ColumnarAutoThreshold }
+	_, one := spec.(task.Vectorizable)
+	_, two := spec.(task.VectorizableJoin)
+	if p.mode == ColumnarOff || !(one && len(in) == 1 || two && len(in) == 2) || small(in[0]) && (one || small(in[1])) {
 		return nil, nil
 	}
-	if len(in) == 2 {
-		return p.tryJoinStage(spec, in, names)
-	}
-	v, ok := spec.(task.Vectorizable)
-	if len(in) != 1 || !ok || (p.mode == ColumnarAuto && in[0].Len() < dag.ColumnarAutoThreshold) {
-		return nil, nil
-	}
-	ker, _, ok := v.BindVec(p.env, task.Input{Schema: in[0].Schema()})
-	if !ok {
-		return nil, nil
-	}
-	b, ok := colstore.FromTable(in[0])
-	if !ok {
-		return nil, nil
-	}
-	return p.runStage(task.Describe(spec), PathColumnar, b.Len(), func() (*table.Table, error) {
-		res, err := ker.Run(b)
-		if err != nil {
-			return nil, err
-		}
-		return res.ToTable(), nil
-	})
-}
-
-// tryJoinStage is tryColumnar for a node's two-input first stage: the
-// hash-join kernel over both inputs' batches. Auto mode thresholds on
-// the probe (left) side, the one the kernel's work scales with row by
-// row; the stage reports both inputs as its rows in, as the row join
-// does.
-func (p *pipeline) tryJoinStage(spec task.Spec, in []*table.Table, names []string) (out *table.Table, err error) {
-	v, ok := spec.(task.VectorizableJoin)
-	if !ok {
-		return nil, nil
-	}
-	inputs := make([]task.Input, 2)
+	var inputs [2]task.Input
 	for i, t := range in {
 		inputs[i].Schema = t.Schema()
-		if i < len(names) {
+		if two && i < len(names) {
 			inputs[i].Name = names[i]
 		}
 	}
-	ker, swapped, ok := v.BindJoin(p.env, inputs[0], inputs[1])
-	if !ok {
+	k := task.Bind(p.env, spec, inputs[:len(in)])
+	order := [2]int{0, 1}
+	if k.Swapped {
+		order = [2]int{1, 0}
+	}
+	if !k.OK || two && small(in[order[0]]) {
 		return nil, nil
 	}
-	left, right := in[0], in[1]
-	if swapped {
-		left, right = right, left
-	}
-	if p.mode == ColumnarAuto && left.Len() < dag.ColumnarAutoThreshold {
-		return nil, nil
-	}
-	lb, ok := colstore.FromTable(left)
-	if !ok {
-		return nil, nil
-	}
-	rb, ok := colstore.FromTable(right)
-	if !ok {
-		return nil, nil
-	}
-	return p.runStage(task.Describe(spec), PathColumnar, rowsIn(in), func() (*table.Table, error) {
-		res, err := ker.Run(lb, rb)
-		if err != nil {
-			return nil, err
+	var bs [2]*colstore.Batch
+	for i := range in {
+		var ok bool
+		if bs[i], ok = colstore.FromTable(in[order[i]]); !ok {
+			return nil, nil
 		}
-		return res.ToTable(), nil
+	}
+	return p.runStage(spec, PathColumnar, rowsIn(in), func() (*table.Table, error) {
+		if two {
+			return asTable(k.Join.Run(bs[0], bs[1]))
+		}
+		return asTable(k.Vec.Run(bs[0]))
 	})
+}
+
+// asTable wraps a kernel's output batch as a table.
+func asTable(b *colstore.Batch, err error) (*table.Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return b.ToTable(), nil
 }

@@ -30,22 +30,49 @@ T:
     output: word
 `
 
+// lopsidedJoin joins a 200-row probe side with a 100-row build side:
+// 300 rows in, over the auto threshold, though the probe side the engine
+// thresholds on is under it, so the join runs on rows.
+const lopsidedJoin = diffHeader + `
+F:
+  D.l: D.src | T.first200
+  D.r: D.src | T.first100
+  D.out: (D.l, D.r) | T.j | T.order
+
+T:
+  first200:
+    type: limit
+    limit: 200
+  first100:
+    type: limit
+    limit: 100
+  j:
+    type: join
+    left: l by (region, product, amount)
+    right: r by (region, product, amount)
+    join_condition: inner
+  order:
+    type: sort
+    orderby_column: [l_ratio DESC]
+`
+
 // TestPlanPredictsExecutedPath runs every fixed flow once as a dashboard
 // that records history, over a column-backed (CSV-decoded) source in
 // auto mode, then re-plans it from that history — what `explain` shows
 // next — and requires every stage the plan predicts as row or columnar
-// to be a stage that ran on exactly that path. Joins are left out: their
-// probe side is the corner the plan does not model. So are the
-// engine's data-dependent declines — a column with no typed vector, such
-// as the mixed-kind score nulls give kernel_chain, or a kernel falling
-// back on values it has no typed path for — which depend on cell values,
-// not on the evidence a plan has: the source has no nulls.
+// to be a stage that ran on exactly that path, joins included. Left out
+// are the engine's data-dependent declines — a column with no typed
+// vector, such as the mixed-kind score nulls give kernel_chain, or a
+// kernel falling back on values it has no typed path for — which depend
+// on cell values, not on the evidence a plan has: the source has no
+// nulls.
 func TestPlanPredictsExecutedPath(t *testing.T) {
 	data, err := connector.EncodeCSV(salesTable(2000, 5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := append(fixedFlows[:len(fixedFlows):len(fixedFlows)], struct{ name, flow string }{"filter_then_words", filterThenWords})
+	flows := append(fixedFlows[:len(fixedFlows):len(fixedFlows)], struct{ name, flow string }{"filter_then_words", filterThenWords},
+		struct{ name, flow string }{"lopsided_join", lopsidedJoin})
 	for _, tc := range flows {
 		t.Run(tc.name, func(t *testing.T) {
 			// The flow as a dashboard: its source decoded from CSV, its
@@ -75,7 +102,7 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 			checked := 0
 			for _, name := range plan.Order {
 				np := plan.Node(name)
-				if np.Source || len(d.Graph.Nodes[name].Inputs) != 1 {
+				if np.Source {
 					continue
 				}
 				for _, st := range np.Stages {

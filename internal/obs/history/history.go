@@ -508,6 +508,17 @@ func (r *Recorder) Profiles(flowHash string) []StageProfile {
 	return out
 }
 
+// Profile returns one stage's profile for a flow hash, looked up by key:
+// the planner's evidence, read once per stage it plans.
+func (r *Recorder) Profile(flowHash, output, stage string) (StageProfile, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if p := r.profiles[profKey{flowHash, output, stage}]; p != nil {
+		return *p, true
+	}
+	return StageProfile{}, false
+}
+
 // Component exposes the durable component — recovery report, WAL status
 // and the directory WAL shipping reads (nil for memory-only recorders).
 func (r *Recorder) Component() *store.Component { return r.comp }

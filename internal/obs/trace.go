@@ -25,10 +25,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Tracer receives execution spans. Implementations must be safe for
@@ -55,7 +57,7 @@ type Attr struct {
 	Val int64
 }
 
-// Span is one recorded unit of work.
+// Span is one recorded unit of work, as Roots and Spans build it.
 type Span struct {
 	// ID and Parent link the tree; Parent 0 marks a top-level span.
 	ID, Parent int
@@ -71,8 +73,6 @@ type Span struct {
 	Flags []string
 	// Children are the span's sub-spans in start order.
 	Children []*Span
-
-	ended bool
 }
 
 // Int returns an integer attribute by key.
@@ -95,14 +95,39 @@ func (s *Span) HasFlag(flag string) bool {
 	return false
 }
 
-// Trace is the standard Tracer: it records spans into an in-memory
-// tree for rendering and export. Safe for concurrent use.
+// Trace is the standard Tracer: it records spans for rendering and
+// export. Safe for concurrent use.
+//
+// A trace stores its spans as values in one slice, span id i at index
+// i-1, each naming its parent, and every span's attributes in one more;
+// append grows both by doubling, so recording n spans costs O(log n)
+// allocations. The tree is built only when it is read.
 type Trace struct {
 	mu    sync.Mutex
 	name  string
 	start time.Time
-	spans []*Span
-	roots []*Span
+	spans []span
+	attrs []attr
+	keys  []attrKey // each attribute key the trace has seen, once
+}
+
+// span is one recorded span; start is its offset from the trace's start.
+type span struct {
+	name       string
+	start, dur time.Duration
+	parent     int32
+	ended      bool
+}
+
+// attr is one attribute of span id, its key an index into keys.
+type attr struct {
+	val     int64
+	id, key int32
+}
+
+type attrKey struct {
+	name string
+	flag bool
 }
 
 // NewTrace starts an empty trace. name labels exports (the dashboard
@@ -115,65 +140,79 @@ func NewTrace(name string) *Trace {
 func (t *Trace) StartSpan(parent int, name string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := &Span{ID: len(t.spans) + 1, Parent: parent, Name: name, Start: time.Now()}
-	t.spans = append(t.spans, s)
-	if parent >= 1 && parent <= len(t.spans)-1 {
-		p := t.spans[parent-1]
-		p.Children = append(p.Children, s)
-	} else {
-		s.Parent = 0
-		t.roots = append(t.roots, s)
+	if parent < 1 || parent > len(t.spans) {
+		parent = 0
 	}
-	return s.ID
+	t.spans = append(t.spans, span{parent: int32(parent), name: name, start: time.Since(t.start)})
+	return len(t.spans)
 }
 
 // EndSpan implements Tracer.
 func (t *Trace) EndSpan(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s := t.span(id); s != nil && !s.ended {
-		s.Dur = time.Since(s.Start)
-		s.ended = true
+	if id >= 1 && id <= len(t.spans) && !t.spans[id-1].ended {
+		s := &t.spans[id-1]
+		s.dur, s.ended = time.Since(t.start)-s.start, true
 	}
 }
 
 // SpanInt implements Tracer.
-func (t *Trace) SpanInt(id int, key string, v int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s := t.span(id); s != nil {
-		s.Ints = append(s.Ints, Attr{Key: key, Val: v})
-	}
-}
+func (t *Trace) SpanInt(id int, key string, v int64) { t.attr(id, attrKey{name: key}, v) }
 
 // SpanFlag implements Tracer.
-func (t *Trace) SpanFlag(id int, flag string) {
+func (t *Trace) SpanFlag(id int, flag string) { t.attr(id, attrKey{name: flag, flag: true}, 1) }
+
+func (t *Trace) attr(id int, key attrKey, v int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if s := t.span(id); s != nil {
-		s.Flags = append(s.Flags, flag)
+	if id < 1 || id > len(t.spans) {
+		return
 	}
+	k := slices.Index(t.keys, key)
+	if k < 0 {
+		k, t.keys = len(t.keys), append(t.keys, key)
+	}
+	t.attrs = append(t.attrs, attr{val: v, id: int32(id), key: int32(k)})
 }
 
-func (t *Trace) span(id int) *Span {
-	if id < 1 || id > len(t.spans) {
-		return nil
+// tree builds the span tree: every span in id order, and the top-level
+// ones.
+func (t *Trace) tree() (spans, roots []*Span) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	slab := make([]Span, len(t.spans))
+	spans = make([]*Span, len(t.spans))
+	for i, s := range t.spans {
+		spans[i] = &slab[i]
+		*spans[i] = Span{ID: i + 1, Parent: int(s.parent), Name: s.name, Start: t.start.Add(s.start), Dur: s.dur}
+		if s.parent == 0 {
+			roots = append(roots, spans[i])
+		} else {
+			p := spans[s.parent-1]
+			p.Children = append(p.Children, spans[i])
+		}
 	}
-	return t.spans[id-1]
+	for _, a := range t.attrs {
+		if s, k := spans[a.id-1], t.keys[a.key]; k.flag {
+			s.Flags = append(s.Flags, k.name)
+		} else {
+			s.Ints = append(s.Ints, Attr{Key: k.name, Val: a.val})
+		}
+	}
+	return spans, roots
 }
 
 // Roots returns the top-level spans in start order.
 func (t *Trace) Roots() []*Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Span(nil), t.roots...)
+	_, roots := t.tree()
+	return roots
 }
 
 // Spans returns every recorded span in creation order.
 func (t *Trace) Spans() []*Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Span(nil), t.spans...)
+	spans, _ := t.tree()
+	return spans
 }
 
 // Len reports how many spans were recorded.
@@ -183,30 +222,18 @@ func (t *Trace) Len() int {
 	return len(t.spans)
 }
 
-// Truncate drops every span recorded after the first n, so the next span
-// reuses id n+1: the ids dropped must no longer be in use.
+// Truncate drops every span recorded after the first n, and their
+// attributes, so the next span reuses id n+1: the ids dropped must no
+// longer be in use.
 func (t *Trace) Truncate(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if n < 0 || n >= len(t.spans) {
 		return
 	}
-	t.roots = keepUpTo(t.roots, n)
-	for _, s := range t.spans[:n] {
-		s.Children = keepUpTo(s.Children, n)
-	}
 	clear(t.spans[n:])
 	t.spans = t.spans[:n]
-}
-
-// keepUpTo cuts the spans with ids above n off the end of ss, where they are.
-func keepUpTo(ss []*Span, n int) []*Span {
-	i := len(ss)
-	for i > 0 && ss[i-1].ID > n {
-		i--
-	}
-	clear(ss[i:])
-	return ss[:i]
+	t.attrs = slices.DeleteFunc(t.attrs, func(a attr) bool { return int(a.id) > n })
 }
 
 // Format renders the span tree for humans:
@@ -216,18 +243,17 @@ func keepUpTo(ss []*Span, n int) []*Span {
 //	│  └─ fetch file                      300µs
 //	└─ node D.by_region                   200µs  rows_out=2
 func (t *Trace) Format(w io.Writer) {
-	var buf bytes.Buffer // w is written after the lock: a slow reader holds up no span
-	t.mu.Lock()
-	for _, r := range t.roots {
+	var buf bytes.Buffer // w is written after tree's lock: a slow reader holds up no span
+	_, roots := t.tree()
+	for _, r := range roots {
 		formatSpan(&buf, r, "", "")
 	}
-	t.mu.Unlock()
 	w.Write(buf.Bytes())
 }
 
 func formatSpan(w io.Writer, s *Span, prefix, childPrefix string) {
 	label := prefix + s.Name
-	pad := 44 - len(label)
+	pad := 44 - utf8.RuneCountInString(label) // columns, not bytes: the tree prefixes are multibyte
 	if pad < 1 {
 		pad = 1
 	}
@@ -269,14 +295,13 @@ type chromeEvent struct {
 // DAG nodes render side by side.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	var events []chromeEvent
-	t.mu.Lock()
-	base := t.start
-	for ti, r := range t.roots {
+	_, roots := t.tree()
+	for ti, r := range roots {
 		var walk func(s *Span)
 		walk = func(s *Span) {
 			ev := chromeEvent{
 				Name: s.Name, Ph: "X",
-				Ts:  s.Start.Sub(base).Microseconds(),
+				Ts:  s.Start.Sub(t.start).Microseconds(),
 				Dur: s.Dur.Microseconds(),
 				Pid: 1, Tid: ti + 1,
 			}
@@ -296,7 +321,6 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		}
 		walk(r)
 	}
-	t.mu.Unlock()
 	sort.SliceStable(events, func(a, b int) bool { return events[a].Ts < events[b].Ts })
 	return json.NewEncoder(w).Encode(events)
 }

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestTraceTree(t *testing.T) {
@@ -153,5 +155,56 @@ func TestWriteChrome(t *testing.T) {
 	}
 	if args["rows_out"] != float64(7) || args["cache_hit"] != float64(1) {
 		t.Errorf("stage args = %v", args)
+	}
+}
+
+// TestFormatAlignsDurations: the human tree's duration column starts in
+// the same column on every line, however deep the line's prefix — the
+// tree-drawing prefixes are one column per rune but up to three bytes.
+func TestFormatAlignsDurations(t *testing.T) {
+	tr := NewTrace("r")
+	run := tr.StartSpan(0, "run r")
+	src := tr.StartSpan(run, "source D.sales")
+	tr.StartSpan(src, "fetch file")
+	tr.StartSpan(src, "decode csv")
+	node := tr.StartSpan(run, "node D.by_region")
+	tr.StartSpan(node, "stage filter_by qty > 2")
+	tr.StartSpan(tr.StartSpan(node, "stage groupby region"), "kernel")
+	tr.StartSpan(run, "widget W.regions endpoint")
+	var b strings.Builder
+	tr.Format(&b) // no span ended: every duration reads 0s
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 9 {
+		t.Fatalf("%d lines:\n%s", len(lines), b.String())
+	}
+	for _, line := range lines {
+		if col := utf8.RuneCountInString(line[:strings.LastIndex(line, " 0s")+1]); col != 44 {
+			t.Errorf("duration of %q starts in column %d, want 44", line, col)
+		}
+	}
+}
+
+// TestTraceAllocs pins a trace's storage: recording n spans, each with
+// three integers and a flag, grows two slices geometrically — O(log n)
+// allocations, not a few per span.
+func TestTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, n := range []int{16, 1024} {
+		allocs := testing.AllocsPerRun(10, func() {
+			tr := NewTrace("t")
+			for i := range n {
+				id := tr.StartSpan(i/2, "stage")
+				tr.SpanInt(id, "rows_in", 1)
+				tr.SpanInt(id, "rows_out", 1)
+				tr.SpanInt(id, "duration_us", 1)
+				tr.SpanFlag(id, "columnar")
+				tr.EndSpan(id)
+			}
+		})
+		if limit := 4 * bits.Len(uint(n)); allocs > float64(limit) {
+			t.Errorf("recording %d spans allocates %.0f objects, want at most %d", n, allocs, limit)
+		}
 	}
 }

@@ -3,12 +3,16 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shareinsights/internal/dashboard"
+	"shareinsights/internal/engine/batch"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/store"
 )
@@ -63,15 +67,80 @@ func TestExplainFollowsTip(t *testing.T) {
 // whichever upload was current when it started.
 var raceFlow = strings.Replace(interactiveFlow, "source: mem:sales.csv", "source: data:sales.csv", 1)
 
+// kernelFlow is a filter, a map and two group-bys over an uploaded file,
+// and the filter again over the map's wider column list: over an upload
+// of at least dag.ColumnarAutoThreshold rows each stage runs on a
+// columnar kernel, bound once by the program for each column list.
+const kernelFlow = `
+D:
+  sales: [region, product, amount]
+
+D.sales:
+  source: data:sales.csv
+  format: csv
+
+F:
+  D.scaled: D.sales | T.keep | T.double
+  +D.by_region: D.scaled | T.sum_by_region
+  +D.by_product: D.scaled | T.sum_by_product
+  +D.kept: D.scaled | T.keep
+
+T:
+  keep:
+    type: filter_by
+    filter_expression: amount > 0
+  double:
+    type: map
+    operator: expr
+    expression: amount * 2
+    output: doubled
+  sum_by_region:
+    type: groupby
+    groupby: [region]
+    aggregates:
+      - operator: sum
+        apply_on: doubled
+        out_field: total
+  sum_by_product:
+    type: groupby
+    groupby: [product]
+    aggregates:
+      - operator: sum
+        apply_on: doubled
+        out_field: total
+`
+
+// bigSalesCSV is n rows of salesCSV's shape, a few of them filtered out.
+func bigSalesCSV(n int) string {
+	var b strings.Builder
+	for i := range n {
+		fmt.Fprintf(&b, "%s,p%d,%d\n", []string{"east", "west", "north", "south"}[i%4], i%7, i*7%50)
+	}
+	return b.String()
+}
+
 // TestConcurrentRunsShareProgram: runs of one tip share one program
 // while uploads alternate under them and lint, check and explain read
 // the same slot — under -race this proves the program is read-only to
-// all of them — and every run's endpoints equal those of a fresh
-// Platform.Compile + Run on the upload that run read.
+// all of them, the columnar kernels it binds once included — and every
+// run's endpoints equal those of a fresh Platform.Compile + Run on the
+// upload that run read.
 func TestConcurrentRunsShareProgram(t *testing.T) {
+	for _, tc := range []struct {
+		name, flow string
+		uploads    []string
+		columnar   bool // every stage of every run takes its kernel
+	}{
+		{"race", raceFlow, []string{salesCSV, salesCSV + "north,gizmo,40\nwest,gadget,7\n"}, false},
+		{"kernels", kernelFlow, []string{bigSalesCSV(300), bigSalesCSV(400)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { concurrentRuns(t, tc.name, tc.flow, tc.uploads, tc.columnar) })
+	}
+}
+
+func concurrentRuns(t *testing.T, name, flow string, uploads []string, columnar bool) {
 	s, ts := newTestServer(t)
-	uploads := []string{salesCSV, salesCSV + "north,gizmo,40\nwest,gadget,7\n"}
-	f, err := flowfile.Parse("race", raceFlow)
+	f, err := flowfile.Parse(name, flow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +157,16 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 		d.WriteEndpoints(&b, "", true, 0)
 		want[csv] = b.String()
 	}
-	if _, err := s.SaveDashboard("race", "tester", []byte(raceFlow)); err != nil {
+	if _, err := s.SaveDashboard(name, "tester", []byte(flow)); err != nil {
 		t.Fatal(err)
 	}
-	s.UploadData("race", "sales.csv", []byte(uploads[0]))
-	first, err := s.Run("race")
+	s.UploadData(name, "sales.csv", []byte(uploads[0]))
+	first, err := s.Run(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := first.Program
+	var kernels atomic.Int64 // stages the shared runs executed
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -104,7 +174,7 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				d, err := s.RunContext(context.Background(), "race")
+				d, err := s.RunContext(context.Background(), name)
 				if err != nil {
 					t.Error(err)
 					return
@@ -117,6 +187,12 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 				if d.Program != prog {
 					t.Error("a run at an unchanged tip compiled its own program")
 				}
+				for _, st := range d.Result().Stats.Timings { // none when every node was a cache hit
+					if columnar && st.Path != batch.PathColumnar {
+						t.Errorf("stage %s of D.%s ran on the %s path", st.Stage, st.Output, st.Path)
+					}
+					kernels.Add(1)
+				}
 			}
 		}()
 	}
@@ -124,7 +200,7 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
-			s.UploadData("race", "sales.csv", []byte(uploads[i%2]))
+			s.UploadData(name, "sales.csv", []byte(uploads[i%2]))
 		}
 	}()
 	for _, path := range []string{"/lint", "/check", "/explain"} {
@@ -132,7 +208,7 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				if code, body := do(t, http.MethodGet, ts.URL+"/dashboards/race"+path, ""); code != 200 {
+				if code, body := do(t, http.MethodGet, ts.URL+"/dashboards/"+name+path, ""); code != 200 {
 					t.Errorf("GET %s = %d: %s", path, code, body)
 					return
 				}
@@ -140,6 +216,9 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if columnar && kernels.Load() < 3 {
+		t.Errorf("the shared runs executed %d stages on kernels, want at least 3", kernels.Load())
+	}
 }
 
 // TestProgramCompiledOncePerTip: the program the save's lint compiles is
@@ -241,8 +320,10 @@ func TestProgramCompiledOncePerTip(t *testing.T) {
 // rerunAllocs is what one re-run of interactiveFlow at an unchanged tip
 // allocates through Server.Run, every node a cache hit (go1.24,
 // linux/amd64). Compiling the flow on every run, as the server did
-// before it kept a program per tip, allocated 502.
-const rerunAllocs = 212
+// before it kept a program per tip, allocated 502; formatting stage and
+// span names, copying and sorting every profile of the flow to plan, and
+// a heap object or two per span, as runs did before, 209.
+const rerunAllocs = 157
 
 // TestRerunAllocs pins a served re-run at an unchanged tip to building
 // per-run state over the slot's program: at most rerunAllocs + 10 %.
@@ -259,5 +340,54 @@ func TestRerunAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { s.Run("pin") }); n > rerunAllocs*1.1 {
 		t.Errorf("a re-run at an unchanged tip allocates %.0f objects, want at most %d + 10 %%", n, rerunAllocs)
+	}
+}
+
+// refreshRunAllocs is what one served run of kernelFlow allocates after
+// a fresh upload of 300 rows, every node recomputed and its five stages
+// on columnar kernels the program bound on its first run (go1.24,
+// linux/amd64). Binding the filter again for its second column list on
+// every run allocated 279; binding every kernel again on every run, 328;
+// that, formatting the names and planning as runs did before, 423.
+const refreshRunAllocs = 269
+
+// TestRefreshRunAllocs pins a served run over new data to reusing the
+// program's kernels and names: at most refreshRunAllocs + 2 %.
+func TestRefreshRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, _ := newTestServer(t)
+	if _, err := s.SaveDashboard("fresh", "tester", []byte(kernelFlow)); err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	const warm, runs = 4, 20
+	for i := range warm + runs {
+		// Each upload differs (a product name carries i), so no node is a cache hit.
+		s.UploadData("fresh", "sales.csv", []byte(strings.ReplaceAll(bigSalesCSV(300), ",p0,", fmt.Sprintf(",p0-%d,", i))))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := s.Run("fresh")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := d.Result().Stats.CacheHits; len(hits) > 0 {
+			t.Fatalf("run %d served %v from the node cache", i, hits)
+		}
+		for _, st := range d.Result().Stats.Timings {
+			if st.Path != batch.PathColumnar {
+				t.Fatalf("run %d: stage %s of D.%s ran on the %s path", i, st.Stage, st.Output, st.Path)
+			}
+		}
+		if i >= warm {
+			total += after.Mallocs - before.Mallocs
+		}
+	}
+	n := float64(total) / runs
+	if n > refreshRunAllocs*1.02 {
+		t.Errorf("a served run over new data allocates %.0f objects, want at most %d + 2 %%", n, refreshRunAllocs)
 	}
 }

@@ -31,6 +31,7 @@ type Selection struct {
 //     no selection the filter passes everything — the dashboard's
 //     initial render.
 type FilterSpec struct {
+	memo
 	// Expression is the filter expression as written (expression mode):
 	// the display and identity form (Describe, plan hints, pushdown).
 	Expression string

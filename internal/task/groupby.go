@@ -266,6 +266,7 @@ type AggSpec struct {
 // where `groupby: [date, player]` yields the players_tweets schema
 // [date, player, count].
 type GroupBySpec struct {
+	memo
 	// GroupBy are the grouping key columns.
 	GroupBy []string
 	// Aggs are the configured aggregates.

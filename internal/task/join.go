@@ -49,6 +49,7 @@ type ProjPair struct {
 // JoinSpec implements the join task (Appendix A.1): an equi-join of two
 // data objects with explicit column projection.
 type JoinSpec struct {
+	memo
 	// LeftName / RightName are the expected input data-object names.
 	LeftName, RightName string
 	// LeftKeys / RightKeys are the equi-join key columns.

@@ -79,6 +79,7 @@ func Operators() []string {
 // MapSpec implements the map task: it applies one operator, producing
 // the input columns plus (or overwriting) the operator's output columns.
 type MapSpec struct {
+	memo
 	// Operator is the configured operator name, for display.
 	Operator string
 	op       MapOperator

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
@@ -12,6 +14,7 @@ import (
 
 // ProjectSpec implements the project task: keep only the named columns.
 type ProjectSpec struct {
+	memo
 	// Columns are the retained columns, in output order.
 	Columns []string
 }
@@ -64,6 +67,7 @@ func (s *ProjectSpec) Exec(env *Env, in []*table.Table, names []string) (*table.
 
 // SortSpec implements the sort task.
 type SortSpec struct {
+	memo
 	// OrderBy are the sort keys.
 	OrderBy []OrderKey
 }
@@ -122,6 +126,7 @@ func (s *SortSpec) sortKeys() []table.SortKey {
 // DistinctSpec implements the distinct task: drop duplicate rows,
 // optionally considering only a subset of columns (first row wins).
 type DistinctSpec struct {
+	memo
 	// Columns are the key columns; empty means all columns.
 	Columns []string
 }
@@ -173,7 +178,7 @@ func (s *DistinctSpec) Exec(env *Env, in []*table.Table, names []string) (*table
 }
 
 // UnionSpec implements the union task: concatenate same-schema inputs.
-type UnionSpec struct{}
+type UnionSpec struct{ memo }
 
 func parseUnion(cfg *flowfile.Node) (Spec, error) { return &UnionSpec{}, nil }
 
@@ -212,6 +217,7 @@ func (s *UnionSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Ta
 
 // LimitSpec implements the limit task: keep the first N rows.
 type LimitSpec struct {
+	memo
 	// N is the row budget.
 	N int
 }
@@ -290,26 +296,58 @@ func (r *Registry) RegisterFunc(name string, build func(cfg *flowfile.Node) (*Fu
 	})
 }
 
+// memo is what a built-in spec derives once and keeps as long as it
+// lives: its stage name, built the first time it is asked for, and the
+// kernels Bind binds for it. A program's specs live as long as the
+// program, so its runs format and bind once, not per run.
+type memo struct {
+	once  sync.Once
+	stage string
+	bound atomic.Pointer[Bound] // the last kernel Bind kept
+}
+
+func (m *memo) derived() *memo { return m }
+
+type memoized interface{ derived() *memo }
+
+// StageName is the span name of a stage running s: "stage " + Describe(s).
+func StageName(s Spec) string {
+	if m, ok := s.(memoized); ok {
+		n := m.derived()
+		n.once.Do(func() { n.stage = describe("stage ", s) })
+		return n.stage
+	}
+	return describe("stage ", s)
+}
+
 // Describe renders a short human-readable summary of a spec, used by
-// error messages and the data explorer's plan view.
+// error messages, stage timings and history keys, and the plan view.
 func Describe(s Spec) string {
+	if _, ok := s.(memoized); ok {
+		return StageName(s)[len("stage "):]
+	}
+	return describe("", s)
+}
+
+// describe formats prefix + s's description.
+func describe(prefix string, s Spec) string {
 	switch t := s.(type) {
 	case *FilterSpec:
 		if t.Expression != "" {
-			return "filter_by " + t.Expression
+			return prefix + "filter_by " + t.Expression
 		}
-		return "filter_by " + strings.Join(t.By, ",") + " from W." + t.SourceWidget
+		return prefix + "filter_by " + strings.Join(t.By, ",") + " from W." + t.SourceWidget
 	case *GroupBySpec:
-		return "groupby " + strings.Join(t.GroupBy, ",")
+		return prefix + "groupby " + strings.Join(t.GroupBy, ",")
 	case *JoinSpec:
-		return fmt.Sprintf("join %s⋈%s (%s)", t.LeftName, t.RightName, t.Condition)
+		return fmt.Sprintf("%sjoin %s⋈%s (%s)", prefix, t.LeftName, t.RightName, t.Condition)
 	case *TopNSpec:
-		return fmt.Sprintf("topn %d by %v", t.Limit, t.OrderBy)
+		return fmt.Sprintf("%stopn %d by %v", prefix, t.Limit, t.OrderBy)
 	case *MapSpec:
-		return "map " + t.Operator
+		return prefix + "map " + t.Operator
 	case *ParallelSpec:
-		return "parallel [" + strings.Join(t.Names, ", ") + "]"
+		return prefix + "parallel [" + strings.Join(t.Names, ", ") + "]"
 	default:
-		return s.Type()
+		return prefix + s.Type()
 	}
 }

@@ -14,6 +14,7 @@ import (
 // sub-task sees the columns added by its predecessors — and it runs as
 // one row-by-row pass over the input, with no table between sub-tasks.
 type ParallelSpec struct {
+	memo
 	// Names are the referenced task names, for display.
 	Names []string
 	// Subs are the resolved sub-specs; all must be row-local.

@@ -47,6 +47,7 @@ func parseOrderKeys(entries []string) ([]OrderKey, error) {
 // TopNSpec implements the topn task (Appendix A.1 "topwords"): within
 // each group, keep the first `limit` rows by the given order.
 type TopNSpec struct {
+	memo
 	// GroupBy are the partitioning columns; empty means one global group.
 	GroupBy []string
 	// OrderBy ranks rows within a group.

@@ -1,6 +1,8 @@
 package task
 
 import (
+	"slices"
+
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table/colstore"
 )
@@ -31,6 +33,60 @@ type VectorizableJoin interface {
 	// the node lists them. swapped reports that the kernel's left input
 	// is b, its right input a.
 	BindJoin(env *Env, a, b Input) (k *colstore.Join, swapped, ok bool)
+}
+
+// Bound is a stage's kernel bound over its inputs: Vec over one, or
+// Join over two, whose left input is the second when Swapped. !OK: the
+// stage has no kernel over these inputs.
+type Bound struct {
+	Vec         colstore.Kernel
+	Join        *colstore.Join
+	Swapped, OK bool
+	in          [2]Input
+	n           int
+	next        *Bound // the spec's kernel bound before this one
+}
+
+// Bind binds sp, a Vectorizable over one input or a VectorizableJoin
+// over two. A built-in spec keeps what it binds, one kernel per input
+// shape (the same names, and schemas with the same columns in the same
+// order), for as long as it lives: the stages of a compiled program bind
+// the first time a run takes them columnar, and later runs reuse the
+// kernel; a spec built per request binds for that request. The shapes a
+// spec meets are fixed by its program: one per flow that uses it, and
+// one more where the plan hoists it. Kernels are read-only, and runs
+// share them without a lock.
+func Bind(env *Env, sp Spec, in []Input) *Bound {
+	m, ok := sp.(memoized)
+	if !ok {
+		return bind(env, sp, in)
+	}
+	var k *Bound
+	for {
+		first := m.derived().bound.Load()
+		for b := first; b != nil; b = b.next {
+			if slices.EqualFunc(b.in[:b.n], in, func(x, y Input) bool { return x.Name == y.Name && x.Schema.Equal(y.Schema) }) {
+				return b
+			}
+		}
+		if k == nil {
+			k = bind(env, sp, in)
+		}
+		if k.next = first; m.derived().bound.CompareAndSwap(first, k) {
+			return k
+		}
+	}
+}
+
+// bind binds sp over in, keeping nothing.
+func bind(env *Env, sp Spec, in []Input) *Bound {
+	k := new(Bound)
+	if k.n = copy(k.in[:], in); k.n == 2 {
+		k.Join, k.Swapped, k.OK = sp.(VectorizableJoin).BindJoin(env, in[0], in[1])
+	} else {
+		k.Vec, _, k.OK = sp.(Vectorizable).BindVec(env, in[0])
+	}
+	return k
 }
 
 // BindJoin implements VectorizableJoin.

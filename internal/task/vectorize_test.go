@@ -1,0 +1,64 @@
+package task
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"shareinsights/internal/schema"
+)
+
+// shape is a one-input shape of n+1 columns.
+func shape(n int) []Input {
+	names := []string{"a"}
+	for i := range n {
+		names = append(names, fmt.Sprint("c", i))
+	}
+	return []Input{{Schema: schema.MustFromNames(names...)}}
+}
+
+// TestBindKeepsAKernelPerShape: a built-in spec binds once per input
+// shape, and every later bind over an equal schema gets that kernel.
+func TestBindKeepsAKernelPerShape(t *testing.T) {
+	sp := &LimitSpec{N: 3}
+	first := Bind(nil, sp, shape(0))
+	if !first.OK {
+		t.Fatal("limit did not bind")
+	}
+	if Bind(nil, sp, shape(0)) != first {
+		t.Error("a bind over an equal schema bound again")
+	}
+	for i := 1; i < 4; i++ {
+		if k := Bind(nil, sp, shape(i)); k == first || Bind(nil, sp, shape(i)) != k {
+			t.Errorf("shape %d: want a kernel of its own, kept", i)
+		}
+	}
+	if Bind(nil, sp, shape(0)) != first {
+		t.Error("the first shape's kernel was dropped")
+	}
+}
+
+// TestBindConcurrent: concurrent first binds of one spec keep exactly
+// one kernel per shape, and every caller gets a kernel over its shape.
+func TestBindConcurrent(t *testing.T) {
+	sp := &LimitSpec{N: 3}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in := shape(w % 2)
+			if k := Bind(nil, sp, in); !k.OK || !k.in[0].Schema.Equal(in[0].Schema) {
+				t.Errorf("worker %d got a kernel over another shape", w)
+			}
+		}()
+	}
+	wg.Wait()
+	kept := 0
+	for b := sp.bound.Load(); b != nil; b = b.next {
+		kept++
+	}
+	if kept != 2 {
+		t.Errorf("kept %d kernels for 2 shapes", kept)
+	}
+}
