@@ -278,9 +278,8 @@ func TestBudget(t *testing.T) {
 	if err := b2.Charge(0, 501); err == nil {
 		t.Fatal("bytes over budget not detected")
 	}
-	rows, bytes := b2.Used()
-	if rows != 1<<30 || bytes != 1001 {
-		t.Fatalf("Used() = %d, %d", rows, bytes)
+	if rows, bytes := b2.rows.Load(), b2.bytes.Load(); rows != 1<<30 || bytes != 1001 {
+		t.Fatalf("charged %d rows, %d bytes", rows, bytes)
 	}
 }
 

@@ -46,14 +46,6 @@ func (b *Budget) Charge(rows, bytes int) error {
 	return nil
 }
 
-// Used reports the rows and bytes charged so far.
-func (b *Budget) Used() (rows, bytes int64) {
-	if b == nil {
-		return 0, 0
-	}
-	return b.rows.Load(), b.bytes.Load()
-}
-
 // BudgetError reports a run that exceeded its row or byte budget.
 type BudgetError struct {
 	// Kind is "rows" or "bytes".

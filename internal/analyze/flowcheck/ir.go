@@ -25,7 +25,7 @@ const (
 // FL060–FL064 are the fine-lattice rules documented in docs/TYPES.md.
 type Issue struct {
 	// Task is the task whose expression raised the issue: the stage's own
-	// or a parallel sub-task (set by TransferStage, not CheckNode).
+	// or a parallel sub-task (set by TransferStage).
 	Task     string
 	Rule     string
 	Severity Severity
@@ -66,12 +66,6 @@ type checker struct {
 
 func (c *checker) add(rule string, sev Severity, msg, hint string) {
 	c.issues = append(c.issues, Issue{Task: c.task, Rule: rule, Severity: sev, Message: msg, Hint: hint})
-}
-
-// CheckNode lowers a stage's parsed expression against the scope,
-// returning the typed root and every issue found.
-func CheckNode(n expr.Node, sc Scope) (*Expr, []Issue) {
-	return check(n, sc, "", nil)
 }
 
 // check lowers the expression of the named task against the scope,

@@ -9,14 +9,14 @@ import (
 	"shareinsights/internal/value"
 )
 
-// checkSrc parses src and lowers it with CheckNode.
+// checkSrc parses src and lowers it against the scope.
 func checkSrc(t *testing.T, src string, sc Scope) (*Expr, []Issue) {
 	t.Helper()
 	n, err := expr.Parse(src)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	return CheckNode(n, sc)
+	return check(n, sc, "", nil)
 }
 
 // testScope is the standard fixture: typed sales columns plus a counter
@@ -84,7 +84,7 @@ func TestCheckExprRules(t *testing.T) {
 		_, issues := checkSrc(t, c.src, testScope())
 		got := rulesOf(issues)
 		if strings.Join(got, ",") != strings.Join(c.want, ",") {
-			t.Errorf("CheckNode(%q) rules = %v, want %v (issues: %v)", c.src, got, c.want, issues)
+			t.Errorf("check(%q) rules = %v, want %v (issues: %v)", c.src, got, c.want, issues)
 		}
 	}
 }
@@ -205,9 +205,6 @@ func TestCardBounds(t *testing.T) {
 	}
 	if got := addCard(lim, CardUnknown()); !got.Unbounded || got.Min != 5 {
 		t.Errorf("addCard unbounded = %+v", got)
-	}
-	if (Card{}).Empty() != true || lim.Empty() != false {
-		t.Errorf("Empty misclassifies")
 	}
 }
 

@@ -52,6 +52,34 @@ func TestJoinIsLatticeLike(t *testing.T) {
 	}
 }
 
+// Conforms reports whether a runtime value is admissible under the
+// static type — the soundness relation the differential fuzzer
+// (fuzz_test.go) checks every produced cell against.
+// Null conforms only to nullable types; Int conforms to KInt and (by the
+// int ⊑ float order) to KFloat; every value conforms to KAny.
+func Conforms(v value.V, t Type) bool {
+	if v.IsNull() {
+		return t.Nullable || t.Kind == KNone || t.Kind == KAny
+	}
+	switch t.Kind {
+	case KAny:
+		return true
+	case KNone:
+		return false
+	case KBool:
+		return v.Kind() == value.Bool
+	case KInt:
+		return v.Kind() == value.Int
+	case KFloat:
+		return v.Kind() == value.Float || v.Kind() == value.Int
+	case KString:
+		return v.Kind() == value.String
+	case KTime:
+		return v.Kind() == value.Time
+	}
+	return false
+}
+
 // TestConformsMonotone is the heart of the soundness argument: widening a
 // type (joining with anything) never rejects a value the narrower type
 // admitted, so every transfer function that joins facts stays sound.

@@ -85,9 +85,6 @@ type Card struct {
 // CardUnknown is the no-information bound [0, ∞).
 func CardUnknown() Card { return Card{Unbounded: true} }
 
-// Empty reports a provably row-free object.
-func (c Card) Empty() bool { return !c.Unbounded && c.Max == 0 }
-
 // capMax clamps the upper bound to n (a limit stage).
 func (c Card) capMax(n int64) Card {
 	out := c

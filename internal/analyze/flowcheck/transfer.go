@@ -41,7 +41,7 @@ type StageResult struct {
 // def from its inputs and bound output schema (nil: the stage did not
 // bind, and only its issues mean anything), lowering each expression
 // once. Facts are sound: every value an engine produces in a typed
-// output column Conforms to the fact's type, constants hold on every
+// output column conforms to the fact's type, constants hold on every
 // row, intervals bound every non-null cell, and the true row count lies
 // inside Card.
 func TransferStage(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins []Input, out *schema.Schema) StageResult {

@@ -123,6 +123,10 @@ type StagePlan struct {
 	// "auto" when the runtime planner will decide on observed input
 	// size. The actual path lands in StageTiming.Path.
 	Path string `json:"path"`
+	// Fused marks a stage that runs inside the kernel call of the stage
+	// before it whenever that stage runs columnar (task.Fuses); its Path
+	// is that stage's.
+	Fused bool `json:"fused,omitempty"`
 }
 
 // SourcePushdown is a negotiated fetch-time rewrite request for a
@@ -227,8 +231,12 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 		if reorder != nil {
 			np.Decisions = append(np.Decisions, *reorder)
 		}
+		var in [2]task.Input
+		for i, src := range n.Inputs[:min(len(n.Inputs), 2)] {
+			in[i] = task.Input{Name: src, Schema: g.Nodes[src].Schema}
+		}
 		np.Specs = specs
-		np.Stages = stagePlans(name, specs, np.Columnar, opts)
+		np.Stages = stagePlans(name, specs, in[:len(n.Inputs)], np.Columnar, opts)
 		p.Nodes[name] = np
 	}
 	for _, name := range g.Order {
@@ -358,9 +366,10 @@ func reorderFilters(output string, specs []task.Spec, opts PlanOptions) ([]task.
 	}
 }
 
-// stagePlans renders the planned specs with predicted selectivities and
-// execution paths — the explain view of one node.
-func stagePlans(output string, specs []task.Spec, mode string, opts PlanOptions) []StagePlan {
+// stagePlans renders the planned specs with predicted selectivities,
+// execution paths and fusion — the explain view of one node, whose
+// inputs (its first stage's) are in.
+func stagePlans(output string, specs []task.Spec, in []task.Input, mode string, opts PlanOptions) []StagePlan {
 	out := make([]StagePlan, len(specs))
 	for i, sp := range specs {
 		st := StagePlan{Stage: task.Describe(sp)}
@@ -368,6 +377,9 @@ func stagePlans(output string, specs []task.Spec, mode string, opts PlanOptions)
 			st.Selectivity, st.Evidence = estimate(output, sp, opts)
 		}
 		st.Path = predictPath(output, sp, mode, opts)
+		if i > 0 && out[i-1].Path != "row" && task.Fuses(specs[i-1], sp, in) {
+			st.Path, st.Fused = out[i-1].Path, true
+		}
 		out[i] = st
 	}
 	return out
@@ -569,7 +581,11 @@ func (p *Plan) Format() string {
 			if st.Evidence != "" {
 				fmt.Fprintf(&b, "  sel=%.2f [%s]", st.Selectivity, st.Evidence)
 			}
-			fmt.Fprintf(&b, "  path=%s\n", st.Path)
+			fmt.Fprintf(&b, "  path=%s", st.Path)
+			if st.Fused {
+				b.WriteString(" fused")
+			}
+			b.WriteByte('\n')
 		}
 		for _, d := range np.Decisions {
 			fmt.Fprintf(&b, "  * %s: %s [%s]\n", d.Rule, d.Detail, d.Evidence)

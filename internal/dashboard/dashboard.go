@@ -387,10 +387,6 @@ func (prog *Program) Explain() *dag.Plan {
 	return dag.Optimize(prog.Graph, opts)
 }
 
-// LastPlan returns the plan the most recent run actually executed (nil
-// before the first run or with the optimizer disabled).
-func (d *Dashboard) LastPlan() *dag.Plan { return d.runPlan }
-
 // History returns the platform's run-history recorder (nil when the
 // platform records no history).
 func (d *Dashboard) History() *history.Recorder { return d.platform.History }

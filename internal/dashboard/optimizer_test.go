@@ -110,9 +110,9 @@ func TestOptimizerLearnsFromHistory(t *testing.T) {
 	if err := d.Run(); err != nil {
 		t.Fatalf("run 1: %v", err)
 	}
-	first := d.LastPlan()
+	first := d.runPlan
 	if first == nil {
-		t.Fatal("LastPlan nil after run 1")
+		t.Fatal("no plan after run 1")
 	}
 	firstRows := endpointRows(t, d)
 
@@ -136,7 +136,7 @@ func TestOptimizerLearnsFromHistory(t *testing.T) {
 	if err := d.Run(); err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
-	plan := d.LastPlan()
+	plan := d.runPlan
 	np := plan.Node("mid")
 	if np == nil || len(np.Stages) == 0 || np.Stages[0].Stage != "filter_by region == 'east'" {
 		t.Fatalf("history evidence did not reorder: %+v", np)
@@ -212,7 +212,7 @@ func TestUploadedFileHonoursPushdown(t *testing.T) {
 			t.Fatalf("run %d: %v", run, err)
 		}
 	}
-	planned := d.LastPlan().Node("raw").Pushdown
+	planned := d.runPlan.Node("raw").Pushdown
 	if planned == nil || planned.Predicate != "region == 'east'" || !slices.Contains(planned.SkipColumns, "notes") {
 		t.Fatalf("run 2 planned no pushdown for the uploaded source: %+v", planned)
 	}
@@ -271,7 +271,7 @@ func TestSBINSourceHonoursProjection(t *testing.T) {
 		return d, tr
 	}
 	d, tr := run(true)
-	if pd := d.LastPlan().Node("raw").Pushdown; pd == nil || !slices.Contains(pd.SkipColumns, "notes") {
+	if pd := d.runPlan.Node("raw").Pushdown; pd == nil || !slices.Contains(pd.SkipColumns, "notes") {
 		t.Fatalf("the plan skips no column of the sbin source: %+v", pd)
 	}
 	var decoded bool

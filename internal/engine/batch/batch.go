@@ -462,32 +462,37 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 		}
 		return in[0], 0, nil
 	}
-	for i, spec := range specs {
+	for i := 0; i < len(specs); {
 		if err := ctx.Err(); err != nil {
 			return nil, i, err
 		}
-		out, err := p.tryColumnar(spec, in, names)
-		if out == nil && err == nil {
-			out, err = p.runStage(spec, PathRow, rowsIn(in), func() (*table.Table, error) {
-				return spec.Exec(p.env, in, names)
+		out, n, err := p.tryColumnar(specs[i:], in, names)
+		if n == 0 && err == nil {
+			out, n, err = p.runStage(specs[i], nil, PathRow, rowsIn(in), func() (*table.Table, int, error) {
+				out, err := specs[i].Exec(p.env, in, names)
+				return out, 0, err
 			})
 		}
 		if err != nil {
 			return nil, i, err
 		}
+		i += n
 		p.cur[0] = out
 		in, names = p.cur[:], unnamed
 	}
 	return colstore.Compact(in[0]), len(specs), nil
 }
 
-// runStage runs one stage, and is the only place a stage meets the
+// runStage runs one stage, or a stage and tail, the stage fused into it,
+// and returns how many it ran. It is the only place a stage meets the
 // engine's cross-cutting concerns: its span, its clock, panic isolation,
 // its StageTiming record and the run budget's row charge. body is the
-// path-specific work.
-func (p *pipeline) runStage(spec task.Spec, path string, nIn int, body func() (*table.Table, error)) (*table.Table, error) {
+// path-specific work; for a fused pair it also returns the rows the
+// first stage alone produces: the tail's rows in. The pair's one kernel
+// call is timed on the first stage, and the tail's span is flagged fused.
+func (p *pipeline) runStage(spec, tail task.Spec, path string, nIn int, body func() (*table.Table, int, error)) (*table.Table, int, error) {
 	tr := p.e.Tracer
-	desc, sid := task.Describe(spec), 0
+	sid := 0
 	if tr != nil {
 		sid = tr.StartSpan(p.parent, task.StageName(spec))
 		if path == PathColumnar {
@@ -495,41 +500,55 @@ func (p *pipeline) runStage(spec task.Spec, path string, nIn int, body func() (*
 		}
 	}
 	start := time.Now()
-	out, err := execStage(desc, body)
+	out, mid, err := execStage(task.Describe(spec), body)
 	if err != nil {
 		if tr != nil {
 			tr.SpanFlag(sid, "error")
 			tr.EndSpan(sid)
 		}
-		return nil, err
+		return nil, 0, err
 	}
-	d := time.Since(start)
+	if tail == nil {
+		mid = out.Len()
+	}
+	if err := p.record(spec, sid, path, nIn, mid, time.Since(start)); err != nil || tail == nil {
+		return out, 1, err
+	}
+	if tr != nil {
+		sid = tr.StartSpan(p.parent, task.StageName(tail))
+		tr.SpanFlag(sid, "columnar")
+		tr.SpanFlag(sid, "fused")
+	}
+	return out, 2, p.record(tail, sid, path, mid, out.Len(), 0)
+}
+
+// record closes a run stage: its StageTiming, its span sid's rows and
+// duration, and the run budget's charge for its rows.
+func (p *pipeline) record(spec task.Spec, sid int, path string, nIn, nOut int, d time.Duration) error {
 	if p.stats != nil {
 		p.mu.Lock()
-		p.stats.Timings = append(p.stats.Timings, StageTiming{Output: p.node, Stage: desc, RowsIn: nIn, Rows: out.Len(),
+		p.stats.Timings = append(p.stats.Timings, StageTiming{Output: p.node, Stage: task.Describe(spec), RowsIn: nIn, Rows: nOut,
 			Duration: d, QueueWait: p.queueWait, Path: path, Plan: p.planTag})
 		p.mu.Unlock()
 		p.queueWait = 0
 	}
-	if tr != nil {
+	if tr := p.e.Tracer; tr != nil {
 		// duration_us carries the exact StageTiming duration, so trace
 		// exports and Stats.Timings agree to the microsecond.
 		tr.SpanInt(sid, "rows_in", int64(nIn))
-		tr.SpanInt(sid, "rows_out", int64(out.Len()))
+		tr.SpanInt(sid, "rows_out", int64(nOut))
 		tr.SpanInt(sid, "duration_us", d.Microseconds())
 		tr.EndSpan(sid)
 	}
 	if p.e.Budget != nil {
-		if err := p.e.Budget.Charge(out.Len(), 0); err != nil {
-			return nil, err
-		}
+		return p.e.Budget.Charge(nOut, 0)
 	}
-	return out, nil
+	return nil
 }
 
 // execStage runs one stage body, recovering panics into *PanicError so
 // a misbehaving operator fails its pipeline instead of the process.
-func execStage(stage string, body func() (*table.Table, error)) (out *table.Table, err error) {
+func execStage(stage string, body func() (*table.Table, int, error)) (out *table.Table, mid int, err error) {
 	defer recoverStage("", stage, &err)
 	return body()
 }

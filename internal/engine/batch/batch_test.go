@@ -516,10 +516,10 @@ func TestTraceMatchesStats(t *testing.T) {
 func TestNilTracerHooksAllocationFree(t *testing.T) {
 	p := &pipeline{e: &Executor{}}
 	out := rawTable(5, 1)
-	body := func() (*table.Table, error) { return out, nil }
+	body := func() (*table.Table, int, error) { return out, 0, nil }
 	noop := &task.FuncSpec{Name: "noop"}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := p.runStage(noop, PathRow, 5, body); err != nil {
+		if _, _, err := p.runStage(noop, nil, PathRow, 5, body); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

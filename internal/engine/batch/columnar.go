@@ -41,13 +41,16 @@ const (
 // a column with no typed vector); err is a real stage failure. A
 // column-backed table hands its batch over as is and the output wraps
 // the kernel's batch, so consecutive columnar stages — and the nodes
-// downstream — exchange vectors, never rows.
-func (p *pipeline) tryColumnar(spec task.Spec, in []*table.Table, names []string) (out *table.Table, err error) {
+// downstream — exchange vectors, never rows. The stage is specs[0]; when
+// specs[1] fuses with it (task.Fuses) and binds, the two run as one
+// kernel call. n is the number of stages run: 0 for none.
+func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []string) (out *table.Table, n int, err error) {
+	spec := specs[0]
 	small := func(t *table.Table) bool { return p.mode == ColumnarAuto && t.Len() < dag.ColumnarAutoThreshold }
 	_, one := spec.(task.Vectorizable)
 	_, two := spec.(task.VectorizableJoin)
 	if p.mode == ColumnarOff || !(one && len(in) == 1 || two && len(in) == 2) || small(in[0]) && (one || small(in[1])) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	var inputs [2]task.Input
 	for i, t := range in {
@@ -62,27 +65,42 @@ func (p *pipeline) tryColumnar(spec task.Spec, in []*table.Table, names []string
 		order = [2]int{1, 0}
 	}
 	if !k.OK || two && small(in[order[0]]) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	var bs [2]*colstore.Batch
 	for i := range in {
 		var ok bool
 		if bs[i], ok = colstore.FromTable(in[order[i]]); !ok {
-			return nil, nil
+			return nil, 0, nil
 		}
 	}
-	return p.runStage(spec, PathColumnar, rowsIn(in), func() (*table.Table, error) {
-		if two {
-			return asTable(k.Join.Run(bs[0], bs[1]))
+	var top *colstore.TopN
+	var filter *colstore.Filter
+	var tail task.Spec
+	if len(specs) > 1 && task.Fuses(spec, specs[1], inputs[:len(in)]) {
+		if sort, ok := k.Vec.(*colstore.Sort); ok {
+			top, tail = &colstore.TopN{Keys: sort.Keys, Limit: specs[1].(*task.LimitSpec).N}, specs[1]
+		} else if filter, _ = task.Bind(p.env, specs[1], []task.Input{{Schema: k.Join.Out}}).Vec.(*colstore.Filter); filter != nil {
+			tail = specs[1]
 		}
-		return asTable(k.Vec.Run(bs[0]))
+	}
+	return p.runStage(spec, tail, PathColumnar, rowsIn(in), func() (*table.Table, int, error) {
+		var b *colstore.Batch
+		var err error
+		mid := bs[0].Len()
+		switch {
+		case filter != nil:
+			b, mid, err = k.Join.RunFiltered(bs[0], bs[1], filter)
+		case two:
+			b, err = k.Join.Run(bs[0], bs[1])
+		case top != nil:
+			b, err = top.Run(bs[0])
+		default:
+			b, err = k.Vec.Run(bs[0])
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		return b.ToTable(), mid, nil
 	})
-}
-
-// asTable wraps a kernel's output batch as a table.
-func asTable(b *colstore.Batch, err error) (*table.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return b.ToTable(), nil
 }

@@ -354,6 +354,42 @@ T:
     orderby_column: [ratio]
     limit: 5
 `},
+	{"topn_multi_key", diffHeader + `
+F:
+  D.out: D.src | T.top
+
+T:
+  top:
+    type: topn
+    orderby_column: [region, amount DESC, ratio]
+    limit: 9
+`},
+	// Both fused pairs: the join with the probe-side filter after it, and
+	// the sort with the limit after it.
+	{"join_filter_sort_limit", diffHeader + `
+F:
+  D.dim: D.src | T.first30
+  D.out: (D.src, D.dim) | T.j | T.keep | T.order | T.first
+
+T:
+  first30:
+    type: limit
+    limit: 30
+  j:
+    type: join
+    left: src by product
+    right: dim by product
+    join_condition: left outer
+  keep:
+    type: filter_by
+    filter_expression: src_amount > 0
+  order:
+    type: sort
+    orderby_column: [src_ratio DESC, dim_region]
+  first:
+    type: limit
+    limit: 25
+`},
 	{"kernel_chain", diffHeader + `
 F:
   D.out: D.src | T.keep | T.double | T.agg | T.top

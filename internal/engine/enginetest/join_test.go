@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"shareinsights/internal/dag"
 	"shareinsights/internal/engine/batch"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/schema"
@@ -144,6 +145,58 @@ func TestJoinMatrixDifferential(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestJoinFilterFusion runs a join followed by a filter, under every join
+// condition, in both input orders, with the filter reading the probe
+// side, the build side or both, true on null and false on null, through
+// diffFlow — over keys that repeat and over keys no row shares, where
+// every build row is unmatched — and then checks where the pair fused: the filter's span is
+// flagged fused and explain marks it exactly for an inner or left outer
+// join filtered on the probe side. A right or full outer join emits
+// build rows no probe row joined, whose nulls the filter must see, so it
+// never fuses; neither does a filter that reads the build side. A fused
+// filter still reports the join's output as its rows in.
+func TestJoinFilterFusion(t *testing.T) {
+	for _, shape := range []joinShape{shapeDuplicates, shapeNoMatches} {
+		joinFilterFusion(t, joinShapes[shape], joinInputs(shape, 3, 300))
+	}
+}
+
+// joinFilterFusion is TestJoinFilterFusion over one data shape.
+func joinFilterFusion(t *testing.T, shape string, sources map[string]*table.Table) {
+	for _, cond := range []string{"inner", "left outer", "right outer", "full outer"} {
+		for _, pred := range []struct{ side, expr string }{
+			{"probe", "not (l_v > 3)"}, {"build", "not (r_v > 3)"}, {"both", "not (l_v > 3 and r_v > 3)"},
+			{"probe", "l_v > 3"}, {"build", "r_v > 3"}, {"both", "l_v > 3 and r_v > 3"},
+		} {
+			for variant := 1; variant <= 2; variant++ {
+				flow := strings.Replace(joinFlow(cond, "ks", variant), "| T.j\n", "| T.j | T.f\n", 1) +
+					"  f:\n    type: filter_by\n    filter_expression: " + pred.expr + "\n"
+				name := fmt.Sprintf("%s/%s/%s/variant%d", shape, cond, pred.expr, variant)
+				diffFlow(t, flow, sources)
+				want := pred.side == "probe" && (cond == "inner" || cond == "left outer")
+				g := buildGraph(t, flow)
+				if st := dag.Optimize(g, dag.PlanOptions{Columnar: batch.ColumnarOn}).Node("out").Stages; st[1].Fused != want {
+					t.Errorf("%s: explain marks the filter fused=%v, want %v", name, st[1].Fused, want)
+				}
+				tr := obs.NewTrace("t")
+				e := &batch.Executor{Parallelism: 1, Columnar: batch.ColumnarOn, Tracer: tr}
+				res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range tr.Spans() {
+					if strings.HasPrefix(s.Name, "stage filter_by") && s.HasFlag("fused") != want {
+						t.Errorf("%s: the filter's span flags %v, want fused=%v", name, s.Flags, want)
+					}
+				}
+				if tm := res.Stats.Timings; len(tm) != 2 || tm[1].RowsIn != tm[0].Rows || tm[1].Path != batch.PathColumnar {
+					t.Errorf("%s: timings %+v, want the join's rows out as the columnar filter's rows in", name, tm)
+				}
+			}
 		}
 	}
 }

@@ -65,8 +65,10 @@ T:
 // vector, such as the mixed-kind score nulls give kernel_chain, or a
 // kernel falling back on values it has no typed path for — which depend
 // on cell values, not on the evidence a plan has: the source has no
-// nulls.
+// nulls. A fused stage is predicted on the path of the stage it runs
+// inside, and at least one is checked.
 func TestPlanPredictsExecutedPath(t *testing.T) {
+	fused := 0
 	data, err := connector.EncodeCSV(salesTable(2000, 5, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -110,6 +112,9 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 						continue
 					}
 					checked++
+					if st.Fused {
+						fused++
+					}
 					if got, ok := ran[dag.HintKey(name, st.Stage)]; !ok {
 						t.Errorf("D.%s: plan predicts %s for %q, but no stage %q ran", name, st.Path, st.Stage, st.Stage)
 					} else if got != st.Path {
@@ -121,5 +126,8 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 				t.Errorf("no stage was predicted from history:\n%s", plan.Format())
 			}
 		})
+	}
+	if fused == 0 {
+		t.Error("no fused stage was predicted from history")
 	}
 }

@@ -172,17 +172,8 @@ func appendRefs(dst []byte, refs []Ref) []byte {
 	return append(dst, ')')
 }
 
-// ParsePipeline parses "D.a | T.x | T.y" or "(D.a, D.b) | T.join".
-func ParsePipeline(s string) (*Pipeline, error) {
-	pl := &Pipeline{}
-	if err := new(flowParser).pipeline(s, pl); err != nil {
-		return nil, err
-	}
-	return pl, nil
-}
-
-// pipeline parses the pipeline s into pl, carving its references from
-// the parser's slab.
+// pipeline parses the pipeline s ("D.a | T.x | T.y" or "(D.a, D.b) |
+// T.join") into pl, carving its references from the parser's slab.
 func (p *flowParser) pipeline(s string, pl *Pipeline) (err error) {
 	r0 := len(p.rstack)
 	eachTop(s, '|', func(part string) {

@@ -148,12 +148,8 @@ func TestPipelineRoundTripProperty(t *testing.T) {
 		for i := 0; i < nT; i++ {
 			src += fmt.Sprintf(" | T.t%d", i)
 		}
-		p, err := ParsePipeline(src)
-		if err != nil {
-			return false
-		}
-		p2, err := ParsePipeline(p.String())
-		if err != nil {
+		var p, p2 Pipeline
+		if new(flowParser).pipeline(src, &p) != nil || new(flowParser).pipeline(p.String(), &p2) != nil {
 			return false
 		}
 		return p.String() == p2.String() && len(p2.Inputs) == nIn && len(p2.Tasks) == nT

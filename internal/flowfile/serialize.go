@@ -108,9 +108,6 @@ func (f *File) AppendTaskText(b []byte, name string) []byte {
 	return b
 }
 
-// TaskText is AppendTaskText as a string ("" if the task is absent).
-func (f *File) TaskText(name string) string { return string(f.AppendTaskText(nil, name)) }
-
 // cat appends each of parts to b.
 func cat(b []byte, parts ...string) []byte {
 	for _, p := range parts {

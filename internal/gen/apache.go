@@ -86,45 +86,11 @@ func SvnJiraSummaryCSV(opts ApacheOptions) []byte {
 	return buf.Bytes()
 }
 
-// StackSummaryCSV renders Stack Overflow traffic: project, question,
-// answer, tags.
-func StackSummaryCSV(opts ApacheOptions) []byte {
-	opts.defaults()
-	rng := Rand(opts.Seed + 1)
-	var buf bytes.Buffer
-	for _, p := range ApacheProjects {
-		questions := int(p.activity*5000) + rng.Intn(1000)
-		answers := int(float64(questions) * (0.6 + rng.Float64()*0.5))
-		fmt.Fprintf(&buf, "%s,%d,%d,%q\n", p.Name, questions, answers, p.Technology)
-	}
-	return buf.Bytes()
-}
-
 // ProjectMetaCSV renders project reference data: project, technology.
 func ProjectMetaCSV() []byte {
 	var buf bytes.Buffer
 	for _, p := range ApacheProjects {
 		fmt.Fprintf(&buf, "%s,%q\n", p.Name, p.Technology)
-	}
-	return buf.Bytes()
-}
-
-// ReleasesCSV renders release history rows: project, year, version.
-func ReleasesCSV(opts ApacheOptions) []byte {
-	opts.defaults()
-	rng := Rand(opts.Seed + 2)
-	var buf bytes.Buffer
-	for _, p := range ApacheProjects {
-		major := 1
-		for year := opts.FirstYear; year <= opts.LastYear; year++ {
-			n := rng.Intn(4) + 1
-			for i := 0; i < n; i++ {
-				fmt.Fprintf(&buf, "%s,%d,%d.%d.%d\n", p.Name, year, major, rng.Intn(9), rng.Intn(9))
-			}
-			if rng.Float64() < 0.3 {
-				major++
-			}
-		}
 	}
 	return buf.Bytes()
 }

@@ -140,30 +140,7 @@ func TestLatLongParsable(t *testing.T) {
 	}
 }
 
-func TestReleasesAndStackSummary(t *testing.T) {
-	rel := ReleasesCSV(ApacheOptions{Seed: 4})
-	r := csv.NewReader(bytes.NewReader(rel))
-	records, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) < len(ApacheProjects) {
-		t.Fatalf("releases rows = %d", len(records))
-	}
-	for _, rec := range records {
-		if len(rec) != 3 || !strings.Contains(rec[2], ".") {
-			t.Fatalf("bad release record %v", rec)
-		}
-	}
-	stack := StackSummaryCSV(ApacheOptions{Seed: 4})
-	r2 := csv.NewReader(bytes.NewReader(stack))
-	records, err = r2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != len(ApacheProjects) {
-		t.Fatalf("stack rows = %d", len(records))
-	}
+func TestProjectMetaAndTeamPlayers(t *testing.T) {
 	meta := ProjectMetaCSV()
 	if !strings.Contains(string(meta), "spark") {
 		t.Error("project meta missing spark")

@@ -476,18 +476,6 @@ func (r *Recorder) LastRun(dash string) (RunRecord, bool) {
 	return *ring[len(ring)-1], true
 }
 
-// Dashboards lists the dashboards with recorded history, sorted.
-func (r *Recorder) Dashboards() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.runs))
-	for d := range r.runs {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Profiles returns the stage profiles for one flow hash, sorted by
 // (output, stage). The profiles are copies.
 func (r *Recorder) Profiles(flowHash string) []StageProfile {

@@ -65,14 +65,13 @@ func TestSketchQuantiles(t *testing.T) {
 	}
 }
 
-func TestSketchMergeAndClamp(t *testing.T) {
-	var a, b Sketch
+func TestSketchClamp(t *testing.T) {
+	var a Sketch
 	a.Observe(0)       // below 1µs clamps into the first bucket
 	a.Observe(1 << 40) // beyond the top clamps into the last
-	b.Observe(1000)
-	a.Merge(&b)
+	a.Observe(1000)
 	if a.N != 3 {
-		t.Fatalf("merged N = %d, want 3", a.N)
+		t.Fatalf("N = %d, want 3", a.N)
 	}
 	if a.Counts[0] != 1 || a.Counts[sketchBuckets-1] != 1 {
 		t.Fatal("clamped observations missing from edge buckets")
@@ -104,9 +103,6 @@ func TestRecordRingAndSeq(t *testing.T) {
 	}
 	if _, ok := r.LastRun("ghost"); ok {
 		t.Fatal("LastRun for unknown dashboard")
-	}
-	if ds := r.Dashboards(); len(ds) != 1 || ds[0] != "alpha" {
-		t.Fatalf("Dashboards = %v", ds)
 	}
 }
 

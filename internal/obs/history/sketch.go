@@ -67,11 +67,3 @@ func (s *Sketch) Quantile(q float64) float64 {
 	}
 	return math.Exp2(float64(sketchBuckets) / 4)
 }
-
-// Merge adds another sketch's observations into this one.
-func (s *Sketch) Merge(o *Sketch) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.N += o.N
-}

@@ -325,7 +325,7 @@ func TestGoldenFormat(t *testing.T) {
 	must(repo.Branch(vcs.DefaultBranch, "dev"))
 	commit("dev", "add distinct", goldenDev) // 4th record: vcs compacts
 	commit(vcs.DefaultBranch, "add topn", goldenMain)
-	_, err = repo.Merge(vcs.DefaultBranch, "dev", "ann")
+	_, err = repo.MergeIf(vcs.DefaultBranch, "dev", "ann", nil)
 	must(err)
 
 	publish("sales", 2)

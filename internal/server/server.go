@@ -456,9 +456,3 @@ func (s *Server) RunContext(ctx context.Context, name string) (*dashboard.Dashbo
 	d, _, err := s.run(ctx, name)
 	return d, err
 }
-
-// Repo exposes a dashboard's repository (the CLI's vcs subcommands).
-func (s *Server) Repo(name string) (*vcs.Repo, bool) {
-	repo := s.lookup(name).repo
-	return repo, repo != nil
-}

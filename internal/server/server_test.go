@@ -984,7 +984,7 @@ func TestSaveDashboardValidates(t *testing.T) {
 	if _, err := s.SaveDashboard("dangling", "tester", []byte(bad)); err == nil || !strings.Contains(err.Error(), "no_such_task") {
 		t.Fatalf("SaveDashboard err = %v, want the undefined-task validation error", err)
 	}
-	if _, ok := s.Repo("dangling"); ok {
+	if s.lookup("dangling").repo != nil {
 		t.Error("rejected save still created a repository")
 	}
 }
@@ -1018,7 +1018,7 @@ func TestMergeRejectsUnloadableResult(t *testing.T) {
 			t.Fatalf("%s %s = %d: %s", step[0], step[1], code, body)
 		}
 	}
-	repo, _ := s.Repo("m")
+	repo := s.lookup("m").repo
 	before, _ := repo.Tip("main")
 	if n := s.resultCache.Stats().Entries; n != 1 {
 		t.Fatalf("result cache entries after run = %d, want 1", n)

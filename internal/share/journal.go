@@ -33,23 +33,13 @@ func (c *Catalog) SetJournal(fn func(Entry) error) {
 
 // SetLimit caps how many objects the catalog holds; 0 means unbounded.
 // When a new publish would exceed the cap, the least-recently-used
-// objects not claimed by the SetReferenced hook are evicted.
+// objects are evicted.
 func (c *Catalog) SetLimit(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.limit = n
 	c.evictOverLimitLocked("")
 	c.setGaugeLocked()
-}
-
-// SetReferenced installs a pin hook: objects for which fn returns true
-// are never evicted by the capacity limit (they are still removable via
-// Remove). fn runs under the catalog's lock and must not call back into
-// the catalog.
-func (c *Catalog) SetReferenced(fn func(name string) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.referenced = fn
 }
 
 // catalogMetrics holds the catalog's instruments.

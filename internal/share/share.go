@@ -46,14 +46,12 @@ type Catalog struct {
 	now     func() time.Time
 
 	// limit caps the object count; 0 means unbounded. When a new publish
-	// would exceed it, the least-recently-used unreferenced objects are
-	// evicted (see SetReferenced).
-	limit      int
-	lastUsed   map[string]uint64
-	useSeq     uint64
-	referenced func(name string) bool
-	journal    func(Entry) error
-	met        *catalogMetrics
+	// would exceed it, the least-recently-used objects are evicted.
+	limit    int
+	lastUsed map[string]uint64
+	useSeq   uint64
+	journal  func(Entry) error
+	met      *catalogMetrics
 }
 
 // NewCatalog returns an empty catalog.
@@ -111,9 +109,9 @@ func (c *Catalog) touchLocked(name string) {
 	c.lastUsed[name] = c.useSeq
 }
 
-// evictOverLimitLocked drops least-recently-used unreferenced objects
-// until the catalog fits its limit. keep is never evicted (it is the
-// object just published). Evictions are journaled like removes; if the
+// evictOverLimitLocked drops least-recently-used objects until the
+// catalog fits its limit (at least 1, so there is always one other than
+// keep, the object just published, which is never evicted). Evictions are journaled like removes; if the
 // journal fails the object stays — the cap yields to durability.
 func (c *Catalog) evictOverLimitLocked(keep string) {
 	if c.limit <= 0 {
@@ -123,15 +121,12 @@ func (c *Catalog) evictOverLimitLocked(keep string) {
 		victim := ""
 		var oldest uint64
 		for n := range c.objects {
-			if n == keep || (c.referenced != nil && c.referenced(n)) {
+			if n == keep {
 				continue
 			}
 			if u := c.lastUsed[n]; victim == "" || u < oldest {
 				victim, oldest = n, u
 			}
-		}
-		if victim == "" {
-			return // everything else is referenced: exceed the cap
 		}
 		if c.journal != nil {
 			if err := c.journal(Entry{Kind: EntryRemove, Name: victim}); err != nil {

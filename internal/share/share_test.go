@@ -196,28 +196,6 @@ func TestCatalogLimitLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCatalogReferencedObjectsPinned(t *testing.T) {
-	c := NewCatalog()
-	c.SetLimit(2)
-	c.SetReferenced(func(name string) bool { return name == "pinned" })
-	c.Publish("dash", "pinned", sampleTable(1))
-	c.Publish("dash", "old", sampleTable(1))
-	c.Publish("dash", "new", sampleTable(1))
-	if _, ok := c.Resolve("pinned"); !ok {
-		t.Error("referenced object was evicted")
-	}
-	if _, ok := c.Resolve("old"); ok {
-		t.Error("unreferenced LRU object survived")
-	}
-	// If everything else is referenced, the cap yields rather than
-	// evicting live data.
-	c.SetReferenced(func(string) bool { return true })
-	c.Publish("dash", "extra", sampleTable(1))
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (cap exceeded, nothing evictable)", c.Len())
-	}
-}
-
 func TestCatalogJournalAcksBeforeInstall(t *testing.T) {
 	c := NewCatalog()
 	var entries []Entry

@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
@@ -348,7 +349,7 @@ func TestTopNMatchesStableSort(t *testing.T) {
 			return false
 		}
 		limit := int(limit8%16) + 1
-		got, err := (&TopN{Key: 0, Desc: desc, Limit: limit}).Run(b)
+		got, err := (&TopN{Keys: []table.SortKey{{Column: b.Schema().Col(0).Name, Desc: desc}}, Limit: limit}).Run(b)
 		if err != nil {
 			return false
 		}
@@ -368,6 +369,33 @@ func TestTopNMatchesStableSort(t *testing.T) {
 	}
 	if err := quick.Check(f, qc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTopNNaNKeys: NaN compares equal to every float, so a key column
+// holding one is no strict weak order, and a heap's choice need not be
+// the stable sort's prefix. TopN must still return exactly the first
+// Limit rows of the stable sort the row top-n runs, over one key and two.
+func TestTopNNaNKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(40) + 2
+		tb := table.New(schema.MustFromNames("f", "i"))
+		for i := 0; i < n; i++ {
+			f := float64(rng.Intn(5))
+			if rng.Intn(4) == 0 {
+				f = math.NaN()
+			}
+			tb.AppendValues(value.NewFloat(f), value.NewInt(int64(rng.Intn(3))))
+		}
+		b, _ := FromTable(tb)
+		keys := []table.SortKey{{Column: "f", Desc: trial%2 == 0}, {Column: "i"}}[:1+trial%3/2]
+		limit := rng.Intn(n)
+		got, err := (&TopN{Keys: keys, Limit: limit}).Run(b)
+		want := tb.CloneShallow()
+		if err != nil || want.Sort(keys...) != nil || !sameCells(got.ToTable(), want.Head(limit)) {
+			t.Fatalf("top %d by %v of %d rows differs from the stable sort's prefix (err %v)", limit, keys, n, err)
+		}
 	}
 }
 
@@ -516,7 +544,7 @@ func TestSharedColumnBackedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernels := []Kernel{
-		&TopN{Key: 0, Limit: 3},
+		&TopN{Keys: []table.SortKey{{Column: "a"}}, Limit: 3},
 		&Sort{Keys: []table.SortKey{{Column: "s", Desc: true}, {Column: "a"}}},
 		&GroupBy{Keys: []int{2}, Aggs: []Agg{{Op: "sum", Col: 0}, {Op: "max", Col: 1}, {Op: "count", Col: -1}},
 			Out: schema.MustFromNames("s", "sum", "max", "n"), SortKeys: []table.SortKey{{Column: "s"}}},

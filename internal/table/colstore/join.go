@@ -151,8 +151,9 @@ type JoinCol struct {
 // every output row its left and its right source row, -1 where an outer
 // join has no partner — and each projected output column is a selection
 // through one of them. No key string, no row and no cell is built, and
-// no column is copied: a later filter composes the two index vectors,
-// and a column nothing reads is never gathered. Output order is the row
+// no column is copied, and a column nothing reads is never gathered. A
+// filter that follows the join composes the two index vectors, unless it
+// runs inside the join (RunFiltered). Output order is the row
 // join's: left rows in order, each one's partners in right-row order,
 // then (right and full outer) the right rows nothing matched, in order.
 // Key identity is keyIndex's.
@@ -169,12 +170,35 @@ type Join struct {
 }
 
 // Run joins the two batches; every key kind has the encoded path.
-func (k *Join) Run(left, right *Batch) (*Batch, error) { return k.run(left, right, morselRows) }
+func (k *Join) Run(left, right *Batch) (*Batch, error) {
+	out, _, err := k.run(left, right, nil, morselRows)
+	return out, err
+}
 
-// run is Run probing size left rows at a time: the probe side's ids are
-// one morsel long, assigned once to size the output exactly and once to
-// emit it.
-func (k *Join) run(left, right *Batch, size int) (*Batch, error) {
+// RunFiltered is Run followed by f, a filter bound over Out that reads
+// only left columns, for a join that keeps no unmatched right row (an
+// inner or a left outer one): f's predicate runs over the left rows,
+// through a view that holds each left column in its output slot, into a
+// bitmap, and the join skips the rows it leaves unset. The index pair is
+// sized to the kept rows, and no selection is composed. joined is the
+// row count Run would have produced.
+func (k *Join) RunFiltered(left, right *Batch, f *Filter) (out *Batch, joined int, err error) {
+	view := make([]*Vec, len(k.Cols))
+	for i, c := range k.Cols {
+		if !c.Right {
+			view[i] = left.cols[c.Col]
+		}
+	}
+	keep := NewBitmap(left.length)
+	f.Pred(&Batch{schema: k.Out, cols: view, length: left.length}, keep)
+	return k.run(left, right, keep, morselRows)
+}
+
+// run is Run probing size left rows at a time, skipping the left rows
+// keep (when not nil) leaves unset: the probe side's ids are one morsel
+// long, assigned once to size the output exactly — and to count the rows
+// an unmasked join has — and once to emit it.
+func (k *Join) run(left, right *Batch, keep *Bitmap, size int) (*Batch, int, error) {
 	x := newKeyIndex(keyVecs(left, k.LeftKeys), keyVecs(right, k.RightKeys))
 	rids := x.assign(right, k.RightKeys, 0, make([]int32, right.length), true)
 
@@ -198,16 +222,20 @@ func (k *Join) run(left, right *Batch, size int) (*Batch, error) {
 	// Size the output exactly, so the index vectors are two allocations
 	// whatever the row count. probed marks the keys some left row hit.
 	probed := make([]bool, nk)
-	total := 0
+	total, joined := 0, 0
 	ids := make([]int32, min(left.length, size))
 	for lo := 0; lo < left.length; lo += len(ids) {
-		for _, id := range x.assign(left, k.LeftKeys, lo, ids, false) {
+		for j, id := range x.assign(left, k.LeftKeys, lo, ids, false) {
+			n := 0
 			switch {
 			case id >= 0:
 				probed[id] = true
-				total += int(count[id])
+				n = int(count[id])
 			case k.KeepLeft:
-				total++
+				n = 1
+			}
+			if joined += n; keep == nil || keep.Get(lo+j) {
+				total += n
 			}
 		}
 	}
@@ -215,6 +243,7 @@ func (k *Join) run(left, right *Batch, size int) (*Batch, error) {
 		for id, hit := range probed {
 			if !hit {
 				total += int(count[id])
+				joined += int(count[id])
 			}
 		}
 	}
@@ -222,6 +251,9 @@ func (k *Join) run(left, right *Batch, size int) (*Batch, error) {
 	for lo := 0; lo < left.length; lo += len(ids) {
 		for j, id := range x.assign(left, k.LeftKeys, lo, ids, false) {
 			l := int32(lo + j)
+			if keep != nil && !keep.Get(int(l)) {
+				continue
+			}
 			if id < 0 {
 				if k.KeepLeft {
 					lidx = append(lidx, l)
@@ -253,5 +285,5 @@ func (k *Join) run(left, right *Batch, size int) (*Batch, error) {
 			cols[i] = left.cols[jc.Col].pick(lidx, &c)
 		}
 	}
-	return &Batch{schema: k.Out, cols: cols, length: total}, nil
+	return &Batch{schema: k.Out, cols: cols, length: total}, joined, nil
 }

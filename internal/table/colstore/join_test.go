@@ -259,6 +259,58 @@ func TestJoinAllocs(t *testing.T) {
 	}
 }
 
+// TestFusedJoinAllocs: a join with the filter after it run inside it
+// (RunFiltered) allocates a number of objects that does not depend on
+// the row count, and of the probe side's rows nothing but the predicate's
+// bitmap, one morsel of key ids and of the predicate's temporaries, and
+// the output's index pair sized exactly to the kept rows — no kept-row
+// list, and no index vector composed through it: its bytes are those
+// (each index vector rounded up to the allocator's 8 KiB pages) and the
+// build side at 128 bytes a key, within 4 KiB.
+func TestFusedJoinAllocs(t *testing.T) {
+	const keys = 100
+	k := innerJoinKX()
+	pred, err := compileVecSrc("x % 3 == 0", k.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Filter{Pred: pred}
+	objects := map[int]float64{}
+	for _, n := range []int{1000, 60000} {
+		left, right := joinInputs(n, keys)
+		kept := (n + 2) / 3
+		objects[n] = testing.AllocsPerRun(5, func() {
+			out, joined, err := k.RunFiltered(left, right, f)
+			if err != nil || out.Len() != kept || joined != n {
+				t.Fatalf("fused join: %d rows of %d joined, want %d of %d; err %v", out.Len(), joined, kept, n, err)
+			}
+			for _, c := range []int{0, 2} {
+				if sel := out.Col(c).sel; len(sel) != kept || cap(sel) != kept {
+					t.Fatalf("column %d's index vector holds %d of %d slots, want exactly %d", c, len(sel), cap(sel), kept)
+				}
+			}
+		})
+	}
+	if objects[1000] != objects[60000] {
+		t.Errorf("the fused join allocates %.0f objects over 1,000 rows and %.0f over 60,000", objects[1000], objects[60000])
+	}
+	const n = 60000
+	left, right := joinInputs(n, keys)
+	least := uint64(math.MaxUint64)
+	for run := 0; run < 5; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		k.RunFiltered(left, right, f)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	pages := func(bytes int) int { return (bytes + 8191) &^ 8191 }
+	// The morsel's ids (4 bytes a row), x % 3 (8) and its comparison (1).
+	if want := pages(n/8) + 2*pages(4*(n+2)/3) + 128*keys + (4+8+1)*morselRows + 4<<10; least > uint64(want) {
+		t.Errorf("the fused join allocates %d bytes, want at most %d", least, want)
+	}
+}
+
 // TestGroupByAllocs: the group-by allocates a number of objects that does
 // not depend on the row count, and of its rows nothing but one morsel of
 // group ids: at 60,000 rows its bytes are its output (the groups' key

@@ -3,6 +3,7 @@ package colstore
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -85,56 +86,27 @@ func (k *MapExpr) Run(b *Batch) (*Batch, error) {
 }
 
 // ---------------------------------------------------------------------
-// topn
+// topn, sort and limit
 
-// TopN keeps the first Limit rows by one key column — a bounded-heap
-// selection instead of a full sort when the input is larger than the
-// budget. Configuration mirrors the topn task restricted to a single
-// global group and a single order key.
+// TopN keeps the first Limit rows by its keys: the topn task over one
+// global group, and the sort task with the limit task after it. It
+// selects them with a bounded heap, O(n log limit) instead of a full
+// sort, when the input is larger than the budget; the output is the
+// stable sort's first Limit rows, ties in input order.
 type TopN struct {
-	// Key is the order column's index; Desc flips the order.
-	Key  int
-	Desc bool
+	// Keys are the order criteria, most significant first.
+	Keys []table.SortKey
 	// Limit is the row budget.
 	Limit int
 }
 
 // Run implements Kernel.
 func (k *TopN) Run(b *Batch) (*Batch, error) {
-	n := b.length
-	cmp := keyComparator(b.cols[k.Key])
-	// less is the row order of the output: key order, ties broken by
-	// original position — exactly the row kernel's stable sort.
-	less := func(i, j int32) bool {
-		c := cmp(int(i), int(j))
-		if c != 0 {
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return i < j
+	idx, err := sortPerm(b, k.Keys, k.Limit)
+	if err != nil || idx == nil {
+		return b, err
 	}
-	if n <= k.Limit {
-		idx := identity(n)
-		sort.Slice(idx, func(x, y int) bool { return less(idx[x], idx[y]) })
-		return b.selectRows(idx), nil
-	}
-	// Bounded heap: the worst kept row sits at the root; a better
-	// candidate evicts it. O(n log limit) instead of O(n log n).
-	h := identity(k.Limit)
-	worse := func(i, j int32) bool { return less(j, i) }
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, worse)
-	}
-	for i := k.Limit; i < n; i++ {
-		if less(int32(i), h[0]) {
-			h[0] = int32(i)
-			siftDown(h, 0, worse)
-		}
-	}
-	sort.Slice(h, func(x, y int) bool { return less(h[x], h[y]) })
-	return b.selectRows(h), nil
+	return b.selectRows(idx), nil
 }
 
 // identity returns the row indices 0..n-1.
@@ -199,14 +171,19 @@ func keyComparator(v *Vec) func(i, j int) int {
 	}
 }
 
-// sortPerm returns the permutation that orders b's rows stably by keys
-// (nil for no keys) — the columnar analogue of table.Sort, sorted under
-// typed per-column comparators. It is the same algorithm
-// (sort.SliceStable) over the same comparison outcomes as table.Sort,
-// so the two agree even where value.Compare is not an order (NaN
-// compares equal to every float).
-func sortPerm(b *Batch, keys []table.SortKey) ([]int32, error) {
-	if len(keys) == 0 {
+// sortPerm returns the first limit rows (all, when limit reaches the
+// length) of the permutation that orders b's rows stably by keys — the
+// columnar analogue of table.Sort, compared under typed per-column
+// comparators. A full sort is the same algorithm (sort.SliceStable) over
+// the same comparison outcomes as table.Sort, so the two agree even where
+// value.Compare is not an order (NaN compares equal to every float). A
+// shorter prefix is heap-selected where the comparators are a strict weak
+// order, ties broken by row: exactly the stable sort's prefix. It is nil
+// for no keys and no limit: the rows as they are.
+func sortPerm(b *Batch, keys []table.SortKey, limit int) ([]int32, error) {
+	n := b.length
+	limit = max(min(limit, n), 0)
+	if len(keys) == 0 && limit == n {
 		return nil, nil
 	}
 	type bound struct {
@@ -214,23 +191,44 @@ func sortPerm(b *Batch, keys []table.SortKey) ([]int32, error) {
 		desc bool
 	}
 	bounds := make([]bound, len(keys))
+	heap := limit < n
 	for i, k := range keys {
 		j := b.schema.Index(k.Column)
 		if j < 0 {
 			return nil, fmt.Errorf("colstore: sort column %q not found", k.Column)
 		}
-		bounds[i] = bound{cmp: keyComparator(b.cols[j]), desc: k.Desc}
+		v := b.cols[j]
+		bounds[i] = bound{cmp: keyComparator(v), desc: k.Desc}
+		heap = heap && v.kind != anyKind && !(v.kind == value.Float && slices.ContainsFunc(v.floats, math.IsNaN))
 	}
-	idx := identity(b.length)
-	sort.SliceStable(idx, func(x, y int) bool {
+	less := func(i, j int32) bool {
 		for _, k := range bounds {
-			if c := k.cmp(int(idx[x]), int(idx[y])); c != 0 {
+			if c := k.cmp(int(i), int(j)); c != 0 {
 				return (c < 0) != k.desc
 			}
 		}
 		return false
-	})
-	return idx, nil
+	}
+	if !heap {
+		idx := identity(n)
+		sort.SliceStable(idx, func(x, y int) bool { return less(idx[x], idx[y]) })
+		return idx[:limit], nil
+	}
+	// The worst kept row sits at the root; a better one evicts it.
+	before := func(i, j int32) bool { return less(i, j) || !less(j, i) && i < j }
+	worse := func(i, j int32) bool { return before(j, i) }
+	h := identity(limit)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, worse)
+	}
+	for i := limit; i < n && limit > 0; i++ {
+		if before(int32(i), h[0]) {
+			h[0] = int32(i)
+			siftDown(h, 0, worse)
+		}
+	}
+	sort.Slice(h, func(x, y int) bool { return before(h[x], h[y]) })
+	return h, nil
 }
 
 // Sort is the vectorized sort task: a stable multi-key sort of the whole
@@ -242,7 +240,7 @@ type Sort struct {
 
 // Run implements Kernel.
 func (k *Sort) Run(b *Batch) (*Batch, error) {
-	perm, err := sortPerm(b, k.Keys)
+	perm, err := sortPerm(b, k.Keys, b.length)
 	if err != nil || perm == nil {
 		return b, err
 	}
@@ -349,7 +347,7 @@ func (k *GroupBy) run(b *Batch, size int) (*Batch, error) {
 	for i := range aggs {
 		out.cols = append(out.cols, aggs[i].result(out.length))
 	}
-	perm, err := sortPerm(out, k.SortKeys)
+	perm, err := sortPerm(out, k.SortKeys, out.length)
 	if err != nil || perm == nil {
 		return out, err
 	}

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
+	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/value"
@@ -42,7 +45,8 @@ func chainKernel(t *testing.T, op byte, s *schema.Schema, size int) Kernel {
 	case 1:
 		return &Sort{Keys: []table.SortKey{{Column: s.Col(col).Name, Desc: op&8 != 0}, {Column: s.Col((col + 3) % s.Len()).Name}}}
 	case 2:
-		return &TopN{Key: col, Desc: op&8 != 0, Limit: arg%12 + 1}
+		return &TopN{Keys: []table.SortKey{{Column: s.Col(col).Name, Desc: op&8 != 0}, {Column: s.Col((col + 5) % s.Len()).Name}},
+			Limit: arg % 13}
 	case 3:
 		return &Limit{N: arg}
 	}
@@ -70,14 +74,19 @@ func (k groupBySize) Run(b *Batch) (*Batch, error) { return k.run(b, k.size) }
 var Registry = map[string]func() Accumulator{}
 
 // FuzzSelections runs random kernel chains over random batches and
-// checks that selections and morsels change nothing but what is copied:
-// a join under the condition the first byte picks (the outer joins' -1
-// holes then flow through every later stage), filters, sorts, top-ns,
-// limits and map-exprs in the order the rest pick, then a group-by whose
-// aggregates are drawn from the whole registry — every stage compared
-// cell for cell and vector kind for vector kind with the same chain
-// gathering every column after every stage and running every kernel over
-// the whole batch at once, and the end also once compacted. The first
+// checks that selections, morsels and fusion change nothing but what is
+// copied: a join under the condition the first byte picks (the outer
+// joins' -1 holes then flow through every later stage), filters, sorts,
+// top-ns, limits and map-exprs in the order the rest pick, then a
+// group-by whose aggregates are drawn from the whole registry — every
+// stage compared cell for cell and vector kind for vector kind with the
+// same chain gathering every column after every stage and running every
+// kernel over the whole batch at once, and the end also once compacted.
+// The chain runs fused where the engine fuses: a first stage that
+// filters on the probe side only runs inside an inner or left outer join
+// (RunFiltered), and a sort with a limit after it runs as one TopN; the
+// fused output must equal the unfused chain's, and the chain goes on from
+// it. The first
 // byte's top bits pick the morsel size the chain runs by — the join's
 // probe, the filters' and map-exprs' expressions, the group-by's fold: 64
 // rows (over a left side of up to 200), 1,024 (over a join of a few
@@ -121,8 +130,8 @@ func FuzzSelections(f *testing.F) {
 		key := []int{int(ops[0]>>4) % 4}
 		join := &Join{LeftKeys: key, RightKeys: key, KeepLeft: ops[0]&1 != 0, KeepRight: ops[0]&2 != 0,
 			Cols: cols, Out: schema.MustFromNames(names...)}
-		b, err1 := join.run(lb, rb, size)
-		want, err2 := join.run(lb, rb, whole)
+		b, _, err1 := join.run(lb, rb, nil, size)
+		want, _, err2 := join.run(lb, rb, nil, whole)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("join: errors %v, %v", err1, err2)
 		}
@@ -139,12 +148,36 @@ func FuzzSelections(f *testing.F) {
 			b, ref = got, gathered(want)
 			sameBatch(t, "after "+stage, b, ref)
 		}
+		chain := ops[1:]
+		if len(chain) > 0 && chain[0]%5 == 0 && !join.KeepRight && probeOnly(t, selPreds[int(chain[0]>>3)%len(selPreds)]) {
+			f := chainKernel(t, chain[0], b.Schema(), size).(*Filter)
+			fused, joined, err := join.RunFiltered(lb, rb, f)
+			if err != nil || joined != b.Len() {
+				t.Fatalf("fused join and filter: %d rows joined, want %d; error %v", joined, b.Len(), err)
+			}
+			step("filter", f, chainKernel(t, chain[0], b.Schema(), whole))
+			sameBatch(t, "fused join and filter", fused, ref)
+			b, chain = fused, chain[1:]
+		}
 		// g repeats and is never null: the typed int-key path of the
 		// group-by, read through whatever the stages select.
 		step("g", mapExpr(t, "lv % 4", "g", b.Schema(), size), mapExpr(t, "lv % 4", "g", b.Schema(), whole))
-		for i, op := range ops[1:] {
-			ker := chainKernel(t, op, b.Schema(), size)
-			step(fmt.Sprintf("stage %d (%T)", i+1, ker), ker, chainKernel(t, op, b.Schema(), whole))
+		for i := 0; i < len(chain); i++ {
+			ker := chainKernel(t, chain[i], b.Schema(), size)
+			var top *Batch
+			if sort, ok := ker.(*Sort); ok && i+1 < len(chain) && chain[i+1]%5 == 3 {
+				var err error
+				if top, err = (&TopN{Keys: sort.Keys, Limit: int(chain[i+1] >> 3)}).Run(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step(fmt.Sprintf("stage %d (%T)", i+1, ker), ker, chainKernel(t, chain[i], b.Schema(), whole))
+			if top != nil {
+				i++
+				step(fmt.Sprintf("stage %d (limit)", i+1), chainKernel(t, chain[i], b.Schema(), size), chainKernel(t, chain[i], b.Schema(), whole))
+				sameBatch(t, "sort and limit as a top-n", top, ref)
+				b = top
+			}
 		}
 		keys := [][]string{{"ls"}, {"g"}, {"rs", "lb"}, {"lz"}}[int(ops[len(ops)-1])%4]
 		var keyIdx []int
@@ -172,6 +205,16 @@ func FuzzSelections(f *testing.F) {
 			t.Fatal("compacted output differs")
 		}
 	})
+}
+
+// probeOnly reports whether predicate src reads only probe-side ("l")
+// columns.
+func probeOnly(t *testing.T, src string) bool {
+	n, err := expr.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return !slices.ContainsFunc(expr.Columns(n), func(c string) bool { return !strings.HasPrefix(c, "l") })
 }
 
 // TestKernelChainAllocs: a 60,000-row join → filter → sort → limit →

@@ -109,15 +109,16 @@ func (s *SortSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 	// Sorting permutes row headers only, so a shallow clone is all the
 	// insulation the input needs.
 	out := t.CloneShallow()
-	if err := out.Sort(s.sortKeys()...); err != nil {
+	if err := out.Sort(sortKeys(s.OrderBy)...); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-func (s *SortSpec) sortKeys() []table.SortKey {
-	keys := make([]table.SortKey, len(s.OrderBy))
-	for i, k := range s.OrderBy {
+// sortKeys is an orderby_column list as table sort keys.
+func sortKeys(order []OrderKey) []table.SortKey {
+	keys := make([]table.SortKey, len(order))
+	for i, k := range order {
 		keys[i] = table.SortKey{Column: k.Column, Desc: k.Desc}
 	}
 	return keys

@@ -3,6 +3,7 @@ package task
 import (
 	"slices"
 
+	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table/colstore"
 )
@@ -127,9 +128,42 @@ func HasKernel(sp Spec) bool {
 	case *MapSpec:
 		return s.Expr() != nil
 	case *TopNSpec:
-		return len(s.GroupBy) == 0 && len(s.OrderBy) == 1
+		return len(s.GroupBy) == 0
 	}
 	return true
+}
+
+// Fuses reports whether tail, the stage after head (whose inputs are
+// in), runs inside head's kernel call when head runs columnar and tail
+// binds: a sort then a limit run as one top-n, and an inner or left
+// outer join then an expression filter that reads only probe (left)
+// side columns run as a join that probes with the rows the filter keeps
+// — the filter means the same on a probe row as on every output row the
+// row yields. The batch engine fuses what it reports, and dag's explain
+// marks it.
+func Fuses(head, tail Spec, in []Input) bool {
+	f, filter := tail.(*FilterSpec)
+	switch h := head.(type) {
+	case *SortSpec:
+		_, ok := tail.(*LimitSpec)
+		return ok
+	case *JoinSpec:
+		left, right, _, err := h.sides(in)
+		if !filter || !HasKernel(f) || h.keepRight() || err != nil {
+			return false
+		}
+		// An output column is a projected name, or the qualified source name
+		// itself when nothing is projected.
+		return !slices.ContainsFunc(expr.Columns(f.Expr), func(c string) bool {
+			i := slices.IndexFunc(h.Project, func(p ProjPair) bool { return p.Out == c })
+			if i >= 0 {
+				c = h.Project[i].Qualified
+			}
+			src, err := h.source(c, left.Schema, right.Schema)
+			return err != nil || src.side != 0 || i < 0 && len(h.Project) > 0
+		})
+	}
+	return false
 }
 
 // BindVec implements Vectorizable.
@@ -137,7 +171,7 @@ func (s *SortSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema,
 	if _, err := s.Out([]Input{in}); err != nil {
 		return nil, nil, false
 	}
-	return &colstore.Sort{Keys: s.sortKeys()}, in.Schema, true
+	return &colstore.Sort{Keys: sortKeys(s.OrderBy)}, in.Schema, true
 }
 
 // BindVec implements Vectorizable.
@@ -188,18 +222,13 @@ func (s *GroupBySpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Sche
 	return &colstore.GroupBy{Keys: keys, Aggs: aggs, Out: out, SortKeys: s.orderKeys()}, out, true
 }
 
-// BindVec implements Vectorizable. The heap kernel covers the common
-// dashboard shape — one global group, one order key; partitioned or
-// multi-key topn keeps the row path.
+// BindVec implements Vectorizable. The heap kernel covers one global
+// group; partitioned topn keeps the row path.
 func (s *TopNSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	if !HasKernel(s) {
+	if _, err := s.Out([]Input{in}); err != nil || !HasKernel(s) {
 		return nil, nil, false
 	}
-	key := in.Schema.Index(s.OrderBy[0].Column)
-	if key < 0 {
-		return nil, nil, false
-	}
-	return &colstore.TopN{Key: key, Desc: s.OrderBy[0].Desc, Limit: s.Limit}, in.Schema, true
+	return &colstore.TopN{Keys: sortKeys(s.OrderBy), Limit: s.Limit}, in.Schema, true
 }
 
 // BindVec implements Vectorizable. Only the expr operator vectorizes;

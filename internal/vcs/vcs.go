@@ -246,16 +246,11 @@ func (r *Repo) mergeBase(a, b string) string {
 	return ""
 }
 
-// Merge merges src into dst using the section-aware three-way merge and
-// commits the result on dst with both parents. On conflicts it returns a
-// *ConflictError listing every conflicting section entry.
-func (r *Repo) Merge(dst, src, author string) (string, error) {
-	return r.MergeIf(dst, src, author, nil)
-}
-
-// MergeIf is Merge with a veto: accept, when not nil, sees the merged
-// text before it is committed, and its error aborts the merge with dst
-// untouched.
+// MergeIf merges src into dst using the section-aware three-way merge
+// and commits the result on dst with both parents. On conflicts it
+// returns a *ConflictError listing every conflicting section entry.
+// accept, when not nil, sees the merged text before it is committed, and
+// its error aborts the merge with dst untouched.
 func (r *Repo) MergeIf(dst, src, author string, accept func(merged []byte) error) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -94,7 +94,7 @@ func TestBranchAndCleanMerge(t *testing.T) {
 	if _, err := r.Commit("bob-widgets", "bob", "add distinct", []byte(bob)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Merge(DefaultBranch, "bob-widgets", "alice"); err != nil {
+	if _, err := r.MergeIf(DefaultBranch, "bob-widgets", "alice", nil); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	merged, _ := r.Content(DefaultBranch)
@@ -128,7 +128,7 @@ func TestMergeConflict(t *testing.T) {
 	if _, err := r.Commit("bob", "bob", "group by a,b", []byte(bob)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := r.Merge(DefaultBranch, "bob", "alice")
+	_, err := r.MergeIf(DefaultBranch, "bob", "alice", nil)
 	ce, ok := err.(*ConflictError)
 	if !ok {
 		t.Fatalf("expected ConflictError, got %v", err)
@@ -152,7 +152,7 @@ func TestMergeOneSideWins(t *testing.T) {
 	if _, err := r.Commit("bob", "bob", "group by a,b", []byte(bob)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Merge(DefaultBranch, "bob", "alice"); err != nil {
+	if _, err := r.MergeIf(DefaultBranch, "bob", "alice", nil); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	merged, _ := r.Content(DefaultBranch)
@@ -182,7 +182,7 @@ func TestMergeDeleteVsModifyConflicts(t *testing.T) {
 	if _, err := r.Commit("bob", "bob", "modify extra", []byte(bobText)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := r.Merge(DefaultBranch, "bob", "alice")
+	_, err := r.MergeIf(DefaultBranch, "bob", "alice", nil)
 	if _, ok := err.(*ConflictError); !ok {
 		t.Fatalf("expected conflict, got %v", err)
 	}
@@ -279,7 +279,7 @@ func TestErrorPathsAndEdgeCases(t *testing.T) {
 	if err := r.Branch("main", "b"); err == nil {
 		t.Error("branching from missing branch should fail")
 	}
-	if _, err := r.Merge("main", "b", "a"); err == nil {
+	if _, err := r.MergeIf("main", "b", "a", nil); err == nil {
 		t.Error("merge with missing branches should fail")
 	}
 	if _, err := r.Fork("main", "f", "a"); err == nil {
@@ -293,7 +293,7 @@ func TestErrorPathsAndEdgeCases(t *testing.T) {
 	if err := r.Branch(DefaultBranch, "same"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Merge(DefaultBranch, "same", "a")
+	got, err := r.MergeIf(DefaultBranch, "same", "a", nil)
 	if err != nil || got != h {
 		t.Errorf("identical-tip merge = %q, %v; want %q", got, err, h)
 	}

@@ -112,9 +112,8 @@ type (
 )
 
 // Cost-based optimizer surfaces; see docs/OPTIMIZER.md. A Plan is what
-// Dashboard.Explain (the next run) and Dashboard.LastPlan (the run that
-// happened) return, and what `shareinsights explain` and
-// GET /dashboards/{name}/explain render.
+// Dashboard.Explain returns for the next run, and what `shareinsights
+// explain` and GET /dashboards/{name}/explain render.
 type (
 	// Plan is a compiled flow's cost-based execution plan: per-node
 	// stage orders, pushdowns and path choices in topological order.
