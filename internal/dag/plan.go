@@ -232,11 +232,12 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 			np.Decisions = append(np.Decisions, *reorder)
 		}
 		var in [2]task.Input
-		for i, src := range n.Inputs[:min(len(n.Inputs), 2)] {
+		nIn := min(len(n.Inputs), len(in))
+		for i, src := range n.Inputs[:nIn] {
 			in[i] = task.Input{Name: src, Schema: g.Nodes[src].Schema}
 		}
 		np.Specs = specs
-		np.Stages = stagePlans(name, specs, in[:len(n.Inputs)], np.Columnar, opts)
+		np.Stages = stagePlans(name, specs, in[:nIn], np.Columnar, opts)
 		p.Nodes[name] = np
 	}
 	for _, name := range g.Order {
@@ -367,8 +368,8 @@ func reorderFilters(output string, specs []task.Spec, opts PlanOptions) ([]task.
 }
 
 // stagePlans renders the planned specs with predicted selectivities,
-// execution paths and fusion — the explain view of one node, whose
-// inputs (its first stage's) are in.
+// execution paths and fusion — the explain view of one node. in holds
+// the node's first two inputs, all that a fusing join reads.
 func stagePlans(output string, specs []task.Spec, in []task.Input, mode string, opts PlanOptions) []StagePlan {
 	out := make([]StagePlan, len(specs))
 	for i, sp := range specs {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"shareinsights/internal/flowfile"
 	"shareinsights/internal/task"
 )
 
@@ -287,6 +288,49 @@ func TestPlanFormatAndJSON(t *testing.T) {
 	}
 	if round.Nodes["mid"].Stages[0].Stage != "filter_by flag == 1" {
 		t.Errorf("JSON round-trip lost stage order: %+v", round.Nodes["mid"].Stages)
+	}
+}
+
+// TestStagePlansOverAnyInputs: explain asks task.Fuses about every
+// node's stages, whatever the node's inputs. A three-input union plans,
+// and a join whose build side has no schema (Resolve reports it and goes
+// on) plans the probe-side filter after it unfused.
+func TestStagePlansOverAnyInputs(t *testing.T) {
+	src := `D:
+  a: [k, x]
+  b: [k, x]
+  c: [k, x]
+
+F:
+  +D.u: (D.a, D.b, D.c) | T.all
+  +D.j: (D.a, D.r) | T.j | T.f
+
+T:
+  all:
+    type: union
+  j:
+    type: join
+    left: a by k
+    right: r by k
+    join_condition: inner
+  f:
+    type: filter_by
+    filter_expression: a_x > 1
+`
+	f, err := flowfile.Parse("t", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, problems := Resolve(f, task.NewRegistry(), nil)
+	if len(problems) != 1 || g.Nodes["r"].Schema != nil {
+		t.Fatalf("want D.r unresolved and nothing else, got %v", problems)
+	}
+	p := Optimize(g, PlanOptions{Columnar: "on"})
+	if st := p.Node("u").Stages; len(st) != 1 || st[0].Fused {
+		t.Errorf("union: %+v", st)
+	}
+	if st := p.Node("j").Stages; len(st) != 2 || st[1].Fused {
+		t.Errorf("join over an unresolved side: %+v", st)
 	}
 }
 

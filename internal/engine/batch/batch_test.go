@@ -337,6 +337,43 @@ T:
 	}
 }
 
+// TestOptimizedRunOfThreeInputs: an optimized columnar run plans and
+// runs a node with three inputs.
+func TestOptimizedRunOfThreeInputs(t *testing.T) {
+	g := buildGraph(t, `
+D:
+  a: [k]
+  b: [k]
+  c: [k]
+
+F:
+  +D.u: (D.a, D.b, D.c) | T.all | T.order | T.first
+
+T:
+  all:
+    type: union
+  order:
+    type: sort
+    orderby_column: [k DESC]
+  first:
+    type: limit
+    limit: 2
+`)
+	sources := map[string]*table.Table{}
+	for i, name := range []string{"a", "b", "c"} {
+		sources[name] = table.New(schema.MustFromNames("k"))
+		sources[name].AppendValues(value.NewInt(int64(i)))
+	}
+	e := &Executor{Optimize: true, Columnar: ColumnarOn}
+	res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u, _ := res.Table("u"); u.Len() != 2 || u.Cell(0, "k").Int() != 2 || u.Cell(1, "k").Int() != 1 {
+		t.Errorf("union, sort, limit:\n%s", u.Format(0))
+	}
+}
+
 // fanOutFlow filters documents, then fans each survivor out into one row
 // per word.
 const fanOutFlow = `

@@ -42,8 +42,8 @@ const (
 // column-backed table hands its batch over as is and the output wraps
 // the kernel's batch, so consecutive columnar stages — and the nodes
 // downstream — exchange vectors, never rows. The stage is specs[0]; when
-// specs[1] fuses with it (task.Fuses) and binds, the two run as one
-// kernel call. n is the number of stages run: 0 for none.
+// specs[1] fuses into its kernel (Bound.Fuse), the two run as one kernel
+// call. n is the number of stages run: 0 for none.
 func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []string) (out *table.Table, n int, err error) {
 	spec := specs[0]
 	small := func(t *table.Table) bool { return p.mode == ColumnarAuto && t.Len() < dag.ColumnarAutoThreshold }
@@ -74,28 +74,19 @@ func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []str
 			return nil, 0, nil
 		}
 	}
-	var top *colstore.TopN
-	var filter *colstore.Filter
 	var tail task.Spec
-	if len(specs) > 1 && task.Fuses(spec, specs[1], inputs[:len(in)]) {
-		if sort, ok := k.Vec.(*colstore.Sort); ok {
-			top, tail = &colstore.TopN{Keys: sort.Keys, Limit: specs[1].(*task.LimitSpec).N}, specs[1]
-		} else if filter, _ = task.Bind(p.env, specs[1], []task.Input{{Schema: k.Join.Out}}).Vec.(*colstore.Filter); filter != nil {
-			tail = specs[1]
+	if len(specs) > 1 {
+		if f := k.Fuse(p.env, spec, specs[1]); f != nil {
+			k, tail = f, specs[1]
 		}
 	}
 	return p.runStage(spec, tail, PathColumnar, rowsIn(in), func() (*table.Table, int, error) {
 		var b *colstore.Batch
 		var err error
 		mid := bs[0].Len()
-		switch {
-		case filter != nil:
-			b, mid, err = k.Join.RunFiltered(bs[0], bs[1], filter)
-		case two:
-			b, err = k.Join.Run(bs[0], bs[1])
-		case top != nil:
-			b, err = top.Run(bs[0])
-		default:
+		if two {
+			b, mid, err = k.Join.Run(bs[0], bs[1])
+		} else {
 			b, err = k.Vec.Run(bs[0])
 		}
 		if err != nil {

@@ -163,6 +163,11 @@ func TestJoinFilterFusion(t *testing.T) {
 	for _, shape := range []joinShape{shapeDuplicates, shapeNoMatches} {
 		joinFilterFusion(t, joinShapes[shape], joinInputs(shape, 3, 300))
 	}
+	// One join task ahead of two filters: each flow runs its own inside it.
+	flow := strings.Replace(joinFlow("inner", "ks", 1), "| T.j\n", "| T.j | T.f\n  D.out2: (D.l, D.r) | T.j | T.g\n", 1) +
+		"  f:\n    type: filter_by\n    filter_expression: l_v > 3\n" +
+		"  g:\n    type: filter_by\n    filter_expression: l_v < 2\n"
+	diffFlow(t, flow, joinInputs(shapeDuplicates, 3, 300))
 }
 
 // joinFilterFusion is TestJoinFilterFusion over one data shape.

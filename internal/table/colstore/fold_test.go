@@ -75,7 +75,7 @@ func TestGroupByFoldsEveryKind(t *testing.T) {
 	join := &colstore.Join{LeftKeys: []int{0}, RightKeys: []int{0}, KeepLeft: true,
 		Cols: []colstore.JoinCol{{Col: 0}, {Col: 3}, {Right: true, Col: 1}, {Right: true, Col: 2}, {Right: true, Col: 3}},
 		Out:  schema.MustFromNames("k", "b", "ri", "rs", "rb")}
-	holed, err := join.Run(coded, right)
+	holed, _, err := join.Run(coded, right)
 	if err != nil {
 		t.Fatal(err)
 	}

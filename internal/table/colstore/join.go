@@ -153,7 +153,7 @@ type JoinCol struct {
 // through one of them. No key string, no row and no cell is built, and
 // no column is copied, and a column nothing reads is never gathered. A
 // filter that follows the join composes the two index vectors, unless it
-// runs inside the join (RunFiltered). Output order is the row
+// runs inside the join as its Mask. Output order is the row
 // join's: left rows in order, each one's partners in right-row order,
 // then (right and full outer) the right rows nothing matched, in order.
 // Key identity is keyIndex's.
@@ -167,38 +167,36 @@ type Join struct {
 	Cols []JoinCol
 	// Out is the output schema.
 	Out *schema.Schema
+	// Mask, when set, is a filter bound over Out that reads only left
+	// columns, run inside a join that keeps no unmatched right row (an
+	// inner or a left outer one): its predicate runs over the left rows,
+	// through a view that holds each left column in its output slot, into
+	// a bitmap, and the join skips the rows it leaves unset. The index
+	// pair is sized to the kept rows, and no selection is composed.
+	Mask *Filter
 }
 
 // Run joins the two batches; every key kind has the encoded path.
-func (k *Join) Run(left, right *Batch) (*Batch, error) {
-	out, _, err := k.run(left, right, nil, morselRows)
-	return out, err
+// joined is the row count before Mask.
+func (k *Join) Run(left, right *Batch) (out *Batch, joined int, err error) {
+	return k.run(left, right, morselRows)
 }
 
-// RunFiltered is Run followed by f, a filter bound over Out that reads
-// only left columns, for a join that keeps no unmatched right row (an
-// inner or a left outer one): f's predicate runs over the left rows,
-// through a view that holds each left column in its output slot, into a
-// bitmap, and the join skips the rows it leaves unset. The index pair is
-// sized to the kept rows, and no selection is composed. joined is the
-// row count Run would have produced.
-func (k *Join) RunFiltered(left, right *Batch, f *Filter) (out *Batch, joined int, err error) {
-	view := make([]*Vec, len(k.Cols))
-	for i, c := range k.Cols {
-		if !c.Right {
-			view[i] = left.cols[c.Col]
+// run is Run probing size left rows at a time: the probe side's ids are
+// one morsel long, assigned once to size the output exactly — and to
+// count the rows an unmasked join has — and once to emit it.
+func (k *Join) run(left, right *Batch, size int) (*Batch, int, error) {
+	var keep *Bitmap
+	if k.Mask != nil {
+		view := make([]*Vec, len(k.Cols))
+		for i, c := range k.Cols {
+			if !c.Right {
+				view[i] = left.cols[c.Col]
+			}
 		}
+		keep = NewBitmap(left.length)
+		k.Mask.Pred(&Batch{schema: k.Out, cols: view, length: left.length}, keep)
 	}
-	keep := NewBitmap(left.length)
-	f.Pred(&Batch{schema: k.Out, cols: view, length: left.length}, keep)
-	return k.run(left, right, keep, morselRows)
-}
-
-// run is Run probing size left rows at a time, skipping the left rows
-// keep (when not nil) leaves unset: the probe side's ids are one morsel
-// long, assigned once to size the output exactly — and to count the rows
-// an unmasked join has — and once to emit it.
-func (k *Join) run(left, right *Batch, keep *Bitmap, size int) (*Batch, int, error) {
 	x := newKeyIndex(keyVecs(left, k.LeftKeys), keyVecs(right, k.RightKeys))
 	rids := x.assign(right, k.RightKeys, 0, make([]int32, right.length), true)
 

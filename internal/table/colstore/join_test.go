@@ -144,7 +144,7 @@ func TestJoinMatchesDefinition(t *testing.T) {
 			for _, ks := range keySets {
 				for cond := 0; cond < 4; cond++ {
 					k := &Join{LeftKeys: ks[0], RightKeys: ks[1], KeepLeft: cond&1 != 0, KeepRight: cond&2 != 0, Cols: cols, Out: out}
-					got, err := k.Run(lb, rb)
+					got, _, err := k.Run(lb, rb)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -239,7 +239,7 @@ func TestJoinAllocs(t *testing.T) {
 		left, right := joinInputs(n, keys)
 		k := innerJoinKX()
 		if got := testing.AllocsPerRun(5, func() {
-			if out, err := k.Run(left, right); err != nil || out.Len() != n {
+			if out, _, err := k.Run(left, right); err != nil || out.Len() != n {
 				t.Fatalf("join: %v rows, err %v", out.Len(), err)
 			}
 		}); got > bound {
@@ -260,7 +260,7 @@ func TestJoinAllocs(t *testing.T) {
 }
 
 // TestFusedJoinAllocs: a join with the filter after it run inside it
-// (RunFiltered) allocates a number of objects that does not depend on
+// (as its Mask) allocates a number of objects that does not depend on
 // the row count, and of the probe side's rows nothing but the predicate's
 // bitmap, one morsel of key ids and of the predicate's temporaries, and
 // the output's index pair sized exactly to the kept rows — no kept-row
@@ -274,13 +274,13 @@ func TestFusedJoinAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &Filter{Pred: pred}
+	k.Mask = &Filter{Pred: pred}
 	objects := map[int]float64{}
 	for _, n := range []int{1000, 60000} {
 		left, right := joinInputs(n, keys)
 		kept := (n + 2) / 3
 		objects[n] = testing.AllocsPerRun(5, func() {
-			out, joined, err := k.RunFiltered(left, right, f)
+			out, joined, err := k.Run(left, right)
 			if err != nil || out.Len() != kept || joined != n {
 				t.Fatalf("fused join: %d rows of %d joined, want %d of %d; err %v", out.Len(), joined, kept, n, err)
 			}
@@ -300,7 +300,7 @@ func TestFusedJoinAllocs(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		k.RunFiltered(left, right, f)
+		k.Run(left, right)
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
@@ -499,7 +499,7 @@ func BenchmarkJoin60kx500(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := k.Run(left, right)
+		out, _, err := k.Run(left, right)
 		if err != nil || out.Len() != 60000 {
 			b.Fatal(out.Len(), err)
 		}

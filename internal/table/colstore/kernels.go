@@ -238,13 +238,9 @@ type Sort struct {
 	Keys []table.SortKey
 }
 
-// Run implements Kernel.
+// Run implements Kernel: a top-n that keeps every row.
 func (k *Sort) Run(b *Batch) (*Batch, error) {
-	perm, err := sortPerm(b, k.Keys, b.length)
-	if err != nil || perm == nil {
-		return b, err
-	}
-	return b.selectRows(perm), nil
+	return (&TopN{Keys: k.Keys, Limit: b.length}).Run(b)
 }
 
 // Limit is the vectorized limit task: the first N rows, as a selection.

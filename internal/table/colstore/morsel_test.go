@@ -191,12 +191,12 @@ func TestKernelsMatchAcrossMorsels(t *testing.T) {
 			for name, left := range map[string]*Batch{"coded": coded, "plain": plain} {
 				join := &Join{LeftKeys: keys, RightKeys: keys, KeepLeft: cond&1 != 0, KeepRight: cond&2 != 0,
 					Cols: cols, Out: schema.MustFromNames(out...)}
-				want, _, err := join.run(left, right, nil, whole)
+				want, _, err := join.run(left, right, whole)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, size := range []int{64, 128} {
-					got, _, err := join.run(left, right, nil, size)
+					got, _, err := join.run(left, right, size)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -327,7 +327,7 @@ func BenchmarkMorselSize(b *testing.B) {
 		b.Run("join/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				join.run(left, right, nil, size)
+				join.run(left, right, size)
 			}
 		})
 	}

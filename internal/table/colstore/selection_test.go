@@ -84,7 +84,7 @@ var Registry = map[string]func() Accumulator{}
 // kernel over the whole batch at once, and the end also once compacted.
 // The chain runs fused where the engine fuses: a first stage that
 // filters on the probe side only runs inside an inner or left outer join
-// (RunFiltered), and a sort with a limit after it runs as one TopN; the
+// (as its Mask), and a sort with a limit after it runs as one TopN; the
 // fused output must equal the unfused chain's, and the chain goes on from
 // it. The first
 // byte's top bits pick the morsel size the chain runs by — the join's
@@ -130,8 +130,8 @@ func FuzzSelections(f *testing.F) {
 		key := []int{int(ops[0]>>4) % 4}
 		join := &Join{LeftKeys: key, RightKeys: key, KeepLeft: ops[0]&1 != 0, KeepRight: ops[0]&2 != 0,
 			Cols: cols, Out: schema.MustFromNames(names...)}
-		b, _, err1 := join.run(lb, rb, nil, size)
-		want, _, err2 := join.run(lb, rb, nil, whole)
+		b, _, err1 := join.run(lb, rb, size)
+		want, _, err2 := join.run(lb, rb, whole)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("join: errors %v, %v", err1, err2)
 		}
@@ -151,7 +151,9 @@ func FuzzSelections(f *testing.F) {
 		chain := ops[1:]
 		if len(chain) > 0 && chain[0]%5 == 0 && !join.KeepRight && probeOnly(t, selPreds[int(chain[0]>>3)%len(selPreds)]) {
 			f := chainKernel(t, chain[0], b.Schema(), size).(*Filter)
-			fused, joined, err := join.RunFiltered(lb, rb, f)
+			masked := *join
+			masked.Mask = f
+			fused, joined, err := masked.run(lb, rb, size)
 			if err != nil || joined != b.Len() {
 				t.Fatalf("fused join and filter: %d rows joined, want %d; error %v", joined, b.Len(), err)
 			}
@@ -247,7 +249,7 @@ func TestKernelChainAllocs(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	b, err := join.Run(lb, rb)
+	b, _, err := join.Run(lb, rb)
 	for _, k := range chain {
 		if err == nil {
 			b, err = k.Run(b)

@@ -2,6 +2,7 @@ package task
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
@@ -45,7 +46,9 @@ type Bound struct {
 	Swapped, OK bool
 	in          [2]Input
 	n           int
-	next        *Bound // the spec's kernel bound before this one
+	next        *Bound                // the kernel kept before this one
+	fused       atomic.Pointer[Bound] // Fuse's answers, one per tail
+	tail        Spec                  // of one of Fuse's answers: its tail
 }
 
 // Bind binds sp, a Vectorizable over one input or a VectorizableJoin
@@ -62,18 +65,27 @@ func Bind(env *Env, sp Spec, in []Input) *Bound {
 	if !ok {
 		return bind(env, sp, in)
 	}
+	return keep(&m.derived().bound, func(b *Bound) bool {
+		return slices.EqualFunc(b.in[:b.n], in, func(x, y Input) bool { return x.Name == y.Name && x.Schema.Equal(y.Schema) })
+	}, func() *Bound { return bind(env, sp, in) })
+}
+
+// keep returns the kernel on list that match accepts, or else pushes the
+// one build binds and returns it: one kernel per key, concurrent first
+// binds included, without a lock.
+func keep(list *atomic.Pointer[Bound], match func(*Bound) bool, build func() *Bound) *Bound {
 	var k *Bound
 	for {
-		first := m.derived().bound.Load()
+		first := list.Load()
 		for b := first; b != nil; b = b.next {
-			if slices.EqualFunc(b.in[:b.n], in, func(x, y Input) bool { return x.Name == y.Name && x.Schema.Equal(y.Schema) }) {
+			if match(b) {
 				return b
 			}
 		}
 		if k == nil {
-			k = bind(env, sp, in)
+			k = build()
 		}
-		if k.next = first; m.derived().bound.CompareAndSwap(first, k) {
+		if k.next = first; list.CompareAndSwap(first, k) {
 			return k
 		}
 	}
@@ -139,8 +151,8 @@ func HasKernel(sp Spec) bool {
 // outer join then an expression filter that reads only probe (left)
 // side columns run as a join that probes with the rows the filter keeps
 // — the filter means the same on a probe row as on every output row the
-// row yields. The batch engine fuses what it reports, and dag's explain
-// marks it.
+// row yields. Bound.Fuse binds what it reports, and dag's explain marks
+// it.
 func Fuses(head, tail Spec, in []Input) bool {
 	f, filter := tail.(*FilterSpec)
 	switch h := head.(type) {
@@ -149,7 +161,7 @@ func Fuses(head, tail Spec, in []Input) bool {
 		return ok
 	case *JoinSpec:
 		left, right, _, err := h.sides(in)
-		if !filter || !HasKernel(f) || h.keepRight() || err != nil {
+		if !filter || !HasKernel(f) || h.keepRight() || err != nil || left.Schema == nil || right.Schema == nil {
 			return false
 		}
 		// An output column is a projected name, or the qualified source name
@@ -164,6 +176,38 @@ func Fuses(head, tail Spec, in []Input) bool {
 		})
 	}
 	return false
+}
+
+// Fuse returns k, head's kernel, with tail, the stage after head, run
+// inside it — a sort's with the limit after it as one top-n, a join's
+// with the filter after it as its Mask — or nil where Fuses refuses the
+// pair or tail has no kernel. k keeps the answer per tail, so only the
+// pair's first run decides.
+func (k *Bound) Fuse(env *Env, head, tail Spec) *Bound {
+	// No other stage takes one in, so k keeps no answer for it.
+	switch head.(type) {
+	case *SortSpec, *JoinSpec:
+	default:
+		return nil
+	}
+	f := keep(&k.fused, func(f *Bound) bool { return f.tail == tail }, func() *Bound {
+		f := &Bound{tail: tail, Swapped: k.Swapped}
+		if !Fuses(head, tail, k.in[:k.n]) {
+			return f
+		}
+		if limit, ok := tail.(*LimitSpec); ok {
+			f.Vec, f.OK = &colstore.TopN{Keys: k.Vec.(*colstore.Sort).Keys, Limit: limit.N}, true
+		} else if mask, ok := Bind(env, tail, []Input{{Schema: k.Join.Out}}).Vec.(*colstore.Filter); ok {
+			join := *k.Join
+			join.Mask = mask
+			f.Join, f.OK = &join, true
+		}
+		return f
+	})
+	if !f.OK {
+		return nil
+	}
+	return f
 }
 
 // BindVec implements Vectorizable.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shareinsights/internal/schema"
+	"shareinsights/internal/table/colstore"
 )
 
 // shape is a one-input shape of n+1 columns.
@@ -60,5 +61,42 @@ func TestBindConcurrent(t *testing.T) {
 	}
 	if kept != 2 {
 		t.Errorf("kept %d kernels for 2 shapes", kept)
+	}
+}
+
+// TestFuseKeptPerTail: a bound kernel answers each tail once, concurrent
+// first asks included: a limit after a sort with one top-n kernel, and a
+// tail that does not fuse with nil.
+func TestFuseKeptPerTail(t *testing.T) {
+	sort, limit := &SortSpec{OrderBy: []OrderKey{{Column: "a", Desc: true}}}, &LimitSpec{N: 2}
+	k := Bind(nil, sort, shape(1))
+	got := make([]*Bound, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = k.Fuse(nil, sort, limit)
+		}()
+	}
+	wg.Wait()
+	top, ok := got[0].Vec.(*colstore.TopN)
+	if !ok || top.Limit != 2 || len(top.Keys) != 1 || !top.Keys[0].Desc {
+		t.Fatalf("sort then limit fused into %#v", got[0].Vec)
+	}
+	for w, f := range got {
+		if f != got[0] {
+			t.Errorf("ask %d got a second fused kernel", w)
+		}
+	}
+	if f := k.Fuse(nil, sort, sort); f != nil || k.Fuse(nil, sort, sort) != nil {
+		t.Errorf("a sort after a sort fused: %#v", f)
+	}
+	answers := 0
+	for f := k.fused.Load(); f != nil; f = f.next {
+		answers++
+	}
+	if answers != 2 {
+		t.Errorf("kept %d answers for 2 tails", answers)
 	}
 }
