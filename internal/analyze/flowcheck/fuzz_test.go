@@ -277,9 +277,7 @@ func checkFlow(t *testing.T, seed int64, rows, nullRate int) bool {
 	// engines, and its outputs must conform to the same facts.
 	hints := analyze.Analyze(g, map[string]flowcheck.Scope{"src": srcScope()}).Hints()
 	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
-		opts := hints.PlanOptions(nil)
-		opts.Columnar = mode
-		e := &batch.Executor{Parallelism: 1, Columnar: mode, Plan: dag.Optimize(g, opts)}
+		e := &batch.Executor{Parallelism: 1, Columnar: mode, Plan: dag.Optimize(g, hints.PlanOptions(nil))}
 		res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
 		if err != nil {
 			t.Fatalf("lint-clean flow fails under the optimizer (columnar=%s): %v\n%s", mode, err, src)

@@ -13,9 +13,8 @@ import (
 // Cost-based planning. Optimize turns a compiled graph plus whatever
 // statistics exist — flight-recorder stage profiles from past runs,
 // flowcheck facts when there is no history yet, heuristics when there is
-// neither — into a Plan: per node, the spec order to execute, the
-// resolved columnar mode, predicted paths, and negotiated
-// source pushdown requests. The executor consults the plan instead of
+// neither — into a Plan: per node, the spec order to execute, predicted
+// paths, and negotiated source pushdown requests. The executor consults the plan instead of
 // re-deriving rewrites per run, and the same Plan renders the `explain`
 // surface (CLI, REST and golden tests), so what runs and what is shown
 // are one object.
@@ -29,10 +28,10 @@ import (
 // result. The enginetest differential harness asserts this cell-for-cell
 // against adversarial random statistics.
 
-// ColumnarAutoThreshold is the input cardinality below which the auto
-// columnar planner keeps the row kernels. It lives here so the plan's
-// path predictions and the batch engine's runtime decisions share one
-// constant.
+// ColumnarAutoThreshold is the input cardinality below which the
+// retired auto mode kept the row kernels. Neither the planner nor the
+// engine reads it: its one reader is bench/replay.go, until ROADMAP item
+// 1(a)(i) replays stages through the engine's own stage runner.
 const ColumnarAutoThreshold = 256
 
 // Evidence sources for a planning decision, strongest first.
@@ -69,13 +68,6 @@ type StageStats struct {
 	// (an empty run is no evidence — see history.StageProfile).
 	Selectivity    float64
 	HasSelectivity bool
-	// RowsIn / Rows are the observed input and output cardinalities.
-	RowsIn    float64
-	HasRowsIn bool
-	Rows      float64
-	HasRows   bool
-	// CostUS is the observed stage duration baseline in microseconds.
-	CostUS float64
 }
 
 // StatsFn resolves observed statistics for a (output object, stage
@@ -99,9 +91,6 @@ type PlanOptions struct {
 	// but provably never read (flowcheck liveness) — projection
 	// pushdown input.
 	DeadSourceColumns map[string][]string
-	// Columnar is the executor's columnar mode, resolved onto every
-	// produced node.
-	Columnar string
 }
 
 // Decision is one rewrite the planner applied, with its evidence.
@@ -119,9 +108,9 @@ type StagePlan struct {
 	// estimate that ranked the stage and where it came from.
 	Selectivity float64 `json:"selectivity,omitempty"`
 	Evidence    string  `json:"evidence,omitempty"`
-	// Path is the predicted execution path: "row", "columnar", or
-	// "auto" when the runtime planner will decide on observed input
-	// size. The actual path lands in StageTiming.Path.
+	// Path is the predicted execution path, "row" or "columnar", read
+	// off the task's kernel (predictPath). The actual path lands in
+	// StageTiming.Path.
 	Path string `json:"path"`
 	// Fused marks a stage that runs inside the kernel call of the stage
 	// before it whenever that stage runs columnar (task.Fuses); its Path
@@ -158,8 +147,6 @@ type NodePlan struct {
 	Specs []task.Spec `json:"-"`
 	// Stages render Specs for the explain surface.
 	Stages []StagePlan `json:"stages,omitempty"`
-	// Columnar is the resolved planner mode for the node.
-	Columnar string `json:"columnar,omitempty"`
 	// Pushdown is the fetch-time request for source nodes (nil = none).
 	Pushdown *SourcePushdown `json:"pushdown,omitempty"`
 	// Decisions are the rewrites applied to this node.
@@ -218,7 +205,7 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 		if n.IsSource() {
 			continue
 		}
-		np := &NodePlan{Output: name, Columnar: ResolveColumnar(opts.Columnar)}
+		np := &NodePlan{Output: name}
 		hoist := HoistFilters(n.Specs)
 		if hoist.Moved {
 			np.Decisions = append(np.Decisions, Decision{
@@ -237,7 +224,7 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 			in[i] = task.Input{Name: src, Schema: g.Nodes[src].Schema}
 		}
 		np.Specs = specs
-		np.Stages = stagePlans(name, specs, in[:nIn], np.Columnar, opts)
+		np.Stages = stagePlans(name, specs, in[:nIn], opts)
 		p.Nodes[name] = np
 	}
 	for _, name := range g.Order {
@@ -258,28 +245,16 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 // produced node runs its specs as declared, no sink is skipped and no
 // source is offered a pushdown. It carries no Stages or Decisions; it is
 // executed, never explained.
-func AsWritten(g *Graph, columnar string) *Plan {
+func AsWritten(g *Graph) *Plan {
 	p := &Plan{Nodes: make(map[string]*NodePlan, len(g.Nodes)), Order: append([]string(nil), g.Order...)}
 	for name, n := range g.Nodes {
 		np := &NodePlan{Output: name, Source: n.IsSource()}
 		if !np.Source {
 			np.Specs = n.Specs
-			np.Columnar = ResolveColumnar(columnar)
 		}
 		p.Nodes[name] = np
 	}
 	return p
-}
-
-// ResolveColumnar resolves an effective columnar mode — the one place the
-// mode string is interpreted: the executor's mode, or auto when it is
-// unset or unrecognized.
-func ResolveColumnar(mode string) string {
-	switch mode {
-	case "on", "off":
-		return mode
-	}
-	return "auto"
 }
 
 // isExprFilter reports whether sp is a pure expression filter — the only
@@ -370,14 +345,14 @@ func reorderFilters(output string, specs []task.Spec, opts PlanOptions) ([]task.
 // stagePlans renders the planned specs with predicted selectivities,
 // execution paths and fusion — the explain view of one node. in holds
 // the node's first two inputs, all that a fusing join reads.
-func stagePlans(output string, specs []task.Spec, in []task.Input, mode string, opts PlanOptions) []StagePlan {
+func stagePlans(output string, specs []task.Spec, in []task.Input, opts PlanOptions) []StagePlan {
 	out := make([]StagePlan, len(specs))
 	for i, sp := range specs {
 		st := StagePlan{Stage: task.Describe(sp)}
 		if isExprFilter(sp) {
 			st.Selectivity, st.Evidence = estimate(output, sp, opts)
 		}
-		st.Path = predictPath(output, sp, mode, opts)
+		st.Path = predictPath(sp)
 		if i > 0 && out[i-1].Path != "row" && task.Fuses(specs[i-1], sp, in) {
 			st.Path, st.Fused = out[i-1].Path, true
 		}
@@ -387,38 +362,14 @@ func stagePlans(output string, specs []task.Spec, in []task.Input, mode string, 
 }
 
 // predictPath predicts a stage's execution path by the batch engine's
-// rule: row when the mode is off or the spec has no kernel type; with a
-// kernel type, columnar when the mode is on or the stage's observed input
-// reaches ColumnarAutoThreshold rows — provided its configuration has a
-// kernel (task.HasKernel), else row — and row below the threshold. "auto"
-// means no input size was observed: the runtime planner decides. A join's
-// observed input sums both sides while the engine thresholds the probe
-// side alone, so over the threshold its path is left to the runtime too.
-func predictPath(output string, sp task.Spec, mode string, opts PlanOptions) string {
-	if mode == "off" {
-		return "row"
-	}
+// rule: columnar when the spec is a kernel type whose configuration has a
+// kernel (task.HasKernel), row otherwise. Over any stage of a built graph
+// that is exactly when task.Bind binds, so the prediction fails only on
+// data: an input holding a boxed or time column runs on rows.
+func predictPath(sp task.Spec) string {
 	_, one := sp.(task.Vectorizable)
 	_, two := sp.(task.VectorizableJoin)
-	if !one && !two {
-		return "row"
-	}
-	if mode != "on" {
-		st, ok := StageStats{}, false
-		if opts.Stats != nil {
-			st, ok = opts.Stats(output, task.Describe(sp))
-		}
-		if !ok || !st.HasRowsIn {
-			return "auto"
-		}
-		if st.RowsIn < ColumnarAutoThreshold {
-			return "row"
-		}
-		if two {
-			return "auto"
-		}
-	}
-	if task.HasKernel(sp) {
+	if (one || two) && task.HasKernel(sp) {
 		return "columnar"
 	}
 	return "row"
@@ -576,7 +527,7 @@ func (p *Plan) Format() string {
 			}
 			continue
 		}
-		fmt.Fprintf(&b, "D.%s  columnar=%s\n", name, np.Columnar)
+		fmt.Fprintf(&b, "D.%s\n", name)
 		for i, st := range np.Stages {
 			fmt.Fprintf(&b, "  %d. %s", i+1, st.Stage)
 			if st.Evidence != "" {

@@ -121,7 +121,7 @@ func TestEmptyRunIsNoEvidence(t *testing.T) {
 	noEvidence := func(output, stage string) (StageStats, bool) {
 		// What history.Profiles reports after an empty first run:
 		// the profile exists but carries no selectivity samples.
-		return StageStats{Selectivity: 0, HasSelectivity: false, HasRows: true}, true
+		return StageStats{Selectivity: 0, HasSelectivity: false}, true
 	}
 	p := Optimize(g, PlanOptions{Stats: noEvidence})
 	got := stageNames(p.Node("mid"))
@@ -270,7 +270,7 @@ func TestPlanFormatAndJSON(t *testing.T) {
 		HintKey("mid", "filter_by flag == 1"):  0.1,
 	})})
 	text := p.Format()
-	for _, want := range []string{"D.raw  (source)", "D.mid  columnar=auto", "sel=0.10 [history]", "filter_reorder"} {
+	for _, want := range []string{"D.raw  (source)", "D.mid\n", "sel=0.10 [history]", "filter_reorder"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Format() missing %q:\n%s", want, text)
 		}
@@ -325,7 +325,7 @@ T:
 	if len(problems) != 1 || g.Nodes["r"].Schema != nil {
 		t.Fatalf("want D.r unresolved and nothing else, got %v", problems)
 	}
-	p := Optimize(g, PlanOptions{Columnar: "on"})
+	p := Optimize(g, PlanOptions{})
 	if st := p.Node("u").Stages; len(st) != 1 || st[0].Fused {
 		t.Errorf("union: %+v", st)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"shareinsights/internal/connector"
-	"shareinsights/internal/dag"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
@@ -399,7 +398,7 @@ func cubeDiffRows(n int, times bool) []table.Row {
 // and clear, every widget's data is cell for cell and kind for kind the
 // reference's (Table.Equal would let 1 pass for 1.0). Endpoints are
 // row-backed, plain column-backed and dictionary-coded column-backed,
-// either side of the columnar threshold.
+// of two sizes.
 func TestCubeDifferential(t *testing.T) {
 	f, err := flowfile.Parse("cubediff", cubeDiffFlow)
 	if err != nil {
@@ -433,7 +432,7 @@ func TestCubeDifferential(t *testing.T) {
 	}
 	pickers := []string{"pick_s", "pick_n", "pick_fl", "pick_flag"}
 	stamps := []string{"2020-01-01", "2020-01-01T01:00:00Z", "2020-01-01T03:00:00Z", "2020-01-01T04:00:00.1Z", "2020-01-04", "2020-01-09"}
-	for _, n := range []int{dag.ColumnarAutoThreshold - 56, dag.ColumnarAutoThreshold + 344} {
+	for _, n := range []int{200, 600} {
 		s := schema.MustFromNames("s", "n", "fl", "flag", "ts", "day", "amount", "ratio", "digits")
 		byRows, err := table.FromRows(s, cubeDiffRows(n, true))
 		if err != nil {

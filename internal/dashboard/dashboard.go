@@ -64,8 +64,9 @@ type Platform struct {
 	// RunTimeout bounds every dashboard run; 0 means no platform-wide
 	// deadline (callers can still pass their own via RunContext).
 	RunTimeout time.Duration
-	// Columnar is the batch engine's vectorized-execution mode for every
-	// run (auto, on or off; empty means auto). See docs/ENGINE.md.
+	// Columnar is the batch engine's mode for every run: off runs every
+	// stage on rows; empty or on runs each stage on its kernel whenever
+	// one binds. See docs/ENGINE.md.
 	Columnar string
 	// Tracer receives structured execution spans for every run on the
 	// platform (run → connector fetch → task stage → widget render).
@@ -364,11 +365,6 @@ func (prog *Program) statsFn() dag.StatsFn {
 		return dag.StageStats{
 			Selectivity:    p.Selectivity,
 			HasSelectivity: p.SelSamples > 0,
-			RowsIn:         p.RowsIn,
-			HasRowsIn:      p.Count > 0,
-			Rows:           p.Rows,
-			HasRows:        p.Count > 0,
-			CostUS:         p.EWMAUS,
 		}, true
 	}
 }
@@ -382,9 +378,7 @@ func (prog *Program) Explain() *dag.Plan {
 	if !prog.platform.Optimize {
 		return nil
 	}
-	opts := prog.hints.PlanOptions(prog.statsFn())
-	opts.Columnar = prog.platform.Columnar
-	return dag.Optimize(prog.Graph, opts)
+	return dag.Optimize(prog.Graph, prog.hints.PlanOptions(prog.statsFn()))
 }
 
 // History returns the platform's run-history recorder (nil when the

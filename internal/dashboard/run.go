@@ -85,9 +85,9 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		d.health = h
 	}()
 	// Plan the run up front: one cost-based decision pass covering
-	// filter order, source pushdown, sink skipping and columnar paths.
-	// Sources consult it below (pushdown offers), the executor follows
-	// its per-node stage lists and path choices.
+	// filter order, source pushdown and sink skipping. Sources consult
+	// it below (pushdown offers), the executor follows its per-node stage
+	// lists.
 	d.runPlan = d.Explain()
 	d.pushedFilters = map[string]bool{}
 	sources := map[string]*table.Table{}

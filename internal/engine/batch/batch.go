@@ -37,8 +37,8 @@ type Executor struct {
 	// GOMAXPROCS. It is the engine's only parallelism: a stage runs on
 	// its node's goroutine.
 	Parallelism int
-	// Plan is what RunContext executes: each node's spec order, columnar
-	// mode and the skipped sinks are read from it, and nothing runs that
+	// Plan is what RunContext executes: each node's spec order and the
+	// skipped sinks are read from it, and nothing runs that
 	// it does not describe. nil makes the executor derive one — see
 	// Optimize.
 	Plan *dag.Plan
@@ -53,11 +53,9 @@ type Executor struct {
 	Tracer obs.Tracer
 	// TraceParent is the span id node spans open under (0 = top level).
 	TraceParent int
-	// Columnar is the default planner mode for the vectorized execution
-	// path: ColumnarAuto, ColumnarOn or ColumnarOff ("" means auto). A
-	// derived plan and RunPipeline resolve it through
-	// dag.ResolveColumnar; a caller's Plan already carries the resolved
-	// mode on each node.
+	// Columnar is ColumnarOff to run every stage on rows; "" or
+	// ColumnarOn runs each stage on its kernel whenever one binds
+	// (columnar.go).
 	Columnar string
 	// Budget, when non-nil, is charged as stages and pipelines
 	// materialize output (rows per stage, bytes per node or RunPipeline
@@ -220,9 +218,9 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 	plan := e.Plan
 	if plan == nil {
 		if e.Optimize {
-			plan = dag.Optimize(g, dag.PlanOptions{Columnar: e.Columnar})
+			plan = dag.Optimize(g, dag.PlanOptions{})
 		} else {
-			plan = dag.AsWritten(g, e.Columnar)
+			plan = dag.AsWritten(g)
 		}
 	}
 	res := &Result{
@@ -331,7 +329,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			if e.Plan != nil {
 				planTag = np.Summary()
 			}
-			p := &pipeline{e: e, env: env, parent: nodeSpan, mode: np.Columnar,
+			p := &pipeline{e: e, env: env, parent: nodeSpan,
 				node: n.Name, planTag: planTag, queueWait: queueWait, stats: &res.Stats, mu: &mu}
 			out, stages, err := p.run(ctx, np.Specs, ins, n.Inputs)
 			if err == nil && e.Budget != nil {
@@ -408,7 +406,7 @@ func checkMaxRows(n *dag.Node, out *table.Table) error {
 // a graph node's do, and cancellation is checked before every stage. It
 // returns the output table and the number of stages run.
 func (e *Executor) RunPipeline(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, parent int) (*table.Table, int, error) {
-	p := &pipeline{e: e, env: env, parent: parent, mode: dag.ResolveColumnar(e.Columnar)}
+	p := &pipeline{e: e, env: env, parent: parent}
 	out, stages, err := p.run(ctx, specs, in, names)
 	// A chain with no stages hands its input through: nothing new to charge.
 	if err == nil && stages > 0 && e.Budget != nil {
@@ -433,8 +431,6 @@ type pipeline struct {
 	env *task.Env
 	// parent is the span the stage spans open under.
 	parent int
-	// mode is the resolved columnar mode.
-	mode string
 	// stats, under mu, receives every executed stage's timing, tagged
 	// with the node, its plan summary and — on the node's first stage —
 	// its scheduler queue wait; nil (RunPipeline) keeps the stages out of
@@ -451,7 +447,7 @@ type pipeline struct {
 var unnamed = []string{""}
 
 // run executes the chain one spec per stage: each goes to its columnar
-// kernel when the planner mode and the data allow it, else to its
+// kernel when one binds and the data allow it, else to its
 // reference Exec — decided once, before the stage runs, and never
 // revisited. Columnar stages hand each other selections; the output is
 // compacted so that it keeps alive no vector four times its size.

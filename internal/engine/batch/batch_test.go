@@ -172,7 +172,7 @@ func TestExecutorRunsAPlan(t *testing.T) {
 		{"derived optimized", &Executor{Parallelism: 1, Optimize: true}, []string{"unused_sink"}, hoisted, ""},
 		{"supplied optimized", &Executor{Parallelism: 1, Plan: dag.Optimize(g, dag.PlanOptions{})}, []string{"unused_sink"}, hoisted, "filter_pushdown"},
 		{"derived as written", &Executor{Parallelism: 1}, nil, written, ""},
-		{"supplied as written", &Executor{Parallelism: 1, Optimize: true, Plan: dag.AsWritten(g, "")}, nil, written, "as-written"},
+		{"supplied as written", &Executor{Parallelism: 1, Optimize: true, Plan: dag.AsWritten(g)}, nil, written, "as-written"},
 	}
 	var ref *table.Table
 	for _, tc := range cases {

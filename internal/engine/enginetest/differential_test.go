@@ -117,7 +117,7 @@ func columnBacked(sources map[string]*table.Table) map[string]*table.Table {
 // order-insensitive.
 func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, sources map[string]*table.Table) {
 	t.Helper()
-	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn, batch.ColumnarAuto} {
+	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
 		col := runPath(t, g, sources, mode, 1)
 		for _, name := range row.SortedNames() {
 			want, _ := row.Table(name)
@@ -147,7 +147,7 @@ func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, so
 	// the unplanned row run cell-for-cell on both engines.
 	for si, stats := range []dag.StatsFn{nil, adversarialStats(1), adversarialStats(2)} {
 		for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
-			plan := dag.Optimize(g, dag.PlanOptions{Stats: stats, Columnar: mode})
+			plan := dag.Optimize(g, dag.PlanOptions{Stats: stats})
 			// The differential flows don't mark endpoints, so every
 			// output is formally a dead sink; keep them all live — the
 			// point here is the stage rewrites, not sink elimination.
@@ -191,12 +191,7 @@ func adversarialStats(seed uint64) dag.StatsFn {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%d\x00%s\x00%s", seed, output, stage)
 		x := h.Sum64()
-		return dag.StageStats{
-			Selectivity: float64(x%1000) / 999, HasSelectivity: true,
-			RowsIn: float64(x % 5000), HasRowsIn: true,
-			Rows: float64(x % 3000), HasRows: true,
-			CostUS: float64(x % 100),
-		}, x%4 != 0
+		return dag.StageStats{Selectivity: float64(x%1000) / 999, HasSelectivity: true}, x%4 != 0
 	}
 }
 
@@ -698,26 +693,17 @@ func TestColumnarPathReported(t *testing.T) {
 	src := salesTable(2000, 7, 10)
 	sources := map[string]*table.Table{"src": src}
 
-	res := runPath(t, g, sources, batch.ColumnarOn, 1)
-	if n := countPaths(res, batch.PathColumnar); n == 0 {
-		t.Errorf("columnar=on: no stage reported the columnar path")
+	for _, mode := range []string{batch.ColumnarOn, ""} {
+		if n := countPaths(runPath(t, g, sources, mode, 1), batch.PathColumnar); n == 0 {
+			t.Errorf("columnar=%q: no stage reported the columnar path", mode)
+		}
 	}
-	res = runPath(t, g, sources, batch.ColumnarOff, 1)
+	res := runPath(t, g, sources, batch.ColumnarOff, 1)
 	if n := countPaths(res, batch.PathColumnar); n != 0 {
 		t.Errorf("columnar=off: %d stages reported the columnar path", n)
 	}
 	if countPaths(res, batch.PathRow) == 0 {
 		t.Errorf("columnar=off: no stage reported the row path")
-	}
-	// Auto mode needs the input to clear its row threshold.
-	res = runPath(t, g, sources, batch.ColumnarAuto, 1)
-	if n := countPaths(res, batch.PathColumnar); n == 0 {
-		t.Errorf("columnar=auto with %d rows: no stage took the columnar path", src.Len())
-	}
-	small := map[string]*table.Table{"src": salesTable(10, 7, 10)}
-	res = runPath(t, g, small, batch.ColumnarAuto, 1)
-	if n := countPaths(res, batch.PathColumnar); n != 0 {
-		t.Errorf("columnar=auto with 10 rows: %d stages took the columnar path", n)
 	}
 	t.Run("join_sort_limit", joinSortLimitPathReported)
 }

@@ -127,9 +127,8 @@ func joinFlow(cond, keys string, variant int) string {
 
 // TestJoinMatrixDifferential runs the fixed join matrix — conditions ×
 // key kinds × data shapes × projection / input-order variants — through
-// diffFlow: row-backed and column-backed inputs, off / on / auto, planned
-// and unplanned, exact order at parallelism 1. The probe side is over
-// the auto threshold, so auto takes the kernel too.
+// diffFlow: row-backed and column-backed inputs, off / on, planned and
+// unplanned, exact order at parallelism 1.
 func TestJoinMatrixDifferential(t *testing.T) {
 	for _, cond := range []string{"inner", "left outer", "right outer", "full outer"} {
 		for shape, shapeName := range joinShapes {
@@ -184,7 +183,7 @@ func joinFilterFusion(t *testing.T, shape string, sources map[string]*table.Tabl
 				diffFlow(t, flow, sources)
 				want := pred.side == "probe" && (cond == "inner" || cond == "left outer")
 				g := buildGraph(t, flow)
-				if st := dag.Optimize(g, dag.PlanOptions{Columnar: batch.ColumnarOn}).Node("out").Stages; st[1].Fused != want {
+				if st := dag.Optimize(g, dag.PlanOptions{}).Node("out").Stages; st[1].Fused != want {
 					t.Errorf("%s: explain marks the filter fused=%v, want %v", name, st[1].Fused, want)
 				}
 				tr := obs.NewTrace("t")
@@ -284,9 +283,8 @@ T:
 		want    string
 	}{
 		{"on", small, batch.ColumnarOn, batch.PathColumnar},
+		{"default", small, "", batch.PathColumnar},
 		{"off", big, batch.ColumnarOff, batch.PathRow},
-		{"auto over the threshold", big, batch.ColumnarAuto, batch.PathColumnar},
-		{"auto under the threshold", small, batch.ColumnarAuto, batch.PathRow},
 	} {
 		res := runPath(t, g, tc.sources, tc.mode, 1)
 		for _, stage := range []string{"join ", "sort", "limit"} {
@@ -294,12 +292,6 @@ T:
 				t.Errorf("%s: stage %q ran on the %s path, want %s", tc.name, stage, got, tc.want)
 			}
 		}
-	}
-	// Auto thresholds on the probe side: a 20-row left input keeps the
-	// row join however large the build side is.
-	lopsided := map[string]*table.Table{"l": small["l"], "r": big["l"]}
-	if got := stagePath(t, runPath(t, g, lopsided, batch.ColumnarAuto, 1), "join "); got != batch.PathRow {
-		t.Errorf("auto with a 20-row probe side: join ran on the %s path", got)
 	}
 
 	tr := obs.NewTrace("t")

@@ -19,30 +19,11 @@ func (f *File) AppendText(b []byte) []byte {
 	if len(f.DataOrder) > 0 {
 		b = append(b, "D:\n"...)
 		for _, name := range f.DataOrder {
-			// Schema-less declarations survive as bare entries so
-			// canonicalization is a fixed point even for objects that
-			// only exist as declarations.
-			if b = cat(b, "  ", name, ":"); f.Data[name].Schema != nil {
-				b = f.Data[name].Schema.AppendTo(append(b, ' '))
-			}
-			b = append(b, '\n')
+			b = appendDataDecl(b, name, f.Data[name])
 		}
 		// Detail blocks follow the schema listing, as in the paper.
 		for _, name := range f.DataOrder {
-			d := f.Data[name]
-			if len(d.Props) == 0 && !d.Endpoint && d.Publish == "" {
-				continue
-			}
-			b = cat(b, "\nD.", name, ":\n")
-			for _, k := range d.PropOrder {
-				b = append(appendQuoted(cat(b, "  ", k, ": "), d.Props[k]), '\n')
-			}
-			if d.Endpoint {
-				b = append(b, "  endpoint: true\n"...)
-			}
-			if d.Publish != "" {
-				b = cat(b, "  publish: ", d.Publish, "\n")
-			}
+			b = appendDataDetails(b, name, f.Data[name])
 		}
 		b = append(b, '\n')
 	}
@@ -67,24 +48,33 @@ func (f *File) AppendText(b []byte) []byte {
 		}
 		b = append(b, '\n')
 	}
-	if f.Layout != nil {
-		b = append(b, "L:\n"...)
-		if f.Layout.Description != "" {
-			b = append(appendQuoted(append(b, "  description: "...), f.Layout.Description), '\n')
-		}
-		if len(f.Layout.Rows) > 0 {
-			b = append(b, "  rows:\n"...)
-			for _, row := range f.Layout.Rows {
-				b = append(b, "    - ["...)
-				for i, c := range row.Cells {
-					if i > 0 {
-						b = append(b, ", "...)
-					}
-					b = cat(strconv.AppendInt(append(b, "span"...), int64(c.Span), 10), ": W.", c.Widget)
-				}
-				b = append(b, "]\n"...)
-			}
-		}
+	return f.AppendLayoutText(b)
+}
+
+// appendDataDecl appends a data object's line of the D: listing.
+// Schema-less declarations survive as bare entries so canonicalization
+// is a fixed point even for objects that only exist as declarations.
+func appendDataDecl(b []byte, name string, d *DataDef) []byte {
+	if b = cat(b, "  ", name, ":"); d.Schema != nil {
+		b = d.Schema.AppendTo(append(b, ' '))
+	}
+	return append(b, '\n')
+}
+
+// appendDataDetails appends a data object's detail block, if it has one.
+func appendDataDetails(b []byte, name string, d *DataDef) []byte {
+	if len(d.Props) == 0 && !d.Endpoint && d.Publish == "" {
+		return b
+	}
+	b = cat(b, "\nD.", name, ":\n")
+	for _, k := range d.PropOrder {
+		b = append(appendQuoted(cat(b, "  ", k, ": "), d.Props[k]), '\n')
+	}
+	if d.Endpoint {
+		b = append(b, "  endpoint: true\n"...)
+	}
+	if d.Publish != "" {
+		b = cat(b, "  publish: ", d.Publish, "\n")
 	}
 	return b
 }
@@ -97,13 +87,59 @@ func (f *File) Hash() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// AppendTaskText appends the canonical text of one task definition to b
-// (nothing if the task is absent). A node's signature text is built from
-// it, so editing a task's configuration changes the signature of every
-// node that applies the task.
+// The per-entry appenders below each write one entry's canonical text —
+// the lines AppendText writes for it — and nothing when the entry is
+// absent. Two entries are the same exactly when their text is: a node's
+// signature text is built from its tasks', and vcs diffs and merges
+// entry by entry.
+
+// AppendDataText appends one data object's text: its declaration line,
+// then its detail block.
+func (f *File) AppendDataText(b []byte, name string) []byte {
+	if d, ok := f.Data[name]; ok {
+		return appendDataDetails(appendDataDecl(b, name, d), name, d)
+	}
+	return b
+}
+
+// AppendTaskText appends one task definition's text.
 func (f *File) AppendTaskText(b []byte, name string) []byte {
 	if t, ok := f.Tasks[name]; ok {
 		return appendNodeBlock(b, name, t.Config, 0)
+	}
+	return b
+}
+
+// AppendWidgetText appends one widget definition's text.
+func (f *File) AppendWidgetText(b []byte, name string) []byte {
+	if w, ok := f.Widgets[name]; ok {
+		return appendNodeBlock(b, name, w.Config, 0)
+	}
+	return b
+}
+
+// AppendLayoutText appends the L: section.
+func (f *File) AppendLayoutText(b []byte) []byte {
+	l := f.Layout
+	if l == nil {
+		return b
+	}
+	b = append(b, "L:\n"...)
+	if l.Description != "" {
+		b = append(appendQuoted(append(b, "  description: "...), l.Description), '\n')
+	}
+	if len(l.Rows) > 0 {
+		b = append(b, "  rows:\n"...)
+		for _, row := range l.Rows {
+			b = append(b, "    - ["...)
+			for i, c := range row.Cells {
+				if i > 0 {
+					b = append(b, ", "...)
+				}
+				b = cat(strconv.AppendInt(append(b, "span"...), int64(c.Span), 10), ": W.", c.Widget)
+			}
+			b = append(b, "]\n"...)
+		}
 	}
 	return b
 }

@@ -68,9 +68,8 @@ func TestExplainFollowsTip(t *testing.T) {
 var raceFlow = strings.Replace(interactiveFlow, "source: mem:sales.csv", "source: data:sales.csv", 1)
 
 // kernelFlow is a filter, a map and two group-bys over an uploaded file,
-// and the filter again over the map's wider column list: over an upload
-// of at least dag.ColumnarAutoThreshold rows each stage runs on a
-// columnar kernel, bound once by the program for each column list.
+// and the filter again over the map's wider column list: each stage runs
+// on a columnar kernel, bound once by the program for each column list.
 const kernelFlow = `
 D:
   sales: [region, product, amount]

@@ -252,7 +252,7 @@ func (s *JoinSpec) keepRight() bool {
 // Exec implements Spec: a sequential hash join building on the right
 // side and probing with the left. It is the reference the columnar
 // kernel (colstore.Join, bound by BindJoin) is checked against, and the
-// path for small, boxed-column and `columnar: off` inputs.
+// path for boxed- or time-column inputs and the executor's off mode.
 func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
 	if len(in) != 2 {
 		return nil, fmt.Errorf("join: expected 2 inputs, got %d", len(in))

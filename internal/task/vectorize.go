@@ -10,9 +10,9 @@ import (
 )
 
 // Vectorizable is implemented by specs that can compile themselves into
-// a columnar kernel (internal/table/colstore). The batch engine probes
-// for it when the planner's columnar decision allows, and falls back to
-// the row implementation when ok is false.
+// a columnar kernel (internal/table/colstore). The batch engine binds
+// every stage that implements it, unless its mode is off, and falls back
+// to the row implementation when ok is false.
 //
 // BindVec never reports binding problems as errors: a configuration the
 // kernel cannot handle — an interaction-mode filter, an unregistered

@@ -24,7 +24,8 @@ func (e *ConflictError) Error() string {
 type entryKey = string
 
 // entrySet is a flow file decomposed into independently mergeable
-// entries with canonical textual forms for comparison.
+// entries, each identified by its canonical text (flowfile's per-entry
+// appenders).
 type entrySet struct {
 	file *flowfile.File
 	text map[entryKey]string
@@ -47,52 +48,26 @@ func decompose(name string, content []byte) (*entrySet, error) {
 		return nil, fmt.Errorf("vcs: %s does not parse: %w", name, err)
 	}
 	set := &entrySet{file: f, text: map[entryKey]string{}}
-	add := func(k entryKey, text string) {
+	add := func(k entryKey, text []byte) {
 		set.order = append(set.order, k)
-		set.text[k] = text
+		set.text[k] = string(text)
 	}
 	for _, dn := range f.DataOrder {
-		d := f.Data[dn]
-		add("D."+dn, dataText(d))
+		add("D."+dn, f.AppendDataText(nil, dn))
 	}
 	for _, fl := range f.Flows {
-		add("F."+fl.Outputs[0].Name, fl.String())
+		add("F."+fl.Outputs[0].Name, fl.AppendTo(nil))
 	}
-	sub := flowfile.NewFile("tmp")
 	for _, tn := range f.TaskOrder {
-		sub.TaskOrder = []string{tn}
-		sub.Tasks = map[string]*flowfile.TaskDef{tn: f.Tasks[tn]}
-		add("T."+tn, sub.String())
+		add("T."+tn, f.AppendTaskText(nil, tn))
 	}
-	sub2 := flowfile.NewFile("tmp")
 	for _, wn := range f.WidgetOrder {
-		sub2.WidgetOrder = []string{wn}
-		sub2.Widgets = map[string]*flowfile.WidgetDef{wn: f.Widgets[wn]}
-		add("W."+wn, sub2.String())
+		add("W."+wn, f.AppendWidgetText(nil, wn))
 	}
 	if f.Layout != nil {
-		lf := flowfile.NewFile("tmp")
-		lf.Layout = f.Layout
-		add("L", lf.String())
+		add("L", f.AppendLayoutText(nil))
 	}
 	return set, nil
-}
-
-func dataText(d *flowfile.DataDef) string {
-	var b strings.Builder
-	if d.Schema != nil {
-		b.WriteString(d.Schema.String())
-	}
-	for _, k := range d.PropOrder {
-		fmt.Fprintf(&b, ";%s=%s", k, d.Props[k])
-	}
-	if d.Endpoint {
-		b.WriteString(";endpoint")
-	}
-	if d.Publish != "" {
-		b.WriteString(";publish=" + d.Publish)
-	}
-	return b.String()
 }
 
 // MergeFlowFiles performs the section-aware three-way merge. Every entry

@@ -1,6 +1,7 @@
 package vcs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -328,5 +329,30 @@ func TestMergeWithUnparseableSide(t *testing.T) {
 		if !strings.Contains(string(merged), want) {
 			t.Errorf("merged missing %q:\n%s", want, merged)
 		}
+	}
+}
+
+// TestEntryIdentityIsCanonical: two data objects that differ only in
+// where a property separator sits — one source holding ";format=csv",
+// one source plus a format property — are different entries to both
+// Diff and the merge.
+func TestEntryIdentityIsCanonical(t *testing.T) {
+	flow := func(details string) []byte {
+		return []byte("D:\n  raw: [a, b]\n\nD.raw:\n" + details + "\nF:\n  +D.agg: D.raw | T.count\n\nT:\n  count:\n    type: groupby\n    groupby: [a]\n")
+	}
+	base := flow("  source: mem:b\n")
+	ours := flow("  source: 'mem:a;format=csv'\n")
+	theirs := flow("  source: mem:a\n  format: csv\n")
+	diff, err := Diff(ours, theirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diff) != 1 || diff[0] != "~ D.raw" {
+		t.Errorf("diff = %v, want [~ D.raw]", diff)
+	}
+	merged, err := MergeFlowFiles("d", base, ours, theirs)
+	var conflict *ConflictError
+	if !errors.As(err, &conflict) || len(conflict.Entries) != 1 || conflict.Entries[0] != "D.raw" {
+		t.Errorf("merge = %v\n%s\nwant a conflict in D.raw", err, merged)
 	}
 }

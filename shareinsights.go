@@ -72,12 +72,12 @@ type (
 	ColumnVec = colstore.Vec
 )
 
-// Columnar planner modes for Platform.Columnar and Executor.Columnar;
-// see docs/ENGINE.md.
+// Modes for Platform.Columnar and Executor.Columnar: a stage runs on its
+// kernel whenever one binds, unless the mode is ColumnarOff; see
+// docs/ENGINE.md.
 const (
-	ColumnarAuto = batch.ColumnarAuto
-	ColumnarOn   = batch.ColumnarOn
-	ColumnarOff  = batch.ColumnarOff
+	ColumnarOn  = batch.ColumnarOn
+	ColumnarOff = batch.ColumnarOff
 )
 
 // Platform services.
