@@ -253,7 +253,7 @@ func checkFlow(t *testing.T, seed int64, rows, nullRate int) bool {
 		t.Fatalf("lint-clean flow fails to compile: %v\n%s", err, src)
 	}
 	var results []*batch.Result
-	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
+	for _, mode := range []string{batch.ColumnarOff, ""} {
 		e := &batch.Executor{Parallelism: 1, Columnar: mode}
 		res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
 		if err != nil {
@@ -276,7 +276,7 @@ func checkFlow(t *testing.T, seed int64, rows, nullRate int) bool {
 	// shape pushdowns — must agree with the unplanned reference on both
 	// engines, and its outputs must conform to the same facts.
 	hints := analyze.Analyze(g, map[string]flowcheck.Scope{"src": srcScope()}).Hints()
-	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
+	for _, mode := range []string{batch.ColumnarOff, ""} {
 		e := &batch.Executor{Parallelism: 1, Columnar: mode, Plan: dag.Optimize(g, hints.PlanOptions(nil))}
 		res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
 		if err != nil {

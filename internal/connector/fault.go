@@ -141,37 +141,6 @@ func (p *FaultProtocol) FetchContext(ctx context.Context, d *flowfile.DataDef) (
 	return b, nil
 }
 
-// FetchPushdown implements ProtocolPushdown by forwarding the offer to
-// the wrapped protocol when it has the capability and declining it
-// otherwise — fault decisions (fail counts, latency, hangs, short
-// reads) apply identically either way, so the chaos matrix exercises
-// pushdown negotiation through exactly the retry/breaker path plain
-// fetches take.
-func (p *FaultProtocol) FetchPushdown(ctx context.Context, d *flowfile.DataDef, pd Pushdown) ([]byte, PushdownResult, error) {
-	var res PushdownResult
-	n := p.calls.Add(1)
-	if err := p.before(ctx); err != nil {
-		return nil, res, err
-	}
-	if p.fail(n) {
-		return nil, res, p.err("fetch", n)
-	}
-	var b []byte
-	var err error
-	if pp, ok := p.inner.(ProtocolPushdown); ok {
-		b, res, err = pp.FetchPushdown(ctx, d, pd)
-	} else {
-		b, err = fetch(ctx, p.inner, d)
-	}
-	if err != nil {
-		return nil, res, err
-	}
-	if p.cfg.ShortRead > 0 && len(b) > p.cfg.ShortRead {
-		b = b[:p.cfg.ShortRead]
-	}
-	return b, res, nil
-}
-
 // FaultFormat wraps a Format with the same failure decisions, for
 // exercising decode-stage errors.
 type FaultFormat struct {

@@ -1,14 +1,14 @@
 // Negotiated source pushdown: the cost-based optimizer (internal/dag's
 // Optimize) may ask a source to apply a filter predicate and to skip
 // decoding columns nothing downstream reads. The request is an offer,
-// never an assumption — a protocol or format that cannot honor part of
-// it declines that part in its PushdownResult and the pipeline's own
-// stages re-establish the semantics (pushed predicates stay in the
-// consumer pipeline, so a declined or partially applied pushdown is
-// always sound). Negotiation happens in-band with the single fetch and
-// the single decode a plain Load performs: declining never refetches,
-// so retry accounting (si_source_retries_total) is identical with
-// pushdown on and off.
+// never an assumption — a format that cannot honor part of it declines
+// that part in its PushdownResult and the pipeline's own stages
+// re-establish the semantics (pushed predicates stay in the consumer
+// pipeline, so a declined or partially applied pushdown is always
+// sound). Negotiation happens in-band with the single decode a plain
+// Load performs, after the same single fetch: declining never
+// refetches, so retry accounting (si_source_retries_total) is identical
+// with pushdown on and off.
 package connector
 
 import (
@@ -52,20 +52,11 @@ type PushdownResult struct {
 	SkippedColumns []string `json:"skipped_columns,omitempty"`
 }
 
-// ProtocolPushdown is the optional protocol capability hook: a
-// connector that can ask its source to filter or project server-side
-// implements it. FetchPushdown must behave exactly like Fetch for the
-// parts of pd it declines, and report what it applied — it must never
-// fail because of the pushdown itself.
-type ProtocolPushdown interface {
-	FetchPushdown(ctx context.Context, d *flowfile.DataDef, pd Pushdown) ([]byte, PushdownResult, error)
-}
-
-// FormatPushdown is the optional format capability hook: a format that
-// can filter rows or skip column parsing while decoding implements it.
-// The same decline contract applies: unsupported parts of pd are
-// ignored (and absent from the result), never errors, and the payload
-// is decoded exactly once either way.
+// FormatPushdown is the optional capability hook, the one the offer
+// meets: a format that can filter rows or skip column parsing while
+// decoding implements it. Unsupported parts of pd are ignored (and
+// absent from the result), never errors, and the payload is decoded
+// exactly once either way.
 type FormatPushdown interface {
 	DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error)
 }
@@ -84,31 +75,22 @@ func skipMask(s *schema.Schema, cols, keep []string) (skip []bool, skipped []str
 	return skip, skipped
 }
 
-// LoadPushdownContext is LoadContext with a pushdown offer. The offer
-// is negotiated in two steps against the exact same fetch/decode
-// sequence a plain load performs: the protocol sees the whole request
-// first (inside the one retried fetch — capability is probed before
-// fetching, so a decline never refetches or re-charges retry metrics),
-// then whatever it declined is offered to the format at decode time.
-// The merged PushdownResult reports what was applied; callers needing
-// exact semantics must keep the predicate in the consumer pipeline,
-// where re-applying it is idempotent.
+// LoadPushdownContext is LoadContext with a pushdown offer, made to the
+// format at decode time over the exact same fetch/decode sequence a
+// plain load performs: the fetch is the plain one, so retry metrics are
+// charged alike. The PushdownResult reports what was applied; callers
+// needing exact semantics must keep the predicate in the consumer
+// pipeline, where re-applying it is idempotent.
 func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef, s *schema.Schema, pd Pushdown, tr obs.Tracer, parent int) (*table.Table, LoadStats, PushdownResult, error) {
 	var stats LoadStats
-	var res PushdownResult
 	if s == nil {
-		return nil, stats, res, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
+		return nil, stats, PushdownResult{}, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
 	}
 	p, pname, err := r.protocolFor(d)
 	if err != nil {
-		return nil, stats, res, err
+		return nil, stats, PushdownResult{}, err
 	}
 	stats.Protocol = pname
-	// Probe the protocol capability before any fetch runs: the fetch
-	// below happens exactly once through the retry policy whether the
-	// pushdown is applied, partially applied, or declined.
-	pp, protoPush := p.(ProtocolPushdown)
-	protoPush = protoPush && !pd.Empty()
 	breaker := r.breakers.For(pname + "\x00" + d.Prop("source"))
 	fid := 0
 	if tr != nil {
@@ -118,14 +100,8 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 	if berr := breaker.Allow(); berr != nil {
 		err = fmt.Errorf("source unavailable (%s, %w)", breaker.State(), berr)
 	} else {
-		policy := r.policyFor(d)
-		stats.Attempts, err = policy.Do(ctx, func(actx context.Context) error {
-			var ferr error
-			if protoPush {
-				payload, res, ferr = pp.FetchPushdown(actx, d, pd)
-			} else {
-				payload, ferr = fetch(actx, p, d)
-			}
+		stats.Attempts, err = r.policyFor(d).Do(ctx, func(actx context.Context) (ferr error) {
+			payload, ferr = fetch(actx, p, d)
 			return ferr
 		})
 		if err != nil {
@@ -152,9 +128,9 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 		tr.EndSpan(fid)
 	}
 	if err != nil {
-		return nil, stats, res, fmt.Errorf("connector: D.%s via %s: %w", d.Name, pname, err)
+		return nil, stats, PushdownResult{}, fmt.Errorf("connector: D.%s via %s: %w", d.Name, pname, err)
 	}
-	t, res, err := r.decode(d, s, payload, pd, res, tr, parent)
+	t, res, err := r.decode(d, s, payload, pd, tr, parent)
 	return t, stats, res, err
 }
 
@@ -167,36 +143,26 @@ func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload
 	if s == nil {
 		return nil, PushdownResult{}, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
 	}
-	return r.decode(d, s, payload, pd, PushdownResult{}, nil, 0)
+	return r.decode(d, s, payload, pd, nil, 0)
 }
 
-// decode is the format half of every load: offer the format whatever
-// of pd the protocol's result res left unapplied, decode the payload
-// exactly once, and merge what the format applied into res.
-func (r *Registry) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown, res PushdownResult, tr obs.Tracer, parent int) (*table.Table, PushdownResult, error) {
+// decode is the format half of every load: offer the format pd and
+// decode the payload exactly once.
+func (r *Registry) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown, tr obs.Tracer, parent int) (*table.Table, PushdownResult, error) {
+	var res PushdownResult
 	f, fname, err := r.formatFor(d)
 	if err != nil {
 		return nil, res, err
 	}
-	rem := pd
-	if res.PredicateApplied {
-		rem.Predicate = ""
-	}
-	if len(res.SkippedColumns) > 0 {
-		rem.SkipColumns = slices.DeleteFunc(slices.Clone(rem.SkipColumns), func(c string) bool { return slices.Contains(res.SkippedColumns, c) })
-	}
 	fp, formatPush := f.(FormatPushdown)
-	formatPush = formatPush && !rem.Empty()
+	formatPush = formatPush && !pd.Empty()
 	did := 0
 	if tr != nil {
 		did = tr.StartSpan(parent, "decode "+fname)
 	}
 	var t *table.Table
 	if formatPush {
-		var fres PushdownResult
-		t, fres, err = fp.DecodePushdown(d, s, payload, rem)
-		res.PredicateApplied = res.PredicateApplied || fres.PredicateApplied
-		res.SkippedColumns = append(res.SkippedColumns, fres.SkippedColumns...)
+		t, res, err = fp.DecodePushdown(d, s, payload, pd)
 	} else {
 		t, err = f.Decode(d, s, payload)
 	}

@@ -359,34 +359,3 @@ func TestPushdownBreakerHalfOpenEquivalence(t *testing.T) {
 		t.Fatalf("probe rows: off=%d (want 3), on=%d (want 2, predicate applied)", offRows, onRows)
 	}
 }
-
-// TestFaultProtocolForwardsCapability pins that the chaos wrapper
-// forwards FetchPushdown to a capable inner protocol and declines for
-// a plain one.
-func TestFaultProtocolForwardsCapability(t *testing.T) {
-	inner := &capableProtocol{payload: []byte(pushCSV)}
-	fp := NewFaultProtocol(inner, FaultConfig{})
-	b, res, err := fp.FetchPushdown(context.Background(), pushDef(t), Pushdown{Predicate: "x > 1"})
-	if err != nil || !res.PredicateApplied {
-		t.Fatalf("capability not forwarded: res=%+v err=%v", res, err)
-	}
-	if string(b) != pushCSV {
-		t.Fatal("payload mangled")
-	}
-	plain := NewFaultProtocol(&memProtocol{data: map[string][]byte{"t.csv": []byte(pushCSV)}}, FaultConfig{})
-	d := def(t, "t", map[string]string{"source": "t.csv"})
-	_, res, err = plain.FetchPushdown(context.Background(), d, Pushdown{Predicate: "x > 1"})
-	if err != nil || res.PredicateApplied {
-		t.Fatalf("plain inner should decline: res=%+v err=%v", res, err)
-	}
-}
-
-// capableProtocol is a test protocol that claims full predicate
-// pushdown support.
-type capableProtocol struct{ payload []byte }
-
-func (p *capableProtocol) Fetch(d *flowfile.DataDef) ([]byte, error) { return p.payload, nil }
-
-func (p *capableProtocol) FetchPushdown(ctx context.Context, d *flowfile.DataDef, pd Pushdown) ([]byte, PushdownResult, error) {
-	return p.payload, PushdownResult{PredicateApplied: pd.Predicate != ""}, nil
-}

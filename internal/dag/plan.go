@@ -108,13 +108,11 @@ type StagePlan struct {
 	// estimate that ranked the stage and where it came from.
 	Selectivity float64 `json:"selectivity,omitempty"`
 	Evidence    string  `json:"evidence,omitempty"`
-	// Path is the predicted execution path, "row" or "columnar", read
-	// off the task's kernel (predictPath). The actual path lands in
-	// StageTiming.Path.
+	// Path is the predicted execution path, "row" or "columnar", by
+	// task.Kernel. The actual path lands in StageTiming.Path.
 	Path string `json:"path"`
-	// Fused marks a stage that runs inside the kernel call of the stage
-	// before it whenever that stage runs columnar (task.Fuses); its Path
-	// is that stage's.
+	// Fused marks a stage that task.Kernel runs inside the kernel call
+	// of the stage before it; its Path is that stage's.
 	Fused bool `json:"fused,omitempty"`
 }
 
@@ -343,36 +341,29 @@ func reorderFilters(output string, specs []task.Spec, opts PlanOptions) ([]task.
 }
 
 // stagePlans renders the planned specs with predicted selectivities,
-// execution paths and fusion — the explain view of one node. in holds
-// the node's first two inputs, all that a fusing join reads.
+// execution paths and fusion — the explain view of one node. It walks
+// the chain by task.Kernel, the rule the batch engine runs by: in holds
+// the first stage's inputs, the node's first two (all that a kernel
+// reads), and every later stage has one.
 func stagePlans(output string, specs []task.Spec, in []task.Input, opts PlanOptions) []StagePlan {
 	out := make([]StagePlan, len(specs))
+	var one [1]task.Input
+	group := 0 // stages left in the current kernel call
 	for i, sp := range specs {
-		st := StagePlan{Stage: task.Describe(sp)}
+		st := StagePlan{Stage: task.Describe(sp), Path: "row", Fused: group > 0}
 		if isExprFilter(sp) {
 			st.Selectivity, st.Evidence = estimate(output, sp, opts)
 		}
-		st.Path = predictPath(sp)
-		if i > 0 && out[i-1].Path != "row" && task.Fuses(specs[i-1], sp, in) {
-			st.Path, st.Fused = out[i-1].Path, true
+		if group == 0 {
+			group = task.Kernel(specs[i:], in)
 		}
-		out[i] = st
+		if group > 0 {
+			st.Path = "columnar"
+			group--
+		}
+		out[i], in = st, one[:]
 	}
 	return out
-}
-
-// predictPath predicts a stage's execution path by the batch engine's
-// rule: columnar when the spec is a kernel type whose configuration has a
-// kernel (task.HasKernel), row otherwise. Over any stage of a built graph
-// that is exactly when task.Bind binds, so the prediction fails only on
-// data: an input holding a boxed or time column runs on rows.
-func predictPath(sp task.Spec) string {
-	_, one := sp.(task.Vectorizable)
-	_, two := sp.(task.VectorizableJoin)
-	if (one || two) && task.HasKernel(sp) {
-		return "columnar"
-	}
-	return "row"
 }
 
 // predicateGate is the selectivity above which pushing a predicate into

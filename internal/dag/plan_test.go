@@ -291,7 +291,7 @@ func TestPlanFormatAndJSON(t *testing.T) {
 	}
 }
 
-// TestStagePlansOverAnyInputs: explain asks task.Fuses about every
+// TestStagePlansOverAnyInputs: explain asks task.Kernel about every
 // node's stages, whatever the node's inputs. A three-input union plans,
 // and a join whose build side has no schema (Resolve reports it and goes
 // on) plans the probe-side filter after it unfused.

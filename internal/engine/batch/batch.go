@@ -53,9 +53,8 @@ type Executor struct {
 	Tracer obs.Tracer
 	// TraceParent is the span id node spans open under (0 = top level).
 	TraceParent int
-	// Columnar is ColumnarOff to run every stage on rows; "" or
-	// ColumnarOn runs each stage on its kernel whenever one binds
-	// (columnar.go).
+	// Columnar is ColumnarOff to run every stage on rows; "" runs each
+	// stage on its kernel whenever one binds (columnar.go).
 	Columnar string
 	// Budget, when non-nil, is charged as stages and pipelines
 	// materialize output (rows per stage, bytes per node or RunPipeline

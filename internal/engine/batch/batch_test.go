@@ -364,7 +364,7 @@ T:
 		sources[name] = table.New(schema.MustFromNames("k"))
 		sources[name].AppendValues(value.NewInt(int64(i)))
 	}
-	e := &Executor{Optimize: true, Columnar: ColumnarOn}
+	e := &Executor{Optimize: true}
 	res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
 	if err != nil {
 		t.Fatal(err)

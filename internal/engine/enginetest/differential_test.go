@@ -117,7 +117,7 @@ func columnBacked(sources map[string]*table.Table) map[string]*table.Table {
 // order-insensitive.
 func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, sources map[string]*table.Table) {
 	t.Helper()
-	for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
+	for _, mode := range []string{batch.ColumnarOff, ""} {
 		col := runPath(t, g, sources, mode, 1)
 		for _, name := range row.SortedNames() {
 			want, _ := row.Table(name)
@@ -132,7 +132,7 @@ func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, so
 			assertKindsEqual(t, name, want, got)
 		}
 	}
-	par := runPath(t, g, sources, batch.ColumnarOn, 4)
+	par := runPath(t, g, sources, "", 4)
 	for _, name := range row.SortedNames() {
 		want, _ := row.Table(name)
 		got, _ := par.Table(name)
@@ -146,7 +146,7 @@ func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, so
 	// feed claiming extreme selectivities to force reorders — must match
 	// the unplanned row run cell-for-cell on both engines.
 	for si, stats := range []dag.StatsFn{nil, adversarialStats(1), adversarialStats(2)} {
-		for _, mode := range []string{batch.ColumnarOff, batch.ColumnarOn} {
+		for _, mode := range []string{batch.ColumnarOff, ""} {
 			plan := dag.Optimize(g, dag.PlanOptions{Stats: stats})
 			// The differential flows don't mark endpoints, so every
 			// output is formally a dead sink; keep them all live — the
@@ -563,7 +563,7 @@ func TestEveryAggregateDifferential(t *testing.T) {
 	flow := diffHeader + "F:\n  D.out: D.src | T.agg\n\nT:\n  agg:\n    type: groupby\n    groupby: [region]\n    aggregates:\n" + aggs.String()
 	sources := map[string]*table.Table{"src": salesTable(600, 5, 25)}
 	diffFlow(t, flow, sources)
-	if res := runPath(t, buildGraph(t, flow), sources, batch.ColumnarOn, 1); countPaths(res, batch.PathColumnar) != 1 {
+	if res := runPath(t, buildGraph(t, flow), sources, "", 1); countPaths(res, batch.PathColumnar) != 1 {
 		t.Errorf("timings %+v: want the group-by on the columnar path", res.Stats.Timings)
 	}
 }
@@ -693,10 +693,8 @@ func TestColumnarPathReported(t *testing.T) {
 	src := salesTable(2000, 7, 10)
 	sources := map[string]*table.Table{"src": src}
 
-	for _, mode := range []string{batch.ColumnarOn, ""} {
-		if n := countPaths(runPath(t, g, sources, mode, 1), batch.PathColumnar); n == 0 {
-			t.Errorf("columnar=%q: no stage reported the columnar path", mode)
-		}
+	if n := countPaths(runPath(t, g, sources, "", 1), batch.PathColumnar); n == 0 {
+		t.Error("default mode: no stage reported the columnar path")
 	}
 	res := runPath(t, g, sources, batch.ColumnarOff, 1)
 	if n := countPaths(res, batch.PathColumnar); n != 0 {

@@ -187,7 +187,7 @@ func joinFilterFusion(t *testing.T, shape string, sources map[string]*table.Tabl
 					t.Errorf("%s: explain marks the filter fused=%v, want %v", name, st[1].Fused, want)
 				}
 				tr := obs.NewTrace("t")
-				e := &batch.Executor{Parallelism: 1, Columnar: batch.ColumnarOn, Tracer: tr}
+				e := &batch.Executor{Parallelism: 1, Tracer: tr}
 				res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
 				if err != nil {
 					t.Fatal(err)
@@ -231,7 +231,7 @@ func TestJoinBoxedInputTakesRowPath(t *testing.T) {
 		flow := joinFlow("full outer", "ks", 1)
 		diffFlow(t, flow, src)
 		for _, in := range []map[string]*table.Table{src, columnBacked(src)} {
-			res := runPath(t, buildGraph(t, flow), in, batch.ColumnarOn, 1)
+			res := runPath(t, buildGraph(t, flow), in, "", 1)
 			if n := countPaths(res, batch.PathColumnar); n != 0 {
 				t.Errorf("%s: %d columnar stages; want the row join", name, n)
 			}
@@ -282,7 +282,6 @@ T:
 		mode    string
 		want    string
 	}{
-		{"on", small, batch.ColumnarOn, batch.PathColumnar},
 		{"default", small, "", batch.PathColumnar},
 		{"off", big, batch.ColumnarOff, batch.PathRow},
 	} {
@@ -295,7 +294,7 @@ T:
 	}
 
 	tr := obs.NewTrace("t")
-	e := &batch.Executor{Parallelism: 1, Columnar: batch.ColumnarOn, Tracer: tr}
+	e := &batch.Executor{Parallelism: 1, Tracer: tr}
 	if _, err := e.RunContext(context.Background(), g, &task.Env{}, big); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +338,7 @@ T:
 `
 	sources := joinInputs(shapeAllMatch, 2, 300)
 	diffFlow(t, flow, sources)
-	res := runPath(t, buildGraph(t, flow), sources, batch.ColumnarOn, 1)
+	res := runPath(t, buildGraph(t, flow), sources, "", 1)
 	if len(res.Stats.Timings) != 2 || countPaths(res, batch.PathColumnar) != 2 {
 		t.Errorf("timings %+v: want the join and the group-by, once each, on the columnar path", res.Stats.Timings)
 	}

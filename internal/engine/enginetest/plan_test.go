@@ -8,6 +8,7 @@ import (
 	"shareinsights/internal/dag"
 	"shareinsights/internal/dashboard"
 	"shareinsights/internal/flowfile"
+	"shareinsights/internal/obs"
 )
 
 // filterThenWords is a vectorizable filter ahead of a map with no
@@ -53,6 +54,37 @@ T:
     orderby_column: [l_ratio DESC]
 `
 
+// joinMapFilter puts a map between a join and a filter that reads only
+// probe-side columns: the filter fuses into the join only once the plan
+// hoists it past the map.
+const joinMapFilter = diffHeader + `
+F:
+  D.l: D.src | T.first200
+  D.r: D.src | T.first100
+  D.out: (D.l, D.r) | T.j | T.m | T.f
+
+T:
+  first200:
+    type: limit
+    limit: 200
+  first100:
+    type: limit
+    limit: 100
+  j:
+    type: join
+    left: l by (region, product, amount)
+    right: r by (region, product, amount)
+    join_condition: inner
+  m:
+    type: map
+    operator: expr
+    expression: r_ratio * 2
+    output: doubled
+  f:
+    type: filter_by
+    filter_expression: l_amount > 10
+`
+
 // TestPlanPredictsExecutedPath plans every fixed flow as a dashboard
 // before any run, with no history recorder — what `explain` shows first
 // — runs it over a column-backed (CSV-decoded) source, and requires every
@@ -61,7 +93,8 @@ T:
 // such as the mixed-kind score nulls give kernel_chain, depends on cell
 // values the plan cannot see: the source has no nulls. A fused stage is
 // predicted on the path of the stage it runs inside, and at least one is
-// checked.
+// checked. The run is traced, and every stage's fused mark must equal the
+// fused flag on its span.
 func TestPlanPredictsExecutedPath(t *testing.T) {
 	fused := 0
 	data, err := connector.EncodeCSV(salesTable(2000, 5, 0))
@@ -69,7 +102,7 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	flows := append(fixedFlows[:len(fixedFlows):len(fixedFlows)], struct{ name, flow string }{"filter_then_words", filterThenWords},
-		struct{ name, flow string }{"lopsided_join", lopsidedJoin})
+		struct{ name, flow string }{"lopsided_join", lopsidedJoin}, struct{ name, flow string }{"join_map_filter", joinMapFilter})
 	for _, tc := range flows {
 		t.Run(tc.name, func(t *testing.T) {
 			// The flow as a dashboard: its source decoded from CSV, its
@@ -88,8 +121,15 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			plan := d.Explain()
+			tr := obs.NewTrace(tc.name)
+			d.SetTracer(tr)
 			if err := d.Run(); err != nil {
 				t.Fatal(err)
+			}
+			// A node span's children are its stage spans, in stage order.
+			spans := map[string][]*obs.Span{}
+			for _, s := range tr.Spans() {
+				spans[s.Name] = s.Children
 			}
 			ran := map[string]string{}
 			for _, st := range d.Result().Stats.Timings {
@@ -101,8 +141,16 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 				if np.Source {
 					continue
 				}
-				for _, st := range np.Stages {
+				stages := spans["node D."+name]
+				if len(stages) != len(np.Stages) {
+					t.Errorf("D.%s: plan has %d stages, the trace %d", name, len(np.Stages), len(stages))
+					continue
+				}
+				for i, st := range np.Stages {
 					checked++
+					if span := stages[i]; span.Name != "stage "+st.Stage || span.HasFlag("fused") != st.Fused {
+						t.Errorf("D.%s: plan marks %q fused=%v, the trace ran %q with flags %v", name, st.Stage, st.Fused, span.Name, span.Flags)
+					}
 					if st.Fused {
 						fused++
 					}

@@ -47,7 +47,7 @@ type Tracer interface {
 	// duration_us, queue_wait_us, bytes ...).
 	SpanInt(id int, key string, v int64)
 	// SpanFlag attaches a boolean marker (cache_hit, skipped, columnar,
-	// fallback ...).
+	// fused ...).
 	SpanFlag(id int, flag string)
 }
 

@@ -11,8 +11,8 @@ import (
 
 // Vectorizable is implemented by specs that can compile themselves into
 // a columnar kernel (internal/table/colstore). The batch engine binds
-// every stage that implements it, unless its mode is off, and falls back
-// to the row implementation when ok is false.
+// a stage on its kernel wherever Kernel admits it, unless its mode is
+// off, and falls back to the row implementation when ok is false.
 //
 // BindVec never reports binding problems as errors: a configuration the
 // kernel cannot handle — an interaction-mode filter, an unregistered
@@ -24,17 +24,67 @@ type Vectorizable interface {
 	BindVec(env *Env, in Input) (k colstore.Kernel, out *schema.Schema, ok bool)
 }
 
-// VectorizableJoin is Vectorizable's two-input sibling, implemented by
-// the join: the one operator whose kernel takes two batches. The engine
-// probes for it when a node's first stage has two inputs. Like BindVec,
-// BindJoin reports a configuration it cannot bind as ok == false and
-// leaves the error to the row path.
-type VectorizableJoin interface {
-	Spec
-	// BindJoin binds the join over the node's two inputs in the order
-	// the node lists them. swapped reports that the kernel's left input
-	// is b, its right input a.
-	BindJoin(env *Env, a, b Input) (k *colstore.Join, swapped, ok bool)
+// Kernel is the one rule for which stages run on columnar kernels, and
+// explain (dag) and the batch engine both ask it: the number of stages
+// at the head of specs one kernel call runs over in, the head's inputs,
+// or 0 for rows. A sort, limit, group-by, expression filter, expression
+// map or global topn over one input has a kernel, and a join over two.
+// A sort then a limit run as one top-n, and an inner or left outer join
+// then an expression filter reading only probe (left) side columns run
+// as a join probing with the rows the filter keeps: the filter means the
+// same on a probe row as on every output row it yields. Kernel binds
+// nothing and reads no schema but that column check's. Over any stage of
+// a built graph Bind binds where Kernel admits the head, so only data (a
+// boxed or time column) send an admitted stage to rows.
+func Kernel(specs []Spec, in []Input) int {
+	var next Spec
+	if len(specs) > 1 {
+		next = specs[1]
+	}
+	ok := len(in) == 1
+	switch h := specs[0].(type) {
+	case *FilterSpec:
+		ok = ok && h.Expr != nil && len(h.By) == 0
+	case *MapSpec:
+		ok = ok && h.Expr() != nil
+	case *TopNSpec:
+		ok = ok && len(h.GroupBy) == 0
+	case *LimitSpec, *GroupBySpec:
+	case *SortSpec:
+		if _, limit := next.(*LimitSpec); ok && limit {
+			return 2
+		}
+	case *JoinSpec:
+		if len(in) != 2 {
+			return 0
+		}
+		f, filter := next.(*FilterSpec)
+		if !filter || h.keepRight() || Kernel(specs[1:2], in[:1]) == 0 {
+			return 1
+		}
+		left, right, _, err := h.sides(in)
+		if err != nil || left.Schema == nil || right.Schema == nil {
+			return 1
+		}
+		// An output column is a projected name, or the qualified source name
+		// itself when nothing is projected.
+		if !slices.ContainsFunc(expr.Columns(f.Expr), func(c string) bool {
+			i := slices.IndexFunc(h.Project, func(p ProjPair) bool { return p.Out == c })
+			if i >= 0 {
+				c = h.Project[i].Qualified
+			}
+			src, err := h.source(c, left.Schema, right.Schema)
+			return err != nil || src.side != 0 || i < 0 && len(h.Project) > 0
+		}) {
+			return 2
+		}
+	default:
+		return 0
+	}
+	if !ok {
+		return 0
+	}
+	return 1
 }
 
 // Bound is a stage's kernel bound over its inputs: Vec over one, or
@@ -51,15 +101,14 @@ type Bound struct {
 	tail        Spec                  // of one of Fuse's answers: its tail
 }
 
-// Bind binds sp, a Vectorizable over one input or a VectorizableJoin
-// over two. A built-in spec keeps what it binds, one kernel per input
-// shape (the same names, and schemas with the same columns in the same
-// order), for as long as it lives: the stages of a compiled program bind
-// the first time a run takes them columnar, and later runs reuse the
-// kernel; a spec built per request binds for that request. The shapes a
-// spec meets are fixed by its program: one per flow that uses it, and
-// one more where the plan hoists it. Kernels are read-only, and runs
-// share them without a lock.
+// Bind binds sp, a stage Kernel admits over in. A built-in spec keeps
+// what it binds, one kernel per input shape (the same names, and schemas
+// with the same columns in the same order), for as long as it lives: the
+// stages of a compiled program bind the first time a run takes them
+// columnar, and later runs reuse the kernel; a spec built per request
+// binds for that request. The shapes a spec meets are fixed by its
+// program: one per flow that uses it, and one more where the plan hoists
+// it. Kernels are read-only, and runs share them without a lock.
 func Bind(env *Env, sp Spec, in []Input) *Bound {
 	m, ok := sp.(memoized)
 	if !ok {
@@ -95,15 +144,16 @@ func keep(list *atomic.Pointer[Bound], match func(*Bound) bool, build func() *Bo
 func bind(env *Env, sp Spec, in []Input) *Bound {
 	k := new(Bound)
 	if k.n = copy(k.in[:], in); k.n == 2 {
-		k.Join, k.Swapped, k.OK = sp.(VectorizableJoin).BindJoin(env, in[0], in[1])
+		k.Join, k.Swapped, k.OK = sp.(*JoinSpec).BindJoin(env, in[0], in[1])
 	} else {
 		k.Vec, _, k.OK = sp.(Vectorizable).BindVec(env, in[0])
 	}
 	return k
 }
 
-// BindJoin implements VectorizableJoin.
-func (s *JoinSpec) BindJoin(env *Env, a, b Input) (*colstore.Join, bool, bool) {
+// BindJoin is BindVec's two-input sibling: the join over a and b, the
+// node's inputs in its order, whose left input is b when swapped.
+func (s *JoinSpec) BindJoin(env *Env, a, b Input) (k *colstore.Join, swapped, ok bool) {
 	left, right, swapped, err := s.sides([]Input{a, b})
 	if err != nil {
 		return nil, false, false
@@ -112,7 +162,7 @@ func (s *JoinSpec) BindJoin(env *Env, a, b Input) (*colstore.Join, bool, bool) {
 	if err != nil {
 		return nil, false, false
 	}
-	k := &colstore.Join{
+	k = &colstore.Join{
 		KeepLeft:  s.keepLeft(),
 		KeepRight: s.keepRight(),
 		Cols:      make([]colstore.JoinCol, len(slots)),
@@ -127,76 +177,23 @@ func (s *JoinSpec) BindJoin(env *Env, a, b Input) (*colstore.Join, bool, bool) {
 	return k, swapped, true
 }
 
-// HasKernel reports whether a Vectorizable or VectorizableJoin spec's
-// configuration has a columnar kernel: the part of BindVec's (or
-// BindJoin's) decision that does not read the input schema. Over a
-// schema the spec's Out accepts — any stage of a built graph — its
-// kernel binds exactly when HasKernel holds, so the planner predicts
-// paths with it without compiling anything.
-func HasKernel(sp Spec) bool {
-	switch s := sp.(type) {
-	case *FilterSpec:
-		return s.Expr != nil && len(s.By) == 0
-	case *MapSpec:
-		return s.Expr() != nil
-	case *TopNSpec:
-		return len(s.GroupBy) == 0
-	}
-	return true
-}
-
-// Fuses reports whether tail, the stage after head (whose inputs are
-// in), runs inside head's kernel call when head runs columnar and tail
-// binds: a sort then a limit run as one top-n, and an inner or left
-// outer join then an expression filter that reads only probe (left)
-// side columns run as a join that probes with the rows the filter keeps
-// — the filter means the same on a probe row as on every output row the
-// row yields. Bound.Fuse binds what it reports, and dag's explain marks
-// it.
-func Fuses(head, tail Spec, in []Input) bool {
-	f, filter := tail.(*FilterSpec)
-	switch h := head.(type) {
-	case *SortSpec:
-		_, ok := tail.(*LimitSpec)
-		return ok
-	case *JoinSpec:
-		left, right, _, err := h.sides(in)
-		if !filter || !HasKernel(f) || h.keepRight() || err != nil || left.Schema == nil || right.Schema == nil {
-			return false
-		}
-		// An output column is a projected name, or the qualified source name
-		// itself when nothing is projected.
-		return !slices.ContainsFunc(expr.Columns(f.Expr), func(c string) bool {
-			i := slices.IndexFunc(h.Project, func(p ProjPair) bool { return p.Out == c })
-			if i >= 0 {
-				c = h.Project[i].Qualified
-			}
-			src, err := h.source(c, left.Schema, right.Schema)
-			return err != nil || src.side != 0 || i < 0 && len(h.Project) > 0
-		})
-	}
-	return false
-}
-
 // Fuse returns k, head's kernel, with tail, the stage after head, run
-// inside it — a sort's with the limit after it as one top-n, a join's
-// with the filter after it as its Mask — or nil where Fuses refuses the
-// pair or tail has no kernel. k keeps the answer per tail, so only the
-// pair's first run decides.
+// inside it where Kernel groups the two — a sort's with the limit after
+// it as one top-n, a join's with the filter after it as its Mask — or
+// nil. k keeps the answer per tail, so only the pair's first run asks.
 func (k *Bound) Fuse(env *Env, head, tail Spec) *Bound {
-	// No other stage takes one in, so k keeps no answer for it.
-	switch head.(type) {
-	case *SortSpec, *JoinSpec:
-	default:
+	// Only a sort's kernel or a join's takes a stage in.
+	sort, _ := k.Vec.(*colstore.Sort)
+	if sort == nil && k.Join == nil {
 		return nil
 	}
 	f := keep(&k.fused, func(f *Bound) bool { return f.tail == tail }, func() *Bound {
 		f := &Bound{tail: tail, Swapped: k.Swapped}
-		if !Fuses(head, tail, k.in[:k.n]) {
+		if Kernel([]Spec{head, tail}, k.in[:k.n]) < 2 {
 			return f
 		}
-		if limit, ok := tail.(*LimitSpec); ok {
-			f.Vec, f.OK = &colstore.TopN{Keys: k.Vec.(*colstore.Sort).Keys, Limit: limit.N}, true
+		if sort != nil {
+			f.Vec, f.OK = &colstore.TopN{Keys: sort.Keys, Limit: tail.(*LimitSpec).N}, true
 		} else if mask, ok := Bind(env, tail, []Input{{Schema: k.Join.Out}}).Vec.(*colstore.Filter); ok {
 			join := *k.Join
 			join.Mask = mask
@@ -227,7 +224,7 @@ func (s *LimitSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema
 // interaction filters depend on live widget selections, which are
 // per-request and cheap relative to expression scans.
 func (s *FilterSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	if !HasKernel(s) {
+	if Kernel([]Spec{s}, []Input{in}) == 0 {
 		return nil, nil, false
 	}
 	out, err := s.Out([]Input{in})
@@ -269,7 +266,7 @@ func (s *GroupBySpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Sche
 // BindVec implements Vectorizable. The heap kernel covers one global
 // group; partitioned topn keeps the row path.
 func (s *TopNSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	if _, err := s.Out([]Input{in}); err != nil || !HasKernel(s) {
+	if _, err := s.Out([]Input{in}); err != nil || Kernel([]Spec{s}, []Input{in}) == 0 {
 		return nil, nil, false
 	}
 	return &colstore.TopN{Keys: sortKeys(s.OrderBy), Limit: s.Limit}, in.Schema, true

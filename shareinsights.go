@@ -72,13 +72,10 @@ type (
 	ColumnVec = colstore.Vec
 )
 
-// Modes for Platform.Columnar and Executor.Columnar: a stage runs on its
-// kernel whenever one binds, unless the mode is ColumnarOff; see
-// docs/ENGINE.md.
-const (
-	ColumnarOn  = batch.ColumnarOn
-	ColumnarOff = batch.ColumnarOff
-)
+// ColumnarOff, as Platform.Columnar or Executor.Columnar, runs every
+// stage on rows; by default ("") a stage runs on its kernel whenever one
+// binds. See docs/ENGINE.md.
+const ColumnarOff = batch.ColumnarOff
 
 // Platform services.
 type (
