@@ -22,50 +22,56 @@ const (
 	OutcomeFollow = "follow"
 )
 
-// ResultCache is a bounded, singleflight-collapsing cache of run
-// results. Keys encode everything a result depends on — flow-file
-// revision, shared-input catalog generations, upload revision — so a
-// publish, commit or upload naturally rotates the key; Invalidate
-// additionally drops entries eagerly so a superseded result never
-// lingers until eviction.
-//
-// Values are opaque (any): the cache does not know what a dashboard
-// is, keeping this package engine-agnostic like the rest of admission.
-type ResultCache struct {
+// Cache is a bounded LRU with singleflight collapsing, the one type of
+// both result-cache levels: the server's run results (ResultCache,
+// through Do) and the dashboard node cache (through Get and Put). Keys
+// encode everything a value depends on — for a run: flow-file revision,
+// shared-input catalog generations, upload revision — so a publish,
+// commit or upload naturally rotates the key; Invalidate additionally
+// drops entries eagerly so a superseded value never lingers until
+// eviction. It does not know what a dashboard is, keeping this package
+// engine-agnostic like the rest of admission.
+type Cache[V any] struct {
 	limit int
 
 	mu      sync.Mutex
 	seq     int64
-	entries map[string]*cacheEntry
-	flights map[string]*flight
+	entries map[string]*cacheEntry[V]
+	flights map[string]*flight[V]
 	stats   CacheStats
 
 	mHits, mMisses, mCollapsed, mEvictions, mInvalidations *obs.Counter
 	mEntries                                               *obs.Gauge
 }
 
-type cacheEntry struct {
-	val  any
+// ResultCache is the run-result level: values are opaque (any).
+type ResultCache = Cache[any]
+
+type cacheEntry[V any] struct {
+	val  V
 	seen int64 // LRU clock
 }
 
 // flight is one in-progress leader execution; followers wait on done.
-type flight struct {
+type flight[V any] struct {
 	done chan struct{}
-	val  any
+	val  V
 	err  error
 }
 
-// NewResultCache builds a cache holding at most limit completed
-// entries (default 128 when limit <= 0).
-func NewResultCache(limit int, m *obs.Registry) *ResultCache {
+// NewResultCache builds a run-result cache of at most limit entries.
+func NewResultCache(limit int, m *obs.Registry) *ResultCache { return NewCache[any](limit, m) }
+
+// NewCache builds a cache of at most limit entries (128 when limit <= 0).
+// A non-nil m registers the si_result_cache_* metrics: one per registry.
+func NewCache[V any](limit int, m *obs.Registry) *Cache[V] {
 	if limit <= 0 {
 		limit = 128
 	}
-	c := &ResultCache{
+	c := &Cache[V]{
 		limit:   limit,
-		entries: map[string]*cacheEntry{},
-		flights: map[string]*flight{},
+		entries: map[string]*cacheEntry[V]{},
+		flights: map[string]*flight[V]{},
 	}
 	if m != nil {
 		c.mHits = m.Counter("si_result_cache_hits_total", "Run requests served from the shared result cache.")
@@ -84,20 +90,33 @@ func inc(c *obs.Counter) {
 	}
 }
 
+// Get returns the value held under key and marks it recently used.
+func (c *Cache[V]) Get(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.getLocked(key)
+}
+
+// Put holds val under key, replacing a held value in place; a new key
+// past the bound evicts the least recently used entry.
+func (c *Cache[V]) Put(key string, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(key, val)
+}
+
 // Do returns the cached value for key, or executes fn to produce it.
 // Concurrent calls with the same key collapse: one leader runs fn, the
 // rest wait for its result (outcome "follow"). A follower whose ctx
 // dies returns ctx.Err() without disturbing the flight — the leader
 // keeps running for everyone else. Failed executions are never cached.
-func (c *ResultCache) Do(ctx context.Context, key string, fn func() (any, error)) (any, string, error) {
+func (c *Cache[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, string, error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.seq++
-		e.seen = c.seq
+	if v, ok := c.getLocked(key); ok {
 		c.stats.Hits++
 		c.mu.Unlock()
 		inc(c.mHits)
-		return e.val, OutcomeHit, nil
+		return v, OutcomeHit, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.stats.Collapsed++
@@ -107,10 +126,10 @@ func (c *ResultCache) Do(ctx context.Context, key string, fn func() (any, error)
 		case <-f.done:
 			return f.val, OutcomeFollow, f.err
 		case <-ctx.Done():
-			return nil, OutcomeFollow, ctx.Err()
+			return *new(V), OutcomeFollow, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
 	c.stats.Misses++
 	c.mu.Unlock()
@@ -121,18 +140,29 @@ func (c *ResultCache) Do(ctx context.Context, key string, fn func() (any, error)
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil {
-		c.storeLocked(key, f.val)
+		c.putLocked(key, f.val)
 	}
 	c.mu.Unlock()
 	close(f.done)
 	return f.val, OutcomeMiss, f.err
 }
 
-// storeLocked installs a completed entry, evicting the least recently
-// used entry when over the bound. Callers hold c.mu.
-func (c *ResultCache) storeLocked(key string, val any) {
+func (c *Cache[V]) getLocked(key string) (v V, ok bool) {
+	e, ok := c.entries[key]
+	if ok {
+		c.seq++
+		e.seen, v = c.seq, e.val
+	}
+	return v, ok
+}
+
+func (c *Cache[V]) putLocked(key string, val V) {
 	c.seq++
-	c.entries[key] = &cacheEntry{val: val, seen: c.seq}
+	if e, ok := c.entries[key]; ok {
+		e.val, e.seen = val, c.seq
+		return
+	}
+	c.entries[key] = &cacheEntry[V]{val: val, seen: c.seq}
 	for len(c.entries) > c.limit {
 		var oldest string
 		var oldestSeen int64
@@ -155,7 +185,7 @@ func (c *ResultCache) storeLocked(key string, val any) {
 // flights are untouched: their result lands under a key the caller's
 // mutation has already superseded, where the next Invalidate or the
 // LRU bound collects it.
-func (c *ResultCache) Invalidate(prefix string) int {
+func (c *Cache[V]) Invalidate(prefix string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
@@ -175,13 +205,6 @@ func (c *ResultCache) Invalidate(prefix string) int {
 	return n
 }
 
-// Len reports the number of completed entries.
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // CacheStats is a point-in-time snapshot of the result cache for
 // status surfaces (the ops meta-dashboard's cache panel).
 type CacheStats struct {
@@ -194,7 +217,7 @@ type CacheStats struct {
 }
 
 // Stats snapshots the cache.
-func (c *ResultCache) Stats() CacheStats {
+func (c *Cache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats

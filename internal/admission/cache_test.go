@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,7 +124,7 @@ func TestResultCacheFollowerCancel(t *testing.T) {
 
 	close(unblock)
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Len() == 0 {
+	for c.Stats().Entries == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("leader result never cached")
 		}
@@ -161,8 +162,8 @@ func TestResultCacheInvalidateAll(t *testing.T) {
 	if n := c.Invalidate(""); n != 5 {
 		t.Fatalf("Invalidate(\"\") dropped %d, want 5", n)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after full invalidation", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Fatalf("Entries = %d after full invalidation", c.Stats().Entries)
 	}
 }
 
@@ -177,8 +178,8 @@ func TestResultCacheLRUBound(t *testing.T) {
 		t.Fatal("warm-up hit on a failed")
 	}
 	c.Do(context.Background(), "c", func() (any, error) { return "c", nil })
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (bounded)", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("Entries = %d, want 2 (bounded)", c.Stats().Entries)
 	}
 	if _, outcome, _ := c.Do(context.Background(), "a", nil); outcome != OutcomeHit {
 		t.Fatal("recently used entry evicted")
@@ -216,7 +217,40 @@ func TestResultCacheInvalidateDuringFlight(t *testing.T) {
 		t.Fatalf("post-publish Do = %v, %q, %v", v, outcome, err)
 	}
 	c.Invalidate("k@")
-	if c.Len() != 0 {
-		t.Fatalf("stale flight entry survived invalidation: Len = %d", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Fatalf("stale flight entry survived invalidation: Entries = %d", c.Stats().Entries)
+	}
+}
+
+// TestCacheBound holds the node level's bound on the shared type: Put
+// never grows the cache past its limit, and replacing a held key never
+// evicts another.
+func TestCacheBound(t *testing.T) {
+	c := NewCache[string](4, nil)
+	for i := 0; i < 10; i++ {
+		c.Put("d\x00"+strings.Repeat("n", i+1), "sig")
+	}
+	if c.Stats().Entries > 4 {
+		t.Errorf("cache exceeded bound: %d", c.Stats().Entries)
+	}
+
+	// A cache exactly at its bound keeps its entries when a held key is
+	// re-stored (a re-run of a cached dashboard): the bound is not exceeded.
+	c = NewCache[string](4, nil)
+	keys := []string{"a", "b", "c", "d"}
+	for _, k := range keys {
+		c.Put("d\x00"+k, "sig")
+	}
+	c.Put("d\x00a", "sig2")
+	if c.Stats().Entries != 4 {
+		t.Errorf("re-storing a held key at the bound left %d entries, want 4", c.Stats().Entries)
+	}
+	for _, k := range keys[1:] {
+		if sig, ok := c.Get("d\x00" + k); !ok || sig != "sig" {
+			t.Errorf("key %s evicted by re-storing a held key", k)
+		}
+	}
+	if sig, ok := c.Get("d\x00a"); !ok || sig != "sig2" {
+		t.Error("re-stored key a does not hit under its new signature")
 	}
 }

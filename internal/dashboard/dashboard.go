@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"shareinsights/internal/admission"
 	"shareinsights/internal/analyze"
 	"shareinsights/internal/connector"
 	"shareinsights/internal/dag"
@@ -89,6 +90,20 @@ type Platform struct {
 	// unlimited. See docs/SERVING.md.
 	NewRunBudget func() batch.Budget
 }
+
+// ResultCache is the node cache: admission's bounded LRU (the run-result
+// cache's type) keyed by (dashboard, node). An entry serves a run only if
+// it holds the node's signature (dag.Graph.Signatures) for that run.
+type ResultCache = admission.Cache[cachedNode]
+
+type cachedNode struct {
+	sig string
+	t   *table.Table
+}
+
+// NewResultCache returns an empty node cache of at most 512 entries. It
+// registers no metrics: the si_result_cache_* series are the run level's.
+func NewResultCache() *ResultCache { return admission.NewCache[cachedNode](512, nil) }
 
 // NewPlatform returns a platform with default services and optimization
 // enabled.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -146,19 +147,15 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	var sigs map[string]string
 	if d.platform.Cache != nil {
 		exec.Cached = map[string]*table.Table{}
-		sigs = d.Graph.Signatures(d.sigText, func(name string) string {
-			if t, ok := sources[name]; ok {
-				return t.Fingerprint()
-			}
-			return ""
-		})
+		up := uploadDigest(d.env.Resources)
+		sigs = d.Graph.Signatures(d.sigText, func(name string) string { return sources[name].FingerprintFrom(up) })
 		for _, name := range d.Graph.Order {
 			n := d.Graph.Nodes[name]
 			if n.IsSource() || n.Def.Uncached() {
 				continue
 			}
-			if t, ok := d.platform.Cache.lookup(d.Name, name, sigs[name]); ok {
-				exec.Cached[name] = t
+			if e, ok := d.platform.Cache.Get(d.Name + "\x00" + name); ok && e.sig == sigs[name] {
+				exec.Cached[name] = e.t
 			}
 		}
 	}
@@ -176,11 +173,12 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			n := d.Graph.Nodes[name]
 			// `cache: off` opts a data object out of cross-run
 			// memoization — for side-effecting or time-sensitive flows.
-			if n.IsSource() || n.Def.Uncached() {
+			// A hit is already held under this signature.
+			if _, hit := exec.Cached[name]; n.IsSource() || n.Def.Uncached() || hit {
 				continue
 			}
 			if t, ok := res.Table(name); ok {
-				d.platform.Cache.store(d.Name, name, sigs[name], t)
+				d.platform.Cache.Put(d.Name+"\x00"+name, cachedNode{sigs[name], t})
 			}
 		}
 	}
@@ -234,6 +232,25 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		}
 	}
 	return d.refreshWidgets(ctx, tr, runSpan)
+}
+
+var uploadSeed = maphash.MakeSeed()
+
+// uploadDigest is an order-free digest of a run's uploads, names and
+// contents: every source's signature folds it in, so re-uploading a
+// dictionary a task reads invalidates every node the run produces.
+// Signatures key only this process's cache, so its seed is per process.
+func uploadDigest(res map[string][]byte) (d uint64) {
+	var h maphash.Hash
+	h.SetSeed(uploadSeed)
+	for name, b := range res {
+		h.WriteString(name)
+		h.WriteByte(0)
+		h.Write(b)
+		d += h.Sum64()
+		h.Reset()
+	}
+	return d
 }
 
 // degradeSource applies a failed source's on_error policy. It returns

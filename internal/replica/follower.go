@@ -67,10 +67,6 @@ type shipSnapshot struct {
 // state, re-bootstrap.
 var errGone = errors.New("replica: cursor gone")
 
-// defaultCompact is a replica WAL's compaction threshold — the leader's,
-// since a wrapper record carries the same frames.
-var defaultCompact = store.CompactLimit{Bytes: 4 << 20, Records: 1024}
-
 // followerComp is one component's replication state and the store.State
 // of its replica WAL: the replicated component plus the cursor it has
 // been applied up to. A wrapper snapshot restores both and a wrapper
@@ -217,7 +213,7 @@ func New(cfg Config) (*Follower, error) {
 		}
 	}
 	f.breaker = resilience.NewBreaker(bcfg)
-	limit := store.CompactLimit{Bytes: cfg.CompactBytes, Records: cfg.CompactRecords}.OrDefault(defaultCompact)
+	limit := store.CompactLimit{Bytes: cfg.CompactBytes, Records: cfg.CompactRecords}.OrDefault(persist.DefaultCompact)
 	for _, name := range persist.ComponentNames {
 		fc := &followerComp{name: name, state: f.comps.State(name)}
 		f.fcs = append(f.fcs, fc)

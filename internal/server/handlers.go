@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,8 +48,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ target) {
 	jsonOK(w, map[string]any{"dashboards": s.names()})
 }
 
-// The largest bodies the write routes take: a flow file, a data file.
-const maxFlowBytes, maxDataBytes = 16 << 20, 64 << 20
+// The largest bodies the routes take: a flow file, a data file, a selection.
+const maxFlowBytes, maxDataBytes, maxSelectBytes = 16 << 20, 64 << 20, 1 << 20
 
 // bodyAhead is how far readBody allocates ahead of the bytes received on
 // the strength of a declared Content-Length alone.
@@ -402,19 +404,25 @@ func (s *Server) handleAdhoc(w http.ResponseWriter, r *http.Request, t target) {
 	writeTable(w, r, out)
 }
 
-// handleSelect records a widget selection. Body: {"values": [...]} or
-// {"range": ["lo", "hi"]}.
+var errSelectBody = errors.New("select body is not a JSON object")
+
+// handleSelect records a widget selection. Body: exactly one JSON
+// object, {"values": [...]} or {"range": ["lo", "hi"]}.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request, t target) {
+	raw, ok := readBody(w, r, maxSelectBytes)
+	if !ok {
+		return
+	}
 	var body struct {
 		Values []string `json:"values"`
 		Range  []string `json:"range"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		jsonError(w, http.StatusBadRequest, err)
+	err := json.Unmarshal(raw, &body)
+	if err != nil || bytes.TrimSpace(raw)[0] != '{' {
+		jsonError(w, http.StatusBadRequest, cmp.Or(err, errSelectBody))
 		return
 	}
 	widgetName := r.PathValue("widget")
-	var err error
 	if len(body.Range) == 2 {
 		err = t.live.SelectRange(widgetName, body.Range[0], body.Range[1])
 	} else {

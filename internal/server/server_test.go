@@ -43,7 +43,7 @@ east,gadget,20
 west,widget,5
 `
 
-func newTestServer(t *testing.T) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB) (*Server, *httptest.Server) {
 	t.Helper()
 	p := dashboard.NewPlatform()
 	p.Connectors = connector.NewRegistry(connector.Options{
@@ -303,6 +303,98 @@ T:
 	code, body := do(t, http.MethodGet, base+"/ds/tags", "")
 	if code != 200 || !strings.Contains(string(body), "Widget") {
 		t.Fatalf("tags = %d: %s", code, body)
+	}
+}
+
+// TestReuploadsMatchFreshRun: with the node cache and the run-result
+// cache on, a run after re-uploading the data, a dictionary an extract
+// reads, or the stylesheet serves exactly what a fresh server serves
+// over the same uploads. A node signature that missed the uploads
+// served the old dictionary's tags.
+func TestReuploadsMatchFreshRun(t *testing.T) {
+	const flow = `
+D:
+  notes: [body]
+
+D.notes:
+  source: data:notes.csv
+  format: csv
+
+F:
+  +D.tags: D.notes | T.tag | T.count_tags
+  +D.raw: D.notes | T.first
+
+T:
+  tag:
+    type: map
+    operator: extract
+    transform: body
+    dict: tags.txt
+    output: tag
+  count_tags:
+    type: groupby
+    groupby: [tag]
+  first:
+    type: limit
+    limit: 2
+`
+	uploads := map[string]string{
+		"notes.csv": "\"bought a widget\"\n\"returned a gadget\"\n",
+		"tags.txt":  "widget,Widget\ngadget,Gadget\n",
+		"style.css": ".widget{color:#123}",
+	}
+	serve := func() string {
+		s := New(dashboard.NewPlatform(), WithResultCache(16))
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL + "/dashboards/notes"
+	}
+	put := func(base, path, body string) {
+		if code, out := do(t, http.MethodPut, base+path, body); code != 200 {
+			t.Fatalf("PUT %s = %d: %s", path, code, out)
+		}
+	}
+	// bodies runs the dashboard and returns every endpoint's /ds body.
+	bodies := func(base string) map[string]string {
+		if code, out := do(t, http.MethodPost, base+"/run", ""); code != 200 {
+			t.Fatalf("run = %d: %s", code, out)
+		}
+		_, list := do(t, http.MethodGet, base+"/ds", "")
+		var ds struct{ Datasets []struct{ Name string } }
+		if err := json.Unmarshal(list, &ds); err != nil || len(ds.Datasets) != 2 {
+			t.Fatalf("datasets = %s (%v)", list, err)
+		}
+		got := map[string]string{}
+		for _, d := range ds.Datasets {
+			_, body := do(t, http.MethodGet, base+"/ds/"+d.Name, "")
+			got[d.Name] = string(body)
+		}
+		return got
+	}
+	cached := serve()
+	put(cached, "", flow)
+	for file, body := range uploads {
+		put(cached, "/data/"+file, body)
+	}
+	bodies(cached)
+	for _, edit := range [][2]string{
+		{"notes.csv", "\"a widget\"\n\"a gadget\"\n\"no tags here\"\n"},
+		{"tags.txt", "widget,Gizmo\ngadget,Gadget\n"},
+		{"style.css", ".widget{color:#456}"},
+	} {
+		uploads[edit[0]] = edit[1]
+		put(cached, "/data/"+edit[0], edit[1])
+		fresh := serve()
+		put(fresh, "", flow)
+		for file, body := range uploads {
+			put(fresh, "/data/"+file, body)
+		}
+		got, want := bodies(cached), bodies(fresh)
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("after re-uploading %s, /ds/%s = %s, a fresh run serves %s", edit[0], name, got[name], w)
+			}
+		}
 	}
 }
 
@@ -882,7 +974,7 @@ L:
 
 // newInteractiveServer serves interactiveFlow, run, as dashboard "inter"
 // and returns the server and the dashboard's URL.
-func newInteractiveServer(t *testing.T) (*httptest.Server, string) {
+func newInteractiveServer(t testing.TB) (*httptest.Server, string) {
 	t.Helper()
 	s, ts := newTestServer(t)
 	if _, err := s.SaveDashboard("inter", "tester", []byte(interactiveFlow)); err != nil {

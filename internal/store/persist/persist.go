@@ -45,9 +45,9 @@ type Options struct {
 	Now func() time.Time
 }
 
-// defaultCompact is the compaction threshold of the vcs, catalog and
-// cache components. The flight recorder keeps its own (history.Options).
-var defaultCompact = store.CompactLimit{Bytes: 4 << 20, Records: 1024}
+// DefaultCompact is the compaction threshold of the vcs, catalog, cache
+// and replica WAL components. The flight recorder keeps its own.
+var DefaultCompact = store.CompactLimit{Bytes: 4 << 20, Records: 1024}
 
 // Store is the platform's durable state: the components of
 // componentTable sharing one data directory, each a store.Component
@@ -101,7 +101,7 @@ func Open(fs store.FS, opts Options) (*Store, error) {
 // openShadowed opens a component whose live object journals through a
 // hook into the shadow Components (vcs, catalog, cache).
 func openShadowed(s *Store, fs store.FS, def componentDef) (*store.Component, error) {
-	limit := store.CompactLimit{Bytes: s.opts.CompactBytes, Records: s.opts.CompactRecords}.OrDefault(defaultCompact)
+	limit := store.CompactLimit{Bytes: s.opts.CompactBytes, Records: s.opts.CompactRecords}.OrDefault(DefaultCompact)
 	return store.OpenComponent(fs, def.name, def.name, def.state(s.shadow), limit, s.opts.Now, s.opts.Metrics)
 }
 
