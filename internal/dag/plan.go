@@ -114,6 +114,9 @@ type StagePlan struct {
 	// Fused marks a stage that task.Kernel runs inside the kernel call
 	// of the stage before it; its Path is that stage's.
 	Fused bool `json:"fused,omitempty"`
+	// Inline marks a stage that runs in an inline node's fan: each of the
+	// node's stages, and the first stage of each of its consumers.
+	Inline bool `json:"inline,omitempty"`
 }
 
 // SourcePushdown is a negotiated fetch-time rewrite request for a
@@ -149,6 +152,9 @@ type NodePlan struct {
 	Pushdown *SourcePushdown `json:"pushdown,omitempty"`
 	// Decisions are the rewrites applied to this node.
 	Decisions []Decision `json:"decisions,omitempty"`
+	// Inline marks a produced node that is never built: its chain runs a
+	// morsel at a time into its consumers' group-bys (see inline).
+	Inline bool `json:"inline,omitempty"`
 }
 
 // Plan is a full optimized execution plan for a graph.
@@ -228,6 +234,15 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 	for _, name := range g.Order {
 		n := g.Nodes[name]
 		if !n.IsSource() {
+			if np := p.Nodes[name]; inline(g, n, p.Nodes) {
+				np.Inline = true
+				for i := range np.Stages {
+					np.Stages[i].Inline = true
+				}
+				for _, c := range n.Consumers {
+					p.Nodes[c].Stages[0].Inline = true
+				}
+			}
 			continue
 		}
 		np := &NodePlan{Output: name, Source: true}
@@ -253,6 +268,39 @@ func AsWritten(g *Graph) *Plan {
 		p.Nodes[name] = np
 	}
 	return p
+}
+
+// inline is the one rule for which nodes run inline, and explain and the
+// batch engine both read it off the plan: n is a produced node with one
+// input and no data detail (endpoint, publish, cache, max_rows, …) that
+// no widget reads, its planned chain is expression filters and
+// expression maps only, each with a kernel, and every consumer is a flow
+// whose only input is n and whose first planned stage is a group-by. Its
+// chain then runs one morsel at a time into each consumer's group-by, so
+// nothing stores its rows in between.
+func inline(g *Graph, n *Node, plans map[string]*NodePlan) bool {
+	specs := plans[n.Name].Specs
+	if len(n.Inputs) != 1 || n.Def.Endpoint || n.Def.Publish != "" || len(n.Def.Props) > 0 || len(specs) == 0 || len(n.Consumers) == 0 {
+		return false
+	}
+	for _, sp := range specs {
+		switch sp.(type) {
+		case *task.FilterSpec, *task.MapSpec:
+			if task.Kernel([]task.Spec{sp}, []task.Input{{}}) == 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	for _, c := range n.Consumers {
+		if cn, cp := g.Nodes[c], plans[c]; cn == nil || cp == nil || len(cn.Inputs) != 1 || len(cp.Specs) == 0 {
+			return false
+		} else if _, ok := cp.Specs[0].(*task.GroupBySpec); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // isExprFilter reports whether sp is a pure expression filter — the only
@@ -527,6 +575,9 @@ func (p *Plan) Format() string {
 			fmt.Fprintf(&b, "  path=%s", st.Path)
 			if st.Fused {
 				b.WriteString(" fused")
+			}
+			if st.Inline {
+				b.WriteString(" inline")
 			}
 			b.WriteByte('\n')
 		}

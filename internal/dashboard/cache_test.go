@@ -1,6 +1,7 @@
 package dashboard
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,8 +76,13 @@ func TestSecondRunFullyCached(t *testing.T) {
 	if d2.Result().Stats.TasksRun != 0 {
 		t.Errorf("second run executed %d tasks, want 0", d2.Result().Stats.TasksRun)
 	}
-	if len(d2.Result().Stats.CacheHits) != 3 {
-		t.Errorf("cache hits = %v, want all 3 produced nodes", d2.Result().Stats.CacheHits)
+	// D.filtered runs inline into D.agg's group-by: it is never cached,
+	// and with D.agg a hit it does not run.
+	if st := d2.Result().Stats; len(st.CacheHits) != 2 || slices.Contains(st.CacheHits, "filtered") {
+		t.Errorf("cache hits = %v, want the 2 produced nodes that are not inline", st.CacheHits)
+	}
+	if _, ran := d2.Result().Stats.RowsProduced["filtered"]; ran {
+		t.Error("the inline node ran with every consumer a hit")
 	}
 	a1, _ := d1.Endpoint("agg")
 	a2, _ := d2.Endpoint("agg")
@@ -88,16 +94,19 @@ func TestSecondRunFullyCached(t *testing.T) {
 func TestEditRecomputesOnlyAffectedSubtree(t *testing.T) {
 	p := cachePlatform("a,1\nb,2\na,-1\n")
 	compileRun(t, p, cacheFlow)
-	// Edit only the sum task: filtered and other stay cached; agg
-	// recomputes.
+	// Edit only the sum task: other stays cached; agg recomputes, and
+	// filtered, which is inline, runs into it.
 	edited := strings.Replace(cacheFlow, "out_field: total", "out_field: grand_total", 1)
 	d := compileRun(t, p, edited)
 	hits := map[string]bool{}
 	for _, h := range d.Result().Stats.CacheHits {
 		hits[h] = true
 	}
-	if !hits["filtered"] || !hits["other"] {
+	if !hits["other"] {
 		t.Errorf("unaffected nodes not cached: hits=%v", d.Result().Stats.CacheHits)
+	}
+	if _, ran := d.Result().Stats.RowsProduced["filtered"]; hits["filtered"] || !ran {
+		t.Errorf("the inline node did not run into its recomputed consumer: hits=%v", d.Result().Stats.CacheHits)
 	}
 	if hits["agg"] {
 		t.Error("edited node served from cache")

@@ -173,11 +173,12 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			n := d.Graph.Nodes[name]
 			// `cache: off` opts a data object out of cross-run
 			// memoization — for side-effecting or time-sensitive flows.
-			// A hit is already held under this signature.
+			// A hit is already held under this signature, and an inline
+			// node has no table to keep.
 			if _, hit := exec.Cached[name]; n.IsSource() || n.Def.Uncached() || hit {
 				continue
 			}
-			if t, ok := res.Table(name); ok {
+			if t, ok := res.Tables[name]; ok {
 				d.platform.Cache.Put(d.Name+"\x00"+name, cachedNode{sigs[name], t})
 			}
 		}

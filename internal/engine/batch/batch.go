@@ -172,15 +172,40 @@ func (s *Stats) Slowest(n int) []StageTiming {
 
 // Result is a completed execution: every materialized data object.
 type Result struct {
-	// Tables maps data-object names to their contents.
+	// Tables maps data-object names to their contents. An inline node
+	// (dag.NodePlan.Inline) has none: Table builds it.
 	Tables map[string]*table.Table
 	// Stats describes the run.
 	Stats Stats
+	// What Table builds an inline node with.
+	g    *dag.Graph
+	plan *dag.Plan
 }
 
-// Table returns a materialized data object.
+// Table returns a data object: one the run materialized, or an inline
+// node whose input it did, built now from that input through the node's
+// planned stages (Executor.RunPipeline, untraced and uncharged; an
+// inline chain is filters and maps over expressions, which read no
+// environment).
 func (r *Result) Table(name string) (*table.Table, bool) {
-	t, ok := r.Tables[name]
+	if t, ok := r.Tables[name]; ok {
+		return t, true
+	}
+	in, ok := r.inlineInput(name)
+	if !ok {
+		return nil, false
+	}
+	t, _, err := new(Executor).RunPipeline(context.Background(), &task.Env{}, r.plan.Node(name).Specs, []*table.Table{in}, r.g.Nodes[name].Inputs, 0)
+	return t, err == nil
+}
+
+// inlineInput returns the input of inline node name when the run
+// materialized it.
+func (r *Result) inlineInput(name string) (*table.Table, bool) {
+	if np := r.plan.Node(name); np == nil || !np.Inline {
+		return nil, false
+	}
+	t, ok := r.Tables[r.g.Nodes[name].Inputs[0]]
 	return t, ok
 }
 
@@ -225,9 +250,13 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 	res := &Result{
 		Tables: make(map[string]*table.Table, len(g.Nodes)),
 		Stats:  Stats{RowsProduced: map[string]int{}},
+		g:      g, plan: plan,
 	}
 	res.Stats.SkippedSinks = append([]string(nil), plan.SkippedSinks...)
 	// Per-node completion latches for dataflow scheduling.
+	// An inline node that ran holds no table: its fan puts each fed
+	// consumer's first-stage output in that consumer's tbl before the
+	// node's done closes, and the consumer replaces it with its own.
 	type slot struct {
 		done chan struct{}
 		tbl  *table.Table
@@ -268,6 +297,20 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			close(s.done)
 			continue
 		}
+		// An inline node feeds the consumers this run computes; with none,
+		// it does not run.
+		var fed []string
+		if np := plan.Node(name); np != nil && np.Inline && e.Columnar != ColumnarOff {
+			for _, c := range n.Consumers {
+				if _, hit := e.Cached[c]; !hit && !slices.Contains(plan.SkippedSinks, c) {
+					fed = append(fed, c)
+				}
+			}
+			if fed == nil {
+				close(s.done)
+				continue
+			}
+		}
 		if n.IsSource() {
 			t, ok := sources[name]
 			if !ok {
@@ -282,7 +325,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			continue
 		}
 		wg.Add(1)
-		go func(n *dag.Node, s *slot) {
+		go func(n *dag.Node, s *slot, fed []string) {
 			defer wg.Done()
 			defer close(s.done)
 			// A panicking task must fail its node, never the process;
@@ -290,6 +333,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			// what the caller does.
 			defer recoverStage("node D.", n.Name, &s.err)
 			ins := make([]*table.Table, len(n.Inputs))
+			names, skip := n.Inputs, 0
 			for i, in := range n.Inputs {
 				dep := slots[in]
 				select {
@@ -301,6 +345,11 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 				if dep.err != nil {
 					s.err = fmt.Errorf("batch: D.%s blocked by input D.%s: %w", n.Name, in, dep.err)
 					return
+				}
+				if dep.tbl == nil && s.tbl != nil {
+					// The inline input's fan ran this node's first stage.
+					ins[i], names, skip = s.tbl, unnamed, 1
+					continue
 				}
 				if dep.tbl == nil {
 					s.err = fmt.Errorf("batch: D.%s input D.%s was eliminated", n.Name, in)
@@ -330,7 +379,26 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			}
 			p := &pipeline{e: e, env: env, parent: nodeSpan,
 				node: n.Name, planTag: planTag, queueWait: queueWait, stats: &res.Stats, mu: &mu}
-			out, stages, err := p.run(ctx, np.Specs, ins, n.Inputs)
+			if fed != nil {
+				firsts, rows, stages, err := p.fan(ctx, np.Specs, ins[0], fed, plan)
+				if firsts != nil || err != nil {
+					if err == nil {
+						for i, c := range fed {
+							slots[c].tbl = firsts[i]
+						}
+						mu.Lock()
+						res.Stats.TasksRun += stages
+						res.Stats.RowsProduced[n.Name] = rows
+						mu.Unlock()
+					}
+					p.end(nodeSpan, rows, err)
+					if err != nil {
+						s.err = fmt.Errorf("batch: flow for D.%s: %w", n.Name, err)
+					}
+					return
+				}
+			}
+			out, stages, err := p.run(ctx, np.Specs[skip:], ins, names)
 			if err == nil && e.Budget != nil {
 				err = e.Budget.Charge(0, out.SizeBytes())
 			}
@@ -343,23 +411,13 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 				mu.Unlock()
 			}
 			if err != nil {
-				if tr != nil {
-					tr.SpanFlag(nodeSpan, "error")
-					var pe *PanicError
-					if errors.As(err, &pe) {
-						tr.SpanFlag(nodeSpan, "panic")
-					}
-					tr.EndSpan(nodeSpan)
-				}
+				p.end(nodeSpan, 0, err)
 				s.err = fmt.Errorf("batch: flow for D.%s: %w", n.Name, err)
 				return
 			}
 			s.tbl = out
-			if tr != nil {
-				tr.SpanInt(nodeSpan, "rows_out", int64(out.Len()))
-				tr.EndSpan(nodeSpan)
-			}
-		}(n, s)
+			p.end(nodeSpan, out.Len(), nil)
+		}(n, s, fed)
 	}
 	wg.Wait()
 	var firstErr error
@@ -377,7 +435,9 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			}
 			res.Stats.Failures = append(res.Stats.Failures, f)
 		}
-		if s.tbl != nil {
+		// A failed consumer of an inline node may hold its first stage's
+		// output.
+		if s.tbl != nil && s.err == nil {
 			res.Tables[name] = s.tbl
 			res.Stats.RowsProduced[name] = s.tbl.Len()
 		}
@@ -385,6 +445,24 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 	// A failed run returns its partial result too: Stats.Failures carries
 	// the per-node failure detail (panic stacks included) for /stats.
 	return res, firstErr
+}
+
+// end closes a node's span: its rows out, or its error.
+func (p *pipeline) end(span, rows int, err error) {
+	tr := p.e.Tracer
+	switch {
+	case tr == nil:
+		return
+	case err == nil:
+		tr.SpanInt(span, "rows_out", int64(rows))
+	default:
+		tr.SpanFlag(span, "error")
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			tr.SpanFlag(span, "panic")
+		}
+	}
+	tr.EndSpan(span)
 }
 
 // checkMaxRows enforces a node's `max_rows:` data detail — a per-object
@@ -487,13 +565,7 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 // call is timed on the first stage, and the tail's span is flagged fused.
 func (p *pipeline) runStage(spec, tail task.Spec, path string, nIn int, body func() (*table.Table, int, error)) (*table.Table, int, error) {
 	tr := p.e.Tracer
-	sid := 0
-	if tr != nil {
-		sid = tr.StartSpan(p.parent, task.StageName(spec))
-		if path == PathColumnar {
-			tr.SpanFlag(sid, "columnar")
-		}
-	}
+	sid := p.open(spec, path)
 	start := time.Now()
 	out, mid, err := execStage(task.Describe(spec), body)
 	if err != nil {
@@ -509,12 +581,24 @@ func (p *pipeline) runStage(spec, tail task.Spec, path string, nIn int, body fun
 	if err := p.record(spec, sid, path, nIn, mid, time.Since(start)); err != nil || tail == nil {
 		return out, 1, err
 	}
-	if tr != nil {
-		sid = tr.StartSpan(p.parent, task.StageName(tail))
-		tr.SpanFlag(sid, "columnar")
+	if sid = p.open(tail, path); tr != nil {
 		tr.SpanFlag(sid, "fused")
 	}
 	return out, 2, p.record(tail, sid, path, mid, out.Len(), 0)
+}
+
+// open opens spec's stage span, flagged columnar when path is: 0 when
+// the run is untraced.
+func (p *pipeline) open(spec task.Spec, path string) int {
+	tr := p.e.Tracer
+	if tr == nil {
+		return 0
+	}
+	sid := tr.StartSpan(p.parent, task.StageName(spec))
+	if path == PathColumnar {
+		tr.SpanFlag(sid, "columnar")
+	}
+	return sid
 }
 
 // record closes a run stage: its StageTiming, its span sid's rows and
@@ -548,11 +632,21 @@ func execStage(stage string, body func() (*table.Table, int, error)) (out *table
 	return body()
 }
 
-// SortedNames returns result table names sorted, for stable reporting.
+// SortedNames returns the names Table answers, sorted, for stable
+// reporting.
 func (r *Result) SortedNames() []string {
 	names := make([]string, 0, len(r.Tables))
 	for n := range r.Tables {
 		names = append(names, n)
+	}
+	if r.plan != nil {
+		for n := range r.plan.Nodes {
+			if _, built := r.Tables[n]; !built {
+				if _, ok := r.inlineInput(n); ok {
+					names = append(names, n)
+				}
+			}
+		}
 	}
 	sort.Strings(names)
 	return names

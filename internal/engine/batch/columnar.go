@@ -14,6 +14,9 @@
 package batch
 
 import (
+	"context"
+
+	"shareinsights/internal/dag"
 	"shareinsights/internal/table"
 	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/task"
@@ -31,8 +34,8 @@ const ColumnarOff = "off"
 // vector); err is a real stage failure. A column-backed table hands its
 // batch over as is and the output wraps the kernel's batch, so
 // consecutive columnar stages — and the nodes downstream — exchange
-// vectors, never rows. The stage is specs[0]; when specs[1] runs inside
-// its kernel call (Bound.Fuse), the two run as one. n is the number of
+// vectors, never rows. The stage is specs[0]; when task.Kernel groups
+// specs[1] with it, the two run as one kernel call. n is the number of
 // stages run: 0 for none.
 func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []string) (out *table.Table, n int, err error) {
 	var inputs [2]task.Input
@@ -45,11 +48,11 @@ func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []str
 			inputs[i].Name = names[i]
 		}
 	}
-	if task.Kernel(specs[:1], inputs[:len(in)]) == 0 {
+	n = task.Kernel(specs, inputs[:len(in)])
+	if n == 0 {
 		return nil, 0, nil
 	}
-	spec := specs[0]
-	k := task.Bind(p.env, spec, inputs[:len(in)])
+	k := task.Bind(p.env, specs[:n], inputs[:len(in)])
 	if !k.OK {
 		return nil, 0, nil
 	}
@@ -65,12 +68,10 @@ func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []str
 		}
 	}
 	var tail task.Spec
-	if len(specs) > 1 {
-		if f := k.Fuse(p.env, spec, specs[1]); f != nil {
-			k, tail = f, specs[1]
-		}
+	if n > 1 {
+		tail = specs[1]
 	}
-	return p.runStage(spec, tail, PathColumnar, rowsIn(in), func() (*table.Table, int, error) {
+	return p.runStage(specs[0], tail, PathColumnar, rowsIn(in), func() (*table.Table, int, error) {
 		var b *colstore.Batch
 		var err error
 		mid := bs[0].Len()
@@ -84,4 +85,64 @@ func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []str
 		}
 		return b.ToTable(), mid, nil
 	})
+}
+
+// fan runs an inline node's chain (dag.NodePlan.Inline) over its input a
+// morsel at a time into the first stage of each consumer in fed, binding
+// every stage through task.Bind, and returns those stages' outputs, in
+// fed's order, the rows the chain fed them and the stages run. firsts is
+// nil when the fan declines — the input does not convert, a stage does
+// not bind, or a map's morsel kind moves (colstore.Fan) — and the node
+// then runs as any other, before any consumer sees an output. Each stage
+// reports its rows, its time and one span flagged inline, opened when the
+// pass ends: the chain's, then each consumer's, under the node's span.
+func (p *pipeline) fan(ctx context.Context, specs []task.Spec, in *table.Table, fed []string, plan *dag.Plan) (firsts []*table.Table, rows, stages int, err error) {
+	b, ok := colstore.FromTable(in)
+	if err = ctx.Err(); err != nil || !ok {
+		return nil, 0, 0, err
+	}
+	f := colstore.Fan{Chain: make([]colstore.Kernel, len(specs)), Sinks: make([]colstore.Kernel, len(fed))}
+	one := []task.Input{{Schema: in.Schema()}}
+	for i := range specs {
+		k := task.Bind(p.env, specs[i:i+1], one)
+		if !k.OK {
+			return nil, 0, 0, nil
+		}
+		f.Chain[i], one[0].Schema = k.Vec, k.Out
+	}
+	for i, c := range fed {
+		if f.Sinks[i] = task.Bind(p.env, plan.Node(c).Specs[:1], one).Vec; f.Sinks[i] == nil {
+			return nil, 0, 0, nil
+		}
+	}
+	outs, ok, err := f.Run(b)
+	if err != nil || !ok {
+		return nil, 0, 0, err
+	}
+	report := func(q *pipeline, sp task.Spec, st colstore.FanStage, out int) error {
+		sid := q.open(sp, PathColumnar)
+		if sid > 0 {
+			q.e.Tracer.SpanFlag(sid, "inline")
+		}
+		return q.record(sp, sid, PathColumnar, st.Rows, out, st.Took)
+	}
+	nc := len(specs)
+	for i, sp := range specs {
+		if err := report(p, sp, f.Stages[i], f.Stages[i+1].Rows); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	firsts = make([]*table.Table, len(fed))
+	for i, c := range fed {
+		q, np := *p, plan.Node(c) // the stage is the consumer's
+		q.node, q.queueWait = c, 0
+		if p.e.Plan != nil {
+			q.planTag = np.Summary()
+		}
+		firsts[i] = outs[i].ToTable()
+		if err := report(&q, np.Specs[0], f.Stages[nc+i], outs[i].Len()); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	return firsts, f.Stages[nc].Rows, nc + len(fed), nil
 }

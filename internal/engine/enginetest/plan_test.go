@@ -85,6 +85,38 @@ T:
     filter_expression: l_amount > 10
 `
 
+// inlineFan is an inline node, a filter then a map, feeding two
+// group-bys: it runs as a fan, and its consumers' group-bys with it.
+const inlineFan = diffHeader + `
+F:
+  D.mid: D.src | T.keep | T.m
+  D.out: D.mid | T.agg | T.order
+  +D.other: D.mid | T.by_product
+
+T:
+  keep:
+    type: filter_by
+    filter_expression: amount > 0
+  m:
+    type: map
+    operator: expr
+    expression: amount * 2
+    output: doubled
+  agg:
+    type: groupby
+    groupby: [region]
+    aggregates:
+      - operator: max
+        apply_on: doubled
+        out_field: top
+  order:
+    type: sort
+    orderby_column: [top DESC]
+  by_product:
+    type: groupby
+    groupby: [product]
+`
+
 // TestPlanPredictsExecutedPath plans every fixed flow as a dashboard
 // before any run, with no history recorder — what `explain` shows first
 // — runs it over a column-backed (CSV-decoded) source, and requires every
@@ -93,16 +125,18 @@ T:
 // such as the mixed-kind score nulls give kernel_chain, depends on cell
 // values the plan cannot see: the source has no nulls. A fused stage is
 // predicted on the path of the stage it runs inside, and at least one is
-// checked. The run is traced, and every stage's fused mark must equal the
-// fused flag on its span.
+// checked. The run is traced, and every stage's fused and inline marks
+// must equal the fused and inline flags on its span: an inline node's
+// span holds its own stages' spans, then its consumers' first stages'.
 func TestPlanPredictsExecutedPath(t *testing.T) {
-	fused := 0
+	fused, inline := 0, 0
 	data, err := connector.EncodeCSV(salesTable(2000, 5, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	flows := append(fixedFlows[:len(fixedFlows):len(fixedFlows)], struct{ name, flow string }{"filter_then_words", filterThenWords},
-		struct{ name, flow string }{"lopsided_join", lopsidedJoin}, struct{ name, flow string }{"join_map_filter", joinMapFilter})
+		struct{ name, flow string }{"lopsided_join", lopsidedJoin}, struct{ name, flow string }{"join_map_filter", joinMapFilter},
+		struct{ name, flow string }{"inline_fan", inlineFan})
 	for _, tc := range flows {
 		t.Run(tc.name, func(t *testing.T) {
 			// The flow as a dashboard: its source decoded from CSV, its
@@ -131,6 +165,15 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 			for _, s := range tr.Spans() {
 				spans[s.Name] = s.Children
 			}
+			for _, name := range plan.Order {
+				if np := plan.Node(name); np.Inline {
+					own := spans["node D."+name]
+					for i, c := range d.Graph.Nodes[name].Consumers {
+						spans["node D."+c] = append([]*obs.Span{own[len(np.Stages)+i]}, spans["node D."+c]...)
+					}
+					spans["node D."+name] = own[:len(np.Stages)]
+				}
+			}
 			ran := map[string]string{}
 			for _, st := range d.Result().Stats.Timings {
 				ran[dag.HintKey(st.Output, st.Stage)] = st.Path
@@ -150,9 +193,14 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 					checked++
 					if span := stages[i]; span.Name != "stage "+st.Stage || span.HasFlag("fused") != st.Fused {
 						t.Errorf("D.%s: plan marks %q fused=%v, the trace ran %q with flags %v", name, st.Stage, st.Fused, span.Name, span.Flags)
+					} else if span.HasFlag("inline") != st.Inline {
+						t.Errorf("D.%s: plan marks %q inline=%v, the trace ran it with flags %v", name, st.Stage, st.Inline, span.Flags)
 					}
 					if st.Fused {
 						fused++
+					}
+					if st.Inline {
+						inline++
 					}
 					if got, ok := ran[dag.HintKey(name, st.Stage)]; !ok {
 						t.Errorf("D.%s: plan predicts %s for %q, but no stage %q ran", name, st.Path, st.Stage, st.Stage)
@@ -166,7 +214,7 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 			}
 		})
 	}
-	if fused == 0 {
-		t.Error("no fused stage was predicted")
+	if fused == 0 || inline == 0 {
+		t.Errorf("%d fused and %d inline stages were predicted", fused, inline)
 	}
 }

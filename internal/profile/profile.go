@@ -130,9 +130,10 @@ func Table(stats []ColumnStats) *table.Table {
 func round4(f float64) float64 { return math.Round(f*1e4) / 1e4 }
 
 // BuildMeta generates the meta-dashboard for a dashboard that has been
-// run: one profiled data object (and one Grid widget) per materialized
-// data object, assembled as an ordinary flow file so the meta-dashboard
-// is itself a platform dashboard.
+// run: one profiled data object (and one Grid widget) per data object the
+// run produced (batch.Result.Table builds an inline node from its input),
+// assembled as an ordinary flow file so the meta-dashboard is itself a
+// platform dashboard.
 func BuildMeta(d *dashboard.Dashboard) (*dashboard.Dashboard, error) {
 	res := d.Result()
 	if res == nil {
@@ -148,7 +149,7 @@ func BuildMeta(d *dashboard.Dashboard) (*dashboard.Dashboard, error) {
 	}
 	flow.WriteString("\n")
 	for _, name := range names {
-		t := res.Tables[name]
+		t, _ := res.Table(name)
 		csv, err := connector.EncodeCSV(Table(Profile(t)))
 		if err != nil {
 			return nil, err

@@ -126,3 +126,75 @@ T:
 		t.Error("meta dashboard title missing")
 	}
 }
+
+// TestBuildMetaProfilesInlineNodes: a data object that only group-bys
+// read runs inline and is never built, yet the meta-dashboard lists it
+// with the profile it has when it is built — here, by the row engine.
+func TestBuildMetaProfilesInlineNodes(t *testing.T) {
+	src := `
+D:
+  sales: [region, amount]
+
+D.sales:
+  source: mem:s.csv
+  format: csv
+
+F:
+  D.kept: D.sales | T.keep | T.double
+  +D.by_region: D.kept | T.g
+  +D.totals: D.kept | T.all
+
+T:
+  keep:
+    type: filter_by
+    filter_expression: amount > 10
+  double:
+    type: map
+    operator: expr
+    expression: amount * 2
+    output: twice
+  g:
+    type: groupby
+    groupby: [region]
+    aggregates:
+      - operator: max
+        apply_on: twice
+        out_field: top
+  all:
+    type: groupby
+    groupby: [region]
+`
+	metas := map[string]*dashboard.Dashboard{}
+	for _, mode := range []string{"", "off"} {
+		p := dashboard.NewPlatform()
+		p.Columnar = mode
+		p.Connectors = connector.NewRegistry(connector.Options{
+			Mem: map[string][]byte{"s.csv": []byte("east,10\nwest,20\neast,\nnorth,35\nwest,12\n")},
+		})
+		f, err := flowfile.Parse("sales", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := p.Compile(f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if _, built := d.Result().Tables["kept"]; built != (mode == "off") {
+			t.Fatalf("columnar=%q: D.kept built = %v", mode, built)
+		}
+		if metas[mode], err = BuildMeta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := metas[""].EndpointNames(), metas["off"].EndpointNames(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("meta endpoints %v, want %v", got, want)
+	}
+	got, ok := metas[""].Endpoint("kept_profile")
+	want, _ := metas["off"].Endpoint("kept_profile")
+	if !ok || !got.Equal(want) {
+		t.Errorf("inline D.kept profiles as\n%v\nwant\n%s", got, want.Format(0))
+	}
+}

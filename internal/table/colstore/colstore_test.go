@@ -44,7 +44,7 @@ func TestBitmapInvariants(t *testing.T) {
 		if b.Empty() != (len(ref) == 0) || v.hasNulls() != (len(ref) > 0) {
 			return false
 		}
-		idx := kept(b, n)
+		idx := kept(nil, b, n)
 		if idx == nil {
 			idx = identity(n) // kept's "every row passes"
 		}
@@ -244,7 +244,7 @@ func TestSelectComposition(t *testing.T) {
 		for _, i := range idx1 {
 			keep.Set(int(i))
 		}
-		sel := kept(keep, b.Len())
+		sel := kept(nil, keep, b.Len())
 		if sel == nil {
 			sel = identity(b.Len())
 		}
@@ -315,7 +315,7 @@ func TestVecExprMatchesRowExpr(t *testing.T) {
 				if err != nil {
 					t.Fatalf("vec compile %q: %v", src, err)
 				}
-				out := vecEv(b, nil)
+				out := vecEv.Eval(b, nil)
 				if out.Len() != tb.Len() {
 					return false
 				}

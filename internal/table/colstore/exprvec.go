@@ -10,11 +10,17 @@ import (
 	"shareinsights/internal/value"
 )
 
-// VecEval evaluates a compiled expression over a batch into one vector of
-// the batch's length or, given keep (a clear bitmap as long), into the
-// bits of the rows whose value is truthy, returning nil. Like the row
-// evaluator (expr.Eval) it cannot fail: binding errors surface at compile.
-type VecEval func(b *Batch, keep *Bitmap) *Vec
+// VecEval is a compiled expression: Eval evaluates it over a batch into
+// one vector of the batch's length or, given keep (a clear bitmap as
+// long), into the bits of the rows whose value is truthy, returning nil.
+// Like the row evaluator (expr.Eval) it cannot fail: binding errors
+// surface at compile.
+type VecEval struct {
+	ev     eval
+	owned  bool // ev returns a vector the evaluation allocated, not a leaf's
+	leaves []leaf
+	size   int
+}
 
 // morselRows is how many rows an operator or a kernel handles at a time,
 // so that every temporary is one morsel long whatever the batch. A
@@ -40,6 +46,7 @@ type eval func(t *temps) *Vec
 type leaf struct {
 	col int
 	val value.V
+	lit *Vec // val broadcast, built once: evaluations never write it
 }
 
 // window is what a leaf reads in the current morsel: a literal as it is,
@@ -67,6 +74,9 @@ type temps struct {
 	res       Vec
 	sink      bool
 	keep      *Bitmap // the bits the root sets instead, when not nil
+	// room, when set, is the length every new vector is allocated at: a
+	// stepped evaluation's morsels differ in length (see over).
+	room int
 }
 
 // release hands x to later operators when the evaluation owns it.
@@ -93,13 +103,22 @@ func (t *temps) vec(k value.Kind, n int) *Vec {
 		}
 	}
 	for i, v := range t.free {
-		if v.kind == k {
+		if v.kind == k && v.room() >= n {
 			t.free = append(t.free[:i], t.free[i+1:]...)
-			*v = part(v, 0, n) // only the last morsel is shorter than v
+			*v = part(v, 0, n)
 			return v
 		}
 	}
-	return newVec(k, n)
+	v := newVec(k, max(n, t.room))
+	if t.room > n {
+		*v = part(v, 0, n)
+	}
+	return v
+}
+
+// room is how long a dense vector's payload can grow in place.
+func (v *Vec) room() int {
+	return cap(v.bools) + cap(v.ints) + cap(v.floats) + cap(v.strs) + cap(v.codes) + cap(v.anys)
 }
 
 // part returns elements [lo, hi) of dense vector v, sharing its payload,
@@ -156,76 +175,122 @@ func (w *window) slide(lo, hi int) *Vec {
 // whole batch's, cell for cell and kind for kind. Asked for bits, the
 // root's result is a temporary read into them; truthiness does not depend
 // on a morsel's kind, so that evaluation never starts over.
-func CompileVec(n expr.Node, s *schema.Schema) (VecEval, error) {
+func CompileVec(n expr.Node, s *schema.Schema) (*VecEval, error) {
 	return compileMorsels(n, s, morselRows)
 }
 
 // compileMorsels is CompileVec evaluating size rows at a time.
-func compileMorsels(n expr.Node, s *schema.Schema, size int) (VecEval, error) {
-	specs := make([]leaf, 0, 8)
-	ev, owned, err := compile(n, s, &specs, true)
-	if err != nil {
+func compileMorsels(n expr.Node, s *schema.Schema, size int) (*VecEval, error) {
+	e := &VecEval{leaves: make([]leaf, 0, 8), size: size}
+	var err error
+	if e.ev, e.owned, err = compile(n, s, &e.leaves, true); err != nil {
 		return nil, err
 	}
-	leaves := specs // never reassigned: the evaluator captures it by value
-	return func(b *Batch, keep *Bitmap) *Vec {
-		if !owned && keep == nil { // a column or a literal is its own result
-			return leaves[0].vec(b, b.length)
-		}
-	pass: // a second pass evaluates the whole batch as one morsel
-		for size := size; ; size = b.length {
-			t := &temps{n: b.length, keep: keep, leaves: make([]window, len(leaves))}
-			t.free = t.buf[:0]
-			for i, l := range leaves {
-				w := &t.leaves[i]
-				w.base = l.vec(b, min(size, t.n))
-				w.v = *w.base
-			}
-			for t.lo = 0; t.lo == 0 || t.lo < t.n; t.lo = t.hi {
-				t.hi = min(t.lo+size, t.n)
-				r := ev(t)
-				t.sink = false
-				switch {
-				case keep != nil: // lo is a multiple of 64, as morsel sizes are
-					bools := r.bools // a dense bool vector's payload, else nil
-					if r.kind != value.Bool || r.sel != nil || r.constant {
-						bools = nil
-					}
-					for i := 0; i < r.length; i += 64 {
-						var word uint64
-						for j := range min(64, r.length-i) {
-							if bools != nil && bools[i+j] || bools == nil && r.truthy(i+j) {
-								word |= 1 << j
-							}
-						}
-						keep.words[(t.lo+i)/64] = word
-					}
-					if t.hi == t.n {
-						return nil
-					}
-					t.release(r, owned)
-				case t.hi-t.lo == t.n:
-					return r
-				case r != &t.res:
-					continue pass
-				case r.nulls != nil:
-					if t.out.nulls == nil {
-						t.out.nulls = NewBitmap(t.n)
-					}
-					copy(t.out.nulls.words[t.lo/64:], r.nulls.words)
-				}
-			}
-			return t.out
-		}
-	}, nil
+	return e, nil
 }
 
-// vec returns the leaf's vector over batch b: the literal n long, or the
-// column, gathered first when it is a selection with holes — the typed
-// loops read payload slots, which a hole lacks.
-func (l leaf) vec(b *Batch, n int) *Vec {
+// Eval evaluates e over b: into keep's bits when keep is not nil,
+// returning nil, else into a vector of b's length.
+func (e *VecEval) Eval(b *Batch, keep *Bitmap) *Vec {
+	if l := e.leaves[0]; !e.owned && keep == nil { // a column or a literal is its own result
+		if l.col < 0 {
+			return constVec(l.val, b.length)
+		}
+		return l.vec(b)
+	}
+pass: // a second pass evaluates the whole batch as one morsel
+	for size := e.size; ; size = b.length {
+		t := &temps{n: b.length, keep: keep, leaves: make([]window, len(e.leaves))}
+		t.free = t.buf[:0]
+		for i, l := range e.leaves {
+			w := &t.leaves[i]
+			w.base = l.vec(b)
+			w.v = *w.base
+		}
+		for t.lo = 0; t.lo == 0 || t.lo < t.n; t.lo = t.hi {
+			t.hi = min(t.lo+size, t.n)
+			r := e.ev(t)
+			t.sink = false
+			switch {
+			case keep != nil:
+				setBits(keep, t.lo, r)
+				if t.hi == t.n {
+					return nil
+				}
+				t.release(r, e.owned)
+			case t.hi-t.lo == t.n:
+				return r
+			case r != &t.res:
+				continue pass
+			case r.nulls != nil:
+				if t.out.nulls == nil {
+					t.out.nulls = NewBitmap(t.n)
+				}
+				copy(t.out.nulls.words[t.lo/64:], r.nulls.words)
+			}
+		}
+		return t.out
+	}
+}
+
+// setBits sets keep's bits from lo (a multiple of 64, as morsel sizes
+// are) for r's truthy rows, clearing the others.
+func setBits(keep *Bitmap, lo int, r *Vec) {
+	bools := r.bools // a dense bool vector's payload, else nil
+	if r.kind != value.Bool || r.sel != nil || r.constant {
+		bools = nil
+	}
+	for i := 0; i < r.length; i += 64 {
+		var word uint64
+		for j := range min(64, r.length-i) {
+			if bools != nil && bools[i+j] || bools == nil && r.truthy(i+j) {
+				word |= 1 << j
+			}
+		}
+		keep.words[(lo+i)/64] = word
+	}
+}
+
+// over returns the state that steps e over view one morsel at a time,
+// allocated once for all of them: view's vectors change in place between
+// steps, are at most size rows long and have no holes.
+func (e *VecEval) over(view *Batch, size int) *temps {
+	t := &temps{leaves: make([]window, len(e.leaves)), room: size}
+	t.free = t.buf[:0]
+	for i, l := range e.leaves {
+		t.leaves[i].base = l.vec(view)
+	}
+	return t
+}
+
+// step evaluates e over the view's first n rows with t, the state over
+// returned: into keep's bits when keep is not nil, returning nil, else
+// into a vector the caller hands back with t.release(r, e.owned) once it
+// has read it, so that the next step writes into it.
+func (e *VecEval) step(t *temps, n int, keep *Bitmap) *Vec {
+	t.lo, t.hi, t.n, t.keep = 0, n, n, keep
+	for i := range t.leaves {
+		t.leaves[i].v = *t.leaves[i].base
+	}
+	if !e.owned && keep == nil {
+		return t.leaves[0].slide(0, n)
+	}
+	r := e.ev(t)
+	t.sink = false
+	if keep != nil {
+		setBits(keep, 0, r)
+		t.release(r, e.owned)
+		return nil
+	}
+	return r
+}
+
+// vec returns the vector a window of the leaf over batch b reads: the
+// literal, or the column, gathered first when it is a selection with
+// holes — the typed loops read payload slots, which a hole lacks.
+func (l leaf) vec(b *Batch) *Vec {
 	if l.col < 0 {
-		return constVec(l.val, n)
+		return l.lit
 	}
 	if v := b.cols[l.col]; v.holes() {
 		return v.dense()
@@ -240,7 +305,7 @@ func (l leaf) vec(b *Batch, n int) *Vec {
 func compile(n expr.Node, s *schema.Schema, leaves *[]leaf, root bool) (ev eval, owned bool, err error) {
 	switch t := n.(type) {
 	case *expr.Lit:
-		return addLeaf(leaves, leaf{col: -1, val: t.Val}), false, nil
+		return addLeaf(leaves, leaf{col: -1, val: t.Val, lit: constVec(t.Val, 0)}), false, nil
 	case *expr.Col:
 		i := s.Index(t.Name)
 		if i < 0 {

@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"strconv"
+
 	"shareinsights/internal/schema"
 	"shareinsights/internal/value"
 )
@@ -121,6 +123,19 @@ func (x *keyIndex) assign(b *Batch, keys []int, lo int, ids []int32, insert bool
 	return ids
 }
 
+// encode moves a typed index to the encoded keys, each id kept: the
+// next batch a fold numbers has nulls in its key column, or another kind.
+func (x *keyIndex) encode() {
+	strs := make(map[string]int32, x.size())
+	for k, id := range x.strs {
+		strs[string(append([]byte{byte(value.String)}, k...))] = id
+	}
+	for k, id := range x.ints {
+		strs[string(strconv.AppendInt([]byte{byte(value.Int)}, k, 10))] = id
+	}
+	x.kind, x.strs, x.ints, x.dict, x.byCode = value.Null, strs, nil, nil, nil
+}
+
 // keyID returns k's id in m: the next dense id for an unseen key when
 // insert is set, -1 for one when it is not.
 func keyID[K comparable](m map[K]int32, k K, insert bool) int32 {
@@ -195,7 +210,7 @@ func (k *Join) run(left, right *Batch, size int) (*Batch, int, error) {
 			}
 		}
 		keep = NewBitmap(left.length)
-		k.Mask.Pred(&Batch{schema: k.Out, cols: view, length: left.length}, keep)
+		k.Mask.Pred.Eval(&Batch{schema: k.Out, cols: view, length: left.length}, keep)
 	}
 	x := newKeyIndex(keyVecs(left, k.LeftKeys), keyVecs(right, k.RightKeys))
 	rids := x.assign(right, k.RightKeys, 0, make([]int32, right.length), true)

@@ -30,14 +30,14 @@ type Kernel interface {
 type Filter struct {
 	// Pred is the compiled predicate (CompileVec of the
 	// filter_expression).
-	Pred VecEval
+	Pred *VecEval
 }
 
 // Run implements Kernel.
 func (k *Filter) Run(b *Batch) (*Batch, error) {
 	keep := NewBitmap(b.length)
-	k.Pred(b, keep)
-	idx := kept(keep, b.length)
+	k.Pred.Eval(b, keep)
+	idx := kept(nil, keep, b.length)
 	if idx == nil {
 		// Every row passes — a filter the decoder already applied, run
 		// again by the pipeline. Batches are immutable: share the input.
@@ -46,18 +46,21 @@ func (k *Filter) Run(b *Batch) (*Batch, error) {
 	return b.selectRows(idx), nil
 }
 
-// kept returns the positions of keep's set bits, ascending, or nil when
-// all n are set.
-func kept(keep *Bitmap, n int) []int32 {
-	set := 0
-	for _, w := range keep.words {
+// kept returns the positions of keep's set bits below n, ascending, in
+// dst when it is not nil, or nil when all n are set.
+func kept(dst []int32, keep *Bitmap, n int) []int32 {
+	words, set := keep.words[:(n+63)/64], 0
+	for _, w := range words {
 		set += bits.OnesCount64(w)
 	}
 	if set == n {
 		return nil
 	}
-	idx := make([]int32, 0, set)
-	for i, w := range keep.words {
+	idx := dst[:0]
+	if dst == nil {
+		idx = make([]int32, 0, set)
+	}
+	for i, w := range words {
 		for ; w != 0; w &= w - 1 {
 			idx = append(idx, int32(i*64+bits.TrailingZeros64(w)))
 		}
@@ -73,7 +76,7 @@ func kept(keep *Bitmap, n int) []int32 {
 // shared, not copied; only the computed column is new.
 type MapExpr struct {
 	// Eval is the compiled expression.
-	Eval VecEval
+	Eval *VecEval
 	// Out is the output schema (input extended with, or overwriting,
 	// the output column) and Slot the output column's index in it.
 	Out  *schema.Schema
@@ -82,7 +85,7 @@ type MapExpr struct {
 
 // Run implements Kernel.
 func (k *MapExpr) Run(b *Batch) (*Batch, error) {
-	return b.withColumn(k.Out, k.Slot, k.Eval(b, nil).densify()), nil
+	return b.withColumn(k.Out, k.Slot, k.Eval.Eval(b, nil).densify()), nil
 }
 
 // ---------------------------------------------------------------------
@@ -304,50 +307,148 @@ type GroupBy struct {
 	SortKeys []table.SortKey
 }
 
-// Run implements Kernel.
+// Run implements Kernel: a fold pushed the whole batch.
 func (k *GroupBy) Run(b *Batch) (*Batch, error) { return k.run(b, morselRows) }
 
 // run is Run folding size rows at a time.
 func (k *GroupBy) run(b *Batch, size int) (*Batch, error) {
-	n, keys := b.length, keyVecs(b, k.Keys)
-	x := newKeyIndex(keys)
+	f := k.start(min(b.length, size))
+	f.push(b)
+	return f.finish()
+}
+
+// fold is one run of a GroupBy fed batches one after another — a whole
+// batch by Run, a morsel at a time by a Fan. It copies each group's key
+// cells and its aggregates' state out of the batch that opens or feeds
+// it, so no batch outlives its push: the first batch fixes each column's
+// fold by its kind, and a later one has the same kinds (and a coded key
+// column the same dictionary), as morsels of one column do.
+type fold struct {
+	k      *GroupBy
+	x      *keyIndex
+	keys   []*Vec
+	aggs   []aggState
+	ids    []int32
+	groups int
+}
+
+// start returns a fold that numbers size rows at a time.
+func (k *GroupBy) start(size int) fold { return fold{k: k, ids: make([]int32, size)} }
+
+// push folds b's rows. A typed key index that meets nulls or another
+// kind moves to the encoded keys.
+func (f *fold) push(b *Batch) {
+	k := f.k
+	if f.x == nil {
+		f.init(b)
+	} else if f.x.kind != value.Null { // one key column, so far typed
+		if v := b.cols[k.Keys[0]]; v.kind != f.x.kind || v.hasNulls() {
+			f.x.encode()
+		}
+	}
+	for i, a := range k.Aggs {
+		f.aggs[i].at(a, b)
+	}
+	for lo := 0; lo < b.length; lo += len(f.ids) {
+		ids := f.x.assign(b, k.Keys, lo, f.ids, true)
+		for j, g := range ids {
+			// Ids are dense in first-seen order: a row opens a group
+			// exactly when its id is the next unused one.
+			if int(g) == f.groups {
+				f.groups++
+				for ki, c := range k.Keys {
+					f.keys[ki].appendFrom(b.cols[c], lo+j)
+				}
+			}
+		}
+		for i := range f.aggs {
+			f.aggs[i].add(lo, ids, f.groups)
+		}
+	}
+}
+
+// init sets the fold up for batches like b.
+func (f *fold) init(b *Batch) {
+	k, n := f.k, b.length
+	keys := keyVecs(b, k.Keys)
+	f.x = newKeyIndex(keys)
 	// The state starts at the most groups a single coded key can have,
 	// else small, and grows geometrically as groups appear.
 	start := min(n, 16)
 	if len(keys) == 1 && keys[0].dict != nil {
 		start = min(n, len(keys[0].dict)+1)
 	}
-	keyRows := make([]int32, 0, start)
-	aggs := make([]aggState, len(k.Aggs))
+	f.keys = make([]*Vec, len(keys))
+	for i, v := range keys {
+		if v.dict != nil {
+			f.keys[i] = &Vec{kind: v.kind, dict: v.dict, codes: make([]uint32, 0, start)}
+		} else {
+			f.keys[i] = newVec(v.kind, start)
+			*f.keys[i] = part(f.keys[i], 0, 0)
+		}
+	}
+	f.aggs = make([]aggState, len(k.Aggs))
 	for i, a := range k.Aggs {
-		aggs[i].init(a, b, start)
+		f.aggs[i].init(a, b, start)
 	}
-	scratch := make([]int32, min(n, size))
-	for lo := 0; lo < n; lo += len(scratch) {
-		ids := x.assign(b, k.Keys, lo, scratch, true)
-		for j, g := range ids {
-			// Ids are dense in first-seen order: a row opens a group
-			// exactly when its id is the next unused one.
-			if int(g) == len(keyRows) {
-				keyRows = append(keyRows, int32(lo+j))
-			}
+}
+
+// finish returns the groups, sorted by SortKeys.
+func (f *fold) finish() (*Batch, error) {
+	out := &Batch{schema: f.k.Out, cols: make([]*Vec, 0, len(f.keys)+len(f.aggs)), length: f.groups}
+	for _, v := range f.keys {
+		if v.nulls != nil {
+			v.nulls.grow(v.length)
 		}
-		for i := range aggs {
-			aggs[i].add(lo, ids, len(keyRows))
-		}
+		out.cols = append(out.cols, v)
 	}
-	out := &Batch{schema: k.Out, cols: make([]*Vec, 0, len(keys)+len(aggs)), length: len(keyRows)}
-	for _, v := range keys {
-		out.cols = append(out.cols, gather(v, keyRows))
+	for i := range f.aggs {
+		out.cols = append(out.cols, f.aggs[i].result(out.length))
 	}
-	for i := range aggs {
-		out.cols = append(out.cols, aggs[i].result(out.length))
-	}
-	perm, err := sortPerm(out, k.SortKeys, out.length)
+	perm, err := sortPerm(out, f.k.SortKeys, out.length)
 	if err != nil || perm == nil {
 		return out, err
 	}
 	return out.gatherRows(perm), nil
+}
+
+// appendFrom appends element i of src to v, a dense vector of src's kind
+// and, when coded, dictionary — a fold's copy of a key cell: every batch
+// a fold is pushed holds its key columns' first kinds, and a coded one
+// its first dictionary, as morsels of one column do.
+func (v *Vec) appendFrom(src *Vec, i int) {
+	s := src.slot(i)
+	if src.null(i) && v.kind != value.Null {
+		if v.nulls == nil {
+			v.nulls = &Bitmap{}
+		}
+		v.nulls.grow(v.length + 1)
+		v.nulls.Set(v.length)
+		s = -1
+	}
+	v.length++
+	switch {
+	case v.dict != nil:
+		v.codes = append(v.codes, at(src.codes, s))
+	case v.kind == value.Bool:
+		v.bools = append(v.bools, at(src.bools, s))
+	case v.kind == value.Int:
+		v.ints = append(v.ints, at(src.ints, s))
+	case v.kind == value.Float:
+		v.floats = append(v.floats, at(src.floats, s))
+	case v.kind == value.String:
+		v.strs = append(v.strs, at(src.strs, s))
+	case v.kind == anyKind:
+		v.anys = append(v.anys, src.At(i))
+	}
+}
+
+// at is s[i], or the zero value — a null cell's payload — for i < 0.
+func at[T any](s []T, i int) (x T) {
+	if i >= 0 {
+		x = s[i]
+	}
+	return x
 }
 
 // appendGroupKey appends one key cell in the row grouper's encoding —
@@ -393,7 +494,7 @@ const (
 	foldSum   // into ints: int, bool and all-null columns
 	foldFloat // a float column's sum, into floats
 	foldAvg   // sums into floats, counts into ints
-	foldMin   // the row holding it, plus one, into ints
+	foldMin   // the value so far, in the column's kind
 	foldMax
 )
 
@@ -404,24 +505,20 @@ var allNull = &Vec{kind: value.Null}
 // aggState is one aggregate's per-group state while a group-by folds: the
 // vector of its groups' results so far, grown as groups appear — with
 // bools marking the groups that saw a value when a float sum's column has
-// nulls — or an accumulator per group.
+// had nulls, and a min or max's always — or an accumulator per group.
 type aggState struct {
 	Vec
 	fold     int
 	col      *Vec
 	nullable bool
-	cmp      func(i, j int) int
 	newAcc   func() Accumulator
 	accs     []Accumulator
 }
 
 // init picks a's fold over b's column, with room for size groups.
 func (s *aggState) init(a Agg, b *Batch, size int) {
-	if s.col = allNull; a.Col >= 0 {
-		s.col = b.cols[a.Col]
-	}
+	s.at(a, b)
 	k := s.col.kind
-	s.nullable = s.col.hasNulls()
 	numeric := k == value.Int || k == value.Float || k == value.Null
 	s.kind, s.ints = value.Int, make([]int64, 0, size)
 	switch {
@@ -429,20 +526,38 @@ func (s *aggState) init(a Agg, b *Batch, size int) {
 		s.fold = foldCount
 	case a.Op == "sum" && k == value.Float:
 		s.fold, s.kind, s.ints, s.floats = foldFloat, value.Float, nil, make([]float64, 0, size)
-		if s.nullable {
-			s.bools = make([]bool, 0, size)
-		}
 	case a.Op == "sum" && (numeric || k == value.Bool):
 		s.fold = foldSum
 	case a.Op == "avg" && (numeric || k == value.Bool):
 		s.fold, s.kind, s.floats = foldAvg, value.Float, make([]float64, 0, size)
 	case (a.Op == "min" || a.Op == "max") && (numeric || k == value.String):
-		s.fold, s.cmp = foldMin, keyComparator(s.col)
+		s.fold, s.kind, s.bools = foldMin, k, make([]bool, 0, size)
 		if a.Op == "max" {
 			s.fold = foldMax
 		}
+		switch k {
+		case value.Float:
+			s.ints, s.floats = nil, make([]float64, 0, size)
+		case value.String:
+			s.ints, s.strs = nil, make([]string, 0, size)
+		}
 	default:
 		s.fold, s.newAcc, s.ints, s.accs = foldAcc, a.New, nil, make([]Accumulator, 0, size)
+	}
+}
+
+// at points the fold at a's column of b, the batch being pushed.
+func (s *aggState) at(a Agg, b *Batch) {
+	if s.col = allNull; a.Col >= 0 {
+		s.col = b.cols[a.Col]
+	}
+	s.nullable = s.col.hasNulls()
+	if s.fold == foldFloat && s.nullable && s.bools == nil {
+		// The groups so far saw only values.
+		s.bools = make([]bool, len(s.floats), cap(s.floats))
+		for g := range s.bools {
+			s.bools[g] = true
+		}
 	}
 }
 
@@ -456,7 +571,8 @@ func extend[T any](s []T, n int) []T {
 
 // add folds rows [lo, lo+len(ids)), of groups ids, into ng groups.
 func (s *aggState) add(lo int, ids []int32, ng int) {
-	s.ints, s.floats, s.bools, s.accs = extend(s.ints, ng), extend(s.floats, ng), extend(s.bools, ng), extend(s.accs, ng)
+	s.ints, s.floats, s.strs = extend(s.ints, ng), extend(s.floats, ng), extend(s.strs, ng)
+	s.bools, s.accs = extend(s.bools, ng), extend(s.accs, ng)
 	c := s.col
 	for j, g := range ids {
 		i := lo + j
@@ -486,14 +602,30 @@ func (s *aggState) add(lo int, ids []int32, ng int) {
 		case s.fold == foldAvg:
 			s.floats[g] += c.At(i).Float()
 			s.ints[g]++
-		case s.ints[g] == 0: // the group's first value
-			s.ints[g] = int64(i) + 1
-		default:
-			if d := s.cmp(i, int(s.ints[g])-1); d < 0 && s.fold == foldMin || d > 0 && s.fold == foldMax {
-				s.ints[g] = int64(i) + 1
+		case c.kind == value.Int:
+			if s.wins(g, cmp.Compare(c.ints[p], s.ints[g])) {
+				s.ints[g] = c.ints[p]
+			}
+		case c.kind == value.Float:
+			if s.wins(g, cmpFloat(c.floats[p], s.floats[g])) {
+				s.floats[g] = c.floats[p]
+			}
+		default: // a string min or max
+			if str := c.str(p); s.wins(g, strings.Compare(str, s.strs[g])) {
+				s.strs[g] = str
 			}
 		}
 	}
+}
+
+// wins reports whether a value that compares d to group g's min or max
+// so far replaces it: it does when it is the group's first.
+func (s *aggState) wins(g int32, d int) bool {
+	if !s.bools[g] || d < 0 && s.fold == foldMin || d > 0 && s.fold == foldMax {
+		s.bools[g] = true
+		return true
+	}
+	return false
 }
 
 // result is the state as the vector of its ng groups' results.
@@ -530,11 +662,12 @@ func (s *aggState) result(ng int) *Vec {
 		}
 		s.ints = nil
 	case foldMin, foldMax:
-		rows := make([]int32, ng)
-		for g, r := range s.ints {
-			rows[g] = int32(r) - 1 // -1, a null, for a group with no value
+		for g, seen := range s.bools {
+			if !seen {
+				s.setNull(g) // a group with no value
+			}
 		}
-		return gather(s.col, rows)
+		s.bools = nil
 	}
 	return &s.Vec
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // compileVecSrc parses src and compiles it with CompileVec.
-func compileVecSrc(src string, s *schema.Schema) (VecEval, error) {
+func compileVecSrc(src string, s *schema.Schema) (*VecEval, error) {
 	n, err := expr.Parse(src)
 	if err != nil {
 		return nil, err
@@ -36,7 +36,7 @@ func bindRowSrc(src string, s *schema.Schema) (expr.Eval, error) {
 const whole = math.MaxInt
 
 // compileSize compiles src to an evaluator that runs size rows at a time.
-func compileSize(t testing.TB, src string, s *schema.Schema, size int) VecEval {
+func compileSize(t testing.TB, src string, s *schema.Schema, size int) *VecEval {
 	t.Helper()
 	n, err := expr.Parse(src)
 	if err != nil {
@@ -105,9 +105,9 @@ func TestMorselsMatchWholeBatch(t *testing.T) {
 		"z + a", "z == z", "a / w", "b / w", "a % w", "s + s", "a + b * m", "not m", "a in (1, b)"}, exprCases...)
 	for name, b := range map[string]*Batch{"dense": base, "selection": base.selectRows(rev), "holes": base.selectRows(holes)} {
 		for _, src := range srcs {
-			want := compileSize(t, src, b.Schema(), whole)(b, nil)
+			want := compileSize(t, src, b.Schema(), whole).Eval(b, nil)
 			for _, size := range []int{64, 1024} {
-				got := compileSize(t, src, b.Schema(), size)(b, nil)
+				got := compileSize(t, src, b.Schema(), size).Eval(b, nil)
 				if got.Kind() != want.Kind() || got.Len() != want.Len() {
 					t.Fatalf("%s, %q by %d: %v vector of %d, whole batch %v of %d", name, src, size, got.Kind(), got.Len(), want.Kind(), want.Len())
 				}
@@ -283,7 +283,7 @@ func TestMapExprTempsBounded(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out := ev(b, nil)
+		out := ev.Eval(b, nil)
 		runtime.ReadMemStats(&after)
 		if out.At(59999) != value.NewInt(999*2+59999%97+59999%41*5+59999%7*20) {
 			t.Fatalf("weight of the last row is %v", out.At(59999))
@@ -315,7 +315,7 @@ func BenchmarkMorselSize(b *testing.B) {
 			ev := compileSize(b, weightExpr, batch.Schema(), size)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev(batch, nil)
+				ev.Eval(batch, nil)
 			}
 		})
 		b.Run("groupby/"+name, func(b *testing.B) {

@@ -304,7 +304,7 @@ func (r *Registry) RegisterFunc(name string, build func(cfg *flowfile.Node) (*Fu
 type memo struct {
 	once  sync.Once
 	stage string
-	bound atomic.Pointer[Bound] // the last kernel Bind kept
+	bound atomic.Pointer[bound] // the last kernel Bind kept
 }
 
 func (m *memo) derived() *memo { return m }

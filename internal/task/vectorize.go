@@ -34,7 +34,7 @@ type Vectorizable interface {
 // as a join probing with the rows the filter keeps: the filter means the
 // same on a probe row as on every output row it yields. Kernel binds
 // nothing and reads no schema but that column check's. Over any stage of
-// a built graph Bind binds where Kernel admits the head, so only data (a
+// a built graph Bind binds the group Kernel answers, so only data (a
 // boxed or time column) send an admitted stage to rows.
 func Kernel(specs []Spec, in []Input) int {
 	var next Spec
@@ -87,68 +87,98 @@ func Kernel(specs []Spec, in []Input) int {
 	return 1
 }
 
-// Bound is a stage's kernel bound over its inputs: Vec over one, or
-// Join over two, whose left input is the second when Swapped. !OK: the
-// stage has no kernel over these inputs.
+// Bound is a kernel bound over its inputs: Vec over one, producing Out,
+// or Join over two, whose left input is the second when Swapped. !OK:
+// the group has no kernel over these inputs.
 type Bound struct {
 	Vec         colstore.Kernel
+	Out         *schema.Schema
 	Join        *colstore.Join
 	Swapped, OK bool
-	in          [2]Input
-	n           int
-	next        *Bound                // the kernel kept before this one
-	fused       atomic.Pointer[Bound] // Fuse's answers, one per tail
-	tail        Spec                  // of one of Fuse's answers: its tail
 }
 
-// Bind binds sp, a stage Kernel admits over in. A built-in spec keeps
-// what it binds, one kernel per input shape (the same names, and schemas
-// with the same columns in the same order), for as long as it lives: the
-// stages of a compiled program bind the first time a run takes them
-// columnar, and later runs reuse the kernel; a spec built per request
-// binds for that request. The shapes a spec meets are fixed by its
-// program: one per flow that uses it, and one more where the plan hoists
-// it. Kernels are read-only, and runs share them without a lock.
-func Bind(env *Env, sp Spec, in []Input) *Bound {
-	m, ok := sp.(memoized)
+// bound is one kernel Bind kept: the group's tail and the inputs it was
+// bound for, and the kernel kept before it.
+type bound struct {
+	Bound
+	tail Spec
+	in   [2]Input
+	n    int
+	next *bound
+}
+
+// Bind binds specs, a group Kernel answers over in (its length), as one
+// kernel: a sort's with the limit after it as one top-n, a join's with
+// the filter after it as its Mask, or one stage's. A built-in spec keeps
+// what it binds for its groups, one kernel per tail and input shape (the
+// same names, and schemas with the same columns in the same order), for
+// as long as it lives: the stages of a compiled program bind the first
+// time a run takes them columnar, and later runs reuse the kernel; a spec
+// built per request binds for that request. The shapes a spec meets are
+// fixed by its program: one per flow that uses it, and one more where the
+// plan hoists it. Kernels are read-only, and runs share them without a
+// lock.
+func Bind(env *Env, specs []Spec, in []Input) *Bound {
+	m, ok := specs[0].(memoized)
 	if !ok {
-		return bind(env, sp, in)
+		k := new(Bound)
+		bind(env, specs, in, k)
+		return k
 	}
-	return keep(&m.derived().bound, func(b *Bound) bool {
-		return slices.EqualFunc(b.in[:b.n], in, func(x, y Input) bool { return x.Name == y.Name && x.Schema.Equal(y.Schema) })
-	}, func() *Bound { return bind(env, sp, in) })
+	var tail Spec
+	if len(specs) > 1 {
+		tail = specs[1]
+	}
+	return keep(&m.derived().bound, func(b *bound) bool {
+		return b.tail == tail && slices.EqualFunc(b.in[:b.n], in, func(x, y Input) bool { return x.Name == y.Name && x.Schema.Equal(y.Schema) })
+	}, func() *bound {
+		b := &bound{tail: tail}
+		b.n = copy(b.in[:], in)
+		bind(env, specs, in, &b.Bound)
+		return b
+	})
 }
 
 // keep returns the kernel on list that match accepts, or else pushes the
 // one build binds and returns it: one kernel per key, concurrent first
 // binds included, without a lock.
-func keep(list *atomic.Pointer[Bound], match func(*Bound) bool, build func() *Bound) *Bound {
-	var k *Bound
+func keep(list *atomic.Pointer[bound], match func(*bound) bool, build func() *bound) *Bound {
+	var k *bound
 	for {
 		first := list.Load()
 		for b := first; b != nil; b = b.next {
 			if match(b) {
-				return b
+				return &b.Bound
 			}
 		}
 		if k == nil {
 			k = build()
 		}
 		if k.next = first; list.CompareAndSwap(first, k) {
-			return k
+			return &k.Bound
 		}
 	}
 }
 
-// bind binds sp over in, keeping nothing.
-func bind(env *Env, sp Spec, in []Input) *Bound {
-	k := new(Bound)
-	if k.n = copy(k.in[:], in); k.n == 2 {
-		k.Join, k.Swapped, k.OK = sp.(*JoinSpec).BindJoin(env, in[0], in[1])
-	} else {
-		k.Vec, _, k.OK = sp.(Vectorizable).BindVec(env, in[0])
+// bind binds specs over in into k, keeping nothing.
+func bind(env *Env, specs []Spec, in []Input, k *Bound) {
+	if len(specs) > 1 && Kernel(specs, in) < len(specs) {
+		return
 	}
-	return k
+	if len(in) == 2 {
+		k.Join, k.Swapped, k.OK = specs[0].(*JoinSpec).BindJoin(env, in[0], in[1])
+	} else {
+		k.Vec, k.Out, k.OK = specs[0].(Vectorizable).BindVec(env, in[0])
+	}
+	switch {
+	case !k.OK || len(specs) == 1:
+	case k.Join != nil:
+		var mask Bound
+		bind(env, specs[1:], []Input{{Schema: k.Join.Out}}, &mask)
+		k.Join.Mask, k.OK = mask.Vec.(*colstore.Filter)
+	default:
+		k.Vec = &colstore.TopN{Keys: k.Vec.(*colstore.Sort).Keys, Limit: specs[1].(*LimitSpec).N}
+	}
 }
 
 // BindJoin is BindVec's two-input sibling: the join over a and b, the
@@ -175,36 +205,6 @@ func (s *JoinSpec) BindJoin(env *Env, a, b Input) (k *colstore.Join, swapped, ok
 		k.Cols[i] = colstore.JoinCol{Right: sl.side == 1, Col: sl.idx}
 	}
 	return k, swapped, true
-}
-
-// Fuse returns k, head's kernel, with tail, the stage after head, run
-// inside it where Kernel groups the two — a sort's with the limit after
-// it as one top-n, a join's with the filter after it as its Mask — or
-// nil. k keeps the answer per tail, so only the pair's first run asks.
-func (k *Bound) Fuse(env *Env, head, tail Spec) *Bound {
-	// Only a sort's kernel or a join's takes a stage in.
-	sort, _ := k.Vec.(*colstore.Sort)
-	if sort == nil && k.Join == nil {
-		return nil
-	}
-	f := keep(&k.fused, func(f *Bound) bool { return f.tail == tail }, func() *Bound {
-		f := &Bound{tail: tail, Swapped: k.Swapped}
-		if Kernel([]Spec{head, tail}, k.in[:k.n]) < 2 {
-			return f
-		}
-		if sort != nil {
-			f.Vec, f.OK = &colstore.TopN{Keys: sort.Keys, Limit: tail.(*LimitSpec).N}, true
-		} else if mask, ok := Bind(env, tail, []Input{{Schema: k.Join.Out}}).Vec.(*colstore.Filter); ok {
-			join := *k.Join
-			join.Mask = mask
-			f.Join, f.OK = &join, true
-		}
-		return f
-	})
-	if !f.OK {
-		return nil
-	}
-	return f
 }
 
 // BindVec implements Vectorizable.

@@ -22,19 +22,19 @@ func shape(n int) []Input {
 // shape, and every later bind over an equal schema gets that kernel.
 func TestBindKeepsAKernelPerShape(t *testing.T) {
 	sp := &LimitSpec{N: 3}
-	first := Bind(nil, sp, shape(0))
+	first := Bind(nil, []Spec{sp}, shape(0))
 	if !first.OK {
 		t.Fatal("limit did not bind")
 	}
-	if Bind(nil, sp, shape(0)) != first {
+	if Bind(nil, []Spec{sp}, shape(0)) != first {
 		t.Error("a bind over an equal schema bound again")
 	}
 	for i := 1; i < 4; i++ {
-		if k := Bind(nil, sp, shape(i)); k == first || Bind(nil, sp, shape(i)) != k {
+		if k := Bind(nil, []Spec{sp}, shape(i)); k == first || Bind(nil, []Spec{sp}, shape(i)) != k {
 			t.Errorf("shape %d: want a kernel of its own, kept", i)
 		}
 	}
-	if Bind(nil, sp, shape(0)) != first {
+	if Bind(nil, []Spec{sp}, shape(0)) != first {
 		t.Error("the first shape's kernel was dropped")
 	}
 }
@@ -49,7 +49,7 @@ func TestBindConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			in := shape(w % 2)
-			if k := Bind(nil, sp, in); !k.OK || !k.in[0].Schema.Equal(in[0].Schema) {
+			if k := Bind(nil, []Spec{sp}, in); !k.OK || !k.Out.Equal(in[0].Schema) {
 				t.Errorf("worker %d got a kernel over another shape", w)
 			}
 		}()
@@ -64,19 +64,18 @@ func TestBindConcurrent(t *testing.T) {
 	}
 }
 
-// TestFuseKeptPerTail: a bound kernel answers each tail once, concurrent
-// first asks included: a limit after a sort with one top-n kernel, and a
-// tail that does not fuse with nil.
+// TestFuseKeptPerTail: a spec binds each group it heads once, concurrent
+// first asks included: a sort with the limit after it as one top-n, and
+// a sort with a sort after it, which Kernel does not group, as no kernel.
 func TestFuseKeptPerTail(t *testing.T) {
 	sort, limit := &SortSpec{OrderBy: []OrderKey{{Column: "a", Desc: true}}}, &LimitSpec{N: 2}
-	k := Bind(nil, sort, shape(1))
 	got := make([]*Bound, 8)
 	var wg sync.WaitGroup
 	for w := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[w] = k.Fuse(nil, sort, limit)
+			got[w] = Bind(nil, []Spec{sort, limit}, shape(1))
 		}()
 	}
 	wg.Wait()
@@ -89,11 +88,11 @@ func TestFuseKeptPerTail(t *testing.T) {
 			t.Errorf("ask %d got a second fused kernel", w)
 		}
 	}
-	if f := k.Fuse(nil, sort, sort); f != nil || k.Fuse(nil, sort, sort) != nil {
+	if f := Bind(nil, []Spec{sort, sort}, shape(1)); f.OK || Bind(nil, []Spec{sort, sort}, shape(1)).OK {
 		t.Errorf("a sort after a sort fused: %#v", f)
 	}
 	answers := 0
-	for f := k.fused.Load(); f != nil; f = f.next {
+	for f := sort.bound.Load(); f != nil; f = f.next {
 		answers++
 	}
 	if answers != 2 {
