@@ -237,7 +237,7 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 			if np := p.Nodes[name]; inline(g, n, p.Nodes) {
 				np.Inline = true
 				for i := range np.Stages {
-					np.Stages[i].Inline = true
+					np.Stages[i].Inline, np.Stages[i].Fused = true, false
 				}
 				for _, c := range n.Consumers {
 					p.Nodes[c].Stages[0].Inline = true
@@ -272,31 +272,32 @@ func AsWritten(g *Graph) *Plan {
 
 // inline is the one rule for which nodes run inline, and explain and the
 // batch engine both read it off the plan: n is a produced node with one
-// input and no data detail (endpoint, publish, cache, max_rows, …) that
-// no widget reads, its planned chain is expression filters and
-// expression maps only, each with a kernel, and every consumer is a flow
-// whose only input is n and whose first planned stage is a group-by. Its
-// chain then runs one morsel at a time into each consumer's group-by, so
-// nothing stores its rows in between.
+// input and no data detail (endpoint, publish, cache, max_rows, …), its
+// planned chain is steps only — one run task.Kernel
+// takes whole, with no sink — and every consumer's first planned stage is
+// a sink over n alone, or, for n's only consumer, a join n feeds as the
+// probe side. Its chain then runs a morsel at a time into each consumer's
+// first run, so nothing stores its rows in between; a probe's build side
+// is another input of n's one consumer, so it never waits on n. So an
+// inline node's input is never inline: its consumers start with a sink or
+// a join, and n with a step.
 func inline(g *Graph, n *Node, plans map[string]*NodePlan) bool {
 	specs := plans[n.Name].Specs
 	if len(n.Inputs) != 1 || n.Def.Endpoint || n.Def.Publish != "" || len(n.Def.Props) > 0 || len(specs) == 0 || len(n.Consumers) == 0 {
 		return false
 	}
-	for _, sp := range specs {
-		switch sp.(type) {
-		case *task.FilterSpec, *task.MapSpec:
-			if task.Kernel([]task.Spec{sp}, []task.Input{{}}) == 0 {
-				return false
-			}
-		default:
-			return false
-		}
+	if task.Kernel(specs, []task.Input{{}}) != len(specs) || task.Sink(specs[len(specs)-1]) {
+		return false
 	}
 	for _, c := range n.Consumers {
-		if cn, cp := g.Nodes[c], plans[c]; cn == nil || cp == nil || len(cn.Inputs) != 1 || len(cp.Specs) == 0 {
+		cn, cp := g.Nodes[c], plans[c]
+		if cn == nil || cp == nil || len(cp.Specs) == 0 {
 			return false
-		} else if _, ok := cp.Specs[0].(*task.GroupBySpec); !ok {
+		}
+		switch {
+		case len(cn.Inputs) == 1 && task.Sink(cp.Specs[0]):
+		case len(cn.Inputs) == 2 && len(n.Consumers) == 1 && cn.Inputs[0] != cn.Inputs[1] && task.Probes(cp.Specs[0], n.Name):
+		default:
 			return false
 		}
 	}

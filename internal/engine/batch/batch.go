@@ -254,13 +254,14 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 	}
 	res.Stats.SkippedSinks = append([]string(nil), plan.SkippedSinks...)
 	// Per-node completion latches for dataflow scheduling.
-	// An inline node that ran holds no table: its fan puts each fed
-	// consumer's first-stage output in that consumer's tbl before the
-	// node's done closes, and the consumer replaces it with its own.
+	// An inline node that ran holds no table: its run puts each fed
+	// consumer's first-group output in that consumer's fed before the
+	// node's done closes, and the consumer goes on from it.
 	type slot struct {
 		done chan struct{}
 		tbl  *table.Table
 		err  error
+		fed  *fed
 	}
 	slots := make(map[string]*slot, len(g.Nodes))
 	for name := range g.Nodes {
@@ -297,16 +298,26 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			close(s.done)
 			continue
 		}
-		// An inline node feeds the consumers this run computes; with none,
-		// it does not run.
-		var fed []string
+		// An inline node feeds the consumers this run computes, and waits
+		// for the build side of one it feeds as a join's probe side; with
+		// none, it does not run.
+		var to []fed
+		waits := n.Inputs
 		if np := plan.Node(name); np != nil && np.Inline && e.Columnar != ColumnarOff {
 			for _, c := range n.Consumers {
 				if _, hit := e.Cached[c]; !hit && !slices.Contains(plan.SkippedSinks, c) {
-					fed = append(fed, c)
+					if to == nil {
+						to = make([]fed, 0, len(n.Consumers))
+					}
+					to = append(to, fed{name: c})
+					for _, in := range g.Nodes[c].Inputs {
+						if in != name {
+							waits = append(waits[:len(waits):len(waits)], in)
+						}
+					}
 				}
 			}
-			if fed == nil {
+			if to == nil {
 				close(s.done)
 				continue
 			}
@@ -325,7 +336,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			continue
 		}
 		wg.Add(1)
-		go func(n *dag.Node, s *slot, fed []string) {
+		go func(n *dag.Node, s *slot, to []fed, waits []string) {
 			defer wg.Done()
 			defer close(s.done)
 			// A panicking task must fail its node, never the process;
@@ -333,8 +344,8 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			// what the caller does.
 			defer recoverStage("node D.", n.Name, &s.err)
 			ins := make([]*table.Table, len(n.Inputs))
-			names, skip := n.Inputs, 0
-			for i, in := range n.Inputs {
+			names := n.Inputs
+			for i, in := range waits {
 				dep := slots[in]
 				select {
 				case <-dep.done:
@@ -342,20 +353,25 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 					s.err = ctx.Err()
 					return
 				}
-				if dep.err != nil {
+				switch {
+				case i >= len(ins):
+					// A build side the inline run probes: a failed one
+					// fails the consumer, not this node.
+				case dep.err != nil:
 					s.err = fmt.Errorf("batch: D.%s blocked by input D.%s: %w", n.Name, in, dep.err)
 					return
+				default:
+					ins[i] = dep.tbl
 				}
-				if dep.tbl == nil && s.tbl != nil {
-					// The inline input's fan ran this node's first stage.
-					ins[i], names, skip = s.tbl, unnamed, 1
-					continue
-				}
-				if dep.tbl == nil {
-					s.err = fmt.Errorf("batch: D.%s input D.%s was eliminated", n.Name, in)
-					return
-				}
-				ins[i] = dep.tbl
+			}
+			skip := 0
+			if s.fed != nil {
+				// An inline input's run ran this node's first group.
+				ins, names, skip = []*table.Table{s.fed.tbl}, unnamed, s.fed.skip
+			}
+			if i := slices.Index(ins, nil); i >= 0 {
+				s.err = fmt.Errorf("batch: D.%s input D.%s was eliminated", n.Name, n.Inputs[i])
+				return
 			}
 			// Inputs are ready; wait for a scheduler slot.
 			ready := time.Now()
@@ -379,12 +395,17 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			}
 			p := &pipeline{e: e, env: env, parent: nodeSpan,
 				node: n.Name, planTag: planTag, queueWait: queueWait, stats: &res.Stats, mu: &mu}
-			if fed != nil {
-				firsts, rows, stages, err := p.fan(ctx, np.Specs, ins[0], fed, plan)
-				if firsts != nil || err != nil {
+			if to != nil {
+				rows, stages, ran, err := p.inline(ctx, g, plan, np.Specs, ins[0], to, func(name string) *table.Table {
+					if dep := slots[name]; dep.err == nil {
+						return dep.tbl
+					}
+					return nil
+				})
+				if ran || err != nil {
 					if err == nil {
-						for i, c := range fed {
-							slots[c].tbl = firsts[i]
+						for i := range to {
+							slots[to[i].name].fed = &to[i]
 						}
 						mu.Lock()
 						res.Stats.TasksRun += stages
@@ -396,6 +417,15 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 						s.err = fmt.Errorf("batch: flow for D.%s: %w", n.Name, err)
 					}
 					return
+				}
+			}
+			if s.fed != nil {
+				for _, r := range s.fed.pending {
+					if err := r.on(p); err != nil {
+						p.end(nodeSpan, 0, err)
+						s.err = fmt.Errorf("batch: flow for D.%s: %w", n.Name, err)
+						return
+					}
 				}
 			}
 			out, stages, err := p.run(ctx, np.Specs[skip:], ins, names)
@@ -417,7 +447,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			}
 			s.tbl = out
 			p.end(nodeSpan, out.Len(), nil)
-		}(n, s, fed)
+		}(n, s, to, waits)
 	}
 	wg.Wait()
 	var firstErr error
@@ -435,8 +465,6 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			}
 			res.Stats.Failures = append(res.Stats.Failures, f)
 		}
-		// A failed consumer of an inline node may hold its first stage's
-		// output.
 		if s.tbl != nil && s.err == nil {
 			res.Tables[name] = s.tbl
 			res.Stats.RowsProduced[name] = s.tbl.Len()
@@ -539,9 +567,10 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 		if err := ctx.Err(); err != nil {
 			return nil, i, err
 		}
-		out, n, err := p.tryColumnar(specs[i:], in, names)
+		out, n, err := p.columnar(specs[i:], in, names)
 		if n == 0 && err == nil {
-			out, n, err = p.runStage(specs[i], nil, PathRow, rowsIn(in), func() (*table.Table, int, error) {
+			n = 1
+			out, err = p.runStage(specs[i], PathRow, rowsIn(in), func() (*table.Table, int, error) {
 				out, err := specs[i].Exec(p.env, in, names)
 				return out, 0, err
 			})
@@ -556,35 +585,23 @@ func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table
 	return colstore.Compact(in[0]), len(specs), nil
 }
 
-// runStage runs one stage, or a stage and tail, the stage fused into it,
-// and returns how many it ran. It is the only place a stage meets the
-// engine's cross-cutting concerns: its span, its clock, panic isolation,
-// its StageTiming record and the run budget's row charge. body is the
-// path-specific work; for a fused pair it also returns the rows the
-// first stage alone produces: the tail's rows in. The pair's one kernel
-// call is timed on the first stage, and the tail's span is flagged fused.
-func (p *pipeline) runStage(spec, tail task.Spec, path string, nIn int, body func() (*table.Table, int, error)) (*table.Table, int, error) {
+// runStage runs one row stage. With record, it is where a stage meets
+// the engine's cross-cutting concerns: its span, its clock, panic
+// isolation, its StageTiming record and the run budget's row charge.
+// body is the stage's work.
+func (p *pipeline) runStage(spec task.Spec, path string, nIn int, body func() (*table.Table, int, error)) (*table.Table, error) {
 	tr := p.e.Tracer
 	sid := p.open(spec, path)
 	start := time.Now()
-	out, mid, err := execStage(task.Describe(spec), body)
+	out, _, err := execStage(task.Describe(spec), body)
 	if err != nil {
 		if tr != nil {
 			tr.SpanFlag(sid, "error")
 			tr.EndSpan(sid)
 		}
-		return nil, 0, err
+		return nil, err
 	}
-	if tail == nil {
-		mid = out.Len()
-	}
-	if err := p.record(spec, sid, path, nIn, mid, time.Since(start)); err != nil || tail == nil {
-		return out, 1, err
-	}
-	if sid = p.open(tail, path); tr != nil {
-		tr.SpanFlag(sid, "fused")
-	}
-	return out, 2, p.record(tail, sid, path, mid, out.Len(), 0)
+	return out, p.record(spec, sid, path, nIn, out.Len(), time.Since(start))
 }
 
 // open opens spec's stage span, flagged columnar when path is: 0 when

@@ -556,7 +556,7 @@ func TestNilTracerHooksAllocationFree(t *testing.T) {
 	body := func() (*table.Table, int, error) { return out, 0, nil }
 	noop := &task.FuncSpec{Name: "noop"}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, err := p.runStage(noop, nil, PathRow, 5, body); err != nil {
+		if _, err := p.runStage(noop, PathRow, 5, body); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

@@ -1,20 +1,25 @@
 // Columnar execution: the batch engine's vectorized path.
 //
-// A stage runs on its colstore kernel wherever task.Kernel admits it,
-// task.Bind binds it over its inputs and they convert (a boxed or time
-// column does not), and on the row kernels otherwise; the executor's
-// ColumnarOff mode keeps every stage on rows. The columnar path takes
-// the pipeline's current table as a column batch (its own storage when
-// it is column-backed, one conversion when it is not) and streams it
-// through consecutive vectorized stages without materializing rows (a
-// node's two-input first stage, the join, takes both inputs' batches).
-// The choice is made before the stage runs: a bound kernel never hands
-// its stage back. Both paths are semantically identical; the
-// differential harness in internal/engine/enginetest asserts it.
+// A group of stages runs on colstore.Fan, the engine's one stage runner,
+// wherever task.Kernel admits it, task.Bind binds it over its inputs and
+// they convert (a boxed or time column does not), and each stage runs on
+// the row kernels otherwise; the executor's ColumnarOff mode keeps every
+// stage on rows. A group is a node's steps (filters, maps, limits, a
+// join's probe) pushed a morsel at a time into one sink (materialize, a
+// group-by, a top-n or a sort), and an inline node's steps run the same
+// way into the first group of each consumer. The columnar path takes a
+// table as a column batch (its own storage when it is column-backed, one
+// conversion when it is not), so consecutive groups — and the nodes
+// downstream — exchange vectors, never rows. The choice is made before
+// the group runs: a bound run never hands its stages back. Both paths
+// are semantically identical; the differential harness in
+// internal/engine/enginetest asserts it.
 package batch
 
 import (
 	"context"
+	"slices"
+	"time"
 
 	"shareinsights/internal/dag"
 	"shareinsights/internal/table"
@@ -26,18 +31,12 @@ import (
 // differential harness's reference.
 const ColumnarOff = "off"
 
-// tryColumnar attempts one stage on the columnar path: a kernel over the
-// pipeline's current table, or the join over a node's two inputs, where
-// task.Kernel admits the stage and task.Bind binds it. out is nil when
-// the stage should run on rows instead (the mode is off, the stage has no
-// kernel over these inputs, or a table holds a column with no typed
-// vector); err is a real stage failure. A column-backed table hands its
-// batch over as is and the output wraps the kernel's batch, so
-// consecutive columnar stages — and the nodes downstream — exchange
-// vectors, never rows. The stage is specs[0]; when task.Kernel groups
-// specs[1] with it, the two run as one kernel call. n is the number of
-// stages run: 0 for none.
-func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []string) (out *table.Table, n int, err error) {
+// columnar runs the group task.Kernel answers at the head of specs over
+// in on a colstore.Fan, and returns its output and the number of stages
+// it ran: 0, and no output, when the group should run on rows instead
+// (the mode is off, it has no run over these inputs, or an input holds a
+// column with no typed vector). err is a real stage failure.
+func (p *pipeline) columnar(specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
 	var inputs [2]task.Input
 	if p.e.Columnar == ColumnarOff || len(in) > len(inputs) {
 		return nil, 0, nil
@@ -48,7 +47,7 @@ func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []str
 			inputs[i].Name = names[i]
 		}
 	}
-	n = task.Kernel(specs, inputs[:len(in)])
+	n := task.Kernel(specs, inputs[:len(in)])
 	if n == 0 {
 		return nil, 0, nil
 	}
@@ -67,82 +66,210 @@ func (p *pipeline) tryColumnar(specs []task.Spec, in []*table.Table, names []str
 			return nil, 0, nil
 		}
 	}
-	var tail task.Spec
-	if n > 1 {
-		tail = specs[1]
-	}
-	return p.runStage(specs[0], tail, PathColumnar, rowsIn(in), func() (*table.Table, int, error) {
-		var b *colstore.Batch
-		var err error
-		mid := bs[0].Len()
-		if k.Join != nil {
-			b, mid, err = k.Join.Run(bs[0], bs[1])
-		} else {
-			b, err = k.Vec.Run(bs[0])
+	var outs []*colstore.Batch
+	var st []colstore.FanStage
+	var out1 [1]*colstore.Batch
+	var st1 [1]colstore.FanStage
+	err := p.guard(specs[0], func() (err error) {
+		if len(k.Fan.Chain) > 0 {
+			outs, st, err = k.Fan.Must(bs[0], bs[1])
+			return err
 		}
-		if err != nil {
+		// A sink alone takes its input whole: its kernel's Run.
+		start := time.Now()
+		out1[0], err = k.Fan.Sinks[0].Run(bs[0])
+		st1[0] = colstore.FanStage{Rows: bs[0].Len(), Took: time.Since(start)}
+		outs, st = out1[:], st1[:]
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	build := 0
+	if bs[1] != nil {
+		build = bs[1].Len()
+	}
+	var buf [4]ranStage
+	for _, r := range ranStages(buf[:0], specs[:n], st, 0, len(k.Fan.Chain), len(k.Fan.Chain), outs[0].Len(), build, "", "fused") {
+		if err := r.on(p); err != nil {
 			return nil, 0, err
 		}
-		return b.ToTable(), mid, nil
-	})
+	}
+	return outs[0].ToTable(), n, nil
 }
 
-// fan runs an inline node's chain (dag.NodePlan.Inline) over its input a
-// morsel at a time into the first stage of each consumer in fed, binding
-// every stage through task.Bind, and returns those stages' outputs, in
-// fed's order, the rows the chain fed them and the stages run. firsts is
-// nil when the fan declines — the input does not convert, a stage does
-// not bind, or a map's morsel kind moves (colstore.Fan) — and the node
-// then runs as any other, before any consumer sees an output. Each stage
-// reports its rows, its time and one span flagged inline, opened when the
-// pass ends: the chain's, then each consumer's, under the node's span.
-func (p *pipeline) fan(ctx context.Context, specs []task.Spec, in *table.Table, fed []string, plan *dag.Plan) (firsts []*table.Table, rows, stages int, err error) {
+// guard runs a fan, recovering a panic into a *PanicError of first's
+// stage; on failure first's span is opened and flagged.
+func (p *pipeline) guard(first task.Spec, run func() error) error {
+	_, _, err := execStage(task.Describe(first), func() (*table.Table, int, error) { return nil, 0, run() })
+	if err != nil && p.e.Tracer != nil {
+		sid := p.open(first, PathColumnar)
+		p.e.Tracer.SpanFlag(sid, "error")
+		p.e.Tracer.EndSpan(sid)
+	}
+	return err
+}
+
+// fed is what an inline node's run handed one consumer: the output of
+// its first group, the group's length and its steps' count, and the
+// stages after the group's first, which the consumer reports under its
+// own span.
+type fed struct {
+	name        string
+	tbl         *table.Table
+	skip, steps int
+	pending     []ranStage
+}
+
+// inline runs specs, the chain of the pipeline's node, an inline node
+// (dag.NodePlan.Inline), over its input in a morsel at a time into the
+// first group of each consumer in to — a
+// sink, or a join it feeds as the probe side over the build table tables
+// holds — on one colstore.Fan, and fills each consumer's fed. It returns
+// the rows the chain kept and the stages it ran; ok is false when it
+// declines — the input does not convert, a group does not bind, or the
+// fan declines — and the node then runs as any other, before any consumer
+// sees an output. The node's stages and each consumer's first report
+// under the node's span, flagged inline, when the run ends.
+func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, specs []task.Spec, in *table.Table, to []fed, tables func(string) *table.Table) (rows, stages int, ok bool, err error) {
 	b, ok := colstore.FromTable(in)
 	if err = ctx.Err(); err != nil || !ok {
-		return nil, 0, 0, err
+		return 0, 0, false, err
 	}
-	f := colstore.Fan{Chain: make([]colstore.Kernel, len(specs)), Sinks: make([]colstore.Kernel, len(fed))}
-	one := []task.Input{{Schema: in.Schema()}}
-	for i := range specs {
-		k := task.Bind(p.env, specs[i:i+1], one)
-		if !k.OK {
-			return nil, 0, 0, nil
+	k := task.Bind(p.env, specs, []task.Input{{Schema: in.Schema()}})
+	if !k.OK || len(k.Fan.Chain) != len(specs) {
+		return 0, 0, false, nil
+	}
+	f := colstore.Fan{Chain: k.Fan.Chain[:len(specs):len(specs)], Sinks: make([]colstore.Kernel, 0, len(to))}
+	var build *colstore.Batch
+	all := 0
+	for _, c := range to {
+		all += len(g.Nodes[c.name].Inputs)
+	}
+	inputs := make([]task.Input, all)
+	for i, c := range to {
+		cn := g.Nodes[c.name]
+		ins := inputs[:len(cn.Inputs):len(cn.Inputs)]
+		inputs = inputs[len(ins):]
+		for j, name := range cn.Inputs {
+			if ins[j].Schema = k.Out; len(ins) == 2 {
+				ins[j].Name = name
+			}
+			if name != p.node {
+				t := tables(name)
+				if t == nil {
+					return 0, 0, false, nil
+				}
+				ins[j].Schema = t.Schema()
+				if build, ok = colstore.FromTable(t); !ok {
+					return 0, 0, false, nil
+				}
+			}
 		}
-		f.Chain[i], one[0].Schema = k.Vec, k.Out
-	}
-	for i, c := range fed {
-		if f.Sinks[i] = task.Bind(p.env, plan.Node(c).Specs[:1], one).Vec; f.Sinks[i] == nil {
-			return nil, 0, 0, nil
+		cspecs := plan.Node(c.name).Specs
+		n := task.Kernel(cspecs, ins)
+		if n == 0 {
+			return 0, 0, false, nil
 		}
+		ck := task.Bind(p.env, cspecs[:n], ins)
+		probeSide := len(ins) == 2 && (ins[0].Name == p.node) != ck.Swapped
+		if !ck.OK || (len(ins) == 2 || len(ck.Fan.Chain) > 0) && !probeSide {
+			return 0, 0, false, nil
+		}
+		f.Chain = append(f.Chain, ck.Fan.Chain...)
+		f.Sinks = append(f.Sinks, ck.Fan.Sinks[0])
+		to[i].skip, to[i].steps = n, len(ck.Fan.Chain)
 	}
-	outs, ok, err := f.Run(b)
+	var outs []*colstore.Batch
+	var st []colstore.FanStage
+	err = p.guard(specs[0], func() (err error) {
+		outs, st, ok, err = f.Run(b, build)
+		return err
+	})
 	if err != nil || !ok {
-		return nil, 0, 0, err
-	}
-	report := func(q *pipeline, sp task.Spec, st colstore.FanStage, out int) error {
-		sid := q.open(sp, PathColumnar)
-		if sid > 0 {
-			q.e.Tracer.SpanFlag(sid, "inline")
-		}
-		return q.record(sp, sid, PathColumnar, st.Rows, out, st.Took)
+		return 0, 0, false, err
 	}
 	nc := len(specs)
-	for i, sp := range specs {
-		if err := report(p, sp, f.Stages[i], f.Stages[i+1].Rows); err != nil {
-			return nil, 0, 0, err
+	var buf [4]ranStage
+	for _, r := range ranStages(buf[:0], specs, st, 0, nc, -1, 0, 0, "inline", "inline") {
+		if err := r.on(p); err != nil {
+			return 0, 0, true, err
 		}
 	}
-	firsts = make([]*table.Table, len(fed))
-	for i, c := range fed {
-		q, np := *p, plan.Node(c) // the stage is the consumer's
-		q.node, q.queueWait = c, 0
+	stages, nb := nc, 0
+	if build != nil {
+		nb = build.Len()
+	}
+	for i := range to {
+		c := &to[i]
+		q, np := *p, plan.Node(c.name) // the stage is the consumer's
+		q.node, q.queueWait = c.name, 0
 		if p.e.Plan != nil {
 			q.planTag = np.Summary()
 		}
-		firsts[i] = outs[i].ToTable()
-		if err := report(&q, np.Specs[0], f.Stages[nc+i], outs[i].Len()); err != nil {
-			return nil, 0, 0, err
+		ran := ranStages(buf[:0], np.Specs[:c.skip], st, nc, c.steps, len(f.Chain)+i, outs[i].Len(), nb, "inline", "fused")
+		if err := ran[0].on(&q); err != nil {
+			return 0, 0, true, err
+		}
+		c.tbl, c.pending, stages = colstore.Compact(outs[i].ToTable()), slices.Clone(ran[1:]), stages+c.skip
+	}
+	return st[nc].Rows, stages, true, nil
+}
+
+// ranStage is one stage a fan ran, to report: its rows in and out, its
+// time, and its span's flag ("fused" for a stage inside the group's
+// first, "inline" for one an inline node's run ran).
+type ranStage struct {
+	spec    task.Spec
+	in, out int
+	took    time.Duration
+	flag    string
+}
+
+// ranStages are the stages of specs, one group Kernel answered, that a
+// fan ran: its steps are fan stages from, from+1, … — the first steps of
+// them, the rows each hands the next being that next stage's rows in —
+// and the rest its sink, stage sink, whose output holds out rows (none
+// for an inline node's chain, sink -1). A join's rows in add its build
+// side's. A sort with the limit after it is one top-n: the sort hands on
+// every row. The group's first stage has flag first, the rest rest. They
+// are appended to ran.
+func ranStages(ran []ranStage, specs []task.Spec, st []colstore.FanStage, from, steps, sink, out, build int, first, rest string) []ranStage {
+	for t, sp := range specs {
+		ran = append(ran, ranStage{})
+		r := &ran[len(ran)-1]
+		r.spec, r.flag = sp, rest
+		if t == 0 {
+			r.flag = first
+		}
+		switch {
+		case t < steps:
+			s := st[from+t]
+			r.in, r.out, r.took = s.Rows, st[from+t+1].Rows, s.Took
+			if t == steps-1 && sink >= 0 && len(specs) == steps {
+				r.took += st[sink].Took // the materialize sink's
+			}
+		case t == steps:
+			r.in, r.out, r.took = st[sink].Rows, out, st[sink].Took
+			if t+1 < len(specs) {
+				r.out = r.in
+			}
+		default:
+			r.in, r.out = st[sink].Rows, out
+		}
+		if _, join := sp.(*task.JoinSpec); join {
+			r.in += build
 		}
 	}
-	return firsts, f.Stages[nc].Rows, nc + len(fed), nil
+	return ran
+}
+
+// on reports r on pipeline q: its span, its StageTiming and its budget
+// charge.
+func (r ranStage) on(q *pipeline) error {
+	sid := q.open(r.spec, PathColumnar)
+	if sid > 0 && r.flag != "" {
+		q.e.Tracer.SpanFlag(sid, r.flag)
+	}
+	return q.record(r.spec, sid, PathColumnar, r.in, r.out, r.took)
 }

@@ -85,6 +85,56 @@ T:
     filter_expression: l_amount > 10
 `
 
+// probeInline is a map-only node feeding a join as its probe side: it
+// runs inside the join, whose probe-side filter runs inside the same run.
+const probeInline = diffHeader + `
+F:
+  D.a: D.src | T.m
+  D.dim: D.src | T.first30
+  D.out: (D.a, D.dim) | T.j | T.keep
+
+T:
+  m:
+    type: map
+    operator: expr
+    expression: amount * 2
+    output: doubled
+  first30:
+    type: limit
+    limit: 30
+  j:
+    type: join
+    left: a by product
+    right: dim by product
+    join_condition: inner
+  keep:
+    type: filter_by
+    filter_expression: a_doubled > 10
+`
+
+// filterTopN is a filter whose kept rows run into a sort and a limit, a
+// top-n heap, and into a global topn: neither filter's output is built.
+const filterTopN = diffHeader + `
+F:
+  D.out: D.src | T.keep | T.order | T.first
+  +D.top: D.src | T.keep | T.top
+
+T:
+  keep:
+    type: filter_by
+    filter_expression: amount > 0
+  order:
+    type: sort
+    orderby_column: [ratio DESC]
+  first:
+    type: limit
+    limit: 25
+  top:
+    type: topn
+    orderby_column: [amount, region]
+    limit: 8
+`
+
 // inlineFan is an inline node, a filter then a map, feeding two
 // group-bys: it runs as a fan, and its consumers' group-bys with it.
 const inlineFan = diffHeader + `
@@ -136,7 +186,8 @@ func TestPlanPredictsExecutedPath(t *testing.T) {
 	}
 	flows := append(fixedFlows[:len(fixedFlows):len(fixedFlows)], struct{ name, flow string }{"filter_then_words", filterThenWords},
 		struct{ name, flow string }{"lopsided_join", lopsidedJoin}, struct{ name, flow string }{"join_map_filter", joinMapFilter},
-		struct{ name, flow string }{"inline_fan", inlineFan})
+		struct{ name, flow string }{"inline_fan", inlineFan}, struct{ name, flow string }{"probe_inline", probeInline},
+		struct{ name, flow string }{"filter_topn", filterTopN})
 	for _, tc := range flows {
 		t.Run(tc.name, func(t *testing.T) {
 			// The flow as a dashboard: its source decoded from CSV, its

@@ -128,8 +128,9 @@ T:
 }
 
 // TestBuildMetaProfilesInlineNodes: a data object that only group-bys
-// read runs inline and is never built, yet the meta-dashboard lists it
-// with the profile it has when it is built — here, by the row engine.
+// read runs inline and is never built, and so does one that only feeds a
+// join's probe side, yet the meta-dashboard lists each with the profile
+// it has when it is built — here, by the row engine.
 func TestBuildMetaProfilesInlineNodes(t *testing.T) {
 	src := `
 D:
@@ -143,6 +144,8 @@ F:
   D.kept: D.sales | T.keep | T.double
   +D.by_region: D.kept | T.g
   +D.totals: D.kept | T.all
+  D.scaled: D.sales | T.triple
+  +D.joined: (D.scaled, D.totals) | T.j
 
 T:
   keep:
@@ -163,6 +166,16 @@ T:
   all:
     type: groupby
     groupby: [region]
+  triple:
+    type: map
+    operator: expr
+    expression: amount * 3
+    output: thrice
+  j:
+    type: join
+    left: scaled by region
+    right: totals by region
+    join_condition: left outer
 `
 	metas := map[string]*dashboard.Dashboard{}
 	for _, mode := range []string{"", "off"} {
@@ -182,8 +195,10 @@ T:
 		if err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if _, built := d.Result().Tables["kept"]; built != (mode == "off") {
-			t.Fatalf("columnar=%q: D.kept built = %v", mode, built)
+		for _, inline := range []string{"kept", "scaled"} {
+			if _, built := d.Result().Tables[inline]; built != (mode == "off") {
+				t.Fatalf("columnar=%q: D.%s built = %v", mode, inline, built)
+			}
 		}
 		if metas[mode], err = BuildMeta(d); err != nil {
 			t.Fatal(err)
@@ -192,9 +207,11 @@ T:
 	if got, want := metas[""].EndpointNames(), metas["off"].EndpointNames(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("meta endpoints %v, want %v", got, want)
 	}
-	got, ok := metas[""].Endpoint("kept_profile")
-	want, _ := metas["off"].Endpoint("kept_profile")
-	if !ok || !got.Equal(want) {
-		t.Errorf("inline D.kept profiles as\n%v\nwant\n%s", got, want.Format(0))
+	for _, inline := range []string{"kept", "scaled"} {
+		got, ok := metas[""].Endpoint(inline + "_profile")
+		want, _ := metas["off"].Endpoint(inline + "_profile")
+		if !ok || !got.Equal(want) {
+			t.Errorf("inline D.%s profiles as\n%v\nwant\n%s", inline, got, want.Format(0))
+		}
 	}
 }

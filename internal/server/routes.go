@@ -108,13 +108,40 @@ func (s *Server) routes() []route {
 
 // Handler returns the HTTP handler: every row of the route table behind
 // the same chain — metrics under the row's pattern, the follower
-// contract, admission, then the row's need resolved for its handler.
+// contract, admission, then the row's need resolved for its handler —
+// and, for a request no row takes, the JSON error shape (unrouted).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, rt := range s.routes() {
-		mux.HandleFunc(rt.pattern, s.httpm.Instrument(rt.pattern, s.serve(rt)))
+	rs := s.routes()
+	for i := 0; i <= len(rs); i++ {
+		pattern, h := "/", func(w http.ResponseWriter, r *http.Request) { unrouted(mux, w, r) }
+		if i < len(rs) {
+			pattern, h = rs[i].pattern, s.httpm.Instrument(rs[i].pattern, s.serve(rs[i]))
+		}
+		mux.HandleFunc(pattern, h)
 	}
 	return mux
+}
+
+// unrouted answers a request no route takes — an unknown path, an empty
+// segment — with the JSON error shape: a 405 listing in Allow the
+// methods that route its path, as the mux's own 405 does, else a 404.
+func unrouted(routes *http.ServeMux, w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	for _, m := range []string{http.MethodDelete, http.MethodGet, http.MethodHead, http.MethodOptions,
+		http.MethodPatch, http.MethodPost, http.MethodPut} {
+		probe := *r
+		probe.Method = m
+		if _, pattern := routes.Handler(&probe); pattern != "/" {
+			allow = append(allow, m)
+		}
+	}
+	if allow == nil {
+		jsonError(w, http.StatusNotFound, fmt.Errorf("no route for %s", r.URL.Path))
+		return
+	}
+	w.Header().Set("Allow", strings.Join(allow, ", "))
+	jsonError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s does not take %s", r.URL.Path, r.Method))
 }
 
 func (s *Server) serve(rt route) http.HandlerFunc {

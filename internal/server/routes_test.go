@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -284,5 +286,33 @@ func TestFlowParsedOncePerTip(t *testing.T) {
 	}
 	if d, err := s.Run("tip"); err != nil || d.File != f1 || tipFile() != f1 {
 		t.Errorf("the run after a save parsed again instead of using the save's file (err %v)", err)
+	}
+}
+
+// TestUnroutedAnswersJSON: a request no route takes — an unknown path, an
+// empty last segment, a method the path does not route — answers the
+// JSON error shape, as every routed error does: a 404, or a 405 whose
+// Allow lists the methods the path takes.
+func TestUnroutedAnswersJSON(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		allow        string
+	}{
+		{"GET", "/nope", http.StatusNotFound, ""},
+		{"POST", "/dashboards/sales/select/", http.StatusNotFound, ""},
+		{"GET", "/dashboards/sales/ds/", http.StatusNotFound, ""},
+		{"DELETE", "/dashboards/sales", http.StatusMethodNotAllowed, "GET, HEAD, PUT"},
+		{"POST", "/health", http.StatusMethodNotAllowed, "GET, HEAD"},
+	} {
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		var shape struct{ Error string }
+		if rec.Code != tc.code || rec.Header().Get("Allow") != tc.allow ||
+			rec.Header().Get("Content-Type") != "application/json" || json.Unmarshal(rec.Body.Bytes(), &shape) != nil || shape.Error == "" {
+			t.Errorf("%s %s = %d, Allow %q, %q: want %d, Allow %q and the JSON error shape",
+				tc.method, tc.path, rec.Code, rec.Header().Get("Allow"), rec.Body, tc.code, tc.allow)
+		}
 	}
 }

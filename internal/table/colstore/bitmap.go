@@ -20,6 +20,9 @@ func (b *Bitmap) grow(n int) {
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
+// Clear clears bit i.
+func (b *Bitmap) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
+
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 

@@ -499,15 +499,6 @@ func Compact(t *table.Table) *table.Table {
 	return (&Batch{schema: b.schema, cols: cols, length: b.length}).ToTable()
 }
 
-// withColumn returns a batch sharing b's vectors with vec placed at
-// column slot (overwriting, or appending when slot == len(cols)).
-func (b *Batch) withColumn(out *schema.Schema, slot int, vec *Vec) *Batch {
-	cols := make([]*Vec, out.Len())
-	copy(cols, b.cols)
-	cols[slot] = vec
-	return &Batch{schema: out, cols: cols, length: b.length}
-}
-
 // compress turns a boxed value slice into the tightest vector: a typed
 // vector when all non-null elements share one vectorizable kind, else
 // an any-vector.

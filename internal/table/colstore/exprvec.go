@@ -10,11 +10,10 @@ import (
 	"shareinsights/internal/value"
 )
 
-// VecEval is a compiled expression: Eval evaluates it over a batch into
-// one vector of the batch's length or, given keep (a clear bitmap as
-// long), into the bits of the rows whose value is truthy, returning nil.
-// Like the row evaluator (expr.Eval) it cannot fail: binding errors
-// surface at compile.
+// VecEval is a compiled expression: a Fan steps it over a morsel at a
+// time, as a filter's predicate or a map's expression, and Eval runs it
+// over a whole batch. Like the row evaluator (expr.Eval) it cannot fail:
+// binding errors surface at compile.
 type VecEval struct {
 	ev     eval
 	owned  bool // ev returns a vector the evaluation allocated, not a leaf's
@@ -51,7 +50,7 @@ type leaf struct {
 
 // window is what a leaf reads in the current morsel: a literal as it is,
 // a selection's indices sel[lo:hi], a dense column's payload and
-// null-mask words from lo, all shared.
+// null-mask words from lo, all shared. A Fan's views are windows too.
 type window struct {
 	base *Vec
 	v    Vec
@@ -67,15 +66,9 @@ type temps struct {
 	leaves []window
 	free   []*Vec
 	buf    [4]*Vec
-	// The morsel is rows [lo, hi) of n. Over several morsels, the root
-	// operator asks with sink set and gets res, its rows of out.
-	lo, hi, n int
-	out       *Vec
-	res       Vec
-	sink      bool
-	keep      *Bitmap // the bits the root sets instead, when not nil
-	// room, when set, is the length every new vector is allocated at: a
-	// stepped evaluation's morsels differ in length (see over).
+	n      int // the morsel's rows
+	// room is the length every new vector is allocated at: a stepped
+	// evaluation's morsels differ in length (see over).
 	room int
 }
 
@@ -87,21 +80,12 @@ func (t *temps) release(x *Vec, owned bool) {
 }
 
 // vec returns a dense vector of kind k and length n for an operator's
-// result: the root's rows of the result, a released one of that kind —
+// result: a released one of that kind —
 // possibly one of the operator's own operands, which a loop may
 // overwrite element by element as it reads them — or a new one. A
 // reused vector's payload is stale and its null mask gone: the caller
 // writes every element, the zero value in one it marks null.
 func (t *temps) vec(k value.Kind, n int) *Vec {
-	if t.sink && t.keep == nil && n < t.n {
-		if t.out == nil {
-			t.out = newVec(k, t.n)
-		}
-		if t.out.kind == k {
-			t.res = part(t.out, t.lo, t.hi)
-			return &t.res
-		}
-	}
 	for i, v := range t.free {
 		if v.kind == k && v.room() >= n {
 			t.free = append(t.free[:i], t.free[i+1:]...)
@@ -165,16 +149,9 @@ func (w *window) slide(lo, hi int) *Vec {
 // scalar semantics (value.Compare, expr.Arith, Truthy). Every operator
 // node allocates its result; which operands did is known here, at
 // compile time, so a typed loop writes into such an operand, or into one
-// released earlier in the same evaluation, instead of a new vector.
-//
-// The operators run one morsel of morselRows rows at a time, so a
-// temporary is a morsel long, and the root writes each morsel into the
-// one full-length result. When it cannot (a scalar loop's compressed
-// values, a kind other than the first morsel's), the evaluation starts
-// over with the whole batch as one morsel, so the result is always the
-// whole batch's, cell for cell and kind for kind. Asked for bits, the
-// root's result is a temporary read into them; truthiness does not depend
-// on a morsel's kind, so that evaluation never starts over.
+// released earlier in the same evaluation, instead of a new vector. The
+// operators run one morsel of morselRows rows at a time, so a temporary
+// is a morsel long.
 func CompileVec(n expr.Node, s *schema.Schema) (*VecEval, error) {
 	return compileMorsels(n, s, morselRows)
 }
@@ -183,59 +160,28 @@ func CompileVec(n expr.Node, s *schema.Schema) (*VecEval, error) {
 func compileMorsels(n expr.Node, s *schema.Schema, size int) (*VecEval, error) {
 	e := &VecEval{leaves: make([]leaf, 0, 8), size: size}
 	var err error
-	if e.ev, e.owned, err = compile(n, s, &e.leaves, true); err != nil {
+	if e.ev, e.owned, err = compile(n, s, &e.leaves); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
 // Eval evaluates e over b: into keep's bits when keep is not nil,
-// returning nil, else into a vector of b's length.
+// returning nil, else into a vector of b's length. It is a one-step run
+// of a map into Materialize: the result is the whole batch's, cell for
+// cell and kind for kind, whatever the morsel size.
 func (e *VecEval) Eval(b *Batch, keep *Bitmap) *Vec {
-	if l := e.leaves[0]; !e.owned && keep == nil { // a column or a literal is its own result
-		if l.col < 0 {
-			return constVec(l.val, b.length)
-		}
-		return l.vec(b)
+	out, _ := step(&MapExpr{Eval: e, Slot: len(b.cols)}, b, nil, e.size)
+	r := out.cols[len(b.cols)]
+	if keep != nil {
+		setBits(keep, r)
+		return nil
 	}
-pass: // a second pass evaluates the whole batch as one morsel
-	for size := e.size; ; size = b.length {
-		t := &temps{n: b.length, keep: keep, leaves: make([]window, len(e.leaves))}
-		t.free = t.buf[:0]
-		for i, l := range e.leaves {
-			w := &t.leaves[i]
-			w.base = l.vec(b)
-			w.v = *w.base
-		}
-		for t.lo = 0; t.lo == 0 || t.lo < t.n; t.lo = t.hi {
-			t.hi = min(t.lo+size, t.n)
-			r := e.ev(t)
-			t.sink = false
-			switch {
-			case keep != nil:
-				setBits(keep, t.lo, r)
-				if t.hi == t.n {
-					return nil
-				}
-				t.release(r, e.owned)
-			case t.hi-t.lo == t.n:
-				return r
-			case r != &t.res:
-				continue pass
-			case r.nulls != nil:
-				if t.out.nulls == nil {
-					t.out.nulls = NewBitmap(t.n)
-				}
-				copy(t.out.nulls.words[t.lo/64:], r.nulls.words)
-			}
-		}
-		return t.out
-	}
+	return r
 }
 
-// setBits sets keep's bits from lo (a multiple of 64, as morsel sizes
-// are) for r's truthy rows, clearing the others.
-func setBits(keep *Bitmap, lo int, r *Vec) {
+// setBits sets keep's bits for r's truthy rows, clearing the others.
+func setBits(keep *Bitmap, r *Vec) {
 	bools := r.bools // a dense bool vector's payload, else nil
 	if r.kind != value.Bool || r.sel != nil || r.constant {
 		bools = nil
@@ -247,7 +193,7 @@ func setBits(keep *Bitmap, lo int, r *Vec) {
 				word |= 1 << j
 			}
 		}
-		keep.words[(lo+i)/64] = word
+		keep.words[i/64] = word
 	}
 }
 
@@ -268,7 +214,7 @@ func (e *VecEval) over(view *Batch, size int) *temps {
 // into a vector the caller hands back with t.release(r, e.owned) once it
 // has read it, so that the next step writes into it.
 func (e *VecEval) step(t *temps, n int, keep *Bitmap) *Vec {
-	t.lo, t.hi, t.n, t.keep = 0, n, n, keep
+	t.n = n
 	for i := range t.leaves {
 		t.leaves[i].v = *t.leaves[i].base
 	}
@@ -276,9 +222,8 @@ func (e *VecEval) step(t *temps, n int, keep *Bitmap) *Vec {
 		return t.leaves[0].slide(0, n)
 	}
 	r := e.ev(t)
-	t.sink = false
 	if keep != nil {
-		setBits(keep, 0, r)
+		setBits(keep, r)
 		t.release(r, e.owned)
 		return nil
 	}
@@ -298,11 +243,10 @@ func (l leaf) vec(b *Batch) *Vec {
 	return b.cols[l.col]
 }
 
-// compile compiles one node, appending its leaves to leaves; root marks
-// the expression's own node. owned reports that its evaluator returns a
-// vector the evaluation allocated (every operator's), not a window of a
-// batch column or a literal.
-func compile(n expr.Node, s *schema.Schema, leaves *[]leaf, root bool) (ev eval, owned bool, err error) {
+// compile compiles one node, appending its leaves to leaves. owned
+// reports that its evaluator returns a vector the evaluation allocated
+// (every operator's), not a window of a batch column or a literal.
+func compile(n expr.Node, s *schema.Schema, leaves *[]leaf) (ev eval, owned bool, err error) {
 	switch t := n.(type) {
 	case *expr.Lit:
 		return addLeaf(leaves, leaf{col: -1, val: t.Val, lit: constVec(t.Val, 0)}), false, nil
@@ -313,7 +257,7 @@ func compile(n expr.Node, s *schema.Schema, leaves *[]leaf, root bool) (ev eval,
 		}
 		return addLeaf(leaves, leaf{col: i}), false, nil
 	case *expr.Unary:
-		x, own, err := compile(t.X, s, leaves, false)
+		x, own, err := compile(t.X, s, leaves)
 		if err != nil {
 			return nil, false, err
 		}
@@ -329,13 +273,12 @@ func compile(n expr.Node, s *schema.Schema, leaves *[]leaf, root bool) (ev eval,
 		return func(t *temps) *Vec {
 			a := x(t)
 			t.release(a, own)
-			t.sink = root
 			return op(a, t)
 		}, true, nil
 	case *expr.Tuple:
 		return nil, false, fmt.Errorf("colstore: value list is only valid after 'in'")
 	case *expr.Binary:
-		ev, err := compileBinary(t, s, leaves, root)
+		ev, err := compileBinary(t, s, leaves)
 		return ev, true, err
 	}
 	return nil, false, fmt.Errorf("colstore: unsupported expression node %T", n)
@@ -345,11 +288,11 @@ func compile(n expr.Node, s *schema.Schema, leaves *[]leaf, root bool) (ev eval,
 func addLeaf(leaves *[]leaf, l leaf) eval {
 	i := len(*leaves)
 	*leaves = append(*leaves, l)
-	return func(t *temps) *Vec { return t.leaves[i].slide(t.lo, t.hi) }
+	return func(t *temps) *Vec { return t.leaves[i].slide(0, t.n) }
 }
 
-func compileBinary(n *expr.Binary, s *schema.Schema, leaves *[]leaf, root bool) (eval, error) {
-	l, lown, err := compile(n.L, s, leaves, false)
+func compileBinary(n *expr.Binary, s *schema.Schema, leaves *[]leaf) (eval, error) {
+	l, lown, err := compile(n.L, s, leaves)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +303,7 @@ func compileBinary(n *expr.Binary, s *schema.Schema, leaves *[]leaf, root bool) 
 		}
 		items := make([]eval, len(tup.Items))
 		for i, it := range tup.Items {
-			ev, _, err := compile(it, s, leaves, false)
+			ev, _, err := compile(it, s, leaves)
 			if err != nil {
 				return nil, err
 			}
@@ -372,11 +315,10 @@ func compileBinary(n *expr.Binary, s *schema.Schema, leaves *[]leaf, root bool) 
 			for i, ev := range items {
 				vals[i] = ev(t)
 			}
-			t.sink = root
 			return vecIn(a, vals, t)
 		}, nil
 	}
-	r, rown, err := compile(n.R, s, leaves, false)
+	r, rown, err := compile(n.R, s, leaves)
 	if err != nil {
 		return nil, err
 	}
@@ -385,7 +327,6 @@ func compileBinary(n *expr.Binary, s *schema.Schema, leaves *[]leaf, root bool) 
 			x, y := l(t), r(t)
 			t.release(x, lown)
 			t.release(y, rown)
-			t.sink = root
 			return op(x, y, t)
 		}
 	}

@@ -1,170 +1,615 @@
 package colstore
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"time"
 
+	"shareinsights/internal/schema"
+	"shareinsights/internal/table"
 	"shareinsights/internal/value"
 )
 
-// Fan runs a chain of Filter and MapExpr kernels over a batch a morsel at
-// a time and folds each morsel's surviving rows straight into every sink,
-// a GroupBy, so the chain's own output is never built: one pass over the
-// input feeds every sink, and nothing is stored in between. The morsel's
-// view, the filter's bitmap and kept positions, each map's output and
-// each expression's temporaries are allocated once per run and reused
-// for every morsel; a column with holes is made dense once.
+// Fan is the engine's one stage runner. A run pushes a source batch a
+// morsel at a time through a chain of row-local steps into one or more
+// sinks:
 //
-// Its sinks' outputs are what GroupBy.Run returns over the chain's
-// output, cell for cell and kind for kind: a fold copies key cells and
-// min/max values out of the morsel, groups open in row order and sums
-// fold in row order.
+//   - steps: a *Filter narrows the morsel to the rows its predicate
+//     keeps, a *MapExpr computes a column into it, a *Limit passes its
+//     first N rows, and a *Probe joins it: it probes the index its Join
+//     builds over the run's
+//     build batch, emitting at most a morsel of joined rows at a time (a
+//     key with many build rows splits across morsels);
+//   - sinks: Materialize builds the chain's output, a *GroupBy folds it,
+//     a *TopN keeps its first Limit rows in a heap, and a *Sort is a
+//     top-n that keeps every row.
+//
+// Only the sinks store anything. The morsel's views, bitmap, kept and
+// joined positions, each map's output and each expression's temporaries
+// are allocated once per run and reused for every morsel; a column with
+// holes is made dense once. A materialize sink allocates each output
+// vector once, at its exact length, from a counting pass that runs the
+// chain before the pass that writes: a column no step computed is a
+// selection over the source (or the build side), and only computed
+// columns are copied. A fold copies key cells and min/max values out of
+// the morsel, and a top-n copies the computed cells of each row it keeps,
+// so no morsel outlives its push. A sink's own Run takes a whole batch,
+// as the engine calls it for a group with no step.
+//
+// Every sink's output is its kernel's Run over the chain's output, cell
+// for cell and kind for kind: groups open in row order and sums fold in
+// row order, and a top-n is the stable sort's prefix, ties in input order.
 type Fan struct {
-	// Chain is the kernels in order, each a *Filter or a *MapExpr; Sinks
-	// are the *GroupBy kernels over its output.
+	// Chain is the steps in order; every sink takes what the last keeps.
+	// A *Probe that keeps its unmatched build rows is the only step, and
+	// only Materialize takes its output.
 	Chain, Sinks []Kernel
-	// Stages reports the run, the chain's stages then the sinks: the rows
-	// each was handed — so a chain stage's rows out are the next one's
-	// in — and its time.
-	Stages []FanStage
 }
 
-// FanStage is what one stage of a Fan did.
+// Probe is a Join as a fan's step: the chain's rows are its left input,
+// and the run's build batch its right.
+type Probe Join
+
+// Run implements Kernel: a probe runs in a Fan, which hands it its build
+// side.
+func (k *Probe) Run(*Batch) (*Batch, error) {
+	return nil, fmt.Errorf("colstore: a probe runs in a fan")
+}
+
+// Materialize is the sink that builds a fan's output as a batch.
+var Materialize Kernel = materialize{}
+
+type materialize struct{}
+
+// Run implements Kernel: the batch itself.
+func (materialize) Run(b *Batch) (*Batch, error) { return b, nil }
+
+// FanStage is what one stage of a run did: the rows it was handed — so a
+// step's rows out are the next stage's in — and its time.
 type FanStage struct {
 	Rows int
 	Took time.Duration
 }
 
-// Run runs the fan over in and returns each sink's output. ok is false,
-// and nothing is returned, when the fan declines: a kernel is of another
-// kind, or a map's morsel result is boxed or of a kind other than its
-// first morsel's — the cases where a map's whole-batch evaluation starts
-// over as one morsel. The caller then runs the chain as kernels.
-func (f *Fan) Run(in *Batch) (outs []*Batch, ok bool, err error) { return f.run(in, morselRows) }
+// wholeBatch is a morsel size no batch reaches: the source in one morsel.
+const wholeBatch = math.MaxInt
 
-// run is Run over morsels of size input rows.
-func (f *Fan) run(in *Batch, size int) ([]*Batch, bool, error) {
-	n, nc := in.length, len(f.Chain)
-	size = max(min(n, size), 1)
-	// The view's columns: the input's, then those the maps add.
-	width := len(in.cols)
-	for _, k := range f.Chain {
+// Run runs the fan over in — the probe side when the chain has a *Probe,
+// whose build side is build — and returns each sink's output and what
+// each stage did: the steps', then the sinks'. ok is false, and nothing
+// is returned, when the run declines: a map's morsel result is boxed or
+// of another kind than its first morsel's, or a top-n's keys hold NaN or
+// boxed cells, which a heap cannot order as the stable sort does.
+func (f *Fan) Run(in, build *Batch) (outs []*Batch, stages []FanStage, ok bool, err error) {
+	return f.run(in, build, morselRows)
+}
+
+// Must is Run that starts over where the run declines, with the source as
+// one morsel: no kind can move then, and a top-n materializes and sorts.
+func (f *Fan) Must(in, build *Batch) ([]*Batch, []FanStage, error) {
+	return f.must(in, build, morselRows)
+}
+
+// must is Must by size rows at a time.
+func (f *Fan) must(in, build *Batch, size int) ([]*Batch, []FanStage, error) {
+	outs, stages, ok, err := f.run(in, build, size)
+	if !ok && err == nil {
+		outs, stages, _, err = f.run(in, build, wholeBatch)
+	}
+	return outs, stages, err
+}
+
+// step is a one-step run of k into Materialize by size rows at a time:
+// a step kernel's Run.
+func step(k Kernel, in, build *Batch, size int) (*Batch, error) {
+	o := &struct {
+		f            Fan
+		chain, sinks [1]Kernel
+	}{chain: [1]Kernel{k}, sinks: [1]Kernel{Materialize}}
+	o.f.Chain, o.f.Sinks = o.chain[:], o.sinks[:]
+	outs, _, err := o.f.must(in, build, size)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// run is Run by size rows at a time.
+func (f *Fan) run(in, build *Batch, size int) ([]*Batch, []FanStage, bool, error) {
+	r := &fanRun{f: f, in: in, build: build, size: max(min(in.length, size), 1), whole: size == wholeBatch}
+	stages, outs := grown(r.stageBuf[:], len(f.Chain)+len(f.Sinks)), grown(r.outBuf[:], len(f.Sinks))
+	r.stages = stages
+	ok, err := r.setup()
+	if !ok || err != nil {
+		return nil, nil, ok, err
+	}
+	n, passes := in.length, 1
+	if len(r.collects) > 0 && r.counted {
+		passes = 2
+	}
+	for pass := range passes {
+		r.count, r.stop = pass < passes-1, false
+		r.top.counting = r.count
+		if r.p != nil {
+			r.p.out.counting = r.count
+		}
+		for i := range r.steps {
+			if l, isLimit := f.Chain[i].(*Limit); isLimit {
+				r.steps[i].left = l.N
+			}
+		}
+		if r.p != nil {
+			r.p.emitted = false
+		}
+		for lo := 0; (lo == 0 || lo < n) && !r.stop; lo += r.size {
+			r.top.window(in, lo, min(lo+r.size, n))
+			if !r.push(0, r.top) {
+				return nil, nil, false, nil
+			}
+		}
+		if r.p != nil && r.p.j.KeepRight {
+			r.p.tail(r)
+		}
+		for _, c := range r.collects {
+			if r.count {
+				c.size(r)
+			}
+		}
+	}
+	for j := range r.sinks {
+		start := time.Now()
+		var err error
+		if outs[j], err = r.sinks[j].finish(r); err != nil {
+			return nil, nil, true, err
+		}
+		stages[len(f.Chain)+j].Took += time.Since(start)
+	}
+	return outs, stages, true, nil
+}
+
+// fanRun is one run of a Fan: its views, its steps' and sinks' state.
+type fanRun struct {
+	f         *Fan
+	in, build *Batch
+	size      int
+	whole     bool // the source is one morsel, and no run declines
+	steps     []fanStep
+	sinks     []fanSink
+	stages    []FanStage
+	top, last *morsel
+	schema    *schema.Schema // the chain's output schema
+	collect   *collect       // the materialize sink, if any
+	collects  []*collect     // it and each top-n's that materializes and sorts
+	p         *probe         // the chain's probe, if any
+	counted   bool           // a step changes the row count: collect counts first
+	count     bool           // this pass counts
+	stop      bool           // a limit ran out
+	// Room for the common run: a few steps and sinks, without a probe.
+	stepBuf    [3]fanStep
+	sinkBuf    [2]fanSink
+	stageBuf   [5]FanStage
+	outBuf     [2]*Batch
+	view       morsel
+	c          collect
+	folds      []foldSink
+	collectBuf [2]*collect
+}
+
+// fanStep is one step's state over a run.
+type fanStep struct {
+	m    *morsel // the view it reads and narrows
+	t    *temps
+	pos  []int32
+	kind value.Kind
+	seen bool
+	left int // a limit's rows still to pass
+	// counts marks a step the counting pass runs.
+	counts bool
+	p      *probe
+}
+
+// fanSink is one sink's state over a run: push takes the rows of a view
+// the chain kept (false: the run declines), finish returns the output.
+type fanSink interface {
+	push(r *fanRun, m *morsel) bool
+	finish(r *fanRun) (*Batch, error)
+}
+
+// setup lays the run out: the views the chain reads (the source's, and
+// the joined rows' after a probe), which of their columns anything reads,
+// and each step's and sink's state. ok is false when a top-n's key column
+// holds NaN or boxed cells.
+func (r *fanRun) setup() (bool, error) {
+	f, in, build := r.f, r.in, r.build
+	r.steps, r.sinks, r.collects = r.stepBuf[:], r.sinkBuf[:], r.collectBuf[:0]
+	r.steps, r.sinks = grown(r.steps, len(f.Chain)), grown(r.sinks, len(f.Sinks))
+	// Walk the chain: each view's width, then its columns' origins.
+	width, pw, direct := len(in.cols), 0, false
+	for i, k := range f.Chain {
 		switch k := k.(type) {
 		case *MapExpr:
-			width = max(width, k.Out.Len())
-		case *Filter:
-		default:
-			return nil, false, nil
+			w := k.Slot + 1
+			if k.Out != nil {
+				w = max(w, k.Out.Len())
+			}
+			if pw == 0 {
+				width = max(width, w)
+			} else {
+				pw = max(pw, w)
+			}
+		case *Probe:
+			pw = len(k.Cols)
+			direct = i == len(f.Chain)-1 && len(f.Sinks) == 1 && f.Sinks[0] == Materialize
 		}
 	}
-	folds := make([]fold, len(f.Sinks))
-	for i, k := range f.Sinks {
-		g, isGroupBy := k.(*GroupBy)
-		if !isGroupBy {
-			return nil, false, nil
-		}
-		folds[i] = g.start(size)
+	m := r.view.init(width, r.size, true)
+	for c := range in.cols {
+		m.cols[c].origin = c
 	}
-	m := morsel{cols: make([]fanCol, width), keep: Bitmap{words: make([]uint64, (size+63)/64)}}
-	m.view.cols = make([]*Vec, width)
-	for c := range m.cols {
-		m.view.cols[c] = &m.cols[c].v
-	}
-	for c, v := range in.cols {
-		if v.holes() {
-			v = v.dense()
-		}
-		m.cols[c].base = v
-	}
-	steps := make([]fanStep, nc)
+	r.top, r.schema = m, in.schema
 	for i, k := range f.Chain {
-		if filter, ok := k.(*Filter); ok {
-			steps[i] = fanStep{t: filter.Pred.over(&m.view, size), pos: make([]int32, 0, size)}
-		} else {
-			steps[i].t = k.(*MapExpr).Eval.over(&m.view, size)
+		r.steps[i].m = m
+		switch k := k.(type) {
+		case *Filter:
+			r.counted = true
+			if m.keep.words == nil {
+				m.keep.words = make([]uint64, (r.size+63)/64)
+			}
+		case *Limit:
+			r.counted = true
+		case *MapExpr:
+			if k.Out != nil {
+				r.schema = k.Out
+			}
+			m.cols[k.Slot].origin = computed
+		case *Probe:
+			j := (*Join)(k)
+			if build == nil || i > 0 && j.KeepRight || r.p != nil {
+				return true, fmt.Errorf("colstore: a fan's join probes first or after its steps, once, given a build side")
+			}
+			r.counted = true
+			for _, jc := range j.Cols {
+				// The probe writes positions alone: a computed column takes
+				// the joined rows' view.
+				direct = direct && (jc.Right || m.cols[jc.Col].origin != computed)
+			}
+			out := new(morsel).init(pw, r.size, !direct)
+			out.track = true
+			for c, jc := range j.Cols {
+				out.cols[c].origin = -jc.Col - 2
+				if !jc.Right {
+					out.cols[c].origin = m.cols[jc.Col].origin
+				}
+			}
+			r.p = &probe{j: j, up: m, out: out, direct: direct}
+			if l := slices.IndexFunc(f.Chain[i:], func(k Kernel) bool { _, ok := k.(*Limit); return ok }); l > 0 {
+				r.p.limit = i + l
+			}
+			r.steps[i].p = r.p
+			m, r.schema = out, j.Out
+		default:
+			return true, fmt.Errorf("colstore: %T is no step", k)
 		}
 	}
-	f.Stages = make([]FanStage, nc+len(folds))
-	for lo := 0; lo == 0 || lo < n; lo += size {
-		hi := min(lo+size, n)
-		for c := range in.cols {
+	r.last = m
+	// What each view's columns feed: the sinks first, then each step back.
+	for j, k := range f.Sinks {
+		switch k := k.(type) {
+		case materialize:
+			if r.collect != nil {
+				return true, fmt.Errorf("colstore: a fan materializes once")
+			}
+			r.collect, r.collects = &r.c, append(r.collects, &r.c)
+			r.sinks[j] = r.collect
+			m.readComputed()
+		case *GroupBy:
+			for _, c := range k.Keys {
+				m.cols[c].live = true
+			}
+			for _, a := range k.Aggs {
+				if a.Col >= 0 {
+					m.cols[a.Col].live = true
+				}
+			}
+			if r.folds == nil {
+				r.folds = make([]foldSink, len(f.Sinks))
+			}
+			r.folds[j].fold = k.start(r.size)
+			r.sinks[j] = &r.folds[j]
+		case *TopN, *Sort:
+			keys, limit := sortOf(k)
+			h, ok, err := r.newHeap(keys, limit)
+			if !ok || err != nil {
+				return ok, err
+			}
+			r.sinks[j] = h
+		default:
+			return true, fmt.Errorf("colstore: %T is no sink", k)
+		}
+	}
+	r.top.track = len(r.collects) > 0 || r.p != nil || slices.ContainsFunc(r.sinks, func(s fanSink) bool { _, h := s.(*heap); return h })
+	if p := r.p; p != nil && p.j.KeepRight && (len(f.Chain) > 1 || r.collect == nil || len(f.Sinks) > 1) {
+		return true, fmt.Errorf("colstore: a join that keeps its unmatched build rows runs alone into Materialize")
+	}
+	// The counting pass runs the filters, limits and probes, and the maps
+	// whose columns they read: it reads and narrows only those columns.
+	for i := len(f.Chain) - 1; i >= 0; i-- {
+		st := &r.steps[i]
+		st.counts = true
+		switch k := f.Chain[i].(type) {
+		case *Filter:
+			st.m.read(k.Pred, true)
+		case *MapExpr:
+			st.counts = st.m.cols[k.Slot].count
+			st.m.read(k.Eval, st.counts)
+		case *Probe:
+			for c, jc := range k.Cols {
+				if !jc.Right {
+					up := &st.m.cols[jc.Col]
+					up.live, up.count = up.live || st.p.out.cols[c].live, up.count || st.p.out.cols[c].count
+				}
+			}
+			for _, c := range k.LeftKeys {
+				st.m.cols[c].live, st.m.cols[c].count = true, true
+			}
+		}
+	}
+	for c := range in.cols {
+		if v := in.cols[c]; r.top.cols[c].live {
+			if v.holes() {
+				v = v.dense()
+			}
+			r.top.cols[c].base = v
+		}
+	}
+	for i, k := range f.Chain {
+		st := &r.steps[i]
+		switch k := k.(type) {
+		case *Filter:
+			st.t, st.pos = k.Pred.over(&st.m.view, r.size), make([]int32, 0, r.size)
+		case *MapExpr:
+			st.t = k.Eval.over(&st.m.view, r.size)
+		case *Limit:
+			st.pos = identity(max(min(k.N, r.size), 0))
+		case *Probe:
+			st.p.build(r)
+		}
+	}
+	return true, nil
+}
+
+// grown is s at length n: in place when it has the room.
+func grown[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// sortOf is a top-n sink's keys and row budget: a sort keeps every row.
+func sortOf(k Kernel) ([]table.SortKey, int) {
+	if s, ok := k.(*Sort); ok {
+		return s.Keys, math.MaxInt
+	}
+	t := k.(*TopN)
+	return t.Keys, t.Limit
+}
+
+// push runs steps i on over the rows of view m and pushes what they keep
+// into the sinks. It is false when the run declines.
+func (r *fanRun) push(i int, m *morsel) bool {
+	for ; i < len(r.steps); i++ {
+		start, st := time.Now(), &r.steps[i]
+		if r.count && !st.counts {
+			continue
+		}
+		if !r.count {
+			r.stages[i].Rows += m.view.length
+		}
+		switch k := r.f.Chain[i].(type) {
+		case *Filter:
+			k.Pred.step(st.t, m.view.length, &m.keep)
+			if idx := kept(st.pos, &m.keep, m.view.length); idx != nil {
+				m.keepRows(idx)
+			}
+		case *MapExpr:
+			res := k.Eval.step(st.t, m.view.length, nil)
+			if !r.whole && (res.kind == anyKind || st.seen && res.kind != st.kind) {
+				return false
+			}
+			st.kind, st.seen = res.kind, true
+			m.cols[k.Slot].v, m.width = *res.densify(), max(m.width, k.Slot+1)
+			st.t.release(res, k.Eval.owned)
+		case *Limit:
+			if m.view.length >= st.left {
+				if len(st.pos) < st.left {
+					st.pos = identity(st.left) // a whole run's joined rows
+				}
+				m.keepRows(st.pos[:max(st.left, 0)])
+				r.stop = true
+			}
+			st.left -= m.view.length
+		case *Probe:
+			return st.p.probe(r, i, m, start)
+		}
+		r.stages[i].Took += time.Since(start)
+	}
+	return r.sink(m)
+}
+
+// sink pushes the rows of view m into the sinks, or counts them while
+// the run counts.
+func (r *fanRun) sink(m *morsel) bool {
+	if r.count {
+		for _, c := range r.collects {
+			c.total += m.view.length
+		}
+		return true
+	}
+	for j, s := range r.sinks {
+		start, st := time.Now(), &r.stages[len(r.steps)+j]
+		st.Rows += m.view.length
+		if !s.push(r, m) {
+			return false
+		}
+		st.Took += time.Since(start)
+	}
+	return true
+}
+
+// computed is the origin of a column a step computed.
+const computed = -1
+
+// morsel is a run's view of the rows of one morsel that its chain has
+// kept so far — the source's, or the joined rows a probe emitted — and
+// where they came from. Its columns are windows of the source's (of the
+// probe's input, and of the build side), narrowed by each filter, and the
+// maps' outputs. A column that is already a selection when a filter
+// narrows it composes into its own buffer (done pairs each selection
+// composed with its result, so columns that shared one go on sharing
+// one). Only live columns — those a later step or a sink reads — are
+// windowed and narrowed.
+type morsel struct {
+	view  Batch
+	cols  []fanCol
+	width int // the columns set so far in this morsel
+	keep  Bitmap
+	done  [][2][]int32
+	dbuf  [2][2][]int32
+	// rows are the view's rows' positions in up's view, or in the source
+	// from lo; nil reads as the identity. bld are the build rows of a
+	// probe's view.
+	rows, bld []int32
+	rowBuf    []int32
+	track     bool // rows are kept: a sink or a probe reads them
+	counting  bool // this pass counts: only the columns it reads are narrowed
+	viewBuf   [8]*Vec
+	up        *morsel
+	lo, size  int
+}
+
+// fanCol is one column of a morsel's view, v: its window of the input
+// column, or a map's output; sel is its buffer. live marks a column a
+// later step or a sink reads; origin is a source column's index,
+// computed, or a build column c as -c-2.
+type fanCol struct {
+	window
+	sel    []int32
+	live   bool
+	count  bool // the counting pass reads it
+	origin int
+}
+
+// init sets m up as a view of width columns, of at most size rows; with
+// views unset, only its columns' origins are kept.
+func (m *morsel) init(width, size int, views bool) *morsel {
+	m.size, m.cols, m.done = size, make([]fanCol, width), m.dbuf[:0]
+	for c := range m.cols {
+		m.cols[c].origin = computed
+	}
+	if views {
+		m.view.cols = grown(m.viewBuf[:], width)
+		for c := range m.cols {
+			m.view.cols[c] = &m.cols[c].v
+		}
+	}
+	return m
+}
+
+// read marks the columns e reads live, and read by the counting pass
+// when count is set.
+func (m *morsel) read(e *VecEval, count bool) {
+	for _, l := range e.leaves {
+		if l.col >= 0 {
+			m.cols[l.col].live = true
+			m.cols[l.col].count = m.cols[l.col].count || count
+		}
+	}
+}
+
+// readComputed marks the computed columns live: a sink copies them.
+func (m *morsel) readComputed() {
+	for c := range m.cols {
+		if m.cols[c].origin == computed {
+			m.cols[c].live = true
+		}
+	}
+}
+
+// window points the view at source rows [lo, hi).
+func (m *morsel) window(in *Batch, lo, hi int) {
+	for c := range in.cols {
+		if m.cols[c].live {
 			w := &m.cols[c].window
 			w.v = *w.base
 			w.slide(lo, hi)
 		}
-		m.view.length, width = hi-lo, len(in.cols)
-		for i, k := range f.Chain {
-			start, st := time.Now(), &steps[i]
-			f.Stages[i].Rows += m.view.length
-			switch k := k.(type) {
-			case *Filter:
-				k.Pred.step(st.t, m.view.length, &m.keep)
-				if idx := kept(st.pos, &m.keep, m.view.length); idx != nil {
-					m.keepRows(idx, width)
-				}
-			case *MapExpr:
-				r := k.Eval.step(st.t, m.view.length, nil)
-				if r.kind == anyKind || lo > 0 && r.kind != st.kind {
-					return nil, false, nil
-				}
-				st.kind, m.cols[k.Slot].v, width = r.kind, *r.densify(), k.Out.Len()
-				st.t.release(r, k.Eval.owned)
-			}
-			f.Stages[i].Took += time.Since(start)
+	}
+	m.view.length, m.width, m.rows, m.lo = hi-lo, len(in.cols), nil, lo
+}
+
+// rowsInto writes the source rows of the view's rows into dst, as long.
+func (m *morsel) rowsInto(dst []int32) {
+	for k := range dst {
+		r := int32(k)
+		if m.rows != nil {
+			r = m.rows[k]
 		}
-		for j := range folds {
-			start := time.Now()
-			folds[j].push(&m.view)
-			f.Stages[nc+j].Rows += m.view.length
-			f.Stages[nc+j].Took += time.Since(start)
+		switch {
+		case m.up == nil:
+			dst[k] = int32(m.lo) + r
+		case r < 0:
+			dst[k] = -1
+		default:
+			dst[k] = m.up.row(int(r))
 		}
 	}
-	outs := make([]*Batch, len(folds))
-	for j := range folds {
-		start := time.Now()
-		var err error
-		if outs[j], err = folds[j].finish(); err != nil {
-			return nil, true, err
-		}
-		f.Stages[nc+j].Took += time.Since(start)
+}
+
+// reads reports whether this pass reads column c.
+func (m *morsel) reads(c int) bool {
+	return m.cols[c].live && (!m.counting || m.cols[c].count)
+}
+
+// row is the source row of the view's row k, -1 for none.
+func (m *morsel) row(k int) int32 {
+	r := int32(k)
+	if m.rows != nil {
+		r = m.rows[k]
 	}
-	return outs, true, nil
+	if m.up == nil {
+		return int32(m.lo) + r
+	}
+	if r < 0 {
+		return -1
+	}
+	return m.up.row(int(r))
 }
 
-// fanStep is one chain stage's state over a run: its expression's, the
-// kept positions of a filter, the result kind of a map's first morsel.
-type fanStep struct {
-	t    *temps
-	pos  []int32
-	kind value.Kind
-}
-
-// morsel is a Fan's view of the rows of one morsel that its chain has
-// kept so far: its columns are windows of the input's narrowed by each
-// filter, and each map's output. A column that is already a selection
-// when a filter narrows it composes into its own buffer (done pairs each
-// selection composed with its result, so columns that shared one go on
-// sharing one).
-type morsel struct {
-	view Batch
-	cols []fanCol
-	keep Bitmap
-	done [][2][]int32
-}
-
-// fanCol is one column of a morsel's view, v: its window of the input
-// column, or a map's output; sel is its buffer.
-type fanCol struct {
-	window
-	sel []int32
-}
-
-// keepRows narrows the view's first w columns to its rows at idx.
-func (m *morsel) keepRows(idx []int32, w int) {
+// keepRows narrows the view to its rows at idx, ascending.
+func (m *morsel) keepRows(idx []int32) {
 	m.done = m.done[:0]
 	m.view.length = len(idx)
+	switch {
+	case !m.track:
+	case m.rows == nil:
+		if m.rowBuf == nil {
+			m.rowBuf = make([]int32, 0, m.size)
+		}
+		m.rows = append(m.rowBuf[:0], idx...)
+	default:
+		m.narrow(&m.rows, idx)
+	}
+	if m.bld != nil {
+		m.narrow(&m.bld, idx)
+	}
 next:
-	for c := range w {
+	for c := range m.width {
 		v := &m.cols[c].v
+		if !m.reads(c) {
+			continue
+		}
 		v.length = len(idx)
 		switch {
 		case v.kind == value.Null:
@@ -191,4 +636,591 @@ next:
 		m.done = append(m.done, [2][]int32{v.sel, dst})
 		v.sel = dst
 	}
+}
+
+// narrow narrows positions *p to idx in place, and has the columns that
+// select through them follow.
+func (m *morsel) narrow(p *[]int32, idx []int32) {
+	old := *p
+	for i, k := range idx {
+		old[i] = old[k]
+	}
+	*p = old[:len(idx)]
+	m.done = append(m.done, [2][]int32{old, *p})
+}
+
+// probe is a *Join step's state over a run: the index over the build
+// side, and the joined rows it emits — into the materialize sink directly
+// when nothing follows it, else a morsel at a time into out.
+type probe struct {
+	j                 *Join
+	up, out           *morsel
+	x                 *keyIndex
+	head, next, count []int32
+	rids              []int32
+	probed            []bool
+	ids, lp, rp       []int32
+	direct, emitted   bool
+	limit             int   // the first limit step after the probe, or 0
+	pad               int32 // the null row of the build columns out reads, when the probe keeps unmatched rows
+}
+
+// build indexes the build side and lays out the joined rows' view.
+func (p *probe) build(r *fanRun) {
+	k, right := p.j, r.build
+	var lbuf, rbuf [1]*Vec
+	left, rkeys := lbuf[:0], rbuf[:0]
+	for _, c := range k.RightKeys {
+		rkeys = append(rkeys, right.cols[c])
+	}
+	for _, c := range k.LeftKeys {
+		v := allNull // a computed key: the encoded path
+		if o := p.up.cols[c].origin; o >= 0 {
+			v = r.in.cols[o]
+		}
+		left = append(left, v)
+	}
+	p.x = newKeyIndex(left, rkeys)
+	ints := make([]int32, 2*right.length)
+	p.rids = p.x.assign(right, k.RightKeys, 0, ints[:right.length], true)
+	// Chain the right rows of each key in row order: head[id] is the
+	// first, next[row] the following one, -1 ends the chain. Linking in
+	// reverse keeps every chain ascending.
+	nk := p.x.size()
+	p.next, ints = ints[right.length:], make([]int32, 2*nk)
+	p.head, p.count = ints[:nk], ints[nk:]
+	for id := range p.head {
+		p.head[id] = -1
+	}
+	for row := right.length - 1; row >= 0; row-- {
+		id := p.rids[row]
+		p.next[row], p.head[id] = p.head[id], int32(row)
+		p.count[id]++
+	}
+	if k.KeepRight {
+		p.probed = make([]bool, nk)
+	}
+	if p.direct {
+		p.ids = make([]int32, r.size)
+		return
+	}
+	// The joined rows' view reads each build column whole: dense, and with
+	// a null row at pad for a probe row no build row joins.
+	size := r.size
+	if r.whole {
+		size = 0
+	}
+	ints = make([]int32, r.size+2*size)
+	p.ids, p.lp, p.rp, p.pad = ints[:r.size], ints[r.size:r.size+size], ints[r.size+size:], -1
+	for c, jc := range k.Cols {
+		if !jc.Right || !p.out.cols[c].live {
+			continue
+		}
+		v := right.cols[jc.Col]
+		if k.KeepLeft {
+			idx := identity(right.length + 1)
+			idx[right.length], p.pad = -1, int32(right.length)
+			v = gather(v, idx)
+		} else if v.holes() {
+			v = v.dense()
+		}
+		p.out.cols[c].base = v
+	}
+}
+
+// probe joins the rows of view m, step i of the run, started at start.
+func (p *probe) probe(r *fanRun, i int, m *morsel, start time.Time) bool {
+	k := p.j
+	ids := p.x.assign(&m.view, k.LeftKeys, 0, p.ids, false)
+	if p.direct {
+		c, out := r.collect, 0
+		for j, id := range ids {
+			if id >= 0 && p.probed != nil {
+				p.probed[id] = true
+			}
+			switch {
+			case r.count && id >= 0:
+				c.total += int(p.count[id])
+			case r.count:
+				c.total += b2i(k.KeepLeft)
+			case id >= 0:
+				row := m.row(j)
+				for b := p.head[id]; b >= 0; b = p.next[b] {
+					c.rows[c.n], c.bld[c.n] = row, b
+					c.n, out = c.n+1, out+1
+				}
+			case k.KeepLeft:
+				c.rows[c.n], c.bld[c.n] = m.row(j), -1
+				c.n, out = c.n+1, out+1
+			}
+		}
+		r.stages[i].Took += time.Since(start)
+		r.stages[i+1].Rows += out
+		return true
+	}
+	if r.whole && len(p.lp) == 0 {
+		n := 0
+		for _, id := range ids {
+			if id >= 0 {
+				n += int(p.count[id])
+			} else {
+				n += b2i(k.KeepLeft)
+			}
+		}
+		n = max(n, 1)
+		p.lp, p.rp = make([]int32, n), make([]int32, n)
+		p.out.size, p.out.keep.words = n, make([]uint64, (n+63)/64)
+	}
+	n := 0
+	full := func() bool { return p.limit > 0 && r.steps[p.limit].left <= 0 }
+	flush := func() bool {
+		r.stages[i].Took += time.Since(start)
+		ok := p.flush(r, i, m, n)
+		start, n = time.Now(), 0
+		return ok
+	}
+	for j, id := range ids {
+		if full() {
+			break
+		}
+		if id < 0 {
+			if k.KeepLeft {
+				p.lp[n], p.rp[n], n = int32(j), p.pad, n+1
+				if n == len(p.lp) && !flush() {
+					return false
+				}
+			}
+			continue
+		}
+		for b := p.head[id]; b >= 0 && !full(); b = p.next[b] {
+			p.lp[n], p.rp[n], n = int32(j), b, n+1
+			if n == len(p.lp) && !flush() {
+				return false
+			}
+		}
+	}
+	if (n > 0 || !p.emitted) && !flush() {
+		return false
+	}
+	r.stages[i].Took += time.Since(start)
+	return true
+}
+
+// flush pushes the n joined rows in lp and rp, of view m, through the
+// steps after probe step i.
+func (p *probe) flush(r *fanRun, i int, m *morsel, n int) bool {
+	o := p.out
+	p.emitted = true
+	o.view.length, o.width, o.up = n, len(p.j.Cols), m
+	o.rows, o.bld, o.done = p.lp[:n], p.rp[:n], o.done[:0]
+	for c, jc := range p.j.Cols {
+		if !o.reads(c) {
+			continue
+		}
+		v := &o.cols[c].v
+		if jc.Right {
+			*v = *o.cols[c].base
+			v.length, v.sel = n, o.bld
+			continue
+		}
+		*v = m.cols[jc.Col].v
+		v.length = n
+		switch {
+		case v.kind == value.Null:
+		case v.sel == nil:
+			v.sel = o.rows
+		default:
+			v.sel = o.compose(c, v.sel, o.rows)
+		}
+	}
+	return r.push(i+1, o)
+}
+
+// compose returns sel at idx in column c's buffer, or in the buffer of a
+// column that composed sel already.
+func (m *morsel) compose(c int, sel, idx []int32) []int32 {
+	for _, d := range m.done {
+		if same(d[0], sel) {
+			return d[1]
+		}
+	}
+	if m.cols[c].sel == nil {
+		m.cols[c].sel = make([]int32, max(m.size, len(idx)))
+	}
+	dst := m.cols[c].sel[:len(idx)]
+	for o, k := range idx {
+		dst[o] = sel[k]
+	}
+	m.done = append(m.done, [2][]int32{sel, dst})
+	return dst
+}
+
+// tail emits, after every probe row, the build rows no probe row joined.
+func (p *probe) tail(r *fanRun) {
+	c := r.collect
+	for b, id := range p.rids {
+		switch {
+		case p.probed[id]:
+		case r.count:
+			c.total++
+		default:
+			c.rows[c.n], c.bld[c.n] = -1, int32(b)
+			c.n++
+			r.stages[1].Rows++
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// collect is the materialize sink: it counts the rows the chain keeps in
+// the counting pass, and writes their positions and computed cells into
+// vectors of exactly that length in the next.
+type collect struct {
+	total, n  int
+	rows, bld []int32
+	comp      []*Vec
+}
+
+// size allocates the positions for total rows, after the counting pass.
+func (c *collect) size(r *fanRun) {
+	if r.p == nil {
+		c.rows = make([]int32, c.total)
+		return
+	}
+	ints := make([]int32, 2*c.total)
+	c.rows, c.bld = ints[:c.total:c.total], ints[c.total:]
+}
+
+func (c *collect) push(r *fanRun, m *morsel) bool {
+	if !r.counted {
+		c.total = r.in.length
+	}
+	n := m.view.length
+	if c.rows != nil {
+		m.rowsInto(c.rows[c.n : c.n+n])
+	}
+	if c.bld != nil {
+		for k, b := range m.bld[:n] {
+			c.bld[c.n+k] = b
+			if b == r.p.pad {
+				c.bld[c.n+k] = -1
+			}
+		}
+	}
+	if c.comp == nil {
+		c.comp = make([]*Vec, len(m.cols))
+	}
+	for col := range m.cols {
+		if m.cols[col].origin != computed {
+			continue
+		}
+		src := &m.cols[col].v
+		if c.comp[col] == nil {
+			c.comp[col] = vecLike(src, c.total)
+		}
+		c.comp[col].putRange(c.n, src, n)
+	}
+	c.n += n
+	return true
+}
+
+func (c *collect) finish(r *fanRun) (*Batch, error) {
+	m, in := r.last, r.in
+	same := !r.counted || c.total == in.length && r.p == nil
+	if same && !slices.ContainsFunc(m.cols, func(c fanCol) bool { return c.origin == computed }) && len(m.cols) == len(in.cols) {
+		return in, nil
+	}
+	var cc composer
+	cols := make([]*Vec, len(m.cols))
+	for col := range m.cols {
+		switch o := m.cols[col].origin; {
+		case o == computed && c.comp != nil && c.comp[col] != nil:
+			cols[col] = c.comp[col]
+		case o == computed:
+			cols[col] = &Vec{kind: value.Null}
+		case o >= 0 && same:
+			cols[col] = in.cols[o]
+		case o >= 0:
+			cols[col] = in.cols[o].pick(c.rows, &cc)
+		default:
+			cols[col] = r.build.cols[-o-2].pick(c.bld, &cc)
+		}
+	}
+	return &Batch{schema: r.schema, cols: cols, length: c.total}, nil
+}
+
+// vecLike returns a dense vector of n elements to copy src's cells into:
+// of its kind, and dictionary when coded.
+func vecLike(src *Vec, n int) *Vec {
+	if src.dict != nil {
+		return &Vec{kind: src.kind, dict: src.dict, codes: make([]uint32, n), length: n}
+	}
+	return newVec(src.kind, n)
+}
+
+// foldSink is a *GroupBy sink.
+type foldSink struct{ fold fold }
+
+func (s *foldSink) push(_ *fanRun, m *morsel) bool {
+	s.fold.push(&m.view)
+	return true
+}
+
+func (s *foldSink) finish(*fanRun) (*Batch, error) { return s.fold.finish() }
+
+// heap is a *TopN sink, or a *Sort one: it keeps the best limit rows so
+// far in slots 0..limit-1, worst at the root, each its source and build
+// row — which order its ties — and copies of its computed cells, and reads a new
+// row into slot limit to compare it. Where the rows may be fewer than the
+// limit (a sort, a small source), it materializes and sorts at the end.
+type heap struct {
+	keys     []table.SortKey
+	limit    int
+	collect  *collect
+	src, bld []int32
+	comp     []*Vec
+	h        []int32
+	cmps     []heapKey
+	nanKeys  []int // computed float key columns, checked row by row
+}
+
+// heapKey compares two slots by one sort key.
+type heapKey struct {
+	cmp  func(a, b int32) int
+	desc bool
+}
+
+// newHeap sets a top-n sink up over the chain's output.
+func (r *fanRun) newHeap(keys []table.SortKey, limit int) (*heap, bool, error) {
+	m := r.last
+	h := &heap{keys: keys, limit: max(limit, 0)}
+	bound := r.in.length
+	if p := r.p; p != nil {
+		bound = 0
+		if r.build.length > 0 {
+			bound = r.in.length * r.build.length
+		}
+		bound = max(bound, r.in.length)
+	}
+	if r.whole || h.limit >= bound {
+		h.collect = new(collect)
+		r.collects = append(r.collects, h.collect)
+		m.readComputed()
+		return h, true, nil
+	}
+	m.readComputed()
+	slots := h.limit + 1
+	h.src, h.cmps = make([]int32, slots), make([]heapKey, 0, len(keys))
+	if slices.ContainsFunc(m.cols, func(c fanCol) bool { return c.origin == computed }) {
+		h.comp = make([]*Vec, len(m.cols))
+	}
+	if r.p != nil {
+		h.bld = make([]int32, slots)
+	}
+	h.h = make([]int32, 0, h.limit)
+	for _, k := range keys {
+		c := r.schema.Index(k.Column)
+		if c < 0 {
+			return nil, true, fmt.Errorf("colstore: sort column %q not found", k.Column)
+		}
+		m.cols[c].live = true
+		switch o := m.cols[c].origin; {
+		case o == computed:
+			h.nanKeys = append(h.nanKeys, c)
+			h.cmps = append(h.cmps, heapKey{h.slotCmp(c), k.Desc})
+		case o >= 0:
+			v := r.in.cols[o]
+			if !heapable(v) {
+				return nil, false, nil
+			}
+			h.cmps = append(h.cmps, heapKey{posCmp(v, h.src), k.Desc})
+		default:
+			v := r.build.cols[-o-2]
+			if !heapable(v) {
+				return nil, false, nil
+			}
+			h.cmps = append(h.cmps, heapKey{posCmp(v, h.bld), k.Desc})
+		}
+	}
+	return h, true, nil
+}
+
+// heapable reports whether a heap orders v's cells as the stable sort
+// does: no boxed cell, and no NaN.
+func heapable(v *Vec) bool {
+	return v.kind != anyKind && !(v.kind == value.Float && slices.ContainsFunc(v.floats, math.IsNaN))
+}
+
+// posCmp compares slots by the elements of v at their positions — the
+// slots themselves when pos is nil — as keyComparator does: a null, and a
+// negative position, first.
+func posCmp(v *Vec, pos []int32) func(a, b int32) int {
+	cmp := keyComparator(v)
+	return func(a, b int32) int {
+		i, j := int(a), int(b)
+		if pos != nil {
+			i, j = int(pos[a]), int(pos[b])
+		}
+		in, jn := i < 0 || v.null(i), j < 0 || v.null(j)
+		switch {
+		case in && jn:
+			return 0
+		case in:
+			return -1
+		case jn:
+			return 1
+		}
+		return cmp(i, j)
+	}
+}
+
+// slotCmp compares slots by computed column c's copied cells, from the
+// first comparison on: the copies exist by then.
+func (h *heap) slotCmp(c int) func(a, b int32) int {
+	var cmp func(a, b int32) int
+	return func(a, b int32) int {
+		if cmp == nil {
+			cmp = posCmp(h.comp[c], nil)
+		}
+		return cmp(a, b)
+	}
+}
+
+// before orders slots: the stable sort's order, ties by input order.
+func (h *heap) before(a, b int32) bool {
+	for _, k := range h.cmps {
+		if c := k.cmp(a, b); c != 0 {
+			return (c < 0) != k.desc
+		}
+	}
+	// Rows reach the sink in source order, and joined rows in build order
+	// within a source row.
+	if h.src[a] != h.src[b] {
+		return h.src[a] < h.src[b]
+	}
+	return h.bld != nil && h.bld[a] < h.bld[b]
+}
+
+func (h *heap) push(r *fanRun, m *morsel) bool {
+	if h.collect != nil {
+		return h.collect.push(r, m)
+	}
+	for c := range h.comp {
+		if src := &m.cols[c].v; h.comp[c] == nil && m.cols[c].origin == computed {
+			if src.kind == anyKind {
+				return false
+			}
+			h.comp[c] = vecLike(src, h.limit+1)
+		}
+	}
+	for k := range m.view.length {
+		slot := int32(len(h.h))
+		if len(h.h) == h.limit {
+			slot = int32(h.limit)
+		}
+		if !h.read(r, m, k, slot) {
+			return false
+		}
+		if int(slot) < h.limit {
+			h.h = append(h.h, slot)
+			if len(h.h) == h.limit {
+				for i := len(h.h)/2 - 1; i >= 0; i-- {
+					siftDown(h.h, i, h.worse)
+				}
+			}
+			continue
+		}
+		if h.limit > 0 && h.before(slot, h.h[0]) {
+			h.move(slot, h.h[0])
+			siftDown(h.h, 0, h.worse)
+		}
+	}
+	return true
+}
+
+func (h *heap) worse(a, b int32) bool { return h.before(b, a) }
+
+// read copies row k of view m into slot: false for a NaN or boxed key.
+func (h *heap) read(r *fanRun, m *morsel, k int, slot int32) bool {
+	h.src[slot] = m.row(k)
+	if h.bld != nil {
+		h.bld[slot] = -1
+		if b := m.bld[k]; b != r.p.pad {
+			h.bld[slot] = b
+		}
+	}
+	for c := range m.cols {
+		if m.cols[c].origin != computed {
+			continue
+		}
+		h.comp[c].put(int(slot), &m.cols[c].v, k)
+	}
+	for _, c := range h.nanKeys {
+		if v := h.comp[c]; v.kind == value.Float && math.IsNaN(v.floats[slot]) {
+			return false
+		}
+	}
+	return true
+}
+
+// move copies slot from into slot to.
+func (h *heap) move(from, to int32) {
+	h.src[to] = h.src[from]
+	if h.bld != nil {
+		h.bld[to] = h.bld[from]
+	}
+	for _, v := range h.comp {
+		if v != nil {
+			v.put(int(to), v, int(from))
+		}
+	}
+}
+
+func (h *heap) finish(r *fanRun) (*Batch, error) {
+	if h.collect != nil {
+		b, err := h.collect.finish(r)
+		if err != nil {
+			return nil, err
+		}
+		return topN(b, h.keys, h.limit)
+	}
+	slices.SortFunc(h.h, func(x, y int32) int {
+		if h.before(x, y) {
+			return -1
+		}
+		return 1
+	})
+	n := len(h.h)
+	src, bld := make([]int32, n), []int32(nil)
+	for i, s := range h.h {
+		src[i] = h.src[s]
+	}
+	if h.bld != nil {
+		bld = make([]int32, n)
+		for i, s := range h.h {
+			bld[i] = h.bld[s]
+		}
+	}
+	var cc composer
+	m := r.last
+	cols := make([]*Vec, len(m.cols))
+	for col := range m.cols {
+		switch o := m.cols[col].origin; {
+		case o == computed && h.comp[col] != nil:
+			cols[col] = gather(h.comp[col], h.h)
+		case o == computed:
+			cols[col] = &Vec{kind: value.Null}
+		case o >= 0:
+			cols[col] = r.in.cols[o].pick(src, &cc)
+		default:
+			cols[col] = r.build.cols[-o-2].pick(bld, &cc)
+		}
+	}
+	return &Batch{schema: r.schema, cols: cols, length: n}, nil
 }

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -15,23 +16,30 @@ import (
 // output shares its column's selection.
 var fanExprs = append([]string{"li", "rs"}, selExprs...)
 
-// FuzzFan runs random chains of filters and map-exprs as a Fan into one
-// to three group-bys, over a join's output (plain and dictionary-coded
-// strings, nulls, NaN, an all-null column, and an outer join's holes),
-// and holds every sink's output, cell for cell and vector kind for vector
-// kind, to gathering the chain after every stage and then calling
-// GroupBy.Run. The first byte picks the join and the morsel size (64
-// rows, 1,024 or the whole batch), the rest the stages, and the last the
-// sinks' keys — among them g, an int column the chain computes first, and
-// m, the one its maps compute. A fan may decline only over a map: then
-// the caller runs the chain as kernels, which FuzzSelections covers.
+// FuzzFan runs random chains of filters, map-exprs and limits as a Fan
+// into one to three group-bys, and into a materialize and a top-n sink, over a
+// join's output (plain and dictionary-coded strings, nulls, NaN, an
+// all-null column, and an outer join's holes) — or, as a probe step, over
+// the join's probe side — and holds every sink's output, cell for cell
+// and vector kind for vector kind, to gathering the chain after every
+// stage and then calling the sink's kernel. The first byte picks the
+// join, the morsel size (64 rows, 1,024 or the whole batch) and whether
+// the join is the chain's first step, the rest the stages, and the last
+// the sinks' keys — among them g, an int column the chain computes
+// first, and m, the one its maps compute. Where a run declines (a map's
+// morsel kind moves, a top-n key holds NaN) it starts over as one morsel,
+// as the kernels' Run does.
 func FuzzFan(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0, 4, 2})
 	f.Add(int64(2), []byte{0x41, 9, 4, 0, 1})
 	f.Add(int64(3), []byte{0x83, 1, 12, 3})
 	f.Add(int64(4), []byte{0xC2, 0, 8, 16, 5, 4})
 	f.Add(int64(5), []byte{0x12, 28, 0, 33, 7})
-	f.Add(int64(24), []byte("\xa107Z0")) // filters around a bare column map: shared selections
+	f.Add(int64(24), []byte("\xa107Z0"))               // filters around a bare column map: shared selections
+	f.Add(int64(6), []byte{0x09, 6, 1, 0x31})          // a left outer probe, a build-side filter, materialize and top-n
+	f.Add(int64(7), []byte{0x48, 0, 3, 8, 0x72})       // a probe by 1,024, a map, top-n on a computed key
+	f.Add(int64(8), []byte{0x88, 1, 0x50})             // a probe by 64, materialize and top-n
+	f.Add(int64(9), []byte{0x49, 0x1E, 3, 0x3E, 0x31}) // limits after a left outer probe
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) < 2 || len(ops) > 12 {
 			return
@@ -52,7 +60,8 @@ func FuzzFan(f *testing.F) {
 				names, cols = append(names, p+n), append(cols, JoinCol{Right: side == 1, Col: c})
 			}
 		}
-		join := &Join{LeftKeys: []int{0}, RightKeys: []int{0}, KeepLeft: ops[0]&1 != 0, KeepRight: ops[0]&2 != 0,
+		probe := ops[0]&8 != 0
+		join := &Join{LeftKeys: []int{0}, RightKeys: []int{0}, KeepLeft: ops[0]&1 != 0, KeepRight: ops[0]&2 != 0 && !probe,
 			Cols: cols, Out: schema.MustFromNames(names...)}
 		in, _, err := join.run(lb, rb, whole)
 		if err != nil {
@@ -62,13 +71,20 @@ func FuzzFan(f *testing.F) {
 		// by the fan and whole over the gathered reference.
 		ref, s := gathered(in), in.Schema()
 		stage := func(op byte, sz int) Kernel {
-			if op&1 == 0 {
+			switch {
+			case op%16 == 14:
+				return &Limit{N: int(op) * 9}
+			case op&1 == 0:
 				return &Filter{Pred: compileSize(t, selPreds[int(op>>1)%len(selPreds)], s, sz)}
 			}
 			return mapExpr(t, fanExprs[int(op>>1)%len(fanExprs)], "m", s, sz)
 		}
 		fan := &Fan{Chain: []Kernel{mapExpr(t, "lv % 4", "g", s, size)}}
-		maps := false
+		source, build := in, (*Batch)(nil)
+		if probe {
+			fan.Chain = append([]Kernel{(*Probe)(join)}, fan.Chain...)
+			source, build = lb, rb
+		}
 		if ref, err = mapExpr(t, "lv % 4", "g", s, whole).Run(ref); err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +95,7 @@ func FuzzFan(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, maps = gathered(out), maps || op&1 == 1
+			ref = gathered(out)
 		}
 		var registered []string
 		for op := range Registry {
@@ -88,7 +104,7 @@ func FuzzFan(f *testing.F) {
 		sort.Strings(registered)
 		keys := [][]string{{"ls"}, {"g"}, {"rs", "lb"}, {"lz"}, {"m"}}
 		last := int(ops[len(ops)-1])
-		var groups []*GroupBy
+		var want []func() (*Batch, error)
 		for k := 0; k <= last%3; k++ {
 			key := keys[(last/3+k)%len(keys)]
 			if ref.Schema().Index(key[0]) < 0 {
@@ -107,35 +123,48 @@ func FuzzFan(f *testing.F) {
 				}
 				g.Aggs = append(g.Aggs, Agg{Op: op, Col: ref.Schema().Index(c), New: Registry[op]})
 			}
-			groups = append(groups, g)
 			fan.Sinks = append(fan.Sinks, g)
+			want = append(want, func() (*Batch, error) { return g.run(ref, whole) })
 		}
-		outs, ok, err := fan.run(in, size)
-		if err != nil || !ok && !maps {
-			t.Fatalf("fan: ok %v, error %v", ok, err)
+		if last&16 != 0 {
+			fan.Sinks = append(fan.Sinks, Materialize)
+			want = append(want, func() (*Batch, error) { return ref, nil })
 		}
-		if !ok {
-			return
+		if last&32 != 0 {
+			by := []table.SortKey{{Column: "g", Desc: true}, {Column: "ls"}}
+			if ref.Schema().Index("m") >= 0 {
+				by = []table.SortKey{{Column: "m", Desc: last&64 != 0}, {Column: "rs"}}
+			}
+			top := &TopN{Keys: by, Limit: last >> 6 * 7}
+			fan.Sinks = append(fan.Sinks, top)
+			want = append(want, func() (*Batch, error) { return top.Run(ref) })
 		}
-		if want := ref.Len(); fan.Stages[len(fan.Chain)].Rows != want {
-			t.Fatalf("fan fed its sinks %d rows, the chain keeps %d", fan.Stages[len(fan.Chain)].Rows, want)
+		outs, stages, err := fan.must(source, build, size)
+		if err != nil {
+			t.Fatalf("fan: %v", err)
 		}
-		for i, g := range groups {
-			want, err := g.run(ref, whole)
+		at := len(fan.Chain)
+		if want := ref.Len(); stages[at].Rows != want {
+			t.Fatalf("fan fed its sinks %d rows, the chain keeps %d", stages[at].Rows, want)
+		}
+		for i, w := range want {
+			want, err := w()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBatch(t, "sink "+strconv.Itoa(i), outs[i], want)
+			sameBatch(t, fmt.Sprintf("sink %d (%T)", i, fan.Sinks[i]), outs[i], want)
 		}
 	})
 }
 
 // TestFanAllocs: a fan allocates per run, never per morsel — its view,
-// bitmap, kept positions, map output and expression temporaries are one
-// morsel long and reused — so a filter and a map into two group-bys cost
-// the same objects over 3,000 rows (3 morsels) and 30,000 (30).
+// bitmap, kept and joined positions, map output and expression
+// temporaries are one morsel long and reused — so a filter and a map into
+// two group-bys, and a probe, a filter and a map into Materialize, whose
+// output vectors are sized by the counting pass, cost the same objects
+// over 3,000 rows (3 morsels) and 30,000 (30).
 func TestFanAllocs(t *testing.T) {
-	allocs := map[int]float64{}
+	allocs := map[string]float64{}
 	for _, n := range []int{3000, 30000} {
 		bld := NewBuilder(schema.MustFromNames("region", "product", "amount", "qty"))
 		for i := 0; i < n; i++ {
@@ -150,14 +179,34 @@ func TestFanAllocs(t *testing.T) {
 			&MapExpr{Eval: compileSize(t, "amount * qty", s, morselRows), Out: out, Slot: out.Index("revenue")}},
 			Sinks: []Kernel{&GroupBy{Keys: []int{0}, Aggs: sum, Out: schema.MustFromNames("region", "total")},
 				&GroupBy{Keys: []int{1}, Aggs: sum, Out: schema.MustFromNames("product", "total")}}}
-		allocs[n] = testing.AllocsPerRun(20, func() {
-			if _, ok, err := f.Run(b); !ok || err != nil {
+		allocs[fmt.Sprint("fold ", n)] = testing.AllocsPerRun(20, func() {
+			if _, _, ok, err := f.Run(b, nil); !ok || err != nil {
+				t.Fatalf("fan declined (%v) or failed: %v", ok, err)
+			}
+		})
+		dim := NewBuilder(schema.MustFromNames("product", "w"))
+		for i := 0; i < 60; i++ { // ten products with two partners, ten with none
+			dim.Append([]value.V{value.NewString("p" + strconv.Itoa(i%50)), value.NewInt(int64(i))})
+		}
+		db, _ := FromTable(dim.Table())
+		joined := schema.MustFromNames("product", "amount", "qty", "w")
+		out = joined.ExtendOrSame("revenue")
+		join := &Join{LeftKeys: []int{1}, RightKeys: []int{0}, Out: joined,
+			Cols: []JoinCol{{Col: 1}, {Col: 2}, {Col: 3}, {Right: true, Col: 1}}}
+		m := &Fan{Chain: []Kernel{(*Probe)(join), &Filter{Pred: compileSize(t, "qty > 3", joined, morselRows)},
+			&MapExpr{Eval: compileSize(t, "amount * w", joined, morselRows), Out: out, Slot: out.Index("revenue")}},
+			Sinks: []Kernel{Materialize}}
+		allocs[fmt.Sprint("materialize ", n)] = testing.AllocsPerRun(20, func() {
+			if outs, _, ok, err := m.Run(b, db); !ok || err != nil || outs[0].Len() == 0 {
 				t.Fatalf("fan declined (%v) or failed: %v", ok, err)
 			}
 		})
 	}
-	t.Logf("%.0f objects over 3,000 rows, %.0f over 30,000", allocs[3000], allocs[30000])
-	if d := allocs[30000] - allocs[3000]; d > 2 || d < -2 {
-		t.Errorf("a fan allocates %.0f objects over 3,000 rows and %.0f over 30,000", allocs[3000], allocs[30000])
+	for _, sink := range []string{"fold", "materialize"} {
+		small, big := allocs[sink+" 3000"], allocs[sink+" 30000"]
+		t.Logf("%s: %.0f objects over 3,000 rows, %.0f over 30,000", sink, small, big)
+		if d := big - small; d > 2 || d < -2 {
+			t.Errorf("a fan into %s allocates %.0f objects over 3,000 rows and %.0f over 30,000", sink, small, big)
+		}
 	}
 }

@@ -166,12 +166,12 @@ type JoinCol struct {
 // every output row its left and its right source row, -1 where an outer
 // join has no partner — and each projected output column is a selection
 // through one of them. No key string, no row and no cell is built, and
-// no column is copied, and a column nothing reads is never gathered. A
-// filter that follows the join composes the two index vectors, unless it
-// runs inside the join as its Mask. Output order is the row
-// join's: left rows in order, each one's partners in right-row order,
-// then (right and full outer) the right rows nothing matched, in order.
-// Key identity is keyIndex's.
+// no column is copied, and a column nothing reads is never gathered. In a
+// Fan it is a *Probe step: steps after it run on the rows it joins, a
+// morsel at a time, and only what they keep is ever sized. Output order is
+// the row join's: left rows in order, each one's partners in right-row
+// order, then (right and full outer) the right rows nothing matched, in
+// order. Key identity is keyIndex's.
 type Join struct {
 	// LeftKeys / RightKeys are the equi-join key columns, pairwise.
 	LeftKeys, RightKeys []int
@@ -182,121 +182,22 @@ type Join struct {
 	Cols []JoinCol
 	// Out is the output schema.
 	Out *schema.Schema
-	// Mask, when set, is a filter bound over Out that reads only left
-	// columns, run inside a join that keeps no unmatched right row (an
-	// inner or a left outer one): its predicate runs over the left rows,
-	// through a view that holds each left column in its output slot, into
-	// a bitmap, and the join skips the rows it leaves unset. The index
-	// pair is sized to the kept rows, and no selection is composed.
-	Mask *Filter
 }
 
-// Run joins the two batches; every key kind has the encoded path.
-// joined is the row count before Mask.
+// Run joins the two batches, a one-step run of the probe into
+// Materialize; every key kind has the encoded path. joined is the
+// output's row count.
 func (k *Join) Run(left, right *Batch) (out *Batch, joined int, err error) {
 	return k.run(left, right, morselRows)
 }
 
 // run is Run probing size left rows at a time: the probe side's ids are
-// one morsel long, assigned once to size the output exactly — and to
-// count the rows an unmasked join has — and once to emit it.
+// one morsel long, assigned once to size the output exactly and once to
+// emit it.
 func (k *Join) run(left, right *Batch, size int) (*Batch, int, error) {
-	var keep *Bitmap
-	if k.Mask != nil {
-		view := make([]*Vec, len(k.Cols))
-		for i, c := range k.Cols {
-			if !c.Right {
-				view[i] = left.cols[c.Col]
-			}
-		}
-		keep = NewBitmap(left.length)
-		k.Mask.Pred.Eval(&Batch{schema: k.Out, cols: view, length: left.length}, keep)
+	out, err := step((*Probe)(k), left, right, size)
+	if err != nil {
+		return nil, 0, err
 	}
-	x := newKeyIndex(keyVecs(left, k.LeftKeys), keyVecs(right, k.RightKeys))
-	rids := x.assign(right, k.RightKeys, 0, make([]int32, right.length), true)
-
-	// Chain the right rows of each key in row order: head[id] is the
-	// first, next[row] the following one, -1 ends the chain. Linking in
-	// reverse keeps every chain ascending.
-	nk := x.size()
-	head := make([]int32, nk)
-	count := make([]int32, nk)
-	for id := range head {
-		head[id] = -1
-	}
-	next := make([]int32, right.length)
-	for r := right.length - 1; r >= 0; r-- {
-		id := rids[r]
-		next[r] = head[id]
-		head[id] = int32(r)
-		count[id]++
-	}
-
-	// Size the output exactly, so the index vectors are two allocations
-	// whatever the row count. probed marks the keys some left row hit.
-	probed := make([]bool, nk)
-	total, joined := 0, 0
-	ids := make([]int32, min(left.length, size))
-	for lo := 0; lo < left.length; lo += len(ids) {
-		for j, id := range x.assign(left, k.LeftKeys, lo, ids, false) {
-			n := 0
-			switch {
-			case id >= 0:
-				probed[id] = true
-				n = int(count[id])
-			case k.KeepLeft:
-				n = 1
-			}
-			if joined += n; keep == nil || keep.Get(lo+j) {
-				total += n
-			}
-		}
-	}
-	if k.KeepRight {
-		for id, hit := range probed {
-			if !hit {
-				total += int(count[id])
-				joined += int(count[id])
-			}
-		}
-	}
-	lidx, ridx := make([]int32, 0, total), make([]int32, 0, total)
-	for lo := 0; lo < left.length; lo += len(ids) {
-		for j, id := range x.assign(left, k.LeftKeys, lo, ids, false) {
-			l := int32(lo + j)
-			if keep != nil && !keep.Get(int(l)) {
-				continue
-			}
-			if id < 0 {
-				if k.KeepLeft {
-					lidx = append(lidx, l)
-					ridx = append(ridx, -1)
-				}
-				continue
-			}
-			for r := head[id]; r >= 0; r = next[r] {
-				lidx = append(lidx, l)
-				ridx = append(ridx, r)
-			}
-		}
-	}
-	if k.KeepRight {
-		for r, id := range rids {
-			if !probed[id] {
-				lidx = append(lidx, -1)
-				ridx = append(ridx, int32(r))
-			}
-		}
-	}
-
-	var c composer
-	cols := make([]*Vec, len(k.Cols))
-	for i, jc := range k.Cols {
-		if jc.Right {
-			cols[i] = right.cols[jc.Col].pick(ridx, &c)
-		} else {
-			cols[i] = left.cols[jc.Col].pick(lidx, &c)
-		}
-	}
-	return &Batch{schema: k.Out, cols: cols, length: total}, joined, nil
+	return out, out.length, nil
 }

@@ -259,14 +259,15 @@ func TestJoinAllocs(t *testing.T) {
 	}
 }
 
-// TestFusedJoinAllocs: a join with the filter after it run inside it
-// (as its Mask) allocates a number of objects that does not depend on
-// the row count, and of the probe side's rows nothing but the predicate's
-// bitmap, one morsel of key ids and of the predicate's temporaries, and
+// TestFusedJoinAllocs: a probe with a filter step after it, run into
+// Materialize, allocates a number of objects that does not depend on the
+// row count, and of the probe side's rows nothing but a morsel each of key
+// ids, joined rows, kept rows, the predicate's bitmap and temporaries, and
 // the output's index pair sized exactly to the kept rows — no kept-row
 // list, and no index vector composed through it: its bytes are those
 // (each index vector rounded up to the allocator's 8 KiB pages) and the
-// build side at 128 bytes a key, within 4 KiB.
+// build side at 128 bytes a key, within the bound a whole-batch bitmap
+// once needed.
 func TestFusedJoinAllocs(t *testing.T) {
 	const keys = 100
 	k := innerJoinKX()
@@ -274,13 +275,20 @@ func TestFusedJoinAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.Mask = &Filter{Pred: pred}
+	f := &Fan{Chain: []Kernel{(*Probe)(k), &Filter{Pred: pred}}, Sinks: []Kernel{Materialize}}
+	fused := func(left, right *Batch) (*Batch, int, error) {
+		outs, stages, err := f.Must(left, right)
+		if err != nil {
+			return nil, 0, err
+		}
+		return outs[0], stages[1].Rows, nil
+	}
 	objects := map[int]float64{}
 	for _, n := range []int{1000, 60000} {
 		left, right := joinInputs(n, keys)
 		kept := (n + 2) / 3
 		objects[n] = testing.AllocsPerRun(5, func() {
-			out, joined, err := k.Run(left, right)
+			out, joined, err := fused(left, right)
 			if err != nil || out.Len() != kept || joined != n {
 				t.Fatalf("fused join: %d rows of %d joined, want %d of %d; err %v", out.Len(), joined, kept, n, err)
 			}
@@ -300,7 +308,7 @@ func TestFusedJoinAllocs(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		k.Run(left, right)
+		fused(left, right)
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}

@@ -33,17 +33,11 @@ type Filter struct {
 	Pred *VecEval
 }
 
-// Run implements Kernel.
+// Run implements Kernel: a one-step run into Materialize. A batch every
+// row passes is returned itself — a filter the decoder already applied,
+// run again by the pipeline.
 func (k *Filter) Run(b *Batch) (*Batch, error) {
-	keep := NewBitmap(b.length)
-	k.Pred.Eval(b, keep)
-	idx := kept(nil, keep, b.length)
-	if idx == nil {
-		// Every row passes — a filter the decoder already applied, run
-		// again by the pipeline. Batches are immutable: share the input.
-		return b, nil
-	}
-	return b.selectRows(idx), nil
+	return step(k, b, nil, k.Pred.size)
 }
 
 // kept returns the positions of keep's set bits below n, ascending, in
@@ -83,9 +77,10 @@ type MapExpr struct {
 	Slot int
 }
 
-// Run implements Kernel.
+// Run implements Kernel: a one-step run into Materialize, which writes
+// the computed column a morsel at a time into one vector.
 func (k *MapExpr) Run(b *Batch) (*Batch, error) {
-	return b.withColumn(k.Out, k.Slot, k.Eval.Eval(b, nil).densify()), nil
+	return step(k, b, nil, k.Eval.size)
 }
 
 // ---------------------------------------------------------------------
@@ -103,9 +98,12 @@ type TopN struct {
 	Limit int
 }
 
-// Run implements Kernel.
-func (k *TopN) Run(b *Batch) (*Batch, error) {
-	idx, err := sortPerm(b, k.Keys, k.Limit)
+// Run implements Kernel: the top-n sink over b whole.
+func (k *TopN) Run(b *Batch) (*Batch, error) { return topN(b, k.Keys, k.Limit) }
+
+// topN returns the first limit rows of b by keys, as selections.
+func topN(b *Batch, keys []table.SortKey, limit int) (*Batch, error) {
+	idx, err := sortPerm(b, keys, limit)
 	if err != nil || idx == nil {
 		return b, err
 	}
@@ -242,9 +240,7 @@ type Sort struct {
 }
 
 // Run implements Kernel: a top-n that keeps every row.
-func (k *Sort) Run(b *Batch) (*Batch, error) {
-	return (&TopN{Keys: k.Keys, Limit: b.length}).Run(b)
-}
+func (k *Sort) Run(b *Batch) (*Batch, error) { return topN(b, k.Keys, b.length) }
 
 // Limit is the vectorized limit task: the first N rows, as a selection.
 type Limit struct {
@@ -252,12 +248,9 @@ type Limit struct {
 	N int
 }
 
-// Run implements Kernel.
+// Run implements Kernel: a one-step run into Materialize.
 func (k *Limit) Run(b *Batch) (*Batch, error) {
-	if k.N >= b.length {
-		return b, nil
-	}
-	return b.selectRows(identity(k.N)), nil
+	return step(k, b, nil, morselRows)
 }
 
 // ---------------------------------------------------------------------
@@ -307,7 +300,7 @@ type GroupBy struct {
 	SortKeys []table.SortKey
 }
 
-// Run implements Kernel: a fold pushed the whole batch.
+// Run implements Kernel: the fold sink over b whole.
 func (k *GroupBy) Run(b *Batch) (*Batch, error) { return k.run(b, morselRows) }
 
 // run is Run folding size rows at a time.
@@ -417,29 +410,79 @@ func (f *fold) finish() (*Batch, error) {
 // a fold is pushed holds its key columns' first kinds, and a coded one
 // its first dictionary, as morsels of one column do.
 func (v *Vec) appendFrom(src *Vec, i int) {
-	s := src.slot(i)
-	if src.null(i) && v.kind != value.Null {
-		if v.nulls == nil {
-			v.nulls = &Bitmap{}
-		}
-		v.nulls.grow(v.length + 1)
-		v.nulls.Set(v.length)
-		s = -1
-	}
 	v.length++
 	switch {
 	case v.dict != nil:
-		v.codes = append(v.codes, at(src.codes, s))
+		v.codes = append(v.codes, 0)
 	case v.kind == value.Bool:
-		v.bools = append(v.bools, at(src.bools, s))
+		v.bools = append(v.bools, false)
 	case v.kind == value.Int:
-		v.ints = append(v.ints, at(src.ints, s))
+		v.ints = append(v.ints, 0)
 	case v.kind == value.Float:
-		v.floats = append(v.floats, at(src.floats, s))
+		v.floats = append(v.floats, 0)
 	case v.kind == value.String:
-		v.strs = append(v.strs, at(src.strs, s))
+		v.strs = append(v.strs, "")
 	case v.kind == anyKind:
-		v.anys = append(v.anys, src.At(i))
+		v.anys = append(v.anys, value.V{})
+	}
+	if v.nulls != nil {
+		v.nulls.grow(v.length)
+	}
+	v.put(v.length-1, src, i)
+}
+
+// put sets element j of v, a dense vector of src's kind and, when coded,
+// dictionary, to element i of src.
+func (v *Vec) put(j int, src *Vec, i int) {
+	s := src.slot(i)
+	if src.null(i) && v.kind != value.Null {
+		if v.nulls == nil {
+			v.nulls = NewBitmap(v.length)
+		}
+		v.nulls.Set(j)
+		s = -1
+	} else if v.nulls != nil {
+		v.nulls.Clear(j)
+	}
+	switch {
+	case v.dict != nil:
+		v.codes[j] = at(src.codes, s)
+	case v.kind == value.Bool:
+		v.bools[j] = at(src.bools, s)
+	case v.kind == value.Int:
+		v.ints[j] = at(src.ints, s)
+	case v.kind == value.Float:
+		v.floats[j] = at(src.floats, s)
+	case v.kind == value.String:
+		v.strs[j] = ""
+		if s >= 0 {
+			v.strs[j] = src.str(s)
+		}
+	case v.kind == anyKind:
+		v.anys[j] = src.At(i)
+	}
+}
+
+// putRange sets elements at, at+1, … of v to src's first n elements, as
+// put does one: a typed copy where src is a null-free int or float
+// column.
+func (v *Vec) putRange(at int, src *Vec, n int) {
+	if v.kind == src.kind && !src.constant && !src.hasNulls() && v.nulls == nil {
+		switch v.kind {
+		case value.Int:
+			for k := range n {
+				v.ints[at+k] = src.ints[src.slot(k)]
+			}
+			return
+		case value.Float:
+			for k := range n {
+				v.floats[at+k] = src.floats[src.slot(k)]
+			}
+			return
+		}
+	}
+	for k := range n {
+		v.put(at+k, src, k)
 	}
 }
 

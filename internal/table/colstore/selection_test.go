@@ -83,8 +83,8 @@ var Registry = map[string]func() Accumulator{}
 // same chain gathering every column after every stage and running every
 // kernel over the whole batch at once, and the end also once compacted.
 // The chain runs fused where the engine fuses: a first stage that
-// filters on the probe side only runs inside an inner or left outer join
-// (as its Mask), and a sort with a limit after it runs as one TopN; the
+// filters on the probe side only runs as a step after an inner or left
+// outer join's probe, and a sort with a limit after it runs as one TopN; the
 // fused output must equal the unfused chain's, and the chain goes on from
 // it. The first
 // byte's top bits pick the morsel size the chain runs by — the join's
@@ -151,9 +151,12 @@ func FuzzSelections(f *testing.F) {
 		chain := ops[1:]
 		if len(chain) > 0 && chain[0]%5 == 0 && !join.KeepRight && probeOnly(t, selPreds[int(chain[0]>>3)%len(selPreds)]) {
 			f := chainKernel(t, chain[0], b.Schema(), size).(*Filter)
-			masked := *join
-			masked.Mask = f
-			fused, joined, err := masked.run(lb, rb, size)
+			outs, stages, err := (&Fan{Chain: []Kernel{(*Probe)(join), f}, Sinks: []Kernel{Materialize}}).must(lb, rb, size)
+			var fused *Batch
+			joined := 0
+			if err == nil {
+				fused, joined = outs[0], stages[1].Rows
+			}
 			if err != nil || joined != b.Len() {
 				t.Fatalf("fused join and filter: %d rows joined, want %d; error %v", joined, b.Len(), err)
 			}

@@ -24,117 +24,167 @@ type Vectorizable interface {
 	BindVec(env *Env, in Input) (k colstore.Kernel, out *schema.Schema, ok bool)
 }
 
-// Kernel is the one rule for which stages run on columnar kernels, and
-// explain (dag) and the batch engine both ask it: the number of stages
-// at the head of specs one kernel call runs over in, the head's inputs,
-// or 0 for rows. A sort, limit, group-by, expression filter, expression
-// map or global topn over one input has a kernel, and a join over two.
-// A sort then a limit run as one top-n, and an inner or left outer join
-// then an expression filter reading only probe (left) side columns run
-// as a join probing with the rows the filter keeps: the filter means the
-// same on a probe row as on every output row it yields. Kernel binds
-// nothing and reads no schema but that column check's. Over any stage of
-// a built graph Bind binds the group Kernel answers, so only data (a
-// boxed or time column) send an admitted stage to rows.
+// Kernel is the one rule for which stages run on the engine's runner
+// (colstore.Fan), and explain (dag) and the batch engine both ask it: the
+// number of stages at the head of specs one run takes over in, the head's
+// inputs, or 0 for rows. A run is the longest head of steps and then at
+// most one sink; with none, it materializes the last step's output:
+//   - over two inputs the head is a join, a probe of the index it builds
+//     over its build side. A right or full outer join runs alone: the
+//     build rows no probe row joined come after every probe row, and a
+//     filter must see their nulls;
+//   - steps are an expression filter, an expression map and a limit. A
+//     filter after a probe reads probe-side columns only, so it means the
+//     same on a probe row as on every joined row it yields;
+//   - sinks are a group-by, a global topn and a sort, with the limit
+//     after it as one top-n.
+//
+// Kernel binds nothing and reads no schema but a filter's probe-side
+// check. Over any stage of a built graph Bind binds the group Kernel
+// answers, so only data (a boxed or time column) send an admitted stage
+// to rows.
 func Kernel(specs []Spec, in []Input) int {
-	var next Spec
-	if len(specs) > 1 {
-		next = specs[1]
-	}
-	ok := len(in) == 1
-	switch h := specs[0].(type) {
-	case *FilterSpec:
-		ok = ok && h.Expr != nil && len(h.By) == 0
-	case *MapSpec:
-		ok = ok && h.Expr() != nil
-	case *TopNSpec:
-		ok = ok && len(h.GroupBy) == 0
-	case *LimitSpec, *GroupBySpec:
-	case *SortSpec:
-		if _, limit := next.(*LimitSpec); ok && limit {
-			return 2
-		}
-	case *JoinSpec:
-		if len(in) != 2 {
+	n := 0
+	var join *JoinSpec
+	switch len(in) {
+	case 1:
+	case 2:
+		j, ok := specs[0].(*JoinSpec)
+		switch {
+		case !ok:
 			return 0
-		}
-		f, filter := next.(*FilterSpec)
-		if !filter || h.keepRight() || Kernel(specs[1:2], in[:1]) == 0 {
+		case j.keepRight():
 			return 1
 		}
-		left, right, _, err := h.sides(in)
-		if err != nil || left.Schema == nil || right.Schema == nil {
-			return 1
-		}
-		// An output column is a projected name, or the qualified source name
-		// itself when nothing is projected.
-		if !slices.ContainsFunc(expr.Columns(f.Expr), func(c string) bool {
-			i := slices.IndexFunc(h.Project, func(p ProjPair) bool { return p.Out == c })
-			if i >= 0 {
-				c = h.Project[i].Qualified
-			}
-			src, err := h.source(c, left.Schema, right.Schema)
-			return err != nil || src.side != 0 || i < 0 && len(h.Project) > 0
-		}) {
-			return 2
-		}
+		join, n = j, 1
 	default:
 		return 0
 	}
-	if !ok {
-		return 0
+	for ; n < len(specs); n++ {
+		if Sink(specs[n]) {
+			if _, sort := specs[n].(*SortSpec); sort {
+				if _, limit := at(specs, n+1).(*LimitSpec); limit {
+					return n + 2
+				}
+			}
+			return n + 1
+		}
+		switch s := specs[n].(type) {
+		case *FilterSpec:
+			if s.Expr == nil || len(s.By) > 0 || join != nil && !join.probeOnly(s, in) {
+				return n
+			}
+		case *MapSpec:
+			if s.Expr() == nil {
+				return n
+			}
+		case *LimitSpec:
+		default:
+			return n
+		}
 	}
-	return 1
+	return n
 }
 
-// Bound is a kernel bound over its inputs: Vec over one, producing Out,
-// or Join over two, whose left input is the second when Swapped. !OK:
-// the group has no kernel over these inputs.
+// Sink reports whether s ends a run Kernel answers as its sink: a
+// group-by, a global topn or a sort.
+func Sink(s Spec) bool {
+	switch s := s.(type) {
+	case *GroupBySpec, *SortSpec:
+		return true
+	case *TopNSpec:
+		return len(s.GroupBy) == 0
+	}
+	return false
+}
+
+// Probes reports whether s is a join with a run that starts by probing
+// with its input named name: its left input, in a join that keeps no
+// unmatched build row.
+func Probes(s Spec, name string) bool {
+	j, ok := s.(*JoinSpec)
+	return ok && j.LeftName == name && !j.keepRight()
+}
+
+// at is specs[i], or nil past the end.
+func at(specs []Spec, i int) Spec {
+	if i < len(specs) {
+		return specs[i]
+	}
+	return nil
+}
+
+// probeOnly reports whether filter f, after the join over in, reads only
+// probe-side (left) columns. An output column is a projected name, or the
+// qualified source name itself when nothing is projected.
+func (s *JoinSpec) probeOnly(f *FilterSpec, in []Input) bool {
+	left, right, _, err := s.sides(in)
+	if err != nil || left.Schema == nil || right.Schema == nil {
+		return false
+	}
+	return !slices.ContainsFunc(expr.Columns(f.Expr), func(c string) bool {
+		i := slices.IndexFunc(s.Project, func(p ProjPair) bool { return p.Out == c })
+		if i >= 0 {
+			c = s.Project[i].Qualified
+		}
+		src, err := s.source(c, left.Schema, right.Schema)
+		return err != nil || src.side != 0 || i < 0 && len(s.Project) > 0
+	})
+}
+
+// Bound is a group Kernel answers, bound over its inputs: Fan runs it,
+// its steps into its sink or into Materialize, producing Out; the probe
+// side of a join is the group's second input when Swapped. Vec is a
+// one-input group's kernel when it has one: a lone stage's, or a sort
+// and limit's top-n. !OK: the group has no run over these inputs.
 type Bound struct {
+	Fan         *colstore.Fan
 	Vec         colstore.Kernel
 	Out         *schema.Schema
-	Join        *colstore.Join
 	Swapped, OK bool
 }
 
-// bound is one kernel Bind kept: the group's tail and the inputs it was
-// bound for, and the kernel kept before it.
+// bound is one group Bind kept: the stages after its head and the inputs
+// it was bound for, the run's kernels, and the group kept before it.
 type bound struct {
 	Bound
-	tail Spec
+	kernels
+	tail []Spec
 	in   [2]Input
 	n    int
 	next *bound
 }
 
+// kernels holds a group's run and, for a short group, its kernels.
+type kernels struct {
+	fan   colstore.Fan
+	chain [2]colstore.Kernel
+	sink  [1]colstore.Kernel
+	tail  [2]Spec
+}
+
 // Bind binds specs, a group Kernel answers over in (its length), as one
-// kernel: a sort's with the limit after it as one top-n, a join's with
-// the filter after it as its Mask, or one stage's. A built-in spec keeps
-// what it binds for its groups, one kernel per tail and input shape (the
-// same names, and schemas with the same columns in the same order), for
-// as long as it lives: the stages of a compiled program bind the first
-// time a run takes them columnar, and later runs reuse the kernel; a spec
-// built per request binds for that request. The shapes a spec meets are
-// fixed by its program: one per flow that uses it, and one more where the
-// plan hoists it. Kernels are read-only, and runs share them without a
-// lock.
+// run. A built-in spec keeps what it binds for the groups it heads, one
+// per tail and input shape (the same names, and schemas with the same
+// columns in the same order), for as long as it lives: the stages of a
+// compiled program bind the first time a run takes them columnar, and
+// later runs reuse the run; a spec built per request binds for that
+// request. The shapes a spec meets are fixed by its program: one per flow
+// that uses it, and one more where the plan hoists it. Runs are
+// read-only, and share their kernels without a lock.
 func Bind(env *Env, specs []Spec, in []Input) *Bound {
 	m, ok := specs[0].(memoized)
 	if !ok {
-		k := new(Bound)
-		bind(env, specs, in, k)
-		return k
-	}
-	var tail Spec
-	if len(specs) > 1 {
-		tail = specs[1]
+		b := new(bound)
+		bind(env, specs, in, &b.Bound, &b.kernels)
+		return &b.Bound
 	}
 	return keep(&m.derived().bound, func(b *bound) bool {
-		return b.tail == tail && slices.EqualFunc(b.in[:b.n], in, func(x, y Input) bool { return x.Name == y.Name && x.Schema.Equal(y.Schema) })
+		return slices.Equal(b.tail, specs[1:]) && slices.EqualFunc(b.in[:b.n], in, func(x, y Input) bool { return x.Name == y.Name && x.Schema.Equal(y.Schema) })
 	}, func() *bound {
-		b := &bound{tail: tail}
-		b.n = copy(b.in[:], in)
-		bind(env, specs, in, &b.Bound)
+		b := new(bound)
+		b.n, b.tail = copy(b.in[:], in), append(b.kernels.tail[:0], specs[1:]...)
+		bind(env, specs, in, &b.Bound, &b.kernels)
 		return b
 	})
 }
@@ -160,25 +210,49 @@ func keep(list *atomic.Pointer[bound], match func(*bound) bool, build func() *bo
 	}
 }
 
-// bind binds specs over in into k, keeping nothing.
-func bind(env *Env, specs []Spec, in []Input, k *Bound) {
-	if len(specs) > 1 && Kernel(specs, in) < len(specs) {
+// bind binds specs over in into k, its run and kernels in ks.
+func bind(env *Env, specs []Spec, in []Input, k *Bound, ks *kernels) {
+	if Kernel(specs, in) != len(specs) {
 		return
 	}
+	f, cur, i := &ks.fan, in[0], 0
+	f.Chain = ks.chain[:0]
 	if len(in) == 2 {
-		k.Join, k.Swapped, k.OK = specs[0].(*JoinSpec).BindJoin(env, in[0], in[1])
-	} else {
-		k.Vec, k.Out, k.OK = specs[0].(Vectorizable).BindVec(env, in[0])
+		j, swapped, ok := specs[0].(*JoinSpec).BindJoin(env, in[0], in[1])
+		if !ok {
+			return
+		}
+		f.Chain, cur.Schema, k.Swapped, i = append(f.Chain, (*colstore.Probe)(j)), j.Out, swapped, 1
+	}
+	for ; i < len(specs); i++ {
+		kk, out, ok := specs[i].(Vectorizable).BindVec(env, cur)
+		if !ok {
+			return
+		}
+		switch kk.(type) {
+		case *colstore.Sort:
+			if _, limit := at(specs, i+1).(*LimitSpec); limit {
+				kk, i = &colstore.TopN{Keys: kk.(*colstore.Sort).Keys, Limit: specs[i+1].(*LimitSpec).N}, i+1
+			}
+			ks.sink[0], f.Sinks = kk, ks.sink[:]
+		case *colstore.GroupBy, *colstore.TopN:
+			ks.sink[0], f.Sinks = kk, ks.sink[:]
+		default:
+			f.Chain = append(f.Chain, kk)
+		}
+		cur.Schema = out
 	}
 	switch {
-	case !k.OK || len(specs) == 1:
-	case k.Join != nil:
-		var mask Bound
-		bind(env, specs[1:], []Input{{Schema: k.Join.Out}}, &mask)
-		k.Join.Mask, k.OK = mask.Vec.(*colstore.Filter)
+	case len(in) == 2 || len(f.Chain)+len(f.Sinks) != 1:
+	case f.Sinks != nil:
+		k.Vec = f.Sinks[0]
 	default:
-		k.Vec = &colstore.TopN{Keys: k.Vec.(*colstore.Sort).Keys, Limit: specs[1].(*LimitSpec).N}
+		k.Vec = f.Chain[0]
 	}
+	if f.Sinks == nil {
+		ks.sink[0], f.Sinks = colstore.Materialize, ks.sink[:]
+	}
+	k.Fan, k.Out, k.OK = f, cur.Schema, true
 }
 
 // BindJoin is BindVec's two-input sibling: the join over a and b, the
