@@ -68,18 +68,8 @@ func (p *pipeline) columnar(specs []task.Spec, in []*table.Table, names []string
 	}
 	var outs []*colstore.Batch
 	var st []colstore.FanStage
-	var out1 [1]*colstore.Batch
-	var st1 [1]colstore.FanStage
 	err := p.guard(specs[0], func() (err error) {
-		if len(k.Fan.Chain) > 0 {
-			outs, st, err = k.Fan.Must(bs[0], bs[1])
-			return err
-		}
-		// A sink alone takes its input whole: its kernel's Run.
-		start := time.Now()
-		out1[0], err = k.Fan.Sinks[0].Run(bs[0])
-		st1[0] = colstore.FanStage{Rows: bs[0].Len(), Took: time.Since(start)}
-		outs, st = out1[:], st1[:]
+		outs, st, err = k.Fan.Must(bs[0], bs[1])
 		return err
 	})
 	if err != nil {

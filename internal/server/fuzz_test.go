@@ -44,11 +44,11 @@ func FuzzSelectBody(f *testing.F) {
 	})
 }
 
-// checkShape fails a fuzzed request that answered a 5xx, or a 4xx
-// without the JSON error shape.
+// checkShape fails a fuzzed request that answered a 5xx, a redirect or
+// a body that is not JSON, or a 4xx without the JSON error shape.
 func checkShape(t *testing.T, what string, rec *httptest.ResponseRecorder) {
 	t.Helper()
-	if rec.Code >= 500 {
+	if rec.Code >= 500 || rec.Code >= 300 && rec.Code < 400 || !json.Valid(rec.Body.Bytes()) {
 		t.Fatalf("%s = %d: %s", what, rec.Code, rec.Body)
 	}
 	var shape struct{ Error string }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"path"
 	"strconv"
 	"strings"
 
@@ -109,7 +110,10 @@ func (s *Server) routes() []route {
 // Handler returns the HTTP handler: every row of the route table behind
 // the same chain — metrics under the row's pattern, the follower
 // contract, admission, then the row's need resolved for its handler —
-// and, for a request no row takes, the JSON error shape (unrouted).
+// and, for a request no row takes, the JSON error shape (unrouted). A
+// path that is not clean as the mux reads it, escaped — an empty, "." or
+// ".." segment, a trailing slash — names no route: it answers a JSON 404
+// where the mux would redirect to the cleaned path with an HTML body.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	rs := s.routes()
@@ -120,12 +124,19 @@ func (s *Server) Handler() http.Handler {
 		}
 		mux.HandleFunc(pattern, h)
 	}
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if p := r.URL.EscapedPath(); path.Clean(p) != p {
+			jsonError(w, http.StatusNotFound, fmt.Errorf("no route for %s", r.URL.Path))
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
-// unrouted answers a request no route takes — an unknown path, an empty
-// segment — with the JSON error shape: a 405 listing in Allow the
-// methods that route its path, as the mux's own 405 does, else a 404.
+// unrouted answers a request no route takes — an unknown path, a
+// segment that holds a slash — with the JSON error shape: a 405 listing
+// in Allow the methods that route its path, as the mux's own 405 does,
+// else a 404.
 func unrouted(routes *http.ServeMux, w http.ResponseWriter, r *http.Request) {
 	var allow []string
 	for _, m := range []string{http.MethodDelete, http.MethodGet, http.MethodHead, http.MethodOptions,

@@ -290,9 +290,10 @@ func TestFlowParsedOncePerTip(t *testing.T) {
 }
 
 // TestUnroutedAnswersJSON: a request no route takes — an unknown path, an
-// empty last segment, a method the path does not route — answers the
-// JSON error shape, as every routed error does: a 404, or a 405 whose
-// Allow lists the methods the path takes.
+// empty last segment, an empty, "." or ".." segment (which the stdlib mux
+// would redirect with an HTML body), a method the path does not route —
+// answers the JSON error shape, as every routed error does: a 404, or a
+// 405 whose Allow lists the methods the path takes.
 func TestUnroutedAnswersJSON(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, tc := range []struct {
@@ -303,6 +304,9 @@ func TestUnroutedAnswersJSON(t *testing.T) {
 		{"GET", "/nope", http.StatusNotFound, ""},
 		{"POST", "/dashboards/sales/select/", http.StatusNotFound, ""},
 		{"GET", "/dashboards/sales/ds/", http.StatusNotFound, ""},
+		{"GET", "/dashboards/sales/ds//groupby/a/b/c", http.StatusNotFound, ""},
+		{"GET", "/dashboards/sales/ds/../ds", http.StatusNotFound, ""},
+		{"POST", "/dashboards/sales/select/.", http.StatusNotFound, ""},
 		{"DELETE", "/dashboards/sales", http.StatusMethodNotAllowed, "GET, HEAD, PUT"},
 		{"POST", "/health", http.StatusMethodNotAllowed, "GET, HEAD"},
 	} {

@@ -171,7 +171,7 @@ func compileMorsels(n expr.Node, s *schema.Schema, size int) (*VecEval, error) {
 // of a map into Materialize: the result is the whole batch's, cell for
 // cell and kind for kind, whatever the morsel size.
 func (e *VecEval) Eval(b *Batch, keep *Bitmap) *Vec {
-	out, _ := step(&MapExpr{Eval: e, Slot: len(b.cols)}, b, nil, e.size)
+	out, _ := one(&MapExpr{Eval: e, Slot: len(b.cols)}, Materialize, b, nil, e.size)
 	r := out.cols[len(b.cols)]
 	if keep != nil {
 		setBits(keep, r)

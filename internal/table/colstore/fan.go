@@ -34,8 +34,9 @@ import (
 // selection over the source (or the build side), and only computed
 // columns are copied. A fold copies key cells and min/max values out of
 // the morsel, and a top-n copies the computed cells of each row it keeps,
-// so no morsel outlives its push. A sink's own Run takes a whole batch,
-// as the engine calls it for a group with no step.
+// so no morsel outlives its push. Must over a fan with no step calls its
+// sink's Run on the whole batch: a group-by folds it, a sort sorts it,
+// and a top-n runs its own fan.
 //
 // Every sink's output is its kernel's Run over the chain's output, cell
 // for cell and kind for kind: groups open in row order and sums fold in
@@ -82,42 +83,61 @@ const wholeBatch = math.MaxInt
 // of another kind than its first morsel's, or a top-n's keys hold NaN or
 // boxed cells, which a heap cannot order as the stable sort does.
 func (f *Fan) Run(in, build *Batch) (outs []*Batch, stages []FanStage, ok bool, err error) {
-	return f.run(in, build, morselRows)
+	return new(fanRun).run(f, in, build, morselRows)
 }
 
 // Must is Run that starts over where the run declines, with the source as
 // one morsel: no kind can move then, and a top-n materializes and sorts.
+// A fan with no step hands its one sink the source whole: the sink
+// kernel's Run, which for a top-n is a run of its own.
 func (f *Fan) Must(in, build *Batch) ([]*Batch, []FanStage, error) {
-	return f.must(in, build, morselRows)
+	if len(f.Chain) > 0 || len(f.Sinks) != 1 {
+		return f.must(in, build, morselRows)
+	}
+	o := new(struct {
+		out [1]*Batch
+		st  [1]FanStage
+	})
+	start := time.Now()
+	out, err := f.Sinks[0].Run(in)
+	o.out[0], o.st[0] = out, FanStage{Rows: in.length, Took: time.Since(start)}
+	return o.out[:], o.st[:], err
 }
 
 // must is Must by size rows at a time.
 func (f *Fan) must(in, build *Batch, size int) ([]*Batch, []FanStage, error) {
-	outs, stages, ok, err := f.run(in, build, size)
+	return new(fanRun).must(f, in, build, size)
+}
+
+// must is f's Must by size rows at a time, starting on r.
+func (r *fanRun) must(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage, error) {
+	outs, stages, ok, err := r.run(f, in, build, size)
 	if !ok && err == nil {
-		outs, stages, _, err = f.run(in, build, wholeBatch)
+		outs, stages, _, err = new(fanRun).run(f, in, build, wholeBatch)
 	}
 	return outs, stages, err
 }
 
-// step is a one-step run of k into Materialize by size rows at a time:
-// a step kernel's Run.
-func step(k Kernel, in, build *Batch, size int) (*Batch, error) {
-	o := &struct {
-		f            Fan
-		chain, sinks [1]Kernel
-	}{chain: [1]Kernel{k}, sinks: [1]Kernel{Materialize}}
-	o.f.Chain, o.f.Sinks = o.chain[:], o.sinks[:]
-	outs, _, err := o.f.must(in, build, size)
+// one is a run of one kernel by size rows at a time — a step into
+// Materialize, or a sink with no step (step nil) — as its Run.
+func one(step, sink Kernel, in, build *Batch, size int) (*Batch, error) {
+	r := new(fanRun)
+	r.oneBuf = [2]Kernel{step, sink}
+	f := &r.one
+	f.Chain, f.Sinks = r.oneBuf[:1], r.oneBuf[1:]
+	if step == nil {
+		f.Chain = nil
+	}
+	outs, _, err := r.must(f, in, build, size)
 	if err != nil {
 		return nil, err
 	}
 	return outs[0], nil
 }
 
-// run is Run by size rows at a time.
-func (f *Fan) run(in, build *Batch, size int) ([]*Batch, []FanStage, bool, error) {
-	r := &fanRun{f: f, in: in, build: build, size: max(min(in.length, size), 1), whole: size == wholeBatch}
+// run is Run by size rows at a time, on r, which is fresh.
+func (r *fanRun) run(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage, bool, error) {
+	r.f, r.in, r.build, r.size, r.whole = f, in, build, max(min(in.length, size), 1), size == wholeBatch
 	stages, outs := grown(r.stageBuf[:], len(f.Chain)+len(f.Sinks)), grown(r.outBuf[:], len(f.Sinks))
 	r.stages = stages
 	ok, err := r.setup()
@@ -194,6 +214,10 @@ type fanRun struct {
 	c          collect
 	folds      []foldSink
 	collectBuf [2]*collect
+	heapBuf    heap
+	// A one-kernel run's fan (one).
+	one    Fan
+	oneBuf [2]Kernel
 }
 
 // fanStep is one step's state over a run.
@@ -243,7 +267,7 @@ func (r *fanRun) setup() (bool, error) {
 			direct = i == len(f.Chain)-1 && len(f.Sinks) == 1 && f.Sinks[0] == Materialize
 		}
 	}
-	m := r.view.init(width, r.size, true)
+	m := r.view.init(make([]fanCol, width), r.size, true)
 	for c := range in.cols {
 		m.cols[c].origin = c
 	}
@@ -274,7 +298,7 @@ func (r *fanRun) setup() (bool, error) {
 				// the joined rows' view.
 				direct = direct && (jc.Right || m.cols[jc.Col].origin != computed)
 			}
-			out := new(morsel).init(pw, r.size, !direct)
+			out := new(morsel).init(make([]fanCol, pw), r.size, !direct)
 			out.track = true
 			for c, jc := range j.Cols {
 				out.cols[c].origin = -jc.Col - 2
@@ -501,10 +525,11 @@ type fanCol struct {
 	origin int
 }
 
-// init sets m up as a view of width columns, of at most size rows; with
-// views unset, only its columns' origins are kept.
-func (m *morsel) init(width, size int, views bool) *morsel {
-	m.size, m.cols, m.done = size, make([]fanCol, width), m.dbuf[:0]
+// init sets m up as a view of the columns cols, fresh, of at most size
+// rows; with views unset, only its columns' origins are kept.
+func (m *morsel) init(cols []fanCol, size int, views bool) *morsel {
+	width := len(cols)
+	m.size, m.cols, m.done = size, cols, m.dbuf[:0]
 	for c := range m.cols {
 		m.cols[c].origin = computed
 	}
@@ -549,24 +574,6 @@ func (m *morsel) window(in *Batch, lo, hi int) {
 	m.view.length, m.width, m.rows, m.lo = hi-lo, len(in.cols), nil, lo
 }
 
-// rowsInto writes the source rows of the view's rows into dst, as long.
-func (m *morsel) rowsInto(dst []int32) {
-	for k := range dst {
-		r := int32(k)
-		if m.rows != nil {
-			r = m.rows[k]
-		}
-		switch {
-		case m.up == nil:
-			dst[k] = int32(m.lo) + r
-		case r < 0:
-			dst[k] = -1
-		default:
-			dst[k] = m.up.row(int(r))
-		}
-	}
-}
-
 // reads reports whether this pass reads column c.
 func (m *morsel) reads(c int) bool {
 	return m.cols[c].live && (!m.counting || m.cols[c].count)
@@ -604,7 +611,6 @@ func (m *morsel) keepRows(idx []int32) {
 	if m.bld != nil {
 		m.narrow(&m.bld, idx)
 	}
-next:
 	for c := range m.width {
 		v := &m.cols[c].v
 		if !m.reads(c) {
@@ -613,28 +619,13 @@ next:
 		v.length = len(idx)
 		switch {
 		case v.kind == value.Null:
-			continue
 		case v.sel == nil:
 			v.sel = idx
-			continue
+		default:
+			// In place when v.sel is this column's buffer: idx ascends, so
+			// each read is at or after the write.
+			v.sel = m.compose(c, v.sel, idx)
 		}
-		for _, d := range m.done {
-			if same(d[0], v.sel) {
-				v.sel = d[1]
-				continue next
-			}
-		}
-		if m.cols[c].sel == nil {
-			m.cols[c].sel = make([]int32, cap(idx))
-		}
-		// In place when v.sel is this buffer: idx ascends, so each read
-		// is at or after the write.
-		dst := m.cols[c].sel[:len(idx)]
-		for i, k := range idx {
-			dst[i] = v.sel[k]
-		}
-		m.done = append(m.done, [2][]int32{v.sel, dst})
-		v.sel = dst
 	}
 }
 
@@ -902,8 +893,8 @@ func (c *collect) push(r *fanRun, m *morsel) bool {
 		c.total = r.in.length
 	}
 	n := m.view.length
-	if c.rows != nil {
-		m.rowsInto(c.rows[c.n : c.n+n])
+	for k := range n * b2i(c.rows != nil) {
+		c.rows[c.n+k] = m.row(k)
 	}
 	if c.bld != nil {
 		for k, b := range m.bld[:n] {
@@ -976,9 +967,11 @@ func (s *foldSink) finish(*fanRun) (*Batch, error) { return s.fold.finish() }
 
 // heap is a *TopN sink, or a *Sort one: it keeps the best limit rows so
 // far in slots 0..limit-1, worst at the root, each its source and build
-// row — which order its ties — and copies of its computed cells, and reads a new
-// row into slot limit to compare it. Where the rows may be fewer than the
-// limit (a sort, a small source), it materializes and sorts at the end.
+// row — which order its ties — and copies of its computed cells, and
+// reads a new row into slot limit to compare it. Where the rows may be
+// fewer than the limit (a sort, a small source), it materializes and
+// sorts at the end: the stable sort, which heap-selecting its prefix
+// leaves as it is.
 type heap struct {
 	keys     []table.SortKey
 	limit    int
@@ -987,6 +980,7 @@ type heap struct {
 	comp     []*Vec
 	h        []int32
 	cmps     []heapKey
+	cmpBuf   [2]heapKey
 	nanKeys  []int // computed float key columns, checked row by row
 }
 
@@ -999,7 +993,11 @@ type heapKey struct {
 // newHeap sets a top-n sink up over the chain's output.
 func (r *fanRun) newHeap(keys []table.SortKey, limit int) (*heap, bool, error) {
 	m := r.last
-	h := &heap{keys: keys, limit: max(limit, 0)}
+	h := &r.heapBuf // the first top-n sink's
+	if h.cmps != nil || h.collect != nil {
+		h = new(heap)
+	}
+	h.keys, h.limit = keys, max(limit, 0)
 	bound := r.in.length
 	if p := r.p; p != nil {
 		bound = 0
@@ -1008,22 +1006,21 @@ func (r *fanRun) newHeap(keys []table.SortKey, limit int) (*heap, bool, error) {
 		}
 		bound = max(bound, r.in.length)
 	}
+	m.readComputed()
 	if r.whole || h.limit >= bound {
 		h.collect = new(collect)
 		r.collects = append(r.collects, h.collect)
-		m.readComputed()
 		return h, true, nil
 	}
-	m.readComputed()
 	slots := h.limit + 1
-	h.src, h.cmps = make([]int32, slots), make([]heapKey, 0, len(keys))
+	ints := make([]int32, slots+h.limit)
+	h.src, h.h, h.cmps = ints[:slots], ints[slots:slots], h.cmpBuf[:0]
 	if slices.ContainsFunc(m.cols, func(c fanCol) bool { return c.origin == computed }) {
 		h.comp = make([]*Vec, len(m.cols))
 	}
 	if r.p != nil {
 		h.bld = make([]int32, slots)
 	}
-	h.h = make([]int32, 0, h.limit)
 	for _, k := range keys {
 		c := r.schema.Index(k.Column)
 		if c < 0 {
@@ -1196,31 +1193,57 @@ func (h *heap) finish(r *fanRun) (*Batch, error) {
 		}
 		return 1
 	})
-	n := len(h.h)
-	src, bld := make([]int32, n), []int32(nil)
-	for i, s := range h.h {
-		src[i] = h.src[s]
-	}
+	m, n := r.last, len(h.h)
+	cols := make([]*Vec, len(m.cols))
+	var bld []int32
 	if h.bld != nil {
 		bld = make([]int32, n)
 		for i, s := range h.h {
 			bld[i] = h.bld[s]
 		}
 	}
+	for col := range m.cols {
+		if m.cols[col].origin == computed {
+			cols[col] = &Vec{kind: value.Null}
+			if h.comp != nil && h.comp[col] != nil {
+				cols[col] = gather(h.comp[col], h.h)
+			}
+		}
+	}
+	// The kept slots become their source rows, the output's selection.
+	src := h.h
+	for i, s := range src {
+		src[i] = h.src[s]
+	}
 	var cc composer
-	m := r.last
-	cols := make([]*Vec, len(m.cols))
 	for col := range m.cols {
 		switch o := m.cols[col].origin; {
-		case o == computed && h.comp[col] != nil:
-			cols[col] = gather(h.comp[col], h.h)
-		case o == computed:
-			cols[col] = &Vec{kind: value.Null}
 		case o >= 0:
 			cols[col] = r.in.cols[o].pick(src, &cc)
-		default:
+		case o < computed:
 			cols[col] = r.build.cols[-o-2].pick(bld, &cc)
 		}
 	}
 	return &Batch{schema: r.schema, cols: cols, length: n}, nil
+}
+
+// siftDown restores the heap property at root i under the given
+// ordering (the "largest" element, per worse, bubbles to the top).
+func siftDown(h []int32, i int, worse func(a, b int32) bool) {
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && worse(h[r], h[l]) {
+			m = r
+		}
+		if !worse(h[m], h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }

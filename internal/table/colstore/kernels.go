@@ -3,7 +3,6 @@ package colstore
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -37,7 +36,7 @@ type Filter struct {
 // row passes is returned itself — a filter the decoder already applied,
 // run again by the pipeline.
 func (k *Filter) Run(b *Batch) (*Batch, error) {
-	return step(k, b, nil, k.Pred.size)
+	return one(k, Materialize, b, nil, k.Pred.size)
 }
 
 // kept returns the positions of keep's set bits below n, ascending, in
@@ -80,14 +79,14 @@ type MapExpr struct {
 // Run implements Kernel: a one-step run into Materialize, which writes
 // the computed column a morsel at a time into one vector.
 func (k *MapExpr) Run(b *Batch) (*Batch, error) {
-	return step(k, b, nil, k.Eval.size)
+	return one(k, Materialize, b, nil, k.Eval.size)
 }
 
 // ---------------------------------------------------------------------
 // topn, sort and limit
 
 // TopN keeps the first Limit rows by its keys: the topn task over one
-// global group, and the sort task with the limit task after it. It
+// global group, and the sort task with the limit task after it. Its sink
 // selects them with a bounded heap, O(n log limit) instead of a full
 // sort, when the input is larger than the budget; the output is the
 // stable sort's first Limit rows, ties in input order.
@@ -98,10 +97,17 @@ type TopN struct {
 	Limit int
 }
 
-// Run implements Kernel: the top-n sink over b whole.
-func (k *TopN) Run(b *Batch) (*Batch, error) { return topN(b, k.Keys, k.Limit) }
+// Run implements Kernel: a run of the top-n sink with no step — the
+// stable sort the sink ends with where the limit reaches b's length.
+func (k *TopN) Run(b *Batch) (*Batch, error) {
+	if k.Limit >= b.length {
+		return topN(b, k.Keys, k.Limit)
+	}
+	return one(nil, k, b, nil, morselRows)
+}
 
-// topN returns the first limit rows of b by keys, as selections.
+// topN returns the first limit rows of b by keys, as selections: the
+// stable sort's prefix.
 func topN(b *Batch, keys []table.SortKey, limit int) (*Batch, error) {
 	idx, err := sortPerm(b, keys, limit)
 	if err != nil || idx == nil {
@@ -117,27 +123,6 @@ func identity(n int) []int32 {
 		idx[i] = int32(i)
 	}
 	return idx
-}
-
-// siftDown restores the heap property at root i under the given
-// ordering (the "largest" element, per worse, bubbles to the top).
-func siftDown(h []int32, i int, worse func(a, b int32) bool) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && worse(h[r], h[l]) {
-			m = r
-		}
-		if !worse(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }
 
 // keyComparator builds a three-way comparator over a vector's elements,
@@ -175,12 +160,10 @@ func keyComparator(v *Vec) func(i, j int) int {
 // sortPerm returns the first limit rows (all, when limit reaches the
 // length) of the permutation that orders b's rows stably by keys — the
 // columnar analogue of table.Sort, compared under typed per-column
-// comparators. A full sort is the same algorithm (sort.SliceStable) over
-// the same comparison outcomes as table.Sort, so the two agree even where
-// value.Compare is not an order (NaN compares equal to every float). A
-// shorter prefix is heap-selected where the comparators are a strict weak
-// order, ties broken by row: exactly the stable sort's prefix. It is nil
-// for no keys and no limit: the rows as they are.
+// comparators: the same algorithm (sort.SliceStable) over the same
+// comparison outcomes as table.Sort, so the two agree even where
+// value.Compare is not an order (NaN compares equal to every float). It
+// is nil for no keys and no limit: the rows as they are.
 func sortPerm(b *Batch, keys []table.SortKey, limit int) ([]int32, error) {
 	n := b.length
 	limit = max(min(limit, n), 0)
@@ -192,44 +175,23 @@ func sortPerm(b *Batch, keys []table.SortKey, limit int) ([]int32, error) {
 		desc bool
 	}
 	bounds := make([]bound, len(keys))
-	heap := limit < n
 	for i, k := range keys {
 		j := b.schema.Index(k.Column)
 		if j < 0 {
 			return nil, fmt.Errorf("colstore: sort column %q not found", k.Column)
 		}
-		v := b.cols[j]
-		bounds[i] = bound{cmp: keyComparator(v), desc: k.Desc}
-		heap = heap && v.kind != anyKind && !(v.kind == value.Float && slices.ContainsFunc(v.floats, math.IsNaN))
+		bounds[i] = bound{cmp: keyComparator(b.cols[j]), desc: k.Desc}
 	}
-	less := func(i, j int32) bool {
+	idx := identity(n)
+	sort.SliceStable(idx, func(x, y int) bool {
 		for _, k := range bounds {
-			if c := k.cmp(int(i), int(j)); c != 0 {
+			if c := k.cmp(int(idx[x]), int(idx[y])); c != 0 {
 				return (c < 0) != k.desc
 			}
 		}
 		return false
-	}
-	if !heap {
-		idx := identity(n)
-		sort.SliceStable(idx, func(x, y int) bool { return less(idx[x], idx[y]) })
-		return idx[:limit], nil
-	}
-	// The worst kept row sits at the root; a better one evicts it.
-	before := func(i, j int32) bool { return less(i, j) || !less(j, i) && i < j }
-	worse := func(i, j int32) bool { return before(j, i) }
-	h := identity(limit)
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, worse)
-	}
-	for i := limit; i < n && limit > 0; i++ {
-		if before(int32(i), h[0]) {
-			h[0] = int32(i)
-			siftDown(h, 0, worse)
-		}
-	}
-	sort.Slice(h, func(x, y int) bool { return before(h[x], h[y]) })
-	return h, nil
+	})
+	return idx[:limit], nil
 }
 
 // Sort is the vectorized sort task: a stable multi-key sort of the whole
@@ -239,7 +201,8 @@ type Sort struct {
 	Keys []table.SortKey
 }
 
-// Run implements Kernel: a top-n that keeps every row.
+// Run implements Kernel: the stable sort, which a top-n sink that keeps
+// every row ends with.
 func (k *Sort) Run(b *Batch) (*Batch, error) { return topN(b, k.Keys, b.length) }
 
 // Limit is the vectorized limit task: the first N rows, as a selection.
@@ -250,7 +213,7 @@ type Limit struct {
 
 // Run implements Kernel: a one-step run into Materialize.
 func (k *Limit) Run(b *Batch) (*Batch, error) {
-	return step(k, b, nil, morselRows)
+	return one(k, Materialize, b, nil, morselRows)
 }
 
 // ---------------------------------------------------------------------

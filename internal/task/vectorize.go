@@ -134,12 +134,10 @@ func (s *JoinSpec) probeOnly(f *FilterSpec, in []Input) bool {
 
 // Bound is a group Kernel answers, bound over its inputs: Fan runs it,
 // its steps into its sink or into Materialize, producing Out; the probe
-// side of a join is the group's second input when Swapped. Vec is a
-// one-input group's kernel when it has one: a lone stage's, or a sort
-// and limit's top-n. !OK: the group has no run over these inputs.
+// side of a join is the group's second input when Swapped. !OK: the
+// group has no run over these inputs.
 type Bound struct {
 	Fan         *colstore.Fan
-	Vec         colstore.Kernel
 	Out         *schema.Schema
 	Swapped, OK bool
 }
@@ -241,13 +239,6 @@ func bind(env *Env, specs []Spec, in []Input, k *Bound, ks *kernels) {
 			f.Chain = append(f.Chain, kk)
 		}
 		cur.Schema = out
-	}
-	switch {
-	case len(in) == 2 || len(f.Chain)+len(f.Sinks) != 1:
-	case f.Sinks != nil:
-		k.Vec = f.Sinks[0]
-	default:
-		k.Vec = f.Chain[0]
 	}
 	if f.Sinks == nil {
 		ks.sink[0], f.Sinks = colstore.Materialize, ks.sink[:]

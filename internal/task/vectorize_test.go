@@ -79,9 +79,9 @@ func TestFuseKeptPerTail(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	top, ok := got[0].Vec.(*colstore.TopN)
+	top, ok := got[0].Fan.Sinks[0].(*colstore.TopN)
 	if !ok || top.Limit != 2 || len(top.Keys) != 1 || !top.Keys[0].Desc {
-		t.Fatalf("sort then limit fused into %#v", got[0].Vec)
+		t.Fatalf("sort then limit fused into %#v", got[0].Fan.Sinks[0])
 	}
 	for w, f := range got {
 		if f != got[0] {
