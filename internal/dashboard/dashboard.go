@@ -65,9 +65,10 @@ type Platform struct {
 	// RunTimeout bounds every dashboard run; 0 means no platform-wide
 	// deadline (callers can still pass their own via RunContext).
 	RunTimeout time.Duration
-	// Columnar is the batch engine's mode for every run: off runs every
-	// stage on rows; empty or on runs each stage on its kernel whenever
-	// one binds. See docs/ENGINE.md.
+	// Columnar is the batch engine's mode for every run: off runs each
+	// stage alone through its Spec.Exec; empty or on runs each group of
+	// stages task.Kernel admits on one fan of its kernels. See
+	// docs/ENGINE.md.
 	Columnar string
 	// Tracer receives structured execution spans for every run on the
 	// platform (run → connector fetch → task stage → widget render).

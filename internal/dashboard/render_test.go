@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -186,10 +187,9 @@ func oracleRenderDegraded(inst *widget.Instance, w io.Writer) error {
 		sizeCol = inst.DataColumn("y")
 	}
 	if sizeCol != "" && data.Schema().Has(sizeCol) {
-		sorted := data.CloneShallow()
-		if err := sorted.Sort(table.SortKey{Column: sizeCol, Desc: true}); err == nil {
-			data = sorted
-		}
+		rows := slices.Clone(data.CloneShallow().Rows())
+		sortDesc(rows, data.Schema().Index(sizeCol))
+		data, _ = table.FromRows(data.Schema(), rows)
 	}
 	top := data.Head(20)
 	fmt.Fprintf(w, `<div class="widget degraded" data-widget=%q data-full-rows="%d"><table>`,

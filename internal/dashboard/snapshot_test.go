@@ -1,9 +1,11 @@
 package dashboard
 
 import (
+	"sort"
 	"testing"
 
 	"shareinsights/internal/table"
+	"shareinsights/internal/value"
 )
 
 // TestSourceCacheSnapshotIsolation pins the fix for the Rows() aliasing
@@ -31,9 +33,7 @@ func TestSourceCacheSnapshotIsolation(t *testing.T) {
 	}
 	rows := live.Rows()
 	rows[0], rows[1] = rows[1], rows[0]
-	if err := live.Sort(table.SortKey{Column: "amount", Desc: true}); err != nil {
-		t.Fatal(err)
-	}
+	sortDesc(live.Rows(), live.Schema().Index("amount"))
 	if got := snap.Fingerprint(); got != want {
 		t.Fatalf("mutating the live table corrupted the snapshot: fingerprint %s -> %s", want, got)
 	}
@@ -48,10 +48,14 @@ func TestSourceCacheSnapshotIsolation(t *testing.T) {
 	if !ok {
 		t.Fatal("degraded run lost the source table")
 	}
-	if err := served.Sort(table.SortKey{Column: "amount", Desc: true}); err != nil {
-		t.Fatal(err)
-	}
+	sortDesc(served.Rows(), served.Schema().Index("amount"))
 	if got := snap.Fingerprint(); got != want {
 		t.Fatalf("mutating the served stale table corrupted the snapshot: fingerprint %s -> %s", want, got)
 	}
+}
+
+// sortDesc sorts rows in place, stably and descending by column c under
+// value.Compare.
+func sortDesc(rows []table.Row, c int) {
+	sort.SliceStable(rows, func(a, b int) bool { return value.Compare(rows[a][c], rows[b][c]) > 0 })
 }

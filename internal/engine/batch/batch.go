@@ -6,11 +6,12 @@
 //
 //   - independent DAG nodes run concurrently, at most
 //     Executor.Parallelism at once;
-//   - a node's pipeline runs one spec per stage, either on the spec's
-//     bound columnar kernel (columnar.go) or on its reference Exec.
+//   - a node's pipeline runs its stages as groups on the specs' bound
+//     columnar kernels (columnar.go), or one at a time through each
+//     spec's Exec.
 //
-// The observable semantics are exactly the task package's reference
-// semantics; tests assert the equivalence.
+// The observable semantics are docs/SEMANTICS.md's and the task
+// package's; tests hold every mode to a naive reference.
 package batch
 
 import (
@@ -53,8 +54,9 @@ type Executor struct {
 	Tracer obs.Tracer
 	// TraceParent is the span id node spans open under (0 = top level).
 	TraceParent int
-	// Columnar is ColumnarOff to run every stage on rows; "" runs each
-	// stage on its kernel whenever one binds (columnar.go).
+	// Columnar is ColumnarOff to run each stage alone through its
+	// Spec.Exec; "" runs each group of stages task.Kernel admits on one
+	// colstore.Fan (columnar.go).
 	Columnar string
 	// Budget, when non-nil, is charged as stages and pipelines
 	// materialize output (rows per stage, bytes per node or RunPipeline
@@ -107,10 +109,9 @@ type StageTiming struct {
 
 // StageTiming.Path values.
 const (
-	// PathRow marks a stage executed by the row-at-a-time kernels.
+	// PathRow marks a stage run alone through its Spec.Exec.
 	PathRow = "row"
-	// PathColumnar marks a stage executed by the vectorized colstore
-	// kernels.
+	// PathColumnar marks a stage run in a colstore.Fan group.
 	PathColumnar = "columnar"
 )
 
@@ -551,11 +552,11 @@ type pipeline struct {
 // unnamed names an intermediate table: it is no data object.
 var unnamed = []string{""}
 
-// run executes the chain one spec per stage: each goes to its columnar
-// kernel when one binds and the data allow it, else to its
-// reference Exec — decided once, before the stage runs, and never
-// revisited. Columnar stages hand each other selections; the output is
-// compacted so that it keeps alive no vector four times its size.
+// run executes the chain: each group task.Kernel admits runs on its
+// bound kernels when they bind, else its first stage runs alone through
+// its Exec — decided once, before the stage runs, and never revisited.
+// Stages hand each other selections; the output is compacted so that it
+// keeps alive no vector four times its size.
 func (p *pipeline) run(ctx context.Context, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
 	if len(specs) == 0 {
 		if len(in) != 1 {

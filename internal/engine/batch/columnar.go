@@ -1,19 +1,20 @@
 // Columnar execution: the batch engine's vectorized path.
 //
 // A group of stages runs on colstore.Fan, the engine's one stage runner,
-// wherever task.Kernel admits it, task.Bind binds it over its inputs and
-// they convert (a boxed or time column does not), and each stage runs on
-// the row kernels otherwise; the executor's ColumnarOff mode keeps every
-// stage on rows. A group is a node's steps (filters, maps, limits, a
-// join's probe) pushed a morsel at a time into one sink (materialize, a
-// group-by, a top-n or a sort), and an inline node's steps run the same
-// way into the first group of each consumer. The columnar path takes a
+// wherever task.Kernel admits it and task.Bind binds it over its inputs,
+// and each stage runs alone through its Spec.Exec otherwise, as every
+// stage does in the executor's ColumnarOff mode. A group is a node's
+// steps (filters, maps, limits, a join's probe) pushed a morsel at a time
+// into one sink (materialize, a group-by, a top-n or a sort), and an
+// inline node's steps run the same way into the first group of each
+// consumer. The columnar path takes a
 // table as a column batch (its own storage when it is column-backed, one
 // conversion when it is not), so consecutive groups — and the nodes
-// downstream — exchange vectors, never rows. The choice is made before
-// the group runs: a bound run never hands its stages back. Both paths
-// are semantically identical; the differential harness in
-// internal/engine/enginetest asserts it.
+// downstream — exchange vectors, never rows; a boxed or time column is a
+// vector of value.V. The choice is made before the group runs: a bound
+// run never hands its stages back. Every mode means what
+// docs/SEMANTICS.md says; the differential harness in
+// internal/engine/enginetest holds each to a naive reference.
 package batch
 
 import (
@@ -27,15 +28,16 @@ import (
 	"shareinsights/internal/task"
 )
 
-// ColumnarOff, as Executor.Columnar, runs every stage on rows: the
-// differential harness's reference.
+// ColumnarOff, as Executor.Columnar, runs each stage alone through its
+// Spec.Exec, with no fan group and no inline node: group-by, join and
+// sort on their kernels, every other task on its row implementation.
 const ColumnarOff = "off"
 
 // columnar runs the group task.Kernel answers at the head of specs over
 // in on a colstore.Fan, and returns its output and the number of stages
-// it ran: 0, and no output, when the group should run on rows instead
-// (the mode is off, it has no run over these inputs, or an input holds a
-// column with no typed vector). err is a real stage failure.
+// it ran: 0, and no output, when the stage runs alone through its
+// Spec.Exec instead (the mode is off, or the group has no run over these
+// inputs). err is a real stage failure.
 func (p *pipeline) columnar(specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
 	var inputs [2]task.Input
 	if p.e.Columnar == ColumnarOff || len(in) > len(inputs) {
@@ -61,10 +63,7 @@ func (p *pipeline) columnar(specs []task.Spec, in []*table.Table, names []string
 	}
 	var bs [2]*colstore.Batch
 	for i := range in {
-		var ok bool
-		if bs[i], ok = colstore.FromTable(in[order[i]]); !ok {
-			return nil, 0, nil
-		}
+		bs[i], _ = colstore.FromTable(in[order[i]])
 	}
 	var outs []*colstore.Batch
 	var st []colstore.FanStage
@@ -113,19 +112,19 @@ type fed struct {
 
 // inline runs specs, the chain of the pipeline's node, an inline node
 // (dag.NodePlan.Inline), over its input in a morsel at a time into the
-// first group of each consumer in to — a
-// sink, or a join it feeds as the probe side over the build table tables
-// holds — on one colstore.Fan, and fills each consumer's fed. It returns
-// the rows the chain kept and the stages it ran; ok is false when it
-// declines — the input does not convert, a group does not bind, or the
-// fan declines — and the node then runs as any other, before any consumer
-// sees an output. The node's stages and each consumer's first report
-// under the node's span, flagged inline, when the run ends.
+// first group of each consumer in to — a sink, or a join it feeds as the
+// probe side over the build table tables holds — on one colstore.Fan,
+// and fills each consumer's fed. It returns the rows the chain kept and
+// the stages it ran; ok is false when it declines — a group does not
+// bind, or the fan declines — and the node then runs as any other,
+// before any consumer sees an output. The node's stages and each
+// consumer's first report under the node's span, flagged inline, when
+// the run ends.
 func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, specs []task.Spec, in *table.Table, to []fed, tables func(string) *table.Table) (rows, stages int, ok bool, err error) {
-	b, ok := colstore.FromTable(in)
-	if err = ctx.Err(); err != nil || !ok {
+	if err = ctx.Err(); err != nil {
 		return 0, 0, false, err
 	}
+	b, _ := colstore.FromTable(in)
 	k := task.Bind(p.env, specs, []task.Input{{Schema: in.Schema()}})
 	if !k.OK || len(k.Fan.Chain) != len(specs) {
 		return 0, 0, false, nil
@@ -151,9 +150,7 @@ func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, spe
 					return 0, 0, false, nil
 				}
 				ins[j].Schema = t.Schema()
-				if build, ok = colstore.FromTable(t); !ok {
-					return 0, 0, false, nil
-				}
+				build, _ = colstore.FromTable(t)
 			}
 		}
 		cspecs := plan.Node(c.name).Specs

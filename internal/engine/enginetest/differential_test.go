@@ -1,9 +1,9 @@
-// Package enginetest cross-checks the batch engine's two execution
-// paths and the data object's two layouts: every flow runs on the row
-// kernels and on the columnar kernels, over row-backed and over
-// column-backed inputs, and the produced tables must be identical. The
-// row path over row-backed inputs is the reference semantics; any
-// divergence is a columnar bug.
+// Package enginetest holds the batch engine to the semantics: every flow
+// runs in every executor mode — each stage alone through its Spec.Exec
+// (off), and in fan groups and inline nodes (the default), planned and
+// unplanned — over row-backed and over column-backed inputs, and every
+// produced table must equal the naive reference's (reference_test.go,
+// docs/SEMANTICS.md) cell for cell and kind for kind.
 package enginetest
 
 import (
@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"shareinsights/internal/dag"
 	"shareinsights/internal/engine/batch"
@@ -84,15 +85,14 @@ func sameMultiset(a, b *table.Table) bool {
 	return true
 }
 
-// diffFlow runs one flow through both engines, over both input
-// backings, and compares every output data object with the reference:
-// the row kernels over row-backed inputs.
+// diffFlow runs one flow in every mode, over both input backings, and
+// compares every output data object with the reference's.
 func diffFlow(t *testing.T, flow string, sources map[string]*table.Table) {
 	t.Helper()
 	g := buildGraph(t, flow)
-	row := runPath(t, g, sources, batch.ColumnarOff, 1)
-	diffInputs(t, g, row, "row-backed", sources)
-	diffInputs(t, g, row, "column-backed", columnBacked(sources))
+	ref := reference(t, g, sources)
+	diffInputs(t, g, ref, "row-backed", sources)
+	diffInputs(t, g, ref, "column-backed", columnBacked(sources))
 }
 
 // columnBacked rebuilds every source through the column builder, the
@@ -111,40 +111,39 @@ func columnBacked(sources map[string]*table.Table) map[string]*table.Table {
 }
 
 // diffInputs compares every run shape over one set of inputs with the
-// reference run row. At parallelism 1 the comparison is exact (same
+// reference run ref. At parallelism 1 the comparison is exact (same
 // rows, same order, same kinds); at parallelism 4 row-local shard order
 // may differ from sequential order, so the comparison is
 // order-insensitive.
-func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, sources map[string]*table.Table) {
+func diffInputs(t *testing.T, g *dag.Graph, ref refResult, inputs string, sources map[string]*table.Table) {
 	t.Helper()
 	for _, mode := range []string{batch.ColumnarOff, ""} {
 		col := runPath(t, g, sources, mode, 1)
-		for _, name := range row.SortedNames() {
-			want, _ := row.Table(name)
+		for _, name := range ref.names() {
+			want := ref[name]
 			got, ok := col.Table(name)
 			if !ok {
 				t.Fatalf("%s inputs, columnar=%s run missing output %s", inputs, mode, name)
 			}
 			if !want.Equal(got) {
-				t.Errorf("%s inputs, columnar=%s: D.%s differs from row path:\nrow:\n%s\ncolumnar:\n%s",
+				t.Errorf("%s inputs, columnar=%s: D.%s differs from the reference:\nreference:\n%s\ncolumnar:\n%s",
 					inputs, mode, name, want.Format(10), got.Format(10))
 			}
 			assertKindsEqual(t, name, want, got)
 		}
 	}
 	par := runPath(t, g, sources, "", 4)
-	for _, name := range row.SortedNames() {
-		want, _ := row.Table(name)
+	for _, name := range ref.names() {
 		got, _ := par.Table(name)
-		if got == nil || !sameMultiset(want, got) {
-			t.Errorf("%s inputs, columnar parallel run: D.%s row multiset differs from row path", inputs, name)
+		if got == nil || !sameMultiset(ref[name], got) {
+			t.Errorf("%s inputs, columnar parallel run: D.%s row multiset differs from the reference", inputs, name)
 		}
 	}
 
 	// Optimized-vs-unoptimized: the same flow under a cost-based plan —
 	// once with heuristic-only evidence, once with an adversarial stats
 	// feed claiming extreme selectivities to force reorders — must match
-	// the unplanned row run cell-for-cell on both engines.
+	// the reference cell-for-cell in both modes.
 	for si, stats := range []dag.StatsFn{nil, adversarialStats(1), adversarialStats(2)} {
 		for _, mode := range []string{batch.ColumnarOff, ""} {
 			plan := dag.Optimize(g, dag.PlanOptions{Stats: stats})
@@ -153,14 +152,14 @@ func diffInputs(t *testing.T, g *dag.Graph, row *batch.Result, inputs string, so
 			// point here is the stage rewrites, not sink elimination.
 			plan.SkippedSinks = nil
 			opt := runPlanned(t, g, plan, sources, mode)
-			for _, name := range row.SortedNames() {
-				want, _ := row.Table(name)
+			for _, name := range ref.names() {
+				want := ref[name]
 				got, ok := opt.Table(name)
 				if !ok {
 					t.Fatalf("%s inputs, stats=%d columnar=%s planned run missing output %s", inputs, si, mode, name)
 				}
 				if !want.Equal(got) {
-					t.Errorf("%s inputs, stats=%d columnar=%s: planned D.%s differs from unplanned row path:\nplan:\n%s\nrow:\n%s\nplanned:\n%s",
+					t.Errorf("%s inputs, stats=%d columnar=%s: planned D.%s differs from the reference:\nplan:\n%s\nreference:\n%s\nplanned:\n%s",
 						inputs, si, mode, name, plan.Format(), want.Format(10), got.Format(10))
 					continue
 				}
@@ -203,7 +202,7 @@ func assertKindsEqual(t *testing.T, name string, want, got *table.Table) {
 	for i, r := range want.Rows() {
 		for j, v := range r {
 			if g := got.Rows()[i][j]; g.Kind() != v.Kind() {
-				t.Errorf("D.%s row %d col %d: kind %v (row path) vs %v (columnar)",
+				t.Errorf("D.%s row %d col %d: kind %v (reference) vs %v (run)",
 					name, i, j, v.Kind(), g.Kind())
 				return
 			}
@@ -476,10 +475,9 @@ func TestFixedFlowsDifferential(t *testing.T) {
 	}
 }
 
-// TestIneligibleColumnsDifferential feeds the same pipelines data the
-// columnar converter must decline — a Time column and a mixed-kind
-// column — and checks the forced-on engine still matches the row path
-// (it falls back per stage rather than failing).
+// TestIneligibleColumnsDifferential feeds a filter and a group-by a
+// mixed-kind measure column, which the kernels read boxed, and holds
+// every mode to the reference.
 func TestIneligibleColumnsDifferential(t *testing.T) {
 	tb := table.New(schema.MustFromNames("region", "product", "amount", "ratio", "flag"))
 	for i := 0; i < 400; i++ {
@@ -517,6 +515,118 @@ T:
 	diffFlow(t, flow, map[string]*table.Table{"src": tb})
 }
 
+// boxedSales is salesTable with a column of each boxed shape: flag holds
+// times, null in every eleventh row, and product mixes ints (every third
+// row) into its strings.
+func boxedSales(n int, seed int64) *table.Table {
+	src := salesTable(n, seed, 10)
+	tb := table.New(src.Schema())
+	for i, r := range src.Rows() {
+		r = r.Clone()
+		if r[4] = value.NewTime(time.Unix(int64(i%13)*3600, 0).UTC()); i%11 == 0 {
+			r[4] = value.VNull
+		}
+		if i%3 == 0 {
+			r[1] = value.NewInt(int64(i % 7))
+		}
+		tb.Append(r)
+	}
+	return tb
+}
+
+// TestBoxedInputsDifferential runs the differential suite's shapes over
+// inputs with a time column and a mixed-kind column, which every kernel
+// reads boxed: every fixed flow (filter, map, group-by, top-n, sort, a
+// join), group-bys, a sort and a join keyed on the boxed columns, an
+// inline node feeding group-bys keyed on the time column, and one
+// feeding a join's probe side. Each runs row-backed and column-backed,
+// every mode against the reference.
+func TestBoxedInputsDifferential(t *testing.T) {
+	sources := map[string]*table.Table{"src": boxedSales(1500, 9)}
+	for _, tc := range fixedFlows {
+		t.Run(tc.name, func(t *testing.T) { diffFlow(t, tc.flow, sources) })
+	}
+	t.Run("boxed_keys", func(t *testing.T) {
+		// One build key per shape the probe side holds, and "3", which
+		// must not join the int 3.
+		dim := table.New(schema.MustFromNames("product", "zone"))
+		for i, k := range []value.V{value.NewString("product a1"), value.NewInt(3), value.NewInt(4), value.NewString("3"), value.VNull} {
+			dim.AppendValues(k, value.NewInt(int64(i)))
+		}
+		diffFlow(t, `
+D:
+  src: [region, product, amount, ratio, flag]
+  dim: [product, zone]
+
+F:
+  D.by_time: D.src | T.by_flag
+  D.by_mixed: D.src | T.by_product
+  D.sorted: D.src | T.order
+  D.joined: (D.src, D.dim) | T.j | T.top
+
+T:
+  by_flag:
+    type: groupby
+    groupby: [flag]
+    aggregates:
+      - operator: count
+        out_field: n
+      - operator: min
+        apply_on: flag
+        out_field: first
+      - operator: max
+        apply_on: product
+        out_field: top
+  by_product:
+    type: groupby
+    groupby: [product, region]
+    orderby_aggregates: true
+    aggregates:
+      - operator: sum
+        apply_on: amount
+        out_field: total
+  order:
+    type: sort
+    orderby_column: [flag DESC, product, amount]
+  j:
+    type: join
+    left: src by product
+    right: dim by product
+    join_condition: full outer
+  top:
+    type: topn
+    orderby_column: [src_flag, dim_zone DESC]
+    limit: 50
+`, map[string]*table.Table{"src": sources["src"], "dim": dim})
+	})
+	t.Run("inline", func(t *testing.T) {
+		for _, in := range []map[string]*table.Table{sources, columnBacked(sources)} {
+			if _, built := fanRuns(t, fanFlow([]string{"keep_some", "rev"}, 4), in).Tables["mid"]; built {
+				t.Error("D.mid was built")
+			}
+		}
+	})
+	t.Run("probe", func(t *testing.T) {
+		in := joinInputs(shapeDuplicates, 5, 1500)
+		for name, col := range map[string]int{"l": 5, "r": 4} { // km, kx
+			tb := table.New(in[name].Schema())
+			for i, r := range in[name].Rows() {
+				r = r.Clone()
+				if name == "l" {
+					r[col] = value.NewTime(time.Unix(int64(i%17)*60, 0).UTC())
+				} else if i%2 == 0 {
+					r[col] = value.NewString("x")
+				}
+				tb.Append(r)
+			}
+			in[name] = tb
+		}
+		for _, cond := range []string{"inner", "left outer"} {
+			diffFlow(t, probeInlineFlow(cond, "a_w > 40"), in)
+		}
+	})
+}
+
 // spreadAcc is a user aggregate: the distance between the largest and
 // the smallest non-null value, null for none.
 type spreadAcc struct {
@@ -549,7 +659,7 @@ func (a *spreadAcc) Result() value.V {
 // registered aggregate — the platform's and one registered through
 // task.RegisterAggregate — to an int, a float, a bool and a string
 // column, over 600 rows with nulls: it runs on the columnar path and
-// agrees with the row kernels cell for cell, under every mode and input
+// agrees with the reference cell for cell, under every mode and input
 // backing.
 func TestEveryAggregateDifferential(t *testing.T) {
 	// A repeated run (-count) finds the aggregate already registered.

@@ -65,9 +65,8 @@ T:
 }
 
 // fanRuns runs flow under the optimizer's plan, which marks D.mid
-// inline, and holds every data object, D.mid included, to the row path
-// and to the unoptimized plan on the columnar path: cell for cell and
-// kind for kind. It returns the planned run.
+// inline, and holds every data object, D.mid included, to the reference
+// and to the unoptimized plan's run: cell for cell and kind for kind. It returns the planned run.
 func fanRuns(t *testing.T, flow string, sources map[string]*table.Table) *batch.Result {
 	t.Helper()
 	g := buildGraph(t, flow)
@@ -76,13 +75,12 @@ func fanRuns(t *testing.T, flow string, sources map[string]*table.Table) *batch.
 		t.Fatalf("D.mid is not inline:\n%s", plan.Format())
 	}
 	got := runPlanned(t, g, plan, sources, "")
-	for _, mode := range []string{batch.ColumnarOff, ""} {
-		ref := runPath(t, g, sources, mode, 1)
-		for _, name := range ref.SortedNames() {
-			want, _ := ref.Table(name)
+	for which, ref := range map[string]refResult{"the reference": reference(t, g, sources), "the unoptimized run": tables(runPath(t, g, sources, "", 1))} {
+		for _, name := range ref.names() {
+			want := ref[name]
 			have, ok := got.Table(name)
 			if !ok || !want.Equal(have) {
-				t.Fatalf("D.%s differs from the columnar=%s unoptimized run:\nwant:\n%s\ngot:\n%v", name, mode, want.Format(10), have)
+				t.Fatalf("D.%s differs from %s:\nwant:\n%s\ngot:\n%v", name, which, want.Format(10), have)
 			}
 			assertKindsEqual(t, name, want, have)
 		}
@@ -121,11 +119,12 @@ func TestFanOutDifferential(t *testing.T) {
 	}
 }
 
-// TestFanDeclines: an inline node whose input holds a boxed or a time
-// column, or whose map's morsel results change kind after the first
-// morsel (ratio + ratio is a float while ratio has no nulls and the int 0
-// where both sides are null), is materialized as if it were not inline,
-// and gives the materialized run's cells.
+// TestFanDeclines: an inline node whose map's morsel results change kind
+// after the first morsel (ratio + ratio is a float while ratio has no
+// nulls and the int 0 where both sides are null) is materialized as if it
+// were not inline, and gives the materialized run's cells. One whose
+// input holds a boxed or a time column runs inline: the fan reads boxed
+// columns through value.V.
 func TestFanDeclines(t *testing.T) {
 	boxed, timed, nulls := salesTable(2500, 3, 0), salesTable(2500, 3, 0), salesTable(2500, 3, 0)
 	set := func(tb *table.Table, col string, from int, v func(i int) value.V) *table.Table {
@@ -146,12 +145,13 @@ func TestFanDeclines(t *testing.T) {
 	for name, tc := range map[string]struct {
 		chain []string
 		src   *table.Table
-	}{"boxed": {[]string{"keep_some", "rev"}, boxed}, "time": {[]string{"keep_some"}, timed},
-		"kind": {[]string{"twice"}, nulls}} {
+		built bool
+	}{"boxed": {[]string{"keep_some", "rev"}, boxed, false}, "time": {[]string{"keep_some"}, timed, false},
+		"kind": {[]string{"twice"}, nulls, true}} {
 		t.Run(name, func(t *testing.T) {
 			res := fanRuns(t, fanFlow(tc.chain, 2), map[string]*table.Table{"src": tc.src})
-			if _, built := res.Tables["mid"]; !built {
-				t.Error("D.mid ran inline")
+			if _, built := res.Tables["mid"]; built != tc.built {
+				t.Errorf("D.mid built=%v, want %v", built, tc.built)
 			}
 		})
 	}

@@ -1,4 +1,4 @@
-package colstore_test
+package enginetest
 
 import (
 	"math"
@@ -12,15 +12,6 @@ import (
 	"shareinsights/internal/task"
 	"shareinsights/internal/value"
 )
-
-// init hands the package's own tests the task package's aggregate
-// registry, which colstore cannot import.
-func init() {
-	for _, name := range task.Aggregates() {
-		f, _ := task.Aggregate(name)
-		colstore.Registry[name] = f
-	}
-}
 
 // foldSource is the group-by input: a five-group key k, then a column
 // of each vector kind — int, float (a NaN in it, and null throughout
@@ -54,9 +45,8 @@ func foldSource(n int) *table.Table {
 // kind of column the kernel can meet — int, float, bool, plain and
 // dictionary-coded string, numeric string, all-null, a left outer join's
 // holed selections and a map-expr's boxed output — and holds the kernel
-// to the row group-by, cell for cell and kind for kind. Where the kernel
-// has no typed loop it folds with the accumulator itself, so no stage is
-// ever handed back to the row kernels.
+// to the reference group-by, cell for cell and kind for kind. Where the
+// kernel has no typed loop it folds with the accumulator itself.
 func TestGroupByFoldsEveryKind(t *testing.T) {
 	src := foldSource(64)
 	plain, _ := colstore.FromTable(src)
@@ -93,8 +83,8 @@ func TestGroupByFoldsEveryKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := colstore.FromTable(boxed.ToTable()); ok {
-		t.Fatal("n + i is not boxed")
+	if k := boxed.Col(out.Index("x")).Kind(); k <= value.Time {
+		t.Fatalf("n + i is not boxed: %v", k)
 	}
 
 	for name, in := range map[string]*colstore.Batch{"plain": plain, "coded": coded, "holed": holed, "boxed": boxed} {
@@ -111,7 +101,7 @@ func TestGroupByFoldsEveryKind(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s.%s: %v", name, col, err)
 			}
-			want, err := spec.Exec(&task.Env{}, []*table.Table{in.ToTable()}, nil)
+			want, err := refGroupBy(spec, in.ToTable())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +111,7 @@ func TestGroupByFoldsEveryKind(t *testing.T) {
 			for i, r := range got.ToTable().Rows() {
 				for j, x := range r {
 					if y := want.Rows()[i][j]; x.Kind() != y.Kind() || x.String() != y.String() {
-						t.Errorf("%s.%s group %d %s = %v (%v), the row group-by says %v (%v)",
+						t.Errorf("%s.%s group %d %s = %v (%v), the reference says %v (%v)",
 							name, col, i, want.Schema().Col(j).Name, x, x.Kind(), y, y.Kind())
 					}
 				}

@@ -205,10 +205,11 @@ func joinFilterFusion(t *testing.T, shape string, sources map[string]*table.Tabl
 	}
 }
 
-// TestJoinBoxedInputTakesRowPath: a join whose input holds a column with
+// TestJoinBoxedInputStaysColumnar: a join whose input holds a column with
 // no typed vector (a time column here, a mixed-kind one on the other
-// side) runs on the row join under every mode and still agrees.
-func TestJoinBoxedInputTakesRowPath(t *testing.T) {
+// side) reads it boxed: it runs on the join kernel under every mode and
+// agrees with the reference.
+func TestJoinBoxedInputStaysColumnar(t *testing.T) {
 	sources := joinInputs(shapeDuplicates, 5, 300)
 	stamped := table.New(sources["l"].Schema())
 	for i, r := range sources["l"].Rows() {
@@ -232,8 +233,8 @@ func TestJoinBoxedInputTakesRowPath(t *testing.T) {
 		diffFlow(t, flow, src)
 		for _, in := range []map[string]*table.Table{src, columnBacked(src)} {
 			res := runPath(t, buildGraph(t, flow), in, "", 1)
-			if n := countPaths(res, batch.PathColumnar); n != 0 {
-				t.Errorf("%s: %d columnar stages; want the row join", name, n)
+			if n := countPaths(res, batch.PathColumnar); n != 1 {
+				t.Errorf("%s: %d columnar stages; want the join's", name, n)
 			}
 		}
 	}
@@ -317,7 +318,7 @@ T:
 // TestMinOverBoolStaysColumnar: a group-by whose aggregate has no typed
 // loop for its column's kind (min over a bool column) folds with the
 // aggregate's own accumulator on the columnar path — each stage is timed
-// once, on the path it was bound to, and agrees with the row kernels.
+// once, on the path it was bound to, and agrees with the reference.
 func TestMinOverBoolStaysColumnar(t *testing.T) {
 	flow := joinHeader + `
 F:

@@ -1,0 +1,267 @@
+package enginetest
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"shareinsights/internal/dag"
+	"shareinsights/internal/engine/batch"
+	"shareinsights/internal/table"
+	"shareinsights/internal/task"
+	"shareinsights/internal/value"
+)
+
+// The reference is docs/SEMANTICS.md written as naively as it reads:
+// group-by, join and sort over lists of rows of value.V, one row at a
+// time, and every other task through its Spec.Exec. Every engine mode is
+// held to it. It shares no code with the kernels but the registry's
+// accumulators, which are what the aggregates mean (§1.2).
+
+// refResult is a reference run: every data object of a graph, by name.
+type refResult map[string]*table.Table
+
+// names returns the run's data objects, sorted.
+func (r refResult) names() []string {
+	names := make([]string, 0, len(r))
+	for n := range r {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// tables is an engine run as a refResult: every data object it answers.
+func tables(res *batch.Result) refResult {
+	out := refResult{}
+	for _, name := range res.SortedNames() {
+		out[name], _ = res.Table(name)
+	}
+	return out
+}
+
+// reference runs g as written, node by node in graph order, over
+// sources; a failed run fails t.
+func reference(t testing.TB, g *dag.Graph, sources map[string]*table.Table) refResult {
+	t.Helper()
+	out, err := runReference(g, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// runReference is reference, returning the first node's failure.
+func runReference(g *dag.Graph, sources map[string]*table.Table) (refResult, error) {
+	out := refResult{}
+	for _, name := range g.Order {
+		n := g.Nodes[name]
+		if n.IsSource() {
+			out[name] = sources[name]
+			continue
+		}
+		in := make([]*table.Table, len(n.Inputs))
+		for i, x := range n.Inputs {
+			in[i] = out[x]
+		}
+		tb, err := refChain(n.Specs, in, n.Inputs)
+		if err != nil {
+			return nil, fmt.Errorf("reference D.%s: %w", name, err)
+		}
+		out[name] = tb
+	}
+	return out, nil
+}
+
+// refChain runs specs over in, the inputs named names, one stage at a
+// time; a stage's output is the next stage's one unnamed input.
+func refChain(specs []task.Spec, in []*table.Table, names []string) (*table.Table, error) {
+	for _, sp := range specs {
+		var out *table.Table
+		var err error
+		switch s := sp.(type) {
+		case *task.GroupBySpec:
+			out, err = refGroupBy(s, in[0])
+		case *task.JoinSpec:
+			out, err = refJoin(s, in, names)
+		case *task.SortSpec:
+			out, err = refSort(s, in[0])
+		default:
+			out, err = sp.Exec(&task.Env{}, in, names)
+		}
+		if err != nil {
+			return nil, err
+		}
+		in, names = []*table.Table{out}, []string{""}
+	}
+	return in[0], nil
+}
+
+// refKey is SEMANTICS.md §1.1's key identity: the kind and the display
+// form of each of r's cells at cols.
+func refKey(r table.Row, cols []int) string {
+	var b strings.Builder
+	for _, c := range cols {
+		b.WriteByte(byte(r[c].Kind()))
+		b.WriteString(r[c].String())
+		b.WriteByte(0)
+	}
+	return b.String()
+}
+
+// refGroupBy is SEMANTICS.md §1: rows with one key fold into one group,
+// each aggregate through a fresh accumulator from the registry — a bare
+// count is handed a null per row — and the groups come out stably sorted
+// by §1.3's order from the order they opened in.
+func refGroupBy(s *task.GroupBySpec, in *table.Table) (*table.Table, error) {
+	out, err := s.Out([]task.Input{{Schema: in.Schema()}})
+	if err != nil {
+		return nil, err
+	}
+	keys, _ := in.Schema().Require(s.GroupBy...)
+	type group struct {
+		row  table.Row
+		accs []task.Accumulator
+	}
+	var groups []*group
+	byKey := map[string]*group{}
+	for _, r := range in.Rows() {
+		g := byKey[refKey(r, keys)]
+		if g == nil {
+			g = &group{}
+			for _, c := range keys {
+				g.row = append(g.row, r[c])
+			}
+			for _, a := range s.Aggs {
+				f, err := task.Aggregate(a.Operator)
+				if err != nil {
+					return nil, err
+				}
+				g.accs = append(g.accs, f())
+			}
+			byKey[refKey(r, keys)] = g
+			groups = append(groups, g)
+		}
+		for i, a := range s.Aggs {
+			v := value.VNull
+			if a.ApplyOn != "" {
+				v = r[in.Schema().Index(a.ApplyOn)]
+			}
+			g.accs[i].Add(v)
+		}
+	}
+	rows := make([]table.Row, len(groups))
+	for i, g := range groups {
+		for _, acc := range g.accs {
+			g.row = append(g.row, acc.Result())
+		}
+		rows[i] = g.row
+	}
+	var order []task.OrderKey
+	if s.OrderByAggregates {
+		order = append(order, task.OrderKey{Column: s.Aggs[0].OutField, Desc: true})
+	}
+	for _, k := range s.GroupBy {
+		order = append(order, task.OrderKey{Column: k})
+	}
+	refSortRows(out.Index, rows, order)
+	return table.FromRows(out, rows)
+}
+
+// refJoin is SEMANTICS.md §2: every left row in order with each right row
+// of an equal key (§1.1's identity, so null keys join) in right-row
+// order, a left row with none alone under a left or full outer join, and
+// then, under a right or full outer join, every right row no left row
+// joined, in order; a missing side's cells are null.
+func refJoin(s *task.JoinSpec, in []*table.Table, names []string) (*table.Table, error) {
+	out, err := s.Out([]task.Input{{Name: names[0], Schema: in[0].Schema()}, {Name: names[1], Schema: in[1].Schema()}})
+	if err != nil {
+		return nil, err
+	}
+	left, right := in[0], in[1]
+	if (names[0] != s.LeftName || names[1] != s.RightName) && names[0] == s.RightName && names[1] == s.LeftName {
+		left, right = right, left
+	}
+	// cols[i] is output column i's source: side (0 left, 1 right), column.
+	var cols [][2]int
+	if len(s.Project) == 0 {
+		for c := range left.Schema().Len() {
+			cols = append(cols, [2]int{0, c})
+		}
+		for c := range right.Schema().Len() {
+			cols = append(cols, [2]int{1, c})
+		}
+	}
+	for _, p := range s.Project {
+		name, ok := strings.CutPrefix(p.Qualified, s.LeftName+"_")
+		if c := left.Schema().Index(name); ok && c >= 0 {
+			cols = append(cols, [2]int{0, c})
+			continue
+		}
+		name, _ = strings.CutPrefix(p.Qualified, s.RightName+"_")
+		cols = append(cols, [2]int{1, right.Schema().Index(name)})
+	}
+	lk, _ := left.Schema().Require(s.LeftKeys...)
+	rk, _ := right.Schema().Require(s.RightKeys...)
+	build := map[string][]int{}
+	for i, r := range right.Rows() {
+		build[refKey(r, rk)] = append(build[refKey(r, rk)], i)
+	}
+	var rows []table.Row
+	emit := func(sides ...table.Row) {
+		row := make(table.Row, len(cols))
+		for i, c := range cols {
+			row[i] = value.VNull
+			if sides[c[0]] != nil {
+				row[i] = sides[c[0]][c[1]]
+			}
+		}
+		rows = append(rows, row)
+	}
+	keepLeft := s.Condition == task.LeftOuterJoin || s.Condition == task.FullOuterJoin
+	keepRight := s.Condition == task.RightOuterJoin || s.Condition == task.FullOuterJoin
+	joined := make([]bool, right.Len())
+	for _, l := range left.Rows() {
+		partners := build[refKey(l, lk)]
+		if len(partners) == 0 && keepLeft {
+			emit(l, nil)
+		}
+		for _, i := range partners {
+			joined[i] = true
+			emit(l, right.Rows()[i])
+		}
+	}
+	for i, r := range right.Rows() {
+		if keepRight && !joined[i] {
+			emit(nil, r)
+		}
+	}
+	return table.FromRows(out, rows)
+}
+
+// refSort is SEMANTICS.md §3: the input's rows, stably sorted.
+func refSort(s *task.SortSpec, in *table.Table) (*table.Table, error) {
+	if _, err := s.Out([]task.Input{{Schema: in.Schema()}}); err != nil {
+		return nil, err
+	}
+	rows := slices.Clone(in.Rows())
+	refSortRows(in.Schema().Index, rows, s.OrderBy)
+	return table.FromRows(in.Schema(), rows)
+}
+
+// refSortRows is SEMANTICS.md §3.1–3.3: rows sorted stably by order,
+// whose columns index resolves, under value.Compare, each key ascending
+// or, Desc, descending.
+func refSortRows(index func(string) int, rows []table.Row, order []task.OrderKey) {
+	sort.SliceStable(rows, func(a, b int) bool {
+		for _, k := range order {
+			c := index(k.Column)
+			if d := value.Compare(rows[a][c], rows[b][c]); d != 0 {
+				return (d < 0) != k.Desc
+			}
+		}
+		return false
+	})
+}

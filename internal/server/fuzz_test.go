@@ -129,10 +129,10 @@ func FuzzAdhocPath(f *testing.F) {
 		spec := &task.GroupBySpec{GroupBy: []string{col}, Aggs: []task.AggSpec{{Operator: agg, ApplyOn: vcol, OutField: agg + "_" + vcol}}}
 		want, err := spec.Exec(&task.Env{}, []*table.Table{in}, []string{ds})
 		if err != nil {
-			t.Fatalf("%s = 200, the row group-by fails: %v", what, err)
+			t.Fatalf("%s = 200, the group-by fails: %v", what, err)
 		}
 		if b, err := connector.EncodeJSON(want); err != nil || !bytes.Equal(b, rec.Body.Bytes()) {
-			t.Fatalf("%s = %s, the row group-by %s (%v)", what, rec.Body, b, err)
+			t.Fatalf("%s = %s, the group-by %s (%v)", what, rec.Body, b, err)
 		}
 	})
 }

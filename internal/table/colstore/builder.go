@@ -16,9 +16,9 @@ import (
 // per record. A column's kind is fixed by its first non-null cell
 // (int64, float64, string or bool, with a null bitmap allocated on the
 // first null); the moment a column mixes kinds or meets a time it is
-// re-boxed as []value.V, which keeps every cell exact but sends the
-// table to the row kernels (see FromTable). A column that only ever
-// sees nulls stores nothing.
+// re-boxed as []value.V, which keeps every cell exact and which every
+// kernel reads through value.V, as FromTable boxes one. A column that
+// only ever sees nulls stores nothing.
 //
 // A string column is built dictionary-coded: a value the column has
 // already seen costs a map lookup and a 4-byte code, no allocation and

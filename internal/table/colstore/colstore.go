@@ -17,14 +17,14 @@
 // and FromTable hands the same batch back, so a decoded source reaches
 // the kernels — and a kernel's output reaches the next node — without a
 // conversion in either direction. A row-backed Table converts to a Batch
-// when every column is kind-uniform (one payload kind plus nulls);
-// mixed-kind and time columns have no typed vector (a Builder boxes
-// them), and the engine runs tables holding one through the row kernels.
+// in one pass: a kind-uniform column (one payload kind plus nulls) to a
+// typed vector, a mixed-kind or time column to a boxed one, as a Builder
+// stores it, which every kernel reads through value.V.
 // Conversion copies cell headers but never string payloads (Go strings
 // are immutable), so a 100k-row text column costs 100k string headers,
-// not a byte of text. The kernels are semantically identical to the
-// reference task implementations — internal/engine/enginetest runs
-// both paths over the same pipelines and asserts equal outputs.
+// not a byte of text. docs/SEMANTICS.md states what group-by, join and
+// sort mean; internal/engine/enginetest holds every kernel to a naive
+// reference of it.
 package colstore
 
 import (
@@ -36,9 +36,8 @@ import (
 	"shareinsights/internal/value"
 )
 
-// anyKind marks a heterogeneous vector (boxed values): a Builder column
-// that mixed kinds or met a time, or an expression or aggregate output.
-// Converting a row table never produces one.
+// anyKind marks a heterogeneous vector (boxed values): a column that
+// mixed kinds or met a time, or an expression or aggregate output.
 const anyKind value.Kind = 0xFF
 
 // Vec is one column of a Batch: a typed payload slice selected by kind,
@@ -362,18 +361,13 @@ func (b *Batch) Len() int { return b.length }
 // Col returns the i'th column vector.
 func (b *Batch) Col(i int) *Vec { return b.cols[i] }
 
-// FromTable returns t as a Batch. ok is false when the table is not
-// columnar-eligible: a column mixes payload kinds, or holds time values
-// (which have no typed vector). Nulls are always allowed. A
-// column-backed table returns its backing batch as is; a row-backed one
-// is converted, sharing string payloads with the source table.
+// FromTable returns t as a Batch; ok is always true. A column-backed
+// table returns its backing batch as is; a row-backed one is converted,
+// sharing string payloads with the source table. A column is typed by
+// its first non-null cell and boxed, as a Builder boxes it, at its first
+// time cell or its second kind. Nulls are always allowed.
 func FromTable(t *table.Table) (b *Batch, ok bool) {
 	if b, ok := t.Columns().(*Batch); ok {
-		for _, v := range b.cols {
-			if v.kind == anyKind {
-				return nil, false
-			}
-		}
 		return b, true
 	}
 	s := t.Schema()
@@ -398,18 +392,20 @@ func FromTable(t *table.Table) (b *Batch, ok bool) {
 				continue
 			}
 			if v == nil {
-				if ck == value.Time {
-					return nil, false
+				k := ck
+				if k == value.Time {
+					k = anyKind
 				}
-				v = newVec(ck, n)
+				v = newVec(k, n)
 				for j := 0; j < i; j++ {
 					v.setNull(j)
 				}
 				cols[c] = v
-			} else if ck != v.kind {
-				return nil, false
+			} else if ck != v.kind && v.kind != anyKind {
+				v = v.boxed(i)
+				cols[c] = v
 			}
-			switch ck {
+			switch v.kind {
 			case value.Int:
 				v.ints[i] = cell.NumRaw()
 			case value.Float:
@@ -418,6 +414,8 @@ func FromTable(t *table.Table) (b *Batch, ok bool) {
 				v.strs[i] = cell.StrRaw()
 			case value.Bool:
 				v.bools[i] = cell.NumRaw() != 0
+			case anyKind:
+				v.anys[i] = cell
 			}
 		}
 	}
@@ -429,6 +427,16 @@ func FromTable(t *table.Table) (b *Batch, ok bool) {
 		}
 	}
 	return &Batch{schema: s, cols: cols, length: n}, true
+}
+
+// boxed returns dense typed vector v as a boxed one, its first n
+// elements kept.
+func (v *Vec) boxed(n int) *Vec {
+	out := &Vec{kind: anyKind, anys: make([]value.V, v.length), nulls: v.nulls, length: v.length}
+	for j := 0; j < n; j++ {
+		out.anys[j] = v.At(j)
+	}
+	return out
 }
 
 // ToTable returns the batch as a column-backed table: the batch becomes

@@ -16,6 +16,23 @@ import (
 	"shareinsights/internal/value"
 )
 
+// stableSorted is the sort oracle: t's rows, stably sorted by keys
+// under value.Compare, as a new row-backed table.
+func stableSorted(t *table.Table, keys ...table.SortKey) *table.Table {
+	rows := slices.Clone(t.Rows())
+	sort.SliceStable(rows, func(a, b int) bool {
+		for _, k := range keys {
+			c := t.Schema().Index(k.Column)
+			if d := value.Compare(rows[a][c], rows[b][c]); d != 0 {
+				return (d < 0) != k.Desc
+			}
+		}
+		return false
+	})
+	out, _ := table.FromRows(t.Schema(), rows)
+	return out
+}
+
 // qc mirrors the property-test configuration used in internal/task:
 // enough iterations to explore the space, cheap enough for every run.
 var qc = &quick.Config{MaxCount: 100}
@@ -189,20 +206,36 @@ func TestRoundTripAllNullAndEmpty(t *testing.T) {
 	}
 }
 
-// TestFromTableRejects: Time columns and mixed-kind columns have no
-// vector representation and must make FromTable decline (the engine then
-// stays on the row path).
-func TestFromTableRejects(t *testing.T) {
-	tt := table.New(schema.MustFromNames("ts"))
-	tt.AppendValues(value.NewTime(time.Unix(0, 0).UTC()))
-	if _, ok := FromTable(tt); ok {
-		t.Fatalf("FromTable accepted a Time column")
+// TestFromTableBoxes: a time column, and a column that mixes kinds, box
+// at their first time cell or second kind — their cells, nulls among
+// them, round-trip through At — and the kind-uniform columns beside them
+// stay typed.
+func TestFromTableBoxes(t *testing.T) {
+	tb := table.New(schema.MustFromNames("ts", "m", "i"))
+	cells := [][3]value.V{
+		{value.VNull, value.NewInt(1), value.NewInt(7)},
+		{value.NewTime(time.Unix(0, 0).UTC()), value.VNull, value.VNull},
+		{value.NewTime(time.Unix(60, 0).UTC()), value.NewString("two"), value.NewInt(9)},
+		{value.VNull, value.NewFloat(2.5), value.NewInt(-1)},
 	}
-	mixed := table.New(schema.MustFromNames("m"))
-	mixed.AppendValues(value.NewInt(1))
-	mixed.AppendValues(value.NewString("two"))
-	if _, ok := FromTable(mixed); ok {
-		t.Fatalf("FromTable accepted a mixed-kind column")
+	for _, r := range cells {
+		tb.AppendValues(r[:]...)
+	}
+	b, ok := FromTable(tb)
+	if !ok {
+		t.Fatal("FromTable declined")
+	}
+	for c, want := range []value.Kind{anyKind, anyKind, value.Int} {
+		if k := b.Col(c).Kind(); k != want {
+			t.Errorf("column %d kind %v, want %v", c, k, want)
+		}
+	}
+	for i, r := range cells {
+		for c, want := range r {
+			if got := b.Col(c).At(i); got.Kind() != want.Kind() || !value.Equal(got, want) {
+				t.Errorf("row %d column %d: %v (%v), want %v (%v)", i, c, got, got.Kind(), want, want.Kind())
+			}
+		}
 	}
 }
 
@@ -392,8 +425,7 @@ func TestTopNNaNKeys(t *testing.T) {
 		keys := []table.SortKey{{Column: "f", Desc: trial%2 == 0}, {Column: "i"}}[:1+trial%3/2]
 		limit := rng.Intn(n)
 		got, err := (&TopN{Keys: keys, Limit: limit}).Run(b)
-		want := tb.CloneShallow()
-		if err != nil || want.Sort(keys...) != nil || !sameCells(got.ToTable(), want.Head(limit)) {
+		if err != nil || !sameCells(got.ToTable(), stableSorted(tb, keys...).Head(limit)) {
 			t.Fatalf("top %d by %v of %d rows differs from the stable sort's prefix (err %v)", limit, keys, n, err)
 		}
 	}
@@ -599,14 +631,13 @@ func TestSharedColumnBackedTable(t *testing.T) {
 	}
 }
 
-// TestColumnBackedMutationTakesOwnership: Append and Sort on a
-// column-backed table detach it from its vectors (which clones share),
-// so the clone keeps the original content and the mutated table no
-// longer hands out a stale batch.
+// TestColumnBackedMutationTakesOwnership: Append on a column-backed
+// table detaches it from its vectors (which clones share), so the clone
+// keeps the original content and the mutated table no longer hands out
+// a stale batch.
 func TestColumnBackedMutationTakesOwnership(t *testing.T) {
 	src := mixedTable([]int64{3, 1, 2}, []float64{1, 2, 3}, []string{"x", "y", "z"}, []bool{true, false, true}, []byte{0, 0, 0})
 	for name, mutate := range map[string]func(*table.Table){
-		"sort":   func(tb *table.Table) { _ = tb.Sort(table.SortKey{Column: "a"}) },
 		"append": func(tb *table.Table) { tb.Append(src.Rows()[0]) },
 	} {
 		owned := rebuilt(src)

@@ -12,10 +12,10 @@ import (
 // numbers one batch's rows, a join numbers its build side and then looks
 // its probe side up in the same index.
 //
-// Key identity is the row engine's: a cell is its kind byte plus its
-// display form (the row grouper's and joinKey's encoding), so null equals
-// null, the int 1 never equals the float 1.0 or the string "1", -0 is
-// not 0 and every NaN is one key. The general path hashes exactly that
+// Key identity is docs/SEMANTICS.md §1.1's: a cell is its kind byte plus
+// its display form, so null equals null, the int 1 never equals the
+// float 1.0 or the string "1", -0 is not 0 and every NaN is one key. The
+// general path hashes exactly that
 // encoding. A single null-free string or int key column on every side —
 // the overwhelmingly common shape — hashes its payload directly, which
 // yields the same partition because a kind-uniform column's payload
@@ -161,15 +161,15 @@ type JoinCol struct {
 }
 
 // Join is the vectorized hash equi-join, the one kernel with two inputs.
-// It builds on the right input and probes with the left, exactly as the
-// row join does, but what it produces is two row-index vectors — for
+// It builds on the right input and probes with the left, and what it
+// produces is two row-index vectors — for
 // every output row its left and its right source row, -1 where an outer
 // join has no partner — and each projected output column is a selection
 // through one of them. No key string, no row and no cell is built, and
 // no column is copied, and a column nothing reads is never gathered. In a
 // Fan it is a *Probe step: steps after it run on the rows it joins, a
 // morsel at a time, and only what they keep is ever sized. Output order is
-// the row join's: left rows in order, each one's partners in right-row
+// docs/SEMANTICS.md §2.4's: left rows in order, each one's partners in right-row
 // order, then (right and full outer) the right rows nothing matched, in
 // order. Key identity is keyIndex's.
 type Join struct {

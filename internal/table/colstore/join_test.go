@@ -170,10 +170,7 @@ func TestSortMatchesStableSort(t *testing.T) {
 		for _, c := range rng.Perm(4)[:1+rng.Intn(3)] {
 			keys = append(keys, table.SortKey{Column: names[c], Desc: rng.Intn(2) == 0})
 		}
-		want := src.CloneShallow()
-		if err := want.Sort(keys...); err != nil {
-			t.Fatal(err)
-		}
+		want := stableSorted(src, keys...)
 		for _, in := range []*table.Table{src, rebuilt(src)} {
 			b, _ := FromTable(in)
 			got, err := (&Sort{Keys: keys}).Run(b)

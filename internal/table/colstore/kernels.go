@@ -158,12 +158,12 @@ func keyComparator(v *Vec) func(i, j int) int {
 }
 
 // sortPerm returns the first limit rows (all, when limit reaches the
-// length) of the permutation that orders b's rows stably by keys — the
-// columnar analogue of table.Sort, compared under typed per-column
-// comparators: the same algorithm (sort.SliceStable) over the same
-// comparison outcomes as table.Sort, so the two agree even where
-// value.Compare is not an order (NaN compares equal to every float). It
-// is nil for no keys and no limit: the rows as they are.
+// length) of the permutation that orders b's rows stably by keys
+// (docs/SEMANTICS.md §3), compared under typed per-column comparators:
+// sort.SliceStable over value.Compare's outcomes, as the reference sorts,
+// so the two agree even where value.Compare is not an order (NaN compares
+// equal to every float). It is nil for no keys and no limit: the rows as
+// they are.
 func sortPerm(b *Batch, keys []table.SortKey, limit int) ([]int32, error) {
 	n := b.length
 	limit = max(min(limit, n), 0)
@@ -247,8 +247,8 @@ type Agg struct {
 // typed loop where it has one, else with the aggregate's own accumulator
 // — reading selections through their indices. Nothing but the state and
 // the output is longer than a morsel. Grouping identity and output
-// ordering match the row hashGrouper exactly (kind-tagged display-form
-// keys; result sorted by SortKeys). Its output is dense: the groups are
+// ordering are docs/SEMANTICS.md §1's (kind-tagged display-form keys;
+// result sorted by SortKeys). Its output is dense: the groups are
 // fresh vectors, gathered into their final order rather than kept under
 // a permutation that would pin the unordered ones.
 type GroupBy struct {
@@ -457,9 +457,8 @@ func at[T any](s []T, i int) (x T) {
 	return x
 }
 
-// appendGroupKey appends one key cell in the row grouper's encoding —
-// kind byte plus display form — so both engines assign identical group
-// identities.
+// appendGroupKey appends one key cell in docs/SEMANTICS.md §1.1's
+// encoding — kind byte plus display form.
 func appendGroupKey(buf []byte, v *Vec, i int) []byte {
 	if v.null(i) {
 		return append(buf, byte(value.Null))
@@ -490,7 +489,7 @@ func appendGroupKey(buf []byte, v *Vec, i int) []byte {
 
 // The folds of aggState. count over anything, sum/avg over int, float,
 // bool and all-null columns and min/max over int, float, string and
-// all-null ones have typed loops that replicate the row accumulators:
+// all-null ones have typed loops that replicate the accumulators:
 // sum/avg/min/max skip nulls, count counts every row, an empty fold
 // yields null (avg/min/max) or zero (sum/count). Every other pair folds
 // with the accumulator itself.
@@ -504,8 +503,8 @@ const (
 	foldMax
 )
 
-// allNull is the column a bare aggregate other than count folds: the
-// row grouper adds nulls.
+// allNull is the column a bare aggregate other than count folds: it is
+// handed a null per row.
 var allNull = &Vec{kind: value.Null}
 
 // aggState is one aggregate's per-group state while a group-by folds: the
@@ -645,8 +644,8 @@ func (s *aggState) result(ng int) *Vec {
 		}
 		return compress(vals)
 	case foldFloat:
-		// A group with only nulls sums to the int 0 on the row path (the
-		// accumulator never sees a float), so the kinds come out identical.
+		// A group with only nulls sums to the int 0 (the accumulator never
+		// sees a float), so the kinds come out as the accumulator's.
 		if slices.Contains(s.bools, false) {
 			vals := make([]value.V, ng)
 			for g, seen := range s.bools {

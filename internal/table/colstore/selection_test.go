@@ -70,7 +70,8 @@ type groupBySize struct {
 func (k groupBySize) Run(b *Batch) (*Batch, error) { return k.run(b, k.size) }
 
 // Registry is the task package's aggregate registry, name → factory.
-// fold_test.go (package colstore_test, which may import task) fills it.
+// registry_test.go (package colstore_test, which may import task)
+// fills it.
 var Registry = map[string]func() Accumulator{}
 
 // FuzzSelections runs random kernel chains over random batches and

@@ -9,7 +9,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -32,13 +31,13 @@ func (r Row) Clone() Row {
 // rows. A column-backed table (FromColumns) stores column vectors — what
 // the format decoders and the vectorized kernels produce — and rows are
 // a view over them, materialized once, on the first call that needs row
-// access (Rows and everything built on it: the row kernels, sorting,
-// text formatting). Len, At, Cell, Select, SizeBytes, CloneShallow and
-// Fingerprint answer from the vectors, so the encoders, the cube and
-// the widgets never materialize one.
+// access (Rows and everything built on it: the row implementations of
+// the tasks). Len, At, Cell, Select, SizeBytes, CloneShallow and
+// Fingerprint answer from the vectors, so the encoders, the cube and the
+// widgets never materialize one.
 //
 // A table is safe for concurrent readers in either layout. Mutating one
-// (Append, Sort) is for its owner only; a column-backed table first
+// (Append) is for its owner only; a column-backed table first
 // materializes its rows and drops the vectors, which no longer describe
 // it.
 type Table struct {
@@ -142,7 +141,7 @@ func (t *Table) own() {
 }
 
 // CloneShallow returns a copy that shares cell storage with t but is
-// insulated from structural mutation of the original — Sort, Append, or
+// insulated from structural mutation of the original — Append, or
 // writes through the Rows() slice: a fresh row-header slice for a
 // row-backed table, the same (immutable) vectors for a column-backed
 // one. It copies no cells; it is NOT insulated from a caller
@@ -211,41 +210,11 @@ func (t *Table) Cell(row int, col string) value.V {
 	return t.At(row, i)
 }
 
-// SortKey describes one sort criterion.
+// SortKey describes one sort criterion: the sort and top-n kernels'
+// keys (colstore).
 type SortKey struct {
 	Column string
 	Desc   bool
-}
-
-// Sort sorts the table in place by the given keys (stable).
-func (t *Table) Sort(keys ...SortKey) error {
-	type bound struct {
-		idx  int
-		desc bool
-	}
-	bounds := make([]bound, len(keys))
-	for i, k := range keys {
-		j := t.schema.Index(k.Column)
-		if j < 0 {
-			return fmt.Errorf("table: sort column %q not found", k.Column)
-		}
-		bounds[i] = bound{idx: j, desc: k.Desc}
-	}
-	t.own()
-	sort.SliceStable(t.rows, func(a, b int) bool {
-		for _, k := range bounds {
-			c := value.Compare(t.rows[a][k.idx], t.rows[b][k.idx])
-			if c == 0 {
-				continue
-			}
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return nil
 }
 
 // Head returns a new table with at most n leading rows: sharing row

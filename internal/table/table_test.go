@@ -3,7 +3,6 @@ package table
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"shareinsights/internal/schema"
 	"shareinsights/internal/value"
@@ -45,29 +44,6 @@ func TestFromRowsValidatesArity(t *testing.T) {
 	tb, err := FromRows(s, []Row{{value.NewInt(1), value.NewInt(2)}})
 	if err != nil || tb.Len() != 1 {
 		t.Errorf("FromRows: %v", err)
-	}
-}
-
-func TestSortStable(t *testing.T) {
-	tb := sample()
-	if err := tb.Sort(SortKey{Column: "score"}, SortKey{Column: "name"}); err != nil {
-		t.Fatal(err)
-	}
-	got := []string{tb.Cell(0, "name").Str(), tb.Cell(1, "name").Str(), tb.Cell(2, "name").Str()}
-	want := []string{"bob", "carol", "alice"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sorted = %v, want %v", got, want)
-		}
-	}
-	if err := tb.Sort(SortKey{Column: "score", Desc: true}); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Cell(0, "score").Int() != 5 {
-		t.Error("desc sort wrong")
-	}
-	if err := tb.Sort(SortKey{Column: "zz"}); err == nil {
-		t.Error("sort on missing column should fail")
 	}
 }
 
@@ -120,38 +96,5 @@ func TestSizeBytes(t *testing.T) {
 	bigger.AppendValues(value.NewString(strings.Repeat("x", 1000)), value.NewInt(1))
 	if bigger.SizeBytes() <= tb.SizeBytes()+900 {
 		t.Error("SizeBytes should reflect string payloads")
-	}
-}
-
-func TestSortPermutationProperty(t *testing.T) {
-	// Sorting preserves the multiset of rows.
-	f := func(vals []int16) bool {
-		tb := New(schema.MustFromNames("v"))
-		counts := map[int64]int{}
-		for _, v := range vals {
-			tb.AppendValues(value.NewInt(int64(v)))
-			counts[int64(v)]++
-		}
-		if err := tb.Sort(SortKey{Column: "v"}); err != nil {
-			return false
-		}
-		var prev int64 = -1 << 62
-		for _, r := range tb.Rows() {
-			v := r[0].Int()
-			if v < prev {
-				return false
-			}
-			prev = v
-			counts[v]--
-		}
-		for _, c := range counts {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

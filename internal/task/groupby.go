@@ -16,7 +16,8 @@ import (
 
 // Accumulator folds a bag of values into one value — the paper's "user
 // defined aggregates" task category (§4.2 item 2). It is the columnar
-// group-by's interface, so both engines fold with the same accumulators.
+// group-by kernel's interface: the kernel folds with the registry's
+// accumulators wherever it has no typed loop of its own.
 type Accumulator = colstore.Accumulator
 
 // AggregateFactory creates a fresh accumulator per group.
@@ -348,100 +349,7 @@ func (s *GroupBySpec) Out(in []Input) (*schema.Schema, error) {
 	return schema.New(cols...)
 }
 
-// hashGrouper accumulates a groupby's input rows into groups.
-type hashGrouper struct {
-	spec   *GroupBySpec
-	out    *schema.Schema
-	keyIdx []int
-	aggIdx []int // input column per aggregate (-1 for bare count)
-	facs   []AggregateFactory
-	groups map[string]*group
-	order  []string // insertion order for stability pre-sort
-}
-
-type group struct {
-	key  []value.V
-	accs []Accumulator
-}
-
-func newHashGrouper(s *GroupBySpec, in Input) (*hashGrouper, error) {
-	out, err := s.Out([]Input{in})
-	if err != nil {
-		return nil, err
-	}
-	g := &hashGrouper{spec: s, out: out, groups: map[string]*group{}}
-	g.keyIdx, _ = in.Schema.Require(s.GroupBy...)
-	for _, a := range s.Aggs {
-		idx := -1
-		if a.ApplyOn != "" {
-			idx = in.Schema.Index(a.ApplyOn)
-		}
-		g.aggIdx = append(g.aggIdx, idx)
-		f, err := Aggregate(a.Operator)
-		if err != nil {
-			return nil, err
-		}
-		g.facs = append(g.facs, f)
-	}
-	return g, nil
-}
-
-func (g *hashGrouper) keyOf(r table.Row) string {
-	var b strings.Builder
-	for i, idx := range g.keyIdx {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		b.WriteByte(byte(r[idx].Kind()))
-		b.WriteString(r[idx].String())
-	}
-	return b.String()
-}
-
-func (g *hashGrouper) add(r table.Row) {
-	k := g.keyOf(r)
-	grp, ok := g.groups[k]
-	if !ok {
-		key := make([]value.V, len(g.keyIdx))
-		for i, idx := range g.keyIdx {
-			key[i] = r[idx]
-		}
-		accs := make([]Accumulator, len(g.facs))
-		for i, f := range g.facs {
-			accs[i] = f()
-		}
-		grp = &group{key: key, accs: accs}
-		g.groups[k] = grp
-		g.order = append(g.order, k)
-	}
-	for i, idx := range g.aggIdx {
-		if idx >= 0 {
-			grp.accs[i].Add(r[idx])
-		} else {
-			grp.accs[i].Add(value.VNull)
-		}
-	}
-}
-
-// result builds the output, in the spec's orderKeys order.
-func (g *hashGrouper) result() (*table.Table, error) {
-	t := table.New(g.out)
-	for _, k := range g.order {
-		grp := g.groups[k]
-		row := make(table.Row, 0, len(grp.key)+len(grp.accs))
-		row = append(row, grp.key...)
-		for _, a := range grp.accs {
-			row = append(row, a.Result())
-		}
-		t.Append(row)
-	}
-	if err := t.Sort(g.spec.orderKeys()...); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// orderKeys is a groupby's output order, on both paths: the first
+// orderKeys is a groupby's output order (SEMANTICS.md §1.3): the first
 // aggregate descending under orderby_aggregates, then the group keys
 // ascending.
 func (s *GroupBySpec) orderKeys() []table.SortKey {
@@ -455,18 +363,15 @@ func (s *GroupBySpec) orderKeys() []table.SortKey {
 	return keys
 }
 
-// Exec implements Spec.
+// Exec implements Spec: the kernel over the input's batch.
 func (s *GroupBySpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
 	t, name, err := oneTable("groupby", in, names)
 	if err != nil {
 		return nil, err
 	}
-	g, err := newHashGrouper(s, Input{Name: name, Schema: t.Schema()})
+	k, err := s.kernel(Input{Name: name, Schema: t.Schema()})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range t.Rows() {
-		g.add(r)
-	}
-	return g.result()
+	return runKernel(k, t)
 }

@@ -7,7 +7,7 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
-	"shareinsights/internal/value"
+	"shareinsights/internal/table/colstore"
 )
 
 // JoinCondition enumerates the supported join types.
@@ -249,68 +249,49 @@ func (s *JoinSpec) keepRight() bool {
 	return s.Condition == RightOuterJoin || s.Condition == FullOuterJoin
 }
 
-// Exec implements Spec: a sequential hash join building on the right
-// side and probing with the left. It is the reference the columnar
-// kernel (colstore.Join, bound by BindJoin) is checked against, and the
-// path for boxed- or time-column inputs and the executor's off mode.
-func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	if len(in) != 2 {
-		return nil, fmt.Errorf("join: expected 2 inputs, got %d", len(in))
-	}
-	left, right, swapped, err := s.sides(inputsOf(in, names))
+// kernel binds the join over in, the node's inputs in its order, whose
+// left input is in[1] when swapped, or returns what is wrong with its
+// configuration there.
+func (s *JoinSpec) kernel(in []Input) (k *colstore.Join, swapped bool, err error) {
+	left, right, swapped, err := s.sides(in)
 	if err != nil {
-		return nil, err
-	}
-	lt, rt := in[0], in[1]
-	if swapped {
-		lt, rt = rt, lt
+		return nil, false, err
 	}
 	out, slots, err := s.outPlan(left, right)
 	if err != nil {
+		return nil, false, err
+	}
+	k = &colstore.Join{
+		KeepLeft:  s.keepLeft(),
+		KeepRight: s.keepRight(),
+		Cols:      make([]colstore.JoinCol, len(slots)),
+		Out:       out,
+	}
+	// outPlan has already required the key columns.
+	k.LeftKeys, _ = left.Schema.Require(s.LeftKeys...)
+	k.RightKeys, _ = right.Schema.Require(s.RightKeys...)
+	for i, sl := range slots {
+		k.Cols[i] = colstore.JoinCol{Right: sl.side == 1, Col: sl.idx}
+	}
+	return k, swapped, nil
+}
+
+// Exec implements Spec: the kernel over the inputs' batches, building
+// on the right side and probing with the left (SEMANTICS.md §2).
+func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
+	k, swapped, err := s.kernel(inputsOf(in, names))
+	if err != nil {
 		return nil, err
 	}
-	lIdx, _ := left.Schema.Require(s.LeftKeys...)
-	rIdx, _ := right.Schema.Require(s.RightKeys...)
-
-	rRows := rt.Rows()
-	build := map[string][]int{}
-	for i, r := range rRows {
-		k := joinKey(r, rIdx)
-		build[k] = append(build[k], i)
+	left, right := in[0], in[1]
+	if swapped {
+		left, right = right, left
 	}
-	makeRow := func(lr, rr table.Row) table.Row {
-		row := make(table.Row, len(slots))
-		for i, sl := range slots {
-			src := lr
-			if sl.side == 1 {
-				src = rr
-			}
-			if src == nil {
-				row[i] = value.VNull
-			} else {
-				row[i] = src[sl.idx]
-			}
-		}
-		return row
+	lb, _ := colstore.FromTable(left)
+	rb, _ := colstore.FromTable(right)
+	out, _, err := k.Run(lb, rb)
+	if err != nil {
+		return nil, err
 	}
-	res := table.New(out)
-	matched := make([]bool, len(rRows))
-	for _, lr := range lt.Rows() {
-		matches := build[joinKey(lr, lIdx)]
-		if len(matches) == 0 && s.keepLeft() {
-			res.Append(makeRow(lr, nil))
-		}
-		for _, ri := range matches {
-			matched[ri] = true
-			res.Append(makeRow(lr, rRows[ri]))
-		}
-	}
-	if s.keepRight() {
-		for i, rr := range rRows {
-			if !matched[i] {
-				res.Append(makeRow(nil, rr))
-			}
-		}
-	}
-	return res, nil
+	return out.ToTable(), nil
 }

@@ -10,6 +10,7 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 )
 
 // ProjectSpec implements the project task: keep only the named columns.
@@ -97,7 +98,8 @@ func (s *SortSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema, nil
 }
 
-// Exec implements Spec.
+// Exec implements Spec: the kernel over the input's batch, a stable
+// sort (SEMANTICS.md §3) handed on as a selection.
 func (s *SortSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
 	t, _, err := oneTable("sort", in, names)
 	if err != nil {
@@ -106,13 +108,7 @@ func (s *SortSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 	if _, err := s.Out(inputsOf(in, names)); err != nil {
 		return nil, err
 	}
-	// Sorting permutes row headers only, so a shallow clone is all the
-	// insulation the input needs.
-	out := t.CloneShallow()
-	if err := out.Sort(sortKeys(s.OrderBy)...); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return runKernel(&colstore.Sort{Keys: sortKeys(s.OrderBy)}, t)
 }
 
 // sortKeys is an orderby_column list as table sort keys.

@@ -42,9 +42,11 @@ type Spec interface {
 	// Out computes the output schema for the given inputs, failing when
 	// a required column is missing — the bind-time contextual check.
 	Out(in []Input) (*schema.Schema, error)
-	// Exec runs the task on materialized inputs. It is the row path and
-	// the reference semantics: an engine's columnar kernel for the spec
-	// (see Vectorizable) must match it exactly.
+	// Exec runs the task alone on materialized inputs, or returns what
+	// is wrong with its configuration. A group-by, a join or a sort runs
+	// its kernel over the inputs' batches (docs/SEMANTICS.md states what
+	// they mean); every other task runs its row implementation, which its
+	// kernel, if it has one (see Vectorizable), must match exactly.
 	Exec(env *Env, in []*table.Table, names []string) (*table.Table, error)
 }
 

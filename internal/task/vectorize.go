@@ -6,19 +6,20 @@ import (
 
 	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
+	"shareinsights/internal/table"
 	"shareinsights/internal/table/colstore"
 )
 
 // Vectorizable is implemented by specs that can compile themselves into
 // a columnar kernel (internal/table/colstore). The batch engine binds
 // a stage on its kernel wherever Kernel admits it, unless its mode is
-// off, and falls back to the row implementation when ok is false.
+// off, and runs the stage alone through its Exec when ok is false.
 //
 // BindVec never reports binding problems as errors: a configuration the
 // kernel cannot handle — an interaction-mode filter, an unregistered
-// aggregate, a missing column — returns ok == false, and the row path
-// (which validates the same configuration) produces the authoritative
-// error or result.
+// aggregate, a missing column — returns ok == false, and Exec, which
+// checks the same configuration, returns the authoritative error or,
+// for a task with a row implementation, the result.
 type Vectorizable interface {
 	Spec
 	BindVec(env *Env, in Input) (k colstore.Kernel, out *schema.Schema, ok bool)
@@ -41,8 +42,8 @@ type Vectorizable interface {
 //
 // Kernel binds nothing and reads no schema but a filter's probe-side
 // check. Over any stage of a built graph Bind binds the group Kernel
-// answers, so only data (a boxed or time column) send an admitted stage
-// to rows.
+// answers, and every input converts to a batch, a boxed or time column
+// included, so whatever the data an admitted stage runs on its kernel.
 func Kernel(specs []Spec, in []Input) int {
 	n := 0
 	var join *JoinSpec
@@ -249,27 +250,8 @@ func bind(env *Env, specs []Spec, in []Input, k *Bound, ks *kernels) {
 // BindJoin is BindVec's two-input sibling: the join over a and b, the
 // node's inputs in its order, whose left input is b when swapped.
 func (s *JoinSpec) BindJoin(env *Env, a, b Input) (k *colstore.Join, swapped, ok bool) {
-	left, right, swapped, err := s.sides([]Input{a, b})
-	if err != nil {
-		return nil, false, false
-	}
-	out, slots, err := s.outPlan(left, right)
-	if err != nil {
-		return nil, false, false
-	}
-	k = &colstore.Join{
-		KeepLeft:  s.keepLeft(),
-		KeepRight: s.keepRight(),
-		Cols:      make([]colstore.JoinCol, len(slots)),
-		Out:       out,
-	}
-	// outPlan has already required the key columns.
-	k.LeftKeys, _ = left.Schema.Require(s.LeftKeys...)
-	k.RightKeys, _ = right.Schema.Require(s.RightKeys...)
-	for i, sl := range slots {
-		k.Cols[i] = colstore.JoinCol{Right: sl.side == 1, Col: sl.idx}
-	}
-	return k, swapped, true
+	k, swapped, err := s.kernel([]Input{a, b})
+	return k, swapped, err == nil
 }
 
 // BindVec implements Vectorizable.
@@ -307,9 +289,19 @@ func (s *FilterSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schem
 // kernel folds with the registry's own accumulator wherever it has no
 // typed loop.
 func (s *GroupBySpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	out, err := s.Out([]Input{in})
+	k, err := s.kernel(in)
 	if err != nil {
 		return nil, nil, false
+	}
+	return k, k.Out, true
+}
+
+// kernel binds the group-by over in, or returns what is wrong with its
+// configuration there: a missing column, an unregistered aggregate.
+func (s *GroupBySpec) kernel(in Input) (*colstore.GroupBy, error) {
+	out, err := s.Out([]Input{in})
+	if err != nil {
+		return nil, err
 	}
 	// Out has already required the key and aggregate columns.
 	keys, _ := in.Schema.Require(s.GroupBy...)
@@ -317,7 +309,7 @@ func (s *GroupBySpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Sche
 	for i, a := range s.Aggs {
 		f, err := Aggregate(a.Operator)
 		if err != nil {
-			return nil, nil, false
+			return nil, err
 		}
 		col := -1
 		if a.ApplyOn != "" {
@@ -325,7 +317,18 @@ func (s *GroupBySpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Sche
 		}
 		aggs[i] = colstore.Agg{Op: a.Operator, Col: col, New: f}
 	}
-	return &colstore.GroupBy{Keys: keys, Aggs: aggs, Out: out, SortKeys: s.orderKeys()}, out, true
+	return &colstore.GroupBy{Keys: keys, Aggs: aggs, Out: out, SortKeys: s.orderKeys()}, nil
+}
+
+// runKernel is the Exec of a spec whose kernel k is bound over t: k's
+// run over t's batch.
+func runKernel(k colstore.Kernel, t *table.Table) (*table.Table, error) {
+	b, _ := colstore.FromTable(t)
+	out, err := k.Run(b)
+	if err != nil {
+		return nil, err
+	}
+	return out.ToTable(), nil
 }
 
 // BindVec implements Vectorizable. The heap kernel covers one global

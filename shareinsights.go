@@ -72,9 +72,10 @@ type (
 	ColumnVec = colstore.Vec
 )
 
-// ColumnarOff, as Platform.Columnar or Executor.Columnar, runs every
-// stage on rows; by default ("") a stage runs on its kernel whenever one
-// binds. See docs/ENGINE.md.
+// ColumnarOff, as Platform.Columnar or Executor.Columnar, runs each
+// stage alone through its Spec.Exec, with no fan group and no inline
+// node; by default ("") each group of stages task.Kernel admits runs on
+// one fan of its kernels. See docs/ENGINE.md.
 const ColumnarOff = batch.ColumnarOff
 
 // Platform services.
