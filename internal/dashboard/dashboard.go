@@ -58,9 +58,9 @@ type Platform struct {
 	// a re-run after a flow-file edit recomputes only what the edit
 	// touched (§4.5.3 quick feedback).
 	Cache *ResultCache
-	// LastGood keeps each source's last successfully loaded table so
-	// `on_error: stale` sources can serve it when their connector fails.
-	// It lives here (not on the Dashboard) to survive recompilation.
+	// LastGood keeps each `on_error: stale` source's last successfully
+	// loaded table, which it serves when its connector fails. It lives
+	// here (not on the Dashboard) to survive recompilation.
 	LastGood *SourceCache
 	// RunTimeout bounds every dashboard run; 0 means no platform-wide
 	// deadline (callers can still pass their own via RunContext).

@@ -172,6 +172,51 @@ func TestStaleWithoutSnapshotFails(t *testing.T) {
 	}
 }
 
+// TestLastGoodOnlyForStaleSources pins who keeps a last-good snapshot:
+// only a source that declares on_error: stale, replaced on each of its
+// successful runs. A fail or empty source never serves one, so its runs
+// keep none; and a source re-saved as stale can fall back only after a
+// successful run as stale.
+func TestLastGoodOnlyForStaleSources(t *testing.T) {
+	for _, mode := range []string{"fail", "empty"} {
+		p := degradePlatform(t, &flakyProtocol{payload: []byte("east,10\n")})
+		if err := compileDegrade(t, p, mode).Run(); err != nil {
+			t.Fatalf("%s: healthy run: %v", mode, err)
+		}
+		if _, ok := p.LastGood.Lookup("sales_dash", "sales"); ok {
+			t.Fatalf("%s: a successful run kept a last-good snapshot", mode)
+		}
+	}
+
+	proto := &flakyProtocol{payload: []byte("east,10\n")}
+	p := degradePlatform(t, proto)
+	d := compileDegrade(t, p, "stale")
+	for _, payload := range []string{"east,10\n", "east,10\nwest,20\nnorth,5\n"} {
+		proto.payload = []byte(payload)
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		snap, ok := p.LastGood.Lookup("sales_dash", "sales")
+		if !ok {
+			t.Fatal("a successful run as stale kept no last-good snapshot")
+		}
+		if want := strings.Count(payload, "\n"); snap.Len() != want {
+			t.Fatalf("after a run over %d rows the snapshot has %d", want, snap.Len())
+		}
+	}
+
+	proto = &flakyProtocol{payload: []byte("east,10\n")}
+	p = degradePlatform(t, proto)
+	if err := compileDegrade(t, p, "fail").Run(); err != nil {
+		t.Fatal(err)
+	}
+	proto.fail.Store(true)
+	err := compileDegrade(t, p, "stale").Run()
+	if err == nil || !strings.Contains(err.Error(), "no last-good snapshot") {
+		t.Fatalf("a source re-saved as stale fell back on a run it made as fail: err = %v", err)
+	}
+}
+
 func TestEmptyDegradationSubstitutesEmptyTable(t *testing.T) {
 	proto := &flakyProtocol{payload: []byte("east,10\n")}
 	proto.fail.Store(true)

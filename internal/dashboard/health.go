@@ -7,11 +7,12 @@ import (
 	"shareinsights/internal/table"
 )
 
-// SourceCache keeps the last successfully loaded table per (dashboard,
-// source) — the "last good" snapshot an `on_error: stale` source serves
-// when its connector fails. It lives on the Platform, not the
-// Dashboard, because the server recompiles dashboards on every flow-file
-// save: the snapshot must survive recompilation to be useful.
+// SourceCache keeps, per (dashboard, source), the last table a successful
+// run loaded while the source declared `on_error: stale`: the "last good"
+// snapshot it serves when its connector fails. No other source is kept.
+// It lives on the Platform, not the Dashboard, because the server
+// recompiles dashboards on every flow-file save: the snapshot must
+// survive recompilation to be useful.
 type SourceCache struct {
 	mu      sync.Mutex
 	entries map[string]*table.Table
@@ -78,13 +79,6 @@ func (c *SourceCache) Each(fn func(dash, source string, t *table.Table)) {
 		dash, source, _ := strings.Cut(k, "\x00")
 		fn(dash, source, t)
 	}
-}
-
-// Len reports the number of cached snapshots.
-func (c *SourceCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // SourceHealth reports one source's outcome in the last run.

@@ -129,10 +129,10 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		if lerr != nil {
 			return lerr
 		}
-		if !n.Shared && sh.Status == "ok" && d.platform.LastGood != nil {
-			// Snapshot a shallow clone: the live table's Rows() slice is
-			// handed to the engine and may be sorted or grown in place,
-			// which must not retroactively corrupt the last-good copy.
+		if !n.Shared && sh.Status == "ok" && sh.Mode == "stale" && d.platform.LastGood != nil {
+			// Only a stale source reads its snapshot back. Keep a shallow
+			// clone: the engine may sort or grow the live table's Rows()
+			// in place, which must not corrupt the last-good copy.
 			d.platform.LastGood.Put(d.Name, name, t.CloneShallow())
 		}
 		sources[name] = t

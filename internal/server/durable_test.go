@@ -147,6 +147,80 @@ func TestServerRestartPreservesState(t *testing.T) {
 	}
 }
 
+// uploadFlow is staleFlow over an uploaded file, with the source's
+// on_error set to mode.
+func uploadFlow(mode string) string {
+	return strings.NewReplacer("source: sales.csv\n  protocol: switch", "source: data:sales.csv",
+		"on_error: stale", "on_error: "+mode).Replace(staleFlow)
+}
+
+// TestRunJournalsOnlyStaleSources pins what a save-run cycle writes to
+// the cache component: nothing for a source that does not declare
+// on_error: stale, since only a stale source ever serves its last-good
+// table, and one record with one fsync per run for one that does.
+func TestRunJournalsOnlyStaleSources(t *testing.T) {
+	s, _, st := newDurableServer(t, store.NewMemFS(), false)
+	s.UploadData("sales", "sales.csv", []byte(salesCSV))
+	m := st.Metrics()
+	appends := m.CounterVec("si_store_appends_total", "", "component").With("cache")
+	fsyncs := m.CounterVec("si_store_fsyncs_total", "", "component").With("cache")
+	// Opening the component synced its new WAL and directory.
+	a0, f0 := appends.Value(), fsyncs.Value()
+	written := func() (int64, int64) { return appends.Value() - a0, fsyncs.Value() - f0 }
+	cycle := func(mode string) {
+		t.Helper()
+		if _, err := s.SaveDashboard("sales", "tester", []byte(uploadFlow(mode))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run("sales"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		cycle("fail")
+	}
+	if a, f := written(); a != 0 || f != 0 {
+		t.Fatalf("three save-run cycles of a fail source wrote %d cache records and %d fsyncs, want 0", a, f)
+	}
+	for i := 1; i <= 3; i++ {
+		cycle("stale")
+		if a, f := written(); a != int64(i) || f != int64(i) {
+			t.Fatalf("after %d runs as stale the cache has %d records and %d fsyncs, want %d of each", i, a, f, i)
+		}
+	}
+}
+
+// durableRerunAllocs is what one save + run cycle of uploadFlow("fail")
+// allocates on a durable server (go1.24, linux/amd64): the save's parse
+// and commit record, the compile of the new tip, and a run whose source
+// is read and decoded again while every produced node is a cache hit.
+// Journaling the source's last-good table on every run, as runs did for
+// every source before only stale sources kept one, allocated 235.
+const durableRerunAllocs = 224
+
+// TestDurableRerunAllocs pins a durable save + run cycle to journaling
+// only its commit and its run: at most durableRerunAllocs + 2 %.
+func TestDurableRerunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s, _, _ := newDurableServer(t, store.NewMemFS(), false)
+	s.UploadData("pin", "sales.csv", []byte(salesCSV))
+	flow := []byte(uploadFlow("fail"))
+	cycle := func() {
+		if _, err := s.SaveDashboard("pin", "tester", flow); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run("pin"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n > durableRerunAllocs*1.02 {
+		t.Errorf("a durable save + run cycle allocates %.0f objects, want at most %d + 2 %%", n, durableRerunAllocs)
+	}
+}
+
 // TestInMemoryHealthSurface pins the default: no store attached means
 // durability reports in-memory and no component table.
 func TestInMemoryHealthSurface(t *testing.T) {

@@ -36,7 +36,7 @@ import (
 // the morsel, and a top-n copies the computed cells of each row it keeps,
 // so no morsel outlives its push. Must over a fan with no step calls its
 // sink's Run on the whole batch: a group-by folds it, a sort sorts it,
-// and a top-n runs its own fan.
+// and a top-n pushes it into its heap, with no run around it.
 //
 // Every sink's output is its kernel's Run over the chain's output, cell
 // for cell and kind for kind: groups open in row order and sums fold in
@@ -89,7 +89,7 @@ func (f *Fan) Run(in, build *Batch) (outs []*Batch, stages []FanStage, ok bool, 
 // Must is Run that starts over where the run declines, with the source as
 // one morsel: no kind can move then, and a top-n materializes and sorts.
 // A fan with no step hands its one sink the source whole: the sink
-// kernel's Run, which for a top-n is a run of its own.
+// kernel's Run.
 func (f *Fan) Must(in, build *Batch) ([]*Batch, []FanStage, error) {
 	if len(f.Chain) > 0 || len(f.Sinks) != 1 {
 		return f.must(in, build, morselRows)
@@ -118,16 +118,13 @@ func (r *fanRun) must(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage,
 	return outs, stages, err
 }
 
-// one is a run of one kernel by size rows at a time — a step into
-// Materialize, or a sink with no step (step nil) — as its Run.
-func one(step, sink Kernel, in, build *Batch, size int) (*Batch, error) {
+// one is a run of one step into Materialize by size rows at a time: the
+// step kernel's Run.
+func one(step Kernel, in, build *Batch, size int) (*Batch, error) {
 	r := new(fanRun)
-	r.oneBuf = [2]Kernel{step, sink}
+	r.oneBuf = [2]Kernel{step, Materialize}
 	f := &r.one
 	f.Chain, f.Sinks = r.oneBuf[:1], r.oneBuf[1:]
-	if step == nil {
-		f.Chain = nil
-	}
 	outs, _, err := r.must(f, in, build, size)
 	if err != nil {
 		return nil, err
@@ -1187,12 +1184,7 @@ func (h *heap) finish(r *fanRun) (*Batch, error) {
 		}
 		return topN(b, h.keys, h.limit)
 	}
-	slices.SortFunc(h.h, func(x, y int32) int {
-		if h.before(x, y) {
-			return -1
-		}
-		return 1
-	})
+	h.order()
 	m, n := r.last, len(h.h)
 	cols := make([]*Vec, len(m.cols))
 	var bld []int32
@@ -1225,6 +1217,16 @@ func (h *heap) finish(r *fanRun) (*Batch, error) {
 		}
 	}
 	return &Batch{schema: r.schema, cols: cols, length: n}, nil
+}
+
+// order sorts the kept slots into output order.
+func (h *heap) order() {
+	slices.SortFunc(h.h, func(x, y int32) int {
+		if h.before(x, y) {
+			return -1
+		}
+		return 1
+	})
 }
 
 // siftDown restores the heap property at root i under the given

@@ -195,7 +195,7 @@ func (k *Join) Run(left, right *Batch) (out *Batch, joined int, err error) {
 // one morsel long, assigned once to size the output exactly and once to
 // emit it.
 func (k *Join) run(left, right *Batch, size int) (*Batch, int, error) {
-	out, err := one((*Probe)(k), Materialize, left, right, size)
+	out, err := one((*Probe)(k), left, right, size)
 	if err != nil {
 		return nil, 0, err
 	}

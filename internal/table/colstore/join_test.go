@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
@@ -366,6 +367,40 @@ func TestSortAllocs(t *testing.T) {
 		}); got > bound {
 			t.Errorf("sort of %d rows allocates %.0f objects, want at most %d at any row count", n, got, bound)
 		}
+	}
+}
+
+// TestTopNAllocs: a top-n with no step is its heap over the input's rows
+// — the slots, their row positions and one comparator per key — and its
+// output (a batch and a selection per column), whatever the row count:
+// within 512 bytes of the output over 1,000 rows and 10,000. It ran a
+// whole fan run, its views and step buffers, at about 2 KiB more.
+func TestTopNAllocs(t *testing.T) {
+	k := &TopN{Keys: []table.SortKey{{Column: "k"}, {Column: "x", Desc: true}}, Limit: 10}
+	objects := map[int]float64{}
+	for _, n := range []int{1000, 10000} {
+		in, _ := joinInputs(n, 100)
+		objects[n] = testing.AllocsPerRun(5, func() {
+			if out, err := k.Run(in); err != nil || out.Len() != k.Limit {
+				t.Fatalf("top-n: %v rows, err %v", out.Len(), err)
+			}
+		})
+		least := uint64(math.MaxUint64)
+		for run := 0; run < 5; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			k.Run(in)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		cols := uintptr(len(in.cols))
+		output := unsafe.Sizeof(Batch{}) + cols*(8+unsafe.Sizeof(Vec{}))
+		if want := uint64(output) + 512; least > want {
+			t.Errorf("the top-%d of %d rows allocates %d bytes, want at most %d", k.Limit, n, least, want)
+		}
+	}
+	if objects[1000] != objects[10000] {
+		t.Errorf("the top-n allocates %.0f objects over 1,000 rows and %.0f over 10,000", objects[1000], objects[10000])
 	}
 }
 

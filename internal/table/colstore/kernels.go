@@ -36,7 +36,7 @@ type Filter struct {
 // row passes is returned itself — a filter the decoder already applied,
 // run again by the pipeline.
 func (k *Filter) Run(b *Batch) (*Batch, error) {
-	return one(k, Materialize, b, nil, k.Pred.size)
+	return one(k, b, nil, k.Pred.size)
 }
 
 // kept returns the positions of keep's set bits below n, ascending, in
@@ -79,7 +79,7 @@ type MapExpr struct {
 // Run implements Kernel: a one-step run into Materialize, which writes
 // the computed column a morsel at a time into one vector.
 func (k *MapExpr) Run(b *Batch) (*Batch, error) {
-	return one(k, Materialize, b, nil, k.Eval.size)
+	return one(k, b, nil, k.Eval.size)
 }
 
 // ---------------------------------------------------------------------
@@ -97,13 +97,27 @@ type TopN struct {
 	Limit int
 }
 
-// Run implements Kernel: a run of the top-n sink with no step — the
-// stable sort the sink ends with where the limit reaches b's length.
+// Run implements Kernel: the top-n sink's heap pushed b whole, as one
+// morsel of b's own rows and with no run (there is no build side or
+// computed cell to read), so it copies no cell; the stable sort where a
+// key is missing or holds NaN or boxed cells, as a run's decline is.
 func (k *TopN) Run(b *Batch) (*Batch, error) {
-	if k.Limit >= b.length {
-		return topN(b, k.Keys, k.Limit)
+	h := &heap{limit: min(max(k.Limit, 0), b.length)}
+	ints := make([]int32, 2*h.limit+1)
+	h.src, h.h, h.cmps = ints[:h.limit+1], ints[h.limit+1:h.limit+1], h.cmpBuf[:0]
+	for _, key := range k.Keys {
+		c := b.schema.Index(key.Column)
+		if c < 0 || !heapable(b.cols[c]) {
+			return topN(b, k.Keys, k.Limit)
+		}
+		h.cmps = append(h.cmps, heapKey{posCmp(b.cols[c], h.src), key.Desc})
 	}
-	return one(nil, k, b, nil, morselRows)
+	h.push(nil, &morsel{view: Batch{length: b.length}})
+	h.order()
+	for i, s := range h.h {
+		h.h[i] = h.src[s]
+	}
+	return b.selectRows(h.h), nil
 }
 
 // topN returns the first limit rows of b by keys, as selections: the
@@ -213,7 +227,7 @@ type Limit struct {
 
 // Run implements Kernel: a one-step run into Materialize.
 func (k *Limit) Run(b *Batch) (*Batch, error) {
-	return one(k, Materialize, b, nil, morselRows)
+	return one(k, b, nil, morselRows)
 }
 
 // ---------------------------------------------------------------------
