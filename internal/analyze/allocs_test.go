@@ -136,7 +136,7 @@ func TestAnalyzeAllocs(t *testing.T) {
 	}
 	opts := Options{Tasks: reg, Connectors: connector.NewRegistry(connector.Options{})}
 	a := Analyze(g, nil)
-	if report, _ := a.Lint(problems, opts); report.HasErrors() {
+	if report := a.Lint(problems, opts); report.HasErrors() {
 		t.Fatalf("lint: %v", report.Findings)
 	}
 	if n := testing.AllocsPerRun(20, func() { Analyze(g, nil) }); n > 80 {

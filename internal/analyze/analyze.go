@@ -195,12 +195,14 @@ func PlatformOptions(tasks *task.Registry, conns *connector.Registry, catalog *s
 // what run rejects) and analyzes it.
 func LintWithFacts(f *flowfile.File, opts Options) (*Report, *flowcheck.Facts) {
 	g, problems := dag.Resolve(f, opts.Tasks, opts.Shared)
-	return Analyze(g, opts.SourceScopes).Lint(problems, opts)
+	a := Analyze(g, opts.SourceScopes)
+	return a.Lint(problems, opts), a.Facts()
 }
 
 // Lint runs every rule over the analysis of a resolved graph, given the
-// problems its resolve met, and exports the facts.
-func (a *Analysis) Lint(problems []*dag.Problem, opts Options) (*Report, *flowcheck.Facts) {
+// problems its resolve met. A caller that also answers the facts asks
+// Facts for them.
+func (a *Analysis) Lint(problems []*dag.Problem, opts Options) *Report {
 	l := &linter{Analysis: a, opts: opts, report: &Report{}}
 	l.validation()
 	l.checkTasks()
@@ -218,7 +220,7 @@ func (a *Analysis) Lint(problems []*dag.Problem, opts Options) (*Report, *flowch
 	slices.SortStableFunc(l.report.Findings, func(a, b Finding) int {
 		return cmp.Or(cmp.Compare(a.Line, b.Line), strings.Compare(a.Rule, b.Rule), strings.Compare(a.Entity, b.Entity))
 	})
-	return l.report, l.exportFacts()
+	return l.report
 }
 
 // Analysis is the facts half of a lint — what the flowcheck transfer and
@@ -297,10 +299,10 @@ func Analyze(g *dag.Graph, sources map[string]flowcheck.Scope) *Analysis {
 	return a
 }
 
-// exportFacts assembles the stable fact structure from the walk's
-// per-object results and the liveness pass; live sets become sorted
-// column names here.
-func (a *Analysis) exportFacts() *flowcheck.Facts {
+// Facts assembles the flowcheck fact export, the stable fact structure,
+// from the walk's per-object results and the liveness pass; live sets
+// become sorted column names here.
+func (a *Analysis) Facts() *flowcheck.Facts {
 	facts := &flowcheck.Facts{Objects: make(map[string]*flowcheck.ObjectFacts, len(a.objects))}
 	for name, o := range a.objects {
 		if !o.resolved {

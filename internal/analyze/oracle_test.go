@@ -598,7 +598,7 @@ func checkAnalysisMatchesOracle(t *testing.T, src string, opts Options) bool {
 	}
 	g, problems := dag.Resolve(f, opts.Tasks, opts.Shared)
 	a := Analyze(g, nil)
-	report, facts := a.Lint(problems, opts)
+	report, facts := a.Lint(problems, opts), a.Facts()
 	wantReport, wantFacts, wantHints := oracleLint(a, problems, opts)
 	for _, c := range []struct {
 		what      string

@@ -281,7 +281,7 @@ func (r *Registry) formatFor(d *flowfile.DataDef) (Format, string, error) {
 
 // Decode is DecodePushdown with an empty offer.
 func (r *Registry) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
-	t, _, err := r.DecodePushdown(d, s, payload, Pushdown{})
+	t, _, err := r.DecodePushdown(d, s, payload, Pushdown{}, nil, 0)
 	return t, err
 }
 
@@ -357,12 +357,16 @@ func (r *Registry) policyFor(d *flowfile.DataDef) resilience.Policy {
 // jitter, Retry-After hints honored, permanent errors not retried —
 // with each attempt bounded by the per-source `timeout` property when
 // set. Breaker outcomes and retry counts feed the attached metrics
-// registry and the returned LoadStats. It is LoadPushdownContext with
-// an empty offer: both paths share one fetch/decode sequence, which is
-// what keeps pushdown-on and pushdown-off runs byte-identical in their
-// retry and breaker behavior.
+// registry and the returned LoadStats. It is Fetch, then
+// DecodePushdown with an empty offer: a pushdown offer changes the
+// decode only, which is what keeps pushdown-on and pushdown-off runs
+// byte-identical in their retry and breaker behavior.
 func (r *Registry) LoadContext(ctx context.Context, d *flowfile.DataDef, s *schema.Schema, tr obs.Tracer, parent int) (*table.Table, LoadStats, error) {
-	t, stats, _, err := r.LoadPushdownContext(ctx, d, s, Pushdown{}, tr, parent)
+	payload, stats, err := r.Fetch(ctx, d, tr, parent)
+	if err != nil {
+		return nil, stats, err
+	}
+	t, _, err := r.DecodePushdown(d, s, payload, Pushdown{}, tr, parent)
 	return t, stats, err
 }
 

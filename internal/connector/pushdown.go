@@ -75,20 +75,15 @@ func skipMask(s *schema.Schema, cols, keep []string) (skip []bool, skipped []str
 	return skip, skipped
 }
 
-// LoadPushdownContext is LoadContext with a pushdown offer, made to the
-// format at decode time over the exact same fetch/decode sequence a
-// plain load performs: the fetch is the plain one, so retry metrics are
-// charged alike. The PushdownResult reports what was applied; callers
-// needing exact semantics must keep the predicate in the consumer
-// pipeline, where re-applying it is idempotent.
-func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef, s *schema.Schema, pd Pushdown, tr obs.Tracer, parent int) (*table.Table, LoadStats, PushdownResult, error) {
+// Fetch is the protocol half of a load: the source's circuit breaker,
+// then the fetch under the retry policy, in a fetch span under parent on
+// tr. A dashboard run fetches every source first and decodes a payload
+// only when a node that runs reads it.
+func (r *Registry) Fetch(ctx context.Context, d *flowfile.DataDef, tr obs.Tracer, parent int) ([]byte, LoadStats, error) {
 	var stats LoadStats
-	if s == nil {
-		return nil, stats, PushdownResult{}, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
-	}
 	p, pname, err := r.protocolFor(d)
 	if err != nil {
-		return nil, stats, PushdownResult{}, err
+		return nil, stats, err
 	}
 	stats.Protocol = pname
 	breaker := r.breakers.For(pname + "\x00" + d.Prop("source"))
@@ -128,28 +123,22 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 		tr.EndSpan(fid)
 	}
 	if err != nil {
-		return nil, stats, PushdownResult{}, fmt.Errorf("connector: D.%s via %s: %w", d.Name, pname, err)
+		return nil, stats, fmt.Errorf("connector: D.%s via %s: %w", d.Name, pname, err)
 	}
-	t, res, err := r.decode(d, s, payload, pd, tr, parent)
-	return t, stats, res, err
+	return payload, stats, nil
 }
 
-// DecodePushdown decodes an already-fetched payload with the
-// definition's configured format, making the format the same offer a
-// load would. The dashboard runtime uses it for the per-dashboard data
-// folder (uploaded files referenced as `data:<file>`), whose payloads
-// live outside any protocol connector.
-func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
-	if s == nil {
-		return nil, PushdownResult{}, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
-	}
-	return r.decode(d, s, payload, pd, nil, 0)
-}
-
-// decode is the format half of every load: offer the format pd and
-// decode the payload exactly once.
-func (r *Registry) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown, tr obs.Tracer, parent int) (*table.Table, PushdownResult, error) {
+// DecodePushdown is the format half of every load: offer the definition's
+// format pd and decode the payload exactly once, in a decode span under
+// parent on tr (nil traces nothing). The dashboard runtime also decodes
+// the per-dashboard data folder (uploaded files referenced as
+// `data:<file>`) with it, whose payloads live outside any protocol
+// connector.
+func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown, tr obs.Tracer, parent int) (*table.Table, PushdownResult, error) {
 	var res PushdownResult
+	if s == nil {
+		return nil, res, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
+	}
 	f, fname, err := r.formatFor(d)
 	if err != nil {
 		return nil, res, err

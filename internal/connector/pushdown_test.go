@@ -29,9 +29,20 @@ func pushDef(t *testing.T) *flowfile.DataDef {
 
 func pushSchema() *schema.Schema { return schema.MustFromNames("region", "amount", "notes") }
 
-// loadPushdown is LoadPushdownContext without deadline, tracing or stats.
+// loadPushdownContext is a dashboard run's load of one source: Fetch,
+// then DecodePushdown with the plan's offer.
+func loadPushdownContext(ctx context.Context, r *Registry, d *flowfile.DataDef, s *schema.Schema, pd Pushdown, tr obs.Tracer, parent int) (*table.Table, LoadStats, PushdownResult, error) {
+	payload, stats, err := r.Fetch(ctx, d, tr, parent)
+	if err != nil {
+		return nil, stats, PushdownResult{}, err
+	}
+	t, res, err := r.DecodePushdown(d, s, payload, pd, tr, parent)
+	return t, stats, res, err
+}
+
+// loadPushdown is loadPushdownContext without deadline, tracing or stats.
 func loadPushdown(r *Registry, d *flowfile.DataDef, s *schema.Schema, pd Pushdown) (*table.Table, PushdownResult, error) {
-	t, _, res, err := r.LoadPushdownContext(context.Background(), d, s, pd, nil, 0)
+	t, _, res, err := loadPushdownContext(context.Background(), r, d, s, pd, nil, 0)
 	return t, res, err
 }
 
@@ -153,7 +164,7 @@ func TestDecodeSpanFlagsWhatWasApplied(t *testing.T) {
 	} {
 		tr := obs.NewTrace("load")
 		d := def(t, "t", map[string]string{"source": "mem:t." + tc.format, "format": tc.format})
-		if _, _, _, err := r.LoadPushdownContext(context.Background(), d, s, tc.pd, tr, 0); err != nil {
+		if _, _, _, err := loadPushdownContext(context.Background(), r, d, s, tc.pd, tr, 0); err != nil {
 			t.Fatal(err)
 		}
 		for _, sp := range tr.Spans() {
@@ -230,7 +241,7 @@ func TestPushdownRetryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			onR, onFP := chaosPushRegistry(t, tc.cfg, 3)
-			onTb, onStats, res, err := onR.LoadPushdownContext(context.Background(), chaosPushDef(t), s, pd, nil, 0)
+			onTb, onStats, res, err := loadPushdownContext(context.Background(), onR, chaosPushDef(t), s, pd, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +283,7 @@ func TestDeclinedPushdownNoDoubleCharge(t *testing.T) {
 		m := obs.NewRegistry()
 		r.SetMetrics(m)
 		d := def(t, "t", map[string]string{"source": "t.json", "protocol": "chaos", "format": "json"})
-		tb, stats, res, err := r.LoadPushdownContext(context.Background(), d, s, pd, nil, 0)
+		tb, stats, res, err := loadPushdownContext(context.Background(), r, d, s, pd, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +329,7 @@ func TestPushdownBreakerHalfOpenEquivalence(t *testing.T) {
 		d := chaosPushDef(t)
 		load := func() (*table.Table, error) {
 			if use {
-				tb, _, _, err := r.LoadPushdownContext(context.Background(), d, s, pd, nil, 0)
+				tb, _, _, err := loadPushdownContext(context.Background(), r, d, s, pd, nil, 0)
 				return tb, err
 			}
 			tb, _, err := r.LoadContext(context.Background(), d, s, nil, 0)

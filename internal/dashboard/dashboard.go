@@ -161,7 +161,7 @@ type Program struct {
 	flowHash    string
 	hints       analyze.Hints          // static evidence for the planner
 	widgetPlans map[string]*widgetPlan // copied into every run
-	sigText     map[string]string      // Graph.SignatureText; nil without a node cache
+	sigText     map[string]string      // Graph.SignatureText, sources' with their data text; nil without a node cache
 	runName     string                 // its run span's name, "run <name>"
 }
 
@@ -224,7 +224,12 @@ func (p *Platform) Prepare(f *flowfile.File) (*Program, *analyze.Analysis) {
 			prog.hints = a.Hints()
 		}
 		if p.Cache != nil {
+			// A source's key is its payload; its detail block (format,
+			// separator …) decides what the payload decodes to.
 			prog.sigText = g.SignatureText()
+			for _, name := range g.Sources() {
+				prog.sigText[name] += string(f.AppendDataText(nil, name))
+			}
 		}
 	}
 	return prog, a

@@ -21,7 +21,7 @@ import (
 func lintAgrees(t *testing.T, p *Platform, f *flowfile.File) (*analyze.Report, error) {
 	t.Helper()
 	prog, a := p.Prepare(f)
-	report, _ := a.Lint(prog.Problems, analyze.PlatformOptions(p.Tasks, p.Connectors, p.Catalog))
+	report := a.Lint(prog.Problems, analyze.PlatformOptions(p.Tasks, p.Connectors, p.Catalog))
 	err := prog.Err()
 	var pr *dag.Problem
 	if err != nil && !report.HasErrors() && !(errors.As(err, &pr) && pr.Kind == dag.ProblemUnresolvable) {

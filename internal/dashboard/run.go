@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -91,51 +93,67 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	// lists.
 	d.runPlan = d.Explain()
 	d.pushedFilters = map[string]bool{}
-	sources := map[string]*table.Table{}
-	for _, name := range d.Graph.Sources() {
+	// Fetch every source first: a source is keyed by its payload, so the
+	// node cache decides which nodes run before any payload is decoded.
+	names := d.Graph.Sources()
+	srcs := make([]runSource, len(names))
+	src := func(name string) *runSource { return &srcs[slices.Index(names, name)] }
+	defer func() {
+		// A lazy source's span stays open until the node cache has
+		// decided whether it is read: end any an early return left open.
+		for i := range srcs {
+			if srcs[i].span != 0 {
+				endSource(tr, &srcs[i], nil)
+			}
+		}
+	}()
+	for i, name := range names {
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("dashboard %s: %w", d.Name, cerr)
 		}
-		n := d.Graph.Nodes[name]
-		srcSpan := 0
+		s := &srcs[i]
+		s.n = d.Graph.Nodes[name]
 		if tr != nil {
-			srcSpan = tr.StartSpan(runSpan, n.SpanName())
+			s.span = tr.StartSpan(runSpan, s.n.SpanName())
 		}
-		t, attempts, lerr := d.loadSource(ctx, name, tr, srcSpan)
-		sh := SourceHealth{Name: name, Status: "ok", Mode: n.Def.OnError(), Attempts: attempts}
+		attempts, lerr := d.fetchSource(ctx, s, tr)
+		sh := SourceHealth{Name: name, Status: "ok", Mode: s.n.Def.OnError(), Attempts: attempts}
 		if attempts > 1 {
 			h.Retries += attempts - 1
 		}
+		// An endpoint or published source is read outside the run, and
+		// one with an on_error fallback is decoded on every run, so that
+		// a payload that fails to decode degrades it every time.
+		s.lazy = s.lazy && sh.Mode == "fail" && !s.n.Def.Endpoint && s.n.Def.Publish == ""
+		if lerr == nil && s.t == nil && !s.lazy {
+			lerr = d.decodeSource(s, tr)
+		}
 		if lerr != nil {
-			t, sh, lerr = d.degradeSource(name, sh, lerr)
+			s.t, sh, lerr = d.degradeSource(name, sh, lerr)
 			if sh.Status != "ok" {
 				h.Status = "degraded"
 				if tr != nil {
-					tr.SpanFlag(srcSpan, "degraded")
+					tr.SpanFlag(s.span, "degraded")
 				}
 			}
 		}
-		if tr != nil {
-			if t != nil {
-				tr.SpanInt(srcSpan, "rows_out", int64(t.Len()))
-			}
-			tr.SpanInt(srcSpan, "attempts", int64(attempts))
-			if lerr != nil {
-				tr.SpanFlag(srcSpan, "error")
-			}
-			tr.EndSpan(srcSpan)
-		}
 		h.Sources = append(h.Sources, sh)
+		if tr != nil {
+			tr.SpanInt(s.span, "attempts", int64(attempts))
+		}
 		if lerr != nil {
+			endSource(tr, s, lerr)
 			return lerr
 		}
-		if !n.Shared && sh.Status == "ok" && sh.Mode == "stale" && d.platform.LastGood != nil {
+		if !s.n.Shared && sh.Status == "ok" && sh.Mode == "stale" && d.platform.LastGood != nil {
 			// Only a stale source reads its snapshot back. Keep a shallow
 			// clone: the engine may sort or grow the live table's Rows()
 			// in place, which must not corrupt the last-good copy.
-			d.platform.LastGood.Put(d.Name, name, t.CloneShallow())
+			d.platform.LastGood.Put(d.Name, name, s.t.CloneShallow())
 		}
-		sources[name] = t
+		if !s.lazy {
+			endSource(tr, s, nil)
+		}
 	}
 	exec := &batch.Executor{Parallelism: d.platform.Parallelism, Optimize: d.platform.Optimize, Plan: d.runPlan, Tracer: tr, TraceParent: runSpan, Columnar: d.platform.Columnar}
 	if d.platform.NewRunBudget != nil {
@@ -145,10 +163,13 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		exec.Budget = d.platform.NewRunBudget()
 	}
 	var sigs map[string]string
-	if d.platform.Cache != nil {
+	if d.platform.Cache != nil && h.Status != "degraded" {
+		// A degraded run neither reads nor fills the node cache: a
+		// source is keyed by its payload, and a payload that fails to
+		// decode must never hit as if it had decoded.
 		exec.Cached = map[string]*table.Table{}
 		up := uploadDigest(d.env.Resources)
-		sigs = d.Graph.Signatures(d.sigText, func(name string) string { return sources[name].FingerprintFrom(up) })
+		sigs = d.Graph.Signatures(d.sigText, func(name string) string { return src(name).key(up) })
 		for _, name := range d.Graph.Order {
 			n := d.Graph.Nodes[name]
 			if n.IsSource() || n.Def.Uncached() {
@@ -159,16 +180,35 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			}
 		}
 	}
+	// Decode a lazy source only when a node that runs reads it.
+	runs := exec.Runs(d.Graph)
+	sources := make(map[string]*table.Table, len(srcs))
+	for i := range srcs {
+		s := &srcs[i]
+		if s.lazy {
+			var err error
+			if runs[s.n.Name] {
+				err = d.decodeSource(s, tr)
+			}
+			if endSource(tr, s, err); err != nil {
+				return err
+			}
+		}
+		if s.t != nil {
+			sources[s.n.Name] = s.t
+		}
+	}
 	res, err := exec.RunContext(ctx, d.Graph, d.env, sources)
 	if res != nil {
 		// Keep the partial result even on failure: Stats.Failures carries
 		// per-node errors (and panic stacks) for /stats and the trace.
 		d.result = res
+		defer d.release(res, srcs)
 	}
 	if err != nil {
 		return fmt.Errorf("dashboard %s: %w", d.Name, err)
 	}
-	if d.platform.Cache != nil {
+	if sigs != nil {
 		for _, name := range d.Graph.Order {
 			n := d.Graph.Nodes[name]
 			// `cache: off` opts a data object out of cross-run
@@ -385,41 +425,55 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 	rec.Record(run)
 }
 
-// loadSource materializes one source data object: shared catalog
-// objects resolve directly; data:-scheme sources decode uploaded
-// payloads and everything else goes through the connector registry
-// (with fetch/decode spans when tracing), both under the plan's
-// pushdown offer. The int is the number of connector fetch attempts (1
-// for non-connector sources).
-func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, srcSpan int) (*table.Table, int, error) {
-	n := d.Graph.Nodes[name]
+// runSource is one source of a run: what its fetch returned (a payload,
+// or a shared catalog table) and, once decoded, its table.
+type runSource struct {
+	n       *dag.Node
+	payload []byte
+	t       *table.Table
+	span    int
+	// upload marks a data: source, whose payload is among the uploads.
+	upload bool
+	// lazy marks a source whose payload the platform holds (an upload or
+	// a mem: payload) and whose table nothing but the run's nodes reads:
+	// it is decoded only when a node that runs reads it, and released
+	// when the run ends.
+	lazy bool
+}
+
+// key is the source's part of its signature: the run's upload digest up,
+// which a task reading an upload depends on, folded with its payload's
+// hash (a data: source's payload is one of the uploads) or, for a shared
+// source, its catalog table's fingerprint.
+func (s *runSource) key(up uint64) string {
+	switch {
+	case s.upload:
+		return strconv.FormatUint(up, 16)
+	case s.payload != nil:
+		return strconv.FormatUint(up^maphash.Bytes(uploadSeed, s.payload), 16)
+	}
+	return s.t.Fingerprint() + strconv.FormatUint(up, 16)
+}
+
+// fetchSource fetches one source: a shared catalog object resolves to
+// its table, a data:-scheme source to its upload, and any other source
+// through the connector registry (with its fetch span when tracing). It
+// returns the number of connector fetch attempts (1 for non-connector
+// sources), and marks the source lazy when the platform holds its
+// payload.
+func (d *Dashboard) fetchSource(ctx context.Context, s *runSource, tr obs.Tracer) (int, error) {
+	n := s.n
 	if n.Shared {
-		obj, ok := d.platform.Catalog.Resolve(name)
+		obj, ok := d.platform.Catalog.Resolve(n.Name)
 		if !ok {
-			return nil, 1, fmt.Errorf("dashboard %s: shared data object %q disappeared from the catalog", d.Name, name)
+			return 1, fmt.Errorf("dashboard %s: shared data object %q disappeared from the catalog", d.Name, n.Name)
 		}
 		if tr != nil {
-			tr.SpanFlag(srcSpan, "shared")
+			tr.SpanFlag(s.span, "shared")
 		}
-		return obj.Data, 1, nil
+		s.t = obj.Data
+		return 1, nil
 	}
-	// The plan's pushdown offer (when one exists) goes to whichever path
-	// loads the source: the connector or format applies what it can and
-	// declines the rest in-band — same fetch, same single decode, same
-	// retry accounting either way, and the consumer pipeline re-applies
-	// the predicate regardless.
-	var pd connector.Pushdown
-	consumer := ""
-	if np := d.runPlan.Node(name); np != nil && np.Pushdown != nil {
-		pd = connector.Pushdown{Predicate: np.Pushdown.Predicate, SkipColumns: np.Pushdown.SkipColumns}
-		consumer = np.Pushdown.Consumer
-	}
-	var (
-		t        *table.Table
-		res      connector.PushdownResult
-		err      error
-		attempts = 1
-	)
 	// Sources in the dashboard's data folder (§4.3.2: uploaded files
 	// "can be referred in the data object configuration") resolve
 	// from the compile-time resources under the data: scheme.
@@ -429,16 +483,28 @@ func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, 
 		}
 		payload, found := d.env.Resource(src)
 		if !found {
-			return nil, 1, fmt.Errorf("dashboard %s: D.%s: no uploaded data file %q", d.Name, name, src)
+			return 1, fmt.Errorf("dashboard %s: D.%s: no uploaded data file %q", d.Name, n.Name, src)
 		}
-		t, res, err = d.platform.Connectors.DecodePushdown(n.Def, n.Schema, payload, pd)
-	} else {
-		var stats connector.LoadStats
-		t, stats, res, err = d.platform.Connectors.LoadPushdownContext(ctx, n.Def, n.Schema, pd, tr, srcSpan)
-		attempts = stats.Attempts
+		s.payload, s.upload, s.lazy = payload, true, true
+		return 1, nil
 	}
+	payload, stats, err := d.platform.Connectors.Fetch(ctx, n.Def, tr, s.span)
 	if err != nil {
-		return nil, attempts, fmt.Errorf("dashboard %s: %w", d.Name, err)
+		return stats.Attempts, fmt.Errorf("dashboard %s: %w", d.Name, err)
+	}
+	s.payload, s.lazy = payload, stats.Protocol == "mem"
+	return stats.Attempts, nil
+}
+
+// decodeSource decodes s's payload, its decode span under s's, making
+// the format the plan's pushdown offer: the format applies what it can
+// and declines the rest in-band, and the consumer pipeline re-applies
+// the predicate regardless.
+func (d *Dashboard) decodeSource(s *runSource, tr obs.Tracer) error {
+	pd, consumer := d.pushdown(s.n.Name)
+	t, res, err := d.platform.Connectors.DecodePushdown(s.n.Def, s.n.Schema, s.payload, pd, tr, s.span)
+	if err != nil {
+		return fmt.Errorf("dashboard %s: %w", d.Name, err)
 	}
 	if res.PredicateApplied && consumer != "" {
 		// The consumer's re-applied filter now sees pre-filtered
@@ -448,7 +514,52 @@ func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, 
 		// planner un-pushes, and the plan oscillates run over run).
 		d.pushedFilters[dag.HintKey(consumer, "filter_by "+pd.Predicate)] = true
 	}
-	return t, attempts, nil
+	s.t = t
+	return nil
+}
+
+// pushdown is the run plan's pushdown offer to source name, and the node
+// whose filter it pushes ("" when none).
+func (d *Dashboard) pushdown(name string) (connector.Pushdown, string) {
+	if np := d.runPlan.Node(name); np != nil && np.Pushdown != nil {
+		return connector.Pushdown{Predicate: np.Pushdown.Predicate, SkipColumns: np.Pushdown.SkipColumns}, np.Pushdown.Consumer
+	}
+	return connector.Pushdown{}, ""
+}
+
+// endSource closes s's span: its rows out, unread when the run never
+// decoded it, or error.
+func endSource(tr obs.Tracer, s *runSource, err error) {
+	switch {
+	case tr == nil:
+		return
+	case err != nil:
+		tr.SpanFlag(s.span, "error")
+	case s.t == nil:
+		tr.SpanFlag(s.span, "unread")
+	default:
+		tr.SpanInt(s.span, "rows_out", int64(s.t.Len()))
+	}
+	tr.EndSpan(s.span)
+	s.span = 0
+}
+
+// release drops the run's lazy sources from res once the run has built
+// its endpoints and published: a decoded source lives only while its run
+// reads it, and Result.Table decodes one again, on demand, from the
+// payload the run used.
+func (d *Dashboard) release(res *batch.Result, srcs []runSource) {
+	conns := d.platform.Connectors
+	for i := range srcs {
+		if s := &srcs[i]; s.lazy {
+			n, payload := s.n, s.payload
+			pd, _ := d.pushdown(n.Name)
+			res.Release(n.Name, func() (*table.Table, error) {
+				t, _, err := conns.DecodePushdown(n.Def, n.Schema, payload, pd, nil, 0)
+				return t, err
+			})
+		}
+	}
 }
 
 // RefreshWidgets re-evaluates every widget's interaction pipeline

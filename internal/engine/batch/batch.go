@@ -22,6 +22,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -174,25 +175,48 @@ func (s *Stats) Slowest(n int) []StageTiming {
 // Result is a completed execution: every materialized data object.
 type Result struct {
 	// Tables maps data-object names to their contents. An inline node
-	// (dag.NodePlan.Inline) has none: Table builds it.
+	// (dag.NodePlan.Inline) has none, nor has a released source: Table
+	// builds them.
 	Tables map[string]*table.Table
 	// Stats describes the run.
 	Stats Stats
 	// What Table builds an inline node with.
 	g    *dag.Graph
 	plan *dag.Plan
+	// released decodes each released source again.
+	released map[string]func() (*table.Table, error)
 }
 
-// Table returns a data object: one the run materialized, or an inline
-// node whose input it did, built now from that input through the node's
-// planned stages (Executor.RunPipeline, untraced and uncharged; an
-// inline chain is filters and maps over expressions, which read no
-// environment).
+// Release drops source name's table from the result, or records that the
+// run never decoded it: Table answers it from then on with what decode
+// returns, decoded anew on every call. A caller that holds a source's
+// payload releases its table so that it lives only while its run reads
+// it.
+func (r *Result) Release(name string, decode func() (*table.Table, error)) {
+	delete(r.Tables, name)
+	if r.released == nil {
+		r.released = map[string]func() (*table.Table, error){}
+	}
+	r.released[name] = decode
+}
+
+// Table returns a data object: one the run materialized, a released
+// source, decoded now, or an inline node whose input Table answers,
+// built now from that input through the node's planned stages
+// (Executor.RunPipeline, untraced and uncharged; an inline chain is
+// filters and maps over expressions, which read no environment).
 func (r *Result) Table(name string) (*table.Table, bool) {
 	if t, ok := r.Tables[name]; ok {
 		return t, true
 	}
-	in, ok := r.inlineInput(name)
+	if decode, ok := r.released[name]; ok {
+		t, err := decode()
+		return t, err == nil
+	}
+	if !r.inline(name) {
+		return nil, false
+	}
+	in, ok := r.Table(r.g.Nodes[name].Inputs[0])
 	if !ok {
 		return nil, false
 	}
@@ -200,14 +224,59 @@ func (r *Result) Table(name string) (*table.Table, bool) {
 	return t, err == nil
 }
 
-// inlineInput returns the input of inline node name when the run
-// materialized it.
-func (r *Result) inlineInput(name string) (*table.Table, bool) {
-	if np := r.plan.Node(name); np == nil || !np.Inline {
-		return nil, false
+// has reports whether Table answers name, building nothing.
+func (r *Result) has(name string) bool {
+	_, built := r.Tables[name]
+	_, released := r.released[name]
+	return built || released || r.inline(name) && r.has(r.g.Nodes[name].Inputs[0])
+}
+
+func (r *Result) inline(name string) bool {
+	np := r.plan.Node(name)
+	return np != nil && np.Inline
+}
+
+// plan is the plan RunContext executes: Plan, else one derived as
+// Optimize selects.
+func (e *Executor) plan(g *dag.Graph) *dag.Plan {
+	switch {
+	case e.Plan != nil:
+		return e.Plan
+	case e.Optimize:
+		return dag.Optimize(g, dag.PlanOptions{})
 	}
-	t, ok := r.Tables[r.g.Nodes[name].Inputs[0]]
-	return t, ok
+	return dag.AsWritten(g)
+}
+
+// Runs is the one rule for which of g's nodes RunContext executes: a
+// produced node runs unless it is a skipped sink or a cache hit, and an
+// inline one only when a consumer it feeds runs. A source is read when a
+// node that runs or a widget reads it; RunContext needs data only for a
+// source that is read, and a dashboard run decodes no other.
+func (e *Executor) Runs(g *dag.Graph) map[string]bool { return e.runs(g, e.plan(g)) }
+
+func (e *Executor) runs(g *dag.Graph, plan *dag.Plan) map[string]bool {
+	runs := make(map[string]bool, len(g.Nodes))
+	for i := len(g.Order) - 1; i >= 0; i-- {
+		name := g.Order[i]
+		n := g.Nodes[name]
+		_, hit := e.Cached[name]
+		switch {
+		case slices.Contains(plan.SkippedSinks, name), hit && !n.IsSource():
+		case n.IsSource() || e.inline(plan, name):
+			runs[name] = slices.ContainsFunc(n.Consumers, func(c string) bool { return runs[c] || strings.HasPrefix(c, "widget:") })
+		default:
+			runs[name] = true
+		}
+	}
+	return runs
+}
+
+// inline reports whether node name runs as an inline node: never built,
+// its chain run into its consumers.
+func (e *Executor) inline(plan *dag.Plan, name string) bool {
+	np := plan.Node(name)
+	return np != nil && np.Inline && e.Columnar != ColumnarOff
 }
 
 func (e *Executor) workers() int {
@@ -240,14 +309,8 @@ func recoverStage(prefix, stage string, errp *error) {
 // per-stage failures (Stats.Failures) and the tables that did
 // materialize.
 func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, sources map[string]*table.Table) (*Result, error) {
-	plan := e.Plan
-	if plan == nil {
-		if e.Optimize {
-			plan = dag.Optimize(g, dag.PlanOptions{})
-		} else {
-			plan = dag.AsWritten(g)
-		}
-	}
+	plan := e.plan(g)
+	runs := e.runs(g, plan)
 	res := &Result{
 		Tables: make(map[string]*table.Table, len(g.Nodes)),
 		Stats:  Stats{RowsProduced: map[string]int{}},
@@ -299,17 +362,33 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			close(s.done)
 			continue
 		}
+		if n.IsSource() {
+			// A source no node that runs reads may go unsupplied.
+			t, ok := sources[name]
+			switch {
+			case !ok && runs[name]:
+				s.err = fmt.Errorf("batch: no data supplied for source D.%s", name)
+			case ok && !t.Schema().Equal(n.Schema):
+				s.err = fmt.Errorf("batch: source D.%s data schema %s does not match resolved schema %s",
+					name, t.Schema(), n.Schema)
+			default:
+				s.tbl = t
+			}
+			close(s.done)
+			continue
+		}
+		if !runs[name] {
+			close(s.done)
+			continue
+		}
 		// An inline node feeds the consumers this run computes, and waits
-		// for the build side of one it feeds as a join's probe side; with
-		// none, it does not run.
+		// for the build side of one it feeds as a join's probe side.
 		var to []fed
 		waits := n.Inputs
-		if np := plan.Node(name); np != nil && np.Inline && e.Columnar != ColumnarOff {
+		if e.inline(plan, name) {
+			to = make([]fed, 0, len(n.Consumers))
 			for _, c := range n.Consumers {
-				if _, hit := e.Cached[c]; !hit && !slices.Contains(plan.SkippedSinks, c) {
-					if to == nil {
-						to = make([]fed, 0, len(n.Consumers))
-					}
+				if runs[c] {
 					to = append(to, fed{name: c})
 					for _, in := range g.Nodes[c].Inputs {
 						if in != name {
@@ -318,23 +397,6 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 					}
 				}
 			}
-			if to == nil {
-				close(s.done)
-				continue
-			}
-		}
-		if n.IsSource() {
-			t, ok := sources[name]
-			if !ok {
-				s.err = fmt.Errorf("batch: no data supplied for source D.%s", name)
-			} else if !t.Schema().Equal(n.Schema) {
-				s.err = fmt.Errorf("batch: source D.%s data schema %s does not match resolved schema %s",
-					name, t.Schema(), n.Schema)
-			} else {
-				s.tbl = t
-			}
-			close(s.done)
-			continue
 		}
 		wg.Add(1)
 		go func(n *dag.Node, s *slot, to []fed, waits []string) {
@@ -653,19 +715,7 @@ func execStage(stage string, body func() (*table.Table, int, error)) (out *table
 // SortedNames returns the names Table answers, sorted, for stable
 // reporting.
 func (r *Result) SortedNames() []string {
-	names := make([]string, 0, len(r.Tables))
-	for n := range r.Tables {
-		names = append(names, n)
-	}
-	if r.plan != nil {
-		for n := range r.plan.Nodes {
-			if _, built := r.Tables[n]; !built {
-				if _, ok := r.inlineInput(n); ok {
-					names = append(names, n)
-				}
-			}
-		}
-	}
+	names := slices.DeleteFunc(slices.Clone(r.g.Order), func(n string) bool { return !r.has(n) })
 	sort.Strings(names)
 	return names
 }

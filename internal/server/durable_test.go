@@ -192,11 +192,13 @@ func TestRunJournalsOnlyStaleSources(t *testing.T) {
 
 // durableRerunAllocs is what one save + run cycle of uploadFlow("fail")
 // allocates on a durable server (go1.24, linux/amd64): the save's parse
-// and commit record, the compile of the new tip, and a run whose source
-// is read and decoded again while every produced node is a cache hit.
-// Journaling the source's last-good table on every run, as runs did for
-// every source before only stale sources kept one, allocated 235.
-const durableRerunAllocs = 224
+// and commit record, the compile of the new tip, and a run whose every
+// produced node is a cache hit, so that its source goes undecoded.
+// Decoding the source on every run, as runs did while a source was keyed
+// by its decoded table, allocated 224; journaling its last-good table
+// too, as runs did for every source before only stale sources kept one,
+// 235.
+const durableRerunAllocs = 211
 
 // TestDurableRerunAllocs pins a durable save + run cycle to journaling
 // only its commit and its run: at most durableRerunAllocs + 2 %.

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"shareinsights/internal/analyze"
-	"shareinsights/internal/analyze/flowcheck"
 	"shareinsights/internal/connector"
 	"shareinsights/internal/dashboard"
 	"shareinsights/internal/obs/ops"
@@ -119,13 +118,14 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request, t target) {
 }
 
 // lint runs the static analyzer's rules over a program (on the analysis
-// its compile made, when given), returning the findings and the facts.
-func (s *Server) lint(prog *dashboard.Program, a *analyze.Analysis) (*analyze.Report, *flowcheck.Facts) {
+// its compile made, when given), returning the findings and the
+// analysis, whose Facts only GET …/check exports.
+func (s *Server) lint(prog *dashboard.Program, a *analyze.Analysis) (*analyze.Report, *analyze.Analysis) {
 	if a == nil {
 		a = analyze.Analyze(prog.Graph, nil)
 	}
 	p := s.platform
-	return a.Lint(prog.Problems, analyze.PlatformOptions(p.Tasks, p.Connectors, p.Catalog))
+	return a.Lint(prog.Problems, analyze.PlatformOptions(p.Tasks, p.Connectors, p.Catalog)), a
 }
 
 // handleAnalysis analyzes the latest committed flow file on demand — the
@@ -142,10 +142,10 @@ func (s *Server) handleAnalysis(facts bool) handler {
 			jsonError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		report, inferred := s.lint(sl.prog, a)
+		report, a := s.lint(sl.prog, a)
 		body := map[string]any{"dashboard": t.name, "findings": report.Findings}
 		if facts {
-			body["facts"] = inferred
+			body["facts"] = a.Facts()
 		} else {
 			body["errors"], body["warnings"], body["infos"] = report.Counts()
 		}

@@ -311,15 +311,11 @@ func (t *Table) Format(maxRows int) string {
 }
 
 // Fingerprint returns a stable content hash of the table (schema plus
-// every cell, order-sensitive). The incremental-execution cache uses it
-// as a source node's signature: same payload, same fingerprint. The
-// schema's text (Schema.String) is hashed piece by piece.
-func (t *Table) Fingerprint() string { return t.FingerprintFrom(0) }
-
-// FingerprintFrom is Fingerprint with h folded into the seed: a source's
-// signature folds in its run's upload digest.
-func (t *Table) FingerprintFrom(h uint64) string {
-	h ^= value.HashSeed
+// every cell, order-sensitive). The incremental-execution cache keys a
+// shared source by it. The schema's text (Schema.String) is hashed piece
+// by piece.
+func (t *Table) Fingerprint() string {
+	h := value.HashSeed
 	t.schema.Pieces(func(p string) { h = value.HashString(h, p) })
 	t.eachRow(func(r Row) { h = value.HashRow(h, r) })
 	return strconv.FormatUint(h, 16)
