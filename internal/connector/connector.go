@@ -83,12 +83,20 @@ type Format interface {
 // per-(protocol,source) circuit breakers, and per-attempt deadlines.
 type Registry struct {
 	mu        sync.RWMutex
-	protocols map[string]Protocol
-	formats   map[string]Format
+	protocols map[string]entry[Protocol]
+	formats   map[string]entry[Format]
 	retry     resilience.Policy
 	breakers  *resilience.BreakerSet
 	maxBytes  int64
 	metrics   *obs.Registry
+}
+
+// entry is a protocol or a format with the name of the span that runs it
+// ("fetch http", "decode csv"), built once, when it is registered: a
+// literal for the built-ins.
+type entry[T any] struct {
+	impl T
+	span string
 }
 
 // Options configure the default registry.
@@ -147,29 +155,29 @@ func NewRegistry(opts Options) *Registry {
 		maxBytes = DefaultMaxPayloadBytes
 	}
 	r := &Registry{
-		protocols: map[string]Protocol{},
-		formats:   map[string]Format{},
+		protocols: map[string]entry[Protocol]{},
+		formats:   map[string]entry[Format]{},
 		retry:     retry,
 		breakers:  resilience.NewBreakerSet(opts.Breaker),
 		maxBytes:  maxBytes,
 	}
 	if opts.DataDir != "" {
-		r.protocols["file"] = &fileProtocol{root: opts.DataDir}
+		r.protocols["file"] = entry[Protocol]{&fileProtocol{root: opts.DataDir}, "fetch file"}
 	}
 	client := opts.HTTPClient
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second, Transport: sharedTransport}
 	}
-	r.protocols["http"] = &httpProtocol{client: client, maxBytes: maxBytes}
-	r.protocols["https"] = &httpProtocol{client: client, maxBytes: maxBytes}
-	r.protocols["mem"] = &memProtocol{data: opts.Mem}
-	for name, f := range map[string]Format{
-		"csv":   &csvFormat{},
-		"tsv":   &csvFormat{sep: '\t'},
-		"json":  &jsonFormat{},
-		"jsonl": &jsonFormat{lines: true},
-		"xml":   &xmlFormat{},
-		"sbin":  &sbinFormat{},
+	r.protocols["http"] = entry[Protocol]{&httpProtocol{client: client, maxBytes: maxBytes}, "fetch http"}
+	r.protocols["https"] = entry[Protocol]{&httpProtocol{client: client, maxBytes: maxBytes}, "fetch https"}
+	r.protocols["mem"] = entry[Protocol]{&memProtocol{data: opts.Mem}, "fetch mem"}
+	for name, f := range map[string]entry[Format]{
+		"csv":   {&csvFormat{}, "decode csv"},
+		"tsv":   {&csvFormat{sep: '\t'}, "decode tsv"},
+		"json":  {&jsonFormat{}, "decode json"},
+		"jsonl": {&jsonFormat{lines: true}, "decode jsonl"},
+		"xml":   {&xmlFormat{}, "decode xml"},
+		"sbin":  {&sbinFormat{}, "decode sbin"},
 	} {
 		r.formats[name] = f
 	}
@@ -183,7 +191,7 @@ func (r *Registry) RegisterProtocol(name string, p Protocol) error {
 	if _, dup := r.protocols[name]; dup {
 		return fmt.Errorf("connector: protocol %q already registered", name)
 	}
-	r.protocols[name] = p
+	r.protocols[name] = entry[Protocol]{p, "fetch " + name}
 	return nil
 }
 
@@ -194,7 +202,7 @@ func (r *Registry) RegisterFormat(name string, f Format) error {
 	if _, dup := r.formats[name]; dup {
 		return fmt.Errorf("connector: format %q already registered", name)
 	}
-	r.formats[name] = f
+	r.formats[name] = entry[Format]{f, "decode " + name}
 	return nil
 }
 
@@ -234,7 +242,7 @@ const HeaderPrefix = "http_headers."
 
 // protocolFor picks the protocol: an explicit `protocol:` property wins,
 // then the source URL scheme, then file.
-func (r *Registry) protocolFor(d *flowfile.DataDef) (Protocol, string, error) {
+func (r *Registry) protocolFor(d *flowfile.DataDef) (entry[Protocol], string, error) {
 	name := d.Prop("protocol")
 	if name == "" {
 		src := d.Prop("source")
@@ -250,14 +258,14 @@ func (r *Registry) protocolFor(d *flowfile.DataDef) (Protocol, string, error) {
 	p, ok := r.protocols[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, "", fmt.Errorf("connector: D.%s: no protocol %q (have %s)", d.Name, name, strings.Join(r.Protocols(), ", "))
+		return p, "", fmt.Errorf("connector: D.%s: no protocol %q (have %s)", d.Name, name, strings.Join(r.Protocols(), ", "))
 	}
 	return p, name, nil
 }
 
 // formatFor picks the format: explicit `format:` property, then source
 // extension, then csv.
-func (r *Registry) formatFor(d *flowfile.DataDef) (Format, string, error) {
+func (r *Registry) formatFor(d *flowfile.DataDef) (entry[Format], string, error) {
 	name := strings.ToLower(d.Prop("format"))
 	if name == "" {
 		ext := strings.TrimPrefix(strings.ToLower(filepath.Ext(d.Prop("source"))), ".")
@@ -274,7 +282,7 @@ func (r *Registry) formatFor(d *flowfile.DataDef) (Format, string, error) {
 	f, ok := r.formats[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, "", fmt.Errorf("connector: D.%s: no format %q (have %s)", d.Name, name, strings.Join(r.Formats(), ", "))
+		return f, "", fmt.Errorf("connector: D.%s: no format %q (have %s)", d.Name, name, strings.Join(r.Formats(), ", "))
 	}
 	return f, name, nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -301,5 +302,50 @@ func TestSelectiveDecodeRetainsWhatItKept(t *testing.T) {
 			t.Errorf("%s: last id = %q", pred, id)
 		}
 		runtime.KeepAlive(tb)
+	}
+}
+
+// TestPredicateMorsels: under a pushed predicate a morsel of records
+// waits before any is appended, and the view types each morsel of a
+// column on its own, into the vectors the morsel before used. Every kept
+// record of every morsel must decode to the reference's row: a quoted
+// field with an escaped quote or a line end lives in the spill buffer,
+// which later records of the morsel extend or regrow, and a column turns
+// from ints to ints with empty cells, floats and text among numbers,
+// where a typed loop reads a null's payload slot as zero.
+func TestPredicateMorsels(t *testing.T) {
+	var spilled, kinds bytes.Buffer
+	for i := range 1000 {
+		fmt.Fprintf(&spilled, "%d,\"say \"\"%d\"\"\nsoon%s\",%s\n", i%7, i, strings.Repeat("x", i%97), []string{"web", "store"}[i%2])
+	}
+	for i := range 400 {
+		a := strconv.Itoa(i % 9)
+		switch {
+		case i >= 100 && i < 200 && i%3 == 0:
+			a = ""
+		case i >= 200 && i < 300:
+			a += ".5"
+		case i >= 300 && i%4 == 0:
+			a = "x"
+		}
+		fmt.Fprintf(&kinds, "%s,%d,web\n", a, i)
+	}
+	_, d, s, _ := csvFuzzCase(0)
+	for _, tc := range []struct {
+		payload []byte
+		preds   []string
+	}{
+		{spilled.Bytes(), []string{"a > 2", "c == 'web' or b contains '9'"}},
+		{kinds.Bytes(), []string{"a + 1 > 5", "-a < -4 or a % 4 == 1", "a * 2 == a + a and a != 0"}},
+	} {
+		for _, pred := range tc.preds {
+			pd := Pushdown{Predicate: pred}
+			want, _, wantErr := referenceDecodeCSV(0, d, s, tc.payload, pd)
+			got, res, err := (&csvFormat{}).DecodePushdown(d, s, tc.payload, pd)
+			if !res.PredicateApplied {
+				t.Fatalf("%s: declined", pred)
+			}
+			sameDecode(t, got, want, err, wantErr)
+		}
 	}
 }

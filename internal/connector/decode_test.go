@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"shareinsights/internal/flowfile"
+	"shareinsights/internal/obs"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/table/colstore"
@@ -288,6 +289,25 @@ func TestDecodeCSVAllocs(t *testing.T) {
 	vectors := 30000 * (3*4 + 2*8) // 4 bytes per coded string cell, 8 per int cell
 	if got, limit := allocatedBy(func() { (&csvFormat{}).Decode(d, s30, payload) }), uint64(vectors+vectors/4+64<<10); got > limit && !raceEnabled {
 		t.Errorf("decoding %d bytes allocates %d bytes, want at most %d: its vectors are %d", len(payload), got, limit, vectors)
+	}
+	// A pushed predicate costs the rows it keeps: a row it rejects never
+	// reaches the vectors.
+	var kept *table.Table
+	vectors = 19998 * (3*4 + 2*8)
+	if got, limit := allocatedBy(func() { kept, _, _ = (&csvFormat{}).DecodePushdown(d, s30, payload, Pushdown{Predicate: "qty > 3"}) }), uint64(vectors+vectors/4+64<<10); kept.Len() != 19998 || got > limit && !raceEnabled {
+		t.Errorf("decoding %d bytes under qty > 3 keeps %d rows and allocates %d bytes, want 19998 rows and at most %d", len(payload), kept.Len(), got, limit)
+	}
+	// A traced decode names its span without building the name.
+	small, s64 := benchCSV(64)
+	reg, tr := NewRegistry(Options{}), obs.NewTrace("load")
+	decodeTraced := func(tr obs.Tracer) float64 {
+		return testing.AllocsPerRun(10, func() { reg.DecodePushdown(d, s64, small, Pushdown{}, tr, 0) })
+	}
+	for range 100 { // so that the trace's own slices grow no more
+		reg.DecodePushdown(d, s64, small, Pushdown{}, tr, 0)
+	}
+	if traced, untraced := decodeTraced(tr), decodeTraced(nil); traced > untraced {
+		t.Errorf("a traced decode allocates %.0f objects, an untraced one %.0f", traced, untraced)
 	}
 	var distinct bytes.Buffer
 	for i := 0; i < 10000; i++ {

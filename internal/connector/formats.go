@@ -37,12 +37,19 @@ import (
 // as its bytes, which the builder copies into the column that keeps it
 // (colstore.Builder). No row, no record, no per-cell object and no copy
 // of the payload is allocated, and the table shares no byte with the
-// payload. A pushed predicate sees a row of just the cells it reads.
+// payload. A pushed predicate runs a morsel of records at a time over a
+// boxed view of just the cells it reads (colstore.Boxed), and only the
+// records it keeps are appended.
 type csvFormat struct{ sep rune }
 
 // csvReserveRows is how many rows a decode must have kept before it
 // reserves its vectors from them, and how often it revises the reserve.
 const csvReserveRows = 1024
+
+// csvMorselRows is how many records a pushed predicate keeps rows of at
+// a time. The morsel's fields wait as slices, 24 bytes each, so it is
+// short: 1.5 KiB a column.
+const csvMorselRows = 64
 
 func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
 	t, _, err := f.DecodePushdown(d, s, payload, Pushdown{})
@@ -79,12 +86,34 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 	for i := range binding {
 		binding[i] = i
 	}
-	read, _ := skipMask(s, need, nil) // the cells the predicate's row holds
-	row, memo := make(table.Row, s.Len()), map[string]string{}
-	kept := 0
+	// Under a predicate, a morsel of records waits in fields, record k's
+	// fields ending at ends[k][0] and its text at ends[k][1], and the
+	// cells the predicate reads in view, until flush appends those the
+	// predicate keeps.
+	var view *colstore.Boxed
+	var fields [][]byte
+	var ends [][2]int
+	if pred != nil {
+		view = pred.Boxed(s.Len(), csvMorselRows)
+		fields, ends = make([][]byte, 0, csvMorselRows*s.Len()), make([][2]int, 0, csvMorselRows)
+	}
+	read, _ := skipMask(s, need, nil) // the columns the predicate reads
+	memo, kept := map[string]string{}, 0
+	flush := func() {
+		keep := view.Keep(len(ends))
+		for k, start := 0, 0; k < len(ends); k, start = k+1, ends[k][0] {
+			if keep.Get(k) {
+				kept = appendRecord(b, binding, skip, fields[start:ends[k][0]], kept, ends[k][1], len(r.src))
+			}
+		}
+		fields, ends, r.spill = fields[:0], ends[:0], r.spill[:0]
+	}
 	for first := true; ; first = false {
 		rec, err := r.read()
 		if err == io.EOF {
+			if len(ends) > 0 {
+				flush()
+			}
 			return b.Table(), res, nil
 		}
 		if err != nil {
@@ -109,36 +138,50 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 			}
 			continue
 		}
-		if pred != nil {
-			for i, j := range binding {
-				if row[i] = value.VNull; read[i] && j < len(rec) {
-					row[i] = predicateCell(memo, rec[j])
-				}
-			}
-			if !pred(row).Truthy() {
-				continue
-			}
+		if view == nil {
+			kept = appendRecord(b, binding, skip, rec, kept, r.off, len(r.src))
+			r.spill = r.spill[:0]
+			continue
 		}
 		for i, j := range binding {
-			if skip[i] || j >= len(rec) {
-				b.AppendCell(i, value.VNull)
-			} else if cell, typed := value.Infer(rec[j]); typed {
-				b.AppendCell(i, cell)
-			} else {
-				b.AppendString(i, rec[j])
+			if read[i] {
+				cell := value.VNull
+				if j < len(rec) {
+					cell = predicateCell(memo, rec[j])
+				}
+				view.Set(len(ends), i, cell)
 			}
 		}
-		b.EndRow()
-		if kept++; kept%csvReserveRows == 0 {
-			// Rows kept per byte consumed, over the whole payload, plus
-			// 1/32 so that a steady payload never regrows. Rows kept are
-			// rows read at most, so a predicate never reserves more than
-			// the same decode without one; where the kept rows thin out
-			// later in the payload, Table trims.
-			est := int64(kept) * int64(len(r.src)) / int64(r.off)
-			b.Reserve(int(est + est/32))
+		fields = append(fields, rec...)
+		if ends = append(ends, [2]int{len(fields), r.off}); len(ends) == csvMorselRows {
+			flush()
 		}
 	}
+}
+
+// appendRecord appends rec to b as the row binding maps to its fields, a
+// skipped column's cell null, and returns kept, the rows appended, plus
+// one. Every csvReserveRows rows it reserves the vectors from the rows
+// kept per byte consumed over the whole payload, to off of size, plus
+// 1/32 so that a steady payload never regrows. Rows kept are rows read at
+// most, so a predicate never reserves more than the same decode without
+// one; where the kept rows thin out later in the payload, Table trims.
+func appendRecord(b *colstore.Builder, binding []int, skip []bool, rec [][]byte, kept, off, size int) int {
+	for i, j := range binding {
+		if skip[i] || j >= len(rec) {
+			b.AppendCell(i, value.VNull)
+		} else if cell, typed := value.Infer(rec[j]); typed {
+			b.AppendCell(i, cell)
+		} else {
+			b.AppendString(i, rec[j])
+		}
+	}
+	b.EndRow()
+	if kept++; kept%csvReserveRows == 0 {
+		est := int64(kept) * int64(size) / int64(off)
+		b.Reserve(int(est + est/32))
+	}
+	return kept
 }
 
 // predicateCell types a field for the predicate's row, a text field as a
@@ -200,8 +243,9 @@ func (r *csvScanner) spillAppend(p []byte, tail string) {
 	r.spill = append(append(r.spill, p...), tail...)
 }
 
-// read returns the next record, io.EOF after the last. The record and
-// its fields are good until the next call.
+// read returns the next record, io.EOF after the last. The record is
+// good until the next call, and its fields until the caller empties the
+// spill buffer.
 func (r *csvScanner) read() ([][]byte, error) {
 	line, nl := r.readLine()
 	for len(line) == 0 { // skip empty lines
@@ -213,7 +257,7 @@ func (r *csvScanner) read() ([][]byte, error) {
 	commaLen := utf8.RuneLen(r.comma)
 	recLine := r.numLine
 	posLine, col := r.numLine, 1 // where line[0] is: 1-based, col in bytes
-	r.rec, r.spill = r.rec[:0], r.spill[:0]
+	r.rec = r.rec[:0]
 	for {
 		for len(line) > 0 && (line[0] <= ' ' || line[0] >= utf8.RuneSelf) {
 			// Leading white space, other than the delimiter.

@@ -21,6 +21,7 @@ import (
 	"shareinsights/internal/obs"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 )
 
 // Pushdown is the optimizer's request to a source: filter rows by
@@ -89,14 +90,14 @@ func (r *Registry) Fetch(ctx context.Context, d *flowfile.DataDef, tr obs.Tracer
 	breaker := r.breakers.For(pname + "\x00" + d.Prop("source"))
 	fid := 0
 	if tr != nil {
-		fid = tr.StartSpan(parent, "fetch "+pname)
+		fid = tr.StartSpan(parent, p.span)
 	}
 	var payload []byte
 	if berr := breaker.Allow(); berr != nil {
 		err = fmt.Errorf("source unavailable (%s, %w)", breaker.State(), berr)
 	} else {
 		stats.Attempts, err = r.policyFor(d).Do(ctx, func(actx context.Context) (ferr error) {
-			payload, ferr = fetch(actx, p, d)
+			payload, ferr = fetch(actx, p.impl, d)
 			return ferr
 		})
 		if err != nil {
@@ -143,17 +144,17 @@ func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload
 	if err != nil {
 		return nil, res, err
 	}
-	fp, formatPush := f.(FormatPushdown)
+	fp, formatPush := f.impl.(FormatPushdown)
 	formatPush = formatPush && !pd.Empty()
 	did := 0
 	if tr != nil {
-		did = tr.StartSpan(parent, "decode "+fname)
+		did = tr.StartSpan(parent, f.span)
 	}
 	var t *table.Table
 	if formatPush {
 		t, res, err = fp.DecodePushdown(d, s, payload, pd)
 	} else {
-		t, err = f.Decode(d, s, payload)
+		t, err = f.impl.Decode(d, s, payload)
 	}
 	if tr != nil {
 		if res.PredicateApplied || len(res.SkippedColumns) > 0 {
@@ -170,15 +171,14 @@ func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload
 	return t, res, nil
 }
 
-// compilePushdownPredicate binds a pushed predicate against the
-// declared schema for decode-time filtering. It returns the bound
-// evaluator plus the columns the predicate reads (those must keep
-// decoding even when listed in SkipColumns). A predicate that fails to
-// parse or bind is declined (nil evaluator) — the consumer pipeline
-// still applies it, so declining is always sound. The predicate reaches
-// a format as text over the extension contract, so it is parsed here,
-// once per decode.
-func compilePushdownPredicate(pred string, s *schema.Schema) (expr.Eval, []string) {
+// compilePushdownPredicate compiles a pushed predicate against the
+// declared schema for decode-time filtering. It returns the compiled
+// predicate plus the columns it reads (those must keep decoding even
+// when listed in SkipColumns). A predicate that fails to parse or
+// compile is declined (nil) — the consumer pipeline still applies it, so
+// declining is always sound. The predicate reaches a format as text over
+// the extension contract, so it is parsed here, once per decode.
+func compilePushdownPredicate(pred string, s *schema.Schema) (*colstore.VecEval, []string) {
 	if pred == "" {
 		return nil, nil
 	}
@@ -186,7 +186,7 @@ func compilePushdownPredicate(pred string, s *schema.Schema) (expr.Eval, []strin
 	if err != nil {
 		return nil, nil
 	}
-	ev, err := n.Bind(s)
+	ev, err := colstore.CompileVec(n, s)
 	if err != nil {
 		return nil, nil
 	}

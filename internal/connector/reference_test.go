@@ -12,11 +12,13 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/value"
 )
 
 // The decoders as they were before they wrote column vectors: read every
-// record, build a []value.V row per record, append it to a row table.
+// record, build a []value.V row per record, append it to a row table, and
+// run a pushed predicate's filter kernel over the table.
 // They are the oracle the one-pass decoders are fuzzed against (same
 // table, or the same error), and nothing else calls them.
 
@@ -97,10 +99,15 @@ func referenceDecodeCSV(sep rune, d *flowfile.DataDef, s *schema.Schema, payload
 				row[i] = value.VNull
 			}
 		}
-		if pred != nil && !pred(row).Truthy() {
-			continue
-		}
 		t.Append(row)
+	}
+	if pred != nil {
+		b, _ := colstore.FromTable(t)
+		kept, err := (&colstore.Filter{Pred: pred}).Run(b)
+		if err != nil {
+			return nil, res, err
+		}
+		t = kept.ToTable()
 	}
 	return t, res, nil
 }

@@ -46,8 +46,8 @@ func (f *sbinFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byt
 // skipped column still binds and its cells are still parsed, so a payload
 // fails exactly as it would without the offer, but nothing is appended
 // for it: it decodes as an all-null vector that stores nothing. The
-// predicate is declined: evaluating it would copy each row's string cells
-// out of the payload before the row is appended.
+// predicate is declined: evaluating it would copy each morsel's string
+// cells out of the payload into a view, and parse its rows twice.
 func (f *sbinFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
 	skip, skipped := skipMask(s, pd.SkipColumns, nil)
 	t, err := decodeSBIN(payload, s, skip, func(names []string) ([]int, error) {

@@ -126,7 +126,7 @@ func diagnoseOne(f *flowfile.File, msg string) Diagnostic {
 // CleanMessage strips engine-internal prefixes so the user reads their
 // pipeline's vocabulary, not the substrate's (lint's messages too).
 func CleanMessage(msg string) string {
-	for _, prefix := range []string{"batch: ", "dag: ", "connector: ", "expr: ", "schema: ", "cube: ", "task: "} {
+	for _, prefix := range []string{"batch: ", "dag: ", "connector: ", "colstore: ", "expr: ", "schema: ", "cube: ", "task: "} {
 		msg = strings.ReplaceAll(msg, prefix, "")
 	}
 	return msg

@@ -57,26 +57,21 @@ func (p *pipeline) columnar(specs []task.Spec, in []*table.Table, names []string
 	if !k.OK {
 		return nil, 0, nil
 	}
-	order := [2]int{0, 1}
-	if k.Swapped {
-		order = [2]int{1, 0}
-	}
-	var bs [2]*colstore.Batch
-	for i := range in {
-		bs[i], _ = colstore.FromTable(in[order[i]])
-	}
 	var outs []*colstore.Batch
 	var st []colstore.FanStage
 	err := p.guard(specs[0], func() (err error) {
-		outs, st, err = k.Fan.Must(bs[0], bs[1])
+		outs, st, err = k.Run(in)
 		return err
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	build := 0
-	if bs[1] != nil {
-		build = bs[1].Len()
+	if len(in) == 2 {
+		build = in[1].Len()
+		if k.Swapped {
+			build = in[0].Len()
+		}
 	}
 	var buf [4]ranStage
 	for _, r := range ranStages(buf[:0], specs[:n], st, 0, len(k.Fan.Chain), len(k.Fan.Chain), outs[0].Len(), build, "", "fused") {

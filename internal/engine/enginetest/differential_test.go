@@ -475,6 +475,40 @@ func TestFixedFlowsDifferential(t *testing.T) {
 	}
 }
 
+// TestExpressionsMatchReference holds every mode's filter and expr map to
+// the reference's interpreter (SEMANTICS.md §4–5) on each rule of the
+// language — truthiness, order across kinds, coercion, zero divisors,
+// membership, containment and nulls — over sources whose columns mix
+// kinds, NaN, times and nulls (fuzzSources), from empty to two morsels.
+func TestExpressionsMatchReference(t *testing.T) {
+	srcs := []string{
+		"flag", "not region", "amount", "ratio and amount", "product or flag",
+		"amount > 25", "region < amount", "ratio == ratio", "amount != null", "flag >= 0.5",
+		"amount + ratio", "amount * 2 - 1", "ratio / amount", "amount / 0", "amount % 3", "ratio % 0",
+		"-amount", "-ratio", "region + '!'", "region + amount", "1 + 2.5",
+		"amount in (1, 2, 3)", "region in ('east', amount)", "region in 'east'", "product contains 'a1'",
+	}
+	for _, src := range srcs {
+		flow := diffHeader + fmt.Sprintf(`F:
+  D.kept: D.src | T.keep
+  D.mapped: D.src | T.value
+
+T:
+  keep:
+    type: filter_by
+    filter_expression: %s
+  value:
+    type: map
+    operator: expr
+    expression: %s
+    output: amount
+`, src, src)
+		for seed, rows := range []int{0, 7, 300, 2100} {
+			diffFlow(t, flow, fuzzSources(rand.New(rand.NewSource(int64(seed))), rows))
+		}
+	}
+}
+
 // TestIneligibleColumnsDifferential feeds a filter and a group-by a
 // mixed-kind measure column, which the kernels read boxed, and holds
 // every mode to the reference.

@@ -9,16 +9,19 @@ import (
 
 	"shareinsights/internal/dag"
 	"shareinsights/internal/engine/batch"
+	"shareinsights/internal/expr"
+	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/task"
 	"shareinsights/internal/value"
 )
 
 // The reference is docs/SEMANTICS.md written as naively as it reads:
-// group-by, join and sort over lists of rows of value.V, one row at a
-// time, and every other task through its Spec.Exec. Every engine mode is
-// held to it. It shares no code with the kernels but the registry's
-// accumulators, which are what the aggregates mean (§1.2).
+// group-by, join, sort, expression filters and expr maps over lists of
+// rows of value.V, one row at a time, and every other task through its
+// Spec.Exec. Every engine mode is held to it. It shares no code with the
+// kernels but the scalar rules the text defines by: the registry's
+// accumulators (§1.2), value.Compare (§3.3) and expr.Arith (§4.3).
 
 // refResult is a reference run: every data object of a graph, by name.
 type refResult map[string]*table.Table
@@ -88,6 +91,18 @@ func refChain(specs []task.Spec, in []*table.Table, names []string) (*table.Tabl
 			out, err = refJoin(s, in, names)
 		case *task.SortSpec:
 			out, err = refSort(s, in[0])
+		case *task.FilterSpec:
+			if len(s.By) > 0 {
+				out, err = sp.Exec(&task.Env{}, in, names)
+				break
+			}
+			out, err = refFilter(s, in[0])
+		case *task.MapSpec:
+			if s.Expr() == nil {
+				out, err = sp.Exec(&task.Env{}, in, names)
+				break
+			}
+			out, err = refMapExpr(s, in[0])
 		default:
 			out, err = sp.Exec(&task.Env{}, in, names)
 		}
@@ -264,4 +279,127 @@ func refSortRows(index func(string) int, rows []table.Row, order []task.OrderKey
 		}
 		return false
 	})
+}
+
+// refEval is SEMANTICS.md §4.1–4.5: the value of expression n over row r,
+// whose columns s names. An error — a column s lacks, a value list
+// outside `in` — is the expression's whatever the row's cells.
+func refEval(n expr.Node, s *schema.Schema, r table.Row) (value.V, error) {
+	switch n := n.(type) {
+	case *expr.Lit:
+		return n.Val, nil
+	case *expr.Col:
+		if i := s.Index(n.Name); i >= 0 {
+			return r[i], nil
+		}
+		return value.VNull, fmt.Errorf("column %q not found", n.Name)
+	case *expr.Unary:
+		x, err := refEval(n.X, s, r)
+		switch {
+		case err != nil:
+			return x, err
+		case n.Op != "-": // not, !
+			return value.NewBool(!x.Truthy()), nil
+		case x.Kind() == value.Float:
+			return value.NewFloat(-x.Float()), nil
+		}
+		return value.NewInt(-x.Int()), nil
+	case *expr.Binary:
+		l, err := refEval(n.L, s, r)
+		if err != nil {
+			return l, err
+		}
+		if list, ok := n.R.(*expr.Tuple); ok && n.Op == "in" {
+			in := false
+			for _, item := range list.Items {
+				v, err := refEval(item, s, r)
+				if err != nil {
+					return v, err
+				}
+				in = in || value.Equal(l, v)
+			}
+			return value.NewBool(in), nil
+		}
+		rv, err := refEval(n.R, s, r)
+		if err != nil {
+			return rv, err
+		}
+		c := value.Compare(l, rv)
+		switch n.Op {
+		case "and", "&&":
+			return value.NewBool(l.Truthy() && rv.Truthy()), nil
+		case "or", "||":
+			return value.NewBool(l.Truthy() || rv.Truthy()), nil
+		case "<":
+			return value.NewBool(c < 0), nil
+		case "<=":
+			return value.NewBool(c <= 0), nil
+		case ">":
+			return value.NewBool(c > 0), nil
+		case ">=":
+			return value.NewBool(c >= 0), nil
+		case "==", "=", "in":
+			return value.NewBool(c == 0), nil
+		case "!=":
+			return value.NewBool(c != 0), nil
+		case "contains":
+			return value.NewBool(strings.Contains(l.Str(), rv.Str())), nil
+		case "+", "-", "*", "/", "%":
+			return expr.Arith(n.Op, l, rv), nil
+		}
+	}
+	return value.VNull, fmt.Errorf("%s is not an expression", n)
+}
+
+// refEvalRows is refEval over every row of in, and over a row of nulls
+// first, so that an empty input fails where the expression does.
+func refEvalRows(n expr.Node, in *table.Table) ([]value.V, error) {
+	if _, err := refEval(n, in.Schema(), make(table.Row, in.Schema().Len())); err != nil {
+		return nil, err
+	}
+	vals := make([]value.V, in.Len())
+	for i, r := range in.Rows() {
+		vals[i], _ = refEval(n, in.Schema(), r)
+	}
+	return vals, nil
+}
+
+// refFilter is SEMANTICS.md §4.6: the rows whose expression is truthy,
+// in input order.
+func refFilter(s *task.FilterSpec, in *table.Table) (*table.Table, error) {
+	if _, err := s.Out([]task.Input{{Schema: in.Schema()}}); err != nil {
+		return nil, err
+	}
+	vals, err := refEvalRows(s.Expr, in)
+	if err != nil {
+		return nil, err
+	}
+	var rows []table.Row
+	for i, r := range in.Rows() {
+		if vals[i].Truthy() {
+			rows = append(rows, r)
+		}
+	}
+	return table.FromRows(in.Schema(), rows)
+}
+
+// refMapExpr is SEMANTICS.md §5: every row, with the expression's value
+// as its output column: appended, or in place of the input column of
+// that name.
+func refMapExpr(s *task.MapSpec, in *table.Table) (*table.Table, error) {
+	out, err := s.Out([]task.Input{{Schema: in.Schema()}})
+	if err != nil {
+		return nil, err
+	}
+	vals, err := refEvalRows(s.Expr(), in)
+	if err != nil {
+		return nil, err
+	}
+	col := out.Index(s.OutColumns()[0])
+	rows := make([]table.Row, in.Len())
+	for i, r := range in.Rows() {
+		rows[i] = append(slices.Clone(r), value.VNull)[:out.Len()]
+		rows[i][col] = vals[i]
+	}
+	return table.FromRows(out, rows)
 }

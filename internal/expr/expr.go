@@ -11,9 +11,11 @@
 //	cmp       := sum (('<'|'<='|'>'|'>='|'=='|'!='|'=' | contains | in) sum)?
 //	expr      := cmp ((and|or) cmp)*
 //
-// An expression is parsed once, bound against a schema once (resolving
-// column names to row indices — the "contextual" binding of §3.3), and
-// then evaluated per row with no allocation.
+// An expression is parsed once here, and bound against a schema once
+// (resolving column names to columns — the "contextual" binding of §3.3)
+// by colstore.CompileVec, which evaluates it a column vector at a time.
+// docs/SEMANTICS.md §4–5 state what an expression means; Arith is its
+// one scalar arithmetic rule.
 package expr
 
 import (
@@ -22,8 +24,6 @@ import (
 	"strconv"
 	"strings"
 
-	"shareinsights/internal/schema"
-	"shareinsights/internal/table"
 	"shareinsights/internal/value"
 )
 
@@ -134,26 +134,15 @@ func isDigit(c byte) bool     { return c >= '0' && c <= '9' }
 // ---------------------------------------------------------------------
 // AST
 
-// Node is an expression AST node.
+// Node is an expression AST node. colstore.CompileVec binds it against
+// a schema and evaluates it.
 type Node interface {
-	// Bind resolves column references against the schema, returning an
-	// evaluator. Binding fails if a referenced column is absent.
-	Bind(s *schema.Schema) (Eval, error)
 	// String renders the node back to source form.
 	String() string
 }
 
-// Eval computes the node's value for one row.
-type Eval func(table.Row) value.V
-
 // Lit is a literal value.
 type Lit struct{ Val value.V }
-
-// Bind implements Node.
-func (n *Lit) Bind(*schema.Schema) (Eval, error) {
-	v := n.Val
-	return func(table.Row) value.V { return v }, nil
-}
 
 // String renders the literal in source form.
 func (n *Lit) String() string {
@@ -176,15 +165,6 @@ func (n *Lit) String() string {
 // Col is a column reference.
 type Col struct{ Name string }
 
-// Bind implements Node.
-func (n *Col) Bind(s *schema.Schema) (Eval, error) {
-	i := s.Index(n.Name)
-	if i < 0 {
-		return nil, fmt.Errorf("expr: column %q not found in %s", n.Name, s)
-	}
-	return func(r table.Row) value.V { return r[i] }, nil
-}
-
 // String renders the column reference.
 func (n *Col) String() string { return n.Name }
 
@@ -192,27 +172,6 @@ func (n *Col) String() string { return n.Name }
 type Unary struct {
 	Op string
 	X  Node
-}
-
-// Bind implements Node.
-func (n *Unary) Bind(s *schema.Schema) (Eval, error) {
-	x, err := n.X.Bind(s)
-	if err != nil {
-		return nil, err
-	}
-	switch n.Op {
-	case "-":
-		return func(r table.Row) value.V {
-			v := x(r)
-			if v.Kind() == value.Float {
-				return value.NewFloat(-v.Float())
-			}
-			return value.NewInt(-v.Int())
-		}, nil
-	case "not", "!":
-		return func(r table.Row) value.V { return value.NewBool(!x(r).Truthy()) }, nil
-	}
-	return nil, fmt.Errorf("expr: unknown unary operator %q", n.Op)
 }
 
 // String renders the operator in source form.
@@ -229,11 +188,6 @@ func (n *Unary) String() string {
 // Tuple is a parenthesized value list — only legal as the right-hand
 // side of `in`: project in ('pig', 'hive').
 type Tuple struct{ Items []Node }
-
-// Bind implements Node; a tuple outside `in` is an error.
-func (n *Tuple) Bind(*schema.Schema) (Eval, error) {
-	return nil, fmt.Errorf("expr: value list is only valid after 'in'")
-}
 
 // String renders the value list in source form.
 func (n *Tuple) String() string {
@@ -253,82 +207,6 @@ type Binary struct {
 // String renders the expression, parenthesized.
 func (n *Binary) String() string {
 	return "(" + n.L.String() + " " + n.Op + " " + n.R.String() + ")"
-}
-
-// Bind implements Node.
-func (n *Binary) Bind(s *schema.Schema) (Eval, error) {
-	l, err := n.L.Bind(s)
-	if err != nil {
-		return nil, err
-	}
-	var r Eval
-	if _, isTuple := n.R.(*Tuple); !isTuple {
-		r, err = n.R.Bind(s)
-		if err != nil {
-			return nil, err
-		}
-	} else if n.Op != "in" {
-		return nil, fmt.Errorf("expr: value list is only valid after 'in'")
-	}
-	switch n.Op {
-	case "and", "&&":
-		return func(row table.Row) value.V {
-			return value.NewBool(l(row).Truthy() && r(row).Truthy())
-		}, nil
-	case "or", "||":
-		return func(row table.Row) value.V {
-			return value.NewBool(l(row).Truthy() || r(row).Truthy())
-		}, nil
-	case "<":
-		return cmpEval(l, r, func(c int) bool { return c < 0 }), nil
-	case "<=":
-		return cmpEval(l, r, func(c int) bool { return c <= 0 }), nil
-	case ">":
-		return cmpEval(l, r, func(c int) bool { return c > 0 }), nil
-	case ">=":
-		return cmpEval(l, r, func(c int) bool { return c >= 0 }), nil
-	case "==", "=":
-		return cmpEval(l, r, func(c int) bool { return c == 0 }), nil
-	case "!=":
-		return cmpEval(l, r, func(c int) bool { return c != 0 }), nil
-	case "contains":
-		return func(row table.Row) value.V {
-			return value.NewBool(strings.Contains(l(row).Str(), r(row).Str()))
-		}, nil
-	case "in":
-		tup, ok := n.R.(*Tuple)
-		if !ok {
-			// A single value after `in` degrades to equality.
-			return cmpEval(l, r, func(c int) bool { return c == 0 }), nil
-		}
-		evals := make([]Eval, len(tup.Items))
-		for i, it := range tup.Items {
-			ev, err := it.Bind(s)
-			if err != nil {
-				return nil, err
-			}
-			evals[i] = ev
-		}
-		return func(row table.Row) value.V {
-			v := l(row)
-			for _, ev := range evals {
-				if value.Equal(v, ev(row)) {
-					return value.VTrue
-				}
-			}
-			return value.VFalse
-		}, nil
-	case "+", "-", "*", "/", "%":
-		op := n.Op
-		return func(row table.Row) value.V { return Arith(op, l(row), r(row)) }, nil
-	}
-	return nil, fmt.Errorf("expr: unknown operator %q", n.Op)
-}
-
-func cmpEval(l, r Eval, ok func(int) bool) Eval {
-	return func(row table.Row) value.V {
-		return value.NewBool(ok(value.Compare(l(row), r(row))))
-	}
 }
 
 // Arith applies an arithmetic operator with the platform's numeric

@@ -1,4 +1,4 @@
-package expr
+package expr_test
 
 import (
 	"slices"
@@ -6,10 +6,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/value"
 )
+
+// The evaluation cases run through colstore.CompileVec, the one
+// executable form of an expression, from this external package: colstore
+// imports expr.
 
 var testSchema = schema.MustFromNames("rating", "project", "count", "price")
 
@@ -17,13 +23,29 @@ func row(rating int64, project string, count int64, price float64) table.Row {
 	return table.Row{value.NewInt(rating), value.NewString(project), value.NewInt(count), value.NewFloat(price)}
 }
 
-// compile parses src and binds it against s.
-func compile(src string, s *schema.Schema) (Eval, error) {
-	n, err := Parse(src)
+// compile parses src and compiles it against s into an evaluator of
+// rows over s.
+func compile(src string, s *schema.Schema) (func(table.Row) value.V, error) {
+	n, err := expr.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return n.Bind(s)
+	return compileNode(n, s)
+}
+
+// compileNode compiles n against s: the evaluator runs it over a batch of
+// the one row it is handed.
+func compileNode(n expr.Node, s *schema.Schema) (func(table.Row) value.V, error) {
+	ev, err := colstore.CompileVec(n, s)
+	if err != nil {
+		return nil, err
+	}
+	return func(r table.Row) value.V {
+		tb := table.New(s)
+		tb.Append(r)
+		b, _ := colstore.FromTable(tb)
+		return ev.Eval(b, nil).At(0)
+	}, nil
 }
 
 func eval(t *testing.T, src string, r table.Row) value.V {
@@ -112,7 +134,7 @@ func TestParseErrors(t *testing.T) {
 		"rating > > 2", "and rating",
 	}
 	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
+		if _, err := expr.Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
 	}
@@ -135,12 +157,12 @@ func TestColumnsInSourceOrder(t *testing.T) {
 		"'pig' == 1":                                            nil,
 	}
 	for src, want := range cases {
-		n, err := Parse(src)
+		n, err := expr.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for range 20 {
-			if got := Columns(n); !slices.Equal(got, want) {
+			if got := expr.Columns(n); !slices.Equal(got, want) {
 				t.Fatalf("Columns(%q) = %v, want %v", src, got, want)
 			}
 		}
@@ -161,19 +183,19 @@ func TestStringRoundTrip(t *testing.T) {
 		row(0, "", -3, 100),
 	}
 	for _, src := range srcs {
-		n1, err := Parse(src)
+		n1, err := expr.Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
-		n2, err := Parse(n1.String())
+		n2, err := expr.Parse(n1.String())
 		if err != nil {
 			t.Fatalf("reparse %q: %v", n1.String(), err)
 		}
-		e1, err := n1.Bind(testSchema)
+		e1, err := compileNode(n1, testSchema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := n2.Bind(testSchema)
+		e2, err := compileNode(n2, testSchema)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +221,7 @@ func TestQuotedStringEscapes(t *testing.T) {
 func TestArithProperties(t *testing.T) {
 	// Int addition in the expression language matches Go int64 addition.
 	add := func(a, b int32) bool {
-		got := Arith("+", value.NewInt(int64(a)), value.NewInt(int64(b)))
+		got := expr.Arith("+", value.NewInt(int64(a)), value.NewInt(int64(b)))
 		return got.Int() == int64(a)+int64(b)
 	}
 	if err := quick.Check(add, nil); err != nil {
@@ -207,14 +229,14 @@ func TestArithProperties(t *testing.T) {
 	}
 	// a - a == 0 for all ints.
 	sub := func(a int64) bool {
-		return Arith("-", value.NewInt(a), value.NewInt(a)).Int() == 0
+		return expr.Arith("-", value.NewInt(a), value.NewInt(a)).Int() == 0
 	}
 	if err := quick.Check(sub, nil); err != nil {
 		t.Errorf("sub: %v", err)
 	}
 	// Division by zero is always null.
 	div := func(a int64) bool {
-		return Arith("/", value.NewInt(a), value.NewInt(0)).IsNull()
+		return expr.Arith("/", value.NewInt(a), value.NewInt(0)).IsNull()
 	}
 	if err := quick.Check(div, nil); err != nil {
 		t.Errorf("div: %v", err)
@@ -254,11 +276,11 @@ func TestInOperator(t *testing.T) {
 		}
 	}
 	// Round trip.
-	n, err := Parse("project in ('pig', 'o\\'brien')")
+	n, err := expr.Parse("project in ('pig', 'o\\'brien')")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Parse(n.String()); err != nil {
+	if _, err := expr.Parse(n.String()); err != nil {
 		t.Fatalf("in round trip: %q: %v", n.String(), err)
 	}
 	// A tuple anywhere else is rejected.

@@ -1,17 +1,19 @@
-package expr
+package expr_test
 
 import (
 	"slices"
 	"testing"
 
+	"shareinsights/internal/expr"
 	"shareinsights/internal/table"
 	"shareinsights/internal/value"
 )
 
-// FuzzParseEval drives the expression parser and evaluator with
+// FuzzParseEval drives the expression parser and colstore.CompileVec with
 // arbitrary sources: never panic, and parseable expressions must
-// round-trip through String() to an equivalent evaluator that reads the
-// same columns in the same order.
+// round-trip through String() to an expression that reads the same
+// columns in the same order and compiles to the same results over the
+// same rows.
 func FuzzParseEval(f *testing.F) {
 	f.Add("rating < 3 and project == 'pig'")
 	f.Add("count * 2 + rating % 3")
@@ -19,21 +21,21 @@ func FuzzParseEval(f *testing.F) {
 	f.Add("project contains 'x' or true")
 	f.Add("-rating >= -5")
 	f.Fuzz(func(t *testing.T, src string) {
-		n, err := Parse(src)
+		n, err := expr.Parse(src)
 		if err != nil {
 			return
 		}
-		n2, err := Parse(n.String())
+		n2, err := expr.Parse(n.String())
 		if err != nil {
 			t.Fatalf("String() form does not re-parse: %q -> %q: %v", src, n.String(), err)
 		}
-		if c1, c2 := Columns(n), Columns(n2); !slices.Equal(c1, c2) {
+		if c1, c2 := expr.Columns(n), expr.Columns(n2); !slices.Equal(c1, c2) {
 			t.Fatalf("round trip changed the columns of %q: %v -> %v", src, c1, c2)
 		}
-		e1, err1 := n.Bind(testSchema)
-		e2, err2 := n2.Bind(testSchema)
+		e1, err1 := compileNode(n, testSchema)
+		e2, err2 := compileNode(n2, testSchema)
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("bind disagreement for %q", src)
+			t.Fatalf("compile disagreement for %q", src)
 		}
 		if err1 != nil {
 			return

@@ -511,34 +511,46 @@ func Compact(t *table.Table) *table.Table {
 // vector when all non-null elements share one vectorizable kind, else
 // an any-vector.
 func compress(vals []value.V) *Vec {
-	k := value.Null
-	uniform := true
-	for _, v := range vals {
-		ck := v.Kind()
-		if ck == value.Null {
-			continue
-		}
-		if ck == value.Time {
-			uniform = false
-			break
-		}
-		if k == value.Null {
-			k = ck
-		} else if k != ck {
-			uniform = false
-			break
-		}
-	}
-	if !uniform {
-		out := newVec(anyKind, len(vals))
-		for i, v := range vals {
-			out.set(i, v)
-		}
-		return out
-	}
-	out := newVec(k, len(vals))
-	for i, v := range vals {
-		out.set(i, v)
-	}
+	out := new(Vec)
+	out.fill(vals)
 	return out
+}
+
+// fill makes dense vector v compress(vals), writing into the payload
+// and the null mask v already has where they have the room.
+func (v *Vec) fill(vals []value.V) {
+	k := value.Null
+	for _, x := range vals {
+		if xk := x.Kind(); xk == value.Time || xk != value.Null && k != value.Null && xk != k {
+			k = anyKind
+			break
+		} else if xk != value.Null {
+			k = xk
+		}
+	}
+	n := len(vals)
+	v.kind, v.length = k, n
+	switch k {
+	case value.Bool:
+		v.bools = grown(v.bools, n)
+		clear(v.bools)
+	case value.Int:
+		v.ints = grown(v.ints, n)
+		clear(v.ints)
+	case value.Float:
+		v.floats = grown(v.floats, n)
+		clear(v.floats)
+	case value.String:
+		v.strs = grown(v.strs, n)
+		clear(v.strs)
+	case anyKind:
+		v.anys = grown(v.anys, n)
+	}
+	if v.nulls != nil {
+		v.nulls.grow(n)
+		clear(v.nulls.words)
+	}
+	for i, x := range vals {
+		v.set(i, x)
+	}
 }

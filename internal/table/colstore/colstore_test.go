@@ -328,8 +328,10 @@ var exprCases = []string{
 // TestVecExprMatchesRowExpr is the core equivalence property for the
 // vectorized expression compiler: for every supported operator, the
 // batch evaluation must produce the same value AND the same kind as the
-// row-at-a-time evaluator — kind drift would silently change group-by
-// keys downstream.
+// rows' own evaluation, their cells boxed (boxedRows) — kind drift would
+// silently change group-by keys downstream, and a pushed predicate, which
+// reads the rows so, must keep what the pipeline's filter keeps. The
+// enginetest reference holds both to SEMANTICS.md §4–5.
 func TestVecExprMatchesRowExpr(t *testing.T) {
 	for _, src := range exprCases {
 		src := src
@@ -340,10 +342,7 @@ func TestVecExprMatchesRowExpr(t *testing.T) {
 				if !ok {
 					return false
 				}
-				rowEv, err := bindRowSrc(src, tb.Schema())
-				if err != nil {
-					t.Fatalf("row compile %q: %v", src, err)
-				}
+				rowVals := boxedRows(t, src, tb, 64)
 				vecEv, err := compileVecSrc(src, tb.Schema())
 				if err != nil {
 					t.Fatalf("vec compile %q: %v", src, err)
@@ -352,8 +351,8 @@ func TestVecExprMatchesRowExpr(t *testing.T) {
 				if out.Len() != tb.Len() {
 					return false
 				}
-				for i, row := range tb.Rows() {
-					want, got := rowEv(row), out.At(i)
+				for i := range tb.Rows() {
+					want, got := rowVals[i], out.At(i)
 					if want.Kind() != got.Kind() || !value.Equal(want, got) {
 						t.Logf("row %d: row path %v (%v) vs vec path %v (%v)",
 							i, want, want.Kind(), got, got.Kind())
@@ -492,7 +491,7 @@ func TestGroupByNullSemantics(t *testing.T) {
 }
 
 // TestFilterKernel: the filter kernel must keep exactly the rows whose
-// predicate is truthy, in input order.
+// predicate is truthy over their boxed cells, in input order.
 func TestFilterKernel(t *testing.T) {
 	f := func(ints []int64, floats []float64, strs []string, bools []bool, masks []byte) bool {
 		tb := mixedTable(ints, floats, strs, bools, masks)
@@ -509,13 +508,10 @@ func TestFilterKernel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rowEv, err := bindRowSrc(src, tb.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
+		rowVals := boxedRows(t, src, tb, 64)
 		want := table.New(tb.Schema())
-		for _, row := range tb.Rows() {
-			if rowEv(row).Truthy() {
+		for i, row := range tb.Rows() {
+			if rowVals[i].Truthy() {
 				want.Append(row)
 			}
 		}

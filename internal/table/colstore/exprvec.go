@@ -11,9 +11,10 @@ import (
 )
 
 // VecEval is a compiled expression: a Fan steps it over a morsel at a
-// time, as a filter's predicate or a map's expression, and Eval runs it
-// over a whole batch. Like the row evaluator (expr.Eval) it cannot fail:
-// binding errors surface at compile.
+// time, as a filter's predicate or a map's expression, Eval runs it over
+// a whole batch, and a decoder steps it over the records it types into a
+// Boxed view. Evaluating it cannot fail: binding errors surface at
+// compile.
 type VecEval struct {
 	ev     eval
 	owned  bool // ev returns a vector the evaluation allocated, not a leaf's
@@ -141,17 +142,17 @@ func (w *window) slide(lo, hi int) *Vec {
 }
 
 // CompileVec compiles an expression AST against a schema into a
-// vectorized evaluator. The result is element-for-element identical to
-// binding and evaluating the same AST with the row evaluator: hot
-// same-kind comparisons and arithmetic run as tight typed loops over
-// the columns (through their indices, for a selection), and every other
-// kind combination falls back to a per-element loop over the exact
-// scalar semantics (value.Compare, expr.Arith, Truthy). Every operator
-// node allocates its result; which operands did is known here, at
-// compile time, so a typed loop writes into such an operand, or into one
-// released earlier in the same evaluation, instead of a new vector. The
-// operators run one morsel of morselRows rows at a time, so a temporary
-// is a morsel long.
+// vectorized evaluator, the one executable form of an expression: what
+// it yields for each row is what docs/SEMANTICS.md §4–5 say the
+// expression means there, cell for cell and kind for kind. Hot same-kind
+// comparisons and arithmetic run as tight typed loops over the columns
+// (through their indices, for a selection), and every other kind
+// combination falls back to a per-element loop over the scalar rules
+// (value.Compare, expr.Arith, Truthy). Every operator node allocates its
+// result; which operands did is known here, at compile time, so a typed
+// loop writes into such an operand, or into one released earlier in the
+// same evaluation, instead of a new vector. The operators run one morsel
+// of morselRows rows at a time, so a temporary is a morsel long.
 func CompileVec(n expr.Node, s *schema.Schema) (*VecEval, error) {
 	return compileMorsels(n, s, morselRows)
 }
@@ -228,6 +229,49 @@ func (e *VecEval) step(t *temps, n int, keep *Bitmap) *Vec {
 		return nil
 	}
 	return r
+}
+
+// Boxed is a view of size rows that a decoder sets records' cells in,
+// boxed, a morsel of them at a time, for a predicate compiled over the
+// records' schema to keep rows of. Only the columns the predicate reads
+// hold cells. Keep types each column's morsel as compress would, into
+// the vectors the morsel before used, so that uniform cells run the
+// typed loops, and one over/step state serves every morsel: a morsel
+// allocates nothing but what an operator's boxed fallback does.
+type Boxed struct {
+	e     *VecEval
+	cells [][]value.V
+	view  Batch
+	t     *temps
+	keep  Bitmap
+}
+
+// Boxed returns e's view of size rows over width columns.
+func (e *VecEval) Boxed(width, size int) *Boxed {
+	v := &Boxed{e: e, cells: make([][]value.V, width), keep: *NewBitmap(size)}
+	v.view.cols = make([]*Vec, width)
+	for _, l := range e.leaves {
+		if l.col >= 0 && v.cells[l.col] == nil {
+			v.cells[l.col], v.view.cols[l.col] = make([]value.V, size), &Vec{}
+		}
+	}
+	v.t = e.over(&v.view, size)
+	return v
+}
+
+// Set puts cell x in row i of column c, a column the predicate reads.
+func (v *Boxed) Set(i, c int, x value.V) { v.cells[c][i] = x }
+
+// Keep evaluates the predicate over the view's first n rows and returns
+// the bits of the rows it keeps, good until the next Keep.
+func (v *Boxed) Keep(n int) *Bitmap {
+	for c, cells := range v.cells {
+		if cells != nil {
+			v.view.cols[c].fill(cells[:n])
+		}
+	}
+	v.e.step(v.t, n, &v.keep)
+	return &v.keep
 }
 
 // vec returns the vector a window of the leaf over batch b reads: the
@@ -566,11 +610,11 @@ func vecNot(a *Vec, t *temps) *Vec {
 }
 
 // vecNeg negates element-wise: floats negate as floats, everything
-// else through the int coercion — the row evaluator's unary minus.
+// else through the int coercion (SEMANTICS.md §4.3).
 func vecNeg(a *Vec, t *temps) *Vec {
 	n := a.length
 	if a.kind == value.Int {
-		// Null slots store 0; -null coerces to int 0 on the row path too.
+		// Null slots store 0, and -null is the int 0.
 		out := t.vec(value.Int, n)
 		for i := 0; i < n; i++ {
 			out.ints[i] = -a.ints[a.slot(i)]

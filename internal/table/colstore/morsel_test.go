@@ -23,13 +23,33 @@ func compileVecSrc(src string, s *schema.Schema) (*VecEval, error) {
 	return CompileVec(n, s)
 }
 
-// bindRowSrc parses src and binds it for the row evaluator.
-func bindRowSrc(src string, s *schema.Schema) (expr.Eval, error) {
-	n, err := expr.Parse(src)
-	if err != nil {
-		return nil, err
+// boxedRows evaluates src over tb's rows with every cell boxed, size
+// rows at a time, so that every operator runs its per-element loop over
+// the scalar rules: the rows' own evaluation, which the typed loops must
+// match.
+func boxedRows(t testing.TB, src string, tb *table.Table, size int) []value.V {
+	t.Helper()
+	e := compileSize(t, src, tb.Schema(), size)
+	view := &Batch{cols: make([]*Vec, tb.Schema().Len())}
+	for c := range view.cols {
+		view.cols[c] = &Vec{kind: anyKind, anys: make([]value.V, size), length: size}
 	}
-	return n.Bind(s)
+	st := e.over(view, size)
+	rows, out := tb.Rows(), make([]value.V, 0, tb.Len())
+	for lo := 0; lo < len(rows); lo += size {
+		n := min(size, len(rows)-lo)
+		for i := range n {
+			for c, v := range view.cols {
+				v.anys[i] = rows[lo+i][c]
+			}
+		}
+		r := e.step(st, n, nil)
+		for i := range n {
+			out = append(out, r.At(i))
+		}
+		st.release(r, e.owned)
+	}
+	return out
 }
 
 // whole is a morsel size no batch reaches: the batch in one morsel.

@@ -107,20 +107,14 @@ func (s *FilterSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema, nil
 }
 
-// BindRow implements rowLocal.
+// BindRow implements rowLocal: the widget's selection, row by row, over
+// rows Exec has run the expression's kernel over.
 func (s *FilterSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
 	out, err := s.Out([]Input{in})
 	if err != nil {
 		return nil, nil, err
 	}
 	var preds []func(table.Row) bool
-	if s.Expr != nil {
-		ev, err := s.Expr.Bind(in.Schema)
-		if err != nil {
-			return nil, nil, err
-		}
-		preds = append(preds, func(r table.Row) bool { return ev(r).Truthy() })
-	}
 	for i, col := range s.By {
 		idx := in.Schema.Index(col)
 		valCol := col
@@ -193,7 +187,19 @@ func normalizeForCompare(v, bound value.V) value.V {
 	return v
 }
 
-// Exec implements Spec.
+// Exec implements Spec: the expression on its kernel (SEMANTICS.md §4),
+// then an interaction filter's selection row by row. A filter of both
+// modes runs its expression as a filter of its own, bound per call.
 func (s *FilterSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
+	if len(s.By) == 0 {
+		return execBound(env, s, in, names)
+	}
+	if s.Expr != nil {
+		t, err := execBound(env, &FilterSpec{Expression: s.Expression, Expr: s.Expr}, in, names)
+		if err != nil {
+			return nil, err
+		}
+		in = []*table.Table{t}
+	}
 	return execRowLocal(s, env, in, names)
 }

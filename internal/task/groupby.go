@@ -365,13 +365,5 @@ func (s *GroupBySpec) orderKeys() []table.SortKey {
 
 // Exec implements Spec: the kernel over the input's batch.
 func (s *GroupBySpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	t, name, err := oneTable("groupby", in, names)
-	if err != nil {
-		return nil, err
-	}
-	k, err := s.kernel(Input{Name: name, Schema: t.Schema()})
-	if err != nil {
-		return nil, err
-	}
-	return runKernel(k, t)
+	return execBound(env, s, in, names)
 }

@@ -279,19 +279,5 @@ func (s *JoinSpec) kernel(in []Input) (k *colstore.Join, swapped bool, err error
 // Exec implements Spec: the kernel over the inputs' batches, building
 // on the right side and probing with the left (SEMANTICS.md §2).
 func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	k, swapped, err := s.kernel(inputsOf(in, names))
-	if err != nil {
-		return nil, err
-	}
-	left, right := in[0], in[1]
-	if swapped {
-		left, right = right, left
-	}
-	lb, _ := colstore.FromTable(left)
-	rb, _ := colstore.FromTable(right)
-	out, _, err := k.Run(lb, rb)
-	if err != nil {
-		return nil, err
-	}
-	return out.ToTable(), nil
+	return execBound(env, s, in, names)
 }

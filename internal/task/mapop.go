@@ -41,7 +41,7 @@ var (
 		"extract":          newExtractOperator,
 		"extract_location": newExtractLocationOperator,
 		"extract_words":    newExtractWordsOperator,
-		"expr":             newExprOperator,
+		"expr":             nil, // parseMap builds it: it runs on its kernel
 		"upper":            newCaseOperator(strings.ToUpper),
 		"lower":            newCaseOperator(strings.ToLower),
 		"trim":             newCaseOperator(strings.TrimSpace),
@@ -82,7 +82,8 @@ type MapSpec struct {
 	memo
 	// Operator is the configured operator name, for display.
 	Operator string
-	op       MapOperator
+	// op is a MapOperator, or the expr operator, which runs on its kernel.
+	op interface{ OutColumns() []string }
 }
 
 func parseMap(cfg *flowfile.Node) (Spec, error) {
@@ -96,7 +97,13 @@ func parseMap(cfg *flowfile.Node) (Spec, error) {
 	if !ok {
 		return nil, fmt.Errorf("map: unknown operator %q (have %s)", name, strings.Join(Operators(), ", "))
 	}
-	op, err := f(cfg)
+	var op interface{ OutColumns() []string }
+	var err error
+	if name == "expr" {
+		op, err = newExprOperator(cfg)
+	} else {
+		op, err = f(cfg)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("map %s: %w", name, err)
 	}
@@ -129,10 +136,10 @@ func (s *MapSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema.ExtendOrSame(s.op.OutColumns()...), nil
 }
 
-// BindRow implements rowLocal.
+// BindRow implements rowLocal for every operator but expr.
 func (s *MapSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
 	out := in.Schema.ExtendOrSame(s.op.OutColumns()...)
-	fn, err := s.op.Bind(env, in.Schema)
+	fn, err := s.op.(MapOperator).Bind(env, in.Schema)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -158,8 +165,12 @@ func (s *MapSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
 	return rowFn, out, nil
 }
 
-// Exec implements Spec.
+// Exec implements Spec: the expr operator on its kernel (SEMANTICS.md
+// §5), every other operator row by row.
 func (s *MapSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
+	if s.Expr() != nil {
+		return execBound(env, s, in, names)
+	}
 	return execRowLocal(s, env, in, names)
 }
 
@@ -478,13 +489,14 @@ func Tokenize(s string) []string {
 // general-purpose operators
 
 // exprOperator computes one output column from a filter-language
-// expression over the row: `operator: expr, expression: a * b, output: c`.
+// expression: `operator: expr, expression: a * b, output: c`. Its map
+// runs on the map-expr kernel.
 type exprOperator struct {
 	node   expr.Node
 	output string
 }
 
-func newExprOperator(cfg *flowfile.Node) (MapOperator, error) {
+func newExprOperator(cfg *flowfile.Node) (*exprOperator, error) {
 	src, output := cfg.Str("expression"), cfg.Str("output")
 	if src == "" || output == "" {
 		return nil, fmt.Errorf("expr: need expression and output")
@@ -497,17 +509,6 @@ func newExprOperator(cfg *flowfile.Node) (MapOperator, error) {
 }
 
 func (op *exprOperator) OutColumns() []string { return []string{op.output} }
-
-func (op *exprOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
-	ev, err := op.node.Bind(in)
-	if err != nil {
-		return nil, err
-	}
-	return func(r table.Row, emit func([]value.V)) error {
-		emit([]value.V{ev(r)})
-		return nil
-	}, nil
-}
 
 // caseOperator applies a string function in place or to an output column.
 type caseOperator struct {

@@ -10,7 +10,6 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
-	"shareinsights/internal/table/colstore"
 )
 
 // ProjectSpec implements the project task: keep only the named columns.
@@ -101,14 +100,7 @@ func (s *SortSpec) Out(in []Input) (*schema.Schema, error) {
 // Exec implements Spec: the kernel over the input's batch, a stable
 // sort (SEMANTICS.md §3) handed on as a selection.
 func (s *SortSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	t, _, err := oneTable("sort", in, names)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.Out(inputsOf(in, names)); err != nil {
-		return nil, err
-	}
-	return runKernel(&colstore.Sort{Keys: sortKeys(s.OrderBy)}, t)
+	return execBound(env, s, in, names)
 }
 
 // sortKeys is an orderby_column list as table sort keys.

@@ -10,15 +10,15 @@ import (
 
 // ParallelSpec implements the parallel composite (Figure 20): several
 // row-local sub-tasks applied to the same input, each contributing its
-// output columns. Semantically the composition is sequential — each
-// sub-task sees the columns added by its predecessors — and it runs as
-// one row-by-row pass over the input, with no table between sub-tasks.
+// output columns. The composition is sequential — each sub-task sees the
+// columns added by its predecessors — and runs so, each sub-task through
+// its own Exec.
 type ParallelSpec struct {
 	memo
 	// Names are the referenced task names, for display.
 	Names []string
-	// Subs are the resolved sub-specs; all must be row-local.
-	Subs []rowLocal
+	// Subs are the resolved sub-specs: row-local tasks and parallels.
+	Subs []Spec
 }
 
 func (r *Registry) parseParallel(f *flowfile.File, def *flowfile.TaskDef, stack []string, specs map[string]Spec, errs map[string]error) (Spec, error) {
@@ -43,12 +43,13 @@ func (r *Registry) parseParallel(f *flowfile.File, def *flowfile.TaskDef, stack 
 		if err != nil {
 			return nil, err
 		}
-		rl, ok := spec.(rowLocal)
-		if !ok {
+		switch spec.(type) {
+		case rowLocal, *ParallelSpec:
+		default:
 			return nil, fmt.Errorf("task %q: parallel entry T.%s (%s) is not row-local", def.Name, ref.Name, spec.Type())
 		}
 		s.Names = append(s.Names, ref.Name)
-		s.Subs = append(s.Subs, rl)
+		s.Subs = append(s.Subs, spec)
 	}
 	return s, nil
 }
@@ -73,43 +74,15 @@ func (s *ParallelSpec) Out(in []Input) (*schema.Schema, error) {
 	return cur.Schema, nil
 }
 
-// BindRow implements rowLocal by fusing the sub-task chain into a single
-// per-row function.
-func (s *ParallelSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
-	fns := make([]RowFn, len(s.Subs))
-	cur := in
-	for i, sub := range s.Subs {
-		fn, out, err := sub.BindRow(env, cur)
-		if err != nil {
-			return nil, nil, fmt.Errorf("parallel stage %d (T.%s): %w", i+1, s.Names[i], err)
-		}
-		fns[i] = fn
-		cur = Input{Name: cur.Name, Schema: out}
-	}
-	var chain func(i int, r table.Row, emit func(table.Row)) error
-	chain = func(i int, r table.Row, emit func(table.Row)) error {
-		if i == len(fns) {
-			emit(r)
-			return nil
-		}
-		var inner error
-		err := fns[i](r, func(nr table.Row) {
-			if e := chain(i+1, nr, emit); e != nil && inner == nil {
-				inner = e
-			}
-		})
-		if err != nil {
-			return err
-		}
-		return inner
-	}
-	fn := func(r table.Row, emit func(table.Row)) error {
-		return chain(0, r, emit)
-	}
-	return fn, cur.Schema, nil
-}
-
-// Exec implements Spec.
+// Exec implements Spec: each sub-task in turn, through its own Exec, over
+// the output of the one before it.
 func (s *ParallelSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	return execRowLocal(s, env, in, names)
+	for i, sub := range s.Subs {
+		t, err := sub.Exec(env, in, names)
+		if err != nil {
+			return nil, fmt.Errorf("parallel stage %d (T.%s): %w", i+1, s.Names[i], err)
+		}
+		in = []*table.Table{t}
+	}
+	return in[0], nil
 }

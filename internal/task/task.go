@@ -43,10 +43,11 @@ type Spec interface {
 	// a required column is missing — the bind-time contextual check.
 	Out(in []Input) (*schema.Schema, error)
 	// Exec runs the task alone on materialized inputs, or returns what
-	// is wrong with its configuration. A group-by, a join or a sort runs
-	// its kernel over the inputs' batches (docs/SEMANTICS.md states what
-	// they mean); every other task runs its row implementation, which its
-	// kernel, if it has one (see Vectorizable), must match exactly.
+	// is wrong with its configuration. A group-by, a join, a sort, an
+	// expression filter and an expr map run their kernel, the group Bind
+	// keeps for them alone, over the inputs' batches (docs/SEMANTICS.md
+	// states what they mean); every other task, and an interaction
+	// filter's selection, runs its row implementation.
 	Exec(env *Env, in []*table.Table, names []string) (*table.Table, error)
 }
 
@@ -54,8 +55,8 @@ type Spec interface {
 type RowFn func(r table.Row, emit func(table.Row)) error
 
 // rowLocal is implemented by specs whose work is independent per row
-// (filter, map, project): their Exec is one execRowLocal pass, and a
-// parallel composite chains them row by row.
+// (filter, map, project), the tasks a parallel composite may run: where
+// no kernel runs them, their Exec is one execRowLocal pass.
 type rowLocal interface {
 	Spec
 	// BindRow returns the per-row transform and its output schema.

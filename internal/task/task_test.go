@@ -870,3 +870,77 @@ func parseSpec2(src string) (Spec, error) {
 	parsed, failed := NewRegistry().Parse(f)
 	return parsed[f.TaskOrder[0]], failed[f.TaskOrder[0]]
 }
+
+// TestExecBindsOnce: a kernel-backed Exec runs the group Bind keeps for
+// its spec and input shape, so a second Exec of one spec over the same
+// shape binds no second group.
+func TestExecBindsOnce(t *testing.T) {
+	sales := mkTable(t, "region,amount", []any{"east", 10}, []any{"west", 200}, []any{"east", 5})
+	regions := mkTable(t, "region,zone", []any{"east", "e"})
+	for _, tc := range []struct {
+		src   string
+		in    []*table.Table
+		names []string
+	}{
+		{"g:\n  type: groupby\n  groupby: [region]\n  aggregates:\n    - operator: sum\n      apply_on: amount\n      out_field: total\n", []*table.Table{sales}, nil},
+		{"s:\n  type: sort\n  orderby_column: [amount DESC]\n", []*table.Table{sales}, nil},
+		{"f:\n  type: filter_by\n  filter_expression: amount > 7\n", []*table.Table{sales}, nil},
+		{"m:\n  type: map\n  operator: expr\n  expression: amount * 2\n  output: double\n", []*table.Table{sales}, nil},
+		{"j:\n  type: join\n  left: sales by region\n  right: regions by region\n  join_condition: inner\n", []*table.Table{sales, regions}, []string{"sales", "regions"}},
+	} {
+		spec := parseSpec(t, tc.src)
+		for range 2 {
+			if _, err := spec.Exec(&Env{}, tc.in, tc.names); err != nil {
+				t.Fatal(err)
+			}
+		}
+		groups := 0
+		for b := spec.(memoized).derived().bound.Load(); b != nil; b = b.next {
+			groups++
+		}
+		if groups != 1 {
+			t.Errorf("%s: two Execs over one shape bound %d groups, want 1", spec.Type(), groups)
+		}
+	}
+}
+
+// TestParallelRunsKernels: a parallel composite runs its subs in turn
+// through their Execs — a nested parallel, an expr map and an expression
+// filter on their kernels — and still refuses a sub that is not row-local.
+func TestParallelRunsKernels(t *testing.T) {
+	f, err := flowfile.Parse("t", `
+T:
+  outer:
+    parallel: [T.inner, T.big]
+  inner:
+    parallel: [T.double]
+  double:
+    type: map
+    operator: expr
+    expression: amount * 2
+    output: doubled
+  big:
+    type: filter_by
+    filter_expression: doubled > 15
+  bad:
+    parallel: [T.total]
+  total:
+    type: groupby
+    groupby: [region]
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, failed := NewRegistry().Parse(f)
+	if err := failed["bad"]; err == nil || !strings.Contains(err.Error(), "is not row-local") {
+		t.Errorf("a parallel over a groupby parses with %v", err)
+	}
+	in := mkTable(t, "region,amount", []any{"east", 10}, []any{"west", 7}, []any{"east", 8})
+	out, err := parsed["outer"].Exec(&Env{}, []*table.Table{in}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Format(0); out.Len() != 2 || out.Cell(0, "doubled").Int() != 20 || out.Cell(1, "doubled").Int() != 16 {
+		t.Errorf("outer = %s, want the rows of 10 and 8, doubled", got)
+	}
+}

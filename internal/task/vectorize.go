@@ -16,10 +16,11 @@ import (
 // off, and runs the stage alone through its Exec when ok is false.
 //
 // BindVec never reports binding problems as errors: a configuration the
-// kernel cannot handle — an interaction-mode filter, an unregistered
-// aggregate, a missing column — returns ok == false, and Exec, which
-// checks the same configuration, returns the authoritative error or,
-// for a task with a row implementation, the result.
+// kernel cannot handle — an unregistered aggregate, a missing column, an
+// expression that does not compile — returns ok == false, and Exec, which
+// binds the same group, returns the configuration's error. A stage Kernel
+// does not admit (an interaction-mode filter, a grouped topn, the text
+// map operators) has no kernel, and Exec runs its row implementation.
 type Vectorizable interface {
 	Spec
 	BindVec(env *Env, in Input) (k colstore.Kernel, out *schema.Schema, ok bool)
@@ -320,15 +321,49 @@ func (s *GroupBySpec) kernel(in Input) (*colstore.GroupBy, error) {
 	return &colstore.GroupBy{Keys: keys, Aggs: aggs, Out: out, SortKeys: s.orderKeys()}, nil
 }
 
-// runKernel is the Exec of a spec whose kernel k is bound over t: k's
-// run over t's batch.
-func runKernel(k colstore.Kernel, t *table.Table) (*table.Table, error) {
-	b, _ := colstore.FromTable(t)
-	out, err := k.Run(b)
+// execBound is the Exec of a spec whose kernel runs it: the group of s
+// alone that Bind keeps for in's shape, run over their batches, or what
+// keeps s from binding there.
+func execBound(env *Env, s Spec, in []*table.Table, names []string) (*table.Table, error) {
+	ins := inputsOf(in, names)
+	k := Bind(env, []Spec{s}, ins)
+	if !k.OK {
+		return nil, bindErr(s, ins)
+	}
+	outs, _, err := k.Run(in)
 	if err != nil {
 		return nil, err
 	}
-	return out.ToTable(), nil
+	return outs[0].ToTable(), nil
+}
+
+// Run runs the bound group over in, the tables of the inputs it was bound
+// for in their order, as batches: Fan.Must of the probe side first.
+func (k *Bound) Run(in []*table.Table) ([]*colstore.Batch, []colstore.FanStage, error) {
+	var bs [2]*colstore.Batch
+	for i, t := range in {
+		bs[i], _ = colstore.FromTable(t)
+	}
+	if k.Swapped {
+		bs[0], bs[1] = bs[1], bs[0]
+	}
+	return k.Fan.Must(bs[0], bs[1])
+}
+
+// bindErr is the configuration error that keeps s from binding over in:
+// Out's, or else an unregistered aggregate's or its expression's.
+func bindErr(s Spec, in []Input) (err error) {
+	if _, err = s.Out(in); err == nil {
+		switch s := s.(type) {
+		case *GroupBySpec:
+			_, err = s.kernel(in[0])
+		case *FilterSpec:
+			_, err = colstore.CompileVec(s.Expr, in[0].Schema)
+		case *MapSpec:
+			_, err = colstore.CompileVec(s.Expr(), in[0].Schema)
+		}
+	}
+	return err
 }
 
 // BindVec implements Vectorizable. The heap kernel covers one global
