@@ -191,7 +191,7 @@ func oracleRenderDegraded(inst *widget.Instance, w io.Writer) error {
 		sortDesc(rows, data.Schema().Index(sizeCol))
 		data, _ = table.FromRows(data.Schema(), rows)
 	}
-	top := data.Head(20)
+	top, _ := table.FromRows(data.Schema(), data.Rows()[:min(20, data.Len())])
 	fmt.Fprintf(w, `<div class="widget degraded" data-widget=%q data-full-rows="%d"><table>`,
 		inst.Def.Name, inst.Data.Len())
 	fmt.Fprint(w, "<thead><tr>")

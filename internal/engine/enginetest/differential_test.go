@@ -571,7 +571,8 @@ func boxedSales(n int, seed int64) *table.Table {
 // TestBoxedInputsDifferential runs the differential suite's shapes over
 // inputs with a time column and a mixed-kind column, which every kernel
 // reads boxed: every fixed flow (filter, map, group-by, top-n, sort, a
-// join), group-bys, a sort and a join keyed on the boxed columns, an
+// join), group-bys, a sort and a join keyed on the boxed columns, a union
+// of boxed and typed inputs, an
 // inline node feeding group-bys keyed on the time column, and one
 // feeding a join's probe side. Each runs row-backed and column-backed,
 // every mode against the reference.
@@ -632,6 +633,38 @@ T:
     orderby_column: [src_flag, dim_zone DESC]
     limit: 50
 `, map[string]*table.Table{"src": sources["src"], "dim": dim})
+	})
+	t.Run("union", func(t *testing.T) {
+		// D.src's flag holds times and its product mixes ints into the
+		// strings, D.plain's are bools and strings: the union's columns
+		// change kind from one input to the next, row- and column-backed,
+		// and with one input of each.
+		plain := salesTable(300, 4, 10)
+		flow := `
+D:
+  src: [region, product, amount, ratio, flag]
+  plain: [region, product, amount, ratio, flag]
+
+F:
+  D.all: (D.src, D.plain) | T.u
+  D.firsts: (D.plain, D.src) | T.u | T.once | T.best
+
+T:
+  u:
+    type: union
+  once:
+    type: distinct
+    columns: [product, flag]
+  best:
+    type: topn
+    groupby: [region]
+    orderby_column: [amount DESC]
+    limit: 3
+`
+		in := map[string]*table.Table{"src": sources["src"], "plain": plain}
+		diffFlow(t, flow, in)
+		g := buildGraph(t, flow)
+		diffInputs(t, g, reference(t, g, in), "mixed", map[string]*table.Table{"src": sources["src"], "plain": columnBacked(in)["plain"]})
 	})
 	t.Run("inline", func(t *testing.T) {
 		for _, in := range []map[string]*table.Table{sources, columnBacked(sources)} {
@@ -765,7 +798,7 @@ func randFlow(rng *rand.Rand) string {
 	for i := 0; i < stages; i++ {
 		id := fmt.Sprintf("t%d", i)
 		chain = append(chain, "T."+id)
-		switch rng.Intn(6) {
+		switch rng.Intn(9) {
 		case 0:
 			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: filter_by\n    filter_expression: %s\n",
 				id, filters[rng.Intn(len(filters))]))
@@ -800,6 +833,22 @@ func randFlow(rng *rand.Rand) string {
 			// still see the columns they reference; ratio and flag are
 			// gone, so stop the chain here.
 			return done()
+		case 6:
+			// The source columns, shuffled: later stages read only them,
+			// and every map output goes.
+			cols := []string{"region", "product", "amount", "ratio", "flag"}
+			rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: project\n    columns: [%s]\n", id, strings.Join(cols, ", ")))
+		case 7:
+			// Over every column, or over one or two keys that repeat.
+			cols := []string{"", "region", "flag, region", "product, flag"}[rng.Intn(4)]
+			if cols != "" {
+				cols = "    columns: [" + cols + "]\n"
+			}
+			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: distinct\n%s", id, cols))
+		case 8:
+			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: topn\n    groupby: [%s]\n    orderby_column: [%s]\n    limit: %d\n",
+				id, []string{"region", "flag", "region, amount"}[rng.Intn(3)], []string{"amount DESC", "ratio", "product DESC, ratio"}[rng.Intn(3)], rng.Intn(4)+1))
 		}
 	}
 	return done()

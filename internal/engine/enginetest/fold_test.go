@@ -65,10 +65,12 @@ func TestGroupByFoldsEveryKind(t *testing.T) {
 	join := &colstore.Join{LeftKeys: []int{0}, RightKeys: []int{0}, KeepLeft: true,
 		Cols: []colstore.JoinCol{{Col: 0}, {Col: 3}, {Right: true, Col: 1}, {Right: true, Col: 2}, {Right: true, Col: 3}},
 		Out:  schema.MustFromNames("k", "b", "ri", "rs", "rb")}
-	holed, _, err := join.Run(coded, right)
+	fan := &colstore.Fan{Chain: []colstore.Kernel{(*colstore.Probe)(join)}, Sinks: []colstore.Kernel{colstore.Materialize}}
+	outs, _, err := fan.Must(coded, right)
 	if err != nil {
 		t.Fatal(err)
 	}
+	holed := outs[0]
 
 	n, err := expr.Parse("n + i")
 	if err != nil {

@@ -56,7 +56,8 @@ func fuzzSources(rng *rand.Rand, rows int) map[string]*table.Table {
 }
 
 // FuzzKernelsMatchReference runs a random chain of filters, maps, limits,
-// sorts, top-ns and a group-by, after a join one time in three
+// sorts, global and partitioned top-ns, projects, distincts and a
+// group-by, after a join one time in three
 // (randFlow), over random sources with nulls, NaN, time cells and mixed
 // kinds (fuzzSources): every executor mode, over row- and column-backed
 // inputs, planned and unplanned, must give the reference's tables, or

@@ -17,11 +17,13 @@ import (
 )
 
 // The reference is docs/SEMANTICS.md written as naively as it reads:
-// group-by, join, sort, expression filters and expr maps over lists of
-// rows of value.V, one row at a time, and every other task through its
-// Spec.Exec. Every engine mode is held to it. It shares no code with the
-// kernels but the scalar rules the text defines by: the registry's
-// accumulators (§1.2), value.Compare (§3.3) and expr.Arith (§4.3).
+// group-by, join, sort, expression filters, expr maps, top-n, limit,
+// project, distinct and union over lists of rows of value.V, one row at a
+// time. Only an interaction filter's selection, the text map operators
+// and user tasks run through their Spec.Exec. Every engine mode is held
+// to it. It shares no code with the kernels but the scalar rules the text
+// defines by: the registry's accumulators (§1.2), value.Compare (§3.3)
+// and expr.Arith (§4.3).
 
 // refResult is a reference run: every data object of a graph, by name.
 type refResult map[string]*table.Table
@@ -103,6 +105,16 @@ func refChain(specs []task.Spec, in []*table.Table, names []string) (*table.Tabl
 				break
 			}
 			out, err = refMapExpr(s, in[0])
+		case *task.TopNSpec:
+			out, err = refTopN(s, in[0])
+		case *task.LimitSpec:
+			out, err = refLimit(s, in[0])
+		case *task.ProjectSpec:
+			out, err = refProject(s, in[0])
+		case *task.DistinctSpec:
+			out, err = refDistinct(s, in[0])
+		case *task.UnionSpec:
+			out, err = refUnion(s, in, names)
 		default:
 			out, err = sp.Exec(&task.Env{}, in, names)
 		}
@@ -114,14 +126,17 @@ func refChain(specs []task.Spec, in []*table.Table, names []string) (*table.Tabl
 	return in[0], nil
 }
 
-// refKey is SEMANTICS.md §1.1's key identity: the kind and the display
-// form of each of r's cells at cols.
+// refKey is SEMANTICS.md §1.1's key identity in §6's encoding: the kind
+// and the display form of each of r's cells at cols, a zero byte between
+// two.
 func refKey(r table.Row, cols []int) string {
 	var b strings.Builder
-	for _, c := range cols {
+	for i, c := range cols {
+		if i > 0 {
+			b.WriteByte(0)
+		}
 		b.WriteByte(byte(r[c].Kind()))
 		b.WriteString(r[c].String())
-		b.WriteByte(0)
 	}
 	return b.String()
 }
@@ -400,6 +415,100 @@ func refMapExpr(s *task.MapSpec, in *table.Table) (*table.Table, error) {
 	for i, r := range in.Rows() {
 		rows[i] = append(slices.Clone(r), value.VNull)[:out.Len()]
 		rows[i][col] = vals[i]
+	}
+	return table.FromRows(out, rows)
+}
+
+// refTopN is SEMANTICS.md §6: the groups of rows with one key (§1.1) over
+// the groupby columns — one group when there are none — in the order of
+// their encoded keys as byte strings, each its first limit rows of §3's
+// sort.
+func refTopN(s *task.TopNSpec, in *table.Table) (*table.Table, error) {
+	if _, err := s.Out([]task.Input{{Schema: in.Schema()}}); err != nil {
+		return nil, err
+	}
+	keys, _ := in.Schema().Require(s.GroupBy...)
+	groups := map[string][]table.Row{}
+	var order []string
+	for _, r := range in.Rows() {
+		k := refKey(r, keys)
+		if groups[k] == nil {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	sort.Strings(order)
+	var rows []table.Row
+	for _, k := range order {
+		g := groups[k]
+		refSortRows(in.Schema().Index, g, s.OrderBy)
+		rows = append(rows, g[:min(s.Limit, len(g))]...)
+	}
+	return table.FromRows(in.Schema(), rows)
+}
+
+// refLimit is SEMANTICS.md §7: the first limit rows, in order.
+func refLimit(s *task.LimitSpec, in *table.Table) (*table.Table, error) {
+	if _, err := s.Out([]task.Input{{Schema: in.Schema()}}); err != nil {
+		return nil, err
+	}
+	return table.FromRows(in.Schema(), in.Rows()[:min(s.N, in.Len())])
+}
+
+// refProject is SEMANTICS.md §8: every row, with the named columns' cells
+// in the named order.
+func refProject(s *task.ProjectSpec, in *table.Table) (*table.Table, error) {
+	out, err := s.Out([]task.Input{{Schema: in.Schema()}})
+	if err != nil {
+		return nil, err
+	}
+	var rows []table.Row
+	for _, r := range in.Rows() {
+		row := make(table.Row, len(s.Columns))
+		for i, c := range s.Columns {
+			row[i] = r[in.Schema().Index(c)]
+		}
+		rows = append(rows, row)
+	}
+	return table.FromRows(out, rows)
+}
+
+// refDistinct is SEMANTICS.md §9: the first row of each key (§1.1) over
+// the named columns, or over every column, in input order.
+func refDistinct(s *task.DistinctSpec, in *table.Table) (*table.Table, error) {
+	if _, err := s.Out([]task.Input{{Schema: in.Schema()}}); err != nil {
+		return nil, err
+	}
+	cols := s.Columns
+	if len(cols) == 0 {
+		cols = in.Schema().Names()
+	}
+	keys, _ := in.Schema().Require(cols...)
+	seen := map[string]bool{}
+	var rows []table.Row
+	for _, r := range in.Rows() {
+		if k := refKey(r, keys); !seen[k] {
+			seen[k] = true
+			rows = append(rows, r)
+		}
+	}
+	return table.FromRows(in.Schema(), rows)
+}
+
+// refUnion is SEMANTICS.md §10: inputs of one schema, each one's rows in
+// order, the inputs in order.
+func refUnion(s *task.UnionSpec, in []*table.Table, names []string) (*table.Table, error) {
+	ins := make([]task.Input, len(in))
+	for i, t := range in {
+		ins[i] = task.Input{Name: names[i], Schema: t.Schema()}
+	}
+	out, err := s.Out(ins)
+	if err != nil {
+		return nil, err
+	}
+	var rows []table.Row
+	for _, t := range in {
+		rows = append(rows, t.Rows()...)
 	}
 	return table.FromRows(out, rows)
 }

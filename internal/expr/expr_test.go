@@ -33,18 +33,24 @@ func compile(src string, s *schema.Schema) (func(table.Row) value.V, error) {
 	return compileNode(n, s)
 }
 
-// compileNode compiles n against s: the evaluator runs it over a batch of
-// the one row it is handed.
+// compileNode compiles n against s: the evaluator runs it as a map,
+// MapExpr.Run, over a batch of the one row it is handed.
 func compileNode(n expr.Node, s *schema.Schema) (func(table.Row) value.V, error) {
 	ev, err := colstore.CompileVec(n, s)
 	if err != nil {
 		return nil, err
 	}
+	out := s.ExtendOrSame("result")
+	m := &colstore.MapExpr{Eval: ev, Out: out, Slot: out.Index("result")}
 	return func(r table.Row) value.V {
 		tb := table.New(s)
 		tb.Append(r)
 		b, _ := colstore.FromTable(tb)
-		return ev.Eval(b, nil).At(0)
+		res, err := m.Run(b)
+		if err != nil {
+			panic(err)
+		}
+		return res.At(0, m.Slot)
 	}, nil
 }
 

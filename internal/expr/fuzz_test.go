@@ -9,11 +9,11 @@ import (
 	"shareinsights/internal/value"
 )
 
-// FuzzParseEval drives the expression parser and colstore.CompileVec with
-// arbitrary sources: never panic, and parseable expressions must
-// round-trip through String() to an expression that reads the same
-// columns in the same order and compiles to the same results over the
-// same rows.
+// FuzzParseEval drives the expression parser and colstore.CompileVec, run
+// as a map (MapExpr.Run), with arbitrary sources: never panic, and
+// parseable expressions must round-trip through String() to an expression
+// that reads the same columns in the same order and compiles to the same
+// results over the same rows.
 func FuzzParseEval(f *testing.F) {
 	f.Add("rating < 3 and project == 'pig'")
 	f.Add("count * 2 + rating % 3")

@@ -516,19 +516,24 @@ func compress(vals []value.V) *Vec {
 	return out
 }
 
-// fill makes dense vector v compress(vals), writing into the payload
-// and the null mask v already has where they have the room.
-func (v *Vec) fill(vals []value.V) {
+// cellKind is the kind of the tightest vector that holds vals: the kind
+// all non-null cells share when it vectorizes, else anyKind.
+func cellKind(vals []value.V) value.Kind {
 	k := value.Null
 	for _, x := range vals {
 		if xk := x.Kind(); xk == value.Time || xk != value.Null && k != value.Null && xk != k {
-			k = anyKind
-			break
+			return anyKind
 		} else if xk != value.Null {
 			k = xk
 		}
 	}
-	n := len(vals)
+	return k
+}
+
+// fill makes dense vector v compress(vals), writing into the payload
+// and the null mask v already has where they have the room.
+func (v *Vec) fill(vals []value.V) {
+	k, n := cellKind(vals), len(vals)
 	v.kind, v.length = k, n
 	switch k {
 	case value.Bool:

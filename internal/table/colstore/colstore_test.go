@@ -347,7 +347,7 @@ func TestVecExprMatchesRowExpr(t *testing.T) {
 				if err != nil {
 					t.Fatalf("vec compile %q: %v", src, err)
 				}
-				out := vecEv.Eval(b, nil)
+				out := evalBatch(vecEv, b)
 				if out.Len() != tb.Len() {
 					return false
 				}
@@ -424,7 +424,7 @@ func TestTopNNaNKeys(t *testing.T) {
 		keys := []table.SortKey{{Column: "f", Desc: trial%2 == 0}, {Column: "i"}}[:1+trial%3/2]
 		limit := rng.Intn(n)
 		got, err := (&TopN{Keys: keys, Limit: limit}).Run(b)
-		if err != nil || !sameCells(got.ToTable(), stableSorted(tb, keys...).Head(limit)) {
+		if err != nil || !sameCells(got.ToTable(), stableSorted(tb, keys...).Select(identity(limit))) {
 			t.Fatalf("top %d by %v of %d rows differs from the stable sort's prefix (err %v)", limit, keys, n, err)
 		}
 	}

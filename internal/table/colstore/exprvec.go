@@ -11,10 +11,9 @@ import (
 )
 
 // VecEval is a compiled expression: a Fan steps it over a morsel at a
-// time, as a filter's predicate or a map's expression, Eval runs it over
-// a whole batch, and a decoder steps it over the records it types into a
-// Boxed view. Evaluating it cannot fail: binding errors surface at
-// compile.
+// time, as a filter's predicate or a map's expression, and a decoder
+// steps it over the records it types into a Boxed view. Evaluating it
+// cannot fail: binding errors surface at compile.
 type VecEval struct {
 	ev     eval
 	owned  bool // ev returns a vector the evaluation allocated, not a leaf's
@@ -67,7 +66,8 @@ type temps struct {
 	leaves []window
 	free   []*Vec
 	buf    [4]*Vec
-	n      int // the morsel's rows
+	cells  []value.V // a scalar fallback's cells
+	n      int       // the morsel's rows
 	// room is the length every new vector is allocated at: a stepped
 	// evaluation's morsels differ in length (see over).
 	room int
@@ -99,6 +99,23 @@ func (t *temps) vec(k value.Kind, n int) *Vec {
 		*v = part(v, 0, n)
 	}
 	return v
+}
+
+// scalar is an operator's scalar fallback: the vector of cell(i) for the
+// morsel's n rows, typed as compress types it — by the kind the cells
+// share, else boxed. The cells go through one slice the evaluation
+// reuses, and the vector comes from t.
+func (t *temps) scalar(n int, cell func(i int) value.V) *Vec {
+	if cap(t.cells) < n {
+		t.cells = make([]value.V, max(n, t.room))
+	}
+	vals := t.cells[:n]
+	for i := range vals {
+		vals[i] = cell(i)
+	}
+	out := t.vec(cellKind(vals), n)
+	out.fill(vals)
+	return out
 }
 
 // room is how long a dense vector's payload can grow in place.
@@ -165,20 +182,6 @@ func compileMorsels(n expr.Node, s *schema.Schema, size int) (*VecEval, error) {
 		return nil, err
 	}
 	return e, nil
-}
-
-// Eval evaluates e over b: into keep's bits when keep is not nil,
-// returning nil, else into a vector of b's length. It is a one-step run
-// of a map into Materialize: the result is the whole batch's, cell for
-// cell and kind for kind, whatever the morsel size.
-func (e *VecEval) Eval(b *Batch, keep *Bitmap) *Vec {
-	out, _ := one(&MapExpr{Eval: e, Slot: len(b.cols)}, b, nil, e.size)
-	r := out.cols[len(b.cols)]
-	if keep != nil {
-		setBits(keep, r)
-		return nil
-	}
-	return r
 }
 
 // setBits sets keep's bits for r's truthy rows, clearing the others.
@@ -565,11 +568,7 @@ func vecArith(op string, a, b *Vec, t *temps) *Vec {
 			return out
 		}
 	}
-	vals := make([]value.V, n)
-	for i := 0; i < n; i++ {
-		vals[i] = expr.Arith(op, a.At(i), b.At(i))
-	}
-	return compress(vals)
+	return t.scalar(n, func(i int) value.V { return expr.Arith(op, a.At(i), b.At(i)) })
 }
 
 // truthy reports whether element i is Truthy. Null payload slots store
@@ -628,16 +627,13 @@ func vecNeg(a *Vec, t *temps) *Vec {
 		}
 		return out
 	}
-	vals := make([]value.V, n)
-	for i := 0; i < n; i++ {
+	return t.scalar(n, func(i int) value.V {
 		v := a.At(i)
 		if v.Kind() == value.Float {
-			vals[i] = value.NewFloat(-v.Float())
-		} else {
-			vals[i] = value.NewInt(-v.Int())
+			return value.NewFloat(-v.Float())
 		}
-	}
-	return compress(vals)
+		return value.NewInt(-v.Int())
+	})
 }
 
 func vecContains(a, b *Vec, t *temps) *Vec {

@@ -63,7 +63,7 @@ func FuzzFan(f *testing.F) {
 		probe := ops[0]&8 != 0
 		join := &Join{LeftKeys: []int{0}, RightKeys: []int{0}, KeepLeft: ops[0]&1 != 0, KeepRight: ops[0]&2 != 0 && !probe,
 			Cols: cols, Out: schema.MustFromNames(names...)}
-		in, _, err := join.run(lb, rb, whole)
+		in, err := one((*Probe)(join), lb, rb, whole)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,13 +100,7 @@ func (x *keyIndex) assign(b *Batch, keys []int, lo int, ids []int32, insert bool
 		}
 	default:
 		for i := range ids {
-			x.buf = x.buf[:0]
-			for ki, c := range keys {
-				if ki > 0 {
-					x.buf = append(x.buf, 0)
-				}
-				x.buf = appendGroupKey(x.buf, b.cols[c], lo+i)
-			}
+			x.buf = appendKey(x.buf[:0], b, keys, lo+i)
 			// Indexing with string(buf) in place does not allocate, which
 			// passing it to keyID would; only an insert copies the key.
 			id, ok := x.strs[string(x.buf)]
@@ -182,22 +176,4 @@ type Join struct {
 	Cols []JoinCol
 	// Out is the output schema.
 	Out *schema.Schema
-}
-
-// Run joins the two batches, a one-step run of the probe into
-// Materialize; every key kind has the encoded path. joined is the
-// output's row count.
-func (k *Join) Run(left, right *Batch) (out *Batch, joined int, err error) {
-	return k.run(left, right, morselRows)
-}
-
-// run is Run probing size left rows at a time: the probe side's ids are
-// one morsel long, assigned once to size the output exactly and once to
-// emit it.
-func (k *Join) run(left, right *Batch, size int) (*Batch, int, error) {
-	out, err := one((*Probe)(k), left, right, size)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, out.length, nil
 }

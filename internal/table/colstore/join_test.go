@@ -145,7 +145,7 @@ func TestJoinMatchesDefinition(t *testing.T) {
 			for _, ks := range keySets {
 				for cond := 0; cond < 4; cond++ {
 					k := &Join{LeftKeys: ks[0], RightKeys: ks[1], KeepLeft: cond&1 != 0, KeepRight: cond&2 != 0, Cols: cols, Out: out}
-					got, _, err := k.Run(lb, rb)
+					got, err := one((*Probe)(k), lb, rb, morselRows)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -197,8 +197,8 @@ func TestLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameCells(got.ToTable(), src.Head(n)) {
-			t.Errorf("limit %d: got %d rows, want the first %d", n, got.Len(), src.Head(n).Len())
+		if head := src.Select(identity(min(n, src.Len()))); !sameCells(got.ToTable(), head) {
+			t.Errorf("limit %d: got %d rows, want the first %d", n, got.Len(), head.Len())
 		}
 	}
 }
@@ -237,7 +237,7 @@ func TestJoinAllocs(t *testing.T) {
 		left, right := joinInputs(n, keys)
 		k := innerJoinKX()
 		if got := testing.AllocsPerRun(5, func() {
-			if out, _, err := k.Run(left, right); err != nil || out.Len() != n {
+			if out, err := one((*Probe)(k), left, right, morselRows); err != nil || out.Len() != n {
 				t.Fatalf("join: %v rows, err %v", out.Len(), err)
 			}
 		}); got > bound {
@@ -247,7 +247,7 @@ func TestJoinAllocs(t *testing.T) {
 		for run := 0; run < 5; run++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			k.Run(left, right)
+			one((*Probe)(k), left, right, morselRows)
 			runtime.ReadMemStats(&after)
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
@@ -539,7 +539,7 @@ func BenchmarkJoin60kx500(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := k.Run(left, right)
+		out, err := one((*Probe)(k), left, right, morselRows)
 		if err != nil || out.Len() != 60000 {
 			b.Fatal(out.Len(), err)
 		}

@@ -173,10 +173,7 @@ func keyComparator(v *Vec) func(i, j int) int {
 
 // sortPerm returns the first limit rows (all, when limit reaches the
 // length) of the permutation that orders b's rows stably by keys
-// (docs/SEMANTICS.md §3), compared under typed per-column comparators:
-// sort.SliceStable over value.Compare's outcomes, as the reference sorts,
-// so the two agree even where value.Compare is not an order (NaN compares
-// equal to every float). It is nil for no keys and no limit: the rows as
+// (docs/SEMANTICS.md §3). It is nil for no keys and no limit: the rows as
 // they are.
 func sortPerm(b *Batch, keys []table.SortKey, limit int) ([]int32, error) {
 	n := b.length
@@ -184,28 +181,101 @@ func sortPerm(b *Batch, keys []table.SortKey, limit int) ([]int32, error) {
 	if len(keys) == 0 && limit == n {
 		return nil, nil
 	}
-	type bound struct {
-		cmp  func(i, j int) int
-		desc bool
+	o, err := orderBy(b, keys)
+	if err != nil {
+		return nil, err
 	}
-	bounds := make([]bound, len(keys))
+	idx := identity(n)
+	o.sort(idx)
+	return idx[:limit], nil
+}
+
+// rowOrder is a stable order of a batch's rows by keys, each compared
+// under its column's typed comparator: sort.SliceStable over
+// value.Compare's outcomes, as the reference sorts, so the two agree even
+// where value.Compare is not an order (NaN compares equal to every float).
+type rowOrder []struct {
+	cmp  func(i, j int) int
+	desc bool
+}
+
+// orderBy returns the order of b's rows by keys.
+func orderBy(b *Batch, keys []table.SortKey) (rowOrder, error) {
+	o := make(rowOrder, len(keys))
 	for i, k := range keys {
 		j := b.schema.Index(k.Column)
 		if j < 0 {
 			return nil, fmt.Errorf("colstore: sort column %q not found", k.Column)
 		}
-		bounds[i] = bound{cmp: keyComparator(b.cols[j]), desc: k.Desc}
+		o[i].cmp, o[i].desc = keyComparator(b.cols[j]), k.Desc
 	}
-	idx := identity(n)
+	return o, nil
+}
+
+// sort sorts idx, rows of the batch, stably into the order.
+func (o rowOrder) sort(idx []int32) {
 	sort.SliceStable(idx, func(x, y int) bool {
-		for _, k := range bounds {
+		for _, k := range o {
 			if c := k.cmp(int(idx[x]), int(idx[y])); c != 0 {
 				return (c < 0) != k.desc
 			}
 		}
 		return false
 	})
-	return idx[:limit], nil
+}
+
+// GroupTopN is the topn task over groups (docs/SEMANTICS.md §6): b's rows
+// grouped by their cells at groups, under §1.1's identity, the groups in
+// the order of their encoded keys compared as byte strings, each group
+// its first limit rows of the stable sort by keys, as selections.
+func GroupTopN(b *Batch, groups []int, keys []table.SortKey, limit int) (*Batch, error) {
+	o, err := orderBy(b, keys)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int32, b.length)
+	x := newKeyIndex(keyVecs(b, groups))
+	x.assign(b, groups, 0, ids, true)
+	// rows[g] are group g's rows in input order, names[g] its encoded key.
+	rows, names := make([][]int32, x.size()), make([]string, x.size())
+	for i, g := range ids {
+		if rows[g] == nil {
+			names[g] = string(appendKey(nil, b, groups, i))
+		}
+		rows[g] = append(rows[g], int32(i))
+	}
+	order := identity(len(rows))
+	slices.SortFunc(order, func(g, h int32) int { return strings.Compare(names[g], names[h]) })
+	kept := make([]int32, 0, b.length)
+	for _, g := range order {
+		o.sort(rows[g])
+		kept = append(kept, rows[g][:min(limit, len(rows[g]))]...)
+	}
+	return b.selectRows(kept), nil
+}
+
+// Distinct is the distinct task (docs/SEMANTICS.md §9): the first row of
+// each key of b's cells at cols, under §1.1's identity, in input order, as
+// selections.
+func Distinct(b *Batch, cols []int) *Batch {
+	if len(cols) == 0 { // no columns: every row has the one empty key
+		return b.selectRows(identity(min(b.length, 1)))
+	}
+	ids := make([]int32, b.length)
+	newKeyIndex(keyVecs(b, cols)).assign(b, cols, 0, ids, true)
+	kept, seen := ids[:0], int32(0)
+	for i, id := range ids {
+		if id == seen {
+			kept, seen = append(kept, int32(i)), seen+1
+		}
+	}
+	return b.selectRows(kept)
+}
+
+// Project returns b's columns at cols, in that order, as a batch of
+// schema s: the vectors are shared, nothing is copied.
+func (b *Batch) Project(s *schema.Schema, cols []int) *Batch {
+	return &Batch{schema: s, cols: keyVecs(b, cols), length: b.length}
 }
 
 // Sort is the vectorized sort task: a stable multi-key sort of the whole
@@ -499,6 +569,18 @@ func appendGroupKey(buf []byte, v *Vec, i int) []byte {
 		buf = append(buf, byte(val.Kind()))
 		return val.AppendTo(buf)
 	}
+}
+
+// appendKey appends row i's key over cols in §1.1's encoding: each
+// cell's, a zero byte between two.
+func appendKey(buf []byte, b *Batch, cols []int, i int) []byte {
+	for ki, c := range cols {
+		if ki > 0 {
+			buf = append(buf, 0)
+		}
+		buf = appendGroupKey(buf, b.cols[c], i)
+	}
+	return buf
 }
 
 // The folds of aggState. count over anything, sum/avg over int, float,

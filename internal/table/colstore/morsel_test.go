@@ -69,6 +69,13 @@ func compileSize(t testing.TB, src string, s *schema.Schema, size int) *VecEval 
 	return ev
 }
 
+// evalBatch is e over b, a one-step run of a map into Materialize: the
+// computed column, the whole batch's whatever the morsel size.
+func evalBatch(e *VecEval, b *Batch) *Vec {
+	out, _ := (&MapExpr{Eval: e, Slot: len(b.cols)}).Run(b)
+	return out.cols[len(b.cols)]
+}
+
 // morselBatch is 2,500 rows (no multiple of 64 or of 1,024) whose nulls
 // and kinds change from morsel to morsel: a has nulls only in rows
 // 1,100–1,149 and b (float) only in 2,100–2,109, where a is null too; w
@@ -125,9 +132,9 @@ func TestMorselsMatchWholeBatch(t *testing.T) {
 		"z + a", "z == z", "a / w", "b / w", "a % w", "s + s", "a + b * m", "not m", "a in (1, b)"}, exprCases...)
 	for name, b := range map[string]*Batch{"dense": base, "selection": base.selectRows(rev), "holes": base.selectRows(holes)} {
 		for _, src := range srcs {
-			want := compileSize(t, src, b.Schema(), whole).Eval(b, nil)
+			want := evalBatch(compileSize(t, src, b.Schema(), whole), b)
 			for _, size := range []int{64, 1024} {
-				got := compileSize(t, src, b.Schema(), size).Eval(b, nil)
+				got := evalBatch(compileSize(t, src, b.Schema(), size), b)
 				if got.Kind() != want.Kind() || got.Len() != want.Len() {
 					t.Fatalf("%s, %q by %d: %v vector of %d, whole batch %v of %d", name, src, size, got.Kind(), got.Len(), want.Kind(), want.Len())
 				}
@@ -211,12 +218,12 @@ func TestKernelsMatchAcrossMorsels(t *testing.T) {
 			for name, left := range map[string]*Batch{"coded": coded, "plain": plain} {
 				join := &Join{LeftKeys: keys, RightKeys: keys, KeepLeft: cond&1 != 0, KeepRight: cond&2 != 0,
 					Cols: cols, Out: schema.MustFromNames(out...)}
-				want, _, err := join.run(left, right, whole)
+				want, err := one((*Probe)(join), left, right, whole)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, size := range []int{64, 128} {
-					got, _, err := join.run(left, right, size)
+					got, err := one((*Probe)(join), left, right, size)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -303,7 +310,7 @@ func TestMapExprTempsBounded(t *testing.T) {
 	for run := 0; run < 5; run++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out := ev.Eval(b, nil)
+		out := evalBatch(ev, b)
 		runtime.ReadMemStats(&after)
 		if out.At(59999) != value.NewInt(999*2+59999%97+59999%41*5+59999%7*20) {
 			t.Fatalf("weight of the last row is %v", out.At(59999))
@@ -313,6 +320,30 @@ func TestMapExprTempsBounded(t *testing.T) {
 	t.Logf("the weight over 60,000 rows allocates %d bytes", least)
 	if least > 520000 {
 		t.Errorf("the weight over 60,000 rows allocates %d bytes, want at most 520,000", least)
+	}
+}
+
+// TestBoxedArithAllocs: arithmetic over a boxed column falls back to the
+// scalar rules, and writes each morsel's results into the evaluation's
+// temporaries, typed as compress types them: qty * 2 and -qty over 30
+// morsels allocate as many objects as over one.
+func TestBoxedArithAllocs(t *testing.T) {
+	allocs := func(src string, n int) float64 {
+		v := newVec(anyKind, n)
+		for i := range n {
+			v.anys[i] = value.NewInt(int64(i % 7))
+		}
+		b := &Batch{schema: schema.MustFromNames("qty"), cols: []*Vec{v}, length: n}
+		ev := compileSize(t, src, b.Schema(), morselRows)
+		if k := evalBatch(ev, b).Kind(); k != value.Int {
+			t.Fatalf("%s over boxed ints is a %v vector, want int", src, k)
+		}
+		return testing.AllocsPerRun(5, func() { evalBatch(ev, b) })
+	}
+	for _, src := range []string{"qty * 2", "-qty"} {
+		if one, many := allocs(src, morselRows), allocs(src, 30*morselRows); many != one {
+			t.Errorf("%s over a boxed column allocates %.0f objects over 30 morsels, %.0f over one", src, many, one)
+		}
 	}
 }
 
@@ -335,7 +366,7 @@ func BenchmarkMorselSize(b *testing.B) {
 			ev := compileSize(b, weightExpr, batch.Schema(), size)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev.Eval(batch, nil)
+				evalBatch(ev, batch)
 			}
 		})
 		b.Run("groupby/"+name, func(b *testing.B) {
@@ -347,7 +378,7 @@ func BenchmarkMorselSize(b *testing.B) {
 		b.Run("join/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				join.run(left, right, size)
+				one((*Probe)(join), left, right, size)
 			}
 		})
 	}

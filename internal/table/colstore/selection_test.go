@@ -131,8 +131,8 @@ func FuzzSelections(f *testing.F) {
 		key := []int{int(ops[0]>>4) % 4}
 		join := &Join{LeftKeys: key, RightKeys: key, KeepLeft: ops[0]&1 != 0, KeepRight: ops[0]&2 != 0,
 			Cols: cols, Out: schema.MustFromNames(names...)}
-		b, _, err1 := join.run(lb, rb, size)
-		want, _, err2 := join.run(lb, rb, whole)
+		b, err1 := one((*Probe)(join), lb, rb, size)
+		want, err2 := one((*Probe)(join), lb, rb, whole)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("join: errors %v, %v", err1, err2)
 		}
@@ -253,7 +253,7 @@ func TestKernelChainAllocs(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	b, _, err := join.Run(lb, rb)
+	b, err := one((*Probe)(join), lb, rb, morselRows)
 	for _, k := range chain {
 		if err == nil {
 			b, err = k.Run(b)

@@ -31,8 +31,8 @@ func (r Row) Clone() Row {
 // rows. A column-backed table (FromColumns) stores column vectors — what
 // the format decoders and the vectorized kernels produce — and rows are
 // a view over them, materialized once, on the first call that needs row
-// access (Rows and everything built on it: the row implementations of
-// the tasks). Len, At, Cell, Select, SizeBytes, CloneShallow and
+// access (Rows and everything built on it, such as a user task reading
+// rows). Len, At, Cell, Select, SizeBytes, CloneShallow and
 // Fingerprint answer from the vectors, so the encoders, the cube and the
 // widgets never materialize one.
 //
@@ -215,22 +215,6 @@ func (t *Table) Cell(row int, col string) value.V {
 type SortKey struct {
 	Column string
 	Desc   bool
-}
-
-// Head returns a new table with at most n leading rows: sharing row
-// storage with a row-backed t, and building only those n rows from a
-// column-backed one.
-func (t *Table) Head(n int) *Table {
-	if l := t.Len(); n > l {
-		n = l
-	}
-	if n < 0 {
-		n = 0
-	}
-	if t.cols != nil {
-		return &Table{schema: t.schema, rows: t.materialize(n)}
-	}
-	return &Table{schema: t.schema, rows: t.rows[:n]}
 }
 
 // SizeBytes estimates the in-memory footprint of the table. The DAG

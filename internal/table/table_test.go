@@ -47,17 +47,6 @@ func TestFromRowsValidatesArity(t *testing.T) {
 	}
 }
 
-func TestProjectHeadClone(t *testing.T) {
-	tb := sample()
-	h := tb.Head(2)
-	if h.Len() != 2 {
-		t.Errorf("Head(2) = %d rows", h.Len())
-	}
-	if tb.Head(99).Len() != 3 || tb.Head(-1).Len() != 0 {
-		t.Error("Head bounds wrong")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a, b := sample(), sample()
 	if !a.Equal(b) {

@@ -44,6 +44,9 @@ type FilterSpec struct {
 	// Val are the widget columns providing values, aligned with By;
 	// empty entries default to the By column.
 	Val []string
+	// exprOnly is the expression part of a filter of both modes, kept so
+	// that it binds once, as a filter of its own.
+	exprOnly *FilterSpec
 }
 
 // NewFilter returns an expression-mode filter_by, parsing src once.
@@ -77,6 +80,9 @@ func parseFilterBy(cfg *flowfile.Node) (Spec, error) {
 			return nil, err
 		}
 		s.Expression, s.Expr = f.Expression, f.Expr
+		if len(s.By) > 0 {
+			s.exprOnly = f
+		}
 	}
 	if len(s.By) > 0 && s.SourceWidget == "" {
 		return nil, fmt.Errorf("filter_by: filter_by columns need a filter_source widget")
@@ -107,64 +113,60 @@ func (s *FilterSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema, nil
 }
 
-// BindRow implements rowLocal: the widget's selection, row by row, over
-// rows Exec has run the expression's kernel over.
-func (s *FilterSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
-	out, err := s.Out([]Input{in})
-	if err != nil {
-		return nil, nil, err
+// selected returns the positions of t's rows that match the widget's
+// selection in every filter_by column with one.
+func (s *FilterSpec) selected(env *Env, t *table.Table) []int32 {
+	type pred struct {
+		col int
+		ok  func(value.V) bool
 	}
-	var preds []func(table.Row) bool
+	var preds []pred
 	for i, col := range s.By {
-		idx := in.Schema.Index(col)
 		valCol := col
 		if i < len(s.Val) && s.Val[i] != "" {
 			valCol = s.Val[i]
 		}
-		pred, err := s.selectionPred(env, idx, valCol)
-		if err != nil {
-			return nil, nil, err
-		}
-		if pred != nil {
-			preds = append(preds, pred)
+		if ok := s.selectionPred(env, valCol); ok != nil {
+			preds = append(preds, pred{t.Schema().Index(col), ok})
 		}
 	}
-	fn := func(r table.Row, emit func(table.Row)) error {
+	idx := make([]int32, 0, t.Len())
+rows:
+	for i := range t.Len() {
 		for _, p := range preds {
-			if !p(r) {
-				return nil
+			if !p.ok(t.At(i, p.col)) {
+				continue rows
 			}
 		}
-		emit(r)
-		return nil
+		idx = append(idx, int32(i))
 	}
-	return fn, out, nil
+	return idx
 }
 
 // selectionPred builds the predicate for one interaction column from the
 // widget's current selection; nil means no selection (pass-through).
-func (s *FilterSpec) selectionPred(env *Env, idx int, widgetCol string) (func(table.Row) bool, error) {
+func (s *FilterSpec) selectionPred(env *Env, widgetCol string) func(value.V) bool {
 	if env == nil || env.WidgetValue == nil {
-		return nil, nil
+		return nil
 	}
 	vals, ok := env.WidgetValue(s.SourceWidget, widgetCol)
 	if !ok || len(vals) == 0 {
-		return nil, nil
+		return nil
 	}
 	sel := ParseSelection(vals)
 	if sel.Range && len(sel.Values) >= 2 {
 		lo := value.Parse(sel.Values[0])
 		hi := value.Parse(sel.Values[1])
-		return func(r table.Row) bool {
-			v := normalizeForCompare(r[idx], lo)
+		return func(v value.V) bool {
+			v = normalizeForCompare(v, lo)
 			return value.Compare(v, lo) >= 0 && value.Compare(v, hi) <= 0
-		}, nil
+		}
 	}
 	set := make(map[string]bool, len(sel.Values))
 	for _, v := range sel.Values {
 		set[v] = true
 	}
-	return func(r table.Row) bool { return set[r[idx].String()] }, nil
+	return func(v value.V) bool { return set[v.String()] }
 }
 
 // ParseSelection decodes the wire form of a widget selection: a leading
@@ -188,18 +190,21 @@ func normalizeForCompare(v, bound value.V) value.V {
 }
 
 // Exec implements Spec: the expression on its kernel (SEMANTICS.md §4),
-// then an interaction filter's selection row by row. A filter of both
-// modes runs its expression as a filter of its own, bound per call.
+// then an interaction filter's selection, a Table.Select of the rows
+// that match it.
 func (s *FilterSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
 	if len(s.By) == 0 {
 		return execBound(env, s, in, names)
 	}
-	if s.Expr != nil {
-		t, err := execBound(env, &FilterSpec{Expression: s.Expression, Expr: s.Expr}, in, names)
+	if _, err := s.Out(inputsOf(in, names)); err != nil {
+		return nil, err
+	}
+	if s.exprOnly != nil {
+		t, err := execBound(env, s.exprOnly, in, names)
 		if err != nil {
 			return nil, err
 		}
 		in = []*table.Table{t}
 	}
-	return execRowLocal(s, env, in, names)
+	return in[0].Select(s.selected(env, in[0])), nil
 }

@@ -227,18 +227,6 @@ func (s *JoinSpec) Out(in []Input) (*schema.Schema, error) {
 	return out, err
 }
 
-func joinKey(r table.Row, idx []int) string {
-	var b strings.Builder
-	for i, j := range idx {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		b.WriteByte(byte(r[j].Kind()))
-		b.WriteString(r[j].String())
-	}
-	return b.String()
-}
-
 // keepLeft / keepRight report whether the condition keeps that side's
 // unmatched rows.
 func (s *JoinSpec) keepLeft() bool {

@@ -12,13 +12,15 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/value"
 )
 
 // MapFn computes the values of an operator's output columns for one
 // input row. emit may be called zero times (the row is dropped — e.g. a
 // tweet mentioning no player), once (plain mapping) or several times
-// (fan-out — e.g. extract_words emits one row per word).
+// (fan-out — e.g. extract_words emits one row per word). r and extra are
+// reused for the next row: neither may be kept past the call.
 type MapFn func(r table.Row, emit func(extra []value.V)) error
 
 // MapOperator is one bound column transformation — the paper's task
@@ -136,42 +138,51 @@ func (s *MapSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema.ExtendOrSame(s.op.OutColumns()...), nil
 }
 
-// BindRow implements rowLocal for every operator but expr.
-func (s *MapSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
-	out := in.Schema.ExtendOrSame(s.op.OutColumns()...)
-	fn, err := s.op.(MapOperator).Bind(env, in.Schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Slot each operator output into the row: existing columns are
-	// overwritten in place, new ones appended.
-	outCols := s.op.OutColumns()
-	slots := make([]int, len(outCols))
-	for i, c := range outCols {
-		slots[i] = out.Index(c)
-	}
-	inLen := in.Schema.Len()
-	outLen := out.Len()
-	rowFn := func(r table.Row, emit func(table.Row)) error {
-		return fn(r, func(extra []value.V) {
-			nr := make(table.Row, outLen)
-			copy(nr, r[:inLen])
-			for i, v := range extra {
-				nr[slots[i]] = v
-			}
-			emit(nr)
-		})
-	}
-	return rowFn, out, nil
-}
-
 // Exec implements Spec: the expr operator on its kernel (SEMANTICS.md
-// §5), every other operator row by row.
+// §5), every other operator through the per-row adapter.
 func (s *MapSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
 	if s.Expr() != nil {
 		return execBound(env, s, in, names)
 	}
-	return execRowLocal(s, env, in, names)
+	if _, err := s.Out(inputsOf(in, names)); err != nil {
+		return nil, err
+	}
+	return execRowLocal(env, s.op.(MapOperator), in[0])
+}
+
+// execRowLocal is the one per-row adapter, the Exec of a map operator
+// with no kernel: a text operator or a user's MapOperator. It reads t's
+// batch one row at a time into one reused row, and appends each row op
+// emits for it — the input's cells, with op's output columns written in
+// place or after them — to a builder.
+func execRowLocal(env *Env, op MapOperator, t *table.Table) (*table.Table, error) {
+	fn, err := op.Bind(env, t.Schema())
+	if err != nil {
+		return nil, err
+	}
+	cols := op.OutColumns()
+	out := t.Schema().ExtendOrSame(cols...)
+	slots := make([]int, len(cols))
+	for i, c := range cols {
+		slots[i] = out.Index(c)
+	}
+	b, _ := colstore.FromTable(t)
+	res, r, row := colstore.NewBuilder(out), make(table.Row, b.Schema().Len()), make([]value.V, out.Len())
+	emit := func(extra []value.V) {
+		copy(row, r)
+		clear(row[len(r):])
+		for i, v := range extra {
+			row[slots[i]] = v
+		}
+		res.Append(row)
+	}
+	for i := range b.Len() {
+		b.Row(i, r)
+		if err := fn(r, emit); err != nil {
+			return nil, err
+		}
+	}
+	return res.Table(), nil
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,8 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
+	"shareinsights/internal/value"
 )
 
 // ProjectSpec implements the project task: keep only the named columns.
@@ -39,30 +41,16 @@ func (s *ProjectSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema.Project(s.Columns...)
 }
 
-// BindRow implements rowLocal.
-func (s *ProjectSpec) BindRow(env *Env, in Input) (RowFn, *schema.Schema, error) {
-	out, err := s.Out([]Input{in})
-	if err != nil {
-		return nil, nil, err
-	}
-	idx, err := in.Schema.Require(s.Columns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	fn := func(r table.Row, emit func(table.Row)) error {
-		nr := make(table.Row, len(idx))
-		for i, j := range idx {
-			nr[i] = r[j]
-		}
-		emit(nr)
-		return nil
-	}
-	return fn, out, nil
-}
-
-// Exec implements Spec.
+// Exec implements Spec: the named columns of the input's batch, shared
+// (SEMANTICS.md §8).
 func (s *ProjectSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	return execRowLocal(s, env, in, names)
+	out, err := s.Out(inputsOf(in, names))
+	if err != nil {
+		return nil, err
+	}
+	cols, _ := in[0].Schema().Require(s.Columns...)
+	b, _ := colstore.FromTable(in[0])
+	return b.Project(out, cols).ToTable(), nil
 }
 
 // SortSpec implements the sort task.
@@ -139,31 +127,19 @@ func (s *DistinctSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema, nil
 }
 
-// Exec implements Spec.
+// Exec implements Spec: the first row of each key, in input order
+// (SEMANTICS.md §9).
 func (s *DistinctSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	t, _, err := oneTable("distinct", in, names)
-	if err != nil {
+	if _, err := s.Out(inputsOf(in, names)); err != nil {
 		return nil, err
 	}
 	cols := s.Columns
 	if len(cols) == 0 {
-		cols = t.Schema().Names()
+		cols = in[0].Schema().Names()
 	}
-	idx, err := t.Schema().Require(cols...)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	out := table.New(t.Schema())
-	for _, r := range t.Rows() {
-		k := joinKey(r, idx)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out.Append(r)
-	}
-	return out, nil
+	idx, _ := in[0].Schema().Require(cols...)
+	b, _ := colstore.FromTable(in[0])
+	return colstore.Distinct(b, idx).ToTable(), nil
 }
 
 // UnionSpec implements the union task: concatenate same-schema inputs.
@@ -189,19 +165,22 @@ func (s *UnionSpec) Out(in []Input) (*schema.Schema, error) {
 	return first, nil
 }
 
-// Exec implements Spec.
+// Exec implements Spec: every input's rows in turn (SEMANTICS.md §10),
+// read one at a time into one row and appended to a builder.
 func (s *UnionSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
 	sch, err := s.Out(inputsOf(in, names))
 	if err != nil {
 		return nil, err
 	}
-	out := table.New(sch)
+	out, row := colstore.NewBuilder(sch), make([]value.V, sch.Len())
 	for _, t := range in {
-		for _, r := range t.Rows() {
-			out.Append(r)
+		b, _ := colstore.FromTable(t)
+		for i := range b.Len() {
+			b.Row(i, row)
+			out.Append(row)
 		}
 	}
-	return out, nil
+	return out.Table(), nil
 }
 
 // LimitSpec implements the limit task: keep the first N rows.
@@ -231,13 +210,10 @@ func (s *LimitSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema, nil
 }
 
-// Exec implements Spec.
+// Exec implements Spec: the kernel over the input's batch, its first N
+// rows handed on as a selection (SEMANTICS.md §7).
 func (s *LimitSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	t, _, err := oneTable("limit", in, names)
-	if err != nil {
-		return nil, err
-	}
-	return t.Head(s.N), nil
+	return execBound(env, s, in, names)
 }
 
 // FuncSpec wraps a plain Go function as a task — the extension route of

@@ -44,7 +44,7 @@ func (r *Registry) parseParallel(f *flowfile.File, def *flowfile.TaskDef, stack 
 			return nil, err
 		}
 		switch spec.(type) {
-		case rowLocal, *ParallelSpec:
+		case *FilterSpec, *MapSpec, *ProjectSpec, *ParallelSpec:
 		default:
 			return nil, fmt.Errorf("task %q: parallel entry T.%s (%s) is not row-local", def.Name, ref.Name, spec.Type())
 		}

@@ -42,25 +42,14 @@ type Spec interface {
 	// Out computes the output schema for the given inputs, failing when
 	// a required column is missing — the bind-time contextual check.
 	Out(in []Input) (*schema.Schema, error)
-	// Exec runs the task alone on materialized inputs, or returns what
-	// is wrong with its configuration. A group-by, a join, a sort, an
-	// expression filter and an expr map run their kernel, the group Bind
-	// keeps for them alone, over the inputs' batches (docs/SEMANTICS.md
-	// states what they mean); every other task, and an interaction
-	// filter's selection, runs its row implementation.
+	// Exec runs the task alone on materialized inputs, over their
+	// batches, or returns what is wrong with its configuration
+	// (docs/SEMANTICS.md states what each task means). A task Kernel
+	// admits alone runs the group Bind keeps for it; a partitioned topn,
+	// a project, a distinct, a union and an interaction filter's
+	// selection run over the batches directly, and a text map operator
+	// through the per-row adapter.
 	Exec(env *Env, in []*table.Table, names []string) (*table.Table, error)
-}
-
-// RowFn transforms one input row, emitting zero or more output rows.
-type RowFn func(r table.Row, emit func(table.Row)) error
-
-// rowLocal is implemented by specs whose work is independent per row
-// (filter, map, project), the tasks a parallel composite may run: where
-// no kernel runs them, their Exec is one execRowLocal pass.
-type rowLocal interface {
-	Spec
-	// BindRow returns the per-row transform and its output schema.
-	BindRow(env *Env, in Input) (RowFn, *schema.Schema, error)
 }
 
 // Env carries everything a task may need at run time.
@@ -198,37 +187,6 @@ func singleInput(typ string, in []Input) (Input, error) {
 		return Input{}, fmt.Errorf("%s: expected 1 input, got %d", typ, len(in))
 	}
 	return in[0], nil
-}
-
-// execRowLocal is the shared Exec of rowLocal specs.
-func execRowLocal(s rowLocal, env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	t, name, err := oneTable(s.Type(), in, names)
-	if err != nil {
-		return nil, err
-	}
-	fn, out, err := s.BindRow(env, Input{Name: name, Schema: t.Schema()})
-	if err != nil {
-		return nil, err
-	}
-	res := table.New(out)
-	emit := func(r table.Row) { res.Append(r) }
-	for _, r := range t.Rows() {
-		if err := fn(r, emit); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-func oneTable(typ string, in []*table.Table, names []string) (*table.Table, string, error) {
-	if len(in) != 1 {
-		return nil, "", fmt.Errorf("%s: expected 1 input, got %d", typ, len(in))
-	}
-	name := ""
-	if len(names) > 0 {
-		name = names[0]
-	}
-	return in[0], name, nil
 }
 
 // inputsOf converts tables+names into bind-time Inputs.

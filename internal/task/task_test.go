@@ -745,11 +745,11 @@ aggregate_by_word:
 	}
 }
 
-// TestSortAndLimitLeaveInputUntouched: the row sort permutes a shallow
-// clone's row headers and the row limit takes a prefix, so the input —
-// a source snapshot, a cache entry, a fan-out node's table — keeps its
-// row order, its cells and (column-backed) its vectors, in both
-// backings. A column-backed limit builds only the rows it keeps.
+// TestSortAndLimitLeaveInputUntouched: the sort and the limit hand on
+// selections of their input's batch, so the input — a source snapshot, a
+// cache entry, a fan-out node's table — keeps its row order, its cells
+// and (column-backed) its vectors, in both backings. A column-backed
+// limit builds no row.
 func TestSortAndLimitLeaveInputUntouched(t *testing.T) {
 	rows := mkTable(t, "k,v", []any{"b", 2}, []any{"c", 3}, []any{"a", 1}, []any{"c", 0})
 	b := colstore.NewBuilder(rows.Schema())
@@ -797,10 +797,10 @@ func TestSortAndLimitLeaveInputUntouched(t *testing.T) {
 	in := big.Table()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	head := in.Head(3)
+	head, err := parseSpec(t, "l:\n  type: limit\n  limit: 3\n").Exec(&Env{}, []*table.Table{in}, nil)
 	runtime.ReadMemStats(&m1)
-	if got := m1.TotalAlloc - m0.TotalAlloc; head.Len() != 3 || got > 16<<10 {
-		t.Errorf("Head(3) of a 10,000-row column-backed table: %d rows, %d bytes allocated", head.Len(), got)
+	if got := m1.TotalAlloc - m0.TotalAlloc; err != nil || head.Len() != 3 || got > 16<<10 {
+		t.Errorf("limit 3 of a 10,000-row column-backed table: %d rows, %d bytes allocated (err %v)", head.Len(), got, err)
 	}
 }
 
@@ -873,7 +873,8 @@ func parseSpec2(src string) (Spec, error) {
 
 // TestExecBindsOnce: a kernel-backed Exec runs the group Bind keeps for
 // its spec and input shape, so a second Exec of one spec over the same
-// shape binds no second group.
+// shape binds no second group. A filter of both modes keeps its
+// expression part, which binds so.
 func TestExecBindsOnce(t *testing.T) {
 	sales := mkTable(t, "region,amount", []any{"east", 10}, []any{"west", 200}, []any{"east", 5})
 	regions := mkTable(t, "region,zone", []any{"east", "e"})
@@ -887,6 +888,9 @@ func TestExecBindsOnce(t *testing.T) {
 		{"f:\n  type: filter_by\n  filter_expression: amount > 7\n", []*table.Table{sales}, nil},
 		{"m:\n  type: map\n  operator: expr\n  expression: amount * 2\n  output: double\n", []*table.Table{sales}, nil},
 		{"j:\n  type: join\n  left: sales by region\n  right: regions by region\n  join_condition: inner\n", []*table.Table{sales, regions}, []string{"sales", "regions"}},
+		{"l:\n  type: limit\n  limit: 2\n", []*table.Table{sales}, nil},
+		{"t:\n  type: topn\n  orderby_column: [amount]\n  limit: 2\n", []*table.Table{sales}, nil},
+		{"b:\n  type: filter_by\n  filter_expression: amount > 7\n  filter_by: [region]\n  filter_source: W.picker\n", []*table.Table{sales}, nil},
 	} {
 		spec := parseSpec(t, tc.src)
 		for range 2 {
@@ -894,8 +898,12 @@ func TestExecBindsOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		m := spec.(memoized).derived()
+		if f, ok := spec.(*FilterSpec); ok && f.exprOnly != nil {
+			m = f.exprOnly.derived()
+		}
 		groups := 0
-		for b := spec.(memoized).derived().bound.Load(); b != nil; b = b.next {
+		for b := m.bound.Load(); b != nil; b = b.next {
 			groups++
 		}
 		if groups != 1 {

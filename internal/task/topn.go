@@ -2,14 +2,13 @@ package task
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
-	"shareinsights/internal/value"
+	"shareinsights/internal/table/colstore"
 )
 
 // OrderKey is one "<column> [ASC|DESC]" entry of an orderby_column list.
@@ -92,53 +91,21 @@ func (s *TopNSpec) Out(in []Input) (*schema.Schema, error) {
 	return one.Schema, nil
 }
 
-// Exec implements Spec.
+// Exec implements Spec (SEMANTICS.md §6): a global topn on its kernel,
+// a partitioned one over the input's batch, its groups in their key
+// order, each its first rows of the stable sort.
 func (s *TopNSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	t, _, err := oneTable("topn", in, names)
-	if err != nil {
-		return nil, err
+	if len(s.GroupBy) == 0 {
+		return execBound(env, s, in, names)
 	}
 	if _, err := s.Out(inputsOf(in, names)); err != nil {
 		return nil, err
 	}
-	gIdx, _ := t.Schema().Require(s.GroupBy...)
-	oIdx := make([]int, len(s.OrderBy))
-	for i, k := range s.OrderBy {
-		oIdx[i] = t.Schema().Index(k.Column)
+	groups, _ := in[0].Schema().Require(s.GroupBy...)
+	b, _ := colstore.FromTable(in[0])
+	out, err := colstore.GroupTopN(b, groups, sortKeys(s.OrderBy), s.Limit)
+	if err != nil {
+		return nil, err
 	}
-	groups := map[string][]table.Row{}
-	var order []string
-	for _, r := range t.Rows() {
-		k := joinKey(r, gIdx)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], r)
-	}
-	sort.Strings(order)
-	res := table.New(t.Schema())
-	for _, k := range order {
-		rows := groups[k]
-		sort.SliceStable(rows, func(a, b int) bool {
-			for i, key := range s.OrderBy {
-				c := value.Compare(rows[a][oIdx[i]], rows[b][oIdx[i]])
-				if c == 0 {
-					continue
-				}
-				if key.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-		n := s.Limit
-		if n > len(rows) {
-			n = len(rows)
-		}
-		for _, r := range rows[:n] {
-			res.Append(r)
-		}
-	}
-	return res, nil
+	return out.ToTable(), nil
 }

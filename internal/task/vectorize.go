@@ -20,7 +20,7 @@ import (
 // expression that does not compile — returns ok == false, and Exec, which
 // binds the same group, returns the configuration's error. A stage Kernel
 // does not admit (an interaction-mode filter, a grouped topn, the text
-// map operators) has no kernel, and Exec runs its row implementation.
+// map operators) binds no kernel, and runs alone through its Exec.
 type Vectorizable interface {
 	Spec
 	BindVec(env *Env, in Input) (k colstore.Kernel, out *schema.Schema, ok bool)
@@ -29,8 +29,9 @@ type Vectorizable interface {
 // Kernel is the one rule for which stages run on the engine's runner
 // (colstore.Fan), and explain (dag) and the batch engine both ask it: the
 // number of stages at the head of specs one run takes over in, the head's
-// inputs, or 0 for rows. A run is the longest head of steps and then at
-// most one sink; with none, it materializes the last step's output:
+// inputs, or 0 when the head runs alone through its Exec. A run is the
+// longest head of steps and then at most one sink; with none, it
+// materializes the last step's output:
 //   - over two inputs the head is a join, a probe of the index it builds
 //     over its build side. A right or full outer join runs alone: the
 //     build rows no probe row joined come after every probe row, and a
@@ -367,7 +368,7 @@ func bindErr(s Spec, in []Input) (err error) {
 }
 
 // BindVec implements Vectorizable. The heap kernel covers one global
-// group; partitioned topn keeps the row path.
+// group; a partitioned topn runs alone, through Exec.
 func (s *TopNSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
 	if _, err := s.Out([]Input{in}); err != nil || Kernel([]Spec{s}, []Input{in}) == 0 {
 		return nil, nil, false
