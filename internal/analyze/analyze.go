@@ -410,7 +410,7 @@ func (l *linter) reportProblem(p *dag.Problem) {
 	case dag.ProblemUnknownType:
 		def := l.f.Tasks[p.Entity[2:]]
 		fd.Rule, fd.Message = "FL001", fmt.Sprintf("unknown task type %q", def.Type)
-		fd = didYouMean(fd, def.Type, append(l.opts.Tasks.Types(), "parallel"))
+		fd = didYouMean(fd, def.Type, l.opts.Tasks.Types())
 	case dag.ProblemBadConfig:
 		fd.Rule = "FL002"
 		if def := l.f.Tasks[p.Entity[2:]]; (def.Type == "topn" || def.Type == "sort") && len(def.Config.StrList("orderby_column")) == 0 {

@@ -2,6 +2,7 @@ package connector
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -443,4 +444,95 @@ func BenchmarkDecodeSBINDict60k(b *testing.B) {
 	for _, distinct := range []int{50, 60000} {
 		b.Run("distinct="+strconv.Itoa(distinct), func(b *testing.B) { benchDecodeSBIN(b, 60000, distinct) })
 	}
+}
+
+// FuzzStreamedDecode: a csv payload decoded under a random offer, its
+// rows pushed a 1,024-row batch at a time into a random group-by (a
+// colstore.Stream of one fold), gives the group-by's Run over the same
+// offer's whole decode, cell for cell and kind for kind, or the same
+// error — unless the stream declines, as it does where a batch's column
+// is of another kind than the first batch's. The payload is a template:
+// its rows repeat, each time with "#" replaced by the repeat's number, so
+// that a few bytes span several batches and a dictionary grows, or
+// reverts, across them. The folded groups own their bytes: with the
+// payload overwritten they are unchanged.
+func FuzzStreamedDecode(f *testing.F) {
+	for _, p := range []string{
+		"",
+		"r1,p#,3\nr2,p1,4.5\n",
+		"a,b,c\n#,x#,web\n1,,store\n",
+		"r#,#,u#\n",
+		",,\n1,p,2\n",
+		"1,2,3\n1,2,many#\n",
+		"1,\"q#\nx\",3\n1,bare\"quote,3\n",
+		"2024-01-05,#,true\n",
+	} {
+		for _, mode := range []uint8{0, 8, 32, 64, 96} {
+			for _, fold := range []uint16{0, 1, 2, 6, 0x1f1, 0x2a4} {
+				f.Add([]byte(p), mode, fold, uint8(3))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, tmpl []byte, mode uint8, fold uint16, repeat uint8) {
+		var payload []byte
+		for k := range int(repeat%8)*400 + 1 {
+			if payload = append(payload, bytes.ReplaceAll(tmpl, []byte("#"), strconv.AppendInt(nil, int64(k), 10))...); len(payload) > 1<<18 {
+				break
+			}
+		}
+		sep, d, s, pd := csvFuzzCase(mode)
+		spec := &task.GroupBySpec{Aggs: []task.AggSpec{{Operator: "count", OutField: "n"}}}
+		for c, name := range s.Names() {
+			if fold>>c&1 != 0 || c == s.Len()-1 && spec.GroupBy == nil {
+				spec.GroupBy = append(spec.GroupBy, name)
+			}
+		}
+		ops := task.Aggregates()
+		spec.Aggs = append(spec.Aggs, task.AggSpec{Operator: ops[int(fold>>3)%len(ops)], ApplyOn: s.Names()[int(fold>>8)%s.Len()], OutField: "x"})
+		k, _, ok := spec.BindVec(nil, task.Input{Schema: s})
+		if !ok {
+			t.Skip("the group-by does not bind")
+		}
+		format := &csvFormat{sep: sep}
+		whole, _, wantErr := format.DecodePushdown(d, s, payload, pd)
+		st := (&colstore.Fan{Sinks: []colstore.Kernel{k}}).Stream()
+		pd.Push = st.Push
+		payload = bytes.Clone(payload)
+		got, res, gotErr := format.DecodePushdown(d, s, payload, pd)
+		if errors.Is(gotErr, colstore.ErrDeclined) {
+			return
+		}
+		if gotErr != nil || wantErr != nil {
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("streamed: %v, whole: %v", gotErr, wantErr)
+			}
+			return
+		}
+		if got != nil || !res.Streamed {
+			t.Fatalf("a streamed decode returned a table (%v), streamed %v", got != nil, res.Streamed)
+		}
+		outs, _, gotErr := st.Finish()
+		b, _ := colstore.FromTable(whole)
+		want, wantErr := k.Run(b)
+		if gotErr != nil || wantErr != nil {
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("streamed fold: %v, whole: %v", gotErr, wantErr)
+			}
+			return
+		}
+		for i := range payload {
+			payload[i] ^= 0xff
+		}
+		g, w := outs[0].ToTable(), want.ToTable()
+		if g.Len() != w.Len() {
+			t.Fatalf("streamed fold has %d groups, whole %d", g.Len(), w.Len())
+		}
+		for r := range w.Len() {
+			for c := range w.Schema().Len() {
+				if x, y := g.At(r, c), w.At(r, c); x.Kind() != y.Kind() || x.String() != y.String() {
+					t.Fatalf("group %d column %d: streamed %v %q, whole %v %q", r, c, x.Kind(), x.String(), y.Kind(), y.String())
+				}
+			}
+		}
+	})
 }

@@ -39,7 +39,9 @@ import (
 // of the payload is allocated, and the table shares no byte with the
 // payload. A pushed predicate runs a morsel of records at a time over a
 // boxed view of just the cells it reads (colstore.Boxed), and only the
-// records it keeps are appended.
+// records it keeps are appended. Offered a Push, the builder streams
+// (colstore.Builder.Stream): the same loop hands its rows on a batch at a
+// time and builds no table.
 type csvFormat struct{ sep rune }
 
 // csvReserveRows is how many rows a decode must have kept before it
@@ -57,11 +59,11 @@ func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 }
 
 // DecodePushdown implements FormatPushdown: skipped columns decode as
-// nulls without parsing their fields, and a pushed predicate filters
-// rows as they decode. Columns the predicate reads keep decoding even
-// when listed as skippable, and a predicate that does not bind against
-// the declared schema is declined — never an error, the consumer
-// pipeline re-applies it anyway.
+// nulls without parsing their fields, a pushed predicate filters rows as
+// they decode, and a Push takes the rows. Columns the predicate reads
+// keep decoding even when listed as skippable, and a predicate that does
+// not bind against the declared schema is declined — never an error, the
+// consumer pipeline re-applies it anyway.
 func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
 	r := csvScanner{src: payload, comma: f.sep}
 	if r.comma == 0 {
@@ -76,12 +78,15 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 	// predicate reads them.
 	pred, need := compilePushdownPredicate(pd.Predicate, s)
 	skip, skipped := skipMask(s, pd.SkipColumns, need)
-	res := PushdownResult{PredicateApplied: pred != nil, SkippedColumns: skipped}
+	res := PushdownResult{PredicateApplied: pred != nil, SkippedColumns: skipped, Streamed: pd.Push != nil}
 	if c := r.comma; c == 0 || c == '"' || c == '\r' || c == '\n' || !utf8.ValidRune(c) || c == utf8.RuneError {
 		// encoding/csv's unexported error of the same text.
 		return nil, res, errors.New("csv: invalid field or comment delimiter")
 	}
 	b := colstore.NewBuilder(s)
+	if pd.Push != nil {
+		b.Stream(pd.Push)
+	}
 	binding := make([]int, s.Len()) // schema column -> record index
 	for i := range binding {
 		binding[i] = i
@@ -99,22 +104,26 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 	}
 	read, _ := skipMask(s, need, nil) // the columns the predicate reads
 	memo, kept := map[string]string{}, 0
-	flush := func() {
+	flush := func() (err error) {
 		keep := view.Keep(len(ends))
-		for k, start := 0, 0; k < len(ends); k, start = k+1, ends[k][0] {
+		for k, start := 0, 0; k < len(ends) && err == nil; k, start = k+1, ends[k][0] {
 			if keep.Get(k) {
-				kept = appendRecord(b, binding, skip, fields[start:ends[k][0]], kept, ends[k][1], len(r.src))
+				kept, err = appendRecord(b, binding, skip, fields[start:ends[k][0]], kept, ends[k][1], len(r.src))
 			}
 		}
 		fields, ends, r.spill = fields[:0], ends[:0], r.spill[:0]
+		return err
 	}
 	for first := true; ; first = false {
 		rec, err := r.read()
 		if err == io.EOF {
 			if len(ends) > 0 {
-				flush()
+				if err := flush(); err != nil {
+					return nil, res, err
+				}
 			}
-			return b.Table(), res, nil
+			t, err := b.Done()
+			return t, res, err
 		}
 		if err != nil {
 			return nil, res, err
@@ -139,8 +148,10 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 			continue
 		}
 		if view == nil {
-			kept = appendRecord(b, binding, skip, rec, kept, r.off, len(r.src))
-			r.spill = r.spill[:0]
+			kept, err = appendRecord(b, binding, skip, rec, kept, r.off, len(r.src))
+			if r.spill = r.spill[:0]; err != nil {
+				return nil, res, err
+			}
 			continue
 		}
 		for i, j := range binding {
@@ -154,19 +165,22 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 		}
 		fields = append(fields, rec...)
 		if ends = append(ends, [2]int{len(fields), r.off}); len(ends) == csvMorselRows {
-			flush()
+			if err := flush(); err != nil {
+				return nil, res, err
+			}
 		}
 	}
 }
 
 // appendRecord appends rec to b as the row binding maps to its fields, a
 // skipped column's cell null, and returns kept, the rows appended, plus
-// one. Every csvReserveRows rows it reserves the vectors from the rows
-// kept per byte consumed over the whole payload, to off of size, plus
-// 1/32 so that a steady payload never regrows. Rows kept are rows read at
-// most, so a predicate never reserves more than the same decode without
-// one; where the kept rows thin out later in the payload, Table trims.
-func appendRecord(b *colstore.Builder, binding []int, skip []bool, rec [][]byte, kept, off, size int) int {
+// one, and EndRow's error. Every csvReserveRows rows it reserves the
+// vectors from the rows kept per byte consumed over the whole payload, to
+// off of size, plus 1/32 so that a steady payload never regrows. Rows
+// kept are rows read at most, so a predicate never reserves more than the
+// same decode without one; where the kept rows thin out later in the
+// payload, Table trims.
+func appendRecord(b *colstore.Builder, binding []int, skip []bool, rec [][]byte, kept, off, size int) (int, error) {
 	for i, j := range binding {
 		if skip[i] || j >= len(rec) {
 			b.AppendCell(i, value.VNull)
@@ -176,12 +190,11 @@ func appendRecord(b *colstore.Builder, binding []int, skip []bool, rec [][]byte,
 			b.AppendString(i, rec[j])
 		}
 	}
-	b.EndRow()
 	if kept++; kept%csvReserveRows == 0 {
 		est := int64(kept) * int64(size) / int64(off)
 		b.Reserve(int(est + est/32))
 	}
-	return kept
+	return kept, b.EndRow()
 }
 
 // predicateCell types a field for the predicate's row, a text field as a

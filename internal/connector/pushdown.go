@@ -27,7 +27,8 @@ import (
 // Pushdown is the optimizer's request to a source: filter rows by
 // Predicate (an expression over the declared schema) and skip decoding
 // SkipColumns (columns no downstream stage reads — they surface as
-// nulls). Either part may be empty.
+// nulls), and the executor's: hand the rows to Push a chunk at a time.
+// Any part may be empty.
 type Pushdown struct {
 	// Predicate filters rows at the source. The consumer pipeline
 	// re-applies the same filter, so connectors may apply it fully,
@@ -36,10 +37,17 @@ type Pushdown struct {
 	// SkipColumns are declared columns whose values are never read
 	// downstream; connectors may decode them as nulls.
 	SkipColumns []string `json:"skip_columns,omitempty"`
+	// Push, when set, asks for the rows as a streaming colstore.Builder
+	// hands them on, a batch of 1,024 at a time, instead of a table. A
+	// format that accepts returns no table, and the first error Push
+	// returns; one that declines returns its table and never calls it.
+	Push func(*colstore.Batch) error `json:"-"`
 }
 
 // Empty reports whether the request asks for nothing.
-func (pd Pushdown) Empty() bool { return pd.Predicate == "" && len(pd.SkipColumns) == 0 }
+func (pd Pushdown) Empty() bool {
+	return pd.Predicate == "" && len(pd.SkipColumns) == 0 && pd.Push == nil
+}
 
 // PushdownResult reports what a connector actually applied. Declined
 // parts are simply absent — a decline is a normal outcome, not an
@@ -51,6 +59,12 @@ type PushdownResult struct {
 	// SkippedColumns lists the requested columns the source actually
 	// skipped (decoded as nulls).
 	SkippedColumns []string `json:"skipped_columns,omitempty"`
+	// Streamed is true when the source pushed its rows into the offer's
+	// Push and returned no table.
+	Streamed bool `json:"streamed,omitempty"`
+	// Rows is how many rows the decode produced: its table's, or those it
+	// pushed. DecodePushdown sets it.
+	Rows int `json:"-"`
 }
 
 // FormatPushdown is the optional capability hook, the one the offer
@@ -151,17 +165,27 @@ func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload
 		did = tr.StartSpan(parent, f.span)
 	}
 	var t *table.Table
+	pushed := 0
+	if push := pd.Push; push != nil {
+		pd.Push = func(b *colstore.Batch) error {
+			pushed += b.Len()
+			return push(b)
+		}
+	}
 	if formatPush {
 		t, res, err = fp.DecodePushdown(d, s, payload, pd)
 	} else {
 		t, err = f.impl.Decode(d, s, payload)
 	}
+	if res.Rows = pushed; t != nil {
+		res.Rows = t.Len()
+	}
 	if tr != nil {
 		if res.PredicateApplied || len(res.SkippedColumns) > 0 {
 			tr.SpanFlag(did, "pushdown")
 		}
-		if t != nil {
-			tr.SpanInt(did, "rows_out", int64(t.Len()))
+		if err == nil {
+			tr.SpanInt(did, "rows_out", int64(res.Rows))
 		}
 		tr.EndSpan(did)
 	}

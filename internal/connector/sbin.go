@@ -42,29 +42,29 @@ func (f *sbinFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byt
 	return t, err
 }
 
-// DecodePushdown implements FormatPushdown for the projection only. A
-// skipped column still binds and its cells are still parsed, so a payload
-// fails exactly as it would without the offer, but nothing is appended
-// for it: it decodes as an all-null vector that stores nothing. The
-// predicate is declined: evaluating it would copy each morsel's string
-// cells out of the payload into a view, and parse its rows twice.
+// DecodePushdown implements FormatPushdown for the projection and the
+// push. A skipped column still binds and its cells are still parsed, so a
+// payload fails exactly as it would without the offer, but nothing is
+// appended for it: it decodes as an all-null vector that stores nothing.
+// The predicate is declined: evaluating it would copy each morsel's
+// string cells out of the payload into a view, and parse its rows twice.
 func (f *sbinFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
 	skip, skipped := skipMask(s, pd.SkipColumns, nil)
-	t, err := decodeSBIN(payload, s, skip, func(names []string) ([]int, error) {
+	t, err := decodeSBIN(payload, s, skip, pd.Push, func(names []string) ([]int, error) {
 		binding, missing := bindByName(s, names)
 		if missing != "" {
 			return nil, fmt.Errorf("sbin payload has no column %q (has %v)", missing, names)
 		}
 		return binding, nil
 	})
-	return t, PushdownResult{SkippedColumns: skipped}, err
+	return t, PushdownResult{SkippedColumns: skipped, Streamed: pd.Push != nil}, err
 }
 
 // DecodeSBIN parses an sbin payload written from a table of schema s
 // (EncodeSBIN's output): columns bind by position, whatever their names.
 // The durable store uses it for the tables it journals.
 func DecodeSBIN(payload []byte, s *schema.Schema) (*table.Table, error) {
-	return decodeSBIN(payload, s, nil, func(names []string) ([]int, error) {
+	return decodeSBIN(payload, s, nil, nil, func(names []string) ([]int, error) {
 		if len(names) != s.Len() {
 			return nil, fmt.Errorf("sbin payload has %d columns, schema has %d", len(names), s.Len())
 		}
@@ -122,8 +122,10 @@ func EncodeSBIN(t *table.Table) []byte {
 // column -> payload column), except those skip marks. A string cell
 // reaches the builder as a slice of the payload, so a value its column
 // has already seen is never copied out. A payload that is malformed
-// anywhere reports that before a binding failure.
-func decodeSBIN(payload []byte, s *schema.Schema, skip []bool, bind func(names []string) ([]int, error)) (*table.Table, error) {
+// anywhere reports that before a binding failure. With push set, the
+// builder streams into it (colstore.Builder.Stream), unless the binding
+// failed.
+func decodeSBIN(payload []byte, s *schema.Schema, skip []bool, push func(*colstore.Batch) error, bind func(names []string) ([]int, error)) (*table.Table, error) {
 	r := bytes.NewReader(payload)
 	magic := make([]byte, len(sbinMagic))
 	if _, err := r.Read(magic); err != nil || string(magic) != sbinMagic {
@@ -169,6 +171,9 @@ func decodeSBIN(payload []byte, s *schema.Schema, skip []bool, bind func(names [
 	// nothing beyond them. A short payload still ends the loop with an
 	// error.
 	bld := colstore.NewBuilder(s)
+	if push != nil && bindErr == nil {
+		bld.Stream(push)
+	}
 	if ncols > 0 {
 		bld.Reserve(int(min(nrows, uint64(r.Len())/ncols)))
 	}
@@ -221,12 +226,14 @@ func decodeSBIN(payload []byte, s *schema.Schema, skip []bool, bind func(names [
 				bld.AppendCell(c, cell)
 			}
 		}
-		bld.EndRow()
+		if err := bld.EndRow(); err != nil {
+			return nil, err
+		}
 	}
 	if bindErr != nil {
 		return nil, bindErr
 	}
-	return bld.Table(), nil
+	return bld.Done()
 }
 
 // readBytes reads one length-prefixed string at r's position and

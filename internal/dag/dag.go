@@ -213,7 +213,7 @@ func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Grap
 	specs, errs := reg.Parse(f)
 	for name, err := range errs {
 		p := &Problem{Kind: ProblemBadConfig, Entity: "T." + name, Line: f.Tasks[name].Line, Err: err}
-		if typ := f.Tasks[name].Type; typ != "parallel" && !slices.Contains(reg.Types(), typ) {
+		if !slices.Contains(reg.Types(), f.Tasks[name].Type) {
 			p.Kind = ProblemUnknownType
 		}
 		g.BadTasks[name] = p

@@ -441,7 +441,7 @@ var rejected = []struct {
 		want: "dag: flow at line 4 references undefined task T.ghost"},
 	{name: "unknown type", kind: ProblemUnknownType,
 		src:  "D:\n  raw: [a]\nF:\n  +D.out: D.raw | T.f\nT:\n  f:\n    type: filter_bye\n",
-		want: `task "f": unknown type "filter_bye" (registered: distinct, filter_by, groupby, join, limit, map, project, sort, topn, union)`},
+		want: `task "f": unknown type "filter_bye" (registered: distinct, filter_by, groupby, join, limit, map, parallel, project, sort, topn, union)`},
 	{name: "bad config", kind: ProblemBadConfig,
 		src:  "D:\n  raw: [a]\nF:\n  +D.out: D.raw | T.top\nT:\n  top:\n    type: topn\n    limit: 3\n",
 		want: `task "top": topn: empty orderby_column`},

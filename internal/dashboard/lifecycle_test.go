@@ -1,8 +1,11 @@
 package dashboard
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"shareinsights/internal/connector"
@@ -210,4 +213,171 @@ T:
 			t.Errorf("source D.a span %+v, want ended and flagged unread", sp)
 		}
 	}
+}
+
+// refreshShapedFlow is a served refresh's shape: an uploaded CSV through
+// an inline filter and map into two group-bys, one feeding a top-n, read
+// by three widgets. FORMAT names the source's format.
+const refreshShapedFlow = `
+D:
+  sales: [region, product, channel, amount, qty]
+
+D.sales:
+  source: data:sales.csv
+  format: FORMAT
+
+F:
+  D.scored: D.sales | T.keep | T.revenue
+  +D.by_region: D.scored | T.sum_region
+  D.by_product: D.scored | T.sum_product
+  +D.top_products: D.by_product | T.top
+
+T:
+  keep:
+    type: filter_by
+    filter_expression: qty > 2
+  revenue:
+    type: map
+    operator: expr
+    expression: amount * qty
+    output: revenue
+  sum_region:
+    type: groupby
+    groupby: [region]
+    aggregates:
+      - operator: sum
+        apply_on: revenue
+        out_field: total
+  sum_product:
+    type: groupby
+    groupby: [product]
+    aggregates:
+      - operator: sum
+        apply_on: revenue
+        out_field: total
+  top:
+    type: topn
+    orderby_column: [total DESC]
+    limit: 10
+
+W:
+  regions:
+    type: BarChart
+    source: D.by_region
+    x: region
+    y: total
+  share:
+    type: Pie
+    source: D.by_region
+    text: region
+    size: total
+  leaders:
+    type: Grid
+    source: D.top_products
+`
+
+// refreshCSV is rows of the refresh shape: 8 regions, 200 products and 4
+// channels, drawn from a fixed sequence.
+func refreshCSV(rows int) string {
+	var sb strings.Builder
+	channels := []string{"web", "store", "partner", "phone"}
+	x := uint32(1)
+	for i := range rows {
+		x = x*1664525 + 1013904223
+		fmt.Fprintf(&sb, "r%d,p%d,%s,%d,%d\n", x>>29, (x>>8)%200, channels[i%4], 1+(x>>12)%500, 1+(x>>20)%9)
+	}
+	return sb.String()
+}
+
+// wholeFormat is csv that declines the push and applies the rest of
+// the offer: it decodes a table, as every source did before sources
+// streamed.
+type wholeFormat struct{ r *connector.Registry }
+
+func (f wholeFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
+	return f.r.Decode(&flowfile.DataDef{Name: d.Name}, s, payload)
+}
+
+func (f wholeFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd connector.Pushdown) (*table.Table, connector.PushdownResult, error) {
+	pd.Push = nil
+	return f.r.DecodePushdown(&flowfile.DataDef{Name: d.Name}, s, payload, pd, nil, 0)
+}
+
+// TestStreamedSourceAllocs: a refresh-shaped run over a 30,000-row upload
+// streams its source into the group-bys, its source span flagged
+// streamed, and allocates under half the bytes of the same run over a
+// format that declines the push and decodes the upload whole, as every
+// run did before sources streamed. Both give the same endpoints.
+func TestStreamedSourceAllocs(t *testing.T) {
+	upload := map[string][]byte{"sales.csv": []byte(refreshCSV(30000))}
+	bytesPerRun := func(format string) (*Dashboard, float64) {
+		p := NewPlatform()
+		if err := p.Connectors.RegisterFormat("whole", wholeFormat{connector.NewRegistry(connector.Options{})}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := flowfile.Parse("refresh", strings.Replace(refreshShapedFlow, "FORMAT", format, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := p.Compile(f, upload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		const runs = 5
+		for i := range runs + 1 {
+			if i == 1 {
+				runtime.ReadMemStats(&before)
+			}
+			if err := d.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return d, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	streamed, got := bytesPerRun("csv")
+	whole, want := bytesPerRun("whole")
+	for _, name := range []string{"by_region", "top_products"} {
+		a, _ := streamed.Endpoint(name)
+		b, _ := whole.Endpoint(name)
+		if !a.Equal(b) {
+			t.Fatalf("D.%s streamed:\n%s\ndecoded whole:\n%s", name, a.Format(0), b.Format(0))
+		}
+	}
+	tr := obs.NewTrace("refresh")
+	streamed.SetTracer(tr)
+	if err := streamed.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Spans() {
+		if rows, _ := sp.Int("rows_out"); sp.Name == "source D.sales" && (!slices.Contains(sp.Flags, "streamed") || rows != 30000) {
+			t.Fatalf("source span %+v, want flagged streamed with 30000 rows out", sp)
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	if got > want/2 {
+		t.Errorf("a streamed run allocates %.0f KiB, want under half of a whole decode's %.0f KiB", got/1024, want/1024)
+	}
+	t.Logf("streamed %.0f KiB per run, decoded whole %.0f KiB", got/1024, want/1024)
+}
+
+// TestLazySourceReadConcurrently: after a run, readers on several
+// goroutines may each have Result.Table decode a lazy source and build
+// the inline node over it (run it with -race).
+func TestLazySourceReadConcurrently(t *testing.T) {
+	d := compileUpload(t, NewPlatform(), "csv", lifecycleCSV)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if big, ok := d.Result().Table("big"); !ok || big.Len() != 3 {
+				t.Errorf("D.big from the lazy source: %v, want 3 rows", ok)
+			}
+		}()
+	}
+	wg.Wait()
 }

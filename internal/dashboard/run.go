@@ -19,6 +19,7 @@ import (
 	"shareinsights/internal/obs/history"
 	"shareinsights/internal/resilience"
 	"shareinsights/internal/table"
+	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/task"
 	"shareinsights/internal/widget"
 )
@@ -99,11 +100,14 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	srcs := make([]runSource, len(names))
 	src := func(name string) *runSource { return &srcs[slices.Index(names, name)] }
 	defer func() {
-		// A lazy source's span stays open until the node cache has
-		// decided whether it is read: end any an early return left open.
+		// A lazy source's span stays open until the run decodes it: end
+		// any it never did. Its filter pushed down is known by now.
 		for i := range srcs {
-			if srcs[i].span != 0 {
-				endSource(tr, &srcs[i], nil)
+			if s := &srcs[i]; s.span != 0 {
+				endSource(tr, s, -1, nil)
+			}
+			if key := srcs[i].pushed; key != "" {
+				d.pushedFilters[key] = true
 			}
 		}
 	}()
@@ -126,7 +130,10 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		// a payload that fails to decode degrades it every time.
 		s.lazy = s.lazy && sh.Mode == "fail" && !s.n.Def.Endpoint && s.n.Def.Publish == ""
 		if lerr == nil && s.t == nil && !s.lazy {
-			lerr = d.decodeSource(s, tr)
+			pd, consumer := d.pushdown(name)
+			if s.t, _, lerr = d.decodeSource(s, tr, pd, consumer); lerr != nil {
+				lerr = fmt.Errorf("dashboard %s: %w", d.Name, lerr)
+			}
 		}
 		if lerr != nil {
 			s.t, sh, lerr = d.degradeSource(name, sh, lerr)
@@ -142,7 +149,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			tr.SpanInt(s.span, "attempts", int64(attempts))
 		}
 		if lerr != nil {
-			endSource(tr, s, lerr)
+			endSource(tr, s, 0, lerr)
 			return lerr
 		}
 		if !s.n.Shared && sh.Status == "ok" && sh.Mode == "stale" && d.platform.LastGood != nil {
@@ -152,7 +159,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			d.platform.LastGood.Put(d.Name, name, s.t.CloneShallow())
 		}
 		if !s.lazy {
-			endSource(tr, s, nil)
+			endSource(tr, s, s.t.Len(), nil)
 		}
 	}
 	exec := &batch.Executor{Parallelism: d.platform.Parallelism, Optimize: d.platform.Optimize, Plan: d.runPlan, Tracer: tr, TraceParent: runSpan, Columnar: d.platform.Columnar}
@@ -180,21 +187,15 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			}
 		}
 	}
-	// Decode a lazy source only when a node that runs reads it.
-	runs := exec.Runs(d.Graph)
+	// The executor decodes a lazy source when a node that runs reads it.
 	sources := make(map[string]*table.Table, len(srcs))
 	for i := range srcs {
-		s := &srcs[i]
-		if s.lazy {
-			var err error
-			if runs[s.n.Name] {
-				err = d.decodeSource(s, tr)
+		if s := &srcs[i]; s.lazy {
+			if exec.Lazy == nil {
+				exec.Lazy = map[string]batch.Decoder{}
 			}
-			if endSource(tr, s, err); err != nil {
-				return err
-			}
-		}
-		if s.t != nil {
+			exec.Lazy[s.n.Name] = d.decoder(s, tr)
+		} else if s.t != nil {
 			sources[s.n.Name] = s.t
 		}
 	}
@@ -203,7 +204,6 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		// Keep the partial result even on failure: Stats.Failures carries
 		// per-node errors (and panic stacks) for /stats and the trace.
 		d.result = res
-		defer d.release(res, srcs)
 	}
 	if err != nil {
 		return fmt.Errorf("dashboard %s: %w", d.Name, err)
@@ -436,9 +436,13 @@ type runSource struct {
 	upload bool
 	// lazy marks a source whose payload the platform holds (an upload or
 	// a mem: payload) and whose table nothing but the run's nodes reads:
-	// it is decoded only when a node that runs reads it, and released
-	// when the run ends.
+	// the executor decodes it (decoder) only when a node that runs reads
+	// it, and no table of it outlives the read.
 	lazy bool
+	// decoded marks a lazy source the run has decoded; pushed is the hint
+	// key of the filter a decode applied at the source.
+	decoded bool
+	pushed  string
 }
 
 // key is the source's part of its signature: the run's upload digest up,
@@ -497,25 +501,46 @@ func (d *Dashboard) fetchSource(ctx context.Context, s *runSource, tr obs.Tracer
 }
 
 // decodeSource decodes s's payload, its decode span under s's, making
-// the format the plan's pushdown offer: the format applies what it can
-// and declines the rest in-band, and the consumer pipeline re-applies
-// the predicate regardless.
-func (d *Dashboard) decodeSource(s *runSource, tr obs.Tracer) error {
-	pd, consumer := d.pushdown(s.n.Name)
+// the format the offer pd: the format applies what it can and declines
+// the rest in-band, and the consumer pipeline re-applies the predicate
+// regardless.
+func (d *Dashboard) decodeSource(s *runSource, tr obs.Tracer, pd connector.Pushdown, consumer string) (*table.Table, connector.PushdownResult, error) {
 	t, res, err := d.platform.Connectors.DecodePushdown(s.n.Def, s.n.Schema, s.payload, pd, tr, s.span)
-	if err != nil {
-		return fmt.Errorf("dashboard %s: %w", d.Name, err)
-	}
-	if res.PredicateApplied && consumer != "" {
+	if err == nil && res.PredicateApplied && consumer != "" {
 		// The consumer's re-applied filter now sees pre-filtered
 		// rows: its observed selectivity is ~1.0 by construction,
 		// not evidence. Flag it so recordRunHistory keeps the real
 		// profile intact (else the estimate decays toward 1, the
 		// planner un-pushes, and the plan oscillates run over run).
-		d.pushedFilters[dag.HintKey(consumer, "filter_by "+pd.Predicate)] = true
+		s.pushed = dag.HintKey(consumer, "filter_by "+pd.Predicate)
 	}
-	s.t = t
-	return nil
+	return t, res, err
+}
+
+// decoder is lazy source s's batch.Decoder, under the run plan's offer
+// and the executor's push. The run's decode of it is traced under its
+// span, which it ends; a decode after that (Result.Table reads one anew)
+// traces and records nothing, so Result.Table may be called from any
+// goroutine. A streamed decode its run declines is no decode of the
+// run's: the run decodes the source whole after it.
+func (d *Dashboard) decoder(s *runSource, tr obs.Tracer) batch.Decoder {
+	offer, consumer := d.pushdown(s.n.Name)
+	return func(push func(*colstore.Batch) error) (*table.Table, error) {
+		pd := offer
+		if pd.Push = push; s.decoded {
+			t, _, err := d.platform.Connectors.DecodePushdown(s.n.Def, s.n.Schema, s.payload, pd, nil, 0)
+			return t, err
+		}
+		t, res, err := d.decodeSource(s, tr, pd, consumer)
+		if errors.Is(err, colstore.ErrDeclined) {
+			return nil, err
+		}
+		if s.decoded = true; res.Streamed && err == nil && tr != nil {
+			tr.SpanFlag(s.span, "streamed")
+		}
+		endSource(tr, s, res.Rows, err)
+		return t, err
+	}
 }
 
 // pushdown is the run plan's pushdown offer to source name, and the node
@@ -527,39 +552,21 @@ func (d *Dashboard) pushdown(name string) (connector.Pushdown, string) {
 	return connector.Pushdown{}, ""
 }
 
-// endSource closes s's span: its rows out, unread when the run never
-// decoded it, or error.
-func endSource(tr obs.Tracer, s *runSource, err error) {
+// endSource closes s's span: its rows out, unread (rows < 0) when the
+// run never decoded it, or error.
+func endSource(tr obs.Tracer, s *runSource, rows int, err error) {
 	switch {
 	case tr == nil:
 		return
 	case err != nil:
 		tr.SpanFlag(s.span, "error")
-	case s.t == nil:
+	case rows < 0:
 		tr.SpanFlag(s.span, "unread")
 	default:
-		tr.SpanInt(s.span, "rows_out", int64(s.t.Len()))
+		tr.SpanInt(s.span, "rows_out", int64(rows))
 	}
 	tr.EndSpan(s.span)
 	s.span = 0
-}
-
-// release drops the run's lazy sources from res once the run has built
-// its endpoints and published: a decoded source lives only while its run
-// reads it, and Result.Table decodes one again, on demand, from the
-// payload the run used.
-func (d *Dashboard) release(res *batch.Result, srcs []runSource) {
-	conns := d.platform.Connectors
-	for i := range srcs {
-		if s := &srcs[i]; s.lazy {
-			n, payload := s.n, s.payload
-			pd, _ := d.pushdown(n.Name)
-			res.Release(n.Name, func() (*table.Table, error) {
-				t, _, err := conns.DecodePushdown(n.Def, n.Schema, payload, pd, nil, 0)
-				return t, err
-			})
-		}
-	}
 }
 
 // RefreshWidgets re-evaluates every widget's interaction pipeline

@@ -15,6 +15,7 @@
 package batch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -70,7 +71,18 @@ type Executor struct {
 	// Callers must only supply entries whose content signature is
 	// unchanged — see dag.Graph.Signatures.
 	Cached map[string]*table.Table
+	// Lazy holds the decoder of each source RunContext is handed no table
+	// for: the run decodes it when a node that runs first reads it, and
+	// streams it into that node instead when it may (docs/ENGINE.md,
+	// "Source lifecycle"). Its table lives only while the run reads it.
+	Lazy map[string]Decoder
 }
+
+// Decoder decodes a lazy source: whole when push is nil; otherwise it may
+// push the rows a streaming colstore.Builder hands on into push and
+// return no table, or decline and return its table. A decode into push
+// ends with push's first error.
+type Decoder func(push func(*colstore.Batch) error) (*table.Table, error)
 
 // Budget is the per-run accounting hook the serving layer plugs into
 // the engine. Implementations must be safe for concurrent use: DAG
@@ -175,33 +187,19 @@ func (s *Stats) Slowest(n int) []StageTiming {
 // Result is a completed execution: every materialized data object.
 type Result struct {
 	// Tables maps data-object names to their contents. An inline node
-	// (dag.NodePlan.Inline) has none, nor has a released source: Table
-	// builds them.
+	// (dag.NodePlan.Inline) has none, nor has a lazy source: Table builds
+	// them.
 	Tables map[string]*table.Table
 	// Stats describes the run.
 	Stats Stats
-	// What Table builds an inline node with.
+	// What Table builds an inline node and a lazy source with.
 	g    *dag.Graph
 	plan *dag.Plan
-	// released decodes each released source again.
-	released map[string]func() (*table.Table, error)
+	lazy map[string]Decoder
 }
 
-// Release drops source name's table from the result, or records that the
-// run never decoded it: Table answers it from then on with what decode
-// returns, decoded anew on every call. A caller that holds a source's
-// payload releases its table so that it lives only while its run reads
-// it.
-func (r *Result) Release(name string, decode func() (*table.Table, error)) {
-	delete(r.Tables, name)
-	if r.released == nil {
-		r.released = map[string]func() (*table.Table, error){}
-	}
-	r.released[name] = decode
-}
-
-// Table returns a data object: one the run materialized, a released
-// source, decoded now, or an inline node whose input Table answers,
+// Table returns a data object: one the run materialized, a lazy source,
+// decoded anew on every call, or an inline node whose input Table answers,
 // built now from that input through the node's planned stages
 // (Executor.RunPipeline, untraced and uncharged; an inline chain is
 // filters and maps over expressions, which read no environment).
@@ -209,8 +207,8 @@ func (r *Result) Table(name string) (*table.Table, bool) {
 	if t, ok := r.Tables[name]; ok {
 		return t, true
 	}
-	if decode, ok := r.released[name]; ok {
-		t, err := decode()
+	if decode, ok := r.lazy[name]; ok {
+		t, err := decode(nil)
 		return t, err == nil
 	}
 	if !r.inline(name) {
@@ -227,8 +225,8 @@ func (r *Result) Table(name string) (*table.Table, bool) {
 // has reports whether Table answers name, building nothing.
 func (r *Result) has(name string) bool {
 	_, built := r.Tables[name]
-	_, released := r.released[name]
-	return built || released || r.inline(name) && r.has(r.g.Nodes[name].Inputs[0])
+	_, lazy := r.lazy[name]
+	return built || lazy || r.inline(name) && r.has(r.g.Nodes[name].Inputs[0])
 }
 
 func (r *Result) inline(name string) bool {
@@ -248,13 +246,11 @@ func (e *Executor) plan(g *dag.Graph) *dag.Plan {
 	return dag.AsWritten(g)
 }
 
-// Runs is the one rule for which of g's nodes RunContext executes: a
+// runs is the one rule for which of g's nodes RunContext executes: a
 // produced node runs unless it is a skipped sink or a cache hit, and an
 // inline one only when a consumer it feeds runs. A source is read when a
 // node that runs or a widget reads it; RunContext needs data only for a
-// source that is read, and a dashboard run decodes no other.
-func (e *Executor) Runs(g *dag.Graph) map[string]bool { return e.runs(g, e.plan(g)) }
-
+// source that is read, and decodes no other lazy source.
 func (e *Executor) runs(g *dag.Graph, plan *dag.Plan) map[string]bool {
 	runs := make(map[string]bool, len(g.Nodes))
 	for i := len(g.Order) - 1; i >= 0; i-- {
@@ -302,7 +298,8 @@ func recoverStage(prefix, stage string, errp *error) {
 
 // RunContext executes the graph under the executor's plan. sources
 // supplies the contents of every source node (connector output or
-// shared-catalog data), keyed by data-object name. Node pipelines check
+// shared-catalog data) that Lazy does not decode, keyed by data-object
+// name. Node pipelines check
 // ctx between stages, and nodes waiting on inputs or a scheduler slot
 // abandon the wait when ctx dies. On failure it returns the partial
 // Result alongside the first error, so callers can still surface
@@ -314,19 +311,9 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 	res := &Result{
 		Tables: make(map[string]*table.Table, len(g.Nodes)),
 		Stats:  Stats{RowsProduced: map[string]int{}},
-		g:      g, plan: plan,
+		g:      g, plan: plan, lazy: e.Lazy,
 	}
 	res.Stats.SkippedSinks = append([]string(nil), plan.SkippedSinks...)
-	// Per-node completion latches for dataflow scheduling.
-	// An inline node that ran holds no table: its run puts each fed
-	// consumer's first-group output in that consumer's fed before the
-	// node's done closes, and the consumer goes on from it.
-	type slot struct {
-		done chan struct{}
-		tbl  *table.Table
-		err  error
-		fed  *fed
-	}
 	slots := make(map[string]*slot, len(g.Nodes))
 	for name := range g.Nodes {
 		slots[name] = &slot{done: make(chan struct{})}
@@ -366,6 +353,8 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			// A source no node that runs reads may go unsupplied.
 			t, ok := sources[name]
 			switch {
+			case !ok && e.Lazy[name] != nil:
+				s.dec = e.Lazy[name]
 			case !ok && runs[name]:
 				s.err = fmt.Errorf("batch: no data supplied for source D.%s", name)
 			case ok && !t.Schema().Equal(n.Schema):
@@ -408,6 +397,11 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			defer recoverStage("node D.", n.Name, &s.err)
 			ins := make([]*table.Table, len(n.Inputs))
 			names := n.Inputs
+			// An inline node that alone reads a lazy source may stream it.
+			var stream *slot
+			if src := slots[n.Inputs[0]]; to != nil && src.dec != nil && readers(g, runs, n.Inputs[0]) == 1 {
+				stream = src
+			}
 			for i, in := range waits {
 				dep := slots[in]
 				select {
@@ -416,15 +410,14 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 					s.err = ctx.Err()
 					return
 				}
-				switch {
-				case i >= len(ins):
-					// A build side the inline run probes: a failed one
-					// fails the consumer, not this node.
-				case dep.err != nil:
-					s.err = fmt.Errorf("batch: D.%s blocked by input D.%s: %w", n.Name, in, dep.err)
-					return
-				default:
-					ins[i] = dep.tbl
+				// A build side the inline run probes is read there: a failed
+				// one fails the consumer, not this node.
+				if i < len(ins) && dep != stream {
+					var err error
+					if ins[i], err = dep.get(); err != nil {
+						s.err = blocked(n.Name, in, err)
+						return
+					}
 				}
 			}
 			skip := 0
@@ -432,7 +425,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 				// An inline input's run ran this node's first group.
 				ins, names, skip = []*table.Table{s.fed.tbl}, unnamed, s.fed.skip
 			}
-			if i := slices.Index(ins, nil); i >= 0 {
+			if i := slices.Index(ins, nil); i >= 0 && stream == nil {
 				s.err = fmt.Errorf("batch: D.%s input D.%s was eliminated", n.Name, n.Inputs[i])
 				return
 			}
@@ -459,12 +452,23 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			p := &pipeline{e: e, env: env, parent: nodeSpan,
 				node: n.Name, planTag: planTag, queueWait: queueWait, stats: &res.Stats, mu: &mu}
 			if to != nil {
-				rows, stages, ran, err := p.inline(ctx, g, plan, np.Specs, ins[0], to, func(name string) *table.Table {
-					if dep := slots[name]; dep.err == nil {
-						return dep.tbl
+				tables := func(name string) *table.Table {
+					t, _ := slots[name].get()
+					return t
+				}
+				sch := g.Nodes[n.Inputs[0]].Schema
+				if ins[0] != nil {
+					sch = ins[0].Schema()
+				}
+				rows, stages, ran, err := p.inline(ctx, g, plan, np.Specs, sch, ins[0], stream, to, tables)
+				if !ran && err == nil && stream != nil {
+					// The node runs as any other, on the source decoded whole.
+					if ins[0], err = stream.get(); err != nil {
+						p.end(nodeSpan, 0, err)
+						s.err = blocked(n.Name, n.Inputs[0], err)
+						return
 					}
-					return nil
-				})
+				}
 				if ran || err != nil {
 					if err == nil {
 						for i := range to {
@@ -529,13 +533,86 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			res.Stats.Failures = append(res.Stats.Failures, f)
 		}
 		if s.tbl != nil && s.err == nil {
-			res.Tables[name] = s.tbl
+			if s.dec == nil {
+				res.Tables[name] = s.tbl
+			}
 			res.Stats.RowsProduced[name] = s.tbl.Len()
+		}
+		if s.streamed {
+			res.Stats.RowsProduced[name] = s.rows
 		}
 	}
 	// A failed run returns its partial result too: Stats.Failures carries
 	// the per-node failure detail (panic stacks included) for /stats.
 	return res, firstErr
+}
+
+// slot is one node's state in a run: a latch for dataflow scheduling,
+// closed when its table, or its error, is set. An inline node that ran
+// holds no table: its run puts each fed consumer's first-group output in
+// that consumer's fed before the node's done closes, and the consumer
+// goes on from it. A lazy source's slot holds its decoder: its first
+// reader decodes it (get), unless a run streams it.
+type slot struct {
+	done chan struct{}
+	tbl  *table.Table
+	err  error
+	fed  *fed
+	dec  Decoder
+	once sync.Once
+	// rows is what a streamed source pushed; streamed marks it set.
+	rows     int
+	streamed bool
+}
+
+// get returns the slot's table, decoding a lazy source's whole the first
+// time.
+func (s *slot) get() (*table.Table, error) {
+	if s.dec != nil {
+		s.once.Do(func() { s.tbl, s.err = s.dec(nil) })
+	}
+	return s.tbl, s.err
+}
+
+// stream runs f over the rows lazy source s's decoder pushes, a batch at
+// a time, into its folds: ok is false when it declines — f does not
+// stream, or its run or the format declines. A decode that fails, or
+// that the format declines, leaves its error or its table to get.
+func (s *slot) stream(ctx context.Context, f colstore.Fan) ([]*colstore.Batch, []colstore.FanStage, bool, error) {
+	st := f.Stream()
+	if st == nil {
+		return nil, nil, false, nil
+	}
+	rows := 0
+	t, err := s.dec(func(b *colstore.Batch) error {
+		rows += b.Len()
+		return cmp.Or(st.Push(b), ctx.Err())
+	})
+	if t == nil && err == nil {
+		s.rows, s.streamed = rows, true
+		outs, stages, err := st.Finish()
+		return outs, stages, true, err
+	}
+	if !errors.Is(err, colstore.ErrDeclined) {
+		s.once.Do(func() { s.tbl, s.err = t, err })
+	}
+	return nil, nil, false, nil
+}
+
+// readers counts the nodes that run and read source name.
+func readers(g *dag.Graph, runs map[string]bool, name string) int {
+	n := 0
+	for _, c := range g.Nodes[name].Consumers {
+		if runs[c] {
+			n++
+		}
+	}
+	return n
+}
+
+// blocked is node name's error for its input in's failure.
+func blocked(name, in string, err error) error {
+	return fmt.Errorf("batch: D.%s blocked by input D.%s: %w", name, in, err)
 }
 
 // end closes a node's span: its rows out, or its error.

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"shareinsights/internal/dag"
+	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/task"
@@ -107,7 +108,9 @@ type fed struct {
 }
 
 // inline runs specs, the chain of the pipeline's node, an inline node
-// (dag.NodePlan.Inline), over its input in a morsel at a time into the
+// (dag.NodePlan.Inline), over its input of schema sch — in, or, when in
+// is nil, lazy source src, streamed where it may be and decoded whole
+// where it may not — a morsel at a time into the
 // first group of each consumer in to — a sink, or a join it feeds as the
 // probe side over the build table tables holds — on one colstore.Fan,
 // and fills each consumer's fed. It returns the rows the chain kept and
@@ -116,12 +119,11 @@ type fed struct {
 // before any consumer sees an output. The node's stages and each
 // consumer's first report under the node's span, flagged inline, when
 // the run ends.
-func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, specs []task.Spec, in *table.Table, to []fed, tables func(string) *table.Table) (rows, stages int, ok bool, err error) {
+func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, specs []task.Spec, sch *schema.Schema, in *table.Table, src *slot, to []fed, tables func(string) *table.Table) (rows, stages int, ok bool, err error) {
 	if err = ctx.Err(); err != nil {
 		return 0, 0, false, err
 	}
-	b, _ := colstore.FromTable(in)
-	k := task.Bind(p.env, specs, []task.Input{{Schema: in.Schema()}})
+	k := task.Bind(p.env, specs, []task.Input{{Schema: sch}})
 	if !k.OK || len(k.Fan.Chain) != len(specs) {
 		return 0, 0, false, nil
 	}
@@ -166,6 +168,15 @@ func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, spe
 	var outs []*colstore.Batch
 	var st []colstore.FanStage
 	err = p.guard(specs[0], func() (err error) {
+		if in == nil {
+			if outs, st, ok, err = src.stream(ctx, f); ok || err != nil {
+				return err
+			}
+			if in, err = src.get(); err != nil {
+				return nil // the source's error, which src keeps
+			}
+		}
+		b, _ := colstore.FromTable(in)
 		outs, st, ok, err = f.Run(b, build)
 		return err
 	})

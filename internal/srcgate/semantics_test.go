@@ -64,7 +64,7 @@ func TestSemanticsDocumented(t *testing.T) {
 	}
 	cases := referenceCases(t, typeNames(load(t)))
 
-	units := append(task.NewRegistry().Types(), "parallel")
+	units := task.NewRegistry().Types()
 	for _, op := range task.Operators() {
 		units = append(units, "map "+op)
 	}

@@ -32,15 +32,22 @@ import (
 // entry, a plain column's cell and a boxed string cell are each copied
 // into the builder's arena, chunks that strings.Builder hands out without
 // a further copy, so strings cost one object per chunk, not one each.
+//
+// A builder that Streams builds no table: it hands its rows on a batch of
+// morselRows at a time (see Stream).
 type Builder struct {
 	schema *schema.Schema
 	cols   []*Vec
 	// dicts[c] maps a string to its code while column c is being built
 	// dictionary-coded; nil for every other column.
 	dicts []map[string]uint32
-	n     int
-	// want is the row count Reserve last set; 0 before any.
+	// n is the rows in the vectors; done the rows handed on before them.
+	n, done int
+	// want is the row count Reserve, or Stream, last set; 0 before any.
 	want int
+	// push takes each batch a streaming builder seals, in chunk.
+	push  func(*Batch) error
+	chunk *Batch
 	// arena is the chunk own copies into; one that cannot take a string is
 	// left to the strings in it (it is never written again), and the next
 	// is twice its size, from 1 KiB up to arenaMaxChunk.
@@ -91,8 +98,27 @@ func NewBuilder(s *schema.Schema) *Builder {
 // merely claims (a header field, a line count), so that a decode
 // allocates no more than an input of its size, as dense as the part
 // already read, really produces. The caller may revise it at any time,
-// and Table trims a vector the reserve overshot.
-func (b *Builder) Reserve(rows int) { b.want = rows }
+// and Table trims a vector the reserve overshot. A streaming builder's
+// reserve stays a batch.
+func (b *Builder) Reserve(rows int) {
+	if b.push == nil {
+		b.want = rows
+	}
+}
+
+// Stream has the builder hand its rows to push as a batch every
+// morselRows rows, and the rest at Done, instead of building a table. A
+// batch is good only during its push: the builder then empties its
+// vectors in place, keeping their capacity, for the next. Its
+// dictionaries and arena carry on, so a coded column's codes mean the
+// same in every batch and its dictionary only grows, and the revert rule
+// counts every row seen, so a column turns plain at the row a whole
+// build's would. A column's kind carries on too: a batch's column is of
+// the first batch's kind unless it met its first non-null cell, another
+// kind or a time in that batch.
+func (b *Builder) Stream(push func(*Batch) error) {
+	b.push, b.chunk, b.want = push, &Batch{schema: b.schema, cols: b.cols}, morselRows
+}
 
 // room is the capacity for a vector that holds n cells and needs more.
 func (b *Builder) room(n int) int {
@@ -111,7 +137,7 @@ func (b *Builder) Append(row []value.V) {
 	for c, cell := range row {
 		b.AppendCell(c, cell)
 	}
-	b.EndRow()
+	b.EndRow() // a builder fed by Append does not stream
 }
 
 // AppendCell adds column c's cell of the row being built. A row is one
@@ -124,8 +150,15 @@ func (b *Builder) AppendCell(c int, cell value.V) { b.appendCell(c, cell, nil) }
 // when the column has not seen the value, or is not coded.
 func (b *Builder) AppendString(c int, p []byte) { b.appendCell(c, value.NewString(""), p) }
 
-// EndRow completes the row the AppendCell calls built.
-func (b *Builder) EndRow() { b.n++ }
+// EndRow completes the row the AppendCell calls built. A row that fills
+// a streaming builder's batch hands the batch on, and EndRow returns
+// push's error.
+func (b *Builder) EndRow() error {
+	if b.n++; b.push != nil && b.n == morselRows {
+		return b.flush()
+	}
+	return nil
+}
 
 // appendCell stores one cell; a string cell's payload is p when p is
 // non-nil and cell's own otherwise.
@@ -183,7 +216,7 @@ func (b *Builder) pushString(c int, s string, p []byte) {
 		code, ok = m[s]
 	}
 	if !ok {
-		if len(v.dict) > dictMinEntries && len(v.dict)*dictMaxShare > b.n {
+		if len(v.dict) > dictMinEntries && len(v.dict)*dictMaxShare > b.done+b.n {
 			b.plain(c)
 			v.strs = push(b, v.strs, b.own(s, p))
 			return
@@ -288,15 +321,52 @@ func (b *Builder) box(c int) {
 // pages, which is not worth a copy.
 func (b *Builder) Table() *table.Table {
 	for _, v := range b.cols {
-		v.length = b.n
-		if v.nulls != nil {
-			v.nulls.grow(b.n)
-		}
 		v.bools, v.ints, v.floats = trim(v.bools), trim(v.ints), trim(v.floats)
 		v.strs, v.codes, v.anys = trim(v.strs), trim(v.codes), trim(v.anys)
 	}
 	b.dicts = nil
+	b.seal()
 	return (&Batch{schema: b.schema, cols: b.cols, length: b.n}).ToTable()
+}
+
+// Done ends the build: the table, or, for a streaming builder, none,
+// once the rows left are handed on — as a batch even when there are
+// none, if no batch was, so that every stream has a first batch.
+func (b *Builder) Done() (*table.Table, error) {
+	if b.push == nil {
+		return b.Table(), nil
+	}
+	if b.n > 0 || b.done == 0 {
+		return nil, b.flush()
+	}
+	return nil, nil
+}
+
+// seal sets every vector's length to the rows built.
+func (b *Builder) seal() {
+	for _, v := range b.cols {
+		v.length = b.n
+		if v.nulls != nil {
+			v.nulls.grow(b.n)
+		}
+	}
+}
+
+// flush hands the rows built to push as a batch and empties the vectors.
+func (b *Builder) flush() error {
+	b.seal()
+	b.chunk.length = b.n
+	err := b.push(b.chunk)
+	b.done, b.n = b.done+b.n, 0
+	for _, v := range b.cols {
+		v.length = 0
+		v.bools, v.ints, v.floats = v.bools[:0], v.ints[:0], v.floats[:0]
+		v.strs, v.codes, v.anys = v.strs[:0], v.codes[:0], v.anys[:0]
+		if v.nulls != nil {
+			v.nulls.words = v.nulls.words[:0]
+		}
+	}
+	return err
 }
 
 // trim returns s, reallocated when over a quarter of it is spare.

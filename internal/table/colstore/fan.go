@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -134,11 +136,8 @@ func one(step Kernel, in, build *Batch, size int) (*Batch, error) {
 
 // run is Run by size rows at a time, on r, which is fresh.
 func (r *fanRun) run(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage, bool, error) {
-	r.f, r.in, r.build, r.size, r.whole = f, in, build, max(min(in.length, size), 1), size == wholeBatch
-	stages, outs := grown(r.stageBuf[:], len(f.Chain)+len(f.Sinks)), grown(r.outBuf[:], len(f.Sinks))
-	r.stages = stages
-	ok, err := r.setup()
-	if !ok || err != nil {
+	r.whole = size == wholeBatch
+	if ok, err := r.begin(f, in, build, max(min(in.length, size), 1)); !ok || err != nil {
 		return nil, nil, ok, err
 	}
 	n, passes := in.length, 1
@@ -174,15 +173,91 @@ func (r *fanRun) run(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage, 
 			}
 		}
 	}
+	return r.finish()
+}
+
+// begin lays r out as a run of f over source batches like in, size rows
+// a morsel: false when the run declines.
+func (r *fanRun) begin(f *Fan, in, build *Batch, size int) (bool, error) {
+	r.f, r.in, r.build, r.size = f, in, build, size
+	r.stages, r.outs = grown(r.stageBuf[:], len(f.Chain)+len(f.Sinks)), grown(r.outBuf[:], len(f.Sinks))
+	return r.setup()
+}
+
+// finish returns each sink's output and what each stage did.
+func (r *fanRun) finish() ([]*Batch, []FanStage, bool, error) {
 	for j := range r.sinks {
 		start := time.Now()
 		var err error
-		if outs[j], err = r.sinks[j].finish(r); err != nil {
+		if r.outs[j], err = r.sinks[j].finish(r); err != nil {
 			return nil, nil, true, err
 		}
-		stages[len(f.Chain)+j].Took += time.Since(start)
+		r.stages[len(r.f.Chain)+j].Took += time.Since(start)
 	}
-	return outs, stages, true, nil
+	return r.outs, r.stages, true, nil
+}
+
+// ErrDeclined is a streamed run's decline (Stream.Push).
+var ErrDeclined = errors.New("colstore: the streamed run declined")
+
+// Stream is a run of a Fan whose source arrives as a streaming Builder's
+// batches instead of whole: each batch is one morsel, pushed through the
+// chain into the sinks as it comes, so that no source table is built.
+// Only a fan into *GroupBy sinks streams: a heap keeps positions into its
+// source, a materialize sink counts its source before it writes, and a
+// probe's source is the build side's partner.
+type Stream struct {
+	r     fanRun
+	kinds []value.Kind // the first batch's columns'
+}
+
+// Stream starts a streamed run of f: nil when f does not stream.
+func (f *Fan) Stream() *Stream {
+	for _, k := range f.Chain {
+		if _, probe := k.(*Probe); probe {
+			return nil
+		}
+	}
+	for _, k := range f.Sinks {
+		if _, fold := k.(*GroupBy); !fold {
+			return nil
+		}
+	}
+	return &Stream{r: fanRun{f: f}}
+}
+
+// Push runs b, a streaming Builder's batch (one no longer than the
+// first), through the chain into the sinks. It returns ErrDeclined when the run declines — a column of b is
+// of another kind than in the first batch, or a map's result moves kind,
+// as Run declines — and nothing the run folded may then be used.
+func (s *Stream) Push(b *Batch) error {
+	r := &s.r
+	if s.kinds == nil {
+		if ok, err := r.begin(r.f, b, nil, max(b.length, 1)); !ok || err != nil {
+			return cmp.Or(err, ErrDeclined)
+		}
+		s.kinds = make([]value.Kind, len(b.cols))
+		for c, v := range b.cols {
+			s.kinds[c] = v.kind
+		}
+	}
+	for c, v := range b.cols {
+		if v.kind != s.kinds[c] {
+			return ErrDeclined
+		}
+		r.top.cols[c].base = v
+	}
+	if r.top.window(b, 0, b.length); !r.stop && !r.push(0, r.top) {
+		return ErrDeclined
+	}
+	return nil
+}
+
+// Finish returns each sink's output and what each stage did, once the
+// last batch is pushed.
+func (s *Stream) Finish() ([]*Batch, []FanStage, error) {
+	outs, stages, _, err := s.r.finish()
+	return outs, stages, err
 }
 
 // fanRun is one run of a Fan: its views, its steps' and sinks' state.
@@ -191,6 +266,7 @@ type fanRun struct {
 	in, build *Batch
 	size      int
 	whole     bool // the source is one morsel, and no run declines
+	outs      []*Batch
 	steps     []fanStep
 	sinks     []fanSink
 	stages    []FanStage
@@ -392,7 +468,7 @@ func (r *fanRun) setup() (bool, error) {
 		case *MapExpr:
 			st.t = k.Eval.over(&st.m.view, r.size)
 		case *Limit:
-			st.pos = identity(max(min(k.N, r.size), 0))
+			st.pos, st.left = identity(max(min(k.N, r.size), 0)), k.N
 		case *Probe:
 			st.p.build(r)
 		}

@@ -361,8 +361,9 @@ func (k *GroupBy) run(b *Batch, size int) (*Batch, error) {
 // batch by Run, a morsel at a time by a Fan. It copies each group's key
 // cells and its aggregates' state out of the batch that opens or feeds
 // it, so no batch outlives its push: the first batch fixes each column's
-// fold by its kind, and a later one has the same kinds (and a coded key
-// column the same dictionary), as morsels of one column do.
+// fold by its kind, and a later one has the same kinds, as morsels of one
+// column do. A coded key column's later batch may extend its dictionary,
+// or be plain: a streamed column grows its dictionary, and may revert.
 type fold struct {
 	k      *GroupBy
 	x      *keyIndex
@@ -381,9 +382,14 @@ func (f *fold) push(b *Batch) {
 	k := f.k
 	if f.x == nil {
 		f.init(b)
-	} else if f.x.kind != value.Null { // one key column, so far typed
-		if v := b.cols[k.Keys[0]]; v.kind != f.x.kind || v.hasNulls() {
-			f.x.encode()
+	} else {
+		if f.x.kind != value.Null { // one key column, so far typed
+			if v := b.cols[k.Keys[0]]; v.kind != f.x.kind || v.hasNulls() {
+				f.x.encode()
+			}
+		}
+		for ki, c := range k.Keys {
+			f.keys[ki].follow(b.cols[c])
 		}
 	}
 	for i, a := range k.Aggs {
@@ -476,6 +482,24 @@ func (v *Vec) appendFrom(src *Vec, i int) {
 		v.nulls.grow(v.length)
 	}
 	v.put(v.length-1, src, i)
+}
+
+// follow has v, a fold's copy of a coded key column, take src's
+// dictionary where it extends v's, or turn plain where src is plain.
+func (v *Vec) follow(src *Vec) {
+	switch {
+	case v.dict == nil:
+	case src.dict != nil:
+		if len(src.dict) > len(v.dict) {
+			v.dict = src.dict
+		}
+	case src.kind == value.String:
+		strs := make([]string, len(v.codes), cap(v.codes))
+		for i, c := range v.codes {
+			strs[i] = v.dict[c]
+		}
+		v.strs, v.codes, v.dict = strs, nil, nil
+	}
 }
 
 // put sets element j of v, a dense vector of src's kind and, when coded,

@@ -103,6 +103,7 @@ func NewRegistry() *Registry {
 		"distinct":  parseDistinct,
 		"union":     parseUnion,
 		"limit":     parseLimit,
+		"parallel":  nil, // parseNamed parses it, with the file its subs are in
 	} {
 		r.parsers[name] = p
 		r.builtin[name] = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -721,6 +722,19 @@ func TestRegistryProtectsBuiltins(t *testing.T) {
 	}
 	if err := RegisterOperator("date", nil); err == nil {
 		t.Fatal("expected error replacing platform operator")
+	}
+}
+
+// TestParallelIsBuiltin: parallel is a platform task type like the
+// others: Types lists it, and registering over it is rejected.
+func TestParallelIsBuiltin(t *testing.T) {
+	reg := NewRegistry()
+	if !slices.Contains(reg.Types(), "parallel") {
+		t.Errorf("Types() = %v, want parallel listed", reg.Types())
+	}
+	p := func(*flowfile.Node) (Spec, error) { return nil, nil }
+	if err := reg.Register("parallel", p); err == nil || err.Error() != `task: cannot replace platform task type "parallel"` {
+		t.Errorf("Register(parallel) = %v, want the platform-type error", err)
 	}
 }
 
