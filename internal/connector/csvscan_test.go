@@ -8,7 +8,6 @@ import (
 	"io"
 	"reflect"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -266,86 +265,5 @@ func TestDecodedTableRetainsItsVectorsOnly(t *testing.T) {
 			t.Errorf("%s: the table keeps %d bytes alive, its vectors are %d; want at most %d", tc.name, got, tc.vectors, limit)
 		}
 		runtime.KeepAlive(tb)
-	}
-}
-
-// TestSelectiveDecodeRetainsWhatItKept: under a pushed predicate that
-// drops most of the payload the sealed table keeps alive the rows it kept
-// and no more — whether they sit together at the start of a sorted file,
-// where the first thousand kept rows promise a table of every row and
-// the reserve overshoots a hundredfold, or are scattered through it. The
-// id column is plain (all distinct), so its cells are the ones that could
-// pin the decode's copy of the text.
-func TestSelectiveDecodeRetainsWhatItKept(t *testing.T) {
-	const rows, kept = 200000, 2000
-	var payload bytes.Buffer
-	for i := 0; i < rows; i++ {
-		fmt.Fprintf(&payload, "%d,%d,id-%d,%d\n", i, i%(rows/kept), i, i*7)
-	}
-	s := schema.MustFromNames("a", "k", "id", "n")
-	for _, pred := range []string{"a < 2000", "k < 1"} {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		tb, res, err := (&csvFormat{}).DecodePushdown(&flowfile.DataDef{Name: "f"}, s, payload.Bytes(), Pushdown{Predicate: pred})
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		if err != nil || !res.PredicateApplied || tb.Len() != kept {
-			t.Fatalf("%s: %d rows, applied %v, err %v", pred, tb.Len(), res.PredicateApplied, err)
-		}
-		// Three int vectors, one string header and ten bytes of id per row,
-		// doubled for dictionaries, size classes and the runtime's churn.
-		if got, limit := int(after.HeapAlloc)-int(before.HeapAlloc), 2*kept*(3*8+16+10); got > limit {
-			t.Errorf("%s: a %d-row table of a %d-byte payload keeps %d bytes alive, want at most %d", pred, kept, payload.Len(), got, limit)
-		}
-		if id := tb.Rows()[kept-1][2].Str(); !strings.HasPrefix(id, "id-") {
-			t.Errorf("%s: last id = %q", pred, id)
-		}
-		runtime.KeepAlive(tb)
-	}
-}
-
-// TestPredicateMorsels: under a pushed predicate a morsel of records
-// waits before any is appended, and the view types each morsel of a
-// column on its own, into the vectors the morsel before used. Every kept
-// record of every morsel must decode to the reference's row: a quoted
-// field with an escaped quote or a line end lives in the spill buffer,
-// which later records of the morsel extend or regrow, and a column turns
-// from ints to ints with empty cells, floats and text among numbers,
-// where a typed loop reads a null's payload slot as zero.
-func TestPredicateMorsels(t *testing.T) {
-	var spilled, kinds bytes.Buffer
-	for i := range 1000 {
-		fmt.Fprintf(&spilled, "%d,\"say \"\"%d\"\"\nsoon%s\",%s\n", i%7, i, strings.Repeat("x", i%97), []string{"web", "store"}[i%2])
-	}
-	for i := range 400 {
-		a := strconv.Itoa(i % 9)
-		switch {
-		case i >= 100 && i < 200 && i%3 == 0:
-			a = ""
-		case i >= 200 && i < 300:
-			a += ".5"
-		case i >= 300 && i%4 == 0:
-			a = "x"
-		}
-		fmt.Fprintf(&kinds, "%s,%d,web\n", a, i)
-	}
-	_, d, s, _ := csvFuzzCase(0)
-	for _, tc := range []struct {
-		payload []byte
-		preds   []string
-	}{
-		{spilled.Bytes(), []string{"a > 2", "c == 'web' or b contains '9'"}},
-		{kinds.Bytes(), []string{"a + 1 > 5", "-a < -4 or a % 4 == 1", "a * 2 == a + a and a != 0"}},
-	} {
-		for _, pred := range tc.preds {
-			pd := Pushdown{Predicate: pred}
-			want, _, wantErr := referenceDecodeCSV(0, d, s, tc.payload, pd)
-			got, res, err := (&csvFormat{}).DecodePushdown(d, s, tc.payload, pd)
-			if !res.PredicateApplied {
-				t.Fatalf("%s: declined", pred)
-			}
-			sameDecode(t, got, want, err, wantErr)
-		}
 	}
 }

@@ -52,8 +52,8 @@ func sameDecode(t *testing.T, got, want *table.Table, gotErr, wantErr error) {
 }
 
 // csvFuzzCase expands the fuzzer's mode byte into a decode request:
-// comma / tab / `separator:` property, a path-mapped column, skipped
-// columns and a pushed predicate (one that binds, or one that does not).
+// comma / tab / `separator:` property, a path-mapped column and skipped
+// columns.
 func csvFuzzCase(mode uint8) (sep rune, d *flowfile.DataDef, s *schema.Schema, pd Pushdown) {
 	d = &flowfile.DataDef{Name: "f"}
 	switch mode & 3 {
@@ -71,14 +71,6 @@ func csvFuzzCase(mode uint8) (sep rune, d *flowfile.DataDef, s *schema.Schema, p
 	}
 	if mode&16 != 0 {
 		pd.SkipColumns = append(pd.SkipColumns, "a")
-	}
-	switch mode >> 5 & 3 {
-	case 1:
-		pd.Predicate = "a > 2"
-	case 2:
-		pd.Predicate = "c == 'web' or b < 1.5"
-	case 3:
-		pd.Predicate = "nope > 1"
 	}
 	return sep, d, s, pd
 }
@@ -111,7 +103,7 @@ func FuzzDecodeCSV(f *testing.F) {
 		"\t\t\n \t2\t\n",
 		"\"x\"\"y\",\"p\nq\",id-1\n\"x\"\"y\",\"p\"\"\nq\",id-2\n",
 	} {
-		for _, mode := range []uint8{0, 1, 2, 4, 8, 24, 32, 64, 96, 40, 72} {
+		for _, mode := range []uint8{0, 1, 2, 4, 8, 24, 16, 5, 14, 25, 30} {
 			f.Add([]byte(p), mode)
 		}
 	}
@@ -216,21 +208,22 @@ func FuzzDecodeSBIN(f *testing.F) {
 		payload = bytes.Clone(payload)
 		got, res, gotErr := (&sbinFormat{}).DecodePushdown(&flowfile.DataDef{Name: "f"}, s, payload, pd)
 		sameDecode(t, got, want, gotErr, wantErr)
-		if !slices.Equal(res.SkippedColumns, pd.SkipColumns) || res.PredicateApplied {
+		if !slices.Equal(res.SkippedColumns, pd.SkipColumns) {
 			t.Fatalf("pushdown result %+v for an offer to skip %v", res, pd.SkipColumns)
 		}
 		overwriteAndRecheck(t, payload, got, want, gotErr)
 	})
 }
 
-// TestSBINDeclinesPredicate: sbin applies the projection of an offer and
-// never its predicate — every row decodes whatever the predicate says.
+// TestSBINDeclinesPredicate: an offer filters no row — it carries only a
+// projection, and sbin applies it to the declared columns it names, not
+// to a name the schema lacks, decoding every row.
 func TestSBINDeclinesPredicate(t *testing.T) {
 	src := sbinFixture()
 	got, res, err := (&sbinFormat{}).DecodePushdown(&flowfile.DataDef{Name: "f"}, src.Schema(), EncodeSBIN(src),
-		Pushdown{Predicate: "i > 0", SkipColumns: []string{"i", "ghost"}})
-	if err != nil || res.PredicateApplied || !slices.Equal(res.SkippedColumns, []string{"i"}) || got.Len() != src.Len() {
-		t.Fatalf("%d rows, result %+v, err %v; want all %d rows, [i] skipped, the predicate declined", got.Len(), res, err, src.Len())
+		Pushdown{SkipColumns: []string{"i", "ghost"}})
+	if err != nil || !slices.Equal(res.SkippedColumns, []string{"i"}) || got.Len() != src.Len() {
+		t.Fatalf("%d rows, result %+v, err %v; want all %d rows, [i] skipped", got.Len(), res, err, src.Len())
 	}
 }
 
@@ -255,8 +248,8 @@ func benchCSV(rows int) ([]byte, *schema.Schema) {
 // TestDecodeCSVAllocs bounds the decode by a constant, not by the rows:
 // fields are slices of the payload, and what is left is the vectors'
 // growth and the arena's chunks — the same at 1,000 and
-// 10,000 rows of the benchmark's shape, under a predicate on a text
-// column, and for a column of all-distinct strings, whose dictionary
+// 10,000 rows of the benchmark's shape, and for a column of all-distinct
+// strings, whose dictionary
 // entries and cells alike are copied into arena chunks. The constants
 // leave room for the race detector's own allocations. In bytes, a decode
 // costs its vectors and their growth: the payload is not copied. What the
@@ -282,21 +275,11 @@ func TestDecodeCSVAllocs(t *testing.T) {
 		if tb, allocs = decode(payload, s, Pushdown{}, rows); allocs > 250 {
 			t.Errorf("decoding %d rows allocates %.0f times, want at most 250 whatever the rows", rows, allocs)
 		}
-		if _, allocs := decode(payload, s, Pushdown{Predicate: "region == 'r1'"}, rows/8); allocs > 250 {
-			t.Errorf("decoding %d rows under a text predicate allocates %.0f times, want at most 250 whatever the rows", rows, allocs)
-		}
 	}
 	payload, s30 := benchCSV(30000)
 	vectors := 30000 * (3*4 + 2*8) // 4 bytes per coded string cell, 8 per int cell
 	if got, limit := allocatedBy(func() { (&csvFormat{}).Decode(d, s30, payload) }), uint64(vectors+vectors/4+64<<10); got > limit && !raceEnabled {
 		t.Errorf("decoding %d bytes allocates %d bytes, want at most %d: its vectors are %d", len(payload), got, limit, vectors)
-	}
-	// A pushed predicate costs the rows it keeps: a row it rejects never
-	// reaches the vectors.
-	var kept *table.Table
-	vectors = 19998 * (3*4 + 2*8)
-	if got, limit := allocatedBy(func() { kept, _, _ = (&csvFormat{}).DecodePushdown(d, s30, payload, Pushdown{Predicate: "qty > 3"}) }), uint64(vectors+vectors/4+64<<10); kept.Len() != 19998 || got > limit && !raceEnabled {
-		t.Errorf("decoding %d bytes under qty > 3 keeps %d rows and allocates %d bytes, want 19998 rows and at most %d", len(payload), kept.Len(), got, limit)
 	}
 	// A traced decode names its span without building the name.
 	small, s64 := benchCSV(64)

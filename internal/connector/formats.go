@@ -37,21 +37,13 @@ import (
 // as its bytes, which the builder copies into the column that keeps it
 // (colstore.Builder). No row, no record, no per-cell object and no copy
 // of the payload is allocated, and the table shares no byte with the
-// payload. A pushed predicate runs a morsel of records at a time over a
-// boxed view of just the cells it reads (colstore.Boxed), and only the
-// records it keeps are appended. Offered a Push, the builder streams
-// (colstore.Builder.Stream): the same loop hands its rows on a batch at a
-// time and builds no table.
+// payload. Offered a Push, the builder streams (colstore.Builder.Stream):
+// the same loop hands its rows on a batch at a time and builds no table.
 type csvFormat struct{ sep rune }
 
-// csvReserveRows is how many rows a decode must have kept before it
+// csvReserveRows is how many rows a decode must have appended before it
 // reserves its vectors from them, and how often it revises the reserve.
 const csvReserveRows = 1024
-
-// csvMorselRows is how many records a pushed predicate keeps rows of at
-// a time. The morsel's fields wait as slices, 24 bytes each, so it is
-// short: 1.5 KiB a column.
-const csvMorselRows = 64
 
 func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
 	t, _, err := f.DecodePushdown(d, s, payload, Pushdown{})
@@ -59,11 +51,7 @@ func (f *csvFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 }
 
 // DecodePushdown implements FormatPushdown: skipped columns decode as
-// nulls without parsing their fields, a pushed predicate filters rows as
-// they decode, and a Push takes the rows. Columns the predicate reads
-// keep decoding even when listed as skippable, and a predicate that does
-// not bind against the declared schema is declined — never an error, the
-// consumer pipeline re-applies it anyway.
+// nulls without parsing their fields, and a Push takes the rows.
 func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload []byte, pd Pushdown) (*table.Table, PushdownResult, error) {
 	r := csvScanner{src: payload, comma: f.sep}
 	if r.comma == 0 {
@@ -73,12 +61,8 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 			r.comma = rs[0]
 		}
 	}
-	// Negotiate the pushdown: a predicate that binds filters while
-	// decoding; requested skip columns decode as nulls unless the
-	// predicate reads them.
-	pred, need := compilePushdownPredicate(pd.Predicate, s)
-	skip, skipped := skipMask(s, pd.SkipColumns, need)
-	res := PushdownResult{PredicateApplied: pred != nil, SkippedColumns: skipped, Streamed: pd.Push != nil}
+	skip, skipped := skipMask(s, pd.SkipColumns)
+	res := PushdownResult{SkippedColumns: skipped, Streamed: pd.Push != nil}
 	if c := r.comma; c == 0 || c == '"' || c == '\r' || c == '\n' || !utf8.ValidRune(c) || c == utf8.RuneError {
 		// encoding/csv's unexported error of the same text.
 		return nil, res, errors.New("csv: invalid field or comment delimiter")
@@ -91,37 +75,10 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 	for i := range binding {
 		binding[i] = i
 	}
-	// Under a predicate, a morsel of records waits in fields, record k's
-	// fields ending at ends[k][0] and its text at ends[k][1], and the
-	// cells the predicate reads in view, until flush appends those the
-	// predicate keeps.
-	var view *colstore.Boxed
-	var fields [][]byte
-	var ends [][2]int
-	if pred != nil {
-		view = pred.Boxed(s.Len(), csvMorselRows)
-		fields, ends = make([][]byte, 0, csvMorselRows*s.Len()), make([][2]int, 0, csvMorselRows)
-	}
-	read, _ := skipMask(s, need, nil) // the columns the predicate reads
-	memo, kept := map[string]string{}, 0
-	flush := func() (err error) {
-		keep := view.Keep(len(ends))
-		for k, start := 0, 0; k < len(ends) && err == nil; k, start = k+1, ends[k][0] {
-			if keep.Get(k) {
-				kept, err = appendRecord(b, binding, skip, fields[start:ends[k][0]], kept, ends[k][1], len(r.src))
-			}
-		}
-		fields, ends, r.spill = fields[:0], ends[:0], r.spill[:0]
-		return err
-	}
+	rows := 0
 	for first := true; ; first = false {
 		rec, err := r.read()
 		if err == io.EOF {
-			if len(ends) > 0 {
-				if err := flush(); err != nil {
-					return nil, res, err
-				}
-			}
 			t, err := b.Done()
 			return t, res, err
 		}
@@ -147,40 +104,20 @@ func (f *csvFormat) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payloa
 			}
 			continue
 		}
-		if view == nil {
-			kept, err = appendRecord(b, binding, skip, rec, kept, r.off, len(r.src))
-			if r.spill = r.spill[:0]; err != nil {
-				return nil, res, err
-			}
-			continue
-		}
-		for i, j := range binding {
-			if read[i] {
-				cell := value.VNull
-				if j < len(rec) {
-					cell = predicateCell(memo, rec[j])
-				}
-				view.Set(len(ends), i, cell)
-			}
-		}
-		fields = append(fields, rec...)
-		if ends = append(ends, [2]int{len(fields), r.off}); len(ends) == csvMorselRows {
-			if err := flush(); err != nil {
-				return nil, res, err
-			}
+		rows, err = appendRecord(b, binding, skip, rec, rows, r.off, len(r.src))
+		if r.spill = r.spill[:0]; err != nil {
+			return nil, res, err
 		}
 	}
 }
 
 // appendRecord appends rec to b as the row binding maps to its fields, a
-// skipped column's cell null, and returns kept, the rows appended, plus
+// skipped column's cell null, and returns rows, the rows appended, plus
 // one, and EndRow's error. Every csvReserveRows rows it reserves the
-// vectors from the rows kept per byte consumed over the whole payload, to
-// off of size, plus 1/32 so that a steady payload never regrows. Rows
-// kept are rows read at most, so a predicate never reserves more than the
-// same decode without one; where the kept rows thin out later in the
-// payload, Table trims.
-func appendRecord(b *colstore.Builder, binding []int, skip []bool, rec [][]byte, kept, off, size int) (int, error) {
+// vectors from the rows per byte consumed over the whole payload, to
+// off of size, plus 1/32 so that a steady payload never regrows; where
+// the rows thin out later in the payload, Table trims.
+func appendRecord(b *colstore.Builder, binding []int, skip []bool, rec [][]byte, rows, off, size int) (int, error) {
 	for i, j := range binding {
 		if skip[i] || j >= len(rec) {
 			b.AppendCell(i, value.VNull)
@@ -190,28 +127,11 @@ func appendRecord(b *colstore.Builder, binding []int, skip []bool, rec [][]byte,
 			b.AppendString(i, rec[j])
 		}
 	}
-	if kept++; kept%csvReserveRows == 0 {
-		est := int64(kept) * int64(size) / int64(off)
+	if rows++; rows%csvReserveRows == 0 {
+		est := int64(rows) * int64(size) / int64(off)
 		b.Reserve(int(est + est/32))
 	}
-	return kept, b.EndRow()
-}
-
-// predicateCell types a field for the predicate's row, a text field as a
-// string from memo, which keeps the first 1,024 values it meets (the
-// builder's dictionary floor): a low-cardinality column allocates once
-// per value, not once per row.
-func predicateCell(memo map[string]string, field []byte) value.V {
-	if v, typed := value.Infer(field); typed {
-		return v
-	}
-	s, ok := memo[string(field)]
-	if !ok {
-		if s = string(field); len(memo) < 1024 {
-			memo[s] = s
-		}
-	}
-	return value.NewString(s)
+	return rows, b.EndRow()
 }
 
 // csvScanner splits delimiter-separated text into records without

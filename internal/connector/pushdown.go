@@ -1,11 +1,10 @@
 // Negotiated source pushdown: the cost-based optimizer (internal/dag's
-// Optimize) may ask a source to apply a filter predicate and to skip
-// decoding columns nothing downstream reads. The request is an offer,
-// never an assumption — a format that cannot honor part of it declines
-// that part in its PushdownResult and the pipeline's own stages
-// re-establish the semantics (pushed predicates stay in the consumer
-// pipeline, so a declined or partially applied pushdown is always
-// sound). Negotiation happens in-band with the single decode a plain
+// Optimize) may ask a source to skip decoding columns nothing downstream
+// reads, and the executor may ask it to stream its rows. The request is
+// an offer, never an assumption — a format that cannot honor part of it
+// declines that part in its PushdownResult, and since no reader reads a
+// skipped column, a declined or partially applied pushdown is always
+// sound. Negotiation happens in-band with the single decode a plain
 // Load performs, after the same single fetch: declining never
 // refetches, so retry accounting (si_source_retries_total) is identical
 // with pushdown on and off.
@@ -14,9 +13,7 @@ package connector
 import (
 	"context"
 	"fmt"
-	"slices"
 
-	"shareinsights/internal/expr"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/schema"
@@ -24,16 +21,11 @@ import (
 	"shareinsights/internal/table/colstore"
 )
 
-// Pushdown is the optimizer's request to a source: filter rows by
-// Predicate (an expression over the declared schema) and skip decoding
+// Pushdown is the optimizer's request to a source: skip decoding
 // SkipColumns (columns no downstream stage reads — they surface as
 // nulls), and the executor's: hand the rows to Push a chunk at a time.
-// Any part may be empty.
+// Either part may be empty.
 type Pushdown struct {
-	// Predicate filters rows at the source. The consumer pipeline
-	// re-applies the same filter, so connectors may apply it fully,
-	// partially, or not at all.
-	Predicate string `json:"predicate,omitempty"`
 	// SkipColumns are declared columns whose values are never read
 	// downstream; connectors may decode them as nulls.
 	SkipColumns []string `json:"skip_columns,omitempty"`
@@ -46,16 +38,13 @@ type Pushdown struct {
 
 // Empty reports whether the request asks for nothing.
 func (pd Pushdown) Empty() bool {
-	return pd.Predicate == "" && len(pd.SkipColumns) == 0 && pd.Push == nil
+	return len(pd.SkipColumns) == 0 && pd.Push == nil
 }
 
 // PushdownResult reports what a connector actually applied. Declined
 // parts are simply absent — a decline is a normal outcome, not an
 // error.
 type PushdownResult struct {
-	// PredicateApplied is true when the source filtered rows by the
-	// requested predicate.
-	PredicateApplied bool `json:"predicate_applied,omitempty"`
 	// SkippedColumns lists the requested columns the source actually
 	// skipped (decoded as nulls).
 	SkippedColumns []string `json:"skipped_columns,omitempty"`
@@ -68,7 +57,7 @@ type PushdownResult struct {
 }
 
 // FormatPushdown is the optional capability hook, the one the offer
-// meets: a format that can filter rows or skip column parsing while
+// meets: a format that can skip column parsing or stream its rows while
 // decoding implements it. Unsupported parts of pd are ignored (and
 // absent from the result), never errors, and the payload is decoded
 // exactly once either way.
@@ -77,12 +66,11 @@ type FormatPushdown interface {
 }
 
 // skipMask is how a format reads an offer's SkipColumns: skip marks the
-// schema columns it names that keep (a pushed predicate's) does not, and
-// skipped lists them in request order.
-func skipMask(s *schema.Schema, cols, keep []string) (skip []bool, skipped []string) {
+// schema columns it names, and skipped lists them in request order.
+func skipMask(s *schema.Schema, cols []string) (skip []bool, skipped []string) {
 	skip = make([]bool, s.Len())
 	for _, c := range cols {
-		if i := s.Index(c); i >= 0 && !slices.Contains(keep, c) {
+		if i := s.Index(c); i >= 0 {
 			skip[i] = true
 			skipped = append(skipped, c)
 		}
@@ -181,7 +169,7 @@ func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload
 		res.Rows = t.Len()
 	}
 	if tr != nil {
-		if res.PredicateApplied || len(res.SkippedColumns) > 0 {
+		if len(res.SkippedColumns) > 0 {
 			tr.SpanFlag(did, "pushdown")
 		}
 		if err == nil {
@@ -193,26 +181,4 @@ func (r *Registry) DecodePushdown(d *flowfile.DataDef, s *schema.Schema, payload
 		return nil, res, fmt.Errorf("connector: D.%s as %s: %w", d.Name, fname, err)
 	}
 	return t, res, nil
-}
-
-// compilePushdownPredicate compiles a pushed predicate against the
-// declared schema for decode-time filtering. It returns the compiled
-// predicate plus the columns it reads (those must keep decoding even
-// when listed in SkipColumns). A predicate that fails to parse or
-// compile is declined (nil) — the consumer pipeline still applies it, so
-// declining is always sound. The predicate reaches a format as text over
-// the extension contract, so it is parsed here, once per decode.
-func compilePushdownPredicate(pred string, s *schema.Schema) (*colstore.VecEval, []string) {
-	if pred == "" {
-		return nil, nil
-	}
-	n, err := expr.Parse(pred)
-	if err != nil {
-		return nil, nil
-	}
-	ev, err := colstore.CompileVec(n, s)
-	if err != nil {
-		return nil, nil
-	}
-	return ev, expr.Columns(n)
 }

@@ -46,25 +46,6 @@ func loadPushdown(r *Registry, d *flowfile.DataDef, s *schema.Schema, pd Pushdow
 	return t, res, err
 }
 
-func TestCSVPredicatePushdown(t *testing.T) {
-	r := pushRegistry(0)
-	tb, res, err := loadPushdown(r, pushDef(t), pushSchema(), Pushdown{Predicate: "amount > 100"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.PredicateApplied {
-		t.Fatalf("csv declined a bindable predicate: %+v", res)
-	}
-	if tb.Len() != 2 {
-		t.Fatalf("rows = %d, want 2 (filtered at decode)", tb.Len())
-	}
-	for _, row := range tb.Rows() {
-		if row[1].Int() <= 100 {
-			t.Fatalf("pushed predicate let through %v", row)
-		}
-	}
-}
-
 func TestCSVSkipColumnsDecodeAsNulls(t *testing.T) {
 	r := pushRegistry(0)
 	tb, res, err := loadPushdown(r, pushDef(t), pushSchema(), Pushdown{SkipColumns: []string{"notes", "ghost"}})
@@ -84,44 +65,6 @@ func TestCSVSkipColumnsDecodeAsNulls(t *testing.T) {
 	}
 }
 
-func TestCSVPredicateKeepsItsColumns(t *testing.T) {
-	// The predicate reads amount; a request to also skip amount must
-	// keep it decoding (nulling it would evaluate the filter on nulls).
-	r := pushRegistry(0)
-	tb, res, err := loadPushdown(r, pushDef(t), pushSchema(), Pushdown{
-		Predicate:   "amount > 100",
-		SkipColumns: []string{"amount", "notes"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.SkippedColumns) != 1 || res.SkippedColumns[0] != "notes" {
-		t.Fatalf("SkippedColumns = %v, want [notes]", res.SkippedColumns)
-	}
-	if tb.Len() != 2 {
-		t.Fatalf("rows = %d, want 2", tb.Len())
-	}
-	for _, row := range tb.Rows() {
-		if row[1].IsNull() {
-			t.Fatalf("predicate column was nulled: %v", row)
-		}
-	}
-}
-
-func TestCSVUnbindablePredicateDeclined(t *testing.T) {
-	r := pushRegistry(0)
-	tb, res, err := loadPushdown(r, pushDef(t), pushSchema(), Pushdown{Predicate: "nosuch > 1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PredicateApplied {
-		t.Fatal("unbindable predicate reported as applied")
-	}
-	if tb.Len() != 3 {
-		t.Fatalf("declined pushdown dropped rows: %d", tb.Len())
-	}
-}
-
 func TestJSONFormatDeclinesPushdown(t *testing.T) {
 	// json has no DecodePushdown: the whole offer is declined, the load
 	// still succeeds, and every row decodes.
@@ -130,11 +73,11 @@ func TestJSONFormatDeclinesPushdown(t *testing.T) {
 		Retry: fastRetry(0),
 	})
 	d := def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"})
-	tb, res, err := loadPushdown(r, d, schema.MustFromNames("region", "amount"), Pushdown{Predicate: "amount > 100", SkipColumns: []string{"region"}})
+	tb, res, err := loadPushdown(r, d, schema.MustFromNames("region", "amount"), Pushdown{SkipColumns: []string{"region"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PredicateApplied || len(res.SkippedColumns) != 0 {
+	if len(res.SkippedColumns) != 0 {
 		t.Fatalf("format without the capability reported pushdown: %+v", res)
 	}
 	if tb.Len() != 2 {
@@ -143,10 +86,9 @@ func TestJSONFormatDeclinesPushdown(t *testing.T) {
 }
 
 // TestDecodeSpanFlagsWhatWasApplied: the decode span is flagged pushdown
-// by what the format applied, not by what it was offered — sbin declines a
-// predicate, so an offer of one alone leaves the span unflagged, and an
-// offer to skip a column flags it; csv declines a predicate that does not
-// bind.
+// by what the format applied, not by what it was offered — an offer to
+// skip a column the schema lacks skips nothing and leaves the span
+// unflagged, and an offer to skip a declared column flags it.
 func TestDecodeSpanFlagsWhatWasApplied(t *testing.T) {
 	s := pushSchema()
 	src := table.New(s)
@@ -157,10 +99,10 @@ func TestDecodeSpanFlagsWhatWasApplied(t *testing.T) {
 		pd      Pushdown
 		flagged bool
 	}{
-		{"sbin", Pushdown{Predicate: "amount > 100"}, false},
-		{"sbin", Pushdown{Predicate: "amount > 100", SkipColumns: []string{"notes"}}, true},
-		{"csv", Pushdown{Predicate: "nosuch > 1"}, false},
-		{"csv", Pushdown{Predicate: "amount > 100"}, true},
+		{"sbin", Pushdown{SkipColumns: []string{"ghost"}}, false},
+		{"sbin", Pushdown{SkipColumns: []string{"notes"}}, true},
+		{"csv", Pushdown{SkipColumns: []string{"ghost"}}, false},
+		{"csv", Pushdown{SkipColumns: []string{"notes"}}, true},
 	} {
 		tr := obs.NewTrace("load")
 		d := def(t, "t", map[string]string{"source": "mem:t." + tc.format, "format": tc.format})
@@ -173,19 +115,6 @@ func TestDecodeSpanFlagsWhatWasApplied(t *testing.T) {
 			}
 		}
 	}
-}
-
-// applyPred filters a table by the same predicate a consumer pipeline
-// would re-apply — the reference semantics for the equivalence checks.
-func applyPred(t *testing.T, tb *table.Table, keep func(table.Row) bool) *table.Table {
-	t.Helper()
-	out := table.New(tb.Schema())
-	for _, row := range tb.Rows() {
-		if keep(row) {
-			out.Append(row)
-		}
-	}
-	return out
 }
 
 func sameRows(a, b *table.Table) bool {
@@ -223,8 +152,7 @@ func chaosPushDef(t *testing.T) *flowfile.DataDef {
 // same rows, the same attempt counts, and the same retry metrics with
 // pushdown on and off — a pushdown never adds or hides fetch attempts.
 func TestPushdownRetryEquivalence(t *testing.T) {
-	pd := Pushdown{Predicate: "amount > 100", SkipColumns: []string{"notes"}}
-	keep := func(row table.Row) bool { return row[1].Int() > 100 }
+	pd := Pushdown{SkipColumns: []string{"notes"}}
 	for _, tc := range []struct {
 		name string
 		cfg  FaultConfig
@@ -245,19 +173,18 @@ func TestPushdownRetryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.PredicateApplied {
-				t.Fatalf("csv declined the predicate: %+v", res)
+			if len(res.SkippedColumns) != 1 {
+				t.Fatalf("csv declined the projection: %+v", res)
 			}
 			if onStats.Attempts != offStats.Attempts || onFP.Calls() != offFP.Calls() {
 				t.Fatalf("pushdown changed fetch accounting: on=%d/%d off=%d/%d",
 					onStats.Attempts, onFP.Calls(), offStats.Attempts, offFP.Calls())
 			}
-			// Identical results once the consumer's own filter (which
-			// stays in the pipeline) runs over the pushdown-off rows;
-			// skipped columns are nulls in both (nothing reads them).
-			want := applyPred(t, offTb, keep)
-			for _, row := range want.Rows() {
-				row[2] = value.VNull
+			// Identical results once skipped columns are nulls in both
+			// (nothing reads them).
+			want := table.New(s)
+			for _, row := range offTb.Rows() {
+				want.AppendValues(row[0], row[1], value.VNull)
 			}
 			if !sameRows(onTb, want) {
 				t.Fatalf("pushdown-on rows diverge:\non=%v\nwant=%v", onTb.Rows(), want.Rows())
@@ -292,8 +219,8 @@ func TestDeclinedPushdownNoDoubleCharge(t *testing.T) {
 		return tb, stats, res, fp.Calls(), buf.String()
 	}
 	offTb, offStats, _, offCalls, offMetrics := load(Pushdown{})
-	onTb, onStats, res, onCalls, onMetrics := load(Pushdown{Predicate: "amount > 100", SkipColumns: []string{"region"}})
-	if res.PredicateApplied || len(res.SkippedColumns) != 0 {
+	onTb, onStats, res, onCalls, onMetrics := load(Pushdown{SkipColumns: []string{"region"}})
+	if len(res.SkippedColumns) != 0 {
 		t.Fatalf("expected a full decline, got %+v", res)
 	}
 	if onCalls != offCalls || onStats.Attempts != offStats.Attempts {
@@ -314,9 +241,9 @@ func TestDeclinedPushdownNoDoubleCharge(t *testing.T) {
 // is identical with a pushdown offered, and the successful probe both
 // closes the breaker and applies the pushdown.
 func TestPushdownBreakerHalfOpenEquivalence(t *testing.T) {
-	pd := Pushdown{Predicate: "amount > 100"}
+	pd := Pushdown{SkipColumns: []string{"notes"}}
 	s := pushSchema()
-	run := func(use bool) (calls []int, probeRows int) {
+	run := func(use bool) (calls []int, probe *table.Table) {
 		clock := time.Unix(0, 0)
 		r := NewRegistry(Options{
 			Retry:   fastRetry(0),
@@ -357,16 +284,19 @@ func TestPushdownBreakerHalfOpenEquivalence(t *testing.T) {
 		if st := r.Breakers().For("chaos\x00t.csv").State(); st != resilience.Closed {
 			t.Fatalf("breaker %v after successful probe, want closed", st)
 		}
-		return calls, tb.Len()
+		return calls, tb
 	}
-	offCalls, offRows := run(false)
-	onCalls, onRows := run(true)
+	offCalls, offTb := run(false)
+	onCalls, onTb := run(true)
 	for i := range offCalls {
 		if onCalls[i] != offCalls[i] {
 			t.Fatalf("breaker lifecycle diverged at step %d: on=%v off=%v", i, onCalls, offCalls)
 		}
 	}
-	if offRows != 3 || onRows != 2 {
-		t.Fatalf("probe rows: off=%d (want 3), on=%d (want 2, predicate applied)", offRows, onRows)
+	if offTb.Len() != 3 || onTb.Len() != 3 {
+		t.Fatalf("probe rows: off=%d, on=%d, want 3", offTb.Len(), onTb.Len())
+	}
+	if offTb.At(0, 2).IsNull() || !onTb.At(0, 2).IsNull() {
+		t.Fatalf("probe notes: off=%v, on=%v, want the projection applied on only", offTb.At(0, 2), onTb.At(0, 2))
 	}
 }

@@ -12,13 +12,11 @@ import (
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
-	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/value"
 )
 
 // The decoders as they were before they wrote column vectors: read every
-// record, build a []value.V row per record, append it to a row table, and
-// run a pushed predicate's filter kernel over the table.
+// record, build a []value.V row per record and append it to a row table.
 // They are the oracle the one-pass decoders are fuzzed against (same
 // table, or the same error), and nothing else calls them.
 
@@ -48,17 +46,8 @@ func referenceDecodeCSV(sep rune, d *flowfile.DataDef, s *schema.Schema, payload
 		fields(rec)
 	}
 	t := table.New(s)
-	pred, needCols := compilePushdownPredicate(pd.Predicate, s)
-	need := map[string]bool{}
-	for _, c := range needCols {
-		need[c] = true
-	}
-	res.PredicateApplied = pred != nil
 	skip := map[int]bool{}
 	for _, c := range pd.SkipColumns {
-		if need[c] {
-			continue
-		}
 		if i := s.Index(c); i >= 0 {
 			skip[i] = true
 			res.SkippedColumns = append(res.SkippedColumns, c)
@@ -100,14 +89,6 @@ func referenceDecodeCSV(sep rune, d *flowfile.DataDef, s *schema.Schema, payload
 			}
 		}
 		t.Append(row)
-	}
-	if pred != nil {
-		b, _ := colstore.FromTable(t)
-		kept, err := (&colstore.Filter{Pred: pred}).Run(b)
-		if err != nil {
-			return nil, res, err
-		}
-		t = kept.ToTable()
 	}
 	return t, res, nil
 }

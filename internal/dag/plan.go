@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"shareinsights/internal/expr"
 	"shareinsights/internal/task"
 )
 
@@ -23,10 +22,10 @@ import (
 // commute with each other exactly (each row's membership is the
 // conjunction of predicates and relative order is preserved), filter
 // hoisting past maps rests on HoistFilters' column-disjointness proof,
-// and source predicates are re-applied by the consuming pipeline, so a
-// connector that declines or half-applies a pushdown never changes the
-// result. The enginetest differential harness asserts this cell-for-cell
-// against adversarial random statistics.
+// and a source pushdown only skips columns no reader reads, so a
+// connector that declines it never changes the result. The enginetest
+// differential harness asserts this cell-for-cell against adversarial
+// random statistics.
 
 // ColumnarAutoThreshold is the input cardinality below which the
 // retired auto mode kept the row kernels. Neither the planner nor the
@@ -52,9 +51,6 @@ const (
 	// RuleFilterReorder orders adjacent expression filters by estimated
 	// selectivity, cheapest-to-discard first.
 	RuleFilterReorder = "filter_reorder"
-	// RulePredicateToSource pushes a consumer's leading filter into the
-	// source fetch so non-matching rows are never decoded.
-	RulePredicateToSource = "predicate_to_source"
 	// RuleProjectionToSource skips decoding of fetched-but-never-read
 	// source columns (flowcheck's dead-column liveness).
 	RuleProjectionToSource = "projection_to_source"
@@ -120,19 +116,9 @@ type StagePlan struct {
 }
 
 // SourcePushdown is a negotiated fetch-time rewrite request for a
-// source. Connectors may decline any part of it; the consuming pipeline
-// re-applies the predicate, so partial application is always sound.
+// source. A connector may decline it: no reader reads the skipped
+// columns, so declining never changes a result.
 type SourcePushdown struct {
-	// Predicate is the filter expression to apply while decoding ("" =
-	// none). Consumer names the data object whose leading filter the
-	// predicate came from: when a connector reports the predicate
-	// applied, that filter's observed selectivity is an artifact of the
-	// pushdown (≈1.0) and must not be recorded as evidence.
-	Predicate string `json:"predicate,omitempty"`
-	Consumer  string `json:"consumer,omitempty"`
-	// Selectivity and Evidence justify the predicate push.
-	Selectivity float64 `json:"selectivity,omitempty"`
-	Evidence    string  `json:"evidence,omitempty"`
 	// SkipColumns are declared columns whose values need not be decoded
 	// (statically dead); decoded tables carry nulls there, schema
 	// unchanged.
@@ -198,12 +184,8 @@ func (np *NodePlan) Summary() string {
 func Optimize(g *Graph, opts PlanOptions) *Plan {
 	p := &Plan{Nodes: make(map[string]*NodePlan, len(g.Nodes)), Order: append([]string(nil), g.Order...)}
 	p.SkippedSinks = g.DeadSinks()
-	skip := map[string]bool{}
-	for _, s := range p.SkippedSinks {
-		skip[s] = true
-	}
-	// Produced nodes first: source pushdown needs the consumers' planned
-	// spec order.
+	// Produced nodes first: inline reads its consumers' planned spec
+	// order.
 	for _, name := range g.Order {
 		n := g.Nodes[name]
 		if n.IsSource() {
@@ -247,7 +229,7 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 		}
 		np := &NodePlan{Output: name, Source: true}
 		if !n.Shared {
-			np.Pushdown, np.Decisions = sourcePushdown(g, n, p.Nodes, skip, opts)
+			np.Pushdown, np.Decisions = sourcePushdown(n, opts)
 		}
 		p.Nodes[name] = np
 	}
@@ -305,7 +287,7 @@ func inline(g *Graph, n *Node, plans map[string]*NodePlan) bool {
 }
 
 // isExprFilter reports whether sp is a pure expression filter — the only
-// stage kind the planner reorders or pushes to sources. Interaction
+// stage kind the planner reorders. Interaction
 // filters depend on live widget selections and are never moved.
 func isExprFilter(sp task.Spec) bool {
 	f, ok := sp.(*task.FilterSpec)
@@ -415,123 +397,22 @@ func stagePlans(output string, specs []task.Spec, in []task.Input, opts PlanOpti
 	return out
 }
 
-// predicateGate is the selectivity above which pushing a predicate into
-// the fetch is not worth re-shaping the decode: most rows survive, so
-// decode-time filtering saves little. Below it, the fetch provably
-// drops enough rows to pay off. Requiring real evidence (history or
-// facts) means the very first run of a flow never pushes — the second
-// run does, because the first was measured.
-const predicateGate = 0.75
-
 // sourcePushdown decides a source's fetch-time rewrite: projection from
-// static liveness, predicate from the single consumer's leading filter
-// when the evidence says it is selective.
-func sourcePushdown(g *Graph, n *Node, plans map[string]*NodePlan, skip map[string]bool, opts PlanOptions) (*SourcePushdown, []Decision) {
-	pd := &SourcePushdown{}
-	var decisions []Decision
-	// Projection applies regardless of fan-out or endpoint status:
-	// flowcheck's liveness already accounts for every reader, widgets
-	// and endpoints included.
-	if dead := opts.DeadSourceColumns[n.Name]; len(dead) > 0 {
-		pd.SkipColumns = append([]string(nil), dead...)
-		sort.Strings(pd.SkipColumns)
+// static liveness. It applies regardless of fan-out or endpoint status:
+// flowcheck's liveness already accounts for every reader, widgets and
+// endpoints included.
+func sourcePushdown(n *Node, opts PlanOptions) (*SourcePushdown, []Decision) {
+	dead := opts.DeadSourceColumns[n.Name]
+	if len(dead) == 0 {
+		return nil, nil
 	}
-	// Predicate pushdown: the source must feed exactly one pipeline (no
-	// widgets, not an endpoint, not published — every other reader sees
-	// unfiltered rows), and that pipeline's planned first stage must be
-	// an expression filter with evidence it is selective.
-	if f := pushableFilter(g, n, plans, skip); f != nil {
-		consumer := uniqueConsumer(n)
-		sel, ev := estimate(consumer, f, opts)
-		if ev != EvidenceHeuristic && sel < predicateGate && predicateCoversSchema(f.Expr, n) {
-			pd.Predicate = f.Expression
-			pd.Consumer = consumer
-			pd.Selectivity = sel
-			pd.Evidence = ev
-			// The predicate's columns must be decoded to evaluate it.
-			pd.SkipColumns = subtractCols(pd.SkipColumns, f.Expr)
-			decisions = append(decisions, Decision{
-				Rule:     RulePredicateToSource,
-				Detail:   fmt.Sprintf("filter (%s) of D.%s applied during fetch (sel=%.2f)", f.Expression, consumer, sel),
-				Evidence: ev,
-			})
-		}
-	}
-	if len(pd.SkipColumns) > 0 {
-		decisions = append(decisions, Decision{
-			Rule:     RuleProjectionToSource,
-			Detail:   "skip decoding never-read columns: " + strings.Join(pd.SkipColumns, ", "),
-			Evidence: EvidenceFacts,
-		})
-	}
-	if pd.Predicate == "" && len(pd.SkipColumns) == 0 {
-		return nil, decisions
-	}
-	return pd, decisions
-}
-
-// uniqueConsumer returns the single non-widget consumer name, or "".
-func uniqueConsumer(n *Node) string {
-	name := ""
-	for _, c := range n.Consumers {
-		if strings.HasPrefix(c, "widget:") || (name != "" && c != name) {
-			return ""
-		}
-		name = c
-	}
-	return name
-}
-
-// pushableFilter returns the leading expression filter of the source's
-// single consumer, when the graph shape allows pushing it.
-func pushableFilter(g *Graph, n *Node, plans map[string]*NodePlan, skip map[string]bool) *task.FilterSpec {
-	if n.Def.Endpoint || n.Def.Publish != "" {
-		return nil
-	}
-	cname := uniqueConsumer(n)
-	if cname == "" || skip[cname] {
-		return nil
-	}
-	consumer := g.Nodes[cname]
-	if consumer == nil || len(consumer.Inputs) != 1 || consumer.Inputs[0] != n.Name {
-		return nil
-	}
-	np := plans[cname]
-	if np == nil || len(np.Specs) == 0 || !isExprFilter(np.Specs[0]) {
-		return nil
-	}
-	return np.Specs[0].(*task.FilterSpec)
-}
-
-// predicateCoversSchema verifies every column the predicate reads is a
-// declared source column (it binds first in the consumer, so this holds
-// by construction; the check guards programmatic callers).
-func predicateCoversSchema(pred expr.Node, n *Node) bool {
-	if n.Schema == nil {
-		return false
-	}
-	for _, c := range expr.Columns(pred) {
-		if !n.Schema.Has(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// subtractCols removes the predicate's referenced columns from a
-// skip-column list.
-func subtractCols(cols []string, predicate expr.Node) []string {
-	needed := expr.Columns(predicate)
-	out := cols[:0]
-	for _, c := range cols {
-		if !slices.Contains(needed, c) {
-			out = append(out, c)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	pd := &SourcePushdown{SkipColumns: append([]string(nil), dead...)}
+	sort.Strings(pd.SkipColumns)
+	return pd, []Decision{{
+		Rule:     RuleProjectionToSource,
+		Detail:   "skip decoding never-read columns: " + strings.Join(pd.SkipColumns, ", "),
+		Evidence: EvidenceFacts,
+	}}
 }
 
 // Format renders the plan as the deterministic text of `shareinsights
@@ -555,12 +436,7 @@ func (p *Plan) Format() string {
 		if np.Source {
 			fmt.Fprintf(&b, "D.%s  (source)\n", name)
 			if pd := np.Pushdown; pd != nil {
-				if pd.Predicate != "" {
-					fmt.Fprintf(&b, "  pushdown predicate: (%s)  sel=%.2f [%s]\n", pd.Predicate, pd.Selectivity, pd.Evidence)
-				}
-				if len(pd.SkipColumns) > 0 {
-					fmt.Fprintf(&b, "  pushdown skip columns: %s\n", strings.Join(pd.SkipColumns, ", "))
-				}
+				fmt.Fprintf(&b, "  pushdown skip columns: %s\n", strings.Join(pd.SkipColumns, ", "))
 			}
 			for _, d := range np.Decisions {
 				fmt.Fprintf(&b, "  * %s: %s [%s]\n", d.Rule, d.Detail, d.Evidence)

@@ -147,53 +147,28 @@ T:
     groupby: [region]
 `
 
-func TestPredicatePushdownNeedsEvidence(t *testing.T) {
-	g := build(t, pushdownFlow, nil)
-	// No statistics: the first run must not push (fetch shape changes
-	// are only worth it once measured).
-	p := Optimize(g, PlanOptions{})
-	if pd := p.Node("raw").Pushdown; pd != nil && pd.Predicate != "" {
-		t.Fatalf("predicate pushed without evidence: %+v", pd)
-	}
-	// Observed selective filter: push.
-	p = Optimize(g, PlanOptions{Stats: statsOf(map[string]float64{
-		HintKey("kept", "filter_by amount > 100"): 0.05,
-	})})
-	pd := p.Node("raw").Pushdown
-	if pd == nil || pd.Predicate != "amount > 100" {
-		t.Fatalf("selective filter not pushed: %+v", pd)
-	}
-	if pd.Evidence != EvidenceHistory {
-		t.Errorf("pushdown evidence = %q", pd.Evidence)
-	}
-	// Observed unselective filter: not worth reshaping the fetch.
-	p = Optimize(g, PlanOptions{Stats: statsOf(map[string]float64{
-		HintKey("kept", "filter_by amount > 100"): 0.95,
-	})})
-	if pd := p.Node("raw").Pushdown; pd != nil && pd.Predicate != "" {
-		t.Fatalf("unselective predicate pushed: %+v", pd)
-	}
-}
-
+// TestPredicatePushdownGates: however selective the evidence says a
+// consumer's leading filter is, the filter runs in its pipeline and the
+// source is offered nothing — whether the source feeds one consumer, is
+// published, or feeds two.
 func TestPredicatePushdownGates(t *testing.T) {
 	stats := statsOf(map[string]float64{
 		HintKey("kept", "filter_by amount > 100"): 0.05,
 	})
-	// A published source must stay unfiltered for its other readers.
 	pub := pushdownFlow + `
 D.raw:
   publish: everyone
 `
-	g := build(t, pub, nil)
-	if pd := g.mustPlan(t, stats).Node("raw").Pushdown; pd != nil && pd.Predicate != "" {
-		t.Fatalf("predicate pushed into published source: %+v", pd)
-	}
-	// Two consumers: each needs the full fetch.
 	multi := strings.Replace(pushdownFlow, "+D.out: D.kept | T.agg",
 		"+D.out: D.kept | T.agg\n  +D.out2: D.raw | T.agg", 1)
-	g = build(t, multi, nil)
-	if pd := g.mustPlan(t, stats).Node("raw").Pushdown; pd != nil && pd.Predicate != "" {
-		t.Fatalf("predicate pushed into multi-consumer source: %+v", pd)
+	for name, src := range map[string]string{"single": pushdownFlow, "published": pub, "multi": multi} {
+		p := build(t, src, nil).mustPlan(t, stats)
+		if pd := p.Node("raw").Pushdown; pd != nil {
+			t.Errorf("%s: source offered %+v", name, pd)
+		}
+		if got := stageNames(p.Node("kept")); len(got) != 1 || got[0] != "filter_by amount > 100" {
+			t.Errorf("%s: consumer runs %v", name, got)
+		}
 	}
 }
 
@@ -214,17 +189,6 @@ func TestProjectionPushdown(t *testing.T) {
 	pd := p.Node("raw").Pushdown
 	if pd == nil || len(pd.SkipColumns) != 1 || pd.SkipColumns[0] != "notes" {
 		t.Fatalf("dead column not skipped: %+v", pd)
-	}
-	// A dead column the pushed predicate reads must still decode.
-	p = Optimize(g, PlanOptions{
-		DeadSourceColumns: map[string][]string{"raw": {"amount", "notes"}},
-		Stats: statsOf(map[string]float64{
-			HintKey("kept", "filter_by amount > 100"): 0.05,
-		}),
-	})
-	pd = p.Node("raw").Pushdown
-	if pd == nil || len(pd.SkipColumns) != 1 || pd.SkipColumns[0] != "notes" {
-		t.Fatalf("predicate column wrongly skipped: %+v", pd)
 	}
 }
 

@@ -178,11 +178,6 @@ type Dashboard struct {
 	interact sync.RWMutex   // runs and interactions write widget state (Lock); renders read it (RLock)
 	onDemand batch.Executor // interactions and ad-hoc queries: untraced, unbudgeted
 	health   RunHealth
-	// pushedFilters marks the filter stages (dag.HintKey(output, stage))
-	// whose predicate a connector applied at fetch during the current
-	// run; their observed selectivities are pushdown artifacts and are
-	// excluded from history evidence.
-	pushedFilters map[string]bool
 	// runPlan is the cost-based plan the last run executed (nil when the
 	// optimizer is disabled or no run happened yet).
 	runPlan *dag.Plan

@@ -98,8 +98,7 @@ func endpointRows(t *testing.T, d *Dashboard) [][]string {
 
 // TestOptimizerLearnsFromHistory drives the whole loop: run one records
 // per-filter selectivities (one stage record per filter), run two's plan
-// reorders on that history and pushes the now-leading predicate into
-// the csv decode — and the answer never changes.
+// reorders on that history — and the answer never changes.
 func TestOptimizerLearnsFromHistory(t *testing.T) {
 	p := optimizerPlatform(t, true)
 	d := compileOptimizerFlow(t, p)
@@ -131,8 +130,7 @@ func TestOptimizerLearnsFromHistory(t *testing.T) {
 		t.Fatalf("fixture broken: region filter should be more selective: %+v", bySel)
 	}
 
-	// Run two replans from observed evidence: region filter first, and
-	// the predicate rides down into the source fetch.
+	// Run two replans from observed evidence: region filter first.
 	if err := d.Run(); err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
@@ -151,8 +149,8 @@ func TestOptimizerLearnsFromHistory(t *testing.T) {
 		t.Fatalf("no history-evidence reorder decision: %+v", np.Decisions)
 	}
 	src := plan.Node("raw")
-	if src == nil || src.Pushdown == nil || src.Pushdown.Predicate != "region == 'east'" {
-		t.Fatalf("predicate did not reach the source: %+v", src)
+	if src == nil || src.Pushdown == nil {
+		t.Fatalf("no pushdown planned for the source: %+v", src)
 	}
 	for _, col := range src.Pushdown.SkipColumns {
 		if col == "region" || col == "amount" {
@@ -189,9 +187,7 @@ func TestOptimizerLearnsFromHistory(t *testing.T) {
 // TestUploadedFileHonoursPushdown: a `data:` source (an uploaded file)
 // gets the same pushdown offer a connector source gets, so what
 // `explain` says about it is what the run does — never-read columns
-// decode as nulls, the pushed predicate drops rows during the decode and
-// its consumer filter is flagged for the oscillation guard — and the
-// answer is the unoptimized one.
+// decode as nulls — and the answer is the unoptimized one.
 func TestUploadedFileHonoursPushdown(t *testing.T) {
 	flow := strings.Replace(optimizerFlow, "source: mem:sales.csv", "source: data:sales.csv", 1)
 	compile := func(p *Platform) *Dashboard {
@@ -213,26 +209,23 @@ func TestUploadedFileHonoursPushdown(t *testing.T) {
 		}
 	}
 	planned := d.runPlan.Node("raw").Pushdown
-	if planned == nil || planned.Predicate != "region == 'east'" || !slices.Contains(planned.SkipColumns, "notes") {
+	if planned == nil || !slices.Contains(planned.SkipColumns, "notes") {
 		t.Fatalf("run 2 planned no pushdown for the uploaded source: %+v", planned)
 	}
-	if next := d.Explain().Node("raw").Pushdown; next == nil || next.Predicate != planned.Predicate || !slices.Equal(next.SkipColumns, planned.SkipColumns) {
+	if next := d.Explain().Node("raw").Pushdown; next == nil || !slices.Equal(next.SkipColumns, planned.SkipColumns) {
 		t.Fatalf("explain %+v disagrees with the executed plan %+v", next, planned)
 	}
 	raw, ok := d.Result().Table("raw")
 	if !ok {
 		t.Fatal("source table missing from the result")
 	}
-	if raw.Len() != 1 {
-		t.Errorf("decoded %d rows, want 1: the pushed predicate was not applied while decoding", raw.Len())
+	if want := len(csvRows(salesCSV)); raw.Len() != want {
+		t.Errorf("decoded %d rows, want all %d", raw.Len(), want)
 	}
 	for _, r := range raw.Rows() {
 		if !r[2].IsNull() {
 			t.Errorf("notes decoded as %q, want null: the projection was not applied", r[2])
 		}
-	}
-	if !d.pushedFilters[dag.HintKey(planned.Consumer, "filter_by "+planned.Predicate)] {
-		t.Errorf("consumer filter of the pushed predicate not flagged: %v", d.pushedFilters)
 	}
 	base := compile(optimizerPlatform(t, false))
 	if err := base.Run(); err != nil {

@@ -93,7 +93,6 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	// it below (pushdown offers), the executor follows its per-node stage
 	// lists.
 	d.runPlan = d.Explain()
-	d.pushedFilters = map[string]bool{}
 	// Fetch every source first: a source is keyed by its payload, so the
 	// node cache decides which nodes run before any payload is decoded.
 	names := d.Graph.Sources()
@@ -101,13 +100,10 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	src := func(name string) *runSource { return &srcs[slices.Index(names, name)] }
 	defer func() {
 		// A lazy source's span stays open until the run decodes it: end
-		// any it never did. Its filter pushed down is known by now.
+		// any it never did.
 		for i := range srcs {
 			if s := &srcs[i]; s.span != 0 {
 				endSource(tr, s, -1, nil)
-			}
-			if key := srcs[i].pushed; key != "" {
-				d.pushedFilters[key] = true
 			}
 		}
 	}()
@@ -130,8 +126,8 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		// a payload that fails to decode degrades it every time.
 		s.lazy = s.lazy && sh.Mode == "fail" && !s.n.Def.Endpoint && s.n.Def.Publish == ""
 		if lerr == nil && s.t == nil && !s.lazy {
-			pd, consumer := d.pushdown(name)
-			if s.t, _, lerr = d.decodeSource(s, tr, pd, consumer); lerr != nil {
+			pd := connector.Pushdown{SkipColumns: d.skipColumns(name)}
+			if s.t, _, lerr = d.platform.Connectors.DecodePushdown(s.n.Def, s.n.Schema, s.payload, pd, tr, s.span); lerr != nil {
 				lerr = fmt.Errorf("dashboard %s: %w", d.Name, lerr)
 			}
 		}
@@ -410,15 +406,10 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 		run.SkippedSinks = len(st.SkippedSinks)
 		run.Stages = make([]history.StageRecord, 0, len(st.Timings))
 		for _, t := range st.Timings {
-			// A filter whose predicate the connector applied at fetch
-			// sees pre-filtered rows: PushedDown marks the record so the
-			// profile keeps the genuine selectivity the pushdown was
-			// justified by (row counts and duration are still real
-			// observations).
 			run.Stages = append(run.Stages, history.StageRecord{
 				Output: t.Output, Stage: t.Stage, RowsIn: t.RowsIn, Rows: t.Rows,
 				DurationUS: t.Duration.Microseconds(), QueueWaitUS: t.QueueWait.Microseconds(),
-				Path: t.Path, Plan: t.Plan, PushedDown: d.pushedFilters[dag.HintKey(t.Output, t.Stage)],
+				Path: t.Path, Plan: t.Plan,
 			})
 		}
 	}
@@ -439,10 +430,8 @@ type runSource struct {
 	// the executor decodes it (decoder) only when a node that runs reads
 	// it, and no table of it outlives the read.
 	lazy bool
-	// decoded marks a lazy source the run has decoded; pushed is the hint
-	// key of the filter a decode applied at the source.
+	// decoded marks a lazy source the run has decoded.
 	decoded bool
-	pushed  string
 }
 
 // key is the source's part of its signature: the run's upload digest up,
@@ -500,23 +489,6 @@ func (d *Dashboard) fetchSource(ctx context.Context, s *runSource, tr obs.Tracer
 	return stats.Attempts, nil
 }
 
-// decodeSource decodes s's payload, its decode span under s's, making
-// the format the offer pd: the format applies what it can and declines
-// the rest in-band, and the consumer pipeline re-applies the predicate
-// regardless.
-func (d *Dashboard) decodeSource(s *runSource, tr obs.Tracer, pd connector.Pushdown, consumer string) (*table.Table, connector.PushdownResult, error) {
-	t, res, err := d.platform.Connectors.DecodePushdown(s.n.Def, s.n.Schema, s.payload, pd, tr, s.span)
-	if err == nil && res.PredicateApplied && consumer != "" {
-		// The consumer's re-applied filter now sees pre-filtered
-		// rows: its observed selectivity is ~1.0 by construction,
-		// not evidence. Flag it so recordRunHistory keeps the real
-		// profile intact (else the estimate decays toward 1, the
-		// planner un-pushes, and the plan oscillates run over run).
-		s.pushed = dag.HintKey(consumer, "filter_by "+pd.Predicate)
-	}
-	return t, res, err
-}
-
 // decoder is lazy source s's batch.Decoder, under the run plan's offer
 // and the executor's push. The run's decode of it is traced under its
 // span, which it ends; a decode after that (Result.Table reads one anew)
@@ -524,14 +496,14 @@ func (d *Dashboard) decodeSource(s *runSource, tr obs.Tracer, pd connector.Pushd
 // goroutine. A streamed decode its run declines is no decode of the
 // run's: the run decodes the source whole after it.
 func (d *Dashboard) decoder(s *runSource, tr obs.Tracer) batch.Decoder {
-	offer, consumer := d.pushdown(s.n.Name)
+	skip := d.skipColumns(s.n.Name)
 	return func(push func(*colstore.Batch) error) (*table.Table, error) {
-		pd := offer
-		if pd.Push = push; s.decoded {
+		pd := connector.Pushdown{SkipColumns: skip, Push: push}
+		if s.decoded {
 			t, _, err := d.platform.Connectors.DecodePushdown(s.n.Def, s.n.Schema, s.payload, pd, nil, 0)
 			return t, err
 		}
-		t, res, err := d.decodeSource(s, tr, pd, consumer)
+		t, res, err := d.platform.Connectors.DecodePushdown(s.n.Def, s.n.Schema, s.payload, pd, tr, s.span)
 		if errors.Is(err, colstore.ErrDeclined) {
 			return nil, err
 		}
@@ -543,13 +515,13 @@ func (d *Dashboard) decoder(s *runSource, tr obs.Tracer) batch.Decoder {
 	}
 }
 
-// pushdown is the run plan's pushdown offer to source name, and the node
-// whose filter it pushes ("" when none).
-func (d *Dashboard) pushdown(name string) (connector.Pushdown, string) {
+// skipColumns is the run plan's projection offer to source name: the
+// columns no reader reads, which its decode need not parse.
+func (d *Dashboard) skipColumns(name string) []string {
 	if np := d.runPlan.Node(name); np != nil && np.Pushdown != nil {
-		return connector.Pushdown{Predicate: np.Pushdown.Predicate, SkipColumns: np.Pushdown.SkipColumns}, np.Pushdown.Consumer
+		return np.Pushdown.SkipColumns
 	}
-	return connector.Pushdown{}, ""
+	return nil
 }
 
 // endSource closes s's span: its rows out, unread (rows < 0) when the

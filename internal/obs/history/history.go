@@ -56,11 +56,11 @@ type StageRecord struct {
 	// read so older histories recover to the same profiles.
 	Sub bool `json:"sub,omitempty"`
 	// PushedDown marks a filter whose predicate a connector applied at
-	// fetch time this run: the stage re-filtered already-filtered rows,
-	// so its observed ~1.0 selectivity is a plan artifact, not
-	// evidence. Row counts and durations are still real observations;
-	// only the selectivity fold is skipped (else the profile decays
-	// toward 1, the planner un-pushes, and the plan oscillates).
+	// fetch time, which binaries before the decoder stopped filtering
+	// rows wrote: the stage re-filtered already-filtered rows, so its
+	// selectivity folds into no profile, its row counts and duration as
+	// any record's do. Nothing writes it now; it is read so older
+	// histories recover to the same profiles.
 	PushedDown bool `json:"pushed_down,omitempty"`
 }
 
@@ -165,7 +165,8 @@ type StageProfile struct {
 
 // observe folds one stage record into the profile. Selectivity folds
 // only when the stage saw input rows — an empty run is "no evidence",
-// not "keeps everything" — and sub-records (tasks inside a fused run,
+// not "keeps everything" — and was not pushed down (older binaries),
+// and sub-records (tasks inside a fused run,
 // from older binaries) fold row counts but never durations, which
 // belonged to the fused stage.
 func (p *StageProfile) observe(st StageRecord, alpha float64) {

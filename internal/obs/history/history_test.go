@@ -2,6 +2,8 @@ package history
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,6 +232,52 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	if last, _ := r2.LastRun("alpha"); last.Seq != 7 {
 		t.Fatalf("post-recovery seq = %d, want 7", last.Seq)
+	}
+}
+
+// TestPushedDownJournalRecovers: a journal older binaries wrote, holding
+// a stage record flagged pushed_down (a filter re-run over rows its
+// source had already filtered), recovers to the profile it folded to
+// when written: the flagged record's selectivity folds into nothing, its
+// row counts and duration as any record's do.
+func TestPushedDownJournalRecovers(t *testing.T) {
+	fs := store.NewMemFS()
+	r, err := Open(fs, Options{Now: fixedClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []StageRecord{
+		{Output: "mid", Stage: "filter_by qty > 3", RowsIn: 1000, Rows: 100, DurationUS: 500, Path: "columnar"},
+		{Output: "mid", Stage: "filter_by qty > 3", RowsIn: 100, Rows: 100, DurationUS: 400, Path: "columnar", PushedDown: true},
+	} {
+		if _, err := r.Record(&RunRecord{Dashboard: "alpha", FlowHash: "f1", Status: "ok", Stages: []StageRecord{st}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := r.Profiles("f1")
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var journal strings.Builder
+	names, _ := fs.List("history")
+	for _, name := range names {
+		b, _ := fs.ReadFile("history/" + name)
+		journal.Write(b)
+	}
+	if !strings.Contains(journal.String(), `"pushed_down":true`) {
+		t.Fatalf("the journal holds no pushed_down stage record: %q", journal.String())
+	}
+	r2, err := Open(fs, Options{Now: fixedClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	got := r2.Profiles("f1")
+	if len(got) != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered profiles %+v, want %+v", got, want)
+	}
+	if p := got[0]; p.SelSamples != 1 || p.Selectivity != 0.1 || p.Count != 2 || p.Latency.N != 2 || p.LastUS != 400 {
+		t.Fatalf("recovered profile %+v: want one selectivity sample of 0.1 over two records", p)
 	}
 }
 

@@ -8,13 +8,10 @@ import (
 // parseCallers are the only non-test functions allowed to parse
 // expression source, keyed by module-relative directory and function
 // name. The task parsers keep the node on the spec, so every other
-// consumer reads that node; a pushed predicate reaches a format as text
-// over the extension contract, so the connector parses it once per
-// decode.
+// consumer reads that node.
 var parseCallers = map[string]bool{
-	"internal/task.NewFilter":                     true,
-	"internal/task.newExprOperator":               true,
-	"internal/connector.compilePushdownPredicate": true,
+	"internal/task.NewFilter":       true,
+	"internal/task.newExprOperator": true,
 }
 
 // TestParseCallers fails on any reference to expr.Parse in the module's

@@ -11,8 +11,7 @@ import (
 )
 
 // VecEval is a compiled expression: a Fan steps it over a morsel at a
-// time, as a filter's predicate or a map's expression, and a decoder
-// steps it over the records it types into a Boxed view. Evaluating it
+// time, as a filter's predicate or a map's expression. Evaluating it
 // cannot fail: binding errors surface at compile.
 type VecEval struct {
 	ev     eval
@@ -232,49 +231,6 @@ func (e *VecEval) step(t *temps, n int, keep *Bitmap) *Vec {
 		return nil
 	}
 	return r
-}
-
-// Boxed is a view of size rows that a decoder sets records' cells in,
-// boxed, a morsel of them at a time, for a predicate compiled over the
-// records' schema to keep rows of. Only the columns the predicate reads
-// hold cells. Keep types each column's morsel as compress would, into
-// the vectors the morsel before used, so that uniform cells run the
-// typed loops, and one over/step state serves every morsel: a morsel
-// allocates nothing but what an operator's boxed fallback does.
-type Boxed struct {
-	e     *VecEval
-	cells [][]value.V
-	view  Batch
-	t     *temps
-	keep  Bitmap
-}
-
-// Boxed returns e's view of size rows over width columns.
-func (e *VecEval) Boxed(width, size int) *Boxed {
-	v := &Boxed{e: e, cells: make([][]value.V, width), keep: *NewBitmap(size)}
-	v.view.cols = make([]*Vec, width)
-	for _, l := range e.leaves {
-		if l.col >= 0 && v.cells[l.col] == nil {
-			v.cells[l.col], v.view.cols[l.col] = make([]value.V, size), &Vec{}
-		}
-	}
-	v.t = e.over(&v.view, size)
-	return v
-}
-
-// Set puts cell x in row i of column c, a column the predicate reads.
-func (v *Boxed) Set(i, c int, x value.V) { v.cells[c][i] = x }
-
-// Keep evaluates the predicate over the view's first n rows and returns
-// the bits of the rows it keeps, good until the next Keep.
-func (v *Boxed) Keep(n int) *Bitmap {
-	for c, cells := range v.cells {
-		if cells != nil {
-			v.view.cols[c].fill(cells[:n])
-		}
-	}
-	v.e.step(v.t, n, &v.keep)
-	return &v.keep
 }
 
 // vec returns the vector a window of the leaf over batch b reads: the

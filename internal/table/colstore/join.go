@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"slices"
 	"strconv"
 
 	"shareinsights/internal/schema"
@@ -28,7 +29,8 @@ type keyIndex struct {
 	ints map[int64]int32
 	buf  []byte
 	// byCode is the ids of dict's codes (-2: not looked up yet), built
-	// once for a coded key column however many ranges it assigns.
+	// once for a coded key column however many ranges it assigns, and
+	// extended, not rebuilt, when the column's dictionary grows.
 	dict   []string
 	byCode []int32
 }
@@ -68,15 +70,17 @@ func newKeyIndex(sides ...[]*Vec) *keyIndex {
 // columns through their indices. With insert set an unseen key takes the
 // next id; without it an unseen key reads -1, and so it does for the rest
 // of the index's life: an index that has assigned without insert never
-// inserts again.
+// inserts again. With no keys every row has the one empty key.
 func (x *keyIndex) assign(b *Batch, keys []int, lo int, ids []int32, insert bool) []int32 {
-	ids, v := ids[:min(len(ids), b.length-lo)], b.cols[keys[0]]
+	ids = ids[:min(len(ids), b.length-lo)]
 	switch x.kind {
 	case value.Int:
+		v := b.cols[keys[0]]
 		for i := range ids {
 			ids[i] = keyID(x.ints, v.ints[v.slot(lo+i)], insert)
 		}
 	case value.String:
+		v := b.cols[keys[0]]
 		if v.dict == nil {
 			for i := range ids {
 				ids[i] = keyID(x.strs, v.strs[v.slot(lo+i)], insert)
@@ -85,10 +89,16 @@ func (x *keyIndex) assign(b *Batch, keys []int, lo int, ids []int32, insert bool
 		}
 		const unresolved = -2
 		if !same(x.dict, v.dict) {
-			x.dict, x.byCode = v.dict, make([]int32, len(v.dict))
-			for c := range x.byCode {
-				x.byCode[c] = unresolved
+			// A dictionary that starts with x.dict keeps its codes' ids.
+			known := 0
+			if len(v.dict) >= len(x.dict) && slices.Equal(x.dict, v.dict[:len(x.dict)]) {
+				known = len(x.dict)
 			}
+			x.byCode = slices.Grow(x.byCode[:known], len(v.dict)-known)
+			for len(x.byCode) < len(v.dict) {
+				x.byCode = append(x.byCode, unresolved)
+			}
+			x.dict = v.dict
 		}
 		for i, byCode := range ids {
 			c := v.codes[v.slot(lo+i)]

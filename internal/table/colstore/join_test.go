@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -351,6 +352,60 @@ func TestGroupByAllocs(t *testing.T) {
 	output := keys * (2*(4+8+8) + 4 + 4)
 	if want := output + 96*keys + 4*morselRows + 16<<10; least > uint64(want) {
 		t.Errorf("the group-by over 60,000 rows allocates %d bytes, want at most %d", least, want)
+	}
+}
+
+// TestKeylessGroupBy: a group-by with no keys folds every row under the
+// one empty key, over more than one morsel: one group over a non-empty
+// batch, none over an empty one.
+func TestKeylessGroupBy(t *testing.T) {
+	k := &GroupBy{Aggs: []Agg{{Op: "sum", Col: 0}, {Op: "count", Col: -1}}, Out: schema.MustFromNames("total", "n")}
+	tb := table.New(schema.MustFromNames("x"))
+	for i := 1; i <= 3000; i++ {
+		tb.AppendValues(value.NewInt(int64(i)))
+	}
+	for _, tc := range []struct {
+		in   *table.Table
+		want [][2]string
+	}{{tb, [][2]string{{"4501500", "3000"}}}, {table.New(tb.Schema()), nil}} {
+		b, _ := FromTable(tc.in)
+		out, err := k.Run(b)
+		if err != nil || out.Len() != len(tc.want) {
+			t.Fatalf("%d rows: %v groups, err %v; want %d", tc.in.Len(), out.Len(), err, len(tc.want))
+		}
+		for g, want := range tc.want {
+			if got := [2]string{out.At(g, 0).String(), out.At(g, 1).String()}; got != want {
+				t.Errorf("%d rows: group %d is %v, want %v", tc.in.Len(), g, got, want)
+			}
+		}
+	}
+}
+
+// TestKeyIndexKeepsResolvedCodes: a coded key column whose dictionary
+// grows between batches — a streamed decode's, copied when it outgrows
+// its capacity — keeps the ids its codes resolved to, and looks up only
+// its new codes; a dictionary that does not start with the one before
+// resolves afresh.
+func TestKeyIndexKeepsResolvedCodes(t *testing.T) {
+	s := schema.MustFromNames("k")
+	coded := func(dict []string, codes ...uint32) *Batch {
+		return &Batch{schema: s, cols: []*Vec{{kind: value.String, dict: dict, codes: codes, length: len(codes)}}, length: len(codes)}
+	}
+	first := coded([]string{"a", "b"}, 0, 1, 1, 0)
+	x := newKeyIndex(keyVecs(first, []int{0}))
+	assign := func(b *Batch) []int32 { return slices.Clone(x.assign(b, []int{0}, 0, make([]int32, b.length), true)) }
+	for _, tc := range []struct {
+		b      *Batch
+		ids    []int32
+		byCode []int32
+	}{
+		{first, []int32{0, 1, 1, 0}, []int32{0, 1}},
+		{coded([]string{"a", "b", "c"}, 2, 2), []int32{2, 2}, []int32{0, 1, 2}},
+		{coded([]string{"b", "a", "c", "d"}, 3, 0), []int32{3, 1}, []int32{1, -2, -2, 3}},
+	} {
+		if ids := assign(tc.b); !slices.Equal(ids, tc.ids) || !slices.Equal(x.byCode, tc.byCode) {
+			t.Fatalf("dictionary %v: ids %v, codes resolved %v; want %v, %v", tc.b.cols[0].dict, ids, x.byCode, tc.ids, tc.byCode)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ type Selection struct {
 type FilterSpec struct {
 	memo
 	// Expression is the filter expression as written (expression mode):
-	// the display and identity form (Describe, plan hints, pushdown).
+	// the display and identity form (Describe, plan hints).
 	Expression string
 	// Expr is Expression parsed, what every consumer binds and checks.
 	Expr expr.Node

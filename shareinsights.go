@@ -121,9 +121,9 @@ type (
 	// PlanDecision is one optimizer rewrite with the evidence
 	// (history, facts or heuristic) that justified it.
 	PlanDecision = dag.Decision
-	// SourcePushdown is a negotiated fetch-time rewrite: a predicate
-	// and/or never-read columns offered to the connector, which may
-	// decline (the pipeline re-applies the predicate either way).
+	// SourcePushdown is a negotiated fetch-time rewrite: never-read
+	// columns offered to the connector, which may decline (nothing
+	// reads them either way).
 	SourcePushdown = dag.SourcePushdown
 )
 
