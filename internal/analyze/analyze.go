@@ -16,6 +16,7 @@ package analyze
 import (
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"shareinsights/internal/dag"
 	"shareinsights/internal/diagnose"
 	"shareinsights/internal/flowfile"
+	"shareinsights/internal/schema"
 	"shareinsights/internal/share"
 	"shareinsights/internal/task"
 	"shareinsights/internal/widget"
@@ -418,6 +420,17 @@ func (l *linter) reportProblem(p *dag.Problem) {
 		}
 	case dag.ProblemMissingColumn, dag.ProblemBind:
 		fd.Rule = "FL003"
+		var ce *schema.ColumnError
+		if errors.As(p.Err, &ce) && len(ce.Missing) > 1 {
+			// One finding per missing column, in the order the stage
+			// names them.
+			for _, c := range ce.Missing {
+				f := fd
+				f.Message = fmt.Sprintf("column %q not found (have %s)", c, strings.Join(ce.Have, ", "))
+				l.add(didYouMean(f, c, p.InScope))
+			}
+			return
+		}
 		fd = didYouMean(fd, p.Column, p.InScope)
 	case dag.ProblemDuplicateColumn:
 		fd.Rule = "FL020"

@@ -7,7 +7,6 @@ import (
 
 	"shareinsights/internal/analyze/flowcheck"
 	"shareinsights/internal/dag"
-	"shareinsights/internal/expr"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/task"
 )
@@ -139,8 +138,9 @@ func (l *linter) checkFilterVerdict(def *flowfile.TaskDef, name, verdict string)
 
 // checkStage runs the per-stage rules: FL004/FL060/FL061/FL062
 // expression findings (what the walk's lowering kept), FL063 on a bound
-// filter, FL003 map expression columns, FL021 join key mismatches,
-// FL051 ordering advisories.
+// filter, FL021 join key mismatches, FL051 ordering advisories. A
+// missing column, a map expression's included, is the resolver's FL003
+// (reportProblem).
 func (l *linter) checkStage(specs []task.Spec, k int, st *stageRec) {
 	def, ins := st.Def, st.ins
 	entity := "T." + st.Name
@@ -150,16 +150,6 @@ func (l *linter) checkStage(specs []task.Spec, k int, st *stageRec) {
 		key = "filter_expression"
 		if st.Out != nil {
 			l.checkFilterVerdict(def, st.Name, st.verdict)
-		}
-	case *task.MapSpec:
-		if n := t.Expr(); n != nil {
-			l.checkExprColumns(n, ins, entity, configLine(def, "expression"))
-		}
-	case *task.ParallelSpec:
-		for i, sub := range t.Subs { // a parsed parallel names a defined task per sub
-			if ms, ok := sub.(*task.MapSpec); ok && ms.Expr() != nil {
-				l.checkExprColumns(ms.Expr(), ins, "T."+t.Names[i], configLine(l.f.Tasks[t.Names[i]], "expression"))
-			}
 		}
 	case *task.JoinSpec:
 		l.checkJoinKeys(t, entity, def, ins)
@@ -202,27 +192,6 @@ func (l *linter) checkJoinKeys(j *task.JoinSpec, entity string, def *flowfile.Ta
 				Message: fmt.Sprintf("join keys %q (%s) and %q (%s) have different types; rows will never match",
 					j.LeftKeys[i], lt.Coarse(), j.RightKeys[i], rt.Coarse())})
 		}
-	}
-}
-
-// checkExprColumns reports FL003 for expression columns absent from the
-// stage's input schema — the same error the engine's Bind raises at run
-// time, caught statically. Filter expressions are validated by
-// FilterSpec.Out already; map operators extend the schema without
-// binding the expression, so the walk checks them itself (the
-// differential fuzzer found this gap: a lint-clean flow whose map expr
-// named a missing column compiled but failed mid-run).
-func (l *linter) checkExprColumns(n expr.Node, ins []flowcheck.Input, entity string, line int) {
-	if len(ins) == 0 || ins[0].Schema == nil {
-		return
-	}
-	sch := ins[0].Schema
-	for _, c := range expr.Columns(n) {
-		if sch.Has(c) {
-			continue
-		}
-		l.add(didYouMean(Finding{Rule: "FL003", Severity: Error, Entity: entity, Line: line,
-			Message: fmt.Sprintf("column %q not found (have %s)", c, strings.Join(sch.Names(), ", "))}, c, sch.Names()))
 	}
 }
 

@@ -519,3 +519,104 @@ func FuzzStreamedDecode(f *testing.F) {
 		}
 	})
 }
+
+// docFuzzCase expands the fuzzer's mode byte into the declared schema
+// and properties of a JSON, JSONL or XML decode: plain columns, `=>`
+// paths into nested objects or elements, no column at all; an `items`
+// wrapper member and a `record_tag`.
+func docFuzzCase(mode uint8) (*flowfile.DataDef, *schema.Schema) {
+	d := &flowfile.DataDef{Name: "f"}
+	s := schema.MustFromNames("a", "b", "c")
+	switch mode & 3 {
+	case 1:
+		s = schema.MustNew(schema.Column{Name: "a"}, schema.Column{Name: "loc", Path: "user.loc"}, schema.Column{Name: "z", Path: "x.y.z"})
+	case 2:
+		s = schema.MustNew(schema.Column{Name: "loc", Path: "user.loc"}, schema.Column{Name: "a"})
+	case 3:
+		s = schema.MustNew()
+	}
+	if mode&4 != 0 {
+		d.SetProp("items", "list")
+	}
+	if mode&8 != 0 {
+		d.SetProp("record_tag", "r")
+	}
+	return d, s
+}
+
+// fuzzDocFormat holds format to the row-building reference decoder over
+// the seeds and every docFuzzCase: the same error text, or the same
+// cells of the same kinds, also once the payload is overwritten.
+func fuzzDocFormat(f *testing.F, format Format, reference func(*flowfile.DataDef, *schema.Schema, []byte) (*table.Table, error), seeds ...string) {
+	for _, p := range seeds {
+		for _, mode := range []uint8{0, 1, 2, 3, 4, 5, 8, 9, 14} {
+			f.Add([]byte(p), mode)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, mode uint8) {
+		d, s := docFuzzCase(mode)
+		want, wantErr := reference(d, s, payload)
+		payload = bytes.Clone(payload)
+		got, gotErr := format.Decode(d, s, payload)
+		sameDecode(t, got, want, gotErr, wantErr)
+		overwriteAndRecheck(t, payload, got, want, gotErr)
+	})
+}
+
+func FuzzDecodeJSON(f *testing.F) {
+	fuzzDocFormat(f, &jsonFormat{}, func(d *flowfile.DataDef, s *schema.Schema, p []byte) (*table.Table, error) {
+		return referenceDecodeJSON(false, d, s, p)
+	},
+		"",
+		"[]",
+		"null",
+		"[null]",
+		"[1]",
+		`[{"a":1,"b":"x","c":true},{"a":2.5,"b":null,"c":"t"}]`,
+		`[{"a":"1","b":{"n":1},"c":[1,"two",null]},{"a":1,"b":false}]`,
+		`[{"a":1.5,"b":-0.0,"c":123456789012345678},{"a":"2024-01-05","b":1e300,"c":9007199254740993}]`,
+		`[{"user":{"loc":"Pune"},"a":7,"x":{"y":{"z":"deep"}}},{"user":"flat","x":{"y":3}},{}]`,
+		` {"items":[{"a":1},{"a":"x"},3,{"a":null}]} `,
+		`{"list":[{"a":1}],"items":[{"a":2}],"rows":"no"}`,
+		`{"results":[{"a":true},{"a":0}],"data":[{"a":9}]}`,
+		`{"nothing":1}`,
+		`{"data":[]}`,
+		`{"items":{"a":1}}`,
+		`[{"a":1},`,
+		`[{"a":1e400}]`,
+		`[{"a":"é\ud800"},{"a":""}]`,
+	)
+}
+
+func FuzzDecodeJSONL(f *testing.F) {
+	fuzzDocFormat(f, &jsonFormat{lines: true}, func(d *flowfile.DataDef, s *schema.Schema, p []byte) (*table.Table, error) {
+		return referenceDecodeJSON(true, d, s, p)
+	},
+		"",
+		"\n\n",
+		`{"a":1}`+"\n"+`{"a":"x"}`+"\n",
+		`{"a":1} {"b":2.5,"c":[1]}`,
+		`{"a":1}`+"\n[1]\n",
+		"null\n"+`{"a":1,"user":{"loc":"Pune"}}`,
+		`{"a":true}`+"\n"+`{"a":2}`+"\n"+`{"a":null}`+"\n"+`{"a":"2024-01-05"}`,
+		`{"items":[{"a":1}]}`,
+		`{"a":1}`+"\n"+`{"a":`,
+		`{"x":{"y":{"z":1.25}}}`+"\r\n"+`{"x":{"y":{"z":"s"}}}`,
+	)
+}
+
+func FuzzDecodeXML(f *testing.F) {
+	fuzzDocFormat(f, &xmlFormat{}, referenceDecodeXML,
+		"",
+		"<rows/>",
+		"<rows><r><a>1</a><b>x</b><c>2024-01-05</c></r><r><a>2.5</a><b></b><c>true</c></r></rows>",
+		"<root><record><user><loc>Pune</loc></user><a> 7 </a><x><y><z>2024-01-05T10:00:00Z</z></y></x></record><record><a>seven</a></record></root>",
+		"<a>1</a><b>2</b>",
+		"<x><r><a>1</a></r><y><r><a>two</a></r><r><a>2024-01-05 10:00:00</a></r></y></x>",
+		"<rows><r><a>1</a></r></rows><r><a>3</a></r>",
+		"<rows><r><a>1</r></rows>",
+		`<?xml version="1.0"?><rows><r a="1"><a>&amp;</a><b><![CDATA[<c>]]></b></r></rows>`,
+		"<rows><r><a>1<!-- x -->2</a><b>-0</b><c>1e999</c></r></rows>",
+		"<rows><r><a>nan</a><b>inf</b><c>false</c></r><r><a>3</a><b>4</b><c>5</c></r></rows>",
+	)
+}

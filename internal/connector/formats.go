@@ -332,9 +332,10 @@ func EncodeCSV(t *table.Table) ([]byte, error) {
 // JSON / JSONL
 
 // jsonFormat decodes a JSON array of objects (or newline-delimited
-// objects with lines=true). Columns resolve through their payload paths
-// (the `=>` mappings of Figure 6: "The => notation maps JSON paths in
-// the payload to column names").
+// objects with lines=true) into column vectors (colstore.Builder).
+// Columns resolve through their payload paths (the `=>` mappings of
+// Figure 6: "The => notation maps JSON paths in the payload to column
+// names").
 type jsonFormat struct{ lines bool }
 
 func (f *jsonFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
@@ -386,15 +387,16 @@ func (f *jsonFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byt
 			docs = arr
 		}
 	}
-	t := table.New(s)
+	b := colstore.NewBuilder(s)
+	b.Reserve(len(docs))
+	row := make([]value.V, s.Len())
 	for _, doc := range docs {
-		row := make(table.Row, s.Len())
 		for i, col := range s.Columns() {
 			row[i] = value.FromAny(lookupPath(doc, col.Source()))
 		}
-		t.Append(row)
+		b.Append(row)
 	}
-	return t, nil
+	return b.Table(), nil
 }
 
 // lookupPath resolves a dotted path ("user.location") in a decoded JSON
@@ -515,9 +517,10 @@ func appendJSONString(buf []byte, s string) []byte {
 // ---------------------------------------------------------------------
 // XML
 
-// xmlFormat decodes repeated record elements. The `record_tag` property
-// names the repeating element (default "record" / "row" / the first
-// repeating child). Column paths address nested elements with dots.
+// xmlFormat decodes repeated record elements into column vectors
+// (colstore.Builder). The `record_tag` property names the repeating
+// element (default "record" / "row" / the first repeating child).
+// Column paths address nested elements with dots.
 type xmlFormat struct{}
 
 type xmlNode struct {
@@ -533,15 +536,16 @@ func (f *xmlFormat) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 	}
 	tag := d.Prop("record_tag")
 	records := findRecords(root, tag)
-	t := table.New(s)
+	b := colstore.NewBuilder(s)
+	b.Reserve(len(records))
+	row := make([]value.V, s.Len())
 	for _, rec := range records {
-		row := make(table.Row, s.Len())
 		for i, col := range s.Columns() {
 			row[i] = value.Parse(rec.path(col.Source()))
 		}
-		t.Append(row)
+		b.Append(row)
 	}
-	return t, nil
+	return b.Table(), nil
 }
 
 func parseXML(payload []byte) (*xmlNode, error) {

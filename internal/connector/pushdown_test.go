@@ -123,7 +123,7 @@ func sameRows(a, b *table.Table) bool {
 	}
 	for i, row := range a.Rows() {
 		for j, v := range row {
-			if v.String() != b.Rows()[i][j].String() {
+			if v.String() != b.At(i, j).String() {
 				return false
 			}
 		}

@@ -3,8 +3,10 @@ package connector
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"time"
@@ -238,4 +240,85 @@ func referenceParseSBIN(payload []byte) ([]string, []table.Row, error) {
 		rows = append(rows, row)
 	}
 	return names, rows, nil
+}
+
+// referenceDecodeJSON is jsonFormat.Decode building a row per document
+// (lines: one document per line, as JSONL).
+func referenceDecodeJSON(lines bool, d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
+	var docs []map[string]any
+	if lines {
+		dec := json.NewDecoder(bytes.NewReader(payload))
+		for {
+			var doc map[string]any
+			if err := dec.Decode(&doc); err == io.EOF {
+				break
+			} else if err != nil {
+				return nil, err
+			}
+			docs = append(docs, doc)
+		}
+	} else {
+		trimmed := bytes.TrimSpace(payload)
+		if len(trimmed) > 0 && trimmed[0] == '{' {
+			// A wrapper object: find the first array member (provider
+			// APIs wrap items, e.g. Stack Exchange's {"items": [...]}).
+			var wrapper map[string]any
+			if err := json.Unmarshal(trimmed, &wrapper); err != nil {
+				return nil, err
+			}
+			member := d.Prop("items")
+			found := false
+			for _, key := range []string{member, "items", "results", "data", "rows"} {
+				if key == "" {
+					continue
+				}
+				if arr, ok := wrapper[key].([]any); ok {
+					for _, item := range arr {
+						if m, ok := item.(map[string]any); ok {
+							docs = append(docs, m)
+						}
+					}
+					found = true
+					break
+				}
+			}
+			if !found {
+				return nil, fmt.Errorf("json object payload has no recognizable item array (set the items property)")
+			}
+		} else {
+			var arr []map[string]any
+			if err := json.Unmarshal(trimmed, &arr); err != nil {
+				return nil, err
+			}
+			docs = arr
+		}
+	}
+	t := table.New(s)
+	for _, doc := range docs {
+		row := make(table.Row, s.Len())
+		for i, col := range s.Columns() {
+			row[i] = value.FromAny(lookupPath(doc, col.Source()))
+		}
+		t.Append(row)
+	}
+	return t, nil
+}
+
+// referenceDecodeXML is xmlFormat.Decode building a row per record.
+func referenceDecodeXML(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
+	root, err := parseXML(payload)
+	if err != nil {
+		return nil, err
+	}
+	tag := d.Prop("record_tag")
+	records := findRecords(root, tag)
+	t := table.New(s)
+	for _, rec := range records {
+		row := make(table.Row, s.Len())
+		for i, col := range s.Columns() {
+			row[i] = value.Parse(rec.path(col.Source()))
+		}
+		t.Append(row)
+	}
+	return t, nil
 }

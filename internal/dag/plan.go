@@ -30,7 +30,7 @@ import (
 // ColumnarAutoThreshold is the input cardinality below which the
 // retired auto mode kept the row kernels. Neither the planner nor the
 // engine reads it: its one reader is bench/replay.go, until ROADMAP item
-// 1(a)(i) replays stages through the engine's own stage runner.
+// 24 deletes the replayer.
 const ColumnarAutoThreshold = 256
 
 // Evidence sources for a planning decision, strongest first.
@@ -204,13 +204,8 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 		if reorder != nil {
 			np.Decisions = append(np.Decisions, *reorder)
 		}
-		var in [2]task.Input
-		nIn := min(len(n.Inputs), len(in))
-		for i, src := range n.Inputs[:nIn] {
-			in[i] = task.Input{Name: src, Schema: g.Nodes[src].Schema}
-		}
 		np.Specs = specs
-		np.Stages = stagePlans(name, specs, in[:nIn], opts)
+		np.Stages = stagePlans(name, specs, len(n.Inputs), opts)
 		p.Nodes[name] = np
 	}
 	for _, name := range g.Order {
@@ -268,7 +263,7 @@ func inline(g *Graph, n *Node, plans map[string]*NodePlan) bool {
 	if len(n.Inputs) != 1 || n.Def.Endpoint || n.Def.Publish != "" || len(n.Def.Props) > 0 || len(specs) == 0 || len(n.Consumers) == 0 {
 		return false
 	}
-	if task.Kernel(specs, []task.Input{{}}) != len(specs) || task.Sink(specs[len(specs)-1]) {
+	if task.Kernel(specs, 1) != len(specs) || task.Sink(specs[len(specs)-1]) {
 		return false
 	}
 	for _, c := range n.Consumers {
@@ -373,12 +368,10 @@ func reorderFilters(output string, specs []task.Spec, opts PlanOptions) ([]task.
 
 // stagePlans renders the planned specs with predicted selectivities,
 // execution paths and fusion — the explain view of one node. It walks
-// the chain by task.Kernel, the rule the batch engine runs by: in holds
-// the first stage's inputs, the node's first two (all that a kernel
-// reads), and every later stage has one.
-func stagePlans(output string, specs []task.Spec, in []task.Input, opts PlanOptions) []StagePlan {
+// the chain by task.Kernel, the rule the batch engine runs by: the first
+// stage has the node's inputs, and every later stage has one.
+func stagePlans(output string, specs []task.Spec, inputs int, opts PlanOptions) []StagePlan {
 	out := make([]StagePlan, len(specs))
-	var one [1]task.Input
 	group := 0 // stages left in the current kernel call
 	for i, sp := range specs {
 		st := StagePlan{Stage: task.Describe(sp), Path: "row", Fused: group > 0}
@@ -386,13 +379,13 @@ func stagePlans(output string, specs []task.Spec, in []task.Input, opts PlanOpti
 			st.Selectivity, st.Evidence = estimate(output, sp, opts)
 		}
 		if group == 0 {
-			group = task.Kernel(specs[i:], in)
+			group = task.Kernel(specs[i:], inputs)
 		}
 		if group > 0 {
 			st.Path = "columnar"
 			group--
 		}
-		out[i], in = st, one[:]
+		out[i], inputs = st, 1
 	}
 	return out
 }

@@ -258,7 +258,8 @@ func TestPlanFormatAndJSON(t *testing.T) {
 // TestStagePlansOverAnyInputs: explain asks task.Kernel about every
 // node's stages, whatever the node's inputs. A three-input union plans,
 // and a join whose build side has no schema (Resolve reports it and goes
-// on) plans the probe-side filter after it unfused.
+// on) plans the filter after it fused, as over resolved sides: Kernel
+// reads no schema.
 func TestStagePlansOverAnyInputs(t *testing.T) {
 	src := `D:
   a: [k, x]
@@ -293,7 +294,7 @@ T:
 	if st := p.Node("u").Stages; len(st) != 1 || st[0].Fused {
 		t.Errorf("union: %+v", st)
 	}
-	if st := p.Node("j").Stages; len(st) != 2 || st[1].Fused {
+	if st := p.Node("j").Stages; len(st) != 2 || !st[1].Fused {
 		t.Errorf("join over an unresolved side: %+v", st)
 	}
 }

@@ -182,3 +182,39 @@ T:
 	}
 	t.Fatalf("no FL003 error on T.j naming both readings: %v", report.Findings)
 }
+
+// TestMapExpressionRequiresColumns: a map expression that reads a column
+// its input lacks is refused when the program is prepared, as a filter
+// expression's is — plan, explain and compile refuse it, not only run —
+// and lint reports it as the resolver's FL003.
+func TestMapExpressionRequiresColumns(t *testing.T) {
+	f, err := flowfile.Parse("badmap", `
+D:
+  sales: [region, amount]
+
+D.sales:
+  source: data:sales.csv
+  format: csv
+
+F:
+  +D.out: D.sales | T.double
+
+T:
+  double:
+    type: map
+    operator: expr
+    expression: nope * 2
+    output: doubled
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := lintAgrees(t, NewPlatform(), f)
+	var pr *dag.Problem
+	if !errors.As(err, &pr) || pr.Kind != dag.ProblemMissingColumn || pr.Entity != "T.double" || pr.Column != "nope" {
+		t.Fatalf("Prepare: %v, want the missing column \"nope\" of T.double", err)
+	}
+	if fl := report.Findings; len(fl) != 1 || fl[0].Rule != "FL003" || fl[0].Entity != "T.double" {
+		t.Errorf("lint findings %v, want one FL003 on T.double", fl)
+	}
+}

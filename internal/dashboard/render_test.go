@@ -178,8 +178,7 @@ func TestRenderAllocs(t *testing.T) {
 }
 
 // oracleRenderDegraded is renderDegraded as it was before it ranked
-// indices: a copy of the data (a deep Clone then; a shallow one sorts
-// the same), sorted in place.
+// indices: a copy of the data's rows, sorted in place.
 func oracleRenderDegraded(inst *widget.Instance, w io.Writer) error {
 	data := inst.Data
 	sizeCol := inst.DataColumn("size")
@@ -187,7 +186,7 @@ func oracleRenderDegraded(inst *widget.Instance, w io.Writer) error {
 		sizeCol = inst.DataColumn("y")
 	}
 	if sizeCol != "" && data.Schema().Has(sizeCol) {
-		rows := slices.Clone(data.CloneShallow().Rows())
+		rows := slices.Clone(data.Rows())
 		sortDesc(rows, data.Schema().Index(sizeCol))
 		data, _ = table.FromRows(data.Schema(), rows)
 	}

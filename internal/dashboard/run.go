@@ -149,10 +149,9 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			return lerr
 		}
 		if !s.n.Shared && sh.Status == "ok" && sh.Mode == "stale" && d.platform.LastGood != nil {
-			// Only a stale source reads its snapshot back. Keep a shallow
-			// clone: the engine may sort or grow the live table's Rows()
-			// in place, which must not corrupt the last-good copy.
-			d.platform.LastGood.Put(d.Name, name, s.t.CloneShallow())
+			// Only a stale source reads its snapshot back. The decoded
+			// table is immutable, so the snapshot holds it as it is.
+			d.platform.LastGood.Put(d.Name, name, s.t)
 		}
 		if !s.lazy {
 			endSource(tr, s, s.t.Len(), nil)
@@ -306,9 +305,7 @@ func (d *Dashboard) degradeSource(name string, sh SourceHealth, lerr error) (*ta
 			if t, ok := d.platform.LastGood.Lookup(d.Name, name); ok && t.Schema().Equal(n.Schema) {
 				sh.Status = "stale"
 				sh.Error = lerr.Error()
-				// Serve a shallow clone so engine-side mutation of the
-				// served table cannot corrupt the snapshot either.
-				return t.CloneShallow(), sh, nil
+				return t, sh, nil
 			}
 		}
 		return nil, sh, fmt.Errorf("%w (on_error: stale, but no last-good snapshot for D.%s)", lerr, name)

@@ -51,7 +51,7 @@ func (p *pipeline) columnar(specs []task.Spec, in []*table.Table, names []string
 			inputs[i].Name = names[i]
 		}
 	}
-	n := task.Kernel(specs, inputs[:len(in)])
+	n := task.Kernel(specs, len(in))
 	if n == 0 {
 		return nil, 0, nil
 	}
@@ -152,7 +152,7 @@ func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, spe
 			}
 		}
 		cspecs := plan.Node(c.name).Specs
-		n := task.Kernel(cspecs, ins)
+		n := task.Kernel(cspecs, len(ins))
 		if n == 0 {
 			return 0, 0, false, nil
 		}

@@ -201,7 +201,7 @@ func assertKindsEqual(t *testing.T, name string, want, got *table.Table) {
 	t.Helper()
 	for i, r := range want.Rows() {
 		for j, v := range r {
-			if g := got.Rows()[i][j]; g.Kind() != v.Kind() {
+			if g := got.At(i, j); g.Kind() != v.Kind() {
 				t.Errorf("D.%s row %d col %d: kind %v (reference) vs %v (run)",
 					name, i, j, v.Kind(), g.Kind())
 				return

@@ -112,7 +112,7 @@ func TestGroupByFoldsEveryKind(t *testing.T) {
 			}
 			for i, r := range got.ToTable().Rows() {
 				for j, x := range r {
-					if y := want.Rows()[i][j]; x.Kind() != y.Kind() || x.String() != y.String() {
+					if y := want.At(i, j); x.Kind() != y.Kind() || x.String() != y.String() {
 						t.Errorf("%s.%s group %d %s = %v (%v), the reference says %v (%v)",
 							name, col, i, want.Schema().Col(j).Name, x, x.Kind(), y, y.Kind())
 					}

@@ -152,12 +152,12 @@ func TestJoinMatrixDifferential(t *testing.T) {
 // condition, in both input orders, with the filter reading the probe
 // side, the build side or both, true on null and false on null, through
 // diffFlow — over keys that repeat and over keys no row shares, where
-// every build row is unmatched — and then checks where the pair fused: the filter's span is
-// flagged fused and explain marks it exactly for an inner or left outer
-// join filtered on the probe side. A right or full outer join emits
-// build rows no probe row joined, whose nulls the filter must see, so it
-// never fuses; neither does a filter that reads the build side. A fused
-// filter still reports the join's output as its rows in.
+// every build row is unmatched — and then checks where the pair fused:
+// the filter's span is flagged fused and explain marks it exactly for an
+// inner or left outer join, whichever side it reads. A right or full
+// outer join emits build rows no probe row joined, whose nulls the filter
+// must see, so it never fuses. A fused filter still reports the join's
+// output as its rows in.
 func TestJoinFilterFusion(t *testing.T) {
 	for _, shape := range []joinShape{shapeDuplicates, shapeNoMatches} {
 		joinFilterFusion(t, joinShapes[shape], joinInputs(shape, 3, 300))
@@ -181,7 +181,7 @@ func joinFilterFusion(t *testing.T, shape string, sources map[string]*table.Tabl
 					"  f:\n    type: filter_by\n    filter_expression: " + pred.expr + "\n"
 				name := fmt.Sprintf("%s/%s/%s/variant%d", shape, cond, pred.expr, variant)
 				diffFlow(t, flow, sources)
-				want := pred.side == "probe" && (cond == "inner" || cond == "left outer")
+				want := cond == "inner" || cond == "left outer"
 				g := buildGraph(t, flow)
 				if st := dag.Optimize(g, dag.PlanOptions{}).Node("out").Stages; st[1].Fused != want {
 					t.Errorf("%s: explain marks the filter fused=%v, want %v", name, st[1].Fused, want)

@@ -260,7 +260,7 @@ func refJoin(s *task.JoinSpec, in []*table.Table, names []string) (*table.Table,
 		}
 		for _, i := range partners {
 			joined[i] = true
-			emit(l, right.Rows()[i])
+			emit(l, right.Row(i))
 		}
 	}
 	for i, r := range right.Rows() {

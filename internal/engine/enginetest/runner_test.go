@@ -2,7 +2,6 @@ package enginetest
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -39,8 +38,8 @@ T:
 // TestProbeInlineDifferential: a map-only node that feeds a join's probe
 // side is inline — the map and the join run as one fan, and the node is
 // never built — under an inner and a left outer join, with no filter
-// after the join, one on the probe side (fused into the run) and one on
-// the build side (which runs after it), over keys with 1:N partners that
+// after the join, one on the probe side and one on the build side (each
+// fused into the run), over keys with 1:N partners that
 // straddle morsel boundaries (3,000 probe rows, each joining about seven
 // build rows), null keys and, in the second shape, no partners at all.
 // Every output equals the row path's and the unoptimized plan's, cell for
@@ -60,8 +59,8 @@ func TestProbeInlineDifferential(t *testing.T) {
 				if !plan.Node("a").Inline || !plan.Node("a").Stages[0].Inline || !st[0].Inline {
 					t.Fatalf("%s: D.a is not inline into the join:\n%s", name, plan.Format())
 				}
-				if fused := strings.HasPrefix(pred, "a_"); pred != "" && st[1].Fused != fused {
-					t.Errorf("%s: the filter fused=%v, want %v", name, st[1].Fused, fused)
+				if pred != "" && !st[1].Fused {
+					t.Errorf("%s: the filter is not fused", name)
 				}
 				res := runPlanned(t, g, plan, sources, "")
 				if _, built := res.Tables["a"]; built {

@@ -9,6 +9,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -87,8 +88,11 @@ func MustFromNames(names ...string) *Schema {
 
 // ColumnError is a schema rejecting a column name: missing from Have, or
 // (Duplicate) already present. errors.As on it classifies a bind failure.
+// Missing lists every name Require did not find, in the order asked,
+// Column first; the error's text names Column only.
 type ColumnError struct {
 	Column    string
+	Missing   []string
 	Have      []string
 	Duplicate bool
 	msg       string
@@ -143,12 +147,15 @@ func (s *Schema) Has(name string) bool { _, ok := s.index[name]; return ok }
 // be used in a context where the data source has a rating column").
 func (s *Schema) Require(names ...string) ([]int, error) {
 	idx := make([]int, len(names))
+	var missing []string
 	for i, n := range names {
-		j := s.Index(n)
-		if j < 0 {
-			return nil, &ColumnError{Column: n, Have: s.Names(), msg: fmt.Sprintf("schema: column %q not found (have %s)", n, strings.Join(s.Names(), ", "))}
+		if idx[i] = s.Index(n); idx[i] < 0 && !slices.Contains(missing, n) {
+			missing = append(missing, n)
 		}
-		idx[i] = j
+	}
+	if missing != nil {
+		n := missing[0]
+		return nil, &ColumnError{Column: n, Missing: missing, Have: s.Names(), msg: fmt.Sprintf("schema: column %q not found (have %s)", n, strings.Join(s.Names(), ", "))}
 	}
 	return idx, nil
 }

@@ -16,10 +16,11 @@
 // decoders fill one through a Builder, ToTable wraps it without copying
 // and FromTable hands the same batch back, so a decoded source reaches
 // the kernels — and a kernel's output reaches the next node — without a
-// conversion in either direction. A row-backed Table converts to a Batch
-// in one pass: a kind-uniform column (one payload kind plus nulls) to a
-// typed vector, a mixed-kind or time column to a boxed one, as a Builder
-// stores it, which every kernel reads through value.V.
+// conversion in either direction. A row-backed Table (a user task's or
+// the cube's output) converts to a Batch column by column: a kind-uniform
+// column (one payload kind plus nulls) to a typed vector, a mixed-kind or
+// time column to a boxed one, as a Builder stores it, which every kernel
+// reads through value.V.
 // Conversion copies cell headers but never string payloads (Go strings
 // are immutable), so a 100k-row text column costs 100k string headers,
 // not a byte of text. docs/SEMANTICS.md states what group-by, join and
@@ -28,7 +29,6 @@
 package colstore
 
 import (
-	"math"
 	"slices"
 
 	"shareinsights/internal/schema"
@@ -362,81 +362,23 @@ func (b *Batch) Len() int { return b.length }
 func (b *Batch) Col(i int) *Vec { return b.cols[i] }
 
 // FromTable returns t as a Batch; ok is always true. A column-backed
-// table returns its backing batch as is; a row-backed one is converted,
-// sharing string payloads with the source table. A column is typed by
-// its first non-null cell and boxed, as a Builder boxes it, at its first
-// time cell or its second kind. Nulls are always allowed.
+// table returns its backing batch as is; a row-backed one is converted
+// column by column, each typed as compress types it (cellKind), sharing
+// string payloads with the source table.
 func FromTable(t *table.Table) (b *Batch, ok bool) {
 	if b, ok := t.Columns().(*Batch); ok {
 		return b, true
 	}
-	s := t.Schema()
 	rows := t.Rows()
-	n := len(rows)
-	nc := s.Len()
-	cols := make([]*Vec, nc)
-	// One row-major pass: rows are individually allocated, so visiting
-	// each exactly once is ~nc times cheaper in memory traffic than a
-	// column-at-a-time sweep. The first non-null cell fixes a column's
-	// kind and backfills the leading nulls; payload reads go through the
-	// inlinable NumRaw/StrRaw accessors.
-	for i, r := range rows {
-		for c := 0; c < nc; c++ {
-			cell := r[c]
-			ck := cell.Kind()
-			v := cols[c]
-			if ck == value.Null {
-				if v != nil {
-					v.setNull(i)
-				}
-				continue
-			}
-			if v == nil {
-				k := ck
-				if k == value.Time {
-					k = anyKind
-				}
-				v = newVec(k, n)
-				for j := 0; j < i; j++ {
-					v.setNull(j)
-				}
-				cols[c] = v
-			} else if ck != v.kind && v.kind != anyKind {
-				v = v.boxed(i)
-				cols[c] = v
-			}
-			switch v.kind {
-			case value.Int:
-				v.ints[i] = cell.NumRaw()
-			case value.Float:
-				v.floats[i] = math.Float64frombits(uint64(cell.NumRaw()))
-			case value.String:
-				v.strs[i] = cell.StrRaw()
-			case value.Bool:
-				v.bools[i] = cell.NumRaw() != 0
-			case anyKind:
-				v.anys[i] = cell
-			}
+	cols := make([]*Vec, t.Schema().Len())
+	vals := make([]value.V, len(rows))
+	for c := range cols {
+		for i, r := range rows {
+			vals[i] = r[c]
 		}
+		cols[c] = compress(vals)
 	}
-	for c := 0; c < nc; c++ {
-		if cols[c] == nil {
-			// Column never produced a non-null cell (or the table is
-			// empty): an all-null vector.
-			cols[c] = newVec(value.Null, n)
-		}
-	}
-	return &Batch{schema: s, cols: cols, length: n}, true
-}
-
-// boxed returns dense typed vector v as a boxed one, its first n
-// elements kept.
-func (v *Vec) boxed(n int) *Vec {
-	out := &Vec{kind: anyKind, anys: make([]value.V, v.length), nulls: v.nulls, length: v.length}
-	for j := 0; j < n; j++ {
-		out.anys[j] = v.At(j)
-	}
-	return out
+	return &Batch{schema: t.Schema(), cols: cols, length: len(rows)}, true
 }
 
 // ToTable returns the batch as a column-backed table: the batch becomes

@@ -552,11 +552,12 @@ func TestFilterSharesAnAllPassInput(t *testing.T) {
 // TestSharedColumnBackedTable has eight readers use one column-backed
 // table at once — rows, fingerprint and kernels (top-n, sort, group-by,
 // filter) over its batch — as cache entries, last-good snapshots and
-// fan-out nodes do. Whichever reader triggers the row view, all must see
-// the reference answers. It runs over the vectors a conversion produces,
-// over the Builder's, whose string column is dictionary-coded (every
-// reader then reads the one shared dictionary), and over selections — a
-// kernel's output, every column read through one shared index vector.
+// fan-out nodes do. Every reader that asks for rows builds its own, and
+// all must see the reference answers. It runs over the vectors a
+// conversion produces, over the Builder's, whose string column is
+// dictionary-coded (every reader then reads the one shared dictionary),
+// and over selections — a kernel's output, every column read through one
+// shared index vector.
 // Run with -race -count=10 (CI does).
 func TestSharedColumnBackedTable(t *testing.T) {
 	src := mixedTable(
@@ -608,7 +609,7 @@ func TestSharedColumnBackedTable(t *testing.T) {
 							t.Errorf("%s reader %d: fingerprint %s, want %s", name, g, got, want)
 						}
 					case 2:
-						b, ok := FromTable(shared.CloneShallow())
+						b, ok := FromTable(shared)
 						if !ok {
 							t.Errorf("%s reader %d: shared table does not convert", name, g)
 							return
@@ -627,30 +628,21 @@ func TestSharedColumnBackedTable(t *testing.T) {
 	}
 }
 
-// TestColumnBackedMutationTakesOwnership: Append on a column-backed
-// table detaches it from its vectors (which clones share), so the clone
-// keeps the original content and the mutated table no longer hands out
-// a stale batch.
-func TestColumnBackedMutationTakesOwnership(t *testing.T) {
+// TestColumnBackedTableRefusesAppend: a column-backed table is immutable
+// once built. Append panics on it, as on a wrong arity, and leaves it as
+// it was.
+func TestColumnBackedTableRefusesAppend(t *testing.T) {
 	src := mixedTable([]int64{3, 1, 2}, []float64{1, 2, 3}, []string{"x", "y", "z"}, []bool{true, false, true}, []byte{0, 0, 0})
-	for name, mutate := range map[string]func(*table.Table){
-		"append": func(tb *table.Table) { tb.Append(src.Rows()[0]) },
-	} {
-		owned := rebuilt(src)
-		snap := owned.CloneShallow()
-		mutate(owned)
-		if owned.Columns() != nil {
-			t.Errorf("%s: table still column-backed after mutation", name)
+	tb := rebuilt(src)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append to a column-backed table did not panic")
 		}
-		if !snap.Equal(src) || snap.Fingerprint() != src.Fingerprint() {
-			t.Errorf("%s: mutation leaked into the shallow clone", name)
+		if tb.Columns() == nil || !tb.Equal(src) {
+			t.Error("the refused Append changed the table")
 		}
-		want := src.CloneShallow()
-		mutate(want)
-		if !owned.Equal(want) || owned.Fingerprint() != want.Fingerprint() || owned.Len() != want.Len() {
-			t.Errorf("%s: mutated column-backed table differs from the mutated row table", name)
-		}
-	}
+	}()
+	tb.Append(src.Row(0))
 }
 
 // TestFingerprintAllocs: hashing is O(1) allocations however many cells

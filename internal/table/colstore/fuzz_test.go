@@ -51,7 +51,7 @@ func FuzzConvert(f *testing.F) {
 		}
 		for i, row := range tb.Rows() {
 			for j, want := range row {
-				if got := built.Rows()[i][j]; got != want {
+				if got := built.At(i, j); got != want {
 					t.Fatalf("built table row %d col %d: %v %q, want %v %q", i, j, got.Kind(), got, want.Kind(), want)
 				}
 			}
@@ -70,7 +70,7 @@ func FuzzConvert(f *testing.F) {
 		// treats some cross-kind pairs as equal.
 		for i, row := range tb.Rows() {
 			for j, want := range row {
-				if got := back.Rows()[i][j]; got.Kind() != want.Kind() {
+				if got := back.At(i, j); got.Kind() != want.Kind() {
 					t.Fatalf("row %d col %d: kind %v -> %v", i, j, want.Kind(), got.Kind())
 				}
 			}

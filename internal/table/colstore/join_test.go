@@ -102,7 +102,7 @@ func sameCells(a, b *table.Table) bool {
 	}
 	for i, r := range a.Rows() {
 		for j, x := range r {
-			y := b.Rows()[i][j]
+			y := b.At(i, j)
 			if x.Kind() != y.Kind() || x.String() != y.String() {
 				return false
 			}
@@ -515,7 +515,7 @@ func TestBuilderDictionary(t *testing.T) {
 		}
 		tb := b.Table()
 		for i, want := range cells[:upto] {
-			if got := tb.Rows()[i][0]; got != want {
+			if got := tb.At(i, 0); got != want {
 				t.Errorf("first %d cells: row %d is %v %q, want %v %q", upto, i, got.Kind(), got, want.Kind(), want)
 			}
 		}

@@ -5,12 +5,16 @@
 // ("the system internally makes no differentiation between a data source
 // and a data sink", §3.4) — both are simply tables with a schema, and a
 // sink of one flow can be the source of another.
+//
+// A table is immutable once built. Most are column-backed: the decoders
+// and the vectorized kernels produce vectors (colstore), and rows are
+// only an adapter built on request. A user task's output and the cube's
+// are row-backed, filled by Append before anyone else sees them.
 package table
 
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"shareinsights/internal/schema"
 	"shareinsights/internal/value"
@@ -28,30 +32,27 @@ func (r Row) Clone() Row {
 
 // Table is an in-memory relation: a schema plus its cells. The cells
 // live in one of two layouts. A row-backed table (New, FromRows) stores
-// rows. A column-backed table (FromColumns) stores column vectors — what
-// the format decoders and the vectorized kernels produce — and rows are
-// a view over them, materialized once, on the first call that needs row
-// access (Rows and everything built on it, such as a user task reading
-// rows). Len, At, Cell, Select, SizeBytes, CloneShallow and
+// rows: a user task's output and the cube's. A column-backed table
+// (FromColumns) stores column vectors — what the format decoders and the
+// vectorized kernels produce. Len, At, Cell, Select, SizeBytes and
 // Fingerprint answer from the vectors, so the encoders, the cube and the
-// widgets never materialize one.
+// widgets never build a row; its Rows and Row build a fresh copy of
+// what they return on every call and keep nothing.
 //
-// A table is safe for concurrent readers in either layout. Mutating one
-// (Append) is for its owner only; a column-backed table first
-// materializes its rows and drops the vectors, which no longer describe
-// it.
+// A table is immutable once built, and so safe for any number of
+// concurrent readers in either layout. The one mutation, Append, is for
+// the builder of a row-backed table while it fills it.
 type Table struct {
 	schema *schema.Schema
 	rows   []Row
-	// cols is the storage of a column-backed table (nil when
-	// row-backed); view guards the one materialization of rows from it.
-	cols Columns
-	view sync.Once
+	cols   Columns // the storage of a column-backed table; nil when row-backed
 }
 
 // Columns is the column-major storage behind a column-backed table. It
 // is declared here, not where it is implemented (colstore.Batch),
-// because colstore imports this package. Implementations are immutable.
+// because colstore imports this package. Implementations are immutable:
+// a table never writes through them, and shares them with every table
+// Select makes from it.
 type Columns interface {
 	// Len is the number of rows.
 	Len() int
@@ -101,28 +102,18 @@ func (t *Table) Len() int {
 	return len(t.rows)
 }
 
-// Rows returns the row slice, materializing it first when the table is
-// column-backed (one flat cell allocation plus the row headers, once).
-// Callers must treat it as read-only unless they own the table: the
-// slice aliases the table's storage, so sorting it, growing it, or
-// replacing row headers mutates the table in place — and any snapshot
-// (cache entry, shared catalog copy) holding the same *Table. Holders of
-// long-lived references should store a CloneShallow instead, which is
-// immune to those structural mutations (cell values themselves are
-// immutable).
+// Rows returns the rows. A column-backed table builds them afresh on
+// every call (one flat cell allocation plus the row headers) and keeps
+// none, so callers that read rows more than once hold on to the slice.
+// A row-backed table returns its own storage, which callers must treat
+// as read-only.
 func (t *Table) Rows() []Row {
-	if t.cols != nil {
-		t.view.Do(func() { t.rows = t.materialize(t.cols.Len()) })
+	if t.cols == nil {
+		return t.rows
 	}
-	return t.rows
-}
-
-// materialize builds the first n rows of a column-backed table: one flat
-// cell slab plus the row headers.
-func (t *Table) materialize(n int) []Row {
 	w := t.schema.Len()
-	cells := make([]value.V, n*w)
-	rows := make([]Row, n)
+	cells := make([]value.V, t.cols.Len()*w)
+	rows := make([]Row, t.cols.Len())
 	for i := range rows {
 		rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
 		t.cols.Row(i, rows[i])
@@ -130,43 +121,19 @@ func (t *Table) materialize(n int) []Row {
 	return rows
 }
 
-// own prepares the table for structural mutation: a column-backed table
-// becomes row-backed, because its vectors are shared with every clone
-// and would no longer match the rows.
-func (t *Table) own() {
-	if t.cols != nil {
-		t.Rows()
-		t.cols = nil
+// Row returns the i'th row: for a column-backed table a fresh copy of
+// its cells.
+func (t *Table) Row(i int) Row {
+	if t.cols == nil {
+		return t.rows[i]
 	}
+	r := make(Row, t.schema.Len())
+	t.cols.Row(i, r)
+	return r
 }
-
-// CloneShallow returns a copy that shares cell storage with t but is
-// insulated from structural mutation of the original — Append, or
-// writes through the Rows() slice: a fresh row-header slice for a
-// row-backed table, the same (immutable) vectors for a column-backed
-// one. It copies no cells; it is NOT insulated from a caller
-// overwriting cells inside an aliased Row. Caches snapshotting
-// tables they do not own (last-good source snapshots, the shared
-// catalog) use it as a cheap copy-on-write boundary.
-//
-// The clone of a column-backed table shares the vectors, not the row
-// view: each of the two materializes its own cells if and when something
-// asks it for Rows(), and keeps them beside the vectors from then on.
-// That is the price of clones that never lock against each other; a
-// snapshot that is only held, or read by the columnar kernels, never
-// pays it.
-func (t *Table) CloneShallow() *Table {
-	if t.cols != nil {
-		return &Table{schema: t.schema, cols: t.cols}
-	}
-	return &Table{schema: t.schema, rows: append([]Row(nil), t.rows...)}
-}
-
-// Row returns the i'th row.
-func (t *Table) Row(i int) Row { return t.Rows()[i] }
 
 // At returns the cell at row i, column c; a column-backed table answers
-// from its vectors, without materializing its rows.
+// from its vectors, building no row.
 func (t *Table) At(i, c int) value.V {
 	if t.cols != nil {
 		return t.cols.At(i, c)
@@ -187,13 +154,17 @@ func (t *Table) Select(idx []int32) *Table {
 	return &Table{schema: t.schema, rows: rows}
 }
 
-// Append adds a row. It panics if the arity is wrong — appends are always
-// produced by operators that already know the schema.
+// Append adds a row to a table New or FromRows made. It panics if the
+// arity is wrong — appends are always produced by operators that already
+// know the schema — or if the table is column-backed, whose vectors are
+// shared and never written.
 func (t *Table) Append(r Row) {
 	if len(r) != t.schema.Len() {
 		panic(fmt.Sprintf("table: append arity %d != schema %d", len(r), t.schema.Len()))
 	}
-	t.own()
+	if t.cols != nil {
+		panic("table: append to a column-backed table")
+	}
 	t.rows = append(t.rows, r)
 }
 
@@ -230,9 +201,9 @@ func (t *Table) SizeBytes() int {
 	return n
 }
 
-// eachRow calls fn with every row in order without materializing a
-// column-backed table: its rows pass through one scratch row, which fn
-// must not retain.
+// eachRow calls fn with every row in order without building a
+// column-backed table's rows: they pass through one scratch row, which
+// fn must not retain.
 func (t *Table) eachRow(fn func(Row)) {
 	if t.cols == nil {
 		for _, r := range t.rows {
@@ -251,7 +222,7 @@ func (t *Table) eachRow(fn func(Row)) {
 // the data explorer uses ("runs the dashboard in a headless mode and
 // displays the data in a tabular format", §4.4). At most maxRows rows are
 // shown; maxRows <= 0 means all. It reads only the rows it shows, cell by
-// cell, so a column-backed table stays unmaterialized.
+// cell, so it builds no row of a column-backed table.
 func (t *Table) Format(maxRows int) string {
 	cols, shown := t.schema.Columns(), t.Len()
 	if maxRows > 0 && shown > maxRows {

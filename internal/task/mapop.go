@@ -129,11 +129,17 @@ func (s *MapSpec) Expr() expr.Node {
 	return nil
 }
 
-// Out implements Spec.
+// Out implements Spec. An expr operator requires its expression's
+// columns, as a filter expression's are.
 func (s *MapSpec) Out(in []Input) (*schema.Schema, error) {
 	one, err := singleInput("map", in)
 	if err != nil {
 		return nil, err
+	}
+	if e := s.Expr(); e != nil {
+		if _, err := one.Schema.Require(expr.Columns(e)...); err != nil {
+			return nil, err
+		}
 	}
 	return one.Schema.ExtendOrSame(s.op.OutColumns()...), nil
 }

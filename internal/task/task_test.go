@@ -797,7 +797,7 @@ func TestSortAndLimitLeaveInputUntouched(t *testing.T) {
 		}
 		for i, r := range in.Rows() {
 			for j := range r {
-				if r[j] != before.Rows()[i][j] {
+				if r[j] != before.At(i, j) {
 					t.Errorf("%s: input cell (%d,%d) changed", name, i, j)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"shareinsights/internal/expr"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/table/colstore"
@@ -28,8 +27,8 @@ type Vectorizable interface {
 
 // Kernel is the one rule for which stages run on the engine's runner
 // (colstore.Fan), and explain (dag) and the batch engine both ask it: the
-// number of stages at the head of specs one run takes over in, the head's
-// inputs, or 0 when the head runs alone through its Exec. A run is the
+// number of stages at the head of specs one run takes over the head's
+// inputs (that many), or 0 when the head runs alone through its Exec. A run is the
 // longest head of steps and then at most one sink; with none, it
 // materializes the last step's output:
 //   - over two inputs the head is a join, a probe of the index it builds
@@ -37,19 +36,18 @@ type Vectorizable interface {
 //     build rows no probe row joined come after every probe row, and a
 //     filter must see their nulls;
 //   - steps are an expression filter, an expression map and a limit. A
-//     filter after a probe reads probe-side columns only, so it means the
-//     same on a probe row as on every joined row it yields;
+//     filter after a probe reads the joined rows, either side's columns,
+//     a left outer join's unmatched row with null build columns;
 //   - sinks are a group-by, a global topn and a sort, with the limit
 //     after it as one top-n.
 //
-// Kernel binds nothing and reads no schema but a filter's probe-side
-// check. Over any stage of a built graph Bind binds the group Kernel
-// answers, and every input converts to a batch, a boxed or time column
-// included, so whatever the data an admitted stage runs on its kernel.
-func Kernel(specs []Spec, in []Input) int {
+// Kernel binds nothing and reads no schema, only the input count. Over
+// any stage of a built graph Bind binds the group Kernel answers, and
+// every input converts to a batch, a boxed or time column included, so
+// whatever the data an admitted stage runs on its kernel.
+func Kernel(specs []Spec, inputs int) int {
 	n := 0
-	var join *JoinSpec
-	switch len(in) {
+	switch inputs {
 	case 1:
 	case 2:
 		j, ok := specs[0].(*JoinSpec)
@@ -59,7 +57,7 @@ func Kernel(specs []Spec, in []Input) int {
 		case j.keepRight():
 			return 1
 		}
-		join, n = j, 1
+		n = 1
 	default:
 		return 0
 	}
@@ -74,7 +72,7 @@ func Kernel(specs []Spec, in []Input) int {
 		}
 		switch s := specs[n].(type) {
 		case *FilterSpec:
-			if s.Expr == nil || len(s.By) > 0 || join != nil && !join.probeOnly(s, in) {
+			if s.Expr == nil || len(s.By) > 0 {
 				return n
 			}
 		case *MapSpec:
@@ -115,24 +113,6 @@ func at(specs []Spec, i int) Spec {
 		return specs[i]
 	}
 	return nil
-}
-
-// probeOnly reports whether filter f, after the join over in, reads only
-// probe-side (left) columns. An output column is a projected name, or the
-// qualified source name itself when nothing is projected.
-func (s *JoinSpec) probeOnly(f *FilterSpec, in []Input) bool {
-	left, right, _, err := s.sides(in)
-	if err != nil || left.Schema == nil || right.Schema == nil {
-		return false
-	}
-	return !slices.ContainsFunc(expr.Columns(f.Expr), func(c string) bool {
-		i := slices.IndexFunc(s.Project, func(p ProjPair) bool { return p.Out == c })
-		if i >= 0 {
-			c = s.Project[i].Qualified
-		}
-		src, err := s.source(c, left.Schema, right.Schema)
-		return err != nil || src.side != 0 || i < 0 && len(s.Project) > 0
-	})
 }
 
 // Bound is a group Kernel answers, bound over its inputs: Fan runs it,
@@ -213,7 +193,7 @@ func keep(list *atomic.Pointer[bound], match func(*bound) bool, build func() *bo
 
 // bind binds specs over in into k, its run and kernels in ks.
 func bind(env *Env, specs []Spec, in []Input, k *Bound, ks *kernels) {
-	if Kernel(specs, in) != len(specs) {
+	if Kernel(specs, len(in)) != len(specs) {
 		return
 	}
 	f, cur, i := &ks.fan, in[0], 0
@@ -273,7 +253,7 @@ func (s *LimitSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema
 // interaction filters depend on live widget selections, which are
 // per-request and cheap relative to expression scans.
 func (s *FilterSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	if Kernel([]Spec{s}, []Input{in}) == 0 {
+	if Kernel([]Spec{s}, 1) == 0 {
 		return nil, nil, false
 	}
 	out, err := s.Out([]Input{in})
@@ -370,7 +350,7 @@ func bindErr(s Spec, in []Input) (err error) {
 // BindVec implements Vectorizable. The heap kernel covers one global
 // group; a partitioned topn runs alone, through Exec.
 func (s *TopNSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	if _, err := s.Out([]Input{in}); err != nil || Kernel([]Spec{s}, []Input{in}) == 0 {
+	if _, err := s.Out([]Input{in}); err != nil || Kernel([]Spec{s}, 1) == 0 {
 		return nil, nil, false
 	}
 	return &colstore.TopN{Keys: sortKeys(s.OrderBy), Limit: s.Limit}, in.Schema, true
