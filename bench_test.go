@@ -309,7 +309,7 @@ func specFromText(b *testing.B, src string) task.Spec {
 	if err != nil {
 		b.Fatal(err)
 	}
-	parsed, failed := task.NewRegistry().Parse(f)
+	parsed, _, failed := task.NewRegistry().Parse(f)
 	spec, err := parsed[f.TaskOrder[0]], failed[f.TaskOrder[0]]
 	if err != nil {
 		b.Fatal(err)

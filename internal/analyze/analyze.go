@@ -239,8 +239,6 @@ type Analysis struct {
 	// facts; walked holds the records, in the graph's order.
 	flowRecs map[*flowfile.Flow]*chainRec
 	walked   []chainRec
-	// lookup resolves parallel sub-task definitions for flowcheck.
-	lookup flowcheck.TaskLookup
 }
 
 // object is one data object: the walk's column facts and row-count
@@ -264,8 +262,7 @@ type object struct {
 // The records come from slabs sized by the file.
 func Analyze(g *dag.Graph, sources map[string]flowcheck.Scope) *Analysis {
 	a := &Analysis{g: g, f: g.File, objects: make(map[string]*object, len(g.Order)),
-		flowRecs: make(map[*flowfile.Flow]*chainRec, len(g.File.Flows)), walked: make([]chainRec, 0, len(g.File.Flows)),
-		lookup: func(name string) *flowfile.TaskDef { return g.File.Tasks[name] }}
+		flowRecs: make(map[*flowfile.Flow]*chainRec, len(g.File.Flows)), walked: make([]chainRec, 0, len(g.File.Flows))}
 	var stages, ins int
 	for _, fl := range g.File.Flows {
 		if p := fl.Pipeline; p != nil {

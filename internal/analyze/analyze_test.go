@@ -1203,8 +1203,8 @@ T:
 // join marks live the one column each live output reads: D.a has no b_x
 // for a_b_x (D.a_b's x) to name. In the other cases the name was a
 // column only a map expression (an FL003 error), a nested parallel's map
-// or another producer of an output has. A nested parallel's map is not
-// looked into, so its case pins nothing.
+// or another producer of an output has. A nested parallel resolves into
+// its map, whose expression reads a.
 func TestLiveListsOnlyColumnsTheObjectHas(t *testing.T) {
 	for _, c := range []struct {
 		name, object string
@@ -1246,7 +1246,7 @@ T:
     type: groupby
     groupby: [b]
 `},
-		{"nested parallel", "src", nil, `
+		{"nested parallel", "src", []string{"a"}, `
 D:
   src: [a]
 F:

@@ -132,7 +132,7 @@ func (a *Analysis) backProp(rec *chainRec, slab *[]uint64) {
 				in = append(in, a.objects[name].live)
 			}
 		}
-		flowcheck.LiveIn(rec.chain.Specs[k], st.Def, a.lookup, st.ins, st.Out, st.liveAfter, in)
+		flowcheck.LiveIn(rec.chain.Specs[k], st.Def, st.ins, st.Out, st.liveAfter, in)
 	}
 	if len(rec.stages) == 0 { // the one input feeds the output unchanged
 		live := a.objects[rec.chain.Inputs[0]].live
@@ -154,19 +154,11 @@ func words(s *schema.Schema) int {
 func has(bits []uint64, i int) bool { return bits[i/64]&(1<<(i%64)) != 0 }
 
 // computedCols names the columns a stage derives (as opposed to carries):
-// map and parallel operator outputs and group-by aggregate fields.
+// map operator outputs and group-by aggregate fields.
 func computedCols(sp task.Spec) []string {
 	switch t := sp.(type) {
 	case *task.MapSpec:
 		return t.OutColumns()
-	case *task.ParallelSpec:
-		var out []string
-		for _, sub := range t.Subs {
-			if ms, ok := sub.(*task.MapSpec); ok {
-				out = append(out, ms.OutColumns()...)
-			}
-		}
-		return out
 	case *task.GroupBySpec:
 		var out []string
 		for _, a := range t.Aggs {

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -179,7 +180,11 @@ func (g *flowGen) stage(id string) string {
 
 // genFlow assembles a random 1..5 stage flow, sometimes split across an
 // intermediate data object so cross-object fact propagation is covered.
-func genFlow(rng *rand.Rand) string {
+// It sometimes wraps a run of 1–3 row-local stages within one segment in
+// a parallel (Figure 20), nesting its first entry now and then. Every
+// wrap decision is drawn from wrap, so a seed's tasks and cut are the
+// same whether it wraps or not.
+func genFlow(rng, wrap *rand.Rand) string {
 	g := &flowGen{rng: rng, cols: []string{"region", "product", "amount", "ratio", "flag"}}
 	stages := rng.Intn(5) + 1
 	var tasks []string
@@ -189,14 +194,58 @@ func genFlow(rng *rand.Rand) string {
 		chain = append(chain, "T."+id)
 		tasks = append(tasks, g.stage(id))
 	}
-	flows := "  D.out: D.src | " + strings.Join(chain, " | ") + "\n"
+	cut := 0 // the first stage of D.out's own segment, 0: no D.mid
 	if stages > 1 && rng.Intn(2) == 0 {
-		cut := rng.Intn(stages-1) + 1
+		cut = rng.Intn(stages-1) + 1
+	}
+	lo, hi := 0, stages
+	if cut > 0 {
+		if wrap.Intn(2) == 0 {
+			hi = cut
+		} else {
+			lo = cut
+		}
+	}
+	if wrap.Intn(2) == 0 {
+		start := lo + wrap.Intn(hi-lo)
+		end, n := start, 1+wrap.Intn(3)
+		for end < hi && end-start < n && (strings.Contains(tasks[end], "type: filter_by") || strings.Contains(tasks[end], "type: map")) {
+			end++
+		}
+		if end > start {
+			subs := slices.Clone(chain[start:end])
+			if wrap.Intn(2) == 0 {
+				tasks = append(tasks, fmt.Sprintf("  q:\n    parallel: [%s]\n", subs[0]))
+				subs[0] = "T.q"
+			}
+			tasks = append(tasks, fmt.Sprintf("  p:\n    parallel: [%s]\n", strings.Join(subs, ", ")))
+			chain = slices.Concat(chain[:start], []string{"T.p"}, chain[end:])
+			if start < cut {
+				cut -= end - start - 1
+			}
+		}
+	}
+	flows := "  D.out: D.src | " + strings.Join(chain, " | ") + "\n"
+	if cut > 0 {
 		flows = "  D.mid: D.src | " + strings.Join(chain[:cut], " | ") + "\n" +
 			"  D.out: D.mid | " + strings.Join(chain[cut:], " | ") + "\n"
 	}
 	return "D:\n  src: [region, product, amount, ratio, flag]\n\nF:\n" +
 		flows + "\n  D.out:\n    endpoint: true\n\nT:\n" + strings.Join(tasks, "")
+}
+
+// nullColumns is tb with the named columns nulled, as a decoder that
+// takes a projection offer leaves them.
+func nullColumns(tb *table.Table, cols []string) *table.Table {
+	out := table.New(tb.Schema())
+	for _, r := range tb.Rows() {
+		r = slices.Clone(r)
+		for _, c := range cols {
+			r[tb.Schema().Index(c)] = value.VNull
+		}
+		out.Append(r)
+	}
+	return out
 }
 
 // --- the soundness property ------------------------------------------------
@@ -235,7 +284,7 @@ func parseType(t *testing.T, s string) flowcheck.Type {
 func checkFlow(t *testing.T, seed int64, rows, nullRate int) bool {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	src := genFlow(rng)
+	src := genFlow(rng, rand.New(rand.NewSource(^seed)))
 	f, err := flowfile.Parse("fuzz", src)
 	if err != nil {
 		t.Fatalf("generated flow does not parse: %v\n%s", err, src)
@@ -273,16 +322,24 @@ func checkFlow(t *testing.T, seed int64, rows, nullRate int) bool {
 	// The platform runs with the cost-based optimizer on by default, so
 	// the soundness property extends to it: a planned run — fed the same
 	// static facts the checker just proved, which reorder filters and
-	// shape pushdowns — must agree with the unplanned reference on both
-	// engines, and its outputs must conform to the same facts.
+	// skip decoding dead source columns — must agree with the unplanned
+	// reference on both engines, and its outputs must conform to the same
+	// facts. The source's skipped columns are nulled, as the decoder
+	// leaves them, so only the endpoint, which reads every column it
+	// has, is compared.
 	hints := analyze.Analyze(g, map[string]flowcheck.Scope{"src": srcScope()}).Hints()
+	plan := dag.Optimize(g, hints.PlanOptions(nil))
+	planned := sources
+	if pd := plan.Node("src").Pushdown; pd != nil {
+		planned = map[string]*table.Table{"src": nullColumns(sources["src"], pd.SkipColumns)}
+	}
 	for _, mode := range []string{batch.ColumnarOff, ""} {
-		e := &batch.Executor{Parallelism: 1, Columnar: mode, Plan: dag.Optimize(g, hints.PlanOptions(nil))}
-		res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
+		e := &batch.Executor{Parallelism: 1, Columnar: mode, Plan: plan}
+		res, err := e.RunContext(context.Background(), g, &task.Env{}, planned)
 		if err != nil {
 			t.Fatalf("lint-clean flow fails under the optimizer (columnar=%s): %v\n%s", mode, err, src)
 		}
-		for _, name := range row.SortedNames() {
+		for _, name := range g.Endpoints() {
 			want, _ := row.Table(name)
 			got, ok := res.Table(name)
 			if !ok || !want.Equal(got) {

@@ -24,8 +24,8 @@ const (
 // flowlint rule ID: FL004 keeps its historical coarse-lattice wording;
 // FL060–FL064 are the fine-lattice rules documented in docs/TYPES.md.
 type Issue struct {
-	// Task is the task whose expression raised the issue: the stage's own
-	// or a parallel sub-task (set by TransferStage).
+	// Task is the task whose expression raised the issue (set by
+	// TransferStage).
 	Task     string
 	Rule     string
 	Severity Severity

@@ -17,7 +17,7 @@ import (
 // liveIn, so a caller unions several consumers' demand in one set.
 // Unknown spec kinds conservatively keep every input column live, so a
 // custom task can never cause a false dead-column report.
-func LiveIn(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins []Input, out *schema.Schema, liveOut []uint64, liveIn [][]uint64) {
+func LiveIn(sp task.Spec, def *flowfile.TaskDef, ins []Input, out *schema.Schema, liveOut []uint64, liveIn [][]uint64) {
 	if len(liveIn) == 0 {
 		return
 	}
@@ -30,19 +30,6 @@ func LiveIn(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins []Input,
 	case *task.MapSpec:
 		carry(dst, in, liveOut, out, t.OutColumns())
 		markUses(dst, in, t, def)
-	case *task.ParallelSpec:
-		var defined []string
-		for i, sub := range t.Subs {
-			ms, ok := sub.(*task.MapSpec)
-			if !ok {
-				continue
-			}
-			defined = append(defined, ms.OutColumns()...)
-			if i < len(t.Names) && lookup != nil {
-				markUses(dst, in, ms, lookup(t.Names[i]))
-			}
-		}
-		carry(dst, in, liveOut, out, defined)
 	case *task.GroupBySpec:
 		mark(dst, in, t.GroupBy...)
 		for _, a := range t.Aggs {

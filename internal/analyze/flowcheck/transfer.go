@@ -10,10 +10,6 @@ import (
 	"shareinsights/internal/value"
 )
 
-// TaskLookup resolves a task name to its definition — the map-expr and
-// parallel transfers need the raw config the spec parser consumed.
-type TaskLookup func(name string) *flowfile.TaskDef
-
 // Input is one resolved stage input: the data object's name, bound
 // schema, column facts and row-count bound.
 type Input struct {
@@ -44,7 +40,7 @@ type StageResult struct {
 // output column conforms to the fact's type, constants hold on every
 // row, intervals bound every non-null cell, and the true row count lies
 // inside Card.
-func TransferStage(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins []Input, out *schema.Schema) StageResult {
+func TransferStage(sp task.Spec, def *flowfile.TaskDef, ins []Input, out *schema.Schema) StageResult {
 	res := StageResult{Scope: carryScope(ins, out), Card: CardUnknown()}
 	if len(ins) > 0 {
 		res.Card = ins[0].Card
@@ -65,14 +61,12 @@ func TransferStage(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, ins [
 		}
 		res.Card = res.Card.collapse()
 	case *task.MapSpec:
-		applyMapFacts(t, def, def.Name, firstInput(ins).Scope, &res)
-	case *task.ParallelSpec:
-		for i, sub := range t.Subs {
-			ms, ok := sub.(*task.MapSpec)
-			if !ok || i >= len(t.Names) || lookup == nil {
-				continue
-			}
-			applyMapFacts(ms, lookup(t.Names[i]), t.Names[i], firstInput(ins).Scope, &res)
+		if fanOutOp(t.Operator) {
+			res.Card = CardUnknown()
+		}
+		f := mapFact(t, def, firstInput(ins).Scope, &res)
+		for _, c := range t.OutColumns() {
+			res.Scope[c] = f
 		}
 	case *task.JoinSpec:
 		transferJoin(t, ins, &res)
@@ -244,26 +238,14 @@ func fanOutOp(op string) bool {
 	return op == "extract" || op == "extract_location" || op == "extract_words"
 }
 
-// applyMapFacts overlays task owner's map operator's output-column facts
-// onto the result scope and adjusts the cardinality for fan-out ones.
-func applyMapFacts(m *task.MapSpec, def *flowfile.TaskDef, owner string, in Scope, res *StageResult) {
-	if fanOutOp(m.Operator) {
-		res.Card = CardUnknown()
-	}
-	f := mapFact(m, def, owner, in, res)
-	for _, c := range m.OutColumns() {
-		res.Scope[c] = f
-	}
-}
-
 // mapFact is the output fact of one map operator, matching the operator
 // implementations: date may fail to parse (nullable string); the extract
 // family and the string transforms always produce a concrete string
 // (null inputs coerce to ""); bucket preserves the input's nullability
 // and is integral exactly when its width is; constant carries its parsed
 // literal; expr inherits the lowered expression's full fact, and its
-// issues join the result's.
-func mapFact(m *task.MapSpec, def *flowfile.TaskDef, owner string, in Scope, res *StageResult) ColFact {
+// issues, owned by def, join the result's.
+func mapFact(m *task.MapSpec, def *flowfile.TaskDef, in Scope, res *StageResult) ColFact {
 	switch m.Operator {
 	case "date":
 		return ColFact{Type: Type{Kind: KString, Nullable: true}}
@@ -294,7 +276,7 @@ func mapFact(m *task.MapSpec, def *flowfile.TaskDef, owner string, in Scope, res
 		}
 	case "expr":
 		var e *Expr
-		e, res.Issues = check(m.Expr(), in, owner, res.Issues)
+		e, res.Issues = check(m.Expr(), in, def.Name, res.Issues)
 		return ColFact{Type: e.Type, Const: e.Const, Ivl: e.Ivl}
 	}
 	return ColFact{Type: Unknown()}

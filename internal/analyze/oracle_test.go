@@ -38,8 +38,6 @@ import (
 //     prefixes, not the one column its binding reads (oracleLiveInJoin);
 //   - a map expression naming a column its input lacks (an FL003 error)
 //     made that name live upstream (map_expr_missing_column);
-//   - a parallel task nesting a parallel task with a map carried the
-//     inner map's output into its input's demand (nested_parallel);
 //   - a flow whose output another flow also produces (a run error) took
 //     that object's demand by name (two_producers).
 //
@@ -223,7 +221,7 @@ func (a *oracle) oracleBackProp(rec *chainRec, liveOut map[string]bool) []map[st
 	for k := len(rec.stages) - 1; k >= 0; k-- {
 		st := &rec.stages[k]
 		a.liveAfter[st] = cur
-		sets := oracleLiveIn(rec.chain.Specs[k], st.Def, a.lookup, st.ins, cur)
+		sets := oracleLiveIn(rec.chain.Specs[k], st.Def, st.ins, cur)
 		if k == 0 {
 			return sets
 		}
@@ -344,7 +342,7 @@ func oracleSetLive(f *flowcheck.Facts, object string, live map[string]bool) {
 // liveness transfer. Unknown spec kinds conservatively keep every input
 // column live, so a custom task can never cause a false dead-column
 // report.
-func oracleLiveIn(sp task.Spec, def *flowfile.TaskDef, lookup flowcheck.TaskLookup, ins []flowcheck.Input, liveOut map[string]bool) []map[string]bool {
+func oracleLiveIn(sp task.Spec, def *flowfile.TaskDef, ins []flowcheck.Input, liveOut map[string]bool) []map[string]bool {
 	out := make([]map[string]bool, len(ins))
 	for i := range out {
 		out[i] = map[string]bool{}
@@ -360,23 +358,6 @@ func oracleLiveIn(sp task.Spec, def *flowfile.TaskDef, lookup flowcheck.TaskLook
 	case *task.MapSpec:
 		oracleCopySetExcept(out[0], liveOut, oracleM2set(t.OutColumns()))
 		oracleAddCols(out[0], oracleHas(ins[0].Schema, oracleMapUses(t, def))) // only columns the input has
-	case *task.ParallelSpec:
-		defined := map[string]bool{}
-		var uses []string
-		for i, sub := range t.Subs {
-			ms, ok := sub.(*task.MapSpec)
-			if !ok {
-				continue
-			}
-			for _, c := range ms.OutColumns() {
-				defined[c] = true
-			}
-			if i < len(t.Names) && lookup != nil {
-				uses = append(uses, oracleMapUses(ms, lookup(t.Names[i]))...)
-			}
-		}
-		oracleCopySetExcept(out[0], oracleKeep(liveOut, ins[0].Schema), defined) // only columns the input has
-		oracleAddCols(out[0], oracleHas(ins[0].Schema, uses))                    // only columns the input has
 	case *task.GroupBySpec:
 		oracleAddCols(out[0], t.GroupBy)
 		for _, a := range t.Aggs {

@@ -61,7 +61,7 @@ func (a *Analysis) walk(c *dag.Chain, stages *[]stageRec, inSlab *[]flowcheck.In
 	}
 	rec.stages = carve(stages, len(c.Stages))[:0]
 	for k, st := range c.Stages {
-		res := flowcheck.TransferStage(c.Specs[k], st.Def, a.lookup, ins, st.Out)
+		res := flowcheck.TransferStage(c.Specs[k], st.Def, ins, st.Out)
 		rec.stages = append(rec.stages, stageRec{Stage: st, ins: ins, verdict: res.Verdict, issues: res.Issues})
 		if st.Out == nil {
 			return rec

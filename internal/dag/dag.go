@@ -63,7 +63,8 @@ type Chain struct {
 	Problem *Problem
 }
 
-// Stage is one task reference of a chain.
+// Stage is one task of a chain: a plain task reference, or one of the
+// plain tasks a parallel reference expands to (no stage is a parallel).
 type Stage struct {
 	Name string
 	Def  *flowfile.TaskDef
@@ -163,8 +164,9 @@ func Build(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Graph,
 }
 
 // Resolve is the front end's one assembler: it parses every task
-// definition once, attaches flows and widget sources to nodes, orders
-// what can be ordered and binds every chain stage by stage. It keeps
+// definition once, expands each parallel reference in place into the
+// plain tasks it stands for, attaches flows and widget sources to nodes,
+// orders what can be ordered and binds every chain stage by stage. It keeps
 // going past a failure — what depends on a failed chain stays unresolved,
 // silently, its root cause being listed already — and returns the
 // problems a run rejects the file for, in the order Build has always met
@@ -176,9 +178,20 @@ func Build(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Graph,
 // allocates per file, not per node or stage. Each carved slice has cap ==
 // len, so an append by a reader of a kept graph reallocates.
 func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Graph, []*Problem) {
+	specs, expand, errs := reg.Parse(f)
+	// width is the number of stages a pipeline resolves to: a parallel
+	// reference stands for the plain tasks it expands to.
+	width := func(p *flowfile.Pipeline) int {
+		n := len(p.Tasks)
+		for _, t := range p.Tasks {
+			n += max(len(expand[t.Name]), 1) - 1
+		}
+		return n
+	}
 	var nTasks, nStages, nStrs, nWidgets, size, maxIn int
 	count := func(p *flowfile.Pipeline, outs int) {
-		nTasks, nStages = nTasks+len(p.Tasks), nStages+len(p.Tasks)*outs
+		w := width(p)
+		nTasks, nStages = nTasks+w, nStages+w*outs
 		nStrs += len(p.Inputs) * (1 + outs) // the chain's inputs, a consumer entry per output
 		maxIn = max(maxIn, len(p.Inputs))
 	}
@@ -210,7 +223,6 @@ func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Grap
 			problems = append(problems, p)
 		}
 	}
-	specs, errs := reg.Parse(f)
 	for name, err := range errs {
 		p := &Problem{Kind: ProblemBadConfig, Entity: "T." + name, Line: f.Tasks[name].Line, Err: err}
 		if !slices.Contains(reg.Types(), f.Tasks[name].Type) {
@@ -226,13 +238,22 @@ func Resolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) (*Grap
 			g.node(&nodes, in.Name)
 			c.Inputs[i] = in.Name
 		}
-		c.Specs, c.Stages = carve(&specSlab, len(p.Tasks)), carve(&stages, len(p.Tasks))
-		for k, t := range p.Tasks {
-			if def, ok := f.Tasks[t.Name]; !ok {
+		w := width(p)
+		c.Specs, c.Stages = carve(&specSlab, w), carve(&stages, w)
+		k := 0
+		for _, t := range p.Tasks {
+			if _, ok := f.Tasks[t.Name]; !ok {
 				c.Problem = &Problem{Kind: ProblemUndefinedTask, Entity: "T." + t.Name, Line: line, prefix: "dag: ",
 					Err: fmt.Errorf("%s at line %d references undefined task T.%s", what, line, t.Name)}
 			} else if c.Problem = g.BadTasks[t.Name]; c.Problem == nil {
-				c.Specs[k], c.Stages[k] = specs[t.Name], Stage{Name: t.Name, Def: def}
+				names := expand[t.Name]
+				if names == nil {
+					names = []string{t.Name}
+				}
+				for _, name := range names {
+					c.Specs[k], c.Stages[k] = specs[name], Stage{Name: name, Def: f.Tasks[name]}
+					k++
+				}
 				continue
 			}
 			c.Specs, c.Stages = nil, nil

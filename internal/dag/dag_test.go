@@ -220,7 +220,7 @@ T:
 	}
 	var specs []task.Spec
 	for _, name := range []string{"static_group", "pick", "agg"} {
-		parsed, failed := reg.Parse(f)
+		parsed, _, failed := reg.Parse(f)
 		sp, err := parsed[name], failed[name]
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +307,7 @@ T:
 			byName := map[task.Spec]string{}
 			var specs []task.Spec
 			for _, name := range tc.in {
-				parsed, failed := reg.Parse(f)
+				parsed, _, failed := reg.Parse(f)
 				sp, err := parsed[name], failed[name]
 				if err != nil {
 					t.Fatal(err)
@@ -407,6 +407,14 @@ T:
 	gp2 := build(t, strings.Replace(par, "operator: upper", "operator: lower", 1), nil)
 	if gp2.Signatures(gp2.SignatureText(), src)["out"] == base {
 		t.Error("parallel sub-task edit not reflected in signature")
+	}
+	// So does editing a sub-task of a nested parallel.
+	nested := strings.Replace(par, "    parallel: [T.up]\n", "    parallel: [T.inner]\n  inner:\n    parallel: [T.up]\n", 1)
+	gn := build(t, nested, nil)
+	base = gn.Signatures(gn.SignatureText(), src)["out"]
+	gn2 := build(t, strings.Replace(nested, "operator: upper", "operator: lower", 1), nil)
+	if gn2.Signatures(gn2.SignatureText(), src)["out"] == base {
+		t.Error("nested parallel sub-task edit not reflected in signature")
 	}
 }
 

@@ -160,34 +160,15 @@ func WidgetSource(specs []task.Spec) (server, client []task.Spec) {
 
 // DependsOnInteraction reports whether a spec reads widget state.
 func DependsOnInteraction(sp task.Spec) bool {
-	switch t := sp.(type) {
-	case *task.FilterSpec:
-		return t.SourceWidget != ""
-	case *task.ParallelSpec:
-		for _, sub := range t.Subs {
-			if DependsOnInteraction(sub) {
-				return true
-			}
-		}
-	}
-	return false
+	f, ok := sp.(*task.FilterSpec)
+	return ok && f.SourceWidget != ""
 }
 
-// producedColumns returns the columns a stage's maps add. maps is false
-// when the stage is not made of maps only — no filter commutes with it.
+// producedColumns returns the columns a stage's map adds. maps is false
+// when the stage is not a map — no filter commutes with it.
 func producedColumns(sp task.Spec) (cols []string, maps bool) {
-	switch t := sp.(type) {
-	case *task.MapSpec:
-		return t.OutColumns(), true
-	case *task.ParallelSpec:
-		maps = true
-		for _, sub := range t.Subs {
-			if ms, ok := sub.(*task.MapSpec); ok {
-				cols = append(cols, ms.OutColumns()...)
-			} else {
-				maps = false
-			}
-		}
+	if ms, ok := sp.(*task.MapSpec); ok {
+		return ms.OutColumns(), true
 	}
-	return cols, maps
+	return nil, false
 }

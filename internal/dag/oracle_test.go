@@ -31,7 +31,7 @@ func oracleResolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) 
 			problems = append(problems, p)
 		}
 	}
-	specs, errs := reg.Parse(f)
+	specs, expand, errs := reg.Parse(f)
 	for name, err := range errs {
 		p := &Problem{Kind: ProblemBadConfig, Entity: "T." + name, Line: f.Tasks[name].Line, Err: err}
 		if typ := f.Tasks[name].Type; typ != "parallel" && !slices.Contains(reg.Types(), typ) {
@@ -48,12 +48,18 @@ func oracleResolve(f *flowfile.File, reg *task.Registry, shared SharedResolver) 
 			c.Inputs[i] = in.Name
 		}
 		for _, t := range p.Tasks {
-			if def, ok := f.Tasks[t.Name]; !ok {
+			if _, ok := f.Tasks[t.Name]; !ok {
 				c.Problem = &Problem{Kind: ProblemUndefinedTask, Entity: "T." + t.Name, Line: line, prefix: "dag: ",
 					Err: fmt.Errorf("%s at line %d references undefined task T.%s", what, line, t.Name)}
 			} else if c.Problem = g.BadTasks[t.Name]; c.Problem == nil {
-				c.Specs = append(c.Specs, specs[t.Name])
-				c.Stages = append(c.Stages, Stage{Name: t.Name, Def: def})
+				names := expand[t.Name] // a parallel stands for the tasks it expands to
+				if names == nil {
+					names = []string{t.Name}
+				}
+				for _, name := range names {
+					c.Specs = append(c.Specs, specs[name])
+					c.Stages = append(c.Stages, Stage{Name: name, Def: f.Tasks[name]})
+				}
 				continue
 			}
 			c.Specs, c.Stages = nil, nil

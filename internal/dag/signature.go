@@ -3,13 +3,12 @@ package dag
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"strings"
 )
 
 // SignatureText is the part of every node's signature that only the flow
 // file decides: a source's declared schema; a produced node's pipeline
-// text and the canonical text of every task it applies, parallel
-// sub-tasks included (so editing a task's configuration changes the
+// text and the canonical text of every task it resolved to, a parallel's
+// expansion included (so editing a task's configuration changes the
 // signature). A compiled program builds it once per flow file: every
 // node's text is appended to one buffer, and the map's values are
 // slices of one string made from it.
@@ -21,14 +20,8 @@ func (g *Graph) SignatureText() map[string]string {
 			b = n.Def.Schema.AppendTo(b)
 		} else if !n.IsSource() {
 			b = append(n.Flow.Pipeline.AppendTo(append(b, "flow|"...)), '|')
-			for _, tref := range n.Flow.Pipeline.Tasks {
-				b = append(g.File.AppendTaskText(b, tref.Name), 0)
-				// Transitively include parallel sub-task texts: a
-				// parallel composite's behaviour changes when a
-				// referenced sub-task changes.
-				for _, sub := range g.File.Tasks[tref.Name].Config.StrList("parallel") {
-					b = append(g.File.AppendTaskText(b, strings.TrimPrefix(sub, "T.")), 0)
-				}
+			for _, st := range n.Stages {
+				b = append(g.File.AppendTaskText(b, st.Name), 0)
 			}
 		}
 		ends = append(ends, len(b))

@@ -34,17 +34,9 @@ func oracleSignatures(g *Graph, sourceSig func(name string) string) map[string]s
 			}
 		} else {
 			fmt.Fprintf(h, "flow|%s|", n.Flow.Pipeline.String())
-			for _, tref := range n.Flow.Pipeline.Tasks {
-				h.Write(g.File.AppendTaskText(nil, tref.Name))
+			for _, st := range n.Stages { // a parallel's expansion included
+				h.Write(g.File.AppendTaskText(nil, st.Name))
 				h.Write([]byte{0})
-				// Transitively include parallel sub-task texts: a
-				// parallel composite's behaviour changes when a
-				// referenced sub-task changes.
-				for _, sub := range g.File.Tasks[tref.Name].Config.StrList("parallel") {
-					subName := strings.TrimPrefix(sub, "T.")
-					h.Write(g.File.AppendTaskText(nil, subName))
-					h.Write([]byte{0})
-				}
 			}
 			for _, in := range n.Inputs {
 				h.Write([]byte(sigs[in]))

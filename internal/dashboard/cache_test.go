@@ -172,3 +172,45 @@ func TestFreshCacheServesNothing(t *testing.T) {
 		t.Error("fresh cache still served")
 	}
 }
+
+// TestNestedParallelEditRecomputes: editing a sub-task of a nested
+// parallel invalidates the node that applies it, so a cached rerun is
+// what a fresh run gives.
+func TestNestedParallelEditRecomputes(t *testing.T) {
+	flow := `
+D:
+  raw: [k, v]
+
+D.raw:
+  source: mem:raw.csv
+  format: csv
+
+F:
+  +D.out: D.raw | T.p
+
+T:
+  p:
+    parallel: [T.up, T.q]
+  q:
+    parallel: [T.case]
+  up:
+    type: map
+    operator: upper
+    transform: k
+    output: u
+  case:
+    type: map
+    operator: upper
+    transform: k
+    output: c
+`
+	const raw = "Ab,1\ncD,2\n"
+	p := cachePlatform(raw)
+	compileRun(t, p, flow)
+	edited := strings.Replace(flow, "    operator: upper\n    transform: k\n    output: c", "    operator: lower\n    transform: k\n    output: c", 1)
+	cached, _ := compileRun(t, p, edited).Endpoint("out")
+	fresh, _ := compileRun(t, cachePlatform(raw), edited).Endpoint("out")
+	if !cached.Equal(fresh) || fresh.Cell(0, "c").Str() != "ab" {
+		t.Errorf("cached rerun after the edit:\n%s\nfresh run:\n%s", cached.Format(0), fresh.Format(0))
+	}
+}

@@ -279,12 +279,16 @@ func (prog *Program) compileWidgetPlan(def *flowfile.WidgetDef) (*widgetPlan, er
 		return nil, nil
 	}
 	src := prog.Graph.Widgets[def.Name]
-	if len(src.Specs) != len(def.Source.Tasks) {
+	if src.Specs == nil {
 		return nil, src.Problem // an undefined or misconfigured task
 	}
 	specs := src.Specs
-	plan := &widgetPlan{def: def, interactsWith: widget.InteractionSources(prog.File, def),
-		endpointSpan: "widget W." + def.Name + " endpoint", renderSpan: "widget W." + def.Name + " render"}
+	plan := &widgetPlan{def: def, endpointSpan: "widget W." + def.Name + " endpoint", renderSpan: "widget W." + def.Name + " render"}
+	for _, sp := range specs {
+		if f, ok := sp.(*task.FilterSpec); ok && f.SourceWidget != "" {
+			plan.interactsWith = append(plan.interactsWith, f.SourceWidget)
+		}
+	}
 	plan.inputs = src.Inputs
 	if prog.platform.Optimize {
 		plan.server, plan.client = dag.WidgetSource(specs)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -472,6 +473,77 @@ func TestFixedFlowsDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelDifferential: a parallel (Figure 20) resolves into its
+// sub-tasks in place, a nested one's included, and every mode holds the
+// expanded chain to the reference: the subs compose their columns in
+// turn, a fan-out sub repeats the date its predecessor added, and a
+// filter reads the column a nested map added.
+func TestParallelDifferential(t *testing.T) {
+	flow := `
+D:
+  raw: [postedTime, body, amount]
+
+F:
+  D.tagged: D.raw | T.tag
+  D.kept: D.raw | T.outer
+
+T:
+  tag:
+    parallel: [T.norm_date, T.words]
+  norm_date:
+    type: map
+    operator: date
+    transform: postedTime
+    input_format: 'E MMM dd HH:mm:ss Z yyyy'
+    output_format: yyyy-MM-dd
+    output: date
+  words:
+    type: map
+    operator: extract_words
+    transform: body
+    output: word
+  outer:
+    parallel: [T.inner, T.big]
+  inner:
+    parallel: [T.double]
+  double:
+    type: map
+    operator: expr
+    expression: amount * 2
+    output: doubled
+  big:
+    type: filter_by
+    filter_expression: doubled > 15
+`
+	raw := table.New(schema.MustFromNames("postedTime", "body", "amount"))
+	raw.AppendValues(value.NewString("Fri May 10 18:30:00 +0000 2013"), value.NewString("kohli with dhoni"), value.NewInt(10))
+	raw.AppendValues(value.NewString("Sat May 11 09:00:00 +0000 2013"), value.NewString("rain"), value.NewInt(7))
+	raw.AppendValues(value.NewString("Sun May 12 20:15:00 +0000 2013"), value.NewString(""), value.NewInt(8))
+	sources := map[string]*table.Table{"raw": raw}
+	g := buildGraph(t, flow)
+	for name, want := range map[string][]string{"tagged": {"norm_date", "words"}, "kept": {"double", "big"}} {
+		var got []string
+		for _, st := range g.Nodes[name].Stages {
+			got = append(got, st.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("D.%s resolves to the stages %v, want %v", name, got, want)
+		}
+	}
+	diffFlow(t, flow, sources)
+	ref := reference(t, g, sources)
+	tagged := ref["tagged"]
+	if got := tagged.Schema().String(); got != "[postedTime, body, amount, date, word]" {
+		t.Errorf("D.tagged schema = %s", got)
+	}
+	if tagged.Len() != 3 || tagged.Cell(1, "word").Str() != "dhoni" || tagged.Cell(1, "date").Str() != "2013-05-10" {
+		t.Errorf("D.tagged: want kohli and dhoni on 2013-05-10, then rain:\n%s", tagged.Format(0))
+	}
+	if kept := ref["kept"]; kept.Len() != 2 || kept.Cell(0, "doubled").Int() != 20 || kept.Cell(1, "doubled").Int() != 16 {
+		t.Errorf("D.kept = %s, want the rows of 10 and 8, doubled", kept.Format(0))
 	}
 }
 

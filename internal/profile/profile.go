@@ -28,7 +28,8 @@ import (
 type ColumnStats struct {
 	// Column is the column name.
 	Column string
-	// Kind is the dominant non-null value kind.
+	// Kind is the dominant non-null value kind, the first in kind order
+	// on a tie.
 	Kind value.Kind
 	// Rows / Nulls / Distinct are cardinalities.
 	Rows, Nulls, Distinct int
@@ -51,7 +52,7 @@ func Profile(t *table.Table) []ColumnStats {
 	out := make([]ColumnStats, t.Schema().Len())
 	for ci, col := range t.Schema().Columns() {
 		st := ColumnStats{Column: col.Name, Rows: t.Len()}
-		kinds := map[value.Kind]int{}
+		var kinds [value.Time + 1]int // by kind: a tie goes to the first in kind order
 		counts := map[string]int{}
 		var minV, maxV value.V
 		var sum, sumSq float64
@@ -81,8 +82,7 @@ func Profile(t *table.Table) []ColumnStats {
 		best := 0
 		for k, n := range kinds {
 			if n > best {
-				best = n
-				st.Kind = k
+				best, st.Kind = n, value.Kind(k)
 			}
 		}
 		st.Distinct = len(counts)

@@ -44,6 +44,21 @@ func TestProfileStats(t *testing.T) {
 	}
 }
 
+// TestProfileMixedKindIsDeterministic: a column with one int, one float
+// and one bool ties three kinds, and every profile names the same one.
+func TestProfileMixedKindIsDeterministic(t *testing.T) {
+	tb := table.New(schema.MustFromNames("score"))
+	tb.AppendValues(value.NewFloat(2.5))
+	tb.AppendValues(value.NewInt(3))
+	tb.AppendValues(value.NewBool(true))
+	want := Profile(tb)[0].Kind
+	for range 20 {
+		if got := Profile(tb)[0].Kind; got != want {
+			t.Fatalf("a tied column profiled as %s, then as %s", want, got)
+		}
+	}
+}
+
 func TestProfileEmptyTable(t *testing.T) {
 	empty := table.New(schema.MustFromNames("a"))
 	stats := Profile(empty)

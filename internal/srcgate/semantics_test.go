@@ -14,9 +14,10 @@ import (
 	"shareinsights/internal/task"
 )
 
-// semanticsExempt is what runs with no docs/SEMANTICS.md section and no
-// reference case of its own: parallel runs its subs in turn, each held to
-// its own section, and the text map operators run through the per-row
+// semanticsExempt is what has no docs/SEMANTICS.md section and no
+// reference case of its own: parallel never reaches an executor or the
+// reference, as the resolver expands it into its subs, each held to its
+// own section, and the text map operators run through the per-row
 // adapter. It only shrinks: an entry that gains a section fails the gate
 // until it is dropped.
 var semanticsExempt = map[string]bool{

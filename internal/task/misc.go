@@ -310,8 +310,6 @@ func describe(prefix string, s Spec) string {
 		return fmt.Sprintf("%stopn %d by %v", prefix, t.Limit, t.OrderBy)
 	case *MapSpec:
 		return prefix + "map " + t.Operator
-	case *ParallelSpec:
-		return prefix + "parallel [" + strings.Join(t.Names, ", ") + "]"
 	default:
 		return prefix + s.Type()
 	}

@@ -17,6 +17,7 @@ package task
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -103,7 +104,7 @@ func NewRegistry() *Registry {
 		"distinct":  parseDistinct,
 		"union":     parseUnion,
 		"limit":     parseLimit,
-		"parallel":  nil, // parseNamed parses it, with the file its subs are in
+		"parallel":  nil, // parseNamed expands it, with the file its subs are in
 	} {
 		r.parsers[name] = p
 		r.builtin[name] = true
@@ -136,50 +137,51 @@ func (r *Registry) Types() []string {
 }
 
 // Parse resolves every task definition of a flow file by name: its spec,
-// or the error its configuration earned. Each parser runs once per
-// definition; a parallel composite (why the whole file is needed) shares
-// the results of the subs it names.
-func (r *Registry) Parse(f *flowfile.File) (map[string]Spec, map[string]error) {
-	specs, errs := make(map[string]Spec, len(f.TaskOrder)), map[string]error{}
+// or the error its configuration earned. A parallel composite has no
+// spec: expand holds the plain task names it stands for, in order, a
+// nested parallel's names in its place. Each parser runs once per
+// definition, however many parallels name it.
+func (r *Registry) Parse(f *flowfile.File) (specs map[string]Spec, expand map[string][]string, errs map[string]error) {
+	specs, expand, errs = make(map[string]Spec, len(f.TaskOrder)), map[string][]string{}, map[string]error{}
 	for _, name := range f.TaskOrder {
-		if sp, err := r.parseNamed(f, f.Tasks[name], nil, specs, errs); err != nil {
+		if _, names, err := r.parseNamed(f, f.Tasks[name], nil, specs, errs); err != nil {
 			errs[name] = err
-		} else {
-			specs[name] = sp
+		} else if names != nil {
+			expand[name] = names
 		}
 	}
-	return specs, errs
+	return specs, expand, errs
 }
 
-// parseNamed parses one definition, reading and recording every plain
-// (non-parallel) definition's result in specs and errs.
-func (r *Registry) parseNamed(f *flowfile.File, def *flowfile.TaskDef, stack []string, specs map[string]Spec, errs map[string]error) (Spec, error) {
-	for _, s := range stack {
-		if s == def.Name {
-			return nil, fmt.Errorf("task %q: parallel composition cycle via %s", def.Name, strings.Join(stack, " -> "))
-		}
-	}
+// parseNamed parses one definition: a plain one's spec, read from and
+// recorded in specs and errs, or the plain task names a parallel stands
+// for (stack: the parallels being expanded, for the cycle check).
+func (r *Registry) parseNamed(f *flowfile.File, def *flowfile.TaskDef, stack []string, specs map[string]Spec, errs map[string]error) (Spec, []string, error) {
 	if def.Type == "parallel" {
-		return r.parseParallel(f, def, append(stack, def.Name), specs, errs)
+		if slices.Contains(stack, def.Name) {
+			return nil, nil, fmt.Errorf("task %q: parallel composition cycle via %s", def.Name, strings.Join(stack, " -> "))
+		}
+		names, err := r.parseParallel(f, def, append(stack, def.Name), specs, errs)
+		return nil, names, err
 	}
 	if sp, ok := specs[def.Name]; ok {
-		return sp, nil
+		return sp, nil, nil
 	} else if err, ok := errs[def.Name]; ok {
-		return nil, err
+		return nil, nil, err
 	}
 	r.mu.RLock()
 	p, ok := r.parsers[def.Type]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("task %q: unknown type %q (registered: %s)", def.Name, def.Type, strings.Join(r.Types(), ", "))
+		return nil, nil, fmt.Errorf("task %q: unknown type %q (registered: %s)", def.Name, def.Type, strings.Join(r.Types(), ", "))
 	}
 	spec, err := p(def.Config)
 	if err != nil {
 		errs[def.Name] = fmt.Errorf("task %q: %w", def.Name, err)
-		return nil, errs[def.Name]
+		return nil, nil, errs[def.Name]
 	}
 	specs[def.Name] = spec
-	return spec, nil
+	return spec, nil, nil
 }
 
 // singleInput enforces the one-input shape shared by most tasks.

@@ -258,29 +258,3 @@ func (inst *Instance) SelectionValues(widgetCol string) ([]string, bool) {
 	}
 	return inst.Selection, true
 }
-
-// InteractionSources lists the widgets whose selections feed this
-// widget's source pipeline, by inspecting its tasks' filter_source
-// properties in the flow file.
-func InteractionSources(f *flowfile.File, def *flowfile.WidgetDef) []string {
-	if def.Source == nil {
-		return nil
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, tref := range def.Source.Tasks {
-		t, ok := f.Tasks[tref.Name]
-		if !ok {
-			continue
-		}
-		src := t.Config.Str("filter_source")
-		if src == "" {
-			continue
-		}
-		if ref, err := flowfile.ParseRef(src); err == nil && ref.Section == "W" && !seen[ref.Name] {
-			seen[ref.Name] = true
-			out = append(out, ref.Name)
-		}
-	}
-	return out
-}

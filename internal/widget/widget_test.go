@@ -284,39 +284,6 @@ W:
 	}
 }
 
-func TestInteractionSources(t *testing.T) {
-	f, err := flowfile.Parse("t", `
-W:
-  src_list:
-    type: List
-    source: D.d
-    text: k
-  chart:
-    type: Grid
-    source: D.d | T.pick | T.agg
-
-T:
-  pick:
-    type: filter_by
-    filter_by: [k]
-    filter_source: W.src_list
-    filter_val: [text]
-  agg:
-    type: groupby
-    groupby: [k]
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := InteractionSources(f, f.Widgets["chart"])
-	if len(got) != 1 || got[0] != "src_list" {
-		t.Errorf("interaction sources = %v", got)
-	}
-	if got := InteractionSources(f, f.Widgets["src_list"]); len(got) != 0 {
-		t.Errorf("plain widget should have no interaction sources: %v", got)
-	}
-}
-
 func TestCustomWidgetRegistration(t *testing.T) {
 	if err := Register(&Descriptor{Type: "Grid"}); err == nil {
 		t.Error("replacing a platform widget should fail")
