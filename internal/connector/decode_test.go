@@ -478,7 +478,7 @@ func FuzzStreamedDecode(f *testing.F) {
 		}
 		format := &csvFormat{sep: sep}
 		whole, _, wantErr := format.DecodePushdown(d, s, payload, pd)
-		st := (&colstore.Fan{Sinks: []colstore.Kernel{k}}).Stream()
+		st := (&colstore.Fan{Sinks: []colstore.Kernel{k}}).Stream(nil)
 		pd.Push = st.Push
 		payload = bytes.Clone(payload)
 		got, res, gotErr := format.DecodePushdown(d, s, payload, pd)

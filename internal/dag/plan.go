@@ -139,7 +139,7 @@ type NodePlan struct {
 	// Decisions are the rewrites applied to this node.
 	Decisions []Decision `json:"decisions,omitempty"`
 	// Inline marks a produced node that is never built: its chain runs a
-	// morsel at a time into its consumers' group-bys (see inline).
+	// morsel at a time into its consumers' first groups (see inline).
 	Inline bool `json:"inline,omitempty"`
 }
 
@@ -248,22 +248,36 @@ func AsWritten(g *Graph) *Plan {
 }
 
 // inline is the one rule for which nodes run inline, and explain and the
-// batch engine both read it off the plan: n is a produced node with one
-// input and no data detail (endpoint, publish, cache, max_rows, …), its
-// planned chain is steps only — one run task.Kernel
-// takes whole, with no sink — and every consumer's first planned stage is
-// a sink over n alone, or, for n's only consumer, a join n feeds as the
-// probe side. Its chain then runs a morsel at a time into each consumer's
-// first run, so nothing stores its rows in between; a probe's build side
-// is another input of n's one consumer, so it never waits on n. So an
-// inline node's input is never inline: its consumers start with a sink or
-// a join, and n with a step.
+// batch engine both read it off the plan. n has no data detail
+// (endpoint, publish, cache, max_rows, …), and its planned chain is steps
+// only, one run task.Kernel takes whole, with no sink, over either:
+//   - one input; or
+//   - two, as a join whose probe side is an inline node: the probe side's
+//     run then runs n's chain too, and feeds n's consumers in its place.
+//
+// Every consumer's first planned group is over n alone and ends in a sink
+// (a sink, or row-local steps and then a sink), or, for n's only consumer
+// when n has one input, a join n feeds as the probe side. n's chain then
+// runs a morsel at a time into each consumer's first group, so nothing
+// stores its rows in between; a probe's build side is another input of
+// n's one consumer, so it never waits on n. So only a probed join may be
+// the inline consumer of an inline node: its other consumers' groups end
+// in a sink.
 func inline(g *Graph, n *Node, plans map[string]*NodePlan) bool {
 	specs := plans[n.Name].Specs
-	if len(n.Inputs) != 1 || n.Def.Endpoint || n.Def.Publish != "" || len(n.Def.Props) > 0 || len(specs) == 0 || len(n.Consumers) == 0 {
+	if n.Def.Endpoint || n.Def.Publish != "" || len(n.Def.Props) > 0 || len(specs) == 0 || len(n.Consumers) == 0 {
 		return false
 	}
-	if task.Kernel(specs, 1) != len(specs) || task.Sink(specs[len(specs)-1]) {
+	switch len(n.Inputs) {
+	case 1:
+	case 2:
+		if !slices.ContainsFunc(n.Inputs, func(in string) bool { return plans[in] != nil && plans[in].Inline && task.Probes(specs[0], in) }) {
+			return false
+		}
+	default:
+		return false
+	}
+	if task.Kernel(specs, len(n.Inputs)) != len(specs) || slices.ContainsFunc(specs, task.Sink) {
 		return false
 	}
 	for _, c := range n.Consumers {
@@ -272,8 +286,8 @@ func inline(g *Graph, n *Node, plans map[string]*NodePlan) bool {
 			return false
 		}
 		switch {
-		case len(cn.Inputs) == 1 && task.Sink(cp.Specs[0]):
-		case len(cn.Inputs) == 2 && len(n.Consumers) == 1 && cn.Inputs[0] != cn.Inputs[1] && task.Probes(cp.Specs[0], n.Name):
+		case len(cn.Inputs) == 1 && slices.ContainsFunc(cp.Specs[:task.Kernel(cp.Specs, 1)], task.Sink):
+		case len(n.Inputs) == 1 && len(cn.Inputs) == 2 && len(n.Consumers) == 1 && cn.Inputs[0] != cn.Inputs[1] && task.Probes(cp.Specs[0], n.Name):
 		default:
 			return false
 		}

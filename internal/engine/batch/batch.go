@@ -199,10 +199,11 @@ type Result struct {
 }
 
 // Table returns a data object: one the run materialized, a lazy source,
-// decoded anew on every call, or an inline node whose input Table answers,
-// built now from that input through the node's planned stages
-// (Executor.RunPipeline, untraced and uncharged; an inline chain is
-// filters and maps over expressions, which read no environment).
+// decoded anew on every call, or an inline node whose inputs Table
+// answers, built now from them — one, or a join's two — through the
+// node's planned stages (Executor.RunPipeline, untraced and uncharged; an
+// inline chain is filters, maps over expressions and a join, which read
+// no environment).
 func (r *Result) Table(name string) (*table.Table, bool) {
 	if t, ok := r.Tables[name]; ok {
 		return t, true
@@ -214,11 +215,15 @@ func (r *Result) Table(name string) (*table.Table, bool) {
 	if !r.inline(name) {
 		return nil, false
 	}
-	in, ok := r.Table(r.g.Nodes[name].Inputs[0])
-	if !ok {
-		return nil, false
+	n := r.g.Nodes[name]
+	ins := make([]*table.Table, len(n.Inputs))
+	for i, in := range n.Inputs {
+		var ok bool
+		if ins[i], ok = r.Table(in); !ok {
+			return nil, false
+		}
 	}
-	t, _, err := new(Executor).RunPipeline(context.Background(), &task.Env{}, r.plan.Node(name).Specs, []*table.Table{in}, r.g.Nodes[name].Inputs, 0)
+	t, _, err := new(Executor).RunPipeline(context.Background(), &task.Env{}, r.plan.Node(name).Specs, ins, n.Inputs, 0)
 	return t, err == nil
 }
 
@@ -226,7 +231,7 @@ func (r *Result) Table(name string) (*table.Table, bool) {
 func (r *Result) has(name string) bool {
 	_, built := r.Tables[name]
 	_, lazy := r.lazy[name]
-	return built || lazy || r.inline(name) && r.has(r.g.Nodes[name].Inputs[0])
+	return built || lazy || r.inline(name) && !slices.ContainsFunc(r.g.Nodes[name].Inputs, func(in string) bool { return !r.has(in) })
 }
 
 func (r *Result) inline(name string) bool {
@@ -370,19 +375,23 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 			close(s.done)
 			continue
 		}
-		// An inline node feeds the consumers this run computes, and waits
-		// for the build side of one it feeds as a join's probe side.
+		// An inline node feeds the consumers this run computes — an inline
+		// join's it probes, in the join's place — and waits for the build
+		// side of a join it feeds as the probe side.
 		var to []fed
-		waits := n.Inputs
-		if e.inline(plan, name) {
-			to = make([]fed, 0, len(n.Consumers))
-			for _, c := range n.Consumers {
+		waits, via := n.Inputs, ""
+		if e.inline(plan, name) && len(n.Inputs) == 1 {
+			from, cons := name, n.Consumers
+			if c := g.Nodes[n.Consumers[0]]; len(c.Inputs) == 2 && e.inline(plan, c.Name) {
+				via, from, cons = c.Name, c.Name, c.Consumers
+				waits = append(waits[:len(waits):len(waits)], other(c.Inputs, name))
+			}
+			to = make([]fed, 0, len(cons))
+			for _, c := range cons {
 				if runs[c] {
 					to = append(to, fed{name: c})
-					for _, in := range g.Nodes[c].Inputs {
-						if in != name {
-							waits = append(waits[:len(waits):len(waits)], in)
-						}
+					if in := other(g.Nodes[c].Inputs, from); in != "" {
+						waits = append(waits[:len(waits):len(waits)], in)
 					}
 				}
 			}
@@ -419,6 +428,9 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 						return
 					}
 				}
+			}
+			if s.through {
+				return // its inline probe side's run ran it into its consumers
 			}
 			skip := 0
 			if s.fed != nil {
@@ -460,7 +472,7 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 				if ins[0] != nil {
 					sch = ins[0].Schema()
 				}
-				rows, stages, ran, err := p.inline(ctx, g, plan, np.Specs, sch, ins[0], stream, to, tables)
+				rows, stages, ran, err := p.inline(ctx, g, plan, np.Specs, sch, ins[0], stream, via, to, tables)
 				if !ran && err == nil && stream != nil {
 					// The node runs as any other, on the source decoded whole.
 					if ins[0], err = stream.get(); err != nil {
@@ -473,6 +485,9 @@ func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, 
 					if err == nil {
 						for i := range to {
 							slots[to[i].name].fed = &to[i]
+						}
+						if via != "" {
+							slots[via].through = true
 						}
 						mu.Lock()
 						res.Stats.TasksRun += stages
@@ -558,8 +573,10 @@ type slot struct {
 	tbl  *table.Table
 	err  error
 	fed  *fed
-	dec  Decoder
-	once sync.Once
+	// through marks an inline join its probe side's run ran.
+	through bool
+	dec     Decoder
+	once    sync.Once
 	// rows is what a streamed source pushed; streamed marks it set.
 	rows     int
 	streamed bool
@@ -578,8 +595,8 @@ func (s *slot) get() (*table.Table, error) {
 // a time, into its folds: ok is false when it declines — f does not
 // stream, or its run or the format declines. A decode that fails, or
 // that the format declines, leaves its error or its table to get.
-func (s *slot) stream(ctx context.Context, f colstore.Fan) ([]*colstore.Batch, []colstore.FanStage, bool, error) {
-	st := f.Stream()
+func (s *slot) stream(ctx context.Context, f colstore.Fan, build *colstore.Batch) ([]*colstore.Batch, []colstore.FanStage, bool, error) {
+	st := f.Stream(build)
 	if st == nil {
 		return nil, nil, false, nil
 	}
@@ -597,6 +614,16 @@ func (s *slot) stream(ctx context.Context, f colstore.Fan) ([]*colstore.Batch, [
 		s.once.Do(func() { s.tbl, s.err = t, err })
 	}
 	return nil, nil, false, nil
+}
+
+// other is the input of ins that is not name: "" for none.
+func other(ins []string, name string) string {
+	for _, in := range ins {
+		if in != name {
+			return in
+		}
+	}
+	return ""
 }
 
 // readers counts the nodes that run and read source name.

@@ -97,29 +97,31 @@ func (p *pipeline) guard(first task.Spec, run func() error) error {
 }
 
 // fed is what an inline node's run handed one consumer: the output of
-// its first group, the group's length and its steps' count, and the
-// stages after the group's first, which the consumer reports under its
-// own span.
+// its first group, the group's length, its steps' first fan stage and
+// count and its sink's stage, and the stages after the group's first,
+// which the consumer reports under its own span.
 type fed struct {
-	name        string
-	tbl         *table.Table
-	skip, steps int
-	pending     []ranStage
+	name                    string
+	tbl                     *table.Table
+	skip, from, steps, sink int
+	pending                 []ranStage
 }
 
 // inline runs specs, the chain of the pipeline's node, an inline node
 // (dag.NodePlan.Inline), over its input of schema sch — in, or, when in
 // is nil, lazy source src, streamed where it may be and decoded whole
-// where it may not — a morsel at a time into the
-// first group of each consumer in to — a sink, or a join it feeds as the
-// probe side over the build table tables holds — on one colstore.Fan,
-// and fills each consumer's fed. It returns the rows the chain kept and
-// the stages it ran; ok is false when it declines — a group does not
-// bind, or the fan declines — and the node then runs as any other,
-// before any consumer sees an output. The node's stages and each
-// consumer's first report under the node's span, flagged inline, when
-// the run ends.
-func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, specs []task.Spec, sch *schema.Schema, in *table.Table, src *slot, to []fed, tables func(string) *table.Table) (rows, stages int, ok bool, err error) {
+// where it may not — a morsel at a time into the first group of each
+// consumer in to, on one colstore.Fan, and fills each consumer's fed. A
+// consumer's group is a sink, steps into a sink (a colstore.Branch), or a
+// join it feeds as the probe side over the build table tables holds.
+// When via names an inline join that the node feeds as the probe side,
+// the fan runs the join's chain after the node's, and to are the join's
+// consumers. It returns the rows the chain kept and the stages it ran; ok
+// is false when it declines — a group does not bind, or the fan declines
+// — and the node then runs as any other, before any consumer sees an
+// output. The node's stages, the join's, and each consumer's first report
+// under the node's span, flagged inline, when the run ends.
+func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, specs []task.Spec, sch *schema.Schema, in *table.Table, src *slot, via string, to []fed, tables func(string) *table.Table) (rows, stages int, ok bool, err error) {
 	if err = ctx.Err(); err != nil {
 		return 0, 0, false, err
 	}
@@ -129,47 +131,81 @@ func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, spe
 	}
 	f := colstore.Fan{Chain: k.Fan.Chain[:len(specs):len(specs)], Sinks: make([]colstore.Kernel, 0, len(to))}
 	var build *colstore.Batch
-	all := 0
-	for _, c := range to {
-		all += len(g.Nodes[c.name].Inputs)
-	}
-	inputs := make([]task.Input, all)
-	for i, c := range to {
-		cn := g.Nodes[c.name]
-		ins := inputs[:len(cn.Inputs):len(cn.Inputs)]
-		inputs = inputs[len(ins):]
-		for j, name := range cn.Inputs {
-			if ins[j].Schema = k.Out; len(ins) == 2 {
-				ins[j].Name = name
-			}
-			if name != p.node {
+	// join binds the join cspecs heads, over node from of schema out and
+	// the build side, and appends its steps to the chain: false when it
+	// has no run, or n is not its probe side.
+	join := func(cspecs []task.Spec, ins []string, from string, out *schema.Schema) (*task.Bound, bool) {
+		var inputs [2]task.Input
+		for j, name := range ins {
+			inputs[j] = task.Input{Name: name, Schema: out}
+			if name != from {
 				t := tables(name)
 				if t == nil {
-					return 0, 0, false, nil
+					return nil, false
 				}
-				ins[j].Schema = t.Schema()
+				inputs[j].Schema = t.Schema()
 				build, _ = colstore.FromTable(t)
 			}
 		}
-		cspecs := plan.Node(c.name).Specs
-		n := task.Kernel(cspecs, len(ins))
+		ck := task.Bind(p.env, cspecs, inputs[:])
+		if !ck.OK || (inputs[0].Name == from) == ck.Swapped {
+			return nil, false
+		}
+		f.Chain = append(f.Chain, ck.Fan.Chain...)
+		return ck, true
+	}
+	from, out := p.node, k.Out
+	var vspecs []task.Spec
+	if via != "" {
+		vspecs = plan.Node(via).Specs
+		vk, ok := join(vspecs, g.Nodes[via].Inputs, from, out)
+		if !ok || len(vk.Fan.Chain) != len(vspecs) {
+			return 0, 0, false, nil
+		}
+		from, out = via, vk.Out
+	}
+	nc, at := len(f.Chain), 0 // at: the next branch's first stage, past the sinks'
+	for i, c := range to {
+		cn, cspecs := g.Nodes[c.name], plan.Node(c.name).Specs
+		n := task.Kernel(cspecs, len(cn.Inputs))
 		if n == 0 {
 			return 0, 0, false, nil
 		}
-		ck := task.Bind(p.env, cspecs[:n], ins)
-		probeSide := len(ins) == 2 && (ins[0].Name == p.node) != ck.Swapped
-		if !ck.OK || (len(ins) == 2 || len(ck.Fan.Chain) > 0) && !probeSide {
+		to[i].skip = n
+		if len(cn.Inputs) == 2 {
+			ck, ok := join(cspecs[:n], cn.Inputs, from, out)
+			if !ok {
+				return 0, 0, false, nil
+			}
+			to[i].from, to[i].steps = nc, len(ck.Fan.Chain)
+			f.Sinks = append(f.Sinks, ck.Fan.Sinks[0])
+			continue
+		}
+		ck := task.Bind(p.env, cspecs[:n], []task.Input{{Schema: out}})
+		if !ck.OK || ck.Fan.Sinks[0] == colstore.Materialize {
 			return 0, 0, false, nil
 		}
-		f.Chain = append(f.Chain, ck.Fan.Chain...)
-		f.Sinks = append(f.Sinks, ck.Fan.Sinks[0])
-		to[i].skip, to[i].steps = n, len(ck.Fan.Chain)
+		sink := ck.Fan.Sinks[0]
+		if len(ck.Fan.Chain) > 0 {
+			sink = &colstore.Branch{Chain: ck.Fan.Chain, Sink: sink}
+			to[i].from, to[i].steps = at, len(ck.Fan.Chain)
+			at += len(ck.Fan.Chain) + 1
+		}
+		f.Sinks = append(f.Sinks, sink)
+	}
+	for i := range to {
+		c := &to[i]
+		c.sink = len(f.Chain) + i
+		if _, branch := f.Sinks[i].(*colstore.Branch); branch {
+			c.from += len(f.Chain) + len(f.Sinks)
+			c.sink = c.from + c.steps
+		}
 	}
 	var outs []*colstore.Batch
 	var st []colstore.FanStage
 	err = p.guard(specs[0], func() (err error) {
 		if in == nil {
-			if outs, st, ok, err = src.stream(ctx, f); ok || err != nil {
+			if outs, st, ok, err = src.stream(ctx, f, build); ok || err != nil {
 				return err
 			}
 			if in, err = src.get(); err != nil {
@@ -183,31 +219,46 @@ func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, spe
 	if err != nil || !ok {
 		return 0, 0, false, err
 	}
-	nc := len(specs)
+	nb := 0
+	if build != nil {
+		nb = build.Len()
+	}
 	var buf [4]ranStage
-	for _, r := range ranStages(buf[:0], specs, st, 0, nc, -1, 0, 0, "inline", "inline") {
+	ns := len(specs)
+	for _, r := range ranStages(buf[:0], specs, st, 0, ns, -1, 0, 0, "inline", "inline") {
 		if err := r.on(p); err != nil {
 			return 0, 0, true, err
 		}
 	}
-	stages, nb := nc, 0
-	if build != nil {
-		nb = build.Len()
+	stages = ns
+	if via != "" {
+		q := p.as(via, plan)
+		for _, r := range ranStages(buf[:0], vspecs, st, ns, len(vspecs), -1, 0, nb, "inline", "inline") {
+			if err := r.on(q); err != nil {
+				return 0, 0, true, err
+			}
+		}
+		stages += len(vspecs)
 	}
 	for i := range to {
 		c := &to[i]
-		q, np := *p, plan.Node(c.name) // the stage is the consumer's
-		q.node, q.queueWait = c.name, 0
-		if p.e.Plan != nil {
-			q.planTag = np.Summary()
-		}
-		ran := ranStages(buf[:0], np.Specs[:c.skip], st, nc, c.steps, len(f.Chain)+i, outs[i].Len(), nb, "inline", "fused")
-		if err := ran[0].on(&q); err != nil {
+		ran := ranStages(buf[:0], plan.Node(c.name).Specs[:c.skip], st, c.from, c.steps, c.sink, outs[i].Len(), nb, "inline", "fused")
+		if err := ran[0].on(p.as(c.name, plan)); err != nil {
 			return 0, 0, true, err
 		}
 		c.tbl, c.pending, stages = colstore.Compact(outs[i].ToTable()), slices.Clone(ran[1:]), stages+c.skip
 	}
-	return st[nc].Rows, stages, true, nil
+	return st[ns].Rows, stages, true, nil
+}
+
+// as is p reporting for node name instead, under p's span.
+func (p *pipeline) as(name string, plan *dag.Plan) *pipeline {
+	q := *p
+	q.node, q.queueWait = name, 0
+	if p.e.Plan != nil {
+		q.planTag = plan.Node(name).Summary()
+	}
+	return &q
 }
 
 // ranStage is one stage a fan ran, to report: its rows in and out, its

@@ -165,6 +165,9 @@ func concurrentRuns(t *testing.T, name, flow string, uploads []string, columnar 
 		t.Fatal(err)
 	}
 	prog := first.Program
+	// The first shared run is certain to miss the cache: the upload it
+	// reads is not the one the first run read.
+	s.UploadData(name, "sales.csv", []byte(uploads[1]))
 	var kernels atomic.Int64 // stages the shared runs executed
 
 	var wg sync.WaitGroup

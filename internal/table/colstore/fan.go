@@ -24,8 +24,9 @@ import (
 //     build batch, emitting at most a morsel of joined rows at a time (a
 //     key with many build rows splits across morsels);
 //   - sinks: Materialize builds the chain's output, a *GroupBy folds it,
-//     a *TopN keeps its first Limit rows in a heap, and a *Sort is a
-//     top-n that keeps every row.
+//     a *TopN keeps its first Limit rows in a heap, a *Sort is a top-n
+//     that keeps every row, and a *Branch runs steps of its own into one
+//     of these but Materialize.
 //
 // Only the sinks store anything. The morsel's views, bitmap, kept and
 // joined positions, each map's output and each expression's temporaries
@@ -35,8 +36,8 @@ import (
 // chain before the pass that writes: a column no step computed is a
 // selection over the source (or the build side), and only computed
 // columns are copied. A fold copies key cells and min/max values out of
-// the morsel, and a top-n copies the computed cells of each row it keeps,
-// so no morsel outlives its push. Must over a fan with no step calls its
+// the morsel, and a top-n copies every cell of each row it keeps, so no
+// morsel outlives its push. Must over a fan with no step calls its
 // sink's Run on the whole batch: a group-by folds it, a sort sorts it,
 // and a top-n pushes it into its heap, with no run around it.
 //
@@ -80,7 +81,8 @@ const wholeBatch = math.MaxInt
 
 // Run runs the fan over in — the probe side when the chain has a *Probe,
 // whose build side is build — and returns each sink's output and what
-// each stage did: the steps', then the sinks'. ok is false, and nothing
+// each stage did: the steps', then the sinks' (a branch's: the rows it
+// is handed), then each branch's steps' and its sink's. ok is false, and nothing
 // is returned, when the run declines: a map's morsel result is boxed or
 // of another kind than its first morsel's, or a top-n's keys hold NaN or
 // boxed cells, which a heap cannot order as the stable sort does.
@@ -141,7 +143,7 @@ func (r *fanRun) run(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage, 
 		return nil, nil, ok, err
 	}
 	n, passes := in.length, 1
-	if len(r.collects) > 0 && r.counted {
+	if r.collect != nil && r.counted {
 		passes = 2
 	}
 	for pass := range passes {
@@ -151,8 +153,11 @@ func (r *fanRun) run(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage, 
 			r.p.out.counting = r.count
 		}
 		for i := range r.steps {
-			if l, isLimit := f.Chain[i].(*Limit); isLimit {
+			if l, isLimit := r.kern[i].(*Limit); isLimit {
 				r.steps[i].left = l.N
+			}
+			if b := r.steps[i].br; b != nil {
+				b.stop = false
 			}
 		}
 		if r.p != nil {
@@ -167,10 +172,8 @@ func (r *fanRun) run(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage, 
 		if r.p != nil && r.p.j.KeepRight {
 			r.p.tail(r)
 		}
-		for _, c := range r.collects {
-			if r.count {
-				c.size(r)
-			}
+		if r.count {
+			r.collect.size(r)
 		}
 	}
 	return r.finish()
@@ -180,7 +183,15 @@ func (r *fanRun) run(f *Fan, in, build *Batch, size int) ([]*Batch, []FanStage, 
 // a morsel: false when the run declines.
 func (r *fanRun) begin(f *Fan, in, build *Batch, size int) (bool, error) {
 	r.f, r.in, r.build, r.size = f, in, build, size
-	r.stages, r.outs = grown(r.stageBuf[:], len(f.Chain)+len(f.Sinks)), grown(r.outBuf[:], len(f.Sinks))
+	r.kern = f.Chain
+	stages := len(f.Chain) + len(f.Sinks)
+	for _, k := range f.Sinks {
+		if b, ok := k.(*Branch); ok {
+			r.kern = append(slices.Clip(r.kern), b.Chain...)
+			stages += len(b.Chain) + 1
+		}
+	}
+	r.stages, r.outs = grown(r.stageBuf[:], stages), grown(r.outBuf[:], len(f.Sinks))
 	return r.setup()
 }
 
@@ -192,7 +203,11 @@ func (r *fanRun) finish() ([]*Batch, []FanStage, bool, error) {
 		if r.outs[j], err = r.sinks[j].finish(r); err != nil {
 			return nil, nil, true, err
 		}
-		r.stages[len(r.f.Chain)+j].Took += time.Since(start)
+		stage := len(r.f.Chain) + j
+		if b, ok := r.sinks[j].(*branch); ok {
+			stage = b.sinkStage()
+		}
+		r.stages[stage].Took += time.Since(start)
 	}
 	return r.outs, r.stages, true, nil
 }
@@ -202,28 +217,32 @@ var ErrDeclined = errors.New("colstore: the streamed run declined")
 
 // Stream is a run of a Fan whose source arrives as a streaming Builder's
 // batches instead of whole: each batch is one morsel, pushed through the
-// chain into the sinks as it comes, so that no source table is built.
-// Only a fan into *GroupBy sinks streams: a heap keeps positions into its
-// source, a materialize sink counts its source before it writes, and a
-// probe's source is the build side's partner.
+// chain into the sinks as it comes, so that no source table is built. A
+// probe's build side is indexed before the first batch, and each batch
+// probes it; its key index follows a dictionary the batches grow. A
+// top-n's heap copies the rows it keeps, and numbers rows across
+// batches. What does not stream is a sink that needs the rows whole: a
+// materialize sink, which counts its source before it writes, and a sort
+// with no limit, which keeps every row.
 type Stream struct {
 	r     fanRun
 	kinds []value.Kind // the first batch's columns'
 }
 
-// Stream starts a streamed run of f: nil when f does not stream.
-func (f *Fan) Stream() *Stream {
-	for _, k := range f.Chain {
-		if _, probe := k.(*Probe); probe {
-			return nil
-		}
-	}
+// Stream starts a streamed run of f, whose probe, if its chain has one,
+// builds on build: nil when f does not stream.
+func (f *Fan) Stream(build *Batch) *Stream {
 	for _, k := range f.Sinks {
-		if _, fold := k.(*GroupBy); !fold {
+		if b, ok := k.(*Branch); ok {
+			k = b.Sink
+		}
+		switch k.(type) {
+		case *GroupBy, *TopN:
+		default:
 			return nil
 		}
 	}
-	return &Stream{r: fanRun{f: f}}
+	return &Stream{r: fanRun{f: f, build: build, streamed: true}}
 }
 
 // Push runs b, a streaming Builder's batch (one no longer than the
@@ -233,7 +252,7 @@ func (f *Fan) Stream() *Stream {
 func (s *Stream) Push(b *Batch) error {
 	r := &s.r
 	if s.kinds == nil {
-		if ok, err := r.begin(r.f, b, nil, max(b.length, 1)); !ok || err != nil {
+		if ok, err := r.begin(r.f, b, r.build, max(b.length, 1)); !ok || err != nil {
 			return cmp.Or(err, ErrDeclined)
 		}
 		s.kinds = make([]value.Kind, len(b.cols))
@@ -246,6 +265,13 @@ func (s *Stream) Push(b *Batch) error {
 			return ErrDeclined
 		}
 		r.top.cols[c].base = v
+	}
+	if p := r.p; p != nil && p.x.kind != value.Null {
+		// A typed key index that meets nulls or another kind moves to the
+		// encoded keys, as a fold's does.
+		if o := p.up.cols[p.j.LeftKeys[0]].origin; o >= 0 && (b.cols[o].kind != p.x.kind || b.cols[o].hasNulls()) {
+			p.x.encode()
+		}
 	}
 	if r.top.window(b, 0, b.length); !r.stop && !r.push(0, r.top) {
 		return ErrDeclined
@@ -266,28 +292,28 @@ type fanRun struct {
 	in, build *Batch
 	size      int
 	whole     bool // the source is one morsel, and no run declines
+	streamed  bool // the source arrives a batch at a time (Stream)
 	outs      []*Batch
+	kern      []Kernel // the chain's steps, then each branch's
 	steps     []fanStep
 	sinks     []fanSink
 	stages    []FanStage
 	top, last *morsel
 	schema    *schema.Schema // the chain's output schema
 	collect   *collect       // the materialize sink, if any
-	collects  []*collect     // it and each top-n's that materializes and sorts
 	p         *probe         // the chain's probe, if any
 	counted   bool           // a step changes the row count: collect counts first
 	count     bool           // this pass counts
 	stop      bool           // a limit ran out
 	// Room for the common run: a few steps and sinks, without a probe.
-	stepBuf    [3]fanStep
-	sinkBuf    [2]fanSink
-	stageBuf   [5]FanStage
-	outBuf     [2]*Batch
-	view       morsel
-	c          collect
-	folds      []foldSink
-	collectBuf [2]*collect
-	heapBuf    heap
+	stepBuf  [3]fanStep
+	sinkBuf  [2]fanSink
+	stageBuf [5]FanStage
+	outBuf   [2]*Batch
+	view     morsel
+	c        collect
+	folds    []foldSink
+	heapBuf  heap
 	// A one-kernel run's fan (one).
 	one    Fan
 	oneBuf [2]Kernel
@@ -304,6 +330,7 @@ type fanStep struct {
 	// counts marks a step the counting pass runs.
 	counts bool
 	p      *probe
+	br     *branch // the branch whose step it is, nil in the chain
 }
 
 // fanSink is one sink's state over a run: push takes the rows of a view
@@ -319,8 +346,7 @@ type fanSink interface {
 // holds NaN or boxed cells.
 func (r *fanRun) setup() (bool, error) {
 	f, in, build := r.f, r.in, r.build
-	r.steps, r.sinks, r.collects = r.stepBuf[:], r.sinkBuf[:], r.collectBuf[:0]
-	r.steps, r.sinks = grown(r.steps, len(f.Chain)), grown(r.sinks, len(f.Sinks))
+	r.steps, r.sinks = grown(r.stepBuf[:], len(r.kern)), grown(r.sinkBuf[:], len(f.Sinks))
 	// Walk the chain: each view's width, then its columns' origins.
 	width, pw, direct := len(in.cols), 0, false
 	for i, k := range f.Chain {
@@ -391,52 +417,136 @@ func (r *fanRun) setup() (bool, error) {
 	}
 	r.last = m
 	// What each view's columns feed: the sinks first, then each step back.
+	next, stage := len(f.Chain), len(f.Chain)+len(f.Sinks)
 	for j, k := range f.Sinks {
-		switch k := k.(type) {
-		case materialize:
-			if r.collect != nil {
-				return true, fmt.Errorf("colstore: a fan materializes once")
+		b, ok := k.(*Branch)
+		if !ok {
+			s, err := r.sinkOf(k, j, m, r.schema)
+			if err != nil {
+				return true, err
 			}
-			r.collect, r.collects = &r.c, append(r.collects, &r.c)
-			r.sinks[j] = r.collect
-			m.readComputed()
-		case *GroupBy:
-			for _, c := range k.Keys {
-				m.cols[c].live = true
-			}
-			for _, a := range k.Aggs {
-				if a.Col >= 0 {
-					m.cols[a.Col].live = true
-				}
-			}
-			if r.folds == nil {
-				r.folds = make([]foldSink, len(f.Sinks))
-			}
-			r.folds[j].fold = k.start(r.size)
-			r.sinks[j] = &r.folds[j]
-		case *TopN, *Sort:
-			keys, limit := sortOf(k)
-			h, ok, err := r.newHeap(keys, limit)
-			if !ok || err != nil {
-				return ok, err
-			}
-			r.sinks[j] = h
-		default:
-			return true, fmt.Errorf("colstore: %T is no sink", k)
+			r.sinks[j] = s
+			continue
+		}
+		br := &branch{from: next, to: next + len(b.Chain), stage: stage}
+		next, stage = br.to, stage+len(b.Chain)+1
+		sch, err := r.branch(br, b, m)
+		if err == nil {
+			br.sink, err = r.sinkOf(b.Sink, j, &br.m, sch)
+		}
+		if err != nil {
+			return true, err
+		}
+		r.sinks[j] = br
+		r.readBack(br.from, br.to, false)
+		for c := range m.cols {
+			m.cols[c].live = m.cols[c].live || br.m.cols[c].live
 		}
 	}
-	r.top.track = len(r.collects) > 0 || r.p != nil || slices.ContainsFunc(r.sinks, func(s fanSink) bool { _, h := s.(*heap); return h })
+	r.top.track = r.collect != nil || r.p != nil
 	if p := r.p; p != nil && p.j.KeepRight && (len(f.Chain) > 1 || r.collect == nil || len(f.Sinks) > 1) {
 		return true, fmt.Errorf("colstore: a join that keeps its unmatched build rows runs alone into Materialize")
 	}
 	// The counting pass runs the filters, limits and probes, and the maps
 	// whose columns they read: it reads and narrows only those columns.
-	for i := len(f.Chain) - 1; i >= 0; i-- {
+	r.readBack(0, len(f.Chain), true)
+	for c := range in.cols {
+		if v := in.cols[c]; r.top.cols[c].live {
+			if v.holes() {
+				v = v.dense()
+			}
+			r.top.cols[c].base = v
+		}
+	}
+	for i, k := range r.kern {
 		st := &r.steps[i]
-		st.counts = true
-		switch k := f.Chain[i].(type) {
+		switch k := k.(type) {
 		case *Filter:
-			st.m.read(k.Pred, true)
+			st.t, st.pos = k.Pred.over(&st.m.view, r.size), make([]int32, 0, r.size)
+		case *MapExpr:
+			st.t = k.Eval.over(&st.m.view, r.size)
+		case *Limit:
+			st.pos, st.left = identity(max(min(k.N, r.size), 0)), k.N
+		case *Probe:
+			st.p.build(r)
+		}
+	}
+	return true, nil
+}
+
+// sinkOf sets sink k, the fan's j'th, up over view m of schema sch.
+func (r *fanRun) sinkOf(k Kernel, j int, m *morsel, sch *schema.Schema) (fanSink, error) {
+	switch k := k.(type) {
+	case materialize:
+		if r.collect != nil || m != r.last {
+			return nil, fmt.Errorf("colstore: a fan materializes once, from its chain")
+		}
+		r.collect = &r.c
+		m.readComputed()
+		return r.collect, nil
+	case *GroupBy:
+		for _, c := range k.Keys {
+			m.cols[c].live = true
+		}
+		for _, a := range k.Aggs {
+			if a.Col >= 0 {
+				m.cols[a.Col].live = true
+			}
+		}
+		if r.folds == nil {
+			r.folds = make([]foldSink, len(r.f.Sinks))
+		}
+		r.folds[j].fold = k.start(r.size)
+		return &r.folds[j], nil
+	case *TopN, *Sort:
+		keys, limit := sortOf(k)
+		return r.newHeap(keys, limit, m, sch)
+	}
+	return nil, fmt.Errorf("colstore: %T is no sink", k)
+}
+
+// branch lays out branch br, b's steps over the chain's output view up,
+// and returns the schema its sink takes.
+func (r *fanRun) branch(br *branch, b *Branch, up *morsel) (*schema.Schema, error) {
+	width, sch := len(up.cols), r.schema
+	for _, k := range b.Chain {
+		if k, ok := k.(*MapExpr); ok {
+			width = max(width, k.Slot+1)
+			if k.Out != nil {
+				width = max(width, k.Out.Len())
+			}
+		}
+	}
+	m := br.m.init(make([]fanCol, width), r.size, true)
+	for i, k := range b.Chain {
+		st := &r.steps[br.from+i]
+		st.m, st.br = m, br
+		switch k := k.(type) {
+		case *Filter:
+			if m.keep.words == nil {
+				m.keep.words = make([]uint64, (r.size+63)/64)
+			}
+		case *Limit:
+		case *MapExpr:
+			if k.Out != nil {
+				sch = k.Out
+			}
+		default:
+			return nil, fmt.Errorf("colstore: %T is no branch step", k)
+		}
+	}
+	return sch, nil
+}
+
+// readBack marks, from step to-1 back to step from, the columns each
+// step reads live, and read by the counting pass where count is set.
+func (r *fanRun) readBack(from, to int, count bool) {
+	for i := to - 1; i >= from; i-- {
+		st := &r.steps[i]
+		st.counts = count
+		switch k := r.kern[i].(type) {
+		case *Filter:
+			st.m.read(k.Pred, count)
 		case *MapExpr:
 			st.counts = st.m.cols[k.Slot].count
 			st.m.read(k.Eval, st.counts)
@@ -452,28 +562,6 @@ func (r *fanRun) setup() (bool, error) {
 			}
 		}
 	}
-	for c := range in.cols {
-		if v := in.cols[c]; r.top.cols[c].live {
-			if v.holes() {
-				v = v.dense()
-			}
-			r.top.cols[c].base = v
-		}
-	}
-	for i, k := range f.Chain {
-		st := &r.steps[i]
-		switch k := k.(type) {
-		case *Filter:
-			st.t, st.pos = k.Pred.over(&st.m.view, r.size), make([]int32, 0, r.size)
-		case *MapExpr:
-			st.t = k.Eval.over(&st.m.view, r.size)
-		case *Limit:
-			st.pos, st.left = identity(max(min(k.N, r.size), 0)), k.N
-		case *Probe:
-			st.p.build(r)
-		}
-	}
-	return true, nil
 }
 
 // grown is s at length n: in place when it has the room.
@@ -495,16 +583,24 @@ func sortOf(k Kernel) ([]table.SortKey, int) {
 
 // push runs steps i on over the rows of view m and pushes what they keep
 // into the sinks. It is false when the run declines.
-func (r *fanRun) push(i int, m *morsel) bool {
-	for ; i < len(r.steps); i++ {
+func (r *fanRun) push(i int, m *morsel) bool { return r.walk(i, len(r.f.Chain), nil, m) }
+
+// walk runs steps i to end-1 — branch br's, or the chain's for nil — over
+// the rows of view m and pushes what they keep into the sinks, or br's.
+func (r *fanRun) walk(i, end int, br *branch, m *morsel) bool {
+	stage := i
+	if br != nil {
+		stage = br.stage + i - br.from
+	}
+	for ; i < end; i, stage = i+1, stage+1 {
 		start, st := time.Now(), &r.steps[i]
 		if r.count && !st.counts {
 			continue
 		}
 		if !r.count {
-			r.stages[i].Rows += m.view.length
+			r.stages[stage].Rows += m.view.length
 		}
-		switch k := r.f.Chain[i].(type) {
+		switch k := r.kern[i].(type) {
 		case *Filter:
 			k.Pred.step(st.t, m.view.length, &m.keep)
 			if idx := kept(st.pos, &m.keep, m.view.length); idx != nil {
@@ -524,13 +620,20 @@ func (r *fanRun) push(i int, m *morsel) bool {
 					st.pos = identity(st.left) // a whole run's joined rows
 				}
 				m.keepRows(st.pos[:max(st.left, 0)])
-				r.stop = true
+				if br != nil {
+					br.stop = true
+				} else {
+					r.stop = true
+				}
 			}
 			st.left -= m.view.length
 		case *Probe:
 			return st.p.probe(r, i, m, start)
 		}
-		r.stages[i].Took += time.Since(start)
+		r.stages[stage].Took += time.Since(start)
+	}
+	if br != nil {
+		return r.deliver(br.sinkStage(), br.sink, m)
 	}
 	return r.sink(m)
 }
@@ -539,21 +642,88 @@ func (r *fanRun) push(i int, m *morsel) bool {
 // the run counts.
 func (r *fanRun) sink(m *morsel) bool {
 	if r.count {
-		for _, c := range r.collects {
-			c.total += m.view.length
-		}
+		r.collect.total += m.view.length
 		return true
 	}
 	for j, s := range r.sinks {
-		start, st := time.Now(), &r.stages[len(r.steps)+j]
-		st.Rows += m.view.length
-		if !s.push(r, m) {
+		b, ok := s.(*branch)
+		if ok {
+			// A branch's stage is the rows it is handed; its sink's follows
+			// its steps'.
+			r.stages[len(r.f.Chain)+j].Rows += m.view.length
+			ok = b.push(r, m)
+		} else {
+			ok = r.deliver(len(r.f.Chain)+j, s, m)
+		}
+		if !ok {
 			return false
 		}
-		st.Took += time.Since(start)
 	}
 	return true
 }
+
+// deliver pushes the rows of view m into sink s, whose stage is stage.
+func (r *fanRun) deliver(stage int, s fanSink, m *morsel) bool {
+	start, st := time.Now(), &r.stages[stage]
+	st.Rows += m.view.length
+	ok := s.push(r, m)
+	st.Took += time.Since(start)
+	return ok
+}
+
+// Branch is a sink with steps of its own: a consumer's first group, run
+// in its inline input's fan. Its Chain, row-local steps (filters,
+// map-exprs and limits, no probe), narrows its own view of each morsel
+// the fan's chain keeps, and pushes what it keeps into its Sink, a
+// group-by, a top-n or a sort. A limit that runs out ends the branch, not
+// the run.
+type Branch struct {
+	Chain []Kernel
+	Sink  Kernel
+}
+
+// Run implements Kernel: the branch's steps into its sink over b, as a
+// fan of its own.
+func (k *Branch) Run(b *Batch) (*Batch, error) {
+	outs, _, err := (&Fan{Chain: k.Chain, Sinks: []Kernel{k.Sink}}).Must(b, nil)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// branch is a *Branch sink's state over a run: its view, its steps in
+// the run's, and its sink's.
+type branch struct {
+	m        morsel
+	from, to int // its steps
+	stage    int // its first step's stage; its sink's follows its last
+	sink     fanSink
+	stop     bool // a limit ran out
+}
+
+// sinkStage is the stage of the branch's sink.
+func (b *branch) sinkStage() int { return b.stage + b.to - b.from }
+
+// push runs the branch over the rows of view m.
+func (b *branch) push(r *fanRun, m *morsel) bool {
+	if b.stop {
+		return true
+	}
+	v := &b.m
+	for c := range m.width {
+		if v.cols[c].live {
+			v.cols[c].v = m.cols[c].v
+		}
+	}
+	v.view.length, v.width, v.done = m.view.length, m.width, v.done[:0]
+	if n := (m.view.length + 63) / 64; v.keep.words != nil && len(v.keep.words) < n {
+		v.keep.words = make([]uint64, n) // a whole run's joined rows
+	}
+	return r.walk(b.from, b.to, b, v)
+}
+
+func (b *branch) finish(r *fanRun) (*Batch, error) { return b.sink.finish(r) }
 
 // computed is the origin of a column a step computed.
 const computed = -1
@@ -1038,261 +1208,194 @@ func (s *foldSink) push(_ *fanRun, m *morsel) bool {
 
 func (s *foldSink) finish(*fanRun) (*Batch, error) { return s.fold.finish() }
 
-// heap is a *TopN sink, or a *Sort one: it keeps the best limit rows so
-// far in slots 0..limit-1, worst at the root, each its source and build
-// row — which order its ties — and copies of its computed cells, and
-// reads a new row into slot limit to compare it. Where the rows may be
-// fewer than the limit (a sort, a small source), it materializes and
-// sorts at the end: the stable sort, which heap-selecting its prefix
-// leaves as it is.
+// heap is a *TopN sink, or a *Sort one. It copies each row it keeps
+// into slots, every cell of the view's columns and the row's arrival
+// number, which counts across morsels and pushes and orders ties as the
+// stable sort does: the best limit rows so far in slots 0..limit-1, worst
+// at the root, and a new row's key cells read into slot limit to compare
+// it. A heap that keeps every row (all: a sort, a limit past the rows, a
+// run that must not decline) copies each row it is pushed and sorts them
+// at the end: the stable sort, whose prefix heap selection leaves as it
+// is. Only a heap that selects declines: a NaN or boxed key cell, which
+// it cannot order as the stable sort does.
 type heap struct {
-	keys     []table.SortKey
-	limit    int
-	collect  *collect
-	src, bld []int32
-	comp     []*Vec
-	h        []int32
-	cmps     []heapKey
-	cmpBuf   [2]heapKey
-	nanKeys  []int // computed float key columns, checked row by row
+	keys    []table.SortKey
+	keyCols []int
+	keyBuf  [2]int
+	limit   int
+	all     bool
+	start   int // the slots the vectors start with
+	out     Batch
+	vecs    []Vec
+	seq, h  []int32
+	n       int32 // the rows pushed so far
+	cmps    []heapKey
+	cmpBuf  [2]heapKey
 }
 
-// heapKey compares two slots by one sort key.
+// heapKey compares two slots by one sort key, its slot vector's cells.
 type heapKey struct {
-	cmp  func(a, b int32) int
+	v    *Vec
 	desc bool
 }
 
-// newHeap sets a top-n sink up over the chain's output.
-func (r *fanRun) newHeap(keys []table.SortKey, limit int) (*heap, bool, error) {
-	m := r.last
+// newHeap sets a top-n sink up over view m of schema sch.
+func (r *fanRun) newHeap(keys []table.SortKey, limit int, m *morsel, sch *schema.Schema) (*heap, error) {
 	h := &r.heapBuf // the first top-n sink's
-	if h.cmps != nil || h.collect != nil {
+	if h.out.schema != nil {
 		h = new(heap)
 	}
-	h.keys, h.limit = keys, max(limit, 0)
-	bound := r.in.length
-	if p := r.p; p != nil {
-		bound = 0
-		if r.build.length > 0 {
-			bound = r.in.length * r.build.length
+	bound := math.MaxInt // a stream's rows are not known
+	if !r.streamed {
+		bound = r.in.length
+		if r.p != nil && r.build.length > 0 {
+			bound = max(bound, r.in.length*r.build.length)
 		}
-		bound = max(bound, r.in.length)
 	}
-	m.readComputed()
-	if r.whole || h.limit >= bound {
-		h.collect = new(collect)
-		r.collects = append(r.collects, h.collect)
-		return h, true, nil
+	if err := h.bind(keys, limit, sch, min(limit, r.in.length)+1); err != nil {
+		return nil, err
 	}
-	slots := h.limit + 1
-	ints := make([]int32, slots+h.limit)
-	h.src, h.h, h.cmps = ints[:slots], ints[slots:slots], h.cmpBuf[:0]
-	if slices.ContainsFunc(m.cols, func(c fanCol) bool { return c.origin == computed }) {
-		h.comp = make([]*Vec, len(m.cols))
-	}
-	if r.p != nil {
-		h.bld = make([]int32, slots)
-	}
-	for _, k := range keys {
-		c := r.schema.Index(k.Column)
-		if c < 0 {
-			return nil, true, fmt.Errorf("colstore: sort column %q not found", k.Column)
-		}
+	h.all = r.whole || h.limit >= bound
+	for c := range sch.Len() {
 		m.cols[c].live = true
-		switch o := m.cols[c].origin; {
-		case o == computed:
-			h.nanKeys = append(h.nanKeys, c)
-			h.cmps = append(h.cmps, heapKey{h.slotCmp(c), k.Desc})
-		case o >= 0:
-			v := r.in.cols[o]
-			if !heapable(v) {
-				return nil, false, nil
-			}
-			h.cmps = append(h.cmps, heapKey{posCmp(v, h.src), k.Desc})
-		default:
-			v := r.build.cols[-o-2]
-			if !heapable(v) {
-				return nil, false, nil
-			}
-			h.cmps = append(h.cmps, heapKey{posCmp(v, h.bld), k.Desc})
-		}
 	}
-	return h, true, nil
+	return h, nil
 }
 
-// heapable reports whether a heap orders v's cells as the stable sort
-// does: no boxed cell, and no NaN.
-func heapable(v *Vec) bool {
-	return v.kind != anyKind && !(v.kind == value.Float && slices.ContainsFunc(v.floats, math.IsNaN))
-}
-
-// posCmp compares slots by the elements of v at their positions — the
-// slots themselves when pos is nil — as keyComparator does: a null, and a
-// negative position, first.
-func posCmp(v *Vec, pos []int32) func(a, b int32) int {
-	cmp := keyComparator(v)
-	return func(a, b int32) int {
-		i, j := int(a), int(b)
-		if pos != nil {
-			i, j = int(pos[a]), int(pos[b])
+// bind lays h out over rows of schema sch, its vectors start slots long.
+func (h *heap) bind(keys []table.SortKey, limit int, sch *schema.Schema, start int) error {
+	h.keys, h.limit, h.start, h.out.schema = keys, max(limit, 0), start, sch
+	h.keyCols = h.keyBuf[:0]
+	for _, k := range keys {
+		c := sch.Index(k.Column)
+		if c < 0 {
+			return fmt.Errorf("colstore: sort column %q not found", k.Column)
 		}
-		in, jn := i < 0 || v.null(i), j < 0 || v.null(j)
-		switch {
-		case in && jn:
-			return 0
-		case in:
-			return -1
-		case jn:
-			return 1
-		}
-		return cmp(i, j)
+		h.keyCols = append(h.keyCols, c)
 	}
+	return nil
 }
 
-// slotCmp compares slots by computed column c's copied cells, from the
-// first comparison on: the copies exist by then.
-func (h *heap) slotCmp(c int) func(a, b int32) int {
-	var cmp func(a, b int32) int
-	return func(a, b int32) int {
-		if cmp == nil {
-			cmp = posCmp(h.comp[c], nil)
+// init sets the slot vectors up for the columns of view m, the first
+// pushed: false when a key is boxed and the heap selects.
+func (h *heap) init(m *morsel) bool {
+	n := h.out.schema.Len()
+	h.vecs, h.out.cols = make([]Vec, n), make([]*Vec, n)
+	for c := range h.vecs {
+		src := m.view.cols[c]
+		if !h.all && src.kind == anyKind && slices.Contains(h.keyCols, c) {
+			return false
 		}
-		return cmp(a, b)
+		h.vecs[c] = part(vecLike(src, h.start), 0, 0)
+		h.out.cols[c] = &h.vecs[c]
 	}
+	ints := make([]int32, 2*h.start)
+	h.seq, h.h, h.cmps = ints[:0:h.start], ints[h.start:h.start], h.cmpBuf[:0]
+	for i, c := range h.keyCols {
+		h.cmps = append(h.cmps, heapKey{&h.vecs[c], h.keys[i].Desc})
+	}
+	return true
 }
 
-// before orders slots: the stable sort's order, ties by input order.
+// before orders slots: the stable sort's order, ties by arrival.
 func (h *heap) before(a, b int32) bool {
 	for _, k := range h.cmps {
-		if c := k.cmp(a, b); c != 0 {
+		if c := compareCells(k.v, int(a), int(b)); c != 0 {
 			return (c < 0) != k.desc
 		}
 	}
-	// Rows reach the sink in source order, and joined rows in build order
-	// within a source row.
-	if h.src[a] != h.src[b] {
-		return h.src[a] < h.src[b]
-	}
-	return h.bld != nil && h.bld[a] < h.bld[b]
+	return h.seq[a] < h.seq[b]
 }
 
-func (h *heap) push(r *fanRun, m *morsel) bool {
-	if h.collect != nil {
-		return h.collect.push(r, m)
+func (h *heap) worse(a, b int32) bool { return h.before(b, a) }
+
+func (h *heap) push(_ *fanRun, m *morsel) bool {
+	if h.vecs == nil && !h.init(m) {
+		return false
 	}
-	for c := range h.comp {
-		if src := &m.cols[c].v; h.comp[c] == nil && m.cols[c].origin == computed {
-			if src.kind == anyKind {
-				return false
-			}
-			h.comp[c] = vecLike(src, h.limit+1)
-		}
+	cols := m.view.cols[:len(h.vecs)]
+	for c := range h.vecs {
+		h.vecs[c].follow(cols[c])
 	}
 	for k := range m.view.length {
-		slot := int32(len(h.h))
-		if len(h.h) == h.limit {
-			slot = int32(h.limit)
-		}
-		if !h.read(r, m, k, slot) {
-			return false
-		}
-		if int(slot) < h.limit {
-			h.h = append(h.h, slot)
-			if len(h.h) == h.limit {
+		h.n++
+		if h.all || len(h.h) < h.limit {
+			slot := int32(len(h.h))
+			h.copy(cols, k, -1)
+			if !h.all && h.nan(slot) {
+				return false
+			}
+			if h.h = append(h.h, slot); len(h.h) == h.limit && !h.all {
+				h.copy(cols, k, -1) // slot limit, where a new row is compared
 				for i := len(h.h)/2 - 1; i >= 0; i-- {
 					siftDown(h.h, i, h.worse)
 				}
 			}
 			continue
 		}
-		if h.limit > 0 && h.before(slot, h.h[0]) {
-			h.move(slot, h.h[0])
+		if h.limit == 0 {
+			continue
+		}
+		at := int32(h.limit)
+		for _, c := range h.keyCols {
+			h.vecs[c].put(int(at), cols[c], k)
+		}
+		if h.seq[at] = h.n; h.nan(at) {
+			return false
+		}
+		if root := h.h[0]; h.before(at, root) {
+			h.copy(cols, k, root)
 			siftDown(h.h, 0, h.worse)
 		}
 	}
 	return true
 }
 
-func (h *heap) worse(a, b int32) bool { return h.before(b, a) }
-
-// read copies row k of view m into slot: false for a NaN or boxed key.
-func (h *heap) read(r *fanRun, m *morsel, k int, slot int32) bool {
-	h.src[slot] = m.row(k)
-	if h.bld != nil {
-		h.bld[slot] = -1
-		if b := m.bld[k]; b != r.p.pad {
-			h.bld[slot] = b
+// copy copies row k of columns cols into slot, or into a new one for -1.
+func (h *heap) copy(cols []*Vec, k int, slot int32) {
+	if slot < 0 {
+		h.seq = append(h.seq, h.n)
+		for c := range h.vecs {
+			h.vecs[c].appendFrom(cols[c], k)
 		}
+		return
 	}
-	for c := range m.cols {
-		if m.cols[c].origin != computed {
-			continue
-		}
-		h.comp[c].put(int(slot), &m.cols[c].v, k)
-	}
-	for _, c := range h.nanKeys {
-		if v := h.comp[c]; v.kind == value.Float && math.IsNaN(v.floats[slot]) {
-			return false
-		}
-	}
-	return true
-}
-
-// move copies slot from into slot to.
-func (h *heap) move(from, to int32) {
-	h.src[to] = h.src[from]
-	if h.bld != nil {
-		h.bld[to] = h.bld[from]
-	}
-	for _, v := range h.comp {
-		if v != nil {
-			v.put(int(to), v, int(from))
-		}
+	h.seq[slot] = h.n
+	for c := range h.vecs {
+		h.vecs[c].put(int(slot), cols[c], k)
 	}
 }
 
-func (h *heap) finish(r *fanRun) (*Batch, error) {
-	if h.collect != nil {
-		b, err := h.collect.finish(r)
-		if err != nil {
-			return nil, err
+// nan reports whether a float key cell of slot is NaN.
+func (h *heap) nan(slot int32) bool {
+	for _, c := range h.keyCols {
+		if v := &h.vecs[c]; v.kind == value.Float && !v.null(int(slot)) && math.IsNaN(v.floats[slot]) {
+			return true
 		}
-		return topN(b, h.keys, h.limit)
+	}
+	return false
+}
+
+// finish returns the kept rows in order: the slot vectors, selected
+// through the ordered slots.
+func (h *heap) finish(*fanRun) (*Batch, error) {
+	if h.vecs == nil { // nothing was pushed
+		h.out.cols = make([]*Vec, h.out.schema.Len())
+		for c := range h.out.cols {
+			h.out.cols[c] = &Vec{kind: value.Null}
+		}
+		return &h.out, nil
+	}
+	if h.all {
+		h.out.length = len(h.h)
+		return topN(&h.out, h.keys, h.limit)
 	}
 	h.order()
-	m, n := r.last, len(h.h)
-	cols := make([]*Vec, len(m.cols))
-	var bld []int32
-	if h.bld != nil {
-		bld = make([]int32, n)
-		for i, s := range h.h {
-			bld[i] = h.bld[s]
-		}
+	for c := range h.vecs {
+		h.vecs[c].sel, h.vecs[c].length = h.h, len(h.h)
 	}
-	for col := range m.cols {
-		if m.cols[col].origin == computed {
-			cols[col] = &Vec{kind: value.Null}
-			if h.comp != nil && h.comp[col] != nil {
-				cols[col] = gather(h.comp[col], h.h)
-			}
-		}
-	}
-	// The kept slots become their source rows, the output's selection.
-	src := h.h
-	for i, s := range src {
-		src[i] = h.src[s]
-	}
-	var cc composer
-	for col := range m.cols {
-		switch o := m.cols[col].origin; {
-		case o >= 0:
-			cols[col] = r.in.cols[o].pick(src, &cc)
-		case o < computed:
-			cols[col] = r.build.cols[-o-2].pick(bld, &cc)
-		}
-	}
-	return &Batch{schema: r.schema, cols: cols, length: n}, nil
+	h.out.length = len(h.h)
+	return &h.out, nil
 }
 
 // order sorts the kept slots into output order.

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -26,9 +27,12 @@ var fanExprs = append([]string{"li", "rs"}, selExprs...)
 // join, the morsel size (64 rows, 1,024 or the whole batch) and whether
 // the join is the chain's first step, the rest the stages, and the last
 // the sinks' keys — among them g, an int column the chain computes
-// first, and m, the one its maps compute. Where a run declines (a map's
+// first, and m, the one its maps compute — and into a branch, a step of
+// its own into a group-by or a top-n. Where a run declines (a map's
 // morsel kind moves, a top-n key holds NaN) it starts over as one morsel,
-// as the kernels' Run does.
+// as the kernels' Run does. A fan that streams is also pushed its source
+// in batches of random sizes, 1 among them, and must give the same
+// outputs unless it declines.
 func FuzzFan(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0, 4, 2})
 	f.Add(int64(2), []byte{0x41, 9, 4, 0, 1})
@@ -40,6 +44,8 @@ func FuzzFan(f *testing.F) {
 	f.Add(int64(7), []byte{0x48, 0, 3, 8, 0x72})       // a probe by 1,024, a map, top-n on a computed key
 	f.Add(int64(8), []byte{0x88, 1, 0x50})             // a probe by 64, materialize and top-n
 	f.Add(int64(9), []byte{0x49, 0x1E, 3, 0x3E, 0x31}) // limits after a left outer probe
+	f.Add(int64(10), []byte{0x48, 3, 0x2C})            // a probe by 1,024, a map, a top-n and a branch's top-n
+	f.Add(int64(11), []byte{0x08, 2, 14, 0x09})        // a probe by 64, a filter and a limit, a group-by and a branch's group-by
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		if len(ops) < 2 || len(ops) > 12 {
 			return
@@ -139,6 +145,23 @@ func FuzzFan(f *testing.F) {
 			fan.Sinks = append(fan.Sinks, top)
 			want = append(want, func() (*Batch, error) { return topN(ref, top.Keys, top.Limit) })
 		}
+		if op := ops[1]; last&8 != 0 {
+			// A branch: one step of its own over the chain's rows, into a
+			// group-by or a top-n.
+			s = ref.Schema()
+			step, out := stage(op, size), ref
+			if out, err = stage(op, whole).Run(ref); err != nil {
+				t.Fatal(err)
+			}
+			out = gathered(out)
+			var sink Kernel = &GroupBy{Keys: []int{out.Schema().Index("g")}, Aggs: []Agg{{Op: "count", Col: -1, New: Registry["count"]}},
+				Out: schema.MustFromNames("g", "n"), SortKeys: []table.SortKey{{Column: "g"}}}
+			if last&4 != 0 {
+				sink = &TopN{Keys: []table.SortKey{{Column: "g", Desc: true}, {Column: "ls"}}, Limit: int(op % 9)}
+			}
+			fan.Sinks = append(fan.Sinks, &Branch{Chain: []Kernel{step}, Sink: sink})
+			want = append(want, func() (*Batch, error) { return sink.Run(out) })
+		}
 		outs, stages, err := fan.must(source, build, size)
 		if err != nil {
 			t.Fatalf("fan: %v", err)
@@ -147,12 +170,34 @@ func FuzzFan(f *testing.F) {
 		if want := ref.Len(); stages[at].Rows != want {
 			t.Fatalf("fan fed its sinks %d rows, the chain keeps %d", stages[at].Rows, want)
 		}
+		wants := make([]*Batch, len(want))
 		for i, w := range want {
-			want, err := w()
-			if err != nil {
+			if wants[i], err = w(); err != nil {
 				t.Fatal(err)
 			}
-			sameBatch(t, fmt.Sprintf("sink %d (%T)", i, fan.Sinks[i]), outs[i], want)
+			sameBatch(t, fmt.Sprintf("sink %d (%T)", i, fan.Sinks[i]), outs[i], wants[i])
+		}
+		// A fan that streams gives Run's outputs, its source pushed in
+		// batches of random sizes, none longer than the first.
+		st := fan.Stream(build)
+		if st == nil {
+			return
+		}
+		first := 1 + rng.Intn(max(source.length, 1))
+		for lo, n := 0, first; lo == 0 || lo < source.length; lo, n = lo+n, 1+rng.Intn(first) {
+			hi := min(lo+n, source.length)
+			if err := st.Push(source.gatherRows(identity(hi)[lo:])); errors.Is(err, ErrDeclined) {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		souts, _, err := st.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wants {
+			sameBatch(t, fmt.Sprintf("streamed sink %d (%T)", i, fan.Sinks[i]), souts[i], wants[i])
 		}
 	})
 }

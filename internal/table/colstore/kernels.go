@@ -98,26 +98,17 @@ type TopN struct {
 }
 
 // Run implements Kernel: the top-n sink's heap pushed b whole, as one
-// morsel of b's own rows and with no run (there is no build side or
-// computed cell to read), so it copies no cell; the stable sort where a
-// key is missing or holds NaN or boxed cells, as a run's decline is.
+// morsel; the stable sort where a key is missing or holds NaN or boxed
+// cells, as a run's decline is.
 func (k *TopN) Run(b *Batch) (*Batch, error) {
-	h := &heap{limit: min(max(k.Limit, 0), b.length)}
-	ints := make([]int32, 2*h.limit+1)
-	h.src, h.h, h.cmps = ints[:h.limit+1], ints[h.limit+1:h.limit+1], h.cmpBuf[:0]
-	for _, key := range k.Keys {
-		c := b.schema.Index(key.Column)
-		if c < 0 || !heapable(b.cols[c]) {
-			return topN(b, k.Keys, k.Limit)
-		}
-		h.cmps = append(h.cmps, heapKey{posCmp(b.cols[c], h.src), key.Desc})
+	h := new(heap)
+	if err := h.bind(k.Keys, k.Limit, b.schema, min(max(k.Limit, 0), b.length)+1); err != nil {
+		return topN(b, k.Keys, k.Limit)
 	}
-	h.push(nil, &morsel{view: Batch{length: b.length}})
-	h.order()
-	for i, s := range h.h {
-		h.h[i] = h.src[s]
+	if !h.push(nil, &morsel{view: *b}) {
+		return topN(b, k.Keys, k.Limit)
 	}
-	return b.selectRows(h.h), nil
+	return h.finish(nil)
 }
 
 // topN returns the first limit rows of b by keys, as selections: the
@@ -152,23 +143,36 @@ func keyComparator(v *Vec) func(i, j int) int {
 	case value.String:
 		core = func(i, j int) int { return strings.Compare(v.str(v.slot(i)), v.str(v.slot(j))) }
 	default:
-		core = func(i, j int) int { return value.Compare(v.At(i), v.At(j)) }
+		return func(i, j int) int { return value.Compare(v.At(i), v.At(j)) }
 	}
 	if !v.hasNulls() {
 		return core
 	}
-	return func(i, j int) int {
-		in, jn := v.null(i), v.null(j)
-		switch {
-		case in && jn:
-			return 0
-		case in:
-			return -1
-		case jn:
-			return 1
-		}
-		return core(i, j)
+	return func(i, j int) int { return compareCells(v, i, j) }
+}
+
+// compareCells compares elements i and j of v as keyComparator does,
+// whatever nulls v holds by then.
+func compareCells(v *Vec, i, j int) int {
+	in, jn := v.null(i), v.null(j)
+	switch {
+	case in && jn:
+		return 0
+	case in:
+		return -1
+	case jn:
+		return 1
 	}
+	si, sj := v.slot(i), v.slot(j)
+	switch v.kind {
+	case value.Int:
+		return cmp.Compare(v.ints[si], v.ints[sj])
+	case value.Float:
+		return cmpFloat(v.floats[si], v.floats[sj])
+	case value.String:
+		return strings.Compare(v.str(si), v.str(sj))
+	}
+	return value.Compare(v.At(i), v.At(j))
 }
 
 // sortPerm returns the first limit rows (all, when limit reaches the
