@@ -133,7 +133,7 @@ func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, spe
 	var build *colstore.Batch
 	// join binds the join cspecs heads, over node from of schema out and
 	// the build side, and appends its steps to the chain: false when it
-	// has no run, or n is not its probe side.
+	// has no run, or from is not its probe side.
 	join := func(cspecs []task.Spec, ins []string, from string, out *schema.Schema) (*task.Bound, bool) {
 		var inputs [2]task.Input
 		for j, name := range ins {
@@ -172,7 +172,7 @@ func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, spe
 			return 0, 0, false, nil
 		}
 		to[i].skip = n
-		if len(cn.Inputs) == 2 {
+		if len(cn.Inputs) == 2 && via == "" { // a fan probes once
 			ck, ok := join(cspecs[:n], cn.Inputs, from, out)
 			if !ok {
 				return 0, 0, false, nil
@@ -239,6 +239,9 @@ func (p *pipeline) inline(ctx context.Context, g *dag.Graph, plan *dag.Plan, spe
 			}
 		}
 		stages += len(vspecs)
+		p.mu.Lock()
+		p.stats.RowsProduced[via] = st[len(f.Chain)].Rows
+		p.mu.Unlock()
 	}
 	for i := range to {
 		c := &to[i]

@@ -230,7 +230,8 @@ type Stream struct {
 }
 
 // Stream starts a streamed run of f, whose probe, if its chain has one,
-// builds on build: nil when f does not stream.
+// builds on build: nil when f does not stream. A probe that keeps its
+// unmatched build rows runs into Materialize, so it does not either.
 func (f *Fan) Stream(build *Batch) *Stream {
 	for _, k := range f.Sinks {
 		if b, ok := k.(*Branch); ok {
@@ -682,14 +683,9 @@ type Branch struct {
 	Sink  Kernel
 }
 
-// Run implements Kernel: the branch's steps into its sink over b, as a
-// fan of its own.
-func (k *Branch) Run(b *Batch) (*Batch, error) {
-	outs, _, err := (&Fan{Chain: k.Chain, Sinks: []Kernel{k.Sink}}).Must(b, nil)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
+// Run implements Kernel: a branch runs in a fan.
+func (k *Branch) Run(*Batch) (*Batch, error) {
+	return nil, fmt.Errorf("colstore: a branch runs in a fan")
 }
 
 // branch is a *Branch sink's state over a run: its view, its steps in
@@ -749,7 +745,7 @@ type morsel struct {
 	// probe's view.
 	rows, bld []int32
 	rowBuf    []int32
-	track     bool // rows are kept: a sink or a probe reads them
+	track     bool // rows are kept: the materialize sink or a probe reads them
 	counting  bool // this pass counts: only the columns it reads are narrowed
 	viewBuf   [8]*Vec
 	up        *morsel
