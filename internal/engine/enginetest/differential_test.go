@@ -42,7 +42,7 @@ func buildGraph(t testing.TB, src string) *dag.Graph {
 func runPath(t testing.TB, g *dag.Graph, sources map[string]*table.Table, columnar string, par int) *batch.Result {
 	t.Helper()
 	e := &batch.Executor{Parallelism: par, Columnar: columnar}
-	res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
+	res, err := e.RunContext(context.Background(), g, textEnv, sources)
 	if err != nil {
 		t.Fatalf("columnar=%s parallelism=%d: %v", columnar, par, err)
 	}
@@ -174,7 +174,7 @@ func diffInputs(t *testing.T, g *dag.Graph, ref refResult, inputs string, source
 func runPlanned(t testing.TB, g *dag.Graph, plan *dag.Plan, sources map[string]*table.Table, columnar string) *batch.Result {
 	t.Helper()
 	e := &batch.Executor{Parallelism: 1, Columnar: columnar, Plan: plan}
-	res, err := e.RunContext(context.Background(), g, &task.Env{}, sources)
+	res, err := e.RunContext(context.Background(), g, textEnv, sources)
 	if err != nil {
 		t.Fatalf("planned columnar=%s: %v", columnar, err)
 	}
@@ -832,7 +832,8 @@ func dimTable() *table.Table {
 }
 
 // randFlow assembles a random 1..4 stage pipeline from the kernel menu
-// (plus row-only stages, so the engine keeps crossing between paths). One
+// (plus row-only stages, so the engine keeps crossing between paths),
+// the map operators of both kinds among them. One
 // flow in three opens with a join of D.src against D.dim — any condition,
 // either input order — projected back onto the source's column names so
 // every later stage still binds.
@@ -870,7 +871,7 @@ func randFlow(rng *rand.Rand) string {
 	for i := 0; i < stages; i++ {
 		id := fmt.Sprintf("t%d", i)
 		chain = append(chain, "T."+id)
-		switch rng.Intn(9) {
+		switch rng.Intn(11) {
 		case 0:
 			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: filter_by\n    filter_expression: %s\n",
 				id, filters[rng.Intn(len(filters))]))
@@ -921,6 +922,25 @@ func randFlow(rng *rand.Rand) string {
 		case 8:
 			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: topn\n    groupby: [%s]\n    orderby_column: [%s]\n    limit: %d\n",
 				id, []string{"region", "flag", "region, amount"}[rng.Intn(3)], []string{"amount DESC", "ratio", "product DESC, ratio"}[rng.Intn(3)], rng.Intn(4)+1))
+		case 9:
+			// A map operator that keeps every row: in place, or into a new
+			// column.
+			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: map\n%s", id, []string{
+				"    operator: upper\n    transform: region\n",
+				"    operator: replace\n    transform: product\n    old: 'product '\n    new: p-\n",
+				"    operator: date\n    transform: flag\n    output_format: yyyy-MM-dd HH\n    output: m" + id[1:] + "\n",
+				"    operator: bucket\n    transform: amount\n    width: 10\n",
+				"    operator: bucket\n    transform: ratio\n    width: 0.5\n    output: m" + id[1:] + "\n",
+				"    operator: concat\n    transform: [region, amount, flag]\n    separator: '|'\n    output: m" + id[1:] + "\n",
+				"    operator: constant\n    value: 2.5\n    output: m" + id[1:] + "\n",
+			}[rng.Intn(7)]))
+		case 10:
+			// A map operator that drops rows or repeats them.
+			tasks = append(tasks, fmt.Sprintf("  %s:\n    type: map\n%s    output: m%d\n", id, []string{
+				"    operator: extract\n    transform: product\n    dict: terms.txt\n",
+				"    operator: extract_location\n    transform: region\n    country: IND\n",
+				"    operator: extract_words\n    transform: product\n",
+			}[rng.Intn(3)], i))
 		}
 	}
 	return done()

@@ -11,7 +11,6 @@ import (
 	"shareinsights/internal/engine/batch"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
-	"shareinsights/internal/task"
 	"shareinsights/internal/value"
 )
 
@@ -55,8 +54,9 @@ func fuzzSources(rng *rand.Rand, rows int) map[string]*table.Table {
 	return map[string]*table.Table{"src": tb, "dim": dimTable()}
 }
 
-// FuzzKernelsMatchReference runs a random chain of filters, maps, limits,
-// sorts, global and partitioned top-ns, projects, distincts and a
+// FuzzKernelsMatchReference runs a random chain of filters, expr maps,
+// map operators that keep every row and ones that drop or repeat rows,
+// limits, sorts, global and partitioned top-ns, projects, distincts and a
 // group-by, after a join one time in three
 // (randFlow), over random sources with nulls, NaN, time cells and mixed
 // kinds (fuzzSources): every executor mode, over row- and column-backed
@@ -74,7 +74,7 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		if _, rerr := runReference(g, sources); rerr != nil {
 			for _, mode := range []string{batch.ColumnarOff, ""} {
 				e := &batch.Executor{Parallelism: 1, Columnar: mode}
-				if _, err := e.RunContext(context.Background(), g, &task.Env{}, sources); err == nil {
+				if _, err := e.RunContext(context.Background(), g, textEnv, sources); err == nil {
 					t.Fatalf("the reference fails (%v), columnar=%s does not:\n%s", rerr, mode, flow)
 				}
 			}

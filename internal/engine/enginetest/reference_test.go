@@ -2,14 +2,17 @@ package enginetest
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"shareinsights/internal/dag"
 	"shareinsights/internal/engine/batch"
 	"shareinsights/internal/expr"
+	"shareinsights/internal/flowfile"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
 	"shareinsights/internal/task"
@@ -17,13 +20,22 @@ import (
 )
 
 // The reference is docs/SEMANTICS.md written as naively as it reads:
-// group-by, join, sort, expression filters, expr maps, top-n, limit,
-// project, distinct and union over lists of rows of value.V, one row at a
-// time. Only an interaction filter's selection, the text map operators
-// and user tasks run through their Spec.Exec. Every engine mode is held
-// to it. It shares no code with the kernels but the scalar rules the text
-// defines by: the registry's accumulators (§1.2), value.Compare (§3.3)
-// and expr.Arith (§4.3).
+// group-by, join, sort, expression filters, maps, top-n, limit, project,
+// distinct and union over lists of rows of value.V, one row at a time.
+// Only an interaction filter's selection and user tasks run through their
+// Spec.Exec. Every engine mode is held to it. It shares no code with the
+// kernels but the scalar rules the text defines by: the registry's
+// accumulators (§1.2), value.Compare (§3.3), expr.Arith (§4.3),
+// value.Parse and the standard library's string and time functions
+// (§11). A map operator's parameters are read from its task's definition
+// in the flow, not through the operator.
+
+// textEnv is every run's environment: the resources the map operators'
+// dictionaries name.
+var textEnv = &task.Env{Resources: map[string][]byte{
+	"terms.txt":      []byte("# products\na1 => alpha\nb2,beta\nproduct\nC3 => gamma\n  east  \nalpha\n"),
+	"cities.ind.csv": []byte("east,Bengal\nwest,Gujarat\nproduct,Nowhere\nmumbai,Maharashtra\n"),
+}}
 
 // refResult is a reference run: every data object of a graph, by name.
 type refResult map[string]*table.Table
@@ -71,7 +83,7 @@ func runReference(g *dag.Graph, sources map[string]*table.Table) (refResult, err
 		for i, x := range n.Inputs {
 			in[i] = out[x]
 		}
-		tb, err := refChain(n.Specs, in, n.Inputs)
+		tb, err := refChain(n.Specs, n.Stages, in, n.Inputs)
 		if err != nil {
 			return nil, fmt.Errorf("reference D.%s: %w", name, err)
 		}
@@ -80,10 +92,11 @@ func runReference(g *dag.Graph, sources map[string]*table.Table) (refResult, err
 	return out, nil
 }
 
-// refChain runs specs over in, the inputs named names, one stage at a
-// time; a stage's output is the next stage's one unnamed input.
-func refChain(specs []task.Spec, in []*table.Table, names []string) (*table.Table, error) {
-	for _, sp := range specs {
+// refChain runs specs, the stages' parsed tasks, over in, the inputs
+// named names, one stage at a time; a stage's output is the next stage's
+// one unnamed input.
+func refChain(specs []task.Spec, stages []dag.Stage, in []*table.Table, names []string) (*table.Table, error) {
+	for i, sp := range specs {
 		var out *table.Table
 		var err error
 		switch s := sp.(type) {
@@ -95,13 +108,13 @@ func refChain(specs []task.Spec, in []*table.Table, names []string) (*table.Tabl
 			out, err = refSort(s, in[0])
 		case *task.FilterSpec:
 			if len(s.By) > 0 {
-				out, err = sp.Exec(&task.Env{}, in, names)
+				out, err = sp.Exec(textEnv, in, names)
 				break
 			}
 			out, err = refFilter(s, in[0])
 		case *task.MapSpec:
 			if s.Expr() == nil {
-				out, err = sp.Exec(&task.Env{}, in, names)
+				out, err = refMap(s.Operator, stages[i].Def.Config, in[0])
 				break
 			}
 			out, err = refMapExpr(s, in[0])
@@ -116,7 +129,7 @@ func refChain(specs []task.Spec, in []*table.Table, names []string) (*table.Tabl
 		case *task.UnionSpec:
 			out, err = refUnion(s, in, names)
 		default:
-			out, err = sp.Exec(&task.Env{}, in, names)
+			out, err = sp.Exec(textEnv, in, names)
 		}
 		if err != nil {
 			return nil, err
@@ -511,4 +524,198 @@ func refUnion(s *task.UnionSpec, in []*table.Table, names []string) (*table.Tabl
 		rows = append(rows, t.Rows()...)
 	}
 	return table.FromRows(out, rows)
+}
+
+// refMap is SEMANTICS.md §11: each row yields one output row per cell the
+// operator makes from its cells in the columns it reads, the cell written
+// over the output column or appended after the input's; a row that makes
+// none is dropped.
+func refMap(op string, cfg *flowfile.Node, in *table.Table) (*table.Table, error) {
+	output, reads, cell, err := refOperator(op, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := in.Schema().Require(reads...)
+	if err != nil {
+		return nil, err
+	}
+	out := in.Schema().ExtendOrSame(output)
+	at := out.Index(output)
+	var rows []table.Row
+	for _, r := range in.Rows() {
+		cells := make([]value.V, len(cols))
+		for i, c := range cols {
+			cells[i] = r[c]
+		}
+		for _, v := range cell(cells) {
+			row := append(slices.Clone(r), value.VNull)[:out.Len()]
+			row[at] = v
+			rows = append(rows, row)
+		}
+	}
+	return table.FromRows(out, rows)
+}
+
+// refOperator reads operator op's definition: the column it writes, the
+// columns it reads, and the cells it makes from one row's cells of those.
+func refOperator(op string, cfg *flowfile.Node) (output string, reads []string, cell func([]value.V) []value.V, err error) {
+	transform, output := cfg.Str("transform"), cfg.Str("output")
+	if output == "" {
+		output = transform // §11.1–11.4, §11.7; the others require one
+	}
+	text := func(f func(string) string) func([]value.V) []value.V {
+		return func(c []value.V) []value.V { return []value.V{value.NewString(f(c[0].Str()))} }
+	}
+	reads = []string{transform}
+	switch op {
+	case "upper":
+		return output, reads, text(strings.ToUpper), nil
+	case "lower":
+		return output, reads, text(strings.ToLower), nil
+	case "trim":
+		return output, reads, text(strings.TrimSpace), nil
+	case "replace":
+		old, repl := cfg.Str("old"), cfg.Str("new")
+		return output, reads, text(func(s string) string { return strings.ReplaceAll(s, old, repl) }), nil
+	case "concat":
+		sep := cfg.Str("separator")
+		return output, cfg.StrList("transform"), func(c []value.V) []value.V {
+			parts := make([]string, len(c))
+			for i, v := range c {
+				parts[i] = v.Str()
+			}
+			return []value.V{value.NewString(strings.Join(parts, sep))}
+		}, nil
+	case "constant":
+		v := value.Parse(cfg.Str("value"))
+		return output, nil, func([]value.V) []value.V { return []value.V{v} }, nil
+	case "bucket":
+		width := 1.0
+		if w := cfg.Str("width"); w != "" {
+			width = value.Parse(w).Float()
+		}
+		return output, reads, func(c []value.V) []value.V {
+			if c[0].IsNull() {
+				return []value.V{value.VNull}
+			}
+			b := math.Floor(c[0].Float()/width) * width
+			if b == math.Trunc(b) && width == math.Trunc(width) {
+				return []value.V{value.NewInt(int64(b))}
+			}
+			return []value.V{value.NewFloat(b)}
+		}, nil
+	case "date":
+		inLayout, outLayout := refLayout(cfg.Str("input_format")), refLayout(cfg.Str("output_format"))
+		return output, reads, func(c []value.V) []value.V {
+			v, t, err := c[0], c[0].Time(), error(nil)
+			switch {
+			case v.Kind() == value.Time:
+			case inLayout != "":
+				t, err = time.Parse(inLayout, v.Str())
+			case value.Parse(v.Str()).Kind() == value.Time:
+				t = value.Parse(v.Str()).Time()
+			default:
+				err = fmt.Errorf("no time")
+			}
+			if err != nil {
+				return []value.V{value.VNull}
+			}
+			return []value.V{value.NewString(t.Format(outLayout))}
+		}, nil
+	case "extract":
+		dict, err := refDictionary(cfg.Str("dict"))
+		return output, reads, func(c []value.V) []value.V {
+			var out []value.V
+			seen := map[string]bool{}
+			for _, tok := range refTokens(c[0].Str()) {
+				std, ok := dict[tok]
+				if !ok {
+					std, ok = dict[strings.TrimLeft(tok, "#@")]
+				}
+				if ok && !seen[std] {
+					seen[std] = true
+					out = append(out, value.NewString(std))
+				}
+			}
+			return out
+		}, err
+	case "extract_location":
+		name := cfg.Str("dict")
+		if name == "" {
+			name = "cities." + strings.ToLower(cfg.Str("country")) + ".csv"
+		}
+		gaz, err := refDictionary(name)
+		return output, reads, func(c []value.V) []value.V {
+			for _, tok := range refTokens(c[0].Str()) {
+				if state, ok := gaz[tok]; ok {
+					return []value.V{value.NewString(state)}
+				}
+			}
+			return nil
+		}, err
+	case "extract_words":
+		stop := strings.Fields(`the and for with that this from are was you your have has had
+			not but all can will our out they them his her she him its it's just what when
+			who how why where which there here been being were over under very more most
+			into than then also about after before during between`)
+		return output, reads, func(c []value.V) []value.V {
+			var out []value.V
+			for _, tok := range refTokens(c[0].Str()) {
+				if len(tok) >= 3 && !strings.HasPrefix(tok, "http") && !slices.Contains(stop, tok) {
+					out = append(out, value.NewString(tok))
+				}
+			}
+			return out
+		}, nil
+	}
+	return "", nil, nil, fmt.Errorf("reference: no map operator %q", op)
+}
+
+// refLayout is §11.8's translation of a Java pattern into a Go layout:
+// at each position the first token listed that matches.
+func refLayout(pattern string) string {
+	return strings.NewReplacer("yyyy", "2006", "yy", "06", "MMMM", "January", "MMM", "Jan", "MM", "01",
+		"dd", "02", "EEEE", "Monday", "EEE", "Mon", "E", "Mon", "HH", "15", "hh", "03", "h", "3",
+		"mm", "04", "ss", "05", "SSS", "000", "a", "PM", "ZZ", "-07:00", "Z", "-0700", "z", "MST",
+		"M", "1", "d", "2").Replace(pattern)
+}
+
+// refDictionary is §11.9's dictionary resource: each variant, trimmed and
+// lower-cased, to its standard name.
+func refDictionary(name string) (map[string]string, error) {
+	data, ok := textEnv.Resource(name)
+	if !ok {
+		return nil, fmt.Errorf("reference: no resource %q", name)
+	}
+	dict := map[string]string{}
+	for _, ln := range strings.Split(string(data), "\n") {
+		ln = strings.TrimSpace(ln)
+		if ln == "" || ln[0] == '#' {
+			continue
+		}
+		variant, std, ok := strings.Cut(ln, "=>")
+		if !ok {
+			variant, std, ok = strings.Cut(ln, ",")
+		}
+		if !ok {
+			variant, std = ln, ln
+		}
+		dict[strings.ToLower(strings.TrimSpace(variant))] = strings.TrimSpace(std)
+	}
+	return dict, nil
+}
+
+// refTokens is §11.9's tokens: the lower-cased text's longest runs of
+// token characters.
+func refTokens(s string) []string {
+	var toks []string
+	var tok []rune
+	for _, r := range strings.ToLower(s) + " " {
+		if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || strings.ContainsRune("_#@:/.", r) {
+			tok = append(tok, r)
+		} else if len(tok) > 0 {
+			toks, tok = append(toks, string(tok)), nil
+		}
+	}
+	return toks
 }

@@ -17,22 +17,10 @@ import (
 // semanticsExempt is what has no docs/SEMANTICS.md section and no
 // reference case of its own: parallel never reaches an executor or the
 // reference, as the resolver expands it into its subs, each held to its
-// own section, and the text map operators run through the per-row
-// adapter. It only shrinks: an entry that gains a section fails the gate
-// until it is dropped.
+// own section. It only shrinks: an entry that gains a section fails the
+// gate until it is dropped.
 var semanticsExempt = map[string]bool{
-	"parallel":             true,
-	"map bucket":           true,
-	"map concat":           true,
-	"map constant":         true,
-	"map date":             true,
-	"map extract":          true,
-	"map extract_location": true,
-	"map extract_words":    true,
-	"map lower":            true,
-	"map replace":          true,
-	"map trim":             true,
-	"map upper":            true,
+	"parallel": true,
 }
 
 // TestSemanticsDocumented holds the task library to its written meaning:
