@@ -61,7 +61,7 @@ func TransferStage(sp task.Spec, def *flowfile.TaskDef, ins []Input, out *schema
 		}
 		res.Card = res.Card.collapse()
 	case *task.MapSpec:
-		if fanOutOp(t.Operator) {
+		if !t.KeepsRows() {
 			res.Card = CardUnknown()
 		}
 		f := mapFact(t, def, firstInput(ins).Scope, &res)
@@ -230,12 +230,6 @@ func aggFact(a task.AggSpec, in Scope) ColFact {
 		return f
 	}
 	return ColFact{Type: Unknown()}
-}
-
-// fanOutOps are the map operators that change the row count: they drop
-// non-matching rows and emit one row per match/token.
-func fanOutOp(op string) bool {
-	return op == "extract" || op == "extract_location" || op == "extract_words"
 }
 
 // mapFact is the output fact of one map operator, matching the operator

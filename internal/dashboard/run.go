@@ -401,16 +401,23 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 		run.TasksRun = st.TasksRun
 		run.CacheHits = len(st.CacheHits)
 		run.SkippedSinks = len(st.SkippedSinks)
-		run.Stages = make([]history.StageRecord, 0, len(st.Timings))
-		for _, t := range st.Timings {
-			run.Stages = append(run.Stages, history.StageRecord{
-				Output: t.Output, Stage: t.Stage, RowsIn: t.RowsIn, Rows: t.Rows,
-				DurationUS: t.Duration.Microseconds(), QueueWaitUS: t.QueueWait.Microseconds(),
-				Path: t.Path, Plan: t.Plan,
-			})
-		}
+		run.Stages = StageRecords(st.Timings)
 	}
 	rec.Record(run)
+}
+
+// StageRecords is timings as the flight recorder stores them and the REST
+// API encodes them.
+func StageRecords(timings []StageTiming) []history.StageRecord {
+	out := make([]history.StageRecord, 0, len(timings))
+	for _, t := range timings {
+		out = append(out, history.StageRecord{
+			Output: t.Output, Stage: t.Stage, RowsIn: t.RowsIn, Rows: t.Rows,
+			DurationUS: t.Duration.Microseconds(), QueueWaitUS: t.QueueWait.Microseconds(),
+			Path: t.Path, Plan: t.Plan,
+		})
+	}
+	return out
 }
 
 // runSource is one source of a run: what its fetch returned (a payload,

@@ -31,8 +31,7 @@ import (
 
 // ColumnarOff, as Executor.Columnar, runs each stage alone through its
 // Spec.Exec, with no fan group and no inline node: every built-in task
-// over its inputs' batches, the text map operators through the per-row
-// adapter.
+// over its inputs' batches.
 const ColumnarOff = "off"
 
 // columnar runs the group task.Kernel answers at the head of specs over

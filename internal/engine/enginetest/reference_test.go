@@ -674,10 +674,22 @@ func refOperator(op string, cfg *flowfile.Node) (output string, reads []string, 
 // refLayout is §11.8's translation of a Java pattern into a Go layout:
 // at each position the first token listed that matches.
 func refLayout(pattern string) string {
-	return strings.NewReplacer("yyyy", "2006", "yy", "06", "MMMM", "January", "MMM", "Jan", "MM", "01",
-		"dd", "02", "EEEE", "Monday", "EEE", "Mon", "E", "Mon", "HH", "15", "hh", "03", "h", "3",
-		"mm", "04", "ss", "05", "SSS", "000", "a", "PM", "ZZ", "-07:00", "Z", "-0700", "z", "MST",
-		"M", "1", "d", "2").Replace(pattern)
+	tokens := [][2]string{{"yyyy", "2006"}, {"yy", "06"}, {"MMMM", "January"}, {"MMM", "Jan"}, {"MM", "01"},
+		{"dd", "02"}, {"EEEE", "Monday"}, {"EEE", "Mon"}, {"E", "Mon"}, {"HH", "15"}, {"hh", "03"}, {"h", "3"},
+		{"mm", "04"}, {"ss", "05"}, {"SSS", "000"}, {"a", "PM"}, {"ZZ", "-07:00"}, {"Z", "-0700"}, {"z", "MST"},
+		{"M", "1"}, {"d", "2"}}
+	var out string
+next:
+	for pattern != "" {
+		for _, t := range tokens {
+			if rest, ok := strings.CutPrefix(pattern, t[0]); ok {
+				out, pattern = out+t[1], rest
+				continue next
+			}
+		}
+		out, pattern = out+pattern[:1], pattern[1:]
+	}
+	return out
 }
 
 // refDictionary is §11.9's dictionary resource: each variant, trimmed and

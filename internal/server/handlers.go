@@ -169,35 +169,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, t target) {
 	writeContent(w, t.repo, vcs.DefaultBranch, http.StatusInternalServerError)
 }
 
-// stageJSON is one stage timing in API responses.
-type stageJSON struct {
-	Output      string `json:"output"`
-	Stage       string `json:"stage"`
-	RowsIn      int    `json:"rows_in"`
-	Rows        int    `json:"rows"`
-	DurationUS  int64  `json:"duration_us"`
-	QueueWaitUS int64  `json:"queue_wait_us"`
-	// Path is the execution path that ran the stage: "row" or
-	// "columnar" (docs/ENGINE.md).
-	Path string `json:"path"`
-	// Plan summarizes the optimizer rules applied to the stage's node,
-	// "as-written" when none ran (docs/OPTIMIZER.md); empty when the
-	// run executed without a cost-based plan.
-	Plan string `json:"plan,omitempty"`
-}
-
-func stagesJSON(timings []dashboard.StageTiming) []stageJSON {
-	out := make([]stageJSON, 0, len(timings))
-	for _, st := range timings {
-		out = append(out, stageJSON{
-			Output: st.Output, Stage: st.Stage, RowsIn: st.RowsIn, Rows: st.Rows,
-			DurationUS: st.Duration.Microseconds(), QueueWaitUS: st.QueueWait.Microseconds(),
-			Path: st.Path, Plan: st.Plan,
-		})
-	}
-	return out
-}
-
 // failureJSON is one failed node pipeline in API responses.
 type failureJSON struct {
 	Output string `json:"output"`
@@ -226,7 +197,7 @@ func statsBody(name string, d *dashboard.Dashboard, full bool) map[string]any {
 	body["transferred_bytes"] = d.TransferredBytes
 	body["skipped_sinks"] = st.SkippedSinks
 	body["cache_hits"] = st.CacheHits
-	body["slowest_stages"] = stagesJSON(st.Slowest(5))
+	body["slowest_stages"] = dashboard.StageRecords(st.Slowest(5))
 	if len(st.Failures) > 0 {
 		fs := make([]failureJSON, 0, len(st.Failures))
 		for _, f := range st.Failures {
@@ -235,7 +206,7 @@ func statsBody(name string, d *dashboard.Dashboard, full bool) map[string]any {
 		body["failures"] = fs
 	}
 	if full {
-		body["timings"] = stagesJSON(st.Timings)
+		body["timings"] = dashboard.StageRecords(st.Timings)
 	}
 	return body
 }

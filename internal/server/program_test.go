@@ -109,6 +109,14 @@ T:
         out_field: total
 `
 
+// cellFlow is kernelFlow with a map operator that runs a cell function,
+// upper in place, fused between its filter and its expr map.
+var cellFlow = strings.Replace(kernelFlow, "T.keep | T.double", "T.keep | T.shout | T.double", 1) + `  shout:
+    type: map
+    operator: upper
+    transform: region
+`
+
 // bigSalesCSV is n rows of salesCSV's shape, a few of them filtered out.
 func bigSalesCSV(n int) string {
 	var b strings.Builder
@@ -121,7 +129,8 @@ func bigSalesCSV(n int) string {
 // TestConcurrentRunsShareProgram: runs of one tip share one program
 // while uploads alternate under them and lint, check and explain read
 // the same slot — under -race this proves the program is read-only to
-// all of them, the columnar kernels it binds once included — and every
+// all of them, the columnar kernels it binds once included, a map
+// operator's shared cell function among them — and every
 // run's endpoints equal those of a fresh Platform.Compile + Run on the
 // upload that run read.
 func TestConcurrentRunsShareProgram(t *testing.T) {
@@ -132,6 +141,7 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 	}{
 		{"race", raceFlow, []string{salesCSV, salesCSV + "north,gizmo,40\nwest,gadget,7\n"}, false},
 		{"kernels", kernelFlow, []string{bigSalesCSV(300), bigSalesCSV(400)}, true},
+		{"cells", cellFlow, []string{bigSalesCSV(300), bigSalesCSV(400)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) { concurrentRuns(t, tc.name, tc.flow, tc.uploads, tc.columnar) })
 	}

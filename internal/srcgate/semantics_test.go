@@ -138,8 +138,8 @@ func referenceCases(t *testing.T, typeOf map[string]string) map[string]bool {
 
 // TestTaskHasNoRowEngine fails on a call of Rows, Append or AppendValues
 // in internal/task's non-test source — a table read or built row by row —
-// except Append on a colstore.Builder: the per-row adapter and the union
-// append to one. Every task runs over batches.
+// except Append on a colstore.Builder: the union appends to one. Every
+// task runs over batches.
 func TestTaskHasNoRowEngine(t *testing.T) {
 	m := load(t)
 	for _, f := range m.files {

@@ -115,6 +115,15 @@ func (v *Vec) hasNulls() bool {
 // holes reports whether a selection has -1 entries.
 func (v *Vec) holes() bool { return v.sel != nil && slices.Contains(v.sel, -1) }
 
+// holeless is v, gathered dense first when it is a selection with holes:
+// the typed loops read payload slots, which a hole lacks.
+func (v *Vec) holeless() *Vec {
+	if v.holes() {
+		return v.dense()
+	}
+	return v
+}
+
 // null reports whether element i is null.
 func (v *Vec) null(i int) bool {
 	if v.kind == value.Null {

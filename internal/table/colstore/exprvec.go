@@ -66,6 +66,8 @@ type temps struct {
 	free   []*Vec
 	buf    [4]*Vec
 	cells  []value.V // a scalar fallback's cells
+	row    []value.V // a cell function's input (CompileCells)
+	made   []value.V // and what it appends
 	n      int       // the morsel's rows
 	// room is the length every new vector is allocated at: a stepped
 	// evaluation's morsels differ in length (see over).
@@ -173,6 +175,62 @@ func CompileVec(n expr.Node, s *schema.Schema) (*VecEval, error) {
 	return compileMorsels(n, s, morselRows)
 }
 
+// CompileCells compiles a map operator that makes one cell per row into
+// an evaluator a fan steps as it steps a map's expression: cell appends to
+// its first argument the one cell it makes from its second, a row's cells
+// of the batch columns cols, and returns the first. A compiled program's
+// runs share the evaluator, so cell must be safe for concurrent use. Each
+// morsel's cells are typed as compress types them: a fan declines a
+// morsel whose cells are boxed, or of another kind than its first
+// morsel's.
+func CompileCells(cols []int, cell func(dst, row []value.V) []value.V) *VecEval {
+	e := &VecEval{leaves: make([]leaf, len(cols)), owned: true, size: morselRows}
+	for i, c := range cols {
+		e.leaves[i].col = c
+	}
+	e.ev = func(t *temps) *Vec {
+		if t.row == nil {
+			t.row = make([]value.V, len(cols))
+		}
+		for i := range t.leaves {
+			t.leaves[i].slide(0, t.n)
+		}
+		return t.scalar(t.n, func(i int) value.V {
+			for j := range t.row {
+				t.row[j] = t.leaves[j].v.At(i)
+			}
+			t.made = cell(t.made[:0], t.row)
+			return t.made[0]
+		})
+	}
+	return e
+}
+
+// Explode runs over b a map operator that makes any number of cells per
+// row, cell as CompileCells takes it: each row of b is repeated once per
+// cell it makes, in order, with the cell in column slot of out, b's schema
+// with the output column written over or appended; a row that makes none
+// is dropped. The input columns select through the repeat index, sharing
+// their payload: only the made column is new.
+func Explode(b *Batch, cols []int, cell func(dst, row []value.V) []value.V, out *schema.Schema, slot int) *Batch {
+	row, cells, idx := make([]value.V, len(cols)), make([]value.V, 0, b.length), make([]int32, 0, b.length)
+	for i := range b.length {
+		for j, c := range cols {
+			row[j] = b.cols[c].At(i)
+		}
+		n := len(cells)
+		for cells = cell(cells, row); n < len(cells); n++ {
+			idx = append(idx, int32(i))
+		}
+	}
+	res := b.selectRows(idx)
+	if res.schema = out; slot == len(res.cols) {
+		res.cols = append(res.cols, nil)
+	}
+	res.cols[slot] = compress(cells)
+	return res
+}
+
 // compileMorsels is CompileVec evaluating size rows at a time.
 func compileMorsels(n expr.Node, s *schema.Schema, size int) (*VecEval, error) {
 	e := &VecEval{leaves: make([]leaf, 0, 8), size: size}
@@ -234,16 +292,12 @@ func (e *VecEval) step(t *temps, n int, keep *Bitmap) *Vec {
 }
 
 // vec returns the vector a window of the leaf over batch b reads: the
-// literal, or the column, gathered first when it is a selection with
-// holes — the typed loops read payload slots, which a hole lacks.
+// literal, or the column without holes.
 func (l leaf) vec(b *Batch) *Vec {
 	if l.col < 0 {
 		return l.lit
 	}
-	if v := b.cols[l.col]; v.holes() {
-		return v.dense()
-	}
-	return b.cols[l.col]
+	return b.cols[l.col].holeless()
 }
 
 // compile compiles one node, appending its leaves to leaves. owned

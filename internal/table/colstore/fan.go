@@ -265,8 +265,8 @@ func (s *Stream) Push(b *Batch) error {
 		if v.kind != s.kinds[c] {
 			return ErrDeclined
 		}
-		r.top.cols[c].base = v
 	}
+	r.top.bases(b)
 	if p := r.p; p != nil && p.x.kind != value.Null {
 		// A typed key index that meets nulls or another kind moves to the
 		// encoded keys, as a fold's does.
@@ -451,14 +451,7 @@ func (r *fanRun) setup() (bool, error) {
 	// The counting pass runs the filters, limits and probes, and the maps
 	// whose columns they read: it reads and narrows only those columns.
 	r.readBack(0, len(f.Chain), true)
-	for c := range in.cols {
-		if v := in.cols[c]; r.top.cols[c].live {
-			if v.holes() {
-				v = v.dense()
-			}
-			r.top.cols[c].base = v
-		}
-	}
+	r.top.bases(in)
 	for i, k := range r.kern {
 		st := &r.steps[i]
 		switch k := k.(type) {
@@ -801,6 +794,16 @@ func (m *morsel) readComputed() {
 	}
 }
 
+// bases has the view's live columns read the source columns of b, each
+// made dense first where it has holes (leaf.vec).
+func (m *morsel) bases(b *Batch) {
+	for c, v := range b.cols {
+		if m.cols[c].live {
+			m.cols[c].base = v.holeless()
+		}
+	}
+}
+
 // window points the view at source rows [lo, hi).
 func (m *morsel) window(in *Batch, lo, hi int) {
 	for c := range in.cols {
@@ -951,10 +954,8 @@ func (p *probe) build(r *fanRun) {
 			idx := identity(right.length + 1)
 			idx[right.length], p.pad = -1, int32(right.length)
 			v = gather(v, idx)
-		} else if v.holes() {
-			v = v.dense()
 		}
-		p.out.cols[c].base = v
+		p.out.cols[c].base = v.holeless()
 	}
 }
 

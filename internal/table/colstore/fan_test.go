@@ -186,7 +186,7 @@ func FuzzFan(f *testing.F) {
 		first := 1 + rng.Intn(max(source.length, 1))
 		for lo, n := 0, first; lo == 0 || lo < source.length; lo, n = lo+n, 1+rng.Intn(first) {
 			hi := min(lo+n, source.length)
-			if err := st.Push(source.gatherRows(identity(hi)[lo:])); errors.Is(err, ErrDeclined) {
+			if err := st.Push(source.selectRows(identity(hi)[lo:])); errors.Is(err, ErrDeclined) {
 				return
 			} else if err != nil {
 				t.Fatal(err)

@@ -16,20 +16,30 @@ import (
 	"shareinsights/internal/value"
 )
 
-// MapFn computes the values of an operator's output columns for one
-// input row. emit may be called zero times (the row is dropped — e.g. a
-// tweet mentioning no player), once (plain mapping) or several times
-// (fan-out — e.g. extract_words emits one row per word). r and extra are
-// reused for the next row: neither may be kept past the call.
-type MapFn func(r table.Row, emit func(extra []value.V)) error
+// CellFn makes one row's cells of a map operator's output column: it
+// appends them to dst and returns it. row is the row's cells in the
+// columns the operator reads. Neither slice may be kept past the call. A
+// compiled program's runs share one CellFn, so it must be safe for
+// concurrent use.
+type CellFn = func(dst, row []value.V) []value.V
 
-// MapOperator is one bound column transformation — the paper's task
-// category 1, "transforming a column value into another value" (§4.2).
+// MapOperator is one column transformation — the paper's task category 1,
+// "transforming a column value into another value" (§4.2). The platform's
+// operators and those RegisterOperator adds implement it alike, and it is
+// all a map task knows of its operator.
 type MapOperator interface {
-	// OutColumns names the columns the operator produces.
-	OutColumns() []string
-	// Bind compiles the operator against the input schema.
-	Bind(env *Env, in *schema.Schema) (MapFn, error)
+	// Output names the one column the operator makes: an input column it
+	// writes over, or a new one after the input's.
+	Output() string
+	// KeepsRows reports whether the operator makes exactly one cell for
+	// every row. Such an operator runs on the kernels, where it fuses and
+	// streams with the steps around it. One that makes any number (it
+	// drops a row, or repeats it once per cell) runs alone, its input's
+	// rows repeated once per cell.
+	KeepsRows() bool
+	// Bind compiles the operator against the input schema: the columns it
+	// reads, and its cell function.
+	Bind(env *Env, in *schema.Schema) (reads []int, cell CellFn, err error)
 }
 
 // OperatorFactory parses an operator's configuration from the map task's
@@ -43,7 +53,7 @@ var (
 		"extract":          newExtractOperator,
 		"extract_location": newExtractLocationOperator,
 		"extract_words":    newExtractWordsOperator,
-		"expr":             nil, // parseMap builds it: it runs on its kernel
+		"expr":             newExprOperator,
 		"upper":            newCaseOperator(strings.ToUpper),
 		"lower":            newCaseOperator(strings.ToLower),
 		"trim":             newCaseOperator(strings.TrimSpace),
@@ -79,13 +89,12 @@ func Operators() []string {
 }
 
 // MapSpec implements the map task: it applies one operator, producing
-// the input columns plus (or overwriting) the operator's output columns.
+// the input columns plus (or overwriting) the operator's output column.
 type MapSpec struct {
 	memo
 	// Operator is the configured operator name, for display.
 	Operator string
-	// op is a MapOperator, or the expr operator, which runs on its kernel.
-	op interface{ OutColumns() []string }
+	op       MapOperator
 }
 
 func parseMap(cfg *flowfile.Node) (Spec, error) {
@@ -99,13 +108,7 @@ func parseMap(cfg *flowfile.Node) (Spec, error) {
 	if !ok {
 		return nil, fmt.Errorf("map: unknown operator %q (have %s)", name, strings.Join(Operators(), ", "))
 	}
-	var op interface{ OutColumns() []string }
-	var err error
-	if name == "expr" {
-		op, err = newExprOperator(cfg)
-	} else {
-		op, err = f(cfg)
-	}
+	op, err := f(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("map %s: %w", name, err)
 	}
@@ -115,10 +118,15 @@ func parseMap(cfg *flowfile.Node) (Spec, error) {
 // Type implements Spec.
 func (s *MapSpec) Type() string { return "map" }
 
-// OutColumns names the columns the configured operator produces. The
-// DAG optimizer consults it when deciding whether a filter commutes with
-// this map.
-func (s *MapSpec) OutColumns() []string { return s.op.OutColumns() }
+// OutColumns names the column the configured operator produces. The DAG
+// optimizer consults it when deciding whether a filter commutes with this
+// map.
+func (s *MapSpec) OutColumns() []string { return []string{s.op.Output()} }
+
+// KeepsRows reports whether the operator makes one cell for every row
+// (MapOperator.KeepsRows): Kernel admits the map, and flowcheck carries
+// its input's row count through it.
+func (s *MapSpec) KeepsRows() bool { return s.op.KeepsRows() }
 
 // Expr returns the parsed expression of an expr operator, nil for every
 // other operator.
@@ -141,54 +149,40 @@ func (s *MapSpec) Out(in []Input) (*schema.Schema, error) {
 			return nil, err
 		}
 	}
-	return one.Schema.ExtendOrSame(s.op.OutColumns()...), nil
+	return one.Schema.ExtendOrSame(s.op.Output()), nil
 }
 
-// Exec implements Spec: the expr operator on its kernel (SEMANTICS.md
-// §5), every other operator through the per-row adapter.
+// Exec implements Spec: an operator that keeps every row on its kernel
+// (SEMANTICS.md §5, §11), any other over its input's batch, each row
+// repeated once per cell it makes.
 func (s *MapSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Table, error) {
-	if s.Expr() != nil {
+	if s.KeepsRows() {
 		return execBound(env, s, in, names)
 	}
-	if _, err := s.Out(inputsOf(in, names)); err != nil {
-		return nil, err
-	}
-	return execRowLocal(env, s.op.(MapOperator), in[0])
-}
-
-// execRowLocal is the one per-row adapter, the Exec of a map operator
-// with no kernel: a text operator or a user's MapOperator. It reads t's
-// batch one row at a time into one reused row, and appends each row op
-// emits for it — the input's cells, with op's output columns written in
-// place or after them — to a builder.
-func execRowLocal(env *Env, op MapOperator, t *table.Table) (*table.Table, error) {
-	fn, err := op.Bind(env, t.Schema())
+	out, err := s.Out(inputsOf(in, names))
 	if err != nil {
 		return nil, err
 	}
-	cols := op.OutColumns()
-	out := t.Schema().ExtendOrSame(cols...)
-	slots := make([]int, len(cols))
-	for i, c := range cols {
-		slots[i] = out.Index(c)
+	reads, cell, err := s.op.Bind(env, in[0].Schema())
+	if err != nil {
+		return nil, err
 	}
-	b, _ := colstore.FromTable(t)
-	res, r, row := colstore.NewBuilder(out), make(table.Row, b.Schema().Len()), make([]value.V, out.Len())
-	emit := func(extra []value.V) {
-		copy(row, r)
-		clear(row[len(r):])
-		for i, v := range extra {
-			row[slots[i]] = v
-		}
-		res.Append(row)
+	b, _ := colstore.FromTable(in[0])
+	return colstore.Explode(b, reads, cell, out, out.Index(s.op.Output())).ToTable(), nil
+}
+
+// eval compiles the operator, one that keeps every row, over in: an
+// expression to its one executable form, colstore.CompileVec, any other
+// operator's cells through colstore.CompileCells.
+func (s *MapSpec) eval(env *Env, in *schema.Schema) (*colstore.VecEval, error) {
+	if e := s.Expr(); e != nil {
+		return colstore.CompileVec(e, in)
 	}
-	for i := range b.Len() {
-		b.Row(i, r)
-		if err := fn(r, emit); err != nil {
-			return nil, err
-		}
+	reads, cell, err := s.op.Bind(env, in)
+	if err != nil {
+		return nil, err
 	}
-	return res.Table(), nil
+	return colstore.CompileCells(reads, cell), nil
 }
 
 // ---------------------------------------------------------------------
@@ -220,16 +214,13 @@ func newDateOperator(cfg *flowfile.Node) (MapOperator, error) {
 	return op, nil
 }
 
-func (op *dateOperator) OutColumns() []string { return []string{op.output} }
+func (op *dateOperator) Output() string  { return op.output }
+func (op *dateOperator) KeepsRows() bool { return true }
 
-func (op *dateOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
+func (op *dateOperator) Bind(env *Env, in *schema.Schema) ([]int, CellFn, error) {
 	idx, err := in.Require(op.transform)
-	if err != nil {
-		return nil, err
-	}
-	i := idx[0]
-	return func(r table.Row, emit func([]value.V)) error {
-		v := r[i]
+	return idx, func(dst, row []value.V) []value.V {
+		v := row[0]
 		var t time.Time
 		switch {
 		case v.Kind() == value.Time:
@@ -240,66 +231,29 @@ func (op *dateOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
 			if perr != nil {
 				// Malformed timestamps pass through as null rather than
 				// aborting a million-row flow.
-				emit([]value.V{value.VNull})
-				return nil
+				return append(dst, value.VNull)
 			}
 		default:
 			if p := value.Parse(v.Str()); p.Kind() == value.Time {
 				t = p.Time()
 			} else {
-				emit([]value.V{value.VNull})
-				return nil
+				return append(dst, value.VNull)
 			}
 		}
-		emit([]value.V{value.NewString(t.Format(op.outLayout))})
-		return nil
-	}, nil
+		return append(dst, value.NewString(t.Format(op.outLayout)))
+	}, err
 }
 
 // javaToGoLayout translates a Java SimpleDateFormat pattern into a Go
-// time layout. It covers the tokens the platform's connectors meet:
-// yyyy/yy, MMM/MM, dd/d, EEE/E, HH/hh/h, mm, ss, SSS, a, Z/ZZ, z.
-func javaToGoLayout(pattern string) string {
-	if pattern == "" {
-		return ""
-	}
-	var b strings.Builder
-	repl := []struct{ java, golang string }{
-		{"yyyy", "2006"}, {"yy", "06"},
-		{"MMMM", "January"}, {"MMM", "Jan"}, {"MM", "01"},
-		{"dd", "02"},
-		{"EEEE", "Monday"}, {"EEE", "Mon"}, {"E", "Mon"},
-		{"HH", "15"}, {"hh", "03"}, {"h", "3"},
-		{"mm", "04"},
-		{"ss", "05"}, {"SSS", "000"},
-		{"a", "PM"},
-		{"ZZ", "-07:00"}, {"Z", "-0700"}, {"z", "MST"},
-	}
-	for i := 0; i < len(pattern); {
-		matched := false
-		for _, r := range repl {
-			if strings.HasPrefix(pattern[i:], r.java) {
-				b.WriteString(r.golang)
-				i += len(r.java)
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			// Single M and d outside multi-char tokens.
-			switch pattern[i] {
-			case 'M':
-				b.WriteByte('1')
-			case 'd':
-				b.WriteByte('2')
-			default:
-				b.WriteByte(pattern[i])
-			}
-			i++
-		}
-	}
-	return b.String()
-}
+// time layout, token by token: at each position the first token listed
+// that matches (a strings.Replacer compares in argument order). It covers
+// the tokens the platform's connectors meet; a lone M or d is a month or
+// day without padding, and any other byte stands for itself.
+var javaToGoLayout = strings.NewReplacer(
+	"yyyy", "2006", "yy", "06", "MMMM", "January", "MMM", "Jan", "MM", "01", "dd", "02",
+	"EEEE", "Monday", "EEE", "Mon", "E", "Mon", "HH", "15", "hh", "03", "h", "3",
+	"mm", "04", "ss", "05", "SSS", "000", "a", "PM", "ZZ", "-07:00", "Z", "-0700", "z", "MST",
+	"M", "1", "d", "2").Replace
 
 // ---------------------------------------------------------------------
 // extract operator
@@ -333,7 +287,8 @@ func newExtractOperator(cfg *flowfile.Node) (MapOperator, error) {
 	return op, nil
 }
 
-func (op *extractOperator) OutColumns() []string { return []string{op.output} }
+func (op *extractOperator) Output() string  { return op.output }
+func (op *extractOperator) KeepsRows() bool { return false }
 
 // ParseDictionary parses a term dictionary resource. Exported because
 // the gen package reuses it for building fixtures.
@@ -360,32 +315,37 @@ func ParseDictionary(data []byte) map[string]string {
 
 func normTerm(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
-func (op *extractOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
+func (op *extractOperator) Bind(env *Env, in *schema.Schema) ([]int, CellFn, error) {
 	idx, err := in.Require(op.transform)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	data, ok := env.Resource(op.dict)
 	if !ok {
-		return nil, fmt.Errorf("extract: dictionary resource %q not found", op.dict)
+		return nil, nil, fmt.Errorf("extract: dictionary resource %q not found", op.dict)
 	}
 	dict := ParseDictionary(data)
-	i := idx[0]
-	return func(r table.Row, emit func([]value.V)) error {
-		seen := map[string]bool{}
-		for _, tok := range Tokenize(r[i].Str()) {
+	return idx, func(dst, row []value.V) []value.V {
+		n := len(dst)
+	tokens:
+		for _, tok := range Tokenize(row[0].Str()) {
 			std, ok := dict[tok]
 			if !ok {
 				// Hashtags and mentions match their bare dictionary
 				// entry: "#CSK" finds "csk".
 				std, ok = dict[strings.TrimLeft(tok, "#@")]
 			}
-			if ok && !seen[std] {
-				seen[std] = true
-				emit([]value.V{value.NewString(std)})
+			if !ok {
+				continue
 			}
+			for _, v := range dst[n:] {
+				if v.Str() == std {
+					continue tokens
+				}
+			}
+			dst = append(dst, value.NewString(std))
 		}
-		return nil
+		return dst
 	}, nil
 }
 
@@ -420,27 +380,26 @@ func newExtractLocationOperator(cfg *flowfile.Node) (MapOperator, error) {
 	return op, nil
 }
 
-func (op *extractLocationOperator) OutColumns() []string { return []string{op.output} }
+func (op *extractLocationOperator) Output() string  { return op.output }
+func (op *extractLocationOperator) KeepsRows() bool { return false }
 
-func (op *extractLocationOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
+func (op *extractLocationOperator) Bind(env *Env, in *schema.Schema) ([]int, CellFn, error) {
 	idx, err := in.Require(op.transform)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	data, ok := env.Resource(op.dict)
 	if !ok {
-		return nil, fmt.Errorf("extract_location: gazetteer resource %q not found", op.dict)
+		return nil, nil, fmt.Errorf("extract_location: gazetteer resource %q not found", op.dict)
 	}
 	gaz := ParseDictionary(data)
-	i := idx[0]
-	return func(r table.Row, emit func([]value.V)) error {
-		for _, tok := range Tokenize(r[i].Str()) {
+	return idx, func(dst, row []value.V) []value.V {
+		for _, tok := range Tokenize(row[0].Str()) {
 			if state, ok := gaz[tok]; ok {
-				emit([]value.V{value.NewString(state)})
-				return nil
+				return append(dst, value.NewString(state))
 			}
 		}
-		return nil
+		return dst
 	}, nil
 }
 
@@ -463,7 +422,8 @@ func newExtractWordsOperator(cfg *flowfile.Node) (MapOperator, error) {
 	return op, nil
 }
 
-func (op *extractWordsOperator) OutColumns() []string { return []string{op.output} }
+func (op *extractWordsOperator) Output() string  { return op.output }
+func (op *extractWordsOperator) KeepsRows() bool { return false }
 
 var stopwords = func() map[string]bool {
 	words := strings.Fields(`the and for with that this from are was you your have has had
@@ -477,21 +437,16 @@ var stopwords = func() map[string]bool {
 	return m
 }()
 
-func (op *extractWordsOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
+func (op *extractWordsOperator) Bind(env *Env, in *schema.Schema) ([]int, CellFn, error) {
 	idx, err := in.Require(op.transform)
-	if err != nil {
-		return nil, err
-	}
-	i := idx[0]
-	return func(r table.Row, emit func([]value.V)) error {
-		for _, tok := range Tokenize(r[i].Str()) {
-			if len(tok) < 3 || stopwords[tok] || strings.HasPrefix(tok, "http") {
-				continue
+	return idx, func(dst, row []value.V) []value.V {
+		for _, tok := range Tokenize(row[0].Str()) {
+			if len(tok) >= 3 && !stopwords[tok] && !strings.HasPrefix(tok, "http") {
+				dst = append(dst, value.NewString(tok))
 			}
-			emit([]value.V{value.NewString(tok)})
 		}
-		return nil
-	}, nil
+		return dst
+	}, err
 }
 
 // Tokenize lower-cases text and splits it into alphanumeric tokens.
@@ -506,14 +461,15 @@ func Tokenize(s string) []string {
 // general-purpose operators
 
 // exprOperator computes one output column from a filter-language
-// expression: `operator: expr, expression: a * b, output: c`. Its map
-// runs on the map-expr kernel.
+// expression: `operator: expr, expression: a * b, output: c`. It has no
+// cell function: MapSpec compiles its expression whole, to its one
+// executable form (colstore.CompileVec).
 type exprOperator struct {
 	node   expr.Node
 	output string
 }
 
-func newExprOperator(cfg *flowfile.Node) (*exprOperator, error) {
+func newExprOperator(cfg *flowfile.Node) (MapOperator, error) {
 	src, output := cfg.Str("expression"), cfg.Str("output")
 	if src == "" || output == "" {
 		return nil, fmt.Errorf("expr: need expression and output")
@@ -525,7 +481,12 @@ func newExprOperator(cfg *flowfile.Node) (*exprOperator, error) {
 	return &exprOperator{node: n, output: output}, nil
 }
 
-func (op *exprOperator) OutColumns() []string { return []string{op.output} }
+func (op *exprOperator) Output() string  { return op.output }
+func (op *exprOperator) KeepsRows() bool { return true }
+
+func (op *exprOperator) Bind(*Env, *schema.Schema) ([]int, CellFn, error) {
+	return nil, nil, fmt.Errorf("expr: an expression compiles whole, with colstore.CompileVec")
+}
 
 // caseOperator applies a string function in place or to an output column.
 type caseOperator struct {
@@ -547,18 +508,14 @@ func newCaseOperator(fn func(string) string) OperatorFactory {
 	}
 }
 
-func (op *caseOperator) OutColumns() []string { return []string{op.output} }
+func (op *caseOperator) Output() string  { return op.output }
+func (op *caseOperator) KeepsRows() bool { return true }
 
-func (op *caseOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
+func (op *caseOperator) Bind(env *Env, in *schema.Schema) ([]int, CellFn, error) {
 	idx, err := in.Require(op.transform)
-	if err != nil {
-		return nil, err
-	}
-	i := idx[0]
-	return func(r table.Row, emit func([]value.V)) error {
-		emit([]value.V{value.NewString(op.fn(r[i].Str()))})
-		return nil
-	}, nil
+	return idx, func(dst, row []value.V) []value.V {
+		return append(dst, value.NewString(op.fn(row[0].Str())))
+	}, err
 }
 
 // concatOperator joins several columns with a separator.
@@ -580,21 +537,21 @@ func newConcatOperator(cfg *flowfile.Node) (MapOperator, error) {
 	return op, nil
 }
 
-func (op *concatOperator) OutColumns() []string { return []string{op.output} }
+func (op *concatOperator) Output() string  { return op.output }
+func (op *concatOperator) KeepsRows() bool { return true }
 
-func (op *concatOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
+func (op *concatOperator) Bind(env *Env, in *schema.Schema) ([]int, CellFn, error) {
 	idx, err := in.Require(op.transform...)
-	if err != nil {
-		return nil, err
-	}
-	return func(r table.Row, emit func([]value.V)) error {
-		parts := make([]string, len(idx))
-		for i, j := range idx {
-			parts[i] = r[j].String()
+	return idx, func(dst, row []value.V) []value.V {
+		var b strings.Builder
+		for i, v := range row {
+			if i > 0 {
+				b.WriteString(op.sep)
+			}
+			b.WriteString(v.String())
 		}
-		emit([]value.V{value.NewString(strings.Join(parts, op.sep))})
-		return nil
-	}, nil
+		return append(dst, value.NewString(b.String()))
+	}, err
 }
 
 // replaceOperator substitutes text in a column.
@@ -620,18 +577,14 @@ func newReplaceOperator(cfg *flowfile.Node) (MapOperator, error) {
 	return op, nil
 }
 
-func (op *replaceOperator) OutColumns() []string { return []string{op.output} }
+func (op *replaceOperator) Output() string  { return op.output }
+func (op *replaceOperator) KeepsRows() bool { return true }
 
-func (op *replaceOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
+func (op *replaceOperator) Bind(env *Env, in *schema.Schema) ([]int, CellFn, error) {
 	idx, err := in.Require(op.transform)
-	if err != nil {
-		return nil, err
-	}
-	i := idx[0]
-	return func(r table.Row, emit func([]value.V)) error {
-		emit([]value.V{value.NewString(strings.ReplaceAll(r[i].Str(), op.old, op.new))})
-		return nil
-	}, nil
+	return idx, func(dst, row []value.V) []value.V {
+		return append(dst, value.NewString(strings.ReplaceAll(row[0].Str(), op.old, op.new)))
+	}, err
 }
 
 // bucketOperator quantizes a numeric column: floor(v / width) * width.
@@ -663,28 +616,21 @@ func newBucketOperator(cfg *flowfile.Node) (MapOperator, error) {
 	return op, nil
 }
 
-func (op *bucketOperator) OutColumns() []string { return []string{op.output} }
+func (op *bucketOperator) Output() string  { return op.output }
+func (op *bucketOperator) KeepsRows() bool { return true }
 
-func (op *bucketOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
+func (op *bucketOperator) Bind(env *Env, in *schema.Schema) ([]int, CellFn, error) {
 	idx, err := in.Require(op.transform)
-	if err != nil {
-		return nil, err
-	}
-	i := idx[0]
-	return func(r table.Row, emit func([]value.V)) error {
-		v := r[i]
-		if v.IsNull() {
-			emit([]value.V{value.VNull})
-			return nil
+	return idx, func(dst, row []value.V) []value.V {
+		if row[0].IsNull() {
+			return append(dst, value.VNull)
 		}
-		b := math.Floor(v.Float()/op.width) * op.width
+		b := math.Floor(row[0].Float()/op.width) * op.width
 		if b == math.Trunc(b) && op.width == math.Trunc(op.width) {
-			emit([]value.V{value.NewInt(int64(b))})
-		} else {
-			emit([]value.V{value.NewFloat(b)})
+			return append(dst, value.NewInt(int64(b)))
 		}
-		return nil
-	}, nil
+		return append(dst, value.NewFloat(b))
+	}, err
 }
 
 // constantOperator adds a fixed-value column.
@@ -701,11 +647,9 @@ func newConstantOperator(cfg *flowfile.Node) (MapOperator, error) {
 	return op, nil
 }
 
-func (op *constantOperator) OutColumns() []string { return []string{op.output} }
+func (op *constantOperator) Output() string  { return op.output }
+func (op *constantOperator) KeepsRows() bool { return true }
 
-func (op *constantOperator) Bind(env *Env, in *schema.Schema) (MapFn, error) {
-	return func(r table.Row, emit func([]value.V)) error {
-		emit([]value.V{op.val})
-		return nil
-	}, nil
+func (op *constantOperator) Bind(*Env, *schema.Schema) ([]int, CellFn, error) {
+	return nil, func(dst, _ []value.V) []value.V { return append(dst, op.val) }, nil
 }

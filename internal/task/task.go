@@ -47,9 +47,9 @@ type Spec interface {
 	// batches, or returns what is wrong with its configuration
 	// (docs/SEMANTICS.md states what each task means). A task Kernel
 	// admits alone runs the group Bind keeps for it; a partitioned topn,
-	// a project, a distinct, a union and an interaction filter's
-	// selection run over the batches directly, and a text map operator
-	// through the per-row adapter.
+	// a project, a distinct, a union, an interaction filter's selection
+	// and a map operator that drops or repeats rows run over the batches
+	// directly.
 	Exec(env *Env, in []*table.Table, names []string) (*table.Table, error)
 }
 

@@ -18,8 +18,9 @@ import (
 // kernel cannot handle — an unregistered aggregate, a missing column, an
 // expression that does not compile — returns ok == false, and Exec, which
 // binds the same group, returns the configuration's error. A stage Kernel
-// does not admit (an interaction-mode filter, a grouped topn, the text
-// map operators) binds no kernel, and runs alone through its Exec.
+// does not admit (an interaction-mode filter, a grouped topn, a map
+// operator that drops or repeats rows) binds no kernel, and runs alone
+// through its Exec.
 type Vectorizable interface {
 	Spec
 	BindVec(env *Env, in Input) (k colstore.Kernel, out *schema.Schema, ok bool)
@@ -35,9 +36,10 @@ type Vectorizable interface {
 //     over its build side. A right or full outer join runs alone: the
 //     build rows no probe row joined come after every probe row, and a
 //     filter must see their nulls;
-//   - steps are an expression filter, an expression map and a limit. A
-//     filter after a probe reads the joined rows, either side's columns,
-//     a left outer join's unmatched row with null build columns;
+//   - steps are an expression filter, a map whose operator keeps every
+//     row (MapSpec.KeepsRows) and a limit. A filter after a probe reads
+//     the joined rows, either side's columns, a left outer join's
+//     unmatched row with null build columns;
 //   - sinks are a group-by, a global topn and a sort, with the limit
 //     after it as one top-n.
 //
@@ -76,7 +78,7 @@ func Kernel(specs []Spec, inputs int) int {
 				return n
 			}
 		case *MapSpec:
-			if s.Expr() == nil {
+			if !s.KeepsRows() {
 				return n
 			}
 		case *LimitSpec:
@@ -309,7 +311,7 @@ func execBound(env *Env, s Spec, in []*table.Table, names []string) (*table.Tabl
 	ins := inputsOf(in, names)
 	k := Bind(env, []Spec{s}, ins)
 	if !k.OK {
-		return nil, bindErr(s, ins)
+		return nil, bindErr(env, s, ins)
 	}
 	outs, _, err := k.Run(in)
 	if err != nil {
@@ -332,8 +334,9 @@ func (k *Bound) Run(in []*table.Table) ([]*colstore.Batch, []colstore.FanStage, 
 }
 
 // bindErr is the configuration error that keeps s from binding over in:
-// Out's, or else an unregistered aggregate's or its expression's.
-func bindErr(s Spec, in []Input) (err error) {
+// Out's, or else an unregistered aggregate's, its expression's or its map
+// operator's.
+func bindErr(env *Env, s Spec, in []Input) (err error) {
 	if _, err = s.Out(in); err == nil {
 		switch s := s.(type) {
 		case *GroupBySpec:
@@ -341,7 +344,7 @@ func bindErr(s Spec, in []Input) (err error) {
 		case *FilterSpec:
 			_, err = colstore.CompileVec(s.Expr, in[0].Schema)
 		case *MapSpec:
-			_, err = colstore.CompileVec(s.Expr(), in[0].Schema)
+			_, err = s.eval(env, in[0].Schema)
 		}
 	}
 	return err
@@ -356,17 +359,14 @@ func (s *TopNSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema,
 	return &colstore.TopN{Keys: sortKeys(s.OrderBy), Limit: s.Limit}, in.Schema, true
 }
 
-// BindVec implements Vectorizable. Only the expr operator vectorizes;
-// the text operators (extract, date, …) are dictionary- or
-// tokenizer-bound and may fan out rows.
+// BindVec implements Vectorizable: an operator that keeps every row.
 func (s *MapSpec) BindVec(env *Env, in Input) (colstore.Kernel, *schema.Schema, bool) {
-	n := s.Expr()
-	if n == nil {
+	if !s.KeepsRows() {
 		return nil, nil, false
 	}
-	col := s.OutColumns()[0]
+	col := s.op.Output()
 	out := in.Schema.ExtendOrSame(col)
-	ev, err := colstore.CompileVec(n, in.Schema)
+	ev, err := s.eval(env, in.Schema)
 	if err != nil {
 		return nil, nil, false
 	}
