@@ -193,3 +193,80 @@ func TestMapOperatorsMatchReference(t *testing.T) {
 	diffFlow(t, mapOpFlow, sources)
 	diffFlow(t, mapOpFlow, map[string]*table.Table{"src": mapOpSource(2000)})
 }
+
+// mapOpStreamFlow reads the upload src.<format> as D.src through the
+// inline node D.mid, three map operators that keep every row, into two
+// group-bys, one after a fourth.
+func mapOpStreamFlow(format string) string {
+	return fmt.Sprintf(`
+D:
+  src: [region, product, amount, ratio, flag]
+
+D.src:
+  source: data:src.%[1]s
+  format: %[1]s
+
+F:
+  D.mid: D.src | T.day | T.shout | T.tens
+  +D.by_day: D.mid | T.per_day
+  +D.by_tag: D.mid | T.tag | T.per_tag
+
+T:
+  day:
+    type: map
+    operator: date
+    transform: product
+    input_format: 'E MMM dd HH:mm:ss Z yyyy'
+    output_format: yyyy-MM-dd
+    output: day
+  shout:
+    type: map
+    operator: upper
+    transform: region
+  per_day:
+    type: groupby
+    groupby: [day, region]
+  tens:
+    type: map
+    operator: bucket
+    transform: amount
+    width: 10
+    output: tens
+  tag:
+    type: map
+    operator: concat
+    transform: [region, tens]
+    separator: '-'
+    output: tag
+  per_tag:
+    type: groupby
+    groupby: [tag]
+`, format)
+}
+
+// TestStreamedMapOperators: an upload streams through map operators that
+// keep every row into group-bys, a batch at a time, and gives the
+// reference's tables. Dates malformed through the first batch make its
+// date column null and the next batch's a string: the stream declines,
+// and the run decodes the upload whole and gives the same tables.
+func TestStreamedMapOperators(t *testing.T) {
+	for name, c := range map[string]struct {
+		malformed int
+		streams   bool
+	}{"valid dates": {0, true}, "malformed first batch": {1100, false}} {
+		tb := withColumn(salesTable(5000, 3, 10), "product", func(i int, _ value.V) value.V {
+			if i < c.malformed {
+				return value.NewString(fmt.Sprintf("malformed %d", i))
+			}
+			return value.NewString(fmt.Sprintf("Tue Apr %02d 10:00:00 +0530 2014", 1+i%28))
+		})
+		for _, format := range []string{"csv", "sbin"} {
+			t.Run(name+"/"+format, func(t *testing.T) {
+				src := streamRuns(t, mapOpStreamFlow(format), streamPayload(format, tb), nil)
+				if want := map[bool][2]int{true: {1, 1}, false: {2, 0}}[c.streams]; src.decodes != want[0] || src.streams != want[1] {
+					t.Errorf("the run decoded D.src %d times, %d of them streamed; want %d and %d", src.decodes, src.streams, want[0], want[1])
+				}
+			})
+		}
+	}
+}

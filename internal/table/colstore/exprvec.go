@@ -10,9 +10,10 @@ import (
 	"shareinsights/internal/value"
 )
 
-// VecEval is a compiled expression: a Fan steps it over a morsel at a
-// time, as a filter's predicate or a map's expression. Evaluating it
-// cannot fail: binding errors surface at compile.
+// VecEval is a compiled expression, or a map operator's compiled cell
+// function (CompileCells): a Fan steps it over a morsel at a time, as a
+// filter's predicate or a map's column. Evaluating it cannot fail:
+// binding errors surface at compile.
 type VecEval struct {
 	ev     eval
 	owned  bool // ev returns a vector the evaluation allocated, not a leaf's

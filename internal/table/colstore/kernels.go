@@ -64,11 +64,11 @@ func kept(dst []int32, keep *Bitmap, n int) []int32 {
 // ---------------------------------------------------------------------
 // map-expr
 
-// MapExpr computes one expression column over the whole batch — the
-// vectorized `map` task with the expr operator. Input columns are
-// shared, not copied; only the computed column is new.
+// MapExpr computes one column over the whole batch — the vectorized
+// `map` task, with the expr operator or any other that keeps every row.
+// Input columns are shared, not copied; only the computed column is new.
 type MapExpr struct {
-	// Eval is the compiled expression.
+	// Eval is the compiled expression or cell function (CompileCells).
 	Eval *VecEval
 	// Out is the output schema (input extended with, or overwriting,
 	// the output column) and Slot the output column's index in it.
