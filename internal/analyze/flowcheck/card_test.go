@@ -1,6 +1,7 @@
 package flowcheck_test
 
 import (
+	"sync"
 	"testing"
 
 	"shareinsights/internal/analyze/flowcheck"
@@ -26,13 +27,19 @@ func (op dropNulls) Bind(_ *task.Env, in *schema.Schema) ([]int, task.CellFn, er
 	}, err
 }
 
+// registerDropNulls registers dropNulls as drop_nulls, once per process:
+// the operator registry is global.
+var registerDropNulls = sync.OnceValue(func() error {
+	return task.RegisterOperator("drop_nulls", func(cfg *flowfile.Node) (task.MapOperator, error) {
+		return dropNulls{cfg.Str("transform")}, nil
+	})
+})
+
 // TestRegisteredOperatorCard: a registered map operator that drops rows
 // leaves its stage's row count unknown, as the platform's extracts do,
 // rather than carrying its input's exact count through.
 func TestRegisteredOperatorCard(t *testing.T) {
-	if err := task.RegisterOperator("drop_nulls", func(cfg *flowfile.Node) (task.MapOperator, error) {
-		return dropNulls{cfg.Str("transform")}, nil
-	}); err != nil {
+	if err := registerDropNulls(); err != nil {
 		t.Fatal(err)
 	}
 	f, err := flowfile.Parse("card", `
